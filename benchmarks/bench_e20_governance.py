@@ -83,23 +83,22 @@ def run_cancellation_latency(db: Database) -> list[float]:
 
 def run_checkpoint_overhead(db: Database) -> dict:
     """The same plan with and without an active governance context."""
-    from repro.sql.runner import plan_query
+    from repro.sql.runner import plan_query, prepare, run_physical
 
     plan = plan_query(db, SCAN_QUERY)
 
-    def timed_ungoverned() -> float:
-        physical, dtypes = db._prepare(plan)
+    def timed_run() -> float:
+        physical, lock_free = prepare(db, plan)
         start = time.perf_counter()
-        db._run_physical(physical, dtypes)
+        run_physical(db.isolation, physical, lock_free)
         return time.perf_counter() - start
+
+    timed_ungoverned = timed_run
 
     def timed_governed() -> tuple[float, int]:
         ctx = db.new_query_context(sql=SCAN_QUERY)
         with governed(ctx):
-            physical, dtypes = db._prepare(plan)
-            start = time.perf_counter()
-            db._run_physical(physical, dtypes)
-            elapsed = time.perf_counter() - start
+            elapsed = timed_run()
         return elapsed, ctx.checks
 
     # Warm both paths once, then take the best of several runs each —

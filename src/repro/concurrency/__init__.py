@@ -1,6 +1,6 @@
 """Multi-session concurrency layer: lock-free MVCC reads, latched writes.
 
-See DESIGN.md "Concurrency" and "Multi-versioning" for the model.
+See DESIGN.md "Statement pipeline" and "Multi-versioning" for the model.
 Public surface:
 
 * :class:`ConcurrentDatabase` — shared-database coordinator.
@@ -14,7 +14,7 @@ Public surface:
 from .database import ConcurrentDatabase
 from .latch import TableLatches, TableWriteLatch
 from .rwlock import ReadWriteLock
-from .session import Session, pin_plan
+from .session import Session
 
 __all__ = [
     "ConcurrentDatabase",
@@ -22,5 +22,4 @@ __all__ = [
     "Session",
     "TableLatches",
     "TableWriteLatch",
-    "pin_plan",
 ]

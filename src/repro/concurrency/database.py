@@ -2,11 +2,12 @@
 
 The core :class:`~repro.db.database.Database` is single-caller by
 design — one thread parses, mutates and reads. This facade adds the
-coordination layer from DESIGN.md "Concurrency": N sessions share the
-engine through one :class:`~repro.concurrency.rwlock.ReadWriteLock`,
-readers pin snapshots, writers serialize, and maintenance operations
-(tuple mover, REBUILD, archival, save/checkpoint) take the exclusive
-side like any other writer. The embedded server
+coordination layer from DESIGN.md "Statement pipeline": N sessions
+share the engine through one
+:class:`~repro.concurrency.rwlock.ReadWriteLock`, readers pin
+snapshots, writers serialize, and maintenance operations (tuple mover,
+REBUILD, archival, save/checkpoint) take the exclusive side like any
+other writer. The embedded server
 (:mod:`repro.server`) opens one session per connection against an
 instance of this class.
 """
@@ -45,8 +46,10 @@ class ConcurrentDatabase:
         self._registry_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._closed = False
-        # Lazily-created session per thread for the .sql() convenience.
-        self._thread_sessions = threading.local()
+        # Implicit sessions of the .sql() convenience, keyed by the
+        # calling Thread *object* (an ident is recycled; an object the
+        # dict keeps alive is not).
+        self._implicit: dict[threading.Thread, Session] = {}
 
     @classmethod
     def open(cls, path: str, **kwargs: Any) -> "ConcurrentDatabase":
@@ -86,12 +89,22 @@ class ConcurrentDatabase:
 
         Each calling thread gets its own lazily-created session, so
         plain ``cdb.sql(...)`` from worker threads composes correctly
-        with explicit transactions (which are per-session).
+        with explicit transactions (which are per-session). A session
+        lives as long as its thread: every call first closes the
+        implicit sessions of threads that have exited (rolling back
+        whatever they left open).
         """
-        session = getattr(self._thread_sessions, "session", None)
+        me = threading.current_thread()
+        with self._registry_lock:
+            dead = [thread for thread in self._implicit if not thread.is_alive()]
+            orphaned = [self._implicit.pop(thread) for thread in dead]
+            session = self._implicit.get(me)
+        for orphan in orphaned:
+            orphan.close()
         if session is None or session.closed:
-            session = self.session(f"thread-{threading.get_ident()}")
-            self._thread_sessions.session = session
+            session = self.session(f"implicit-{next(self._ids)}")
+            with self._registry_lock:
+                self._implicit[me] = session
         return session.sql(text, **options)
 
     # ------------------------------------------------------------------ #

@@ -14,117 +14,32 @@ now takes:
   the exclusive side and reorganize or snapshot shared state), and
 * this table's **write latch** — serializing writers per table.
 
-The latch mirrors the RW lock's governance behavior exactly: a governed
-statement waiting on a busy latch slices its wait so ``KILL`` and
-``statement_timeout`` interrupt the *wait* with the same typed,
-retryable :class:`~repro.errors.LockTimeoutError` semantics as the lock
-path (PR 7's contract), and the latch is released cleanly — a latch
-acquire that raises never leaves the latch held.
+The latch *is* the RW lock's write side minus the readers — one
+:class:`~repro.concurrency.rwlock.OwnedLock`: owned by the acquirer's
+token (never a thread), and a governed statement waiting on a busy latch
+slices its wait so ``KILL`` and ``statement_timeout`` interrupt the
+*wait* with the same typed, retryable
+:class:`~repro.errors.LockTimeoutError` semantics as the lock path. A
+latch acquire that raises never leaves the latch held.
 """
 
 from __future__ import annotations
 
 import threading
 
-from ..errors import ConcurrencyError, LockTimeoutError
-from ..governance.context import current as governance_current
-from ..observability import registry as metrics
-from .rwlock import DEFAULT_ACQUIRE_TIMEOUT_SECONDS, _GOVERNANCE_POLL_SECONDS, _Guard
+from .rwlock import DEFAULT_ACQUIRE_TIMEOUT_SECONDS, OwnedLock
 
 
-class TableWriteLatch:
-    """One table's writer mutex (reentrant, governed waits).
-
-    Reentrancy matches the RW lock's write side: the owner may acquire
-    again (depth-counted), which keeps compound statements that route
-    through the same table twice from self-deadlocking.
-    """
+class TableWriteLatch(OwnedLock):
+    """One table's writer mutex (token-owned, governed waits)."""
 
     def __init__(
         self, name: str, timeout: float | None = DEFAULT_ACQUIRE_TIMEOUT_SECONDS
     ) -> None:
+        super().__init__(
+            f"the write latch of table {name!r}", "concurrency.latch_waits", timeout
+        )
         self.name = name
-        self._condition = threading.Condition()
-        self._owner: int | None = None  # owning thread ident
-        self._depth = 0
-        self._timeout = timeout
-
-    def acquire(self) -> None:
-        """Take the latch; blocks (interruptibly when governed) if busy."""
-        me = threading.get_ident()
-        with self._condition:
-            if self._owner == me:
-                self._depth += 1
-                return
-            if self._owner is not None:
-                metrics.increment("concurrency.latch_waits")
-                deadline = (
-                    None
-                    if self._timeout is None
-                    else (
-                        threading.TIMEOUT_MAX if self._timeout <= 0 else self._timeout
-                    )
-                )
-                while self._owner is not None:
-                    self._wait(deadline)
-            self._owner = me
-            self._depth = 1
-
-    def release(self, *, force: bool = False) -> None:
-        """Release one hold (``force=True``: teardown from any thread)."""
-        with self._condition:
-            if self._owner is None:
-                raise ConcurrencyError(
-                    f"release of table latch {self.name!r} without a hold"
-                )
-            if self._owner != threading.get_ident():
-                if not force:
-                    raise ConcurrencyError(
-                        f"release of table latch {self.name!r} by a thread "
-                        "that does not hold it"
-                    )
-                self._depth = 0
-            else:
-                self._depth = 0 if force else self._depth - 1
-            if self._depth == 0:
-                self._owner = None
-                self._condition.notify_all()
-
-    def locked(self) -> _Guard:
-        return _Guard(self.acquire, self.release)
-
-    @property
-    def held_by_me(self) -> bool:
-        with self._condition:
-            return self._owner == threading.get_ident()
-
-    def _wait(self, budget: float | None) -> None:
-        # Same slicing contract as ReadWriteLock._wait: a governed
-        # statement's deadline or KILL lands *while* it waits, raising
-        # through ctx.check() with the latch untouched.
-        ctx = governance_current()
-        if ctx is None:
-            if not self._condition.wait(timeout=budget):
-                raise LockTimeoutError(
-                    f"timed out after {self._timeout}s waiting for the write "
-                    f"latch of table {self.name!r} (likely a latch leak or "
-                    "deadlock — see DESIGN.md Concurrency)"
-                )
-            return
-        remaining = budget if budget is not None else threading.TIMEOUT_MAX
-        while True:
-            ctx.check()
-            if self._condition.wait(
-                timeout=min(_GOVERNANCE_POLL_SECONDS, remaining)
-            ):
-                return
-            remaining -= _GOVERNANCE_POLL_SECONDS
-            if remaining <= 0:
-                raise LockTimeoutError(
-                    f"timed out after {self._timeout}s waiting for the write "
-                    f"latch of table {self.name!r} (likely a latch leak or "
-                    "deadlock — see DESIGN.md Concurrency)"
-                )
 
 
 class TableLatches:

@@ -1,43 +1,25 @@
-"""One client's view of a shared Database: lock-free snapshot reads,
-per-table-latched writes.
+"""One client's view of a shared Database.
 
-A :class:`Session` classifies each SQL statement and routes it through
-the MVCC layer (:mod:`repro.mvcc`), the database-wide
-:class:`~repro.concurrency.rwlock.ReadWriteLock`, and the per-table
-:class:`~repro.concurrency.latch.TableWriteLatch` registry:
+A :class:`Session` is the statement pipeline's
+:class:`~repro.sql.runner.Isolation` object with the shared-database
+fields set — the database-wide
+:class:`~repro.concurrency.rwlock.ReadWriteLock` and the per-table
+:class:`~repro.concurrency.latch.TableWriteLatch` registry — plus a
+lifecycle (open / close, a snapshot held across statements, cancel).
+What that isolation means, stage by stage, is the pipeline's business
+(:mod:`repro.sql.runner`, DESIGN.md "Statement pipeline"):
 
-* **Reads** (SELECT) take **no lock at all**. The session registers a
-  reader lease at the latest committed epoch (one mutex-protected
-  counter read), binds and compiles, then pins every columnstore scan
-  leaf to the structures visible at that epoch
-  (:meth:`ColumnStoreIndex.pin_scan_units`) and executes against the
-  pinned snapshot. Writers never block readers and readers never block
-  writers. Plans with leaves that read *row-store* structures in place
-  (heap scans, index seeks) execute under the shared lock instead —
-  row-store writers still take the exclusive side, so the shared lock
-  is exactly what excludes them.
+* **Reads** take no lock: a reader lease at the latest committed epoch,
+  every columnstore leaf pinned to it. Plans with row-store leaves run
+  under the shared side.
+* **Columnstore auto-commit DML** takes the shared side plus its table's
+  write latch; row-store / BOTH-storage DML and all DDL take the
+  exclusive side.
+* **BEGIN** takes the exclusive side until COMMIT/ROLLBACK.
 
-* **Columnstore auto-commit DML** takes the shared side of the database
-  lock (it must not overlap DDL / explicit transactions / maintenance /
-  save) plus its table's write latch — so independent writers on
-  disjoint tables proceed concurrently, serializing only per table.
-  Rowstore and BOTH-storage DML, and all DDL, take the exclusive side
-  as before.
-
-* **Transaction control**: BEGIN acquires the exclusive side and holds
-  it until COMMIT/ROLLBACK, so an explicit transaction serializes the
-  world exactly like the single-session engine did — but now tagged
-  with the session name, and the Database refuses to let any other
-  session end it. Statements inside the transaction re-enter the
-  (reentrant) write lock. A session with an open transaction must be
-  driven from the thread that opened it — the write lock is owned per
-  thread, which is also what makes reentrancy safe.
-
-Every lock/latch acquire is paired with a release in ``try/finally``,
-and every reader lease with a release — a statement that dies
-mid-flight (binder error, constraint violation, KILL while waiting on a
-latch) must never leave a lock held or a lease registered, or writers
-wedge / vacuum stalls forever.
+The session object is the ownership token for all three (write lock,
+latch, transaction), so a transaction may be driven from any thread —
+one statement at a time, which the session's own lock ensures.
 """
 
 from __future__ import annotations
@@ -46,61 +28,19 @@ import threading
 from typing import Any
 
 from ..errors import ConcurrencyError
-from ..exec.operators.scan import ColumnStoreScan
-from ..exec.row_engine import RowColumnStoreScan
-from ..governance import governed
+from ..governance import get_query_registry
 from ..observability import registry as metrics
-from ..sql import ast as A
-from ..sql.runner import make_binder
-from ..sql.parser import parse_statement
+from ..sql.runner import Isolation, end_transaction, run_statement
 from .latch import TableLatches
 from .rwlock import ReadWriteLock
 
-# Leaf operators that read mutable structures in place and therefore
-# cannot be pinned: their plans run under the shared lock end to end.
-_READ_ONLY_STATEMENTS = (A.SelectStatement, A.ExplainStatement)
 
-# Statements eligible for per-table write latching (auto-commit DML on a
-# single named table). Everything else on the write path takes the
-# exclusive side of the database lock.
-_DML_STATEMENTS = (A.InsertStatement, A.UpdateStatement, A.DeleteStatement)
-
-
-def pin_plan(physical, epoch: int | None = None) -> bool:
-    """Pin every columnstore scan leaf of a compiled plan to a snapshot.
-
-    Returns True when the whole plan is *fully pinned* — every leaf
-    reads columnstore structures through a pinned capture (batch-mode
-    :class:`ColumnStoreScan` or row-mode :class:`RowColumnStoreScan`) —
-    so execution may proceed with no lock held. Leaves that read
-    row-store structures in place (heap scans, index seeks) make the
-    plan unpinned; their writers take the exclusive lock side, so the
-    shared side is the correct (and sufficient) protection for them.
-
-    ``epoch`` pins the committed state as of that MVCC epoch; ``None``
-    pins the current state (the legacy read-locked path).
-    """
-    fully_pinned = True
-    stack = [physical.root]
-    while stack:
-        op = stack.pop()
-        children = op.child_operators()
-        if children:
-            stack.extend(children)
-        elif isinstance(op, (ColumnStoreScan, RowColumnStoreScan)):
-            op.pin(epoch=epoch)
-        else:
-            fully_pinned = False
-    return fully_pinned
-
-
-class Session:
+class Session(Isolation):
     """A named client of one shared Database (see module docstring).
 
     Obtained from :meth:`ConcurrentDatabase.session`; usable as a
     context manager. One session serializes its own statements with an
-    internal lock, so sharing a Session object between threads is safe
-    but pointless — open one session per thread instead.
+    internal lock, so sharing a Session object between threads is safe.
     """
 
     def __init__(
@@ -111,103 +51,45 @@ class Session:
         on_close=None,
         latches: TableLatches | None = None,
     ) -> None:
-        self.name = name
+        super().__init__(name=name, lock=lock, latches=latches)
         self._db = db
-        self._lock = lock
-        self._latches = latches
         self._on_close = on_close
         self._closed = False
-        # A reader lease held *across* statements (hold_snapshot): every
-        # read of this session runs at the held epoch until released.
-        self._held_lease = None
-        self._in_txn = False
-        self._txn_thread: int | None = None
         # Serializes statements *within* this session; the RW lock
         # coordinates *across* sessions.
         self._statement_lock = threading.RLock()
-        # Session-level governance overlay (SET in this session). A value
-        # of 0 means "explicitly off" and overrides a database default.
-        self._settings: dict[str, int] = {}
-        # Query id of this session's currently-running governed statement
-        # (for cancel_running); None when idle.
-        self._running_query_id: int | None = None
         self.statements = 0
         metrics.increment("concurrency.sessions")
 
-    # ------------------------------------------------------------------ #
-    # Public surface
-    # ------------------------------------------------------------------ #
     def sql(self, text: str, **options: Any):
-        """Execute one SQL statement with session-level coordination.
-
-        Queries and DML run under a :class:`~repro.governance.QueryContext`
-        built from the database settings with this session's ``SET``
-        overlay applied — so a deadline or ``KILL`` interrupts the
-        statement even while it waits on the RW lock. Control statements
-        (BEGIN/COMMIT/ROLLBACK, SET, SHOW, KILL) stay ungoverned: KILL
-        must work when everything else is stuck.
-        """
-        from ..sql.runner import run_parsed
-
+        """Execute one SQL statement through the statement pipeline."""
         with self._statement_lock:
             self._require_open()
-            statement = parse_statement(text)  # pure text work: no lock
             self.statements += 1
-            if isinstance(statement, A.BeginStatement):
-                return self._run_begin()
-            if isinstance(statement, (A.CommitStatement, A.RollbackStatement)):
-                return self._run_txn_end(statement)
-            if isinstance(statement, A.SetStatement):
-                return self._run_set(statement)
-            if isinstance(statement, A.ShowStatement):
-                return self._run_show(statement, options)
-            if isinstance(statement, A.KillStatement):
-                # Registry-only; no catalog state touched.
-                return run_parsed(self._db, statement, **options)
-            ctx = self._db.new_query_context(
-                sql=text, session=self.name, settings=self._settings
-            )
-            self._running_query_id = ctx.query_id
-            try:
-                with governed(ctx):
-                    if self._in_txn:
-                        return self._run_in_txn(statement, options)
-                    if isinstance(statement, _READ_ONLY_STATEMENTS):
-                        return self._run_read(statement, options)
-                    return self._run_write(statement, options)
-            finally:
-                self._running_query_id = None
+            return run_statement(self._db, text, self, **options)
 
     @property
     def in_transaction(self) -> bool:
-        return self._in_txn
+        return self.in_txn
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def close(self) -> None:
-        """Roll back any open transaction and release all locks."""
+        """Roll back any open transaction and release everything held."""
         with self._statement_lock:
             if self._closed:
                 return
             self._closed = True
-            if self._held_lease is not None:
-                # A leaked lease would hold the GC horizon back forever.
-                self._held_lease.release()
-                self._held_lease = None
-            if self._in_txn:
-                try:
-                    self._db.rollback(owner=self.name)
-                finally:
-                    self._in_txn = False
-                    self._txn_thread = None
-                    # close() may run on a different thread than the one
-                    # that ran BEGIN (server shutdown); force fully
-                    # releases the abandoned write lock either way.
-                    self._lock.release_write(force=True)
-            if self._on_close is not None:
-                self._on_close(self)
+            # A leaked lease would hold the GC horizon back forever.
+            self.release_snapshot()
+            try:
+                if self.in_txn:
+                    end_transaction(self._db, self, commit=False)
+            finally:
+                if self._on_close is not None:
+                    self._on_close(self)
 
     def __enter__(self) -> "Session":
         return self
@@ -216,7 +98,7 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self._closed else ("in-txn" if self._in_txn else "idle")
+        state = "closed" if self._closed else ("in-txn" if self.in_txn else "idle")
         return f"<Session {self.name} {state} statements={self.statements}>"
 
     def cancel_running(self) -> bool:
@@ -226,9 +108,7 @@ class Session:
         context was flagged; the statement raises QueryCancelledError at
         its next cooperative checkpoint.
         """
-        from ..governance import get_query_registry
-
-        query_id = self._running_query_id
+        query_id = self.running_query_id
         if query_id is None:
             return False
         return get_query_registry().cancel(query_id)
@@ -248,254 +128,23 @@ class Session:
         """
         with self._statement_lock:
             self._require_open()
-            if self._held_lease is None:
-                self._held_lease = self._db.mvcc.readers.pin(tag=self.name)
-            return self._held_lease.epoch
+            if self.lease is None:
+                self.lease = self._db.mvcc.readers.pin(tag=self.name)
+            return self.lease.epoch
 
     def release_snapshot(self) -> None:
         """Release the held lease (no-op when none is held)."""
         with self._statement_lock:
-            if self._held_lease is not None:
-                self._held_lease.release()
-                self._held_lease = None
+            if self.lease is not None:
+                self.lease.release()
+                self.lease = None
 
     @property
     def snapshot_epoch(self) -> int | None:
         """The held snapshot's epoch, or None when not holding one."""
-        lease = self._held_lease
+        lease = self.lease
         return None if lease is None else lease.epoch
 
-    # ------------------------------------------------------------------ #
-    # Statement routes
-    # ------------------------------------------------------------------ #
-    def _run_set(self, statement) -> None:
-        """``SET`` scoped to this session (overlay over the database).
-
-        ``SET x = DEFAULT`` (None) removes the overlay entry; explicit
-        0 is *stored* as 0 so a session can switch a database-wide
-        setting off for itself.
-        """
-        # Validate the name without mutating database state.
-        self._db.get_setting(statement.name)
-        if statement.value is None:
-            self._settings.pop(statement.name.lower(), None)
-        else:
-            self._settings[statement.name.lower()] = max(0, int(statement.value))
-        return None
-
-    def _run_show(self, statement, options: dict[str, Any]):
-        """``SHOW``: session-overlay settings win over database values."""
-        from ..sql.runner import run_parsed
-
-        name = statement.name.lower()
-        if name != "queries" and name in self._settings:
-            from ..db.database import Result
-            from ..types import BIGINT
-
-            self._db.get_setting(name)  # validate
-            return Result(
-                columns=[name], dtypes=[BIGINT], rows=[(self._settings[name],)]
-            )
-        return run_parsed(self._db, statement, **options)
-
-    def _run_read(self, statement, options: dict[str, Any]):
-        """SELECT outside a transaction: lock-free MVCC snapshot read.
-
-        The session pins a reader lease at the latest committed epoch —
-        one mutex-protected counter read, no RW-lock traffic — then
-        binds, compiles and pins every columnstore leaf to the epoch's
-        snapshot. Fully pinned plans execute with no lock held; plans
-        with row-store leaves fall back to executing under the shared
-        lock (row-store writers take the exclusive side). EXPLAIN
-        [ANALYZE] is diagnostic and keeps the old under-the-shared-lock
-        live scan.
-        """
-        from ..governance.context import current as governance_current
-        from ..sql.runner import run_parsed
-
-        if not isinstance(statement, A.SelectStatement):
-            # EXPLAIN [ANALYZE] is rare and diagnostic: run it under
-            # the shared lock end to end rather than teaching the
-            # stats renderer about pinning.
-            self._lock.acquire_read()
-            try:
-                metrics.increment("concurrency.locked_statements")
-                return run_parsed(self._db, statement, **options)
-            finally:
-                self._lock.release_read()
-        stats = bool(options.pop("stats", False))
-        held = self._held_lease
-        lease = held if held is not None else self._db.mvcc.readers.pin(tag=self.name)
-        try:
-            ctx = governance_current()
-            if ctx is not None:
-                ctx.epoch = lease.epoch
-            plan = self._snapshot_binder(lease.epoch).bind_select(statement)
-            physical, dtypes = self._db._prepare(plan, **options)
-            if pin_plan(physical, lease.epoch):
-                # Fully pinned: execute against the epoch's snapshot
-                # with no lock held — writers never block this path.
-                metrics.increment("mvcc.lockfree_reads")
-                metrics.increment("concurrency.pinned_statements")
-                return self._db._run_physical(physical, dtypes, stats=stats)
-            # Row-store leaves read mutable B-trees in place; their
-            # writers take the exclusive side, so the shared side
-            # excludes them. Columnstore leaves stay pinned at the
-            # lease epoch either way — a per-table latch writer (which
-            # holds only the shared side) can run concurrently with
-            # this, and the pin is what keeps its uncommitted state
-            # invisible.
-            metrics.increment("concurrency.locked_statements")
-            self._lock.acquire_read()
-            try:
-                return self._db._run_physical(physical, dtypes, stats=stats)
-            finally:
-                self._lock.release_read()
-        finally:
-            if lease is not held:
-                lease.release()
-
-    def _snapshot_binder(self, epoch: int):
-        """A binder whose uncorrelated-subquery executor reads at ``epoch``.
-
-        The binder runs scalar/IN subqueries *at bind time*; the stock
-        :func:`make_binder` executor would read the live structures and
-        leak post-snapshot commits into a pinned statement. Pinning each
-        subplan to the lease epoch keeps the whole statement — outer
-        query and subqueries alike — on one consistent snapshot. Subplans
-        with row-store leaves run briefly under the shared lock, matching
-        the outer plan's fallback.
-        """
-        from ..sql.binder import Binder
-
-        def executor(plan):
-            physical = self._db.compile(plan)
-            if pin_plan(physical, epoch):
-                return list(physical.rows())
-            self._lock.acquire_read()
-            try:
-                return list(physical.rows())
-            finally:
-                self._lock.release_read()
-
-        return Binder(self._db.catalog, executor=executor)
-
-    def _write_latch_for(self, statement):
-        """The per-table latch this write should take, or None.
-
-        Only auto-commit DML against a columnstore-only table latches:
-        those writes touch that table's structures plus internally
-        locked shared services (WAL, epoch manager, metrics). Rowstore
-        and BOTH-storage tables have row-id allocation and index
-        structures the read path still walks in place, so their writers
-        keep the exclusive lock; DDL and maintenance reorganize shared
-        state and always take it.
-        """
-        if self._latches is None or not isinstance(statement, _DML_STATEMENTS):
-            return None
-        try:
-            target = self._db.catalog.table(statement.table)
-        except Exception:
-            return None  # unknown table: let the write path raise normally
-        if target.columnstore is None or target.rowstore is not None:
-            return None
-        return self._latches.latch(target.name)
-
-    def _run_write(self, statement, options: dict[str, Any]):
-        """Auto-commit DML/DDL.
-
-        Columnstore-only DML: shared side + the table's write latch, so
-        disjoint-table writers commit concurrently. Everything else:
-        exclusive side for the statement's duration, as before.
-        """
-        from ..sql.runner import run_parsed
-
-        latch = self._write_latch_for(statement)
-        if latch is None:
-            self._lock.acquire_write()
-            try:
-                return run_parsed(self._db, statement, **options)
-            finally:
-                self._lock.release_write()
-        self._lock.acquire_read()
-        try:
-            latch.acquire()
-            try:
-                return run_parsed(self._db, statement, **options)
-            finally:
-                latch.release()
-        finally:
-            self._lock.release_read()
-
-    def _run_in_txn(self, statement, options: dict[str, Any]):
-        """Any statement inside this session's open transaction.
-
-        The session already holds the write lock (since BEGIN); the
-        reentrant acquire both asserts we are on the owning thread and
-        keeps the acquire/release pairing uniform.
-        """
-        from ..sql.runner import run_parsed
-
-        self._require_txn_thread()
-        self._lock.acquire_write()
-        try:
-            return run_parsed(self._db, statement, **options)
-        finally:
-            self._lock.release_write()
-
-    def _run_begin(self):
-        if self._in_txn:
-            # Delegate for the standard "already open" TxnError without
-            # double-acquiring the lock.
-            self._db.begin(owner=self.name)
-            raise AssertionError("unreachable: nested BEGIN must raise")
-        self._lock.acquire_write()
-        try:
-            self._db.begin(owner=self.name)
-        except BaseException:
-            self._lock.release_write()
-            raise
-        self._in_txn = True
-        self._txn_thread = threading.get_ident()
-        return None
-
-    def _run_txn_end(self, statement):
-        verb_commit = isinstance(statement, A.CommitStatement)
-        if not self._in_txn:
-            # No transaction opened by this session: let the Database
-            # raise its TxnError (or ownership error) — we hold no lock
-            # to release.
-            if verb_commit:
-                self._db.commit(owner=self.name)
-            else:
-                self._db.rollback(owner=self.name)
-            return None
-        self._require_txn_thread()
-        try:
-            if verb_commit:
-                self._db.commit(owner=self.name)
-            else:
-                self._db.rollback(owner=self.name)
-        finally:
-            # Even if COMMIT fails the transaction slot is in doubt; a
-            # held lock would wedge every other session, so release it
-            # and let the error surface.
-            self._in_txn = False
-            self._txn_thread = None
-            self._lock.release_write()
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Guards
-    # ------------------------------------------------------------------ #
     def _require_open(self) -> None:
         if self._closed:
             raise ConcurrencyError(f"session {self.name!r} is closed")
-
-    def _require_txn_thread(self) -> None:
-        if self._txn_thread != threading.get_ident():
-            raise ConcurrencyError(
-                f"session {self.name!r} has a transaction opened on another "
-                "thread — a transaction must be driven by the thread that "
-                "ran BEGIN (the write lock is owned per thread)"
-            )

@@ -58,12 +58,6 @@ class Table:
     # ------------------------------------------------------------------ #
     # DML
     # ------------------------------------------------------------------ #
-    def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Validate and insert rows (trickle path); returns count."""
-        return self.insert_physical_rows(
-            [self.schema.coerce_row(row) for row in rows]
-        )
-
     def insert_physical_rows(self, physical: Sequence[tuple[Any, ...]], txn=None) -> int:
         """Insert rows that are *already coerced* to physical values.
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from ..errors import BindingError, CatalogError, PlanningError, StorageError, TxnError
-from ..governance import QueryContext, get_query_registry, governed
-from ..governance import context as governance
+from ..governance import QueryContext, get_query_registry
 from ..mvcc import EpochManager
 from ..exec.expressions import Column, Expr
 from ..exec.operators.scan import ColumnStoreScan
@@ -29,8 +28,8 @@ from ..observability import ExecutionStats
 from ..observability import registry as metrics
 from ..planner.logical import LogicalNode, LogicalScan
 from ..planner.optimizer import Optimizer, PhysicalPlan
-from ..planner.schema_infer import infer_output_dtypes
 from ..schema import TableSchema
+from ..sql import runner as pipeline
 from ..storage.config import StoreConfig
 from ..txn import AUTO_COMMIT_TXN, TxnContext
 from ..types import DataType
@@ -109,6 +108,10 @@ class Database:
         # Governance settings (statement_timeout / query_memory_budget /
         # query_memory_limit); sessions overlay their own on top.
         self.settings: dict[str, int] = {}
+        # What this facade's own statements run under: a single caller on
+        # the live structures, whose SET writes the settings above. Also
+        # the owner of a transaction opened through the facade.
+        self.isolation = pipeline.Isolation(settings=self.settings)
 
     # ------------------------------------------------------------------ #
     # Write-ahead logging plumbing
@@ -145,7 +148,7 @@ class Database:
         a warning and a counter, not something to ignore quietly.
         """
         if self._txn is not None:
-            # Teardown path: pass the transaction's own owner tag so an
+            # Teardown path: pass the transaction's own owner so an
             # abandoned session transaction still rolls back cleanly.
             self.rollback(self._txn.owner)
         leaked = self.mvcc.readers.release_all()
@@ -184,16 +187,16 @@ class Database:
         """Is an explicit BEGIN..COMMIT/ROLLBACK transaction open?"""
         return self._txn is not None
 
-    def begin(self, owner: str | None = None) -> None:
+    def begin(self, owner: "pipeline.Isolation | None" = None) -> None:
         """Open an explicit transaction (SQL ``BEGIN``).
 
         Nested transactions are not supported: BEGIN inside an open
         transaction is an error rather than a silent commit-and-restart.
 
-        ``owner`` tags the transaction with the session that opened it
-        (the concurrency layer passes the session name): COMMIT and
-        ROLLBACK then verify the same owner is ending it, so one session
-        can never commit or abort another session's work.
+        ``owner`` is the isolation object (a session, or by default this
+        facade's own) the transaction belongs to: COMMIT and ROLLBACK
+        verify the same owner is ending it, so one session can never
+        commit or abort another session's work.
         """
         if self._txn is not None:
             raise TxnError(
@@ -208,10 +211,10 @@ class Database:
         else:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
-        self._txn = TxnContext(txn_id, owner=owner)
+        self._txn = TxnContext(txn_id, owner=owner or self.isolation)
         metrics.increment("txn.begins")
 
-    def commit(self, owner: str | None = None) -> None:
+    def commit(self, owner: "pipeline.Isolation | None" = None) -> None:
         """Make the open transaction's work permanent (SQL ``COMMIT``)."""
         txn = self._require_txn("COMMIT", owner)
         # MVCC: install the transaction's stamps at a fresh epoch before
@@ -237,7 +240,7 @@ class Database:
         self._txn = None
         metrics.increment("txn.commits")
 
-    def rollback(self, owner: str | None = None) -> None:
+    def rollback(self, owner: "pipeline.Isolation | None" = None) -> None:
         """Undo the open transaction's work (SQL ``ROLLBACK``)."""
         txn = self._require_txn("ROLLBACK", owner)
         # Undo in-memory effects first: if an undo action itself fails,
@@ -263,16 +266,16 @@ class Database:
             if self._txn is not None:
                 self.commit()
 
-    def _require_txn(self, verb: str, owner: str | None = None) -> TxnContext:
+    def _require_txn(self, verb: str, owner=None) -> TxnContext:
         if self._txn is None:
             raise TxnError(f"{verb} outside a transaction (no BEGIN is open)")
-        # A transaction opened by a session may only be ended by that
-        # session. Direct (ownerless) use stays unrestricted so existing
-        # single-caller code and WAL replay are unaffected.
-        if self._txn.owner is not None and owner != self._txn.owner:
+        # A transaction may only be ended by the isolation object that
+        # opened it (identity, not a name or a thread).
+        owner = owner or self.isolation
+        if owner is not self._txn.owner:
             raise TxnError(
-                f"{verb} by session {owner!r} on a transaction owned by "
-                f"session {self._txn.owner!r}"
+                f"{verb} by session {owner.name!r} on a transaction owned by "
+                f"session {self._txn.owner.name!r}"
             )
         return self._txn
 
@@ -625,33 +628,33 @@ class Database:
     # ------------------------------------------------------------------ #
     _SETTING_NAMES = ("statement_timeout", "query_memory_budget", "query_memory_limit")
 
-    def set_setting(self, name: str, value: int | None) -> None:
-        """Set a governance setting (``SET name = value``).
-
-        ``statement_timeout`` is milliseconds; the memory settings are
-        bytes. ``None`` (SET ... = DEFAULT / OFF) clears the setting.
-        Zero and negative values also clear — "0 = disabled" matches the
-        usual server convention for statement_timeout.
-        """
+    def setting_name(self, name: str) -> str:
+        """The canonical form of a governance setting's name (or raise)."""
         name = name.lower()
         if name not in self._SETTING_NAMES:
             raise BindingError(
                 f"unknown setting {name!r} (expected one of "
                 f"{', '.join(self._SETTING_NAMES)})"
             )
+        return name
+
+    def set_setting(self, name: str, value: int | None) -> None:
+        """Set a database-wide governance setting.
+
+        ``statement_timeout`` is milliseconds; the memory settings are
+        bytes. ``None``, zero and negative values clear the setting —
+        "0 = disabled" matches the usual server convention. SQL ``SET``
+        goes through the statement pipeline and writes the caller's
+        isolation overlay (which for ``Database.sql`` is these settings).
+        """
+        name = self.setting_name(name)
         if value is None or value <= 0:
             self.settings.pop(name, None)
         else:
             self.settings[name] = int(value)
 
     def get_setting(self, name: str) -> int | None:
-        name = name.lower()
-        if name not in self._SETTING_NAMES:
-            raise BindingError(
-                f"unknown setting {name!r} (expected one of "
-                f"{', '.join(self._SETTING_NAMES)})"
-            )
-        return self.settings.get(name)
+        return self.settings.get(self.setting_name(name)) or None
 
     def new_query_context(
         self,
@@ -662,18 +665,16 @@ class Database:
         """A registered-id :class:`QueryContext` for one statement.
 
         ``settings`` (a session overlay) wins over the database-level
-        settings; both fall back to "no limit" when unset.
+        settings; unset and 0 both mean "no limit".
         """
-        effective = dict(self.settings)
-        if settings:
-            effective.update(settings)
+        effective = {**self.settings, **settings} if settings else self.settings
         return QueryContext(
             get_query_registry().next_query_id(),
             sql=sql,
             session=session,
-            timeout_ms=effective.get("statement_timeout"),
-            memory_budget_bytes=effective.get("query_memory_budget"),
-            memory_limit_bytes=effective.get("query_memory_limit"),
+            timeout_ms=effective.get("statement_timeout") or None,
+            memory_budget_bytes=effective.get("query_memory_budget") or None,
+            memory_limit_bytes=effective.get("query_memory_limit") or None,
         )
 
     # ------------------------------------------------------------------ #
@@ -700,83 +701,30 @@ class Database:
         :class:`~repro.observability.ExecutionStats` handle — collection
         never changes the produced rows, only observes them.
 
-        Plans run under a :class:`~repro.governance.QueryContext` — the
-        database's ``statement_timeout`` / memory settings apply, and the
-        statement appears in ``SHOW QUERIES`` until it finishes. When a
-        context is already active (a session governs its statements, or a
-        subquery executes inside an outer statement) the outer context
-        keeps governing and no new one is created.
+        The plan enters the statement pipeline at *govern*: it runs under
+        a :class:`~repro.governance.QueryContext` — the database's
+        ``statement_timeout`` / memory settings apply, and it appears in
+        ``SHOW QUERIES`` until it finishes — unless one is already active
+        (a subquery inside an outer statement), which keeps governing.
         """
-        if governance.current() is not None:
-            physical, dtypes = self._prepare(plan, **options)
-            return self._run_physical(physical, dtypes, stats=stats)
-        ctx = self.new_query_context(sql=f"<plan:{type(plan).__name__}>")
-        with governed(ctx):
-            physical, dtypes = self._prepare(plan, **options)
-            return self._run_physical(physical, dtypes, stats=stats)
-
-    def _prepare(self, plan: LogicalNode, **options: Any):
-        """Compile a logical plan and resolve output dtypes (no execution).
-
-        Split from :meth:`execute` for the concurrency layer: a session
-        compiles under the shared catalog lock, pins the physical plan's
-        scan leaves to a snapshot, then releases the lock and runs
-        :meth:`_run_physical` lock-free.
-        """
-        dtypes_by_name = infer_output_dtypes(plan, self.catalog)
-        physical = self.optimizer.compile(plan, **options)
-        dtypes = [dtypes_by_name[name] for name in physical.columns]
-        return physical, dtypes
-
-    def _run_physical(self, physical, dtypes, stats: bool = False) -> Result:
-        """Execute a compiled plan and present results as Python values."""
-        execution_stats: ExecutionStats | None = None
-        if stats:
-            raw_rows, execution_stats = physical.run_with_stats()
-        else:
-            raw_rows = physical.rows()
-        rows = [
-            tuple(dtype.present(value) for dtype, value in zip(dtypes, row))
-            for row in raw_rows
-        ]
-        return Result(
-            columns=physical.columns, dtypes=dtypes, rows=rows, stats=execution_stats
-        )
+        with pipeline.governing(self, self.isolation, f"<plan:{type(plan).__name__}>"):
+            return pipeline.execute_plan(
+                self, plan, self.isolation, stats=stats, **options
+            )
 
     def sql(self, text: str, **options: Any) -> Result | None:
         """Execute a SQL statement; queries return a :class:`Result`.
 
-        Queries and DML run under a fresh :class:`QueryContext` (unless
-        one is already active); transaction control, SET/SHOW/KILL and
-        DDL are control-plane statements and stay ungoverned — KILL must
-        work even when the system is saturated with governed statements.
+        A thin caller of the statement pipeline
+        (:func:`repro.sql.runner.run_statement`) with this facade's own
+        isolation: a single caller on the live structures.
         """
-        from ..sql import ast as A
-        from ..sql.parser import parse_statement
-        from ..sql.runner import run_parsed
-
-        statement = parse_statement(text)
-        ungoverned = (
-            A.BeginStatement,
-            A.CommitStatement,
-            A.RollbackStatement,
-            A.SetStatement,
-            A.ShowStatement,
-            A.KillStatement,
-            A.CreateTableStatement,
-            A.DropTableStatement,
-        )
-        if governance.current() is not None or isinstance(statement, ungoverned):
-            return run_parsed(self, statement, **options)
-        with governed(self.new_query_context(sql=text)):
-            return run_parsed(self, statement, **options)
+        return pipeline.run_statement(self, text, self.isolation, **options)
 
     def explain(self, text_or_plan: str | LogicalNode, **options: Any) -> str:
         """The optimized logical + physical plan as text."""
         if isinstance(text_or_plan, str):
-            from ..sql.runner import plan_query
-
-            plan = plan_query(self, text_or_plan)
+            plan = pipeline.plan_query(self, text_or_plan)
         else:
             plan = text_or_plan
         return self.optimizer.compile(plan, **options).explain()
@@ -784,9 +732,7 @@ class Database:
     def explain_analyze(self, text_or_plan: str | LogicalNode, **options: Any) -> str:
         """Execute a query and render the plan with runtime operator stats."""
         if isinstance(text_or_plan, str):
-            from ..sql.runner import plan_query
-
-            plan = plan_query(self, text_or_plan)
+            plan = pipeline.plan_query(self, text_or_plan)
         else:
             plan = text_or_plan
         return self.optimizer.compile(plan, **options).explain_analyze()
@@ -935,7 +881,9 @@ class Database:
         left behind by interrupted saves, and raises structured
         :class:`~repro.errors.CorruptBlobError` /
         :class:`~repro.errors.RecoveryError` naming the offending path
-        on any corruption. Pre-manifest directories load unverified.
+        on any corruption. A pre-manifest directory (root-level
+        ``catalog.json``, no checksums) is refused with a
+        :class:`~repro.errors.RecoveryError` naming the layout.
 
         If the directory has a ``wal/`` log (or ``durability`` is given,
         which requests one), the log is recovered and every record past
@@ -948,7 +896,7 @@ class Database:
         from ..errors import RecoveryError
         from ..storage import persist
         from ..storage.diskio import DiskIO
-        from ..storage.snapshot import MANIFEST_NAME, open_database_reader
+        from ..storage.snapshot import MANIFEST_NAME, open_snapshot
         from ..wal.log import WAL_DIR_NAME, WriteAheadLog
 
         disk = disk or DiskIO()
@@ -964,7 +912,7 @@ class Database:
         wal_dir = root / WAL_DIR_NAME
         has_wal = disk.is_dir(wal_dir)
         try:
-            reader = open_database_reader(disk, root)
+            reader = open_snapshot(disk, root)
         except RecoveryError:
             if not has_wal or disk.exists(root / MANIFEST_NAME):
                 # Either there is no log to recover from, or a manifest
@@ -1003,9 +951,7 @@ class Database:
                     table.rowstore.insert_many(rows)
                 for index_name, columns in entry["indexes"].items():
                     table.create_index(index_name, columns)
-            manifest = getattr(reader, "manifest", None)
-            if manifest is not None:
-                checkpoint_lsn = manifest.checkpoint_lsn
+            checkpoint_lsn = reader.manifest.checkpoint_lsn
         resolved = str(root.resolve())
         if has_wal or durability is not None:
             from ..wal import replay as walreplay

@@ -88,15 +88,6 @@ class JoinBitmapFilter:
         h2 = ((hashed * _MULT2) >> np.uint64(17)) & mask
         return self._bits[h1] & self._bits[h2]
 
-    @property
-    def size_bits(self) -> int:
-        return int(self._bits.size)
-
-    @property
-    def selectivity_bound(self) -> float:
-        """Fraction of the bit space that is set (upper bound on pass rate)."""
-        return float(self._bits.mean()) if self._bits.size else 0.0
-
 
 def _hash_keys(keys: np.ndarray) -> np.ndarray:
     """Map keys of any supported dtype to uint64 hashes."""

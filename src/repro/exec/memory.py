@@ -43,9 +43,8 @@ class MemoryGrant:
     """Byte budget shared by the operators of one query.
 
     Binds to the governing :class:`QueryContext` active on the thread
-    that *constructs* the grant (the planner thread), so reservations and
-    releases from exchange worker threads are still charged to the right
-    query even before the worker has activated the context itself.
+    that *constructs* the grant (the planner thread), so every
+    reservation and release is charged to the query it was planned for.
     """
 
     def __init__(

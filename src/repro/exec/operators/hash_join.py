@@ -154,7 +154,7 @@ class BatchHashJoin(BatchOperator):
         join_type: str = INNER,
         grant: MemoryGrant | None = None,
         create_bitmap: bool = True,
-        bitmap_target=None,  # ColumnStoreScan (or list of shards) for pushdown
+        bitmap_target=None,  # ColumnStoreScan for pushdown
         bitmap_column: str | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
@@ -277,15 +277,9 @@ class BatchHashJoin(BatchOperator):
         if self.bitmap_target is not None and self.bitmap_column is not None:
             from .scan import BitmapProbe
 
-            targets = (
-                self.bitmap_target
-                if isinstance(self.bitmap_target, list)
-                else [self.bitmap_target]
+            self.bitmap_target.bitmap_probes.append(
+                BitmapProbe(column=self.bitmap_column, bitmap=self.bitmap)
             )
-            for target in targets:
-                target.bitmap_probes.append(
-                    BitmapProbe(column=self.bitmap_column, bitmap=self.bitmap)
-                )
 
     # ------------------------------------------------------------------ #
     # In-memory probe

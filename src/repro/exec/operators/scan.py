@@ -133,7 +133,6 @@ class ColumnStoreScan(BatchOperator):
         include_locators: bool = False,
         encoded_eval: bool = True,
         segment_elimination: bool = True,
-        shard: tuple[int, int] | None = None,
     ) -> None:
         self.index = index
         self.columns = list(columns)
@@ -143,9 +142,6 @@ class ColumnStoreScan(BatchOperator):
         self.include_locators = include_locators
         self.encoded_eval = encoded_eval
         self.segment_elimination = segment_elimination
-        # (shard_index, shard_count): under exchange parallelism each
-        # worker scans the units whose ordinal hashes to its shard.
-        self.shard = shard
         self.stats = ScanStats()
         self._reported: dict[str, int] = {}
         self._conjuncts = split_conjuncts(predicate)
@@ -169,23 +165,16 @@ class ColumnStoreScan(BatchOperator):
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-    def pin(
-        self, units: list[ScanUnit] | None = None, epoch: int | None = None
-    ) -> None:
-        """Pin this scan to a snapshot-stable unit list.
+    def pin(self, epoch: int) -> None:
+        """Pin this scan to the unit list committed as of MVCC ``epoch``.
 
-        Called by the concurrency layer at statement start: afterwards
-        the scan iterates the pinned units — immutable row groups with
-        masks materialized at pin time, frozen delta captures — so
-        concurrent DML, the tuple mover, and REBUILD can proceed without
-        mutating this scan's view out from under it. ``epoch`` pins the
-        committed state as of that MVCC epoch (the lock-free read path);
-        ``None`` pins the current state. ``units`` lets exchange shards
-        of one parallel scan share a single capture.
+        Called by the statement pipeline after compile: afterwards the
+        scan iterates the pinned units — immutable row groups with masks
+        materialized at pin time, frozen delta captures — so concurrent
+        DML, the tuple mover, and REBUILD can proceed without mutating
+        this scan's view out from under it.
         """
-        self._pinned_units = (
-            units if units is not None else self.index.pin_scan_units(epoch)
-        )
+        self._pinned_units = self.index.pin_scan_units(epoch)
 
     @property
     def pinned(self) -> bool:
@@ -198,9 +187,7 @@ class ColumnStoreScan(BatchOperator):
             else self.index.scan_units()
         )
         try:
-            for ordinal, unit in enumerate(source):
-                if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                    continue
+            for unit in source:
                 # Per-unit checkpoint: an eliminated or fully filtered
                 # unit yields nothing, so the per-batch governance
                 # wrapper alone would let a selective scan run far past
@@ -474,9 +461,7 @@ class ColumnStoreScan(BatchOperator):
             else self.index.scan_units()
         )
         try:
-            for ordinal, unit in enumerate(source):
-                if self.shard is not None and ordinal % self.shard[1] != self.shard[0]:
-                    continue
+            for unit in source:
                 governance_checkpoint()
                 self.stats.units_seen += 1
                 if unit.kind != GROUP:

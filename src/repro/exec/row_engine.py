@@ -208,16 +208,14 @@ class RowColumnStoreScan(RowOperator):
     def describe(self) -> str:
         return f"RowColumnStoreScan(cols={self.columns}, predicate={self.predicate})"
 
-    def pin(self, units=None, epoch: int | None = None) -> None:
-        """Pin to a snapshot-stable unit list (same contract as
+    def pin(self, epoch: int) -> None:
+        """Pin to the units committed as of ``epoch`` (same contract as
         :meth:`ColumnStoreScan.pin`): row-mode columnstore scans are
         pinnable too, so a mixed-mode plan over a columnstore can run
         lock-free against a snapshot while per-table latch writers
         mutate the live structures.
         """
-        self._pinned_units = (
-            units if units is not None else self.index.pin_scan_units(epoch)
-        )
+        self._pinned_units = self.index.pin_scan_units(epoch)
 
     @property
     def pinned(self) -> bool:

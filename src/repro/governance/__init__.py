@@ -4,10 +4,9 @@ Public surface:
 
 * :class:`QueryContext` — per-statement deadline / cancel flag / memory
   accounting, installed thread-locally while the statement runs.
-* :func:`current` / :func:`activate` — thread-local context access
-  (exchange workers re-activate the consumer's context explicitly).
+* :func:`current` / :func:`activate` — thread-local context access.
 * :func:`governed` — register + activate + outcome classification, the
-  wrapper ``Database.execute`` and ``Session.sql`` use.
+  wrapper the statement pipeline's *govern* stage uses.
 * :class:`QueryRegistry` / :func:`get_query_registry` — the process-wide
   directory behind ``SHOW QUERIES`` and ``KILL <id>``.
 * :class:`MemoryGovernor` / :func:`set_process_memory_limit` — the

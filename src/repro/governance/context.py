@@ -1,12 +1,9 @@
 """Per-statement query context: deadline, cancel flag, memory accounting.
 
-A :class:`QueryContext` is created for every governed statement (by
-``Database.execute`` / ``Session.sql``) and made visible to the operators
-running that statement through a *thread-local* activation — thread-local
-rather than a ``contextvars`` variable because the exchange operator runs
-parts of the plan on worker threads, and those workers must install the
-context explicitly when they start (a context var would silently not
-propagate).
+A :class:`QueryContext` is created for every governed statement (by the
+statement pipeline's *govern* stage) and made visible to the operators
+running that statement through a *thread-local* activation: a statement
+runs on the thread that submitted it, start to finish.
 
 Operators call :meth:`QueryContext.check` at coarse boundaries (per
 emitted batch, per scan unit, every few hundred rows in the row engine).
@@ -148,12 +145,6 @@ class QueryContext:
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started_monotonic) * 1000.0
 
-    def remaining_seconds(self) -> float | None:
-        """Seconds until the deadline, or None when no timeout is set."""
-        if self.deadline is None:
-            return None
-        return self.deadline - time.monotonic()
-
     def check(self) -> None:
         """Cooperative checkpoint: raise if cancelled, killed, or expired.
 
@@ -278,9 +269,9 @@ def current() -> QueryContext | None:
 def activate(ctx: QueryContext | None):
     """Install ``ctx`` as the current thread's governing context.
 
-    Exchange workers call this with the context captured by the consumer
-    thread so cooperative checks keep working across the thread hop.
-    Nested activations restore the previous context on exit.
+    :func:`~repro.governance.registry.governed` does this for the span
+    of a statement. Nested activations restore the previous context on
+    exit.
     """
     prev = current()
     _active.ctx = ctx

@@ -7,8 +7,9 @@ the statement notices at its next cooperative checkpoint and unwinds.
 
 :func:`governed` is the one entry point that ties the lifecycle together:
 register → activate thread-locally → classify the outcome into the
-``governance.*`` counters → deregister → bulk-release memory. Both
-``Database.execute`` and ``Session.sql`` wrap statements in it.
+``governance.*`` counters → deregister → bulk-release memory. The
+statement pipeline (:func:`repro.sql.runner.governing`) wraps every
+read and write in it.
 """
 
 from __future__ import annotations

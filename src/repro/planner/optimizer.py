@@ -181,7 +181,6 @@ class Optimizer:
         enable_segment_elimination: bool = True,
         enable_encoded_eval: bool | None = None,
         enable_encoded_agg: bool | None = None,
-        dop: int = 1,
         optimize: bool = True,
     ) -> PhysicalPlan:
         """Optimize (optionally) and build an executable physical plan.
@@ -199,7 +198,6 @@ class Optimizer:
             enable_segment_elimination=enable_segment_elimination,
             enable_encoded_eval=enable_encoded_eval,
             enable_encoded_agg=enable_encoded_agg,
-            dop=dop,
         )
         if batch_size is not None:
             builder_args["batch_size"] = batch_size

@@ -21,7 +21,6 @@ from ..errors import PlanningError
 from ..exec.batch import DEFAULT_BATCH_SIZE
 from ..exec.expressions import Column
 from ..exec.memory import MemoryGrant
-from ..exec.operators.exchange import BatchExchange
 from ..exec.operators.filter import BatchFilter
 from ..exec.operators.hash_aggregate import BatchHashAggregate
 from ..exec.operators.hash_join import BatchHashJoin
@@ -112,15 +111,14 @@ class CatalogView(Protocol):
 class PhysResult:
     """A built fragment: its mode, operator, and bitmap-wiring map.
 
-    ``bitmap_map`` maps plan-level column names to (scans, storage column)
+    ``bitmap_map`` maps plan-level column names to (scan, storage column)
     pairs for columns that flow unchanged from a columnstore scan — the
-    positions where a join bitmap can be pushed. ``scans`` is a list
-    because a parallel scan has one shard per exchange worker.
+    positions where a join bitmap can be pushed.
     """
 
     mode: str
     op: object  # BatchOperator | RowOperator
-    bitmap_map: dict[str, tuple[list[ColumnStoreScan], str]] = field(default_factory=dict)
+    bitmap_map: dict[str, tuple[ColumnStoreScan, str]] = field(default_factory=dict)
 
 
 class PhysicalBuilder:
@@ -136,12 +134,9 @@ class PhysicalBuilder:
         enable_segment_elimination: bool = True,
         enable_encoded_eval: bool | None = None,
         enable_encoded_agg: bool | None = None,
-        dop: int = 1,
     ) -> None:
         if mode not in _MODES:
             raise PlanningError(f"unknown execution mode {mode!r}")
-        if dop < 1:
-            raise PlanningError(f"dop must be >= 1, got {dop}")
         self.catalog = catalog
         self.mode = mode
         self.grant_bytes = grant_bytes
@@ -150,7 +145,6 @@ class PhysicalBuilder:
         self.enable_segment_elimination = enable_segment_elimination
         self.enable_encoded_eval = resolve_encoded_eval(enable_encoded_eval)
         self.enable_encoded_agg = resolve_encoded_agg(enable_encoded_agg)
-        self.dop = dop
 
     def _new_grant(self) -> MemoryGrant:
         # The grant binds itself to the active QueryContext (if any), so
@@ -196,20 +190,15 @@ class PhysicalBuilder:
         use_columnstore = source.columnstore is not None and self.mode != ROW
 
         if use_columnstore:
-            shards = [
-                ColumnStoreScan(
-                    source.columnstore,
-                    storage_names,
-                    predicate=storage_predicate,
-                    batch_size=self.batch_size,
-                    encoded_eval=self.enable_encoded_eval,
-                    segment_elimination=self.enable_segment_elimination,
-                    shard=(worker, self.dop) if self.dop > 1 else None,
-                )
-                for worker in range(self.dop)
-            ]
-            scan_op = shards[0] if self.dop == 1 else BatchExchange(shards)
-            op, bitmap_map = self._rename_batch(scan_op, node.projections, shards)
+            scan = ColumnStoreScan(
+                source.columnstore,
+                storage_names,
+                predicate=storage_predicate,
+                batch_size=self.batch_size,
+                encoded_eval=self.enable_encoded_eval,
+                segment_elimination=self.enable_segment_elimination,
+            )
+            op, bitmap_map = self._rename_batch(scan, node.projections)
             return PhysResult(BATCH, op, bitmap_map)
 
         if source.rowstore is not None:
@@ -254,11 +243,9 @@ class PhysicalBuilder:
             source.rowstore, storage_names, predicate=storage_predicate
         )
 
-    def _rename_batch(self, scan, projections: dict[str, str], bitmap_scans):
+    def _rename_batch(self, scan, projections: dict[str, str]):
         """Rename storage columns to plan names; build the bitmap map."""
-        bitmap_map = {
-            plan: (bitmap_scans, storage) for plan, storage in projections.items()
-        }
+        bitmap_map = {plan: (scan, storage) for plan, storage in projections.items()}
         if all(plan == storage for plan, storage in projections.items()):
             return scan, bitmap_map
         projected = BatchProject(
@@ -305,14 +292,12 @@ class PhysicalBuilder:
                 grant=self._new_grant(),
                 batch_size=self.batch_size,
             )
-            # Aggregates sitting directly on an unsharded columnstore scan
-            # can pull encoded units (code-space keys, weighted runs)
+            # Aggregates sitting directly on a columnstore scan can pull encoded units (code-space keys, weighted runs)
             # instead of decoded batches; the scan still falls back per
             # unit for deltas and ineligible segments at runtime.
             if (
                 self.enable_encoded_agg
                 and isinstance(child.op, ColumnStoreScan)
-                and child.op.shard is None
                 and not child.op.include_locators
             ):
                 op.encoded_request = build_encoded_agg_request(

@@ -100,8 +100,3 @@ def table_page_compressed_size(table: RowStoreTable) -> int:
         rows = [row for _, row in page.live_rows()]
         total += page_compressed_size(table.schema, rows)
     return total
-
-
-def table_uncompressed_size(table: RowStoreTable) -> int:
-    """Raw (row-compressed-off) heap size for ratio baselines."""
-    return table.used_bytes

@@ -1,12 +1,27 @@
-"""Statement execution: dispatches parsed SQL against a Database."""
+"""The statement pipeline: the one way a SQL statement runs.
+
+parse → classify (control / read / write) → govern → isolate → bind →
+compile → pin → run → present. ``Database.sql``, ``Database.execute``,
+``Session.sql``, ``ConcurrentDatabase.sql``, the server and the shell
+are thin callers of :func:`run_statement` / :func:`execute_plan` that
+differ only in the :class:`Isolation` object they pass (DESIGN.md
+"Statement pipeline").
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any
 
-from ..errors import BindingError, SqlSyntaxError
+from ..errors import BindingError, CatalogError, SqlSyntaxError
 from ..exec import expressions as X
+from ..exec.operators.scan import ColumnStoreScan
+from ..exec.row_engine import RowColumnStoreScan
+from ..governance import context as governance
+from ..governance import get_query_registry, governed
+from ..observability import registry as metrics
 from ..planner.logical import LogicalNode
+from ..planner.schema_infer import infer_output_dtypes
 from ..schema import ColumnDef, TableSchema
 from ..types import BIGINT, BOOL, DATE, FLOAT, INT, VARCHAR, DataType, decimal, varchar
 from . import ast as A
@@ -31,62 +46,232 @@ _TYPE_CONSTRUCTORS = {
 }
 
 
-def run_statement(db, sql: str, **options: Any):
-    """Parse and execute one SQL statement against ``db``.
+# Classify: control statements touch no table data and stay ungoverned
+# (KILL must work when every governed statement is stuck); reads and
+# writes are governed and isolated.
+_CONTROL = (
+    A.BeginStatement,
+    A.CommitStatement,
+    A.RollbackStatement,
+    A.SetStatement,
+    A.ShowStatement,
+    A.KillStatement,
+)
+_READS = (A.SelectStatement, A.ExplainStatement)
+_DML = (A.InsertStatement, A.UpdateStatement, A.DeleteStatement)
 
-    Queries return a Result; DML returns a Result with a single
-    ``rows_affected`` value; DDL returns None.
+
+class Isolation:
+    """Who owns a statement, and what keeps it apart from the others.
+
+    The one thing the front doors differ in. ``Database`` owns a bare
+    one (nothing set): a single caller, so reads and writes run on the
+    live structures with no lock, latch or lease, and ``SET`` writes the
+    database-wide settings. A :class:`~repro.concurrency.Session` *is*
+    one with ``lock`` and ``latches`` set: reads run on a reader lease
+    at an epoch, writes take a lock side, ``SET`` writes its own overlay.
+
+    The object is also the **ownership token**: the write lock, a table
+    latch and an open transaction are held by *it*, never by a thread,
+    so any thread driving the session may continue or end its
+    transaction and a dead thread's ident can hand nothing on.
     """
-    return run_parsed(db, parse_statement(sql), **options)
+
+    def __init__(self, name=None, lock=None, latches=None, settings=None) -> None:
+        self.name = name  # governance / lease tag, error messages
+        self.lock = lock  # database ReadWriteLock; None = single caller
+        self.latches = latches  # TableLatches for columnstore auto-commit DML
+        # Where SET writes and what overlays the database settings; an
+        # explicit 0 switches a database-wide default off.
+        self.settings: dict[str, int] = {} if settings is None else settings
+        self.lease = None  # reader lease held across statements
+        self.in_txn = False  # owns the open transaction (+ the write lock)
+        self.running_query_id: int | None = None
 
 
-def make_binder(db) -> Binder:
-    """A binder wired to execute uncorrelated subqueries against ``db``."""
-    return Binder(db.catalog, executor=lambda plan: list(db.compile(plan).rows()))
+def run_statement(db, sql: str, isolation: Isolation | None = None, **options: Any):
+    """The statement pipeline, end to end; every front door calls this.
 
-
-def run_parsed(db, statement: Any, **options: Any):
-    """Execute an already-parsed statement against ``db``.
-
-    The concurrency layer parses first (outside any lock) to classify
-    the statement as read/write/txn-control, then dispatches here —
-    splitting parse from dispatch avoids parsing twice.
+    parse → classify → govern → (:func:`run_parsed`:) isolate → bind →
+    compile → pin → run → present. Queries return a Result; DML a Result
+    with one ``rows_affected`` value; DDL and most control return None.
     """
-    if isinstance(statement, A.SelectStatement):
-        plan = make_binder(db).bind_select(statement)
-        return db.execute(plan, **options)
-    if isinstance(statement, A.ExplainStatement):
-        return _run_explain(db, statement, **options)
-    if isinstance(statement, A.CreateTableStatement):
-        _run_create_table(db, statement)
-        return None
-    if isinstance(statement, A.DropTableStatement):
-        db.drop_table(statement.table)
-        return None
-    if isinstance(statement, A.InsertStatement):
-        return _affected(db, _run_insert(db, statement))
-    if isinstance(statement, A.DeleteStatement):
-        predicate = _bind_table_predicate(db, statement.table, statement.where)
-        return _affected(db, db.delete_where(statement.table, predicate))
-    if isinstance(statement, A.UpdateStatement):
-        return _run_update(db, statement)
-    if isinstance(statement, A.BeginStatement):
-        db.begin()
-        return None
-    if isinstance(statement, A.CommitStatement):
-        db.commit()
-        return None
-    if isinstance(statement, A.RollbackStatement):
-        db.rollback()
-        return None
-    if isinstance(statement, A.SetStatement):
-        db.set_setting(statement.name, statement.value)
-        return None
-    if isinstance(statement, A.ShowStatement):
-        return _run_show(db, statement)
-    if isinstance(statement, A.KillStatement):
-        return _run_kill(db, statement)
-    raise SqlSyntaxError(f"unsupported statement {type(statement).__name__}")
+    isolation = isolation or db.isolation
+    statement = parse_statement(sql)  # pure text work: nothing held yet
+    if isinstance(statement, _CONTROL):
+        return run_parsed(db, statement, isolation, **options)
+    with governing(db, isolation, sql):
+        return run_parsed(db, statement, isolation, **options)
+
+
+@contextmanager
+def governing(db, isolation: Isolation, sql: str):
+    """Govern: open a QueryContext unless an outer statement's is active.
+
+    The context carries the database settings under the isolation's
+    ``SET`` overlay, so a deadline or KILL interrupts the statement even
+    while it waits for a lock side or a latch.
+    """
+    if governance.current() is not None:
+        yield
+        return
+    ctx = db.new_query_context(
+        sql=sql, session=isolation.name, settings=isolation.settings
+    )
+    isolation.running_query_id = ctx.query_id
+    try:
+        with governed(ctx):
+            yield
+    finally:
+        isolation.running_query_id = None
+
+
+def run_parsed(db, statement: Any, isolation: Isolation, **options: Any):
+    """Everything after *govern* for one parsed statement."""
+    if isinstance(statement, _READS):
+        return _run_read(db, statement, isolation, options)
+    if isinstance(statement, _CONTROL):
+        return _run_control(db, statement, isolation)
+    with _write_side(db, statement, isolation):
+        return _apply(db, statement)
+
+
+# ---------------------------------------------------------------------- #
+# Reads: isolate → bind → compile → pin → run → present
+# ---------------------------------------------------------------------- #
+@contextmanager
+def _read_epoch(db, isolation: Isolation):
+    """Isolate a read: ``None`` = the live structures, else a lease epoch.
+
+    A single caller, or a session inside its own transaction (which
+    holds the exclusive side and must read its own writes), reads live.
+    Everyone else reads the latest committed epoch through a reader
+    lease — the one held across statements if there is one.
+    """
+    if isolation.lock is None or isolation.in_txn:
+        yield None
+        return
+    held = isolation.lease
+    lease = held if held is not None else db.mvcc.readers.pin(tag=isolation.name)
+    try:
+        ctx = governance.current()
+        if ctx is not None:
+            ctx.epoch = lease.epoch
+        yield lease.epoch
+    finally:
+        if lease is not held:
+            lease.release()
+
+
+def make_binder(db, isolation: Isolation | None = None, epoch: int | None = None):
+    """A binder whose uncorrelated subqueries read what the statement reads.
+
+    The binder runs scalar/IN subqueries *at bind time*; they go through
+    the same compile → pin → run as the outer plan, so a statement at
+    ``epoch`` stays on one snapshot, subqueries included.
+    """
+
+    def executor(plan):
+        physical, lock_free = prepare(db, plan, epoch)
+        return run_physical(isolation, physical, lock_free)[0]
+
+    return Binder(db.catalog, executor=executor)
+
+
+def pin_plan(physical, epoch: int) -> bool:
+    """Pin every columnstore scan leaf of a compiled plan to ``epoch``.
+
+    Returns True when the plan is *fully pinned* — every leaf reads
+    columnstore structures through a pinned capture — so it may run with
+    no lock held. Leaves that read row-store structures in place (heap
+    scans, index seeks) make it unpinned; their writers take the
+    exclusive side, so the shared side is the right protection for them.
+    """
+    fully_pinned = True
+    stack = [physical.root]
+    while stack:
+        op = stack.pop()
+        children = op.child_operators()
+        if children:
+            stack.extend(children)
+        elif isinstance(op, (ColumnStoreScan, RowColumnStoreScan)):
+            op.pin(epoch)
+        else:
+            fully_pinned = False
+    return fully_pinned
+
+
+def prepare(db, plan: LogicalNode, epoch: int | None = None, **options: Any):
+    """Compile → pin: ``(physical, lock_free)`` for a bound SELECT.
+
+    ``epoch=None`` compiles against the live structures (the caller is
+    alone or exclusive, so that is lock-free by construction).
+    """
+    physical = db.optimizer.compile(plan, **options)
+    if epoch is None:
+        return physical, True
+    if pin_plan(physical, epoch):
+        metrics.increment("mvcc.lockfree_reads")
+        metrics.increment("concurrency.pinned_statements")
+        return physical, True
+    metrics.increment("concurrency.locked_statements")
+    return physical, False
+
+
+def run_physical(isolation, physical, lock_free: bool, stats: bool = False):
+    """Run: ``(raw rows, ExecutionStats | None)`` of a prepared plan.
+
+    A plan with in-place row-store leaves runs under the shared side;
+    its columnstore leaves stay pinned either way, which is what keeps a
+    concurrent latch writer's uncommitted state invisible.
+    """
+    if not lock_free:
+        isolation.lock.acquire_read(isolation)
+    try:
+        if stats:
+            return physical.run_with_stats()
+        return list(physical.rows()), None
+    finally:
+        if not lock_free:
+            isolation.lock.release_read()
+
+
+def execute_plan(
+    db,
+    plan: LogicalNode,
+    isolation: Isolation,
+    epoch: int | None = None,
+    stats: bool = False,
+    **options: Any,
+):
+    """Compile → pin → run → present for one bound SELECT."""
+    dtypes_by_name = infer_output_dtypes(plan, db.catalog)
+    physical, lock_free = prepare(db, plan, epoch, **options)
+    dtypes = [dtypes_by_name[name] for name in physical.columns]
+    raw_rows, execution_stats = run_physical(isolation, physical, lock_free, stats)
+    rows = [
+        tuple(dtype.present(value) for dtype, value in zip(dtypes, row))
+        for row in raw_rows
+    ]
+    return _result(physical.columns, dtypes, rows, execution_stats)
+
+
+def _run_read(db, statement, isolation: Isolation, options: dict[str, Any]):
+    """SELECT and EXPLAIN [ANALYZE]: the same stages, a different last one."""
+    stats = bool(options.pop("stats", False))
+    with _read_epoch(db, isolation) as epoch:
+        binder = make_binder(db, isolation, epoch)
+        if isinstance(statement, A.SelectStatement):
+            plan = binder.bind_select(statement)
+            return execute_plan(db, plan, isolation, epoch, stats, **options)
+        physical, lock_free = prepare(
+            db, binder.bind_select(statement.select), epoch, **options
+        )
+        if statement.analyze:  # ANALYZE decides stats collection itself
+            text = run_physical(isolation, physical, lock_free, stats=True)[1].render()
+        else:
+            text = physical.explain()
+    return _result(["plan"], [VARCHAR], [(line,) for line in text.split("\n")])
 
 
 def plan_query(db, sql: str) -> LogicalNode:
@@ -99,34 +284,145 @@ def plan_query(db, sql: str) -> LogicalNode:
     return make_binder(db).bind_select(statement)
 
 
-def _run_explain(db, statement: A.ExplainStatement, **options: Any):
-    """EXPLAIN / EXPLAIN ANALYZE: plan text as a one-column result."""
+# ---------------------------------------------------------------------- #
+# Writes: isolate → apply (bind + Database DML/DDL) → present
+# ---------------------------------------------------------------------- #
+@contextmanager
+def _write_side(db, statement, isolation: Isolation):
+    """Isolate a write: nothing, the exclusive side, or shared + latch.
+
+    Auto-commit DML on a columnstore-only table touches that table's
+    structures plus internally locked shared services (WAL, epoch
+    manager, metrics): it takes the shared side (it must not overlap
+    DDL, explicit transactions, maintenance or save) and its table's
+    write latch, so writers on disjoint tables commit concurrently.
+    Row-store and BOTH-storage tables have row-id allocation and index
+    structures the read path walks in place, so their writers — and all
+    DDL — take the exclusive side. Lock order: shared side, then one
+    latch. A single caller, or a session inside its own transaction
+    (exclusive since BEGIN), takes nothing.
+    """
+    lock = isolation.lock
+    if lock is None or isolation.in_txn:
+        yield
+        return
+    latch = None
+    if isolation.latches is not None and isinstance(statement, _DML):
+        try:
+            target = db.catalog.table(statement.table)
+        except CatalogError:
+            target = None  # unknown table: let the statement raise normally
+        if target is not None and target.rowstore is None:
+            latch = isolation.latches.latch(target.name)
+    if latch is None:
+        lock.acquire_write(isolation)
+        try:
+            yield
+        finally:
+            lock.release_write(isolation)
+        return
+    lock.acquire_read(isolation)
+    try:
+        latch.acquire(isolation)
+        try:
+            yield
+        finally:
+            latch.release(isolation)
+    finally:
+        lock.release_read()
+
+
+def _apply(db, statement: Any):
+    if isinstance(statement, A.InsertStatement):
+        return _affected(_run_insert(db, statement))
+    if isinstance(statement, A.DeleteStatement):
+        predicate = _bind_table_predicate(db, statement.table, statement.where)
+        return _affected(db.delete_where(statement.table, predicate))
+    if isinstance(statement, A.UpdateStatement):
+        return _run_update(db, statement)
+    if isinstance(statement, A.CreateTableStatement):
+        _run_create_table(db, statement)
+        return None
+    if isinstance(statement, A.DropTableStatement):
+        db.drop_table(statement.table)
+        return None
+    raise SqlSyntaxError(f"unsupported statement {type(statement).__name__}")
+
+
+def _affected(count: int):
+    return _result(["rows_affected"], [BIGINT], [(count,)])
+
+
+def _result(columns, dtypes, rows, stats=None):
     from ..db.database import Result
 
-    options.pop("stats", None)  # ANALYZE decides collection itself
-    plan = make_binder(db).bind_select(statement.select)
-    if statement.analyze:
-        text = db.explain_analyze(plan, **options)
-    else:
-        text = db.explain(plan, **options)
-    return Result(
-        columns=["plan"],
-        dtypes=[VARCHAR],
-        rows=[(line,) for line in text.split("\n")],
-    )
+    return Result(columns=columns, dtypes=dtypes, rows=rows, stats=stats)
 
 
-def _affected(db, count: int):
-    from ..db.database import Result
+# ---------------------------------------------------------------------- #
+# Control: transactions, SET / SHOW / KILL
+# ---------------------------------------------------------------------- #
+def _run_control(db, statement: Any, isolation: Isolation):
+    if isinstance(statement, A.BeginStatement):
+        return _begin(db, isolation)
+    if isinstance(statement, (A.CommitStatement, A.RollbackStatement)):
+        return end_transaction(
+            db, isolation, commit=isinstance(statement, A.CommitStatement)
+        )
+    if isinstance(statement, A.SetStatement):
+        name = db.setting_name(statement.name)
+        if statement.value is None:  # DEFAULT: fall back to what lies under
+            isolation.settings.pop(name, None)
+        else:
+            isolation.settings[name] = max(0, int(statement.value))
+        return None
+    if isinstance(statement, A.ShowStatement):
+        return _run_show(db, statement, isolation)
+    killed = get_query_registry().kill(statement.query_id)
+    return _result(["killed"], [BIGINT], [(int(killed),)])
 
-    return Result(columns=["rows_affected"], dtypes=[BIGINT], rows=[(count,)])
+
+def _begin(db, isolation: Isolation) -> None:
+    """BEGIN: take the exclusive side until COMMIT/ROLLBACK.
+
+    An explicit transaction serializes the world, and it is owned by the
+    isolation object: the Database refuses to let any other end it. A
+    nested BEGIN takes nothing and lets the Database raise.
+    """
+    take = isolation.lock is not None and not isolation.in_txn
+    if take:
+        isolation.lock.acquire_write(isolation)
+    try:
+        db.begin(isolation)
+    except BaseException:
+        if take:
+            isolation.lock.release_write(isolation)
+        raise
+    isolation.in_txn = True
 
 
-def _run_show(db, statement: A.ShowStatement):
+def end_transaction(db, isolation: Isolation, commit: bool) -> None:
+    """COMMIT / ROLLBACK, and what closing a session mid-transaction runs.
+
+    Without an open transaction of its own the Database raises (no
+    transaction, or another owner's) and nothing is held to release.
+    Even if COMMIT fails the transaction slot is in doubt; a held lock
+    would wedge every other session, so it is released regardless.
+    """
+    try:
+        if commit:
+            db.commit(isolation)
+        else:
+            db.rollback(isolation)
+    finally:
+        if isolation.in_txn:
+            isolation.in_txn = False
+            if isolation.lock is not None:
+                isolation.lock.release_write(isolation)
+
+
+def _run_show(db, statement: A.ShowStatement, isolation: Isolation):
     """``SHOW QUERIES`` (registry listing) or ``SHOW <setting>``."""
-    from ..db.database import Result
-    from ..governance import get_query_registry
-
     if statement.name == "queries":
         rows = []
         for ctx in get_query_registry().list_running():
@@ -146,8 +442,8 @@ def _run_show(db, statement: A.ShowStatement):
                     info["epoch"] if info["epoch"] is not None else 0,
                 )
             )
-        return Result(
-            columns=[
+        return _result(
+            [
                 "query_id",
                 "session",
                 "state",
@@ -157,24 +453,12 @@ def _run_show(db, statement: A.ShowStatement):
                 "sql",
                 "epoch",
             ],
-            dtypes=[BIGINT, VARCHAR, VARCHAR, FLOAT, BIGINT, BIGINT, VARCHAR, BIGINT],
-            rows=rows,
+            [BIGINT, VARCHAR, VARCHAR, FLOAT, BIGINT, BIGINT, VARCHAR, BIGINT],
+            rows,
         )
-    value = db.get_setting(statement.name)
-    return Result(
-        columns=[statement.name],
-        dtypes=[BIGINT],
-        rows=[(value if value is not None else 0,)],
-    )
-
-
-def _run_kill(db, statement: A.KillStatement):
-    """``KILL <id>``: returns 1 row with killed=1/0 (0 = not running)."""
-    from ..db.database import Result
-    from ..governance import get_query_registry
-
-    killed = get_query_registry().kill(statement.query_id)
-    return Result(columns=["killed"], dtypes=[BIGINT], rows=[(int(killed),)])
+    name = db.setting_name(statement.name)
+    value = isolation.settings.get(name, db.settings.get(name))
+    return _result([statement.name], [BIGINT], [(value or 0,)])
 
 
 def _run_create_table(db, statement: A.CreateTableStatement) -> None:
@@ -256,4 +540,4 @@ def _run_update(db, statement: A.UpdateStatement):
         if statement.where is not None
         else None
     )
-    return _affected(db, db.update_where(statement.table, assignments, predicate))
+    return _affected(db.update_where(statement.table, assignments, predicate))

@@ -297,9 +297,6 @@ class ColumnStoreIndex:
             return True
         return delta.tombstone(locator.position, GENESIS_EPOCH)
 
-    def delete_many(self, locators: Iterable[RowLocator], txn=None) -> int:
-        return sum(1 for locator in locators if self.delete(locator, txn))
-
     def update(self, locator: RowLocator, new_row: tuple[Any, ...]) -> RowLocator:
         """UPDATE = DELETE + INSERT, as in the paper."""
         if not self.delete(locator):
@@ -348,11 +345,11 @@ class ColumnStoreIndex:
             if delta.row_count:
                 yield ScanUnit(kind=DELTA, delta=delta)
 
-    def pin_scan_units(self, epoch: int | None = None) -> list[ScanUnit]:
-        """A snapshot-stable capture of :meth:`scan_units`.
+    def pin_scan_units(self, epoch: int) -> list[ScanUnit]:
+        """A snapshot-stable capture of :meth:`scan_units` as of ``epoch``.
 
-        The concurrency layer calls this at statement start and then
-        scans the returned units with **no lock held**. Everything
+        The statement pipeline calls this after compile and then scans
+        the returned units with **no lock held**. Everything
         reachable from the result is stable under concurrent DML and
         maintenance:
 
@@ -366,12 +363,11 @@ class ColumnStoreIndex:
           (:meth:`DeltaStore.capture`) — the live B-trees keep absorbing
           trickle inserts without tearing the pinned view.
 
-        ``epoch`` selects the snapshot: ``None`` pins the current state
-        (pending mutations included — the in-transaction
-        read-your-writes view), an integer pins exactly the structures
-        and rows committed at or before that epoch, including *retired*
-        row groups / delta stores maintenance has since superseded. The
-        capture runs under ``_pin_mutex`` so it can never interleave
+        The result is exactly the structures and rows committed at or
+        before ``epoch``, including *retired* row groups / delta stores
+        maintenance has since superseded (a session inside its own
+        transaction reads the live structures instead and never comes
+        here). The capture runs under ``_pin_mutex`` so it can never interleave
         with a retirement half-way (structure in neither the live
         directory nor the retired list); the expensive delta
         materialization happens after the mutex is dropped, on
@@ -379,55 +375,44 @@ class ColumnStoreIndex:
         """
         with self._pin_mutex:
             group_units: dict[int, ScanUnit] = {}
-            if epoch is not None:
-                # Retired groups first: a group mid-retirement may appear
-                # both here and in the directory, and the retired record
-                # carries the marks it had when superseded.
-                for record in self._retired_groups:
-                    if not record.created_epoch <= epoch < record.retired_epoch:
-                        continue
-                    group = record.group
-                    if record.marks is None:
-                        mask = self.delete_bitmap.mask_for(
-                            group.group_id, group.row_count, epoch
-                        )
+            # Retired groups first: a group mid-retirement may appear
+            # both here and in the directory, and the retired record
+            # carries the marks it had when superseded.
+            for record in self._retired_groups:
+                if not record.created_epoch <= epoch < record.retired_epoch:
+                    continue
+                group = record.group
+                if record.marks is None:
+                    mask = self.delete_bitmap.mask_for(
+                        group.group_id, group.row_count, epoch
+                    )
+                else:
+                    marked = [p for p, e in record.marks.items() if e <= epoch]
+                    if marked:
+                        mask = np.zeros(group.row_count, dtype=bool)
+                        mask[np.fromiter(marked, dtype=np.int64,
+                                         count=len(marked))] = True
                     else:
-                        marked = [p for p, e in record.marks.items() if e <= epoch]
-                        if marked:
-                            mask = np.zeros(group.row_count, dtype=bool)
-                            mask[np.fromiter(marked, dtype=np.int64,
-                                             count=len(marked))] = True
-                        else:
-                            mask = None
-                    group_units[group.group_id] = ScanUnit(
-                        kind=GROUP, group=group, deleted_mask=mask
-                    )
-                for group, _created in self.directory.visible_groups(epoch):
-                    if group.group_id in group_units:
-                        continue
-                    group_units[group.group_id] = ScanUnit(
-                        kind=GROUP,
-                        group=group,
-                        deleted_mask=self.delete_bitmap.mask_for(
-                            group.group_id, group.row_count, epoch
-                        ),
-                    )
-            else:
-                for group in self.directory.row_groups():
-                    group_units[group.group_id] = ScanUnit(
-                        kind=GROUP,
-                        group=group,
-                        deleted_mask=self.delete_bitmap.mask_for(
-                            group.group_id, group.row_count
-                        ),
-                    )
+                        mask = None
+                group_units[group.group_id] = ScanUnit(
+                    kind=GROUP, group=group, deleted_mask=mask
+                )
+            for group, _created in self.directory.visible_groups(epoch):
+                if group.group_id in group_units:
+                    continue
+                group_units[group.group_id] = ScanUnit(
+                    kind=GROUP,
+                    group=group,
+                    deleted_mask=self.delete_bitmap.mask_for(
+                        group.group_id, group.row_count, epoch
+                    ),
+                )
             delta_refs: list[DeltaStore] = []
             seen: set[int] = set()
-            if epoch is not None:
-                for delta_record in self._retired_deltas:
-                    if epoch < delta_record.retired_epoch:
-                        seen.add(delta_record.delta.delta_id)
-                        delta_refs.append(delta_record.delta)
+            for delta_record in self._retired_deltas:
+                if epoch < delta_record.retired_epoch:
+                    seen.add(delta_record.delta.delta_id)
+                    delta_refs.append(delta_record.delta)
             for delta_id in sorted(self._delta_stores):
                 if delta_id not in seen:
                     delta_refs.append(self._delta_stores[delta_id])

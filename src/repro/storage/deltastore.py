@@ -201,25 +201,21 @@ class DeltaStore:
     # ------------------------------------------------------------------ #
     # Scans
     # ------------------------------------------------------------------ #
-    def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """(row_id, row) pairs of live rows, in row-id order."""
+    def _live_items(self) -> list[tuple[int, tuple[Any, ...]]]:
         with self._lock:
-            items = [
+            return [
                 (rid, row)
                 for rid, row in self._rows.items()
                 if rid not in self._tombstones
             ]
-        return iter(items)
 
-    def _items_at(self, epoch: int | None) -> list[tuple[int, tuple[Any, ...]]]:
-        """Rows visible at ``epoch`` (None = live rows incl. pending)."""
+    def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
+        """(row_id, row) pairs of live rows, in row-id order."""
+        return iter(self._live_items())
+
+    def _items_at(self, epoch: int) -> list[tuple[int, tuple[Any, ...]]]:
+        """Rows committed and not yet deleted as of ``epoch``."""
         with self._lock:
-            if epoch is None:
-                return [
-                    (rid, row)
-                    for rid, row in self._rows.items()
-                    if rid not in self._tombstones
-                ]
             inserts = self._insert_epochs
             tombs = self._tombstones
             return [
@@ -258,23 +254,18 @@ class DeltaStore:
         Returns (columns, null_masks, row_ids). VARCHAR columns come back
         as object arrays, everything else in the physical NumPy dtype.
         """
-        return self._columnize(self._items_at(None))
+        return self._columnize(self._live_items())
 
-    def capture(self, epoch: int | None = None) -> "FrozenDeltaView":
+    def capture(self, epoch: int) -> "FrozenDeltaView":
         """An immutable columnar capture of the rows visible at ``epoch``.
 
         Snapshot reads pin one of these at statement start: the B-tree
         keeps mutating under concurrent DML, but a frozen view's arrays
         are fresh copies, so a scan against it can run without holding
         any lock (see :meth:`ColumnStoreIndex.pin_scan_units`).
-        ``epoch=None`` captures the current live rows (pending included).
         """
         columns, null_masks, row_ids = self._columnize(self._items_at(epoch))
         return FrozenDeltaView(self.delta_id, columns, null_masks, row_ids)
-
-    def freeze(self) -> "FrozenDeltaView":
-        """Back-compat alias: capture the current live rows."""
-        return self.capture(None)
 
     @property
     def size_bytes(self) -> int:

@@ -24,9 +24,10 @@ byte is deserialized, raising :class:`~repro.errors.CorruptBlobError`
 naming each offending path. Recovery activity reports into the metrics
 registry under the stable ``storage.recovery.*`` counters.
 
-Pre-manifest directories (``catalog.json`` at the root, the layout of
-earlier versions) are still readable through :class:`DirectoryReader`,
-without checksum protection.
+Pre-manifest directories (``catalog.json`` at the root, a layout no
+writer has produced since manifests were introduced) carry no checksums
+and are refused: opening one raises :class:`~repro.errors.RecoveryError`
+naming the layout, and ``repro check`` reports it as ``missing``.
 """
 
 from __future__ import annotations
@@ -246,35 +247,31 @@ class SnapshotReader:
         return str(PurePosixPath(relpath)) in self._files
 
 
-class DirectoryReader:
-    """Reads a pre-manifest (legacy) database directory, unverified."""
-
-    def __init__(self, disk: DiskIO, root: Path) -> None:
-        self.disk = disk
-        self.root = Path(root)
-
-    def read(self, relpath: str) -> bytes:
-        path = self.root / PurePosixPath(relpath)
-        if not self.disk.exists(path):
-            raise RecoveryError(f"missing file {path}")
-        return self.disk.read_file(path)
-
-    def exists(self, relpath: str) -> bool:
-        return self.disk.exists(self.root / PurePosixPath(relpath))
+def _no_manifest_detail(disk: DiskIO, root: Path) -> str:
+    """Why ``root`` (which has no manifest) is not an openable database."""
+    if disk.exists(root / "catalog.json"):
+        return (
+            f"a root-level catalog.json without {MANIFEST_NAME} is the "
+            "pre-manifest layout, which has no checksums and is no longer read"
+        )
+    return f"no {MANIFEST_NAME} here"
 
 
 def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
     """Open the committed snapshot of ``root``: locate the newest complete
     manifest, verify every checksum, and roll back interrupted saves.
 
-    Raises :class:`RecoveryError` if no manifest exists and
+    Raises :class:`RecoveryError` if no manifest exists (naming the
+    pre-manifest layout when that is what the directory holds) and
     :class:`CorruptBlobError` naming every file whose size or checksum
     does not match the manifest.
     """
     root = Path(root)
     manifest = load_manifest(disk, root)
     if manifest is None:
-        raise RecoveryError(f"no manifest found in {root}")
+        raise RecoveryError(
+            f"no database found at {root}: {_no_manifest_detail(disk, root)}"
+        )
     files: dict[str, bytes] = {}
     failures: list[str] = []
     snap_dir = root / manifest.directory
@@ -309,20 +306,6 @@ def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
     return SnapshotReader(manifest, files)
 
 
-def open_database_reader(disk: DiskIO, root: Path):
-    """A reader for ``root``: verified snapshot, or legacy layout."""
-    root = Path(root)
-    manifest_exists = disk.exists(root / MANIFEST_NAME)
-    if not manifest_exists:
-        if disk.exists(root / "catalog.json"):
-            return DirectoryReader(disk, root)  # pre-manifest layout
-        raise RecoveryError(
-            f"no database found at {root}: neither {MANIFEST_NAME} nor a "
-            "legacy catalog.json is present"
-        )
-    return open_snapshot(disk, root)
-
-
 # ---------------------------------------------------------------------- #
 # Integrity checking (CLI `repro check <dir>` / `\check`)
 # ---------------------------------------------------------------------- #
@@ -340,7 +323,7 @@ class FileVerdict:
 @dataclass
 class IntegrityReport:
     root: str
-    manifest_status: str  # ok | missing | corrupt | legacy | wal-only
+    manifest_status: str  # ok | missing | corrupt | wal-only | restore-in-progress
     snapshot_id: int | None = None
     verdicts: list[FileVerdict] = field(default_factory=list)
     detail: str = ""
@@ -425,12 +408,6 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
     wal_dir = root / WAL_DIR_NAME
     has_wal = disk.is_dir(wal_dir)
     if not disk.exists(root / MANIFEST_NAME):
-        if disk.exists(root / "catalog.json"):
-            return IntegrityReport(
-                root=str(root),
-                manifest_status="legacy",
-                detail="(pre-manifest layout: no checksums to verify)",
-            )
         if has_wal:
             # A database that crashed before its first checkpoint: the
             # whole state lives in the log.
@@ -441,7 +418,9 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
                 wal_verdicts=check_wal(disk, wal_dir, checkpoint_lsn=0),
             )
         return IntegrityReport(
-            root=str(root), manifest_status="missing", detail="(no database here)"
+            root=str(root),
+            manifest_status="missing",
+            detail=f"({_no_manifest_detail(disk, root)})",
         )
     try:
         manifest = load_manifest(disk, root)

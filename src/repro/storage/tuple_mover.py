@@ -6,7 +6,7 @@ maintenance call). Each closed delta store is materialized column-wise,
 compressed through the bulk loader, and dropped — after which its rows are
 served from the new compressed row group.
 
-Under the concurrency layer (DESIGN.md "Concurrency") a tuple-mover run
+Under the concurrency layer (DESIGN.md "Statement pipeline") a tuple-mover run
 takes the exclusive side of the database lock, like any writer: no
 reader is mid-pin and no DML is mid-statement while it reorganizes. A
 reader that pinned *before* the run is unaffected — the mover never

@@ -75,11 +75,6 @@ class DataType:
     def is_string(self) -> bool:
         return self.kind is TypeKind.VARCHAR
 
-    @property
-    def is_orderable(self) -> bool:
-        """All supported types are orderable; kept for future extension."""
-        return True
-
     # ------------------------------------------------------------------ #
     # Physical representation
     # ------------------------------------------------------------------ #

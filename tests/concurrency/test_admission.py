@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.concurrency import ConcurrentDatabase
+from repro.governance import get_query_registry
 from repro.observability import registry as metrics
 from repro.server import ReproServer, ServerClient, ServerError
 
@@ -41,15 +42,16 @@ class TestStatementAdmission:
 
             thread = threading.Thread(target=run_slow)
             thread.start()
-            shed = None
+            # Poll only once the slow statement holds the one slot: a
+            # poll in flight when it *arrives* would get the slow
+            # statement shed instead, and nothing after that ever is.
             deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                response = second.request("SELECT 1 FROM t WHERE a = 0")
-                if not response.get("ok"):
-                    shed = response
-                    break
+            while time.monotonic() < deadline and len(get_query_registry()) == 0:
+                time.sleep(0.005)
+            assert len(get_query_registry()) == 1, "slow statement never started"
+            shed = second.request("SELECT 1 FROM t WHERE a = 0")
             thread.join(timeout=30.0)
-            assert shed is not None, "never shed despite max_statements=1"
+            assert not shed.get("ok"), "not shed despite max_statements=1"
             assert shed["kind"] == "AdmissionError"
             assert shed["retryable"] is True
             assert result["slow"]["ok"]

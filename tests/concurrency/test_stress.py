@@ -148,7 +148,7 @@ def test_readers_see_only_committed_consistent_snapshots():
             assert (c, sm, lo, hi) == batch_fingerprint(batch_id)
     cdb.close()
 
-    # Nothing left running: sessions and exchange workers all reaped.
+    # Nothing left running: every reader and engine thread was reaped.
     leaked = [
         t for t in threading.enumerate() if t.name.startswith(("repro-", "reader-"))
     ]

@@ -1,6 +1,7 @@
 """TableWriteLatch semantics: per-table exclusion, governed waits, KILL.
 
-Mirrors test_rwlock.py: the latch must honor the same typed-retryable
+Mirrors test_rwlock.py (one OwnedLock implementation serves both): the
+latch is owned by the acquirer's token, never a thread, and must honor the same typed-retryable
 timeout contract and the same governance interruption guarantees as the
 database RW lock (the PR 7 contract), and a latch wait that dies must
 never leave the latch held.
@@ -31,31 +32,35 @@ def run_in_thread(fn):
 
 
 class TestBasics:
-    def test_excludes_other_threads(self):
+    def test_excludes_other_owners(self):
         latch = TableWriteLatch("t")
-        latch.acquire()
+        me, other = object(), object()
+        latch.acquire(me)
         got = threading.Event()
-        t = run_in_thread(lambda: (latch.acquire(), got.set(), latch.release()))
+        t = run_in_thread(
+            lambda: (latch.acquire(other), got.set(), latch.release(other))
+        )
         time.sleep(0.05)
         assert not got.is_set()
-        latch.release()
+        latch.release(me)
         t.join(timeout=2.0)
         assert got.is_set()
 
-    def test_reentrant_for_owner(self):
+    def test_reentrant_for_the_owning_token(self):
         latch = TableWriteLatch("t")
-        latch.acquire()
-        latch.acquire()
-        latch.release()
-        assert latch.held_by_me
-        latch.release()
-        assert not latch.held_by_me
+        me = object()
+        latch.acquire(me)
+        latch.acquire(me)
+        latch.release(me)
+        assert latch.held_by(me)
+        latch.release(me)
+        assert not latch.held_by(me)
 
     def test_locked_guard(self):
         latch = TableWriteLatch("t")
         with latch.locked():
-            assert latch.held_by_me
-        assert not latch.held_by_me
+            assert latch._busy()
+        assert not latch._busy()
 
     def test_registry_is_per_table_and_case_normalized(self):
         latches = TableLatches()
@@ -64,36 +69,48 @@ class TestBasics:
 
     def test_disjoint_tables_do_not_block_each_other(self):
         latches = TableLatches()
-        latches.latch("a").acquire()
+        me = object()
+        latches.latch("a").acquire(me)
         got = threading.Event()
-        run_in_thread(
-            lambda: (latches.latch("b").acquire(), got.set(), latches.latch("b").release())
-        ).join(timeout=2.0)
+
+        def other_table():
+            with latches.latch("b").locked():
+                got.set()
+
+        run_in_thread(other_table).join(timeout=2.0)
         assert got.is_set()
-        latches.latch("a").release()
+        latches.latch("a").release(me)
 
 
 class TestMisuse:
     def test_release_without_hold_raises(self):
         latch = TableWriteLatch("t")
-        with pytest.raises(ConcurrencyError):
-            latch.release()
+        with pytest.raises(ConcurrencyError, match="without a hold"):
+            latch.release(object())
 
     def test_release_by_non_owner_raises(self):
+        """Only the owning token releases — stated with tokens, so the
+        outcome cannot depend on which thread ident the OS hands out."""
         latch = TableWriteLatch("t")
-        run_in_thread(latch.acquire).join(timeout=2.0)
-        with pytest.raises(ConcurrencyError):
-            latch.release()
-        latch.release(force=True)  # teardown path still works
+        owner = object()
+        run_in_thread(lambda: latch.acquire(owner)).join(timeout=2.0)
+        with pytest.raises(ConcurrencyError, match="does not own"):
+            latch.release(object())
+        latch.release(owner)  # the owner's token works from any thread
 
     def test_forced_release_unblocks_waiters(self):
+        """A holder whose thread is gone is released by whoever holds its
+        token (session close / teardown), and the waiter gets the latch."""
         latch = TableWriteLatch("t")
-        run_in_thread(latch.acquire).join(timeout=2.0)
+        owner, waiter = object(), object()
+        run_in_thread(lambda: latch.acquire(owner)).join(timeout=2.0)
         got = threading.Event()
-        t = run_in_thread(lambda: (latch.acquire(), got.set(), latch.release()))
+        t = run_in_thread(
+            lambda: (latch.acquire(waiter), got.set(), latch.release(waiter))
+        )
         time.sleep(0.05)
         assert not got.is_set()
-        latch.release(force=True)
+        latch.release(owner)
         t.join(timeout=2.0)
         assert got.is_set()
 
@@ -104,17 +121,18 @@ class TestTimeoutTyping:
     def test_wait_timeout_is_typed_and_retryable(self):
         before = metrics.get_registry().counter("concurrency.latch_waits")
         latch = TableWriteLatch("orders", timeout=0.1)
-        latch.acquire()
+        holder = object()
+        latch.acquire(holder)
         error = []
 
         def blocked():
             try:
-                latch.acquire()
+                latch.acquire(object())
             except ConcurrencyError as exc:
                 error.append(exc)
 
         run_in_thread(blocked).join(timeout=5.0)
-        latch.release()
+        latch.release(holder)
         assert error
         assert isinstance(error[0], LockTimeoutError)
         assert isinstance(error[0], RetryableError)  # clients may retry
@@ -124,21 +142,22 @@ class TestTimeoutTyping:
 
     def test_governed_wait_interrupted_by_deadline(self):
         latch = TableWriteLatch("t", timeout=30.0)  # budget far beyond test
-        latch.acquire()
+        holder = object()
+        latch.acquire(holder)
         error = []
 
         def blocked():
             ctx = QueryContext(1, timeout_ms=200)
             try:
                 with activate(ctx):
-                    latch.acquire()
+                    latch.acquire(object())
             except QueryTimeoutError as exc:
                 error.append(exc)
 
         started = time.monotonic()
         run_in_thread(blocked).join(timeout=10.0)
         elapsed = time.monotonic() - started
-        latch.release()
+        latch.release(holder)
         assert error and isinstance(error[0], QueryTimeoutError)
         assert elapsed < 5.0  # nowhere near the 30s latch budget
 
@@ -146,7 +165,8 @@ class TestTimeoutTyping:
         """KILL lands while the statement *waits* on the latch, raises the
         typed retryable error, and leaves the latch cleanly releasable."""
         latch = TableWriteLatch("t", timeout=30.0)
-        latch.acquire()
+        holder = object()
+        latch.acquire(holder)
         ctx = QueryContext(7)
         error = []
         waiting = threading.Event()
@@ -155,7 +175,7 @@ class TestTimeoutTyping:
             try:
                 with activate(ctx):
                     waiting.set()
-                    latch.acquire()
+                    latch.acquire(object())
             except QueryKilledError as exc:
                 error.append(exc)
 
@@ -166,7 +186,7 @@ class TestTimeoutTyping:
         t.join(timeout=10.0)
         assert error and isinstance(error[0], QueryKilledError)
         assert error[0].retryable is True
-        latch.release()
+        latch.release(holder)
         # The dead waiter left no state behind: a fresh acquire succeeds.
         with latch.locked():
             pass

@@ -115,6 +115,7 @@ class TestMemory:
         assert ctx.try_reserve(80) == RESERVE_OK
         assert ctx.try_reserve(80) == RESERVE_SPILL
         assert ctx.reserved_bytes == 80  # the refused reservation not held
+        ctx.release_all()  # the process-wide governor outlives this test
 
     def test_hard_limit_raises_retryable(self):
         ctx = QueryContext(9, memory_limit_bytes=100)
@@ -123,6 +124,7 @@ class TestMemory:
             ctx.try_reserve(80)
         assert isinstance(err.value, RetryableError)
         assert ctx.reserved_bytes == 80
+        ctx.release_all()  # the process-wide governor outlives this test
 
     def test_process_governor_cap(self):
         governor = MemoryGovernor(limit_bytes=150)

@@ -9,9 +9,9 @@ updates, the tuple mover, REBUILD, and vacuum.
 import pytest
 
 from repro import Database, StoreConfig, schema, types
-from repro.concurrency import ConcurrentDatabase, pin_plan
+from repro.concurrency import ConcurrentDatabase
 from repro.observability import registry as metrics
-from repro.sql.runner import plan_query
+from repro.sql.runner import execute_plan, plan_query
 
 
 @pytest.fixture
@@ -30,11 +30,8 @@ def sch():
 
 
 def select_at(db, sql, epoch, **options):
-    """Run a SELECT pinned to ``epoch`` (the session read path, inlined)."""
-    plan = plan_query(db, sql)
-    physical, dtypes = db._prepare(plan, **options)
-    assert pin_plan(physical, epoch)
-    return db._run_physical(physical, dtypes)
+    """Run a SELECT pinned to ``epoch`` (the pipeline from *compile* on)."""
+    return execute_plan(db, plan_query(db, sql), db.isolation, epoch, **options)
 
 
 def count_sum_at(db, epoch):

@@ -268,14 +268,18 @@ class TestStaleFileCollection:
 
 
 class TestLegacyLayout:
-    def test_pre_manifest_directory_still_loads(self, saved, tmp_path):
+    def test_pre_manifest_directory_is_refused(self, saved, tmp_path):
         """Directories written before the snapshot protocol (data files at
-        the root, no manifest) remain loadable, unverified."""
+        the root, no manifest) have no checksums: loading one is refused
+        with an error that names the layout, not read unverified."""
         db, target, state_a, _ = saved
         legacy = tmp_path / "legacy"
         shutil.copytree(target / "snap_000001", legacy)
         assert (legacy / "catalog.json").exists()
-        assert state_of(Database.load(str(legacy))) == state_a
+        with pytest.raises(RecoveryError, match="pre-manifest layout"):
+            Database.load(str(legacy))
+        with pytest.raises(RecoveryError, match="pre-manifest layout"):
+            Database.open(str(legacy))  # nor silently started over
 
     def test_empty_directory_is_recovery_error(self, tmp_path):
         (tmp_path / "void").mkdir()

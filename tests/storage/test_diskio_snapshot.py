@@ -233,7 +233,8 @@ class TestCheckDatabase:
     def test_legacy_layout(self, tmp_path):
         (tmp_path / "catalog.json").write_text("[]")
         report = check_database(DiskIO(), tmp_path)
-        assert report.manifest_status == "legacy"
+        assert report.manifest_status == "missing"
+        assert "pre-manifest layout" in report.detail
         assert not report.ok
 
     def test_corrupt_manifest(self, tmp_path):
