@@ -22,7 +22,7 @@ from conftest import save_report, scaled
 from repro import types
 from repro.bench.harness import ReportTable, time_call
 from repro.exec.operators.hash_aggregate import BatchHashAggregate, agg, count_star
-from repro.exec.operators.scan import ColumnStoreScan, build_encoded_agg_request
+from repro.exec.operators.scan import ColumnStoreScan
 from repro.observability import get_registry, snapshot_delta
 from repro.schema import schema
 from repro.storage.columnstore import ColumnStoreIndex
@@ -80,8 +80,8 @@ def run_query(store, columns, keys, aggs, encoded):
     scan = ColumnStoreScan(store, columns)
     op = BatchHashAggregate(scan, keys, aggs)
     if encoded:
-        op.encoded_request = build_encoded_agg_request(keys, aggs, columns)
-        assert op.encoded_request is not None
+        scan.takes_encoded = op.takes_encoded()
+        assert scan.takes_encoded is not None
     rows = []
     for batch in op.batches():
         rows.extend(batch.to_rows())
@@ -142,12 +142,15 @@ def test_e23_encoded_aggregation(benchmark, report_dir, store):
     save_report(report_dir, "e23_encoded_agg.txt", report.render())
 
     scalar, grouped = results[0], results[1]
-    # Encoded-on must decode strictly fewer segments than decoded-off.
-    assert scalar["on"]["decodes"] < scalar["off"]["decodes"]
-    assert grouped["on"]["decodes"] < grouped["off"]["decodes"]
-    # Run-granular folding touches runs, not rows.
+    n_groups = len(store.directory)
+    # Exact counts, not times: a change that silently decodes fails here.
+    # The RLE scalar decodes nothing and touches runs, not rows.
+    assert (scalar["on"]["decodes"], scalar["off"]["decodes"]) == (0, n_groups)
     assert 0 < scalar["on"]["runs"] < rows_total / 10
     assert scalar["on"]["fallbacks"] == 0
-    # GROUP BY accumulated in code space (bounded by dictionary size).
-    assert grouped["on"]["groups"] > 0
+    # GROUP BY stays in code space (every group holds all 8 keys) and
+    # decodes only the argument: half the decoded arm's requests.
+    assert grouped["on"]["groups"] == len(KEYS) * n_groups
+    assert (grouped["on"]["decodes"], grouped["off"]["decodes"]) == (n_groups, 2 * n_groups)
+    assert grouped["on"]["fallbacks"] == 0
     assert scalar["off"]["runs"] == 0 and grouped["off"]["groups"] == 0

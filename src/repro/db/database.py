@@ -493,16 +493,7 @@ class Database:
         # Resolve the predicate to locators *before* mutating: the redo
         # record carries locators, not the predicate, so replay is
         # independent of scan order (and predicates need no serializer).
-        rids = (
-            self._matching_rids(target, predicate)
-            if target.rowstore is not None
-            else []
-        )
-        locators = (
-            self._matching_locators(target, predicate)
-            if target.columnstore is not None
-            else []
-        )
+        _rows, rids, locators = self._matching(target, predicate, want_rows=False)
         with self._atomic_statement() as txn:
             deleted = target.delete_rows(rids, locators, txn)
             if self._wal is not None and (rids or locators):
@@ -527,7 +518,7 @@ class Database:
         unknown = set(assignments) - set(names)
         if unknown:
             raise CatalogError(f"unknown columns in SET: {sorted(unknown)}")
-        matched = self._matching_rows(target, predicate)
+        matched, rids, locators = self._matching(target, predicate, want_rows=True)
         if not matched:
             return 0
 
@@ -555,16 +546,6 @@ class Database:
                     new_row.append(target.schema.dtype(name).present(row_map[name]))
             new_rows.append(tuple(new_row))
         physical_rows = [target.schema.coerce_row(row) for row in new_rows]
-        rids = (
-            self._matching_rids(target, predicate)
-            if target.rowstore is not None
-            else []
-        )
-        locators = (
-            self._matching_locators(target, predicate)
-            if target.columnstore is not None
-            else []
-        )
         with self._atomic_statement() as txn:
             target.delete_by_locators(rids, txn)
             target.delete_by_locators(locators, txn)
@@ -584,44 +565,42 @@ class Database:
                 )
         return len(new_rows)
 
-    def _matching_rids(self, target: Table, predicate: Expr | None) -> list[Any]:
-        assert target.rowstore is not None
-        scan = RowTableScan(
-            target.rowstore,
-            target.schema.names,
-            predicate=predicate,
-            include_rids=True,
-        )
-        return [row[RID_COLUMN] for row in scan.rows()]
+    def _matching(
+        self, target: Table, predicate: Expr | None, want_rows: bool
+    ) -> tuple[list[tuple], list[Any], list[Any]]:
+        """Resolve a DML predicate in one pass per storage.
 
-    def _matching_locators(self, target: Table, predicate: Expr | None) -> list[Any]:
-        assert target.columnstore is not None
-        scan = ColumnStoreScan(
-            target.columnstore,
-            target.schema.names,
-            predicate=predicate,
-            include_locators=True,
-        )
-        locators: list[Any] = []
-        for batch in scan.batches():
-            dense = batch.compact()
-            if dense.locators is not None:
-                locators.extend(dense.locators.tolist())
-        return locators
-
-    def _matching_rows(self, target: Table, predicate: Expr | None) -> list[tuple]:
-        if target.rowstore is not None:
-            scan = RowTableScan(target.rowstore, target.schema.names, predicate=predicate)
-            names = target.schema.names
-            return [tuple(row[n] for n in names) for row in scan.rows()]
-        assert target.columnstore is not None
-        scan = ColumnStoreScan(
-            target.columnstore, target.schema.names, predicate=predicate
-        )
+        Returns ``(rows, rids, locators)``: the matching rows' addresses
+        in the row store and in the columnstore, and — when ``want_rows``
+        — the rows themselves, read in the same pass (from the row store
+        when the table has one). A columnstore pass that only needs
+        addresses reads the predicate's columns alone.
+        """
+        names = target.schema.names
         rows: list[tuple] = []
-        for batch in scan.batches():
-            rows.extend(batch.to_rows())
-        return rows
+        rids: list[Any] = []
+        locators: list[Any] = []
+        if target.rowstore is not None:
+            scan = RowTableScan(
+                target.rowstore, names, predicate=predicate, include_rids=True
+            )
+            for row in scan.rows():
+                rids.append(row[RID_COLUMN])
+                if want_rows:
+                    rows.append(tuple(row[n] for n in names))
+        if target.columnstore is not None:
+            read_rows = want_rows and target.rowstore is None
+            scan = ColumnStoreScan(
+                target.columnstore,
+                names if read_rows else [],
+                predicate=predicate,
+                include_locators=True,
+            )
+            for batch in scan.batches():
+                locators.extend(batch.locators.tolist())
+                if read_rows:
+                    rows.extend(batch.to_rows())
+        return rows, rids, locators
 
     # ------------------------------------------------------------------ #
     # Governance (settings + query contexts)

@@ -18,6 +18,13 @@ from ..errors import ExecutionError
 
 DEFAULT_BATCH_SIZE = 1024
 
+# How a consumer can take a column it reads from a columnstore scan
+# (``ColumnStoreScan.takes_encoded``): the most encoded form it accepts.
+AS_ROWS = "rows"  # plain values only
+AS_CODES = "codes"  # group key: row-addressable codes, all keys or none
+AS_WEIGHTS = "weights"  # scalar COUNT/MIN/MAX argument: any vector
+AS_EXACT_WEIGHTS = "exact_weights"  # scalar SUM/AVG: integer-physical vectors
+
 
 @dataclass
 class Batch:
@@ -30,15 +37,23 @@ class Batch:
 
     ``locators`` optionally carries row addresses (for DML): a pair of
     object arrays (kinds+container ids are folded into one object per row).
+
+    ``encoded`` holds columns still in their storage encoding (name →
+    ``EncodedVector``, full length like ``columns``; duck-typed so this
+    module keeps no storage imports). Only a columnstore scan whose
+    consumer declared it takes them produces any; a name is in
+    ``columns`` or in ``encoded``, never both.
     """
 
     columns: dict[str, np.ndarray]
     null_masks: dict[str, np.ndarray | None] = field(default_factory=dict)
     selection: np.ndarray | None = None
     locators: np.ndarray | None = None  # object array of RowLocator, optional
+    encoded: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         lengths = {arr.shape[0] for arr in self.columns.values()}
+        lengths.update(vector.row_count for vector in self.encoded.values())
         if len(lengths) > 1:
             raise ExecutionError(f"batch column lengths differ: {sorted(lengths)}")
         for name in self.columns:
@@ -50,9 +65,11 @@ class Batch:
     @property
     def row_count(self) -> int:
         """Physical length of the column vectors."""
-        if not self.columns:
-            return 0
-        return next(iter(self.columns.values())).shape[0]
+        for arr in self.columns.values():
+            return arr.shape[0]
+        for vector in self.encoded.values():
+            return vector.row_count
+        return 0 if self.locators is None else self.locators.shape[0]
 
     @property
     def active_count(self) -> int:
@@ -70,6 +87,14 @@ class Batch:
         if self.selection is None:
             return np.arange(self.row_count, dtype=np.int64)
         return self.selection
+
+    def active_mask(self) -> np.ndarray:
+        """Qualifying rows as a full-length boolean mask."""
+        if self.selection is None:
+            return np.ones(self.row_count, dtype=bool)
+        mask = np.zeros(self.row_count, dtype=bool)
+        mask[self.selection] = True
+        return mask
 
     # ------------------------------------------------------------------ #
     # Column access
@@ -200,75 +225,6 @@ class Batch:
             columns[name] = arr
             null_masks[name] = mask if has_nulls else None
         return cls(columns=columns, null_masks=null_masks)
-
-
-@dataclass
-class CodeSpaceColumn:
-    """A dictionary-encoded group key kept in code space (never decoded).
-
-    ``codes`` indexes ``dictionary`` for every row of the unit; NULL rows
-    carry filler code 0 and are flagged by ``null_mask``. The dictionary
-    is duck-typed (a storage ``LocalDictionary``) so this module keeps no
-    storage imports. :meth:`decode_codes` reproduces exactly what the
-    segment's own decode would emit for those codes, so late decoding of
-    surviving group keys stays bit-identical with the decoded path.
-    """
-
-    name: str
-    codes: np.ndarray  # int64, full unit length
-    dictionary: Any
-    null_mask: np.ndarray | None
-    numpy_dtype: np.dtype
-    is_string: bool
-
-    @property
-    def n_codes(self) -> int:
-        return len(self.dictionary)
-
-    def decode_codes(self, codes: np.ndarray) -> np.ndarray:
-        if self.is_string:
-            return self.dictionary.decode(codes)
-        return self.dictionary.decode_typed(codes, self.numpy_dtype)
-
-
-@dataclass
-class WeightedValues:
-    """Distinct values with surviving-row multiplicities.
-
-    One entry per dictionary code or RLE run; ``weights[i]`` counts the
-    surviving non-NULL rows carrying ``values[i]``. Weight-safe for
-    COUNT/MIN/MAX on any dtype and for SUM/AVG only on integer-physical
-    dtypes (int64 wraparound addition is associative, so a dot product
-    matches per-row accumulation bit for bit; float addition is not).
-    """
-
-    values: np.ndarray
-    weights: np.ndarray  # int64, aligned with values
-
-
-@dataclass
-class EncodedAggUnit:
-    """One scan unit handed to the aggregate without full decoding.
-
-    ``keep`` is the full-length qualifying mask (deletes + predicate
-    already folded in); ``row_count`` counts its True entries. ``keys``
-    holds each group key as a :class:`CodeSpaceColumn`; ``weighted``
-    holds scalar-aggregate arguments folded to (values, weights); and
-    ``columns`` carries any argument that had to be decoded anyway as
-    full-length (values, null_mask) pairs.
-    """
-
-    row_count: int
-    keep: np.ndarray
-    keys: list[CodeSpaceColumn]
-    columns: dict[str, tuple[np.ndarray, np.ndarray | None]]
-    weighted: dict[str, WeightedValues]
-
-    @property
-    def active_count(self) -> int:
-        """Qualifying rows, mirroring :attr:`Batch.active_count` so the
-        per-operator instrumentation counts both stream kinds alike."""
-        return self.row_count
 
 
 def concat_batches(batches: list[Batch]) -> Batch | None:

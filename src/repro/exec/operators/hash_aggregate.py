@@ -10,6 +10,12 @@ to the paper's local/global pattern: each subsequent batch is aggregated
 final pass merges partials per partition (benchmark E10). Partials are
 mergeable by construction: every aggregate is carried as (count, value).
 
+Input columns may arrive still encoded (``Batch.encoded``, from a
+columnstore scan that was told what this operator takes): group keys as
+dictionary codes are grouped in code space and only the surviving key
+combinations decoded; a scalar aggregate's argument is folded once per
+distinct value, weighted by the rows that carry it.
+
 Supported: COUNT(*), COUNT(expr), SUM, MIN, MAX, AVG.
 """
 
@@ -22,7 +28,15 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...observability import registry as metrics
-from ..batch import DEFAULT_BATCH_SIZE, Batch, EncodedAggUnit
+from ..batch import (
+    AS_CODES,
+    AS_EXACT_WEIGHTS,
+    AS_ROWS,
+    AS_WEIGHTS,
+    DEFAULT_BATCH_SIZE,
+    Batch,
+    slice_into_batches,
+)
 from ..expressions import Column, Expr
 from ..memory import MemoryGrant
 from ..spill import SpillFile, partition_of
@@ -152,25 +166,77 @@ class _GroupState:
     # ------------------------------------------------------------------ #
     # Update from raw input rows
     # ------------------------------------------------------------------ #
-    def update(self, batch: Batch, gids: np.ndarray, active: np.ndarray) -> None:
+    def update(self, batch: Batch, gids: np.ndarray | int) -> None:
+        """Fold a batch's qualifying rows into their groups.
+
+        ``gids`` holds one group id per qualifying row, or is a single
+        int when they all belong to one group (a scalar aggregate). Only
+        then can an argument arrive as an encoded vector: its distinct
+        values are folded once each, weighted by their surviving rows.
+        """
+        one_group = isinstance(gids, int)
+        active: np.ndarray | None = None
+        keep: np.ndarray | None = None
+        folded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for spec_index, spec in enumerate(self.specs):
             if spec.func == COUNT_STAR:
-                np.add.at(self.counts[spec_index], gids, 1)
+                if one_group:
+                    self.counts[spec_index][gids] += batch.active_count
+                else:
+                    np.add.at(self.counts[spec_index], gids, 1)
+                continue
+            name = spec.expr.name if type(spec.expr) is Column else None
+            if name in batch.encoded:
+                if name not in folded:
+                    if keep is None:
+                        keep = batch.active_mask()
+                    vector = batch.encoded[name]
+                    weights = vector.weights(keep)
+                    carried = weights > 0
+                    folded[name] = vector.distinct_values()[carried], weights[carried]
+                self._fold(spec_index, spec.func, gids, *folded[name])
                 continue
             values, nulls = spec.expr.eval_batch(batch)
+            if active is None:
+                active = batch.active_indices()
             values = values[active]
+            present_gids = gids
             if nulls is not None:
-                present = ~nulls[active]
-                present_idx = np.flatnonzero(present)
-                present_gids = gids[present_idx]
-                present_values = values[present_idx]
-            else:
-                present_gids = gids
-                present_values = values
-            np.add.at(self.counts[spec_index], present_gids, 1)
-            if spec.func == "count" or present_values.size == 0:
-                continue
-            self._combine_values(spec_index, spec.func, present_gids, present_values)
+                present = np.flatnonzero(~nulls[active])
+                values = values[present]
+                if not one_group:
+                    present_gids = gids[present]
+            self._fold(spec_index, spec.func, present_gids, values)
+
+    def _fold(
+        self,
+        spec_index: int,
+        func: str,
+        gids: np.ndarray | int,
+        values: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        """Count the present (non-NULL) ``values`` into their groups and
+        combine them; ``weights`` (single group only) says how many rows
+        each value stands for."""
+        one_group = isinstance(gids, int)
+        counts = self.counts[spec_index]
+        if not one_group:
+            np.add.at(counts, gids, 1)
+        elif weights is None:
+            counts[gids] += values.size
+        else:
+            counts[gids] += int(weights.sum())
+        if func == "count" or values.size == 0:
+            return
+        if weights is not None and func in ("sum", "avg"):
+            # Integer-physical only (the scan gates floats out): int64
+            # wraparound addition is associative, so value x weight matches
+            # element-at-a-time accumulation exactly.
+            values = np.array([np.dot(values.astype(np.int64), weights)], dtype=np.int64)
+        if one_group:
+            gids = np.full(values.size, gids, dtype=np.int64)
+        self._combine_values(spec_index, func, gids, values)
 
     def _combine_values(
         self, spec_index: int, func: str, gids: np.ndarray, values: np.ndarray
@@ -327,9 +393,6 @@ class BatchHashAggregate(BatchOperator):
         self.grant = grant or MemoryGrant()
         self.batch_size = batch_size
         self.stats = AggregateStats()
-        # Set by the planner when the child is a columnstore scan whose
-        # units can be aggregated in encoded space (an EncodedAggRequest).
-        self.encoded_request: Any | None = None
 
     @property
     def output_names(self) -> list[str]:
@@ -337,11 +400,42 @@ class BatchHashAggregate(BatchOperator):
 
     def describe(self) -> str:
         aggs = ", ".join(f"{s.func}({s.expr or '*'}) AS {s.name}" for s in self.aggregates)
-        encoded = ", encoded=on" if self.encoded_request is not None else ""
-        return f"BatchHashAggregate(keys={self.group_keys}, aggs=[{aggs}]{encoded})"
+        return f"BatchHashAggregate(keys={self.group_keys}, aggs=[{aggs}])"
 
     def child_operators(self) -> list[BatchOperator]:
         return [self.child]
+
+    def takes_encoded(self) -> dict[str, str] | None:
+        """Each child column this aggregate reads → the most encoded form
+        it can take it in (what a columnstore scan directly below is told),
+        or ``None`` when a key or argument is not a bare child column.
+
+        Group keys are taken as codes — unless one is also an argument
+        and so needed as rows anyway; keys travel together. A scalar
+        aggregate's arguments are taken as weighted distinct values, exact
+        ones for SUM/AVG (whose result depends on accumulation order
+        unless the column is integer-physical). Grouped arguments
+        accumulate per row — each row updates its own group — so they are
+        taken as plain rows.
+        """
+        available = set(self.child.output_names)
+        if not available.issuperset(self.group_keys):
+            return None
+        takes: dict[str, str] = {}
+        for spec in self.aggregates:
+            if spec.expr is None:  # COUNT(*)
+                continue
+            if type(spec.expr) is not Column or spec.expr.name not in available:
+                return None
+            if self.group_keys:
+                takes[spec.expr.name] = AS_ROWS
+            elif spec.func in ("sum", "avg"):
+                takes[spec.expr.name] = AS_EXACT_WEIGHTS
+            else:
+                takes.setdefault(spec.expr.name, AS_WEIGHTS)
+        keys_as = AS_CODES if takes.keys().isdisjoint(self.group_keys) else AS_ROWS
+        takes.update(dict.fromkeys(self.group_keys, keys_as))
+        return takes
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -350,18 +444,10 @@ class BatchHashAggregate(BatchOperator):
         state = _GroupState(self.group_keys, self.aggregates)
         spills: list[SpillFile] | None = None
         reserved = 0
-        if self.encoded_request is not None:
-            child_batches = self.child.encoded_agg_batches(self.encoded_request)
-        else:
-            child_batches = self.child.batches()
-        for batch in child_batches:
-            encoded = isinstance(batch, EncodedAggUnit)
-            self.stats.input_rows += batch.row_count if encoded else batch.active_count
+        for batch in self.child.batches():
+            self.stats.input_rows += batch.active_count
             if spills is None:
-                if encoded:
-                    self._accumulate_encoded(state, batch)
-                else:
-                    self._accumulate(state, batch)
+                self._accumulate(state, batch)
                 needed = state.n_groups * _BYTES_PER_GROUP
                 if needed > reserved:
                     if self.grant.try_reserve(needed - reserved):
@@ -376,10 +462,7 @@ class BatchHashAggregate(BatchOperator):
                         state = _GroupState(self.group_keys, self.aggregates)
             else:
                 local = _GroupState(self.group_keys, self.aggregates)
-                if encoded:
-                    self._accumulate_encoded(local, batch)
-                else:
-                    self._accumulate(local, batch)
+                self._accumulate(local, batch)
                 self._spill_partials(local.to_partial_batch(), spills)
 
         if spills is None:
@@ -387,7 +470,7 @@ class BatchHashAggregate(BatchOperator):
             if state.n_groups == 0 and not self.group_keys:
                 state.gid_of(())  # scalar aggregate over empty input: one row
             self.stats.groups = state.n_groups
-            yield from _slice(state.finalize(), self.batch_size)
+            yield from slice_into_batches(state.finalize(), self.batch_size)
             return
 
         # Final phase: any residual in-memory state joins the partitions.
@@ -404,12 +487,12 @@ class BatchHashAggregate(BatchOperator):
                     merged.merge_partials(keys, partial_columns)
                 if merged.n_groups:
                     total_groups += merged.n_groups
-                    yield from _slice(merged.finalize(), self.batch_size)
+                    yield from slice_into_batches(merged.finalize(), self.batch_size)
             if total_groups == 0 and not self.group_keys:
                 empty = _GroupState(self.group_keys, self.aggregates)
                 empty.gid_of(())
                 total_groups = 1
-                yield from _slice(empty.finalize(), self.batch_size)
+                yield from slice_into_batches(empty.finalize(), self.batch_size)
             self.stats.groups = total_groups
         finally:
             for spill in spills:
@@ -419,157 +502,63 @@ class BatchHashAggregate(BatchOperator):
     # Accumulation helpers
     # ------------------------------------------------------------------ #
     def _accumulate(self, state: _GroupState, batch: Batch) -> None:
-        active = batch.active_indices()
-        if active.size == 0:
+        if batch.active_count == 0:
             return
-        gids = self._factorize(state, batch, active)
-        state.update(batch, gids, active)
-
-    # ------------------------------------------------------------------ #
-    # Encoded-space accumulation
-    # ------------------------------------------------------------------ #
-    def _accumulate_encoded(self, state: _GroupState, unit: EncodedAggUnit) -> None:
-        if self.group_keys:
-            self._accumulate_code_space_groups(state, unit)
+        if not self.group_keys:
+            state.update(batch, state.gid_of(()))
+            return
+        active = batch.active_indices()
+        vectors = [batch.encoded.get(key) for key in self.group_keys]
+        if None in vectors:
+            gids = self._factorize(state, batch, active)
         else:
-            self._accumulate_weighted_scalar(state, unit)
+            gids = self._code_space_gids(state, vectors, active)
+        state.update(batch, gids)
 
-    def _accumulate_code_space_groups(
-        self, state: _GroupState, unit: EncodedAggUnit
-    ) -> None:
+    def _code_space_gids(
+        self, state: _GroupState, vectors: list, active: np.ndarray
+    ) -> np.ndarray:
         """GROUP BY on dictionary codes.
 
-        Key columns arrive as code streams: surviving rows are combined
-        into one mixed-radix key per row (each key contributes its code,
-        with ``n_codes`` reserved as the NULL slot), factorized with
-        ``np.unique``, and only the surviving combinations are decoded to
-        real group keys at the end.
+        Every key arrived as a row-addressable vector: surviving rows are
+        combined into one mixed-radix key per row (each key contributes
+        its code, with ``n_distinct`` reserved as the NULL slot),
+        factorized with ``np.unique``, and only the surviving
+        combinations are decoded to real group keys.
         """
-        active = np.flatnonzero(unit.keep)
-        if active.size == 0:
-            return
         combined = np.zeros(active.size, dtype=np.int64)
-        dims: list[int] = []
-        for key in unit.keys:
-            dim = key.n_codes + 1
-            codes = key.codes[active]
-            if key.null_mask is not None:
-                codes = np.where(key.null_mask[active], key.n_codes, codes)
-            combined = combined * dim + codes
-            dims.append(dim)
+        for vector in vectors:
+            codes = vector.codes[active]
+            if vector.null_mask is not None:
+                codes = np.where(vector.null_mask[active], vector.n_distinct, codes)
+            combined = combined * (vector.n_distinct + 1) + codes
         uniques, inverse = np.unique(combined, return_inverse=True)
-        weights = np.bincount(inverse, minlength=uniques.size).astype(np.int64)
-        metrics.increment("storage.scan.agg_code_space_groups", int(uniques.size))
+        n_combinations = int(uniques.size)
+        metrics.increment("storage.scan.agg_code_space_groups", n_combinations)
 
         # Late decode: only the surviving key combinations become values.
-        work = uniques.copy()
         per_key: list[list] = []
-        for key, dim in zip(reversed(unit.keys), reversed(dims)):
-            code_arr = work % dim
-            work //= dim
-            null_slot = code_arr == key.n_codes
-            if key.n_codes == 0:
+        for vector in reversed(vectors):
+            uniques, code_arr = np.divmod(uniques, vector.n_distinct + 1)
+            null_slot = code_arr == vector.n_distinct
+            if vector.n_distinct == 0:
                 values = [None] * code_arr.size
             else:
-                safe = np.where(null_slot, 0, code_arr)
+                values = vector.distinct_values()[np.where(null_slot, 0, code_arr)]
                 values = [
                     None if is_null else value
-                    for value, is_null in zip(
-                        key.decode_codes(safe).tolist(), null_slot.tolist()
-                    )
+                    for value, is_null in zip(values.tolist(), null_slot.tolist())
                 ]
             per_key.append(values)
-        per_key.reverse()
         gid_map = np.fromiter(
-            (state.gid_of(key) for key in zip(*per_key)),
+            (state.gid_of(key) for key in zip(*reversed(per_key))),
             dtype=np.int64,
-            count=uniques.size,
+            count=n_combinations,
         )
-        gids = gid_map[inverse]
-
-        for spec_index, spec in enumerate(self.aggregates):
-            if spec.func == COUNT_STAR:
-                np.add.at(state.counts[spec_index], gid_map, weights)
-                continue
-            values, nulls = unit.columns[spec.expr.name]
-            values = values[active]
-            if nulls is not None:
-                present_idx = np.flatnonzero(~nulls[active])
-                present_gids = gids[present_idx]
-                present_values = values[present_idx]
-            else:
-                present_gids = gids
-                present_values = values
-            np.add.at(state.counts[spec_index], present_gids, 1)
-            if spec.func == "count" or present_values.size == 0:
-                continue
-            state._combine_values(spec_index, spec.func, present_gids, present_values)
-
-    def _accumulate_weighted_scalar(
-        self, state: _GroupState, unit: EncodedAggUnit
-    ) -> None:
-        """Scalar aggregates over per-run / per-code weighted values."""
-        gid = state.gid_of(())
-        active: np.ndarray | None = None
-        for spec_index, spec in enumerate(self.aggregates):
-            if spec.func == COUNT_STAR:
-                state.counts[spec_index][gid] += unit.row_count
-                continue
-            name = spec.expr.name
-            folded = unit.weighted.get(name)
-            if folded is not None:
-                self._merge_weighted(state, spec_index, spec.func, gid, folded)
-                continue
-            # Ineligible argument: decoded full-length by the scan.
-            values, nulls = unit.columns[name]
-            if active is None:
-                active = np.flatnonzero(unit.keep)
-            values = values[active]
-            gids = np.full(active.size, gid, dtype=np.int64)
-            if nulls is not None:
-                present_idx = np.flatnonzero(~nulls[active])
-                present_gids = gids[present_idx]
-                present_values = values[present_idx]
-            else:
-                present_gids = gids
-                present_values = values
-            np.add.at(state.counts[spec_index], present_gids, 1)
-            if spec.func == "count" or present_values.size == 0:
-                continue
-            state._combine_values(spec_index, spec.func, present_gids, present_values)
-
-    @staticmethod
-    def _merge_weighted(
-        state: _GroupState, spec_index: int, func: str, gid: int, folded
-    ) -> None:
-        present = int(folded.weights.sum())
-        state.counts[spec_index][gid] += present
-        if func == "count" or present == 0:
-            return
-        surviving = folded.weights > 0
-        values = folded.values[surviving]
-        if func in ("sum", "avg"):
-            # Integer-physical only (the scan gates floats out): int64
-            # wraparound addition is associative, so value·weight matches
-            # the decoded path's element-at-a-time accumulation exactly.
-            contribution = np.dot(
-                values.astype(np.int64), folded.weights[surviving]
-            )
-            state._combine_values(
-                spec_index,
-                func,
-                np.array([gid], dtype=np.int64),
-                np.array([contribution], dtype=np.int64),
-            )
-            return
-        gids = np.full(values.size, gid, dtype=np.int64)
-        state._combine_values(spec_index, func, gids, values)
+        return gid_map[inverse]
 
     def _factorize(self, state: _GroupState, batch: Batch, active: np.ndarray) -> np.ndarray:
         """Map each active row to its dense group id."""
-        if not self.group_keys:
-            gid = state.gid_of(())
-            return np.full(active.size, gid, dtype=np.int64)
         key_arrays = [batch.column(k) for k in self.group_keys]
         key_masks = [batch.null_mask(k) for k in self.group_keys]
         single = (
@@ -653,12 +642,6 @@ def _partition_key(batch: Batch, group_keys: list[str]) -> np.ndarray:
     out = np.empty(batch.row_count, dtype=object)
     out[:] = list(zip(*columns))
     return out
-
-
-def _slice(batch: Batch, batch_size: int) -> Iterator[Batch]:
-    from ..batch import slice_into_batches
-
-    yield from slice_into_batches(batch, batch_size)
 
 
 def count_star(name: str = "count") -> AggregateSpec:

@@ -5,10 +5,15 @@ Implements the paper's scan enhancements:
 * **Segment elimination** — row groups whose per-segment [min, max]
   metadata cannot satisfy the pushed predicate are skipped without
   touching their payloads.
-* **Predicate pushdown onto encoded data** — single-column conjuncts over
-  dictionary-encoded segments are evaluated once per *distinct value*
-  (against the local dictionary) and then mapped over the code stream,
+* **Predicate pushdown onto encoded data** — a single-column conjunct
+  over a segment that hands out an encoded vector is evaluated once per
+  *distinct value* (dictionary entry or run) and expanded over the rows,
   never materializing the decoded column for filtering.
+* **Encoded output** — a consumer that declared how it takes each column
+  (``takes_encoded``) receives every row group as one batch whose
+  columns are still vectors where the segment and the consumer allow it;
+  each column that must be decoded goes through :meth:`_decode`, the one
+  morph point, with its reason.
 * **Bitmap-filter pushdown** — join bitmap filters built by downstream
   hash joins discard non-matching rows at the scan.
 * **Delta-store scans** — delta rows are materialized column-wise and
@@ -18,25 +23,24 @@ Implements the paper's scan enhancements:
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from ...governance.context import checkpoint as governance_checkpoint
-from ...observability import opstats
 from ...observability import registry as metrics
+from ...observability.registry import MorphReason
 from ...storage.columnstore import DELTA, GROUP, ColumnStoreIndex, RowLocator, ScanUnit
-from ...storage.encodings import Scheme, code_keep_weights, run_keep_weights
-from ...storage.rle import RleBlock
-from ...types import TypeKind
+from ...storage.segment import EncodedVector
 from ..batch import (
+    AS_CODES,
+    AS_EXACT_WEIGHTS,
+    AS_ROWS,
     DEFAULT_BATCH_SIZE,
     Batch,
-    CodeSpaceColumn,
-    EncodedAggUnit,
-    WeightedValues,
+    slice_into_batches,
 )
 from ..bloom import JoinBitmapFilter
 from ..expressions import Between, Column, Comparison, Expr, Literal, predicate_mask
@@ -49,7 +53,7 @@ from ..predicates import (
 from .base import BatchOperator
 
 # Mixed-radix group-key combination must stay inside int64; beyond this
-# many key-combination cells the aggregate falls back to the decoded path.
+# many key-combination cells the keys are decoded instead.
 _MAX_KEY_CELLS = 2**62
 
 
@@ -68,48 +72,11 @@ class ScanStats:
     delta_rows_scanned: int = 0
     columns_decoded: int = 0
     agg_runs_processed: int = 0
+    # Units whose group keys reached an encoded-input aggregate as plain
+    # rows (delta units included), so it factorized them row by row.
     agg_fallbacks: int = 0
-
-
-@dataclass(frozen=True)
-class EncodedAggRequest:
-    """What an aggregation fast path needs from the scan (storage names).
-
-    Built by the planner for eligible scan→aggregate subtrees: ``keys``
-    are the GROUP BY columns, ``args`` the distinct bare-column aggregate
-    arguments, and ``exact_sum_args`` the subset feeding SUM/AVG (whose
-    accumulation order must match the decoded path bit for bit, so only
-    integer-physical columns may travel as weighted values).
-    """
-
-    keys: tuple[str, ...]
-    args: tuple[str, ...]
-    exact_sum_args: frozenset[str]
-
-
-def build_encoded_agg_request(
-    group_keys: list[str], aggregates, scan_columns: list[str]
-) -> EncodedAggRequest | None:
-    """An :class:`EncodedAggRequest` for this aggregate, or ``None`` when
-    any key or argument is not a bare scan column (expressions need the
-    decoded path)."""
-    available = set(scan_columns)
-    if any(key not in available for key in group_keys):
-        return None
-    args: list[str] = []
-    exact: set[str] = set()
-    for spec in aggregates:
-        if spec.expr is None:  # COUNT(*)
-            continue
-        if type(spec.expr) is not Column or spec.expr.name not in available:
-            return None
-        if spec.expr.name not in args:
-            args.append(spec.expr.name)
-        if spec.func in ("sum", "avg"):
-            exact.add(spec.expr.name)
-    return EncodedAggRequest(
-        keys=tuple(group_keys), args=tuple(args), exact_sum_args=frozenset(exact)
-    )
+    # MorphReason value -> columns decoded (or units, for delta_unit).
+    morph: Counter[str] = field(default_factory=Counter)
 
 
 @dataclass
@@ -142,6 +109,10 @@ class ColumnStoreScan(BatchOperator):
         self.include_locators = include_locators
         self.encoded_eval = encoded_eval
         self.segment_elimination = segment_elimination
+        # Set by the planner on a scan directly under an aggregate with
+        # bare-column inputs: each column that consumer reads -> how it
+        # can take it (AS_*). None: every column leaves as plain rows.
+        self.takes_encoded: dict[str, str] | None = None
         self.stats = ScanStats()
         self._reported: dict[str, int] = {}
         self._conjuncts = split_conjuncts(predicate)
@@ -160,6 +131,9 @@ class ColumnStoreScan(BatchOperator):
             parts.append(f", predicate={self.predicate}")
         if self.bitmap_probes:
             parts.append(f", bitmaps={[p.column for p in self.bitmap_probes]}")
+        if self.takes_encoded is not None:
+            encoded = [n for n, how in self.takes_encoded.items() if how != AS_ROWS]
+            parts.append(f", encoded={encoded}")
         return "".join(parts) + ")"
 
     # ------------------------------------------------------------------ #
@@ -175,10 +149,6 @@ class ColumnStoreScan(BatchOperator):
         this scan's view out from under it.
         """
         self._pinned_units = self.index.pin_scan_units(epoch)
-
-    @property
-    def pinned(self) -> bool:
-        return self._pinned_units is not None
 
     def batches(self) -> Iterator[Batch]:
         source = (
@@ -207,12 +177,13 @@ class ColumnStoreScan(BatchOperator):
         Delta-based so a scan re-iterated (or abandoned early by a LIMIT)
         never double-counts what it already reported.
         """
-        current = vars(self.stats)
+        current = {n: v for n, v in vars(self.stats).items() if n != "morph"}
+        current.update({f"morph.{r}": n for r, n in self.stats.morph.items()})
         for name, value in current.items():
             grown = value - self._reported.get(name, 0)
             if grown:
                 metrics.increment(f"storage.scan.{name}", grown)
-        self._reported = dict(current)
+        self._reported = current
 
     # ------------------------------------------------------------------ #
     # Compressed row groups
@@ -220,78 +191,177 @@ class ColumnStoreScan(BatchOperator):
     def _scan_group(self, unit: ScanUnit) -> Iterator[Batch]:
         group = unit.group
         assert group is not None
+        takes, plain_reason = self.takes_encoded, MorphReason.OUTPUT
+        if takes is not None and (self.bitmap_probes or self.include_locators):
+            takes, plain_reason = None, MorphReason.BITMAP_OR_LOCATORS
+            self.stats.agg_fallbacks += 1
+        # Vectors cost nothing until used, so how every column leaves is
+        # settled (and a fallback counted) from metadata alone.
+        wanted = {n for n, how in (takes or {}).items() if how != AS_ROWS}
+        if self.encoded_eval:
+            wanted.update(filter(None, map(single_column_of, self._conjuncts)))
+        vectors = {
+            name: group.segment(name).vector()
+            for name in wanted
+            if name in group.segments
+        }
+        if takes is None:
+            plan = dict.fromkeys(self.columns, plain_reason)
+        else:
+            plan = self._encoded_plan(group, takes, vectors)
+
         if self.segment_elimination and self._eliminated(group):
             self.stats.units_eliminated += 1
             return
-        row_count = group.row_count
-        self.stats.rows_scanned += row_count
-        keep = self._initial_keep(unit)
-        keep, residual = self._encoded_conjunct_pass(group, keep)
-
-        # Phase 2: decode the columns the residual predicate / bitmaps /
-        # output need, then evaluate vectorized.
-        needed = set(self.columns)
-        for conjunct in residual:
-            needed |= conjunct.referenced_columns()
-        for probe in self.bitmap_probes:
-            needed.add(probe.column)
-        decoded: dict[str, np.ndarray] = {}
-        masks: dict[str, np.ndarray | None] = {}
-        for name in sorted(needed):
-            values, null_mask = self.index.decode_segment(group, name)
-            decoded[name] = values
-            masks[name] = null_mask
-            self.stats.columns_decoded += 1
-        unit_batch = Batch(columns=decoded, null_masks=masks)
-
-        for conjunct in residual:
-            keep &= predicate_mask(conjunct, unit_batch)
-
-        keep = self._apply_bitmaps(unit_batch, keep)
-
-        locators = None
-        if self.include_locators:
-            locators = _group_locators(group.group_id, row_count)
-        yield from self._emit(unit_batch, keep, locators)
-
-    def _initial_keep(self, unit: ScanUnit) -> np.ndarray:
-        group = unit.group
+        self.stats.rows_scanned += group.row_count
         keep = np.ones(group.row_count, dtype=bool)
         if unit.deleted_mask is not None:
             keep &= ~unit.deleted_mask
             self.stats.rows_rejected_deleted += int(unit.deleted_mask.sum())
-        return keep
+        keep, residual = self._encoded_conjunct_pass(group, vectors, keep)
+
+        decoded: dict[str, np.ndarray] = {}
+        masks: dict[str, np.ndarray | None] = {}
+
+        def decode(name: str, reason: MorphReason) -> None:
+            if name not in decoded:
+                decoded[name], masks[name] = self._decode(group, name, reason)
+
+        # What the residual predicate and the bitmaps read is decoded
+        # first: a unit they empty never decodes its output columns.
+        for name in sorted(set().union(*(c.referenced_columns() for c in residual))):
+            decode(name, MorphReason.RESIDUAL_PREDICATE)
+        for probe in self.bitmap_probes:
+            decode(probe.column, MorphReason.BITMAP_OR_LOCATORS)
+        filter_batch = Batch(columns=dict(decoded), null_masks=dict(masks))
+        for conjunct in residual:
+            keep &= predicate_mask(conjunct, filter_batch)
+        keep = self._apply_bitmaps(filter_batch, keep)
+        surviving = int(np.count_nonzero(keep))
+        if surviving == 0:
+            return
+
+        encoded: dict[str, EncodedVector] = {}
+        for name, leaves_as in plan.items():
+            if isinstance(leaves_as, MorphReason):
+                decode(name, leaves_as)
+            else:
+                encoded[name] = leaves_as
+                if not leaves_as.row_addressable:
+                    self.stats.agg_runs_processed += leaves_as.n_distinct
+        if takes is None:
+            indices = np.flatnonzero(keep)
+            locators = None
+            if self.include_locators:
+                locators = _locators(GROUP, group.group_id, indices.tolist())
+            yield from self._emit(
+                Batch(columns=decoded, null_masks=masks), indices, locators
+            )
+            return
+        # The declaring consumer gets the unit whole: plain columns stay
+        # full length next to the vectors and the survivors are a
+        # selection (None = all rows, which needs a column to measure by).
+        self.stats.rows_emitted += surviving
+        everything = surviving == group.row_count and bool(plan)
+        yield Batch(
+            columns={n: decoded[n] for n in plan if n not in encoded},
+            null_masks={n: masks[n] for n in plan if n not in encoded},
+            encoded=encoded,
+            selection=None if everything else np.flatnonzero(keep),
+        )
+
+    def _encoded_plan(
+        self, group, takes: dict[str, str], vectors: dict[str, EncodedVector | None]
+    ) -> dict[str, EncodedVector | MorphReason]:
+        """How each declared column leaves this unit: as its vector, or
+        decoded for the reason given.
+
+        Group keys stay in code space together or not at all (one plain
+        key forces per-row factorization anyway); every other column is
+        decided on its own.
+        """
+
+        def why_no_vector(name: str, otherwise: MorphReason) -> MorphReason:
+            return MorphReason.ARCHIVED if group.segment(name).archived else otherwise
+
+        key_reason = None
+        key_cells = 1
+        for name, how in takes.items():
+            if how != AS_CODES:
+                continue
+            vector = vectors.get(name)
+            if vector is None or not vector.row_addressable:
+                key_reason = why_no_vector(name, MorphReason.KEY_NOT_DICTIONARY)
+                break
+            key_cells *= vector.n_distinct + 1  # +1 for the NULL slot
+            if key_cells > _MAX_KEY_CELLS:
+                key_reason = MorphReason.KEY_SPACE_OVERFLOW
+                break
+        if key_reason is not None:
+            self.stats.agg_fallbacks += 1
+
+        plan: dict[str, EncodedVector | MorphReason] = {}
+        for name, how in takes.items():
+            vector = vectors.get(name)
+            if how == AS_ROWS:
+                plan[name] = MorphReason.OUTPUT
+            elif how == AS_CODES:
+                plan[name] = key_reason or vector
+            elif vector is None:
+                plan[name] = why_no_vector(name, MorphReason.NO_VECTOR)
+            elif how == AS_EXACT_WEIGHTS and not (
+                np.issubdtype(vector.numpy_dtype, np.integer)
+                or vector.numpy_dtype == np.bool_
+            ):
+                # Float SUM/AVG depends on accumulation order; weighting
+                # would change it, so it accumulates per row.
+                plan[name] = MorphReason.INEXACT_FLOAT_SUM
+            else:
+                plan[name] = vector
+        return plan
+
+    def _decode(self, group, name: str, reason: MorphReason):
+        """The morph point: the one place a column of a compressed row
+        group becomes plain (values, null_mask), for a stated reason."""
+        self.stats.columns_decoded += 1
+        self.stats.morph[reason.value] += 1
+        return self.index.decode_segment(group, name)
 
     def _encoded_conjunct_pass(
-        self, group, keep: np.ndarray
+        self, group, vectors: dict[str, EncodedVector | None], keep: np.ndarray
     ) -> tuple[np.ndarray, list[Expr]]:
         """Phase 1: fold conjuncts into ``keep`` without decoding.
 
-        Dictionary- and run-space evaluation first; conjuncts that fit
-        neither are tried against the segment's [min, max] — one provably
-        TRUE for every non-NULL row is dropped (only the NULL mask is
-        applied), which skips the decode for e.g. bit-packed segments.
-        The remainder is returned as the residual for decoded evaluation.
+        A single-column conjunct over a column with a vector is evaluated
+        once per distinct value (dictionary entry or run) and the verdicts
+        expanded over the rows. Conjuncts that fit no vector are tried
+        against the segment's [min, max] — one provably TRUE for every
+        non-NULL row is dropped (only the NULL mask is applied), which
+        skips the decode for e.g. bit-packed segments. The remainder is
+        returned as the residual for decoded evaluation.
         """
         residual: list[Expr] = []
         for conjunct in self._conjuncts:
             if not self.encoded_eval:
                 residual.append(conjunct)
                 continue
-            mask = self._try_encoded_eval(group, conjunct)
-            if mask is not None:
-                keep &= mask
+            column = single_column_of(conjunct)
+            vector = vectors.get(column)
+            if vector is not None:
+                verdicts = predicate_mask(
+                    conjunct, Batch(columns={column: vector.distinct_values()})
+                )
+                keep &= vector.expand(verdicts)
+                null_mask = vector.null_mask
                 self.stats.encoded_space_conjuncts += 1
-                continue
-            pruned = self._range_prunes(group, conjunct)
-            if pruned is not None:
-                segment = group.segment(pruned)
-                null_mask = segment.null_mask()
-                if null_mask is not None:
-                    keep &= ~null_mask  # predicate over NULL is never TRUE
+            elif (pruned := self._range_prunes(group, conjunct)) is not None:
+                null_mask = group.segment(pruned).null_mask()
                 self.stats.conjuncts_pruned_by_range += 1
+            else:
+                residual.append(conjunct)
                 continue
-            residual.append(conjunct)
+            if null_mask is not None:
+                keep &= ~null_mask  # predicate over NULL is never TRUE
         return keep, residual
 
     def _range_prunes(self, group, conjunct: Expr) -> str | None:
@@ -356,264 +426,17 @@ class ColumnStoreScan(BatchOperator):
                 return True
         return False
 
-    def _try_encoded_eval(self, group, conjunct: Expr) -> np.ndarray | None:
-        """Evaluate a single-column conjunct on compressed data.
-
-        Two encoded-space strategies, mirroring the paper's "operate on
-        compressed data" scan work:
-
-        * **dictionary segments** — evaluate once per distinct value
-          against the dictionary, then map over the code stream;
-        * **RLE value-encoded segments** — evaluate once per *run*, then
-          expand the per-run verdicts with the run lengths.
-
-        Returns a full-length boolean mask, or None when the conjunct is
-        not eligible (multi-column, or the segment encoding fits neither
-        strategy).
-        """
-        column = single_column_of(conjunct)
-        if column is None or column not in group.segments:
-            return None
-        segment = group.segment(column)
-        if segment.scheme is Scheme.DICT and not segment.archived:
-            # Archived segments decompress per access; evaluating here
-            # would pay that twice (dictionary + code stream) on top of
-            # the decode the output columns trigger anyway, so they take
-            # the decoded path like archived RLE segments do.
-            mask = self._dict_space_eval(segment, column, conjunct)
-        elif (
-            segment.scheme is Scheme.VALUE
-            and isinstance(segment.stream, RleBlock)
-            and not segment.archived
-        ):
-            mask = self._run_space_eval(segment, column, conjunct)
-        else:
-            return None
-        null_mask = segment.null_mask()
-        if null_mask is not None:
-            mask &= ~null_mask  # predicate over NULL is never TRUE
-        return mask
-
-    def _dict_space_eval(self, segment, column: str, conjunct: Expr) -> np.ndarray:
-        dictionary = segment.live_dictionary()
-        if len(dictionary) == 0:
-            # Empty dictionary = every row NULL; the code stream is filler
-            # zeros with no entry to index, so never reach entry_mask[codes].
-            return np.zeros(segment.row_count, dtype=bool)
-        entries = np.empty(len(dictionary), dtype=object)
-        entries[:] = dictionary.values
-        if not isinstance(dictionary.values[0], str):
-            entries = np.array(dictionary.values, dtype=segment.dtype.numpy_dtype)
-        dict_batch = Batch(columns={column: entries})
-        entry_mask = predicate_mask(conjunct, dict_batch)
-        codes = segment.codes().astype(np.int64)
-        return entry_mask[codes]
-
-    def _run_space_eval(self, segment, column: str, conjunct: Expr) -> np.ndarray:
-        run_offsets, run_lengths = segment.stream.runs()
-        assert segment.value_enc is not None
-        run_values = segment.value_enc.invert(run_offsets, segment.dtype.numpy_dtype)
-        run_batch = Batch(columns={column: run_values})
-        run_mask = predicate_mask(conjunct, run_batch)
-        return np.repeat(run_mask, run_lengths)
-
-    # ------------------------------------------------------------------ #
-    # Encoded-space aggregation
-    # ------------------------------------------------------------------ #
-    def encoded_agg_batches(
-        self, request: EncodedAggRequest
-    ) -> Iterator[Batch | EncodedAggUnit]:
-        """Unit stream for an eligible scan→aggregate subtree.
-
-        Eligible row groups come out as :class:`EncodedAggUnit` — group
-        keys still in code space, scalar arguments folded to per-run /
-        per-code weights — while delta stores and ineligible groups fall
-        back to the ordinary decoded batches, so the consumer merges both
-        kinds and mixed units stay bit-identical with the decoded path.
-
-        Only ``batches`` gets the class-creation instrumentation/governance
-        wrappers, so this stream checkpoints per unit itself and mirrors
-        the per-operator stats accounting for EXPLAIN ANALYZE.
-        """
-        source = self._encoded_agg_units(request)
-        if not opstats.collecting():
-            yield from source
-            return
-        stats = opstats.operator_stats(self)
-        while True:
-            start = time.perf_counter()
-            try:
-                batch = next(source)
-            except StopIteration:
-                stats.wall_seconds += time.perf_counter() - start
-                return
-            stats.wall_seconds += time.perf_counter() - start
-            stats.batches += 1
-            stats.rows += batch.active_count
-            yield batch
-
-    def _encoded_agg_units(
-        self, request: EncodedAggRequest
-    ) -> Iterator[Batch | EncodedAggUnit]:
-        source = (
-            self._pinned_units
-            if self._pinned_units is not None
-            else self.index.scan_units()
-        )
-        try:
-            for unit in source:
-                governance_checkpoint()
-                self.stats.units_seen += 1
-                if unit.kind != GROUP:
-                    self.stats.agg_fallbacks += 1
-                    yield from self._scan_delta(unit)
-                    continue
-                encoded = self._encoded_agg_unit(unit, request)
-                if encoded is None:
-                    self.stats.agg_fallbacks += 1
-                    yield from self._scan_group(unit)
-                elif encoded.row_count:
-                    yield encoded
-        finally:
-            self._report_to_registry()
-
-    def _encoded_agg_unit(
-        self, unit: ScanUnit, request: EncodedAggRequest
-    ) -> EncodedAggUnit | None:
-        """Fold one row group into an :class:`EncodedAggUnit`.
-
-        ``None`` means the unit is ineligible (archived or non-DICT group
-        key, bitmap probes, locators) and must take the decoded path. An
-        eliminated or fully filtered unit returns an empty unit instead.
-        """
-        group = unit.group
-        assert group is not None
-        if self.bitmap_probes or self.include_locators:
-            return None
-        key_segments = []
-        key_cells = 1
-        for name in request.keys:
-            if name not in group.segments:
-                return None
-            segment = group.segment(name)
-            if segment.scheme is not Scheme.DICT or segment.archived:
-                return None
-            key_cells *= len(segment.dictionary) + 1  # +1 for the NULL slot
-            if key_cells > _MAX_KEY_CELLS:
-                return None
-            key_segments.append(segment)
-
-        if self.segment_elimination and self._eliminated(group):
-            self.stats.units_eliminated += 1
-            return _empty_agg_unit()
-        self.stats.rows_scanned += group.row_count
-        keep = self._initial_keep(unit)
-        keep, residual = self._encoded_conjunct_pass(group, keep)
-
-        # Residual conjuncts force decodes exactly as the plain scan would.
-        decoded: dict[str, np.ndarray] = {}
-        masks: dict[str, np.ndarray | None] = {}
-
-        def decode(name: str) -> None:
-            if name in decoded:
-                return
-            values, null_mask = self.index.decode_segment(group, name)
-            decoded[name] = values
-            masks[name] = null_mask
-            self.stats.columns_decoded += 1
-
-        residual_refs: set[str] = set()
-        for conjunct in residual:
-            residual_refs |= conjunct.referenced_columns()
-        for name in sorted(residual_refs):
-            decode(name)
-        if residual:
-            unit_batch = Batch(columns=dict(decoded), null_masks=dict(masks))
-            for conjunct in residual:
-                keep &= predicate_mask(conjunct, unit_batch)
-
-        surviving = int(keep.sum())
-        self.stats.rows_emitted += surviving
-        if surviving == 0:
-            return _empty_agg_unit()
-
-        keys = [
-            CodeSpaceColumn(
-                name=name,
-                codes=segment.codes().astype(np.int64),
-                dictionary=segment.dictionary,
-                null_mask=segment.null_mask(),
-                numpy_dtype=segment.dtype.numpy_dtype,
-                is_string=segment.dtype.kind is TypeKind.VARCHAR,
-            )
-            for name, segment in zip(request.keys, key_segments)
-        ]
-
-        weighted: dict[str, WeightedValues] = {}
-        for name in request.args:
-            if request.keys:
-                # Grouped aggregation accumulates arguments per row (the
-                # group ids vary row to row); only the keys stay encoded.
-                decode(name)
-                continue
-            folded = self._weighted_arg(
-                group, name, keep, needs_exact_sum=name in request.exact_sum_args
-            )
-            if folded is not None:
-                weighted[name] = folded
-            else:
-                decode(name)
-        return EncodedAggUnit(
-            row_count=surviving,
-            keep=keep,
-            keys=keys,
-            columns={name: (decoded[name], masks[name]) for name in decoded},
-            weighted=weighted,
-        )
-
-    def _weighted_arg(
-        self, group, name: str, keep: np.ndarray, needs_exact_sum: bool
-    ) -> WeightedValues | None:
-        """Fold a scalar-aggregate argument to (values, weights), or
-        ``None`` when the segment's encoding or dtype rules it out."""
-        if name not in group.segments:
-            return None
-        segment = group.segment(name)
-        if segment.archived:
-            return None
-        dtype = segment.dtype.numpy_dtype
-        int_physical = np.issubdtype(dtype, np.integer) or dtype == np.bool_
-        if needs_exact_sum and not int_physical:
-            # Float SUM/AVG depends on accumulation order; weighting would
-            # change it, so those stay on the per-row decoded path.
-            return None
-        null_mask = segment.null_mask()
-        keep_present = keep if null_mask is None else keep & ~null_mask
-        if segment.scheme is Scheme.DICT:
-            dictionary = segment.dictionary
-            codes = segment.codes()
-            weights = code_keep_weights(codes, keep_present, len(dictionary))
-            all_codes = np.arange(len(dictionary), dtype=np.int64)
-            if segment.dtype.kind is TypeKind.VARCHAR:
-                values = dictionary.decode(all_codes)
-            else:
-                values = dictionary.decode_typed(all_codes, dtype)
-            return WeightedValues(values=values, weights=weights)
-        if segment.scheme is Scheme.VALUE and isinstance(segment.stream, RleBlock):
-            run_offsets, run_lengths = segment.stream.runs()
-            assert segment.value_enc is not None
-            values = segment.value_enc.invert(run_offsets, dtype)
-            weights = run_keep_weights(run_lengths, keep_present)
-            self.stats.agg_runs_processed += int(run_lengths.size)
-            return WeightedValues(values=values, weights=weights)
-        return None
-
     # ------------------------------------------------------------------ #
     # Delta stores
     # ------------------------------------------------------------------ #
     def _scan_delta(self, unit: ScanUnit) -> Iterator[Batch]:
         delta = unit.delta
         assert delta is not None
+        if self.takes_encoded is not None:
+            # Delta rows were never compressed: the declaring consumer
+            # merges these plain batches into the same accumulators.
+            self.stats.agg_fallbacks += 1
+            self.stats.morph[MorphReason.DELTA_UNIT.value] += 1
         columns, null_masks, row_ids = delta.to_columns()
         n = len(row_ids)
         self.stats.rows_scanned += n
@@ -624,12 +447,13 @@ class ColumnStoreScan(BatchOperator):
         keep = np.ones(n, dtype=bool)
         for conjunct in self._conjuncts:
             keep &= predicate_mask(conjunct, unit_batch)
-        keep = self._apply_bitmaps(unit_batch, keep)
+        indices = np.flatnonzero(self._apply_bitmaps(unit_batch, keep))
         locators = None
         if self.include_locators:
-            locators = _delta_locators(delta.delta_id, row_ids)
-        # Restrict the unit batch to output + probe columns like group scans.
-        yield from self._emit(unit_batch, keep, locators)
+            locators = _locators(
+                DELTA, delta.delta_id, [row_ids[i] for i in indices.tolist()]
+            )
+        yield from self._emit(unit_batch, indices, locators)
 
     # ------------------------------------------------------------------ #
     # Shared tail
@@ -649,50 +473,28 @@ class ColumnStoreScan(BatchOperator):
     def _emit(
         self,
         unit_batch: Batch,
-        keep: np.ndarray,
+        indices: np.ndarray,
         locators: np.ndarray | None,
     ) -> Iterator[Batch]:
-        indices = np.flatnonzero(keep)
+        """Gather the surviving rows (``locators`` already address only
+        them) and hand them out in engine-sized batches."""
         self.stats.rows_emitted += int(indices.size)
         if indices.size == 0:
             return
-        out_columns = {name: unit_batch.column(name)[indices] for name in self.columns}
         out_masks = {}
         for name in self.columns:
             mask = unit_batch.null_mask(name)
             out_masks[name] = mask[indices] if mask is not None else None
-        out_locators = locators[indices] if locators is not None else None
-        dense = Batch(columns=out_columns, null_masks=out_masks, locators=out_locators)
-        total = dense.row_count
-        for start in range(0, total, self.batch_size):
-            end = min(start + self.batch_size, total)
-            yield Batch(
-                columns={n: a[start:end] for n, a in dense.columns.items()},
-                null_masks={
-                    n: (m[start:end] if m is not None else None)
-                    for n, m in dense.null_masks.items()
-                },
-                locators=dense.locators[start:end] if dense.locators is not None else None,
-            )
+        dense = Batch(
+            columns={name: unit_batch.column(name)[indices] for name in self.columns},
+            null_masks=out_masks,
+            locators=locators,
+        )
+        yield from slice_into_batches(dense, self.batch_size)
 
 
-def _empty_agg_unit() -> EncodedAggUnit:
-    return EncodedAggUnit(
-        row_count=0,
-        keep=np.zeros(0, dtype=bool),
-        keys=[],
-        columns={},
-        weighted={},
-    )
-
-
-def _group_locators(group_id: int, row_count: int) -> np.ndarray:
-    out = np.empty(row_count, dtype=object)
-    out[:] = [RowLocator(GROUP, group_id, position) for position in range(row_count)]
-    return out
-
-
-def _delta_locators(delta_id: int, row_ids: list[int]) -> np.ndarray:
-    out = np.empty(len(row_ids), dtype=object)
-    out[:] = [RowLocator(DELTA, delta_id, row_id) for row_id in row_ids]
+def _locators(kind: str, container_id: int, positions: list[int]) -> np.ndarray:
+    """Addresses of the surviving rows only (one Python object each)."""
+    out = np.empty(len(positions), dtype=object)
+    out[:] = [RowLocator(kind, container_id, position) for position in positions]
     return out

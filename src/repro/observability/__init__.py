@@ -27,6 +27,7 @@ from .opstats import (
 from .registry import (
     STABLE_COUNTERS,
     MetricsRegistry,
+    MorphReason,
     TimerStat,
     get_registry,
     increment,
@@ -38,6 +39,7 @@ from .report import ExecutionStats, OperatorNodeStats
 __all__ = [
     "ExecutionStats",
     "MetricsRegistry",
+    "MorphReason",
     "OperatorNodeStats",
     "OperatorStats",
     "STABLE_COUNTERS",

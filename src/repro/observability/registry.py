@@ -18,10 +18,75 @@ README — benchmarks and external tooling may rely on them.
 
 from __future__ import annotations
 
+import enum
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+
+class MorphReason(enum.Enum):
+    """Why a column (or a whole scan unit) left encoded space.
+
+    Compressed execution keeps a column encoded until one explicit
+    *morph point* — ``ColumnStoreScan._decode`` — turns it into plain
+    rows, and every morph names its reason from this closed set. Each
+    event bumps ``storage.scan.morph.<value>``; ``EXPLAIN ANALYZE`` shows
+    the non-zero ones on the scan's line. The entries below are the
+    fallback matrix (DESIGN.md "Compressed execution" renders them, and
+    a test keeps the two identical):
+
+    ``delta_unit``
+        Delta-store unit under an encoded-input aggregate: delta rows
+        are never compressed, so the unit arrives as plain batches and
+        merges into the same accumulators (one event per unit).
+    ``archived``
+        Archived segment: it hands out no vector (dictionary and code
+        stream would each decompress the archive), so a key or argument
+        the consumer could have taken encoded is decoded once instead.
+    ``key_not_dictionary``
+        Group key whose segment has no row-addressable code stream
+        (run-encoded, bit-packed or raw): every key of the unit is
+        decoded and the aggregate factorizes per row.
+    ``key_space_overflow``
+        The keys' combined code space (product of dictionary sizes + 1
+        NULL slot each) exceeds 2^62 cells, past what one int64
+        mixed-radix key can hold: the keys are decoded.
+    ``bitmap_or_locators``
+        A join bitmap probes the column's values, or row locators ride on
+        the scan: the probed column is decoded, and under an encoded-input
+        aggregate so is the whole unit (rows must leave one by one).
+    ``inexact_float_sum``
+        Scalar SUM/AVG over a non-integer column: float addition is not
+        associative, so value x weight would change the bits; the
+        argument is decoded and accumulated per row in storage order.
+    ``no_vector``
+        Scalar argument on a bit-packed or raw segment: there are no
+        distinct values to weigh, so the argument is decoded.
+    ``residual_predicate``
+        A conjunct that could be evaluated neither on the column's
+        distinct values nor from its [min, max] (multi-column, or the
+        segment has no vector): its columns are decoded to evaluate it.
+    ``output``
+        The consumer takes the column as plain rows: every column of a
+        scan with no encoded-input consumer, and grouped aggregate
+        arguments (each row updates its own group).
+    """
+
+    DELTA_UNIT = "delta_unit"
+    ARCHIVED = "archived"
+    KEY_NOT_DICTIONARY = "key_not_dictionary"
+    KEY_SPACE_OVERFLOW = "key_space_overflow"
+    BITMAP_OR_LOCATORS = "bitmap_or_locators"
+    INEXACT_FLOAT_SUM = "inexact_float_sum"
+    NO_VECTOR = "no_vector"
+    RESIDUAL_PREDICATE = "residual_predicate"
+    OUTPUT = "output"
+
+    @property
+    def counter(self) -> str:
+        return f"storage.scan.morph.{self.value}"
+
 
 # Counters whose names and meanings are frozen (documented in README).
 STABLE_COUNTERS = (
@@ -41,6 +106,7 @@ STABLE_COUNTERS = (
     "storage.scan.agg_runs_processed",
     "storage.scan.agg_code_space_groups",
     "storage.scan.agg_fallbacks",
+    *(reason.counter for reason in MorphReason),
     "storage.segments.decode_requests",
     "storage.delta.rows_inserted",
     "storage.delta.stores_closed",

@@ -45,7 +45,14 @@ class OperatorNodeStats:
                 actual += f", spill={runtime.spill_bytes:,}B"
             out.append(f"{pad}  * actual: {actual}")
         if self.details:
-            inner = ", ".join(f"{k}={v}" for k, v in self.details.items())
+            inner = ", ".join(
+                # A dict-valued detail (the scan's morph reasons) reads
+                # "morph: key_not_dictionary=7 output=14".
+                f"{k}: " + " ".join(f"{r}={n}" for r, n in sorted(v.items()))
+                if isinstance(v, dict)
+                else f"{k}={v}"
+                for k, v in self.details.items()
+            )
             out.append(f"{pad}  * {inner}")
         return out
 
@@ -163,6 +170,6 @@ def _operator_details(operator) -> dict[str, Any]:
         return {}
     details = {}
     for name, value in vars(own).items():
-        if value not in (0, 0.0, False, None, []):
+        if value not in (0, 0.0, False, None, [], {}):
             details[name] = value
     return details

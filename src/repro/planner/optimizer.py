@@ -179,16 +179,11 @@ class Optimizer:
         batch_size: int | None = None,
         enable_bitmaps: bool = True,
         enable_segment_elimination: bool = True,
-        enable_encoded_eval: bool | None = None,
-        enable_encoded_agg: bool | None = None,
+        enable_encoded_eval: bool = True,
+        enable_encoded_agg: bool = True,
         optimize: bool = True,
     ) -> PhysicalPlan:
-        """Optimize (optionally) and build an executable physical plan.
-
-        ``enable_encoded_eval`` / ``enable_encoded_agg`` default to the
-        ``REPRO_ENCODED_EVAL`` / ``REPRO_ENCODED_AGG`` environment switches
-        (on unless set to ``0``/``false``/``no``/``off``).
-        """
+        """Optimize (optionally) and build an executable physical plan."""
         if optimize:
             plan = self.optimize(plan)
         builder_args = dict(

@@ -13,7 +13,6 @@ into that scan before probing starts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -25,7 +24,7 @@ from ..exec.operators.filter import BatchFilter
 from ..exec.operators.hash_aggregate import BatchHashAggregate
 from ..exec.operators.hash_join import BatchHashJoin
 from ..exec.operators.project import BatchProject
-from ..exec.operators.scan import ColumnStoreScan, build_encoded_agg_request
+from ..exec.operators.scan import ColumnStoreScan
 from ..exec.operators.sort import BatchSort, BatchTop
 from ..exec.operators.window import BatchWindow
 from ..exec.row_engine import (
@@ -59,30 +58,6 @@ BATCH = "batch"
 ROW = "row"
 AUTO = "auto"
 _MODES = {BATCH, ROW, AUTO}
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
-def resolve_encoded_eval(explicit: bool | None) -> bool:
-    """Encoded predicate evaluation: explicit option wins, then the
-    ``REPRO_ENCODED_EVAL`` master switch (default on)."""
-    if explicit is not None:
-        return explicit
-    return _env_flag("REPRO_ENCODED_EVAL", True)
-
-
-def resolve_encoded_agg(explicit: bool | None) -> bool:
-    """Encoded aggregation: explicit option wins, then ``REPRO_ENCODED_AGG``,
-    then the ``REPRO_ENCODED_EVAL`` master switch — so one variable turns
-    the whole encoded-execution surface on or off for differential runs."""
-    if explicit is not None:
-        return explicit
-    return _env_flag("REPRO_ENCODED_AGG", _env_flag("REPRO_ENCODED_EVAL", True))
 
 
 class TableSource(Protocol):
@@ -132,8 +107,8 @@ class PhysicalBuilder:
         batch_size: int = DEFAULT_BATCH_SIZE,
         enable_bitmaps: bool = True,
         enable_segment_elimination: bool = True,
-        enable_encoded_eval: bool | None = None,
-        enable_encoded_agg: bool | None = None,
+        enable_encoded_eval: bool = True,
+        enable_encoded_agg: bool = True,
     ) -> None:
         if mode not in _MODES:
             raise PlanningError(f"unknown execution mode {mode!r}")
@@ -143,8 +118,8 @@ class PhysicalBuilder:
         self.batch_size = batch_size
         self.enable_bitmaps = enable_bitmaps
         self.enable_segment_elimination = enable_segment_elimination
-        self.enable_encoded_eval = resolve_encoded_eval(enable_encoded_eval)
-        self.enable_encoded_agg = resolve_encoded_agg(enable_encoded_agg)
+        self.enable_encoded_eval = enable_encoded_eval
+        self.enable_encoded_agg = enable_encoded_agg
 
     def _new_grant(self) -> MemoryGrant:
         # The grant binds itself to the active QueryContext (if any), so
@@ -292,17 +267,11 @@ class PhysicalBuilder:
                 grant=self._new_grant(),
                 batch_size=self.batch_size,
             )
-            # Aggregates sitting directly on a columnstore scan can pull encoded units (code-space keys, weighted runs)
-            # instead of decoded batches; the scan still falls back per
-            # unit for deltas and ineligible segments at runtime.
-            if (
-                self.enable_encoded_agg
-                and isinstance(child.op, ColumnStoreScan)
-                and not child.op.include_locators
-            ):
-                op.encoded_request = build_encoded_agg_request(
-                    node.group_keys, node.aggregates, child.op.columns
-                )
+            # An aggregate sitting directly on a columnstore scan tells it
+            # which columns it can take still encoded (code-space keys,
+            # weighted runs); the scan decides per unit and per column.
+            if self.enable_encoded_agg and isinstance(child.op, ColumnStoreScan):
+                child.op.takes_encoded = op.takes_encoded()
             return PhysResult(BATCH, op)
         return PhysResult(ROW, RowHashAggregate(child.op, node.group_keys, node.aggregates))
 

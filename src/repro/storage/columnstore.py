@@ -92,14 +92,6 @@ class ScanUnit:
     deleted_mask: np.ndarray | None = None
     delta: DeltaStore | FrozenDeltaView | None = None
 
-    @property
-    def container_id(self) -> int:
-        if self.kind == GROUP:
-            assert self.group is not None
-            return self.group.group_id
-        assert self.delta is not None
-        return self.delta.delta_id
-
 
 class ColumnStoreIndex:
     """An updatable columnstore index over one table's rows."""

@@ -58,16 +58,6 @@ class LocalDictionary:
         except KeyError as exc:
             raise EncodingError(f"value {exc.args[0]!r} not in dictionary") from None
 
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Map an array of codes back to values (object array for strings)."""
-        table = np.array(self.values, dtype=object)
-        return table[codes.astype(np.int64)]
-
-    def decode_typed(self, codes: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        """Decode into a concrete NumPy dtype (for numeric dictionaries)."""
-        table = np.array(self.values, dtype=dtype)
-        return table[codes.astype(np.int64)]
-
     # ------------------------------------------------------------------ #
     # Encoded-space predicate support: value predicates -> code predicates
     # ------------------------------------------------------------------ #

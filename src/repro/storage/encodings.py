@@ -99,33 +99,6 @@ def unpack_null_mask(payload: bytes, count: int) -> np.ndarray:
     ).astype(bool)
 
 
-def run_keep_weights(run_lengths: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Fold a full-length row mask into per-run surviving-row counts.
-
-    ``keep`` has one entry per row; the result has one int64 entry per
-    RLE run. Run-granular aggregation weights each run's value by its
-    surviving rows instead of expanding the run, so a segment is
-    processed once per run, not once per row.
-    """
-    if run_lengths.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.zeros(run_lengths.size, dtype=np.int64)
-    np.cumsum(run_lengths[:-1], out=starts[1:])
-    return np.add.reduceat(keep.astype(np.int64), starts)
-
-
-def code_keep_weights(codes: np.ndarray, keep: np.ndarray, n_codes: int) -> np.ndarray:
-    """Fold a full-length row mask into per-dictionary-code counts.
-
-    One int64 entry per dictionary code: how many surviving rows carry
-    that code. NULL rows store filler code 0, so callers must exclude
-    them from ``keep`` before folding.
-    """
-    if n_codes == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.bincount(codes[keep].astype(np.int64), minlength=n_codes).astype(np.int64)
-
-
 def dictionary_pays_off(
     count: int, ndv: int, offset_width: int, dict_entry_bytes: int
 ) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -101,63 +102,31 @@ class ColumnSegment:
             return None
         return unpack_null_mask(self.null_payload, self.row_count)
 
-    def codes(self) -> np.ndarray:
-        """The integer stream (dict codes or value offsets), dtype uint64."""
-        if self.scheme is Scheme.RAW:
-            raise EncodingError("raw segments have no code stream")
-        return self._live_stream().decode()
+    def vector(self) -> "EncodedVector | None":
+        """This column still encoded, or ``None`` when it can only be
+        decoded: bit-packed and raw streams have no distinct values to
+        work on, and an archived segment would decompress its archive on
+        every access. Free until the vector is first used."""
+        if self.archive is not None:
+            return None
+        if self.scheme is Scheme.DICT:
+            return DictionaryVector(self)
+        if self.scheme is Scheme.VALUE and isinstance(self.stream, RleBlock):
+            return RunVector(self)
+        return None
 
     def decode(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Materialize (values, null_mask) in the column's physical dtype."""
-        stream = self._live_stream()
-        mask = self.null_mask()
-        if self.scheme is Scheme.RAW:
-            return stream.decode(), mask
-        codes = stream.decode()
-        if self.scheme is Scheme.DICT:
-            dictionary = self._live_dictionary()
-            if len(dictionary) == 0:
-                # All-NULL segment: the code stream is filler zeros and
-                # the dictionary is empty; emit filler values under the
-                # (all-True) null mask.
-                if self.dtype.kind is TypeKind.VARCHAR:
-                    values = np.empty(self.row_count, dtype=object)
-                    values[:] = [""] * self.row_count
-                else:
-                    values = np.zeros(self.row_count, dtype=self.dtype.numpy_dtype)
-                return values, mask
-            if self.dtype.kind is TypeKind.VARCHAR:
-                values = dictionary.decode(codes)
-            else:
-                values = dictionary.decode_typed(codes, self.dtype.numpy_dtype)
-            return values, mask
-        assert self.value_enc is not None
-        return self.value_enc.invert(codes, self.dtype.numpy_dtype), mask
-
-    def live_dictionary(self) -> LocalDictionary:
-        """The segment's dictionary with real values (decompresses archives).
-
-        Used by the scan operator to evaluate predicates in encoded space:
-        one evaluation per distinct value instead of one per row.
-        """
-        return self._live_dictionary()
-
-    def _live_stream(self) -> StreamBlock:
-        """The stream with real payload bytes, decompressing if archived."""
-        if self.archive is None:
-            return self.stream
-        payloads, _dict_payload = _split_archive(xpress.decompress(self.archive))
-        return _with_payloads(self.stream, payloads)
-
-    def _live_dictionary(self) -> LocalDictionary:
-        if self.dictionary is None:
-            raise EncodingError("segment has no dictionary")
-        if self.archive is None:
-            return self.dictionary
-        _payloads, dict_payload = _split_archive(xpress.decompress(self.archive))
-        if dict_payload is None:
-            return self.dictionary
-        return LocalDictionary(serde.deserialize_values(dict_payload, self.dtype))
+        if self.archive is not None:
+            return self.to_unarchived().decode()
+        vector = self.vector()
+        if vector is not None:
+            return vector.decode()
+        values = self.stream.decode()
+        if self.scheme is Scheme.VALUE:
+            assert self.value_enc is not None
+            values = self.value_enc.invert(values, self.dtype.numpy_dtype)
+        return values, self.null_mask()
 
     # ------------------------------------------------------------------ #
     # Archival compression
@@ -193,6 +162,116 @@ class ColumnSegment:
             stream=_with_payloads(self.stream, payloads),
             dictionary=dictionary,
         )
+
+
+# ---------------------------------------------------------------------- #
+# Encoded column vectors
+# ---------------------------------------------------------------------- #
+class EncodedVector:
+    """One column of one row group, handed out still encoded.
+
+    Row ``i`` holds ``distinct_values()[p(i)]``. A *dictionary* vector
+    maps rows through a code stream (codes ∘ dictionary); a *run* vector
+    through run lengths (run values × run lengths). Operators do their
+    work once per distinct value — one predicate verdict, one aggregate
+    update per dictionary entry or run — and return to row space with
+    :meth:`expand`. :meth:`decode` is ``expand(distinct_values())``, bit
+    for bit what the segment's own decode emits (it *is* that decode).
+    Nothing is read from the segment until first use.
+    """
+
+    # Whether ``codes`` gives each row's position in distinct_values()
+    # (what a code-space GROUP BY key needs); runs have no such stream.
+    row_addressable = False
+
+    def __init__(self, segment: ColumnSegment) -> None:
+        self._segment = segment
+        self.row_count = segment.row_count
+        self.numpy_dtype = segment.dtype.numpy_dtype
+
+    @cached_property
+    def null_mask(self) -> np.ndarray | None:
+        return self._segment.null_mask()
+
+    def decode(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return self.expand(self.distinct_values()), self.null_mask
+
+    def _present(self, keep: np.ndarray) -> np.ndarray:
+        # NULL rows store a filler position; they never weigh anything.
+        return keep if self.null_mask is None else keep & ~self.null_mask
+
+    @property
+    def n_distinct(self) -> int:
+        """Dictionary entries / runs (known without reading the payload)."""
+        raise NotImplementedError
+
+    def distinct_values(self) -> np.ndarray:
+        """One value per dictionary entry / run, typed as decode emits."""
+        raise NotImplementedError
+
+    def expand(self, per_distinct: np.ndarray) -> np.ndarray:
+        """Spread one entry per distinct value over the rows holding it."""
+        raise NotImplementedError
+
+    def weights(self, keep: np.ndarray) -> np.ndarray:
+        """Fold a row mask to int64 surviving non-NULL rows per distinct value."""
+        raise NotImplementedError
+
+
+class DictionaryVector(EncodedVector):
+    row_addressable = True
+
+    @property
+    def n_distinct(self) -> int:
+        return len(self._segment.dictionary)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return self._segment.stream.decode().astype(np.int64)
+
+    def distinct_values(self) -> np.ndarray:
+        is_string = self._segment.dtype.kind is TypeKind.VARCHAR
+        return np.array(
+            self._segment.dictionary.values,
+            dtype=object if is_string else self.numpy_dtype,
+        )
+
+    def expand(self, per_distinct: np.ndarray) -> np.ndarray:
+        if per_distinct.size == 0:
+            # Empty dictionary = every row NULL: the codes are filler zeros
+            # with no entry to index; emit filler under the all-True mask.
+            filler = "" if per_distinct.dtype == object else 0
+            return np.full(self.row_count, filler, dtype=per_distinct.dtype)
+        return per_distinct[self.codes]
+
+    def weights(self, keep: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.codes[self._present(keep)], minlength=self.n_distinct
+        ).astype(np.int64)
+
+
+class RunVector(EncodedVector):
+    @property
+    def n_distinct(self) -> int:
+        return self._segment.stream.n_runs
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._segment.stream.runs()
+
+    def distinct_values(self) -> np.ndarray:
+        return self._segment.value_enc.invert(self._runs[0], self.numpy_dtype)
+
+    def expand(self, per_distinct: np.ndarray) -> np.ndarray:
+        return np.repeat(per_distinct, self._runs[1])
+
+    def weights(self, keep: np.ndarray) -> np.ndarray:
+        lengths = self._runs[1]
+        if lengths.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        starts = np.zeros(lengths.size, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        return np.add.reduceat(self._present(keep).astype(np.int64), starts)
 
 
 # ---------------------------------------------------------------------- #

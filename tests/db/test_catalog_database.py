@@ -6,6 +6,10 @@ from repro import Database, StoreConfig, schema, types
 from repro.db.catalog import StorageKind
 from repro.errors import CatalogError
 from repro.exec.expressions import Comparison, col, lit
+from repro.observability import get_registry, snapshot_delta
+from repro.storage.columnstore import GROUP, RowLocator
+from repro.wal import replay as walreplay
+from repro.wal.record import WalRecordType
 
 
 @pytest.fixture
@@ -99,6 +103,90 @@ class TestDeleteCount:
         assert deleted == 2
         assert table.rowstore.row_count == 1
         assert table.columnstore.live_rows == 1
+
+
+class TestDmlResolvesItsPredicateOnce:
+    """UPDATE / DELETE make one pass per storage and address survivors only.
+
+    Regression: ``update_where`` scanned the table twice (once for the
+    rows, once for the locators), both passes decoded every column of
+    every row group, and one ``RowLocator`` was allocated per *scanned*
+    row before the predicate ran.
+    """
+
+    ROWS = 192  # 3 row groups of 64
+
+    @pytest.fixture
+    def config(self):
+        # No row reordering: rows stay where the test put them.
+        return StoreConfig(rowgroup_size=64, bulk_load_threshold=40, reorder_rows=False)
+
+    @pytest.fixture
+    def durable(self, config, tmp_path):
+        db = Database.open(str(tmp_path / "d"), default_config=config)
+        db.sql("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL, tag VARCHAR)")
+        # Every group's k spans the whole key range (k = 3j + group), so
+        # min/max cannot eliminate one: only the predicate itself empties
+        # two of them.
+        rows = [((i % 64) * 3 + i // 64, i, f"t{i % 3}") for i in range(self.ROWS)]
+        db.bulk_load("kv", rows)
+        assert len(list(db.table("kv").columnstore.directory.row_groups())) == 3
+        return db
+
+    def _logged(self, db, monkeypatch):
+        logged = []
+        original = db._log_dml
+
+        def capture(rtype, table, payload):
+            logged.append((rtype, payload))
+            original(rtype, table, payload)
+
+        monkeypatch.setattr(db, "_log_dml", capture)
+        return logged
+
+    def test_update_is_one_pass_over_predicate_columns(
+        self, durable, tmp_path, config, monkeypatch
+    ):
+        db = durable
+        logged = self._logged(db, monkeypatch)
+        before = get_registry().snapshot()
+        result = db.sql("UPDATE kv SET v = 1000 WHERE k = 5")
+        delta = snapshot_delta(before, get_registry().snapshot())
+
+        assert result.rows == [(1,)]  # rows_affected
+        assert delta["storage.scan.rows_scanned"] == self.ROWS  # one pass
+        # k in all three groups; v and tag only where a row matched.
+        assert delta["storage.scan.columns_decoded"] == 3 + 2
+        assert delta["storage.segments.decode_requests"] == 3 + 2
+        assert delta["storage.scan.rows_emitted"] == 1
+
+        position = 2 * 64 + 1  # k = 5 is 3 * 1 + 2: group 2, row 1
+        [(rtype, payload)] = logged
+        assert rtype is WalRecordType.UPDATE
+        rids, locators, rows = walreplay.decode_update(db.table("kv").schema, payload)
+        assert rids == []
+        assert locators == [RowLocator(GROUP, position // 64, position % 64)]
+        assert rows == [(5, 1000, f"t{position % 3}")]
+
+        expected = db.sql("SELECT * FROM kv ORDER BY k").rows
+        assert (5, 1000, f"t{position % 3}") in expected and len(expected) == self.ROWS
+        db.close()  # no save: the reopened state is base snapshot + replay
+        replayed = Database.open(str(tmp_path / "d"), default_config=config)
+        assert replayed.sql("SELECT * FROM kv ORDER BY k").rows == expected
+
+    def test_delete_reads_only_the_predicate_column(self, durable, monkeypatch):
+        db = durable
+        logged = self._logged(db, monkeypatch)
+        before = get_registry().snapshot()
+        assert db.delete_where("kv", Comparison("<", col("k"), lit(3))) == 3
+        delta = snapshot_delta(before, get_registry().snapshot())
+        assert delta["storage.scan.rows_scanned"] == self.ROWS
+        assert delta["storage.scan.columns_decoded"] == 3  # k, once per group
+        [(rtype, payload)] = logged
+        assert rtype is WalRecordType.DELETE
+        _rids, locators = walreplay.decode_locators(walreplay.decode_json(payload))
+        assert locators == [RowLocator(GROUP, group, 0) for group in range(3)]
+        assert db.sql("SELECT COUNT(*) FROM kv WHERE k < 3").rows == [(0,)]
 
 
 class TestMaintenance:

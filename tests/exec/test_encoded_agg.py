@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from repro import types
 from repro.exec.expressions import Between, Comparison, col, lit
 from repro.exec.operators.hash_aggregate import BatchHashAggregate, agg, count_star
-from repro.exec.operators.scan import (
-    ColumnStoreScan,
-    build_encoded_agg_request,
-)
+from repro.errors import QueryKilledError
+from repro.exec.operators.scan import ColumnStoreScan
+from repro.governance.context import QueryContext, activate
 from repro.observability.registry import get_registry
 from repro.schema import schema
 from repro.storage.columnstore import GROUP, ColumnStoreIndex, RowLocator
@@ -30,8 +29,8 @@ def run_agg(store, columns, group_keys, aggs, predicate=None, encoded=True):
     scan = ColumnStoreScan(store, columns, predicate=predicate)
     op = BatchHashAggregate(scan, group_keys, aggs)
     if encoded:
-        op.encoded_request = build_encoded_agg_request(group_keys, aggs, columns)
-        assert op.encoded_request is not None
+        scan.takes_encoded = op.takes_encoded()
+        assert scan.takes_encoded is not None
     rows = []
     for batch in op.batches():
         rows.extend(batch.to_rows())
@@ -178,6 +177,118 @@ class TestCodeSpaceGroupBy:
         slow, _ = run_agg(dict_store, ["k", "v"], ["k"], self.GROUP_AGGS, encoded=False)
         assert_same(fast, slow)
         assert scan.stats.agg_fallbacks == scan.stats.units_seen
+
+
+class TestMixedUnits:
+    """Each column of a unit is encoded or plain on its own, and every
+    column that had to be decoded says why."""
+
+    @pytest.fixture
+    def mixed_store(self):
+        """k: dictionary; run: value/RLE ints; f: value/RLE floats;
+        payload: bit-packed."""
+        sch = schema(
+            ("k", types.VARCHAR, False),
+            ("run", types.INT, False),
+            ("f", types.FLOAT, False),
+            ("payload", types.INT, False),
+        )
+        store = ColumnStoreIndex(
+            sch, StoreConfig(rowgroup_size=5000, bulk_load_threshold=10, reorder_rows=False)
+        )
+        n = 5000
+        store.bulk_load_columns(
+            {
+                "k": np.array(["a", "b", "c", "d"], dtype=object)[np.arange(n) % 4],
+                "run": np.repeat(np.arange(50, dtype=np.int64), 100),
+                "f": np.repeat(np.arange(25) * 0.25, 200),
+                "payload": (np.arange(n, dtype=np.int64) * 997) % 1009,
+            }
+        )
+        group = next(store.directory.row_groups())
+        assert group.segment("k").vector().row_addressable
+        assert not group.segment("run").vector().row_addressable
+        assert not group.segment("f").vector().row_addressable
+        assert group.segment("payload").vector() is None
+        return store
+
+    @pytest.mark.parametrize(
+        "keys, aggs, morphs, fallbacks",
+        [
+            pytest.param(
+                [],
+                [agg("sum", "run", "s"), agg("count", "run", "c"),
+                 agg("sum", "f", "fs"), agg("min", "payload", "lo")],
+                {"inexact_float_sum": 1, "no_vector": 1},
+                0,
+                id="rle argument + float SUM + bit-packed MIN",
+            ),
+            pytest.param(
+                [],
+                [agg("min", "f", "flo"), agg("max", "run", "hi")],
+                {},
+                0,
+                id="float MIN is weight-safe",
+            ),
+            pytest.param(
+                ["k", "payload"],
+                [count_star("n"), agg("sum", "run", "s")],
+                {"key_not_dictionary": 2, "output": 1},
+                1,
+                id="dictionary key next to a bit-packed key",
+            ),
+            pytest.param(
+                ["k"],
+                [count_star("n"), agg("sum", "f", "fs"), agg("max", "payload", "hi")],
+                {"output": 2},
+                0,
+                id="dictionary key, grouped arguments as rows",
+            ),
+        ],
+    )
+    def test_mixed_unit_matches_decoded(self, mixed_store, keys, aggs, morphs, fallbacks):
+        columns = ["k", "run", "f", "payload"]
+        before = get_registry().snapshot()
+        fast, scan = run_agg(mixed_store, columns, keys, aggs)
+        grown = get_registry().snapshot()
+        slow, _ = run_agg(mixed_store, columns, keys, aggs, encoded=False)
+        assert_same(fast, slow)
+        assert scan.stats.morph == morphs
+        assert scan.stats.columns_decoded == sum(morphs.values())
+        assert scan.stats.agg_fallbacks == fallbacks
+        for reason, count in morphs.items():
+            name = f"storage.scan.morph.{reason}"
+            assert grown.get(name, 0) - before.get(name, 0) == count
+        if not keys and any(s.expr.name == "run" for s in aggs):
+            # The RLE argument was folded run by run, never decoded.
+            assert scan.stats.agg_runs_processed >= 50
+            decodes = "storage.segments.decode_requests"
+            assert grown.get(decodes, 0) - before.get(decodes, 0) == sum(morphs.values())
+
+
+class TestGovernedEncodedAggregate:
+    def test_kill_lands_between_units(self, dict_store, monkeypatch):
+        """The encoded stream is the ordinary ``batches()``: its per-unit
+        checkpoint stops a blocking aggregate mid-scan, and what the scan
+        did until then still reaches the registry."""
+        ctx = QueryContext(query_id=1)
+        units = list(dict_store.scan_units())
+        assert len(units) == 3
+
+        def killed_after_first_unit():
+            yield units[0]
+            ctx.cancel("killed")
+            yield from units[1:]
+
+        monkeypatch.setattr(dict_store, "scan_units", killed_after_first_unit)
+        scan = ColumnStoreScan(dict_store, ["k", "v"])
+        op = BatchHashAggregate(scan, ["k"], [count_star("n"), agg("sum", "v", "s")])
+        scan.takes_encoded = op.takes_encoded()
+        before = get_registry().counter("storage.scan.units_seen")
+        with activate(ctx), pytest.raises(QueryKilledError):
+            list(op.batches())
+        assert scan.stats.units_seen == 1
+        assert get_registry().counter("storage.scan.units_seen") - before == 1
 
 
 class TestRangePruning:

@@ -1,12 +1,13 @@
 """Regressions for encoded-eval edge cases: archived, all-NULL, and
 empty-dictionary segments.
 
-`_dict_space_eval` used to run on archived segments (decompressing the
-archive once for the dictionary and again for the code stream, per
-conjunct) and touched ``entry_mask[codes]`` before the empty-dictionary
-early return. These tests pin the hardened behavior: archived segments
-take the decoded path, and all-NULL / empty-dict segments never index an
-empty mask — with identical results either way.
+Dictionary-space evaluation used to run on archived segments
+(decompressing the archive once for the dictionary and again for the
+code stream, per conjunct) and indexed the per-entry verdicts by code
+before checking for an empty dictionary. These tests pin the hardened
+behavior: archived segments hand out no vector and take the decoded
+path, and all-NULL / empty-dict segments never index an empty mask —
+with identical results either way.
 """
 
 import numpy as np

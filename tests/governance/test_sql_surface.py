@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro import Database
+from repro import Database, StoreConfig
 from repro.concurrency import ConcurrentDatabase
 from repro.errors import (
     BindingError,
@@ -70,6 +70,21 @@ class TestTimeout:
             db.sql(SLOW_QUERY)
         db.sql("SET statement_timeout = DEFAULT")
         assert len(get_query_registry()) == 0
+
+    def test_timeout_lands_inside_an_encoded_aggregate(self):
+        """A blocking aggregate over many row groups emits nothing until
+        the end; the scan's per-unit checkpoint is what stops it."""
+        database = Database(StoreConfig(rowgroup_size=8, bulk_load_threshold=1))
+        database.sql("CREATE TABLE g (s VARCHAR, v INT)")
+        database.bulk_load("g", [("xyz"[i % 3], i) for i in range(8000)])
+        query = "SELECT s, COUNT(*) AS n, SUM(v) AS total FROM g GROUP BY s"
+        assert "encoded=['s']" in "\n".join(r[0] for r in database.sql(f"EXPLAIN {query}").rows)
+        database.sql("SET statement_timeout = 1")
+        with pytest.raises(QueryTimeoutError):
+            database.sql(query)
+        database.sql("SET statement_timeout = DEFAULT")
+        assert len(get_query_registry()) == 0
+        assert len(database.sql(query).rows) == 3
 
     def test_control_statements_never_time_out(self, db):
         db.sql("SET statement_timeout = 1")

@@ -101,6 +101,39 @@ class TestResultStatsHandle:
         assert data["operators"][0]["label"]
 
 
+class TestEncodedAggregate:
+    """An aggregate fed encoded vectors pulls the scan's ordinary
+    ``batches()``: the scan's actuals come from the same instrumentation
+    as any operator's, and its line says why columns were decoded."""
+
+    def test_scan_actuals_under_code_space_group_by(self, db):
+        result = db.sql(
+            "SELECT s, COUNT(*) AS n FROM t WHERE a >= 64 GROUP BY s",
+            mode="batch",
+            stats=True,
+        )
+        assert sorted(result.rows) == [("blue", 21), ("green", 22), ("red", 21)]
+        [scan] = result.stats.find("ColumnStoreScan")
+        assert "encoded=['s']" in scan.label
+        assert scan.runtime.rows == 64
+        assert scan.runtime.batches == 4  # one whole-unit batch per surviving group
+        assert scan.runtime.wall_seconds > 0
+        assert scan.details["units_eliminated"] == 4
+        assert "morph" not in scan.details and "agg_fallbacks" not in scan.details
+        assert result.stats.counter("storage.scan.agg_code_space_groups") == 4 * 3
+        [aggregate] = result.stats.find("BatchHashAggregate")
+        assert aggregate.rows_in == 64
+
+    def test_morph_reasons_on_the_scan_line(self, db):
+        rendered = db.explain_analyze("SELECT g, COUNT(*) AS n, SUM(a) AS s FROM t GROUP BY g")
+        [line] = [text for text in rendered.splitlines() if "morph:" in text]
+        # g is bit-packed, so all 8 units decode their key and say so; the
+        # grouped argument is taken as rows.
+        assert "agg_fallbacks=8" in line
+        assert "morph: key_not_dictionary=8 output=8" in line
+        assert "storage.scan.morph.key_not_dictionary=8" in rendered
+
+
 class TestExplainAnalyzeSql:
     def test_explain_analyze_statement_returns_plan_rows(self, db):
         result = db.sql("EXPLAIN ANALYZE SELECT COUNT(*) AS n FROM t WHERE a >= 112")

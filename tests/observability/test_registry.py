@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.observability import (
     STABLE_COUNTERS,
     MetricsRegistry,
+    MorphReason,
     get_registry,
     increment,
     set_registry,
@@ -122,3 +125,14 @@ class TestStableCounterNames:
             assert "." in name
             assert name == name.lower()
             assert " " not in name
+
+    def test_morph_reasons_are_registered_and_documented(self):
+        """The enum's docstring is the fallback matrix: every reason has a
+        stable counter and an entry, and DESIGN.md's table is those entries."""
+        design = (Path(__file__).parents[2] / "DESIGN.md").read_text()
+        entries = MorphReason.__doc__.split("\n    ``")[1:]
+        assert [entry.split("``")[0] for entry in entries] == [r.value for r in MorphReason]
+        for reason, entry in zip(MorphReason, entries):
+            assert reason.counter in STABLE_COUNTERS
+            text = " ".join(entry.split("``\n")[1].split())
+            assert f"| `{reason.value}` | {text} |" in design

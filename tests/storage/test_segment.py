@@ -234,3 +234,83 @@ class TestAllNullStringSegment:
         db.run_tuple_mover("t", include_open=True)
         assert db.sql("SELECT COUNT(*) AS n FROM t").scalar() == 2
         assert db.sql("SELECT COUNT(s) AS n FROM t").scalar() == 0
+
+
+# --------------------------------------------------------------------- #
+# Encoded vectors: decode == expand(distinct_values()), weights fold keep
+# --------------------------------------------------------------------- #
+_RNG = np.random.default_rng(15)
+_WIDE = np.array([3, 7919, 104729, 1299709, 15485863], dtype=np.int64)
+_N = 600
+
+# name -> (dtype, values, scheme, stream class name)
+VECTOR_SHAPES = {
+    "dict/bitpack": (types.INT, _WIDE[_RNG.integers(0, 5, _N)], Scheme.DICT, "BitpackBlock"),
+    "dict/rle": (types.INT, np.sort(_WIDE[_RNG.integers(0, 5, _N)]), Scheme.DICT, "RleBlock"),
+    "dict/rle strings": (
+        types.VARCHAR,
+        np.array(sorted(["ash", "birch", "cedar"][i % 3] for i in range(_N)), dtype=object),
+        Scheme.DICT,
+        "RleBlock",
+    ),
+    "value/rle": (types.INT, np.repeat(np.arange(12, dtype=np.int64), 50), Scheme.VALUE, "RleBlock"),
+    "value/bitpack": (types.INT, _RNG.permutation(_N).astype(np.int64), Scheme.VALUE, "BitpackBlock"),
+    "value/rle floats": (types.FLOAT, np.repeat(np.arange(6) * 0.25, 100), Scheme.VALUE, "RleBlock"),
+    "raw": (types.FLOAT, _RNG.standard_normal(_N), Scheme.RAW, "RawBlock"),
+}
+
+
+def _same_decode(actual, expected):
+    (values, mask), (want, want_mask) = actual, expected
+    assert values.dtype == want.dtype
+    assert values.tolist() == want.tolist()
+    assert (mask is None) == (want_mask is None)
+    if mask is not None:
+        assert mask.tolist() == want_mask.tolist()
+
+
+@pytest.mark.parametrize("archived", [False, True], ids=["live", "archived"])
+@pytest.mark.parametrize("nulls", ["none", "some", "all"])
+@pytest.mark.parametrize("shape", list(VECTOR_SHAPES))
+def test_vector_is_the_segment_still_encoded(shape, nulls, archived):
+    dtype, values, scheme, stream = VECTOR_SHAPES[shape]
+    null_mask = {
+        "none": None,
+        "some": (np.arange(values.size) // 40) % 5 == 2,  # blocks: runs survive
+        "all": np.ones(values.size, dtype=bool),
+    }[nulls]
+    segment = encode_segment(dtype, values, null_mask)
+    if nulls != "all":
+        assert (segment.scheme, type(segment.stream).__name__) == (scheme, stream)
+    if archived:
+        segment = segment.to_archived()
+    vector = segment.vector()
+    if archived:
+        assert vector is None  # it would decompress on every access
+    elif nulls != "all":
+        # Bit-packed and raw value streams have no distinct values to work on.
+        assert (vector is None) == (scheme is not Scheme.DICT and stream != "RleBlock")
+    if vector is None:
+        _same_decode(segment.decode(), segment.to_unarchived().decode())
+        return
+
+    decoded = segment.decode()
+    _same_decode(vector.decode(), decoded)
+    _same_decode((vector.expand(vector.distinct_values()), vector.null_mask), decoded)
+    assert vector.distinct_values().size == vector.n_distinct
+
+    null = decoded[1] if decoded[1] is not None else np.zeros(values.size, dtype=bool)
+    for keep in (
+        np.ones(values.size, dtype=bool),
+        np.zeros(values.size, dtype=bool),
+        _RNG.random(values.size) < 0.3,
+    ):
+        weights = vector.weights(keep)
+        assert weights.dtype == np.int64 and weights.size == vector.n_distinct
+        assert weights.sum() == (keep & ~null).sum()
+        covered = vector.expand(weights > 0)
+        assert not (keep & ~null & ~covered).any()
+        # The weighted distinct values are exactly the surviving values.
+        survivors = decoded[0][keep & ~null].tolist()
+        weighted = np.repeat(vector.distinct_values(), weights).tolist()
+        assert sorted(weighted) == sorted(survivors)
