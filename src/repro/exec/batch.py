@@ -10,11 +10,12 @@ compact first. The default batch size follows the paper's ~1k rows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import ExecutionError
+from ..types import DataType, python_values
 
 DEFAULT_BATCH_SIZE = 1024
 
@@ -169,27 +170,20 @@ class Batch:
     # ------------------------------------------------------------------ #
     # Conversion
     # ------------------------------------------------------------------ #
-    def to_rows(self) -> list[tuple[Any, ...]]:
-        """Qualifying rows as Python tuples (None for NULLs)."""
+    def to_rows(self, dtypes: Sequence[DataType] | None = None) -> list[tuple[Any, ...]]:
+        """Qualifying rows as Python tuples (None for NULLs): physical
+        values, or — given the columns' types — user-facing ones.
+
+        Built a column at a time — one ``tolist`` each, then one ``zip``
+        — never a cell at a time.
+        """
         dense = self.compact()
-        names = dense.names
-        n = dense.row_count
-        out: list[tuple[Any, ...]] = []
-        raw_columns = []
-        for name in names:
-            arr = dense.columns[name]
-            mask = dense.null_masks.get(name)
-            raw_columns.append((arr, mask))
-        for i in range(n):
-            row = []
-            for arr, mask in raw_columns:
-                if mask is not None and mask[i]:
-                    row.append(None)
-                else:
-                    value = arr[i]
-                    row.append(value.item() if hasattr(value, "item") else value)
-            out.append(tuple(row))
-        return out
+        if not dense.columns:
+            return [()] * dense.row_count
+        vectors = [(v, dense.null_masks.get(name)) for name, v in dense.columns.items()]
+        if dtypes is None:
+            return list(zip(*(python_values(*vector) for vector in vectors)))
+        return list(zip(*(t.present_column(*vector) for t, vector in zip(dtypes, vectors))))
 
     @classmethod
     def from_pydict(

@@ -75,6 +75,9 @@ class ScanStats:
     # Units whose group keys reached an encoded-input aggregate as plain
     # rows (delta units included), so it factorized them row by row.
     agg_fallbacks: int = 0
+    # Values that became plain with columns_decoded: a unit's rows for a
+    # column decoded in full, its survivors for one decoded at positions.
+    values_decoded: int = 0
     # MorphReason value -> columns decoded (or units, for delta_unit).
     morph: Counter[str] = field(default_factory=Counter)
 
@@ -228,7 +231,8 @@ class ColumnStoreScan(BatchOperator):
                 decoded[name], masks[name] = self._decode(group, name, reason)
 
         # What the residual predicate and the bitmaps read is decoded
-        # first: a unit they empty never decodes its output columns.
+        # first, and in full: a unit they empty never decodes its output
+        # columns, and the others decode only the rows that are left.
         for name in sorted(set().union(*(c.referenced_columns() for c in residual))):
             decode(name, MorphReason.RESIDUAL_PREDICATE)
         for probe in self.bitmap_probes:
@@ -237,38 +241,56 @@ class ColumnStoreScan(BatchOperator):
         for conjunct in residual:
             keep &= predicate_mask(conjunct, filter_batch)
         keep = self._apply_bitmaps(filter_batch, keep)
-        surviving = int(np.count_nonzero(keep))
-        if surviving == 0:
+        positions = np.flatnonzero(keep)
+        if positions.size == 0:
             return
+        everything = positions.size == group.row_count
 
         encoded: dict[str, EncodedVector] = {}
         for name, leaves_as in plan.items():
-            if isinstance(leaves_as, MorphReason):
-                decode(name, leaves_as)
-            else:
+            if not isinstance(leaves_as, MorphReason):
                 encoded[name] = leaves_as
                 if not leaves_as.row_addressable:
                     self.stats.agg_runs_processed += leaves_as.n_distinct
-        if takes is None:
-            indices = np.flatnonzero(keep)
+        if encoded or not (plan or self.include_locators):
+            # Plain columns stay full length next to the vectors and the
+            # survivors are a selection (None = all rows, which needs a
+            # column to measure by: COUNT(*) alone reads none).
+            for name, leaves_as in plan.items():
+                if name not in encoded:
+                    decode(name, leaves_as)
+            survivors = Batch(
+                columns={n: decoded[n] for n in plan if n not in encoded},
+                null_masks={n: masks[n] for n in plan if n not in encoded},
+                encoded=encoded,
+                selection=None if everything and plan else positions,
+            )
+        else:
+            # Late materialization: every column leaves as plain rows, so
+            # each is decoded at the survivors only (all of them = the
+            # full decode); what the filters decoded in full is indexed.
+            at = None if everything else positions
+            columns: dict[str, np.ndarray] = {}
+            null_masks: dict[str, np.ndarray | None] = {}
+            for name, reason in plan.items():
+                if name not in decoded:
+                    columns[name], null_masks[name] = self._decode(group, name, reason, at)
+                    continue
+                values, mask = decoded[name], masks[name]
+                if at is not None:
+                    values, mask = values[at], None if mask is None else mask[at]
+                columns[name], null_masks[name] = values, mask
             locators = None
             if self.include_locators:
-                locators = _locators(GROUP, group.group_id, indices.tolist())
-            yield from self._emit(
-                Batch(columns=decoded, null_masks=masks), indices, locators
-            )
-            return
-        # The declaring consumer gets the unit whole: plain columns stay
-        # full length next to the vectors and the survivors are a
-        # selection (None = all rows, which needs a column to measure by).
-        self.stats.rows_emitted += surviving
-        everything = surviving == group.row_count and bool(plan)
-        yield Batch(
-            columns={n: decoded[n] for n in plan if n not in encoded},
-            null_masks={n: masks[n] for n in plan if n not in encoded},
-            encoded=encoded,
-            selection=None if everything else np.flatnonzero(keep),
-        )
+                locators = _locators(GROUP, group.group_id, positions.tolist())
+            survivors = Batch(columns=columns, null_masks=null_masks, locators=locators)
+        if takes is None:
+            yield from self._emit(survivors, int(positions.size))
+        else:
+            # A declaring consumer blocks on all of its input anyway: it
+            # gets the unit as one batch, vectors or not.
+            self.stats.rows_emitted += int(positions.size)
+            yield survivors
 
     def _encoded_plan(
         self, group, takes: dict[str, str], vectors: dict[str, EncodedVector | None]
@@ -320,12 +342,18 @@ class ColumnStoreScan(BatchOperator):
                 plan[name] = vector
         return plan
 
-    def _decode(self, group, name: str, reason: MorphReason):
+    def _decode(
+        self, group, name: str, reason: MorphReason, positions: np.ndarray | None = None
+    ):
         """The morph point: the one place a column of a compressed row
-        group becomes plain (values, null_mask), for a stated reason."""
+        group becomes plain (values, null_mask), for a stated reason —
+        all of its rows, or only those at ``positions``."""
         self.stats.columns_decoded += 1
+        self.stats.values_decoded += (
+            group.row_count if positions is None else int(positions.size)
+        )
         self.stats.morph[reason.value] += 1
-        return self.index.decode_segment(group, name)
+        return self.index.decode_segment(group, name, positions)
 
     def _encoded_conjunct_pass(
         self, group, vectors: dict[str, EncodedVector | None], keep: np.ndarray
@@ -453,7 +481,13 @@ class ColumnStoreScan(BatchOperator):
             locators = _locators(
                 DELTA, delta.delta_id, [row_ids[i] for i in indices.tolist()]
             )
-        yield from self._emit(unit_batch, indices, locators)
+        survivors = Batch(
+            columns={name: unit_batch.column(name) for name in self.columns},
+            null_masks={name: unit_batch.null_mask(name) for name in self.columns},
+            selection=indices,
+        ).compact()
+        survivors.locators = locators
+        yield from self._emit(survivors, int(indices.size))
 
     # ------------------------------------------------------------------ #
     # Shared tail
@@ -470,27 +504,11 @@ class ColumnStoreScan(BatchOperator):
             keep = keep & passes
         return keep
 
-    def _emit(
-        self,
-        unit_batch: Batch,
-        indices: np.ndarray,
-        locators: np.ndarray | None,
-    ) -> Iterator[Batch]:
-        """Gather the surviving rows (``locators`` already address only
-        them) and hand them out in engine-sized batches."""
-        self.stats.rows_emitted += int(indices.size)
-        if indices.size == 0:
-            return
-        out_masks = {}
-        for name in self.columns:
-            mask = unit_batch.null_mask(name)
-            out_masks[name] = mask[indices] if mask is not None else None
-        dense = Batch(
-            columns={name: unit_batch.column(name)[indices] for name in self.columns},
-            null_masks=out_masks,
-            locators=locators,
-        )
-        yield from slice_into_batches(dense, self.batch_size)
+    def _emit(self, survivors: Batch, count: int) -> Iterator[Batch]:
+        """Count a unit's surviving rows and hand them out dense, in
+        engine-sized batches."""
+        self.stats.rows_emitted += count
+        yield from slice_into_batches(survivors, self.batch_size)
 
 
 def _locators(kind: str, container_id: int, positions: list[int]) -> np.ndarray:

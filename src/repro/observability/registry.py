@@ -103,6 +103,7 @@ STABLE_COUNTERS = (
     "storage.scan.encoded_space_conjuncts",
     "storage.scan.conjuncts_pruned_by_range",
     "storage.scan.columns_decoded",
+    "storage.scan.values_decoded",
     "storage.scan.agg_runs_processed",
     "storage.scan.agg_code_space_groups",
     "storage.scan.agg_fallbacks",

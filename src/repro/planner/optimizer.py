@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..exec.operators.base import BatchOperator
 from ..exec.row_engine import RowOperator
 from ..observability import ExecutionStats, get_registry, opstats, snapshot_delta
+from ..types import DataType
 from .logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -33,26 +34,33 @@ class PhysicalPlan:
     columns: list[str]
     logical: LogicalNode
 
-    def rows(self) -> Iterator[tuple[Any, ...]]:
-        """Execute and yield result rows as tuples (physical values)."""
+    def rows(self, dtypes: Sequence[DataType] | None = None) -> Iterator[tuple[Any, ...]]:
+        """Execute and yield result rows as tuples: physical values, or —
+        given the result columns' types — presented, user-facing ones."""
         if isinstance(self.root, BatchOperator):
             for batch in self.root.batches():
-                yield from batch.to_rows()
+                yield from batch.to_rows(dtypes)
         else:
             assert isinstance(self.root, RowOperator)
             names = self.columns
+            present = [t.present for t in dtypes] if dtypes is not None else None
             for row in self.root.rows():
-                yield tuple(row[name] for name in names)
+                if present is None:
+                    yield tuple(row[name] for name in names)
+                else:
+                    yield tuple(p(row[name]) for p, name in zip(present, names))
 
     def explain(self) -> str:
         physical = "\n".join(self.root.explain_lines())
         logical = "\n".join(self.logical.explain_lines())
         return f"-- logical --\n{logical}\n-- physical ({self.mode} mode) --\n{physical}"
 
-    def run_with_stats(self) -> tuple[list[tuple[Any, ...]], ExecutionStats]:
+    def run_with_stats(
+        self, dtypes: Sequence[DataType] | None = None
+    ) -> tuple[list[tuple[Any, ...]], ExecutionStats]:
         """Execute with per-operator stats collection on.
 
-        Returns the materialized physical rows plus the
+        Returns the materialized rows (as :meth:`rows` yields them) plus the
         :class:`ExecutionStats` handle: the operator tree annotated with
         runtime counters (via the instrumented iterators every operator
         inherits) and the metrics-registry delta over the execution
@@ -64,7 +72,7 @@ class PhysicalPlan:
         before = registry.snapshot()
         with opstats.collect():
             start = time.perf_counter()
-            rows = list(self.rows())
+            rows = list(self.rows(dtypes))
             elapsed = time.perf_counter() - start
         counters = snapshot_delta(before, registry.snapshot())
         stats = ExecutionStats.capture(

@@ -218,8 +218,9 @@ def prepare(db, plan: LogicalNode, epoch: int | None = None, **options: Any):
     return physical, False
 
 
-def run_physical(isolation, physical, lock_free: bool, stats: bool = False):
-    """Run: ``(raw rows, ExecutionStats | None)`` of a prepared plan.
+def run_physical(isolation, physical, lock_free: bool, stats: bool = False, dtypes=None):
+    """Run: ``(rows, ExecutionStats | None)`` of a prepared plan — rows of
+    physical values, or presented ones given the result columns' types.
 
     A plan with in-place row-store leaves runs under the shared side;
     its columnstore leaves stay pinned either way, which is what keeps a
@@ -229,8 +230,8 @@ def run_physical(isolation, physical, lock_free: bool, stats: bool = False):
         isolation.lock.acquire_read(isolation)
     try:
         if stats:
-            return physical.run_with_stats()
-        return list(physical.rows()), None
+            return physical.run_with_stats(dtypes)
+        return list(physical.rows(dtypes)), None
     finally:
         if not lock_free:
             isolation.lock.release_read()
@@ -248,11 +249,7 @@ def execute_plan(
     dtypes_by_name = infer_output_dtypes(plan, db.catalog)
     physical, lock_free = prepare(db, plan, epoch, **options)
     dtypes = [dtypes_by_name[name] for name in physical.columns]
-    raw_rows, execution_stats = run_physical(isolation, physical, lock_free, stats)
-    rows = [
-        tuple(dtype.present(value) for dtype, value in zip(dtypes, row))
-        for row in raw_rows
-    ]
+    rows, execution_stats = run_physical(isolation, physical, lock_free, stats, dtypes)
     return _result(physical.columns, dtypes, rows, execution_stats)
 
 

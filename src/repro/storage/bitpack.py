@@ -2,9 +2,10 @@
 
 Column segments store dictionary codes and rebased numeric offsets with the
 minimum number of bits needed for the segment's value range, exactly as the
-paper's bit-pack compression does. Packing is vectorized via NumPy's
-``packbits``/``unpackbits`` with little-endian bit order, so a value ``v``
-occupies bits ``[i*width, (i+1)*width)`` of the output stream.
+paper's bit-pack compression does. Bit order is little-endian, so value
+``i`` occupies bits ``[i*width, (i+1)*width)`` of the payload; that makes
+every value addressable on its own, and :func:`take` — the one decode
+kernel — reads any subset of them without touching the rest.
 """
 
 from __future__ import annotations
@@ -53,25 +54,83 @@ def pack(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
 
-def unpack(payload: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack`: recover ``count`` values of ``width`` bits."""
+def take(
+    payload: bytes, width: int, count: int, positions: np.ndarray | None
+) -> np.ndarray:
+    """The values at ``positions`` (``None``: every position, in order) of
+    a stream of ``count`` packed values.
+
+    The one decode kernel: value ``i`` starts at bit ``i * width``, so it
+    lies inside the little-endian 8-byte window at byte ``i * width // 8``
+    shifted down by ``i * width % 8`` — one gather, one shift, one mask,
+    whatever ``width`` is. Two exceptions: byte-sized widths are a plain
+    typed view, and from 58 bits on a shifted value can reach into a
+    ninth byte, which is gathered separately. Payloads are stored
+    unpadded, so a window that would run past the end is anchored at the
+    last 8 bytes instead and shifted further. ``payload``, ``width``
+    and ``positions`` may come from disk and are checked here.
+    """
+    if not 0 <= width <= 64:
+        raise EncodingError(f"bit width {width} outside 0..64")
     if count < 0:
         raise EncodingError(f"negative count {count}")
-    if width == 0:
-        return np.zeros(count, dtype=np.uint64)
-    total_bits = count * width
-    if len(payload) * 8 < total_bits:
+    if len(payload) < packed_size_bytes(count, width):
         raise EncodingError(
-            f"payload has {len(payload) * 8} bits, need {total_bits}"
+            f"payload has {len(payload) * 8} bits, need {count * width}"
         )
-    if count == 0:
-        return np.zeros(0, dtype=np.uint64)
-    flat = np.unpackbits(
-        np.frombuffer(payload, dtype=np.uint8), count=total_bits, bitorder="little"
-    )
-    bits = flat.reshape(count, width).astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return (bits << shifts).sum(axis=1, dtype=np.uint64)
+    if positions is None:
+        taken = count
+    else:
+        positions = np.asarray(positions, dtype=np.int64)
+        taken = positions.size
+        if taken and not 0 <= int(positions.min()) <= int(positions.max()) < count:
+            raise EncodingError(f"position outside a stream of {count} values")
+    if width == 0 or taken == 0:
+        return np.zeros(taken, dtype=np.uint64)
+    if width in (8, 16, 32, 64):
+        typed = np.frombuffer(payload, dtype=f"<u{width // 8}", count=count)
+        return (typed if positions is None else typed[positions]).astype(np.uint64)
+
+    data = np.frombuffer(payload, dtype=np.uint8)
+    if data.size < 8:
+        data = np.concatenate((data, np.zeros(8 - data.size, dtype=np.uint8)))
+    last = data.size - 8  # where the last whole window starts
+    windows = np.ndarray((last + 1,), dtype="<u8", buffer=data, strides=(1,))
+    # Two full-length temporaries, worked on in place — bit offsets that
+    # become window starts, and the windows that become the values (a
+    # third only from 58 bits on): at 16,384 rows each is exactly glibc's
+    # 128 KiB mmap threshold, and a server thread pays for every one in
+    # page faults (EXPERIMENTS.md E24).
+    if positions is None:
+        start = np.arange(0, count * width, width, dtype=np.int64)
+    else:
+        start = positions * width
+    shift = np.empty(taken, dtype=np.uint8)
+    np.bitwise_and(start, 7, out=shift, casting="unsafe")
+    start >>= 3
+    tail = np.flatnonzero(start > last)  # windows that would run past the end
+    shift[tail] += ((start[tail] - last) << 3).astype(np.uint8)
+    start[tail] = last
+    words = windows[start]
+    words >>= shift
+    if width > 57:
+        # Up to 7 more bits sit in the byte after the window; where they
+        # do not (or the index was clamped) they land above ``width``
+        # and the mask drops them. (63 - s) then 1: a shift by 64 is
+        # undefined, and s may be 0.
+        start += 8
+        np.minimum(start, data.size - 1, out=start)
+        high = data[start].astype(np.uint64)
+        high <<= np.uint8(63) - shift
+        high <<= np.uint8(1)
+        words |= high
+    words &= np.uint64((1 << width) - 1)
+    return words
+
+
+def unpack(payload: bytes, width: int, count: int) -> np.ndarray:
+    """Inverse of :func:`pack`: recover ``count`` values of ``width`` bits."""
+    return take(payload, width, count, None)
 
 
 def packed_size_bytes(count: int, width: int) -> int:

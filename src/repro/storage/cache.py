@@ -72,18 +72,32 @@ class SegmentCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def decode(self, segment: ColumnSegment) -> tuple[np.ndarray, np.ndarray | None]:
-        """Decoded (values, null_mask) for a segment, cached."""
+    def decode(
+        self, segment: ColumnSegment, positions: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Decoded (values, null_mask) for a segment, cached.
+
+        With ``positions``, those rows only: indexed out of a cached
+        full decode on a hit, taken from the segment on a miss — which
+        caches nothing, the cache holds whole segments.
+        """
         key = id(segment)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                metrics.increment("storage.cache.hits")
-                return entry[0], entry[1]
-            self.stats.misses += 1
+            else:
+                self.stats.misses += 1
+        if entry is not None:
+            metrics.increment("storage.cache.hits")
+            values, null_mask = entry[0], entry[1]
+            if positions is None:
+                return values, null_mask
+            return values[positions], None if null_mask is None else null_mask[positions]
         metrics.increment("storage.cache.misses")
+        if positions is not None:
+            return segment.take(positions)
         values, null_mask = segment.decode()
         size = _decoded_bytes(values, null_mask)
         if size <= self.capacity_bytes:

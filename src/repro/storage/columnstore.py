@@ -35,6 +35,7 @@ from ..errors import StorageError
 from ..mvcc import GENESIS_EPOCH, PENDING_EPOCH, EpochManager
 from ..observability import registry as metrics
 from ..schema import TableSchema
+from ..types import python_values
 from .config import StoreConfig
 from .delete_bitmap import DeleteBitmap
 from .deltastore import DeltaStore, FrozenDeltaView
@@ -303,26 +304,25 @@ class ColumnStoreIndex:
         if self.delete_bitmap.is_deleted(locator.container_id, locator.position):
             return None
         group = self.directory.row_group(locator.container_id)
-        row = []
-        for col in self.schema:
-            values, mask = group.decode_column(col.name)
-            if mask is not None and mask[locator.position]:
-                row.append(None)
-            else:
-                value = values[locator.position]
-                row.append(value.item() if hasattr(value, "item") else value)
-        return tuple(row)
+        position = np.array([locator.position])
+        return tuple(
+            python_values(*group.segment(col.name).take(position))[0]
+            for col in self.schema
+        )
 
     # ------------------------------------------------------------------ #
     # Scan interface
     # ------------------------------------------------------------------ #
-    def decode_segment(self, group: RowGroup, column: str):
-        """Decode one segment, through the decode cache when enabled."""
+    def decode_segment(
+        self, group: RowGroup, column: str, positions: np.ndarray | None = None
+    ):
+        """Decode one segment — all of it, or the rows at ``positions`` —
+        through the decode cache when enabled."""
         metrics.increment("storage.segments.decode_requests")
         segment = group.segment(column)
         if self.segment_cache is not None:
-            return self.segment_cache.decode(segment)
-        return segment.decode()
+            return self.segment_cache.decode(segment, positions)
+        return segment.decode() if positions is None else segment.take(positions)
 
     def scan_units(self) -> Iterator[ScanUnit]:
         """All scannable units: compressed groups first, then delta stores."""

@@ -43,6 +43,9 @@ class BitpackBlock:
     def decode(self) -> np.ndarray:
         return bitpack.unpack(self.payload, self.width, self.count)
 
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        return bitpack.take(self.payload, self.width, self.count, positions)
+
 
 @dataclass(frozen=True)
 class RawBlock:
@@ -58,6 +61,9 @@ class RawBlock:
 
     def decode(self) -> np.ndarray:
         return np.frombuffer(self.payload, dtype=np.dtype(self.dtype_str)).copy()
+
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        return np.frombuffer(self.payload, dtype=np.dtype(self.dtype_str))[positions]
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "RawBlock":
@@ -97,6 +103,12 @@ def unpack_null_mask(payload: bytes, count: int) -> np.ndarray:
     return np.unpackbits(
         np.frombuffer(payload, dtype=np.uint8), count=count, bitorder="little"
     ).astype(bool)
+
+
+def take_null_mask(payload: bytes, positions: np.ndarray) -> np.ndarray:
+    """:func:`unpack_null_mask` at ``positions`` only."""
+    bits = np.frombuffer(payload, dtype=np.uint8)[positions >> 3]
+    return (bits >> (positions & 7).astype(np.uint8) & 1).astype(bool)
 
 
 def dictionary_pays_off(

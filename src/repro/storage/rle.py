@@ -16,6 +16,13 @@ from ..errors import EncodingError
 from . import bitpack
 
 
+# RleBlock.take expands (np.repeat, ~2 ns per stored row) rather than
+# searches (np.searchsorted, ~30-60 ns per position) from one position per
+# this many rows: measured equal at 1/32 on 16k-row blocks of 8-4,096 runs,
+# between 1/16 and 1/8 on 1M-row blocks (EXPERIMENTS.md E24).
+_SEARCH_BELOW = 32
+
+
 def split_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decompose ``values`` into (run_values, run_lengths).
 
@@ -58,14 +65,26 @@ class RleBlock:
 
     def decode(self) -> np.ndarray:
         """Expand back to the original code stream (dtype uint64)."""
-        run_values = bitpack.unpack(self.value_payload, self.value_width, self.n_runs)
-        run_lengths = bitpack.unpack(self.length_payload, self.length_width, self.n_runs)
-        decoded = np.repeat(run_values, run_lengths.astype(np.int64))
+        decoded = np.repeat(*self.runs())
         if decoded.size != self.count:
             raise EncodingError(
                 f"RLE block decoded to {decoded.size} values, expected {self.count}"
             )
         return decoded
+
+    def take(self, positions: np.ndarray) -> np.ndarray:
+        """``decode()[positions]``: a binary search of the cumulative run
+        ends per position while positions are few, else the expansion."""
+        if positions.size * _SEARCH_BELOW >= self.count:
+            return self.decode()[positions]
+        run_values, run_lengths = self.runs()
+        ends = np.cumsum(run_lengths)
+        total = int(ends[-1]) if ends.size else 0
+        if total != self.count:
+            raise EncodingError(
+                f"RLE block decodes to {total} values, expected {self.count}"
+            )
+        return run_values[np.searchsorted(ends, positions, side="right")]
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The (values, lengths) pair, for per-run predicate evaluation."""

@@ -29,6 +29,7 @@ from .encodings import (
     dictionary_pays_off,
     encode_stream,
     pack_null_mask,
+    take_null_mask,
     unpack_null_mask,
 )
 from .rle import RleBlock
@@ -96,11 +97,14 @@ class ColumnSegment:
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
-    def null_mask(self) -> np.ndarray | None:
-        """Boolean mask of NULL positions, or ``None`` when fully non-null."""
+    def null_mask(self, positions: np.ndarray | None = None) -> np.ndarray | None:
+        """Boolean mask of NULL positions (of all rows, or of the rows at
+        ``positions``), or ``None`` when the segment is fully non-null."""
         if self.null_payload is None:
             return None
-        return unpack_null_mask(self.null_payload, self.row_count)
+        if positions is None:
+            return unpack_null_mask(self.null_payload, self.row_count)
+        return take_null_mask(self.null_payload, positions)
 
     def vector(self) -> "EncodedVector | None":
         """This column still encoded, or ``None`` when it can only be
@@ -127,6 +131,27 @@ class ColumnSegment:
             assert self.value_enc is not None
             values = self.value_enc.invert(values, self.dtype.numpy_dtype)
         return values, self.null_mask()
+
+    def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``decode()`` indexed by ``positions`` — values, dtype and mask
+        bit for bit — reading only those rows of the stream.
+
+        Positions are checked here, once for every stream kind: only the
+        bit-packed one would notice, and a negative one would wrap.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if positions.size and not 0 <= positions.min() <= positions.max() < self.row_count:
+            raise EncodingError(f"position outside a segment of {self.row_count} rows")
+        if self.archive is not None:
+            return self.to_unarchived().take(positions)
+        vector = self.vector()
+        if vector is not None:
+            return vector.take(positions)
+        values = self.stream.take(positions)
+        if self.scheme is Scheme.VALUE:
+            assert self.value_enc is not None
+            values = self.value_enc.invert(values, self.dtype.numpy_dtype)
+        return values, self.null_mask(positions)
 
     # ------------------------------------------------------------------ #
     # Archival compression
@@ -196,6 +221,10 @@ class EncodedVector:
     def decode(self) -> tuple[np.ndarray, np.ndarray | None]:
         return self.expand(self.distinct_values()), self.null_mask
 
+    def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``decode()`` indexed by ``positions``, from those rows alone."""
+        raise NotImplementedError
+
     def _present(self, keep: np.ndarray) -> np.ndarray:
         # NULL rows store a filler position; they never weigh anything.
         return keep if self.null_mask is None else keep & ~self.null_mask
@@ -237,12 +266,21 @@ class DictionaryVector(EncodedVector):
         )
 
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
+        return self._lookup(per_distinct, self.codes)
+
+    def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        codes = self._segment.stream.take(positions).astype(np.int64)
+        values = self._lookup(self.distinct_values(), codes)
+        return values, self._segment.null_mask(positions)
+
+    @staticmethod
+    def _lookup(per_distinct: np.ndarray, codes: np.ndarray) -> np.ndarray:
         if per_distinct.size == 0:
             # Empty dictionary = every row NULL: the codes are filler zeros
             # with no entry to index; emit filler under the all-True mask.
             filler = "" if per_distinct.dtype == object else 0
-            return np.full(self.row_count, filler, dtype=per_distinct.dtype)
-        return per_distinct[self.codes]
+            return np.full(codes.size, filler, dtype=per_distinct.dtype)
+        return per_distinct[codes]
 
     def weights(self, keep: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -264,6 +302,11 @@ class RunVector(EncodedVector):
 
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
         return np.repeat(per_distinct, self._runs[1])
+
+    def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        segment = self._segment
+        values = segment.value_enc.invert(segment.stream.take(positions), self.numpy_dtype)
+        return values, segment.null_mask(positions)
 
     def weights(self, keep: np.ndarray) -> np.ndarray:
         lengths = self._runs[1]

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import TypeMismatchError
 
 _EPOCH = datetime.date(1970, 1, 1)
+_MIN_DAY = (datetime.date.min - _EPOCH).days
+_MAX_DAY = (datetime.date.max - _EPOCH).days
 
 
 class TypeKind(enum.Enum):
@@ -37,6 +39,11 @@ class TypeKind(enum.Enum):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TypeKind.{self.name}"
+
+
+# Kinds presented as a plain Python number: ``py(v)`` for one cell,
+# ``astype(py)`` for a column — one table, so the two cannot disagree.
+_PLAIN = {TypeKind.INT: int, TypeKind.BIGINT: int, TypeKind.FLOAT: float, TypeKind.BOOL: bool}
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,9 @@ class DataType:
         """Convert a stored physical value to its user-facing Python form."""
         if value is None:
             return None
+        plain = _PLAIN.get(self.kind)
+        if plain is not None:
+            return plain(value)
         if self.kind is TypeKind.DATE:
             return _EPOCH + datetime.timedelta(days=int(value))
         if self.kind is TypeKind.DECIMAL:
@@ -195,13 +205,36 @@ class DataType:
             if self.scale:
                 return float(value) / 10**self.scale
             return int(value)
-        if self.kind is TypeKind.FLOAT:
-            return float(value)
-        if self.kind in (TypeKind.INT, TypeKind.BIGINT):
-            return int(value)
-        if self.kind is TypeKind.BOOL:
-            return bool(value)
         return value
+
+    def present_column(
+        self, values: np.ndarray, null_mask: np.ndarray | None = None
+    ) -> list[Any]:
+        """:meth:`present` for a whole physical column vector, ``None``
+        where ``null_mask`` is set: the non-NULL values are converted as
+        one array and leave through one ``tolist``, never cell by cell."""
+        if null_mask is None or not null_mask.any():
+            return self._present_array(values).tolist()
+        boxed = np.empty(len(values), dtype=object)  # all None
+        boxed[~null_mask] = self._present_array(values[~null_mask])
+        return boxed.tolist()
+
+    def _present_array(self, physical: np.ndarray) -> np.ndarray:
+        """Non-NULL physical values as an array whose ``tolist`` holds
+        what :meth:`present` returns for each of them."""
+        plain = _PLAIN.get(self.kind)
+        if plain is not None:
+            # An aggregate may hand over another width or kind (MIN over
+            # a BOOL accumulates as integers): same coercion as one cell.
+            same = physical.dtype.kind == np.dtype(plain).kind
+            return physical if same else physical.astype(plain)
+        if self.kind is TypeKind.DATE:
+            return _days_to_dates(physical)
+        if self.kind is TypeKind.DECIMAL:
+            if self.scale:
+                return physical.astype(np.float64) / 10**self.scale
+            return physical.astype(np.int64)
+        return physical
 
     def __str__(self) -> str:
         if self.kind is TypeKind.DECIMAL:
@@ -209,6 +242,25 @@ class DataType:
         if self.kind is TypeKind.VARCHAR:
             return f"VARCHAR({self.length})" if self.length else "VARCHAR"
         return self.kind.value.upper()
+
+
+def _days_to_dates(days: np.ndarray) -> np.ndarray:
+    days = days.astype(np.int64)
+    if days.size and (days.min() < _MIN_DAY or days.max() > _MAX_DAY):
+        # Outside datetime.date's range: raise what one cell would.
+        return np.array([DATE.present(day) for day in days.tolist()], dtype=object)
+    return days.astype("datetime64[D]").astype(object)
+
+
+def python_values(values: np.ndarray, null_mask: np.ndarray | None = None) -> list[Any]:
+    """A physical column vector as a list of Python values, ``None`` where
+    ``null_mask`` is set: one ``tolist`` for the column, never ``item()``
+    per cell."""
+    if null_mask is None or not null_mask.any():
+        return values.tolist()
+    boxed = values.astype(object)
+    boxed[null_mask] = None
+    return boxed.tolist()
 
 
 # Convenience singletons for the common parameterless types.

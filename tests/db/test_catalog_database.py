@@ -1,5 +1,6 @@
 """Tests for the catalog, table maintenance and the database facade."""
 
+import numpy as np
 import pytest
 
 from repro import Database, StoreConfig, schema, types
@@ -159,6 +160,8 @@ class TestDmlResolvesItsPredicateOnce:
         assert delta["storage.scan.columns_decoded"] == 3 + 2
         assert delta["storage.segments.decode_requests"] == 3 + 2
         assert delta["storage.scan.rows_emitted"] == 1
+        # k at full length in every group; v and tag at the one survivor.
+        assert delta["storage.scan.values_decoded"] == self.ROWS + 2
 
         position = 2 * 64 + 1  # k = 5 is 3 * 1 + 2: group 2, row 1
         [(rtype, payload)] = logged
@@ -187,6 +190,84 @@ class TestDmlResolvesItsPredicateOnce:
         _rids, locators = walreplay.decode_locators(walreplay.decode_json(payload))
         assert locators == [RowLocator(GROUP, group, 0) for group in range(3)]
         assert db.sql("SELECT COUNT(*) FROM kv WHERE k < 3").rows == [(0,)]
+
+
+class TestScanDecodesOnlySurvivors:
+    """Late materialization: once a unit's surviving rows are known, every
+    output column is decoded at those positions alone. Asserted on counts,
+    so a change that silently decodes whole columns again fails here."""
+
+    GROUP_ROWS = 64
+    COLUMNS = ("k", "grp", "v", "price", "tag")
+
+    @pytest.fixture
+    def db(self):
+        config = StoreConfig(
+            rowgroup_size=self.GROUP_ROWS, bulk_load_threshold=40, reorder_rows=False
+        )
+        db = Database(config)
+        db.sql("CREATE TABLE kv (k INT NOT NULL, grp INT, v INT, price FLOAT, tag VARCHAR)")
+        # Key-sorted: [min, max] on k tells the three groups apart.
+        db.bulk_load(
+            "kv",
+            [
+                (k, k % 5, (k * 37) % 1000, k / 4, f"tag{k % 7}")
+                for k in range(3 * self.GROUP_ROWS)
+            ],
+        )
+        assert len(list(db.table("kv").columnstore.directory.row_groups())) == 3
+        return db
+
+    def _run(self, db, sql):
+        before = get_registry().snapshot()
+        rows = db.sql(sql).rows
+        return rows, snapshot_delta(before, get_registry().snapshot())
+
+    def test_point_read_decodes_one_predicate_column_and_one_row(self, db):
+        rows, delta = self._run(db, "SELECT k, grp, v, price, tag FROM kv WHERE k = 100")
+        assert rows == [(100, 0, 700, 25.0, "tag2")]
+        assert delta["storage.scan.units_eliminated"] == 2
+        assert delta["storage.scan.rows_scanned"] == self.GROUP_ROWS
+        # Five columns became plain through five calls into the morph
+        # point: k in full to settle the predicate (and indexed for the
+        # output), the other four at the survivor's position.
+        assert delta["storage.scan.columns_decoded"] == 5
+        assert delta["storage.segments.decode_requests"] == 5
+        assert delta["storage.scan.values_decoded"] == self.GROUP_ROWS + 4
+
+    def test_when_every_row_survives_it_is_the_full_decode(self, db):
+        rows, delta = self._run(db, "SELECT k, grp, v, price, tag FROM kv")
+        assert len(rows) == 3 * self.GROUP_ROWS
+        assert delta["storage.scan.columns_decoded"] == 3 * len(self.COLUMNS)
+        assert delta["storage.scan.values_decoded"] == (
+            self.GROUP_ROWS * delta["storage.scan.columns_decoded"]
+        )
+
+    @pytest.mark.parametrize("cached_first", [True, False])
+    def test_take_reads_a_cached_full_decode_but_never_fills_the_cache(self, cached_first):
+        config = StoreConfig(
+            rowgroup_size=self.GROUP_ROWS,
+            bulk_load_threshold=40,
+            reorder_rows=False,
+            segment_cache_bytes=1 << 20,
+        )
+        db = Database(config)
+        db.sql("CREATE TABLE kv (k INT NOT NULL, v INT)")
+        db.bulk_load("kv", [(k, k * 2) for k in range(self.GROUP_ROWS)])
+        index = db.table("kv").columnstore
+        [group] = index.directory.row_groups()
+        cache = index.segment_cache
+        if cached_first:
+            index.decode_segment(group, "v")
+            assert len(cache) == 1
+        hits = cache.stats.hits
+        values, mask = index.decode_segment(group, "v", np.array([3, 60]))
+        assert values.tolist() == [6, 120] and mask is None
+        if cached_first:
+            assert cache.stats.hits == hits + 1 and len(cache) == 1
+        else:
+            assert cache.stats.hits == hits and cache.stats.misses == 1
+            assert len(cache) == 0  # the cache holds whole segments only
 
 
 class TestMaintenance:

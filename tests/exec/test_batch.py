@@ -1,10 +1,14 @@
 """Tests for the Batch structure."""
 
+import datetime
+
 import numpy as np
 import pytest
 
+from repro import types
 from repro.errors import ExecutionError
 from repro.exec.batch import Batch, concat_batches, slice_into_batches
+from repro.types import python_values
 
 
 @pytest.fixture
@@ -103,3 +107,156 @@ class TestConcatSlice:
         slices = list(slice_into_batches(batch, batch_size=3))
         assert [s.row_count for s in slices] == [3, 1]
         assert slices[1].column("a").tolist() == [4]
+
+
+# --------------------------------------------------------------------- #
+# Results leave as columns: to_rows + presentation against per-cell code
+# --------------------------------------------------------------------- #
+def reference_rows(batch: Batch) -> list[tuple]:
+    """Cell-at-a-time ``to_rows``: what the column-wise one must equal."""
+    dense = batch.compact()
+    rows = []
+    for i in range(dense.row_count):
+        row = []
+        for name in dense.names:
+            mask = dense.null_masks.get(name)
+            value = dense.columns[name][i]
+            if mask is not None and mask[i]:
+                row.append(None)
+            else:
+                row.append(value.item() if hasattr(value, "item") else value)
+        rows.append(tuple(row))
+    return rows
+
+
+def assert_identical(actual, expected):
+    """Equal values of exactly equal Python types (True is not 1)."""
+    assert actual == expected
+    flat = lambda rows: [type(cell) for row in rows for cell in row]  # noqa: E731
+    assert flat(actual) == flat(expected)
+
+
+_N = 9
+# kind -> physical values as the engine holds them (see DataType.numpy_dtype).
+PHYSICAL = {
+    types.INT: np.arange(-4, 5, dtype=np.int32) * 1000,
+    types.BIGINT: np.arange(-4, 5, dtype=np.int64) * 2**40,
+    types.FLOAT: np.linspace(-2.5, 1e9, _N),
+    types.decimal(2): np.arange(-4, 5, dtype=np.int64) * 12_345,
+    types.decimal(0): np.arange(-4, 5, dtype=np.int64) * 7,
+    types.VARCHAR: np.array([f"s{i}" for i in range(_N)], dtype=object),
+    types.DATE: np.array([-719_162, -1, 0, 1, 59, 19_000, 20_000, 2_932_896, 7], dtype=np.int32),
+    types.BOOL: np.arange(_N) % 2 == 0,
+}
+PYTHON_TYPES = {
+    "int": int, "bigint": int, "float": float, "decimal": (float, int),
+    "varchar": str, "date": datetime.date, "bool": bool,
+}
+NULLS = {
+    "no nulls": None,
+    "some nulls": np.arange(_N) % 4 == 1,
+    "all nulls": np.ones(_N, dtype=bool),
+}
+
+
+class TestRowsLeaveAsColumns:
+    @pytest.mark.parametrize("nulls", list(NULLS))
+    def test_to_rows_equals_the_per_cell_reference(self, nulls):
+        batch = Batch(
+            columns={str(dtype): values for dtype, values in PHYSICAL.items()},
+            null_masks={str(dtype): NULLS[nulls] for dtype in PHYSICAL},
+        )
+        for each in (batch, batch.narrow(np.arange(_N) % 3 != 0), batch.narrow(np.zeros(_N, bool))):
+            assert_identical(each.to_rows(), reference_rows(each))
+
+    def test_no_rows_and_no_columns(self):
+        empty = Batch(columns={"a": np.zeros(0, dtype=np.int64), "s": np.zeros(0, dtype=object)})
+        assert empty.to_rows() == []
+        assert Batch(columns={}).to_rows() == []
+        located = Batch(columns={}, locators=np.array(["x", "y", "z"], dtype=object))
+        assert located.to_rows() == [(), (), ()] == reference_rows(located)
+
+    @pytest.mark.parametrize("nulls", list(NULLS))
+    @pytest.mark.parametrize("dtype", list(PHYSICAL), ids=str)
+    def test_present_column_equals_present_per_cell(self, dtype, nulls):
+        values, mask = PHYSICAL[dtype], NULLS[nulls]
+        presented = dtype.present_column(values, mask)
+        per_cell = [dtype.present(v) for v in python_values(values, mask)]
+        assert_identical([tuple(presented)], [tuple(per_cell)])
+        for value, is_null in zip(presented, mask if mask is not None else [False] * _N):
+            assert value is None if is_null else isinstance(value, PYTHON_TYPES[dtype.kind.value])
+        assert dtype.present_column(values[:0]) == []
+        batch = Batch(columns={"c": values}, null_masks={"c": mask})
+        assert_identical(batch.to_rows([dtype]), [(cell,) for cell in per_cell])
+
+    @pytest.mark.parametrize(
+        "dtype, arrives_as",
+        [
+            # What aggregates hand over: MIN/MAX over a BOOL accumulate as
+            # integers, AVG over a DECIMAL is a scaled float, SUM over an
+            # INT is wider than the column.
+            (types.BOOL, np.array([0, 1, 1], dtype=np.int64)),
+            (types.INT, np.array([5, -6, 7], dtype=np.int64)),
+            (types.BIGINT, np.array([5.0, -6.0, 7.0])),
+            (types.FLOAT, np.array([5, -6, 7], dtype=np.int64)),
+            (types.decimal(2), np.array([1234.5, -99.75, 100.0])),
+            (types.decimal(0), np.array([1234.5, -99.75, 100.0])),
+        ],
+        ids=str,
+    )
+    def test_another_physical_kind_is_coerced_as_one_cell_would_be(self, dtype, arrives_as):
+        mask = np.array([False, True, False])
+        for null_mask in (None, mask):
+            assert_identical(
+                [tuple(dtype.present_column(arrives_as, null_mask))],
+                [tuple(dtype.present(v) for v in python_values(arrives_as, null_mask))],
+            )
+
+    def test_a_date_out_of_range_raises_what_one_cell_raises(self):
+        with pytest.raises(OverflowError):
+            types.DATE.present(2**31 - 1)
+        with pytest.raises(OverflowError):
+            types.DATE.present_column(np.array([0, 2**31 - 1]))
+
+    def test_through_the_statement_pipeline(self):
+        from repro import Database, StoreConfig
+
+        db = Database(StoreConfig(rowgroup_size=4, bulk_load_threshold=4))
+        db.sql("CREATE TABLE t (i INT, f FLOAT, m DECIMAL(18,2), s VARCHAR, d DATE, b BOOL)")
+        db.bulk_load(
+            "t",
+            [(n, n / 2, n + 0.25, "x", datetime.date(2024, 2, 29), n % 2 == 0) for n in range(4)],
+        )
+        db.sql("INSERT INTO t VALUES (NULL, NULL, NULL, NULL, NULL, NULL)")
+        expected = [
+            (0, 0.0, 0.25, "x", datetime.date(2024, 2, 29), True),
+            (None, None, None, None, None, None),
+        ]
+        aggregates = (
+            "SELECT s, MIN(b), MAX(b), SUM(i), AVG(i), AVG(m), MIN(d), MAX(f), COUNT(*) FROM t"
+        )
+        day = datetime.date(2024, 2, 29)
+        for mode in ("batch", "row"):
+            assert_identical(
+                db.sql("SELECT i, f, m, s, d, b FROM t WHERE i = 0 OR i IS NULL", mode=mode).rows,
+                expected,
+            )
+            # An aggregate's output has the column's Python type too:
+            # MIN/MAX over a BOOL are bools, not the integers they
+            # accumulate as — over row groups and over the delta store.
+            for encoded in (True, False):
+                grouped = db.sql(
+                    aggregates + " GROUP BY s ORDER BY s",
+                    mode=mode, enable_encoded_agg=encoded,
+                ).rows
+                assert_identical(
+                    sorted(grouped, key=lambda row: row[0] is None),
+                    [
+                        ("x", False, True, 6, 1.5, 1.75, day, 1.5, 4),
+                        (None, None, None, None, None, None, None, None, 1),
+                    ],
+                )
+                assert_identical(
+                    db.sql("SELECT MIN(b), MAX(b) FROM t", mode=mode, enable_encoded_agg=encoded).rows,
+                    [(False, True)],
+                )

@@ -86,6 +86,23 @@ class TestTimeout:
         assert len(get_query_registry()) == 0
         assert len(database.sql(query).rows) == 3
 
+    def test_timeout_lands_between_units_of_a_selective_scan(self):
+        """Every unit decodes its predicate column, keeps no row and so
+        emits nothing: only the scan's per-unit checkpoint can stop it."""
+        database = Database(StoreConfig(rowgroup_size=8, bulk_load_threshold=1))
+        database.sql("CREATE TABLE g (k INT, v INT)")
+        database.bulk_load("g", [(i, i % 8) for i in range(8000)])
+        query = "SELECT k, v FROM g WHERE v * 2 = 15"  # min/max cannot tell
+        database.sql("SET statement_timeout = 1")
+        with pytest.raises(QueryTimeoutError):
+            database.sql(query)
+        database.sql("SET statement_timeout = DEFAULT")
+        assert len(get_query_registry()) == 0
+        result = database.sql(query, stats=True)
+        assert result.rows == []
+        assert result.stats.counter("storage.scan.units_seen") == 1000
+        assert result.stats.counter("storage.scan.units_eliminated") == 0
+
     def test_control_statements_never_time_out(self, db):
         db.sql("SET statement_timeout = 1")
         db.sql("SHOW statement_timeout")  # ungoverned: must not raise

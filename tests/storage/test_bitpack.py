@@ -73,6 +73,94 @@ class TestPackUnpack:
         assert (bitpack.unpack(payload, 64, 3) == values).all()
 
 
+# --------------------------------------------------------------------- #
+# The kernel against a bit-by-bit reference
+# --------------------------------------------------------------------- #
+def reference_unpack(payload: bytes, width: int, count: int) -> np.ndarray:
+    """The pre-``take`` implementation: every bit of the payload spread
+    out, regrouped ``width`` to a value and summed. Slow and obviously
+    right, so it stays here as what the kernel is held to."""
+    if width == 0 or count == 0:
+        return np.zeros(count, dtype=np.uint64)
+    flat = np.unpackbits(
+        np.frombuffer(payload, dtype=np.uint8), count=count * width, bitorder="little"
+    )
+    bits = flat.reshape(count, width).astype(np.uint64)
+    shifts = np.arange(width, dtype=np.uint64)
+    return (bits << shifts).sum(axis=1, dtype=np.uint64)
+
+
+def _random_values(width: int, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 2**64, size=count, dtype=np.uint64, endpoint=False)
+    values = raw >> np.uint64(64 - width) if width else np.zeros(count, dtype=np.uint64)
+    if count and width:
+        values[-1] = np.uint64((1 << width) - 1)  # every bit of the last value set
+    return values
+
+
+COUNTS = (0, 1, 7, 8, 9, 16_383, 16_384)
+
+
+@pytest.mark.parametrize("width", range(65))
+def test_every_width_and_count_against_the_reference(width):
+    for count in COUNTS:
+        values = _random_values(width, count, seed=width * 100_003 + count)
+        payload = bitpack.pack(values, width)
+        assert len(payload) == bitpack.packed_size_bytes(count, width)  # unpadded
+        want = reference_unpack(payload, width, count)
+        assert want.tolist() == values.tolist()
+        unpacked = bitpack.unpack(payload, width, count)
+        assert unpacked.dtype == np.uint64
+        assert unpacked.tolist() == want.tolist()
+
+        rng = np.random.default_rng(count + width)
+        position_sets = [[]]
+        if count:
+            position_sets += [
+                [0],
+                [count - 1],
+                rng.integers(0, count, 50).tolist(),
+                [count // 2] * 3 + [0, count - 1, count - 1],
+                list(range(count - 1, -1, -max(1, count // 40))),
+            ]
+        for positions in position_sets:
+            positions = np.array(positions, dtype=np.int64)
+            taken = bitpack.take(payload, width, count, positions)
+            assert taken.dtype == np.uint64
+            assert taken.tolist() == want[positions].tolist()
+
+
+class TestKernelValidatesWhatArrivesFromDisk:
+    PAYLOAD = bitpack.pack(np.arange(100, dtype=np.uint64), 7)
+
+    @pytest.mark.parametrize("width", [-1, 65, 1000])
+    def test_width_outside_0_to_64(self, width):
+        with pytest.raises(EncodingError, match="width"):
+            bitpack.unpack(b"\x00" * 8192, width, 4)
+        with pytest.raises(EncodingError, match="width"):
+            bitpack.take(b"\x00" * 8192, width, 4, np.array([0]))
+
+    def test_negative_count(self):
+        with pytest.raises(EncodingError, match="count"):
+            bitpack.unpack(self.PAYLOAD, 7, -1)
+
+    @pytest.mark.parametrize("width, count", [(7, 100), (8, 100), (64, 13), (1, 801)])
+    def test_short_payload(self, width, count):
+        payload = bytes(bitpack.packed_size_bytes(count, width) - 1)
+        with pytest.raises(EncodingError, match="payload"):
+            bitpack.unpack(payload, width, count)
+        with pytest.raises(EncodingError, match="payload"):
+            bitpack.take(payload, width, count, np.array([0]))
+
+    @pytest.mark.parametrize("positions", [[100], [-1], [0, 5, 1 << 40], [3, -7, 2]])
+    def test_position_outside_the_stream(self, positions):
+        for width in (0, 7, 16):
+            payload = bitpack.pack(np.zeros(100, dtype=np.uint64), width)
+            with pytest.raises(EncodingError, match="position"):
+                bitpack.take(payload, width, 100, np.array(positions))
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=2**40 - 1), max_size=300),
 )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import types
+from repro.errors import EncodingError
 from repro.storage.dictionary import GlobalDictionary
 from repro.storage.encodings import Scheme
 from repro.storage.segment import encode_segment
@@ -260,6 +261,18 @@ VECTOR_SHAPES = {
 }
 
 
+_POSITION_SETS = (
+    [],
+    [0],
+    [_N - 1],
+    sorted(_RNG.choice(_N, 7, replace=False).tolist()),
+    [5, 5, 599, 5, 0, 0],
+    list(range(_N - 1, -1, -3)),
+    _RNG.integers(0, _N, _N // 2).tolist(),
+    list(range(_N)),
+)
+
+
 def _same_decode(actual, expected):
     (values, mask), (want, want_mask) = actual, expected
     assert values.dtype == want.dtype
@@ -267,6 +280,29 @@ def _same_decode(actual, expected):
     assert (mask is None) == (want_mask is None)
     if mask is not None:
         assert mask.tolist() == want_mask.tolist()
+
+
+@pytest.mark.parametrize("dtype", [types.INT, types.VARCHAR, types.FLOAT], ids=str)
+def test_take_of_an_empty_segment(dtype):
+    segment = encode_segment(dtype, np.zeros(0, dtype=dtype.numpy_dtype))
+    nothing = np.zeros(0, dtype=np.int64)
+    for each in (segment, segment.to_archived()):
+        _same_decode(each.take(nothing), each.decode())
+
+
+@pytest.mark.parametrize("archived", [False, True], ids=["live", "archived"])
+@pytest.mark.parametrize("nulls", [False, True], ids=["no nulls", "nulls"])
+@pytest.mark.parametrize("shape", list(VECTOR_SHAPES))
+def test_take_rejects_positions_outside_the_segment(shape, nulls, archived):
+    # Every stream kind, not only the bit-packed one: a negative position
+    # must not wrap to another row, in the values or in the NULL mask.
+    dtype, values, _, _ = VECTOR_SHAPES[shape]
+    segment = encode_segment(dtype, values, np.arange(_N) % 7 == 3 if nulls else None)
+    if archived:
+        segment = segment.to_archived()
+    for bad in ([-1], [_N], [0, _N + 5, 1], [3, -_N]):
+        with pytest.raises(EncodingError, match="position outside"):
+            segment.take(np.array(bad))
 
 
 @pytest.mark.parametrize("archived", [False, True], ids=["live", "archived"])
@@ -284,6 +320,14 @@ def test_vector_is_the_segment_still_encoded(shape, nulls, archived):
         assert (segment.scheme, type(segment.stream).__name__) == (scheme, stream)
     if archived:
         segment = segment.to_archived()
+    # take(p) is decode()[p] bit for bit, for few positions (an RLE
+    # stream searches its run ends) and for many (it expands).
+    full, full_mask = segment.decode()
+    for positions in _POSITION_SETS:
+        positions = np.array(positions, dtype=np.int64)
+        want_mask = None if full_mask is None else full_mask[positions]
+        _same_decode(segment.take(positions), (full[positions], want_mask))
+
     vector = segment.vector()
     if archived:
         assert vector is None  # it would decompress on every access
