@@ -29,7 +29,7 @@ from pathlib import Path
 
 from ..errors import WalCorruptError
 from ..observability import registry as metrics
-from ..storage.diskio import DiskIO, crc32c
+from ..storage.diskio import DiskIO
 from ..wal.log import _SEGMENT_RE, WalVerdict, _list_segments
 from ..wal.record import scan_segment
 
@@ -83,8 +83,7 @@ class WalArchiver:
         if self.disk.exists(dest) and self.disk.read_file(dest) == data:
             return True  # already archived, byte-identical
         self.disk.write_file(dest, data)
-        readback = self.disk.read_file(dest)
-        if crc32c(readback) != crc32c(data):  # pragma: no cover - lying disk
+        if self.disk.read_file(dest) != data:  # pragma: no cover - lying disk
             self.disk.remove(dest)
             return False
         if scan.records:

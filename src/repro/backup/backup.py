@@ -15,8 +15,9 @@ write lock, the single-caller :class:`Database` needs nothing):
    swap a newer manifest (with a checkpoint past ``backup_lsn``) under
    the copy's feet;
 5. bump ``Database._backups_in_flight`` — checkpoints are deferred, so
-   neither snapshot GC nor WAL truncation can delete files the copy is
-   about to read.
+   neither snapshot GC (which removes whatever a newer manifest no
+   longer names) nor WAL truncation can delete files the copy is about
+   to read.
 
 **Copy** (:meth:`BackupJob.run`, outside any lock): writers keep
 committing; everything they append lands *after* ``backup_lsn`` and is
@@ -115,33 +116,31 @@ class BackupJob:
         entries: list[BackupFileEntry] = []
         total_bytes = 0
 
-        def put(relpath: str, data: bytes) -> None:
+        def put(relpath: str, data: bytes, crc: int) -> None:
             nonlocal total_bytes
             self.disk.write_file(self.dest / PurePosixPath(relpath), data)
-            entries.append(
-                BackupFileEntry(path=relpath, size=len(data), crc32c=crc32c(data))
-            )
+            entries.append(BackupFileEntry(path=relpath, size=len(data), crc32c=crc))
             total_bytes += len(data)
 
-        # -- the base image: the captured snapshot, verified as we read.
+        # -- the base image: every file the captured manifest names, at
+        # the same root-relative path, verified as we read.
         if self.manifest_bytes is not None:
             src_manifest = Manifest.from_json(
                 self.manifest_bytes, source=str(self.source_root / MANIFEST_NAME)
             )
-            snap_dir = self.source_root / src_manifest.directory
             for entry in src_manifest.files:
-                data = self.disk.read_file(snap_dir / PurePosixPath(entry.path))
+                data = self.disk.read_file(self.source_root / PurePosixPath(entry.path))
                 if len(data) != entry.size or crc32c(data) != entry.crc32c:
                     raise BackupError(
-                        f"source file {src_manifest.directory}/{entry.path} "
-                        "failed checksum verification — refusing to back up "
-                        "a corrupt image"
+                        f"source file {entry.path} failed checksum "
+                        "verification — refusing to back up a corrupt image"
                     )
-                put(
-                    f"{IMAGE_DIR_NAME}/{src_manifest.directory}/{entry.path}",
-                    data,
-                )
-            put(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", self.manifest_bytes)
+                put(f"{IMAGE_DIR_NAME}/{entry.path}", data, entry.crc32c)
+            put(
+                f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}",
+                self.manifest_bytes,
+                crc32c(self.manifest_bytes),
+            )
 
         # -- the covered WAL prefix, clipped to (checkpoint, backup_lsn].
         records = _collect_live_records(
@@ -155,7 +154,11 @@ class BackupJob:
                 encode_record(r.rtype, r.lsn, r.table, r.payload, r.txn_id)
                 for r in records
             )
-            put(f"{WAL_SUBDIR_NAME}/{_segment_name(records[0].lsn)}", merged)
+            put(
+                f"{WAL_SUBDIR_NAME}/{_segment_name(records[0].lsn)}",
+                merged,
+                crc32c(merged),
+            )
 
         # -- commit: the backup manifest is written last, then the whole
         # image is read back; only a verified backup keeps its manifest.

@@ -4,7 +4,9 @@ A backup directory looks like::
 
     <dest>/BACKUP_MANIFEST.json     the commit record (atomic rename, last)
     <dest>/image/MANIFEST.json      verbatim copy of the source manifest
-    <dest>/image/snap_000007/...    the snapshot's data files, verbatim
+    <dest>/image/<path>             every file that manifest names, at
+                                    its path relative to the source root
+                                    (segments/..., snap_000007/...)
     <dest>/wal/seg_<lsn>.wal        the covered WAL prefix, clipped at
                                     the backup LSN
 

@@ -283,6 +283,18 @@ class Shell:
                 "oldest active epoch "
                 f"{oldest if oldest is not None else 0:.0f}"
             )
+            out.append(
+                "snapshots: "
+                f"{registry.counter('storage.snapshot.files_written'):.0f} "
+                "files written "
+                f"({registry.counter('storage.snapshot.bytes_written'):.0f} bytes), "
+                f"{registry.counter('storage.snapshot.files_reused'):.0f} "
+                "segment blobs reused, "
+                f"{registry.counter('storage.snapshot.bytes_checksummed'):.0f} "
+                "bytes checksummed, "
+                f"{registry.counter('storage.snapshot.saves_skipped'):.0f} "
+                "saves skipped"
+            )
             from .governance import get_query_registry
 
             running = get_query_registry().list_running()

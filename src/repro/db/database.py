@@ -90,6 +90,9 @@ class Database:
         # Fingerprint of the state the last save/load at a path captured:
         # save() skips rewriting an unchanged snapshot.
         self._save_fingerprint: tuple | None = None
+        # Which pool blob of that path holds each segment (a
+        # storage.snapshot.StoredSegments): save() writes only the rest.
+        self._stored_segments = None
         self._catalog_epoch = 0
         # Open explicit transaction (None outside BEGIN..COMMIT). The id
         # allocator only serves WAL-less databases; with a WAL the txn id
@@ -738,11 +741,14 @@ class Database:
     def save(self, path: str, disk=None, force: bool = False) -> None:
         """Persist the whole database to a directory, crash-safely.
 
-        Compressed segments are written as immutable blobs (one file per
-        segment, the paper's LOB model); delta stores, delete bitmaps and
-        row-store heaps are serialized row-wise; the catalog is JSON.
+        Compressed segments are immutable blobs in the directory's
+        write-once pool (one file per segment, the paper's LOB model):
+        a save writes only the segments the directory does not hold yet,
+        so a checkpoint costs what changed. Delta stores, delete bitmaps
+        and row-store heaps are serialized row-wise and the catalog is
+        JSON, all written fresh.
 
-        Every save is a fresh checksummed snapshot committed by a single
+        Every save is a checksummed snapshot committed by a single
         atomic manifest rename (:mod:`repro.storage.snapshot`): a crash
         at any point leaves either the previous save or this one — never
         a hybrid. ``disk`` is the I/O abstraction (tests inject a
@@ -769,9 +775,9 @@ class Database:
         self._require_no_txn("save (checkpoint)")
         if self._backups_in_flight > 0:
             # A hot backup is copying this directory: a checkpoint now
-            # would garbage-collect the snapshot directory and truncate
-            # the WAL segments the copy is reading. Defer — the WAL
-            # keeps everything recoverable until the next checkpoint.
+            # would garbage-collect the files its manifest names and
+            # truncate the WAL segments the copy is reading. Defer — the
+            # WAL keeps everything recoverable until the next checkpoint.
             obs_metrics.increment("backup.checkpoints_deferred")
             return
         disk = disk or DiskIO()
@@ -792,7 +798,7 @@ class Database:
             # log first, or a crash mid-save could lose committed work.
             wal.flush()
             checkpoint_lsn = wal.last_lsn
-        writer = SnapshotWriter(disk, root)
+        writer = SnapshotWriter(disk, root, self._stored_segments)
         catalog_entries = []
         for name in self.catalog.table_names():
             table = self.catalog.table(name)
@@ -826,6 +832,7 @@ class Database:
             if wal is not None:
                 wal.truncate_covered(checkpoint_lsn)
             self._save_fingerprint = fingerprint
+            self._stored_segments = writer.stored
 
     def backup(self, dest: str, disk=None, barrier_hook=None):
         """Hot-backup this database into the fresh directory ``dest``.
@@ -855,7 +862,7 @@ class Database:
     ) -> "Database":
         """Reopen a database saved with :meth:`save`.
 
-        Locates the newest complete manifest, verifies every file's size
+        Reads the committed manifest, verifies every listed file's size
         and CRC-32C before deserializing a byte, garbage-collects files
         left behind by interrupted saves, and raises structured
         :class:`~repro.errors.CorruptBlobError` /
@@ -931,6 +938,7 @@ class Database:
                 for index_name, columns in entry["indexes"].items():
                     table.create_index(index_name, columns)
             checkpoint_lsn = reader.manifest.checkpoint_lsn
+            db._stored_segments = reader.stored
         resolved = str(root.resolve())
         if has_wal or durability is not None:
             from ..wal import replay as walreplay

@@ -119,6 +119,10 @@ STABLE_COUNTERS = (
     "storage.recovery.checksum_failures",
     "storage.recovery.snapshots_rolled_back",
     "storage.snapshot.saves_skipped",
+    "storage.snapshot.files_written",
+    "storage.snapshot.files_reused",
+    "storage.snapshot.bytes_written",
+    "storage.snapshot.bytes_checksummed",
     "storage.wal.records_appended",
     "storage.wal.bytes_appended",
     "storage.wal.commits",

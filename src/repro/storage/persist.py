@@ -8,9 +8,10 @@ serialized row-wise.
 
 All file access goes through the snapshot layer
 (:mod:`repro.storage.snapshot`): a *writer* with ``write(relpath, data)``
-that records sizes and checksums into the manifest, and a *reader* with
-``read(relpath)`` / ``exists(relpath)`` whose bytes were already
-checksum-verified. Layout inside a snapshot directory::
+and ``write_segment(relpath, segment)`` that records sizes and checksums
+into the manifest, and a *reader* with ``read(relpath)`` /
+``read_segment(relpath)`` / ``exists(relpath)`` whose bytes were already
+checksum-verified. The names this module files things under::
 
     catalog.json                    tables, schemas, configs
     <table>/meta.json               id counters, delta states
@@ -18,6 +19,10 @@ checksum-verified. Layout inside a snapshot directory::
     <table>/delta_<id>.rows
     <table>/rowstore.rows
     <table>/delete_bitmap.json
+
+Where they live is the snapshot layer's business: segments go to the
+root's write-once pool (and are written only if the root lacks them),
+everything else into the snapshot's own directory.
 
 Decode paths are bounds-checked: truncated or bit-flipped blobs raise
 :class:`~repro.errors.CorruptBlobError` (never ``IndexError``), and
@@ -33,7 +38,6 @@ from ..errors import CorruptBlobError, EncodingError, RecoveryError
 from ..schema import ColumnDef, TableSchema
 from ..types import DataType, TypeKind
 from . import serde
-from .blob import deserialize_segment, serialize_segment
 from .columnstore import ColumnStoreIndex
 from .config import StoreConfig
 from .deltastore import DeltaStore
@@ -161,9 +165,8 @@ def save_columnstore(index: ColumnStoreIndex, writer, prefix: str) -> None:
     for group in index.directory.row_groups():
         group_ids.append(group.group_id)
         for column, segment in group.segments.items():
-            writer.write(
-                f"{prefix}/rowgroups/g{group.group_id}.{column}.seg",
-                serialize_segment(segment),
+            writer.write_segment(
+                f"{prefix}/rowgroups/g{group.group_id}.{column}.seg", segment
             )
 
     delta_meta = []
@@ -214,7 +217,7 @@ def load_columnstore(
         for col in schema:
             relpath = f"{prefix}/rowgroups/g{group_id}.{col.name}.seg"
             try:
-                segments[col.name] = deserialize_segment(reader.read(relpath))
+                segments[col.name] = reader.read_segment(relpath)
             except EncodingError as exc:
                 raise CorruptBlobError(str(exc), path=relpath) from exc
         group = RowGroup(group_id=group_id, schema=schema, segments=segments)

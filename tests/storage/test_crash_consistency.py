@@ -168,7 +168,7 @@ class TestOnDiskCorruption:
         assert manifest is not None and len(manifest.files) >= 10
         rng = random.Random(SEED)
         for entry in manifest.files:
-            path = target / manifest.directory / entry.path
+            path = target / entry.path
             pristine = path.read_bytes()
             offsets = {0, entry.size - 1, rng.randrange(entry.size)}
             for offset in offsets:
@@ -200,7 +200,7 @@ class TestOnDiskCorruption:
         db, target, _, _ = saved
         manifest = load_manifest(DiskIO(), target)
         entry = next(e for e in manifest.files if e.path.endswith(".rows"))
-        path = target / manifest.directory / entry.path
+        path = target / entry.path
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(StorageError, match="size mismatch"):
             Database.load(str(target))
@@ -234,7 +234,7 @@ class TestRecoveryObservability:
     def test_checksum_failure_counter(self, saved, tmp_path):
         _, target, _, _ = saved
         manifest = load_manifest(DiskIO(), target)
-        path = target / manifest.directory / manifest.files[0].path
+        path = target / manifest.files[0].path
         data = bytearray(path.read_bytes())
         data[0] ^= 1
         path.write_bytes(bytes(data))
@@ -260,7 +260,7 @@ class TestStaleFileCollection:
             for p in target.rglob("*")
             if p.is_file()
         }
-        listed = {f"{manifest.directory}/{e.path}" for e in manifest.files}
+        listed = {e.path for e in manifest.files}
         assert on_disk == listed | {MANIFEST_NAME}
         # The old snapshot (with its pre-mover delta files) is gone.
         assert not (target / "snap_000001").exists()
@@ -302,7 +302,7 @@ class TestCheckCommand:
         assert main(["check", str(target)]) == 0
         assert "result: ok" in capsys.readouterr().out
         manifest = load_manifest(DiskIO(), target)
-        victim = target / manifest.directory / manifest.files[0].path
+        victim = target / manifest.files[0].path
         data = bytearray(victim.read_bytes())
         data[0] ^= 0xFF
         victim.write_bytes(bytes(data))

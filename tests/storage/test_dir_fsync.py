@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import StoreConfig
 from repro.db.database import Database
 from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault
 from repro.storage.snapshot import MANIFEST_NAME
@@ -119,6 +120,32 @@ class TestWritePathOrdering:
         # a crash in between leaves a manifest-less (ignorable) directory,
         # never a manifest naming files the crash unlinked.
         assert root_sync < manifest
+
+    def test_pool_directory_entries_synced_before_manifest_names_a_blob(self, tmp_path):
+        disk = _OpLogDisk()
+        root = tmp_path / "db"
+        db = Database(StoreConfig(rowgroup_size=8, bulk_load_threshold=4))
+        db.sql("CREATE TABLE t (id INT NOT NULL)")
+        db.bulk_load("t", [(i,) for i in range(8)])
+        db.save(str(root), disk=disk)
+        events = disk.events
+        blob = next(
+            i for i, (kind, path) in enumerate(events)
+            if kind == "rename" and path.endswith(".seg")
+        )
+        manifest = next(
+            i for i, (kind, path) in enumerate(events)
+            if kind == "rename" and path.endswith(MANIFEST_NAME)
+        )
+        # The blob's rename made its own directory durable; every entry
+        # on the way down to that directory is synced after the blob is
+        # in place and before the manifest that names it, deepest first.
+        synced = [path for kind, path in events[blob:manifest] if kind == "sync_dir"]
+        assert synced == [
+            str(root / "segments" / "t"),
+            str(root / "segments"),
+            str(root),
+        ]
 
     def test_committed_statement_survives_dir_entry_loss_model(self, tmp_path):
         # End to end: with the honest power-cut model, a committed

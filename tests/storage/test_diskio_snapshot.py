@@ -20,6 +20,8 @@ from repro.storage.snapshot import (
 
 
 class TestCrc32c:
+    """The vectors; the kernel's differential tests are in test_crc32c.py."""
+
     def test_known_vectors(self):
         # RFC 3720 appendix B test vector for CRC-32C.
         assert crc32c(b"123456789") == 0xE3069283
@@ -119,6 +121,31 @@ class TestManifest:
         assert restored.directory == "snap_000007"
         assert restored.files == manifest.files
 
+    def test_paths_are_root_relative_and_map_back_to_persist_names(self):
+        manifest = Manifest(snapshot_id=7)
+        assert manifest.relpath_of("snap_000007/t/meta.json") == "t/meta.json"
+        assert (
+            manifest.relpath_of("segments/t/rowgroups/g3.a.b.0123abcd.seg")
+            == "t/rowgroups/g3.a.b.seg"
+        )
+
+    def test_version_1_paths_get_their_directory_prefixed(self):
+        from repro.storage.snapshot import _self_checksum
+
+        body = {
+            "format_version": 1,
+            "snapshot_id": 7,
+            "directory": "snap_000007",
+            "checkpoint_lsn": 3,
+            "files": [{"path": "t/a.seg", "size": 12, "crc32c": "0000dead"}],
+        }
+        body["manifest_crc32c"] = f"{_self_checksum(body):08x}"
+        manifest = Manifest.from_json(json.dumps(body).encode(), "m")
+        assert [e.path for e in manifest.files] == ["snap_000007/t/a.seg"]
+        assert manifest.relpath_of(manifest.files[0].path) == "t/a.seg"
+        assert manifest.checkpoint_lsn == 3
+        assert b'"format_version": 2' in manifest.to_json()  # never written back as 1
+
     def test_self_checksum_detects_tamper(self):
         manifest = Manifest(snapshot_id=1)
         payload = bytearray(manifest.to_json())
@@ -215,12 +242,35 @@ class TestSnapshotWriterReader:
             open_snapshot(disk, tmp_path)
         assert "a.bin" in str(excinfo.value) and "b.bin" in str(excinfo.value)
 
-    def test_collect_garbage_removes_tmp_files(self, tmp_path):
+    def test_collect_garbage_keeps_exactly_what_the_manifest_names(self, tmp_path):
+        disk = DiskIO()
+        writer = SnapshotWriter(disk, tmp_path)
+        writer.write("t/kept.bin", b"kept")
+        manifest = writer.commit()
+        strays = [
+            "MANIFEST.json.tmp",  # torn manifest write at the root
+            "snap_000001/t/kept.bin.tmp",  # torn write inside the live snapshot
+            "snap_000002/t/half.bin",  # an interrupted save
+            "segments/t/rowgroups/g0.a.0badf00d.seg",  # a blob nothing names
+            "segments/t/rowgroups/g0.a.0badf00d.seg.tmp",
+        ]
+        for stray in strays:
+            (tmp_path / stray).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / stray).write_bytes(b"stray")
+        (tmp_path / "wal").mkdir()  # not a snapshot or pool directory: untouched
+        (tmp_path / "wal" / "seg.tmp").write_bytes(b"not ours")
+        assert collect_garbage(disk, tmp_path, manifest) == 1  # snap_000002
+        left = sorted(
+            p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()
+        )
+        assert left == [MANIFEST_NAME, "snap_000001/t/kept.bin", "wal/seg.tmp"]
+        assert not (tmp_path / "segments").exists()  # emptied directories go too
+
+    def test_collect_garbage_without_a_manifest_keeps_nothing(self, tmp_path):
         disk = DiskIO()
         (tmp_path / "MANIFEST.json.tmp").write_bytes(b"torn")
         (tmp_path / "snap_000002").mkdir()
-        removed = collect_garbage(disk, tmp_path, keep_id=1)
-        assert removed == 1
+        assert collect_garbage(disk, tmp_path, None) == 1
         assert list(tmp_path.iterdir()) == []
 
 

@@ -235,3 +235,36 @@ class TestMainExitCodes:
         from repro.cli import main
 
         assert main(["--durability"]) == 2
+
+    def test_check_reports_orphan_blobs_without_failing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        target = self._saved_dir(tmp_path)
+        orphan = target / "segments" / "t" / "rowgroups" / "g9.a.0badf00d.seg"
+        orphan.parent.mkdir(parents=True, exist_ok=True)
+        orphan.write_bytes(b"left by an interrupted save")
+        assert main(["check", str(target)]) == 0
+        out = capsys.readouterr().out
+        assert "segments/t/rowgroups/g9.a.0badf00d.seg: orphan" in out
+        assert "result: ok" in out
+
+    def test_stats_shows_what_saves_wrote_and_reused(self, tmp_path):
+        from repro import Database, StoreConfig
+        from repro.cli import Shell
+        from repro.observability import MetricsRegistry
+        from repro.observability.registry import set_registry
+
+        previous = set_registry(MetricsRegistry())
+        try:
+            db = Database(StoreConfig(rowgroup_size=16, bulk_load_threshold=8))
+            db.sql("CREATE TABLE t (a INT)")
+            db.bulk_load("t", [(i,) for i in range(32)])
+            shell = Shell(db)
+            shell.run_meta(f"\\save {tmp_path / 'db'}")
+            db.sql("INSERT INTO t VALUES (-1)")
+            shell.run_meta(f"\\save {tmp_path / 'db'}")
+            out = shell.run_meta("\\stats")
+        finally:
+            set_registry(previous)
+        line = next(line for line in out if line.startswith("snapshots:"))
+        assert " 2 segment blobs reused" in line and "bytes checksummed" in line
