@@ -3,8 +3,11 @@
 Mirrors the paper's batch layout: a set of column vectors plus a
 *qualifying rows* vector. Filters shrink the qualifying vector without
 copying column data; operators that materialize output (joins, aggregates)
-compact first. The default batch size follows the paper's ~1k rows
-(they use ~900; we use 1024).
+compact first. The paper's batch is ~900 rows, sized to stay in the L2
+cache; here the interpreter's fixed cost per operator call, not cache
+residency, sets the size (EXPERIMENTS.md E26), so a batch is 64k rows: a
+row group of that size or less crosses the plan whole, a larger one is
+sliced.
 """
 
 from __future__ import annotations
@@ -17,14 +20,17 @@ import numpy as np
 from ..errors import ExecutionError
 from ..types import DataType, python_values
 
-DEFAULT_BATCH_SIZE = 1024
+DEFAULT_BATCH_SIZE = 65_536
 
-# How a consumer can take a column it reads from a columnstore scan
-# (``ColumnStoreScan.takes_encoded``): the most encoded form it accepts.
+# How a consumer can take a column it reads from its child
+# (``BatchOperator.declare_encoded``): the most encoded form it accepts.
 AS_ROWS = "rows"  # plain values only
 AS_CODES = "codes"  # group key: row-addressable codes, all keys or none
 AS_WEIGHTS = "weights"  # scalar COUNT/MIN/MAX argument: any vector
 AS_EXACT_WEIGHTS = "exact_weights"  # scalar SUM/AVG: integer-physical vectors
+# Group-key codes are combined into one mixed-radix int64 per row; the
+# combined key space may not exceed this many cells.
+MAX_KEY_CELLS = 2**62
 
 
 @dataclass
@@ -41,9 +47,9 @@ class Batch:
 
     ``encoded`` holds columns still in their storage encoding (name →
     ``EncodedVector``, full length like ``columns``; duck-typed so this
-    module keeps no storage imports). Only a columnstore scan whose
-    consumer declared it takes them produces any; a name is in
-    ``columns`` or in ``encoded``, never both.
+    module keeps no storage imports). Only an operator whose consumer
+    declared it takes them produces any; a name is in ``columns`` or in
+    ``encoded``, never both.
     """
 
     columns: dict[str, np.ndarray]
@@ -124,28 +130,41 @@ class Batch:
             null_masks=self.null_masks,
             selection=kept,
             locators=self.locators,
+            encoded=self.encoded,
+        )
+
+    def take(self, idx: np.ndarray | slice) -> "Batch":
+        """The rows at ``idx`` (physical positions) as a dense batch;
+        encoded columns stay encoded."""
+        encoded = {}
+        if self.encoded:
+            at = np.arange(self.row_count)[idx] if isinstance(idx, slice) else idx
+            encoded = {name: vector.select(at) for name, vector in self.encoded.items()}
+        return Batch(
+            columns={name: arr[idx] for name, arr in self.columns.items()},
+            null_masks={
+                name: (mask[idx] if mask is not None else None)
+                for name, mask in self.null_masks.items()
+            },
+            locators=self.locators[idx] if self.locators is not None else None,
+            encoded=encoded,
         )
 
     def compact(self) -> "Batch":
         """Materialize the selection: copy qualifying rows to dense vectors."""
         if self.selection is None:
             return self
-        idx = self.selection
-        columns = {name: arr[idx] for name, arr in self.columns.items()}
-        null_masks = {
-            name: (mask[idx] if mask is not None else None)
-            for name, mask in self.null_masks.items()
-        }
-        locators = self.locators[idx] if self.locators is not None else None
-        return Batch(columns=columns, null_masks=null_masks, selection=None, locators=locators)
+        return self.take(self.selection)
 
     def project(self, names: list[str]) -> "Batch":
-        """Keep only the named columns (no copying)."""
+        """Keep only the named columns, plain or encoded (no copying)."""
+        plain = [name for name in names if name not in self.encoded]
         return Batch(
-            columns={name: self.column(name) for name in names},
-            null_masks={name: self.null_masks.get(name) for name in names},
+            columns={name: self.column(name) for name in plain},
+            null_masks={name: self.null_masks.get(name) for name in plain},
             selection=self.selection,
             locators=self.locators,
+            encoded={name: self.encoded[name] for name in names if name in self.encoded},
         )
 
     def with_column(
@@ -165,6 +184,7 @@ class Batch:
             null_masks=null_masks,
             selection=self.selection,
             locators=self.locators,
+            encoded={n: v for n, v in self.encoded.items() if n != name},
         )
 
     # ------------------------------------------------------------------ #
@@ -222,10 +242,14 @@ class Batch:
 
 
 def concat_batches(batches: list[Batch]) -> Batch | None:
-    """Concatenate compacted batches (None when the list is empty)."""
+    """Concatenate compacted batches (None when the list is empty).
+    Plain columns only: vectors over different dictionaries do not
+    concatenate, so a batch still carrying one is refused, not stripped."""
     dense = [b.compact() for b in batches if b.active_count]
     if not dense:
         return None
+    if any(b.encoded for b in dense):
+        raise ExecutionError("cannot concatenate batches with encoded columns")
     names = dense[0].names
     columns: dict[str, np.ndarray] = {}
     null_masks: dict[str, np.ndarray | None] = {}
@@ -249,12 +273,8 @@ def slice_into_batches(batch: Batch, batch_size: int = DEFAULT_BATCH_SIZE) -> It
     """Split a large dense batch into engine-sized batches."""
     dense = batch.compact()
     total = dense.row_count
+    if 0 < total <= batch_size:
+        yield dense
+        return
     for start in range(0, total, batch_size):
-        end = min(start + batch_size, total)
-        columns = {name: arr[start:end] for name, arr in dense.columns.items()}
-        null_masks = {
-            name: (mask[start:end] if mask is not None else None)
-            for name, mask in dense.null_masks.items()
-        }
-        locators = dense.locators[start:end] if dense.locators is not None else None
-        yield Batch(columns=columns, null_masks=null_masks, locators=locators)
+        yield dense.take(slice(start, min(start + batch_size, total)))

@@ -39,6 +39,12 @@ class BatchOperator(abc.ABC):
     def batches(self) -> Iterator[Batch]:
         """Produce the operator's output, one batch at a time."""
 
+    def declare_encoded(self, takes: dict[str, str] | None) -> None:
+        """The consumer says how it can take each output column still
+        encoded (column -> ``AS_*`` of :mod:`repro.exec.batch`, every
+        column named; ``None`` withdraws it). An operator that produces
+        no vectors ignores it: every column leaves as plain rows."""
+
     @property
     def op_stats(self) -> OperatorStats:
         """Runtime counters (filled while stats collection is on)."""

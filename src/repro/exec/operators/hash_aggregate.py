@@ -1,8 +1,12 @@
 """Batch-mode hash aggregation with spilling.
 
-Group keys are factorized to dense group ids per batch (vectorized for the
-single integer-key case), and aggregate accumulators are updated with
-``np.bincount`` / ``np.minimum.at`` style scatter operations.
+Group keys are grouped as dictionary codes, one way for every key: a key
+column that arrives as a vector (from a scan or a join that was told this
+operator takes it so) brings its codes, a plain one is coded here, batch
+by batch; the rows' code combinations are mapped to dense group ids, so
+only the distinct combinations of a batch ever become Python tuples.
+Aggregate accumulators are updated with ``np.add.at`` /
+``np.minimum.at`` style scatter operations.
 
 When the accumulated state exceeds the memory grant, the operator degrades
 to the paper's local/global pattern: each subsequent batch is aggregated
@@ -10,30 +14,29 @@ to the paper's local/global pattern: each subsequent batch is aggregated
 final pass merges partials per partition (benchmark E10). Partials are
 mergeable by construction: every aggregate is carried as (count, value).
 
-Input columns may arrive still encoded (``Batch.encoded``, from a
-columnstore scan that was told what this operator takes): group keys as
-dictionary codes are grouped in code space and only the surviving key
-combinations decoded; a scalar aggregate's argument is folded once per
-distinct value, weighted by the rows that carry it.
+A scalar aggregate's argument that arrives still encoded is folded once
+per distinct value, weighted by the rows that carry it.
 
 Supported: COUNT(*), COUNT(expr), SUM, MIN, MAX, AVG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 import numpy as np
 
 from ...errors import ExecutionError
 from ...observability import registry as metrics
+from ...storage.segment import DictionaryVector
 from ..batch import (
     AS_CODES,
     AS_EXACT_WEIGHTS,
     AS_ROWS,
     AS_WEIGHTS,
     DEFAULT_BATCH_SIZE,
+    MAX_KEY_CELLS,
     Batch,
     slice_into_batches,
 )
@@ -73,6 +76,11 @@ class AggregateStats:
     spilled: bool = False
     partials_spilled: int = 0
     spill_bytes: int = 0
+    # Group key -> how it arrived ("codes:scan", "codes:join", "coded
+    # here"; "a|b" when batches differed), and the batches counted.
+    keys: dict[str, str] = field(default_factory=dict)
+    keys_from_vectors: int = 0
+    keys_coded_locally: int = 0
 
 
 
@@ -327,16 +335,16 @@ class _GroupState:
     # ------------------------------------------------------------------ #
     # Output
     # ------------------------------------------------------------------ #
-    def _value_at(self, spec_index: int, gid: int) -> Any:
-        if not self.counts[spec_index][gid]:
-            return None
+    def _group_values(self, spec_index: int) -> list:
+        """Each group's combined value, None where no row contributed."""
+        n = self.n_groups
         store = self._values[spec_index]
         if store is None:
-            return None
+            return [None] * n
         kind, data = store
-        if kind == "obj":
-            return data[gid]
-        return data[gid].item()
+        values = data[:n] if kind == "obj" else data[:n].tolist()
+        counted = self.counts[spec_index][:n].tolist()
+        return [value if count else None for value, count in zip(values, counted)]
 
     def finalize(self) -> Batch:
         n = self.n_groups
@@ -344,16 +352,17 @@ class _GroupState:
         for position, name in enumerate(self.key_names):
             data[name] = [key[position] for key in self.key_rows]
         for spec_index, spec in enumerate(self.specs):
-            counts = self.counts[spec_index]
+            counts = self.counts[spec_index][:n]
             if spec.func in (COUNT_STAR, "count"):
-                data[spec.name] = counts[:n].tolist()
+                data[spec.name] = counts.tolist()
             elif spec.func == "avg":
+                # Divided by the NumPy count, as a float64 division.
                 data[spec.name] = [
-                    (value / counts[g]) if (value := self._value_at(spec_index, g)) is not None else None
-                    for g in range(n)
+                    None if value is None else value / count
+                    for value, count in zip(self._group_values(spec_index), counts)
                 ]
             else:
-                data[spec.name] = [self._value_at(spec_index, g) for g in range(n)]
+                data[spec.name] = self._group_values(spec_index)
         return Batch.from_pydict(data)
 
     def to_partial_batch(self) -> Batch:
@@ -365,12 +374,8 @@ class _GroupState:
         for spec_index, spec in enumerate(self.specs):
             data[f"__{spec.name}_count"] = self.counts[spec_index][:n].tolist()
             if spec.func not in (COUNT_STAR, "count"):
-                data[f"__{spec.name}_value"] = [
-                    self._value_at(spec_index, g) for g in range(n)
-                ]
+                data[f"__{spec.name}_value"] = self._group_values(spec_index)
         return Batch.from_pydict(data)
-
-
 
 
 class BatchHashAggregate(BatchOperator):
@@ -407,8 +412,8 @@ class BatchHashAggregate(BatchOperator):
 
     def takes_encoded(self) -> dict[str, str] | None:
         """Each child column this aggregate reads → the most encoded form
-        it can take it in (what a columnstore scan directly below is told),
-        or ``None`` when a key or argument is not a bare child column.
+        it can take it in (what its child is told, whatever operator that
+        is), or ``None`` when a key or argument is not a bare child column.
 
         Group keys are taken as codes — unless one is also an argument
         and so needed as rows anyway; keys travel together. A scalar
@@ -441,6 +446,14 @@ class BatchHashAggregate(BatchOperator):
     # Execution
     # ------------------------------------------------------------------ #
     def batches(self) -> Iterator[Batch]:
+        try:
+            yield from self._aggregate()
+        finally:
+            for name in ("keys_from_vectors", "keys_coded_locally"):
+                if count := getattr(self.stats, name):
+                    metrics.increment(f"exec.hash_aggregate.{name}", count)
+
+    def _aggregate(self) -> Iterator[Batch]:
         state = _GroupState(self.group_keys, self.aggregates)
         spills: list[SpillFile] | None = None
         reserved = 0
@@ -507,84 +520,80 @@ class BatchHashAggregate(BatchOperator):
         if not self.group_keys:
             state.update(batch, state.gid_of(()))
             return
-        active = batch.active_indices()
-        vectors = [batch.encoded.get(key) for key in self.group_keys]
-        if None in vectors:
-            gids = self._factorize(state, batch, active)
+        # Every key as a vector over the qualifying rows: the one handed
+        # in, or the plain column coded here.
+        active = batch.selection
+        vectors = []
+        for key in self.group_keys:
+            vector = batch.encoded.get(key)
+            if vector is None:
+                values, mask = batch.column(key), batch.null_mask(key)
+                if active is not None:
+                    values, mask = values[active], None if mask is None else mask[active]
+                vector = DictionaryVector.from_values(values, mask, source="here")
+            elif active is not None:
+                vector = vector.select(active)
+            vectors.append(vector)
+            self._note_arrival(key, vector.source)
+        state.update(batch, self._code_space_gids(state, vectors))
+
+    def _note_arrival(self, key: str, source: str) -> None:
+        stats = self.stats
+        if source == "here":
+            label = "coded here"
+            stats.keys_coded_locally += 1
         else:
-            gids = self._code_space_gids(state, vectors, active)
-        state.update(batch, gids)
+            label = f"codes:{source}"
+            stats.keys_from_vectors += 1
+        seen = stats.keys.get(key)
+        if seen is None:
+            stats.keys[key] = label
+        elif label not in seen.split("|"):
+            stats.keys[key] = f"{seen}|{label}"
 
-    def _code_space_gids(
-        self, state: _GroupState, vectors: list, active: np.ndarray
-    ) -> np.ndarray:
-        """GROUP BY on dictionary codes.
+    def _code_space_gids(self, state: _GroupState, vectors: list) -> np.ndarray:
+        """One group id per row from the rows' key codes.
 
-        Every key arrived as a row-addressable vector: surviving rows are
-        combined into one mixed-radix key per row (each key contributes
-        its code, with ``n_distinct`` reserved as the NULL slot),
-        factorized with ``np.unique``, and only the surviving
-        combinations are decoded to real group keys.
+        Each key contributes its code (``n_distinct`` is the NULL slot) to
+        one mixed-radix cell number per row. Cells map to group ids
+        through a table over the whole cell space when that is no larger
+        than the batch, over the ranks ``np.unique`` gives them otherwise.
+        Only the occupied cells — in order of first appearance, one row of
+        each decoded to its key values — reach the group directory.
         """
-        combined = np.zeros(active.size, dtype=np.int64)
+        n = vectors[0].row_count
+        cells, index = 1, np.zeros(n, dtype=np.int64)
         for vector in vectors:
-            codes = vector.codes[active]
+            codes, radix = vector.codes, vector.n_distinct + 1
             if vector.null_mask is not None:
-                codes = np.where(vector.null_mask[active], vector.n_distinct, codes)
-            combined = combined * (vector.n_distinct + 1) + codes
-        uniques, inverse = np.unique(combined, return_inverse=True)
-        n_combinations = int(uniques.size)
-        metrics.increment("storage.scan.agg_code_space_groups", n_combinations)
+                codes = np.where(vector.null_mask, vector.n_distinct, codes)
+            if cells * radix > MAX_KEY_CELLS:
+                # Re-rank what is combined so far: at most one cell a row.
+                ranks, index = np.unique(index, return_inverse=True)
+                cells = int(ranks.size)
+            index = index * radix + codes
+            cells *= radix
+        if cells > n:
+            ranks, index = np.unique(index, return_inverse=True)
+            cells = int(ranks.size)
+        first_row = np.full(cells, n, dtype=np.int64)
+        np.minimum.at(first_row, index, np.arange(n, dtype=np.int64))
+        occupied = np.flatnonzero(first_row < n)
+        occupied = occupied[np.argsort(first_row[occupied], kind="stable")]
+        if all(vector.source == "scan" for vector in vectors):
+            metrics.increment("storage.scan.agg_code_space_groups", int(occupied.size))
 
-        # Late decode: only the surviving key combinations become values.
-        per_key: list[list] = []
-        for vector in reversed(vectors):
-            uniques, code_arr = np.divmod(uniques, vector.n_distinct + 1)
-            null_slot = code_arr == vector.n_distinct
-            if vector.n_distinct == 0:
-                values = [None] * code_arr.size
-            else:
-                values = vector.distinct_values()[np.where(null_slot, 0, code_arr)]
-                values = [
-                    None if is_null else value
-                    for value, is_null in zip(values.tolist(), null_slot.tolist())
-                ]
+        # Late decode: one row per occupied cell becomes a key tuple.
+        per_key = []
+        for vector in vectors:
+            values, nulls = vector.take(first_row[occupied])
+            values = values.tolist()
+            if nulls is not None:
+                values = [None if null else v for v, null in zip(values, nulls.tolist())]
             per_key.append(values)
-        gid_map = np.fromiter(
-            (state.gid_of(key) for key in zip(*reversed(per_key))),
-            dtype=np.int64,
-            count=n_combinations,
-        )
-        return gid_map[inverse]
-
-    def _factorize(self, state: _GroupState, batch: Batch, active: np.ndarray) -> np.ndarray:
-        """Map each active row to its dense group id."""
-        key_arrays = [batch.column(k) for k in self.group_keys]
-        key_masks = [batch.null_mask(k) for k in self.group_keys]
-        single = (
-            len(key_arrays) == 1
-            and key_arrays[0].dtype != object
-            and key_masks[0] is None
-        )
-        if single:
-            values = key_arrays[0][active]
-            uniques, inverse = np.unique(values, return_inverse=True)
-            gid_map = np.array(
-                [state.gid_of((u.item(),)) for u in uniques], dtype=np.int64
-            )
-            return gid_map[inverse]
-        columns = []
-        for arr, mask in zip(key_arrays, key_masks):
-            lst = arr[active].tolist()
-            if mask is not None:
-                flags = mask[active].tolist()
-                lst = [None if flag else v for v, flag in zip(lst, flags)]
-            columns.append(lst)
-        return np.fromiter(
-            (state.gid_of(key) for key in zip(*columns)),
-            dtype=np.int64,
-            count=active.size,
-        )
+        gid_of_cell = np.empty(cells, dtype=np.int64)
+        gid_of_cell[occupied] = [state.gid_of(key) for key in zip(*per_key)]
+        return gid_of_cell[index]
 
     # ------------------------------------------------------------------ #
     # Spill helpers
@@ -598,15 +607,7 @@ class BatchHashAggregate(BatchOperator):
             idx = np.flatnonzero(parts == p)
             if idx.size == 0:
                 continue
-            spills[p].append(
-                Batch(
-                    columns={n: a[idx] for n, a in partial.columns.items()},
-                    null_masks={
-                        n: (m[idx] if m is not None else None)
-                        for n, m in partial.null_masks.items()
-                    },
-                )
-            )
+            spills[p].append(partial.take(idx))
 
     def _partial_rows(self, partial: Batch) -> tuple[list[tuple], dict[str, list]]:
         dense = partial.compact()

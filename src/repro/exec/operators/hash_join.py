@@ -11,20 +11,40 @@ Implements the paper's reworked hash join:
   files and partitions are joined one at a time (benchmark E10);
 * inner, left-outer (probe-preserving), semi and anti joins.
 
-Single integer-keyed joins (the star-schema common case) probe with a
-sort + binary-search strategy that is fully vectorized; composite or
-string keys fall back to a dictionary of key tuples.
+Single integer-keyed joins (the star-schema common case) locate each
+probe key's build rows without a Python loop: through an offset table
+when the build keys are dense in their [min, max], by binary search of
+the sorted keys otherwise. Composite or string keys fall back to a
+dictionary of key tuples.
+
+A join is also a producer and a carrier of encoded columns: a build-side
+column its consumer declared it takes ``AS_CODES`` is factorized once,
+over the build rows, and leaves each batch as ``codes[build_idx]`` over
+that dictionary; a vector arriving on the probe side is gathered still
+encoded. Where it can do neither — a spilled join, a join that
+null-extends the probe side, a vector nobody declared — the vector is
+decoded, and counted (``MorphReason.JOIN_CANNOT_CARRY``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from ...errors import ExecutionError
-from ..batch import DEFAULT_BATCH_SIZE, Batch, concat_batches
+from ...observability import registry as metrics
+from ...observability.registry import MorphReason
+from ...storage.segment import DictionaryVector
+from ..batch import (
+    AS_CODES,
+    AS_ROWS,
+    DEFAULT_BATCH_SIZE,
+    Batch,
+    concat_batches,
+)
 from ..bloom import JoinBitmapFilter
 from ..memory import MemoryGrant, batch_bytes
 from ..spill import SpillFile, partition_of
@@ -38,6 +58,10 @@ SEMI = "semi"
 ANTI = "anti"
 _JOIN_TYPES = {INNER, LEFT_OUTER, RIGHT_OUTER, FULL_OUTER, SEMI, ANTI}
 _SPILL_PARTITIONS = 8
+# A single integer key is located through an offset table when its domain
+# (max - min + 1) is at most this many times the build rows: the table
+# then costs no more than the build side it indexes.
+_OFFSETS_MAX_DOMAIN_PER_ROW = 8
 
 
 @dataclass
@@ -50,34 +74,71 @@ class JoinStats:
     build_rows_spilled: int = 0
     probe_rows_spilled: int = 0
     spill_bytes: int = 0
+    # How probe rows found their build rows (offsets | search | generic
+    # -> rows probed that way), and the largest build-key domain seen.
+    probe: Counter[str] = field(default_factory=Counter)
+    key_domain: int = 0
+    columns_emitted_encoded: int = 0
+    # MorphReason value -> vectors this join had to decode.
+    morph: Counter[str] = field(default_factory=Counter)
 
 
 class _HashTable:
-    """Build-side hash table over one or more key columns."""
+    """Build-side hash table over one or more key columns.
+
+    ``locate`` says how a probe key finds its build rows — a property of
+    the build input, not a setting: ``offsets`` / ``search`` for a single
+    integer key, ``generic`` (a dictionary of key tuples) for the rest.
+    All three answer in one shape: ``_order`` holds the build rows with
+    equal keys adjacent, in build order, and a probe row that hits owns a
+    range ``[start, start + count)`` of it. ``unique`` says no build key
+    repeats (a dimension's primary key): every count is then 1.
+    """
 
     def __init__(self, build: Batch, keys: list[str]) -> None:
         self.build = build
         self.keys = keys
         self.n_rows = build.row_count
         self._valid = self._non_null_rows()
-        first = build.column(keys[0]) if keys else np.zeros(0)
-        self._vectorized = (
-            len(keys) == 1
-            and first.dtype != object
-            and np.issubdtype(first.dtype, np.integer)
-        )
-        if self._vectorized:
-            key_values = build.column(keys[0]).astype(np.int64)
+        self.key_domain = 0
+        first = build.column(keys[0])
+        if len(keys) == 1 and np.issubdtype(first.dtype, np.integer):
             valid_idx = np.flatnonzero(self._valid)
-            order = valid_idx[np.argsort(key_values[valid_idx], kind="stable")]
-            self._sorted_keys = key_values[order]
-            self._order = order
+            key_values = first.astype(np.int64, copy=False)[valid_idx]
+            order = np.argsort(key_values, kind="stable")
+            sorted_keys = key_values[order]
+            self._order = valid_idx[order]
+            self.unique = not (sorted_keys[1:] == sorted_keys[:-1]).any()
+            if sorted_keys.size:
+                # Python ints: the extremes of int64 are one apart.
+                self._low, self._high = int(sorted_keys[0]), int(sorted_keys[-1])
+                self.key_domain = self._high - self._low + 1
+            if 0 < self.key_domain <= _OFFSETS_MAX_DOMAIN_PER_ROW * sorted_keys.size:
+                self.locate = "offsets"
+                self._starts = np.zeros(self.key_domain + 1, dtype=np.int64)
+                np.cumsum(
+                    np.bincount(sorted_keys - self._low, minlength=self.key_domain),
+                    out=self._starts[1:],
+                )
+            else:
+                self.locate = "search"
+                self._sorted_keys = sorted_keys
         else:
-            self._map: dict[tuple, list[int]] = {}
+            self.locate = "generic"
+            rows_of: dict[tuple, list[int]] = {}
             key_columns = [build.column(k) for k in keys]
             for i in np.flatnonzero(self._valid).tolist():
                 key = tuple(col[i] for col in key_columns)
-                self._map.setdefault(key, []).append(i)
+                rows_of.setdefault(key, []).append(i)
+            self._order = np.array(
+                [i for rows in rows_of.values() for i in rows], dtype=np.int64
+            )
+            self.unique = len(rows_of) == self._order.size
+            self._range_of: dict[tuple, tuple[int, int]] = {}
+            start = 0
+            for key, rows in rows_of.items():
+                self._range_of[key] = (start, len(rows))
+                start += len(rows)
 
     def _non_null_rows(self) -> np.ndarray:
         valid = np.ones(self.n_rows, dtype=bool)
@@ -92,54 +153,64 @@ class _HashTable:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Match probe rows: returns (probe_indices, build_indices), one
         entry per matching pair; probe indices are non-decreasing."""
+        return self.pairs(*self.ranges(probe, probe_keys))
+
+    def ranges(
+        self, probe: Batch, probe_keys: list[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Locate, without fanning out: the probe rows that match
+        (ascending), and each one's ``start`` and ``count`` in ``_order``."""
         valid = np.ones(probe.row_count, dtype=bool)
         for key in probe_keys:
             mask = probe.null_mask(key)
             if mask is not None:
                 valid &= ~mask
-        if self._vectorized:
-            return self._probe_vectorized(probe, probe_keys[0], valid)
-        return self._probe_generic(probe, probe_keys, valid)
+        if self.locate == "generic":
+            return self._ranges_generic(probe, probe_keys, valid)
+        return self._ranges_vectorized(probe, probe_keys[0], valid)
 
-    def _probe_vectorized(
-        self, probe: Batch, key: str, valid: np.ndarray
+    def pairs(
+        self, rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        values = probe.column(key).astype(np.int64)
+        """Fan located probe rows out to (probe_index, build_index) pairs."""
+        if self.unique:
+            return rows, self._order[starts]
+        total = int(counts.sum())
+        # Flatten [start, start+count) ranges without a Python loop.
+        run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
+        flat = np.repeat(starts, counts) + (np.arange(total) - run_offsets)
+        return np.repeat(rows, counts), self._order[flat]
+
+    def _ranges_vectorized(
+        self, probe: Batch, key: str, valid: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         candidates = np.flatnonzero(valid)
-        probe_vals = values[candidates]
-        left = np.searchsorted(self._sorted_keys, probe_vals, side="left")
-        right = np.searchsorted(self._sorted_keys, probe_vals, side="right")
+        probe_vals = probe.column(key).astype(np.int64, copy=False)[candidates]
+        if self.locate == "offsets":
+            # Range-check first: subtracting the minimum from a key far
+            # outside the domain could wrap around int64 into it.
+            inside = (probe_vals >= self._low) & (probe_vals <= self._high)
+            candidates = candidates[inside]
+            slots = probe_vals[inside] - self._low
+            left, right = self._starts[slots], self._starts[slots + 1]
+        else:
+            left = np.searchsorted(self._sorted_keys, probe_vals, side="left")
+            right = np.searchsorted(self._sorted_keys, probe_vals, side="right")
         counts = right - left
         hit = counts > 0
-        starts = left[hit]
-        cnts = counts[hit]
-        total = int(cnts.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        # Flatten [start, start+cnt) ranges without a Python loop.
-        run_offsets = np.repeat(np.cumsum(cnts) - cnts, cnts)
-        flat = np.repeat(starts, cnts) + (np.arange(total) - run_offsets)
-        build_indices = self._order[flat]
-        probe_indices = np.repeat(candidates[hit], cnts)
-        return probe_indices.astype(np.int64), build_indices.astype(np.int64)
+        return candidates[hit], left[hit], counts[hit]
 
-    def _probe_generic(
+    def _ranges_generic(
         self, probe: Batch, probe_keys: list[str], valid: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key_columns = [probe.column(k) for k in probe_keys]
-        probe_out: list[int] = []
-        build_out: list[int] = []
+        found: list[tuple[int, int, int]] = []
         for i in np.flatnonzero(valid).tolist():
-            key = tuple(col[i] for col in key_columns)
-            matches = self._map.get(key)
-            if matches:
-                probe_out.extend([i] * len(matches))
-                build_out.extend(matches)
-        return (
-            np.array(probe_out, dtype=np.int64),
-            np.array(build_out, dtype=np.int64),
-        )
+            located = self._range_of.get(tuple(col[i] for col in key_columns))
+            if located:
+                found.append((i, *located))
+        rows, starts, counts = np.array(found, dtype=np.int64).reshape(-1, 3).T
+        return rows, starts, counts
 
 
 class BatchHashJoin(BatchOperator):
@@ -177,12 +248,36 @@ class BatchHashJoin(BatchOperator):
         self.batch_size = batch_size
         self.stats = JoinStats()
         self.bitmap: JoinBitmapFilter | None = None
+        self._emits: set[str] = set()  # build columns that leave as vectors
+        self._carries: set[str] = set()  # probe columns that may arrive as vectors
 
     @property
     def output_names(self) -> list[str]:
         if self.join_type in (SEMI, ANTI):
             return self.probe_child.output_names
         return self.probe_child.output_names + self.build_child.output_names
+
+    def declare_encoded(self, takes: dict[str, str] | None) -> None:
+        """Of what the consumer takes as codes, the build-side columns are
+        produced here; the probe-side ones can only come from another join
+        below, which is told so, every one of its columns named (the rest
+        are gathered, so taken as rows). A join that null-extends the
+        probe side keeps both sides plain."""
+        as_codes = {name for name, how in (takes or {}).items() if how == AS_CODES}
+        self._emits, self._carries = set(), set()
+        if self.join_type in (INNER, LEFT_OUTER):
+            self._emits = as_codes.intersection(self.build_child.output_names)
+        lower = self.probe_child
+        if not isinstance(lower, BatchHashJoin):
+            return
+        if self.join_type not in (RIGHT_OUTER, FULL_OUTER):
+            # Its own probe keys it reads, so takes as rows.
+            self._carries = as_codes.intersection(lower.output_names).difference(self.probe_keys)
+        lower.declare_encoded(
+            {name: AS_CODES if name in self._carries else AS_ROWS for name in lower.output_names}
+            if self._carries
+            else None
+        )
 
     def describe(self) -> str:
         return (
@@ -197,25 +292,67 @@ class BatchHashJoin(BatchOperator):
     # Execution
     # ------------------------------------------------------------------ #
     def batches(self) -> Iterator[Batch]:
-        build_batches, build_spills = self._consume_build()
-        if build_spills is None:
+        try:
+            build_batches, build_spills = self._consume_build()
+            if build_spills is not None:
+                yield from self._spilled_join(build_spills)
+                return
             build = concat_batches(build_batches)
             if build is None:
                 build = _empty_like(self.build_child)
             self.stats.build_rows = build.row_count
             self._make_bitmap(build)
             table = _HashTable(build, self.build_keys)
+            # Factorized once per join, over the build rows; each output
+            # batch then gathers codes, not values.
+            vectors = {
+                name: DictionaryVector.from_values(
+                    build.columns[name], build.null_masks[name], source="join"
+                )
+                for name in build.names
+                if name in self._emits
+            }
+            self.stats.columns_emitted_encoded = len(vectors)
             build_matched = np.zeros(build.row_count, dtype=bool)
             probe_dtypes: dict[str, np.dtype] = {}
             for probe_batch in self.probe_child.batches():
-                dense = probe_batch.compact()
+                dense = self._plain_except(probe_batch.compact(), self._carries)
                 probe_dtypes = {n: a.dtype for n, a in dense.columns.items()}
                 self.stats.probe_rows += dense.row_count
-                yield from self._join_one(table, build, dense, build_matched)
+                yield from self._join_one(table, build, dense, build_matched, vectors)
             if self.join_type in (RIGHT_OUTER, FULL_OUTER):
                 yield from self._emit_unmatched_build(build, build_matched, probe_dtypes)
-        else:
-            yield from self._spilled_join(build_spills)
+        finally:
+            self._report_to_registry()
+
+    def _report_to_registry(self) -> None:
+        stats = self.stats
+        for name, value in (
+            ("offset_probes", stats.probe["offsets"]),
+            ("search_probes", stats.probe["search"]),
+            ("columns_emitted_encoded", stats.columns_emitted_encoded),
+        ):
+            if value:
+                metrics.increment(f"exec.hash_join.{name}", value)
+        for reason, count in stats.morph.items():
+            metrics.increment(MorphReason(reason).counter, count)
+
+    def _plain_except(self, batch: Batch, carried: set[str]) -> Batch:
+        """The join's morph point: every vector of ``batch`` it cannot
+        carry through (not in ``carried``) is decoded, and counted."""
+        stray = [name for name in batch.encoded if name not in carried]
+        if not stray:
+            return batch
+        columns, null_masks = dict(batch.columns), dict(batch.null_masks)
+        for name in stray:
+            columns[name], null_masks[name] = batch.encoded[name].decode()
+        self.stats.morph[MorphReason.JOIN_CANNOT_CARRY.value] += len(stray)
+        return Batch(
+            columns=columns,
+            null_masks=null_masks,
+            selection=batch.selection,
+            encoded={n: v for n, v in batch.encoded.items() if n in carried},
+        )
 
     # ------------------------------------------------------------------ #
     # Build phase
@@ -256,15 +393,7 @@ class BatchHashJoin(BatchOperator):
             idx = np.flatnonzero(parts == p)
             if idx.size == 0:
                 continue
-            spills[p].append(
-                Batch(
-                    columns={n: a[idx] for n, a in dense.columns.items()},
-                    null_masks={
-                        n: (m[idx] if m is not None else None)
-                        for n, m in dense.null_masks.items()
-                    },
-                )
-            )
+            spills[p].append(dense.take(idx))
 
     def _make_bitmap(self, build: Batch) -> None:
         if not self.create_bitmap:
@@ -289,75 +418,65 @@ class BatchHashJoin(BatchOperator):
         table: _HashTable,
         build: Batch,
         dense: Batch,
-        build_matched: np.ndarray | None = None,
+        build_matched: np.ndarray,
+        vectors: dict[str, DictionaryVector],
     ) -> Iterator[Batch]:
-        probe_idx, build_idx = table.probe(dense, self.probe_keys)
-        if build_matched is not None and build_idx.size:
-            build_matched[build_idx] = True
-        if self.join_type in (INNER, RIGHT_OUTER):
-            yield from self._emit_inner(build, dense, probe_idx, build_idx)
-        elif self.join_type in (LEFT_OUTER, FULL_OUTER):
-            yield from self._emit_left(build, dense, probe_idx, build_idx)
-        else:
-            matched = np.zeros(dense.row_count, dtype=bool)
-            matched[probe_idx] = True
-            wanted = matched if self.join_type == SEMI else ~matched
-            idx = np.flatnonzero(wanted)
+        rows, starts, counts = table.ranges(dense, self.probe_keys)
+        self.stats.probe[table.locate] += dense.row_count
+        self.stats.key_domain = max(self.stats.key_domain, table.key_domain)
+        if self.join_type in (SEMI, ANTI):
+            matched = _hit_mask(dense.row_count, rows)
+            idx = np.flatnonzero(matched if self.join_type == SEMI else ~matched)
             if idx.size:
-                out = Batch(
-                    columns={n: a[idx] for n, a in dense.columns.items()},
-                    null_masks={
-                        n: (m[idx] if m is not None else None)
-                        for n, m in dense.null_masks.items()
-                    },
-                )
-                self.stats.output_rows += out.row_count
-                yield out
-
-    def _emit_inner(self, build, dense, probe_idx, build_idx) -> Iterator[Batch]:
-        if probe_idx.size == 0:
+                self.stats.output_rows += int(idx.size)
+                yield _without_locators(dense.take(idx))
             return
-        columns = {n: a[probe_idx] for n, a in dense.columns.items()}
-        null_masks = {
-            n: (m[probe_idx] if m is not None else None)
-            for n, m in dense.null_masks.items()
-        }
-        for name in build.names:
-            columns[name] = build.columns[name][build_idx]
-            mask = build.null_masks.get(name)
-            null_masks[name] = mask[build_idx] if mask is not None else None
-        out = Batch(columns=columns, null_masks=null_masks)
-        self.stats.output_rows += out.row_count
-        yield out
+        # Duplicate build keys fan a probe row out: the located rows are
+        # emitted in pieces of at most a batch of pairs (so the statement
+        # stays cancellable and memory bounded however large the product).
+        for lo, hi in _pieces(counts, self.batch_size):
+            probe_idx, build_idx = table.pairs(rows[lo:hi], starts[lo:hi], counts[lo:hi])
+            build_matched[build_idx] = True
+            pad = 0
+            if self.join_type in (LEFT_OUTER, FULL_OUTER) and hi == rows.size:
+                # The probe rows nothing matched ride on the last piece,
+                # after its pairs, with the build side NULL.
+                unmatched = np.flatnonzero(~_hit_mask(dense.row_count, rows))
+                pad = int(unmatched.size)
+                probe_idx = np.concatenate([probe_idx, unmatched])
+            if probe_idx.size:
+                yield self._emit(build, dense, probe_idx, build_idx, pad, vectors)
 
-    def _emit_left(self, build, dense, probe_idx, build_idx) -> Iterator[Batch]:
-        n = dense.row_count
-        matched = np.zeros(n, dtype=bool)
-        matched[probe_idx] = True
-        unmatched = np.flatnonzero(~matched)
-        # Matched pairs + null-extended unmatched rows, in one output.
-        all_probe = np.concatenate([probe_idx, unmatched])
-        columns = {n2: a[all_probe] for n2, a in dense.columns.items()}
-        null_masks = {
-            n2: (m[all_probe] if m is not None else None)
-            for n2, m in dense.null_masks.items()
-        }
-        pad = unmatched.size
+    def _emit(
+        self,
+        build: Batch,
+        dense: Batch,
+        probe_idx: np.ndarray,
+        build_idx: np.ndarray,
+        pad: int,
+        vectors: dict[str, DictionaryVector],
+    ) -> Batch:
+        """Probe rows at ``probe_idx`` beside build rows at ``build_idx``;
+        the last ``pad`` probe rows have no build row and get NULLs."""
+        out = _without_locators(dense.take(probe_idx))
         for name in build.names:
-            arr = build.columns[name]
-            mask = build.null_masks.get(name)
-            matched_vals = arr[build_idx]
-            pad_vals = _null_fill(arr.dtype, pad)
-            columns[name] = np.concatenate([matched_vals, pad_vals])
-            matched_mask = (
-                mask[build_idx] if mask is not None else np.zeros(probe_idx.size, dtype=bool)
+            if name in vectors:
+                picked = vectors[name].select(build_idx)
+                if pad:
+                    codes, nulls = _null_extend(picked.codes, picked.null_mask, pad)
+                    picked = DictionaryVector.of(
+                        codes, picked.distinct_values(), nulls, picked.source
+                    )
+                out.encoded[name] = picked
+                continue
+            mask = build.null_masks[name]
+            out.columns[name], out.null_masks[name] = _null_extend(
+                build.columns[name][build_idx],
+                mask[build_idx] if mask is not None else None,
+                pad,
             )
-            null_masks[name] = np.concatenate([matched_mask, np.ones(pad, dtype=bool)])
-        if all_probe.size == 0:
-            return
-        out = Batch(columns=columns, null_masks=null_masks)
         self.stats.output_rows += out.row_count
-        yield out
+        return out
 
     def _emit_unmatched_build(
         self,
@@ -391,7 +510,8 @@ class BatchHashJoin(BatchOperator):
     def _spilled_join(self, build_spills: list[SpillFile]) -> Iterator[Batch]:
         probe_spills = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
         for batch in self.probe_child.batches():
-            dense = batch.compact()
+            # Spill files hold plain columns.
+            dense = self._plain_except(batch.compact(), set())
             self.stats.probe_rows += dense.row_count
             self._spill_batch(dense, self.probe_keys, probe_spills)
         self.stats.probe_rows_spilled = sum(s.rows for s in probe_spills)
@@ -411,7 +531,7 @@ class BatchHashJoin(BatchOperator):
                     partition_dtypes = {
                         n: a.dtype for n, a in probe_batch.columns.items()
                     }
-                    yield from self._join_one(table, build, probe_batch, build_matched)
+                    yield from self._join_one(table, build, probe_batch, build_matched, {})
                 if self.join_type in (RIGHT_OUTER, FULL_OUTER):
                     yield from self._emit_unmatched_build(
                         build, build_matched, partition_dtypes
@@ -419,6 +539,28 @@ class BatchHashJoin(BatchOperator):
         finally:
             for spill in build_spills + probe_spills:
                 spill.close()
+
+
+def _pieces(counts: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """Cut located probe rows (``counts`` matches each) into consecutive
+    ``[lo, hi)`` pieces of at most ``limit`` matches; a single row with
+    more than that is a piece of its own. One piece, possibly empty, when
+    everything fits — the case of every unique-key build."""
+    ends = np.cumsum(counts)
+    if not ends.size or ends[-1] <= limit:
+        yield 0, int(ends.size)
+        return
+    lo, emitted = 0, 0
+    while lo < ends.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, emitted + limit, side="right")))
+        yield lo, hi
+        lo, emitted = hi, int(ends[hi - 1])
+
+
+def _hit_mask(row_count: int, rows: np.ndarray) -> np.ndarray:
+    mask = np.zeros(row_count, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
 def _composite_key(batch: Batch, keys: list[str]) -> np.ndarray:
@@ -429,6 +571,26 @@ def _composite_key(batch: Batch, keys: list[str]) -> np.ndarray:
     out = np.empty(batch.row_count, dtype=object)
     out[:] = list(zip(*(c.tolist() for c in columns)))
     return out
+
+
+def _without_locators(batch: Batch) -> Batch:
+    """Row addresses do not survive a join."""
+    batch.locators = None
+    return batch
+
+
+def _null_extend(
+    values: np.ndarray, mask: np.ndarray | None, pad: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(values, mask)`` with ``pad`` NULL rows appended."""
+    if not pad:
+        return values, mask
+    if mask is None:
+        mask = np.zeros(values.size, dtype=bool)
+    return (
+        np.concatenate([values, _null_fill(values.dtype, pad)]),
+        np.concatenate([mask, np.ones(pad, dtype=bool)]),
+    )
 
 
 def _null_fill(dtype: np.dtype, count: int) -> np.ndarray:

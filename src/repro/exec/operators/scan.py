@@ -39,6 +39,7 @@ from ..batch import (
     AS_EXACT_WEIGHTS,
     AS_ROWS,
     DEFAULT_BATCH_SIZE,
+    MAX_KEY_CELLS,
     Batch,
     slice_into_batches,
 )
@@ -51,10 +52,6 @@ from ..predicates import (
     split_conjuncts,
 )
 from .base import BatchOperator
-
-# Mixed-radix group-key combination must stay inside int64; beyond this
-# many key-combination cells the keys are decoded instead.
-_MAX_KEY_CELLS = 2**62
 
 
 @dataclass
@@ -73,7 +70,7 @@ class ScanStats:
     columns_decoded: int = 0
     agg_runs_processed: int = 0
     # Units whose group keys reached an encoded-input aggregate as plain
-    # rows (delta units included), so it factorized them row by row.
+    # rows (delta units included), so it coded them itself.
     agg_fallbacks: int = 0
     # Values that became plain with columns_decoded: a unit's rows for a
     # column decoded in full, its survivors for one decoded at positions.
@@ -112,9 +109,9 @@ class ColumnStoreScan(BatchOperator):
         self.include_locators = include_locators
         self.encoded_eval = encoded_eval
         self.segment_elimination = segment_elimination
-        # Set by the planner on a scan directly under an aggregate with
-        # bare-column inputs: each column that consumer reads -> how it
-        # can take it (AS_*). None: every column leaves as plain rows.
+        # What the consumer declared (declare_encoded): each column it
+        # reads -> how it can take it (AS_*), every output column named.
+        # None: every column leaves as plain rows.
         self.takes_encoded: dict[str, str] | None = None
         self.stats = ScanStats()
         self._reported: dict[str, int] = {}
@@ -127,6 +124,9 @@ class ColumnStoreScan(BatchOperator):
     @property
     def output_names(self) -> list[str]:
         return list(self.columns)
+
+    def declare_encoded(self, takes: dict[str, str] | None) -> None:
+        self.takes_encoded = takes
 
     def describe(self) -> str:
         parts = [f"ColumnStoreScan(cols={self.columns}"]
@@ -298,8 +298,9 @@ class ColumnStoreScan(BatchOperator):
         """How each declared column leaves this unit: as its vector, or
         decoded for the reason given.
 
-        Group keys stay in code space together or not at all (one plain
-        key forces per-row factorization anyway); every other column is
+        Group keys stay in code space together or not at all (what
+        ``agg_fallbacks`` has always counted, though the aggregate now
+        codes a plain key beside handed-in ones); every other column is
         decided on its own.
         """
 
@@ -316,7 +317,7 @@ class ColumnStoreScan(BatchOperator):
                 key_reason = why_no_vector(name, MorphReason.KEY_NOT_DICTIONARY)
                 break
             key_cells *= vector.n_distinct + 1  # +1 for the NULL slot
-            if key_cells > _MAX_KEY_CELLS:
+            if key_cells > MAX_KEY_CELLS:  # the keys are decoded instead
                 key_reason = MorphReason.KEY_SPACE_OVERFLOW
                 break
         if key_reason is not None:

@@ -64,27 +64,15 @@ def _sort_indices(batch: Batch, keys: list[tuple[str, bool]]) -> np.ndarray:
             indices = indices[np.array(order, dtype=np.int64)]
         else:
             arr = values[indices]
-            order = np.argsort(arr, kind="stable")
             if descending:
-                order = order[::-1]
-                # argsort is ascending-stable; reversing breaks stability on
-                # equal keys, so re-stabilize by reversing equal runs.
-                order = _stabilize_descending(arr, order)
+                # Stable descending = the stable ascending order of the
+                # reversed input, read backwards: equal keys come out in
+                # their original order.
+                order = (n - 1 - np.argsort(arr[::-1], kind="stable"))[::-1]
+            else:
+                order = np.argsort(arr, kind="stable")
             indices = indices[order]
     return indices
-
-
-def _stabilize_descending(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Make a reversed ascending argsort stable for descending order."""
-    sorted_vals = values[order]
-    result = order.copy()
-    start = 0
-    n = order.size
-    for end in range(1, n + 1):
-        if end == n or sorted_vals[end] != sorted_vals[start]:
-            result[start:end] = result[start:end][::-1]
-            start = end
-    return result
 
 
 @dataclass
@@ -182,14 +170,7 @@ class BatchSort(BatchOperator):
                 run.close()
 
     def _sorted(self, merged: Batch) -> Batch:
-        indices = _sort_indices(merged, self.keys)
-        return Batch(
-            columns={n: a[indices] for n, a in merged.columns.items()},
-            null_masks={
-                n: (m[indices] if m is not None else None)
-                for n, m in merged.null_masks.items()
-            },
-        )
+        return merged.take(_sort_indices(merged, self.keys))
 
     def _spill_run(self, buffered: list[Batch], runs: list[SpillFile]) -> None:
         merged = concat_batches(buffered)
@@ -239,7 +220,8 @@ class BatchSort(BatchOperator):
 
 
 class BatchTop(BatchOperator):
-    """TOP-N with optional ordering, implemented with a bounded heap.
+    """TOP-N with optional ordering: the best N rows so far are kept as a
+    batch and re-ranked together with each incoming batch.
 
     Without keys it is a plain LIMIT (first N rows in stream order).
     """
@@ -272,55 +254,30 @@ class BatchTop(BatchOperator):
         if not self.keys:
             yield from self._plain_limit()
             return
-        yield from self._heap_top()
+        # ``_sort_indices`` is the one definition of NULLS-last and of tie
+        # order; the kept rows go first, so on equal keys the earliest
+        # row still wins.
+        best: list[Batch] = []
+        for batch in self.child.batches():
+            merged = concat_batches([*best, batch])
+            if merged is not None:
+                best = [merged.take(_sort_indices(merged, self.keys)[: self.limit])]
+        yield from best
 
     def _plain_limit(self) -> Iterator[Batch]:
         remaining = self.limit
         for batch in self.child.batches():
             dense = batch.compact()
-            if dense.row_count <= remaining:
-                remaining -= dense.row_count
-                yield dense
-            else:
-                yield Batch(
-                    columns={n: a[:remaining] for n, a in dense.columns.items()},
-                    null_masks={
-                        n: (m[:remaining] if m is not None else None)
-                        for n, m in dense.null_masks.items()
-                    },
-                )
-                remaining = 0
+            if dense.row_count > remaining:
+                dense = dense.take(slice(0, remaining))
+            remaining -= dense.row_count
+            yield dense
             if remaining == 0:
                 return
 
-    def _heap_top(self) -> Iterator[Batch]:
-        # A max-heap (via inverted keys) keeps the best N rows seen so far;
-        # -sequence breaks ties so that on equal keys the earliest row wins.
-        names = self.output_names
-        heap: list[tuple["_Inverted", int, tuple[Any, ...]]] = []
-        sequence = 0
-        for batch in self.child.batches():
-            for row in batch.to_rows():
-                row_map = dict(zip(names, row))
-                key = tuple(
-                    _heap_component(row_map[name], descending)
-                    for name, descending in self.keys
-                )
-                entry = (_Inverted(key), -sequence, row)
-                sequence += 1
-                if len(heap) < self.limit:
-                    heapq.heappush(heap, entry)
-                else:
-                    heapq.heappushpop(heap, entry)
-        ordered = sorted(heap, key=lambda e: (_Inverted(e[0].key), e[1]), reverse=True)
-        rows = [row for _, _, row in ordered]
-        if not rows:
-            return
-        data = {name: [row[i] for row in rows] for i, name in enumerate(names)}
-        yield Batch.from_pydict(data)
-
 
 def _heap_component(value: Any, descending: bool) -> Any:
+    """One sort-key component for the external merge (``heapq.merge``)."""
     wrapped = _NullsLast(value)
     return _Descending(wrapped) if descending else wrapped
 
@@ -340,29 +297,3 @@ class _Descending:
         if not isinstance(other, _Descending):
             return NotImplemented
         return self.inner == other.inner
-
-
-class _Inverted:
-    """Heap adapter: reverses the tuple comparison (max-heap via heapq)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Inverted") -> bool:
-        return _tuple_less(other.key, self.key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Inverted):
-            return NotImplemented
-        return not _tuple_less(self.key, other.key) and not _tuple_less(other.key, self.key)
-
-
-def _tuple_less(a: tuple, b: tuple) -> bool:
-    for x, y in zip(a, b):
-        if x < y:
-            return True
-        if y < x:
-            return False
-    return len(a) < len(b)

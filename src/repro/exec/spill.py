@@ -54,6 +54,8 @@ class SpillFile:
         if self._closed:
             raise ExecutionError("spill file is closed")
         dense = batch.compact()
+        if dense.encoded:
+            raise ExecutionError("spill files hold plain columns: decode vectors first")
         if dense.row_count == 0:
             return
         payload = pickle.dumps(

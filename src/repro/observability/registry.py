@@ -28,9 +28,10 @@ from dataclasses import dataclass
 class MorphReason(enum.Enum):
     """Why a column (or a whole scan unit) left encoded space.
 
-    Compressed execution keeps a column encoded until one explicit
-    *morph point* — ``ColumnStoreScan._decode`` — turns it into plain
-    rows, and every morph names its reason from this closed set. Each
+    Compressed execution keeps a column encoded until an explicit
+    *morph point* — ``ColumnStoreScan._decode``, or for a vector handed
+    to a hash join its ``_plain_except`` — turns it into plain rows, and
+    every morph names its reason from this closed set. Each
     event bumps ``storage.scan.morph.<value>``; ``EXPLAIN ANALYZE`` shows
     the non-zero ones on the scan's line. The entries below are the
     fallback matrix (DESIGN.md "Compressed execution" renders them, and
@@ -47,7 +48,7 @@ class MorphReason(enum.Enum):
     ``key_not_dictionary``
         Group key whose segment has no row-addressable code stream
         (run-encoded, bit-packed or raw): every key of the unit is
-        decoded and the aggregate factorizes per row.
+        decoded and the aggregate codes them itself.
     ``key_space_overflow``
         The keys' combined code space (product of dictionary sizes + 1
         NULL slot each) exceeds 2^62 cells, past what one int64
@@ -71,6 +72,12 @@ class MorphReason(enum.Enum):
         The consumer takes the column as plain rows: every column of a
         scan with no encoded-input consumer, and grouped aggregate
         arguments (each row updates its own group).
+    ``join_cannot_carry``
+        Raised by a hash join, not the scan: a vector reached a join that
+        cannot gather it still encoded — it spilled (spill files hold
+        plain columns), it null-extends the probe side (RIGHT/FULL), or
+        its own consumer never declared the column — so the join decoded
+        it (one event per vector per batch).
     """
 
     DELTA_UNIT = "delta_unit"
@@ -82,6 +89,7 @@ class MorphReason(enum.Enum):
     NO_VECTOR = "no_vector"
     RESIDUAL_PREDICATE = "residual_predicate"
     OUTPUT = "output"
+    JOIN_CANNOT_CARRY = "join_cannot_carry"
 
     @property
     def counter(self) -> str:
@@ -142,6 +150,11 @@ STABLE_COUNTERS = (
     "exec.spill.batches",
     "exec.spill.rows",
     "exec.spill.bytes_written",
+    "exec.hash_join.offset_probes",
+    "exec.hash_join.search_probes",
+    "exec.hash_join.columns_emitted_encoded",
+    "exec.hash_aggregate.keys_from_vectors",
+    "exec.hash_aggregate.keys_coded_locally",
     "concurrency.sessions",
     "concurrency.read_waits",
     "concurrency.write_waits",

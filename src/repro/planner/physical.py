@@ -267,11 +267,12 @@ class PhysicalBuilder:
                 grant=self._new_grant(),
                 batch_size=self.batch_size,
             )
-            # An aggregate sitting directly on a columnstore scan tells it
-            # which columns it can take still encoded (code-space keys,
-            # weighted runs); the scan decides per unit and per column.
-            if self.enable_encoded_agg and isinstance(child.op, ColumnStoreScan):
-                child.op.takes_encoded = op.takes_encoded()
+            # The aggregate tells its child which columns it can take
+            # still encoded (code-space keys, weighted runs). A scan
+            # decides per unit and per column, a join produces and
+            # passes on what it can, any other operator ignores it.
+            if self.enable_encoded_agg:
+                child.op.declare_encoded(op.takes_encoded())
             return PhysResult(BATCH, op)
         return PhysResult(ROW, RowHashAggregate(child.op, node.group_keys, node.aggregates))
 

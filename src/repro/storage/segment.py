@@ -247,31 +247,101 @@ class EncodedVector:
         raise NotImplementedError
 
 
-class DictionaryVector(EncodedVector):
-    row_addressable = True
+class _ValueCoder(dict):
+    """value → dictionary code, in order of first appearance. Looked up
+    through a C-level ``map``; only a value not seen before reaches
+    Python, where it is given the next code."""
 
-    @property
-    def n_distinct(self) -> int:
-        return len(self._segment.dictionary)
+    def __missing__(self, value: Any) -> int:
+        code = self[value] = len(self)
+        return code
+
+
+class DictionaryVector(EncodedVector):
+    """codes ∘ dictionary — over a dictionary segment, read lazily, or
+    over plain arrays an operator built (:meth:`of`, :meth:`from_values`).
+    ``source`` names who made it, for EXPLAIN ANALYZE."""
+
+    row_addressable = True
+    n_distinct = 0  # set per instance: known without reading any payload
+    source = "scan"
+
+    def __init__(self, segment: ColumnSegment) -> None:
+        super().__init__(segment)
+        self.n_distinct = len(segment.dictionary)
+
+    @classmethod
+    def of(
+        cls,
+        codes: np.ndarray,
+        distinct: np.ndarray,
+        null_mask: np.ndarray | None = None,
+        source: str = "scan",
+    ) -> "DictionaryVector":
+        """Row ``i`` holds ``distinct[codes[i]]``, or NULL under the mask
+        (the code there is filler)."""
+        vector = cls.__new__(cls)
+        vector._segment = None
+        vector.row_count = int(codes.size)
+        vector.numpy_dtype = distinct.dtype
+        vector.n_distinct = int(distinct.size)
+        # The lazy attributes, filled in up front.
+        vector.codes, vector._distinct, vector.null_mask = codes, distinct, null_mask
+        vector.source = source
+        return vector
+
+    @classmethod
+    def from_values(
+        cls,
+        values: np.ndarray,
+        null_mask: np.ndarray | None = None,
+        source: str = "scan",
+    ) -> "DictionaryVector":
+        """Code a plain column. Numbers are ranked by ``np.unique``;
+        objects are coded in order of first appearance. A NULL row's
+        filler may get an entry no row uses."""
+        if values.dtype != object:
+            distinct, codes = np.unique(values, return_inverse=True)
+            return cls.of(codes, distinct, null_mask, source)
+        coder = _ValueCoder()
+        codes = np.fromiter(
+            map(coder.__getitem__, values.tolist()), dtype=np.int64, count=values.size
+        )
+        distinct = np.empty(len(coder), dtype=object)
+        distinct[:] = list(coder)
+        return cls.of(codes, distinct, null_mask, source)
 
     @cached_property
     def codes(self) -> np.ndarray:
         return self._segment.stream.decode().astype(np.int64)
 
-    def distinct_values(self) -> np.ndarray:
+    @cached_property
+    def _distinct(self) -> np.ndarray:
         is_string = self._segment.dtype.kind is TypeKind.VARCHAR
         return np.array(
             self._segment.dictionary.values,
             dtype=object if is_string else self.numpy_dtype,
         )
 
+    def distinct_values(self) -> np.ndarray:
+        return self._distinct
+
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
         return self._lookup(per_distinct, self.codes)
 
+    def select(self, positions: np.ndarray) -> "DictionaryVector":
+        """The rows at ``positions``, still encoded (what ``take`` is to
+        values): a segment's code stream is read at those rows alone."""
+        if "codes" in self.__dict__:
+            codes = self.codes[positions]
+            nulls = None if self.null_mask is None else self.null_mask[positions]
+        else:
+            codes = self._segment.stream.take(positions).astype(np.int64)
+            nulls = self._segment.null_mask(positions)
+        return DictionaryVector.of(codes, self._distinct, nulls, self.source)
+
     def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        codes = self._segment.stream.take(positions).astype(np.int64)
-        values = self._lookup(self.distinct_values(), codes)
-        return values, self._segment.null_mask(positions)
+        return self.select(positions).decode()
 
     @staticmethod
     def _lookup(per_distinct: np.ndarray, codes: np.ndarray) -> np.ndarray:

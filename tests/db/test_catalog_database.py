@@ -243,6 +243,20 @@ class TestScanDecodesOnlySurvivors:
             self.GROUP_ROWS * delta["storage.scan.columns_decoded"]
         )
 
+    def test_decode_work_is_set_by_the_unit_not_the_batch(self, db):
+        """A LIMIT stops pulling after its first batch, and a batch is now
+        larger than these row groups; what is decoded was always a unit's
+        survivors, so neither a short LIMIT nor a range fetch decodes more
+        than before: one unit, its predicate column in full."""
+        rows, delta = self._run(db, "SELECT k, grp, v, price, tag FROM kv LIMIT 10")
+        assert len(rows) == 10
+        assert delta["storage.scan.units_seen"] == 1
+        assert delta["storage.scan.values_decoded"] == self.GROUP_ROWS * len(self.COLUMNS)
+        rows, delta = self._run(db, "SELECT k, grp, v, price FROM kv WHERE k BETWEEN 70 AND 89")
+        assert len(rows) == 20
+        assert delta["storage.scan.rows_scanned"] == self.GROUP_ROWS
+        assert delta["storage.scan.values_decoded"] == self.GROUP_ROWS + 3 * 20
+
     @pytest.mark.parametrize("cached_first", [True, False])
     def test_take_reads_a_cached_full_decode_but_never_fills_the_cache(self, cached_first):
         config = StoreConfig(

@@ -8,6 +8,8 @@ import pytest
 from repro import types
 from repro.errors import ExecutionError
 from repro.exec.batch import Batch, concat_batches, slice_into_batches
+from repro.exec.spill import SpillFile
+from repro.storage.segment import DictionaryVector
 from repro.types import python_values
 
 
@@ -107,6 +109,65 @@ class TestConcatSlice:
         slices = list(slice_into_batches(batch, batch_size=3))
         assert [s.row_count for s in slices] == [3, 1]
         assert slices[1].column("a").tolist() == [4]
+
+
+class TestEncodedColumnsAreCarried:
+    """A vector rides through every batch-to-batch method (each of these
+    silently dropped ``encoded`` once); what cannot carry one refuses."""
+
+    @pytest.fixture
+    def coded(self):
+        vector = DictionaryVector.from_values(
+            np.array(["x", "y", "x", "z"], dtype=object),
+            np.array([False, False, True, False]),
+        )
+        return Batch(columns={"a": np.arange(4)}, encoded={"k": vector})
+
+    @staticmethod
+    def key_rows(batch):
+        values, mask = batch.encoded["k"].decode()
+        return [None if null else v for v, null in zip(values.tolist(), mask.tolist())]
+
+    def test_narrow(self, coded):
+        narrowed = coded.narrow(np.array([True, False, True, True]))
+        assert narrowed.encoded["k"] is coded.encoded["k"]  # full length, not copied
+        assert narrowed.selection.tolist() == [0, 2, 3]
+
+    def test_compact(self, coded):
+        dense = coded.narrow(np.array([False, True, True, True])).compact()
+        assert dense.selection is None and dense.row_count == 3
+        assert self.key_rows(dense) == ["y", None, "z"]
+        assert dense.column("a").tolist() == [1, 2, 3]
+        assert dense.encoded["k"].distinct_values() is coded.encoded["k"].distinct_values()
+
+    def test_project(self, coded):
+        assert set(coded.project(["k"]).encoded) == {"k"}
+        assert coded.project(["k"]).row_count == 4
+        assert coded.project(["a"]).encoded == {}
+        both = coded.project(["k", "a"])
+        assert both.names == ["a"] and self.key_rows(both) == ["x", "y", None, "z"]
+
+    def test_with_column_keeps_the_others_and_replaces_by_name(self, coded):
+        assert self.key_rows(coded.with_column("b", np.zeros(4))) == ["x", "y", None, "z"]
+        replaced = coded.with_column("k", np.arange(4))
+        assert replaced.encoded == {} and replaced.column("k").tolist() == [0, 1, 2, 3]
+
+    def test_slice_carries(self, coded):
+        slices = list(slice_into_batches(coded, batch_size=3))
+        assert [self.key_rows(s) for s in slices] == [["x", "y", None], ["z"]]
+        assert [s.column("a").tolist() for s in slices] == [[0, 1, 2], [3]]
+        whole = list(slice_into_batches(coded, batch_size=4))
+        assert len(whole) == 1 and self.key_rows(whole[0]) == ["x", "y", None, "z"]
+
+    def test_concat_and_spill_refuse(self, coded):
+        with pytest.raises(ExecutionError, match="encoded"):
+            concat_batches([coded, coded])
+        spill = SpillFile()
+        try:
+            with pytest.raises(ExecutionError, match="plain columns"):
+                spill.append(coded)
+        finally:
+            spill.close()
 
 
 # --------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ from repro.exec.bloom import JoinBitmapFilter
 from repro.exec.expressions import Comparison, col, lit
 from repro.exec.operators.base import BatchOperator
 from repro.exec.operators.hash_aggregate import agg, count_star
-from repro.exec.operators.sort import BatchSort, BatchTop
+from repro.exec.operators.sort import BatchSort, BatchTop, _sort_indices
 from repro.exec.operators.union import BatchConcat
 from repro.exec.row_engine import (
     BatchesToRows,
@@ -105,6 +105,65 @@ class TestBatchTop:
         top = collect(BatchTop(ListSource(data), 10, keys=[("a", False)]))
         full = collect(BatchSort(ListSource(data), [("a", False)]))[:10]
         assert [r[0] for r in top] == [r[0] for r in full]
+
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 1000])
+    @pytest.mark.parametrize(
+        "keys",
+        [[("a", False)], [("a", True)], [("s", True), ("a", False)], [("n", False), ("s", False)]],
+        ids=str,
+    )
+    def test_top_is_the_head_of_the_stable_sort(self, keys, batch_size):
+        """Ties, NULLs and strings included: the earliest row wins a tie,
+        whichever batch it arrived in."""
+        rng = np.random.default_rng(11)
+        n = 300
+        data = {
+            "a": rng.integers(0, 6, n).tolist(),
+            "s": [("u", "v", "w", None)[i] for i in rng.integers(0, 4, n)],
+            "n": [None if i % 5 == 0 else int(i % 3) for i in range(n)],
+            "seq": list(range(n)),
+        }
+        for limit in (1, 4, 50, n, n + 10):
+            top = collect(BatchTop(ListSource(data, batch_size), limit, keys=keys))
+            full = collect(BatchSort(ListSource(data, batch_size), keys))
+            assert top == full[:limit]
+
+    def test_top_of_nothing(self):
+        assert collect(BatchTop(ListSource({"a": []}), 3, keys=[("a", True)])) == []
+
+
+def _stabilize_descending_loop(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The per-row loop the sort used to run after reversing an ascending
+    argsort; kept here as the reference for the vectorized order."""
+    sorted_vals = values[order]
+    result = order.copy()
+    start = 0
+    n = order.size
+    for end in range(1, n + 1):
+        if end == n or sorted_vals[end] != sorted_vals[start]:
+            result[start:end] = result[start:end][::-1]
+            start = end
+    return result
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.zeros(0, dtype=np.int64),
+        np.array([7]),
+        np.full(40, 3),
+        np.array([1, 1, 2, 2, 2, 0, 0, 9]),
+        np.random.default_rng(3).integers(-4, 4, 500),
+        np.random.default_rng(4).integers(0, 2, 500).astype(np.float64) / 3,
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, np.iinfo(np.int64).max]),
+    ],
+    ids=["empty", "one", "all equal", "tie runs", "ints", "floats", "int64 extremes"],
+)
+def test_descending_order_equals_the_reversed_run_loop(values):
+    batch = Batch(columns={"v": values})
+    want = _stabilize_descending_loop(values, np.argsort(values, kind="stable")[::-1])
+    assert _sort_indices(batch, [("v", True)]).tolist() == want.tolist()
 
 
 class TestConcat:

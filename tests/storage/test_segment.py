@@ -9,7 +9,7 @@ from repro import types
 from repro.errors import EncodingError
 from repro.storage.dictionary import GlobalDictionary
 from repro.storage.encodings import Scheme
-from repro.storage.segment import encode_segment
+from repro.storage.segment import DictionaryVector, encode_segment
 
 
 def roundtrip(dtype, values, null_mask=None):
@@ -358,3 +358,83 @@ def test_vector_is_the_segment_still_encoded(shape, nulls, archived):
         survivors = decoded[0][keep & ~null].tolist()
         weighted = np.repeat(vector.distinct_values(), weights).tolist()
         assert sorted(weighted) == sorted(survivors)
+
+
+# --------------------------------------------------------------------- #
+# The same vector over plain arrays, and select (take that stays encoded)
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("nulls", ["none", "some", "all"])
+@pytest.mark.parametrize("shape", [s for s, v in VECTOR_SHAPES.items() if v[2] is Scheme.DICT])
+def test_select_of_a_segment_vector_stays_encoded(shape, nulls):
+    dtype, values, _, _ = VECTOR_SHAPES[shape]
+    null_mask = {
+        "none": None,
+        "some": np.arange(_N) % 7 == 3,
+        "all": np.ones(_N, dtype=bool),
+    }[nulls]
+    segment = encode_segment(dtype, values, null_mask)
+    full, full_mask = segment.decode()
+    if not isinstance(segment.vector(), DictionaryVector):
+        return  # an all-NULL number column is not dictionary-encoded
+    for warm in (False, True):
+        vector = segment.vector()
+        if warm:
+            vector.codes  # select then indexes the codes it already holds
+        for positions in _POSITION_SETS:
+            positions = np.array(positions, dtype=np.int64)
+            picked = vector.select(positions)
+            assert isinstance(picked, DictionaryVector) and picked.source == "scan"
+            assert picked.row_count == positions.size
+            assert picked.n_distinct == vector.n_distinct
+            assert picked.distinct_values() is vector.distinct_values()
+            want_mask = None if full_mask is None else full_mask[positions]
+            _same_decode(picked.decode(), (full[positions], want_mask))
+            _same_decode(vector.take(positions), picked.decode())
+            # A selection of a selection is the composed selection.
+            again = picked.select(np.arange(positions.size)[::2])
+            _same_decode(again.decode(), (full[positions[::2]],
+                                          None if want_mask is None else want_mask[::2]))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array(["pine", "ash", "pine", "", "oak", "ash"], dtype=object),
+        np.array([5, -3, 5, 2**62, -(2**63), 5], dtype=np.int64),
+        np.array([0.5, -0.25, 0.5, 1e300, 0.5, -0.25]),
+        np.array([True, False, True, True, False, False]),
+        np.zeros(0, dtype=object),
+        np.zeros(0, dtype=np.int64),
+    ],
+    ids=["str", "int", "float", "bool", "no strings", "no ints"],
+)
+@pytest.mark.parametrize("nulls", [False, True], ids=["no nulls", "nulls"])
+def test_vector_from_values_decodes_to_the_values(values, nulls):
+    mask = (np.arange(values.size) % 3 == 1) if nulls else None
+    vector = DictionaryVector.from_values(values, mask, source="join")
+    assert vector.source == "join" and vector.row_count == values.size
+    _same_decode(vector.decode(), (values, mask))
+    assert vector.distinct_values().size == vector.n_distinct
+    assert len(set(vector.distinct_values().tolist())) == vector.n_distinct
+    keep = np.arange(values.size) % 2 == 0
+    present = keep if mask is None else keep & ~mask
+    weights = vector.weights(keep)
+    assert weights.sum() == present.sum()
+    assert sorted(np.repeat(vector.distinct_values(), weights).tolist()) == sorted(
+        values[present].tolist()
+    )
+
+
+def test_vector_from_values_codes_strings_in_order_of_first_appearance():
+    vector = DictionaryVector.from_values(np.array(["b", "a", "b", "c"], dtype=object))
+    assert vector.codes.tolist() == [0, 1, 0, 2]
+    assert vector.distinct_values().tolist() == ["b", "a", "c"]
+
+
+def test_vector_over_an_empty_dictionary_is_all_null():
+    vector = DictionaryVector.of(
+        np.zeros(3, dtype=np.int64), np.zeros(0, dtype=object), np.ones(3, dtype=bool)
+    )
+    assert vector.n_distinct == 0
+    values, mask = vector.select(np.array([2, 0])).decode()
+    assert values.tolist() == ["", ""] and mask.tolist() == [True, True]
