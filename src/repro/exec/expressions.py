@@ -102,9 +102,7 @@ class Literal(Expr):
             return np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
         np_dtype = self.dtype.numpy_dtype
         if np_dtype == object:
-            arr = np.empty(n, dtype=object)
-            arr[:] = [self.value] * n
-            return arr, None
+            return np.full(n, self.value, dtype=object), None
         if isinstance(self.value, float) and np.issubdtype(np_dtype, np.integer):
             # A fractional physical value in an integer-backed type (an AVG
             # over decimals embedded as a scalar-subquery literal): keep the
@@ -570,7 +568,12 @@ def compile_like(pattern: str) -> re.Pattern:
 
 
 class Case(Expr):
-    """Searched CASE: WHEN cond THEN value ... [ELSE value] END."""
+    """Searched CASE: WHEN cond THEN value ... [ELSE value] END.
+
+    It has one result type: the common type of its results, NULL literals
+    aside (they take any type) — what ``infer_dtype`` reports and what
+    ``eval_batch`` builds, whichever branch comes first.
+    """
 
     def __init__(
         self, branches: Sequence[tuple[Expr, Expr]], default: Expr | None = None
@@ -588,33 +591,53 @@ class Case(Expr):
             out.append(self.default)
         return tuple(out)
 
+    def results(self) -> list[Expr]:
+        """Each branch's THEN, then the ELSE (NULL when there is none)."""
+        default = self.default if self.default is not None else Literal(None)
+        return [*(value for _, value in self.branches), default]
+
+    def literal_results(self) -> list[Any] | None:
+        """The values of :meth:`results` when every one is a literal —
+        the CASE is then a dictionary and :meth:`deciding_branch` its
+        codes — else ``None``."""
+        results = self.results()
+        if all(type(result) is Literal for result in results):
+            return [result.value for result in results]
+        return None
+
+    def deciding_branch(self, batch) -> np.ndarray:
+        """Per row, the index into :meth:`results` of the result it
+        takes: the first branch whose condition is TRUE, else the ELSE."""
+        branch = np.full(batch.row_count, len(self.branches), dtype=np.int64)
+        # Last to first: an earlier branch overwrites a later one.
+        for at in range(len(self.branches) - 1, -1, -1):
+            holds, unknown = self.branches[at][0].eval_batch(batch)
+            holds = np.asarray(holds, dtype=bool)
+            if unknown is not None:
+                holds = holds & ~unknown
+            branch[holds] = at
+        return branch
+
     def eval_batch(self, batch) -> BatchResult:
-        n = batch.row_count
-        decided = np.zeros(n, dtype=bool)
-        result: np.ndarray | None = None
-        nulls = np.zeros(n, dtype=bool)
-        for cond, value in self.branches:
-            cv, cn = cond.eval_batch(batch)
-            takes = np.asarray(cv, dtype=bool) & ~decided
-            if cn is not None:
-                takes &= ~cn
-            vv, vn = value.eval_batch(batch)
-            if result is None:
-                result = np.zeros(n, dtype=vv.dtype) if vv.dtype != object else np.empty(n, dtype=object)
-                if vv.dtype == object:
-                    result[:] = [""] * n
-                nulls = np.ones(n, dtype=bool)  # undecided rows default to NULL
-            result = _assign_where(result, vv, takes)
-            nulls[takes] = vn[takes] if vn is not None else False
-            decided |= takes
-        if self.default is not None:
-            remaining = ~decided
-            dv, dn = self.default.eval_batch(batch)
-            assert result is not None
-            result = _assign_where(result, dv, remaining)
-            nulls[remaining] = dn[remaining] if dn is not None else False
-        assert result is not None
-        return result, nulls if nulls.any() else None
+        branch = self.deciding_branch(batch)
+        nulls = np.zeros(batch.row_count, dtype=bool)
+        evaluated = []  # (index into results, values, null mask), NULL literals aside
+        for at, result in enumerate(self.results()):
+            if _is_null_literal(result):
+                nulls |= branch == at
+            else:
+                evaluated.append((at, *result.eval_batch(batch)))
+        dtypes = [values.dtype for _, values, _ in evaluated]
+        if any(dtype == object for dtype in dtypes):
+            out = np.full(batch.row_count, "", dtype=object)
+        else:
+            out = np.zeros(batch.row_count, dtype=np.result_type(*dtypes) if dtypes else np.int64)
+        for at, values, value_nulls in evaluated:
+            takes = branch == at
+            out[takes] = values[takes]
+            if value_nulls is not None:
+                nulls[takes] = value_nulls[takes]
+        return out, nulls if nulls.any() else None
 
     def eval_row(self, row: dict[str, Any]) -> Any:
         for cond, value in self.branches:
@@ -630,13 +653,34 @@ class Case(Expr):
         return bool(value) and value is not None
 
     def infer_dtype(self, resolver: Resolver) -> DataType:
-        return self.branches[0][1].infer_dtype(resolver)
+        types = [
+            result.infer_dtype(resolver)
+            for result in self.results()
+            if not _is_null_literal(result)
+        ]
+        if not types:
+            return _literal_dtype(None)
+        common = types[0]
+        for dtype in types[1:]:
+            if dtype == common:
+                continue
+            if dtype.kind is common.kind is TypeKind.VARCHAR:
+                common = VARCHAR  # lengths differ
+            elif dtype.is_numeric and common.is_numeric:
+                common = common_numeric_type(common, dtype)
+            else:
+                raise TypeMismatchError(f"CASE results {common} and {dtype} have no common type")
+        return common
 
     def __str__(self) -> str:
         parts = [f"WHEN {cond} THEN {value}" for cond, value in self.branches]
         if self.default is not None:
             parts.append(f"ELSE {self.default}")
         return "CASE " + " ".join(parts) + " END"
+
+
+def _is_null_literal(expr: Expr) -> bool:
+    return type(expr) is Literal and expr.value is None
 
 
 def _assign_where(target: np.ndarray, source: np.ndarray, mask: np.ndarray) -> np.ndarray:

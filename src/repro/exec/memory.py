@@ -23,20 +23,14 @@ import numpy as np
 from ..errors import SpillBudgetError
 from ..governance import RESERVE_OK
 from ..governance import context as _gov
+from ..storage.cache import decoded_bytes
 
 DEFAULT_GRANT_BYTES = 64 * 1024 * 1024
 
 
 def batch_bytes(columns: dict[str, np.ndarray]) -> int:
     """Approximate retained size of a set of column vectors."""
-    total = 0
-    for arr in columns.values():
-        if arr.dtype == object:
-            total += sum(len(v) + 50 for v in arr.tolist() if isinstance(v, str))
-            total += arr.shape[0] * 8
-        else:
-            total += arr.nbytes
-    return total
+    return sum(map(decoded_bytes, columns.values()))
 
 
 class MemoryGrant:

@@ -76,12 +76,15 @@ class AggregateStats:
     spilled: bool = False
     partials_spilled: int = 0
     spill_bytes: int = 0
-    # Group key -> how it arrived ("codes:scan", "codes:join", "coded
-    # here"; "a|b" when batches differed), and the batches counted.
+    # Group key -> how it arrived ("codes:scan", "codes:join",
+    # "codes:project", "coded here"; "a|b" when batches differed), and
+    # the batches counted.
     keys: dict[str, str] = field(default_factory=dict)
     keys_from_vectors: int = 0
     keys_coded_locally: int = 0
-
+    # Occupied cells, batch by batch, whose key the group directory did
+    # not hold yet: groups, not groups x batches.
+    directory_misses: int = 0
 
 
 class _GroupState:
@@ -449,7 +452,7 @@ class BatchHashAggregate(BatchOperator):
         try:
             yield from self._aggregate()
         finally:
-            for name in ("keys_from_vectors", "keys_coded_locally"):
+            for name in ("keys_from_vectors", "keys_coded_locally", "directory_misses"):
                 if count := getattr(self.stats, name):
                     metrics.increment(f"exec.hash_aggregate.{name}", count)
 
@@ -559,7 +562,9 @@ class BatchHashAggregate(BatchOperator):
         through a table over the whole cell space when that is no larger
         than the batch, over the ranks ``np.unique`` gives them otherwise.
         Only the occupied cells — in order of first appearance, one row of
-        each decoded to its key values — reach the group directory.
+        each decoded to its key values — are looked up in the group
+        directory, all at once; only a key it does not hold yet (a new
+        group) costs an interpreter call.
         """
         n = vectors[0].row_count
         cells, index = 1, np.zeros(n, dtype=np.int64)
@@ -591,8 +596,15 @@ class BatchHashAggregate(BatchOperator):
             if nulls is not None:
                 values = [None if null else v for v, null in zip(values, nulls.tolist())]
             per_key.append(values)
+        keys = list(zip(*per_key))
+        gids = list(map(state.key_to_gid.get, keys))
+        if None in gids:
+            misses = [at for at, gid in enumerate(gids) if gid is None]
+            for at in misses:
+                gids[at] = state.gid_of(keys[at])
+            self.stats.directory_misses += len(misses)
         gid_of_cell = np.empty(cells, dtype=np.int64)
-        gid_of_cell[occupied] = [state.gid_of(key) for key in zip(*per_key)]
+        gid_of_cell[occupied] = gids
         return gid_of_cell[index]
 
     # ------------------------------------------------------------------ #

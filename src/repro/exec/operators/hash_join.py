@@ -37,7 +37,7 @@ import numpy as np
 from ...errors import ExecutionError
 from ...observability import registry as metrics
 from ...observability.registry import MorphReason
-from ...storage.segment import DictionaryVector
+from ...storage.segment import DENSE_DOMAIN_PER_ROW, DictionaryVector
 from ..batch import (
     AS_CODES,
     AS_ROWS,
@@ -58,10 +58,6 @@ SEMI = "semi"
 ANTI = "anti"
 _JOIN_TYPES = {INNER, LEFT_OUTER, RIGHT_OUTER, FULL_OUTER, SEMI, ANTI}
 _SPILL_PARTITIONS = 8
-# A single integer key is located through an offset table when its domain
-# (max - min + 1) is at most this many times the build rows: the table
-# then costs no more than the build side it indexes.
-_OFFSETS_MAX_DOMAIN_PER_ROW = 8
 
 
 @dataclass
@@ -113,7 +109,7 @@ class _HashTable:
                 # Python ints: the extremes of int64 are one apart.
                 self._low, self._high = int(sorted_keys[0]), int(sorted_keys[-1])
                 self.key_domain = self._high - self._low + 1
-            if 0 < self.key_domain <= _OFFSETS_MAX_DOMAIN_PER_ROW * sorted_keys.size:
+            if 0 < self.key_domain <= DENSE_DOMAIN_PER_ROW * sorted_keys.size:
                 self.locate = "offsets"
                 self._starts = np.zeros(self.key_domain + 1, dtype=np.int64)
                 np.cumsum(

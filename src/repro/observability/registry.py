@@ -155,6 +155,7 @@ STABLE_COUNTERS = (
     "exec.hash_join.columns_emitted_encoded",
     "exec.hash_aggregate.keys_from_vectors",
     "exec.hash_aggregate.keys_coded_locally",
+    "exec.hash_aggregate.directory_misses",
     "concurrency.sessions",
     "concurrency.read_waits",
     "concurrency.write_waits",

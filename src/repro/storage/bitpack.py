@@ -5,7 +5,8 @@ minimum number of bits needed for the segment's value range, exactly as the
 paper's bit-pack compression does. Bit order is little-endian, so value
 ``i`` occupies bits ``[i*width, (i+1)*width)`` of the payload; that makes
 every value addressable on its own, and :func:`take` — the one decode
-kernel — reads any subset of them without touching the rest.
+kernel — reads any subset of them without touching the rest, and all of
+them without addressing any.
 """
 
 from __future__ import annotations
@@ -54,21 +55,36 @@ def pack(values: np.ndarray, width: int) -> bytes:
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
 
+# A full unpack addresses the payload densely from this many values on:
+# the dense phase's score of numpy calls cost what gathering 1,000-1,500
+# values does (EXPERIMENTS.md E27); shorter streams — an RLE block's
+# handful of run values — are gathered.
+_DENSE_FROM = 1024
+
+
 def take(
     payload: bytes, width: int, count: int, positions: np.ndarray | None
 ) -> np.ndarray:
     """The values at ``positions`` (``None``: every position, in order) of
     a stream of ``count`` packed values.
 
-    The one decode kernel: value ``i`` starts at bit ``i * width``, so it
-    lies inside the little-endian 8-byte window at byte ``i * width // 8``
-    shifted down by ``i * width % 8`` — one gather, one shift, one mask,
-    whatever ``width`` is. Two exceptions: byte-sized widths are a plain
-    typed view, and from 58 bits on a shifted value can reach into a
-    ninth byte, which is gathered separately. Payloads are stored
-    unpadded, so a window that would run past the end is anchored at the
-    last 8 bytes instead and shifted further. ``payload``, ``width``
-    and ``positions`` may come from disk and are checked here.
+    The one decode kernel, two ways to address the payload. *Gather*:
+    value ``i`` starts at bit ``i * width``, so it lies inside the
+    little-endian 8-byte window at byte ``i * width // 8`` shifted down
+    by ``i * width % 8`` — one gather, one shift, one mask, whatever
+    ``width`` is. *Dense*, when every position is wanted: eight
+    consecutive values occupy exactly ``width`` bytes, so value ``j`` of
+    every group of eight sits at the same place in its group — one
+    strided window view per ``j``, at byte ``j * width // 8`` with stride
+    ``width``, shifted by ``j * width % 8`` — and nothing is gathered at
+    all. Two exceptions: byte-sized widths are a plain typed view, and
+    from 58 bits on a shifted value can reach into a ninth byte, which is
+    gathered separately (such streams are never addressed densely).
+    Payloads are stored unpadded: a gathered window that would run past
+    the end is anchored at the last 8 bytes instead and shifted further,
+    and the dense windows of the last group read zeros appended to a copy.
+    ``payload``, ``width`` and ``positions`` may come from disk and are
+    checked here.
     """
     if not 0 <= width <= 64:
         raise EncodingError(f"bit width {width} outside 0..64")
@@ -91,16 +107,36 @@ def take(
         typed = np.frombuffer(payload, dtype=f"<u{width // 8}", count=count)
         return (typed if positions is None else typed[positions]).astype(np.uint64)
 
+    # Full-length temporaries are kept to two, here and below: at 16,384
+    # rows each is exactly glibc's 128 KiB mmap threshold, and a server
+    # thread pays for every one in page faults (EXPERIMENTS.md E24).
+    if positions is None and width <= 57 and count >= _DENSE_FROM:
+        # A shifted value needs 7 + width bits of its window.
+        window = 4 if width <= 25 else 8
+        groups = -(-count // 8)
+        reach = (groups - 1) * width + 7 * width // 8 + window  # the last window's end
+        if len(payload) < reach:
+            payload = payload + bytes(reach - len(payload))
+        # Each phase lands in a row of its own (contiguous writes, 1.4x
+        # faster than into out[j::8]); the mask transposes them into place.
+        phases = np.empty((8, groups), dtype=f"<u{window}")
+        for j in range(8):
+            bit = j * width
+            windows = np.ndarray(
+                (groups,), dtype=phases.dtype, buffer=payload, offset=bit >> 3, strides=(width,)
+            )
+            np.right_shift(windows, bit & 7, out=phases[j])
+        out = np.empty((groups, 8), dtype=np.uint64)
+        np.bitwise_and(phases.T, (1 << width) - 1, out=out)
+        return out.reshape(-1)[:count]
+
     data = np.frombuffer(payload, dtype=np.uint8)
     if data.size < 8:
         data = np.concatenate((data, np.zeros(8 - data.size, dtype=np.uint8)))
     last = data.size - 8  # where the last whole window starts
     windows = np.ndarray((last + 1,), dtype="<u8", buffer=data, strides=(1,))
-    # Two full-length temporaries, worked on in place — bit offsets that
-    # become window starts, and the windows that become the values (a
-    # third only from 58 bits on): at 16,384 rows each is exactly glibc's
-    # 128 KiB mmap threshold, and a server thread pays for every one in
-    # page faults (EXPERIMENTS.md E24).
+    # Bit offsets that become window starts, and the windows that become
+    # the values (a third only from 58 bits on), worked on in place.
     if positions is None:
         start = np.arange(0, count * width, width, dtype=np.int64)
     else:

@@ -35,11 +35,14 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-def _decoded_bytes(values: np.ndarray, null_mask: np.ndarray | None) -> int:
+def decoded_bytes(values: np.ndarray, null_mask: np.ndarray | None = None) -> int:
+    """Approximate retained size of a decoded column (what the cache and
+    the operators' memory grants account): a string costs its length plus
+    50 bytes of object, on top of the 8-byte slot every object row has.
+    One C-level pass per step, no per-string interpreter work."""
     if values.dtype == object:
-        size = sum(
-            len(v) + 50 for v in values.tolist() if isinstance(v, str)
-        ) + values.shape[0] * 8
+        strings = list(filter(str.__instancecheck__, values.tolist()))
+        size = sum(map(len, strings)) + 50 * len(strings) + values.shape[0] * 8
     else:
         size = values.nbytes
     if null_mask is not None:
@@ -99,7 +102,7 @@ class SegmentCache:
         if positions is not None:
             return segment.take(positions)
         values, null_mask = segment.decode()
-        size = _decoded_bytes(values, null_mask)
+        size = decoded_bytes(values, null_mask)
         if size <= self.capacity_bytes:
             with self._lock:
                 if key not in self._entries:

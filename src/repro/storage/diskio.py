@@ -192,9 +192,14 @@ class DiskIO:
         OS but **not** fsynced — durability is deferred to
         :meth:`sync_file` so a write-ahead log can amortize fsyncs across
         many appends (group commit)."""
-        path = Path(path)
-        self.mkdir(path.parent)
-        with open(path, "ab") as handle:
+        try:
+            handle = open(path, "ab")
+        except FileNotFoundError:
+            # Only a first append can find the directory missing: a log
+            # pays for no mkdir per record.
+            self.mkdir(Path(path).parent)
+            handle = open(path, "ab")
+        with handle:
             handle.write(data)
             handle.flush()
 

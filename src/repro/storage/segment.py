@@ -35,6 +35,11 @@ from .encodings import (
 from .rle import RleBlock
 
 _METADATA_OVERHEAD_BYTES = 64
+# An integer domain [min, max] is dense — worth a table with a cell per
+# value, which then costs no more than the rows it serves — while it has
+# at most this many cells per row (a join's offset table over its build
+# keys, a plain key column coded by subtraction).
+DENSE_DOMAIN_PER_ROW = 8
 
 
 @dataclass(frozen=True)
@@ -297,9 +302,18 @@ class DictionaryVector(EncodedVector):
         null_mask: np.ndarray | None = None,
         source: str = "scan",
     ) -> "DictionaryVector":
-        """Code a plain column. Numbers are ranked by ``np.unique``;
-        objects are coded in order of first appearance. A NULL row's
-        filler may get an entry no row uses."""
+        """Code a plain column. An integer column whose [min, max] is
+        dense (``DENSE_DOMAIN_PER_ROW``) is coded by subtraction — the
+        dictionary is the whole range, no sort; other numbers are ranked
+        by ``np.unique``; objects are coded in order of first appearance.
+        An entry no row uses (a gap in the range, a NULL row's filler)
+        is allowed."""
+        if values.size and np.issubdtype(values.dtype, np.integer):
+            low, high = int(values.min()), int(values.max())
+            if high - low + 1 <= DENSE_DOMAIN_PER_ROW * values.size:
+                codes = (values - low).astype(np.int64, copy=False)
+                distinct = np.arange(low, high + 1, dtype=values.dtype)
+                return cls.of(codes, distinct, null_mask, source)
         if values.dtype != object:
             distinct, codes = np.unique(values, return_inverse=True)
             return cls.of(codes, distinct, null_mask, source)
@@ -313,7 +327,7 @@ class DictionaryVector(EncodedVector):
 
     @cached_property
     def codes(self) -> np.ndarray:
-        return self._segment.stream.decode().astype(np.int64)
+        return self._segment.stream.decode().view(np.int64)
 
     @cached_property
     def _distinct(self) -> np.ndarray:
@@ -336,7 +350,7 @@ class DictionaryVector(EncodedVector):
             codes = self.codes[positions]
             nulls = None if self.null_mask is None else self.null_mask[positions]
         else:
-            codes = self._segment.stream.take(positions).astype(np.int64)
+            codes = self._segment.stream.take(positions).view(np.int64)
             nulls = self._segment.null_mask(positions)
         return DictionaryVector.of(codes, self._distinct, nulls, self.source)
 
@@ -368,7 +382,8 @@ class RunVector(EncodedVector):
         return self._segment.stream.runs()
 
     def distinct_values(self) -> np.ndarray:
-        return self._segment.value_enc.invert(self._runs[0], self.numpy_dtype)
+        # A copy: inverting consumes its input, and the runs are kept.
+        return self._segment.value_enc.invert(self._runs[0].copy(), self.numpy_dtype)
 
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
         return np.repeat(per_distinct, self._runs[1])

@@ -47,15 +47,23 @@ class ValueEncoding:
         return offsets.astype(np.uint64)
 
     def invert(self, offsets: np.ndarray, target_dtype: np.dtype) -> np.ndarray:
-        """Recover raw values from stored offsets."""
-        ints = offsets.astype(np.int64) + self.base
+        """Recover raw values from stored offsets — in place: ``offsets``
+        is consumed (a uint64 array fresh from a stream's ``decode`` or
+        ``take``, which the caller must not read again) and is, for the
+        integer types, the array returned."""
+        ints = offsets.view(np.int64)
+        ints += self.base
         if self.exponent > 0:
             if np.issubdtype(target_dtype, np.floating):
-                return ints.astype(np.float64) / float(10**self.exponent)
+                # Divided, never multiplied by a reciprocal: bit-identical
+                # to the value that was encoded.
+                floats = ints.astype(np.float64)
+                floats /= float(10**self.exponent)
+                return floats
             raise EncodingError("positive exponent is only used for float columns")
         if self.exponent < 0:
-            ints = ints * 10 ** (-self.exponent)
-        return ints.astype(target_dtype)
+            ints *= 10 ** (-self.exponent)
+        return ints.astype(target_dtype, copy=False)
 
 
 def _scale(values: np.ndarray, exponent: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.exec.operators.hash_aggregate import (
     count_star,
 )
 from repro.exec.operators.hash_join import (
-    _OFFSETS_MAX_DOMAIN_PER_ROW,
+    DENSE_DOMAIN_PER_ROW,
     BatchHashJoin,
     _HashTable,
 )
@@ -97,10 +97,10 @@ def test_hash_table_locators_match_brute_force(shape):
 
 def test_locator_follows_the_key_domain_not_a_setting():
     rows = 50
-    dense = Batch(columns={"id": np.arange(rows) * _OFFSETS_MAX_DOMAIN_PER_ROW})
+    dense = Batch(columns={"id": np.arange(rows) * DENSE_DOMAIN_PER_ROW})
     assert _HashTable(dense, ["id"]).locate == "offsets"
-    assert _HashTable(dense, ["id"]).key_domain == (rows - 1) * _OFFSETS_MAX_DOMAIN_PER_ROW + 1
-    sparse = Batch(columns={"id": np.arange(rows) * (_OFFSETS_MAX_DOMAIN_PER_ROW + 1)})
+    assert _HashTable(dense, ["id"]).key_domain == (rows - 1) * DENSE_DOMAIN_PER_ROW + 1
+    sparse = Batch(columns={"id": np.arange(rows) * (DENSE_DOMAIN_PER_ROW + 1)})
     assert _HashTable(sparse, ["id"]).locate == "search"
     strings = Batch.from_pydict({"id": ["a", "b"]})
     assert _HashTable(strings, ["id"]).locate == "generic"

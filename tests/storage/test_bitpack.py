@@ -131,6 +131,41 @@ def test_every_width_and_count_against_the_reference(width):
             assert taken.tolist() == want[positions].tolist()
 
 
+DENSE_COUNTS = (0, 1, 7, 8, 9, 15, 16, 17, 4_095, 16_384, 32_768)
+
+
+@pytest.mark.parametrize("dense_from", [None, 1], ids=["default threshold", "dense from 1 value"])
+@pytest.mark.parametrize("width", range(65))
+def test_a_full_unpack_is_the_reference_and_is_take_of_every_position(
+    width, dense_from, monkeypatch
+):
+    """Every position wanted: the dense phase (no gather) must give what
+    the bit-by-bit reference and the gather give — on whole groups of
+    eight, a ``count % 8`` tail, streams under eight values, payloads
+    shorter than one window, and the 58-63-bit widths that never take it.
+    With the threshold lowered to 1 the short streams take it too."""
+    if dense_from is not None:
+        monkeypatch.setattr(bitpack, "_DENSE_FROM", dense_from)
+    for count in DENSE_COUNTS:
+        values = _random_values(width, count, seed=width * 7_919 + count)
+        payload = bitpack.pack(values, width)
+        dense = bitpack.unpack(payload, width, count)
+        assert dense.dtype == np.uint64 and dense.shape == (count,)
+        assert dense.tolist() == reference_unpack(payload, width, count).tolist()
+        gathered = bitpack.take(payload, width, count, np.arange(count))
+        assert dense.tolist() == gathered.tolist() == values.tolist()
+        # What it hands out is the caller's to overwrite (invert does).
+        assert dense.flags.writeable and dense.flags.c_contiguous
+
+
+def test_the_dense_phase_reads_nothing_past_a_longer_payload():
+    """A payload longer than the stream needs (a block sliced out of a
+    larger buffer) decodes the same: trailing bytes are never values."""
+    values = _random_values(13, 4_099, seed=5)
+    payload = bitpack.pack(values, 13)
+    assert bitpack.unpack(payload + b"\xff" * 64, 13, 4_099).tolist() == values.tolist()
+
+
 class TestKernelValidatesWhatArrivesFromDisk:
     PAYLOAD = bitpack.pack(np.arange(100, dtype=np.uint64), 7)
 

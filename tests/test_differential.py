@@ -296,6 +296,34 @@ def test_sqlite_oracle_agrees(rows, e, template):
     assert oracle_normalize(mine) == oracle_normalize(theirs), template
 
 
+# CASE has one result type, whichever branch comes first: a numeric CASE
+# of an INT and a FLOAT literal is FLOAT (it used to come out truncated),
+# a NULL literal takes the type of the others (it used to fail to present
+# as INT), no ELSE is a NULL group, equal literals are one group.
+CASE_ORACLE_QUERIES = [
+    "SELECT k, CASE WHEN k < 3 THEN 1 ELSE 2.5 END AS c FROM t",
+    "SELECT k, CASE WHEN k < 3 THEN NULL ELSE 'x' END AS c FROM t",
+    "SELECT CASE WHEN k < 3 THEN 1 ELSE 2.5 END AS c, COUNT(*) AS n FROM t GROUP BY c",
+    "SELECT CASE WHEN k < 3 THEN NULL ELSE 'x' END AS c, COUNT(*) AS n, SUM(k) AS sk FROM t GROUP BY c",
+    "SELECT CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' END AS g, COUNT(*) AS n FROM t GROUP BY g",
+    "SELECT CASE WHEN a > 5 THEN 'far' WHEN a > 0 THEN 'near' WHEN a > -5 THEN 'near' ELSE 'far' END AS g, "
+    "COUNT(*) AS n, SUM(k) AS sk FROM t GROUP BY g",
+]
+
+
+@SETTINGS
+@given(rows=rows_strategy, template=st.sampled_from(CASE_ORACLE_QUERIES),
+       mode=st.sampled_from(["batch", "row"]))
+def test_case_result_type_agrees_with_sqlite_in_both_engines(rows, template, mode):
+    conn = _oracle_connection(rows, [])
+    try:
+        theirs = conn.execute(template).fetchall()
+    finally:
+        conn.close()
+    mine = make_db(rows).sql(template, mode=mode).rows
+    assert oracle_normalize(mine) == oracle_normalize(theirs), (template, mode)
+
+
 @SETTINGS
 @given(rows=rows_strategy, where=st.sampled_from(WHERE_CLAUSES),
        template=st.sampled_from(PLAIN_QUERIES + AGG_QUERIES),
