@@ -133,9 +133,17 @@ class Batch:
             encoded=self.encoded,
         )
 
-    def take(self, idx: np.ndarray | slice) -> "Batch":
+    def take(self, idx: np.ndarray | slice | None) -> "Batch":
         """The rows at ``idx`` (physical positions) as a dense batch;
-        encoded columns stay encoded."""
+        encoded columns stay encoded. ``None`` is every row: a new batch
+        over the same arrays and vectors, nothing copied."""
+        if idx is None:
+            return Batch(
+                columns=dict(self.columns),
+                null_masks=dict(self.null_masks),
+                locators=self.locators,
+                encoded=dict(self.encoded),
+            )
         encoded = {}
         if self.encoded:
             at = np.arange(self.row_count)[idx] if isinstance(idx, slice) else idx

@@ -12,10 +12,14 @@ Implements the paper's reworked hash join:
 * inner, left-outer (probe-preserving), semi and anti joins.
 
 Single integer-keyed joins (the star-schema common case) locate each
-probe key's build rows without a Python loop: through an offset table
-when the build keys are dense in their [min, max], by binary search of
-the sorted keys otherwise. Composite or string keys fall back to a
-dictionary of key tuples.
+probe key's build rows without a Python loop: through a table addressed
+by the key when the build keys are dense in their [min, max] — holding
+the build row itself when no key repeats, so a foreign key probed into a
+primary key is one gather — and by binary search of the sorted keys
+otherwise. Composite or string keys fall back to a dictionary of key
+tuples. A batch whose every row found its one build row is passed
+through: the build columns are added beside the probe batch's own
+arrays, nothing is copied.
 
 A join is also a producer and a carrier of encoded columns: a build-side
 column its consumer declared it takes ``AS_CODES`` is factorized once,
@@ -45,7 +49,7 @@ from ..batch import (
     Batch,
     concat_batches,
 )
-from ..bloom import JoinBitmapFilter
+from ..bloom import JoinBitmapFilter, dense_slots
 from ..memory import MemoryGrant, batch_bytes
 from ..spill import SpillFile, partition_of
 from .base import BatchOperator
@@ -77,6 +81,11 @@ class JoinStats:
     columns_emitted_encoded: int = 0
     # MorphReason value -> vectors this join had to decode.
     morph: Counter[str] = field(default_factory=Counter)
+    # The offsets table held the build row itself (a unique dense key).
+    direct: bool = False
+    # Probe rows of batches every row of which matched exactly once: the
+    # batch went on as it came, the build columns added beside it.
+    rows_passed_through: int = 0
 
 
 class _HashTable:
@@ -85,21 +94,29 @@ class _HashTable:
     ``locate`` says how a probe key finds its build rows — a property of
     the build input, not a setting: ``offsets`` / ``search`` for a single
     integer key, ``generic`` (a dictionary of key tuples) for the rest.
-    All three answer in one shape: ``_order`` holds the build rows with
-    equal keys adjacent, in build order, and a probe row that hits owns a
-    range ``[start, start + count)`` of it. ``unique`` says no build key
-    repeats (a dimension's primary key): every count is then 1.
+    ``unique`` says no build key repeats (a dimension's primary key).
+
+    All three answer in one shape (``ranges``): the probe rows that hit,
+    and for each a ``start`` and a ``count`` — its build rows are
+    ``_order[start : start + count]``, ``_order`` holding the build rows
+    with equal keys adjacent, in build order. Two ``None``s say what
+    needs no array, as ``Batch.selection`` does: rows ``None`` is *every*
+    probe row hit, counts ``None`` is *every* count is 1 (a unique
+    build). A unique ``offsets`` table is ``direct``: its cells hold the
+    build row itself (−1 where the domain has a hole), so ``start`` *is*
+    the build row and there is no ``_order`` to go through.
     """
 
     def __init__(self, build: Batch, keys: list[str]) -> None:
         self.build = build
         self.keys = keys
         self.n_rows = build.row_count
-        self._valid = self._non_null_rows()
         self.key_domain = 0
+        self.direct = False
+        valid = _non_null_rows(build, keys)
+        valid_idx = np.arange(self.n_rows) if valid is None else np.flatnonzero(valid)
         first = build.column(keys[0])
         if len(keys) == 1 and np.issubdtype(first.dtype, np.integer):
-            valid_idx = np.flatnonzero(self._valid)
             key_values = first.astype(np.int64, copy=False)[valid_idx]
             order = np.argsort(key_values, kind="stable")
             sorted_keys = key_values[order]
@@ -110,12 +127,21 @@ class _HashTable:
                 self._low, self._high = int(sorted_keys[0]), int(sorted_keys[-1])
                 self.key_domain = self._high - self._low + 1
             if 0 < self.key_domain <= DENSE_DOMAIN_PER_ROW * sorted_keys.size:
+                # One cell per key of the domain and a last one where
+                # every key outside it lands (dense_slots): no build row.
                 self.locate = "offsets"
-                self._starts = np.zeros(self.key_domain + 1, dtype=np.int64)
-                np.cumsum(
-                    np.bincount(sorted_keys - self._low, minlength=self.key_domain),
-                    out=self._starts[1:],
-                )
+                self.direct = self.unique
+                slots = sorted_keys - self._low
+                if self.direct:
+                    self._row_of = np.full(self.key_domain + 1, -1, dtype=np.int64)
+                    self._row_of[slots] = self._order
+                else:
+                    self._starts = np.zeros(self.key_domain + 2, dtype=np.int64)
+                    np.cumsum(
+                        np.bincount(slots, minlength=self.key_domain),
+                        out=self._starts[1:-1],
+                    )
+                    self._starts[-1] = self._starts[-2]
             else:
                 self.locate = "search"
                 self._sorted_keys = sorted_keys
@@ -123,7 +149,7 @@ class _HashTable:
             self.locate = "generic"
             rows_of: dict[tuple, list[int]] = {}
             key_columns = [build.column(k) for k in keys]
-            for i in np.flatnonzero(self._valid).tolist():
+            for i in valid_idx.tolist():
                 key = tuple(col[i] for col in key_columns)
                 rows_of.setdefault(key, []).append(i)
             self._order = np.array(
@@ -136,77 +162,113 @@ class _HashTable:
                 self._range_of[key] = (start, len(rows))
                 start += len(rows)
 
-    def _non_null_rows(self) -> np.ndarray:
-        valid = np.ones(self.n_rows, dtype=bool)
-        for key in self.keys:
-            mask = self.build.null_mask(key)
-            if mask is not None:
-                valid &= ~mask
-        return valid
+    def bitmap(self) -> JoinBitmapFilter | None:
+        """The exact bitmap over the build keys when the table already is
+        one (``direct``: a cell is set where it holds a row)."""
+        if not self.direct:
+            return None
+        return JoinBitmapFilter.exact(self._row_of >= 0, base=self._low)
 
     def probe(
         self, probe: Batch, probe_keys: list[str]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Match probe rows: returns (probe_indices, build_indices), one
         entry per matching pair; probe indices are non-decreasing."""
-        return self.pairs(*self.ranges(probe, probe_keys))
+        rows, starts, counts = self.ranges(probe, probe_keys)
+        if rows is None:
+            rows = np.arange(probe.row_count)
+        return self.pairs(rows, starts, counts)
 
     def ranges(
         self, probe: Batch, probe_keys: list[str]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
         """Locate, without fanning out: the probe rows that match
-        (ascending), and each one's ``start`` and ``count`` in ``_order``."""
-        valid = np.ones(probe.row_count, dtype=bool)
-        for key in probe_keys:
-            mask = probe.null_mask(key)
-            if mask is not None:
-                valid &= ~mask
+        (ascending; ``None`` = every one), and each one's ``start`` and
+        ``count`` (``None`` = every count is 1)."""
+        valid = _non_null_rows(probe, probe_keys)
         if self.locate == "generic":
             return self._ranges_generic(probe, probe_keys, valid)
-        return self._ranges_vectorized(probe, probe_keys[0], valid)
+        keys = probe.column(probe_keys[0])
+        if not np.issubdtype(keys.dtype, np.integer):
+            keys, whole = _as_integers(keys)
+            valid = whole if valid is None else valid & whole
+        # The rows that can match at all; None = every row (no NULL key).
+        candidates = None
+        if valid is not None and not valid.all():
+            candidates = np.flatnonzero(valid)
+            keys = keys[candidates]
+        counts = None
+        if self.direct:
+            starts = self._row_of.take(dense_slots(keys, self._low, self.key_domain))
+            hit = starts >= 0
+        else:
+            if self.locate == "offsets":
+                slots = dense_slots(keys, self._low, self.key_domain)
+                starts, ends = self._starts.take(slots), self._starts.take(slots + 1)
+            else:
+                keys = keys.astype(np.int64, copy=False)
+                starts = np.searchsorted(self._sorted_keys, keys, side="left")
+                ends = np.searchsorted(self._sorted_keys, keys, side="right")
+            hit = ends > starts
+            if not self.unique:
+                counts = ends - starts
+        if hit.all():
+            return candidates, starts, counts
+        rows = np.flatnonzero(hit) if candidates is None else candidates[hit]
+        return rows, starts[hit], None if counts is None else counts[hit]
 
     def pairs(
-        self, rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fan located probe rows out to (probe_index, build_index) pairs."""
-        if self.unique:
-            return rows, self._order[starts]
+        self, rows: np.ndarray | None, starts: np.ndarray, counts: np.ndarray | None
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """Located probe rows (``None`` stays ``None``: every row, once)
+        beside their build rows; duplicate build keys fan a row out."""
+        if counts is None:
+            return rows, starts if self.direct else self._order[starts]
         total = int(counts.sum())
         # Flatten [start, start+count) ranges without a Python loop.
         run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
         flat = np.repeat(starts, counts) + (np.arange(total) - run_offsets)
         return np.repeat(rows, counts), self._order[flat]
 
-    def _ranges_vectorized(
-        self, probe: Batch, key: str, valid: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        candidates = np.flatnonzero(valid)
-        probe_vals = probe.column(key).astype(np.int64, copy=False)[candidates]
-        if self.locate == "offsets":
-            # Range-check first: subtracting the minimum from a key far
-            # outside the domain could wrap around int64 into it.
-            inside = (probe_vals >= self._low) & (probe_vals <= self._high)
-            candidates = candidates[inside]
-            slots = probe_vals[inside] - self._low
-            left, right = self._starts[slots], self._starts[slots + 1]
-        else:
-            left = np.searchsorted(self._sorted_keys, probe_vals, side="left")
-            right = np.searchsorted(self._sorted_keys, probe_vals, side="right")
-        counts = right - left
-        hit = counts > 0
-        return candidates[hit], left[hit], counts[hit]
-
     def _ranges_generic(
-        self, probe: Batch, probe_keys: list[str], valid: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, probe: Batch, probe_keys: list[str], valid: np.ndarray | None
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
         key_columns = [probe.column(k) for k in probe_keys]
         found: list[tuple[int, int, int]] = []
-        for i in np.flatnonzero(valid).tolist():
+        for i in range(probe.row_count) if valid is None else np.flatnonzero(valid).tolist():
             located = self._range_of.get(tuple(col[i] for col in key_columns))
             if located:
                 found.append((i, *located))
         rows, starts, counts = np.array(found, dtype=np.int64).reshape(-1, 3).T
-        return rows, starts, counts
+        return (
+            None if len(found) == probe.row_count else rows,
+            starts,
+            None if self.unique else counts,
+        )
+
+
+def _non_null_rows(batch: Batch, keys: list[str]) -> np.ndarray | None:
+    """Mask of the rows whose every key is non-NULL; None = all of them
+    (no key column has a NULL mask)."""
+    valid = None
+    for key in keys:
+        mask = batch.null_mask(key)
+        if mask is not None:
+            valid = ~mask if valid is None else valid & ~mask
+    return valid
+
+
+def _as_integers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probe keys that are not integers, against integer build keys: the
+    integer locators would truncate them, so they are compared by value —
+    only a whole number within int64 can equal an integer at all. Returns
+    the keys as int64 and the mask of the rows for which that is exact."""
+    if keys.dtype == np.bool_:
+        return keys.astype(np.int64), np.ones(keys.shape[0], dtype=bool)
+    if not np.issubdtype(keys.dtype, np.floating):
+        return np.zeros(keys.shape[0], dtype=np.int64), np.zeros(keys.shape[0], dtype=bool)
+    whole = (np.floor(keys) == keys) & (keys >= -(2.0**63)) & (keys < 2.0**63)
+    return np.where(whole, keys, 0.0).astype(np.int64), whole
 
 
 class BatchHashJoin(BatchOperator):
@@ -297,8 +359,8 @@ class BatchHashJoin(BatchOperator):
             if build is None:
                 build = _empty_like(self.build_child)
             self.stats.build_rows = build.row_count
-            self._make_bitmap(build)
             table = _HashTable(build, self.build_keys)
+            self._make_bitmap(build, table)
             # Factorized once per join, over the build rows; each output
             # batch then gathers codes, not values.
             vectors = {
@@ -327,6 +389,7 @@ class BatchHashJoin(BatchOperator):
             ("offset_probes", stats.probe["offsets"]),
             ("search_probes", stats.probe["search"]),
             ("columns_emitted_encoded", stats.columns_emitted_encoded),
+            ("rows_passed_through", stats.rows_passed_through),
         ):
             if value:
                 metrics.increment(f"exec.hash_join.{name}", value)
@@ -391,14 +454,16 @@ class BatchHashJoin(BatchOperator):
                 continue
             spills[p].append(dense.take(idx))
 
-    def _make_bitmap(self, build: Batch) -> None:
+    def _make_bitmap(self, build: Batch, table: _HashTable) -> None:
         if not self.create_bitmap:
             return
-        keys = build.column(self.build_keys[0])
-        mask = build.null_mask(self.build_keys[0])
-        if mask is not None:
-            keys = keys[~mask]
-        self.bitmap = JoinBitmapFilter.build(keys)
+        self.bitmap = table.bitmap()
+        if self.bitmap is None:
+            keys = build.column(self.build_keys[0])
+            mask = build.null_mask(self.build_keys[0])
+            if mask is not None:
+                keys = keys[~mask]
+            self.bitmap = JoinBitmapFilter.build(keys)
         if self.bitmap_target is not None and self.bitmap_column is not None:
             from .scan import BitmapProbe
 
@@ -417,44 +482,77 @@ class BatchHashJoin(BatchOperator):
         build_matched: np.ndarray,
         vectors: dict[str, DictionaryVector],
     ) -> Iterator[Batch]:
+        n = dense.row_count
+        if not n:
+            return
         rows, starts, counts = table.ranges(dense, self.probe_keys)
-        self.stats.probe[table.locate] += dense.row_count
+        self.stats.probe[table.locate] += n
+        self.stats.direct |= table.direct
         self.stats.key_domain = max(self.stats.key_domain, table.key_domain)
         if self.join_type in (SEMI, ANTI):
-            matched = _hit_mask(dense.row_count, rows)
-            idx = np.flatnonzero(matched if self.join_type == SEMI else ~matched)
-            if idx.size:
-                self.stats.output_rows += int(idx.size)
-                yield _without_locators(dense.take(idx))
+            if self.join_type == SEMI:
+                idx = rows
+            elif rows is None:
+                return
+            else:
+                idx = np.flatnonzero(~_hit_mask(n, rows))
+            if idx is None or idx.size:
+                yield self._passed_on(dense, idx)
             return
-        # Duplicate build keys fan a probe row out: the located rows are
-        # emitted in pieces of at most a batch of pairs (so the statement
-        # stays cancellable and memory bounded however large the product).
-        for lo, hi in _pieces(counts, self.batch_size):
-            probe_idx, build_idx = table.pairs(rows[lo:hi], starts[lo:hi], counts[lo:hi])
-            build_matched[build_idx] = True
+        if counts is not None and rows is None:
+            rows = np.arange(n)  # a fan-out names the probe row of every pair
+        located = n if rows is None else int(rows.size)
+        # A unique build is one piece whatever its size: one build row per
+        # located row. Duplicate build keys fan a probe row out: the
+        # located rows are emitted in pieces of at most a batch of pairs
+        # (so the statement stays cancellable and memory bounded however
+        # large the product).
+        cuts = [(0, located)] if counts is None else _pieces(counts, self.batch_size)
+        for lo, hi in cuts:
+            probe_idx, build_idx = table.pairs(
+                *(a if a is None else a[lo:hi] for a in (rows, starts, counts))
+            )
+            if self.join_type in (RIGHT_OUTER, FULL_OUTER):
+                build_matched[build_idx] = True
             pad = 0
-            if self.join_type in (LEFT_OUTER, FULL_OUTER) and hi == rows.size:
+            if (
+                self.join_type in (LEFT_OUTER, FULL_OUTER)
+                and hi == located
+                and rows is not None
+            ):
                 # The probe rows nothing matched ride on the last piece,
                 # after its pairs, with the build side NULL.
-                unmatched = np.flatnonzero(~_hit_mask(dense.row_count, rows))
+                unmatched = np.flatnonzero(~_hit_mask(n, rows))
                 pad = int(unmatched.size)
-                probe_idx = np.concatenate([probe_idx, unmatched])
-            if probe_idx.size:
+                if pad:
+                    probe_idx = np.concatenate([probe_idx, unmatched])
+            if probe_idx is None or probe_idx.size:
                 yield self._emit(build, dense, probe_idx, build_idx, pad, vectors)
+
+    def _passed_on(self, dense: Batch, probe_idx: np.ndarray | None) -> Batch:
+        """The probe rows at ``probe_idx`` as the probe side of an output
+        batch. ``None`` is every row, once: the batch is passed through —
+        a new batch over the *same* arrays and vectors (they may be a
+        segment cache's; nothing downstream writes into a batch's arrays)."""
+        out = dense.take(probe_idx)
+        if probe_idx is None:
+            self.stats.rows_passed_through += out.row_count
+        self.stats.output_rows += out.row_count
+        return _without_locators(out)
 
     def _emit(
         self,
         build: Batch,
         dense: Batch,
-        probe_idx: np.ndarray,
+        probe_idx: np.ndarray | None,
         build_idx: np.ndarray,
         pad: int,
         vectors: dict[str, DictionaryVector],
     ) -> Batch:
-        """Probe rows at ``probe_idx`` beside build rows at ``build_idx``;
-        the last ``pad`` probe rows have no build row and get NULLs."""
-        out = _without_locators(dense.take(probe_idx))
+        """Probe rows at ``probe_idx`` (``None``: all of them, as they
+        are) beside build rows at ``build_idx``; the last ``pad`` probe
+        rows have no build row and get NULLs."""
+        out = self._passed_on(dense, probe_idx)
         for name in build.names:
             if name in vectors:
                 picked = vectors[name].select(build_idx)
@@ -471,7 +569,6 @@ class BatchHashJoin(BatchOperator):
                 mask[build_idx] if mask is not None else None,
                 pad,
             )
-        self.stats.output_rows += out.row_count
         return out
 
     def _emit_unmatched_build(

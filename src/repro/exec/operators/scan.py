@@ -15,7 +15,10 @@ Implements the paper's scan enhancements:
   each column that must be decoded goes through :meth:`_decode`, the one
   morph point, with its reason.
 * **Bitmap-filter pushdown** — join bitmap filters built by downstream
-  hash joins discard non-matching rows at the scan.
+  hash joins discard non-matching rows at the scan. Each filter is first
+  asked about the key segment's [min, max]: no key of the interval in
+  the filter eliminates the unit, every key in it drops the probe for
+  the unit, and only the rest decode the key column to probe it.
 * **Delta-store scans** — delta rows are materialized column-wise and
   filtered with the same predicate, so queries see trickle-inserted rows.
 * **Delete-bitmap application** — deleted rows never leave the scan.
@@ -43,7 +46,7 @@ from ..batch import (
     Batch,
     slice_into_batches,
 )
-from ..bloom import JoinBitmapFilter
+from ..bloom import ALL, NONE, JoinBitmapFilter
 from ..expressions import Between, Column, Comparison, Expr, Literal, predicate_mask
 from ..predicates import (
     _normalize_comparison,
@@ -60,9 +63,14 @@ class ScanStats:
 
     units_seen: int = 0
     units_eliminated: int = 0
+    # Of those, units whose key interval holds no key of a join bitmap.
+    units_eliminated_by_bitmap: int = 0
     rows_scanned: int = 0
     rows_emitted: int = 0
+    # Rows a bitmap *probe* rejected, and the probes a unit's key
+    # interval made unnecessary (every key of it is in the bitmap).
     rows_rejected_by_bitmap: int = 0
+    bitmap_probes_settled: int = 0
     rows_rejected_deleted: int = 0
     encoded_space_conjuncts: int = 0
     conjuncts_pruned_by_range: int = 0
@@ -216,12 +224,27 @@ class ColumnStoreScan(BatchOperator):
         if self.segment_elimination and self._eliminated(group):
             self.stats.units_eliminated += 1
             return
+        answers = [self._ask_bitmap(probe, group) for probe in self.bitmap_probes]
+        if NONE in answers:
+            self.stats.units_eliminated += 1
+            self.stats.units_eliminated_by_bitmap += 1
+            return
         self.stats.rows_scanned += group.row_count
         keep = np.ones(group.row_count, dtype=bool)
         if unit.deleted_mask is not None:
             keep &= ~unit.deleted_mask
             self.stats.rows_rejected_deleted += int(unit.deleted_mask.sum())
         keep, residual = self._encoded_conjunct_pass(group, vectors, keep)
+        probes = []
+        for probe, answer in zip(self.bitmap_probes, answers):
+            if answer != ALL:
+                probes.append(probe)
+                continue
+            # The probe can reject nothing but the NULL keys.
+            self.stats.bitmap_probes_settled += 1
+            null_mask = group.segment(probe.column).null_mask()
+            if null_mask is not None:
+                keep &= ~null_mask
 
         decoded: dict[str, np.ndarray] = {}
         masks: dict[str, np.ndarray | None] = {}
@@ -235,12 +258,12 @@ class ColumnStoreScan(BatchOperator):
         # columns, and the others decode only the rows that are left.
         for name in sorted(set().union(*(c.referenced_columns() for c in residual))):
             decode(name, MorphReason.RESIDUAL_PREDICATE)
-        for probe in self.bitmap_probes:
+        for probe in probes:
             decode(probe.column, MorphReason.BITMAP_OR_LOCATORS)
         filter_batch = Batch(columns=dict(decoded), null_masks=dict(masks))
         for conjunct in residual:
             keep &= predicate_mask(conjunct, filter_batch)
-        keep = self._apply_bitmaps(filter_batch, keep)
+        keep = self._apply_bitmaps(filter_batch, keep, probes)
         positions = np.flatnonzero(keep)
         if positions.size == 0:
             return
@@ -476,7 +499,8 @@ class ColumnStoreScan(BatchOperator):
         keep = np.ones(n, dtype=bool)
         for conjunct in self._conjuncts:
             keep &= predicate_mask(conjunct, unit_batch)
-        indices = np.flatnonzero(self._apply_bitmaps(unit_batch, keep))
+        # No segment metadata to ask: every bitmap is probed.
+        indices = np.flatnonzero(self._apply_bitmaps(unit_batch, keep, self.bitmap_probes))
         locators = None
         if self.include_locators:
             locators = _locators(
@@ -493,8 +517,19 @@ class ColumnStoreScan(BatchOperator):
     # ------------------------------------------------------------------ #
     # Shared tail
     # ------------------------------------------------------------------ #
-    def _apply_bitmaps(self, unit_batch: Batch, keep: np.ndarray) -> np.ndarray:
-        for probe in self.bitmap_probes:
+    def _ask_bitmap(self, probe: BitmapProbe, group) -> str:
+        """What ``probe``'s filter says of this unit from the key
+        segment's [min, max] alone, before anything is decoded. A NULL
+        key passes no probe, so an all-NULL segment is ``NONE``."""
+        segment = group.segment(probe.column)
+        if segment.min_value is None:
+            return NONE
+        return probe.bitmap.covers(segment.min_value, segment.max_value)
+
+    def _apply_bitmaps(
+        self, unit_batch: Batch, keep: np.ndarray, probes: list[BitmapProbe]
+    ) -> np.ndarray:
+        for probe in probes:
             values = unit_batch.column(probe.column)
             null_mask = unit_batch.null_mask(probe.column)
             passes = probe.bitmap.might_contain(values)

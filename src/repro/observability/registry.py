@@ -103,10 +103,12 @@ STABLE_COUNTERS = (
     "storage.cache.evictions",
     "storage.scan.units_seen",
     "storage.scan.units_eliminated",
+    "storage.scan.units_eliminated_by_bitmap",
     "storage.scan.rows_scanned",
     "storage.scan.rows_emitted",
     "storage.scan.delta_rows_scanned",
     "storage.scan.rows_rejected_by_bitmap",
+    "storage.scan.bitmap_probes_settled",
     "storage.scan.rows_rejected_deleted",
     "storage.scan.encoded_space_conjuncts",
     "storage.scan.conjuncts_pruned_by_range",
@@ -152,6 +154,7 @@ STABLE_COUNTERS = (
     "exec.spill.bytes_written",
     "exec.hash_join.offset_probes",
     "exec.hash_join.search_probes",
+    "exec.hash_join.rows_passed_through",
     "exec.hash_join.columns_emitted_encoded",
     "exec.hash_aggregate.keys_from_vectors",
     "exec.hash_aggregate.keys_coded_locally",

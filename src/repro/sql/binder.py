@@ -371,6 +371,16 @@ class Binder:
                     )
                 left_keys.append(namespace.resolve(other_side))
                 right_keys.append(namespace.resolve(new_side))
+                # The join compares the physical columns, and decimals are
+                # integers scaled by their own 10**scale.
+                left_type = namespace.dtype_of(left_keys[-1])
+                right_type = namespace.dtype_of(right_keys[-1])
+                scales = {_exact_scale(left_type), _exact_scale(right_type)}
+                if len(scales) == 2 and None not in scales:
+                    raise BindingError(
+                        f"join condition {a}={b} compares {left_type} with {right_type}: "
+                        "join keys of different scales are not supported"
+                    )
             plan = LogicalJoin(
                 left=plan,
                 right=right_scan,
@@ -837,11 +847,9 @@ class Binder:
                 default = bind(node.default) if node.default is not None else None
                 return X.Case(branches, default)
             if isinstance(node, A.EBetween):
-                bound = X.Between(
-                    bind(node.operand),
-                    self._coerced(bind(node.operand), bind(node.low), namespace),
-                    self._coerced(bind(node.operand), bind(node.high), namespace),
-                )
+                operand = bind(node.operand)
+                bounds = [self._coerced(operand, bind(b), namespace) for b in (node.low, node.high)]
+                bound = X.Between(*self._on_one_scale([operand, *bounds], namespace))
                 return X.Not(bound) if node.negated else bound
             if isinstance(node, A.EIn):
                 operand = bind(node.operand)
@@ -874,7 +882,9 @@ class Binder:
         left = bind(node.left)
         right = bind(node.right)
         if node.op in ("=", "!=", "<", "<=", ">", ">="):
-            left2, right2 = self._coerce_pair(left, right, namespace)
+            left2, right2 = self._on_one_scale(
+                self._coerce_pair(left, right, namespace), namespace
+            )
             return X.Comparison(node.op, left2, right2)
         if node.op in ("+", "-"):
             left2, right2 = self._coerce_pair(left, right, namespace)
@@ -894,6 +904,22 @@ class Binder:
             right = self._descale(right, self._dtype_of(right, namespace))
             return X.Arithmetic(node.op, left, right)
         raise BindingError(f"unsupported operator {node.op!r}")
+
+    def _on_one_scale(self, exprs, namespace: _Namespace) -> list[X.Expr]:
+        """Operands of a comparison brought to one decimal scale: decimals
+        are integers scaled by 10**scale, so DECIMAL(_, 2) against
+        DECIMAL(_, 1) or INT would compare 150 with 15. The lower scales
+        are multiplied up, exactly, in integers. Operands that are not
+        all exact numerics are left as they are."""
+        scales = [_exact_scale(self._dtype_of(expr, namespace)) for expr in exprs]
+        if None in scales or len(set(scales)) == 1:
+            return list(exprs)
+        return [
+            expr
+            if scale == max(scales)
+            else X.Arithmetic("*", expr, X.Literal(10 ** (max(scales) - scale), BIGINT))
+            for expr, scale in zip(exprs, scales)
+        ]
 
     def _descale(self, expr: X.Expr, dtype: DataType | None) -> X.Expr:
         """Convert a scaled-decimal expression to its float value."""
@@ -1091,6 +1117,14 @@ def _window_dtype(spec: WindowSpec, namespace: _Namespace) -> DataType:
     if arg.kind is TypeKind.DECIMAL:
         return arg
     return FLOAT
+
+
+def _exact_scale(dtype: DataType | None) -> int | None:
+    """The decimal scale an exact numeric is stored at (an integer's is
+    0); None for every other type."""
+    if dtype is None or dtype.kind not in (TypeKind.INT, TypeKind.BIGINT, TypeKind.DECIMAL):
+        return None
+    return dtype.scale
 
 
 def _is_scaled(dtype: DataType | None) -> bool:

@@ -343,3 +343,102 @@ def test_stats_collection_does_not_change_results(rows, where, template, mode):
     assert plain.rows == with_stats.rows, sql
     assert plain.stats is None
     assert with_stats.stats is not None
+
+
+# An INT build key used to truncate a FLOAT probe key (1.5 joined 1) and,
+# once the planner pushed the build's exact bitmap onto the FLOAT column,
+# the scan refused the statement. Keys of different number types compare
+# by value: both shapes (3 x 3; 20,000 probe rows x 20 build rows, which
+# gets the bitmap), both join orders, both engines.
+FLOAT_INT_JOINS = [
+    "SELECT f.x, d.name FROM f JOIN d ON f.x = d.i",
+    "SELECT f.x, d.name FROM d JOIN f ON d.i = f.x",
+]
+FLOAT_INT_SHAPES = {
+    "small": ([(1.5, 10), (2.0, 20), (3.0, 30), (None, 40), (-0.0, 50)],
+              [(1, "one"), (2, "two"), (3, "three"), (0, "zero"), (None, "none")]),
+    "bitmap pushed": ([((i % 70) / 2.0, i) for i in range(20_000)],
+                      [(i, f"n{i}") for i in range(20)]),
+}
+
+
+@pytest.mark.parametrize("shape", list(FLOAT_INT_SHAPES))
+@pytest.mark.parametrize("sql", FLOAT_INT_JOINS)
+@pytest.mark.parametrize("mode", ["batch", "row"])
+def test_float_key_against_int_key_agrees_with_sqlite(shape, sql, mode):
+    f_rows, d_rows = FLOAT_INT_SHAPES[shape]
+    db = Database(StoreConfig(rowgroup_size=4096, bulk_load_threshold=1))
+    db.create_table("f", schema(("x", types.FLOAT), ("v", types.INT)))
+    db.create_table("d", schema(("i", types.INT), ("name", types.VARCHAR)))
+    db.bulk_load("f", f_rows)
+    db.bulk_load("d", d_rows)
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE f (x REAL, v INTEGER)")
+        conn.execute("CREATE TABLE d (i INTEGER, name TEXT)")
+        conn.executemany("INSERT INTO f VALUES (?, ?)", f_rows)
+        conn.executemany("INSERT INTO d VALUES (?, ?)", d_rows)
+        theirs = conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+    assert theirs
+    assert oracle_normalize(db.sql(sql, mode=mode).rows) == oracle_normalize(theirs)
+
+
+# Decimals are integers scaled by 10**scale: a comparison between two
+# scales (or a decimal and an integer) used to compare the scaled
+# integers, 150 against 15. One scale first, exactly.
+DECIMAL_ROWS = [
+    (1.50, 1.5, 1), (2.00, 1.9, 2), (2.50, 3.0, 2), (-0.25, -0.2, 0),
+    (3.00, 3.0, 3), (None, 1.0, 1), (7.10, None, 7), (0.05, 0.1, None),
+]
+DECIMAL_ORACLE_QUERIES = [
+    "SELECT p, q, i FROM t WHERE p = q",
+    "SELECT p, q, i FROM t WHERE p = i",
+    "SELECT p, q, i FROM t WHERE q != i",
+    "SELECT p, q, i FROM t WHERE p < q",
+    "SELECT p, q, i FROM t WHERE i >= q",
+    "SELECT p, q, i FROM t WHERE p BETWEEN q AND i",
+    "SELECT p, q, i FROM t WHERE i BETWEEN q AND p",
+    "SELECT p, q, i FROM t WHERE p NOT BETWEEN i AND q",
+    "SELECT p, q, i FROM t WHERE p > 1.9 AND q <= 3",
+]
+
+
+def _decimal_db() -> Database:
+    db = Database(StoreConfig(rowgroup_size=4, bulk_load_threshold=2))
+    db.create_table(
+        "t", schema(("p", types.decimal(2)), ("q", types.decimal(1)), ("i", types.INT))
+    )
+    db.bulk_load("t", DECIMAL_ROWS)
+    return db
+
+
+@pytest.mark.parametrize("sql", DECIMAL_ORACLE_QUERIES)
+@pytest.mark.parametrize("mode", ["batch", "row"])
+def test_decimal_comparisons_across_scales_agree_with_sqlite(sql, mode):
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (p REAL, q REAL, i INTEGER)")
+        conn.executemany("INSERT INTO t VALUES (?, ?, ?)", DECIMAL_ROWS)
+        theirs = conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+    assert theirs
+    assert oracle_normalize(_decimal_db().sql(sql, mode=mode).rows) == oracle_normalize(theirs)
+
+
+def test_join_keys_of_different_scales_are_refused_by_name():
+    """The join compares physical columns, so until key expressions exist
+    a DECIMAL(_, 2) = INT key is an error that names both types, not an
+    empty answer."""
+    from repro.errors import BindingError
+
+    db = _decimal_db()
+    db.create_table("d", schema(("i", types.INT), ("q", types.decimal(1))))
+    for condition in ("t.p = d.i", "d.q = t.p"):
+        with pytest.raises(BindingError) as refused:
+            db.sql(f"SELECT t.i FROM t JOIN d ON {condition}")
+        assert "DECIMAL(18,2)" in str(refused.value)
+        assert ("INT" if "d.i" in condition else "DECIMAL(18,1)") in str(refused.value)
+    assert db.sql("SELECT t.i FROM t JOIN d ON t.q = d.q AND t.i = d.i").rows == []
