@@ -295,6 +295,11 @@ class Shell:
                 f"{registry.counter('storage.snapshot.saves_skipped'):.0f} "
                 "saves skipped"
             )
+            shapes = [f"{registry.counter(f'sql.shapes.{name}'):.0f}" for name in (
+                "hits", "misses", "evicted", "not_kept.join", "not_kept.subquery",
+                "not_kept.statement")]
+            out.append("statement shapes: {} hits, {} misses, {} evicted; not kept: {} join, "
+                       "{} subquery, {} statement".format(*shapes))
             from .governance import get_query_registry
 
             running = get_query_registry().list_running()

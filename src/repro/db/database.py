@@ -14,6 +14,7 @@ operations the paper describes (tuple mover, REBUILD, archival toggles).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
@@ -115,6 +116,9 @@ class Database:
         # the live structures, whose SET writes the settings above. Also
         # the owner of a transaction opened through the facade.
         self.isolation = pipeline.Isolation(settings=self.settings)
+        # (shape, catalog version) -> templates of statements bound once
+        # (sql/runner.py "Statement shapes").
+        self.shapes: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Write-ahead logging plumbing

@@ -90,11 +90,21 @@ class Column(Expr):
 
 
 class Literal(Expr):
-    """A constant in its physical representation."""
+    """A constant in its physical representation; one bound from SQL text
+    keeps its ``slot`` among the statement's literals and the ``coerce``
+    that made ``value`` of it, for a statement shape (sql/runner.py)."""
 
-    def __init__(self, value: Any, dtype: DataType | None = None) -> None:
+    def __init__(
+        self,
+        value: Any,
+        dtype: DataType | None = None,
+        slot: int | None = None,
+        coerce: Callable[[Any], Any] | None = None,
+    ) -> None:
         self.value = value
         self.dtype = dtype if dtype is not None else _literal_dtype(value)
+        self.slot = slot
+        self.coerce = coerce
 
     def eval_batch(self, batch) -> BatchResult:
         n = batch.row_count

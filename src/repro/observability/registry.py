@@ -184,6 +184,10 @@ STABLE_COUNTERS = (
     "wal.archive.bytes",
     "wal.archive.segments_pruned",
     "wal.archive.failures",
+    "sql.shapes.hits",
+    "sql.shapes.misses",
+    "sql.shapes.evicted",
+    *(f"sql.shapes.not_kept.{reason}" for reason in ("join", "subquery", "statement")),
     "governance.statements_timed_out",
     "governance.statements_cancelled",
     "governance.statements_killed",

@@ -59,19 +59,23 @@ DEFAULT_MAX_STATEMENTS = 16
 DEFAULT_LISTEN_BACKLOG = 16
 
 
+# What json.dumps(payload, default=str) builds on every call, built once.
+_ENCODER = json.JSONEncoder(default=str)
+
+
 def _encode(payload: dict[str, Any]) -> bytes:
-    return (json.dumps(payload, default=str) + "\n").encode("utf-8")
+    return (_ENCODER.encode(payload) + "\n").encode("utf-8")
 
 
 def _result_payload(result) -> dict[str, Any]:
     if result is None:  # DDL / txn control
         return {"ok": True, "columns": None, "rows": None, "rowcount": 0}
-    rows = [list(row) for row in result.rows]
+    # Rows go out as the result's tuples: JSON encodes a tuple as an array.
     return {
         "ok": True,
         "columns": list(result.columns),
-        "rows": rows,
-        "rowcount": len(rows),
+        "rows": result.rows,
+        "rowcount": len(result.rows),
     }
 
 

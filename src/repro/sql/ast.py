@@ -25,6 +25,9 @@ class EIdent(SqlExpr):
 @dataclass
 class ELiteral(SqlExpr):
     value: Any  # int | float | str | bool | None
+    # The number or string token's place among the statement's literals;
+    # None for NULL / TRUE / FALSE and literals the parser folded.
+    slot: int | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return repr(self.value)

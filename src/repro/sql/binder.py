@@ -17,6 +17,7 @@ subtrees are not allowed).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from ..errors import BindingError
@@ -88,6 +89,12 @@ class Binder:
         # reference re-binds the definition against its own snapshot, so
         # a CTE may use earlier CTEs but never itself (no recursion).
         self._ctes: dict[str, tuple[A.SelectStatement, dict]] = {}
+        # What a cached statement shape must know about the binding: the
+        # literal slots whose values chose a binding (matched as text by
+        # the GROUP BY / aggregate canonical forms), and whether a
+        # subquery ran and left its result in the plan.
+        self.pinned: set[int] = set()
+        self.ran_subquery = False
 
     # ------------------------------------------------------------------ #
     # SELECT
@@ -437,18 +444,18 @@ class Binder:
                     group_expr = alias_target
                 else:
                     group_keys.append(plan_name)
-                    group_ast_keys[_canonical(group_expr, namespace)] = plan_name
+                    group_ast_keys[self._canonical(group_expr, namespace)] = plan_name
                     continue
             if isinstance(group_expr, A.EIdent):
                 plan_name = namespace.resolve(group_expr)
                 group_keys.append(plan_name)
-                group_ast_keys[_canonical(group_expr, namespace)] = plan_name
+                group_ast_keys[self._canonical(group_expr, namespace)] = plan_name
             else:
                 bound = self._bind_scalar(group_expr, namespace)
                 name = f"__group_{index}"
                 computed.append((name, bound))
                 group_keys.append(name)
-                group_ast_keys[_canonical(group_expr, namespace)] = name
+                group_ast_keys[self._canonical(group_expr, namespace)] = name
         # Gather every aggregate call in SELECT/HAVING before deciding the
         # aggregation layout (plain one-level vs two-level for DISTINCT).
         calls: list[dict] = []
@@ -547,7 +554,7 @@ class Binder:
     ) -> None:
         """Record every aggregate call (func, arg AST, DISTINCT flag)."""
         if isinstance(expr, A.EFunc) and expr.name in _AGG_FUNCS:
-            canonical = _canonical(expr, namespace)
+            canonical = self._canonical(expr, namespace)
             if any(c["canonical"] == canonical for c in calls):
                 return
             if expr.star:
@@ -572,7 +579,7 @@ class Binder:
                 # the DISTINCT spelling still resolve.
                 aliases.append(canonical)
                 expr = A.EFunc(expr.name, expr.args, distinct=False)
-                canonical = _canonical(expr, namespace)
+                canonical = self._canonical(expr, namespace)
                 if any(c["canonical"] == canonical for c in calls):
                     for call in calls:
                         if call["canonical"] == canonical:
@@ -583,7 +590,7 @@ class Binder:
                     "canonical": canonical,
                     "func": expr.name,
                     "arg_ast": expr.args[0],
-                    "arg_key": _canonical(expr.args[0], namespace),
+                    "arg_key": self._canonical(expr.args[0], namespace),
                     "distinct": expr.distinct,
                     "aliases": aliases,
                 }
@@ -711,7 +718,7 @@ class Binder:
             return name
 
         for index, call in enumerate(calls):
-            canonical = _canonical(call, namespace)
+            canonical = self._canonical(call, namespace)
             if canonical in lookup:
                 continue
             func = COUNT_STAR if call.star else call.func
@@ -760,6 +767,7 @@ class Binder:
             raise BindingError(
                 "subqueries require an execution context (no executor wired)"
             )
+        self.ran_subquery = True
         return self.executor(plan)
 
     def _scalar_subquery(self, select: A.SelectStatement) -> X.Expr:
@@ -816,11 +824,11 @@ class Binder:
 
         def bind(node: A.SqlExpr) -> X.Expr:
             if group_lookup is not None:
-                key_name = group_lookup.get(_canonical(node, canon_ns))
+                key_name = group_lookup.get(self._canonical(node, canon_ns))
                 if key_name is not None:
                     return X.Column(key_name)
             if agg_lookup is not None and isinstance(node, A.EFunc) and node.name in _AGG_FUNCS:
-                key = _canonical(node, canon_ns)
+                key = self._canonical(node, canon_ns)
                 name = agg_lookup.get(key)
                 if name is None:
                     raise BindingError(f"aggregate {node} was not collected")
@@ -828,7 +836,7 @@ class Binder:
             if isinstance(node, A.EIdent):
                 return X.Column(namespace.resolve(node))
             if isinstance(node, A.ELiteral):
-                return X.Literal(node.value)
+                return X.Literal(node.value, slot=node.slot)
             if isinstance(node, A.EBinary):
                 return self._bind_binary(node, bind, namespace)
             if isinstance(node, A.EUnary):
@@ -948,12 +956,8 @@ class Binder:
             # again would double-scale decimals / re-parse dates.
             return literal
         if dtype.kind in (TypeKind.DATE, TypeKind.DECIMAL):
-            try:
-                return X.Literal(dtype.coerce(literal.value), dtype)
-            except Exception as exc:  # keep the binder error domain
-                raise BindingError(
-                    f"cannot coerce literal {literal.value!r} to {dtype}: {exc}"
-                ) from exc
+            coerce = partial(_coerce_literal, dtype)
+            return X.Literal(coerce(literal.value), dtype, literal.slot, coerce)
         return literal
 
     def _coerce_value(self, target: X.Expr, value: Any, namespace: _Namespace) -> Any:
@@ -969,6 +973,17 @@ class Binder:
             return expr.infer_dtype(namespace.dtype_of)
         except Exception:
             return None
+
+    def _canonical(self, expr: A.SqlExpr, namespace: _Namespace) -> str:
+        return _canonical(expr, namespace, self.pinned)
+
+
+def _coerce_literal(dtype: DataType, value: Any) -> Any:
+    """A DATE / DECIMAL literal's physical value, in the binder's error domain."""
+    try:
+        return dtype.coerce(value)
+    except Exception as exc:
+        raise BindingError(f"cannot coerce literal {value!r} to {dtype}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------- #
@@ -1022,50 +1037,59 @@ def _strip_not(expr: A.SqlExpr) -> tuple[A.SqlExpr, bool]:
     return expr, flipped
 
 
-def _canonical(expr: A.SqlExpr, namespace: _Namespace) -> str:
-    """A resolution-aware canonical string for matching repeated ASTs."""
+def _canonical(expr: A.SqlExpr, namespace: _Namespace, pinned: set[int]) -> str:
+    """A resolution-aware canonical string for matching repeated ASTs.
+
+    Matching compares literal values, so the slot of every literal read
+    here is added to ``pinned``: its value is part of the binding.
+    """
     if isinstance(expr, A.EIdent):
         try:
             return f"col:{namespace.resolve(expr)}"
         except BindingError:
             return f"ident:{expr.qualifier}.{expr.name}"
     if isinstance(expr, A.ELiteral):
+        if expr.slot is not None:
+            pinned.add(expr.slot)
         return f"lit:{expr.value!r}"
     if isinstance(expr, A.EFunc):
-        inner = ",".join(_canonical(a, namespace) for a in expr.args)
+        inner = ",".join(_canonical(a, namespace, pinned) for a in expr.args)
         star = "*" if expr.star else inner
         distinct = "D:" if expr.distinct else ""
         return f"fn:{expr.name}({distinct}{star})"
     if isinstance(expr, A.EBinary):
-        return f"({_canonical(expr.left, namespace)}{expr.op}{_canonical(expr.right, namespace)})"
+        left = _canonical(expr.left, namespace, pinned)
+        return f"({left}{expr.op}{_canonical(expr.right, namespace, pinned)})"
     if isinstance(expr, A.EUnary):
-        return f"{expr.op}({_canonical(expr.operand, namespace)})"
+        return f"{expr.op}({_canonical(expr.operand, namespace, pinned)})"
     if isinstance(expr, A.EBetween):
         return (
-            f"between({_canonical(expr.operand, namespace)},"
-            f"{_canonical(expr.low, namespace)},{_canonical(expr.high, namespace)},{expr.negated})"
+            f"between({_canonical(expr.operand, namespace, pinned)},"
+            f"{_canonical(expr.low, namespace, pinned)},"
+            f"{_canonical(expr.high, namespace, pinned)},{expr.negated})"
         )
     if isinstance(expr, A.EIn):
-        return f"in({_canonical(expr.operand, namespace)},{expr.values!r},{expr.negated})"
+        return f"in({_canonical(expr.operand, namespace, pinned)},{expr.values!r},{expr.negated})"
     if isinstance(expr, A.ELike):
-        return f"like({_canonical(expr.operand, namespace)},{expr.pattern!r},{expr.negated})"
+        operand = _canonical(expr.operand, namespace, pinned)
+        return f"like({operand},{expr.pattern!r},{expr.negated})"
     if isinstance(expr, A.EIsNull):
-        return f"isnull({_canonical(expr.operand, namespace)},{expr.negated})"
+        return f"isnull({_canonical(expr.operand, namespace, pinned)},{expr.negated})"
     if isinstance(expr, A.ECase):
         parts = [
-            f"{_canonical(c, namespace)}:{_canonical(v, namespace)}"
+            f"{_canonical(c, namespace, pinned)}:{_canonical(v, namespace, pinned)}"
             for c, v in expr.branches
         ]
         if expr.default is not None:
-            parts.append(_canonical(expr.default, namespace))
+            parts.append(_canonical(expr.default, namespace, pinned))
         return "case(" + ";".join(parts) + ")"
     if isinstance(expr, A.EWindow):
         inner = "*" if expr.star else ",".join(
-            _canonical(a, namespace) for a in expr.args
+            _canonical(a, namespace, pinned) for a in expr.args
         )
-        partition = ",".join(_canonical(p, namespace) for p in expr.partition_by)
+        partition = ",".join(_canonical(p, namespace, pinned) for p in expr.partition_by)
         order = ",".join(
-            f"{_canonical(e, namespace)}:{d}" for e, d in expr.order_by
+            f"{_canonical(e, namespace, pinned)}:{d}" for e, d in expr.order_by
         )
         return f"win:{expr.func}({inner})p[{partition}]o[{order}]"
     return repr(expr)

@@ -1,8 +1,17 @@
-"""SQL tokenizer."""
+"""SQL tokenizer: one compiled pattern, and the statement's shape.
+
+:func:`lex` runs one master regular expression over the text with
+``re.finditer``. Besides the tokens it returns the statement's *shape* —
+the token texts with every number and string literal replaced by its
+class — and the literals themselves, numbered by *slot* (their order in
+the text). The statement pipeline keys its cache of bound statements on
+the shape (DESIGN.md "Statement shapes").
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import Any, NamedTuple
 
 from ..errors import SqlSyntaxError
 
@@ -20,16 +29,36 @@ KEYWORDS = {
     "show", "kill",
 }
 
-# Multi-character operators first so they win over single-char prefixes.
-OPERATORS = ["<=", ">=", "!=", "<>", "=", "<", ">", "+", "-", "*", "/", "%",
-             "(", ")", ",", ".", ";"]
+# A literal's class stands for it in the shape: the classes of
+# ``expressions._literal_dtype`` (an integer literal is INT inside 32
+# bits, BIGINT beyond), plus strings. Unquoted tokens never start with
+# "#", quoted identifiers keep their quotes in the shape.
+INT, BIGINT, FLOAT, STRING = "#int", "#bigint", "#float", "#string"
+
+_INT64_MAX = 2**63 - 1
+
+# One group per alternative, tried in order (``lastindex`` tells which
+# matched); multi-character operators come before their one-character
+# prefixes, a number before the "." operator.
+_SPACE, _WORD, _NUMBER, _OP, _STRING, _QUOTED = range(1, 7)
+_PATTERN = re.compile(
+    r"(\s+|--[^\n]*)"
+    r"|([^\W\d]\w*)"
+    r"|((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(<=|>=|!=|<>|[=<>+\-*/%(),.;])"
+    r"|('[^']*(?:''[^']*)*')"
+    r"|(\"[^\"]*\")"
+    r"|(.)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | ident | number | string | op | eof
     text: str
     position: int
+    value: Any = None  # a number's or a string's value
+    slot: int | None = None  # a number's or a string's place among the literals
 
     def is_keyword(self, word: str) -> bool:
         return self.kind == "keyword" and self.text == word
@@ -38,65 +67,78 @@ class Token:
         return self.kind == "op" and self.text == op
 
 
+class Lexed(NamedTuple):
+    tokens: list[Token]
+    shape: tuple[str, ...]
+    literals: list[Token]  # the number and string tokens, in slot order
+
+
+def lex(sql: str) -> Lexed:
+    """Tokens, shape and literals of ``sql``; raises :class:`SqlSyntaxError`
+    (with line and column) on bad input."""
+    tokens: list[Token] = []
+    shape: list[str] = []
+    literals: list[Token] = []
+    new = tuple.__new__  # Token's fields without its Python-level __new__
+    for match in _PATTERN.finditer(sql):
+        kind = match.lastindex
+        if kind == _SPACE:
+            continue
+        text = match.group()
+        start = match.start()
+        if kind == _WORD:
+            lower = text.lower()
+            if lower in KEYWORDS:
+                tokens.append(new(Token, ("keyword", lower, start, None, None)))
+                shape.append(lower)
+            else:
+                tokens.append(new(Token, ("ident", text, start, None, None)))
+                shape.append(text)
+        elif kind == _OP:
+            if text == "<>":
+                text = "!="
+            tokens.append(new(Token, ("op", text, start, None, None)))
+            shape.append(text)
+        elif kind == _NUMBER:
+            # Not after a number: a second point, or an exponent the
+            # pattern could not complete ("1.2.3", "1e", "1e+").
+            tail = sql[match.end() : match.end() + 1]
+            if tail and tail in ".eE":
+                raise _error(sql, f"malformed number {text + tail!r}", start)
+            value = float(text) if "." in text or "e" in text or "E" in text else int(text)
+            if type(value) is int and value > _INT64_MAX:  # no engine type holds it
+                raise _error(sql, "integer literal out of range", start)
+            token = new(Token, ("number", text, start, value, len(literals)))
+            tokens.append(token)
+            literals.append(token)
+            shape.append(FLOAT if type(value) is float else INT if value < 2**31 else BIGINT)
+        elif kind == _STRING:
+            value = text[1:-1].replace("''", "'")
+            token = new(Token, ("string", value, start, value, len(literals)))
+            tokens.append(token)
+            literals.append(token)
+            shape.append(STRING)
+        elif kind == _QUOTED:
+            tokens.append(new(Token, ("ident", text[1:-1], start, None, None)))
+            shape.append(text)
+        elif text == "'":
+            raise _error(sql, "unterminated string literal", start)
+        elif text == '"':
+            raise _error(sql, "unterminated quoted identifier", start)
+        else:
+            raise _error(sql, f"unexpected character {text!r}", start)
+    tokens.append(Token("eof", "", len(sql)))
+    return Lexed(tokens, tuple(shape), literals)
+
+
 def tokenize(sql: str) -> list[Token]:
     """Tokenize a SQL string; raises :class:`SqlSyntaxError` on bad input."""
-    tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and sql[i : i + 2] == "--":
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "'":
-            text, i = _read_string(sql, i)
-            tokens.append(Token("string", text, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            start = i
-            while i < n and (sql[i].isdigit() or sql[i] == "."):
-                i += 1
-            if i < n and sql[i] in "eE":
-                i += 1
-                if i < n and sql[i] in "+-":
-                    i += 1
-                while i < n and sql[i].isdigit():
-                    i += 1
-            tokens.append(Token("number", sql[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_" or ch == '"':
-            if ch == '"':
-                end = sql.find('"', i + 1)
-                if end == -1:
-                    raise SqlSyntaxError("unterminated quoted identifier", i)
-                tokens.append(Token("ident", sql[i + 1 : end], i))
-                i = end + 1
-                continue
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            lower = word.lower()
-            if lower in KEYWORDS:
-                tokens.append(Token("keyword", lower, start))
-            else:
-                tokens.append(Token("ident", word, start))
-            continue
-        matched = False
-        for op in OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token("op", "!=" if op == "<>" else op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise SqlSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("eof", "", n))
-    return tokens
+    return lex(sql).tokens
+
+
+def _error(sql: str, message: str, position: int) -> SqlSyntaxError:
+    line, column = line_column(sql, position)
+    return SqlSyntaxError(message, position=position, line=line, column=column)
 
 
 def line_column(sql: str, position: int) -> tuple[int, int]:
@@ -106,21 +148,3 @@ def line_column(sql: str, position: int) -> tuple[int, int]:
     last_newline = sql.rfind("\n", 0, position)
     column = position - last_newline if last_newline != -1 else position + 1
     return line, column
-
-
-def _read_string(sql: str, start: int) -> tuple[str, int]:
-    """Read a single-quoted string with '' as the escape for a quote."""
-    out = []
-    i = start + 1
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            if i + 1 < n and sql[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise SqlSyntaxError("unterminated string literal", start)

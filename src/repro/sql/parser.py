@@ -48,22 +48,9 @@ _SET_OPERATIONS = {"union", "intersect", "except"}
 class Parser:
     """One-pass recursive-descent parser over the token stream."""
 
-    def __init__(self, sql: str) -> None:
+    def __init__(self, sql: str, tokens: list[Token] | None = None) -> None:
         self.sql = sql
-        try:
-            self.tokens = tokenize(sql)
-        except SqlSyntaxError as exc:
-            if exc.position is None:
-                raise
-            line, column = line_column(sql, exc.position)
-            # Re-raise with line/column context; the original message
-            # carries an "(at offset N)" suffix we rebuild without.
-            raise SqlSyntaxError(
-                str(exc).rsplit(" (at offset", 1)[0],
-                position=exc.position,
-                line=line,
-                column=column,
-            ) from None
+        self.tokens = tokenize(sql) if tokens is None else tokens
         self.pos = 0
 
     # ------------------------------------------------------------------ #
@@ -437,9 +424,9 @@ class Parser:
         if self.accept_op("("):
             while True:
                 number = self.advance()
-                if number.kind != "number":
+                if number.kind != "number" or not isinstance(number.value, int):
                     raise self._error("expected numeric type parameter", number)
-                params.append(int(number.text))
+                params.append(number.value)
                 if not self.accept_op(","):
                     break
             self.expect_op(")")
@@ -563,10 +550,8 @@ class Parser:
 
     def _literal_value(self) -> Any:
         token = self.advance()
-        if token.kind == "string":
-            return token.text
-        if token.kind == "number":
-            return _parse_number(token.text)
+        if token.kind in ("string", "number"):
+            return token.value
         if token.is_keyword("null"):
             return None
         if token.is_keyword("true"):
@@ -574,7 +559,7 @@ class Parser:
         if token.is_keyword("false"):
             return False
         if token.is_op("-") and self.peek().kind == "number":
-            return -_parse_number(self.advance().text)
+            return -self.advance().value
         raise self._error(f"expected a literal, got {token.text!r}", token)
 
     def _additive(self) -> SqlExpr:
@@ -601,16 +586,16 @@ class Parser:
         if self.accept_op("-"):
             operand = self._unary()
             if isinstance(operand, ELiteral) and isinstance(operand.value, (int, float)):
+                # Folded: no slot, so the literal's text is part of the
+                # statement's cache key (runner "Statement shapes").
                 return ELiteral(-operand.value)
             return EBinary("-", ELiteral(0), operand)
         return self._primary()
 
     def _primary(self) -> SqlExpr:
         token = self.advance()
-        if token.kind == "number":
-            return ELiteral(_parse_number(token.text))
-        if token.kind == "string":
-            return ELiteral(token.text)
+        if token.kind in ("number", "string"):
+            return ELiteral(token.value, token.slot)
         if token.is_keyword("null"):
             return ELiteral(None)
         if token.is_keyword("true"):
@@ -719,12 +704,6 @@ class Parser:
         return ECase(branches, default)
 
 
-def _parse_number(text: str) -> int | float:
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
-
-
-def parse_statement(sql: str):
-    """Parse one SQL statement into its AST."""
-    return Parser(sql).parse_statement()
+def parse_statement(sql: str, tokens: list[Token] | None = None):
+    """Parse one SQL statement (already lexed into ``tokens``) into its AST."""
+    return Parser(sql, tokens).parse_statement()

@@ -1,17 +1,23 @@
 """The statement pipeline: the one way a SQL statement runs.
 
-parse → classify (control / read / write) → govern → isolate → bind →
-compile → pin → run → present. ``Database.sql``, ``Database.execute``,
-``Session.sql``, ``ConcurrentDatabase.sql``, the server and the shell
-are thin callers of :func:`run_statement` / :func:`execute_plan` that
-differ only in the :class:`Isolation` object they pass (DESIGN.md
-"Statement pipeline").
+lex → (a cached shape, or parse) → classify (control / read / write) →
+govern → isolate → bind → compile → pin → run → present.
+``Database.sql``, ``Database.execute``, ``Session.sql``,
+``ConcurrentDatabase.sql``, the server and the shell are thin callers of
+:func:`run_statement` / :func:`execute_plan` that differ only in the
+:class:`Isolation` object they pass (DESIGN.md "Statement pipeline").
+
+A SELECT, INSERT, UPDATE or DELETE is bound once per *shape* and catalog
+version: its text with each literal replaced by its class. The next
+statement of that shape skips parse, bind and optimize and binds its own
+literals into a copy of the kept template (DESIGN.md "Statement shapes").
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import BindingError, CatalogError, SqlSyntaxError
 from ..exec import expressions as X
@@ -20,12 +26,14 @@ from ..exec.row_engine import RowColumnStoreScan
 from ..governance import context as governance
 from ..governance import get_query_registry, governed
 from ..observability import registry as metrics
-from ..planner.logical import LogicalNode
+from ..planner.logical import LogicalJoin, LogicalNode
+from ..planner.rewrite import map_expression, map_plan
 from ..planner.schema_infer import infer_output_dtypes
 from ..schema import ColumnDef, TableSchema
 from ..types import BIGINT, BOOL, DATE, FLOAT, INT, VARCHAR, DataType, decimal, varchar
 from . import ast as A
 from .binder import Binder, _Namespace
+from .lexer import Lexed, lex
 from .parser import parse_statement
 
 _TYPE_CONSTRUCTORS = {
@@ -92,16 +100,23 @@ class Isolation:
 def run_statement(db, sql: str, isolation: Isolation | None = None, **options: Any):
     """The statement pipeline, end to end; every front door calls this.
 
-    parse → classify → govern → (:func:`run_parsed`:) isolate → bind →
-    compile → pin → run → present. Queries return a Result; DML a Result
-    with one ``rows_affected`` value; DDL and most control return None.
+    lex → a kept template (:func:`_run_template`), or parse → classify →
+    govern → (:func:`run_parsed`:) isolate → bind → compile → pin → run →
+    present. Queries return a Result; DML a Result with one
+    ``rows_affected`` value; DDL and most control return None.
     """
     isolation = isolation or db.isolation
-    statement = parse_statement(sql)  # pure text work: nothing held yet
+    lexed = lex(sql)  # pure text work: nothing held yet
+    found = _cached(db, lexed)
+    if found is not None:
+        with governing(db, isolation, sql):
+            return _run_template(db, sql, lexed, found, isolation, options)
+    statement = parse_statement(sql, lexed.tokens)
     if isinstance(statement, _CONTROL):
-        return run_parsed(db, statement, isolation, **options)
+        metrics.increment("sql.shapes.not_kept.statement")
+        return run_parsed(db, statement, isolation, lexed, **options)
     with governing(db, isolation, sql):
-        return run_parsed(db, statement, isolation, **options)
+        return run_parsed(db, statement, isolation, lexed, **options)
 
 
 @contextmanager
@@ -126,14 +141,14 @@ def governing(db, isolation: Isolation, sql: str):
         isolation.running_query_id = None
 
 
-def run_parsed(db, statement: Any, isolation: Isolation, **options: Any):
+def run_parsed(db, statement: Any, isolation: Isolation, lexed: Lexed, **options: Any):
     """Everything after *govern* for one parsed statement."""
     if isinstance(statement, _READS):
-        return _run_read(db, statement, isolation, options)
+        return _run_read(db, statement, isolation, lexed, options)
     if isinstance(statement, _CONTROL):
         return _run_control(db, statement, isolation)
-    with _write_side(db, statement, isolation):
-        return _apply(db, statement)
+    with _write_side(db, statement.table if isinstance(statement, _DML) else None, isolation):
+        return _apply(db, statement, lexed)
 
 
 # ---------------------------------------------------------------------- #
@@ -243,24 +258,27 @@ def execute_plan(
     isolation: Isolation,
     epoch: int | None = None,
     stats: bool = False,
+    dtypes: list[DataType] | None = None,
     **options: Any,
 ):
-    """Compile → pin → run → present for one bound SELECT."""
-    dtypes_by_name = infer_output_dtypes(plan, db.catalog)
+    """Compile → pin → run → present for one bound SELECT; ``dtypes``
+    are its output columns' types (inferred when not given)."""
+    if dtypes is None:
+        by_name = infer_output_dtypes(plan, db.catalog)
+        dtypes = [by_name[name] for name in plan.output_names()]
     physical, lock_free = prepare(db, plan, epoch, **options)
-    dtypes = [dtypes_by_name[name] for name in physical.columns]
     rows, execution_stats = run_physical(isolation, physical, lock_free, stats, dtypes)
     return _result(physical.columns, dtypes, rows, execution_stats)
 
 
-def _run_read(db, statement, isolation: Isolation, options: dict[str, Any]):
+def _run_read(db, statement, isolation: Isolation, lexed: Lexed, options: dict[str, Any]):
     """SELECT and EXPLAIN [ANALYZE]: the same stages, a different last one."""
     stats = bool(options.pop("stats", False))
     with _read_epoch(db, isolation) as epoch:
-        binder = make_binder(db, isolation, epoch)
         if isinstance(statement, A.SelectStatement):
-            plan = binder.bind_select(statement)
-            return execute_plan(db, plan, isolation, epoch, stats, **options)
+            return _select(db, statement, isolation, epoch, stats, lexed, options)
+        metrics.increment("sql.shapes.not_kept.statement")
+        binder = make_binder(db, isolation, epoch)
         physical, lock_free = prepare(
             db, binder.bind_select(statement.select), epoch, **options
         )
@@ -285,8 +303,9 @@ def plan_query(db, sql: str) -> LogicalNode:
 # Writes: isolate → apply (bind + Database DML/DDL) → present
 # ---------------------------------------------------------------------- #
 @contextmanager
-def _write_side(db, statement, isolation: Isolation):
-    """Isolate a write: nothing, the exclusive side, or shared + latch.
+def _write_side(db, table: str | None, isolation: Isolation):
+    """Isolate a write to ``table`` (None: DDL): nothing, the exclusive
+    side, or shared + latch.
 
     Auto-commit DML on a columnstore-only table touches that table's
     structures plus internally locked shared services (WAL, epoch
@@ -304,9 +323,9 @@ def _write_side(db, statement, isolation: Isolation):
         yield
         return
     latch = None
-    if isolation.latches is not None and isinstance(statement, _DML):
+    if isolation.latches is not None and table is not None:
         try:
-            target = db.catalog.table(statement.table)
+            target = db.catalog.table(table)
         except CatalogError:
             target = None  # unknown table: let the statement raise normally
         if target is not None and target.rowstore is None:
@@ -329,14 +348,12 @@ def _write_side(db, statement, isolation: Isolation):
         lock.release_read()
 
 
-def _apply(db, statement: Any):
-    if isinstance(statement, A.InsertStatement):
-        return _affected(_run_insert(db, statement))
-    if isinstance(statement, A.DeleteStatement):
-        predicate = _bind_table_predicate(db, statement.table, statement.where)
-        return _affected(db.delete_where(statement.table, predicate))
-    if isinstance(statement, A.UpdateStatement):
-        return _run_update(db, statement)
+def _apply(db, statement: Any, lexed: Lexed):
+    """Bind a write and apply it; an INSERT, UPDATE or DELETE through the
+    template it is kept as."""
+    if isinstance(statement, _DML):
+        return _apply_template(db, _dml_template(db, statement, lexed), lexed.literals)
+    metrics.increment("sql.shapes.not_kept.statement")
     if isinstance(statement, A.CreateTableStatement):
         _run_create_table(db, statement)
         return None
@@ -354,6 +371,224 @@ def _result(columns, dtypes, rows, stats=None):
     from ..db.database import Result
 
     return Result(columns=columns, dtypes=dtypes, rows=rows, stats=stats)
+
+
+# ---------------------------------------------------------------------- #
+# Statement shapes: bound once per catalog version
+# ---------------------------------------------------------------------- #
+# Keys (shape, catalog version) per database, least recently used out;
+# templates per key, differing only in their fixed literals, oldest out.
+_SHAPES_KEPT = 256
+_TEMPLATES_PER_SHAPE = 8
+_shapes_lock = threading.Lock()
+
+# Every template's ``fixed`` holds (slot, text) of the literals that are
+# not parameters — folded, read as text by the binder, or never a
+# ``Literal`` at all (IN lists, LIKE patterns, LIMIT, ORDER BY ordinals):
+# a statement uses the template only if it repeats those texts.
+
+
+class _Select(NamedTuple):
+    """A SELECT bound and optimized, and its output columns' types."""
+
+    fixed: tuple[tuple[int, str], ...]
+    plan: LogicalNode
+    dtypes: tuple[DataType, ...]
+
+
+class _Write(NamedTuple):
+    """INSERT (``rows``: per table column a ``Literal``), UPDATE
+    (``assignments`` and ``predicate``) or DELETE (``predicate``)."""
+
+    fixed: tuple[tuple[int, str], ...]
+    table: str
+    rows: tuple[tuple[X.Literal, ...], ...] | None
+    assignments: tuple[tuple[str, X.Expr], ...] | None
+    predicate: X.Expr | None
+
+
+def _cached(db, lexed: Lexed):
+    """``(template, catalog version)`` kept for this statement, or None."""
+    key = (lexed.shape, db.catalog.version)
+    with _shapes_lock:
+        templates = db.shapes.get(key)
+        if templates is None:
+            return None
+        db.shapes.move_to_end(key)
+    literals = lexed.literals
+    for template in templates:
+        if all(literals[slot].text == text for slot, text in template.fixed):
+            return template, key[1]
+    return None
+
+
+def _keep(db, lexed: Lexed, version: int, template) -> None:
+    key = (lexed.shape, version)
+    with _shapes_lock:
+        others = [t for t in db.shapes.pop(key, ()) if t.fixed != template.fixed]
+        db.shapes[key] = (template, *others[: _TEMPLATES_PER_SHAPE - 1])
+        evicted = len(others[_TEMPLATES_PER_SHAPE - 1 :])
+        while len(db.shapes) > _SHAPES_KEPT:
+            evicted += len(db.shapes.popitem(last=False)[1])
+    metrics.increment("sql.shapes.misses")
+    if evicted:
+        metrics.increment("sql.shapes.evicted", evicted)
+
+
+def _fixed(literals, params: set[int]) -> tuple[tuple[int, str], ...]:
+    return tuple((slot, token.text) for slot, token in enumerate(literals) if slot not in params)
+
+
+def _params(walk) -> set[int]:
+    """Slots of the ``Literal`` s that ``walk(leaf_fn)`` visits."""
+    slots: set[int] = set()
+
+    def record(node: X.Expr) -> None:
+        if type(node) is X.Literal and node.slot is not None:
+            slots.add(node.slot)
+
+    walk(record)
+    return slots
+
+
+def _filler(literals):
+    """A leaf function putting this statement's literals in a template's
+    place, coerced as the template's were; never mutates the template."""
+
+    def fill(node: X.Expr) -> X.Expr | None:
+        if type(node) is X.Literal and node.slot is not None:
+            value = literals[node.slot].value
+            if node.coerce is not None:
+                value = node.coerce(value)
+            return X.Literal(value, node.dtype, node.slot, node.coerce)
+        return None
+
+    return fill
+
+
+def _run_template(db, sql: str, lexed: Lexed, found, isolation: Isolation, options):
+    """Isolate, then run through the kept template. The lookup preceded
+    isolation: if a DDL ran in between, bind afresh under the side held."""
+    template, version = found
+    if isinstance(template, _Select):
+        stats = bool(options.pop("stats", False))
+        with _read_epoch(db, isolation) as epoch:
+            if db.catalog.version != version:
+                statement = parse_statement(sql, lexed.tokens)
+                return _select(db, statement, isolation, epoch, stats, lexed, options)
+            metrics.increment("sql.shapes.hits")
+            return _run_select(db, template, lexed.literals, isolation, epoch, stats, options)
+    with _write_side(db, template.table, isolation):
+        if db.catalog.version != version:
+            return _apply(db, parse_statement(sql, lexed.tokens), lexed)
+        metrics.increment("sql.shapes.hits")
+        return _apply_template(db, template, lexed.literals)
+
+
+def _select(db, statement, isolation, epoch, stats: bool, lexed: Lexed, options):
+    """Bind a SELECT and run it, kept as a template unless its plan
+    depends on literal values: a join's sides and bitmaps follow
+    estimates, a subquery's result is in the plan."""
+    version = db.catalog.version
+    binder = make_binder(db, isolation, epoch)
+    plan = binder.bind_select(statement)
+    reason = "subquery" if binder.ran_subquery else "join" if _has_join(plan) else None
+    if reason is not None:
+        metrics.increment(f"sql.shapes.not_kept.{reason}")
+        return execute_plan(db, plan, isolation, epoch, stats, **options)
+    by_name = infer_output_dtypes(plan, db.catalog)
+    plan = db.optimizer.optimize(plan)
+    params = _params(lambda record: map_plan(plan, record)) - binder.pinned
+    dtypes = tuple(by_name[name] for name in plan.output_names())
+    template = _Select(_fixed(lexed.literals, params), plan, dtypes)
+    _keep(db, lexed, version, template)
+    return _run_select(db, template, lexed.literals, isolation, epoch, stats, options)
+
+
+def _run_select(db, template: _Select, literals, isolation, epoch, stats: bool, options):
+    plan = map_plan(template.plan, _filler(literals))
+    return execute_plan(
+        db, plan, isolation, epoch, stats, list(template.dtypes), optimize=False, **options
+    )
+
+
+def _has_join(node: LogicalNode) -> bool:
+    return isinstance(node, LogicalJoin) or any(_has_join(c) for c in node.children())
+
+
+def _dml_template(db, statement, lexed: Lexed):
+    """Bind an INSERT, UPDATE or DELETE; kept unless a subquery ran."""
+    version = db.catalog.version
+    binder = make_binder(db)
+    rows = assignments = predicate = None
+    if isinstance(statement, A.InsertStatement):
+        rows = _insert_rows(db, statement)
+    else:
+        namespace = _table_namespace(db, statement.table)
+        if isinstance(statement, A.UpdateStatement):
+            assignments = tuple(_assignments(db, binder, namespace, statement))
+        if statement.where is not None:
+            predicate = binder._bind_scalar(statement.where, namespace)
+    exprs = [e for row in rows or () for e in row] + [e for _, e in assignments or ()]
+    exprs += [predicate] if predicate is not None else []
+    params = _params(lambda record: [map_expression(e, record) for e in exprs])
+    template = _Write(
+        _fixed(lexed.literals, params), statement.table, rows, assignments, predicate
+    )
+    if binder.ran_subquery:
+        metrics.increment("sql.shapes.not_kept.subquery")
+    else:
+        _keep(db, lexed, version, template)
+    return template
+
+
+def _apply_template(db, template: _Write, literals):
+    """The write a template stands for, with this statement's literals."""
+    fill = _filler(literals)
+    if template.rows is not None:
+        rows = [tuple((fill(e) or e).value for e in row) for row in template.rows]
+        return _affected(db.insert(template.table, rows))
+    assignments = None
+    if template.assignments is not None:  # coerced before the predicate, as bound
+        assignments = {name: map_expression(e, fill) for name, e in template.assignments}
+    predicate = None if template.predicate is None else map_expression(template.predicate, fill)
+    if assignments is None:
+        return _affected(db.delete_where(template.table, predicate))
+    return _affected(db.update_where(template.table, assignments, predicate))
+
+
+def _insert_rows(db, statement: A.InsertStatement):
+    """Per row, a ``Literal`` per table column: the written one (its slot
+    kept) or the constant the VALUES expression evaluates to."""
+    schema = db.table(statement.table).schema
+    if statement.columns is None:
+        positions = list(range(len(schema)))
+    else:
+        positions = [schema.position(c) for c in statement.columns]
+    rows = []
+    for value_exprs in statement.rows:
+        if len(value_exprs) != len(positions):
+            raise BindingError(
+                f"INSERT row has {len(value_exprs)} values for {len(positions)} columns"
+            )
+        row = [X.Literal(None)] * len(schema)
+        for position, expr in zip(positions, value_exprs):
+            slot = expr.slot if isinstance(expr, A.ELiteral) else None
+            row[position] = X.Literal(_constant_value(expr), slot=slot)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _assignments(db, binder: Binder, namespace: _Namespace, statement: A.UpdateStatement):
+    table = db.table(statement.table)
+    for column, expr in statement.assignments:
+        dtype: DataType = table.schema.dtype(column)
+        if isinstance(expr, A.ELiteral):
+            # Literals coerce to the target column's physical form.
+            value = dtype.coerce(expr.value) if expr.value is not None else None
+            yield column, X.Literal(value, dtype, expr.slot, dtype.coerce)
+        else:
+            yield column, binder._bind_scalar(expr, namespace)
 
 
 # ---------------------------------------------------------------------- #
@@ -469,26 +704,6 @@ def _run_create_table(db, statement: A.CreateTableStatement) -> None:
     db.create_table(statement.table, TableSchema(columns), storage=storage)
 
 
-def _run_insert(db, statement: A.InsertStatement) -> int:
-    table = db.table(statement.table)
-    schema = table.schema
-    if statement.columns is None:
-        positions = list(range(len(schema)))
-    else:
-        positions = [schema.position(c) for c in statement.columns]
-    rows = []
-    for value_exprs in statement.rows:
-        if len(value_exprs) != len(positions):
-            raise BindingError(
-                f"INSERT row has {len(value_exprs)} values for {len(positions)} columns"
-            )
-        row: list[Any] = [None] * len(schema)
-        for position, expr in zip(positions, value_exprs):
-            row[position] = _constant_value(expr)
-        rows.append(tuple(row))
-    return db.insert(statement.table, rows)
-
-
 def _constant_value(expr: A.SqlExpr) -> Any:
     """Evaluate a constant VALUES expression (literals and arithmetic)."""
     if isinstance(expr, A.ELiteral):
@@ -509,32 +724,3 @@ def _table_namespace(db, table_name: str) -> _Namespace:
     for col in table.schema:
         namespace.add(table.name, col.name, col.name, col.dtype)
     return namespace
-
-
-def _bind_table_predicate(db, table_name: str, where: A.SqlExpr | None):
-    if where is None:
-        return None
-    binder = make_binder(db)
-    return binder._bind_scalar(where, _table_namespace(db, table_name))
-
-
-def _run_update(db, statement: A.UpdateStatement):
-    binder = make_binder(db)
-    namespace = _table_namespace(db, statement.table)
-    table = db.table(statement.table)
-    assignments: dict[str, X.Expr] = {}
-    for column, expr in statement.assignments:
-        dtype: DataType = table.schema.dtype(column)
-        if isinstance(expr, A.ELiteral):
-            # Literals coerce to the target column's physical form.
-            assignments[column] = X.Literal(
-                dtype.coerce(expr.value) if expr.value is not None else None, dtype
-            )
-        else:
-            assignments[column] = binder._bind_scalar(expr, namespace)
-    predicate = (
-        binder._bind_scalar(statement.where, namespace)
-        if statement.where is not None
-        else None
-    )
-    return _affected(db.update_where(statement.table, assignments, predicate))

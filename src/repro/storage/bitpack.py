@@ -86,21 +86,14 @@ def take(
     ``payload``, ``width`` and ``positions`` may come from disk and are
     checked here.
     """
-    if not 0 <= width <= 64:
-        raise EncodingError(f"bit width {width} outside 0..64")
-    if count < 0:
-        raise EncodingError(f"negative count {count}")
-    if len(payload) < packed_size_bytes(count, width):
-        raise EncodingError(
-            f"payload has {len(payload) * 8} bits, need {count * width}"
-        )
+    _check(payload, width, count)
     if positions is None:
         taken = count
     else:
         positions = np.asarray(positions, dtype=np.int64)
         taken = positions.size
-        if taken and not 0 <= int(positions.min()) <= int(positions.max()) < count:
-            raise EncodingError(f"position outside a stream of {count} values")
+        if taken:
+            _check_positions(int(positions.min()), int(positions.max()), count)
     if width == 0 or taken == 0:
         return np.zeros(taken, dtype=np.uint64)
     if width in (8, 16, 32, 64):
@@ -162,6 +155,39 @@ def take(
         words |= high
     words &= np.uint64((1 << width) - 1)
     return words
+
+
+def take_few(payload: bytes, width: int, count: int, positions: list[int]) -> list[int]:
+    """:func:`take` of a handful of positions in Python integers, with the
+    same checks; no array is made. Value ``i``'s bits lie in the 9 bytes
+    from byte ``i * width // 8`` (7 bits of shift + 64 of value), read
+    with ``int.from_bytes``, shifted and masked."""
+    _check(payload, width, count)
+    mask = (1 << width) - 1
+    if positions:
+        _check_positions(min(positions), max(positions), count)
+    out = []
+    for position in positions:
+        bit = position * width
+        window = int.from_bytes(payload[bit >> 3 : (bit >> 3) + 9], "little")
+        out.append(window >> (bit & 7) & mask)
+    return out
+
+
+def _check(payload: bytes, width: int, count: int) -> None:
+    if not 0 <= width <= 64:
+        raise EncodingError(f"bit width {width} outside 0..64")
+    if count < 0:
+        raise EncodingError(f"negative count {count}")
+    if len(payload) < packed_size_bytes(count, width):
+        raise EncodingError(
+            f"payload has {len(payload) * 8} bits, need {count * width}"
+        )
+
+
+def _check_positions(low: int, high: int, count: int) -> None:
+    if not 0 <= low <= high < count:
+        raise EncodingError(f"position outside a stream of {count} values")
 
 
 def unpack(payload: bytes, width: int, count: int) -> np.ndarray:

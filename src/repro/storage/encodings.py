@@ -46,6 +46,9 @@ class BitpackBlock:
     def take(self, positions: np.ndarray) -> np.ndarray:
         return bitpack.take(self.payload, self.width, self.count, positions)
 
+    def take_few(self, positions: list[int]) -> list[int]:
+        return bitpack.take_few(self.payload, self.width, self.count, positions)
+
 
 @dataclass(frozen=True)
 class RawBlock:
@@ -105,8 +108,11 @@ def unpack_null_mask(payload: bytes, count: int) -> np.ndarray:
     ).astype(bool)
 
 
-def take_null_mask(payload: bytes, positions: np.ndarray) -> np.ndarray:
-    """:func:`unpack_null_mask` at ``positions`` only."""
+def take_null_mask(payload: bytes, positions: np.ndarray | list[int]) -> np.ndarray:
+    """:func:`unpack_null_mask` at ``positions`` only (a list: read bit by
+    bit in Python)."""
+    if isinstance(positions, list):
+        return np.array([payload[p >> 3] >> (p & 7) & 1 for p in positions], dtype=bool)
     bits = np.frombuffer(payload, dtype=np.uint8)[positions >> 3]
     return (bits >> (positions & 7).astype(np.uint8) & 1).astype(bool)
 

@@ -8,7 +8,9 @@ streams are themselves bit-packed with their minimal widths.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -66,10 +68,7 @@ class RleBlock:
     def decode(self) -> np.ndarray:
         """Expand back to the original code stream (dtype uint64)."""
         decoded = np.repeat(*self.runs())
-        if decoded.size != self.count:
-            raise EncodingError(
-                f"RLE block decoded to {decoded.size} values, expected {self.count}"
-            )
+        self._check_total(decoded.size)
         return decoded
 
     def take(self, positions: np.ndarray) -> np.ndarray:
@@ -79,12 +78,23 @@ class RleBlock:
             return self.decode()[positions]
         run_values, run_lengths = self.runs()
         ends = np.cumsum(run_lengths)
-        total = int(ends[-1]) if ends.size else 0
-        if total != self.count:
-            raise EncodingError(
-                f"RLE block decodes to {total} values, expected {self.count}"
-            )
+        self._check_total(int(ends[-1]) if ends.size else 0)
         return run_values[np.searchsorted(ends, positions, side="right")]
+
+    def take_few(self, positions: list[int]) -> list[int]:
+        """:meth:`take` in Python integers: each position's run found from
+        the run lengths, and only those runs' values read."""
+        # The value stream is checked first, as runs() unpacks it first.
+        bitpack.take_few(self.value_payload, self.value_width, self.n_runs, [])
+        lengths = bitpack.unpack(self.length_payload, self.length_width, self.n_runs)
+        ends = list(accumulate(lengths.tolist()))
+        self._check_total(ends[-1] if ends else 0)
+        runs = [bisect_right(ends, position) for position in positions]
+        return bitpack.take_few(self.value_payload, self.value_width, self.n_runs, runs)
+
+    def _check_total(self, total: int) -> None:
+        if total != self.count:
+            raise EncodingError(f"RLE block decodes to {total} values, expected {self.count}")
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The (values, lengths) pair, for per-run predicate evaluation."""

@@ -40,6 +40,11 @@ _METADATA_OVERHEAD_BYTES = 64
 # at most this many cells per row (a join's offset table over its build
 # keys, a plain key column coded by subtraction).
 DENSE_DOMAIN_PER_ROW = 8
+# A take of at most this many positions works in Python integers and
+# makes one array, of its result: below it the array path's fixed cost
+# (asarray, min / max, view, += and astype on tiny arrays, the kernel's
+# own) is most of a take (EXPERIMENTS.md E29 measures the crossover).
+_FEW = 8
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,8 @@ class ColumnSegment:
             raise EncodingError(f"position outside a segment of {self.row_count} rows")
         if self.archive is not None:
             return self.to_unarchived().take(positions)
+        if positions.size <= _FEW and self.scheme is not Scheme.RAW:
+            return self._take_few(positions.tolist())
         vector = self.vector()
         if vector is not None:
             return vector.take(positions)
@@ -157,6 +164,24 @@ class ColumnSegment:
             assert self.value_enc is not None
             values = self.value_enc.invert(values, self.dtype.numpy_dtype)
         return values, self.null_mask(positions)
+
+    def _take_few(self, positions: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`take` of a few positions in Python integers: the stream
+        read at those rows alone, the values looked up / inverted one by
+        one, one array made at the end — bit for bit the array path."""
+        codes = self.stream.take_few(positions)
+        if self.scheme is Scheme.VALUE:
+            values = self.value_enc.invert_few(codes, self.dtype.numpy_dtype)
+        else:
+            entries = self.dictionary.values
+            dtype = self.dtype.numpy_dtype
+            if entries:  # a code is int64 to the array path: one past 2**63 wraps
+                values = np.array([entries[c - (c >> 63 << 64)] for c in codes], dtype=dtype)
+            else:  # every row NULL: filler, as DictionaryVector._lookup
+                values = np.full(len(codes), "" if dtype == object else 0, dtype=dtype)
+        if self.null_payload is None:
+            return values, None
+        return values, take_null_mask(self.null_payload, positions)
 
     # ------------------------------------------------------------------ #
     # Archival compression
@@ -530,7 +555,7 @@ def _fill_codes(
     """Scatter non-null codes into a full-length stream (nulls become 0)."""
     if null_mask is None:
         return codes_non_null
-    full = np.zeros(row_count, dtype=np.int64)
+    full = np.zeros(row_count, dtype=codes_non_null.dtype)
     full[~null_mask] = codes_non_null
     return full
 
@@ -551,7 +576,7 @@ def _encode_ints(values, non_null, null_mask, row_count):
         dictionary, codes = LocalDictionary.build(non_null.astype(np.int64))
         stream = encode_stream(_fill_codes(codes, null_mask, row_count))
         return Scheme.DICT, stream, dictionary, None
-    stream = encode_stream(_fill_codes(offsets.astype(np.int64), null_mask, row_count))
+    stream = encode_stream(_fill_codes(offsets, null_mask, row_count))
     return Scheme.VALUE, stream, None, venc
 
 

@@ -41,10 +41,12 @@ class ValueEncoding:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Transform raw numeric values into non-negative offsets."""
         transformed = _scale(values, self.exponent)
-        offsets = transformed - self.base
-        if offsets.size and int(offsets.min()) < 0:
+        if transformed.size and int(transformed.min()) < self.base:
             raise EncodingError("value encoding produced negative offsets")
-        return offsets.astype(np.uint64)
+        # Subtracted modulo 2**64: a BIGINT range wider than int64 holds
+        # (-2**62 .. 2**62) still has offsets below 2**64, and invert's
+        # wrapping int64 addition brings the values back.
+        return transformed.astype(np.uint64) - np.uint64(self.base % 2**64)
 
     def invert(self, offsets: np.ndarray, target_dtype: np.dtype) -> np.ndarray:
         """Recover raw values from stored offsets — in place: ``offsets``
@@ -64,6 +66,26 @@ class ValueEncoding:
         if self.exponent < 0:
             ints *= 10 ** (-self.exponent)
         return ints.astype(target_dtype, copy=False)
+
+    def invert_few(self, offsets: list[int], target_dtype: np.dtype) -> np.ndarray:
+        """:meth:`invert` on Python integers (uint64 offsets), bit for bit
+        the same array: the same wrapping int64 arithmetic, each float
+        ``float(i) / float(10**exponent)``."""
+        ints = [_wrap(offset + self.base) for offset in offsets]
+        if self.exponent > 0:
+            if np.issubdtype(target_dtype, np.floating):
+                scale = float(10**self.exponent)
+                return np.array([float(i) / scale for i in ints], dtype=np.float64)
+            raise EncodingError("positive exponent is only used for float columns")
+        if self.exponent < 0:
+            factor = 10 ** (-self.exponent)
+            ints = [_wrap(i * factor) for i in ints]
+        return np.array(ints, dtype=np.int64).astype(target_dtype, copy=False)
+
+
+def _wrap(value: int) -> int:
+    """``value`` as int64 arithmetic leaves it (two's complement wrap)."""
+    return ((value + 2**63) & (2**64 - 1)) - 2**63
 
 
 def _scale(values: np.ndarray, exponent: int) -> np.ndarray:

@@ -44,6 +44,15 @@ class TypeKind(enum.Enum):
 # Kinds presented as a plain Python number: ``py(v)`` for one cell,
 # ``astype(py)`` for a column — one table, so the two cannot disagree.
 _PLAIN = {TypeKind.INT: int, TypeKind.BIGINT: int, TypeKind.FLOAT: float, TypeKind.BOOL: bool}
+_NUMPY_DTYPES = {
+    TypeKind.INT: np.dtype(np.int32),
+    TypeKind.BIGINT: np.dtype(np.int64),
+    TypeKind.FLOAT: np.dtype(np.float64),
+    TypeKind.DECIMAL: np.dtype(np.int64),
+    TypeKind.VARCHAR: np.dtype(object),
+    TypeKind.DATE: np.dtype(np.int32),
+    TypeKind.BOOL: np.dtype(np.bool_),
+}
 
 
 @dataclass(frozen=True)
@@ -92,16 +101,7 @@ class DataType:
         VARCHAR columns travel as object arrays (Python strings) outside the
         storage layer; inside column segments they are dictionary codes.
         """
-        mapping = {
-            TypeKind.INT: np.dtype(np.int32),
-            TypeKind.BIGINT: np.dtype(np.int64),
-            TypeKind.FLOAT: np.dtype(np.float64),
-            TypeKind.DECIMAL: np.dtype(np.int64),
-            TypeKind.VARCHAR: np.dtype(object),
-            TypeKind.DATE: np.dtype(np.int32),
-            TypeKind.BOOL: np.dtype(np.bool_),
-        }
-        return mapping[self.kind]
+        return _NUMPY_DTYPES[self.kind]
 
     @property
     def fixed_width_bytes(self) -> int:

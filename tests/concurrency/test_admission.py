@@ -170,19 +170,30 @@ class TestDrainAccounting:
         server = ReproServer(cdb)
         port = server.start()
         client = ServerClient("127.0.0.1", port)
+        # A write waiting for the lock side a transaction holds is
+        # mid-statement for as long as the test wants, whatever the speed
+        # of the host (a slow SELECT no longer outlasts the drain).
+        holder = cdb.session("holder")
+        holder.sql("BEGIN")
         result = {}
 
-        def run_slow():
+        def run_blocked():
             try:
-                result["slow"] = client.request(SLOW_QUERY)
+                result["blocked"] = client.request("INSERT INTO t VALUES (-1, 0)")
             except (ConnectionError, OSError):
-                result["slow"] = {"kind": "disconnected"}
+                result["blocked"] = {"kind": "disconnected"}
 
-        thread = threading.Thread(target=run_slow)
+        thread = threading.Thread(target=run_blocked)
         thread.start()
-        time.sleep(0.1)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and len(get_query_registry()) == 0:
+            time.sleep(0.005)
+        assert len(get_query_registry()) == 1, "blocked write never started"
         server.shutdown(drain_seconds=0.1)
         thread.join(timeout=30.0)
+        holder.sql("ROLLBACK")
+        holder.close()
+        assert not thread.is_alive()
         assert server.drain_killed == 1
         after = metrics.get_registry().counter("server.drain_killed")
         assert after >= before + 1

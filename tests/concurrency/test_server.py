@@ -52,6 +52,19 @@ class TestProtocol:
             # Connection still usable afterwards.
             assert client.sql("SELECT COUNT(*) AS c FROM t")["rows"] == [[2]]
 
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT 1.2.3 FROM t", "SELECT a FROM t WHERE a = 1e",
+         "SELECT a FROM t WHERE a = 1e+", "SELECT a FROM t WHERE a = 9223372036854775808"],
+    )
+    def test_malformed_number_is_a_syntax_error(self, served, sql):
+        _server, port = served
+        with connect(port) as client:
+            response = client.request(sql)
+            assert response["ok"] is False
+            assert response["kind"] == "SqlSyntaxError"
+            assert response["retryable"] is False
+
     def test_malformed_request_reported(self, served):
         _server, port = served
         with connect(port) as client:
@@ -152,3 +165,32 @@ class TestShutdown:
         server, _port = served
         server.shutdown()
         server.shutdown()
+
+
+class TestWireEncoding:
+    """Rows leave as the result's own tuples through one encoder built
+    once: the bytes are those of the per-call json.dumps of copied lists."""
+
+    @staticmethod
+    def _before(result) -> bytes:
+        if result is None:
+            payload = {"ok": True, "columns": None, "rows": None, "rowcount": 0}
+        else:
+            rows = [list(row) for row in result.rows]
+            payload = {"ok": True, "columns": list(result.columns), "rows": rows,
+                       "rowcount": len(rows)}
+        return (json.dumps(payload, default=str) + "\n").encode("utf-8")
+
+    def test_bytes_unchanged(self):
+        from repro import Database
+        from repro.server.server import _encode, _result_payload
+
+        db = Database()
+        db.sql("CREATE TABLE w (i INT, d DATE, m DECIMAL(8, 2), f FLOAT, s VARCHAR)")
+        db.sql("INSERT INTO w VALUES (1, '2024-02-29', 12.5, 0.1, 'it''s \"q\"'), "
+               "(NULL, NULL, NULL, NULL, NULL), (3, '1970-01-01', -0.05, -1e300, 'ñandú 日本 \\')")
+        for sql in ("SELECT * FROM w", "SELECT * FROM w WHERE i = 99",
+                    "SELECT COUNT(*) AS n, SUM(m) AS s FROM w", "INSERT INTO w (i) VALUES (4)",
+                    "CREATE TABLE z (a INT)"):
+            result = db.sql(sql)
+            assert _encode(_result_payload(result)) == self._before(result), sql

@@ -123,3 +123,45 @@ class TestParserAcceptsNewSurface:
     def test_errors_surface_through_database(self, db):
         with pytest.raises(SqlSyntaxError, match="line 1, column"):
             db.sql("SELECT a FRM t")
+
+
+class TestNumericLiterals:
+    """A malformed or out-of-range number is a syntax error at its offset,
+    never a Python ValueError / OverflowError escaping the parser."""
+
+    @pytest.mark.parametrize(
+        "sql, column",
+        [
+            ("SELECT 1.2.3 FROM t", 8),
+            ("SELECT a FROM t WHERE a = 1e", 27),
+            ("SELECT a FROM t WHERE a = 1e+", 27),
+            ("SELECT a FROM t WHERE a = .5.5", 27),
+            ("SELECT a FROM t\nWHERE a = 2.5e", 11),
+        ],
+    )
+    def test_malformed_number(self, sql, column):
+        err = error_for(sql)
+        assert "malformed number" in str(err)
+        assert (err.line, err.column) == (sql[: err.position].count("\n") + 1, column)
+
+    def test_integer_outside_int64(self):
+        err = error_for("SELECT a FROM t WHERE a = 9223372036854775808")
+        assert "integer literal out of range" in str(err)
+        assert (err.line, err.column) == (1, 27)
+
+    def test_largest_int64_is_a_literal(self, db):
+        assert db.sql("SELECT a FROM t WHERE a = 9223372036854775807").rows == []
+        assert db.sql("SELECT a FROM t WHERE a = -9223372036854775807").rows == []
+
+    def test_fractional_type_parameter(self):
+        err = error_for("CREATE TABLE u (s VARCHAR(1.5))")
+        assert "expected numeric type parameter" in str(err)
+
+    @pytest.mark.parametrize(
+        "sql",
+        ["SELECT 1.2.3 FROM t", "INSERT INTO t VALUES (1e, 2)",
+         "UPDATE t SET a = 99999999999999999999"],
+    )
+    def test_errors_surface_through_database(self, db, sql):
+        with pytest.raises(SqlSyntaxError, match="line 1, column"):
+            db.sql(sql)

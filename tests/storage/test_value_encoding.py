@@ -94,3 +94,19 @@ def test_float_with_known_scale_roundtrips(cents, scale):
     assert enc is not None
     recovered = enc.invert(enc.apply(arr), np.dtype(np.float64))
     assert (recovered == arr).all()
+
+
+def test_bigint_range_wider_than_int64_round_trips():
+    # -2**62 .. 2**62 spans 2**63: its offsets overflowed int64 and the
+    # segment could not be encoded (found by tests/sql/test_shapes.py (f)).
+    from repro import Database, StoreConfig, types
+    from repro.storage.segment import encode_segment
+
+    values = np.array([-(2**62), 2**62, 0, 2**63 - 1, -(2**63)], dtype=np.int64)
+    segment = encode_segment(types.BIGINT, values)
+    assert segment.decode()[0].tolist() == values.tolist()
+    assert segment.take(np.array([1, 4]))[0].tolist() == [2**62, -(2**63)]
+    db = Database(StoreConfig(rowgroup_size=16, bulk_load_threshold=1))
+    db.sql("CREATE TABLE b (x BIGINT)")
+    db.bulk_load("b", [(int(v),) for v in values])
+    assert sorted(row[0] for row in db.sql("SELECT x FROM b").rows) == sorted(values.tolist())

@@ -268,3 +268,24 @@ class TestMainExitCodes:
             set_registry(previous)
         line = next(line for line in out if line.startswith("snapshots:"))
         assert " 2 segment blobs reused" in line and "bytes checksummed" in line
+
+    def test_stats_shows_statement_shapes(self):
+        from repro.cli import Shell
+        from repro.observability import MetricsRegistry
+        from repro.observability.registry import STABLE_COUNTERS, set_registry
+
+        previous = set_registry(MetricsRegistry())
+        try:
+            shell = Shell()
+            feed(shell, "CREATE TABLE t (a INT, b VARCHAR);")
+            for key in range(1, 11):
+                feed(shell, f"INSERT INTO t VALUES ({key}, 'x');")
+            out = shell.run_meta("\\stats")
+        finally:
+            set_registry(previous)
+        line = next(line for line in out if line.startswith("statement shapes:"))
+        assert line == ("statement shapes: 9 hits, 1 misses, 0 evicted; "
+                        "not kept: 0 join, 0 subquery, 1 statement")
+        for name in ("hits", "misses", "evicted", "not_kept.join", "not_kept.subquery",
+                     "not_kept.statement"):
+            assert f"sql.shapes.{name}" in STABLE_COUNTERS

@@ -27,7 +27,10 @@ SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 # One entry = one committed statement; mixes trickle/bulk/delete/update,
 # DDL and a maintenance op so the sweep crosses every record type's
-# append path. Small thresholds make the tuple mover do real work.
+# append path. Small thresholds make the tuple mover do real work. The
+# INSERTs of 7/8 and of 9 repeat the shapes of 1/2 and of 3, so they run
+# from kept templates (no parse, no bind): the sweeps crash inside those
+# hits too (test_script_reaches_hit_inserts).
 _CONFIG = StoreConfig(rowgroup_size=16, bulk_load_threshold=8, delta_close_rows=8)
 
 _SCRIPT = (
@@ -136,6 +139,16 @@ class TestDmlCrashSweep:
         if exact:
             # Per-commit durability must surface many distinct prefixes.
             assert len(hits) >= 3
+
+    def test_script_reaches_hit_inserts(self, registry):
+        db = Database(_CONFIG)
+        hits = []
+        for statement in _SCRIPT:
+            before = registry.counter("sql.shapes.hits")
+            db.sql(statement)
+            if registry.counter("sql.shapes.hits") > before:
+                hits.append(statement)
+        assert hits == [_SCRIPT[6], _SCRIPT[8]]
 
     def test_per_commit_recovers_exact_committed_prefix(self, tmp_path):
         self._sweep(tmp_path, "per-commit", exact=True)
