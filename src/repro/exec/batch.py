@@ -13,7 +13,7 @@ sliced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +28,43 @@ AS_ROWS = "rows"  # plain values only
 AS_CODES = "codes"  # group key: row-addressable codes, all keys or none
 AS_WEIGHTS = "weights"  # scalar COUNT/MIN/MAX argument: any vector
 AS_EXACT_WEIGHTS = "exact_weights"  # scalar SUM/AVG: integer-physical vectors
-# Group-key codes are combined into one mixed-radix int64 per row; the
-# combined key space may not exceed this many cells.
+# Key codes are combined into one mixed-radix int64 per row
+# (``combine_codes``); the combined key space may not exceed this many cells.
 MAX_KEY_CELLS = 2**62
+
+
+def combine_codes(
+    columns: Sequence[tuple[np.ndarray, int]], rank: Callable | None = None
+) -> tuple[np.ndarray, int]:
+    """One int64 cell a row, and the number of cells: each column's codes
+    (all in ``[0, radix)``) are a digit of a mixed-radix number, so equal
+    codes, and only they, make equal cells. Before the cells would pass
+    ``MAX_KEY_CELLS`` they are re-ranked (``rank``, or ``np.unique``)."""
+    cells, index = 1, np.zeros(columns[0][0].size, dtype=np.int64)
+    for codes, radix in columns:
+        if cells * radix > MAX_KEY_CELLS:
+            index, cells = (rank or rank_cells)(index)
+        index = index * radix + codes
+        cells *= radix
+    return index, cells
+
+
+def rank_cells(index: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each cell's rank among the distinct cells, and how many there are."""
+    distinct, ranks = np.unique(index, return_inverse=True)
+    return ranks, int(distinct.size)
+
+
+def as_integers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-integer keys as int64, and the mask of those that can equal an
+    integer at all — compared by value, not cast (1.5 equals no integer):
+    a bool, or a whole float within int64; a string never."""
+    if keys.dtype == np.bool_:
+        return keys.astype(np.int64), np.ones(keys.shape[0], dtype=bool)
+    if not np.issubdtype(keys.dtype, np.floating):
+        return np.zeros(keys.shape[0], dtype=np.int64), np.zeros(keys.shape[0], dtype=bool)
+    whole = (np.floor(keys) == keys) & (keys >= -(2.0**63)) & (keys < 2.0**63)
+    return np.where(whole, keys, 0.0).astype(np.int64), whole
 
 
 @dataclass

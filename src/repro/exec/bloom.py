@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionError
+from .batch import as_integers
 
 # What a filter says of every key in an interval (``covers``).
 NONE, ALL, SOME = "none", "all", "some"
@@ -149,7 +150,8 @@ def _is_integer(dtype: np.dtype) -> bool:
 
 
 def _hash_keys(keys: np.ndarray) -> np.ndarray:
-    """Map keys of any supported dtype to uint64 hashes."""
+    """Map keys of any supported dtype to uint64 hashes, equal values alike:
+    a bool or a whole float as its integer (``as_integers``)."""
     if keys.dtype == object:
         return np.fromiter(
             (hash(v) & 0xFFFFFFFFFFFFFFFF for v in keys.tolist()),
@@ -159,5 +161,6 @@ def _hash_keys(keys: np.ndarray) -> np.ndarray:
     if np.issubdtype(keys.dtype, np.integer) or keys.dtype == np.bool_:
         return keys.astype(np.uint64)
     if np.issubdtype(keys.dtype, np.floating):
-        return keys.astype(np.float64).view(np.uint64)
+        integers, whole = as_integers(keys)
+        return np.where(whole, integers.view(np.uint64), keys.astype(np.float64).view(np.uint64))
     raise ExecutionError(f"cannot hash keys of dtype {keys.dtype}")

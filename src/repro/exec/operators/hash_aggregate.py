@@ -13,6 +13,8 @@ to the paper's local/global pattern: each subsequent batch is aggregated
 *locally*, the partial results are hash-partitioned to spill files, and a
 final pass merges partials per partition (benchmark E10). Partials are
 mergeable by construction: every aggregate is carried as (count, value).
+They merge through the group directory as input rows do, their counts and
+values folded in by the same scatter operations, in row order.
 
 A scalar aggregate's argument that arrives still encoded is folded once
 per distinct value, weighted by the rows that carry it.
@@ -36,13 +38,14 @@ from ..batch import (
     AS_ROWS,
     AS_WEIGHTS,
     DEFAULT_BATCH_SIZE,
-    MAX_KEY_CELLS,
     Batch,
+    combine_codes,
+    rank_cells,
     slice_into_batches,
 )
 from ..expressions import Column, Expr
 from ..memory import MemoryGrant
-from ..spill import SpillFile, partition_of
+from ..spill import SpillFile, spill_by_key
 from .base import BatchOperator
 
 COUNT_STAR = "count_star"
@@ -300,40 +303,17 @@ class _GroupState:
     # ------------------------------------------------------------------ #
     # Merge from partial rows (spill path)
     # ------------------------------------------------------------------ #
-    def merge_partials(self, keys: list[tuple], partial_columns: dict[str, list]) -> None:
-        for row_index, key in enumerate(keys):
-            gid = self.gid_of(key)
-            for spec_index, spec in enumerate(self.specs):
-                count = partial_columns[f"__{spec.name}_count"][row_index]
-                self.counts[spec_index][gid] += int(count)
-                if spec.func in (COUNT_STAR, "count") or not count:
-                    continue
-                value = partial_columns[f"__{spec.name}_value"][row_index]
-                if value is None:
-                    continue
-                self._merge_one(spec_index, spec.func, gid, value)
-
-    def _merge_one(self, spec_index: int, func: str, gid: int, value: Any) -> None:
-        sample = np.array([value])
-        kind, store = self._value_store(spec_index, sample)
-        if kind == "obj":
-            data = store
-            current = data[gid]
-            if current is None:
-                data[gid] = value
-            elif func == "min":
-                data[gid] = min(current, value)
-            elif func == "max":
-                data[gid] = max(current, value)
-            else:
-                data[gid] = current + value
-            return
-        if func in ("sum", "avg"):
-            store[gid] += value
-        elif func == "min":
-            store[gid] = min(store[gid], value)
-        else:
-            store[gid] = max(store[gid], value)
+    def merge(self, partial: Batch, gids: np.ndarray) -> None:
+        """Fold partial rows (``to_partial_batch``) into their groups:
+        counts add, values combine as input rows' do, in row order (so a
+        float SUM adds its partials in the order they were spilled)."""
+        for spec_index, spec in enumerate(self.specs):
+            counts = partial.column(f"__{spec.name}_count")
+            np.add.at(self.counts[spec_index], gids, counts)
+            kept = np.flatnonzero(counts)  # a value is NULL where no row counted
+            if spec.func not in (COUNT_STAR, "count") and kept.size:
+                values = partial.column(f"__{spec.name}_value")[kept]
+                self._combine_values(spec_index, spec.func, gids[kept], values)
 
     # ------------------------------------------------------------------ #
     # Output
@@ -462,24 +442,19 @@ class BatchHashAggregate(BatchOperator):
         reserved = 0
         for batch in self.child.batches():
             self.stats.input_rows += batch.active_count
+            self._accumulate(state, batch)
             if spills is None:
-                self._accumulate(state, batch)
                 needed = state.n_groups * _BYTES_PER_GROUP
-                if needed > reserved:
-                    if self.grant.try_reserve(needed - reserved):
-                        reserved = needed
-                    else:
-                        # Grant exhausted: switch to local-aggregate + spill.
-                        self.stats.spilled = True
-                        spills = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
-                        self._spill_partials(state.to_partial_batch(), spills)
-                        self.grant.release(reserved)
-                        reserved = 0
-                        state = _GroupState(self.group_keys, self.aggregates)
-            else:
-                local = _GroupState(self.group_keys, self.aggregates)
-                self._accumulate(local, batch)
-                self._spill_partials(local.to_partial_batch(), spills)
+                if needed <= reserved or self.grant.try_reserve(needed - reserved):
+                    reserved = max(reserved, needed)
+                    continue
+                # Grant exhausted: from here on every batch is aggregated
+                # locally and its partials spilled.
+                self.stats.spilled = True
+                self.grant.release(reserved)
+                spills = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
+            spill_by_key(state.to_partial_batch(), self.group_keys, spills)
+            state = _GroupState(self.group_keys, self.aggregates)
 
         if spills is None:
             self.grant.release(reserved)
@@ -489,27 +464,16 @@ class BatchHashAggregate(BatchOperator):
             yield from slice_into_batches(state.finalize(), self.batch_size)
             return
 
-        # Final phase: any residual in-memory state joins the partitions.
-        if state.n_groups:
-            self._spill_partials(state.to_partial_batch(), spills)
+        # (A scalar aggregate spills only once it holds its one group.)
         self.stats.partials_spilled = sum(s.rows for s in spills)
         self.stats.spill_bytes = sum(s.bytes_written for s in spills)
         try:
-            total_groups = 0
             for spill in spills:
                 merged = _GroupState(self.group_keys, self.aggregates)
                 for partial in spill.read_back():
-                    keys, partial_columns = self._partial_rows(partial)
-                    merged.merge_partials(keys, partial_columns)
-                if merged.n_groups:
-                    total_groups += merged.n_groups
-                    yield from slice_into_batches(merged.finalize(), self.batch_size)
-            if total_groups == 0 and not self.group_keys:
-                empty = _GroupState(self.group_keys, self.aggregates)
-                empty.gid_of(())
-                total_groups = 1
-                yield from slice_into_batches(empty.finalize(), self.batch_size)
-            self.stats.groups = total_groups
+                    self._merge(merged, partial)
+                self.stats.groups += merged.n_groups
+                yield from slice_into_batches(merged.finalize(), self.batch_size)
         finally:
             for spill in spills:
                 spill.close()
@@ -558,29 +522,24 @@ class BatchHashAggregate(BatchOperator):
         """One group id per row from the rows' key codes.
 
         Each key contributes its code (``n_distinct`` is the NULL slot) to
-        one mixed-radix cell number per row. Cells map to group ids
-        through a table over the whole cell space when that is no larger
-        than the batch, over the ranks ``np.unique`` gives them otherwise.
+        one mixed-radix cell number per row (``combine_codes``). Cells map
+        to group ids through a table over the whole cell space when that is
+        no larger than the batch, over their ``np.unique`` ranks otherwise.
         Only the occupied cells — in order of first appearance, one row of
         each decoded to its key values — are looked up in the group
         directory, all at once; only a key it does not hold yet (a new
         group) costs an interpreter call.
         """
         n = vectors[0].row_count
-        cells, index = 1, np.zeros(n, dtype=np.int64)
+        columns = []
         for vector in vectors:
-            codes, radix = vector.codes, vector.n_distinct + 1
+            codes = vector.codes
             if vector.null_mask is not None:
                 codes = np.where(vector.null_mask, vector.n_distinct, codes)
-            if cells * radix > MAX_KEY_CELLS:
-                # Re-rank what is combined so far: at most one cell a row.
-                ranks, index = np.unique(index, return_inverse=True)
-                cells = int(ranks.size)
-            index = index * radix + codes
-            cells *= radix
+            columns.append((codes, vector.n_distinct + 1))
+        index, cells = combine_codes(columns)
         if cells > n:
-            ranks, index = np.unique(index, return_inverse=True)
-            cells = int(ranks.size)
+            index, cells = rank_cells(index)
         first_row = np.full(cells, n, dtype=np.int64)
         np.minimum.at(first_row, index, np.arange(n, dtype=np.int64))
         occupied = np.flatnonzero(first_row < n)
@@ -610,51 +569,17 @@ class BatchHashAggregate(BatchOperator):
     # ------------------------------------------------------------------ #
     # Spill helpers
     # ------------------------------------------------------------------ #
-    def _spill_partials(self, partial: Batch, spills: list[SpillFile]) -> None:
-        if partial.row_count == 0:
-            return
-        key = _partition_key(partial, self.group_keys)
-        parts = partition_of(key, _SPILL_PARTITIONS)
-        for p in range(_SPILL_PARTITIONS):
-            idx = np.flatnonzero(parts == p)
-            if idx.size == 0:
-                continue
-            spills[p].append(partial.take(idx))
-
-    def _partial_rows(self, partial: Batch) -> tuple[list[tuple], dict[str, list]]:
-        dense = partial.compact()
-        keys_columns = []
-        for name in self.group_keys:
-            arr = dense.column(name).tolist()
-            mask = dense.null_mask(name)
-            if mask is not None:
-                flags = mask.tolist()
-                arr = [None if flag else v for v, flag in zip(arr, flags)]
-            keys_columns.append(arr)
-        keys = list(zip(*keys_columns)) if self.group_keys else [()] * dense.row_count
-        partial_columns: dict[str, list] = {}
-        for spec in self.aggregates:
-            for suffix in ("count", "value"):
-                column = f"__{spec.name}_{suffix}"
-                if column in dense.columns:
-                    arr = dense.column(column).tolist()
-                    mask = dense.null_mask(column)
-                    if mask is not None:
-                        flags = mask.tolist()
-                        arr = [None if flag else v for v, flag in zip(arr, flags)]
-                    partial_columns[column] = arr
-        return keys, partial_columns
-
-
-def _partition_key(batch: Batch, group_keys: list[str]) -> np.ndarray:
-    if not group_keys:
-        return np.zeros(batch.row_count, dtype=np.int64)
-    if len(group_keys) == 1:
-        return batch.column(group_keys[0])
-    columns = [batch.column(k).tolist() for k in group_keys]
-    out = np.empty(batch.row_count, dtype=object)
-    out[:] = list(zip(*columns))
-    return out
+    def _merge(self, state: _GroupState, partial: Batch) -> None:
+        """Fold a spilled partial batch into ``state``: its keys are
+        grouped through the directory as input rows' keys are."""
+        if self.group_keys:
+            gids = self._code_space_gids(state, [
+                DictionaryVector.from_values(partial.column(k), partial.null_mask(k), "here")
+                for k in self.group_keys
+            ])
+        else:
+            gids = np.full(partial.row_count, state.gid_of(()), dtype=np.int64)
+        state.merge(partial, gids)
 
 
 def count_star(name: str = "count") -> AggregateSpec:

@@ -11,15 +11,15 @@ Implements the paper's reworked hash join:
   files and partitions are joined one at a time (benchmark E10);
 * inner, left-outer (probe-preserving), semi and anti joins.
 
-Single integer-keyed joins (the star-schema common case) locate each
-probe key's build rows without a Python loop: through a table addressed
-by the key when the build keys are dense in their [min, max] — holding
-the build row itself when no key repeats, so a foreign key probed into a
-primary key is one gather — and by binary search of the sorted keys
-otherwise. Composite or string keys fall back to a dictionary of key
-tuples. A batch whose every row found its one build row is passed
-through: the build columns are added beside the probe batch's own
-arrays, nothing is copied.
+Every key becomes one integer a row — an integer column as it is, any
+other key coded through per-column dictionaries and the aggregate's
+mixed-radix combine — so probe keys find their build rows without a
+Python loop: through a table addressed by the key when the build keys
+are dense in their [min, max] — holding the build row itself when no key
+repeats, so a foreign key probed into a primary key is one gather — and
+by binary search of the sorted keys otherwise. A batch whose every row
+found its one build row is passed through: the build columns are added
+beside the probe batch's own arrays, nothing is copied.
 
 A join is also a producer and a carrier of encoded columns: a build-side
 column its consumer declared it takes ``AS_CODES`` is factorized once,
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -47,11 +48,13 @@ from ..batch import (
     AS_ROWS,
     DEFAULT_BATCH_SIZE,
     Batch,
+    as_integers,
+    combine_codes,
     concat_batches,
 )
 from ..bloom import JoinBitmapFilter, dense_slots
 from ..memory import MemoryGrant, batch_bytes
-from ..spill import SpillFile, partition_of
+from ..spill import SpillFile, spill_by_key
 from .base import BatchOperator
 
 INNER = "inner"
@@ -74,8 +77,8 @@ class JoinStats:
     build_rows_spilled: int = 0
     probe_rows_spilled: int = 0
     spill_bytes: int = 0
-    # How probe rows found their build rows (offsets | search | generic
-    # -> rows probed that way), and the largest build-key domain seen.
+    # How probe rows found their build rows, raw keys or coded (offsets |
+    # search -> rows probed that way), and the largest key domain seen.
     probe: Counter[str] = field(default_factory=Counter)
     key_domain: int = 0
     columns_emitted_encoded: int = 0
@@ -91,12 +94,14 @@ class JoinStats:
 class _HashTable:
     """Build-side hash table over one or more key columns.
 
-    ``locate`` says how a probe key finds its build rows — a property of
-    the build input, not a setting: ``offsets`` / ``search`` for a single
-    integer key, ``generic`` (a dictionary of key tuples) for the rest.
-    ``unique`` says no build key repeats (a dimension's primary key).
+    Every key becomes one int64 a row: an integer column is its own key
+    (*raw*), any other is *coded* (``DictionaryVector.from_values`` per
+    column, ``combine_codes``), probe keys likewise (``_probe_integers``).
+    ``locate`` — ``offsets`` when the keys are dense in their [min, max],
+    ``search`` otherwise — is a property of the build input, not a
+    setting. ``unique`` says no build key repeats (a primary key).
 
-    All three answer in one shape (``ranges``): the probe rows that hit,
+    Both answer in one shape (``ranges``): the probe rows that hit,
     and for each a ``start`` and a ``count`` — its build rows are
     ``_order[start : start + count]``, ``_order`` holding the build rows
     with equal keys adjacent, in build order. Two ``None``s say what
@@ -108,64 +113,64 @@ class _HashTable:
     """
 
     def __init__(self, build: Batch, keys: list[str]) -> None:
-        self.build = build
-        self.keys = keys
-        self.n_rows = build.row_count
         self.key_domain = 0
         self.direct = False
         valid = _non_null_rows(build, keys)
-        valid_idx = np.arange(self.n_rows) if valid is None else np.flatnonzero(valid)
+        valid_idx = np.arange(build.row_count) if valid is None else np.flatnonzero(valid)
         first = build.column(keys[0])
+        # Coded keys: per column its dictionary (sorted numbers, or a dict
+        # from string to code), and the distinct cells of each re-rank.
+        self._dictionaries: list[np.ndarray | dict] | None = None
+        self._ranks: list[np.ndarray] = []
         if len(keys) == 1 and np.issubdtype(first.dtype, np.integer):
             key_values = first.astype(np.int64, copy=False)[valid_idx]
-            order = np.argsort(key_values, kind="stable")
-            sorted_keys = key_values[order]
-            self._order = valid_idx[order]
-            self.unique = not (sorted_keys[1:] == sorted_keys[:-1]).any()
-            if sorted_keys.size:
-                # Python ints: the extremes of int64 are one apart.
-                self._low, self._high = int(sorted_keys[0]), int(sorted_keys[-1])
-                self.key_domain = self._high - self._low + 1
-            if 0 < self.key_domain <= DENSE_DOMAIN_PER_ROW * sorted_keys.size:
-                # One cell per key of the domain and a last one where
-                # every key outside it lands (dense_slots): no build row.
-                self.locate = "offsets"
-                self.direct = self.unique
-                slots = sorted_keys - self._low
-                if self.direct:
-                    self._row_of = np.full(self.key_domain + 1, -1, dtype=np.int64)
-                    self._row_of[slots] = self._order
-                else:
-                    self._starts = np.zeros(self.key_domain + 2, dtype=np.int64)
-                    np.cumsum(
-                        np.bincount(slots, minlength=self.key_domain),
-                        out=self._starts[1:-1],
-                    )
-                    self._starts[-1] = self._starts[-2]
-            else:
-                self.locate = "search"
-                self._sorted_keys = sorted_keys
         else:
-            self.locate = "generic"
-            rows_of: dict[tuple, list[int]] = {}
-            key_columns = [build.column(k) for k in keys]
-            for i in valid_idx.tolist():
-                key = tuple(col[i] for col in key_columns)
-                rows_of.setdefault(key, []).append(i)
-            self._order = np.array(
-                [i for rows in rows_of.values() for i in rows], dtype=np.int64
+            vectors = [DictionaryVector.from_values(build.column(k)[valid_idx]) for k in keys]
+            self._dictionaries = [
+                d if d.dtype != object else dict(zip(d.tolist(), range(d.size)))
+                for d in (v.distinct_values() for v in vectors)
+            ]
+            key_values, _ = combine_codes(
+                [(v.codes, v.n_distinct) for v in vectors], self._rank_build
             )
-            self.unique = len(rows_of) == self._order.size
-            self._range_of: dict[tuple, tuple[int, int]] = {}
-            start = 0
-            for key, rows in rows_of.items():
-                self._range_of[key] = (start, len(rows))
-                start += len(rows)
+        order = np.argsort(key_values, kind="stable")
+        sorted_keys = key_values[order]
+        self._order = valid_idx[order]
+        self.unique = not (sorted_keys[1:] == sorted_keys[:-1]).any()
+        if sorted_keys.size:
+            # Python ints: the extremes of int64 are one apart.
+            self._low = int(sorted_keys[0])
+            self.key_domain = int(sorted_keys[-1]) - self._low + 1
+        if 0 < self.key_domain <= DENSE_DOMAIN_PER_ROW * sorted_keys.size:
+            # One cell per key of the domain and a last one where every
+            # key outside it lands (dense_slots): no build row.
+            self.locate = "offsets"
+            self.direct = self.unique
+            slots = sorted_keys - self._low
+            if self.direct:
+                self._row_of = np.full(self.key_domain + 1, -1, dtype=np.int64)
+                self._row_of[slots] = self._order
+            else:
+                self._starts = np.zeros(self.key_domain + 2, dtype=np.int64)
+                np.cumsum(
+                    np.bincount(slots, minlength=self.key_domain),
+                    out=self._starts[1:-1],
+                )
+                self._starts[-1] = self._starts[-2]
+        else:
+            self.locate = "search"
+            self._sorted_keys = sorted_keys
+
+    def _rank_build(self, index: np.ndarray) -> tuple[np.ndarray, int]:
+        distinct, ranks = np.unique(index, return_inverse=True)
+        self._ranks.append(distinct)
+        return ranks, int(distinct.size)
 
     def bitmap(self) -> JoinBitmapFilter | None:
         """The exact bitmap over the build keys when the table already is
-        one (``direct``: a cell is set where it holds a row)."""
-        if not self.direct:
+        one (``direct`` over raw keys: a cell is set where it holds a row;
+        a coded table's cells are codes, not keys)."""
+        if not self.direct or self._dictionaries is not None:
             return None
         return JoinBitmapFilter.exact(self._row_of >= 0, base=self._low)
 
@@ -185,13 +190,7 @@ class _HashTable:
         """Locate, without fanning out: the probe rows that match
         (ascending; ``None`` = every one), and each one's ``start`` and
         ``count`` (``None`` = every count is 1)."""
-        valid = _non_null_rows(probe, probe_keys)
-        if self.locate == "generic":
-            return self._ranges_generic(probe, probe_keys, valid)
-        keys = probe.column(probe_keys[0])
-        if not np.issubdtype(keys.dtype, np.integer):
-            keys, whole = _as_integers(keys)
-            valid = whole if valid is None else valid & whole
+        keys, valid = self._probe_integers(probe, probe_keys)
         # The rows that can match at all; None = every row (no NULL key).
         candidates = None
         if valid is not None and not valid.all():
@@ -201,6 +200,9 @@ class _HashTable:
         if self.direct:
             starts = self._row_of.take(dense_slots(keys, self._low, self.key_domain))
             hit = starts >= 0
+        elif self.locate == "search" and self.unique:
+            # One search and a gather: a unique key's range is one row.
+            starts, hit = _positions_in(self._sorted_keys, keys.astype(np.int64, copy=False))
         else:
             if self.locate == "offsets":
                 slots = dense_slots(keys, self._low, self.key_domain)
@@ -210,8 +212,7 @@ class _HashTable:
                 starts = np.searchsorted(self._sorted_keys, keys, side="left")
                 ends = np.searchsorted(self._sorted_keys, keys, side="right")
             hit = ends > starts
-            if not self.unique:
-                counts = ends - starts
+            counts = ends - starts
         if hit.all():
             return candidates, starts, counts
         rows = np.flatnonzero(hit) if candidates is None else candidates[hit]
@@ -230,21 +231,64 @@ class _HashTable:
         flat = np.repeat(starts, counts) + (np.arange(total) - run_offsets)
         return np.repeat(rows, counts), self._order[flat]
 
-    def _ranges_generic(
-        self, probe: Batch, probe_keys: list[str], valid: np.ndarray | None
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-        key_columns = [probe.column(k) for k in probe_keys]
-        found: list[tuple[int, int, int]] = []
-        for i in range(probe.row_count) if valid is None else np.flatnonzero(valid).tolist():
-            located = self._range_of.get(tuple(col[i] for col in key_columns))
-            if located:
-                found.append((i, *located))
-        rows, starts, counts = np.array(found, dtype=np.int64).reshape(-1, 3).T
-        return (
-            None if len(found) == probe.row_count else rows,
-            starts,
-            None if self.unique else counts,
-        )
+    def _probe_integers(
+        self, probe: Batch, probe_keys: list[str]
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The probe keys as the build's integers, and the mask of rows
+        that can match (``None``: every one) — no NULL, no value the
+        build's dictionaries lack, no fraction against an integer."""
+        valid = _non_null_rows(probe, probe_keys)
+        if self._dictionaries is None:
+            keys = probe.column(probe_keys[0])
+            if np.issubdtype(keys.dtype, np.integer):
+                return keys, valid
+            keys, found = as_integers(keys)
+        else:
+            found = np.ones(probe.row_count, dtype=bool)
+            columns = []
+            for dictionary, name in zip(self._dictionaries, probe_keys):
+                codes, held = _positions_in(dictionary, probe.column(name))
+                found &= held
+                columns.append((codes, len(dictionary)))
+            ranks = iter(self._ranks)
+
+            def rank(index: np.ndarray) -> tuple[np.ndarray, int]:
+                # The build's re-rank replayed: its cells, one more dictionary.
+                index, held = _positions_in(distinct := next(ranks), index)
+                np.logical_and(found, held, out=found)
+                return index, int(distinct.size)
+
+            keys, _ = combine_codes(columns, rank)
+        return keys, found if valid is None else valid & found
+
+
+def _positions_in(
+    dictionary: np.ndarray | dict, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's position in a build key's dictionary and the mask of
+    those it holds: a ``map`` through a string dictionary's dict, over
+    sorted numbers one left ``searchsorted`` and an equality gather. By
+    value: a float equals an integer only when whole (``as_integers``)."""
+    n, held, at = values.shape[0], None, None
+    if isinstance(dictionary, dict) != (values.dtype == object):
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    if isinstance(dictionary, dict):
+        positions = np.fromiter(map(dictionary.get, values.tolist(), repeat(-1)), np.int64, n)
+        return positions, positions >= 0
+    floats = np.issubdtype(dictionary.dtype, np.floating)
+    if floats and not np.issubdtype(values.dtype, np.floating):
+        dictionary, whole = as_integers(dictionary)
+        at = np.flatnonzero(whole)
+        dictionary = dictionary[at]
+    elif not floats and np.issubdtype(values.dtype, np.floating):
+        values, held = as_integers(values)
+    if dictionary.size == 0:
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    positions = np.minimum(np.searchsorted(dictionary, values), dictionary.size - 1)
+    found = dictionary.take(positions) == values
+    if held is not None:
+        found &= held
+    return (positions if at is None else at.take(positions)), found
 
 
 def _non_null_rows(batch: Batch, keys: list[str]) -> np.ndarray | None:
@@ -256,19 +300,6 @@ def _non_null_rows(batch: Batch, keys: list[str]) -> np.ndarray | None:
         if mask is not None:
             valid = ~mask if valid is None else valid & ~mask
     return valid
-
-
-def _as_integers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probe keys that are not integers, against integer build keys: the
-    integer locators would truncate them, so they are compared by value —
-    only a whole number within int64 can equal an integer at all. Returns
-    the keys as int64 and the mask of the rows for which that is exact."""
-    if keys.dtype == np.bool_:
-        return keys.astype(np.int64), np.ones(keys.shape[0], dtype=bool)
-    if not np.issubdtype(keys.dtype, np.floating):
-        return np.zeros(keys.shape[0], dtype=np.int64), np.zeros(keys.shape[0], dtype=bool)
-    whole = (np.floor(keys) == keys) & (keys >= -(2.0**63)) & (keys < 2.0**63)
-    return np.where(whole, keys, 0.0).astype(np.int64), whole
 
 
 class BatchHashJoin(BatchOperator):
@@ -355,12 +386,7 @@ class BatchHashJoin(BatchOperator):
             if build_spills is not None:
                 yield from self._spilled_join(build_spills)
                 return
-            build = concat_batches(build_batches)
-            if build is None:
-                build = _empty_like(self.build_child)
-            self.stats.build_rows = build.row_count
-            table = _HashTable(build, self.build_keys)
-            self._make_bitmap(build, table)
+            build = concat_batches(build_batches) or _empty_like(self.build_child)
             # Factorized once per join, over the build rows; each output
             # batch then gathers codes, not values.
             vectors = {
@@ -371,17 +397,32 @@ class BatchHashJoin(BatchOperator):
                 if name in self._emits
             }
             self.stats.columns_emitted_encoded = len(vectors)
-            build_matched = np.zeros(build.row_count, dtype=bool)
-            probe_dtypes: dict[str, np.dtype] = {}
-            for probe_batch in self.probe_child.batches():
-                dense = self._plain_except(probe_batch.compact(), self._carries)
-                probe_dtypes = {n: a.dtype for n, a in dense.columns.items()}
-                self.stats.probe_rows += dense.row_count
-                yield from self._join_one(table, build, dense, build_matched, vectors)
-            if self.join_type in (RIGHT_OUTER, FULL_OUTER):
-                yield from self._emit_unmatched_build(build, build_matched, probe_dtypes)
+            yield from self._join_build(build, self._probe_batches(self._carries), vectors)
         finally:
             self._report_to_registry()
+
+    def _probe_batches(self, carried: set[str]) -> Iterator[Batch]:
+        for batch in self.probe_child.batches():
+            dense = self._plain_except(batch.compact(), carried)
+            self.stats.probe_rows += dense.row_count
+            yield dense
+
+    def _join_build(
+        self, build: Batch, probes: Iterator[Batch], vectors: dict[str, DictionaryVector]
+    ) -> Iterator[Batch]:
+        """Join ``probes`` against ``build``: all of it, or one spilled
+        partition (no bitmap then — the probe side is already consumed)."""
+        self.stats.build_rows += build.row_count
+        table = _HashTable(build, self.build_keys)
+        if not self.stats.spilled:
+            self._make_bitmap(build, table)
+        build_matched = np.zeros(build.row_count, dtype=bool)
+        probe_dtypes: dict[str, np.dtype] = {}
+        for dense in probes:
+            probe_dtypes = {n: a.dtype for n, a in dense.columns.items()}
+            yield from self._join_one(table, build, dense, build_matched, vectors)
+        if self.join_type in (RIGHT_OUTER, FULL_OUTER):
+            yield from self._emit_unmatched_build(build, build_matched, probe_dtypes)
 
     def _report_to_registry(self) -> None:
         stats = self.stats
@@ -433,26 +474,15 @@ class BatchHashJoin(BatchOperator):
             # of the SAME iterator (restarting it would duplicate rows).
             self.stats.spilled = True
             self.stats.spill_partitions = _SPILL_PARTITIONS
-            spills = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
-            for pending in accumulated:
-                self._spill_batch(pending, self.build_keys, spills)
             self.grant.release(reserved)
-            self._spill_batch(dense, self.build_keys, spills)
-            for rest in source:
-                self._spill_batch(rest.compact(), self.build_keys, spills)
+            spills = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
+            for pending in chain(accumulated, [dense], source):
+                spill_by_key(pending.compact(), self.build_keys, spills)
             self.stats.build_rows_spilled = sum(s.rows for s in spills)
             self.stats.spill_bytes += sum(s.bytes_written for s in spills)
             return [], spills
         self.grant.release(reserved)
         return accumulated, None
-
-    def _spill_batch(self, dense: Batch, keys: list[str], spills: list[SpillFile]) -> None:
-        parts = partition_of(_composite_key(dense, keys), _SPILL_PARTITIONS)
-        for p in range(_SPILL_PARTITIONS):
-            idx = np.flatnonzero(parts == p)
-            if idx.size == 0:
-                continue
-            spills[p].append(dense.take(idx))
 
     def _make_bitmap(self, build: Batch, table: _HashTable) -> None:
         if not self.create_bitmap:
@@ -572,17 +602,13 @@ class BatchHashJoin(BatchOperator):
         return out
 
     def _emit_unmatched_build(
-        self,
-        build: Batch,
-        build_matched: np.ndarray,
-        probe_dtypes: dict[str, np.dtype] | None = None,
+        self, build: Batch, build_matched: np.ndarray, probe_dtypes: dict[str, np.dtype]
     ) -> Iterator[Batch]:
         """RIGHT/FULL OUTER tail: build rows no probe row matched,
         null-extended on the probe side."""
         unmatched = np.flatnonzero(~build_matched)
         if unmatched.size == 0:
             return
-        probe_dtypes = probe_dtypes or {}
         columns: dict[str, np.ndarray] = {}
         null_masks: dict[str, np.ndarray | None] = {}
         for name in self.probe_child.output_names:
@@ -602,33 +628,15 @@ class BatchHashJoin(BatchOperator):
     # ------------------------------------------------------------------ #
     def _spilled_join(self, build_spills: list[SpillFile]) -> Iterator[Batch]:
         probe_spills = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
-        for batch in self.probe_child.batches():
-            # Spill files hold plain columns.
-            dense = self._plain_except(batch.compact(), set())
-            self.stats.probe_rows += dense.row_count
-            self._spill_batch(dense, self.probe_keys, probe_spills)
+        for dense in self._probe_batches(set()):  # spill files hold plain columns
+            spill_by_key(dense, self.probe_keys, probe_spills)
         self.stats.probe_rows_spilled = sum(s.rows for s in probe_spills)
         self.stats.spill_bytes += sum(s.bytes_written for s in probe_spills)
         try:
-            for p in range(_SPILL_PARTITIONS):
-                build = concat_batches(list(build_spills[p].read_back()))
-                if build is None:
-                    build = _empty_like(self.build_child)
-                self.stats.build_rows += build.row_count
-                # Note: bitmap pushdown is not available on the spill path —
-                # the probe side was already consumed to partition it.
-                table = _HashTable(build, self.build_keys)
-                build_matched = np.zeros(build.row_count, dtype=bool)
-                partition_dtypes: dict[str, np.dtype] = {}
-                for probe_batch in probe_spills[p].read_back():
-                    partition_dtypes = {
-                        n: a.dtype for n, a in probe_batch.columns.items()
-                    }
-                    yield from self._join_one(table, build, probe_batch, build_matched, {})
-                if self.join_type in (RIGHT_OUTER, FULL_OUTER):
-                    yield from self._emit_unmatched_build(
-                        build, build_matched, partition_dtypes
-                    )
+            for build_spill, probe_spill in zip(build_spills, probe_spills):
+                build = concat_batches(list(build_spill.read_back()))
+                build = build or _empty_like(self.build_child)
+                yield from self._join_build(build, probe_spill.read_back(), {})
         finally:
             for spill in build_spills + probe_spills:
                 spill.close()
@@ -654,16 +662,6 @@ def _hit_mask(row_count: int, rows: np.ndarray) -> np.ndarray:
     mask = np.zeros(row_count, dtype=bool)
     mask[rows] = True
     return mask
-
-
-def _composite_key(batch: Batch, keys: list[str]) -> np.ndarray:
-    """A single hashable array combining the key columns."""
-    if len(keys) == 1:
-        return batch.column(keys[0])
-    columns = [batch.column(k) for k in keys]
-    out = np.empty(batch.row_count, dtype=object)
-    out[:] = list(zip(*(c.tolist() for c in columns)))
-    return out
 
 
 def _without_locators(batch: Batch) -> Batch:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterator
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from ...errors import ExecutionError
 from ..batch import DEFAULT_BATCH_SIZE, Batch, concat_batches, slice_into_batches
 from ..memory import MemoryGrant, batch_bytes
-from ..spill import SpillFile, partition_of
+from ..spill import SpillFile, spill_by_key
 from .base import BatchOperator
 from .hash_aggregate import COUNT_STAR
 from .sort import _NullsLast
@@ -290,13 +291,14 @@ class BatchWindow(BatchOperator):
         out_files = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
         dtypes: dict[str, np.dtype] = {}
         try:
-            seq = 0
-            for dense in (*buffered, overflow):
-                seq = self._route_batch(dense, route_on, in_files, seq, dtypes)
-            for batch in source:
-                dense = batch.compact()
-                if dense.row_count:
-                    seq = self._route_batch(dense, route_on, in_files, seq, dtypes)
+            seq = 0  # each row's input position, carried through the files
+            for dense in chain(buffered, [overflow], (batch.compact() for batch in source)):
+                for name, arr in dense.columns.items():
+                    dtypes.setdefault(name, arr.dtype)
+                n = dense.row_count
+                tagged = dense.with_column(_SEQ, np.arange(seq, seq + n, dtype=np.int64))
+                spill_by_key(tagged, [route_on], in_files)
+                seq += n
             out_names = [*child_names, *(s.name for s in self.specs), _SEQ]
             for in_file, out_file in zip(in_files, out_files):
                 if in_file.rows == 0:
@@ -344,39 +346,6 @@ class BatchWindow(BatchOperator):
         finally:
             for f in (*in_files, *out_files):
                 f.close()
-
-    def _route_batch(
-        self,
-        dense: Batch,
-        route_on: str,
-        in_files: list[SpillFile],
-        seq: int,
-        dtypes: dict[str, np.dtype],
-    ) -> int:
-        for name, arr in dense.columns.items():
-            dtypes.setdefault(name, arr.dtype)
-        n = dense.row_count
-        ids = partition_of(dense.column(route_on), _SPILL_PARTITIONS)
-        mask = dense.null_mask(route_on)
-        if mask is not None:
-            # NULL routing keys must co-locate regardless of the filler
-            # value under the mask (fillers are not canonical).
-            ids = ids.copy()
-            ids[mask] = 0
-        tagged = dense.with_column(
-            _SEQ, np.arange(seq, seq + n, dtype=np.int64)
-        )
-        for p in range(_SPILL_PARTITIONS):
-            sel = np.flatnonzero(ids == p)
-            if sel.size:
-                in_files[p].append(
-                    Batch(
-                        columns=tagged.columns,
-                        null_masks=tagged.null_masks,
-                        selection=sel,
-                    )
-                )
-        return seq + n
 
     @staticmethod
     def _emit_rows(

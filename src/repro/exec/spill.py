@@ -1,10 +1,13 @@
-"""Spill files for hash join and hash aggregation.
+"""Spill files for hash join, hash aggregation and window.
 
 When an operator's memory grant runs out it partitions its input by key
 hash and writes partitions to spill files, then processes partitions one at
 a time — the paper's graceful-degradation behaviour. Spill files are real
 temporary files (pickled dense batches), so spilling has a genuine I/O and
 serialization cost in benchmarks.
+
+Join (both sides), aggregate and window all partition by ``partition_of``,
+which compares keys as the operators do: by value, every NULL alike.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ import numpy as np
 from ..errors import ExecutionError
 from ..observability import registry as metrics
 from .batch import Batch
+from .bloom import _hash_keys
+
+_MIX = np.uint64(0xC2B2AE3D27D4EB4F)  # folds a key column's hash into the row's
 
 
 class SpillFile:
@@ -99,11 +105,24 @@ class SpillFile:
         self.close()
 
 
-def partition_of(keys: np.ndarray, n_partitions: int) -> np.ndarray:
-    """Deterministic hash partition of key values into ``n_partitions``."""
-    from .bloom import _hash_keys
+def partition_of(batch: Batch, keys: list[str], n_partitions: int) -> np.ndarray:
+    """Deterministic hash partition of ``batch``'s rows on its ``keys``
+    columns, hashed a column at a time (no key tuples). Equal keys land
+    together: values hash by value (``_hash_keys``: 1, 1.0 and True
+    alike), a NULL as 0 whatever filler lies under it. No keys: one
+    partition."""
+    hashed = np.zeros(batch.row_count, dtype=np.uint64)
+    for key in keys:
+        column, mask = _hash_keys(batch.column(key)), batch.null_mask(key)
+        if mask is not None:
+            column = np.where(mask, np.uint64(0), column)
+        hashed = hashed * _MIX + column
+    mixed = (hashed * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)
+    return mixed.astype(np.int64) % n_partitions
 
-    hashed = _hash_keys(keys)
-    return ((hashed * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)).astype(
-        np.int64
-    ) % n_partitions
+
+def spill_by_key(batch: Batch, keys: list[str], spills: list[SpillFile]) -> None:
+    """Append each row of ``batch`` to the spill file of its partition."""
+    parts = partition_of(batch, keys, len(spills))
+    for p, spill in enumerate(spills):
+        spill.append(batch.take(np.flatnonzero(parts == p)))

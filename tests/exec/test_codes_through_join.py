@@ -53,13 +53,23 @@ def same_rows(actual, expected):
 # _HashTable: offsets | search, one probe entry point
 # --------------------------------------------------------------------- #
 def brute_force(build_keys, probe_keys):
-    """(probe index, build index) pairs, probe-major, build rows in order."""
+    """(probe index, build index) pairs, probe-major, build rows in order.
+    A key is a value or a tuple of values (a key of several columns), NULL
+    when any of them is None; values compare as Python compares them — by
+    value, 1 == 1.0 == True, 2**53 + 1 != 2.0**53, "1" != 1, nan != nan."""
+
+    def parts(key):
+        return key if isinstance(key, tuple) else (key,)
+
+    def equal(build_key, probe_key):
+        pairs = list(zip(parts(build_key), parts(probe_key)))
+        return all(b is not None and p is not None and b == p for b, p in pairs)
+
     return [
         (p, b)
         for p, pk in enumerate(probe_keys)
-        if pk is not None
         for b, bk in enumerate(build_keys)
-        if bk is not None and bk == pk
+        if equal(bk, pk)
     ]
 
 
@@ -102,9 +112,21 @@ def test_locator_follows_the_key_domain_not_a_setting():
     assert _HashTable(dense, ["id"]).key_domain == (rows - 1) * DENSE_DOMAIN_PER_ROW + 1
     sparse = Batch(columns={"id": np.arange(rows) * (DENSE_DOMAIN_PER_ROW + 1)})
     assert _HashTable(sparse, ["id"]).locate == "search"
-    strings = Batch.from_pydict({"id": ["a", "b"]})
-    assert _HashTable(strings, ["id"]).locate == "generic"
-    assert _HashTable(Batch.from_pydict({"a": [1], "b": [2]}), ["a", "b"]).locate == "generic"
+    # Any other key is coded, and the same rule reads the codes' domain:
+    # strings are coded densely, so a unique string key is a direct table.
+    strings = _HashTable(Batch.from_pydict({"id": ["a", "b", "a"]}), ["id"])
+    assert (strings.locate, strings.key_domain, strings.unique) == ("offsets", 2, False)
+    assert _HashTable(Batch.from_pydict({"id": ["a", "b"]}), ["id"]).direct
+    # Two columns of 50 codes each: 2,500 cells, 50 of them used.
+    diagonal = Batch(columns={"a": np.arange(rows) * 1000, "b": np.arange(rows) * 1000})
+    table = _HashTable(diagonal, ["a", "b"])
+    assert (table.locate, table.key_domain) == ("search", rows * rows)
+    squares = Batch.from_pydict({"a": [0, 0, 1, 1], "b": [0, 1, 0, 1]})
+    table = _HashTable(squares, ["a", "b"])
+    assert (table.locate, table.key_domain, table.direct) == ("offsets", 4, True)
+    # An exact bitmap is built from raw keys only, never from codes.
+    assert table.bitmap() is None and strings.bitmap() is None
+    assert _HashTable(dense, ["id"]).bitmap() is not None
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -498,7 +520,7 @@ def test_int64_extreme_keys_through_join_and_aggregate(join_type):
     assert plain_aggregate.stats.keys == {"a": "coded here"}
 
 
-@pytest.mark.parametrize("key", [1, "one"], ids=["int key", "generic key"])
+@pytest.mark.parametrize("key", [1, "one"], ids=["int key", "string key"])
 def test_duplicate_build_keys_never_emit_more_than_a_batch(key):
     """A probe batch is located whole and emitted in pieces cut where the
     running match count would pass a batch, so one emission (the unit of
@@ -535,16 +557,21 @@ def test_one_probe_row_past_a_batch_is_a_piece_of_its_own(join_type):
               [r for b in whole.batches() for r in b.to_rows()])
 
 
-@pytest.mark.parametrize("locate", ["offsets", "search", "generic"])
-def test_a_hot_build_key_the_probe_never_hits_costs_nothing(locate):
+@pytest.mark.parametrize(
+    "locate, stretch, strings",
+    [("offsets", 1, False), ("search", 1000, False), ("offsets", 1000, True)],
+    ids=["offsets", "search", "string key"],
+)
+def test_a_hot_build_key_the_probe_never_hits_costs_nothing(locate, stretch, strings):
     """The pieces follow the fan-out of the rows being probed, not the
     worst duplicate run in the build: a skewed build (one 'unknown' key
-    repeated past a batch) leaves every batch that misses it whole."""
-    stretch = 1 if locate == "offsets" else 1000
+    repeated past a batch) leaves every batch that misses it whole. A
+    string key is coded densely, so however sparse the numbers it spells
+    it is located through the offset table."""
     hot, keys = -stretch, np.arange(50) * stretch
     ids = np.concatenate([np.full(200, hot), keys])
     probe_keys = np.tile(keys, 6)
-    if locate == "generic":
+    if strings:
         ids, probe_keys = ids.astype(str).astype(object), probe_keys.astype(str).astype(object)
     build = BatchSource(["id", "tag"], [Batch(columns={"id": ids, "tag": np.arange(ids.size)})])
     probes = [
@@ -685,6 +712,23 @@ def test_key_space_past_int64_is_reranked_not_overflowed():
     rows = [row for batch in op.batches() for row in batch.to_rows()]
     assert len(rows) == n and {row[-1] for row in rows} == {2}
     assert {row[:width] for row in rows} == set(zip(*(c.tolist() for c in columns.values())))
+
+
+def test_join_key_space_past_int64_is_reranked_on_both_sides():
+    """The join combines its key columns with the aggregate's combine: six
+    columns of 2,000 codes re-rank before the sixth, and the probe side
+    replays that re-rank — a combination no build row has is a miss."""
+    n, width = 2000, 6
+    rng = np.random.default_rng(22)
+    build = {f"k{i}": rng.permutation(n).astype(np.int64) for i in range(width)}
+    names = list(build)
+    probe = {name: values.copy() for name, values in build.items()}
+    probe["k5"][::2] = np.roll(probe["k5"][::2], 1)  # every other row: a new combination
+    table = _HashTable(Batch(columns=build), names)
+    assert table._ranks and table.unique
+    probe_idx, build_idx = table.probe(Batch(columns=probe), names)
+    assert probe_idx.tolist() == list(range(1, n, 2))
+    assert build_idx.tolist() == probe_idx.tolist()
 
 
 def test_registry_names_are_stable():

@@ -14,6 +14,7 @@ from repro.exec.operators.hash_aggregate import (
     count_star,
 )
 from repro.exec.expressions import Arithmetic, col, lit
+from repro.exec.spill import partition_of
 
 
 class ListSource(BatchOperator):
@@ -155,6 +156,41 @@ class TestSpilling:
         op, got = run_agg(data, ["g"], aggs, grant=MemoryGrant(budget_bytes=4_000))
         assert op.stats.spilled
         assert sorted(got) == sorted(expected)
+
+    def test_spilled_equals_in_memory_group_by_group(self):
+        """Partials merge through the group directory: every group's count,
+        float SUM (bit for bit: multiples of 0.25 sum exactly in any
+        order), AVG and string MIN/MAX equal the in-memory ones, a NULL key
+        is one group, and groups come out partition by partition, each in
+        order of first appearance."""
+        rng = np.random.default_rng(22)
+        keys = rng.integers(0, 300, 3000).tolist()
+        data = {
+            "g": [None if k % 37 == 0 else k for k in keys],
+            "h": [("x", "y", None)[k % 3] for k in keys],
+            "v": (rng.integers(-400, 400, 3000) * 0.25).tolist(),
+            "s": [f"s{x}" for x in rng.integers(0, 1000, 3000).tolist()],
+        }
+        aggs = [count_star("n"), agg("sum", "v", "sv"), agg("avg", "v", "av"),
+                agg("min", "s", "lo"), agg("max", "s", "hi"), agg("count", "v", "cv")]
+        _, expected = run_agg(data, ["g", "h"], aggs)
+        op, got = run_agg(data, ["g", "h"], aggs, grant=MemoryGrant(budget_bytes=4_000))
+        assert op.stats.spilled and op.stats.partials_spilled > len(expected)
+        assert (None, None) in {row[:2] for row in got}
+        groups = Batch.from_pydict({"g": [r[0] for r in expected], "h": [r[1] for r in expected]})
+        order = np.argsort(partition_of(groups, ["g", "h"], 8), kind="stable")
+
+        def bits(rows):
+            return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+        assert bits(got) == bits([expected[i] for i in order])
+
+    def test_spilled_scalar_aggregate(self):
+        data = {"v": [0.5 * i for i in range(500)], "s": [f"s{i % 97}" for i in range(500)]}
+        aggs = [count_star("n"), agg("sum", "v", "sv"), agg("max", "s", "hi")]
+        _, expected = run_agg(data, [], aggs)
+        op, got = run_agg(data, [], aggs, grant=MemoryGrant(budget_bytes=1))
+        assert op.stats.spilled and got == expected == [(500, 62375.0, "s96")]
 
     def test_group_count_stat(self):
         data = self.make_data(1000, 50)

@@ -233,11 +233,30 @@ class TestSpillFile:
         spill.close()
 
     def test_partition_of_is_deterministic(self):
-        keys = np.arange(100, dtype=np.int64)
-        p1 = partition_of(keys, 8)
-        p2 = partition_of(keys, 8)
+        batch = Batch(columns={"k": np.arange(100, dtype=np.int64)})
+        p1 = partition_of(batch, ["k"], 8)
+        p2 = partition_of(batch, ["k"], 8)
         assert (p1 == p2).all()
         assert set(np.unique(p1)) <= set(range(8))
+        assert len(set(p1.tolist())) > 1
+        # Equal values land together whatever their type: an INT side and
+        # a FLOAT side of a join, or a BOOL, partition alike; NULLs go to
+        # one partition whatever filler lies under them.
+        ints = Batch.from_pydict({"k": [0, 1, 7, -3, 2**53, None, None]})
+        floats = Batch.from_pydict({"k": [-0.0, 1.0, 7.0, -3.0, 2.0**53, None, 5.5]})
+        bools = Batch.from_pydict({"k": [False, True]})
+        by_int = partition_of(ints, ["k"], 8).tolist()
+        assert partition_of(floats, ["k"], 8).tolist()[:6] == by_int[:6]
+        assert partition_of(bools, ["k"], 8).tolist() == by_int[:2]
+        filler = Batch(columns={"k": np.array([3, 9])}, null_masks={"k": np.array([True, True])})
+        assert partition_of(filler, ["k"], 8).tolist() == [by_int[5]] * 2
+        # Several columns hash one at a time, by value and NULL alike.
+        pairs = Batch.from_pydict({"a": [1, 1, None, None], "b": ["x", "y", "x", "x"]})
+        same = Batch.from_pydict({"a": [1.0, 1.0, None, 2.5], "b": ["x", "y", "x", "x"]})
+        assert partition_of(pairs, ["a", "b"], 8)[:3].tolist() == (
+            partition_of(same, ["a", "b"], 8)[:3].tolist())
+        # No key is one partition.
+        assert set(partition_of(pairs, [], 8).tolist()) == {0}
 
 
 @pytest.fixture

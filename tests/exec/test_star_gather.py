@@ -2,10 +2,12 @@
 
 Four layers, each held to exact equality:
 
-* ``_HashTable`` — every locator (direct / offsets / search / generic)
-  against a brute-force nested loop on drawn builds, and the two
-  ``None``s of ``ranges``: rows ``None`` exactly when every probe row
-  hit, counts ``None`` exactly when the build is unique.
+* ``_HashTable`` — every locator (direct / offsets / search), over raw
+  integer keys and over coded ones (several columns, strings, floats,
+  booleans, NULLs, a key space re-ranked past ``MAX_KEY_CELLS``), against
+  a brute-force nested loop on drawn builds, and the two ``None``s of
+  ``ranges``: rows ``None`` exactly when every probe row hit, counts
+  ``None`` exactly when the build is unique.
 * The six join types on batches where every row, some rows and no row
   finds a build row — encoded, decoded (``enable_encoded_agg=False``),
   without bitmaps, in row mode and under a spilling grant — against a
@@ -18,6 +20,8 @@ Four layers, each held to exact equality:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from repro import Database, StoreConfig, types
 from repro.bench.queries import QUERY_SUITE
 from repro.bench.star_schema import build_star_schema
+from repro.exec import batch as batch_module
 from repro.exec.batch import Batch
 from repro.exec.bloom import ALL, NONE, SOME, JoinBitmapFilter, dense_slots
 from repro.exec.operators.hash_join import DENSE_DOMAIN_PER_ROW, _HashTable
@@ -38,20 +43,34 @@ from .test_codes_through_join import brute_force
 
 I64 = np.iinfo(np.int64)
 TOP = 2**62 - 1
+BIG = 2**53  # the first integer past which a float cannot hold every integer
 
 
 # --------------------------------------------------------------------- #
 # (a) locators against a nested loop
 # --------------------------------------------------------------------- #
-def check_table(build_keys, probe_keys, probe_dtype=np.int64):
-    """Build on ``build_keys``, probe with ``probe_keys``, compare with the
-    nested loop; returns the table for assertions about its locator."""
-    build = Batch.from_pydict({"id": build_keys}, dtypes={"id": np.dtype(np.int64)})
-    probe = Batch.from_pydict({"k": probe_keys}, dtypes={"k": np.dtype(probe_dtype)})
-    table = _HashTable(build, ["id"])
+def key_batch(prefix, keys, dtypes):
+    """One column per key part: ``keys`` are values of one ``dtypes``, or
+    tuples of values with a list of ``dtypes``, one a column."""
+    if not isinstance(dtypes, list):
+        return Batch.from_pydict({prefix: keys}, dtypes={prefix: np.dtype(dtypes)})
+    names = [f"{prefix}{j}" for j in range(len(dtypes))]
+    return Batch.from_pydict(
+        {name: [None if k is None else k[j] for k in keys] for j, name in enumerate(names)},
+        dtypes={name: np.dtype(dtype) for name, dtype in zip(names, dtypes)},
+    )
+
+
+def check_table(build_keys, probe_keys, probe_dtype=np.int64, build_dtype=np.int64):
+    """Build on ``build_keys``, probe with ``probe_keys`` (tuples, with a
+    list of dtypes, for a key of several columns), compare with the nested
+    loop; returns the table for assertions about its locator."""
+    build = key_batch("id", build_keys, build_dtype)
+    probe = key_batch("k", probe_keys, probe_dtype)
+    table = _HashTable(build, build.names)
     expected = brute_force(build_keys, probe_keys)
 
-    rows, starts, counts = table.ranges(probe, ["k"])
+    rows, starts, counts = table.ranges(probe, probe.names)
     every_row_hit = {p for p, _ in expected} == set(range(len(probe_keys)))
     assert (rows is None) == every_row_hit
     assert (counts is None) == table.unique
@@ -62,13 +81,17 @@ def check_table(build_keys, probe_keys, probe_dtype=np.int64):
     if counts is not None:
         assert (counts > 0).all()
 
-    probe_idx, build_idx = table.probe(probe, ["k"])
+    probe_idx, build_idx = table.probe(probe, probe.names)
     assert list(zip(probe_idx.tolist(), build_idx.tolist())) == expected
     # A unique offsets table is direct: the build row instead of a range
     # into an order, never both.
     assert table.direct == (table.locate == "offsets" and table.unique)
     assert hasattr(table, "_row_of") == table.direct
     assert hasattr(table, "_starts") == (table.locate == "offsets" and not table.direct)
+    # Only a raw integer key makes an exact bitmap, never codes.
+    (first, *rest) = build.names
+    raw = not rest and np.issubdtype(build.column(first).dtype, np.integer)
+    assert (table.bitmap() is not None) == (table.direct and raw)
     return table
 
 
@@ -95,6 +118,51 @@ def test_every_locator_matches_the_nested_loop(
         probe = [None if k is None else k * stretch + shift for k in probe]
     fits_int32 = all(k is None or -(2**31) <= k < 2**31 for k in probe)
     check_table(build, probe, np.int32 if narrow and fits_int32 else np.int64)
+
+
+# Key values by column kind; a probe column may be of another kind than
+# its build column (numbers compare by value across kinds, a string
+# equals no number).
+KIND_VALUES = {
+    np.int64: st.one_of(st.integers(-3, 3), st.sampled_from([BIG, BIG + 1])),
+    np.float64: st.sampled_from([0.5, 1.0, 2.0, -0.0, float(BIG), float("nan")]),
+    np.bool_: st.booleans(),
+    object: st.sampled_from(["", "a", "b", "1"]),
+}
+
+
+def coded_keys(dtypes):
+    parts = (st.one_of(st.none(), KIND_VALUES[dtype]) for dtype in dtypes)
+    return st.lists(st.tuples(*parts), max_size=25)
+
+
+def as_stored(value, dtype):
+    """``value`` as a column of ``dtype`` holds it (an int in a FLOAT
+    column is a float), None where it cannot be held at all."""
+    if value is None or (dtype is object) != isinstance(value, str):
+        return None
+    if dtype is np.int64 and value != value:  # NaN
+        return None
+    return {np.int64: int, np.float64: float, np.bool_: bool, object: str}[dtype](value)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), width=st.integers(1, 3), few_cells=st.booleans())
+def test_every_coded_key_matches_the_nested_loop(data, width, few_cells):
+    """Keys of one to three columns of any kind, NULLs among them, probed
+    with columns of a drawn kind each; with ``few_cells`` the cell limit
+    is lowered so that combining re-ranks (and the probe replays it)."""
+    kinds = list(KIND_VALUES)
+    build_dtypes = [data.draw(st.sampled_from(kinds)) for _ in range(width)]
+    probe_dtypes = [data.draw(st.sampled_from(kinds)) for _ in range(width)]
+    build = data.draw(coded_keys(build_dtypes))
+    probe = data.draw(coded_keys(probe_dtypes))
+    if build and data.draw(st.booleans()):
+        probe += data.draw(st.lists(st.sampled_from(build), max_size=10))
+    probe = [tuple(map(as_stored, key, probe_dtypes)) for key in probe]
+    limit = 4 if few_cells else batch_module.MAX_KEY_CELLS
+    with mock.patch.object(batch_module, "MAX_KEY_CELLS", limit):
+        check_table(build, probe, probe_dtypes, build_dtypes)
 
 
 SHAPES = {
@@ -131,10 +199,67 @@ def test_locator_shapes(shape):
         assert (table.locate, table.direct) == (locator, direct)
 
 
-def test_generic_locator_speaks_the_same_nones():
+NAN = float("nan")
+CODED_SHAPES = {
+    # name: (build keys, build dtypes, probe keys, probe dtypes)
+    "int and string": (
+        [(1, "a"), (1, "b"), (2, "a"), (None, "c"), (3, None), (2, "a"), (7, "é")],
+        [np.int64, object],
+        [(1, "a"), (2, "a"), (1, "c"), (3, None), (None, "a"), (4, "a"), (2, "b"), (7, "é")],
+        [np.int64, object],
+    ),
+    "strings": (["x", "y", "x", None, ""], object, ["x", "z", None, "y", "", "x"], object),
+    "string build, int probe": (["1", "2"], object, [1, 2, None], np.int64),
+    "float build, int probe": (
+        [0.5, 1.0, 2.0, float(BIG), -0.0, NAN, float("inf"), 3.0, 3.0, None],
+        np.float64,
+        [0, 1, 2, BIG, BIG + 1, 3, -1, None, 2**62],
+        np.int64,
+    ),
+    # The raw integer key, for the other direction of the same rule.
+    "int build, float probe": (
+        [BIG + 1, BIG, 1, 2, 1], np.int64, [float(BIG), 1.0, 1.5, NAN, None, 2.0], np.float64,
+    ),
+    "float build, float probe": (
+        [1.5, 2.5, NAN, -0.0], np.float64, [1.5, NAN, 2.5, 3.5, 0.0], np.float64,
+    ),
+    "bool build, int probe": ([True, False, None, True], np.bool_, [0, 1, 2, None, -1], np.int64),
+    "int and float, float probe": (
+        [(1, 0.5), (BIG + 1, 1.0), (BIG, 3.0), (2, 2.0), (2, 2.0)],
+        [np.int64, np.float64],
+        [(1.0, 0.5), (float(BIG), 1.0), (float(BIG), 3.0), (2.0, 2.0), (2.5, 2.0), (2.0, None)],
+        [np.float64, np.float64],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(CODED_SHAPES))
+def test_coded_keys_match_the_nested_loop(shape):
+    build_keys, build_dtypes, probe_keys, probe_dtypes = CODED_SHAPES[shape]
+    for probes in (probe_keys, [k for k in probe_keys if k in build_keys], probe_keys[:0]):
+        check_table(build_keys, probes, probe_dtypes, build_dtypes)
+
+
+def test_a_three_column_key_past_the_cell_limit_is_reranked_on_both_sides():
+    """Re-ranking needs a cell space past 2**62 (millions of build rows at
+    three columns), so the limit is lowered: 4 x 3 x 5 cells pass 8."""
+    build = [(a, s, b) for a in range(4) for s in "xyz" for b in (0.5, 1.5, 2.5, 3.5, 4.5)
+             if (a + ord(s)) % 3]
+    # Present; a value a dictionary lacks (9.5, 5, "q"); NULL; and every
+    # value known but the combination not (0, "x": a miss at a re-rank).
+    probes = build[::-3] + [(0, "y", 0.5), (1, "x", 9.5), (5, "x", 0.5), (None, "x", 0.5),
+                           (3, "q", 0.5), (2, "z", 4.5), (0, "x", 0.5)]
+    with mock.patch.object(batch_module, "MAX_KEY_CELLS", 8):
+        table = check_table(build, probes, [np.int64, object, np.float64],
+                            [np.int64, object, np.float64])
+    assert len(table._ranks) == 2 and table.unique
+
+
+def test_coded_keys_speak_the_same_nones():
     build = Batch.from_pydict({"a": ["x", "y", "z"], "b": [1, 2, 3]})
     table = _HashTable(build, ["a", "b"])
-    assert table.locate == "generic" and table.unique and not table.direct
+    assert table.locate == "offsets" and table.unique and table.direct
+    assert table.bitmap() is None  # the cells are codes, not keys
     every = Batch.from_pydict({"a": ["z", "x", "x"], "b": [3, 1, 1]})
     rows, starts, counts = table.ranges(every, ["a", "b"])
     assert rows is None and counts is None

@@ -126,6 +126,27 @@ class TestWindowAggregates:
         assert by_a(db.sql(sql, mode="batch")) == by_a(db.sql(sql, mode="row"))
 
 
+class TestWindowSpill:
+    def test_spilled_window_equals_in_memory(self):
+        """Over budget, rows go to spill files by their partition key (the
+        one spill partition hash): every NULL key to the same file, a FLOAT
+        key by value (-0.0 and 0.0 are one partition). The answer is the
+        in-memory one, in input order."""
+        db = Database()
+        db.sql("CREATE TABLE w (a INT NOT NULL, g FLOAT, v INT)")
+        keys = ["NULL" if i % 7 == 0 else "-0.0" if i % 10 == 5 else
+                str(i % 5 + (0.5 if i % 3 == 0 else 0.0)) for i in range(400)]
+        db.sql("INSERT INTO w VALUES " + ", ".join(
+            f"({i}, {key}, {i % 11})" for i, key in enumerate(keys)))
+        sql = ("SELECT a, g, SUM(v) OVER (PARTITION BY g) AS s, "
+               "ROW_NUMBER() OVER (PARTITION BY g ORDER BY a) AS rn FROM w")
+        expected = db.sql(sql).rows
+        spilled = db.sql(sql, grant_bytes=1024, stats=True)
+        assert spilled.rows == expected
+        (window,) = spilled.stats.find("BatchWindow")
+        assert window.details["partitions_spilled"] > 1
+
+
 class TestWindowPlans:
     def test_explain_shows_window_node(self, db):
         result = db.sql(
