@@ -1,16 +1,18 @@
 """E23 — Encoded-space aggregation: aggregate without decoding.
 
 Scalar aggregates over an RLE column are folded run-by-run (one update
-per run, weighted by surviving run length) and GROUP BY on a dictionary
+per run, weighted by surviving run length), GROUP BY on a dictionary
 column accumulates into a codes-sized table, decoding only the surviving
-group keys. We run each query with the encoded path on and off and
+group keys, and GROUP BY on the RLE column folds each run into its group
+(the runs coded by value) without decoding the key. We run each query with the encoded path on and off and
 compare wall time plus the storage counters that prove *why* it is
 faster: ``storage.segments.decode_requests`` drops, and
 ``storage.scan.agg_runs_processed`` is a tiny fraction of the rows
 aggregated.
 
 Expected shape: encoded-on does near-zero decodes for the RLE scalar
-query, processes ~runs (not ~rows), and produces bit-identical results.
+query, processes ~runs (not ~rows), decodes no key for either GROUP BY,
+and produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -71,6 +73,12 @@ QUERIES = [
         "GROUP BY dict key",
         ["k", "v"],
         ["k"],
+        [count_star("n"), agg("sum", "v", "s"), agg("max", "v", "hi")],
+    ),
+    (
+        "GROUP BY RLE key",
+        ["run", "v"],
+        ["run"],
         [count_star("n"), agg("sum", "v", "s"), agg("max", "v", "hi")],
     ),
 ]
@@ -138,11 +146,15 @@ def test_e23_encoded_aggregation(benchmark, report_dir, store):
             on["runs"],
             on["groups"],
         )
-    report.add_note("run-granular folding + code-space GROUP BY; results verified equal")
+    report.add_note(
+        "run-granular folding + code-space GROUP BY (dictionary codes, RLE runs coded by "
+        "value); results verified equal"
+    )
     save_report(report_dir, "e23_encoded_agg.txt", report.render())
 
-    scalar, grouped = results[0], results[1]
+    scalar, grouped, by_runs = results
     n_groups = len(store.directory)
+    n_runs = sum(g.segment("run").stream.n_runs for g in store.directory.row_groups())
     # Exact counts, not times: a change that silently decodes fails here.
     # The RLE scalar decodes nothing and touches runs, not rows.
     assert (scalar["on"]["decodes"], scalar["off"]["decodes"]) == (0, n_groups)
@@ -153,4 +165,9 @@ def test_e23_encoded_aggregation(benchmark, report_dir, store):
     assert grouped["on"]["groups"] == len(KEYS) * n_groups
     assert (grouped["on"]["decodes"], grouped["off"]["decodes"]) == (n_groups, 2 * n_groups)
     assert grouped["on"]["fallbacks"] == 0
+    # GROUP BY the RLE key decodes no key either — only the argument — and
+    # folds every run of it into its group.
+    assert (by_runs["on"]["decodes"], by_runs["off"]["decodes"]) == (n_groups, 2 * n_groups)
+    assert by_runs["on"]["runs"] == n_runs and by_runs["on"]["fallbacks"] == 0
     assert scalar["off"]["runs"] == 0 and grouped["off"]["groups"] == 0
+    assert by_runs["off"]["runs"] == 0

@@ -17,7 +17,10 @@ They merge through the group directory as input rows do, their counts and
 values folded in by the same scatter operations, in row order.
 
 A scalar aggregate's argument that arrives still encoded is folded once
-per distinct value, weighted by the rows that carry it.
+per distinct value, weighted by the rows that carry it. A unit grouped by
+one run-length key is folded once per run where that is exact: each
+aggregate reduced over each run's surviving rows, one group id per run,
+the per-run partials merged as spilled ones are.
 
 Supported: COUNT(*), COUNT(expr), SUM, MIN, MAX, AVG.
 """
@@ -31,7 +34,7 @@ import numpy as np
 
 from ...errors import ExecutionError
 from ...observability import registry as metrics
-from ...storage.segment import DictionaryVector
+from ...storage.segment import DictionaryVector, RunVector
 from ..batch import (
     AS_CODES,
     AS_EXACT_WEIGHTS,
@@ -53,6 +56,11 @@ _FUNCS = {COUNT_STAR, "count", "sum", "min", "max", "avg"}
 _SPILL_PARTITIONS = 8
 # Estimated retained bytes per group (keys + accumulators), for the grant.
 _BYTES_PER_GROUP = 96
+# Argument dtype kinds each aggregate folds per run with the bits of a
+# per-row update (None: any): MIN/MAX are order-free over numbers, and
+# int64 addition wraps associatively — float addition does not.
+_RUN_FOLDABLE = {"count": None, "min": "biuf", "max": "biuf", "sum": "biu", "avg": "biu"}
+_REDUCE = {"sum": np.add, "avg": np.add, "min": np.minimum, "max": np.maximum}
 
 
 @dataclass
@@ -301,19 +309,20 @@ class _GroupState:
         self._values[spec_index] = ("obj", data)
 
     # ------------------------------------------------------------------ #
-    # Merge from partial rows (spill path)
+    # Merge partials (spilled partial rows, per-run folds)
     # ------------------------------------------------------------------ #
-    def merge(self, partial: Batch, gids: np.ndarray) -> None:
-        """Fold partial rows (``to_partial_batch``) into their groups:
-        counts add, values combine as input rows' do, in row order (so a
-        float SUM adds its partials in the order they were spilled)."""
-        for spec_index, spec in enumerate(self.specs):
-            counts = partial.column(f"__{spec.name}_count")
+    def merge(
+        self, partials: list[tuple[np.ndarray, np.ndarray | None]], gids: np.ndarray
+    ) -> None:
+        """Fold partial rows into their groups — per spec, each row's
+        count and combined value (``None`` for counts): counts add,
+        values combine as input rows' do, in row order (so a float SUM
+        adds its partials in the order they were spilled)."""
+        for spec_index, (spec, (counts, values)) in enumerate(zip(self.specs, partials)):
             np.add.at(self.counts[spec_index], gids, counts)
             kept = np.flatnonzero(counts)  # a value is NULL where no row counted
-            if spec.func not in (COUNT_STAR, "count") and kept.size:
-                values = partial.column(f"__{spec.name}_value")[kept]
-                self._combine_values(spec_index, spec.func, gids[kept], values)
+            if values is not None and kept.size:
+                self._combine_values(spec_index, spec.func, gids[kept], values[kept])
 
     # ------------------------------------------------------------------ #
     # Output
@@ -487,6 +496,11 @@ class BatchHashAggregate(BatchOperator):
         if not self.group_keys:
             state.update(batch, state.gid_of(()))
             return
+        runs = self._run_key(batch)
+        if runs is not None:
+            self._note_arrival(self.group_keys[0], runs.source)
+            self._fold_runs(state, batch, runs)
+            return
         # Every key as a vector over the qualifying rows: the one handed
         # in, or the plain column coded here.
         active = batch.selection
@@ -498,11 +512,74 @@ class BatchHashAggregate(BatchOperator):
                 if active is not None:
                     values, mask = values[active], None if mask is None else mask[active]
                 vector = DictionaryVector.from_values(values, mask, source="here")
-            elif active is not None:
+            else:
                 vector = vector.select(active)
             vectors.append(vector)
             self._note_arrival(key, vector.source)
         state.update(batch, self._code_space_gids(state, vectors))
+
+    def _run_key(self, batch: Batch) -> RunVector | None:
+        """The batch's one group key, if it is a run vector the batch can
+        be folded by: no key is NULL (a NULL row's filler shares a run
+        with values), and every aggregate is exact in any combining order
+        (``_RUN_FOLDABLE``)."""
+        if len(self.group_keys) != 1:
+            return None
+        runs = batch.encoded.get(self.group_keys[0])
+        if not isinstance(runs, RunVector) or runs.null_mask is not None:
+            return None
+        for spec in self.aggregates:
+            if spec.func == COUNT_STAR:
+                continue
+            if type(spec.expr) is not Column or spec.expr.name not in batch.columns:
+                return None
+            kinds = _RUN_FOLDABLE[spec.func]
+            if kinds is not None and batch.columns[spec.expr.name].dtype.kind not in kinds:
+                return None
+        return runs
+
+    def _fold_runs(self, state: _GroupState, batch: Batch, runs: RunVector) -> None:
+        """Fold a unit keyed by ``runs`` run by run. The qualifying rows
+        are in storage order, so a run's survivors are one slice of them,
+        bounded where the run's bounds fall among them (``searchsorted``
+        in the selection); each aggregate is reduced over those slices
+        (``reduceat``), and the per-run partials merge into their groups
+        — one group id per run, from the runs coded by value — as
+        spilled partials do."""
+        active = batch.selection
+        bounds = runs.run_bounds
+        if active is not None:
+            bounds = np.searchsorted(active, bounds)
+        starts, rows = bounds[:-1], np.diff(bounds)  # survivors per run
+        keys = runs.run_keys
+        carried = np.flatnonzero(rows)
+        if carried.size < rows.size:  # a run left with no row makes no group
+            keys, rows, starts = keys.select(carried), rows[carried], starts[carried]
+        arguments: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
+        partials = []
+        for spec in self.aggregates:
+            if spec.func == COUNT_STAR:
+                partials.append((rows, None))
+                continue
+            name = spec.expr.name
+            if name not in arguments:
+                values, nulls = batch.column(name), batch.null_mask(name)
+                if active is not None:
+                    values, nulls = values[active], None if nulls is None else nulls[active]
+                arguments[name] = values, nulls
+            values, nulls = arguments[name]
+            counts = rows if nulls is None else np.add.reduceat(~nulls, starts, dtype=np.int64)
+            if spec.func == "count":
+                partials.append((counts, None))
+                continue
+            # In int64 / float64, as the per-row path combines; a NULL
+            # holds the identity.
+            kind = "float" if values.dtype.kind == "f" else "int"
+            if nulls is not None:
+                values = np.where(nulls, _GroupState._identity_array(spec.func, kind, 1), values)
+            dtype = np.float64 if kind == "float" else np.int64
+            partials.append((counts, _REDUCE[spec.func].reduceat(values, starts, dtype=dtype)))
+        state.merge(partials, self._code_space_gids(state, [keys]))
 
     def _note_arrival(self, key: str, source: str) -> None:
         stats = self.stats
@@ -521,10 +598,11 @@ class BatchHashAggregate(BatchOperator):
     def _code_space_gids(self, state: _GroupState, vectors: list) -> np.ndarray:
         """One group id per row from the rows' key codes.
 
-        Each key contributes its code (``n_distinct`` is the NULL slot) to
-        one mixed-radix cell number per row (``combine_codes``). Cells map
-        to group ids through a table over the whole cell space when that is
-        no larger than the batch, over their ``np.unique`` ranks otherwise.
+        Each key contributes its code (``n_distinct`` is the NULL slot of
+        a key with NULLs) to one mixed-radix cell number per row
+        (``combine_codes``). Cells map to group ids through a table over
+        the whole cell space when that is no larger than the batch, over
+        their ``np.unique`` ranks otherwise.
         Only the occupied cells — in order of first appearance, one row of
         each decoded to its key values — are looked up in the group
         directory, all at once; only a key it does not hold yet (a new
@@ -533,10 +611,10 @@ class BatchHashAggregate(BatchOperator):
         n = vectors[0].row_count
         columns = []
         for vector in vectors:
-            codes = vector.codes
+            codes, radix = vector.codes, vector.n_distinct
             if vector.null_mask is not None:
-                codes = np.where(vector.null_mask, vector.n_distinct, codes)
-            columns.append((codes, vector.n_distinct + 1))
+                codes, radix = np.where(vector.null_mask, radix, codes), radix + 1
+            columns.append((codes, radix))
         index, cells = combine_codes(columns)
         if cells > n:
             index, cells = rank_cells(index)
@@ -579,7 +657,14 @@ class BatchHashAggregate(BatchOperator):
             ])
         else:
             gids = np.full(partial.row_count, state.gid_of(()), dtype=np.int64)
-        state.merge(partial, gids)
+        state.merge([
+            (
+                partial.column(f"__{spec.name}_count"),
+                None if spec.func in (COUNT_STAR, "count")
+                else partial.column(f"__{spec.name}_value"),
+            )
+            for spec in self.aggregates
+        ], gids)
 
 
 def count_star(name: str = "count") -> AggregateSpec:

@@ -36,7 +36,7 @@ from ...governance.context import checkpoint as governance_checkpoint
 from ...observability import registry as metrics
 from ...observability.registry import MorphReason
 from ...storage.columnstore import DELTA, GROUP, ColumnStoreIndex, RowLocator, ScanUnit
-from ...storage.segment import EncodedVector
+from ...storage.segment import EncodedVector, RunVector
 from ..batch import (
     AS_CODES,
     AS_EXACT_WEIGHTS,
@@ -76,6 +76,8 @@ class ScanStats:
     conjuncts_pruned_by_range: int = 0
     delta_rows_scanned: int = 0
     columns_decoded: int = 0
+    # Runs of the run vectors handed to an aggregate: scalar arguments
+    # weighted per run, and group keys (folded per run where exact).
     agg_runs_processed: int = 0
     # Units whose group keys reached an encoded-input aggregate as plain
     # rows (delta units included), so it coded them itself.
@@ -202,6 +204,16 @@ class ColumnStoreScan(BatchOperator):
     def _scan_group(self, unit: ScanUnit) -> Iterator[Batch]:
         group = unit.group
         assert group is not None
+        # A unit eliminated here sends its consumer nothing, so it is
+        # settled before anything below can count it as a fallback.
+        if self.segment_elimination and self._eliminated(group):
+            self.stats.units_eliminated += 1
+            return
+        answers = [self._ask_bitmap(probe, group) for probe in self.bitmap_probes]
+        if NONE in answers:
+            self.stats.units_eliminated += 1
+            self.stats.units_eliminated_by_bitmap += 1
+            return
         takes, plain_reason = self.takes_encoded, MorphReason.OUTPUT
         if takes is not None and (self.bitmap_probes or self.include_locators):
             takes, plain_reason = None, MorphReason.BITMAP_OR_LOCATORS
@@ -221,14 +233,6 @@ class ColumnStoreScan(BatchOperator):
         else:
             plan = self._encoded_plan(group, takes, vectors)
 
-        if self.segment_elimination and self._eliminated(group):
-            self.stats.units_eliminated += 1
-            return
-        answers = [self._ask_bitmap(probe, group) for probe in self.bitmap_probes]
-        if NONE in answers:
-            self.stats.units_eliminated += 1
-            self.stats.units_eliminated_by_bitmap += 1
-            return
         self.stats.rows_scanned += group.row_count
         keep = np.ones(group.row_count, dtype=bool)
         if unit.deleted_mask is not None:
@@ -273,7 +277,7 @@ class ColumnStoreScan(BatchOperator):
         for name, leaves_as in plan.items():
             if not isinstance(leaves_as, MorphReason):
                 encoded[name] = leaves_as
-                if not leaves_as.row_addressable:
+                if isinstance(leaves_as, RunVector):
                     self.stats.agg_runs_processed += leaves_as.n_distinct
         if encoded or not (plan or self.include_locators):
             # Plain columns stay full length next to the vectors and the
@@ -336,10 +340,11 @@ class ColumnStoreScan(BatchOperator):
             if how != AS_CODES:
                 continue
             vector = vectors.get(name)
-            if vector is None or not vector.row_addressable:
+            if vector is None:
                 key_reason = why_no_vector(name, MorphReason.KEY_NOT_DICTIONARY)
                 break
-            key_cells *= vector.n_distinct + 1  # +1 for the NULL slot
+            # +1 for the NULL slot; a run vector's runs stand in for its values.
+            key_cells *= vector.n_distinct + 1
             if key_cells > MAX_KEY_CELLS:  # the keys are decoded instead
                 key_reason = MorphReason.KEY_SPACE_OVERFLOW
                 break

@@ -46,9 +46,10 @@ class MorphReason(enum.Enum):
         stream would each decompress the archive), so a key or argument
         the consumer could have taken encoded is decoded once instead.
     ``key_not_dictionary``
-        Group key whose segment has no row-addressable code stream
-        (run-encoded, bit-packed or raw): every key of the unit is
-        decoded and the aggregate codes them itself.
+        Group key whose segment hands out no vector (value-encoded
+        bit-packed, or raw): every key of the unit is decoded and the
+        aggregate codes them itself. Dictionary and run-length keys are
+        taken as codes.
     ``key_space_overflow``
         The keys' combined code space (product of dictionary sizes + 1
         NULL slot each) exceeds 2^62 cells, past what one int64

@@ -233,11 +233,14 @@ class EncodedVector:
     :meth:`expand`. :meth:`decode` is ``expand(distinct_values())``, bit
     for bit what the segment's own decode emits (it *is* that decode).
     Nothing is read from the segment until first use.
+
+    Either kind is a group key: :meth:`select` hands out rows as a
+    :class:`DictionaryVector`, whose ``codes`` / ``n_distinct`` /
+    ``null_mask`` a code-space GROUP BY combines. ``source`` names who
+    made the vector, for EXPLAIN ANALYZE.
     """
 
-    # Whether ``codes`` gives each row's position in distinct_values()
-    # (what a code-space GROUP BY key needs); runs have no such stream.
-    row_addressable = False
+    source = "scan"
 
     def __init__(self, segment: ColumnSegment) -> None:
         self._segment = segment
@@ -276,6 +279,17 @@ class EncodedVector:
         """Fold a row mask to int64 surviving non-NULL rows per distinct value."""
         raise NotImplementedError
 
+    def select(self, positions: np.ndarray | None) -> "DictionaryVector":
+        """The rows at ``positions`` (``None``: every row), still encoded
+        — what ``take`` is to values."""
+        raise NotImplementedError
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, which its owner caches and hands out, made unwritable."""
+    array.setflags(write=False)
+    return array
+
 
 class _ValueCoder(dict):
     """value → dictionary code, in order of first appearance. Looked up
@@ -289,12 +303,9 @@ class _ValueCoder(dict):
 
 class DictionaryVector(EncodedVector):
     """codes ∘ dictionary — over a dictionary segment, read lazily, or
-    over plain arrays an operator built (:meth:`of`, :meth:`from_values`).
-    ``source`` names who made it, for EXPLAIN ANALYZE."""
+    over plain arrays an operator built (:meth:`of`, :meth:`from_values`)."""
 
-    row_addressable = True
     n_distinct = 0  # set per instance: known without reading any payload
-    source = "scan"
 
     def __init__(self, segment: ColumnSegment) -> None:
         super().__init__(segment)
@@ -368,9 +379,11 @@ class DictionaryVector(EncodedVector):
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
         return self._lookup(per_distinct, self.codes)
 
-    def select(self, positions: np.ndarray) -> "DictionaryVector":
+    def select(self, positions: np.ndarray | None) -> "DictionaryVector":
         """The rows at ``positions``, still encoded (what ``take`` is to
         values): a segment's code stream is read at those rows alone."""
+        if positions is None:
+            return self
         if "codes" in self.__dict__:
             codes = self.codes[positions]
             nulls = None if self.null_mask is None else self.null_mask[positions]
@@ -398,6 +411,15 @@ class DictionaryVector(EncodedVector):
 
 
 class RunVector(EncodedVector):
+    """run values × run lengths; its distinct values are the runs'.
+
+    As a group key it is coded *by value*, not by run: ``run_keys`` codes
+    the run values (``DictionaryVector.from_values`` over one row per
+    run), and a row's code is its run's. Equal values in different runs
+    share a code, so a key has as many cells as values — a store key in
+    1,900 runs of 100 stores is 100 groups to look up, not 1,900.
+    """
+
     @property
     def n_distinct(self) -> int:
         return self._segment.stream.n_runs
@@ -406,6 +428,27 @@ class RunVector(EncodedVector):
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
         return self._segment.stream.runs()
 
+    @cached_property
+    def run_bounds(self) -> np.ndarray:
+        """Each run's first row, then the row count: run ``r`` is rows
+        ``[run_bounds[r], run_bounds[r + 1])``, and ``reduceat`` at
+        ``run_bounds[:-1]`` folds rows to runs."""
+        bounds = np.zeros(self.n_distinct + 1, dtype=np.int64)
+        np.cumsum(self._runs[1], out=bounds[1:])
+        return _read_only(bounds)
+
+    @cached_property
+    def run_keys(self) -> DictionaryVector:
+        """The runs as a group key: row ``r`` is run ``r``, coded by value."""
+        keys = DictionaryVector.from_values(self.distinct_values())
+        _read_only(keys.codes)
+        return keys
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Each row's code in ``run_keys`` (not a run index)."""
+        return _read_only(np.repeat(self.run_keys.codes, self._runs[1]))
+
     def distinct_values(self) -> np.ndarray:
         # A copy: inverting consumes its input, and the runs are kept.
         return self._segment.value_enc.invert(self._runs[0].copy(), self.numpy_dtype)
@@ -413,18 +456,21 @@ class RunVector(EncodedVector):
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
         return np.repeat(per_distinct, self._runs[1])
 
+    def select(self, positions: np.ndarray | None) -> DictionaryVector:
+        codes, nulls = self.codes, self.null_mask
+        if positions is not None:
+            codes, nulls = codes[positions], None if nulls is None else nulls[positions]
+        return DictionaryVector.of(codes, self.run_keys.distinct_values(), nulls, self.source)
+
     def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         segment = self._segment
         values = segment.value_enc.invert(segment.stream.take(positions), self.numpy_dtype)
         return values, segment.null_mask(positions)
 
     def weights(self, keep: np.ndarray) -> np.ndarray:
-        lengths = self._runs[1]
-        if lengths.size == 0:
+        if self.n_distinct == 0:
             return np.zeros(0, dtype=np.int64)
-        starts = np.zeros(lengths.size, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        return np.add.reduceat(self._present(keep).astype(np.int64), starts)
+        return np.add.reduceat(self._present(keep), self.run_bounds[:-1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------- #

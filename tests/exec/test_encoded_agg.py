@@ -1,17 +1,21 @@
-"""Encoded-space aggregation: code-space GROUP BY, run-granular scalars.
+"""Encoded-space aggregation: code-space GROUP BY, run-granular scalars,
+run-length group keys folded per run.
 
 Every test compares the encoded fast path against the decoded path with
 exact equality (no rounding): the fast path must be bit-identical, not
-merely close. The Hypothesis property sweeps dict/RLE/bitpack segments
-with NULLs, deletes, and trickle-inserted delta rows.
+merely close. The Hypothesis properties sweep dict/RLE/bitpack segments
+with NULLs, deletes, and trickle-inserted delta rows; the run-key one
+takes ``REPRO_RUN_KEY_EXAMPLES`` examples (CI runs a long profile).
 """
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import types
+from repro import Database, types
 from repro.exec.expressions import Between, Comparison, col, lit
 from repro.exec.operators.hash_aggregate import BatchHashAggregate, agg, count_star
 from repro.errors import QueryKilledError
@@ -23,6 +27,7 @@ from repro.storage.columnstore import GROUP, ColumnStoreIndex, RowLocator
 from repro.storage.config import StoreConfig
 from repro.storage.encodings import Scheme
 from repro.storage.rle import RleBlock
+from repro.storage.segment import DictionaryVector, RunVector
 
 
 def run_agg(store, columns, group_keys, aggs, predicate=None, encoded=True):
@@ -206,14 +211,14 @@ class TestMixedUnits:
             }
         )
         group = next(store.directory.row_groups())
-        assert group.segment("k").vector().row_addressable
-        assert not group.segment("run").vector().row_addressable
-        assert not group.segment("f").vector().row_addressable
+        assert isinstance(group.segment("k").vector(), DictionaryVector)
+        assert isinstance(group.segment("run").vector(), RunVector)
+        assert isinstance(group.segment("f").vector(), RunVector)
         assert group.segment("payload").vector() is None
         return store
 
     @pytest.mark.parametrize(
-        "keys, aggs, morphs, fallbacks",
+        "keys, aggs, morphs, fallbacks, runs",
         [
             pytest.param(
                 [],
@@ -221,6 +226,7 @@ class TestMixedUnits:
                  agg("sum", "f", "fs"), agg("min", "payload", "lo")],
                 {"inexact_float_sum": 1, "no_vector": 1},
                 0,
+                50,
                 id="rle argument + float SUM + bit-packed MIN",
             ),
             pytest.param(
@@ -228,6 +234,7 @@ class TestMixedUnits:
                 [agg("min", "f", "flo"), agg("max", "run", "hi")],
                 {},
                 0,
+                50 + 25,
                 id="float MIN is weight-safe",
             ),
             pytest.param(
@@ -235,6 +242,7 @@ class TestMixedUnits:
                 [count_star("n"), agg("sum", "run", "s")],
                 {"key_not_dictionary": 2, "output": 1},
                 1,
+                0,
                 id="dictionary key next to a bit-packed key",
             ),
             pytest.param(
@@ -242,11 +250,45 @@ class TestMixedUnits:
                 [count_star("n"), agg("sum", "f", "fs"), agg("max", "payload", "hi")],
                 {"output": 2},
                 0,
+                0,
                 id="dictionary key, grouped arguments as rows",
+            ),
+            pytest.param(
+                ["run"],
+                [count_star("n"), agg("sum", "payload", "s"), agg("max", "f", "hi"),
+                 agg("count", "f", "c")],
+                {"output": 2},
+                0,
+                50,
+                id="run key folded per run",
+            ),
+            pytest.param(
+                ["f"],
+                [count_star("n"), agg("sum", "payload", "s"), agg("avg", "run", "m")],
+                {"output": 2},
+                0,
+                25,
+                id="float run key folded per run",
+            ),
+            pytest.param(
+                ["run", "k"],
+                [count_star("n"), agg("sum", "f", "fs")],
+                {"output": 1},
+                0,
+                50,
+                id="run key next to a dictionary key, per row",
+            ),
+            pytest.param(
+                ["run", "payload"],
+                [count_star("n")],
+                {"key_not_dictionary": 2},
+                1,
+                0,
+                id="run key next to a bit-packed key",
             ),
         ],
     )
-    def test_mixed_unit_matches_decoded(self, mixed_store, keys, aggs, morphs, fallbacks):
+    def test_mixed_unit_matches_decoded(self, mixed_store, keys, aggs, morphs, fallbacks, runs):
         columns = ["k", "run", "f", "payload"]
         before = get_registry().snapshot()
         fast, scan = run_agg(mixed_store, columns, keys, aggs)
@@ -259,11 +301,11 @@ class TestMixedUnits:
         for reason, count in morphs.items():
             name = f"storage.scan.morph.{reason}"
             assert grown.get(name, 0) - before.get(name, 0) == count
-        if not keys and any(s.expr.name == "run" for s in aggs):
-            # The RLE argument was folded run by run, never decoded.
-            assert scan.stats.agg_runs_processed >= 50
-            decodes = "storage.segments.decode_requests"
-            assert grown.get(decodes, 0) - before.get(decodes, 0) == sum(morphs.values())
+        decodes = "storage.segments.decode_requests"
+        assert grown.get(decodes, 0) - before.get(decodes, 0) == sum(morphs.values())
+        # An RLE argument or key was handed over by its runs ("run" has
+        # 50, "f" 25), never decoded.
+        assert scan.stats.agg_runs_processed == runs
 
 
 class TestGovernedEncodedAggregate:
@@ -429,3 +471,171 @@ def test_encoded_agg_with_predicate_equals_decoded(rows):
         fast, _ = run_agg(store, columns, keys, aggs, predicate)
         slow, _ = run_agg(store, columns, keys, aggs, predicate, encoded=False)
         assert_same(fast, slow)
+
+
+# --------------------------------------------------------------------- #
+# Run-length group keys: coded by value, folded per run
+# --------------------------------------------------------------------- #
+def _bits(rows):
+    """Rows as a sorted list, every float by its bits (-0.0 is not 0.0)."""
+    return sorted(repr(tuple(v.hex() if isinstance(v, float) else v for v in row)) for row in rows)
+
+
+class TestRunKeys:
+    GROUP_SQL = "SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM kv GROUP BY grp"
+
+    @pytest.fixture
+    def kv(self):
+        """The suite's htap table, small: key-sorted rows reordered per
+        row group (``grp`` becomes one run per value), some deleted, and
+        trickle inserts in a delta store."""
+        db = Database(StoreConfig(rowgroup_size=1024, bulk_load_threshold=1))
+        db.sql(
+            "CREATE TABLE kv (k INT NOT NULL, grp INT NOT NULL, v INT NOT NULL, "
+            "price FLOAT NOT NULL, tag VARCHAR NOT NULL)"
+        )
+        rng = np.random.default_rng(23)
+        n = 3 * 1024
+        db.bulk_load("kv", list(zip(
+            range(n),
+            rng.integers(0, 10, n).tolist(),
+            rng.integers(0, 1000, n).tolist(),
+            np.round(rng.uniform(1.0, 500.0, n), 2).tolist(),
+            [f"tag{t:02d}" for t in rng.integers(0, 97, n).tolist()],
+        )))
+        for key in range(5, n, 97):
+            db.sql(f"DELETE FROM kv WHERE k = {key}")
+        for key in range(n, n + 7):
+            db.sql(f"INSERT INTO kv VALUES ({key}, {key % 10}, {key % 1000}, 1.5, 'tag00')")
+        return db
+
+    def test_the_htap_group_by_takes_its_key_as_runs(self, kv):
+        index = kv.catalog.table("kv").columnstore
+        groups = list(index.directory.row_groups())
+        deltas = len(index.delta_stores())
+        assert len(groups) == 3 and deltas == 1
+        assert all(isinstance(g.segment("grp").vector(), RunVector) for g in groups)
+        runs = sum(g.segment("grp").stream.n_runs for g in groups)
+
+        encoded = kv.sql(self.GROUP_SQL, stats=True)
+        decoded = kv.sql(self.GROUP_SQL, stats=True, enable_encoded_agg=False)
+        assert sorted(encoded.rows) == sorted(decoded.rows) and len(encoded.rows) == 10
+        stats = encoded.stats
+        assert stats.counter("storage.scan.morph.key_not_dictionary") == 0
+        assert stats.counter("storage.scan.agg_fallbacks") == deltas
+        assert stats.counter("storage.scan.agg_runs_processed") == runs == 3 * 10
+        # The key is no longer decoded: one column fewer per compressed unit.
+        decodes = "storage.scan.columns_decoded"
+        assert decoded.stats.counter(decodes) - stats.counter(decodes) == len(groups)
+        assert "keys: grp=codes:scan" in kv.explain_analyze(self.GROUP_SQL)
+
+    def test_a_store_key_in_many_runs_folds_each_run(self):
+        """``ss_store_id`` in date-ordered facts: every value in many runs.
+        Groups are values, not runs, and every run is folded."""
+        sch = schema(("store", types.INT, False), ("qty", types.INT), ("paid", types.FLOAT, False))
+        store = ColumnStoreIndex(
+            sch, StoreConfig(rowgroup_size=4000, bulk_load_threshold=10, reorder_rows=False)
+        )
+        n = 8000
+        stores = (np.arange(n) // 10) % 20  # 20 stores, each in 20 runs of 10 rows
+        store.bulk_load_columns({
+            "store": stores.astype(np.int64),
+            "qty": (np.arange(n, dtype=np.int64) * 7919) % 1009,
+            "paid": np.round(np.sin(np.arange(n)) * 100, 2),
+        })
+        for group in store.directory.row_groups():
+            for position in range(0, group.row_count, 9):
+                store.delete(RowLocator(GROUP, group.group_id, position))
+        columns = ["store", "qty", "paid"]
+        for aggs in (
+            [count_star("n"), agg("sum", "qty", "s"), agg("min", "paid", "lo"),
+             agg("max", "qty", "hi")],
+            [count_star("n"), agg("sum", "paid", "s"), agg("avg", "paid", "m")],
+        ):
+            scan = ColumnStoreScan(store, columns)
+            op = BatchHashAggregate(scan, ["store"], aggs)
+            scan.takes_encoded = op.takes_encoded()
+            fast = [row for batch in op.batches() for row in batch.to_rows()]
+            slow, _ = run_agg(store, columns, ["store"], aggs, encoded=False)
+            assert _bits(fast) == _bits(slow) and len(fast) == 20
+            assert scan.stats.agg_runs_processed == 2 * 400
+            arguments = {s.expr.name for s in aggs if s.expr is not None}
+            assert scan.stats.columns_decoded == 2 * len(arguments)  # never the key
+            assert scan.stats.agg_fallbacks == 0
+            # One directory miss per store: codes stand for values, not runs.
+            assert op.stats.directory_misses == 20
+            assert op.stats.keys == {"store": "codes:scan"}
+
+
+RUN_KEY_SETTINGS = settings(
+    max_examples=int(os.environ.get("REPRO_RUN_KEY_EXAMPLES", "12")),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@st.composite
+def run_key_tables(draw):
+    """A store whose key ``g`` is run-length encoded: sorted (one run per
+    value), in blocks cycling through the values (many runs per value, as
+    a store key in date-ordered facts), or random and left to the store's
+    row reordering — with NULL keys, deleted rows and a delta store. The
+    values are dense (a dictionary would not pay), the runs long enough
+    for RLE to beat bit packing in most row groups."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    n_values = draw(st.integers(min_value=1, max_value=8))
+    layout = draw(st.sampled_from(["sorted", "blocks", "reordered"]))
+    if layout == "blocks":
+        block = draw(st.integers(min_value=6, max_value=40))
+        g = [(i // block) % n_values for i in range(n)]
+    else:
+        g = draw(st.lists(st.integers(0, n_values - 1), min_size=n, max_size=n))
+        if layout == "sorted":
+            g.sort()
+    if draw(st.booleans()):  # a block of NULL keys, so runs survive
+        start = draw(st.integers(min_value=0, max_value=n - 1))
+        g[start : start + draw(st.integers(min_value=1, max_value=40))] = [None] * 40
+        g = g[:n]
+    v = draw(st.lists(st.one_of(st.none(), st.integers(-1000, 1000)), min_size=n, max_size=n))
+    f = draw(st.lists(st.floats(-50, 50, allow_nan=False, width=32), min_size=n, max_size=n))
+    d = draw(st.lists(st.sampled_from(["w", "x", "y", "z", None]), min_size=n, max_size=n))
+    rows = [
+        (g[i], None if g[i] is None else g[i] * 0.5, d[i], (i * 7919) % 100_003, v[i], f[i])
+        for i in range(n)
+    ]
+    trickle = draw(st.lists(st.sampled_from(rows), max_size=4))
+    return rows, layout, draw(st.sampled_from([0, 2, 5])), trickle
+
+
+EXACT_AGGS = [
+    count_star("n"), agg("count", "v", "c"), agg("sum", "v", "s"), agg("avg", "v", "m"),
+    agg("min", "v", "lo"), agg("max", "v", "hi"), agg("min", "f", "flo"),
+    agg("max", "f", "fhi"), agg("count", "f", "fc"),
+]
+FLOAT_SUMS = [count_star("n"), agg("sum", "f", "fs"), agg("avg", "f", "fm")]
+
+
+@given(table=run_key_tables())
+@RUN_KEY_SETTINGS
+def test_run_keys_group_as_the_decoded_arm(table):
+    rows, layout, delete_step, trickle = table
+    sch = schema(
+        ("g", types.INT), ("h", types.FLOAT), ("d", types.VARCHAR), ("b", types.INT, False),
+        ("v", types.INT), ("f", types.FLOAT, False),
+    )
+    store = ColumnStoreIndex(sch, StoreConfig(
+        rowgroup_size=128, bulk_load_threshold=1, reorder_rows=layout == "reordered"
+    ))
+    store.bulk_load([sch.coerce_row(r) for r in rows])
+    if delete_step:
+        for group in store.directory.row_groups():
+            for position in range(0, group.row_count, delete_step):
+                store.delete(RowLocator(GROUP, group.group_id, position))
+    for row in trickle:
+        store.insert(sch.coerce_row(row))
+    columns = ["g", "h", "d", "b", "v", "f"]
+    for keys in (["g"], ["h"], ["g", "d"], ["g", "b"]):
+        for aggs in (EXACT_AGGS, FLOAT_SUMS):
+            fast, _ = run_agg(store, columns, keys, aggs)
+            slow, _ = run_agg(store, columns, keys, aggs, encoded=False)
+            assert _bits(fast) == _bits(slow)

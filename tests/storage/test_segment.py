@@ -9,7 +9,7 @@ from repro import types
 from repro.errors import EncodingError
 from repro.storage.dictionary import GlobalDictionary
 from repro.storage.encodings import Scheme
-from repro.storage.segment import DictionaryVector, encode_segment
+from repro.storage.segment import DictionaryVector, RunVector, encode_segment
 
 
 def roundtrip(dtype, values, null_mask=None):
@@ -394,6 +394,62 @@ def test_select_of_a_segment_vector_stays_encoded(shape, nulls):
             again = picked.select(np.arange(positions.size)[::2])
             _same_decode(again.decode(), (full[positions[::2]],
                                           None if want_mask is None else want_mask[::2]))
+
+
+# Value-encoded run-length columns (few values over a small range, or too
+# many for a dictionary to pay): coded by subtraction, or by np.unique.
+_RUN_KEYS = {
+    "one run per value": (types.INT, np.repeat(np.arange(12, dtype=np.int64), 50)),
+    "runs revisit values": (types.INT, np.tile(np.repeat(np.array([3, 0, 2, 1]), 25), 6)),
+    "sparse values": (types.INT, np.tile(np.repeat(_RNG.choice(1000, 50, replace=False), 6), 2)),
+    "floats": (types.FLOAT, np.tile(np.repeat(np.arange(3) * 0.25, 40), 5)),
+}
+
+
+@pytest.mark.parametrize("nulls", ["none", "some", "all"])
+@pytest.mark.parametrize("shape", list(_RUN_KEYS))
+def test_a_run_vector_is_a_group_key_coded_by_value(shape, nulls):
+    dtype, values = _RUN_KEYS[shape]
+    null_mask = {
+        "none": None,
+        "some": (np.arange(values.size) // 40) % 5 == 2,
+        "all": np.ones(values.size, dtype=bool),
+    }[nulls]
+    segment = encode_segment(dtype, values, null_mask)
+    vector = segment.vector()
+    if not isinstance(vector, RunVector):
+        return  # an all-NULL column is not run-length encoded
+    full, full_mask = segment.decode()
+    # The runs as a key: one row per run, holding the run's value.
+    keys = vector.run_keys
+    assert keys.row_count == vector.n_distinct
+    _same_decode(keys.decode(), (vector.distinct_values(), None))
+    # Rows as a key: every row, or those at positions, decoded bit for bit.
+    every_row = vector.select(None)
+    assert isinstance(every_row, DictionaryVector) and every_row.source == "scan"
+    _same_decode(every_row.decode(), (full, full_mask))
+    for positions in _POSITION_SETS:
+        positions = np.array(positions, dtype=np.int64) % values.size
+        want_mask = None if full_mask is None else full_mask[positions]
+        _same_decode(vector.select(positions).decode(), (full[positions], want_mask))
+    # A code stands for a value, not for a run: equal values, equal codes.
+    stored = np.ones(values.size, dtype=bool) if full_mask is None else ~full_mask
+    pairs = set(zip(every_row.codes[stored].tolist(), full[stored].tolist()))
+    assert len(pairs) == len({c for c, _ in pairs}) == len({v for _, v in pairs})
+
+
+def test_a_run_vector_hands_out_read_only_arrays():
+    vector = encode_segment(types.INT, np.tile(np.repeat(np.arange(4), 25), 6)).vector()
+    assert isinstance(vector, RunVector)
+    for handed_out in (
+        vector.run_keys.codes,  # each run's value rank
+        vector.codes,  # each row's
+        vector.select(None).codes,
+        vector.run_bounds,  # where each run starts, and ends
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            handed_out[0] = 1
+    assert vector.run_bounds.tolist() == list(range(0, 601, 25))
 
 
 @pytest.mark.parametrize(
