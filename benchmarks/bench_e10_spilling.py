@@ -3,10 +3,11 @@
 The paper's enhanced operators degrade gracefully when the memory grant
 is exhausted: the join goes Grace-style (partition both sides to disk),
 the aggregate switches to local aggregation + partitioned partials. We
-sweep the grant from ample to tiny.
+sweep the statement's ``query_memory_budget`` (the bytes its operators
+may reserve together before they spill) from ample to tiny.
 
 Expected shape: results stay identical; cost degrades by a bounded factor
-(not a cliff), growing as the grant shrinks.
+(not a cliff), growing as the budget shrinks.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ AGG_SQL = (
     "FROM store_sales GROUP BY ss_customer_id"
 )
 
-# Grants in bytes: ample -> starved. The 2 KiB floor is below any
+# Budgets in bytes: ample -> starved. The 2 KiB floor is below any
 # build-side or aggregate-state footprint, so the last point spills at
 # every REPRO_BENCH_SCALE (the engine's spill counters assert this).
-GRANTS = [64 * 1024 * 1024, 256 * 1024, 64 * 1024, 16 * 1024, 2 * 1024]
+BUDGETS = [64 * 1024 * 1024, 256 * 1024, 64 * 1024, 16 * 1024, 2 * 1024]
 
 
 @pytest.fixture(scope="module")
@@ -55,19 +56,19 @@ def run_sweep(star) -> list[dict]:
     baseline_join = _rounded(db.sql(JOIN_SQL).rows)
     baseline_agg = _rounded(db.sql(AGG_SQL).rows)
     results = []
-    for grant in GRANTS:
-        join_result = db.sql(JOIN_SQL, grant_bytes=grant)
-        agg_result = db.sql(AGG_SQL, grant_bytes=grant)
+    for budget in BUDGETS:
+        join_result = db.sql(JOIN_SQL, query_memory_budget=budget)
+        agg_result = db.sql(AGG_SQL, query_memory_budget=budget)
         assert _rounded(join_result.rows) == baseline_join, "spilling changed join results"
         assert _rounded(agg_result.rows) == baseline_agg, "spilling changed agg results"
-        join_timing = time_call(lambda: db.sql(JOIN_SQL, grant_bytes=grant), repeat=2)
-        agg_timing = time_call(lambda: db.sql(AGG_SQL, grant_bytes=grant), repeat=2)
-        # Engine counters confirm whether this grant actually spilled.
-        join_stats = query_stats(db, JOIN_SQL, grant_bytes=grant)
-        agg_stats = query_stats(db, AGG_SQL, grant_bytes=grant)
+        join_timing = time_call(lambda: db.sql(JOIN_SQL, query_memory_budget=budget), repeat=2)
+        agg_timing = time_call(lambda: db.sql(AGG_SQL, query_memory_budget=budget), repeat=2)
+        # Engine counters confirm whether this budget actually spilled.
+        join_stats = query_stats(db, JOIN_SQL, query_memory_budget=budget)
+        agg_stats = query_stats(db, AGG_SQL, query_memory_budget=budget)
         results.append(
             {
-                "grant": grant,
+                "budget": budget,
                 "join_ms": join_timing.seconds * 1000,
                 "agg_ms": agg_timing.seconds * 1000,
                 "join_spill_bytes": join_stats["counters"].get("exec.spill.bytes_written", 0),
@@ -80,26 +81,26 @@ def run_sweep(star) -> list[dict]:
 def test_e10_spilling(benchmark, report_dir, star):
     results = benchmark.pedantic(run_sweep, args=(star,), rounds=1, iterations=1)
     report = ReportTable(
-        f"E10: operators under shrinking memory grants ({star.fact_rows:,} fact rows)",
-        ["memory grant", "star join ms", "grouped agg ms",
+        f"E10: operators under shrinking memory budgets ({star.fact_rows:,} fact rows)",
+        ["query_memory_budget", "star join ms", "grouped agg ms",
          "join slowdown", "agg slowdown", "spill bytes (join/agg)"],
     )
     base = results[0]
     for r in results:
-        grant_label = (
-            f"{r['grant'] // (1024 * 1024)} MiB"
-            if r["grant"] >= 1024 * 1024
-            else f"{r['grant'] // 1024} KiB"
+        budget_label = (
+            f"{r['budget'] // (1024 * 1024)} MiB"
+            if r["budget"] >= 1024 * 1024
+            else f"{r['budget'] // 1024} KiB"
         )
         report.add_row(
-            grant_label,
+            budget_label,
             round(r["join_ms"], 1),
             round(r["agg_ms"], 1),
             f"{r['join_ms'] / base['join_ms']:.2f}x",
             f"{r['agg_ms'] / base['agg_ms']:.2f}x",
             f"{int(r['join_spill_bytes']):,} / {int(r['agg_spill_bytes']):,}",
         )
-    report.add_note("identical results verified at every grant before timing")
+    report.add_note("identical results verified at every budget before timing")
     report.add_note("spill bytes from the exec.spill.bytes_written engine counter")
     save_report(report_dir, "e10_spilling.txt", report.render())
 
@@ -108,7 +109,7 @@ def test_e10_spilling(benchmark, report_dir, star):
     # Graceful: bounded degradation, not a failure or a 100x cliff.
     assert starved["join_ms"] < base["join_ms"] * 30
     assert starved["agg_ms"] < base["agg_ms"] * 30
-    # The ample grant must run in memory; the starved grant must spill —
+    # The ample budget must run in memory; the starved budget must spill —
     # asserted on the engine's own spill counters, not on timing.
     assert base["join_spill_bytes"] == 0 and base["agg_spill_bytes"] == 0
     assert starved["join_spill_bytes"] > 0

@@ -41,11 +41,11 @@ def time_call(fn: Callable[[], Any], repeat: int = 3) -> Timing:
     return Timing(seconds=best, runs=repeat, result_rows=rows)
 
 
-def time_query(db: Database, sql: str, mode: str = "auto", repeat: int = 3, **options) -> Timing:
-    return time_call(lambda: db.sql(sql, mode=mode, **options), repeat=repeat)
+def time_query(db: Database, sql: str, repeat: int = 3, **overrides) -> Timing:
+    return time_call(lambda: db.sql(sql, **overrides), repeat=repeat)
 
 
-def query_stats(db: Database, sql: str, mode: str = "auto", **options) -> dict[str, Any]:
+def query_stats(db: Database, sql: str, **overrides) -> dict[str, Any]:
     """Run a query with runtime stats collection and return a flat dict.
 
     The dict is :meth:`repro.observability.ExecutionStats.to_dict` output:
@@ -54,7 +54,7 @@ def query_stats(db: Database, sql: str, mode: str = "auto", **options) -> dict[s
     assert effects (segment elimination, spilling) on these counters rather
     than reaching into operator internals.
     """
-    result = db.sql(sql, mode=mode, stats=True, **options)
+    result = db.sql(sql, stats=True, **overrides)
     if result is None or result.stats is None:
         raise AssertionError(f"no stats collected for {sql!r}")
     return result.stats.to_dict()

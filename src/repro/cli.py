@@ -21,7 +21,6 @@ A small REPL over :class:`repro.Database` with psql-style meta-commands:
     \\tables              list tables
     \\schema <table>      show a table's columns and storage
     \\sizes <table>       storage accounting (compression ratios)
-    \\mode batch|row|auto force an execution mode
     \\explain <query>     show the optimized plan
     \\analyze <query>     execute and show per-operator runtime stats
     \\stats on|off        append runtime stats to every query result
@@ -37,7 +36,8 @@ A small REPL over :class:`repro.Database` with psql-style meta-commands:
     \\q                   quit
 
 ``--durability <mode>`` on the command line sets the WAL mode the opened
-database uses. Statements end with ``;`` and may span lines.
+database uses. Statements end with ``;`` and may span lines. Engine
+switches are SQL: ``SET mode = row;``, ``SHOW ALL;`` (repro.settings).
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class Shell:
         durability: str | None = None,
     ) -> None:
         self.db = db or Database()
-        self.mode = "auto"
         self.timing = False
         self.stats = stats
         self.durability = durability  # WAL mode for \open, None = default
@@ -130,7 +129,7 @@ class Shell:
     def run_sql(self, statement: str) -> list[str]:
         start = time.perf_counter()
         try:
-            result = self.db.sql(statement, mode=self.mode, stats=self.stats)
+            result = self.db.sql(statement, stats=self.stats)
         except ReproError as exc:
             return [f"error: {exc}"]
         elapsed = (time.perf_counter() - start) * 1000
@@ -142,7 +141,7 @@ class Shell:
             if result.stats is not None:
                 out.extend(result.stats.render().split("\n"))
         if self.timing:
-            out.append(f"time: {elapsed:.1f} ms ({self.mode} mode)")
+            out.append(f"time: {elapsed:.1f} ms")
         return out
 
     # ------------------------------------------------------------------ #
@@ -158,7 +157,6 @@ class Shell:
             "\\tables": self._meta_tables,
             "\\schema": self._meta_schema,
             "\\sizes": self._meta_sizes,
-            "\\mode": self._meta_mode,
             "\\stats": self._meta_stats,
             "\\timing": self._meta_timing,
             "\\explain": self._meta_explain,
@@ -231,12 +229,6 @@ class Shell:
                 f"(PAGE-compressed est. {report['rowstore_page_compressed_bytes']:,})"
             )
         return out
-
-    def _meta_mode(self, arg: str) -> list[str]:
-        if arg not in ("batch", "row", "auto"):
-            return [f"current mode: {self.mode} (usage: \\mode batch|row|auto)"]
-        self.mode = arg
-        return [f"execution mode set to {arg}"]
 
     def _meta_stats(self, arg: str) -> list[str]:
         if arg == "on":
@@ -322,12 +314,12 @@ class Shell:
     def _meta_explain(self, arg: str) -> list[str]:
         if not arg:
             return ["usage: \\explain <select statement>"]
-        return self.db.explain(arg.rstrip(";"), mode=self.mode).split("\n")
+        return self.db.explain(arg.rstrip(";")).split("\n")
 
     def _meta_analyze(self, arg: str) -> list[str]:
         if not arg:
             return ["usage: \\analyze <select statement>"]
-        return self.db.explain_analyze(arg.rstrip(";"), mode=self.mode).split("\n")
+        return self.db.explain_analyze(arg.rstrip(";")).split("\n")
 
     def _meta_save(self, arg: str) -> list[str]:
         if not arg:

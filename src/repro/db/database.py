@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
-from ..errors import BindingError, CatalogError, PlanningError, StorageError, TxnError
+from ..errors import CatalogError, PlanningError, StorageError, TxnError
 from ..governance import QueryContext, get_query_registry
 from ..mvcc import EpochManager
 from ..exec.expressions import Column, Expr
@@ -30,6 +30,7 @@ from ..observability import registry as metrics
 from ..planner.logical import LogicalNode, LogicalScan
 from ..planner.optimizer import Optimizer, PhysicalPlan
 from ..schema import TableSchema
+from ..settings import resolve
 from ..sql import runner as pipeline
 from ..storage.config import StoreConfig
 from ..txn import AUTO_COMMIT_TXN, TxnContext
@@ -109,9 +110,9 @@ class Database:
         # save() defers the checkpoint so neither snapshot GC nor WAL
         # truncation can delete files a backup is reading.
         self._backups_in_flight = 0
-        # Governance settings (statement_timeout / query_memory_budget /
-        # query_memory_limit); sessions overlay their own on top.
-        self.settings: dict[str, int] = {}
+        # The database scope of the runtime settings (repro.settings);
+        # sessions overlay their own, statements their keyword arguments.
+        self.settings: dict[str, Any] = {}
         # What this facade's own statements run under: a single caller on
         # the live structures, whose SET writes the settings above. Also
         # the owner of a transaction opened through the facade.
@@ -610,57 +611,29 @@ class Database:
         return rows, rids, locators
 
     # ------------------------------------------------------------------ #
-    # Governance (settings + query contexts)
+    # Governance (query contexts)
     # ------------------------------------------------------------------ #
-    _SETTING_NAMES = ("statement_timeout", "query_memory_budget", "query_memory_limit")
-
-    def setting_name(self, name: str) -> str:
-        """The canonical form of a governance setting's name (or raise)."""
-        name = name.lower()
-        if name not in self._SETTING_NAMES:
-            raise BindingError(
-                f"unknown setting {name!r} (expected one of "
-                f"{', '.join(self._SETTING_NAMES)})"
-            )
-        return name
-
-    def set_setting(self, name: str, value: int | None) -> None:
-        """Set a database-wide governance setting.
-
-        ``statement_timeout`` is milliseconds; the memory settings are
-        bytes. ``None``, zero and negative values clear the setting —
-        "0 = disabled" matches the usual server convention. SQL ``SET``
-        goes through the statement pipeline and writes the caller's
-        isolation overlay (which for ``Database.sql`` is these settings).
-        """
-        name = self.setting_name(name)
-        if value is None or value <= 0:
-            self.settings.pop(name, None)
-        else:
-            self.settings[name] = int(value)
-
-    def get_setting(self, name: str) -> int | None:
-        return self.settings.get(self.setting_name(name)) or None
-
     def new_query_context(
         self,
         sql: str = "",
         session: str | None = None,
-        settings: dict[str, int] | None = None,
+        settings: dict[str, Any] | None = None,
     ) -> QueryContext:
         """A registered-id :class:`QueryContext` for one statement.
 
-        ``settings`` (a session overlay) wins over the database-level
-        settings; unset and 0 both mean "no limit".
+        ``settings`` are the statement's, resolved
+        (:func:`repro.settings.resolve`; this database's own when not
+        given); a limit of None or 0 means "no limit".
         """
-        effective = {**self.settings, **settings} if settings else self.settings
+        if settings is None:
+            settings = resolve(self.settings)
         return QueryContext(
             get_query_registry().next_query_id(),
             sql=sql,
             session=session,
-            timeout_ms=effective.get("statement_timeout") or None,
-            memory_budget_bytes=effective.get("query_memory_budget") or None,
-            memory_limit_bytes=effective.get("query_memory_limit") or None,
+            timeout_ms=settings["statement_timeout"] or None,
+            memory_budget_bytes=settings["query_memory_budget"] or None,
+            memory_limit_bytes=settings["query_memory_limit"] or None,
         )
 
     # ------------------------------------------------------------------ #
@@ -675,11 +648,12 @@ class Database:
             projections={name: target.schema.column(name).name for name in names},
         )
 
-    def compile(self, plan: LogicalNode, **options: Any) -> PhysicalPlan:
-        """Optimize + build a physical plan (see Optimizer.compile)."""
-        return self.optimizer.compile(plan, **options)
+    def compile(self, plan: LogicalNode, optimize: bool = True, **overrides: Any) -> PhysicalPlan:
+        """Optimize + build a physical plan (see Optimizer.compile) under
+        this database's settings and ``overrides``."""
+        return self.optimizer.compile(plan, resolve(self.settings, None, overrides), optimize)
 
-    def execute(self, plan: LogicalNode, stats: bool = False, **options: Any) -> Result:
+    def execute(self, plan: LogicalNode, stats: bool = False, **overrides: Any) -> Result:
         """Run a logical plan and present results as Python values.
 
         With ``stats=True`` the plan executes under per-operator stats
@@ -692,36 +666,41 @@ class Database:
         ``statement_timeout`` / memory settings apply, and it appears in
         ``SHOW QUERIES`` until it finishes — unless one is already active
         (a subquery inside an outer statement), which keeps governing.
+        ``overrides`` are the statement's settings (:mod:`repro.settings`).
         """
-        with pipeline.governing(self, self.isolation, f"<plan:{type(plan).__name__}>"):
+        settings = resolve(self.settings, None, overrides)
+        with pipeline.governing(self, self.isolation, f"<plan:{type(plan).__name__}>", settings):
             return pipeline.execute_plan(
-                self, plan, self.isolation, stats=stats, **options
+                self, plan, self.isolation, stats=stats, settings=settings
             )
 
-    def sql(self, text: str, **options: Any) -> Result | None:
+    def sql(self, text: str, stats: bool = False, **overrides: Any) -> Result | None:
         """Execute a SQL statement; queries return a :class:`Result`.
 
         A thin caller of the statement pipeline
         (:func:`repro.sql.runner.run_statement`) with this facade's own
-        isolation: a single caller on the live structures.
+        isolation: a single caller on the live structures. ``overrides``
+        are the statement's settings (:mod:`repro.settings`).
         """
-        return pipeline.run_statement(self, text, self.isolation, **options)
+        return pipeline.run_statement(self, text, self.isolation, stats, **overrides)
 
-    def explain(self, text_or_plan: str | LogicalNode, **options: Any) -> str:
+    def explain(self, text_or_plan: str | LogicalNode, **overrides: Any) -> str:
         """The optimized logical + physical plan as text."""
-        if isinstance(text_or_plan, str):
-            plan = pipeline.plan_query(self, text_or_plan)
-        else:
-            plan = text_or_plan
-        return self.optimizer.compile(plan, **options).explain()
+        settings = resolve(self.settings, None, overrides)
+        return self.optimizer.compile(self._bound(text_or_plan, settings), settings).explain()
 
-    def explain_analyze(self, text_or_plan: str | LogicalNode, **options: Any) -> str:
-        """Execute a query and render the plan with runtime operator stats."""
+    def explain_analyze(self, text_or_plan: str | LogicalNode, **overrides: Any) -> str:
+        """Run a query as :meth:`execute` does and render the plan annotated
+        with runtime stats: every operator's actual rows, batches and
+        inclusive time (plus grant peaks and spill bytes), its own
+        counters, and the storage-counter delta."""
+        plan = self._bound(text_or_plan, resolve(self.settings, None, overrides))
+        return self.execute(plan, stats=True, **overrides).stats.render()
+
+    def _bound(self, text_or_plan: str | LogicalNode, settings) -> LogicalNode:
         if isinstance(text_or_plan, str):
-            plan = pipeline.plan_query(self, text_or_plan)
-        else:
-            plan = text_or_plan
-        return self.optimizer.compile(plan, **options).explain_analyze()
+            return pipeline.plan_query(self, text_or_plan, settings)
+        return text_or_plan
 
     # ------------------------------------------------------------------ #
     # Persistence

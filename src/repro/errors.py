@@ -258,10 +258,6 @@ class ExecutionError(ReproError):
     """A runtime failure while executing a physical plan."""
 
 
-class SpillBudgetError(ExecutionError):
-    """An operator exceeded its memory grant and spilling was disabled."""
-
-
 class ResourceExhaustedError(RetryableError, ExecutionError):
     """A hard memory cap (per-query or process-wide) was exceeded.
 

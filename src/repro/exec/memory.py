@@ -3,8 +3,7 @@
 The paper's enhanced hash join and hash aggregate spill gracefully when
 their memory grant is exhausted instead of failing the query. We model the
 grant as byte accounting over the NumPy buffers an operator retains; when a
-reservation would exceed the grant, the operator must spill (or the grant
-raises, if spilling is disabled).
+reservation would exceed the grant, the operator must spill.
 
 Grants are also the seam where per-query governance plugs in: a grant
 created while a :class:`~repro.governance.QueryContext` is active charges
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SpillBudgetError
 from ..governance import RESERVE_OK
 from ..governance import context as _gov
 from ..storage.cache import decoded_bytes
@@ -41,14 +39,8 @@ class MemoryGrant:
     reservation and release is charged to the query it was planned for.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int = DEFAULT_GRANT_BYTES,
-        allow_spill: bool = True,
-        context=None,
-    ) -> None:
+    def __init__(self, budget_bytes: int = DEFAULT_GRANT_BYTES, context=None) -> None:
         self.budget_bytes = budget_bytes
-        self.allow_spill = allow_spill
         self.reserved_bytes = 0
         self.peak_bytes = 0
         self._ctx = context if context is not None else _gov.current()
@@ -62,24 +54,11 @@ class MemoryGrant:
         returning False.
         """
         if self.reserved_bytes + n_bytes > self.budget_bytes:
-            if not self.allow_spill:
-                raise SpillBudgetError(
-                    f"memory grant of {self.budget_bytes} bytes exhausted "
-                    f"({self.reserved_bytes} reserved, {n_bytes} requested) "
-                    "and spilling is disabled"
-                )
             return False
         if self._ctx is not None:
             if self._ctx.try_reserve(n_bytes) != RESERVE_OK:
                 # Over the query's soft budget: degrade to spilling, same
                 # contract as grant exhaustion.
-                if not self.allow_spill:
-                    raise SpillBudgetError(
-                        f"query memory budget of "
-                        f"{self._ctx.memory_budget_bytes} bytes exhausted "
-                        f"({self._ctx.reserved_bytes} reserved, {n_bytes} "
-                        "requested) and spilling is disabled"
-                    )
                 return False
         self.reserved_bytes += n_bytes
         self.peak_bytes = max(self.peak_bytes, self.reserved_bytes)

@@ -3,8 +3,8 @@
 Three layers, built for the paper's quantitative claims to be checkable
 from inside the engine:
 
-* :mod:`.registry` — a process-wide :class:`MetricsRegistry` of counters,
-  gauges and timers that storage components (segment cache, columnstore
+* :mod:`.registry` — a process-wide :class:`MetricsRegistry` of counters
+  and gauges that storage components (segment cache, columnstore
   scans, delta stores, the tuple mover, spill files) always report into;
 * :mod:`.opstats` — :class:`OperatorStats` attached to every batch and
   row operator via an instrumented-iterator wrapper, active only while
@@ -28,7 +28,6 @@ from .registry import (
     STABLE_COUNTERS,
     MetricsRegistry,
     MorphReason,
-    TimerStat,
     get_registry,
     increment,
     set_registry,
@@ -43,7 +42,6 @@ __all__ = [
     "OperatorNodeStats",
     "OperatorStats",
     "STABLE_COUNTERS",
-    "TimerStat",
     "collect",
     "collecting",
     "disable",

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, and timers.
+"""Process-wide metrics registry: counters and gauges.
 
 Storage components (segment cache, columnstore scans, delta stores, the
 tuple mover, spill files) report into a :class:`MetricsRegistry` so the
@@ -20,9 +20,6 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass
 
 
 class MorphReason(enum.Enum):
@@ -199,16 +196,8 @@ STABLE_COUNTERS = (
 )
 
 
-@dataclass
-class TimerStat:
-    """Accumulated observations of one named timer."""
-
-    count: int = 0
-    seconds: float = 0.0
-
-
 class MetricsRegistry:
-    """Counters, gauges, and timers behind one lock.
+    """Counters and gauges behind one lock.
 
     All mutation is O(1) dict work; callers on hot paths report at coarse
     granularity (per scan unit, per spill batch — never per row of a
@@ -219,7 +208,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._timers: dict[str, TimerStat] = {}
 
     # ------------------------------------------------------------------ #
     # Counters
@@ -250,43 +238,19 @@ class MetricsRegistry:
             return self._gauges.get(name)
 
     # ------------------------------------------------------------------ #
-    # Timers
-    # ------------------------------------------------------------------ #
-    def record_time(self, name: str, seconds: float) -> None:
-        with self._lock:
-            stat = self._timers.get(name)
-            if stat is None:
-                stat = self._timers[name] = TimerStat()
-            stat.count += 1
-            stat.seconds += seconds
-
-    @contextmanager
-    def timer(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_time(name, time.perf_counter() - start)
-
-    # ------------------------------------------------------------------ #
     # Snapshots
     # ------------------------------------------------------------------ #
     def snapshot(self) -> dict[str, float]:
-        """A flat point-in-time view: counters and gauges verbatim,
-        timers flattened to ``<name>.count`` / ``<name>.seconds``."""
+        """A flat point-in-time view of counters and gauges."""
         with self._lock:
             out: dict[str, float] = dict(self._counters)
             out.update(self._gauges)
-            for name, stat in self._timers.items():
-                out[f"{name}.count"] = stat.count
-                out[f"{name}.seconds"] = stat.seconds
             return out
 
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
 
 
 def snapshot_delta(

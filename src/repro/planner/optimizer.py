@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from ..exec.operators.base import BatchOperator
 from ..exec.row_engine import RowOperator
 from ..observability import ExecutionStats, get_registry, opstats, snapshot_delta
+from ..settings import DEFAULTS
 from ..types import DataType
 from .logical import (
     LogicalAggregate,
@@ -20,7 +21,7 @@ from .logical import (
     LogicalSort,
     LogicalWindow,
 )
-from .physical import AUTO, CatalogView, PhysicalBuilder
+from .physical import CatalogView, PhysicalBuilder
 from .rules import choose_join_sides, place_bitmaps, prune_columns, push_filters
 from .stats import join_cardinality, selectivity
 
@@ -83,17 +84,6 @@ class PhysicalPlan:
             counters=counters,
         )
         return rows, stats
-
-    def explain_analyze(self) -> str:
-        """Execute the plan, then render it annotated with runtime stats.
-
-        EXPLAIN ANALYZE for this engine: every operator reports actual
-        rows/batches/inclusive time (plus grant peaks and spill bytes),
-        operator-specific counters — row groups eliminated, bitmap
-        rejections, spill activity — and the storage-counter delta.
-        """
-        _, stats = self.run_with_stats()
-        return stats.render()
 
 
 class Optimizer:
@@ -182,30 +172,16 @@ class Optimizer:
     def compile(
         self,
         plan: LogicalNode,
-        mode: str = AUTO,
-        grant_bytes: int | None = None,
-        batch_size: int | None = None,
-        enable_bitmaps: bool = True,
-        enable_segment_elimination: bool = True,
-        enable_encoded_eval: bool = True,
-        enable_encoded_agg: bool = True,
+        settings: Mapping[str, Any] | None = None,
         optimize: bool = True,
     ) -> PhysicalPlan:
-        """Optimize (optionally) and build an executable physical plan."""
+        """Optimize (optionally) and build an executable physical plan
+        under ``settings`` (:func:`repro.settings.resolve`; the defaults
+        when not given)."""
         if optimize:
             plan = self.optimize(plan)
-        builder_args = dict(
-            mode=mode,
-            grant_bytes=grant_bytes,
-            enable_bitmaps=enable_bitmaps,
-            enable_segment_elimination=enable_segment_elimination,
-            enable_encoded_eval=enable_encoded_eval,
-            enable_encoded_agg=enable_encoded_agg,
-        )
-        if batch_size is not None:
-            builder_args["batch_size"] = batch_size
-        builder = PhysicalBuilder(self.catalog, **builder_args)
-        result = builder.build(plan)
+        settings = DEFAULTS if settings is None else settings
+        result = PhysicalBuilder(self.catalog, settings).build(plan)
         return PhysicalPlan(
             root=result.op,
             mode=result.mode,

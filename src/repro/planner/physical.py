@@ -14,10 +14,9 @@ into that scan before probing starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Any, Mapping, Protocol
 
 from ..errors import PlanningError
-from ..exec.batch import DEFAULT_BATCH_SIZE
 from ..exec.expressions import Column
 from ..exec.memory import MemoryGrant
 from ..exec.operators.filter import BatchFilter
@@ -40,6 +39,7 @@ from ..exec.row_engine import (
     RowTop,
     RowWindow,
 )
+from ..settings import MODES
 from .logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -56,8 +56,6 @@ from .stats import TableStats
 
 BATCH = "batch"
 ROW = "row"
-AUTO = "auto"
-_MODES = {BATCH, ROW, AUTO}
 
 
 class TableSource(Protocol):
@@ -99,35 +97,14 @@ class PhysResult:
 class PhysicalBuilder:
     """Builds executable operator trees from optimized logical plans."""
 
-    def __init__(
-        self,
-        catalog: CatalogView,
-        mode: str = AUTO,
-        grant_bytes: int | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        enable_bitmaps: bool = True,
-        enable_segment_elimination: bool = True,
-        enable_encoded_eval: bool = True,
-        enable_encoded_agg: bool = True,
-    ) -> None:
-        if mode not in _MODES:
-            raise PlanningError(f"unknown execution mode {mode!r}")
+    def __init__(self, catalog: CatalogView, settings: Mapping[str, Any]) -> None:
+        """``settings``: every setting, resolved for the statement built."""
+        if settings["mode"] not in MODES:
+            raise PlanningError(f"unknown execution mode {settings['mode']!r}")
         self.catalog = catalog
-        self.mode = mode
-        self.grant_bytes = grant_bytes
-        self.batch_size = batch_size
-        self.enable_bitmaps = enable_bitmaps
-        self.enable_segment_elimination = enable_segment_elimination
-        self.enable_encoded_eval = enable_encoded_eval
-        self.enable_encoded_agg = enable_encoded_agg
-
-    def _new_grant(self) -> MemoryGrant:
-        # The grant binds itself to the active QueryContext (if any), so
-        # per-query soft budgets force spilling and hard caps raise even
-        # when the explicit grant_bytes default would have fit.
-        if self.grant_bytes is None:
-            return MemoryGrant()
-        return MemoryGrant(self.grant_bytes)
+        self.settings = settings
+        self.mode = settings["mode"]
+        self.batch_size = settings["batch_size"]
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -170,8 +147,8 @@ class PhysicalBuilder:
                 storage_names,
                 predicate=storage_predicate,
                 batch_size=self.batch_size,
-                encoded_eval=self.enable_encoded_eval,
-                segment_elimination=self.enable_segment_elimination,
+                encoded_eval=self.settings["enable_encoded_eval"],
+                segment_elimination=self.settings["enable_segment_elimination"],
             )
             op, bitmap_map = self._rename_batch(scan, node.projections)
             return PhysResult(BATCH, op, bitmap_map)
@@ -264,14 +241,14 @@ class PhysicalBuilder:
                 child.op,
                 node.group_keys,
                 node.aggregates,
-                grant=self._new_grant(),
+                grant=MemoryGrant(),
                 batch_size=self.batch_size,
             )
             # The aggregate tells its child which columns it can take
             # still encoded (code-space keys, weighted runs). A scan
             # decides per unit and per column, a join produces and
             # passes on what it can, any other operator ignores it.
-            if self.enable_encoded_agg:
+            if self.settings["enable_encoded_agg"]:
                 child.op.declare_encoded(op.takes_encoded())
             return PhysResult(BATCH, op)
         return PhysResult(ROW, RowHashAggregate(child.op, node.group_keys, node.aggregates))
@@ -280,7 +257,7 @@ class PhysicalBuilder:
         child = self.build(node.child)
         if child.mode == BATCH:
             op = BatchWindow(
-                child.op, node.specs, self.batch_size, grant=self._new_grant()
+                child.op, node.specs, self.batch_size, grant=MemoryGrant()
             )
             return PhysResult(BATCH, op)
         return PhysResult(ROW, RowWindow(child.op, node.specs))
@@ -289,7 +266,7 @@ class PhysicalBuilder:
         child = self.build(node.child)
         if child.mode == BATCH:
             op = BatchSort(
-                child.op, node.keys, self.batch_size, grant=self._new_grant()
+                child.op, node.keys, self.batch_size, grant=MemoryGrant()
             )
             return PhysResult(BATCH, op)
         return PhysResult(ROW, RowSort(child.op, node.keys))
@@ -330,7 +307,7 @@ class PhysicalBuilder:
         bitmap_target = None
         bitmap_column = None
         if (
-            self.enable_bitmaps
+            self.settings["enable_bitmaps"]
             and node.use_bitmap
             and node.left_keys[0] in probe.bitmap_map
         ):
@@ -341,8 +318,8 @@ class PhysicalBuilder:
             build_keys=node.right_keys,
             probe_keys=node.left_keys,
             join_type=join_type,
-            grant=self._new_grant(),
-            create_bitmap=self.enable_bitmaps and bool(node.use_bitmap),
+            grant=MemoryGrant(),
+            create_bitmap=self.settings["enable_bitmaps"] and bool(node.use_bitmap),
             bitmap_target=bitmap_target,
             bitmap_column=bitmap_column,
             batch_size=self.batch_size,

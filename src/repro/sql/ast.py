@@ -252,20 +252,22 @@ class RollbackStatement:
 
 @dataclass
 class SetStatement:
-    """``SET <name> = <int>`` / ``SET <name> TO <int>`` session setting.
+    """``SET <name> = <value>`` / ``SET <name> TO <value>`` session setting.
 
-    ``value`` is None for ``SET <name> = DEFAULT`` (and OFF / NULL),
-    which clears the setting back to the database default. Recognized
-    names are validated by the runner, not the parser.
+    ``value`` is the number, the string or the lower-cased word written,
+    or None for ``SET <name> = DEFAULT`` (and NULL), which drops the
+    setting back to the scope below. Names and values are checked by the
+    runner against :data:`repro.settings.SETTINGS`, not by the parser.
     """
 
     name: str
-    value: int | None
+    value: int | float | str | None
 
 
 @dataclass
 class ShowStatement:
-    """``SHOW QUERIES`` (running statements) or ``SHOW <setting>``."""
+    """``SHOW QUERIES`` (running statements), ``SHOW ALL`` (every
+    setting, its value and scope) or ``SHOW <setting>``."""
 
     name: str
 

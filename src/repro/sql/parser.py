@@ -140,10 +140,11 @@ class Parser:
         return statement
 
     def parse_set(self) -> SetStatement:
-        """``SET <name> = <int>`` / ``SET <name> TO <int>``.
+        """``SET <name> = <value>`` / ``SET <name> TO <value>``.
 
-        The value may be an integer literal, or DEFAULT / OFF / NULL to
-        clear the setting (parsed as None).
+        The value is a number, a string or a word (ON, OFF, TRUE, ROW …),
+        read by the setting's kind in the runner; DEFAULT (or NULL) drops
+        the setting back to the scope below (parsed as None).
         """
         self.expect_keyword("set")
         name = self.expect_ident().lower()
@@ -155,18 +156,15 @@ class Parser:
         else:
             self.expect_op("=")
         token = self.advance()
-        if token.kind == "number" and "." not in token.text:
-            return SetStatement(name=name, value=int(token.text))
-        if token.is_keyword("null") or (
-            token.kind == "ident" and token.text.lower() in ("default", "off")
-        ):
-            return SetStatement(name=name, value=None)
-        raise self._error(
-            "SET expects an integer value, DEFAULT, or OFF", token
-        )
+        if token.kind in ("number", "string"):
+            return SetStatement(name=name, value=token.value)
+        if token.kind in ("ident", "keyword"):
+            word = token.text.lower()
+            return SetStatement(name=name, value=None if word in ("default", "null") else word)
+        raise self._error("SET expects a value or DEFAULT", token)
 
     def parse_show(self) -> ShowStatement:
-        """``SHOW QUERIES`` or ``SHOW <setting>``."""
+        """``SHOW QUERIES``, ``SHOW ALL`` or ``SHOW <setting>``."""
         self.expect_keyword("show")
         return ShowStatement(name=self.expect_ident().lower())
 

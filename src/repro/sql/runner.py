@@ -6,6 +6,8 @@ govern → isolate → bind → compile → pin → run → present.
 ``ConcurrentDatabase.sql``, the server and the shell are thin callers of
 :func:`run_statement` / :func:`execute_plan` that differ only in the
 :class:`Isolation` object they pass (DESIGN.md "Statement pipeline").
+A statement's settings are resolved once, before it is governed, and
+the one mapping reaches both its query context and the compiler.
 
 A SELECT, INSERT, UPDATE or DELETE is bound once per *shape* and catalog
 version: its text with each literal replaced by its class. The next
@@ -30,6 +32,7 @@ from ..planner.logical import LogicalJoin, LogicalNode
 from ..planner.rewrite import map_expression, map_plan
 from ..planner.schema_infer import infer_output_dtypes
 from ..schema import ColumnDef, TableSchema
+from ..settings import SETTINGS, lookup, parse, render, resolve
 from ..types import BIGINT, BOOL, DATE, FLOAT, INT, VARCHAR, DataType, decimal, varchar
 from . import ast as A
 from .binder import Binder, _Namespace
@@ -77,7 +80,8 @@ class Isolation:
     live structures with no lock, latch or lease, and ``SET`` writes the
     database-wide settings. A :class:`~repro.concurrency.Session` *is*
     one with ``lock`` and ``latches`` set: reads run on a reader lease
-    at an epoch, writes take a lock side, ``SET`` writes its own overlay.
+    at an epoch, writes take a lock side, ``SET`` writes its own
+    overlay (the session scope of :mod:`repro.settings`).
 
     The object is also the **ownership token**: the write lock, a table
     latch and an open transaction are held by *it*, never by a thread,
@@ -89,50 +93,51 @@ class Isolation:
         self.name = name  # governance / lease tag, error messages
         self.lock = lock  # database ReadWriteLock; None = single caller
         self.latches = latches  # TableLatches for columnstore auto-commit DML
-        # Where SET writes and what overlays the database settings; an
-        # explicit 0 switches a database-wide default off.
-        self.settings: dict[str, int] = {} if settings is None else settings
+        # Where SET writes and what overlays the database settings.
+        self.settings: dict[str, Any] = {} if settings is None else settings
         self.lease = None  # reader lease held across statements
         self.in_txn = False  # owns the open transaction (+ the write lock)
         self.running_query_id: int | None = None
 
 
-def run_statement(db, sql: str, isolation: Isolation | None = None, **options: Any):
+def run_statement(
+    db, sql: str, isolation: Isolation | None = None, stats: bool = False, **overrides: Any
+):
     """The statement pipeline, end to end; every front door calls this.
 
     lex → a kept template (:func:`_run_template`), or parse → classify →
     govern → (:func:`run_parsed`:) isolate → bind → compile → pin → run →
     present. Queries return a Result; DML a Result with one
     ``rows_affected`` value; DDL and most control return None.
+    ``overrides`` are this statement's settings (:mod:`repro.settings`).
     """
     isolation = isolation or db.isolation
+    settings = resolve(db.settings, isolation.settings, overrides)
     lexed = lex(sql)  # pure text work: nothing held yet
     found = _cached(db, lexed)
     if found is not None:
-        with governing(db, isolation, sql):
-            return _run_template(db, sql, lexed, found, isolation, options)
+        with governing(db, isolation, sql, settings):
+            return _run_template(db, sql, lexed, found, isolation, settings, stats)
     statement = parse_statement(sql, lexed.tokens)
     if isinstance(statement, _CONTROL):
         metrics.increment("sql.shapes.not_kept.statement")
-        return run_parsed(db, statement, isolation, lexed, **options)
-    with governing(db, isolation, sql):
-        return run_parsed(db, statement, isolation, lexed, **options)
+        return run_parsed(db, statement, isolation, lexed, settings, stats)
+    with governing(db, isolation, sql, settings):
+        return run_parsed(db, statement, isolation, lexed, settings, stats)
 
 
 @contextmanager
-def governing(db, isolation: Isolation, sql: str):
+def governing(db, isolation: Isolation, sql: str, settings: dict[str, Any]):
     """Govern: open a QueryContext unless an outer statement's is active.
 
-    The context carries the database settings under the isolation's
-    ``SET`` overlay, so a deadline or KILL interrupts the statement even
-    while it waits for a lock side or a latch.
+    The context carries the statement's resolved ``settings``, so a
+    deadline or KILL interrupts the statement even while it waits for a
+    lock side or a latch.
     """
     if governance.current() is not None:
         yield
         return
-    ctx = db.new_query_context(
-        sql=sql, session=isolation.name, settings=isolation.settings
-    )
+    ctx = db.new_query_context(sql=sql, session=isolation.name, settings=settings)
     isolation.running_query_id = ctx.query_id
     try:
         with governed(ctx):
@@ -141,14 +146,17 @@ def governing(db, isolation: Isolation, sql: str):
         isolation.running_query_id = None
 
 
-def run_parsed(db, statement: Any, isolation: Isolation, lexed: Lexed, **options: Any):
+def run_parsed(
+    db, statement: Any, isolation: Isolation, lexed: Lexed, settings: dict[str, Any],
+    stats: bool = False,
+):
     """Everything after *govern* for one parsed statement."""
     if isinstance(statement, _READS):
-        return _run_read(db, statement, isolation, lexed, options)
+        return _run_read(db, statement, isolation, lexed, settings, stats)
     if isinstance(statement, _CONTROL):
         return _run_control(db, statement, isolation)
     with _write_side(db, statement.table if isinstance(statement, _DML) else None, isolation):
-        return _apply(db, statement, lexed)
+        return _apply(db, statement, lexed, settings)
 
 
 # ---------------------------------------------------------------------- #
@@ -178,16 +186,17 @@ def _read_epoch(db, isolation: Isolation):
             lease.release()
 
 
-def make_binder(db, isolation: Isolation | None = None, epoch: int | None = None):
+def make_binder(db, isolation: Isolation | None = None, epoch: int | None = None,
+                settings: dict[str, Any] | None = None):
     """A binder whose uncorrelated subqueries read what the statement reads.
 
     The binder runs scalar/IN subqueries *at bind time*; they go through
-    the same compile → pin → run as the outer plan, so a statement at
-    ``epoch`` stays on one snapshot, subqueries included.
+    the same compile → pin → run as the outer plan, under its settings,
+    so a statement at ``epoch`` stays on one snapshot, subqueries included.
     """
 
     def executor(plan):
-        physical, lock_free = prepare(db, plan, epoch)
+        physical, lock_free = prepare(db, plan, epoch, settings)
         return run_physical(isolation, physical, lock_free)[0]
 
     return Binder(db.catalog, executor=executor)
@@ -216,13 +225,16 @@ def pin_plan(physical, epoch: int) -> bool:
     return fully_pinned
 
 
-def prepare(db, plan: LogicalNode, epoch: int | None = None, **options: Any):
+def prepare(
+    db, plan: LogicalNode, epoch: int | None = None, settings: dict[str, Any] | None = None,
+    optimize: bool = True,
+):
     """Compile → pin: ``(physical, lock_free)`` for a bound SELECT.
 
     ``epoch=None`` compiles against the live structures (the caller is
     alone or exclusive, so that is lock-free by construction).
     """
-    physical = db.optimizer.compile(plan, **options)
+    physical = db.optimizer.compile(plan, settings, optimize)
     if epoch is None:
         return physical, True
     if pin_plan(physical, epoch):
@@ -259,29 +271,27 @@ def execute_plan(
     epoch: int | None = None,
     stats: bool = False,
     dtypes: list[DataType] | None = None,
-    **options: Any,
+    settings: dict[str, Any] | None = None,
+    optimize: bool = True,
 ):
     """Compile → pin → run → present for one bound SELECT; ``dtypes``
     are its output columns' types (inferred when not given)."""
     if dtypes is None:
         by_name = infer_output_dtypes(plan, db.catalog)
         dtypes = [by_name[name] for name in plan.output_names()]
-    physical, lock_free = prepare(db, plan, epoch, **options)
+    physical, lock_free = prepare(db, plan, epoch, settings, optimize)
     rows, execution_stats = run_physical(isolation, physical, lock_free, stats, dtypes)
     return _result(physical.columns, dtypes, rows, execution_stats)
 
 
-def _run_read(db, statement, isolation: Isolation, lexed: Lexed, options: dict[str, Any]):
+def _run_read(db, statement, isolation: Isolation, lexed: Lexed, settings, stats: bool):
     """SELECT and EXPLAIN [ANALYZE]: the same stages, a different last one."""
-    stats = bool(options.pop("stats", False))
     with _read_epoch(db, isolation) as epoch:
         if isinstance(statement, A.SelectStatement):
-            return _select(db, statement, isolation, epoch, stats, lexed, options)
+            return _select(db, statement, isolation, epoch, stats, lexed, settings)
         metrics.increment("sql.shapes.not_kept.statement")
-        binder = make_binder(db, isolation, epoch)
-        physical, lock_free = prepare(
-            db, binder.bind_select(statement.select), epoch, **options
-        )
+        binder = make_binder(db, isolation, epoch, settings)
+        physical, lock_free = prepare(db, binder.bind_select(statement.select), epoch, settings)
         if statement.analyze:  # ANALYZE decides stats collection itself
             text = run_physical(isolation, physical, lock_free, stats=True)[1].render()
         else:
@@ -289,14 +299,14 @@ def _run_read(db, statement, isolation: Isolation, lexed: Lexed, options: dict[s
     return _result(["plan"], [VARCHAR], [(line,) for line in text.split("\n")])
 
 
-def plan_query(db, sql: str) -> LogicalNode:
+def plan_query(db, sql: str, settings: dict[str, Any] | None = None) -> LogicalNode:
     """Parse + bind a SELECT (or EXPLAIN-wrapped SELECT) for EXPLAIN."""
     statement = parse_statement(sql)
     if isinstance(statement, A.ExplainStatement):
         statement = statement.select
     if not isinstance(statement, A.SelectStatement):
         raise SqlSyntaxError("EXPLAIN expects a SELECT statement")
-    return make_binder(db).bind_select(statement)
+    return make_binder(db, settings=settings).bind_select(statement)
 
 
 # ---------------------------------------------------------------------- #
@@ -348,11 +358,12 @@ def _write_side(db, table: str | None, isolation: Isolation):
         lock.release_read()
 
 
-def _apply(db, statement: Any, lexed: Lexed):
+def _apply(db, statement: Any, lexed: Lexed, settings: dict[str, Any]):
     """Bind a write and apply it; an INSERT, UPDATE or DELETE through the
     template it is kept as."""
     if isinstance(statement, _DML):
-        return _apply_template(db, _dml_template(db, statement, lexed), lexed.literals)
+        template = _dml_template(db, statement, lexed, settings)
+        return _apply_template(db, template, lexed.literals)
     metrics.increment("sql.shapes.not_kept.statement")
     if isinstance(statement, A.CreateTableStatement):
         _run_create_table(db, statement)
@@ -466,49 +477,48 @@ def _filler(literals):
     return fill
 
 
-def _run_template(db, sql: str, lexed: Lexed, found, isolation: Isolation, options):
+def _run_template(db, sql: str, lexed: Lexed, found, isolation: Isolation, settings, stats):
     """Isolate, then run through the kept template. The lookup preceded
     isolation: if a DDL ran in between, bind afresh under the side held."""
     template, version = found
     if isinstance(template, _Select):
-        stats = bool(options.pop("stats", False))
         with _read_epoch(db, isolation) as epoch:
             if db.catalog.version != version:
                 statement = parse_statement(sql, lexed.tokens)
-                return _select(db, statement, isolation, epoch, stats, lexed, options)
+                return _select(db, statement, isolation, epoch, stats, lexed, settings)
             metrics.increment("sql.shapes.hits")
-            return _run_select(db, template, lexed.literals, isolation, epoch, stats, options)
+            return _run_select(db, template, lexed.literals, isolation, epoch, stats, settings)
     with _write_side(db, template.table, isolation):
         if db.catalog.version != version:
-            return _apply(db, parse_statement(sql, lexed.tokens), lexed)
+            return _apply(db, parse_statement(sql, lexed.tokens), lexed, settings)
         metrics.increment("sql.shapes.hits")
         return _apply_template(db, template, lexed.literals)
 
 
-def _select(db, statement, isolation, epoch, stats: bool, lexed: Lexed, options):
+def _select(db, statement, isolation, epoch, stats: bool, lexed: Lexed, settings):
     """Bind a SELECT and run it, kept as a template unless its plan
     depends on literal values: a join's sides and bitmaps follow
     estimates, a subquery's result is in the plan."""
     version = db.catalog.version
-    binder = make_binder(db, isolation, epoch)
+    binder = make_binder(db, isolation, epoch, settings)
     plan = binder.bind_select(statement)
     reason = "subquery" if binder.ran_subquery else "join" if _has_join(plan) else None
     if reason is not None:
         metrics.increment(f"sql.shapes.not_kept.{reason}")
-        return execute_plan(db, plan, isolation, epoch, stats, **options)
+        return execute_plan(db, plan, isolation, epoch, stats, settings=settings)
     by_name = infer_output_dtypes(plan, db.catalog)
     plan = db.optimizer.optimize(plan)
     params = _params(lambda record: map_plan(plan, record)) - binder.pinned
     dtypes = tuple(by_name[name] for name in plan.output_names())
     template = _Select(_fixed(lexed.literals, params), plan, dtypes)
     _keep(db, lexed, version, template)
-    return _run_select(db, template, lexed.literals, isolation, epoch, stats, options)
+    return _run_select(db, template, lexed.literals, isolation, epoch, stats, settings)
 
 
-def _run_select(db, template: _Select, literals, isolation, epoch, stats: bool, options):
+def _run_select(db, template: _Select, literals, isolation, epoch, stats: bool, settings):
     plan = map_plan(template.plan, _filler(literals))
     return execute_plan(
-        db, plan, isolation, epoch, stats, list(template.dtypes), optimize=False, **options
+        db, plan, isolation, epoch, stats, list(template.dtypes), settings, optimize=False
     )
 
 
@@ -516,10 +526,10 @@ def _has_join(node: LogicalNode) -> bool:
     return isinstance(node, LogicalJoin) or any(_has_join(c) for c in node.children())
 
 
-def _dml_template(db, statement, lexed: Lexed):
+def _dml_template(db, statement, lexed: Lexed, settings):
     """Bind an INSERT, UPDATE or DELETE; kept unless a subquery ran."""
     version = db.catalog.version
-    binder = make_binder(db)
+    binder = make_binder(db, settings=settings)
     rows = assignments = predicate = None
     if isinstance(statement, A.InsertStatement):
         rows = _insert_rows(db, statement)
@@ -602,11 +612,11 @@ def _run_control(db, statement: Any, isolation: Isolation):
             db, isolation, commit=isinstance(statement, A.CommitStatement)
         )
     if isinstance(statement, A.SetStatement):
-        name = db.setting_name(statement.name)
+        setting = lookup(statement.name)
         if statement.value is None:  # DEFAULT: fall back to what lies under
-            isolation.settings.pop(name, None)
+            isolation.settings.pop(setting.name, None)
         else:
-            isolation.settings[name] = max(0, int(statement.value))
+            isolation.settings[setting.name] = parse(setting, statement.value)
         return None
     if isinstance(statement, A.ShowStatement):
         return _run_show(db, statement, isolation)
@@ -653,8 +663,14 @@ def end_transaction(db, isolation: Isolation, commit: bool) -> None:
                 isolation.lock.release_write(isolation)
 
 
+# How SHOW <setting> returns a value of each kind (a limit that is off as 0).
+_SHOW_TYPES = {"boolean": BOOL, "count": BIGINT, "limit": BIGINT, "mode": VARCHAR}
+
+
 def _run_show(db, statement: A.ShowStatement, isolation: Isolation):
-    """``SHOW QUERIES`` (registry listing) or ``SHOW <setting>``."""
+    """``SHOW QUERIES`` (registry listing), ``SHOW ALL`` (every setting
+    as this session sees it, and the scope it comes from) or ``SHOW
+    <setting>``."""
     if statement.name == "queries":
         rows = []
         for ctx in get_query_registry().list_running():
@@ -688,9 +704,24 @@ def _run_show(db, statement: A.ShowStatement, isolation: Isolation):
             [BIGINT, VARCHAR, VARCHAR, FLOAT, BIGINT, BIGINT, VARCHAR, BIGINT],
             rows,
         )
-    name = db.setting_name(statement.name)
-    value = isolation.settings.get(name, db.settings.get(name))
-    return _result([statement.name], [BIGINT], [(value or 0,)])
+    effective = resolve(db.settings, isolation.settings)
+    if statement.name == "all":
+        rows = [
+            (name, render(setting, effective[name]), _scope(db, isolation, name))
+            for name, setting in SETTINGS.items()
+        ]
+        return _result(["name", "value", "scope"], [VARCHAR] * 3, rows)
+    setting = lookup(statement.name)
+    value = effective[setting.name]
+    if setting.kind == "limit":
+        value = value or 0
+    return _result([statement.name], [_SHOW_TYPES[setting.kind]], [(value,)])
+
+
+def _scope(db, isolation: Isolation, name: str) -> str:
+    if name in isolation.settings and isolation.settings is not db.settings:
+        return "session"
+    return "database" if name in db.settings else "default"
 
 
 def _run_create_table(db, statement: A.CreateTableStatement) -> None:

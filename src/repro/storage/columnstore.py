@@ -134,7 +134,7 @@ class ColumnStoreIndex:
     def _open_delta(self) -> DeltaStore:
         if self._open_delta_id is not None:
             return self._delta_stores[self._open_delta_id]
-        delta = DeltaStore(self._next_delta_id, self.schema, self.config.btree_order)
+        delta = DeltaStore(self._next_delta_id, self.schema)
         self._delta_stores[delta.delta_id] = delta
         self._open_delta_id = delta.delta_id
         self._next_delta_id += 1

@@ -32,8 +32,6 @@ class StoreConfig:
     dictionary_size_limit: int = 16 * 1024 * 1024
     # Apply archival (LZ77) compression on top of segment encoding.
     archival: bool = False
-    # B+tree order for delta stores.
-    btree_order: int = 64
     # Decoded-segment LRU cache capacity in bytes (0 = disabled). Models
     # SQL Server's in-memory caching of decompressed segments; several
     # benchmarks keep it off to measure decompression cost.

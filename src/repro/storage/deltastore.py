@@ -39,6 +39,9 @@ from ..schema import TableSchema
 from .btree import BPlusTree
 
 
+_BTREE_ORDER = 64
+
+
 class DeltaState(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
@@ -47,11 +50,11 @@ class DeltaState(enum.Enum):
 class DeltaStore:
     """One delta store of a columnstore index."""
 
-    def __init__(self, delta_id: int, schema: TableSchema, btree_order: int = 64) -> None:
+    def __init__(self, delta_id: int, schema: TableSchema) -> None:
         self.delta_id = delta_id
         self.schema = schema
         self.state = DeltaState.OPEN
-        self._rows = BPlusTree(order=btree_order)
+        self._rows = BPlusTree(order=_BTREE_ORDER)
         # MVCC stamps. A row id present in _rows but absent from
         # _insert_epochs was inserted at GENESIS (loaded snapshots and
         # replayed state take this path); _tombstones maps row id ->

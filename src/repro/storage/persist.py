@@ -31,6 +31,7 @@ structurally broken metadata raises :class:`~repro.errors.RecoveryError`.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -134,18 +135,14 @@ def schema_from_json(data: list[dict]) -> TableSchema:
 
 
 def config_to_json(config: StoreConfig) -> dict:
-    return {
-        "rowgroup_size": config.rowgroup_size,
-        "bulk_load_threshold": config.bulk_load_threshold,
-        "delta_close_rows": config.delta_close_rows,
-        "reorder_rows": config.reorder_rows,
-        "archival": config.archival,
-        "btree_order": config.btree_order,
-    }
+    """Every field: replay must split row groups as the live table did."""
+    return {field.name: getattr(config, field.name) for field in dataclasses.fields(config)}
 
 
 def config_from_json(data: dict) -> StoreConfig:
-    return StoreConfig(**data)
+    # Catalogs and WAL records written while the delta B-tree order was a
+    # field still carry it.
+    return StoreConfig(**{name: value for name, value in data.items() if name != "btree_order"})
 
 
 def _read_json(reader, relpath: str) -> Any:
@@ -235,7 +232,7 @@ def load_columnstore(
 
     for entry in delta_entries:
         relpath = f"{prefix}/delta_{entry['id']}.rows"
-        delta = DeltaStore(entry["id"], schema, config.btree_order)
+        delta = DeltaStore(entry["id"], schema)
         blob = reader.read(relpath)
         try:
             n, pos = serde.read_varint(blob, 0)

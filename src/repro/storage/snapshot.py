@@ -43,13 +43,11 @@ naming each offending path. Recovery activity reports into the metrics
 registry under the stable ``storage.recovery.*`` counters; what a save
 wrote, reused and checksummed under ``storage.snapshot.*``.
 
-``format_version`` 1 manifests (every file inside ``snap_<id>/``, paths
-relative to it) are still read — their paths are prefixed with their
-directory — and never written; the first save rewrites such a root in
-the pool layout. Pre-manifest directories (``catalog.json`` at the root)
-carry no checksums and are refused: opening one raises
-:class:`~repro.errors.RecoveryError` naming the layout, and ``repro
-check`` reports it as ``missing``.
+Older layouts are refused, each with a
+:class:`~repro.errors.RecoveryError` naming it: ``format_version`` 1
+manifests (every file inside ``snap_<id>/``, no segment pool) and
+pre-manifest directories (``catalog.json`` at the root, no checksums);
+``repro check`` reports the latter as ``missing``.
 """
 
 from __future__ import annotations
@@ -136,7 +134,13 @@ class Manifest:
     def from_json(cls, payload: bytes, source: str) -> "Manifest":
         try:
             body = json.loads(payload.decode("utf-8"))
-            if body["format_version"] not in (1, MANIFEST_VERSION):
+            if body["format_version"] == 1:
+                raise RecoveryError(
+                    f"{source}: a format_version 1 manifest is the layout with "
+                    "every file inside snap_<id>/ and no segment pool, which is "
+                    "no longer read"
+                )
+            if body["format_version"] != MANIFEST_VERSION:
                 raise RecoveryError(
                     f"{source}: unsupported manifest format_version "
                     f"{body['format_version']}"
@@ -145,11 +149,9 @@ class Manifest:
             del body["manifest_crc32c"]
             if recorded != _self_checksum(body):
                 raise CorruptBlobError("manifest self-checksum mismatch", path=source)
-            # Version 1 listed paths relative to its snapshot directory.
-            prefix = f"{body['directory']}/" if body["format_version"] == 1 else ""
             files = [
                 ManifestEntry(
-                    path=prefix + str(entry["path"]),
+                    path=str(entry["path"]),
                     size=int(entry["size"]),
                     crc32c=int(entry["crc32c"], 16),
                 )

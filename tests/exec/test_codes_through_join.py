@@ -278,7 +278,7 @@ def test_join_aggregate_differential(join_type, scenario):
             continue  # 80 ms of spill files a statement: once per case with a join to write
         # A grant too small for any build side: every join spills, and a
         # vector that reaches one is decoded, not dropped.
-        spilled = db.sql(sql, mode="batch", grant_bytes=64, stats=True)
+        spilled = db.sql(sql, mode="batch", query_memory_budget=64, stats=True)
         same_rows(spilled.rows, coded)
         if scenario == "plain":
             assert spilled.stats.total("spilled") >= 1
@@ -290,7 +290,7 @@ def test_spilling_join_decodes_the_vector_it_was_handed():
     plain = db.sql(sql, mode="batch", stats=True)
     assert plain.stats.counter(MorphReason.JOIN_CANNOT_CARRY.counter) == 0
     # The grant covers the lower join's 6-row build side, not the upper's 20.
-    squeezed = db.sql(sql, mode="batch", grant_bytes=600, stats=True)
+    squeezed = db.sql(sql, mode="batch", query_memory_budget=600, stats=True)
     joins = squeezed.stats.find("BatchHashJoin")
     assert [bool(j.details.get("spilled")) for j in joins] == [True, False]
     assert joins[1].details["columns_emitted_encoded"] == 1

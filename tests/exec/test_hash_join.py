@@ -7,7 +7,7 @@ from repro.exec.batch import Batch, slice_into_batches
 from repro.exec.memory import MemoryGrant
 from repro.exec.operators.base import BatchOperator
 from repro.exec.operators.hash_join import BatchHashJoin
-from repro.errors import ExecutionError, SpillBudgetError
+from repro.errors import ExecutionError
 
 
 class ListSource(BatchOperator):
@@ -186,14 +186,6 @@ class TestSpilling:
         )
         assert join.stats.spilled
         assert sorted(got, key=repr) == sorted(expected, key=repr)
-
-    def test_spill_disabled_raises(self):
-        build, probe = self.big_data(500)
-        with pytest.raises(SpillBudgetError):
-            run_join(
-                build, probe, ["id"], ["k"],
-                grant=MemoryGrant(budget_bytes=1_000, allow_spill=False),
-            )
 
     def test_no_spill_within_grant(self):
         build, probe = self.big_data(100)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro import Database, schema, types
-from repro.errors import SpillBudgetError
 from repro.exec.batch import Batch
 from repro.exec.expressions import (
     And,
@@ -160,11 +159,6 @@ class TestMemoryGrant:
         grant = MemoryGrant(budget_bytes=100)
         assert grant.try_reserve(80)
         assert not grant.try_reserve(30)
-
-    def test_exhaustion_raises_when_spill_disabled(self):
-        grant = MemoryGrant(budget_bytes=10, allow_spill=False)
-        with pytest.raises(SpillBudgetError):
-            grant.try_reserve(11)
 
     def test_release_and_peak(self):
         grant = MemoryGrant(budget_bytes=100)

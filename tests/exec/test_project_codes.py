@@ -91,7 +91,7 @@ def test_case_as_codes_equals_the_decoded_arm_row_mode_and_a_spilling_grant(name
     encoded = db.sql(sql).rows
     assert encoded == db.sql(sql, enable_encoded_agg=False).rows  # order too
     assert sorted(encoded, key=sort_key) == sorted(db.sql(sql, mode="row").rows, key=sort_key)
-    spilled = db.sql(sql, grant_bytes=512)
+    spilled = db.sql(sql, query_memory_budget=512)
     assert sorted(encoded, key=sort_key) == sorted(spilled.rows, key=sort_key)
 
 

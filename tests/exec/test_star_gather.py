@@ -402,7 +402,7 @@ def test_join_types_by_how_many_rows_hit(join_type, hits, dimension):
         assert no_bitmaps.rows == expected
     assert by_value(no_bitmaps.rows) == by_value(expected)
     assert by_value(db.sql(sql, mode="row").rows) == by_value(expected)
-    assert by_value(db.sql(sql, mode="batch", grant_bytes=64).rows) == by_value(expected)
+    assert by_value(db.sql(sql, mode="batch", query_memory_budget=64).rows) == by_value(expected)
 
     # What passes through: the batches whose every row found its one
     # build row (an ANTI join emits none of those).
@@ -425,7 +425,7 @@ def test_join_types_by_how_many_rows_hit(join_type, hits, dimension):
     assert coded == db.sql(sql, mode="batch", enable_encoded_agg=False).rows
     assert coded == db.sql(sql, mode="batch", enable_bitmaps=False).rows
     assert by_value(coded) == by_value(db.sql(sql, mode="row").rows)
-    assert by_value(coded) == by_value(db.sql(sql, mode="batch", grant_bytes=64).rows)
+    assert by_value(coded) == by_value(db.sql(sql, mode="batch", query_memory_budget=64).rows)
 
 
 def test_explain_analyze_says_how_rows_were_located_and_what_passed_through():

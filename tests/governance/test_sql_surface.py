@@ -36,7 +36,7 @@ class TestSettings:
     def test_set_show_roundtrip(self, db):
         db.sql("SET statement_timeout = 5000")
         assert db.sql("SHOW statement_timeout").scalar() == 5000
-        assert db.get_setting("statement_timeout") == 5000
+        assert db.settings["statement_timeout"] == 5000
 
     def test_set_default_clears(self, db):
         db.sql("SET statement_timeout = 5000")
@@ -45,7 +45,7 @@ class TestSettings:
 
     def test_set_to_syntax(self, db):
         db.sql("SET query_memory_budget TO 1048576")
-        assert db.get_setting("query_memory_budget") == 1048576
+        assert db.settings["query_memory_budget"] == 1048576
 
     def test_unknown_setting_rejected(self, db):
         with pytest.raises(BindingError):
@@ -60,7 +60,7 @@ class TestSettings:
     def test_zero_disables(self, db):
         db.sql("SET statement_timeout = 5000")
         db.sql("SET statement_timeout = 0")
-        assert db.get_setting("statement_timeout") is None
+        assert db.settings["statement_timeout"] is None
 
 
 class TestTimeout:
@@ -170,20 +170,20 @@ class TestSessionOverlay:
         concurrent.close()
 
     def test_session_overlay_wins(self, cdb, db):
-        db.set_setting("statement_timeout", 60_000)
+        db.sql("SET statement_timeout = 60000")
         with cdb.session("a") as session:
             session.sql("SET statement_timeout = 1")
             with pytest.raises(QueryTimeoutError):
                 session.sql(SLOW_QUERY)
             assert session.sql("SHOW statement_timeout").scalar() == 1
-        db.set_setting("statement_timeout", None)
+        db.sql("SET statement_timeout = DEFAULT")
 
     def test_session_zero_overrides_database_default(self, cdb, db):
-        db.set_setting("statement_timeout", 1)
+        db.sql("SET statement_timeout = 1")
         with cdb.session("a") as session:
             session.sql("SET statement_timeout = 0")
             assert session.sql("SELECT count(*) FROM t").scalar() == 2000
-        db.set_setting("statement_timeout", None)
+        db.sql("SET statement_timeout = DEFAULT")
 
     def test_overlay_does_not_leak_across_sessions(self, cdb):
         with cdb.session("a") as a, cdb.session("b") as b:

@@ -11,6 +11,7 @@ import pytest
 from repro import Database, StoreConfig, schema, types
 from repro.concurrency import ConcurrentDatabase
 from repro.observability import registry as metrics
+from repro.settings import resolve
 from repro.sql.runner import execute_plan, plan_query
 
 
@@ -29,9 +30,10 @@ def sch():
     return schema(("id", types.INT, False), ("v", types.INT))
 
 
-def select_at(db, sql, epoch, **options):
+def select_at(db, sql, epoch, **overrides):
     """Run a SELECT pinned to ``epoch`` (the pipeline from *compile* on)."""
-    return execute_plan(db, plan_query(db, sql), db.isolation, epoch, **options)
+    settings = resolve(db.settings, None, overrides)
+    return execute_plan(db, plan_query(db, sql), db.isolation, epoch, settings=settings)
 
 
 def count_sum_at(db, epoch):

@@ -52,7 +52,7 @@ class TestSpillReporting:
     SQL = "SELECT a, s, COUNT(*) AS n FROM t GROUP BY a, s"
 
     def test_tiny_grant_reports_nonzero_spill_bytes(self, db):
-        result = db.sql(self.SQL, mode="batch", stats=True, grant_bytes=2048)
+        result = db.sql(self.SQL, mode="batch", stats=True, query_memory_budget=2048)
         assert result.stats.counter("exec.spill.bytes_written") > 0
         assert result.stats.counter("exec.spill.files") > 0
         # The spilling operator's own actuals carry the bytes too.
@@ -64,7 +64,7 @@ class TestSpillReporting:
 
     def test_results_identical_with_and_without_spilling(self, db):
         ample = db.sql(self.SQL, mode="batch")
-        starved = db.sql(self.SQL, mode="batch", stats=True, grant_bytes=2048)
+        starved = db.sql(self.SQL, mode="batch", stats=True, query_memory_budget=2048)
         assert sorted(ample.rows) == sorted(starved.rows)
 
 

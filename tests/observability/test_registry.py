@@ -1,10 +1,8 @@
-"""MetricsRegistry semantics: counters, gauges, timers, snapshots."""
+"""MetricsRegistry semantics: counters, gauges, snapshots."""
 
 from __future__ import annotations
 
 from pathlib import Path
-
-import pytest
 
 from repro.observability import (
     STABLE_COUNTERS,
@@ -38,7 +36,6 @@ class TestCounters:
         registry = MetricsRegistry()
         registry.increment("c", 3)
         registry.set_gauge("g", 7)
-        registry.record_time("t", 0.5)
         registry.reset()
         assert registry.counter("c") == 0
         assert registry.gauge("g") is None
@@ -58,24 +55,6 @@ class TestGauges:
         registry.max_gauge("peak", 30)
         registry.max_gauge("peak", 20)
         assert registry.gauge("peak") == 30
-
-
-class TestTimers:
-    def test_record_time_accumulates_count_and_seconds(self):
-        registry = MetricsRegistry()
-        registry.record_time("phase", 0.25)
-        registry.record_time("phase", 0.50)
-        snapshot = registry.snapshot()
-        assert snapshot["phase.count"] == 2
-        assert snapshot["phase.seconds"] == pytest.approx(0.75)
-
-    def test_timer_context_manager_records_once(self):
-        registry = MetricsRegistry()
-        with registry.timer("step"):
-            pass
-        snapshot = registry.snapshot()
-        assert snapshot["step.count"] == 1
-        assert snapshot["step.seconds"] >= 0
 
 
 class TestSnapshots:

@@ -111,7 +111,7 @@ class TestSpilledOuterJoins:
             "FROM f RIGHT JOIN d ON f.k = d.id"
         )
         ample = db.sql(sql)
-        starved = db.sql(sql, grant_bytes=4096)
+        starved = db.sql(sql, query_memory_budget=4096)
         assert ample.rows == starved.rows
         # 3000 matched pairs + 400 unmatched d rows.
         assert ample.rows == [(3400, 3000)]

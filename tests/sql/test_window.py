@@ -141,7 +141,7 @@ class TestWindowSpill:
         sql = ("SELECT a, g, SUM(v) OVER (PARTITION BY g) AS s, "
                "ROW_NUMBER() OVER (PARTITION BY g ORDER BY a) AS rn FROM w")
         expected = db.sql(sql).rows
-        spilled = db.sql(sql, grant_bytes=1024, stats=True)
+        spilled = db.sql(sql, query_memory_budget=1024, stats=True)
         assert spilled.rows == expected
         (window,) = spilled.stats.find("BatchWindow")
         assert window.details["partitions_spilled"] > 1

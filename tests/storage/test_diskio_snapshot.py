@@ -129,7 +129,7 @@ class TestManifest:
             == "t/rowgroups/g3.a.b.seg"
         )
 
-    def test_version_1_paths_get_their_directory_prefixed(self):
+    def test_version_1_manifest_is_refused_naming_the_layout(self):
         from repro.storage.snapshot import _self_checksum
 
         body = {
@@ -140,11 +140,8 @@ class TestManifest:
             "files": [{"path": "t/a.seg", "size": 12, "crc32c": "0000dead"}],
         }
         body["manifest_crc32c"] = f"{_self_checksum(body):08x}"
-        manifest = Manifest.from_json(json.dumps(body).encode(), "m")
-        assert [e.path for e in manifest.files] == ["snap_000007/t/a.seg"]
-        assert manifest.relpath_of(manifest.files[0].path) == "t/a.seg"
-        assert manifest.checkpoint_lsn == 3
-        assert b'"format_version": 2' in manifest.to_json()  # never written back as 1
+        with pytest.raises(RecoveryError, match=r"format_version 1 .*snap_<id>/"):
+            Manifest.from_json(json.dumps(body).encode(), "m")
 
     def test_self_checksum_detects_tamper(self):
         manifest = Manifest(snapshot_id=1)

@@ -234,3 +234,48 @@ class TestDatabasePersistence:
         reopened = Database.load(str(target))
         index = reopened.table("notes").indexes["by_k"]
         assert len(list(index.seek_equal((1,)))) == 1
+
+
+class TestStoreConfigSurvivesReopen:
+    """A table's storage config is written whole, to the catalog and to
+    the WAL's CREATE TABLE record, so reopening rebuilds the same table."""
+
+    def test_replay_splits_row_groups_as_the_live_table_did(self, tmp_path):
+        # A 2,000-byte dictionary cap splits the tuple mover's row groups;
+        # replay under the default cap would not, and the DELETE's logged
+        # locators would name groups that do not exist.
+        config = StoreConfig(dictionary_size_limit=2000, rowgroup_size=4096, delta_close_rows=512)
+        target = str(tmp_path / "db")
+        db = Database.open(target, default_config=config)
+        db.sql("CREATE TABLE t (a INT, s VARCHAR)")
+        for i in range(600):
+            db.sql(f"INSERT INTO t VALUES ({i}, '{i:025d}')")
+        db.run_tuple_mover("t")
+        db.sql("DELETE FROM t WHERE a >= 300 AND a < 310")
+        groups = len(db.table("t").columnstore.directory)
+        assert groups > 1
+        db.close()
+        reopened = Database.open(target)
+        assert reopened.table("t").config == config
+        assert len(reopened.table("t").columnstore.directory) == groups
+        assert reopened.sql("SELECT COUNT(*) AS n FROM t").scalar() == 590
+        reopened.close()
+
+    @pytest.mark.parametrize("checkpoint", [False, True], ids=["wal", "catalog"])
+    def test_every_field_comes_back(self, tmp_path, checkpoint):
+        config = StoreConfig(rowgroup_size=64, segment_cache_bytes=1 << 20,
+                             dictionary_size_limit=4096, archival=True)
+        target = str(tmp_path / "db")
+        db = Database.open(target, default_config=config)
+        db.sql("CREATE TABLE t (a INT)")
+        if checkpoint:
+            db.save(target)
+        db.close()
+        reopened = Database.open(target)
+        assert reopened.table("t").config == config
+        assert reopened.table("t").columnstore.segment_cache is not None
+        reopened.close()
+
+    def test_old_records_with_btree_order_still_load(self):
+        old = {**persist.config_to_json(StoreConfig(rowgroup_size=64)), "btree_order": 64}
+        assert persist.config_from_json(old) == StoreConfig(rowgroup_size=64)

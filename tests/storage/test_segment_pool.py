@@ -4,7 +4,7 @@ Exact counters for the property (``storage.snapshot.files_written`` /
 ``files_reused`` / ``bytes_written`` / ``bytes_checksummed``), the one
 garbage-collection rule (what the committed manifest does not name
 goes, and only after that manifest was read back), crash and
-dropped-rename behaviour around the pool, and reading what
+dropped-rename behaviour around the pool, and refusing what
 ``format_version`` 1 left behind.
 """
 
@@ -16,14 +16,13 @@ import pytest
 from repro import Database, StoreConfig
 from repro.backup import load_backup_manifest, prepare_backup, restore_backup
 from repro.backup.manifest import BACKUP_MANIFEST_NAME, IMAGE_DIR_NAME, BackupFileEntry
-from repro.errors import CorruptBlobError
+from repro.errors import CorruptBlobError, RecoveryError
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
 from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32c
 from repro.storage.snapshot import (
     MANIFEST_NAME,
     POOL_DIR_NAME,
-    Manifest,
     _self_checksum,
     load_manifest,
 )
@@ -377,59 +376,39 @@ def downgrade_to_v1(root) -> None:
 
 
 class TestVersion1Directories:
-    def test_v1_directory_opens_checks_and_upgrades_on_the_first_save(
-        self, small, registry
-    ):
+    def test_v1_directory_is_refused_naming_the_layout(self, small):
         db, root = small
-        expected = state_of(db)
         db.close()
         downgrade_to_v1(root)
-        assert not (root / POOL_DIR_NAME).exists()
-        assert Database.check(str(root)).ok
+        with pytest.raises(RecoveryError, match="format_version 1"):
+            Database.open(str(root))
+        report = Database.check(str(root))
+        assert not report.ok
+        assert report.manifest_status == "corrupt" and "snap_<id>/" in report.detail
 
-        reopened = Database.open(str(root))
-        assert state_of(reopened) == expected
-        reopened.insert("notes", [(7, "after upgrade")])
-        reopened.save(str(root))
-        counters = snapshot_counters(registry)
-        assert counters["files_reused"] == 0  # nothing is taken over in place
-        manifest_text = (root / MANIFEST_NAME).read_text()
-        assert '"format_version": 2' in manifest_text and '"directory"' not in manifest_text
-        assert len(pool_files(root)) == 9 and not (root / "snap_000001").exists()
-        reopened.insert("notes", [(8, "incremental now")])
-        reopened.save(str(root))
-        assert snapshot_counters(registry)["files_reused"] == 9
-        expected = state_of(reopened)
-        reopened.close()
-        assert Database.check(str(root)).ok
-        final = Database.load(str(root))
-        assert state_of(final) == expected
-        final.close()
-
-    def test_v1_backup_image_restores(self, small, tmp_path):
+    def test_v1_backup_image_restores_but_is_refused_on_open(self, small, tmp_path):
         db, root = small
         db.sql("INSERT INTO kv VALUES (5000, 'tail', 0.5)")  # WAL past the checkpoint
-        expected = state_of(db)
         db.backup(str(tmp_path / "bk"))
         db.close()
         # Turn the image into what the previous format's backup held.
         image = tmp_path / "bk" / IMAGE_DIR_NAME
+        manifest = load_manifest(DiskIO(), image)
         downgrade_to_v1(image)
         backup = load_backup_manifest(DiskIO(), tmp_path / "bk")
-        v1 = Manifest.from_json((image / MANIFEST_NAME).read_bytes(), "image")
         relisted = [e for e in backup.files if not e.path.startswith(IMAGE_DIR_NAME + "/")]
-        for path in [e.path for e in v1.files] + [MANIFEST_NAME]:
+        for entry in manifest.files:
+            path = f"{manifest.directory}/{manifest.relpath_of(entry.path)}"
             data = (image / path).read_bytes()
-            relisted.append(
-                BackupFileEntry(f"{IMAGE_DIR_NAME}/{path}", len(data), crc32c(data))
-            )
+            relisted.append(BackupFileEntry(f"{IMAGE_DIR_NAME}/{path}", len(data), crc32c(data)))
+        data = (image / MANIFEST_NAME).read_bytes()
+        relisted.append(BackupFileEntry(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", len(data), crc32c(data)))
         backup.files = relisted
         (tmp_path / "bk" / BACKUP_MANIFEST_NAME).write_bytes(backup.to_json())
 
         restore_backup(tmp_path / "bk", tmp_path / "dest")
-        restored = Database.load(str(tmp_path / "dest"))
-        assert state_of(restored) == expected
-        restored.close()
+        with pytest.raises(RecoveryError, match="format_version 1"):
+            Database.load(str(tmp_path / "dest"))
 
 
 class TestHotBackupBetweenIncrementalCheckpoints:

@@ -87,9 +87,11 @@ class TestShell:
         assert "columnstore" in out
 
     def test_mode_switch(self, shell):
-        assert "batch" in shell.run_meta("\\mode batch")[0]
-        assert shell.mode == "batch"
-        assert "current mode" in shell.run_meta("\\mode nonsense")[0]
+        feed(shell, "CREATE TABLE t (a INT);")
+        assert feed(shell, "SET mode = row;") == "ok"
+        assert "row" in feed(shell, "SHOW mode;")
+        assert "(row mode)" in "\n".join(shell.run_meta("\\explain SELECT a FROM t"))
+        assert feed(shell, "SET mode = nonsense;").startswith("error:")
 
     def test_timing_toggle(self, shell):
         shell.run_meta("\\timing on")

@@ -167,7 +167,7 @@ def test_spilling_agrees_with_row_engine(grant):
     rows = [(i, i % 7, ["red", "green", "blue"][i % 3], float(i % 11)) for i in range(500)]
     db = make_db(rows)
     sql = "SELECT a, s, COUNT(*) AS n, SUM(f) AS sf FROM t GROUP BY a, s"
-    batch = db.sql(sql, mode="batch", grant_bytes=grant)
+    batch = db.sql(sql, mode="batch", query_memory_budget=grant)
     row = db.sql(sql, mode="row")
     assert normalize(batch.rows) == normalize(row.rows)
 
