@@ -32,6 +32,12 @@ def _union_nulls(*masks: np.ndarray | None) -> np.ndarray | None:
     return out
 
 
+def _known_false(truth: np.ndarray, *masks: np.ndarray | None) -> np.ndarray:
+    """Rows where a comparison is FALSE and none of its inputs is NULL."""
+    unknown = _union_nulls(*masks)
+    return ~truth if unknown is None else ~truth & ~unknown
+
+
 class Expr(abc.ABC):
     """Base class of all scalar expressions."""
 
@@ -108,9 +114,12 @@ class Literal(Expr):
 
     def eval_batch(self, batch) -> BatchResult:
         n = batch.row_count
-        if self.value is None:
-            return np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)
         np_dtype = self.dtype.numpy_dtype
+        if self.value is None:
+            # Never read, but it must compare with the other side: a
+            # NULL of a string type holds strings.
+            fill = np.full(n, "", dtype=object) if np_dtype == object else np.zeros(n, np.int64)
+            return fill, np.ones(n, dtype=bool)
         if np_dtype == object:
             return np.full(n, self.value, dtype=object), None
         if isinstance(self.value, float) and np.issubdtype(np_dtype, np.integer):
@@ -428,7 +437,9 @@ class IsNull(Expr):
 
 
 class Between(Expr):
-    """value BETWEEN low AND high (inclusive both ends)."""
+    """value BETWEEN low AND high (inclusive both ends): the Kleene AND of
+    ``value >= low`` and ``value <= high``, so a side known FALSE makes it
+    FALSE even when the other bound is NULL."""
 
     def __init__(self, operand: Expr, low: Expr, high: Expr) -> None:
         self.operand = operand
@@ -442,16 +453,22 @@ class Between(Expr):
         values, vn = self.operand.eval_batch(batch)
         low, ln = self.low.eval_batch(batch)
         high, hn = self.high.eval_batch(batch)
-        result = np.asarray((values >= low) & (values <= high), dtype=bool)
-        return result, _union_nulls(vn, ln, hn)
+        above = np.asarray(values >= low, dtype=bool)
+        below = np.asarray(values <= high, dtype=bool)
+        nulls = _union_nulls(vn, ln, hn)
+        if nulls is not None:
+            nulls &= ~(_known_false(above, vn, ln) | _known_false(below, vn, hn))
+        return above & below, nulls
 
     def eval_row(self, row: dict[str, Any]) -> Any:
         value = self.operand.eval_row(row)
         low = self.low.eval_row(row)
         high = self.high.eval_row(row)
-        if value is None or low is None or high is None:
+        if value is None:
             return None
-        return low <= value <= high
+        if (low is not None and not low <= value) or (high is not None and not value <= high):
+            return False
+        return None if low is None or high is None else True
 
     def infer_dtype(self, resolver: Resolver) -> DataType:
         return BOOL

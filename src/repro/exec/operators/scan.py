@@ -19,8 +19,9 @@ Implements the paper's scan enhancements:
   asked about the key segment's [min, max]: no key of the interval in
   the filter eliminates the unit, every key in it drops the probe for
   the unit, and only the rest decode the key column to probe it.
-* **Delta-store scans** — delta rows are materialized column-wise and
-  filtered with the same predicate, so queries see trickle-inserted rows.
+* **Delta-store scans** — the columns a scan reads are gathered from the
+  delta store's column buffers and filtered with the same predicate, so
+  queries see trickle-inserted rows.
 * **Delete-bitmap application** — deleted rows never leave the scan.
 """
 
@@ -494,8 +495,13 @@ class ColumnStoreScan(BatchOperator):
             # merges these plain batches into the same accumulators.
             self.stats.agg_fallbacks += 1
             self.stats.morph[MorphReason.DELTA_UNIT.value] += 1
-        columns, null_masks, row_ids = delta.to_columns()
-        n = len(row_ids)
+        # Only what the filters and the output read is gathered.
+        read = dict.fromkeys(self.columns)
+        for conjunct in self._conjuncts:
+            read.update(dict.fromkeys(conjunct.referenced_columns()))
+        read.update(dict.fromkeys(probe.column for probe in self.bitmap_probes))
+        columns, null_masks, row_ids = delta.to_columns(list(read))
+        n = int(row_ids.size)
         self.stats.rows_scanned += n
         self.stats.delta_rows_scanned += n
         if n == 0:
@@ -508,9 +514,7 @@ class ColumnStoreScan(BatchOperator):
         indices = np.flatnonzero(self._apply_bitmaps(unit_batch, keep, self.bitmap_probes))
         locators = None
         if self.include_locators:
-            locators = _locators(
-                DELTA, delta.delta_id, [row_ids[i] for i in indices.tolist()]
-            )
+            locators = _locators(DELTA, delta.delta_id, row_ids[indices].tolist())
         survivors = Batch(
             columns={name: unit_batch.column(name) for name in self.columns},
             null_masks={name: unit_batch.null_mask(name) for name in self.columns},

@@ -204,6 +204,8 @@ def _range_fraction_between(expr: Between, stats: TableStats) -> float:
         and isinstance(expr.high, Literal)
     ):
         return RANGE_DEFAULT_SELECTIVITY
+    if expr.low.value is None or expr.high.value is None:
+        return 0.0  # a NULL bound is never TRUE, not an open interval
     col_stats = stats.column(expr.operand.name)
     if col_stats.histogram is not None and col_stats.histogram.buckets:
         return col_stats.histogram.range_fraction(expr.low.value, expr.high.value)

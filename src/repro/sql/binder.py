@@ -946,11 +946,15 @@ class Binder:
         return left, right
 
     def _coerced(self, target: X.Expr, literal: X.Expr, namespace: _Namespace) -> X.Expr:
-        if not isinstance(literal, X.Literal) or literal.value is None:
+        if not isinstance(literal, X.Literal):
             return literal
         dtype = self._dtype_of(target, namespace)
         if dtype is None:
             return literal
+        if literal.value is None:
+            # A NULL compared with a column takes its type (for a string
+            # column, string placeholders the comparison can evaluate).
+            return X.Literal(None, dtype)
         if literal.dtype is not None and literal.dtype.kind is dtype.kind:
             # Already physical (e.g. a scalar-subquery result): coercing
             # again would double-scale decimals / re-parse dates.

@@ -1,7 +1,8 @@
 """An in-memory B+tree.
 
-This is the row-store substrate the paper's delta stores and delete buffers
-are built on (SQL Server keeps both as B-trees). Keys are any totally
+The row store's secondary indexes are built on it (SQL Server keeps delta
+stores and delete buffers as B-trees too; the delta stores here keep
+the leaf level as column buffers, see deltastore.py). Keys are any totally
 ordered Python values (ints, strings, tuples); values are arbitrary
 payloads. Leaves are chained for range scans. Deletion rebalances by
 borrowing from or merging with siblings.

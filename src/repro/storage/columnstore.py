@@ -3,7 +3,7 @@
 Combines every storage structure of the paper into one object:
 
 * compressed **row groups** catalogued by a :class:`SegmentDirectory`,
-* **delta stores** (B-tree row stores) absorbing trickle inserts,
+* **delta stores** (append-only column buffers) absorbing trickle inserts,
 * a **delete bitmap** marking deleted rows of compressed row groups,
 * the **bulk loader** that turns large inserts straight into row groups.
 
@@ -351,9 +351,9 @@ class ColumnStoreIndex:
         * deleted-row masks are materialized here, so later delete-bitmap
           marks never show through mid-scan (the bitmap's ``version`` at
           pin time is recorded for assertions);
-        * delta stores are frozen into columnar copies
-          (:meth:`DeltaStore.capture`) — the live B-trees keep absorbing
-          trickle inserts without tearing the pinned view.
+        * delta stores are captured as (buffers, visible slots)
+          (:meth:`DeltaStore.capture`) — the live store keeps absorbing
+          trickle inserts into slots the pinned view never reads.
 
         The result is exactly the structures and rows committed at or
         before ``epoch``, including *retired* row groups / delta stores
@@ -361,9 +361,9 @@ class ColumnStoreIndex:
         transaction reads the live structures instead and never comes
         here). The capture runs under ``_pin_mutex`` so it can never interleave
         with a retirement half-way (structure in neither the live
-        directory nor the retired list); the expensive delta
-        materialization happens after the mutex is dropped, on
-        references the retired lists keep alive.
+        directory nor the retired list); the delta captures happen
+        after the mutex is dropped, on references the retired lists
+        keep alive.
         """
         with self._pin_mutex:
             group_units: dict[int, ScanUnit] = {}

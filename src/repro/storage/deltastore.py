@@ -1,34 +1,37 @@
-"""Delta stores: B-tree row stores absorbing trickle inserts.
+"""Delta stores: append-only column buffers absorbing trickle inserts.
 
-New rows that arrive one at a time (or in small batches) land in the open
-delta store — an uncompressed B-tree keyed by row id, exactly as in the
-paper. When a delta store reaches the close threshold it stops accepting
-inserts and waits for the tuple mover to compress it into a row group.
+Rows that arrive one at a time land in the open delta store; at the
+close threshold it stops accepting inserts and waits for the tuple mover.
 
-MVCC: each row carries an insert epoch, and deletes against delta rows
-*tombstone* them (stamp a delete epoch) instead of removing them from
-the B-tree — a snapshot reader pinned before the delete committed still
-needs the row. Physical removal is deferred to :meth:`gc`, driven by the
-vacuum pass once no registered reader can see the tombstoned row. All
-current-state accessors (``row_count``, ``get``, ``scan`` …) present
-only live (un-tombstoned) rows, so single-caller behavior is unchanged;
-:meth:`capture` materializes the rows visible at a specific epoch.
+The paper keeps a delta store as a B-tree of rows keyed by row id. Every
+reader here wants columns (a scan, a DELETE locating its row, a snapshot
+pin, the tuple mover), so this store lays the leaf level out by column:
+a value and a null-mask buffer per column beside a row-id, an
+insert-epoch and a delete-epoch buffer, all in row-id order (a row id's
+slot is a binary search). A row is written into the buffers at insert,
+capacity doubles when full, and a read is a vector select over the epoch
+buffers plus a gather of the columns it names.
 
-Redo determinism: delta ids, row ids and the open/closed transitions are
-pure functions of the insert/close sequence, so WAL replay
-(:mod:`repro.wal.replay`) driving the same statements through the same
-thresholds reconstructs structurally identical delta stores — which is
-what lets later log records address rows by (delta id, position).
-Tombstoned-but-not-yet-collected rows never change that: row ids are
-never reused, and replayed deletes are txn-less so their tombstones are
-collected by the same deterministic vacuum rule.
+MVCC: an insert epoch of GENESIS means committed at genesis, a delete
+epoch of ``_LIVE`` not deleted. A delete *tombstones* its row for the
+readers pinned before it; :meth:`gc` compacts tombstones no reader can
+see. A slot below the published length is never written again, its
+epoch stamps aside: compaction, insert undo, an out-of-order insert and
+growth move to new buffers. So :meth:`capture` keeps the buffers of its
+moment and the index of its visible slots, and gathers without the lock.
+
+Redo determinism: delta ids, row ids (never reused) and open/closed
+transitions follow from the insert/close sequence alone, so WAL replay
+rebuilds identical delta stores and log records can address rows by
+(delta id, row id); replayed deletes are txn-less, collected by the same
+deterministic vacuum rule.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -36,15 +39,42 @@ from ..errors import StorageError
 from ..mvcc import GENESIS_EPOCH, PENDING_EPOCH
 from ..observability import registry as metrics
 from ..schema import TableSchema
-from .btree import BPlusTree
+from ..types import python_values
 
+# The delete epoch of a row not deleted: later than every reader's epoch.
+_LIVE = PENDING_EPOCH + 1
 
-_BTREE_ORDER = 64
+# (columns, null_masks, row_ids), as to_columns hands them out.
+Columns = tuple[dict[str, np.ndarray], dict[str, "np.ndarray | None"], np.ndarray]
 
 
 class DeltaState(enum.Enum):
     OPEN = "open"
     CLOSED = "closed"
+
+
+class _Buffers:
+    """One generation of a delta store's buffers, ``capacity`` slots each."""
+
+    __slots__ = ("row_ids", "inserted", "deleted", "values", "nulls")
+
+    def __init__(self, schema: TableSchema, capacity: int) -> None:
+        self.row_ids = np.empty(capacity, dtype=np.int64)
+        self.inserted = np.empty(capacity, dtype=np.int64)
+        self.deleted = np.empty(capacity, dtype=np.int64)
+        self.values = {c.name: np.empty(capacity, dtype=c.dtype.numpy_dtype) for c in schema}
+        self.nulls = {c.name: np.empty(capacity, dtype=bool) for c in schema}
+
+    def arrays(self) -> list[np.ndarray]:
+        return [self.row_ids, self.inserted, self.deleted, *self.values.values(), *self.nulls.values()]
+
+    def moved(self, schema: TableSchema, slots: np.ndarray, capacity: int) -> "_Buffers":
+        """New buffers holding these old ``slots`` first, in order (a
+        slot of -1 is a placeholder the caller writes)."""
+        new = _Buffers(schema, capacity)
+        for old, fresh in zip(self.arrays(), new.arrays()):
+            fresh[: slots.size] = old[slots]
+        return new
 
 
 class DeltaStore:
@@ -54,16 +84,12 @@ class DeltaStore:
         self.delta_id = delta_id
         self.schema = schema
         self.state = DeltaState.OPEN
-        self._rows = BPlusTree(order=_BTREE_ORDER)
-        # MVCC stamps. A row id present in _rows but absent from
-        # _insert_epochs was inserted at GENESIS (loaded snapshots and
-        # replayed state take this path); _tombstones maps row id ->
-        # delete epoch for rows deleted-but-not-yet-collected.
-        self._insert_epochs: dict[int, int] = {}
-        self._tombstones: dict[int, int] = {}
-        # Guards the B-tree + stamp dicts against lock-free capture():
-        # snapshot readers materialize columnar copies while writers
-        # keep inserting/tombstoning.
+        self._buffers = _Buffers(schema, 16)  # capacity doubles when full
+        self._length = 0  # published slots
+        self._live = 0  # published slots not tombstoned
+        # What a NULL cell's value slot holds (scans never look at it).
+        self._fills = ["" if c.dtype.numpy_dtype == object else 0 for c in schema]
+        # Writers append and stamp while snapshot readers select slots.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -72,12 +98,12 @@ class DeltaStore:
     @property
     def row_count(self) -> int:
         """Live (un-tombstoned) rows — the current-state view."""
-        return len(self._rows) - len(self._tombstones)
+        return self._live
 
     @property
     def physical_row_count(self) -> int:
-        """All rows still in the B-tree, tombstoned ones included."""
-        return len(self._rows)
+        """All rows still in the buffers, tombstoned ones included."""
+        return self._length
 
     @property
     def is_open(self) -> bool:
@@ -90,243 +116,217 @@ class DeltaStore:
         self.state = DeltaState.CLOSED
 
     def reopen(self) -> None:
-        """Undo a close transition (rollback of the insert that tripped
-        the close threshold). Only the transaction layer calls this."""
+        """Undo a close: rollback of the insert that tripped it (txn layer)."""
         self.state = DeltaState.OPEN
 
-    # ------------------------------------------------------------------ #
-    # DML
-    # ------------------------------------------------------------------ #
-    def insert(
-        self, row_id: int, values: tuple[Any, ...], epoch: int = GENESIS_EPOCH
-    ) -> None:
+    def insert(self, row_id: int, values: tuple[Any, ...], epoch: int = GENESIS_EPOCH) -> None:
         if self.state is not DeltaState.OPEN:
             raise StorageError(f"delta store {self.delta_id} is closed")
         with self._lock:
-            if row_id in self._rows:
-                raise StorageError(f"duplicate row id {row_id} in delta store")
-            self._rows.insert(row_id, values)
-            if epoch != GENESIS_EPOCH:
-                self._insert_epochs[row_id] = epoch
+            self._place(row_id, values, epoch)
         metrics.increment("storage.delta.rows_inserted")
+
+    def _place(self, row_id: int, values: tuple[Any, ...], epoch: int) -> None:
+        """Write a row into its row-id slot, then publish it (lock held):
+        a value the buffers cannot hold leaves the store as it was. A row
+        id below the last one opens its slot in new buffers."""
+        buffers, n = self._buffers, self._length
+        slot = n
+        if n and row_id <= buffers.row_ids.item(n - 1):
+            slot = int(np.searchsorted(buffers.row_ids[:n], row_id))
+            if buffers.row_ids[slot] == row_id:
+                raise StorageError(f"duplicate row id {row_id} in delta store")
+            gapped = np.insert(np.arange(n), slot, -1)
+            buffers = buffers.moved(self.schema, gapped, 2 * (n + 1))
+        elif n == buffers.row_ids.size:
+            buffers = buffers.moved(self.schema, np.arange(n), 2 * n)
+        buffers.row_ids[slot] = row_id
+        buffers.inserted[slot] = epoch
+        buffers.deleted[slot] = _LIVE
+        for column, nulls, fill, value in zip(
+            buffers.values.values(), buffers.nulls.values(), self._fills, values
+        ):
+            nulls[slot] = value is None
+            column[slot] = fill if value is None else value
+        self._buffers, self._length = buffers, n + 1
+        self._live += 1
+
+    def _slot(self, row_id: int) -> int | None:
+        """The published slot holding ``row_id`` (lock held), or None."""
+        n, row_ids = self._length, self._buffers.row_ids
+        # Ids appended in order are consecutive: try the slot that implies.
+        guess = n - 1 - (row_ids.item(n - 1) - row_id) if n else -1
+        if 0 <= guess < n and row_ids.item(guess) == row_id:
+            return guess
+        slot = int(np.searchsorted(row_ids[:n], row_id))
+        return slot if slot < n and row_ids[slot] == row_id else None
 
     def stamp_insert(self, row_id: int, epoch: int) -> None:
         """Commit hook: replace a PENDING insert epoch with the real one.
-
-        No-op if the row is gone (rolled back) or already stamped.
-        """
-        with self._lock:
-            if self._insert_epochs.get(row_id) == PENDING_EPOCH:
-                if epoch == GENESIS_EPOCH:
-                    del self._insert_epochs[row_id]
-                else:
-                    self._insert_epochs[row_id] = epoch
-
-    def delete(self, row_id: int) -> bool:
-        """Physically remove a row; returns ``False`` if absent.
-
-        This is the *non-versioned* removal used by insert undo (the row
-        was never visible to anyone) and by direct single-caller code.
-        Versioned deletes go through :meth:`tombstone`.
-        """
-        with self._lock:
-            if not self._rows.delete(row_id):
-                return False
-            self._insert_epochs.pop(row_id, None)
-            self._tombstones.pop(row_id, None)
-            return True
-
-    def tombstone(self, row_id: int, epoch: int) -> bool:
-        """Mark a row deleted as of ``epoch``; ``False`` if already gone.
-
-        The row stays in the B-tree for snapshot readers at older epochs;
-        :meth:`gc` removes it once the GC horizon passes ``epoch``.
-        """
-        with self._lock:
-            if row_id not in self._rows or row_id in self._tombstones:
-                return False
-            self._tombstones[row_id] = epoch
-            return True
+        No-op if the row is gone (rolled back) or already stamped."""
+        self._stamp("inserted", row_id, epoch)
 
     def stamp_tombstone(self, row_id: int, epoch: int) -> None:
         """Commit hook: replace a PENDING tombstone with its commit epoch."""
+        self._stamp("deleted", row_id, epoch)
+
+    def _stamp(self, which: str, row_id: int, epoch: int) -> None:
         with self._lock:
-            if self._tombstones.get(row_id) == PENDING_EPOCH:
-                self._tombstones[row_id] = epoch
+            slot = self._slot(row_id)
+            stamps = getattr(self._buffers, which)
+            if slot is not None and stamps.item(slot) == PENDING_EPOCH:
+                stamps[slot] = epoch
+
+    def delete(self, row_id: int) -> bool:
+        """Physically remove a row; returns ``False`` if absent. The
+        *non-versioned* removal of insert undo (the row was never visible
+        to anyone) and direct single-caller code; see :meth:`tombstone`."""
+        with self._lock:
+            slot = self._slot(row_id)
+            if slot is None:
+                return False
+            n = self._length
+            self._live -= int(self._buffers.deleted[slot] == _LIVE)
+            if slot == n - 1 and self._buffers.inserted[slot] == PENDING_EPOCH:
+                # Undo of the latest insert: no capture holds the slot.
+                self._length = slot
+            else:
+                self._keep(np.delete(np.arange(n), slot))
+            return True
+
+    def _keep(self, slots: np.ndarray) -> None:
+        """Compact the buffers down to these published slots (lock held)."""
+        self._buffers = self._buffers.moved(self.schema, slots, self._buffers.row_ids.size)
+        self._length = int(slots.size)
+
+    def tombstone(self, row_id: int, epoch: int) -> bool:
+        """Mark a row deleted as of ``epoch``; ``False`` if already gone.
+        It stays for snapshot readers at older epochs until :meth:`gc`."""
+        with self._lock:
+            slot = self._slot(row_id)
+            if slot is None or self._buffers.deleted[slot] != _LIVE:
+                return False
+            self._buffers.deleted[slot] = epoch
+            self._live -= 1
+            return True
 
     def clear_tombstone(self, row_id: int) -> bool:
         """Delete undo: make a tombstoned row live again."""
         with self._lock:
-            return self._tombstones.pop(row_id, None) is not None
+            return self._revive(self._slot(row_id))
+
+    def _revive(self, slot: int | None) -> bool:
+        if slot is None or self._buffers.deleted[slot] == _LIVE:
+            return False
+        self._buffers.deleted[slot] = _LIVE
+        self._live += 1
+        return True
 
     def restore(self, row_id: int, values: tuple[Any, ...]) -> None:
-        """Re-insert a deleted row (delete undo), even when closed.
-
-        Bypasses the OPEN check and the insert metrics: the row is not
-        new, it is the original row coming back under its original id.
-        Handles both removal flavors — a tombstoned row comes back by
-        clearing the tombstone, a physically removed one by re-insertion.
-        """
+        """Re-insert a deleted row (delete undo), even when closed, and
+        without insert metrics: the original row comes back under its
+        original id — by clearing its tombstone, or re-inserted."""
         with self._lock:
-            if row_id in self._rows:
-                if self._tombstones.pop(row_id, None) is not None:
-                    return
+            slot = self._slot(row_id)
+            if slot is None:
+                self._place(row_id, values, GENESIS_EPOCH)
+            elif not self._revive(slot):
                 raise StorageError(
-                    f"cannot restore row {row_id}: it is still present in "
-                    f"delta store {self.delta_id}"
+                    f"cannot restore row {row_id}: still present in delta store {self.delta_id}"
                 )
-            self._rows.insert(row_id, values)
 
     def get(self, row_id: int) -> tuple[Any, ...] | None:
         with self._lock:
-            if row_id in self._tombstones:
+            slot = self._slot(row_id)
+            if slot is None or self._buffers.deleted[slot] != _LIVE:
                 return None
-            return self._rows.get(row_id)
+            return FrozenDeltaView(self.delta_id, self._buffers, np.array([slot])).scan()[0][1]
 
-    # ------------------------------------------------------------------ #
-    # Garbage collection
-    # ------------------------------------------------------------------ #
     def gc(self, horizon: int) -> int:
-        """Physically remove tombstoned rows no reader can see.
-
-        A tombstone at epoch ``e <= horizon`` is invisible to every
-        registered reader and to all future ones, so the row is removed
-        from the B-tree. Returns the number of rows collected.
-        """
+        """Compact away tombstones at epochs ``<= horizon``, which no
+        registered or future reader can see; returns the rows collected."""
         with self._lock:
-            dead = [rid for rid, e in self._tombstones.items() if e <= horizon]
-            for rid in dead:
-                self._rows.delete(rid)
-                self._insert_epochs.pop(rid, None)
-                del self._tombstones[rid]
-        return len(dead)
+            dead = self._buffers.deleted[: self._length] <= horizon
+            collected = int(dead.sum())
+            if collected:
+                self._keep(np.flatnonzero(~dead))
+        return collected
 
-    # ------------------------------------------------------------------ #
-    # Scans
-    # ------------------------------------------------------------------ #
-    def _live_items(self) -> list[tuple[int, tuple[Any, ...]]]:
-        with self._lock:
-            return [
-                (rid, row)
-                for rid, row in self._rows.items()
-                if rid not in self._tombstones
-            ]
+    def _live_view(self) -> "FrozenDeltaView":
+        buffers = self._buffers
+        slots = np.flatnonzero(buffers.deleted[: self._length] == _LIVE)
+        return FrozenDeltaView(self.delta_id, buffers, slots)
 
-    def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
+    def scan(self) -> list[tuple[int, tuple[Any, ...]]]:
         """(row_id, row) pairs of live rows, in row-id order."""
-        return iter(self._live_items())
-
-    def _items_at(self, epoch: int) -> list[tuple[int, tuple[Any, ...]]]:
-        """Rows committed and not yet deleted as of ``epoch``."""
         with self._lock:
-            inserts = self._insert_epochs
-            tombs = self._tombstones
-            return [
-                (rid, row)
-                for rid, row in self._rows.items()
-                if inserts.get(rid, GENESIS_EPOCH) <= epoch
-                and tombs.get(rid, PENDING_EPOCH + 1) > epoch
-            ]
+            return self._live_view().scan()
 
-    def _columnize(
-        self, rows: list[tuple[int, tuple[Any, ...]]]
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray | None], list[int]]:
-        row_ids = [row_id for row_id, _ in rows]
-        columns: dict[str, np.ndarray] = {}
-        null_masks: dict[str, np.ndarray | None] = {}
-        n = len(rows)
-        for position, col in enumerate(self.schema):
-            raw = [row[position] for _, row in rows]
-            mask = np.fromiter((v is None for v in raw), dtype=bool, count=n)
-            has_nulls = bool(mask.any())
-            dtype = col.dtype.numpy_dtype
-            if dtype == object:
-                arr = np.empty(n, dtype=object)
-                arr[:] = ["" if v is None else v for v in raw]
-            else:
-                fill = 0 if dtype != np.bool_ else False
-                arr = np.array([fill if v is None else v for v in raw], dtype=dtype)
-            columns[col.name] = arr
-            null_masks[col.name] = mask if has_nulls else None
-        return columns, null_masks, row_ids
-
-    def to_columns(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray | None], list[int]]:
-        """Materialize live rows as column arrays for vectorized scans /
-        compression.
-
-        Returns (columns, null_masks, row_ids). VARCHAR columns come back
-        as object arrays, everything else in the physical NumPy dtype.
-        """
-        return self._columnize(self._live_items())
+    def to_columns(self, names: list[str] | None = None) -> Columns:
+        """Live rows as columns: see :meth:`FrozenDeltaView.to_columns`."""
+        with self._lock:
+            return self._live_view().to_columns(names)
 
     def capture(self, epoch: int) -> "FrozenDeltaView":
-        """An immutable columnar capture of the rows visible at ``epoch``.
-
-        Snapshot reads pin one of these at statement start: the B-tree
-        keeps mutating under concurrent DML, but a frozen view's arrays
-        are fresh copies, so a scan against it can run without holding
-        any lock (see :meth:`ColumnStoreIndex.pin_scan_units`).
-        """
-        columns, null_masks, row_ids = self._columnize(self._items_at(epoch))
-        return FrozenDeltaView(self.delta_id, columns, null_masks, row_ids)
+        """The rows committed at or before ``epoch`` and not deleted as of
+        it, for a snapshot read's pin: only the slot index is computed
+        under the lock, the view gathers later."""
+        with self._lock:
+            buffers, n = self._buffers, self._length
+            visible = (buffers.inserted[:n] <= epoch) & (buffers.deleted[:n] > epoch)
+            return FrozenDeltaView(self.delta_id, buffers, np.flatnonzero(visible))
 
     @property
     def size_bytes(self) -> int:
-        """Uncompressed accounting size (rows are stored as Python tuples)."""
-        total = 0
-        for _, row in self.scan():
-            for col, value in zip(self.schema, row):
-                if value is None:
-                    total += 2
-                elif isinstance(value, str):
-                    total += len(value.encode("utf-8")) + 2
-                else:
-                    total += col.dtype.fixed_width_bytes
-            total += 16  # per-row B-tree overhead
+        """Uncompressed accounting size of the live rows: type width per
+        value, UTF-8 length + 2 per string, 2 per NULL, 16 per row."""
+        columns, null_masks, row_ids = self.to_columns()
+        total = 16 * row_ids.size
+        for col in self.schema:
+            values, mask = columns[col.name], null_masks[col.name]
+            if mask is not None:
+                total += 2 * int(mask.sum())
+                values = values[~mask]
+            if values.dtype == object:
+                total += sum(len(v.encode("utf-8")) + 2 for v in values.tolist())
+            else:
+                total += values.size * col.dtype.fixed_width_bytes
         return total
 
 
 class FrozenDeltaView:
-    """A point-in-time columnar copy of one delta store.
+    """Some rows of one delta store: the buffers of a moment and the
+    slots selected from them, which are never rewritten — concurrent DML
+    never shows through. Duck-compatible with the slice of
+    :class:`DeltaStore` the scan path uses, and read-only."""
 
-    Duck-compatible with the slice of :class:`DeltaStore` the scan path
-    uses (``delta_id`` / ``row_count`` / ``to_columns`` / ``scan``), but
-    backed by arrays materialized at :meth:`DeltaStore.capture` time —
-    concurrent inserts and deletes against the live store never show
-    through. Read-only by construction: it has no mutating methods.
-    """
+    __slots__ = ("delta_id", "_buffers", "_slots")
 
-    __slots__ = ("delta_id", "_columns", "_null_masks", "_row_ids")
-
-    def __init__(
-        self,
-        delta_id: int,
-        columns: dict[str, np.ndarray],
-        null_masks: dict[str, np.ndarray | None],
-        row_ids: list[int],
-    ) -> None:
+    def __init__(self, delta_id: int, buffers: _Buffers, slots: np.ndarray) -> None:
         self.delta_id = delta_id
-        self._columns = columns
-        self._null_masks = null_masks
-        self._row_ids = row_ids
+        self._buffers = buffers
+        self._slots = slots
 
     @property
     def row_count(self) -> int:
-        return len(self._row_ids)
+        return int(self._slots.size)
 
-    def to_columns(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray | None], list[int]]:
-        return self._columns, self._null_masks, self._row_ids
+    def to_columns(self, names: list[str] | None = None) -> Columns:
+        """(columns, null_masks, row_ids) of the selected rows, gathered
+        into fresh arrays for ``names`` only (default: every column).
+        VARCHAR comes back as object arrays, everything else in its
+        physical NumPy dtype; a column without NULLs has mask None."""
+        buffers, slots = self._buffers, self._slots
+        columns: dict[str, np.ndarray] = {}
+        null_masks: dict[str, np.ndarray | None] = {}
+        for name in buffers.values if names is None else names:
+            columns[name] = buffers.values[name][slots]
+            mask = buffers.nulls[name][slots]
+            null_masks[name] = mask if mask.any() else None
+        return columns, null_masks, buffers.row_ids[slots]
 
-    def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """(row_id, row) pairs reconstructed from the frozen columns."""
-        names = list(self._columns)
-        for position, row_id in enumerate(self._row_ids):
-            row = []
-            for name in names:
-                mask = self._null_masks[name]
-                if mask is not None and mask[position]:
-                    row.append(None)
-                else:
-                    value = self._columns[name][position]
-                    row.append(value.item() if hasattr(value, "item") else value)
-            yield row_id, tuple(row)
+    def scan(self) -> list[tuple[int, tuple[Any, ...]]]:
+        """(row_id, row) pairs with Python-native values, in row-id order."""
+        columns, null_masks, row_ids = self.to_columns()
+        cells = [python_values(columns[name], null_masks[name]) for name in columns]
+        return list(zip(row_ids.tolist(), zip(*cells)))

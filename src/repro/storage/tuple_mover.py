@@ -2,7 +2,7 @@
 
 In SQL Server this is a background task; here it runs when invoked (tests
 and benchmarks drive it explicitly, and the database facade exposes it as a
-maintenance call). Each closed delta store is materialized column-wise,
+maintenance call). Each closed delta store's live columns are gathered,
 compressed through the bulk loader, and dropped — after which its rows are
 served from the new compressed row group.
 
@@ -11,8 +11,8 @@ takes the exclusive side of the database lock, like any writer: no
 reader is mid-pin and no DML is mid-statement while it reorganizes. A
 reader that pinned *before* the run is unaffected — the mover never
 mutates a delta store or row group in place, it builds new row groups
-and swaps the directory, so a pinned snapshot (frozen delta copies +
-the old group list) keeps serving the same rows the statement started
+and swaps the directory, so a pinned snapshot (delta captures + the
+old group list) keeps serving the same rows the statement started
 with.
 """
 

@@ -153,10 +153,14 @@ class DataType:
         if isinstance(value, bool):
             raise TypeMismatchError(f"expected decimal, got {value!r}")
         if isinstance(value, (int, np.integer)):
-            return int(value) * 10**self.scale
-        if isinstance(value, (float, np.floating)):
-            return int(round(float(value) * 10**self.scale))
-        raise TypeMismatchError(f"expected decimal, got {value!r}")
+            scaled = int(value) * 10**self.scale
+        elif isinstance(value, (float, np.floating)) and np.isfinite(value):
+            scaled = int(round(float(value) * 10**self.scale))
+        else:
+            raise TypeMismatchError(f"expected decimal, got {value!r}")
+        if not -(2**63) <= scaled < 2**63:
+            raise TypeMismatchError(f"{value} out of range for {self}")
+        return scaled
 
     def _coerce_varchar(self, value: Any) -> str:
         if not isinstance(value, str):
@@ -179,6 +183,8 @@ class DataType:
         if isinstance(value, bool):
             raise TypeMismatchError(f"expected date, got {value!r}")
         if isinstance(value, (int, np.integer)):
+            if not -(2**31) <= value < 2**31:
+                raise TypeMismatchError(f"{value} days out of range for date")
             return int(value)
         raise TypeMismatchError(f"expected date, got {value!r}")
 

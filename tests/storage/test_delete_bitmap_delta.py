@@ -98,7 +98,7 @@ class TestDeltaStore:
         assert columns["id"].dtype == np.int32
         assert masks["v"].tolist() == [False, True]
         assert masks["id"] is None
-        assert row_ids == [1, 2]
+        assert row_ids.tolist() == [1, 2]
 
     def test_size_bytes_grows(self, sch):
         delta = DeltaStore(0, sch)

@@ -480,3 +480,45 @@ def test_join_keys_of_different_scales_are_refused_by_name():
         assert "DECIMAL(18,2)" in str(refused.value)
         assert ("INT" if "d.i" in condition else "DECIMAL(18,1)") in str(refused.value)
     assert db.sql("SELECT t.i FROM t JOIN d ON t.q = d.q AND t.i = d.i").rows == []
+
+
+# BETWEEN is the Kleene AND of its two comparisons: one known FALSE makes
+# it FALSE even when the other bound is NULL (it once answered NULL, so
+# NOT (a BETWEEN NULL AND 0) lost every row). Compressed groups and a
+# delta tail, literal and column bounds, numbers and strings.
+BETWEEN_ROWS = [
+    (1, 0, 2, "b"), (5, None, 9, "q"), (None, 1, 1, None), (3, 3, None, "c"),
+    (-2, 0, None, "a"), (7, None, None, "z"), (0, -1, 0, "m"), (4, 6, 2, "d"),
+]
+BETWEEN_QUERIES = [
+    "SELECT a FROM t WHERE NOT (a BETWEEN NULL AND 0)",
+    "SELECT a FROM t WHERE NOT (a BETWEEN 3 AND NULL)",
+    "SELECT a FROM t WHERE a NOT BETWEEN NULL AND 3",
+    "SELECT a, lo, hi FROM t WHERE NOT (a BETWEEN lo AND hi)",
+    "SELECT a, lo, hi FROM t WHERE a BETWEEN lo AND hi",
+    "SELECT s FROM t WHERE NOT (s BETWEEN NULL AND 'c')",
+    "SELECT s FROM t WHERE s NOT BETWEEN 'c' AND NULL",
+    "SELECT COUNT(*) FROM t WHERE NOT (a BETWEEN NULL AND 0)",
+    "SELECT a, CASE WHEN a BETWEEN lo AND 4 THEN 'T' "
+    "WHEN NOT (a BETWEEN lo AND 4) THEN 'F' ELSE 'N' END FROM t",
+]
+
+
+@pytest.mark.parametrize("sql", BETWEEN_QUERIES)
+@pytest.mark.parametrize("mode", ["batch", "row"])
+def test_between_with_null_bounds_agrees_with_sqlite(sql, mode):
+    db = Database(StoreConfig(rowgroup_size=4, bulk_load_threshold=4))
+    db.create_table(
+        "t", schema(("a", types.INT), ("lo", types.INT), ("hi", types.INT), ("s", types.VARCHAR))
+    )
+    db.bulk_load("t", BETWEEN_ROWS[:6])
+    db.insert("t", BETWEEN_ROWS[6:])
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (a INTEGER, lo INTEGER, hi INTEGER, s TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", BETWEEN_ROWS)
+        theirs = conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+    assert theirs
+    assert oracle_normalize(db.sql(sql, mode=mode).rows) == oracle_normalize(theirs)

@@ -51,6 +51,31 @@ class TestCoercion:
     def test_decimal_rounds(self):
         assert types.decimal(2).coerce(1.005) in (100, 101)  # float rounding
 
+    def test_decimal_scaled_value_must_fit_int64(self):
+        assert types.decimal(18).coerce(9) == 9 * 10**18
+        for value in (10, -10, 1e19, float("inf"), float("nan")):
+            with pytest.raises(TypeMismatchError):
+                types.decimal(18).coerce(value)
+
+    def test_decimal_overflow_is_refused_at_insert_not_at_read(self):
+        """An out-of-range DECIMAL used to be stored, and every later
+        SELECT and bulk load of the table raised OverflowError."""
+        from repro import Database
+
+        db = Database()
+        db.sql("CREATE TABLE t (d DECIMAL(20, 18))")
+        with pytest.raises(TypeMismatchError):
+            db.sql("INSERT INTO t VALUES (100)")
+        db.sql("INSERT INTO t VALUES (2.5)")
+        assert db.sql("SELECT d FROM t").rows == [(2.5,)]
+        with pytest.raises(TypeMismatchError):
+            db.bulk_load("t", [(100,)])
+
+    def test_date_day_count_must_fit_int32(self):
+        assert types.DATE.coerce(-(2**31)) == -(2**31)
+        with pytest.raises(TypeMismatchError):
+            types.DATE.coerce(2**31)
+
     def test_varchar_accepts_str(self):
         assert types.VARCHAR.coerce("hi") == "hi"
 
