@@ -22,7 +22,7 @@ import pytest
 from conftest import save_report, scaled
 
 from repro import types
-from repro.bench.harness import ReportTable, time_call
+from repro.bench.harness import ReportTable, same_rows, time_call
 from repro.exec.operators.hash_aggregate import BatchHashAggregate, agg, count_star
 from repro.exec.operators.scan import ColumnStoreScan
 from repro.observability import get_registry, snapshot_delta
@@ -129,13 +129,10 @@ def test_e23_encoded_aggregation(benchmark, report_dir, store):
          "runs processed", "code-space groups"],
     )
 
-    def sort_key(row):
-        return tuple((v is None, str(type(v)), 0 if v is None else v) for v in row)
-
     for r in results:
         on, off = r["on"], r["off"]
         # The whole point: identical answers, bit for bit.
-        assert sorted(on["rows"], key=sort_key) == sorted(off["rows"], key=sort_key)
+        same_rows(on["rows"], off["rows"])
         win = off["ms"] / max(on["ms"], 1e-9)
         report.add_row(
             r["label"],

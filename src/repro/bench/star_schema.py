@@ -41,10 +41,6 @@ class StarSchema:
     n_stores: int
     seed: int
 
-    @property
-    def tables(self) -> list[str]:
-        return ["date_dim", "customer", "item", "store", "store_sales"]
-
 
 DATE_DIM_SCHEMA = schema(
     ("d_id", types.INT, False),

@@ -122,10 +122,6 @@ class ConcurrentDatabase:
         with self.lock.write_locked():
             self.db.rebuild(table)
 
-    def set_archival(self, table: str, enabled: bool) -> None:
-        with self.lock.write_locked():
-            self.db.set_archival(table, enabled)
-
     def save(self, path: str, disk=None, force: bool = False) -> None:
         with self.lock.write_locked():
             self.db.save(path, disk=disk, force=force)

@@ -97,10 +97,6 @@ class Session(Isolation):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else ("in-txn" if self.in_txn else "idle")
-        return f"<Session {self.name} {state} statements={self.statements}>"
-
     def cancel_running(self) -> bool:
         """Cancel this session's in-flight statement (from another thread).
 

@@ -84,12 +84,6 @@ class Table:
         if self.columnstore is not None:
             self.columnstore.insert(row, txn)
 
-    def bulk_load(self, rows: Sequence[Sequence[Any]]) -> int:
-        """Validate and load rows through the bulk path; returns count."""
-        return self.bulk_load_physical(
-            [self.schema.coerce_row(row) for row in rows]
-        )
-
     def bulk_load_physical(self, physical: Sequence[tuple[Any, ...]], txn=None) -> int:
         """Bulk-load already-coerced rows (the WAL replay path)."""
         if self.storage_kind is StorageKind.COLUMNSTORE:

@@ -22,7 +22,7 @@ from typing import Any, Iterator, Sequence
 from ..errors import CatalogError, PlanningError, StorageError, TxnError
 from ..governance import QueryContext, get_query_registry
 from ..mvcc import EpochManager
-from ..exec.expressions import Column, Expr
+from ..exec.expressions import Expr
 from ..exec.operators.scan import ColumnStoreScan
 from ..exec.row_engine import RID_COLUMN, RowTableScan
 from ..observability import ExecutionStats
@@ -59,11 +59,6 @@ class Result:
     def __iter__(self) -> Iterator[tuple[Any, ...]]:
         return iter(self.rows)
 
-    def to_pydict(self) -> dict[str, list[Any]]:
-        return {
-            name: [row[i] for row in self.rows] for i, name in enumerate(self.columns)
-        }
-
     def scalar(self) -> Any:
         """The single value of a one-row, one-column result."""
         if len(self.rows) != 1 or len(self.columns) != 1:
@@ -71,9 +66,6 @@ class Result:
                 f"scalar() needs a 1x1 result, got {len(self.rows)}x{len(self.columns)}"
             )
         return self.rows[0][0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Result(columns={self.columns}, rows={len(self.rows)})"
 
 
 class Database:

@@ -66,9 +66,6 @@ class Expr(abc.ABC):
     def children(self) -> Sequence["Expr"]:
         return ()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return str(self)
-
 
 class Column(Expr):
     """Reference to a column by name."""
@@ -814,11 +811,6 @@ class FunctionCall(Expr):
             raise ExecutionError(f"unknown function {name!r}")
         self.name = key
         self.operands = list(operands)
-
-    @property
-    def operand(self) -> Expr:
-        """The sole operand of a unary call (kept for rewrite passes)."""
-        return self.operands[0]
 
     def children(self) -> Sequence[Expr]:
         return tuple(self.operands)

@@ -3,8 +3,7 @@
 The expanded operator repertoire of the paper: columnstore scan (with
 segment elimination, predicate pushdown — including evaluation on encoded
 data — and bitmap-filter pushdown), filter, project, hash join with
-spilling, hash aggregation with spilling, sort, top-n, concat/union and
-row/batch adapters.
+spilling, hash aggregation with spilling, sort and top-n.
 """
 
 from .base import BatchOperator
@@ -14,10 +13,8 @@ from .project import BatchProject
 from .hash_join import BatchHashJoin
 from .hash_aggregate import BatchHashAggregate
 from .sort import BatchSort, BatchTop
-from .union import BatchConcat
 
 __all__ = [
-    "BatchConcat",
     "BatchFilter",
     "BatchHashAggregate",
     "BatchHashJoin",

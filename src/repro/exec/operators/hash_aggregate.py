@@ -281,12 +281,7 @@ class _GroupState:
     def _combine_object(
         self, spec_index: int, func: str, gids: np.ndarray, values: np.ndarray
     ) -> None:
-        store = self._values[spec_index]
-        if store is None or store[0] != "obj":
-            # Mixed dtypes across batches: demote the numeric store.
-            self._demote_to_object(spec_index)
-            store = self._values[spec_index]
-        data = store[1]
+        data = self._values[spec_index][1]
         op = min if func == "min" else max if func == "max" else None
         vals = values.tolist()
         for gid, value in zip(gids.tolist(), vals):
@@ -297,16 +292,6 @@ class _GroupState:
                 data[gid] = op(current, value)
             else:
                 data[gid] = current + value
-
-    def _demote_to_object(self, spec_index: int) -> None:
-        old = self._values[spec_index]
-        data: list = [None] * self._capacity
-        if old is not None and old[0] != "obj":
-            counts = self.counts[spec_index]
-            for gid in range(self.n_groups):
-                if counts[gid]:
-                    data[gid] = old[1][gid].item()
-        self._values[spec_index] = ("obj", data)
 
     # ------------------------------------------------------------------ #
     # Merge partials (spilled partial rows, per-run folds)

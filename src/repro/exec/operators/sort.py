@@ -191,7 +191,11 @@ class BatchSort(BatchOperator):
         def run_rows(run: SpillFile):
             for batch in run.read_back():
                 for name, arr in batch.columns.items():
-                    dtypes.setdefault(name, arr.dtype)
+                    # An all-NULL column holds filler (int64 for a spilled
+                    # GROUP BY's NULL-only partition), not its type.
+                    mask = batch.null_mask(name)
+                    if mask is None or not mask.all():
+                        dtypes.setdefault(name, arr.dtype)
                 yield from batch.to_rows()
 
         def sort_key(row: tuple) -> tuple:

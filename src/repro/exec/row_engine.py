@@ -13,7 +13,6 @@ with batch mode, so both engines compute identical results.
 from __future__ import annotations
 
 import abc
-import heapq
 from typing import Any, Iterator
 
 from ..errors import ExecutionError
@@ -216,10 +215,6 @@ class RowColumnStoreScan(RowOperator):
         mutate the live structures.
         """
         self._pinned_units = self.index.pin_scan_units(epoch)
-
-    @property
-    def pinned(self) -> bool:
-        return self._pinned_units is not None
 
     def rows(self) -> Iterator[dict[str, Any]]:
         names = self._all_names
@@ -559,29 +554,6 @@ class RowsToBatches(BatchOperator):
                 buffer = []
         if buffer:
             yield _rows_to_batch(names, buffer)
-
-
-class BatchesToRows(RowOperator):
-    """Adapter: row operators over a batch child."""
-
-    def __init__(self, child: BatchOperator) -> None:
-        self.child = child
-
-    @property
-    def output_names(self) -> list[str]:
-        return self.child.output_names
-
-    def describe(self) -> str:
-        return "BatchesToRows"
-
-    def child_operators(self) -> list:
-        return [self.child]
-
-    def rows(self) -> Iterator[dict[str, Any]]:
-        names = self.child.output_names
-        for batch in self.child.batches():
-            for row in batch.to_rows():
-                yield dict(zip(names, row))
 
 
 def _rows_to_batch(names: list[str], buffered: list[dict[str, Any]]) -> Batch:

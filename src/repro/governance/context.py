@@ -138,10 +138,6 @@ class QueryContext:
         self._cancel.set()
 
     @property
-    def cancelled(self) -> bool:
-        return self._cancel.is_set()
-
-    @property
     def elapsed_ms(self) -> float:
         return (time.monotonic() - self.started_monotonic) * 1000.0
 
@@ -246,12 +242,6 @@ class QueryContext:
             "state": ("cancelling" if self._cancel.is_set() else "running"),
             "epoch": self.epoch,
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"<QueryContext id={self.query_id} session={self.session!r} "
-            f"elapsed={self.elapsed_ms:.0f}ms reserved={self.reserved_bytes}>"
-        )
 
 
 # ---------------------------------------------------------------------- #

@@ -69,10 +69,6 @@ class ReaderLease:
     def __exit__(self, *exc_info) -> None:
         self.release()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "released" if self.released else "active"
-        return f"<ReaderLease epoch={self.epoch} tag={self.tag!r} {state}>"
-
 
 class ReaderRegistry:
     """Active snapshot readers, keyed by lease; feeds the GC horizon."""

@@ -27,7 +27,6 @@ from ..exec.operators.scan import ColumnStoreScan
 from ..exec.operators.sort import BatchSort, BatchTop
 from ..exec.operators.window import BatchWindow
 from ..exec.row_engine import (
-    BatchesToRows,
     RowColumnStoreScan,
     RowFilter,
     RowHashAggregate,

@@ -110,9 +110,6 @@ class TableSchema:
         """A new schema containing only the named columns, in the given order."""
         return TableSchema([self.column(name) for name in names])
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(col) for col in self.columns) + ")"
-
 
 def schema(*specs: tuple[str, DataType] | tuple[str, DataType, bool] | ColumnDef) -> TableSchema:
     """Build a :class:`TableSchema` from ``(name, dtype[, nullable])`` tuples.

@@ -333,13 +333,6 @@ class ReproServer:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
 
-    def __enter__(self) -> "ReproServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
 
 def serve(
     path: str,

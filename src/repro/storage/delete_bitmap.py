@@ -41,16 +41,6 @@ class DeleteBitmap:
         # snapshot readers call mask_for with no outer lock held, and a
         # dict being resized mid-iteration would tear the capture.
         self._lock = threading.Lock()
-        # Monotonic mutation counter. Snapshot reads pin a bitmap version
-        # at statement start (masks are materialized then) and concurrent
-        # DML bumps this, so a pinned scan can tell — and tests can
-        # assert — that its masks predate any concurrent mutation.
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotonic version, bumped by every mark/unmark/forget."""
-        return self._version
 
     # ------------------------------------------------------------------ #
     # Marking
@@ -67,7 +57,6 @@ class DeleteBitmap:
             if position in positions:
                 return False
             positions[position] = epoch
-            self._version += 1
             return True
 
     def stamp(self, group_id: int, position: int, epoch: int) -> None:
@@ -97,7 +86,6 @@ class DeleteBitmap:
             del positions[position]
             if not positions:
                 del self._deleted[group_id]
-            self._version += 1
             return True
 
     def mark_many(
@@ -115,9 +103,7 @@ class DeleteBitmap:
                 if p not in existing:
                     existing[p] = epoch
                     added += 1
-            if added:
-                self._version += 1
-            elif not existing:
+            if not existing:
                 del self._deleted[group_id]
             return added
 
@@ -165,8 +151,7 @@ class DeleteBitmap:
     def forget_group(self, group_id: int) -> None:
         """Drop all marks for a row group (after rebuild/removal)."""
         with self._lock:
-            if self._deleted.pop(group_id, None) is not None:
-                self._version += 1
+            self._deleted.pop(group_id, None)
 
     def take_group(self, group_id: int) -> dict[int, int]:
         """Detach and return a row group's marks (group retirement).
@@ -181,7 +166,6 @@ class DeleteBitmap:
             marks = self._deleted.pop(group_id, None)
             if marks is None:
                 return {}
-            self._version += 1
             return dict(marks)
 
     def groups_with_deletes(self) -> list[int]:

@@ -37,9 +37,6 @@ class TypeKind(enum.Enum):
     DATE = "date"
     BOOL = "bool"
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TypeKind.{self.name}"
-
 
 # Kinds presented as a plain Python number: ``py(v)`` for one cell,
 # ``astype(py)`` for a column — one table, so the two cannot disagree.
@@ -80,16 +77,8 @@ class DataType:
     # Classification helpers
     # ------------------------------------------------------------------ #
     @property
-    def is_integer(self) -> bool:
-        return self.kind in (TypeKind.INT, TypeKind.BIGINT)
-
-    @property
     def is_numeric(self) -> bool:
         return self.kind in (TypeKind.INT, TypeKind.BIGINT, TypeKind.FLOAT, TypeKind.DECIMAL)
-
-    @property
-    def is_string(self) -> bool:
-        return self.kind is TypeKind.VARCHAR
 
     # ------------------------------------------------------------------ #
     # Physical representation

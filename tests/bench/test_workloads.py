@@ -1,14 +1,23 @@
 """Tests for the benchmark workloads: generators, star schema and the
-full 22-query suite (batch vs row equivalence on identical data)."""
+full 22-query suite (every differential arm answers as batch mode), and
+for the harness that compares them."""
 
-import numpy as np
 import pytest
 
 from repro import StoreConfig
 from repro.bench.datagen import DATASET_SPECS, make_dataset
-from repro.bench.harness import ReportTable, assert_same_result, time_call
+from repro.bench.harness import (
+    ARMS,
+    Arm,
+    ReportTable,
+    answer,
+    same_answers,
+    same_rows,
+    time_call,
+)
 from repro.bench.queries import QUERY_SUITE, query_by_id
 from repro.bench.star_schema import build_star_schema, generate_star_data
+from repro.errors import BindingError
 
 
 class TestDatagen:
@@ -104,13 +113,10 @@ class TestQuerySuite:
             query_by_id("Q99")
 
     @pytest.mark.parametrize("query", QUERY_SUITE, ids=lambda q: q.qid)
-    def test_batch_and_row_agree(self, small_star, query):
-        """Every suite query returns identical results in both modes."""
-        rows = assert_same_result(
-            small_star.db, small_star.db, query.sql, "batch", "row"
-        )
+    def test_every_arm_answers_as_batch_mode(self, small_star, query):
+        assert same_answers(small_star.db, query.sql) == [arm.name for arm in ARMS]
         if query.qid not in ("Q03",):  # Q03 may legitimately select 0 rows
-            assert rows >= 1
+            assert small_star.db.sql(query.sql).rows
 
 
 class TestHarness:
@@ -132,13 +138,27 @@ class TestHarness:
         with pytest.raises(ValueError):
             table.add_row(1, 2)
 
-    def test_assert_same_result_detects_difference(self, small_star):
-        other = build_star_schema(100, storage="columnstore")
-        with pytest.raises(AssertionError):
-            assert_same_result(
-                small_star.db,
-                other.db,
-                "SELECT COUNT(*) AS n FROM store_sales",
-                "batch",
-                "batch",
-            )
+    def test_same_answers_names_the_arm_that_differs(self, small_star):
+        other = build_star_schema(100, storage="columnstore").db
+
+        class OtherDatabase(Arm):
+            def answer(self, db, sql):
+                return answer(other, sql)
+
+        sql = "SELECT COUNT(*) AS n FROM store_sales"
+        with pytest.raises(AssertionError, match="other database differs"):
+            same_answers(small_star.db, sql, [ARMS[0], OtherDatabase("other database")])
+        with pytest.raises(AssertionError, match="arm: Failure"):  # an error against rows
+            same_answers(small_star.db, sql, [Arm("batch_size=0", {"batch_size": 0})])
+        failing = "SELECT COUNT(*) AS n FROM store_sales WHERE nope = 1"
+        with pytest.raises(BindingError, match="nope"):  # the reference must run
+            same_answers(small_star.db, failing, [])
+
+    def test_same_rows_compares_floats_by_bits_or_to_digits(self):
+        same_rows([(0.1 + 0.2, "a"), (None, "b")], [(None, "b"), (0.3, "a")], digits=6)
+        for got, want in ([(0.1 + 0.2,)], [(0.3,)]), ([(-0.0,)], [(0.0,)]), ([(1,)], [(1.0,)]):
+            with pytest.raises(AssertionError):
+                same_rows(got, want)
+        same_rows([(float("nan"), True)], [(float("nan"), True)])
+        with pytest.raises(AssertionError, match="in order"):
+            same_rows([(1,), (2,)], [(2,), (1,)], label="in order", ordered=True)

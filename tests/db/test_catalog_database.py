@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Database, StoreConfig, schema, types
-from repro.db.catalog import StorageKind
+from repro.bench.harness import same_answers
 from repro.errors import CatalogError
 from repro.exec.expressions import Comparison, col, lit
 from repro.observability import get_registry, snapshot_delta
@@ -52,9 +52,7 @@ class TestStorageKinds:
     def test_both_queries_agree_across_modes(self, db, sch):
         db.create_table("t", sch, storage="both")
         db.insert("t", [(i, f"v{i % 3}") for i in range(50)])
-        batch = db.sql("SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY v", mode="batch")
-        row = db.sql("SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY v", mode="row")
-        assert batch.rows == row.rows
+        same_answers(db, "SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY v")
 
     def test_unknown_storage_string(self, db, sch):
         with pytest.raises(ValueError):

@@ -4,11 +4,9 @@ run-length group keys folded per run.
 Every test compares the encoded fast path against the decoded path with
 exact equality (no rounding): the fast path must be bit-identical, not
 merely close. The Hypothesis properties sweep dict/RLE/bitpack segments
-with NULLs, deletes, and trickle-inserted delta rows; the run-key one
-takes ``REPRO_RUN_KEY_EXAMPLES`` examples (CI runs a long profile).
+with NULLs, deletes, and trickle-inserted delta rows; CI runs the
+run-key one under the long hypothesis profile.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -16,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, types
+from repro.bench.harness import same_rows
 from repro.exec.expressions import Between, Comparison, col, lit
 from repro.exec.operators.hash_aggregate import BatchHashAggregate, agg, count_star
 from repro.errors import QueryKilledError
@@ -29,6 +28,8 @@ from repro.storage.encodings import Scheme
 from repro.storage.rle import RleBlock
 from repro.storage.segment import DictionaryVector, RunVector
 
+from .. import examples
+
 
 def run_agg(store, columns, group_keys, aggs, predicate=None, encoded=True):
     scan = ColumnStoreScan(store, columns, predicate=predicate)
@@ -40,14 +41,6 @@ def run_agg(store, columns, group_keys, aggs, predicate=None, encoded=True):
     for batch in op.batches():
         rows.extend(batch.to_rows())
     return rows, scan
-
-
-def sort_key(row):
-    return tuple((v is None, str(type(v)), 0 if v is None else v) for v in row)
-
-
-def assert_same(fast_rows, slow_rows):
-    assert sorted(fast_rows, key=sort_key) == sorted(slow_rows, key=sort_key)
 
 
 @pytest.fixture
@@ -152,7 +145,7 @@ class TestCodeSpaceGroupBy:
         before = get_registry().counter("storage.scan.agg_code_space_groups")
         fast, fast_scan = run_agg(dict_store, ["k", "v"], ["k"], self.GROUP_AGGS)
         slow, _ = run_agg(dict_store, ["k", "v"], ["k"], self.GROUP_AGGS, encoded=False)
-        assert_same(fast, slow)
+        same_rows(fast, slow)
         assert {row[0] for row in fast} == {"a", "b", "c", None}
         assert fast_scan.stats.agg_fallbacks == 0
         assert get_registry().counter("storage.scan.agg_code_space_groups") > before
@@ -161,7 +154,7 @@ class TestCodeSpaceGroupBy:
         columns = ["k", "g", "v"]
         fast, scan = run_agg(dict_store, columns, ["k", "g"], self.GROUP_AGGS)
         slow, _ = run_agg(dict_store, columns, ["k", "g"], self.GROUP_AGGS, encoded=False)
-        assert_same(fast, slow)
+        same_rows(fast, slow)
         assert len(fast) == 20  # 4 k-values x 5 g-values
         assert scan.stats.agg_fallbacks == 0
 
@@ -173,14 +166,14 @@ class TestCodeSpaceGroupBy:
         columns = ["k", "v"]
         fast, _ = run_agg(dict_store, columns, ["k"], self.GROUP_AGGS, predicate)
         slow, _ = run_agg(dict_store, columns, ["k"], self.GROUP_AGGS, predicate, encoded=False)
-        assert_same(fast, slow)
+        same_rows(fast, slow)
         assert all(row[0] != "b" for row in fast)
 
     def test_archived_group_falls_back(self, dict_store):
         dict_store.archive()
         fast, scan = run_agg(dict_store, ["k", "v"], ["k"], self.GROUP_AGGS)
         slow, _ = run_agg(dict_store, ["k", "v"], ["k"], self.GROUP_AGGS, encoded=False)
-        assert_same(fast, slow)
+        same_rows(fast, slow)
         assert scan.stats.agg_fallbacks == scan.stats.units_seen
 
 
@@ -294,7 +287,7 @@ class TestMixedUnits:
         fast, scan = run_agg(mixed_store, columns, keys, aggs)
         grown = get_registry().snapshot()
         slow, _ = run_agg(mixed_store, columns, keys, aggs, encoded=False)
-        assert_same(fast, slow)
+        same_rows(fast, slow)
         assert scan.stats.morph == morphs
         assert scan.stats.columns_decoded == sum(morphs.values())
         assert scan.stats.agg_fallbacks == fallbacks
@@ -386,7 +379,7 @@ class TestFloatExactness:
         fast, _ = run_agg(store, ["grp", "f"], ["grp"], aggs)
         slow, _ = run_agg(store, ["grp", "f"], ["grp"], aggs, encoded=False)
         # Exact ==, not approx: float accumulation order must match.
-        assert_same(fast, slow)
+        same_rows(fast, slow)
 
         scalar = [agg("sum", "f", "s"), agg("avg", "f", "m")]
         fast, scan = run_agg(store, ["f"], [], scalar)
@@ -400,7 +393,7 @@ class TestFloatExactness:
 # Property: encoded == decoded over random segments
 # --------------------------------------------------------------------- #
 SETTINGS = settings(
-    max_examples=30,
+    max_examples=examples(30),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -457,7 +450,7 @@ def test_encoded_agg_equals_decoded(rows, delete_step, trickle):
     for keys in ([], ["k"], ["k", "r"], ["r"]):
         fast, _ = run_agg(store, columns, keys, aggs)
         slow, _ = run_agg(store, columns, keys, aggs, encoded=False)
-        assert_same(fast, slow)
+        same_rows(fast, slow)
 
 
 @given(rows=rows_strategy)
@@ -470,17 +463,12 @@ def test_encoded_agg_with_predicate_equals_decoded(rows):
     for keys in ([], ["k"]):
         fast, _ = run_agg(store, columns, keys, aggs, predicate)
         slow, _ = run_agg(store, columns, keys, aggs, predicate, encoded=False)
-        assert_same(fast, slow)
+        same_rows(fast, slow)
 
 
 # --------------------------------------------------------------------- #
 # Run-length group keys: coded by value, folded per run
 # --------------------------------------------------------------------- #
-def _bits(rows):
-    """Rows as a sorted list, every float by its bits (-0.0 is not 0.0)."""
-    return sorted(repr(tuple(v.hex() if isinstance(v, float) else v for v in row)) for row in rows)
-
-
 class TestRunKeys:
     GROUP_SQL = "SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM kv GROUP BY grp"
 
@@ -519,7 +507,8 @@ class TestRunKeys:
 
         encoded = kv.sql(self.GROUP_SQL, stats=True)
         decoded = kv.sql(self.GROUP_SQL, stats=True, enable_encoded_agg=False)
-        assert sorted(encoded.rows) == sorted(decoded.rows) and len(encoded.rows) == 10
+        same_rows(encoded.rows, decoded.rows)
+        assert len(encoded.rows) == 10
         stats = encoded.stats
         assert stats.counter("storage.scan.morph.key_not_dictionary") == 0
         assert stats.counter("storage.scan.agg_fallbacks") == deltas
@@ -557,7 +546,8 @@ class TestRunKeys:
             scan.takes_encoded = op.takes_encoded()
             fast = [row for batch in op.batches() for row in batch.to_rows()]
             slow, _ = run_agg(store, columns, ["store"], aggs, encoded=False)
-            assert _bits(fast) == _bits(slow) and len(fast) == 20
+            same_rows(fast, slow)
+            assert len(fast) == 20
             assert scan.stats.agg_runs_processed == 2 * 400
             arguments = {s.expr.name for s in aggs if s.expr is not None}
             assert scan.stats.columns_decoded == 2 * len(arguments)  # never the key
@@ -568,7 +558,7 @@ class TestRunKeys:
 
 
 RUN_KEY_SETTINGS = settings(
-    max_examples=int(os.environ.get("REPRO_RUN_KEY_EXAMPLES", "12")),
+    max_examples=examples(12),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -638,4 +628,4 @@ def test_run_keys_group_as_the_decoded_arm(table):
         for aggs in (EXACT_AGGS, FLOAT_SUMS):
             fast, _ = run_agg(store, columns, keys, aggs)
             slow, _ = run_agg(store, columns, keys, aggs, encoded=False)
-            assert _bits(fast) == _bits(slow)
+            same_rows(fast, slow)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.bench.harness import same_answers
 from repro.errors import BindingError
 from repro.exec.batch import Batch
 from repro.exec.expressions import ExecutionError, FunctionCall, col, lit
@@ -153,7 +154,7 @@ class TestSqlIntegration:
             "SELECT COALESCE(s, 'missing') AS s2, CONCAT(s, '/', f) AS c "
             "FROM t ORDER BY s2"
         )
-        assert db.sql(sql, mode="batch").rows == db.sql(sql, mode="row").rows
+        same_answers(db, sql)
 
     def test_bad_arity_is_binding_error(self, db):
         with pytest.raises(BindingError):

@@ -4,6 +4,8 @@ query, adapters, and mode forcing across storage kinds."""
 import pytest
 
 from repro import Database, StoreConfig, schema, types
+from repro.exec.operators.base import BatchOperator
+from repro.sql.runner import plan_query
 
 
 @pytest.fixture
@@ -55,6 +57,37 @@ class TestMixedModePlans:
         row = db.sql(sql, mode="row")
         assert auto.rows == batch.rows == row.rows
 
+    @pytest.mark.parametrize("mode", ["batch", "row"])
+    def test_every_operator_makes_the_columns_it_names(self, db, mode):
+        """A parent finds its child's columns by ``output_names``: every
+        logical node names distinct ones, every operator of either engine,
+        run on its own, makes exactly those (an encoded column beside the
+        plain ones), and EXPLAIN shows it."""
+        db.create_index("dims", "dims_did", ["did"])
+        for sql in (
+            "SELECT f.id, d.label FROM facts f JOIN dims d ON f.dim_id = d.did "
+            "WHERE f.v + d.did > 2 ORDER BY f.id LIMIT 3",
+            "SELECT d.label, SUM(f.v) AS s FROM facts f JOIN dims d ON f.dim_id = d.did "
+            "WHERE f.v * 2 > 1 GROUP BY d.label ORDER BY s",
+            "SELECT id, RANK() OVER (PARTITION BY dim_id ORDER BY v) AS r FROM facts",
+            "SELECT label FROM dims WHERE did = 3",
+        ):
+            plan = db.compile(plan_query(db, sql), mode=mode)
+            assert plan.logical.output_names() == plan.columns
+            for node in _tree(plan.logical, lambda node: node.children()):
+                assert len(set(node.output_names())) == len(node.output_names())
+            text = plan.explain()
+            assert all(op.describe() in text for op in _operators(plan.root))
+            for at in range(len(list(_operators(plan.root)))):
+                # A plan runs once (a join pushes its bitmap as it starts):
+                # a fresh one for each operator run on its own.
+                op = list(_operators(db.compile(plan_query(db, sql), mode=mode).root))[at]
+                if isinstance(op, BatchOperator):
+                    made = {name for batch in op.batches() for name in [*batch.names, *batch.encoded]}
+                else:
+                    made = {name for row in op.rows() for name in row}
+                assert made == set(op.output_names), (sql, op.describe())
+
     def test_forced_batch_adapts_rowstore_scan(self, db):
         plan = db.explain("SELECT label FROM dims", mode="batch")
         assert "RowsToBatches" in plan
@@ -78,6 +111,16 @@ class TestMixedModePlans:
             "WHERE f.id = 1000"
         )
         assert db.sql(sql).scalar() == 1
+
+
+def _tree(node, children):
+    yield node
+    for child in children(node):
+        yield from _tree(child, children)
+
+
+def _operators(root):
+    return _tree(root, lambda op: op.child_operators())
 
 
 class TestBothStorageModeChoice:

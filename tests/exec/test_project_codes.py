@@ -3,9 +3,10 @@ interprets less.
 
 * CASE-as-codes — a CASE of literal results leaves ``BatchProject`` as a
   dictionary vector when the aggregate above declared it groups by it —
-  against the decoded arm (``enable_encoded_agg=False``: nothing declared,
-  the CASE evaluated to a plain column), against row mode, and under a
-  grant small enough to spill; rows must be equal, floats included.
+  against every arm of the differential harness, the decoded one
+  (``enable_encoded_agg=False``: nothing declared, the CASE evaluated to a
+  plain column) in row order too, the row engine and a spilling budget
+  among them.
 * ``DictionaryVector.from_values`` by subtraction against ``np.unique``:
   equal ``decode()``, equal groups.
 * The group directory is consulted in bulk: a key costs an interpreter
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, StoreConfig
+from repro.bench.harness import ARMS, DECODED_IN_ORDER, same_answers
 from repro.exec.batch import AS_CODES, AS_ROWS, Batch
 from repro.exec.expressions import Case, Column, Comparison, Literal
 from repro.exec.operators.base import BatchOperator
@@ -28,9 +30,7 @@ from repro.exec.operators.hash_join import BatchHashJoin
 from repro.exec.operators.project import BatchProject
 from repro.storage.segment import DENSE_DOMAIN_PER_ROW, DictionaryVector
 
-
-def sort_key(row):
-    return tuple((v is None, str(type(v)), 0 if v is None else v) for v in row)
+from .. import examples
 
 
 def _db() -> Database:
@@ -86,13 +86,8 @@ STATEMENTS = {
 
 
 @pytest.mark.parametrize("name", list(STATEMENTS))
-def test_case_as_codes_equals_the_decoded_arm_row_mode_and_a_spilling_grant(name):
-    db, sql = _db(), STATEMENTS[name]
-    encoded = db.sql(sql).rows
-    assert encoded == db.sql(sql, enable_encoded_agg=False).rows  # order too
-    assert sorted(encoded, key=sort_key) == sorted(db.sql(sql, mode="row").rows, key=sort_key)
-    spilled = db.sql(sql, query_memory_budget=512)
-    assert sorted(encoded, key=sort_key) == sorted(spilled.rows, key=sort_key)
+def test_case_as_codes_answers_as_every_arm(name):
+    same_answers(_db(), STATEMENTS[name], (*ARMS, DECODED_IN_ORDER))
 
 
 def _aggregate_details(db, sql, **options):
@@ -247,7 +242,7 @@ def _groups(vector_or_values, mask, payload) -> list[tuple]:
     return _rows(aggregate)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(
     st.lists(st.integers(-50, 50), min_size=1, max_size=60),
     st.integers(-(2**62), 2**62),

@@ -10,24 +10,16 @@ from repro import types
 from repro.exec.batch import Batch, slice_into_batches
 from repro.exec.bloom import JoinBitmapFilter
 from repro.exec.expressions import Comparison, col, lit
+from repro.exec.memory import MemoryGrant
 from repro.exec.operators.base import BatchOperator
 from repro.exec.operators.hash_aggregate import agg, count_star
 from repro.exec.operators.sort import BatchSort, BatchTop, _sort_indices
-from repro.exec.operators.union import BatchConcat
-from repro.exec.row_engine import (
-    BatchesToRows,
-    RowFilter,
-    RowHashAggregate,
-    RowHashJoin,
-    RowProject,
-    RowSort,
-    RowTableScan,
-    RowTop,
-    RowsToBatches,
-)
+from repro.exec.row_engine import RowHashAggregate, RowHashJoin, RowProject, RowTableScan, RowTop
 from repro.exec.spill import SpillFile, partition_of
 from repro.rowstore.table import RowStoreTable
 from repro.schema import schema
+
+from .test_codes_through_join import BatchSource
 
 
 class ListSource(BatchOperator):
@@ -79,6 +71,16 @@ class TestBatchSort:
 
     def test_empty(self):
         assert collect(BatchSort(ListSource({"a": []}), [("a", False)])) == []
+
+    def test_spilled_merge_types_a_column_by_a_run_that_holds_a_value(self):
+        """A spilled GROUP BY emits its NULL group's partition alone, the
+        key as all-NULL int64 filler; the string runs after it must not
+        be read into int64."""
+        child = BatchSource(["g", "s"], [Batch.from_pydict({"g": [None], "s": [5]}),
+                                         Batch.from_pydict({"g": ["b", "a"], "s": [9, 1]})])
+        sort = BatchSort(child, [("s", False)], grant=MemoryGrant(budget_bytes=1))
+        assert collect(sort) == [("a", 1), (None, 5), ("b", 9)]
+        assert sort.stats.runs_spilled == 2
 
 
 class TestBatchTop:
@@ -164,17 +166,6 @@ def test_descending_order_equals_the_reversed_run_loop(values):
     batch = Batch(columns={"v": values})
     want = _stabilize_descending_loop(values, np.argsort(values, kind="stable")[::-1])
     assert _sort_indices(batch, [("v", True)]).tolist() == want.tolist()
-
-
-class TestConcat:
-    def test_union_all(self):
-        op = BatchConcat([ListSource({"a": [1]}), ListSource({"a": [2, 3]})])
-        assert collect(op) == [(1,), (2,), (3,)]
-
-    def test_renames_to_first_child(self):
-        op = BatchConcat([ListSource({"a": [1]}), ListSource({"b": [2]})])
-        assert op.output_names == ["a"]
-        assert collect(op) == [(1,), (2,)]
 
 
 class TestBloomFilter:
@@ -303,11 +294,6 @@ class TestRowEngine:
         rows = list(join.rows())
         assert len(rows) == 20  # g2 rows have no match
         assert all(r["label"] in ("zero", "one") for r in rows)
-
-    def test_adapters_roundtrip(self, row_table):
-        scan = RowTableScan(row_table, ["id", "g"])
-        adapted = BatchesToRows(RowsToBatches(scan, batch_size=7))
-        assert len(list(adapted.rows())) == 30
 
 
 @settings(max_examples=25, deadline=None)

@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, StoreConfig, types
+from repro.bench.harness import DECODED_IN_ORDER, ROW_ENGINE, SPILL, Arm, same_answers, same_rows
 from repro.bench.queries import QUERY_SUITE
 from repro.bench.star_schema import build_star_schema
 from repro.exec import batch as batch_module
@@ -39,6 +40,7 @@ from repro.observability.registry import STABLE_COUNTERS
 from repro.schema import schema
 from repro.storage.columnstore import ColumnStoreIndex
 
+from .. import examples
 from .test_codes_through_join import brute_force
 
 I64 = np.iinfo(np.int64)
@@ -95,7 +97,7 @@ def check_table(build_keys, probe_keys, probe_dtype=np.int64, build_dtype=np.int
     return table
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     keys=st.lists(st.one_of(st.none(), st.integers(-30, 30)), max_size=30),
     unique=st.booleans(),
@@ -146,7 +148,7 @@ def as_stored(value, dtype):
     return {np.int64: int, np.float64: float, np.bool_: bool, object: str}[dtype](value)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), width=st.integers(1, 3), few_cells=st.booleans())
 def test_every_coded_key_matches_the_nested_loop(data, width, few_cells):
     """Keys of one to three columns of any kind, NULLs among them, probed
@@ -362,11 +364,14 @@ def reference(join_type: str, fact: list[tuple], dim: list[tuple]) -> list[tuple
     return out
 
 
-def by_value(rows):
-    return sorted(rows, key=lambda row: tuple((v is None, 0 if v is None else v) for v in row))
-
-
 JOIN_SQL = {"inner": "JOIN", "left": "LEFT JOIN", "right": "RIGHT JOIN", "full": "FULL JOIN"}
+# Neither the declarations nor the bitmaps move a grouped row.
+GROUPED_ARMS = (
+    DECODED_IN_ORDER,
+    Arm("enable_bitmaps=off, in order", {"enable_bitmaps": False}, ordered=True),
+    ROW_ENGINE,
+    SPILL,
+)
 
 
 def rows_statement(join_type: str) -> str:
@@ -393,16 +398,11 @@ def test_join_types_by_how_many_rows_hit(join_type, hits, dimension):
     expected = reference(join_type, fact_rows(hits), DIMENSIONS[dimension])
 
     sql = rows_statement(join_type)
-    answer = db.sql(sql, mode="batch", stats=True)
-    if join_type in ("inner", "left"):
-        assert answer.rows == expected  # row order included
-    assert by_value(answer.rows) == by_value(expected)
-    no_bitmaps = db.sql(sql, mode="batch", enable_bitmaps=False, stats=True)
-    if join_type in ("inner", "left"):
-        assert no_bitmaps.rows == expected
-    assert by_value(no_bitmaps.rows) == by_value(expected)
-    assert by_value(db.sql(sql, mode="row").rows) == by_value(expected)
-    assert by_value(db.sql(sql, mode="batch", query_memory_budget=64).rows) == by_value(expected)
+    ordered = join_type in ("inner", "left")  # row order included
+    same_rows(db.sql(sql).rows, expected, ordered=ordered)
+    no_bitmaps = db.sql(sql, enable_bitmaps=False, stats=True)
+    same_rows(no_bitmaps.rows, expected, ordered=ordered)
+    same_answers(db, sql, [ROW_ENGINE, SPILL])
 
     # What passes through: the batches whose every row found its one
     # build row (an ANTI join emits none of those).
@@ -420,12 +420,7 @@ def test_join_types_by_how_many_rows_hit(join_type, hits, dimension):
         "rows_passed_through", 0
     )
 
-    sql = grouped_statement(join_type)
-    coded = db.sql(sql, mode="batch").rows
-    assert coded == db.sql(sql, mode="batch", enable_encoded_agg=False).rows
-    assert coded == db.sql(sql, mode="batch", enable_bitmaps=False).rows
-    assert by_value(coded) == by_value(db.sql(sql, mode="row").rows)
-    assert by_value(coded) == by_value(db.sql(sql, mode="batch", query_memory_budget=64).rows)
+    same_answers(db, grouped_statement(join_type), GROUPED_ARMS)
 
 
 def test_explain_analyze_says_how_rows_were_located_and_what_passed_through():

@@ -21,6 +21,7 @@ from repro.governance import (
     current,
     get_memory_governor,
     governed,
+    set_process_memory_limit,
     set_query_registry,
 )
 
@@ -156,6 +157,18 @@ class TestMemory:
         assert governor.reserved_bytes == 0
 
     def test_default_governor_uncapped(self):
+        assert get_memory_governor().limit_bytes is None
+
+    def test_process_limit_caps_every_context_until_cleared(self):
+        set_process_memory_limit(150)
+        try:
+            ctx = QueryContext(14)
+            assert ctx.try_reserve(100) == RESERVE_OK
+            with pytest.raises(ResourceExhaustedError):
+                QueryContext(15).try_reserve(100)
+            ctx.release_all()
+        finally:
+            set_process_memory_limit(None)
         assert get_memory_governor().limit_bytes is None
 
 

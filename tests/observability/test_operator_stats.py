@@ -154,6 +154,12 @@ class TestWrapping:
 
         assert Inherits.batches is EmitBatches.batches
 
+    def test_an_operator_without_describe_is_explained_by_its_class(self):
+        assert ConsumeBatches(EmitBatches([1])).explain_lines() == [
+            "ConsumeBatches", "  EmitBatches"
+        ]
+        assert EmitRows(1).explain_lines() == ["EmitRows"]
+
     def test_stats_accumulate_across_executions(self):
         op = EmitBatches([4])
         with collect():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.bench.harness import same_answers
 from repro.errors import BindingError, SqlSyntaxError
 
 
@@ -87,9 +88,7 @@ class TestBasicCtes:
             "WITH per_tag AS (SELECT tag, SUM(b) AS total FROM t GROUP BY tag) "
             "SELECT tag, total FROM per_tag"
         )
-        assert sorted(db.sql(sql, mode="batch").rows) == sorted(
-            db.sql(sql, mode="row").rows
-        )
+        same_answers(db, sql)
 
     def test_explain_shows_inlined_plan(self, db):
         result = db.sql(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.bench.harness import same_answers
 from repro.errors import BindingError
 
 
@@ -81,5 +82,5 @@ class TestModeEquivalence:
             "SELECT g, SUM(DISTINCT v) AS s FROM t GROUP BY g ORDER BY g",
         ],
     )
-    def test_batch_equals_row(self, db, sql):
-        assert db.sql(sql, mode="batch").rows == db.sql(sql, mode="row").rows
+    def test_every_arm_agrees(self, db, sql):
+        same_answers(db, sql)

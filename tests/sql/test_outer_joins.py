@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.exec.memory import MemoryGrant
+from repro.bench.harness import same_answers, same_rows
 
 
 @pytest.fixture
@@ -18,49 +18,34 @@ def db():
     return database
 
 
-def normalized(result):
-    return sorted(result.rows, key=repr)
-
-
 class TestRightJoin:
     def test_preserves_right_side(self, db):
         result = db.sql(
             "SELECT f.v, d.tag FROM f RIGHT JOIN d ON f.k = d.id ORDER BY d.tag"
         )
-        assert normalized(result) == sorted(
-            [("a", "one"), ("b", "two"), (None, "unreferenced")], key=repr
-        )
+        same_rows(result.rows, [("a", "one"), ("b", "two"), (None, "unreferenced")])
 
     def test_right_outer_keyword(self, db):
         result = db.sql("SELECT d.tag FROM f RIGHT OUTER JOIN d ON f.k = d.id")
         assert len(result.rows) == 3
 
-    def test_modes_agree(self, db):
-        sql = "SELECT f.v, d.tag FROM f RIGHT JOIN d ON f.k = d.id"
-        assert normalized(db.sql(sql, mode="batch")) == normalized(db.sql(sql, mode="row"))
+    def test_every_arm_agrees(self, db):
+        same_answers(db, "SELECT f.v, d.tag FROM f RIGHT JOIN d ON f.k = d.id")
 
 
 class TestFullJoin:
     def test_preserves_both_sides(self, db):
         result = db.sql("SELECT f.v, d.tag FROM f FULL JOIN d ON f.k = d.id")
-        assert normalized(result) == sorted(
-            [
-                ("a", "one"),
-                ("b", "two"),
-                ("orphan", None),
-                ("nullkey", None),
-                (None, "unreferenced"),
-            ],
-            key=repr,
-        )
+        same_rows(result.rows, [
+            ("a", "one"), ("b", "two"), ("orphan", None), ("nullkey", None), (None, "unreferenced"),
+        ])
 
     def test_full_outer_keyword(self, db):
         result = db.sql("SELECT f.v FROM f FULL OUTER JOIN d ON f.k = d.id")
         assert len(result.rows) == 5
 
-    def test_modes_agree(self, db):
-        sql = "SELECT f.v, d.tag FROM f FULL JOIN d ON f.k = d.id"
-        assert normalized(db.sql(sql, mode="batch")) == normalized(db.sql(sql, mode="row"))
+    def test_every_arm_agrees(self, db):
+        same_answers(db, "SELECT f.v, d.tag FROM f FULL JOIN d ON f.k = d.id")
 
     def test_aggregate_over_full_join(self, db):
         result = db.sql(
@@ -80,23 +65,21 @@ class TestOuterJoinPushdownSemantics:
             "SELECT f.v, d.tag FROM f RIGHT JOIN d ON f.k = d.id "
             "WHERE f.v = 'a'"
         )
-        assert normalized(db.sql(sql)) == [("a", "one")]
+        assert db.sql(sql).rows == [("a", "one")]
 
     def test_preserved_side_filter_pushes(self, db):
         sql = (
             "SELECT f.v, d.tag FROM f RIGHT JOIN d ON f.k = d.id "
             "WHERE d.tag = 'unreferenced'"
         )
-        assert normalized(db.sql(sql)) == [(None, "unreferenced")]
+        assert db.sql(sql).rows == [(None, "unreferenced")]
 
     def test_full_join_filters_stay_above(self, db):
         sql = (
             "SELECT f.v, d.tag FROM f FULL JOIN d ON f.k = d.id "
             "WHERE d.tag IS NULL"
         )
-        assert normalized(db.sql(sql)) == sorted(
-            [("orphan", None), ("nullkey", None)], key=repr
-        )
+        same_rows(db.sql(sql).rows, [("orphan", None), ("nullkey", None)])
 
 
 class TestSpilledOuterJoins:

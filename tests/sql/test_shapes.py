@@ -7,19 +7,16 @@ bind. ``fresh`` databases below have their shape dict emptied before
 every statement, which makes each statement a miss — what a new database
 per statement would do, without building one per statement.
 
-(a) every battery statement, then each of its literals moved within its
-class; (b) what is part of the key; (c) invalidation by DDL; (d) sessions
-and writers at once; (e) DML writes the same log bytes either way;
-(f) ``ColumnSegment.take`` of a few positions against the array path.
+(a) the battery replayed from its templates; (b) what is part of the
+key; (c) invalidation by DDL; (d) sessions and writers at once; (e) DML
+writes the same log bytes either way; (f) ``ColumnSegment.take`` of a
+few positions against the array path.
 """
 
 from __future__ import annotations
 
 import contextlib
 import datetime
-import math
-import os
-import re
 import sys
 import threading
 
@@ -29,12 +26,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, types
+from repro.bench.harness import answer
 from repro.bench.tpch_tiny import build_tpch_tiny
 from repro.concurrency import ConcurrentDatabase
 from repro.errors import BindingError, EncodingError
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
-from repro.sql.lexer import BIGINT, FLOAT, INT, lex
+from repro.sql.lexer import lex
 from repro.storage import bitpack
 from repro.storage import segment as segment_module
 from repro.storage.dictionary import LocalDictionary
@@ -44,10 +42,8 @@ from repro.storage.rle import encode as rle_encode
 from repro.storage.segment import ColumnSegment, encode_segment
 from repro.storage.value_encoding import ValueEncoding
 
+from .. import examples
 from ..sql_battery.battery_lib import load_statements
-
-# Hypothesis examples per property; the encoded-space CI job runs more.
-EXAMPLES = int(os.environ.get("REPRO_SHAPES_EXAMPLES", "60"))
 
 
 @pytest.fixture
@@ -58,71 +54,11 @@ def registry():
     set_registry(previous)
 
 
-def outcome(db, sql: str, fresh: bool = False):
-    """Columns, types and rows in order — or the error's type and message."""
-    if fresh:
-        db.shapes.clear()
-    try:
-        result = db.sql(sql)
-    except Exception as exc:  # the hit must fail exactly as the miss does
-        return type(exc), str(exc)
-    return None if result is None else (result.columns, result.dtypes, result.rows)
-
-
 # --------------------------------------------------------------------- #
-# (a) the battery, each literal moved within its class
+# (a) the battery, replayed from its templates (every battery statement is
+# also a shape hit after a literal-moved twin: tests/sql_battery)
 # --------------------------------------------------------------------- #
-_STRING_TOKEN = re.compile(r"'[^']*(?:''[^']*)*'")
-
-
-def _moved(token, cls: str) -> str | None:
-    """Another literal of the same class, as SQL text (None: leave it)."""
-    value = token.value
-    if cls == INT:
-        return str(value + 1 if value + 1 < 2**31 else value - 1)
-    if cls == BIGINT:
-        return str(value + 1 if value < 2**63 - 1 else value - 1)
-    if cls == FLOAT:
-        return repr(value * 1.5 + 0.25) if math.isfinite(value * 1.5) else None
-    try:  # a date moves by a day and stays a date
-        moved = (datetime.date.fromisoformat(value) + datetime.timedelta(days=1)).isoformat()
-    except ValueError:
-        moved = value + "x"
-    return "'" + moved.replace("'", "''") + "'"
-
-
-def perturbed(sql: str) -> list[str]:
-    """``sql`` once per literal, that literal moved within its class."""
-    lexed = lex(sql)
-    classes = [part for part in lexed.shape if part.startswith("#")]
-    variants = []
-    for token, cls in zip(lexed.literals, classes):
-        text = _moved(token, cls)
-        if text is None:
-            continue
-        start = token.position
-        end = (
-            _STRING_TOKEN.match(sql, start).end()
-            if token.kind == "string"
-            else start + len(token.text)
-        )
-        variants.append(sql[:start] + text + sql[end:])
-    return variants
-
-
 BATTERY = load_statements()
-
-
-@pytest.fixture(scope="module")
-def battery_pair():
-    return build_tpch_tiny(), build_tpch_tiny()
-
-
-@pytest.mark.parametrize("statement", BATTERY, ids=[s.source for s in BATTERY])
-def test_battery_literal_moved_within_class_answers_as_fresh_bind(statement, battery_pair):
-    cached, fresh = battery_pair
-    for sql in (statement.sql, *perturbed(statement.sql)):
-        assert outcome(cached, sql) == outcome(fresh, sql, fresh=True), sql
 
 
 def test_battery_replay_is_served_from_templates(registry):
@@ -168,9 +104,13 @@ def pair():
 
 
 def same(pair, *sqls: str) -> None:
+    """Each statement answers on ``cached`` — a hit when an earlier one
+    left its shape's template — as a fresh bind does on ``fresh``: rows in
+    order, or the same error."""
     cached, fresh = pair
     for sql in sqls:
-        assert outcome(cached, sql) == outcome(fresh, sql, fresh=True), sql
+        fresh.shapes.clear()
+        assert answer(cached, sql) == answer(fresh, sql), sql
 
 
 def test_int_bigint_float_literals_are_different_shapes(pair, registry):
@@ -565,7 +505,7 @@ def encoded_segments(draw):
 
 
 _SETTINGS = settings(
-    max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=examples(60), deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 

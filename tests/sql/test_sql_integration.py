@@ -5,6 +5,7 @@ import datetime
 import pytest
 
 from repro import Database, StoreConfig
+from repro.bench.harness import same_answers
 from repro.errors import BindingError, CatalogError
 
 
@@ -236,8 +237,5 @@ class TestModeEquivalence:
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_batch_equals_row(self, db, query):
-        batch = db.sql(query, mode="batch")
-        row = db.sql(query, mode="row")
-        assert batch.columns == row.columns
-        assert batch.rows == row.rows
+    def test_every_arm_agrees(self, db, query):
+        same_answers(db, query)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.bench.harness import same_answers
 from repro.errors import BindingError
 
 
@@ -96,8 +97,7 @@ class TestInSubqueries:
             db.sql("SELECT a FROM t WHERE a IN (SELECT k, v FROM u)")
 
     def test_modes_agree(self, db):
-        sql = "SELECT a FROM t WHERE a IN (SELECT k FROM u)"
-        assert rows(db.sql(sql, mode="batch")) == rows(db.sql(sql, mode="row"))
+        same_answers(db, "SELECT a FROM t WHERE a IN (SELECT k FROM u)")
 
 
 class TestExistsSubqueries:
@@ -142,8 +142,7 @@ class TestExistsSubqueries:
         assert rows(result) == [(2,), (3,), (4,)]
 
     def test_modes_agree(self, db):
-        sql = "SELECT a FROM t WHERE NOT EXISTS (SELECT 1 FROM u WHERE u.k = t.a)"
-        assert rows(db.sql(sql, mode="batch")) == rows(db.sql(sql, mode="row"))
+        same_answers(db, "SELECT a FROM t WHERE NOT EXISTS (SELECT 1 FROM u WHERE u.k = t.a)")
 
 
 class TestDecorrelationPlans:

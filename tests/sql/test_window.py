@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.bench.harness import same_answers
 from repro.errors import BindingError, SqlSyntaxError
 from repro.exec.operators.window import WindowSpec, compute_window_columns
 
@@ -123,7 +124,7 @@ class TestWindowAggregates:
             "SELECT a, RANK() OVER (PARTITION BY tag ORDER BY b) AS r, "
             "SUM(b) OVER (ORDER BY a) AS s FROM t"
         )
-        assert by_a(db.sql(sql, mode="batch")) == by_a(db.sql(sql, mode="row"))
+        same_answers(db, sql)
 
 
 class TestWindowSpill:

@@ -1,4 +1,4 @@
-"""Loader and comparison helpers for the differential SQL battery.
+"""Loader for the differential SQL battery.
 
 Statements live in ``statements/*.sql``, one file per feature area. A
 statement runs until a line ending in ``;``. Directive comments attach
@@ -11,19 +11,16 @@ to the *next* statement:
 * ``-- tpch: <Qn>`` — marks an adapted TPC-H query for the coverage
   floor.
 
-Every statement is checked three ways by ``test_battery.py``: EXPLAIN
-produces a plan (with the expected markers), the batch and row engines
-agree, and — unless opted out — the rows match sqlite on the same data.
+``test_battery.py`` checks that EXPLAIN produces a plan (with the
+expected markers), that every arm of ``repro.bench.harness`` answers as
+batch mode does and — unless opted out — that the rows match sqlite on
+the same data.
 """
 
 from __future__ import annotations
 
-import datetime
-import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from repro.types import TypeKind
 
 STATEMENTS_DIR = Path(__file__).parent / "statements"
 
@@ -80,57 +77,3 @@ def _load_file(path: Path) -> list[Statement]:
     if lines:
         raise ValueError(f"{path}: trailing statement without terminating ';'")
     return statements
-
-
-# ---------------------------------------------------------------------- #
-# Row normalization: make engine and oracle outputs comparable
-# ---------------------------------------------------------------------- #
-def normalize_rows(rows, ndigits: int) -> list[tuple]:
-    """Sorted, type-flattened rows: dates->ISO, numbers->rounded float."""
-    out = []
-    for row in rows:
-        norm = []
-        for value in row:
-            if isinstance(value, bool):
-                value = float(int(value))
-            elif isinstance(value, (datetime.date, datetime.datetime)):
-                value = value.isoformat()[:10]
-            elif isinstance(value, (int, float)):
-                value = round(float(value), ndigits)
-            norm.append(value)
-        out.append(tuple(norm))
-    out.sort(key=lambda r: tuple((x is None, str(type(x)), x) for x in r))
-    return out
-
-
-# ---------------------------------------------------------------------- #
-# The sqlite oracle
-# ---------------------------------------------------------------------- #
-_SQLITE_TYPES = {
-    TypeKind.INT: "INTEGER",
-    TypeKind.BIGINT: "INTEGER",
-    TypeKind.BOOL: "INTEGER",
-    TypeKind.FLOAT: "REAL",
-    TypeKind.DECIMAL: "REAL",
-    TypeKind.VARCHAR: "TEXT",
-    TypeKind.DATE: "TEXT",  # ISO-8601 strings compare like dates
-}
-
-
-def build_oracle(schemas: dict, data: dict[str, list[tuple]]) -> sqlite3.Connection:
-    """An in-memory sqlite database holding the same logical data."""
-    conn = sqlite3.connect(":memory:")
-    conn.create_function("year", 1, lambda s: None if s is None else int(s[:4]))
-    conn.create_function("month", 1, lambda s: None if s is None else int(s[5:7]))
-    conn.create_function("day", 1, lambda s: None if s is None else int(s[8:10]))
-    for name, table_schema in schemas.items():
-        columns = ", ".join(
-            f"{col.name} {_SQLITE_TYPES[col.dtype.kind]}"
-            for col in table_schema.columns
-        )
-        conn.execute(f"CREATE TABLE {name} ({columns})")
-        width = len(table_schema.columns)
-        holes = ", ".join("?" * width)
-        conn.executemany(f"INSERT INTO {name} VALUES ({holes})", data[name])
-    conn.commit()
-    return conn

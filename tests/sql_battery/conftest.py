@@ -1,12 +1,13 @@
-"""Session fixtures for the SQL battery: one engine DB, one sqlite oracle."""
+"""Session fixtures for the SQL battery: one engine DB, its sqlite mirror."""
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pytest
 
-from repro.bench.tpch_tiny import SCHEMAS, build_tpch_tiny, generate_tpch_tiny
-
-from .battery_lib import build_oracle
+from repro.bench.harness import oracle_for
+from repro.bench.tpch_tiny import build_tpch_tiny
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +16,6 @@ def battery_db():
 
 
 @pytest.fixture(scope="session")
-def oracle():
-    conn = build_oracle(SCHEMAS, generate_tpch_tiny())
-    yield conn
-    conn.close()
+def oracle(battery_db):
+    with closing(oracle_for(battery_db)) as conn:
+        yield conn

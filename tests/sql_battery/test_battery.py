@@ -2,11 +2,15 @@
 
 1. **Plan**: ``EXPLAIN`` succeeds, renders a physical plan, and contains
    each ``-- plan:`` marker from the statement file.
-2. **Engines**: the batch and row engines produce identical rows
-   (sorted, floats rounded to 6 places).
-3. **Oracle**: the rows match sqlite running the same statement on the
-   same data (floats rounded to 4 places), unless the statement opted
-   out with ``-- no-oracle:`` or sqlite itself cannot parse it.
+2. **Oracle**: batch mode answers as sqlite3 on the same rows (floats to
+   4 places), unless the statement opted out with ``-- no-oracle:`` or
+   sqlite itself cannot run it.
+3. **Arms**: every arm of the differential harness
+   (``repro.bench.harness.ARMS``: each switch off alone and all at once,
+   three-row batches, the row engine, a budget that spills every
+   operator, a shape hit after a literal-moved twin) answers as batch mode
+   does — one test per (statement, arm), so ``-k`` picks an arm. Batch
+   mode's answer is computed once per statement and kept for its arms.
 
 A final coverage test enforces the floors the battery exists for: at
 least 200 statements total, at least 150 of them oracle-compared, and at
@@ -15,25 +19,28 @@ least 8 adapted TPC-H queries all passing every applicable check.
 
 from __future__ import annotations
 
-import sqlite3
-
 import pytest
 
-from .battery_lib import load_statements, normalize_rows
+from repro.bench.harness import ARMS, Rows, reference_answer, same_answers
+
+from .battery_lib import load_statements
 
 STATEMENTS = load_statements()
+SOURCES = [s.source for s in STATEMENTS]
 
 # Filled in as the parametrized tests run; the coverage test reads it.
 _ORACLE_OUTCOMES: dict[str, str] = {}  # source -> "compared" | "skipped"
+_REFERENCES: dict[str, Rows] = {}  # source -> batch mode's answer
 
 
-def _ids():
-    return [s.source for s in STATEMENTS]
+def reference(db, statement) -> Rows:
+    if statement.source not in _REFERENCES:
+        _REFERENCES[statement.source] = reference_answer(db, statement.sql)
+    return _REFERENCES[statement.source]
 
 
-@pytest.mark.parametrize("statement", STATEMENTS, ids=_ids())
+@pytest.mark.parametrize("statement", STATEMENTS, ids=SOURCES)
 def test_statement(statement, battery_db, oracle):
-    # Check 1: EXPLAIN renders and carries the expected plan shape.
     explain = battery_db.sql("EXPLAIN " + statement.sql)
     plan_text = "\n".join(row[0] for row in explain.rows)
     assert "-- physical" in plan_text, f"no physical plan for {statement.source}"
@@ -42,26 +49,17 @@ def test_statement(statement, battery_db, oracle):
             f"{statement.source}: plan marker {marker!r} missing from:\n{plan_text}"
         )
 
-    # Check 2: both engines agree on the result.
-    batch_rows = battery_db.sql(statement.sql, mode="batch").rows
-    row_rows = battery_db.sql(statement.sql, mode="row").rows
-    assert normalize_rows(batch_rows, 6) == normalize_rows(row_rows, 6), (
-        f"{statement.source}: batch and row engines disagree"
+    checked = same_answers(
+        battery_db, statement.sql, (), oracle=None if statement.no_oracle else oracle,
+        reference=reference(battery_db, statement),
     )
+    _ORACLE_OUTCOMES[statement.source] = "compared" if checked else "skipped"
 
-    # Check 3: the sqlite oracle agrees, when the statement is expressible.
-    if statement.no_oracle is not None:
-        _ORACLE_OUTCOMES[statement.source] = "skipped"
-        return
-    try:
-        oracle_rows = oracle.execute(statement.sql).fetchall()
-    except sqlite3.Error as exc:
-        _ORACLE_OUTCOMES[statement.source] = "skipped"
-        pytest.skip(f"sqlite cannot run {statement.source}: {exc}")
-    _ORACLE_OUTCOMES[statement.source] = "compared"
-    assert normalize_rows(batch_rows, 4) == normalize_rows(oracle_rows, 4), (
-        f"{statement.source}: engine disagrees with sqlite oracle"
-    )
+
+@pytest.mark.parametrize("arm", ARMS, ids=[arm.name for arm in ARMS])
+@pytest.mark.parametrize("statement", STATEMENTS, ids=SOURCES)
+def test_arm(statement, arm, battery_db):
+    same_answers(battery_db, statement.sql, [arm], reference=reference(battery_db, statement))
 
 
 def test_battery_coverage(battery_db):

@@ -16,14 +16,13 @@ strings; floats are compared by bits. ``scan()`` must yield Python values
 the same rows always made), and every array handed out must be a copy:
 scribbling over it changes nothing.
 
-Tier-1 runs ``REPRO_DELTA_MODEL_EXAMPLES`` (default 25) examples; CI's
-crash-consistency job runs a long count.
+Tier-1 runs 25 examples; CI's crash-consistency job runs the long
+hypothesis profile (``HYPOTHESIS_PROFILE=long``).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 
 import numpy as np
@@ -47,8 +46,9 @@ from repro.storage import serde
 from repro.storage.deltastore import DeltaStore
 from repro.storage.persist import deserialize_rows, serialize_rows
 
+from .. import examples
+
 LIVE = PENDING_EPOCH + 1
-EXAMPLES = int(os.environ.get("REPRO_DELTA_MODEL_EXAMPLES", "25"))
 
 SCHEMA = schema(
     ("i", types.INT),
@@ -286,7 +286,7 @@ class DeltaModel(RuleBasedStateMachine):
 
 
 DeltaModel.TestCase.settings = settings(
-    max_examples=EXAMPLES, stateful_step_count=40, deadline=None
+    max_examples=examples(25), stateful_step_count=40, deadline=None
 )
 TestDeltaStoreModel = DeltaModel.TestCase
 

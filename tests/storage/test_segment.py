@@ -11,6 +11,8 @@ from repro.storage.dictionary import GlobalDictionary
 from repro.storage.encodings import Scheme
 from repro.storage.segment import DictionaryVector, RunVector, encode_segment
 
+from .. import examples
+
 
 def roundtrip(dtype, values, null_mask=None):
     segment = encode_segment(dtype, values, null_mask)
@@ -84,6 +86,7 @@ class TestFloatSegments:
         segment, decoded, _ = roundtrip(types.FLOAT, values)
         assert segment.scheme is Scheme.RAW
         assert (decoded == values).all()
+        assert segment.encoded_size_bytes > values.nbytes  # verbatim, plus its header
 
     def test_repeating_awkward_floats_use_dictionary(self):
         base = np.array([0.123456789, 9.87654321, 5.55555555])
@@ -183,7 +186,7 @@ int_columns = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(int_columns)
 def test_int_segment_roundtrip_property(raw):
     values = np.array([0 if v is None else v for v in raw], dtype=np.int32)
@@ -197,7 +200,7 @@ def test_int_segment_roundtrip_property(raw):
             assert decoded[i] == v
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     st.lists(
         st.text(alphabet="abcdef", max_size=6),

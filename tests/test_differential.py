@@ -1,30 +1,35 @@
-"""Differential testing: the batch and row engines must agree everywhere.
+"""Differential testing: every arm of the harness must agree everywhere.
 
 Hypothesis generates random tables (values, NULLs) and random queries
-(filters, grouped aggregates, joins, subqueries, windows); each query
-runs through both engines over identical data. Any disagreement is a bug
-in one engine — this is the strongest correctness net in the suite
-because the engines share almost no execution code. A third arm replays
-a dialect-safe subset against sqlite3, so both engines are also checked
-against an independent implementation.
+(filters, grouped aggregates, joins, subqueries, windows); each example
+runs its query in batch mode and under one arm of the differential
+harness drawn with it (``repro.bench.harness.ARMS``: the row engine,
+which shares almost no execution code with batch mode, each switch off,
+three-row batches, a budget that spills, a shape hit). The oracle
+properties and the statement lists below also check batch mode against
+sqlite3 holding the same rows (``oracle_for``), and the lists run every
+arm.
 """
 
 from __future__ import annotations
 
-import math
-import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, StoreConfig, schema, types
+from repro.bench.harness import ARMS, oracle_for, same_answers
+
+from . import examples
 
 SETTINGS = settings(
-    max_examples=40,
+    max_examples=examples(40),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+arms = st.sampled_from(ARMS)
 
 # Row strategies -------------------------------------------------------- #
 small_int = st.integers(min_value=-20, max_value=20)
@@ -53,24 +58,11 @@ def make_db(rows) -> Database:
     return db
 
 
-def normalize(rows):
-    out = []
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append(round(value, 6) if math.isfinite(value) else repr(value))
-            else:
-                cells.append(value)
-        out.append(tuple(cells))
-    return sorted(out, key=repr)
-
-
-def both_modes(db, sql):
-    batch = db.sql(sql, mode="batch")
-    row = db.sql(sql, mode="row")
-    assert batch.columns == row.columns, sql
-    assert normalize(batch.rows) == normalize(row.rows), sql
+def agree_with_sqlite(db, sql, arms=ARMS) -> None:
+    """Every one of ``arms`` answers as batch mode, and batch mode as
+    sqlite3 on the same rows — which must be able to run ``sql``."""
+    with closing(oracle_for(db)) as oracle:
+        assert same_answers(db, sql, arms, oracle)[-1] == "sqlite3", sql
 
 
 # Query fragments -------------------------------------------------------- #
@@ -109,18 +101,16 @@ PLAIN_QUERIES = [
 
 @SETTINGS
 @given(rows=rows_strategy, where=st.sampled_from(WHERE_CLAUSES),
-       template=st.sampled_from(PLAIN_QUERIES))
-def test_plain_queries_agree(rows, where, template):
-    db = make_db(rows)
-    both_modes(db, template.format(where=where))
+       template=st.sampled_from(PLAIN_QUERIES), arm=arms)
+def test_plain_queries_agree(rows, where, template, arm):
+    same_answers(make_db(rows), template.format(where=where), [arm])
 
 
 @SETTINGS
 @given(rows=rows_strategy, where=st.sampled_from(WHERE_CLAUSES),
-       template=st.sampled_from(AGG_QUERIES))
-def test_aggregate_queries_agree(rows, where, template):
-    db = make_db(rows)
-    both_modes(db, template.format(where=where))
+       template=st.sampled_from(AGG_QUERIES), arm=arms)
+def test_aggregate_queries_agree(rows, where, template, arm):
+    same_answers(make_db(rows), template.format(where=where), [arm])
 
 
 dim_rows = st.lists(
@@ -132,44 +122,37 @@ dim_rows = st.lists(
 
 @SETTINGS
 @given(rows=rows_strategy, dims=dim_rows,
-       join_type=st.sampled_from(["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"]))
-def test_joins_agree(rows, dims, join_type):
+       join_type=st.sampled_from(["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"]), arm=arms)
+def test_joins_agree(rows, dims, join_type, arm):
     db = make_db(rows)
     db.create_table("d", schema(("id", types.INT, False), ("tag", types.VARCHAR)))
     if dims:
         db.bulk_load("d", dims)
-    both_modes(
-        db,
-        f"SELECT t.k, t.a, d.tag FROM t {join_type} d ON t.a = d.id",
-    )
-    both_modes(
+    same_answers(db, f"SELECT t.k, t.a, d.tag FROM t {join_type} d ON t.a = d.id", [arm])
+    same_answers(
         db,
         f"SELECT d.tag, COUNT(*) AS n, SUM(t.k) AS sk "
         f"FROM t {join_type} d ON t.a = d.id GROUP BY d.tag",
+        [arm],
     )
 
 
 @SETTINGS
-@given(rows=rows_strategy)
-def test_trickle_and_deletes_agree(rows):
-    """Mixed storage states (delta rows + delete marks) across both engines."""
+@given(rows=rows_strategy, arm=arms)
+def test_trickle_and_deletes_agree(rows, arm):
+    """Mixed storage states (delta rows + delete marks) under every arm."""
     db = make_db(rows[: len(rows) // 2])
     if rows[len(rows) // 2 :]:
         db.insert("t", rows[len(rows) // 2 :])  # trickle -> delta stores
     db.sql("DELETE FROM t WHERE k > 10")
-    both_modes(db, "SELECT COUNT(*) AS n, SUM(k) AS sk FROM t")
-    both_modes(db, "SELECT s, COUNT(*) AS n FROM t GROUP BY s")
+    same_answers(db, "SELECT COUNT(*) AS n, SUM(k) AS sk FROM t", [arm])
+    same_answers(db, "SELECT s, COUNT(*) AS n FROM t GROUP BY s", [arm])
 
 
-@pytest.mark.parametrize("grant", [None, 2048])
-def test_spilling_agrees_with_row_engine(grant):
-    """The spill path must agree with the row engine, not just itself."""
+def test_a_grouped_float_sum_agrees_under_every_arm():
+    """The spill arm must agree with the row engine, not just itself."""
     rows = [(i, i % 7, ["red", "green", "blue"][i % 3], float(i % 11)) for i in range(500)]
-    db = make_db(rows)
-    sql = "SELECT a, s, COUNT(*) AS n, SUM(f) AS sf FROM t GROUP BY a, s"
-    batch = db.sql(sql, mode="batch", query_memory_budget=grant)
-    row = db.sql(sql, mode="row")
-    assert normalize(batch.rows) == normalize(row.rows)
+    same_answers(make_db(rows), "SELECT a, s, COUNT(*) AS n, SUM(f) AS sf FROM t GROUP BY a, s")
 
 
 # Subqueries and windows ------------------------------------------------- #
@@ -220,17 +203,15 @@ WINDOW_QUERIES = [
 
 
 @SETTINGS
-@given(rows=rows_strategy, e=e_rows, template=st.sampled_from(SUBQUERY_QUERIES))
-def test_subqueries_agree(rows, e, template):
-    db = make_db_with_e(rows, e)
-    both_modes(db, template)
+@given(rows=rows_strategy, e=e_rows, template=st.sampled_from(SUBQUERY_QUERIES), arm=arms)
+def test_subqueries_agree(rows, e, template, arm):
+    same_answers(make_db_with_e(rows, e), template, [arm])
 
 
 @SETTINGS
-@given(rows=rows_strategy, template=st.sampled_from(WINDOW_QUERIES))
-def test_windows_agree(rows, template):
-    db = make_db(rows)
-    both_modes(db, template)
+@given(rows=rows_strategy, template=st.sampled_from(WINDOW_QUERIES), arm=arms)
+def test_windows_agree(rows, template, arm):
+    same_answers(make_db(rows), template, [arm])
 
 
 # The sqlite3 oracle arm -------------------------------------------------- #
@@ -262,38 +243,10 @@ ORACLE_QUERIES = [
 ]
 
 
-def _oracle_connection(rows, e) -> sqlite3.Connection:
-    conn = sqlite3.connect(":memory:")
-    conn.execute("CREATE TABLE t (k INTEGER, a INTEGER, s TEXT, f REAL)")
-    conn.execute("CREATE TABLE e (id INTEGER, tag TEXT, v INTEGER)")
-    conn.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
-    conn.executemany("INSERT INTO e VALUES (?, ?, ?)", e)
-    return conn
-
-
-def oracle_normalize(rows):
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                round(v, 4) if isinstance(v, float) and math.isfinite(v) else v
-                for v in row
-            )
-        )
-    return sorted(out, key=repr)
-
-
 @SETTINGS
-@given(rows=rows_strategy, e=e_rows, template=st.sampled_from(ORACLE_QUERIES))
-def test_sqlite_oracle_agrees(rows, e, template):
-    db = make_db_with_e(rows, e)
-    conn = _oracle_connection(rows, e)
-    try:
-        theirs = conn.execute(template).fetchall()
-    finally:
-        conn.close()
-    mine = db.sql(template).rows
-    assert oracle_normalize(mine) == oracle_normalize(theirs), template
+@given(rows=rows_strategy, e=e_rows, template=st.sampled_from(ORACLE_QUERIES), arm=arms)
+def test_sqlite_oracle_agrees(rows, e, template, arm):
+    agree_with_sqlite(make_db_with_e(rows, e), template, [arm])
 
 
 # CASE has one result type, whichever branch comes first: a numeric CASE
@@ -312,16 +265,9 @@ CASE_ORACLE_QUERIES = [
 
 
 @SETTINGS
-@given(rows=rows_strategy, template=st.sampled_from(CASE_ORACLE_QUERIES),
-       mode=st.sampled_from(["batch", "row"]))
-def test_case_result_type_agrees_with_sqlite_in_both_engines(rows, template, mode):
-    conn = _oracle_connection(rows, [])
-    try:
-        theirs = conn.execute(template).fetchall()
-    finally:
-        conn.close()
-    mine = make_db(rows).sql(template, mode=mode).rows
-    assert oracle_normalize(mine) == oracle_normalize(theirs), (template, mode)
+@given(rows=rows_strategy, template=st.sampled_from(CASE_ORACLE_QUERIES), arm=arms)
+def test_case_result_type_agrees_with_sqlite(rows, template, arm):
+    agree_with_sqlite(make_db(rows), template, [arm])
 
 
 @SETTINGS
@@ -332,8 +278,8 @@ def test_stats_collection_does_not_change_results(rows, where, template, mode):
     """Stats-enabled execution must be byte-identical to stats-off.
 
     The instrumented-iterator wrapper sits on every operator's data path;
-    this proves it is an observer, not a participant. No normalize() here:
-    identical engine, identical order, identical bytes expected.
+    this proves it is an observer, not a participant: identical engine,
+    identical order, identical bytes expected.
     """
     db = make_db(rows)
     sql = template.format(where=where)
@@ -347,80 +293,38 @@ def test_stats_collection_does_not_change_results(rows, where, template, mode):
 
 # An INT build key used to truncate a FLOAT probe key (1.5 joined 1) and,
 # once the planner pushed the build's exact bitmap onto the FLOAT column,
-# the scan refused the statement. Keys of different number types compare
-# by value: both shapes (3 x 3; 20,000 probe rows x 20 build rows, which
-# gets the bitmap), both join orders, both engines.
+# the scan refused the statement. A join over budget partitions both
+# sides by a hash of the key, so a FLOAT key equal to an INT key must land
+# in the same partition: they used to hash by type, and with a 1-byte
+# budget 260 of 2,000 matches came back. Keys of different number types
+# compare by value: both shapes (3 x 3; 2,000 probe rows x 20 build rows,
+# which gets the bitmap), both join orders, every arm.
 FLOAT_INT_JOINS = [
     "SELECT f.x, d.name FROM f JOIN d ON f.x = d.i",
     "SELECT f.x, d.name FROM d JOIN f ON d.i = f.x",
+    "SELECT COUNT(*) FROM f JOIN d ON f.x = d.i",
+    "SELECT COUNT(*) FROM d JOIN f ON d.i = f.x",
 ]
 FLOAT_INT_SHAPES = {
     "small": ([(1.5, 10), (2.0, 20), (3.0, 30), (None, 40), (-0.0, 50)],
               [(1, "one"), (2, "two"), (3, "three"), (0, "zero"), (None, "none")]),
-    "bitmap pushed": ([((i % 70) / 2.0, i) for i in range(20_000)],
+    "bitmap pushed": ([((i % 70) / 2.0, i) for i in range(2_000)],
                       [(i, f"n{i}") for i in range(20)]),
 }
 
 
 @pytest.mark.parametrize("shape", list(FLOAT_INT_SHAPES))
 @pytest.mark.parametrize("sql", FLOAT_INT_JOINS)
-@pytest.mark.parametrize("mode", ["batch", "row"])
-def test_float_key_against_int_key_agrees_with_sqlite(shape, sql, mode):
+def test_float_key_against_int_key_agrees_with_sqlite(shape, sql):
     f_rows, d_rows = FLOAT_INT_SHAPES[shape]
     db = Database(StoreConfig(rowgroup_size=4096, bulk_load_threshold=1))
     db.create_table("f", schema(("x", types.FLOAT), ("v", types.INT)))
     db.create_table("d", schema(("i", types.INT), ("name", types.VARCHAR)))
     db.bulk_load("f", f_rows)
     db.bulk_load("d", d_rows)
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.execute("CREATE TABLE f (x REAL, v INTEGER)")
-        conn.execute("CREATE TABLE d (i INTEGER, name TEXT)")
-        conn.executemany("INSERT INTO f VALUES (?, ?)", f_rows)
-        conn.executemany("INSERT INTO d VALUES (?, ?)", d_rows)
-        theirs = conn.execute(sql).fetchall()
-    finally:
-        conn.close()
-    assert theirs
-    assert oracle_normalize(db.sql(sql, mode=mode).rows) == oracle_normalize(theirs)
-
-
-# A join over budget partitions both sides by a hash of the key: a FLOAT
-# key equal to an INT key must land in the same partition. They used to
-# hash by type, so with a 1-byte budget 260 of these 2,000 matches came
-# back. Both join orders, in budget and spilled.
-SPILLED_FLOAT_INT_JOINS = [
-    *FLOAT_INT_JOINS,
-    "SELECT COUNT(*) FROM f JOIN d ON f.x = d.i",
-    "SELECT COUNT(*) FROM d JOIN f ON d.i = f.x",
-]
-
-
-@pytest.mark.parametrize("budget", ["default", "1"])
-@pytest.mark.parametrize("sql", SPILLED_FLOAT_INT_JOINS)
-def test_spilled_float_key_against_int_key_agrees_with_sqlite(sql, budget):
-    f_rows = [(float(i % 200), i) for i in range(2000)]
-    d_rows = [(i, f"n{i}") for i in range(200)]
-    db = Database(StoreConfig(rowgroup_size=4096, bulk_load_threshold=1))
-    db.create_table("f", schema(("x", types.FLOAT), ("v", types.INT)))
-    db.create_table("d", schema(("i", types.INT), ("name", types.VARCHAR)))
-    db.bulk_load("f", f_rows)
-    db.bulk_load("d", d_rows)
-    if budget != "default":
-        db.sql(f"SET query_memory_budget = {budget}")
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.execute("CREATE TABLE f (x REAL, v INTEGER)")
-        conn.execute("CREATE TABLE d (i INTEGER, name TEXT)")
-        conn.executemany("INSERT INTO f VALUES (?, ?)", f_rows)
-        conn.executemany("INSERT INTO d VALUES (?, ?)", d_rows)
-        theirs = conn.execute(sql).fetchall()
-    finally:
-        conn.close()
-    assert len(theirs) == 2000 or theirs == [(2000,)]
-    answer = db.sql(sql, mode="batch", stats=True)
-    assert oracle_normalize(answer.rows) == oracle_normalize(theirs)
-    assert (answer.stats.total("spilled") > 0) == (budget != "default")
+    agree_with_sqlite(db, sql)
+    assert db.sql(sql).rows not in ([], [(0,)])
+    assert db.sql(sql, query_memory_budget=1, stats=True).stats.total("spilled") > 0
 
 
 # Decimals are integers scaled by 10**scale: a comparison between two
@@ -453,17 +357,10 @@ def _decimal_db() -> Database:
 
 
 @pytest.mark.parametrize("sql", DECIMAL_ORACLE_QUERIES)
-@pytest.mark.parametrize("mode", ["batch", "row"])
-def test_decimal_comparisons_across_scales_agree_with_sqlite(sql, mode):
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.execute("CREATE TABLE t (p REAL, q REAL, i INTEGER)")
-        conn.executemany("INSERT INTO t VALUES (?, ?, ?)", DECIMAL_ROWS)
-        theirs = conn.execute(sql).fetchall()
-    finally:
-        conn.close()
-    assert theirs
-    assert oracle_normalize(_decimal_db().sql(sql, mode=mode).rows) == oracle_normalize(theirs)
+def test_decimal_comparisons_across_scales_agree_with_sqlite(sql):
+    db = _decimal_db()
+    agree_with_sqlite(db, sql)
+    assert db.sql(sql).rows
 
 
 def test_join_keys_of_different_scales_are_refused_by_name():
@@ -504,21 +401,28 @@ BETWEEN_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("sql", BETWEEN_QUERIES)
-@pytest.mark.parametrize("mode", ["batch", "row"])
-def test_between_with_null_bounds_agrees_with_sqlite(sql, mode):
+def _between_db() -> Database:
     db = Database(StoreConfig(rowgroup_size=4, bulk_load_threshold=4))
     db.create_table(
         "t", schema(("a", types.INT), ("lo", types.INT), ("hi", types.INT), ("s", types.VARCHAR))
     )
     db.bulk_load("t", BETWEEN_ROWS[:6])
     db.insert("t", BETWEEN_ROWS[6:])
-    conn = sqlite3.connect(":memory:")
-    try:
-        conn.execute("CREATE TABLE t (a INTEGER, lo INTEGER, hi INTEGER, s TEXT)")
-        conn.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", BETWEEN_ROWS)
-        theirs = conn.execute(sql).fetchall()
-    finally:
-        conn.close()
-    assert theirs
-    assert oracle_normalize(db.sql(sql, mode=mode).rows) == oracle_normalize(theirs)
+    return db
+
+
+@pytest.mark.parametrize("sql", BETWEEN_QUERIES)
+def test_between_with_null_bounds_agrees_with_sqlite(sql):
+    db = _between_db()
+    agree_with_sqlite(db, sql)
+    assert db.sql(sql).rows
+
+
+def test_predicates_selected_as_bool_columns_agree_with_sqlite():
+    """Every kind of predicate is a value too, NULL where it is UNKNOWN."""
+    agree_with_sqlite(
+        _between_db(),
+        "SELECT a, a > lo AS gt, NOT (a > lo) AS ng, a IS NULL AS n, a BETWEEN lo AND hi AS b, "
+        "a IN (0, 3) AS i, s LIKE 'c%' AS l, a > 0 AND s > 'b' AS c, a > 0 OR hi IS NULL AS o "
+        "FROM t",
+    )

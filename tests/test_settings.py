@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import ConcurrentDatabase, Database, StoreConfig
+from repro.bench.harness import ARMS, EXCLUDED, REFERENCE
 from repro.errors import BindingError, SqlSyntaxError
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
@@ -58,6 +59,16 @@ def engine(door, **overrides):
 
 def test_the_round_trips_cover_the_table():
     assert list(ROUND_TRIPS) == list(SETTINGS)
+
+
+def test_every_setting_is_a_differential_arm_or_excluded_by_name():
+    """A new setting joins every differential by existing in the table,
+    unless it is a limit that fails statements instead of running them
+    another way."""
+    armed = {name for arm in ARMS for name in arm.settings} | set(REFERENCE)
+    assert armed.isdisjoint(EXCLUDED)
+    assert sorted(armed | set(EXCLUDED)) == sorted(SETTINGS)
+    assert all(SETTINGS[name].kind == "limit" for name in EXCLUDED)
 
 
 @pytest.mark.parametrize("name", list(ROUND_TRIPS))
