@@ -3,8 +3,8 @@
 Implements the paper's scan enhancements:
 
 * **Segment elimination** — row groups whose per-segment [min, max]
-  metadata cannot satisfy the pushed predicate are skipped without
-  touching their payloads.
+  metadata cannot satisfy the pushed predicate are skipped before the
+  index builds a unit for them: no payload, no delete mask.
 * **Predicate pushdown onto encoded data** — a single-column conjunct
   over a segment that hands out an encoded vector is evaluated once per
   *distinct value* (dictionary entry or run) and expanded over the rows,
@@ -162,13 +162,17 @@ class ColumnStoreScan(BatchOperator):
         DML, the tuple mover, and REBUILD can proceed without mutating
         this scan's view out from under it.
         """
-        self._pinned_units = self.index.pin_scan_units(epoch)
+        self._pinned_units = self.index.pin_scan_units(epoch, self._elimination())
+
+    def _elimination(self):
+        """The index's test of a group before its unit (per call: kept, a cycle)."""
+        return self._eliminated if self.segment_elimination and self._ranges else None
 
     def batches(self) -> Iterator[Batch]:
         source = (
             self._pinned_units
             if self._pinned_units is not None
-            else self.index.scan_units()
+            else self.index.scan_units(self._elimination())
         )
         try:
             for unit in source:
@@ -178,7 +182,9 @@ class ColumnStoreScan(BatchOperator):
                 # its deadline between emissions.
                 governance_checkpoint()
                 self.stats.units_seen += 1
-                if unit.kind == GROUP:
+                if unit is None:  # eliminated by [min, max]
+                    self.stats.units_eliminated += 1
+                elif unit.kind == GROUP:
                     yield from self._scan_group(unit)
                 else:
                     yield from self._scan_delta(unit)
@@ -205,11 +211,9 @@ class ColumnStoreScan(BatchOperator):
     def _scan_group(self, unit: ScanUnit) -> Iterator[Batch]:
         group = unit.group
         assert group is not None
-        # A unit eliminated here sends its consumer nothing, so it is
-        # settled before anything below can count it as a fallback.
-        if self.segment_elimination and self._eliminated(group):
-            self.stats.units_eliminated += 1
-            return
+        # [min, max] elimination was settled before the unit was built;
+        # a unit the bitmaps eliminate sends its consumer nothing, so it
+        # is settled before anything below can count it as a fallback.
         answers = [self._ask_bitmap(probe, group) for probe in self.bitmap_probes]
         if NONE in answers:
             self.stats.units_eliminated += 1

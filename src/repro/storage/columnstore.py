@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,6 +94,19 @@ class ScanUnit:
     delta: DeltaStore | FrozenDeltaView | None = None
 
 
+class _InsertSpan:
+    """Commit hook of a transaction's inserts into one delta store."""
+
+    __slots__ = ("delta", "first", "last")
+
+    def __init__(self, delta: DeltaStore, row_id: int) -> None:
+        self.delta = delta
+        self.first = self.last = row_id
+
+    def __call__(self, epoch: int) -> None:
+        self.delta.stamp_inserts(self.first, self.last, epoch)
+
+
 class ColumnStoreIndex:
     """An updatable columnstore index over one table's rows."""
 
@@ -158,9 +171,8 @@ class ColumnStoreIndex:
                 lambda: self._undo_insert(delta.delta_id, row_id, created),
             )
             delta.insert(row_id, tuple(row), epoch=PENDING_EPOCH)
-            txn.on_commit(
-                lambda epoch, d=delta, r=row_id: d.stamp_insert(r, epoch)
-            )
+            # One commit stamp per (transaction, delta store), over a row-id span.
+            txn.commit_hook(delta, lambda: _InsertSpan(delta, row_id)).last = row_id
         else:
             delta.insert(row_id, tuple(row))
         if delta.row_count >= self.config.effective_delta_close_rows:
@@ -324,9 +336,16 @@ class ColumnStoreIndex:
             return self.segment_cache.decode(segment, positions)
         return segment.decode() if positions is None else segment.take(positions)
 
-    def scan_units(self) -> Iterator[ScanUnit]:
-        """All scannable units: compressed groups first, then delta stores."""
+    def scan_units(
+        self, eliminated: Callable[[RowGroup], bool] | None = None
+    ) -> Iterator[ScanUnit | None]:
+        """All scannable units: compressed groups first, then delta stores.
+        A group ``eliminated`` rejects (a scan's [min, max] test) comes out
+        as ``None``: no delete mask or unit is built for it."""
         for group in self.directory.row_groups():
+            if eliminated is not None and eliminated(group):
+                yield None
+                continue
             yield ScanUnit(
                 kind=GROUP,
                 group=group,
@@ -337,7 +356,9 @@ class ColumnStoreIndex:
             if delta.row_count:
                 yield ScanUnit(kind=DELTA, delta=delta)
 
-    def pin_scan_units(self, epoch: int) -> list[ScanUnit]:
+    def pin_scan_units(
+        self, epoch: int, eliminated: Callable[[RowGroup], bool] | None = None
+    ) -> list[ScanUnit | None]:
         """A snapshot-stable capture of :meth:`scan_units` as of ``epoch``.
 
         The statement pipeline calls this after compile and then scans
@@ -349,8 +370,8 @@ class ColumnStoreIndex:
           REBUILD and archival all swap *new* group objects into the
           directory, and the pinned references keep the old ones alive;
         * deleted-row masks are materialized here, so later delete-bitmap
-          marks never show through mid-scan (the bitmap's ``version`` at
-          pin time is recorded for assertions);
+          marks never show through mid-scan — for the groups ``eliminated``
+          keeps only (a rejected one, retired or live, is a ``None``);
         * delta stores are captured as (buffers, visible slots)
           (:meth:`DeltaStore.capture`) — the live store keeps absorbing
           trickle inserts into slots the pinned view never reads.
@@ -366,7 +387,7 @@ class ColumnStoreIndex:
         keep alive.
         """
         with self._pin_mutex:
-            group_units: dict[int, ScanUnit] = {}
+            group_units: dict[int, ScanUnit | None] = {}
             # Retired groups first: a group mid-retirement may appear
             # both here and in the directory, and the retired record
             # carries the marks it had when superseded.
@@ -374,6 +395,9 @@ class ColumnStoreIndex:
                 if not record.created_epoch <= epoch < record.retired_epoch:
                     continue
                 group = record.group
+                if eliminated is not None and eliminated(group):
+                    group_units[group.group_id] = None
+                    continue
                 if record.marks is None:
                     mask = self.delete_bitmap.mask_for(
                         group.group_id, group.row_count, epoch
@@ -392,6 +416,9 @@ class ColumnStoreIndex:
             for group, _created in self.directory.visible_groups(epoch):
                 if group.group_id in group_units:
                     continue
+                if eliminated is not None and eliminated(group):
+                    group_units[group.group_id] = None
+                    continue
                 group_units[group.group_id] = ScanUnit(
                     kind=GROUP,
                     group=group,
@@ -408,7 +435,7 @@ class ColumnStoreIndex:
             for delta_id in sorted(self._delta_stores):
                 if delta_id not in seen:
                     delta_refs.append(self._delta_stores[delta_id])
-        units: list[ScanUnit] = [group_units[gid] for gid in sorted(group_units)]
+        units: list[ScanUnit | None] = [group_units[gid] for gid in sorted(group_units)]
         for delta in sorted(delta_refs, key=lambda d: d.delta_id):
             view = delta.capture(epoch)
             if view.row_count:

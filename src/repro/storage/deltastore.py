@@ -161,19 +161,26 @@ class DeltaStore:
         slot = int(np.searchsorted(row_ids[:n], row_id))
         return slot if slot < n and row_ids[slot] == row_id else None
 
-    def stamp_insert(self, row_id: int, epoch: int) -> None:
-        """Commit hook: replace a PENDING insert epoch with the real one.
-        No-op if the row is gone (rolled back) or already stamped."""
-        self._stamp("inserted", row_id, epoch)
+    def stamp_inserts(self, first: int, last: int, epoch: int) -> None:
+        """Commit hook: stamp one transaction's PENDING rows among row ids
+        ``first..last`` in one assignment (rolled-back rows left the buffers)."""
+        with self._lock:
+            stamps = self._buffers.inserted
+            if first == last:
+                slot = self._slot(first)
+                if slot is not None and stamps.item(slot) == PENDING_EPOCH:
+                    stamps[slot] = epoch
+                return
+            row_ids = self._buffers.row_ids[: self._length]
+            low, high = np.searchsorted(row_ids, (first, last + 1)).tolist()
+            span = stamps[low:high]
+            span[span == PENDING_EPOCH] = epoch
 
     def stamp_tombstone(self, row_id: int, epoch: int) -> None:
         """Commit hook: replace a PENDING tombstone with its commit epoch."""
-        self._stamp("deleted", row_id, epoch)
-
-    def _stamp(self, which: str, row_id: int, epoch: int) -> None:
         with self._lock:
             slot = self._slot(row_id)
-            stamps = getattr(self._buffers, which)
+            stamps = self._buffers.deleted
             if slot is not None and stamps.item(slot) == PENDING_EPOCH:
                 stamps[slot] = epoch
 

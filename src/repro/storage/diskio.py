@@ -20,7 +20,7 @@ flips on read — the machinery behind the crash-consistency suite in
 The module also hosts :func:`crc32c` (CRC-32C/Castagnoli, the checksum
 of every manifest entry, WAL frame and backup file). Checksumming *is*
 the hot path of a checkpoint, an open and a bulk-load log record, so
-inputs of a kilobyte or more run lane-parallel in numpy:
+inputs of 1,280 bytes or more run lane-parallel in numpy:
 
 * the buffer is cut into 16-byte lanes whose registers advance together,
   four bytes per step, through byte-sliced table gathers over the
@@ -35,14 +35,16 @@ inputs of a kilobyte or more run lane-parallel in numpy:
   full-length temporary, and the tail that does not fill a lane goes
   through :func:`crc32c_scalar`.
 
-:func:`crc32c_scalar`, the byte-at-a-time table walk, is the path for
-small inputs (a 60-byte WAL frame) and the reference the kernel is
-tested against: same polynomial, same chaining, bit-identical results.
+Smaller inputs (a 99-byte WAL frame) advance four bytes a step through
+two half-word tables; a big-endian host takes :func:`crc32c_scalar`, the
+byte-at-a-time walk both faster paths are tested against, bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +68,38 @@ _CRC32C_TABLE = _build_crc32c_table()
 
 
 def crc32c_scalar(data: bytes, value: int = 0) -> int:
-    """CRC-32C of ``data`` one byte at a time: :func:`crc32c`'s path for
-    small inputs, and the reference its kernel is tested against."""
+    """CRC-32C of ``data`` one byte at a time: the reference :func:`crc32c`
+    is tested against, and its path on a big-endian host."""
     crc = value ^ 0xFFFFFFFF
     table = _CRC32C_TABLE
     for byte in data:
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
+def _build_half_word_tables() -> tuple[array, array]:
+    """Tables advancing the register over a little-endian word: the low
+    half-word of ``register ^ word`` indexes the first, the high the second."""
+    ends = [np.array(_CRC32C_TABLE, dtype=np.uint32)]  # ends[k]: byte k before the end
+    for _ in range(3):
+        ends.append((ends[-1] >> 8) ^ ends[0][ends[-1] & 0xFF])
+    low, high = np.bitwise_xor.outer(ends[2], ends[3]), np.bitwise_xor.outer(ends[0], ends[1])
+    return array("I", low.tobytes()), array("I", high.tobytes())
+
+
+_LOW_HALF, _HIGH_HALF = _build_half_word_tables()
+
+
+def _crc_words(data: memoryview, value: int) -> int:
+    """CRC-32C of a byte view, four bytes a step (little-endian hosts)."""
+    whole = len(data) & ~3
+    crc = value ^ 0xFFFFFFFF
+    low, high = _LOW_HALF, _HIGH_HALF
+    for word in data[:whole].cast("I"):
+        crc ^= word
+        crc = low[crc & 0xFFFF] ^ high[crc >> 16]
+    table = _CRC32C_TABLE
+    for byte in data[whole:]:
         crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
 
@@ -80,7 +109,7 @@ _LANE_LOG2 = 4
 _LANE_BYTES = 1 << _LANE_LOG2  # 16: best at segment-file sizes (16-32 KB)
 _BLOCK_LOG2 = 18
 _BLOCK_BYTES = 1 << _BLOCK_LOG2  # 256 KB blocks bound every temporary
-_KERNEL_MIN_BYTES = 1024  # below this the scalar loop wins (crossover ~600)
+_KERNEL_MIN_BYTES = 1280  # the word loop wins below (measured: EXPERIMENTS.md E25)
 
 
 def _byte_sliced(images: np.ndarray) -> np.ndarray:
@@ -142,15 +171,18 @@ def _crc_lanes(block: np.ndarray, register: int) -> int:
 
 
 def crc32c(data: bytes, value: int = 0) -> int:
-    """CRC-32C of ``data``; pass a previous result as ``value`` to chain."""
+    """CRC-32C of ``data``'s bytes, whatever its item size; ``value`` chains."""
+    data = memoryview(data).cast("B")
     if len(data) < _KERNEL_MIN_BYTES:
-        return crc32c_scalar(data, value)
+        if sys.byteorder != "little":
+            return crc32c_scalar(data, value)
+        return _crc_words(data, value)
     buffer = np.frombuffer(data, dtype=np.uint8)
     whole = buffer.size - buffer.size % _LANE_BYTES
     register = value ^ 0xFFFFFFFF
     for start in range(0, whole, _BLOCK_BYTES):
         register = _crc_lanes(buffer[start : min(start + _BLOCK_BYTES, whole)], register)
-    return crc32c_scalar(buffer[whole:].tobytes(), register ^ 0xFFFFFFFF)
+    return crc32c_scalar(data[whole:], register ^ 0xFFFFFFFF)
 
 
 class InjectedFault(BaseException):
@@ -163,7 +195,13 @@ class InjectedFault(BaseException):
 
 
 class DiskIO:
-    """Real filesystem access with atomic, durable file replacement."""
+    """Real filesystem access with atomic, durable file replacement.
+
+    :meth:`append_file` keeps its descriptor (one ``open`` per log segment)
+    until :meth:`close_file`, or a rename, remove or write over the path.
+    """
+
+    _appending: dict[str, int] | None = None  # by path; made at first append
 
     # ------------------------------------------------------------------ #
     # Writes
@@ -188,28 +226,49 @@ class DiskIO:
             os.fsync(handle.fileno())
 
     def append_file(self, path: Path, data: bytes) -> None:
-        """Append ``data`` to ``path`` (created if missing), flushed to the
+        """Append ``data`` to ``path`` (created if missing), written to the
         OS but **not** fsynced — durability is deferred to
         :meth:`sync_file` so a write-ahead log can amortize fsyncs across
         many appends (group commit)."""
-        try:
-            handle = open(path, "ab")
-        except FileNotFoundError:
-            # Only a first append can find the directory missing: a log
-            # pays for no mkdir per record.
-            self.mkdir(Path(path).parent)
-            handle = open(path, "ab")
-        with handle:
-            handle.write(data)
-            handle.flush()
+        appending = self._appending = self._appending or {}
+        key = os.fspath(path)
+        fd = appending.get(key)
+        if fd is None:
+            flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+            try:
+                fd = os.open(key, flags, 0o666)
+            except FileNotFoundError:
+                # Only a first append can find the directory missing: a
+                # log pays for no mkdir per record.
+                self.mkdir(Path(path).parent)
+                fd = os.open(key, flags, 0o666)
+            appending[key] = fd
+        while data:  # a regular file takes it all but on error
+            data = data[os.write(fd, data) :]
 
     def sync_file(self, path: Path) -> None:
         """fsync a file previously written with :meth:`append_file`."""
+        fd = (self._appending or {}).get(os.fspath(path))
+        if fd is not None:
+            return os.fsync(fd)
         fd = os.open(path, os.O_RDONLY)
         try:
             os.fsync(fd)
         finally:
             os.close(fd)
+
+    def close_file(self, path: Path) -> None:
+        """Close the append descriptor held for ``path``, if any."""
+        fd = (self._appending or {}).pop(os.fspath(path), None)
+        if fd is not None:
+            os.close(fd)
+
+    def close(self) -> None:
+        """Close every append descriptor this object holds."""
+        while self._appending:
+            os.close(self._appending.popitem()[1])
+
+    __del__ = close
 
     def sync_dir(self, path: Path) -> None:
         """fsync a directory, persisting its entries.
@@ -232,6 +291,8 @@ class DiskIO:
             return 0
 
     def rename(self, src: Path, dst: Path) -> None:
+        self.close_file(src)
+        self.close_file(dst)
         os.replace(src, dst)
         self._fsync_dir(Path(dst).parent)
 
@@ -275,6 +336,7 @@ class DiskIO:
     # Removal (garbage collection)
     # ------------------------------------------------------------------ #
     def remove(self, path: Path) -> None:
+        self.close_file(path)
         try:
             os.remove(path)
         except FileNotFoundError:
@@ -327,7 +389,7 @@ class FaultyDisk(DiskIO):
 
     Every content write, append, fsync (file or directory), and rename
     counts as one write point, so crash sweeps cover the WAL's
-    append/sync sequence too.
+    append/sync sequence too; a crash closes every descriptor held.
     """
 
     def __init__(
@@ -361,6 +423,8 @@ class FaultyDisk(DiskIO):
             self.mkdir(Path(path).parent)
             with open(path, "ab" if append else "wb") as handle:
                 handle.write(data[: self.torn_write_bytes])
+        # The process dies: no descriptor it held writes again.
+        self.close()
         if self.lose_unsynced_on_crash:
             # Un-fsynced appended bytes never reached the platter.
             for unsynced_path, synced_size in self._synced_sizes.items():

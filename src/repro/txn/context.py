@@ -36,7 +36,7 @@ class TxnContext:
     record when a WAL is attached) for explicit transactions.
     """
 
-    __slots__ = ("txn_id", "_undo", "statements", "rolled_back", "owner", "_on_commit")
+    __slots__ = ("txn_id", "_undo", "statements", "rolled_back", "owner", "_on_commit", "_keyed")
 
     def __init__(self, txn_id: int = AUTO_COMMIT_TXN, owner: str | None = None) -> None:
         self.txn_id = txn_id
@@ -49,6 +49,7 @@ class TxnContext:
         # so a hook left behind by a statement-level rollback (its stamps
         # already undone) is a harmless no-op.
         self._on_commit: list[Callable[[int], None]] = []
+        self._keyed: dict = {}  # hooks by key, which later mutations extend
         # The session that opened this transaction (None for direct,
         # single-caller Database use). The concurrency layer serializes
         # writers, so at most one explicit transaction exists at a time —
@@ -75,10 +76,19 @@ class TxnContext:
         """Register an epoch-stamping hook to run at commit."""
         self._on_commit.append(hook)
 
+    def commit_hook(self, key, make: Callable[[], Callable[[int], None]]):
+        """The one hook under ``key`` this transaction has, ``make()`` at first."""
+        hook = self._keyed.get(key)
+        if hook is None:
+            hook = self._keyed[key] = make()
+            self._on_commit.append(hook)
+        return hook
+
     def take_commit_hooks(self) -> list[Callable[[int], None]]:
         """Detach and return the commit hooks (the commit path owns them)."""
         hooks = self._on_commit
         self._on_commit = []
+        self._keyed = {}
         return hooks
 
     # ------------------------------------------------------------------ #
@@ -114,9 +124,11 @@ class TxnContext:
         undone = self.rollback_to(0)
         self.rolled_back = True
         self._on_commit.clear()
+        self._keyed.clear()
         return undone
 
     def discard(self) -> None:
         """Forget recorded undo actions (the changes are being kept)."""
         self._undo.clear()
         self._on_commit.clear()
+        self._keyed.clear()

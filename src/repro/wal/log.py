@@ -28,6 +28,9 @@ last segment (an interrupted append — the statement never committed) and
 refuses with :class:`~repro.errors.WalCorruptError` on mid-log damage.
 It returns the records past the snapshot's checkpoint LSN for replay.
 
+**Append handle**: the tail segment's descriptor stays open until
+rotation, checkpoint truncation or :meth:`WriteAheadLog.close`.
+
 **Checkpoints**: :meth:`Database.save` records the WAL's last LSN in the
 snapshot manifest, then :meth:`truncate_covered` deletes every segment
 whose records the snapshot now covers. A crash between the two leaves
@@ -272,6 +275,7 @@ class WriteAheadLog:
         if tail is not None and self._durable_lsn < tail.last_lsn:
             self._fsync_tail()
         if tail is not None:
+            self.disk.close_file(tail.path)
             # The outgoing tail is sealed: archive it now so the archive
             # tracks rotation instead of lagging until the next
             # checkpoint truncation.
@@ -372,6 +376,8 @@ class WriteAheadLog:
 
     def close(self) -> None:
         self.flush()
+        for segment in self._segments:
+            self.disk.close_file(segment.path)
 
     # ------------------------------------------------------------------ #
     # Checkpointing

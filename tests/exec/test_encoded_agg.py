@@ -310,7 +310,7 @@ class TestGovernedEncodedAggregate:
         units = list(dict_store.scan_units())
         assert len(units) == 3
 
-        def killed_after_first_unit():
+        def killed_after_first_unit(eliminated=None):
             yield units[0]
             ctx.cancel("killed")
             yield from units[1:]

@@ -1,15 +1,21 @@
-"""The lane-parallel CRC-32C kernel against its scalar reference.
+"""The CRC-32C word loop and lane-parallel kernel against the scalar
+reference.
 
 ``crc32c_scalar`` is the byte-at-a-time table walk: the path ``crc32c``
-takes for small inputs and the definition the kernel must reproduce bit
-for bit — same value for every length, seed, split point and buffer
-type. Lengths are drawn around every boundary the kernel has: the
-scalar/kernel threshold, the lane length, the power-of-two lane counts
-the fold pads to, and the block size inputs are chained across.
+takes on a big-endian host and the definition both faster paths must
+reproduce bit for bit — same value for every length, seed, split point
+and buffer type. Below the kernel threshold ``crc32c`` advances four
+bytes a step through two half-word tables; lengths are drawn around
+every boundary the kernel has: the word/kernel threshold, the lane
+length, the power-of-two lane counts the fold pads to, and the block
+size inputs are chained across.
 """
 
 import random
+import sys
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +37,13 @@ _BOUNDARY_LENGTHS = sorted(
         THRESHOLD + LANE - 1,  # not a multiple of 4, nor of the lane
         THRESHOLD + LANE,
         THRESHOLD + LANE + 1,
+        # 1 KiB, the threshold before the word loop: inputs the kernel
+        # took then and the word loop takes now.
+        1023,
+        1024,
+        1025,
+        1024 + LANE - 1,
+        1024 + LANE + 1,
         65 * LANE,  # one lane past a power-of-two lane count
         64 * LANE + 3,
         BLOCK - 1,
@@ -120,10 +133,58 @@ def test_single_bit_flips_detected_in_a_64k_buffer():
     assert crc32c(data) == reference
 
 
-def test_small_inputs_take_the_scalar_path(monkeypatch):
-    # A 60-byte WAL frame must not pay the kernel's fixed cost.
+def test_small_inputs_take_the_word_path(monkeypatch):
+    # A 99-byte WAL frame pays no kernel set-up and no byte-at-a-time loop.
     def boom(*_args):
         raise AssertionError("kernel used for a small input")
 
+    words = []
     monkeypatch.setattr(diskio, "_crc_lanes", boom)
-    assert crc32c(b"x" * (THRESHOLD - 1)) == crc32c_scalar(b"x" * (THRESHOLD - 1))
+    monkeypatch.setattr(
+        diskio, "_crc_words", lambda data, value: words.append(len(data)) or 0
+    )
+    crc32c(b"x" * 99)
+    crc32c(b"x" * (THRESHOLD - 1))
+    assert words == [99, THRESHOLD - 1]
+
+
+def test_every_length_to_2048_matches_the_scalar_reference():
+    # Every remainder mod 4, both sides of the threshold, a random seed
+    # value each, and three buffer types: bytes, bytearray, and a
+    # memoryview one byte into a larger buffer (its words unaligned).
+    rng = random.Random(2048)
+    padded = b"\xa5" + _payload(2048, seed=3)
+    for length in range(2049):
+        data = padded[1 : 1 + length]
+        value = rng.getrandbits(32)
+        expected = crc32c_scalar(data, value)
+        assert crc32c(data, value) == expected, length
+        assert crc32c(bytearray(data), value) == expected, length
+        assert crc32c(memoryview(padded)[1 : 1 + length], value) == expected, length
+
+
+def test_a_big_endian_host_takes_the_scalar_loop(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("word loop used on a big-endian host")
+
+    monkeypatch.setattr(sys, "byteorder", "big")
+    monkeypatch.setattr(diskio, "_crc_words", boom)
+    for length in (0, 3, 99, THRESHOLD - 1, THRESHOLD + 5):
+        data = _payload(length, seed=5)
+        assert crc32c(data, 11) == crc32c_scalar(data, 11)
+
+
+def test_the_half_word_tables_stay_within_512_kib():
+    tables = (diskio._LOW_HALF, diskio._HIGH_HALF)
+    assert all(len(table) == 1 << 16 for table in tables)
+    assert sum(len(table) * table.itemsize for table in tables) <= 512 * 1024
+
+
+@pytest.mark.parametrize("items", [40, 1000])  # word loop, kernel
+def test_items_wider_than_a_byte_are_counted_in_bytes(items):
+    # Both the size test and the loops once counted items: a uint32
+    # array checksummed a quarter of its bytes' worth of values.
+    numbers = np.arange(items, dtype=np.uint32)
+    expected = crc32c_scalar(numbers.tobytes())
+    assert crc32c(numbers) == expected
+    assert crc32c(memoryview(array("I", range(items)))) == expected

@@ -2,8 +2,9 @@
 
 Every operation of the store's interface runs against both the store and
 a plain ``{row_id: (values, insert epoch, delete epoch)}`` model: inserts
-at GENESIS or PENDING (in and out of row-id order), commit stamps,
-tombstones and their undo, insert undo, restores, garbage collection,
+at GENESIS or PENDING (in and out of row-id order), commit stamps over a
+span of row ids (one transaction's rows in the store), tombstones and
+their undo, insert undo (a rollback), restores, garbage collection,
 closing and reopening, and a round trip through the persisted row format.
 After every step the current state (``to_columns``, ``scan``, ``get``,
 the row counts) and ``capture(e)`` at several epochs must equal the
@@ -148,12 +149,26 @@ class DeltaModel(RuleBasedStateMachine):
         self.model[row_id] = [row, epoch, LIVE]
         return row_id
 
-    @rule(row_id=ids, epoch=STAMPS)
-    def stamp_insert(self, row_id, epoch):
-        self.store.stamp_insert(row_id, epoch)
-        entry = self.model.get(row_id)
-        if entry is not None and entry[1] == PENDING_EPOCH:
-            entry[1] = epoch
+    @rule(count=st.integers(1, 4), row=ROWS)
+    def insert_pending_run(self, count, row):
+        # One transaction's statement: PENDING rows at the next ids.
+        if not self.open:
+            return
+        first = max(self.model, default=-1) + 1
+        for row_id in range(first, first + count):
+            self.store.insert(row_id, row, PENDING_EPOCH)
+            self.model[row_id] = [row, PENDING_EPOCH, LIVE]
+
+    @rule(first=ids, width=st.sampled_from([0, 0, 1, 2, 5]), epoch=STAMPS)
+    def stamp_inserts(self, first, width, epoch):
+        # One transaction's commit stamp: its PENDING rows among the row
+        # ids first..last, and no others. An id a rollback took away may
+        # be either end, and a row outside the span stays PENDING.
+        last = first + width
+        self.store.stamp_inserts(first, last, epoch)
+        for row_id, entry in self.model.items():
+            if first <= row_id <= last and entry[1] == PENDING_EPOCH:
+                entry[1] = epoch
 
     @rule(row_id=ids, epoch=STAMPS)
     def tombstone(self, row_id, epoch):
@@ -289,6 +304,48 @@ DeltaModel.TestCase.settings = settings(
     max_examples=examples(25), stateful_step_count=40, deadline=None
 )
 TestDeltaStoreModel = DeltaModel.TestCase
+
+
+def _pending_store(ids, pending=True):
+    store = DeltaStore(0, SCHEMA)
+    for row_id in ids:
+        store.insert(row_id, (row_id,) + (None,) * 6, PENDING_EPOCH if pending else GENESIS_EPOCH)
+    return store
+
+
+def _stamps(store):
+    n = store.physical_row_count
+    return dict(zip(store._buffers.row_ids[:n].tolist(), store._buffers.inserted[:n].tolist()))
+
+
+def test_a_span_stamps_its_pending_rows_and_none_past_it():
+    store = _pending_store(range(6))
+    store.stamp_inserts(1, 3, 7)
+    assert _stamps(store) == {0: PENDING_EPOCH, 1: 7, 2: 7, 3: 7, 4: PENDING_EPOCH, 5: PENDING_EPOCH}
+    store.stamp_inserts(5, 5, 8)
+    assert _stamps(store)[4] == PENDING_EPOCH and _stamps(store)[5] == 8
+
+
+def test_a_rolled_back_row_is_not_stamped():
+    # Row 2 was rolled back and row 3 came after it: stamping row 2
+    # alone must stamp nothing, not the slot row 2 would have had.
+    store = _pending_store([0, 1, 2])
+    assert store.delete(2)
+    store.insert(3, (3,) + (None,) * 6, PENDING_EPOCH)
+    store.stamp_inserts(2, 2, 5)
+    assert set(_stamps(store).values()) == {PENDING_EPOCH}
+    # Rows gone from the middle of a span (garbage collection) leave
+    # the rest of the span to stamp.
+    store = _pending_store(range(5), pending=False)
+    for row_id in (1, 3):
+        store.tombstone(row_id, 1)
+    store.gc(1)
+    store.insert(5, (5,) + (None,) * 6, PENDING_EPOCH)
+    store.stamp_inserts(1, 1, 6)
+    store.stamp_inserts(3, 3, 6)
+    assert _stamps(store) == {0: 0, 2: 0, 4: 0, 5: PENDING_EPOCH}
+    store.stamp_inserts(0, 5, 6)
+    assert _stamps(store) == {0: 0, 2: 0, 4: 0, 5: 6}
 
 
 def test_capture_survives_growth_compaction_and_restore():
