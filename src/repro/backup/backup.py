@@ -37,14 +37,13 @@ from pathlib import Path, PurePosixPath
 from ..errors import BackupError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO, crc32c
-from ..storage.snapshot import MANIFEST_NAME, Manifest
+from ..storage.snapshot import MANIFEST_NAME, Manifest, ManifestEntry
 from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_name
 from ..wal.record import WalRecord, encode_record, scan_segment
 from .manifest import (
     BACKUP_MANIFEST_NAME,
     IMAGE_DIR_NAME,
     WAL_SUBDIR_NAME,
-    BackupFileEntry,
     BackupManifest,
     verify_backup,
 )
@@ -113,13 +112,13 @@ class BackupJob:
                 f"{self.dest}: already holds a completed backup — refusing "
                 "to overwrite it"
             )
-        entries: list[BackupFileEntry] = []
+        entries: list[ManifestEntry] = []
         total_bytes = 0
 
         def put(relpath: str, data: bytes, crc: int) -> None:
             nonlocal total_bytes
             self.disk.write_file(self.dest / PurePosixPath(relpath), data)
-            entries.append(BackupFileEntry(path=relpath, size=len(data), crc32c=crc))
+            entries.append(ManifestEntry(path=relpath, size=len(data), crc32c=crc))
             total_bytes += len(data)
 
         # -- the base image: every file the captured manifest names, at

@@ -33,6 +33,7 @@ from pathlib import Path
 
 from ..errors import BackupError
 from ..storage.diskio import DiskIO, crc32c
+from ..storage.snapshot import ManifestEntry, self_checksum
 
 BACKUP_MANIFEST_NAME = "BACKUP_MANIFEST.json"
 BACKUP_FORMAT_VERSION = 1
@@ -49,15 +50,6 @@ WAL_SUBDIR_NAME = "wal"
 
 
 @dataclass
-class BackupFileEntry:
-    """One file of a backup, path relative to the backup directory."""
-
-    path: str
-    size: int
-    crc32c: int
-
-
-@dataclass
 class BackupManifest:
     """The commit record of one backup."""
 
@@ -65,7 +57,7 @@ class BackupManifest:
     checkpoint_lsn: int
     snapshot_id: int | None = None
     epoch: int | None = None
-    files: list[BackupFileEntry] = field(default_factory=list)
+    files: list[ManifestEntry] = field(default_factory=list)
 
     def to_json(self) -> bytes:
         body = {
@@ -74,12 +66,9 @@ class BackupManifest:
             "checkpoint_lsn": self.checkpoint_lsn,
             "snapshot_id": self.snapshot_id,
             "epoch": self.epoch,
-            "files": [
-                {"path": e.path, "size": e.size, "crc32c": f"{e.crc32c:08x}"}
-                for e in self.files
-            ],
+            "files": [entry.to_json() for entry in self.files],
         }
-        body["manifest_crc32c"] = f"{_self_checksum(body):08x}"
+        body["manifest_crc32c"] = f"{self_checksum(body):08x}"
         return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
     @classmethod
@@ -93,16 +82,8 @@ class BackupManifest:
                 )
             recorded = int(body["manifest_crc32c"], 16)
             del body["manifest_crc32c"]
-            if recorded != _self_checksum(body):
+            if recorded != self_checksum(body):
                 raise BackupError(f"{source}: backup manifest self-checksum mismatch")
-            files = [
-                BackupFileEntry(
-                    path=str(entry["path"]),
-                    size=int(entry["size"]),
-                    crc32c=int(entry["crc32c"], 16),
-                )
-                for entry in body["files"]
-            ]
             return cls(
                 backup_lsn=int(body["backup_lsn"]),
                 checkpoint_lsn=int(body["checkpoint_lsn"]),
@@ -110,17 +91,12 @@ class BackupManifest:
                     int(body["snapshot_id"]) if body["snapshot_id"] is not None else None
                 ),
                 epoch=int(body["epoch"]) if body["epoch"] is not None else None,
-                files=files,
+                files=[ManifestEntry.from_json(entry) for entry in body["files"]],
             )
         except BackupError:
             raise
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise BackupError(f"{source}: unreadable backup manifest ({exc})") from exc
-
-
-def _self_checksum(body: dict) -> int:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return crc32c(canonical.encode("utf-8"))
 
 
 def load_backup_manifest(disk: DiskIO, root: Path) -> BackupManifest:

@@ -105,8 +105,8 @@ class Database:
         # The database scope of the runtime settings (repro.settings);
         # sessions overlay their own, statements their keyword arguments.
         self.settings: dict[str, Any] = {}
-        # What this facade's own statements run under: a single caller on
-        # the live structures, whose SET writes the settings above. Also
+        # What this facade's own statements run under: a single caller
+        # reading the current state, whose SET writes the settings above. Also
         # the owner of a transaction opened through the facade.
         self.isolation = pipeline.Isolation(settings=self.settings)
         # (shape, catalog version) -> templates of statements bound once
@@ -671,7 +671,7 @@ class Database:
 
         A thin caller of the statement pipeline
         (:func:`repro.sql.runner.run_statement`) with this facade's own
-        isolation: a single caller on the live structures. ``overrides``
+        isolation: a single caller on the current state. ``overrides``
         are the statement's settings (:mod:`repro.settings`).
         """
         return pipeline.run_statement(self, text, self.isolation, stats, **overrides)

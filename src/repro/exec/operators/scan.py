@@ -34,6 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from ...governance.context import checkpoint as governance_checkpoint
+from ...mvcc import PENDING_EPOCH
 from ...observability import registry as metrics
 from ...observability.registry import MorphReason
 from ...storage.columnstore import DELTA, GROUP, ColumnStoreIndex, RowLocator, ScanUnit
@@ -128,9 +129,10 @@ class ColumnStoreScan(BatchOperator):
         self._reported: dict[str, int] = {}
         self._conjuncts = split_conjuncts(predicate)
         self._ranges = extract_column_ranges(self._conjuncts)
-        # Snapshot reads install a pinned unit list (see pin()); when
-        # set, batches() never touches the live directory or bitmap.
-        self._pinned_units: list[ScanUnit] | None = None
+        # The MVCC epoch read at: a reader lease's (set by the pipeline's
+        # pin_plan), else the current state. batches() captures the units
+        # visible at it when it starts; the lease keeps them from vacuum.
+        self.epoch = PENDING_EPOCH
 
     @property
     def output_names(self) -> list[str]:
@@ -153,29 +155,16 @@ class ColumnStoreScan(BatchOperator):
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
-    def pin(self, epoch: int) -> None:
-        """Pin this scan to the unit list committed as of MVCC ``epoch``.
-
-        Called by the statement pipeline after compile: afterwards the
-        scan iterates the pinned units — immutable row groups with masks
-        materialized at pin time, frozen delta captures — so concurrent
-        DML, the tuple mover, and REBUILD can proceed without mutating
-        this scan's view out from under it.
-        """
-        self._pinned_units = self.index.pin_scan_units(epoch, self._elimination())
-
     def _elimination(self):
         """The index's test of a group before its unit (per call: kept, a cycle)."""
         return self._eliminated if self.segment_elimination and self._ranges else None
 
     def batches(self) -> Iterator[Batch]:
-        source = (
-            self._pinned_units
-            if self._pinned_units is not None
-            else self.index.scan_units(self._elimination())
-        )
+        # Immutable row groups with masks made now, frozen delta captures:
+        # concurrent DML, the tuple mover and REBUILD never show through.
+        units = self.index.pin_scan_units(self.epoch, self._elimination())
         try:
-            for unit in source:
+            for unit in units:
                 # Per-unit checkpoint: an eliminated or fully filtered
                 # unit yields nothing, so the per-batch governance
                 # wrapper alone would let a selective scan run far past

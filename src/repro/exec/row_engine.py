@@ -18,6 +18,7 @@ from typing import Any, Iterator
 from ..errors import ExecutionError
 from ..governance.context import checkpoint as governance_checkpoint
 from ..governance.context import governed_rows
+from ..mvcc import PENDING_EPOCH
 from ..observability.opstats import OperatorStats, instrument_rows, operator_stats
 from ..rowstore.table import RowStoreTable
 from ..storage.columnstore import ColumnStoreIndex
@@ -198,7 +199,7 @@ class RowColumnStoreScan(RowOperator):
         self.columns = list(columns)
         self.predicate = predicate
         self._all_names = index.schema.names
-        self._pinned_units = None
+        self.epoch = PENDING_EPOCH  # as ColumnStoreScan.epoch
 
     @property
     def output_names(self) -> list[str]:
@@ -207,23 +208,10 @@ class RowColumnStoreScan(RowOperator):
     def describe(self) -> str:
         return f"RowColumnStoreScan(cols={self.columns}, predicate={self.predicate})"
 
-    def pin(self, epoch: int) -> None:
-        """Pin to the units committed as of ``epoch`` (same contract as
-        :meth:`ColumnStoreScan.pin`): row-mode columnstore scans are
-        pinnable too, so a mixed-mode plan over a columnstore can run
-        lock-free against a snapshot while per-table latch writers
-        mutate the live structures.
-        """
-        self._pinned_units = self.index.pin_scan_units(epoch)
-
     def rows(self) -> Iterator[dict[str, Any]]:
         names = self._all_names
         predicate = self.predicate
-        source = (
-            self.index.iter_unit_rows(self._pinned_units)
-            if self._pinned_units is not None
-            else self.index._iter_live_rows()
-        )
+        source = self.index.iter_unit_rows(self.index.pin_scan_units(self.epoch))
         for scanned, row in enumerate(source):
             if scanned % _SCAN_CHECK_INTERVAL == 0:
                 governance_checkpoint()

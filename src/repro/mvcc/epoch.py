@@ -14,7 +14,10 @@ structure with plain comparisons::
 
 Uncommitted work is stamped :data:`PENDING_EPOCH` — a sentinel larger
 than any real epoch, so it is invisible to every snapshot through the
-same ``<=`` comparisons with no extra branch. Commit replaces PENDING
+same ``<=`` comparisons with no extra branch. Read *at* PENDING_EPOCH,
+the same comparisons give the current state, pending work included:
+what a caller alone, or inside the transaction that wrote it, reads
+(a live row's delete epoch lies above it). Commit replaces PENDING
 with the freshly allocated epoch *before* the epoch is published
 (publish-last ordering), so a reader that captures ``current`` can
 never observe a half-stamped commit:
@@ -41,7 +44,8 @@ from ..observability import registry as metrics
 GENESIS_EPOCH = 0
 
 # Uncommitted state. Greater than any epoch the manager will ever
-# allocate, so `stamp <= reader_epoch` is False for every reader.
+# allocate, so `stamp <= reader_epoch` is False for every lease reader;
+# a reader at PENDING_EPOCH itself reads the current state.
 PENDING_EPOCH = 1 << 62
 
 

@@ -27,6 +27,7 @@ from ..exec.operators.scan import ColumnStoreScan
 from ..exec.row_engine import RowColumnStoreScan
 from ..governance import context as governance
 from ..governance import get_query_registry, governed
+from ..mvcc import PENDING_EPOCH
 from ..observability import registry as metrics
 from ..planner.logical import LogicalJoin, LogicalNode
 from ..planner.rewrite import map_expression, map_plan
@@ -76,8 +77,8 @@ class Isolation:
     """Who owns a statement, and what keeps it apart from the others.
 
     The one thing the front doors differ in. ``Database`` owns a bare
-    one (nothing set): a single caller, so reads and writes run on the
-    live structures with no lock, latch or lease, and ``SET`` writes the
+    one (nothing set): a single caller, so reads run at ``PENDING_EPOCH``
+    and writes in place, with no lock, latch or lease, and ``SET`` writes the
     database-wide settings. A :class:`~repro.concurrency.Session` *is*
     one with ``lock`` and ``latches`` set: reads run on a reader lease
     at an epoch, writes take a lock side, ``SET`` writes its own
@@ -164,15 +165,18 @@ def run_parsed(
 # ---------------------------------------------------------------------- #
 @contextmanager
 def _read_epoch(db, isolation: Isolation):
-    """Isolate a read: ``None`` = the live structures, else a lease epoch.
+    """Isolate a read: the MVCC epoch it reads at.
 
     A single caller, or a session inside its own transaction (which
-    holds the exclusive side and must read its own writes), reads live.
-    Everyone else reads the latest committed epoch through a reader
-    lease — the one held across statements if there is one.
+    holds the exclusive side and must read its own writes), reads at
+    ``PENDING_EPOCH``: every committed version and its own pending work,
+    which is the current state. Everyone else reads the latest committed
+    epoch through a reader lease — the one held across statements if
+    there is one — which keeps that epoch's versions from vacuum until
+    the statement ends.
     """
     if isolation.lock is None or isolation.in_txn:
-        yield None
+        yield PENDING_EPOCH
         return
     held = isolation.lease
     lease = held if held is not None else db.mvcc.readers.pin(tag=isolation.name)
@@ -186,7 +190,7 @@ def _read_epoch(db, isolation: Isolation):
             lease.release()
 
 
-def make_binder(db, isolation: Isolation | None = None, epoch: int | None = None,
+def make_binder(db, isolation: Isolation | None = None, epoch: int = PENDING_EPOCH,
                 settings: dict[str, Any] | None = None):
     """A binder whose uncorrelated subqueries read what the statement reads.
 
@@ -203,13 +207,15 @@ def make_binder(db, isolation: Isolation | None = None, epoch: int | None = None
 
 
 def pin_plan(physical, epoch: int) -> bool:
-    """Pin every columnstore scan leaf of a compiled plan to ``epoch``.
+    """Set every columnstore scan leaf of a compiled plan to read at ``epoch``.
 
-    Returns True when the plan is *fully pinned* — every leaf reads
-    columnstore structures through a pinned capture — so it may run with
-    no lock held. Leaves that read row-store structures in place (heap
-    scans, index seeks) make it unpinned; their writers take the
-    exclusive side, so the shared side is the right protection for them.
+    Each leaf captures the units visible at it at its first batch
+    (``ColumnStoreIndex.pin_scan_units``). Returns True when the plan is
+    *fully pinned* — every leaf reads columnstore structures through such
+    a capture — so it may run with no lock held. Leaves that read
+    row-store structures in place (heap scans, index seeks) make it
+    unpinned; their writers take the exclusive side, so the shared side
+    is the right protection for them.
     """
     fully_pinned = True
     stack = [physical.root]
@@ -219,23 +225,24 @@ def pin_plan(physical, epoch: int) -> bool:
         if children:
             stack.extend(children)
         elif isinstance(op, (ColumnStoreScan, RowColumnStoreScan)):
-            op.pin(epoch)
+            op.epoch = epoch
+            metrics.increment("concurrency.snapshot_pins")
         else:
             fully_pinned = False
     return fully_pinned
 
 
 def prepare(
-    db, plan: LogicalNode, epoch: int | None = None, settings: dict[str, Any] | None = None,
+    db, plan: LogicalNode, epoch: int = PENDING_EPOCH, settings: dict[str, Any] | None = None,
     optimize: bool = True,
 ):
     """Compile → pin: ``(physical, lock_free)`` for a bound SELECT.
 
-    ``epoch=None`` compiles against the live structures (the caller is
-    alone or exclusive, so that is lock-free by construction).
+    At ``PENDING_EPOCH`` the caller is alone or exclusive: its scans
+    already read there, and the plan is lock-free by construction.
     """
     physical = db.optimizer.compile(plan, settings, optimize)
-    if epoch is None:
+    if epoch == PENDING_EPOCH:
         return physical, True
     if pin_plan(physical, epoch):
         metrics.increment("mvcc.lockfree_reads")
@@ -268,7 +275,7 @@ def execute_plan(
     db,
     plan: LogicalNode,
     isolation: Isolation,
-    epoch: int | None = None,
+    epoch: int = PENDING_EPOCH,
     stats: bool = False,
     dtypes: list[DataType] | None = None,
     settings: dict[str, Any] | None = None,

@@ -229,7 +229,7 @@ def _deserialize_segment(blob: bytes) -> ColumnSegment:
     if flags & _FLAG_ARCHIVE:
         archive, pos = _read_bytes(blob, pos)
 
-    return ColumnSegment(
+    return _checked(ColumnSegment(
         dtype=dtype,
         row_count=row_count,
         scheme=scheme,
@@ -242,7 +242,42 @@ def _deserialize_segment(blob: bytes) -> ColumnSegment:
         max_value=max_value,
         raw_size_bytes=raw_size,
         archive=archive,
-    )
+    ))
+
+
+# What a scheme's segment carries: (a dictionary, a value encoding).
+_SCHEME_PARTS = {
+    Scheme.DICT: (True, False), Scheme.VALUE: (False, True), Scheme.RAW: (False, False)
+}
+
+
+def _checked(segment: ColumnSegment) -> ColumnSegment:
+    """``segment``, unless parts that each parsed disagree with one
+    another, which a read of it would otherwise trip over."""
+    scheme, stream, rows = segment.scheme, segment.stream, segment.row_count
+    parts = (segment.dictionary is not None, segment.value_enc is not None)
+    if parts != _SCHEME_PARTS[scheme]:
+        raise CorruptBlobError(f"scheme {scheme.value} with (dictionary, value encoding) {parts}")
+    if (scheme is Scheme.RAW) != isinstance(stream, RawBlock):
+        raise CorruptBlobError(f"a {type(stream).__name__} under scheme {scheme.value}")
+    if stream.count != rows:
+        raise CorruptBlobError(f"a stream of {stream.count} values in a {rows}-row segment")
+    if isinstance(stream, RleBlock) and stream.n_runs > stream.count:
+        raise CorruptBlobError(f"{stream.n_runs} runs of {stream.count} values")
+    if isinstance(stream, RawBlock):
+        physical = segment.dtype.numpy_dtype
+        if stream.dtype_str != physical.str:
+            raise CorruptBlobError(f"raw values {stream.dtype_str!r} in a {physical.str} column")
+        if not segment.archived and len(stream.payload) != rows * physical.itemsize:
+            raise CorruptBlobError(f"{len(stream.payload)} raw bytes for {rows} rows")
+    nulls = segment.null_payload
+    if nulls is not None and len(nulls) != (rows + 7) // 8:
+        raise CorruptBlobError(f"{len(nulls)} null-mask bytes for {rows} rows")
+    # Inverting adds the base and scales by 10**|exponent| in int64.
+    venc = segment.value_enc
+    if venc is not None and not (abs(venc.exponent) <= 18 and -(2**63) <= venc.base < 2**63):
+        raise CorruptBlobError(f"value encoding {venc} overflows int64")
+    return segment
 
 
 def _read_stream(blob: bytes, pos: int):

@@ -37,7 +37,7 @@ from ..observability import registry as metrics
 from ..schema import TableSchema
 from ..types import python_values
 from .config import StoreConfig
-from .delete_bitmap import DeleteBitmap
+from .delete_bitmap import DeleteBitmap, deleted_mask
 from .deltastore import DeltaStore, FrozenDeltaView
 from .directory import SegmentDirectory
 from .loader import BulkLoader, rows_to_columns
@@ -84,14 +84,15 @@ class RowLocator:
 class ScanUnit:
     """One scannable unit handed to the execution engine.
 
-    Either a compressed row group (with its current deleted-row mask) or a
-    delta store. The executor turns each into column batches.
+    Either a compressed row group (with its deleted-row mask at the
+    reader's epoch) or a delta store's capture at it. The executor turns
+    each into column batches.
     """
 
     kind: str
     group: RowGroup | None = None
     deleted_mask: np.ndarray | None = None
-    delta: DeltaStore | FrozenDeltaView | None = None
+    delta: FrozenDeltaView | None = None
 
 
 class _InsertSpan:
@@ -336,35 +337,20 @@ class ColumnStoreIndex:
             return self.segment_cache.decode(segment, positions)
         return segment.decode() if positions is None else segment.take(positions)
 
-    def scan_units(
-        self, eliminated: Callable[[RowGroup], bool] | None = None
-    ) -> Iterator[ScanUnit | None]:
-        """All scannable units: compressed groups first, then delta stores.
-        A group ``eliminated`` rejects (a scan's [min, max] test) comes out
-        as ``None``: no delete mask or unit is built for it."""
-        for group in self.directory.row_groups():
-            if eliminated is not None and eliminated(group):
-                yield None
-                continue
-            yield ScanUnit(
-                kind=GROUP,
-                group=group,
-                deleted_mask=self.delete_bitmap.mask_for(group.group_id, group.row_count),
-            )
-        for delta_id in sorted(self._delta_stores):
-            delta = self._delta_stores[delta_id]
-            if delta.row_count:
-                yield ScanUnit(kind=DELTA, delta=delta)
-
     def pin_scan_units(
         self, epoch: int, eliminated: Callable[[RowGroup], bool] | None = None
     ) -> list[ScanUnit | None]:
-        """A snapshot-stable capture of :meth:`scan_units` as of ``epoch``.
+        """Every scannable unit visible at ``epoch``: compressed groups
+        first, then delta stores. A group ``eliminated`` rejects (a scan's
+        [min, max] test) comes out as ``None``: no delete mask or unit is
+        built for it.
 
-        The statement pipeline calls this after compile and then scans
-        the returned units with **no lock held**. Everything
-        reachable from the result is stable under concurrent DML and
-        maintenance:
+        The one place a unit list is built. A scan calls it at its first
+        batch and reads the result with **no lock held**; a reader that
+        is alone or inside the transaction that wrote the data passes
+        ``PENDING_EPOCH`` and gets the current state, its own pending
+        work included. Everything reachable from the result is stable
+        under concurrent DML and maintenance:
 
         * compressed row groups are immutable objects — the tuple mover,
           REBUILD and archival all swap *new* group objects into the
@@ -378,9 +364,9 @@ class ColumnStoreIndex:
 
         The result is exactly the structures and rows committed at or
         before ``epoch``, including *retired* row groups / delta stores
-        maintenance has since superseded (a session inside its own
-        transaction reads the live structures instead and never comes
-        here). The capture runs under ``_pin_mutex`` so it can never interleave
+        maintenance has since superseded (retirement epochs are real, so
+        none is visible at ``PENDING_EPOCH``). The capture runs under
+        ``_pin_mutex`` so it can never interleave
         with a retirement half-way (structure in neither the live
         directory nor the retired list); the delta captures happen
         after the mutex is dropped, on references the retired lists
@@ -403,13 +389,7 @@ class ColumnStoreIndex:
                         group.group_id, group.row_count, epoch
                     )
                 else:
-                    marked = [p for p, e in record.marks.items() if e <= epoch]
-                    if marked:
-                        mask = np.zeros(group.row_count, dtype=bool)
-                        mask[np.fromiter(marked, dtype=np.int64,
-                                         count=len(marked))] = True
-                    else:
-                        mask = None
+                    mask = deleted_mask(record.marks, group.row_count, epoch)
                 group_units[group.group_id] = ScanUnit(
                     kind=GROUP, group=group, deleted_mask=mask
                 )
@@ -440,7 +420,6 @@ class ColumnStoreIndex:
             view = delta.capture(epoch)
             if view.row_count:
                 units.append(ScanUnit(kind=DELTA, delta=view))
-        metrics.increment("concurrency.snapshot_pins")
         return units
 
     def delta_stores(self) -> list[DeltaStore]:
@@ -567,7 +546,7 @@ class ColumnStoreIndex:
         dropped, so snapshot readers pinned before the rebuild keep
         scanning the exact structures that were visible to them.
         """
-        live_rows: list[tuple[Any, ...]] = list(self._iter_live_rows())
+        live_rows = list(self.iter_unit_rows(self.pin_scan_units(PENDING_EPOCH)))
         with self.mvcc.installing() as epoch:
             for group in list(self.directory.row_groups()):
                 self._retire_group(group, epoch)
@@ -627,6 +606,3 @@ class ColumnStoreIndex:
                 assert unit.delta is not None
                 for _row_id, row in unit.delta.scan():
                     yield row
-
-    def _iter_live_rows(self) -> Iterator[tuple[Any, ...]]:
-        return self.iter_unit_rows(self.scan_units())

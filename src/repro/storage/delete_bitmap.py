@@ -11,9 +11,9 @@ MVCC: every mark carries the commit epoch at which the delete became
 visible (:mod:`repro.mvcc`). A transactional delete marks at
 :data:`~repro.mvcc.PENDING_EPOCH` and stamps the real epoch at commit;
 :meth:`mask_for` filters by a reader's epoch so a snapshot pinned before
-the delete committed keeps seeing the row. ``epoch=None`` means "current
-state including pending marks" — the read-your-writes view the
-single-caller engine and in-transaction scans use.
+the delete committed keeps seeing the row. A reader at ``PENDING_EPOCH``
+— a single caller, or a transaction reading its own writes — has every
+mark applied, pending ones included.
 
 Redo determinism: marks are keyed by (group id, position), and group ids
 are assigned by deterministic maintenance operations that the WAL logs
@@ -122,28 +122,10 @@ class DeleteBitmap:
     def total_deleted(self) -> int:
         return sum(len(p) for p in self._deleted.values())
 
-    def mask_for(
-        self, group_id: int, row_count: int, epoch: int | None = None
-    ) -> np.ndarray | None:
-        """Boolean deleted-mask for a row group, or ``None`` if untouched.
-
-        ``epoch=None`` applies every mark including PENDING ones (the
-        current-state / read-your-writes view); an integer epoch applies
-        only marks committed at or before it (a snapshot view).
-        """
+    def mask_for(self, group_id: int, row_count: int, epoch: int) -> np.ndarray | None:
+        """A row group's deleted-mask as of ``epoch`` (:func:`deleted_mask`)."""
         with self._lock:
-            positions = self._deleted.get(group_id)
-            if not positions:
-                return None
-            if epoch is None:
-                marked = list(positions)
-            else:
-                marked = [p for p, e in positions.items() if e <= epoch]
-        if not marked:
-            return None
-        mask = np.zeros(row_count, dtype=bool)
-        mask[np.fromiter(marked, dtype=np.int64, count=len(marked))] = True
-        return mask
+            return deleted_mask(self._deleted.get(group_id), row_count, epoch)
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -179,3 +161,17 @@ class DeleteBitmap:
     def size_bytes(self) -> int:
         """Accounting size: a compressed bitmap would be ~4 bytes/entry."""
         return self.total_deleted * 4 + 16 * len(self._deleted)
+
+
+def deleted_mask(
+    marks: dict[int, int] | None, row_count: int, epoch: int
+) -> np.ndarray | None:
+    """The boolean mask of the rows ``marks`` (position -> mark epoch)
+    delete for a reader at ``epoch``: the marks stamped at or before it,
+    so every mark at PENDING_EPOCH. ``None`` when no mark applies."""
+    marked = [p for p, e in marks.items() if e <= epoch] if marks else None
+    if not marked:
+        return None
+    mask = np.zeros(row_count, dtype=bool)
+    mask[np.fromiter(marked, dtype=np.int64, count=len(marked))] = True
+    return mask

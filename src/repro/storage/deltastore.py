@@ -19,6 +19,8 @@ see. A slot below the published length is never written again, its
 epoch stamps aside: compaction, insert undo, an out-of-order insert and
 growth move to new buffers. So :meth:`capture` keeps the buffers of its
 moment and the index of its visible slots, and gathers without the lock.
+Every read is a capture: a snapshot at its reader's epoch, the current
+state (pending rows included) at ``PENDING_EPOCH``.
 
 Redo determinism: delta ids, row ids (never reused) and open/closed
 transitions follow from the insert/close sequence alone, so WAL replay
@@ -44,7 +46,7 @@ from ..types import python_values
 # The delete epoch of a row not deleted: later than every reader's epoch.
 _LIVE = PENDING_EPOCH + 1
 
-# (columns, null_masks, row_ids), as to_columns hands them out.
+# (columns, null_masks, row_ids), as FrozenDeltaView.to_columns hands them out.
 Columns = tuple[dict[str, np.ndarray], dict[str, "np.ndarray | None"], np.ndarray]
 
 
@@ -259,25 +261,11 @@ class DeltaStore:
                 self._keep(np.flatnonzero(~dead))
         return collected
 
-    def _live_view(self) -> "FrozenDeltaView":
-        buffers = self._buffers
-        slots = np.flatnonzero(buffers.deleted[: self._length] == _LIVE)
-        return FrozenDeltaView(self.delta_id, buffers, slots)
-
-    def scan(self) -> list[tuple[int, tuple[Any, ...]]]:
-        """(row_id, row) pairs of live rows, in row-id order."""
-        with self._lock:
-            return self._live_view().scan()
-
-    def to_columns(self, names: list[str] | None = None) -> Columns:
-        """Live rows as columns: see :meth:`FrozenDeltaView.to_columns`."""
-        with self._lock:
-            return self._live_view().to_columns(names)
-
     def capture(self, epoch: int) -> "FrozenDeltaView":
         """The rows committed at or before ``epoch`` and not deleted as of
-        it, for a snapshot read's pin: only the slot index is computed
-        under the lock, the view gathers later."""
+        it — every read of the store: at ``PENDING_EPOCH`` that is each row
+        not tombstoned, pending ones included. Only the slot index is
+        computed under the lock, the view gathers later."""
         with self._lock:
             buffers, n = self._buffers, self._length
             visible = (buffers.inserted[:n] <= epoch) & (buffers.deleted[:n] > epoch)
@@ -287,7 +275,7 @@ class DeltaStore:
     def size_bytes(self) -> int:
         """Uncompressed accounting size of the live rows: type width per
         value, UTF-8 length + 2 per string, 2 per NULL, 16 per row."""
-        columns, null_masks, row_ids = self.to_columns()
+        columns, null_masks, row_ids = self.capture(PENDING_EPOCH).to_columns()
         total = 16 * row_ids.size
         for col in self.schema:
             values, mask = columns[col.name], null_masks[col.name]
@@ -304,8 +292,8 @@ class DeltaStore:
 class FrozenDeltaView:
     """Some rows of one delta store: the buffers of a moment and the
     slots selected from them, which are never rewritten — concurrent DML
-    never shows through. Duck-compatible with the slice of
-    :class:`DeltaStore` the scan path uses, and read-only."""
+    never shows through. What every reader of a delta store reads
+    (:meth:`DeltaStore.capture`); read-only."""
 
     __slots__ = ("delta_id", "_buffers", "_slots")
 

@@ -36,6 +36,7 @@ import json
 from typing import Any
 
 from ..errors import CorruptBlobError, EncodingError, RecoveryError
+from ..mvcc import PENDING_EPOCH
 from ..schema import ColumnDef, TableSchema
 from ..types import DataType, TypeKind
 from . import serde
@@ -168,9 +169,9 @@ def save_columnstore(index: ColumnStoreIndex, writer, prefix: str) -> None:
 
     delta_meta = []
     for delta in index.delta_stores():
-        # One scan pass: ids and rows come from the same iteration, so
-        # they can never pair up rows from different tree states.
-        pairs = list(delta.scan())
+        # One capture: ids and rows come from the same slots, so they can
+        # never pair up rows from different states of the store.
+        pairs = delta.capture(PENDING_EPOCH).scan()
         payload = bytearray()
         serde.write_varint(payload, len(pairs))
         for row_id, _ in pairs:

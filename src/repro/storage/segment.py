@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import EncodingError
+from ..errors import CorruptBlobError, EncodingError
 from ..types import DataType, TypeKind
 from . import serde, value_encoding, xpress
 from .dictionary import GlobalDictionary, LocalDictionary
@@ -176,7 +176,10 @@ class ColumnSegment:
             entries = self.dictionary.values
             dtype = self.dtype.numpy_dtype
             if entries:  # a code is int64 to the array path: one past 2**63 wraps
-                values = np.array([entries[c - (c >> 63 << 64)] for c in codes], dtype=dtype)
+                try:
+                    values = np.array([entries[c - (c >> 63 << 64)] for c in codes], dtype=dtype)
+                except IndexError:
+                    raise CorruptBlobError(f"a code past a {len(entries)}-entry dictionary") from None
             else:  # every row NULL: filler, as DictionaryVector._lookup
                 values = np.full(len(codes), "" if dtype == object else 0, dtype=dtype)
         if self.null_payload is None:
@@ -402,7 +405,10 @@ class DictionaryVector(EncodedVector):
             # with no entry to index; emit filler under the all-True mask.
             filler = "" if per_distinct.dtype == object else 0
             return np.full(codes.size, filler, dtype=per_distinct.dtype)
-        return per_distinct[codes]
+        try:
+            return per_distinct[codes]
+        except IndexError:
+            raise CorruptBlobError(f"a code past a {per_distinct.size}-entry dictionary") from None
 
     def weights(self, keep: np.ndarray) -> np.ndarray:
         return np.bincount(

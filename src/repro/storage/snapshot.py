@@ -88,11 +88,21 @@ def _pool_path(relpath: str, crc: int) -> str:
 # ---------------------------------------------------------------------- #
 @dataclass
 class ManifestEntry:
-    """One file of a snapshot: path relative to the database root."""
+    """One file a manifest lists — a snapshot's or a backup's — by its
+    path relative to the directory the manifest commits."""
 
     path: str
     size: int
     crc32c: int
+
+    def to_json(self) -> dict:
+        return {"path": self.path, "size": self.size, "crc32c": f"{self.crc32c:08x}"}
+
+    @classmethod
+    def from_json(cls, entry: dict) -> "ManifestEntry":
+        return cls(
+            path=str(entry["path"]), size=int(entry["size"]), crc32c=int(entry["crc32c"], 16)
+        )
 
 
 @dataclass
@@ -122,12 +132,9 @@ class Manifest:
             "format_version": MANIFEST_VERSION,
             "snapshot_id": self.snapshot_id,
             "checkpoint_lsn": self.checkpoint_lsn,
-            "files": [
-                {"path": e.path, "size": e.size, "crc32c": f"{e.crc32c:08x}"}
-                for e in self.files
-            ],
+            "files": [entry.to_json() for entry in self.files],
         }
-        body["manifest_crc32c"] = f"{_self_checksum(body):08x}"
+        body["manifest_crc32c"] = f"{self_checksum(body):08x}"
         return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
     @classmethod
@@ -147,19 +154,11 @@ class Manifest:
                 )
             recorded = int(body["manifest_crc32c"], 16)
             del body["manifest_crc32c"]
-            if recorded != _self_checksum(body):
+            if recorded != self_checksum(body):
                 raise CorruptBlobError("manifest self-checksum mismatch", path=source)
-            files = [
-                ManifestEntry(
-                    path=str(entry["path"]),
-                    size=int(entry["size"]),
-                    crc32c=int(entry["crc32c"], 16),
-                )
-                for entry in body["files"]
-            ]
             return cls(
                 snapshot_id=int(body["snapshot_id"]),
-                files=files,
+                files=[ManifestEntry.from_json(entry) for entry in body["files"]],
                 checkpoint_lsn=int(body.get("checkpoint_lsn", 0)),
             )
         except (RecoveryError, CorruptBlobError):
@@ -168,7 +167,8 @@ class Manifest:
             raise RecoveryError(f"{source}: unreadable manifest ({exc})") from exc
 
 
-def _self_checksum(body: dict) -> int:
+def self_checksum(body: dict) -> int:
+    """The CRC-32C a manifest body (snapshot or backup) carries over itself."""
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return crc32c(canonical.encode("utf-8"))
 

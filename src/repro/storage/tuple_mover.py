@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..mvcc import PENDING_EPOCH
 from ..observability import registry as metrics
 from .columnstore import ColumnStoreIndex
 
@@ -56,7 +57,7 @@ class TupleMover:
         # only the new groups. Vacuum then frees whatever no reader needs.
         with self.index.mvcc.installing() as epoch:
             for delta in self.index.closed_delta_stores():
-                columns, null_masks, _row_ids = delta.to_columns()
+                columns, null_masks, _row_ids = delta.capture(PENDING_EPOCH).to_columns()
                 with self.index.directory.creating_at(epoch):
                     groups = self.index.loader.load_columns(columns, null_masks)
                 report.rows_moved += delta.row_count

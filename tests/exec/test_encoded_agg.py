@@ -20,6 +20,7 @@ from repro.exec.operators.hash_aggregate import BatchHashAggregate, agg, count_s
 from repro.errors import QueryKilledError
 from repro.exec.operators.scan import ColumnStoreScan
 from repro.governance.context import QueryContext, activate
+from repro.mvcc import PENDING_EPOCH
 from repro.observability.registry import get_registry
 from repro.schema import schema
 from repro.storage.columnstore import GROUP, ColumnStoreIndex, RowLocator
@@ -307,15 +308,15 @@ class TestGovernedEncodedAggregate:
         checkpoint stops a blocking aggregate mid-scan, and what the scan
         did until then still reaches the registry."""
         ctx = QueryContext(query_id=1)
-        units = list(dict_store.scan_units())
+        units = dict_store.pin_scan_units(PENDING_EPOCH)
         assert len(units) == 3
 
-        def killed_after_first_unit(eliminated=None):
+        def killed_after_first_unit(epoch, eliminated=None):
             yield units[0]
             ctx.cancel("killed")
             yield from units[1:]
 
-        monkeypatch.setattr(dict_store, "scan_units", killed_after_first_unit)
+        monkeypatch.setattr(dict_store, "pin_scan_units", killed_after_first_unit)
         scan = ColumnStoreScan(dict_store, ["k", "v"])
         op = BatchHashAggregate(scan, ["k"], [count_star("n"), agg("sum", "v", "s")])
         scan.takes_encoded = op.takes_encoded()

@@ -1,7 +1,7 @@
 """A point predicate builds nothing for a row group [min, max] eliminates.
 
-``scan_units`` and ``pin_scan_units`` ask the scan's elimination test of
-each group before they build its unit, so an eliminated group costs no
+``pin_scan_units`` asks the scan's elimination test of each group before
+it builds its unit, so an eliminated group costs no
 delete mask (``DeleteBitmap.mask_for``) and no ``_scan_group`` trip —
 live, pinned, or retired and held by a snapshot — while
 ``units_seen`` / ``units_eliminated`` count what they always counted.

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Database, StoreConfig, schema, types
 from repro.errors import StorageError
+from repro.mvcc import PENDING_EPOCH
 from repro.storage.columnstore import ColumnStoreIndex
 
 
@@ -18,7 +19,7 @@ class TestArchivalConfig:
         for group in index.directory.row_groups():
             assert group.archived
         # Data still scans correctly.
-        total = sum(1 for _ in index._iter_live_rows())
+        total = sum(1 for _ in index.iter_unit_rows(index.pin_scan_units(PENDING_EPOCH)))
         assert total == 200
 
     def test_tuple_mover_respects_archival_config(self):

@@ -1,7 +1,8 @@
 """Segment-blob fuzzing: round-trip every encoding scheme, then truncate
 at each byte offset and flip bytes, asserting only structured errors
 (never ``IndexError``/``struct.error``/``KeyError``) escape
-``deserialize_segment``. Seeded by ``REPRO_FAULT_SEED`` (CI matrix)."""
+``deserialize_segment`` or a read of what it returned. Seeded by
+``REPRO_FAULT_SEED`` (CI matrix)."""
 
 import os
 import random
@@ -76,6 +77,24 @@ def test_truncation_at_every_byte_offset(name):
             deserialize_segment(blob[:cut])
 
 
+def _read_corrupted(blob: bytes) -> None:
+    """Deserialize ``blob``, then read whatever came out every way a scan
+    does: decode it, take a few rows, take many and build its vector.
+    Each step succeeds or raises EncodingError."""
+    try:
+        segment = deserialize_segment(blob)
+        segment.decode()
+        last = max(segment.row_count - 1, 0)
+        for positions in ([0, last], range(0, segment.row_count, 3)):
+            if segment.row_count:
+                segment.take(np.array(positions, dtype=np.int64))
+        vector = segment.vector()
+        if vector is not None:
+            vector.decode()
+    except EncodingError:
+        pass
+
+
 @pytest.mark.parametrize("name", sorted(SEGMENTS))
 def test_single_byte_flips_raise_only_structured_errors(name):
     """Flip every byte (with a seeded mask): decode either succeeds or
@@ -88,9 +107,7 @@ def test_single_byte_flips_raise_only_structured_errors(name):
         mask = rng.randrange(1, 256)
         blob[index] ^= mask
         try:
-            deserialize_segment(bytes(blob))
-        except EncodingError:
-            pass
+            _read_corrupted(bytes(blob))
         finally:
             blob[index] ^= mask
 
@@ -103,10 +120,7 @@ def test_random_multi_byte_corruption(name):
         blob = bytearray(pristine)
         for _ in range(rng.randrange(1, 4)):
             blob[rng.randrange(len(blob))] ^= rng.randrange(1, 256)
-        try:
-            deserialize_segment(bytes(blob))
-        except EncodingError:
-            pass
+        _read_corrupted(bytes(blob))
 
 
 def test_garbage_blobs():

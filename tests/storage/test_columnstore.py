@@ -6,6 +6,7 @@ import pytest
 
 from repro import types
 from repro.errors import StorageError
+from repro.mvcc import PENDING_EPOCH
 from repro.schema import schema
 from repro.storage.columnstore import DELTA, GROUP, ColumnStoreIndex, RowLocator
 from repro.storage.config import StoreConfig
@@ -199,7 +200,7 @@ class TestArchival:
         rows = make_rows(sch, 50)
         index.bulk_load(rows)
         index.archive()
-        live = sorted(index._iter_live_rows())
+        live = sorted(index.iter_unit_rows(index.pin_scan_units(PENDING_EPOCH)))
         assert len(live) == 50
         assert live[0][0] == 0
 
@@ -213,7 +214,7 @@ class TestAccounting:
     def test_scan_units_cover_everything(self, index, sch):
         index.bulk_load(make_rows(sch, 60))
         index.insert_many(make_rows(sch, 5, start=500))
-        units = list(index.scan_units())
+        units = index.pin_scan_units(PENDING_EPOCH)
         group_units = [u for u in units if u.kind == GROUP]
         delta_units = [u for u in units if u.kind == DELTA]
         assert sum(u.group.row_count for u in group_units) == 60

@@ -5,6 +5,7 @@ import pytest
 
 from repro import types
 from repro.errors import StorageError
+from repro.mvcc import PENDING_EPOCH
 from repro.schema import schema
 from repro.storage.delete_bitmap import DeleteBitmap
 from repro.storage.deltastore import DeltaStore
@@ -33,18 +34,18 @@ class TestDeleteBitmap:
     def test_mask_for(self):
         bitmap = DeleteBitmap()
         bitmap.mark_many(0, [1, 3])
-        mask = bitmap.mask_for(0, 5)
+        mask = bitmap.mask_for(0, 5, PENDING_EPOCH)
         assert mask.tolist() == [False, True, False, True, False]
 
     def test_mask_for_untouched_group_is_none(self):
-        assert DeleteBitmap().mask_for(9, 10) is None
+        assert DeleteBitmap().mask_for(9, 10, PENDING_EPOCH) is None
 
     def test_forget_group(self):
         bitmap = DeleteBitmap()
         bitmap.mark(1, 1)
         bitmap.forget_group(1)
         assert bitmap.total_deleted == 0
-        assert bitmap.mask_for(1, 5) is None
+        assert bitmap.mask_for(1, 5, PENDING_EPOCH) is None
 
     def test_groups_with_deletes(self):
         bitmap = DeleteBitmap()
@@ -87,13 +88,13 @@ class TestDeltaStore:
         delta = DeltaStore(0, sch)
         for row_id in [5, 1, 3]:
             delta.insert(row_id, (row_id, "x"))
-        assert [rid for rid, _ in delta.scan()] == [1, 3, 5]
+        assert [rid for rid, _ in delta.capture(PENDING_EPOCH).scan()] == [1, 3, 5]
 
     def test_to_columns(self, sch):
         delta = DeltaStore(0, sch)
         delta.insert(1, (10, "a"))
         delta.insert(2, (20, None))
-        columns, masks, row_ids = delta.to_columns()
+        columns, masks, row_ids = delta.capture(PENDING_EPOCH).to_columns()
         assert columns["id"].tolist() == [10, 20]
         assert columns["id"].dtype == np.int32
         assert masks["v"].tolist() == [False, True]

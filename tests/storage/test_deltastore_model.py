@@ -6,8 +6,9 @@ at GENESIS or PENDING (in and out of row-id order), commit stamps over a
 span of row ids (one transaction's rows in the store), tombstones and
 their undo, insert undo (a rollback), restores, garbage collection,
 closing and reopening, and a round trip through the persisted row format.
-After every step the current state (``to_columns``, ``scan``, ``get``,
-the row counts) and ``capture(e)`` at several epochs must equal the
+After every step the current state — ``capture(PENDING_EPOCH)``, which is
+what every reader alone or inside its own transaction reads, ``get`` and
+the row counts — and ``capture(e)`` at several epochs must equal the
 model, and every capture taken earlier must still return what it
 returned when it was taken — across growth, compaction and restores.
 
@@ -240,7 +241,7 @@ class DeltaModel(RuleBasedStateMachine):
     def persist_round_trip(self):
         """What save + load do: live rows through the row blob format,
         back in as GENESIS rows of a fresh store."""
-        pairs = self.store.scan()
+        pairs = self.store.capture(PENDING_EPOCH).scan()
         payload = bytearray()
         serde.write_varint(payload, len(pairs))
         for row_id, _ in pairs:
@@ -267,16 +268,18 @@ class DeltaModel(RuleBasedStateMachine):
         store, live = self.store, self._live()
         assert store.row_count == len(live) == len(store)
         assert store.physical_row_count == len(self.model)
-        scanned = store.scan()
+        current = store.capture(PENDING_EPOCH)
+        assert current.row_count == len(live)
+        scanned = current.scan()
         assert _rows_key(scanned) == _rows_key(live)
         for _, row in scanned:
             for value, py in zip(row, PY_TYPES):
                 assert value is None or type(value) is py
-        handed = store.to_columns()
+        handed = current.to_columns()
         assert _rows_key(_columns_as_rows(*handed)) == _rows_key(live)
         _scribble(*handed)
-        assert _rows_key(store.scan()) == _rows_key(live)
-        subset, masks, row_ids = store.to_columns(["s", "f"])
+        assert _rows_key(store.capture(PENDING_EPOCH).scan()) == _rows_key(live)
+        subset, masks, row_ids = current.to_columns(["s", "f"])
         assert list(subset) == ["s", "f"] and row_ids.tolist() == [r for r, _ in live]
         for rid in list(self.model) + [25]:
             got = store.get(rid)
@@ -360,7 +363,7 @@ def test_capture_survives_growth_compaction_and_restore():
         store.tombstone(row_id, 2)
     assert store.gc(5) == 10  # compaction
     store.restore(1, row)  # out of order: the later slots move up one
-    assert [rid for rid, _ in store.scan()][:3] == [1, 2, 6]
+    assert [rid for rid, _ in store.capture(PENDING_EPOCH).scan()][:3] == [1, 2, 6]
     assert [rid for rid, _ in before.scan()] == list(range(0, 40, 2))
     assert all(_rows_key([(0, r)]) == _rows_key([(0, row)]) for _, r in before.scan())
     assert store.capture(0).row_count == 161

@@ -130,7 +130,7 @@ class TestManifest:
         )
 
     def test_version_1_manifest_is_refused_naming_the_layout(self):
-        from repro.storage.snapshot import _self_checksum
+        from repro.storage.snapshot import self_checksum
 
         body = {
             "format_version": 1,
@@ -139,7 +139,7 @@ class TestManifest:
             "checkpoint_lsn": 3,
             "files": [{"path": "t/a.seg", "size": 12, "crc32c": "0000dead"}],
         }
-        body["manifest_crc32c"] = f"{_self_checksum(body):08x}"
+        body["manifest_crc32c"] = f"{self_checksum(body):08x}"
         with pytest.raises(RecoveryError, match=r"format_version 1 .*snap_<id>/"):
             Manifest.from_json(json.dumps(body).encode(), "m")
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro import Database, StoreConfig
 from repro.backup import load_backup_manifest, prepare_backup, restore_backup
-from repro.backup.manifest import BACKUP_MANIFEST_NAME, IMAGE_DIR_NAME, BackupFileEntry
+from repro.backup.manifest import BACKUP_MANIFEST_NAME, IMAGE_DIR_NAME
 from repro.errors import CorruptBlobError, RecoveryError
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
@@ -23,8 +23,9 @@ from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32c
 from repro.storage.snapshot import (
     MANIFEST_NAME,
     POOL_DIR_NAME,
-    _self_checksum,
+    ManifestEntry,
     load_manifest,
+    self_checksum,
 )
 
 KV_COLUMNS = 5
@@ -371,7 +372,7 @@ def downgrade_to_v1(root) -> None:
         "checkpoint_lsn": manifest.checkpoint_lsn,
         "files": files,
     }
-    body["manifest_crc32c"] = f"{_self_checksum(body):08x}"
+    body["manifest_crc32c"] = f"{self_checksum(body):08x}"
     (root / MANIFEST_NAME).write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")
 
 
@@ -400,9 +401,9 @@ class TestVersion1Directories:
         for entry in manifest.files:
             path = f"{manifest.directory}/{manifest.relpath_of(entry.path)}"
             data = (image / path).read_bytes()
-            relisted.append(BackupFileEntry(f"{IMAGE_DIR_NAME}/{path}", len(data), crc32c(data)))
+            relisted.append(ManifestEntry(f"{IMAGE_DIR_NAME}/{path}", len(data), crc32c(data)))
         data = (image / MANIFEST_NAME).read_bytes()
-        relisted.append(BackupFileEntry(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", len(data), crc32c(data)))
+        relisted.append(ManifestEntry(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", len(data), crc32c(data)))
         backup.files = relisted
         (tmp_path / "bk" / BACKUP_MANIFEST_NAME).write_bytes(backup.to_json())
 

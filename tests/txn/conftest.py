@@ -12,6 +12,7 @@ index entry must fail the comparison even when no query can see it.
 
 import pytest
 
+from repro.mvcc import PENDING_EPOCH
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
 
@@ -45,7 +46,7 @@ def fingerprint_columnstore(cs) -> tuple:
         (
             delta_id,
             delta.state.value,
-            tuple(delta.scan()),
+            tuple(delta.capture(PENDING_EPOCH).scan()),
         )
         for delta_id, delta in sorted(cs._delta_stores.items())
     )

@@ -9,7 +9,8 @@ suite's own pytest.
     PYTHONPATH=src python tools/census.py           # print the unreached list
     PYTHONPATH=src python tools/census.py --write   # rewrite tools/census.txt
     PYTHONPATH=src python tools/census.py --check   # fail if one is unreached that
-                                                    # tools/census.txt does not list
+                                                    # tools/census.txt does not list,
+                                                    # or one it lists is gone or entered
 
 ``tools/census.txt`` keeps a one-line reason after each entry (``--write``
 carries them over). Code that only runs in a subprocess the tests start,
@@ -108,14 +109,16 @@ def main() -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--write", action="store_true", help="rewrite tools/census.txt")
     mode.add_argument("--check", action="store_true",
-                      help="exit 1 if a definition is unreached that the list does not hold")
+                      help="exit 1 if the list misses an unreached definition, or holds "
+                           "one that is gone or reached")
     args = parser.parse_args()
 
     status, entered = entered_by_tier1()
     if status != 0:
         print(f"census: tier-1 failed (pytest exit {status}); no list", file=sys.stderr)
         return status
-    unreached = [d for d in definitions() if (d[0], d[1]) not in entered]
+    defined = list(definitions())
+    unreached = [d for d in defined if (d[0], d[1]) not in entered]
     listed = read_list()
     lines = []
     for file, line, name, stub in unreached:
@@ -129,11 +132,24 @@ def main() -> int:
     if args.write:
         LIST.write_text(HEADER + "\n".join(lines) + "\n")
     if args.check:
-        new = [line for (file, _, name, _), line in zip(unreached, lines)
-               if (file, name) not in listed]
-        if new:
-            print("census: unreached definitions not in the list:\n" + "\n".join(new),
-                  file=sys.stderr)
+        names = {(file, name) for file, _, name, _ in defined}
+        missed = {(file, name) for file, _, name, _ in unreached}
+        failures = {
+            "unreached definitions not in the list": [
+                line for (file, _, name, _), line in zip(unreached, lines)
+                if (file, name) not in listed
+            ],
+            "listed definitions that no longer exist": [
+                line for key, line in listed.items() if key not in names
+            ],
+            "listed definitions tier-1 now enters": [
+                line for key, line in listed.items() if key in names and key not in missed
+            ],
+        }
+        for title, found in failures.items():
+            if found:
+                print(f"census: {title}:\n" + "\n".join(found), file=sys.stderr)
+        if any(failures.values()):
             return 1
     return 0
 
