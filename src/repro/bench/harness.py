@@ -25,11 +25,13 @@ import sqlite3
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..db.database import Database
 from ..settings import SETTINGS
+from ..sql.ast import ELiteral
 from ..sql.lexer import BIGINT, FLOAT, INT, lex
+from ..sql.parser import parse_statement
 from ..types import TypeKind
 
 
@@ -190,13 +192,14 @@ def same_answers(
     AssertionError."""
     if reference is None:
         reference = reference_answer(db, sql)
+    in_order = order_by_columns(sql, reference.columns)
     checked = []
     for arm in arms:
         got = arm.answer(db, sql)
         label = f"{arm.name} differs from mode=batch on {sql!r}"
         if not isinstance(got, Rows) or got[:2] != reference[:2]:
             raise AssertionError(f"{label}\n  reference: {_brief(reference)}\n  arm: {_brief(got)}")
-        same_rows(got.rows, reference.rows, arm.digits, label, arm.ordered)
+        same_rows(got.rows, reference.rows, arm.digits, label, arm.ordered, in_order)
         checked.append(arm.name)
     if oracle is not None:
         try:
@@ -216,18 +219,39 @@ def _brief(answer: Rows | Failure | None) -> Any:
     return answer
 
 
+def order_by_columns(sql: str, columns: list[str]) -> list[int]:
+    """The positions in ``columns`` of ``sql``'s ORDER BY keys, which name
+    an output column or its position (the binder allows nothing else)."""
+    statement = parse_statement(sql)
+    keys = []
+    for expr, _ in getattr(statement, "order_by", []):
+        if isinstance(expr, ELiteral):
+            keys.append(expr.value - 1)
+        else:
+            keys.append([c.lower() for c in columns].index(expr.name.lower()))
+    return keys
+
+
 def same_rows(got, want, digits: int | None = None, label: str = "rows differ",
-              ordered: bool = False) -> None:
+              ordered: bool = False, in_order: Sequence[int] = ()) -> None:
     """Assert two lists of rows are equal as sorted multisets (in order
-    with ``ordered``): floats by their bits when ``digits`` is None,
+    with ``ordered``), and the columns at ``in_order`` (a statement's
+    ORDER BY keys) in order: floats by their bits when ``digits`` is None,
     otherwise numbers by value to ``digits`` digits, booleans as 0 / 1 and
     dates as ISO text, the way sqlite3 spells them."""
     cell = _bits if digits is None else lambda value: _rounded(value, digits)
     mine = [tuple(map(cell, row)) for row in got]
     theirs = [tuple(map(cell, row)) for row in want]
+    if in_order:
+        _same_list([tuple(row[i] for i in in_order) for row in mine],
+                   [tuple(row[i] for i in in_order) for row in theirs], f"{label} (ORDER BY keys)")
     if not ordered:
         mine.sort()
         theirs.sort()
+    _same_list(mine, theirs, label)
+
+
+def _same_list(mine: list, theirs: list, label: str) -> None:
     if mine != theirs:
         first = next((i for i, pair in enumerate(zip(mine, theirs)) if pair[0] != pair[1]),
                      min(len(mine), len(theirs)))

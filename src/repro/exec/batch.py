@@ -55,6 +55,43 @@ def rank_cells(index: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, int(distinct.size)
 
 
+def sort_keys(keys: Sequence[tuple[np.ndarray, np.ndarray | None, bool]]) -> list[np.ndarray]:
+    """``np.lexsort`` keys (least significant first) for ``keys``, each a
+    ``(values, null_mask, descending)`` column, most significant first:
+    the one definition of row order. Numbers order as themselves (a bool
+    as 0 / 1, NaN after every number); an object column by its cell's
+    rank among the sorted distinct non-NULL cells (a NULL's filler need
+    not compare with them); NULL is greatest, a more significant flag.
+    DESC reverses each key: ``~`` on integers (``-`` overflows at int64's
+    minimum), ``-`` on floats, and NULLs come first."""
+    out: list[np.ndarray] = []
+    for values, mask, descending in reversed(keys):
+        nulls = mask if mask is not None and mask.any() else None
+        if values.dtype == object:
+            live = slice(None) if nulls is None else ~nulls
+            cells = values[live].tolist()
+            rank = {cell: i for i, cell in enumerate(sorted(dict.fromkeys(cells)))}
+            values = np.zeros(len(values), dtype=np.int64)
+            values[live] = np.fromiter(map(rank.__getitem__, cells), np.int64, len(cells))
+        elif values.dtype == np.bool_:
+            values = values.view(np.int8)
+        if nulls is not None:  # a NULL's filler must not order it among NULLs
+            values = np.where(nulls, 0, values)
+        flags = [] if nulls is None else [nulls]
+        if descending:
+            if values.dtype.kind == "f" and np.isnan(values).any():  # -NaN is still last
+                flags.insert(0, np.isnan(values))
+            values = ~values if values.dtype.kind in "iu" else -values
+        out += [values, *(flag != descending for flag in flags)]
+    return out
+
+
+def sort_order(keys: Sequence[tuple[np.ndarray, np.ndarray | None, bool]]) -> np.ndarray:
+    """The stable permutation that orders rows by ``keys`` (:func:`sort_keys`):
+    rows with equal keys keep their input order."""
+    return np.lexsort(sort_keys(keys))
+
+
 def as_integers(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Non-integer keys as int64, and the mask of those that can equal an
     integer at all — compared by value, not cast (1.5 equals no integer):

@@ -1,10 +1,15 @@
 """Batch-mode sort and TOP-N operators.
 
+Both order a batch through :func:`~repro.exec.batch.sort_order`, the one
+definition of row order: NULL is greatest, DESC reverses a key, and rows
+with equal keys keep their input order. TOP-N is the head of that order
+over the rows it kept plus each incoming batch.
+
 Sort is grant-aware: given a :class:`~repro.exec.memory.MemoryGrant`, it
 buffers input only while reservations succeed and otherwise degrades to
 an external merge sort — sorted runs written to spill files, then a
-stable k-way merge. Without a grant it buffers everything, the original
-behavior.
+stable k-way merge, the one place values are compared across runs
+(``_heap_component``). Without a grant it buffers everything.
 """
 
 from __future__ import annotations
@@ -16,63 +21,14 @@ from typing import Any, Iterator
 import numpy as np
 
 from ...errors import ExecutionError
-from ..batch import DEFAULT_BATCH_SIZE, Batch, concat_batches, slice_into_batches
+from ..batch import DEFAULT_BATCH_SIZE, Batch, concat_batches, slice_into_batches, sort_order
 from ..memory import MemoryGrant, batch_bytes
 from ..spill import SpillFile
 from .base import BatchOperator
 
 
-class _NullsLast:
-    """Sort key wrapper placing NULLs last in ascending order."""
-
-    __slots__ = ("is_null", "value")
-
-    def __init__(self, value: Any) -> None:
-        self.is_null = value is None
-        self.value = value
-
-    def __lt__(self, other: "_NullsLast") -> bool:
-        if self.is_null:
-            return False
-        if other.is_null:
-            return True
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _NullsLast):
-            return NotImplemented
-        return self.is_null == other.is_null and self.value == other.value
-
-
-def _sort_indices(batch: Batch, keys: list[tuple[str, bool]]) -> np.ndarray:
-    """Stable multi-key sort of a dense batch; descending per key supported."""
-    n = batch.row_count
-    indices = np.arange(n, dtype=np.int64)
-    # Stable sort applied from the least-significant key backwards.
-    for name, descending in reversed(keys):
-        values = batch.column(name)
-        mask = batch.null_mask(name)
-        if values.dtype == object or mask is not None:
-            lst = values.tolist()
-            if mask is not None:
-                key_list = [
-                    _NullsLast(None if mask[i] else lst[i]) for i in indices.tolist()
-                ]
-            else:
-                key_list = [_NullsLast(lst[i]) for i in indices.tolist()]
-            order = sorted(range(n), key=lambda i: key_list[i], reverse=descending)
-            indices = indices[np.array(order, dtype=np.int64)]
-        else:
-            arr = values[indices]
-            if descending:
-                # Stable descending = the stable ascending order of the
-                # reversed input, read backwards: equal keys come out in
-                # their original order.
-                order = (n - 1 - np.argsort(arr[::-1], kind="stable"))[::-1]
-            else:
-                order = np.argsort(arr, kind="stable")
-            indices = indices[order]
-    return indices
+def _order(batch: Batch, keys: list[tuple[str, bool]]) -> np.ndarray:
+    return sort_order([(batch.column(name), batch.null_mask(name), d) for name, d in keys])
 
 
 @dataclass
@@ -86,9 +42,10 @@ class SortStats:
 class BatchSort(BatchOperator):
     """Full sort: consumes the child, sorts, re-emits in batches.
 
-    ``keys`` is a list of (column, descending) pairs. NULLs sort last in
-    ascending order (SQL Server sorts them first; documented divergence
-    kept consistent across both engines).
+    ``keys`` is a list of (column, descending) pairs, ordered by
+    :func:`~repro.exec.batch.sort_order`: NULLs sort last ascending and
+    first descending (SQL Server sorts them first ascending; documented
+    divergence kept consistent across both engines).
 
     With a memory grant, input that exceeds the budget is sorted in
     chunks written to spill files and k-way merged; the merge is stable
@@ -170,7 +127,7 @@ class BatchSort(BatchOperator):
                 run.close()
 
     def _sorted(self, merged: Batch) -> Batch:
-        return merged.take(_sort_indices(merged, self.keys))
+        return merged.take(_order(merged, self.keys))
 
     def _spill_run(self, buffered: list[Batch], runs: list[SpillFile]) -> None:
         merged = concat_batches(buffered)
@@ -225,7 +182,8 @@ class BatchSort(BatchOperator):
 
 class BatchTop(BatchOperator):
     """TOP-N with optional ordering: the best N rows so far are kept as a
-    batch and re-ranked together with each incoming batch.
+    batch, and the next best N are the head of the order of the kept rows
+    followed by each incoming batch.
 
     Without keys it is a plain LIMIT (first N rows in stream order).
     """
@@ -258,14 +216,13 @@ class BatchTop(BatchOperator):
         if not self.keys:
             yield from self._plain_limit()
             return
-        # ``_sort_indices`` is the one definition of NULLS-last and of tie
-        # order; the kept rows go first, so on equal keys the earliest
-        # row still wins.
+        # The kept rows go first, so on equal keys the earliest row
+        # still wins.
         best: list[Batch] = []
         for batch in self.child.batches():
             merged = concat_batches([*best, batch])
             if merged is not None:
-                best = [merged.take(_sort_indices(merged, self.keys)[: self.limit])]
+                best = [merged.take(_order(merged, self.keys)[: self.limit])]
         yield from best
 
     def _plain_limit(self) -> Iterator[Batch]:
@@ -281,9 +238,11 @@ class BatchTop(BatchOperator):
 
 
 def _heap_component(value: Any, descending: bool) -> Any:
-    """One sort-key component for the external merge (``heapq.merge``)."""
-    wrapped = _NullsLast(value)
-    return _Descending(wrapped) if descending else wrapped
+    """One sort-key component for the external merge (``heapq.merge``),
+    which compares values across runs: NULL greatest, as in
+    :func:`~repro.exec.batch.sort_keys`."""
+    key = (value is None, value)
+    return _Descending(key) if descending else key
 
 
 class _Descending:

@@ -4,12 +4,15 @@ Implements the SQL default frame only: with an ORDER BY the aggregate is a
 running, *peers-inclusive* accumulation (RANGE UNBOUNDED PRECEDING ..
 CURRENT ROW); without one the whole partition shares a single value.
 Ranking functions (ROW_NUMBER / RANK / DENSE_RANK) follow the same peer
-structure. NULL partition keys form one partition; order keys sort NULLs
-last, matching the engines' sort operators.
+structure. NULL partition keys form one partition; order keys order
+rows as the engines' sorts do (:func:`~repro.exec.batch.sort_keys`).
 
-Both engines materialize the input, compute per-partition, and emit rows
-in their *input* order with the window columns appended — a final Sort (if
-any) reorders afterwards, so batch and row mode agree row for row.
+Both engines materialize the input as one batch (the row engine's as
+object columns) and order it once, partition keys most significant: a
+partition, and a peer group, starts where an adjacent key changes. Rows
+come out in their *input* order with the window columns appended — a
+final Sort (if any) reorders afterwards, so batch and row mode agree row
+for row.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from typing import Any, Iterator
 import numpy as np
 
 from ...errors import ExecutionError
-from ..batch import DEFAULT_BATCH_SIZE, Batch, concat_batches, slice_into_batches
+from ...types import python_values
+from ..batch import DEFAULT_BATCH_SIZE, Batch, concat_batches, slice_into_batches, sort_keys
 from ..memory import MemoryGrant, batch_bytes
 from ..spill import SpillFile, spill_by_key
 from .base import BatchOperator
 from .hash_aggregate import COUNT_STAR
-from .sort import _NullsLast
 
 RANKING_FUNCS = {"row_number", "rank", "dense_rank"}
 WINDOW_FUNCS = RANKING_FUNCS | {COUNT_STAR, "count", "sum", "min", "max", "avg"}
@@ -58,103 +61,91 @@ class WindowSpec:
             raise ExecutionError(f"window {self.func} takes no argument")
 
 
-def compute_window_columns(
-    rows: list[dict[str, Any]], specs: list[WindowSpec]
-) -> dict[str, list[Any]]:
-    """Window column values for ``rows``, aligned with the input order."""
-    return {spec.name: _compute_one(rows, spec) for spec in specs}
+def compute_window_columns(batch: Batch, specs: list[WindowSpec]) -> Batch:
+    """The dense ``batch`` with one column per spec appended, row for row."""
+    for spec in specs:
+        batch = batch.with_column(spec.name, *_compute_one(batch, spec))
+    return batch
 
 
-def _compute_one(rows: list[dict[str, Any]], spec: WindowSpec) -> list[Any]:
-    out: list[Any] = [None] * len(rows)
-    partitions: dict[tuple, list[int]] = {}
-    for i, row in enumerate(rows):
-        key = tuple(row[column] for column in spec.partition_by)
-        partitions.setdefault(key, []).append(i)
-    for indices in partitions.values():
-        ordered = list(indices)
-        # Stable multi-pass sort from the least-significant key backwards,
-        # same scheme as the engines' sort operators (NULLs last ascending).
-        for column, descending in reversed(spec.order_by):
-            ordered.sort(key=lambda i: _NullsLast(rows[i][column]), reverse=descending)
-        if spec.func in RANKING_FUNCS:
-            _rank_partition(rows, spec, ordered, out)
+def _compute_one(batch: Batch, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """One ordering, partition keys most significant: a partition (a peer
+    group) starts where a partition (an order) key changes."""
+    n = batch.row_count
+    by_partition = sort_keys([(batch.column(c), batch.null_mask(c), False)
+                              for c in spec.partition_by])
+    by_order = sort_keys([(batch.column(c), batch.null_mask(c), d) for c, d in spec.order_by])
+    order = np.lexsort(by_order + by_partition) if by_order or by_partition else np.arange(n)
+    partition_starts = _starts(by_partition, order)
+    peer_starts = partition_starts | _starts(by_order, order)
+    if spec.func in RANKING_FUNCS:
+        position = np.arange(n)
+        first = np.maximum.accumulate(np.where(partition_starts, position, 0))
+        if spec.func == "row_number":
+            ranks = position - first + 1
+        elif spec.func == "rank":
+            ranks = np.maximum.accumulate(np.where(peer_starts, position, 0)) - first + 1
         else:
-            _aggregate_partition(rows, spec, ordered, out)
-    return out
+            peers = np.cumsum(peer_starts)
+            ranks = peers - peers[first] + 1
+        out = np.empty(n, dtype=np.int64)
+        out[order] = ranks
+        return out, None
+    out = _aggregate(batch, spec, order, partition_starts, peer_starts)
+    # A SUM / AVG / MIN / MAX over an object column (any of the row
+    # engine's) keeps its Python values, never retyped by the first one.
+    kept = spec.func not in (COUNT_STAR, "count") and batch.column(spec.arg).dtype == object
+    column = Batch.from_pydict({"": out}, dtypes={"": np.dtype(object)} if kept else None)
+    return column.columns[""], column.null_masks[""]
 
 
-def _peer_groups(
-    rows: list[dict[str, Any]], spec: WindowSpec, ordered: list[int]
-) -> Iterator[list[int]]:
-    """Runs of order-key peers; the whole partition when unordered."""
-    if not spec.order_by:
-        yield ordered
-        return
-    group = [ordered[0]]
-    previous = tuple(rows[ordered[0]][c] for c, _ in spec.order_by)
-    for i in ordered[1:]:
-        key = tuple(rows[i][c] for c, _ in spec.order_by)
-        if key == previous:
-            group.append(i)
-        else:
-            yield group
-            group = [i]
-            previous = key
-    yield group
+def _starts(keys: list[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Where, in ``order``, a run of equal ``keys`` begins."""
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    return starts
 
 
-def _rank_partition(
-    rows: list[dict[str, Any]], spec: WindowSpec, ordered: list[int], out: list[Any]
-) -> None:
-    if spec.func == "row_number":
-        for position, i in enumerate(ordered):
-            out[i] = position + 1
-        return
-    position = 0
-    dense = 0
-    for group in _peer_groups(rows, spec, ordered):
-        dense += 1
-        rank = position + 1
-        for i in group:
-            out[i] = rank if spec.func == "rank" else dense
-        position += len(group)
-
-
-def _aggregate_partition(
-    rows: list[dict[str, Any]], spec: WindowSpec, ordered: list[int], out: list[Any]
-) -> None:
+def _aggregate(
+    batch: Batch, spec: WindowSpec, order: np.ndarray, partition_starts: np.ndarray,
+    peer_starts: np.ndarray,
+) -> list[Any]:
+    """The running aggregate, accumulated in Python in ``order`` and
+    peers-inclusive: every row of a peer group gets the value after it."""
     func = spec.func
-    count = 0
-    total: Any = None  # running sum for SUM / AVG
-    best: Any = None  # running MIN / MAX
-    for group in _peer_groups(rows, spec, ordered):
+    values = None if spec.arg is None else python_values(
+        batch.column(spec.arg), batch.null_mask(spec.arg)
+    )
+    ordered = order.tolist()
+    out: list[Any] = [None] * len(ordered)
+    bounds = np.flatnonzero(peer_starts).tolist() + [len(ordered)]
+    for start, end in zip(bounds, bounds[1:]):
+        if partition_starts[start]:
+            count, total, best = 0, None, None  # total for SUM / AVG, best for MIN / MAX
+        group = ordered[start:end]
         for i in group:
-            if func == COUNT_STAR:
-                count += 1
-                continue
-            value = rows[i][spec.arg]
+            value = 1 if values is None else values[i]  # COUNT(*) counts every row
             if value is None:
                 continue
             count += 1
-            if func == "count":
-                continue
             if func in ("sum", "avg"):
                 total = value if total is None else total + value
-            elif func == "min":
-                best = value if best is None or value < best else best
-            else:  # max
-                best = value if best is None or value > best else best
+            elif func == "min" and (best is None or value < best):
+                best = value
+            elif func == "max" and (best is None or value > best):
+                best = value
         if func in (COUNT_STAR, "count"):
             current = count
-        elif func == "sum":
-            current = total
         elif func == "avg":
             current = total / count if count else None
         else:
-            current = best
+            current = total if func == "sum" else best
         for i in group:
             out[i] = current
+    return out
 
 
 @dataclass
@@ -263,18 +254,10 @@ class BatchWindow(BatchOperator):
     # ------------------------------------------------------------------ #
     def _in_memory(self, buffered: list[Batch]) -> Iterator[Batch]:
         merged = concat_batches(buffered)
-        if merged is None:
-            return
-        names = merged.names
-        rows = [dict(zip(names, values)) for values in merged.to_rows()]
-        computed = compute_window_columns(rows, self.specs)
-        batch = merged
-        for spec in self.specs:
-            column = Batch.from_pydict({spec.name: computed[spec.name]})
-            batch = batch.with_column(
-                spec.name, column.columns[spec.name], column.null_masks[spec.name]
+        if merged is not None:
+            yield from slice_into_batches(
+                compute_window_columns(merged, self.specs), self.batch_size
             )
-        yield from slice_into_batches(batch, self.batch_size)
 
     # ------------------------------------------------------------------ #
     # Spill path
@@ -304,53 +287,33 @@ class BatchWindow(BatchOperator):
                 if in_file.rows == 0:
                     continue
                 self.stats.partitions_spilled += 1
-                rows: list[dict[str, Any]] = []
-                for batch in in_file.read_back():
-                    for values in batch.to_rows():
-                        rows.append(dict(zip(batch.names, values)))
+                merged = concat_batches(list(in_file.read_back()))
                 in_file.close()
-                computed = compute_window_columns(rows, self.specs)
-                for spec in self.specs:
-                    values = computed[spec.name]
-                    for i, row in enumerate(rows):
-                        row[spec.name] = values[i]
-                for start in range(0, len(rows), self.batch_size):
-                    chunk = rows[start : start + self.batch_size]
-                    out_file.append(
-                        Batch.from_pydict(
-                            {n: [r[n] for r in chunk] for n in out_names},
-                            dtypes=dtypes,
-                        )
-                    )
+                computed = compute_window_columns(merged, self.specs).project(out_names)
+                for chunk in slice_into_batches(computed, self.batch_size):
+                    out_file.append(chunk)
                 self.stats.spill_bytes += in_file.bytes_written
                 self.stats.spill_bytes += out_file.bytes_written
 
             def partition_rows(out_file: SpillFile):
                 for batch in out_file.read_back():
-                    names = batch.names
-                    seq_pos = names.index(_SEQ)
-                    for values in batch.to_rows():
-                        yield values[seq_pos], names, values
+                    yield from batch.to_rows()  # _SEQ last: projected to out_names
 
-            out_names_no_seq = out_names[:-1]
-            pending: list[dict[str, Any]] = []
+            pending: list[tuple] = []
             streams = [partition_rows(f) for f in out_files if f.rows]
-            for _, names, values in heapq.merge(*streams, key=lambda e: e[0]):
-                row = dict(zip(names, values))
+            for row in heapq.merge(*streams, key=lambda row: row[-1]):
                 pending.append(row)
                 if len(pending) >= self.batch_size:
-                    yield self._emit_rows(pending, out_names_no_seq, dtypes)
+                    yield self._emit_rows(pending, out_names[:-1], dtypes)
                     pending = []
             if pending:
-                yield self._emit_rows(pending, out_names_no_seq, dtypes)
+                yield self._emit_rows(pending, out_names[:-1], dtypes)
         finally:
             for f in (*in_files, *out_files):
                 f.close()
 
     @staticmethod
-    def _emit_rows(
-        rows: list[dict[str, Any]], names: list[str], dtypes: dict[str, np.dtype]
-    ) -> Batch:
+    def _emit_rows(rows: list[tuple], names: list[str], dtypes: dict[str, np.dtype]) -> Batch:
         return Batch.from_pydict(
-            {n: [r[n] for r in rows] for n in names}, dtypes=dtypes
+            {n: [row[i] for row in rows] for i, n in enumerate(names)}, dtypes=dtypes
         )

@@ -15,6 +15,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Iterator
 
+import numpy as np
+
 from ..errors import ExecutionError
 from ..governance.context import checkpoint as governance_checkpoint
 from ..governance.context import governed_rows
@@ -22,11 +24,11 @@ from ..mvcc import PENDING_EPOCH
 from ..observability.opstats import OperatorStats, instrument_rows, operator_stats
 from ..rowstore.table import RowStoreTable
 from ..storage.columnstore import ColumnStoreIndex
-from .batch import DEFAULT_BATCH_SIZE, Batch
+from ..types import python_values
+from .batch import DEFAULT_BATCH_SIZE, Batch, sort_order
 from .expressions import Expr, predicate_true
 from .operators.base import BatchOperator
 from .operators.hash_aggregate import COUNT_STAR, AggregateSpec
-from .operators.sort import _NullsLast
 from .operators.window import WindowSpec, compute_window_columns
 
 RID_COLUMN = "__rid__"
@@ -415,9 +417,9 @@ class RowHashAggregate(RowOperator):
 
 class RowWindow(RowOperator):
     """Window computation, tuple-at-a-time surface: materializes the
-    child, computes every spec per partition (shared helper with batch
-    mode), then re-emits rows in input order with the window columns
-    appended."""
+    child, hands the columns the specs read to batch mode's computation as
+    object columns, then re-emits rows in input order with the window
+    columns appended."""
 
     def __init__(self, child: RowOperator, specs: list[WindowSpec]) -> None:
         if not specs:
@@ -438,11 +440,16 @@ class RowWindow(RowOperator):
 
     def rows(self) -> Iterator[dict[str, Any]]:
         materialized = [dict(row) for row in self.child.rows()]
-        computed = compute_window_columns(materialized, self.specs)
-        for i, row in enumerate(materialized):
-            for spec in self.specs:
-                row[spec.name] = computed[spec.name][i]
-            yield row
+        read = {c for s in self.specs for c in (s.arg, *s.partition_by, *dict(s.order_by))}
+        batch = Batch({"": np.arange(len(materialized))})  # the row count, whatever is read
+        for name in read - {None}:
+            batch = batch.with_column(name, *_object_column(materialized, name))
+        computed = compute_window_columns(batch, self.specs)
+        for spec in self.specs:
+            values = python_values(computed.column(spec.name), computed.null_mask(spec.name))
+            for row, value in zip(materialized, values):
+                row[spec.name] = value
+        yield from materialized
 
 
 class RowSort(RowOperator):
@@ -464,9 +471,9 @@ class RowSort(RowOperator):
 
     def rows(self) -> Iterator[dict[str, Any]]:
         materialized = list(self.child.rows())
-        for name, descending in reversed(self.keys):
-            materialized.sort(key=lambda r: _NullsLast(r[name]), reverse=descending)
-        yield from materialized
+        keys = [(*_object_column(materialized, name), d) for name, d in self.keys]
+        for i in sort_order(keys).tolist():
+            yield materialized[i]
 
 
 class RowTop(RowOperator):
@@ -547,3 +554,12 @@ class RowsToBatches(BatchOperator):
 def _rows_to_batch(names: list[str], buffered: list[dict[str, Any]]) -> Batch:
     data = {name: [row[name] for row in buffered] for name in names}
     return Batch.from_pydict(data)
+
+
+def _object_column(rows: list[dict[str, Any]], name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``rows``' ``name`` as an object column and its NULL mask, so that
+    ordering it compares the Python values themselves (never
+    ``Batch.from_pydict``'s inference, which reads ``[1, 2.5]`` as int64)."""
+    values = np.empty(len(rows), dtype=object)
+    values[:] = [row[name] for row in rows]
+    return values, values == None  # noqa: E711 (elementwise)

@@ -16,11 +16,18 @@ Collection is turned on per execution with :func:`collect` (used by
 from __future__ import annotations
 
 import functools
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 _collecting = False
+# ``collecting()`` is ``enable()``d or inside any open ``collect()`` block.
+# Blocks are counted, not saved and restored: one block of one thread may
+# close while another thread's is still open.
+_enabled = False
+_open_blocks = 0
+_lock = threading.Lock()
 
 
 def collecting() -> bool:
@@ -29,25 +36,29 @@ def collecting() -> bool:
 
 
 def enable() -> None:
-    global _collecting
-    _collecting = True
+    _switch(enabled=True)
 
 
 def disable() -> None:
-    global _collecting
-    _collecting = False
+    _switch(enabled=False)
 
 
 @contextmanager
 def collect():
     """Collect per-operator stats for the duration of the block."""
-    global _collecting
-    previous = _collecting
-    _collecting = True
+    _switch(blocks=1)
     try:
         yield
     finally:
-        _collecting = previous
+        _switch(blocks=-1)
+
+
+def _switch(enabled: bool | None = None, blocks: int = 0) -> None:
+    global _collecting, _enabled, _open_blocks
+    with _lock:
+        _enabled = _enabled if enabled is None else enabled
+        _open_blocks += blocks
+        _collecting = _enabled or _open_blocks > 0
 
 
 @dataclass

@@ -35,7 +35,6 @@ from ..errors import StorageError
 from ..mvcc import GENESIS_EPOCH, PENDING_EPOCH, EpochManager
 from ..observability import registry as metrics
 from ..schema import TableSchema
-from ..types import python_values
 from .config import StoreConfig
 from .delete_bitmap import DeleteBitmap, deleted_mask
 from .deltastore import DeltaStore, FrozenDeltaView
@@ -308,20 +307,6 @@ class ColumnStoreIndex:
         if not self.delete(locator):
             raise StorageError(f"row {locator} is already deleted")
         return self.insert(new_row)
-
-    def get_row(self, locator: RowLocator) -> tuple[Any, ...] | None:
-        """Fetch one live row by locator (None if deleted/absent)."""
-        if locator.kind == DELTA:
-            delta = self._delta_stores.get(locator.container_id)
-            return delta.get(locator.position) if delta is not None else None
-        if self.delete_bitmap.is_deleted(locator.container_id, locator.position):
-            return None
-        group = self.directory.row_group(locator.container_id)
-        position = np.array([locator.position])
-        return tuple(
-            python_values(*group.segment(col.name).take(position))[0]
-            for col in self.schema
-        )
 
     # ------------------------------------------------------------------ #
     # Scan interface

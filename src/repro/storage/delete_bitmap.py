@@ -107,10 +107,6 @@ class DeleteBitmap:
                 del self._deleted[group_id]
             return added
 
-    def is_deleted(self, group_id: int, position: int) -> bool:
-        positions = self._deleted.get(group_id)
-        return positions is not None and position in positions
-
     # ------------------------------------------------------------------ #
     # Scan support
     # ------------------------------------------------------------------ #

@@ -244,13 +244,6 @@ class DeltaStore:
                     f"cannot restore row {row_id}: still present in delta store {self.delta_id}"
                 )
 
-    def get(self, row_id: int) -> tuple[Any, ...] | None:
-        with self._lock:
-            slot = self._slot(row_id)
-            if slot is None or self._buffers.deleted[slot] != _LIVE:
-                return None
-            return FrozenDeltaView(self.delta_id, self._buffers, np.array([slot])).scan()[0][1]
-
     def gc(self, horizon: int) -> int:
         """Compact away tombstones at epochs ``<= horizon``, which no
         registered or future reader can see; returns the rows collected."""

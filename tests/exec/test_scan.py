@@ -12,6 +12,8 @@ from repro.schema import schema
 from repro.storage.columnstore import GROUP, ColumnStoreIndex, RowLocator
 from repro.storage.config import StoreConfig
 
+from ..storage.test_columnstore import read_row
+
 
 @pytest.fixture
 def sch():
@@ -196,5 +198,5 @@ class TestLocators:
         locators = [loc for b in batches for loc in (b.locators or [])]
         assert len(locators) == 1
         assert locators[0].kind == GROUP
-        row = index.get_row(locators[0])
+        row = read_row(index, locators[0])
         assert row[0] == 60

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import types
-from repro.exec.batch import Batch, slice_into_batches
+from repro.exec.batch import Batch, slice_into_batches, sort_order
 from repro.exec.bloom import JoinBitmapFilter
 from repro.exec.expressions import Comparison, col, lit
 from repro.exec.memory import MemoryGrant
 from repro.exec.operators.base import BatchOperator
 from repro.exec.operators.hash_aggregate import agg, count_star
-from repro.exec.operators.sort import BatchSort, BatchTop, _sort_indices
+from repro.exec.operators.sort import BatchSort, BatchTop
 from repro.exec.row_engine import RowHashAggregate, RowHashJoin, RowProject, RowTableScan, RowTop
 from repro.exec.spill import SpillFile, partition_of
 from repro.rowstore.table import RowStoreTable
@@ -163,9 +163,8 @@ def _stabilize_descending_loop(values: np.ndarray, order: np.ndarray) -> np.ndar
     ids=["empty", "one", "all equal", "tie runs", "ints", "floats", "int64 extremes"],
 )
 def test_descending_order_equals_the_reversed_run_loop(values):
-    batch = Batch(columns={"v": values})
     want = _stabilize_descending_loop(values, np.argsort(values, kind="stable")[::-1])
-    assert _sort_indices(batch, [("v", True)]).tolist() == want.tolist()
+    assert sort_order([(values, None, True)]).tolist() == want.tolist()
 
 
 class TestBloomFilter:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from repro.exec.batch import Batch
 from repro.exec.operators.base import BatchOperator
 from repro.exec.row_engine import RowOperator
@@ -77,6 +80,56 @@ class TestCollectionFlag:
             assert collecting()
         finally:
             opstats.disable()
+        assert not collecting()
+
+    def test_blocks_closing_out_of_order_across_threads_turn_it_off(self):
+        """A enters, B enters, A exits, B exits: a block that saved and
+        restored the flag would leave collection on for good."""
+
+        class Block(threading.Thread):
+            def __init__(self):
+                super().__init__()
+                self.go_in, self.go_out = threading.Event(), threading.Event()
+                self.entered = threading.Event()
+
+            def run(self):
+                self.go_in.wait(5)
+                with collect():
+                    self.entered.set()
+                    self.go_out.wait(5)
+
+        a, b = Block(), Block()
+        a.start()
+        b.start()
+        a.go_in.set()
+        assert a.entered.wait(5)
+        b.go_in.set()
+        assert b.entered.wait(5)
+        a.go_out.set()
+        a.join(5)
+        assert collecting()  # B is still inside its block
+        b.go_out.set()
+        b.join(5)
+        assert not collecting()
+
+    def test_many_threads_opening_and_closing_blocks_leave_it_off(self):
+        """A lost update to the count of open blocks would leave it on."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def churn():
+                for _ in range(2_000):
+                    with collect():
+                        assert collecting()
+
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
         assert not collecting()
 
 

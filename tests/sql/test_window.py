@@ -5,6 +5,7 @@ import pytest
 from repro import Database
 from repro.bench.harness import same_answers
 from repro.errors import BindingError, SqlSyntaxError
+from repro.exec.batch import Batch
 from repro.exec.operators.window import WindowSpec, compute_window_columns
 
 
@@ -224,11 +225,7 @@ class TestWindowErrors:
 
 class TestComputeWindowColumns:
     def test_direct_computation(self):
-        rows = [
-            {"g": "a", "v": 3},
-            {"g": "a", "v": 1},
-            {"g": "b", "v": 2},
-        ]
+        batch = Batch.from_pydict({"g": ["a", "a", "b"], "v": [3, 1, 2]})
         specs = [
             WindowSpec(
                 func="row_number",
@@ -241,6 +238,6 @@ class TestComputeWindowColumns:
                 func="sum", arg="v", partition_by=("g",), order_by=(), name="s"
             ),
         ]
-        out = compute_window_columns(rows, specs)
-        assert out["rn"] == [2, 1, 1]
-        assert out["s"] == [4, 4, 2]
+        out = compute_window_columns(batch, specs)
+        assert out.column("rn").tolist() == [2, 1, 1]
+        assert out.column("s").tolist() == [4, 4, 2]

@@ -15,9 +15,8 @@ class TestDeleteBitmap:
     def test_mark_and_check(self):
         bitmap = DeleteBitmap()
         assert bitmap.mark(1, 5)
-        assert bitmap.is_deleted(1, 5)
-        assert not bitmap.is_deleted(1, 6)
-        assert not bitmap.is_deleted(2, 5)
+        assert bitmap.mask_for(1, 7, PENDING_EPOCH).tolist() == [False] * 5 + [True, False]
+        assert bitmap.mask_for(2, 7, PENDING_EPOCH) is None
 
     def test_double_mark(self):
         bitmap = DeleteBitmap()
@@ -63,7 +62,7 @@ class TestDeltaStore:
     def test_insert_and_get(self, sch):
         delta = DeltaStore(0, sch)
         delta.insert(10, (1, "a"))
-        assert delta.get(10) == (1, "a")
+        assert delta.capture(PENDING_EPOCH).scan() == [(10, (1, "a"))]
         assert delta.row_count == 1
 
     def test_duplicate_row_id_rejected(self, sch):

@@ -281,8 +281,9 @@ class DeltaModel(RuleBasedStateMachine):
         assert _rows_key(store.capture(PENDING_EPOCH).scan()) == _rows_key(live)
         subset, masks, row_ids = current.to_columns(["s", "f"])
         assert list(subset) == ["s", "f"] and row_ids.tolist() == [r for r, _ in live]
+        by_id = dict(store.capture(PENDING_EPOCH).scan())
         for rid in list(self.model) + [25]:
-            got = store.get(rid)
+            got = by_id.get(rid)
             entry = self.model.get(rid)
             if entry is None or entry[2] != LIVE:
                 assert got is None

@@ -426,3 +426,38 @@ def test_predicates_selected_as_bool_columns_agree_with_sqlite():
         "a IN (0, 3) AS i, s LIKE 'c%' AS l, a > 0 AND s > 'b' AS c, a > 0 OR hi IS NULL AS o "
         "FROM t",
     )
+
+
+# ORDER BY is compared in order under every arm (the harness checks the
+# ORDER BY key columns in order, the rows as a multiset): string, nullable
+# and float keys each way, two keys in mixed directions, TOP-N cut inside
+# runs of tied keys with NULLs in either key position, and windows ordered
+# DESC. Compressed groups and a delta tail, so a spilled sort merges runs.
+ORDER_ROWS = [
+    (k, [None, 2, 1, 2, None, 1][k % 6], [None, "x", "", "y", "x"][k % 5],
+     [None, 0.5, -0.0, 0.0, 2.5, 0.5, None][k % 7])
+    for k in range(60)
+]
+ORDER_STATEMENTS = [
+    "SELECT k, s FROM t ORDER BY s",
+    "SELECT k, s FROM t ORDER BY s DESC",
+    "SELECT k, a FROM t ORDER BY a",
+    "SELECT k, a FROM t ORDER BY a DESC",
+    "SELECT k, f FROM t ORDER BY f DESC",
+    "SELECT k, a, s FROM t ORDER BY s DESC, a",
+    "SELECT k, a, s FROM t ORDER BY a, s DESC",
+    "SELECT k, a, s FROM t ORDER BY a, s LIMIT 7",
+    "SELECT k, a, s FROM t ORDER BY s DESC, a DESC LIMIT 7",
+    "SELECT k, a, s FROM t ORDER BY a DESC, s LIMIT 9",
+    "SELECT k, a, s FROM t ORDER BY s, a DESC LIMIT 11",
+    "SELECT k, RANK() OVER (PARTITION BY s ORDER BY a DESC) AS r FROM t",
+    "SELECT k, DENSE_RANK() OVER (PARTITION BY s ORDER BY a DESC) AS r FROM t",
+    "SELECT k, SUM(f) OVER (PARTITION BY s ORDER BY a DESC) AS run FROM t",
+]
+
+
+@pytest.mark.parametrize("sql", ORDER_STATEMENTS)
+def test_order_agrees_in_order_under_every_arm(sql):
+    db = make_db(ORDER_ROWS[:40])
+    db.insert("t", ORDER_ROWS[40:])
+    assert same_answers(db, sql) == [arm.name for arm in ARMS]
