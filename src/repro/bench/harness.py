@@ -13,7 +13,8 @@ elimination, spilling) must leave a statement's answer unchanged, so each
 way of running it that a setting selects is an *arm* (:data:`ARMS`,
 derived from :data:`repro.settings.SETTINGS`), and :func:`same_answers`
 compares every arm's answer with the reference's — and, given one, with
-an sqlite3 mirror of the same rows (:func:`oracle_for`).
+an sqlite3 mirror of the same rows (:func:`oracle_for`); :func:`same_writes`
+compares the table a DELETE or UPDATE leaves the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import re
 import sqlite3
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -138,11 +140,16 @@ class Arm:
 
 class _ShapeHit(Arm):
     """The statement filled into the template its literal-moved twin left
-    in ``db.shapes``: a hit, which must answer as the fresh bind did."""
+    in ``db.shapes``: a hit, which must answer as the fresh bind did. The
+    twin runs in a transaction rolled back, so a write's leaves no trace."""
 
     def answer(self, db: Database, sql: str) -> Rows | Failure | None:
         db.shapes.clear()
-        answer(db, twin(sql), **REFERENCE)
+        db.begin()
+        try:
+            answer(db, twin(sql), **REFERENCE)
+        finally:
+            db.rollback()
         return answer(db, sql, **REFERENCE)
 
 
@@ -209,6 +216,42 @@ def same_answers(
         if theirs is not None:
             same_rows(reference.rows, theirs, ORACLE_DIGITS, f"sqlite3 differs on {sql!r}")
             checked.append("sqlite3")
+    CHECKED.update(checked)
+    return checked
+
+
+def same_writes(
+    make: Callable[[], Database], sql: str, table: str = "t", arms: Iterable[Arm] = ARMS,
+    oracle: bool = True,
+) -> list[str]:
+    """:func:`same_answers` for the DELETE or UPDATE ``sql``: each arm
+    applies it to a fresh copy of ``make()``'s tables, and must affect
+    the rows batch mode does and leave ``table`` as it does (a multiset,
+    floats by their bits); with ``oracle``, batch mode's ``table`` must
+    be what sqlite3 leaves applying ``sql`` to a mirror of the rows before."""
+
+    def applied(arm: Arm, db: Database):
+        return arm.answer(db, sql), _rows(db.sql(f"SELECT * FROM {table}", **REFERENCE))
+
+    db = make()
+    mirror = oracle_for(db) if oracle else None
+    count, after = applied(Arm("mode=batch"), db)
+    if not isinstance(count, Rows):  # batch mode must apply it
+        raise AssertionError(f"mode=batch failed on {sql!r}: {count}")
+    checked = []
+    for arm in arms:
+        got, then = applied(arm, make())
+        label = f"{arm.name} differs from mode=batch on {sql!r}"
+        if got != count:
+            raise AssertionError(f"{label}\n  reference: {count}\n  arm: {got}")
+        same_rows(then.rows, after.rows, None, label)
+        checked.append(arm.name)
+    if mirror is not None:
+        with closing(mirror):
+            mirror.execute(sql)
+            theirs = mirror.execute(f"SELECT * FROM {table}").fetchall()
+        same_rows(after.rows, theirs, ORACLE_DIGITS, f"sqlite3 differs on {sql!r}")
+        checked.append("sqlite3")
     CHECKED.update(checked)
     return checked
 

@@ -21,14 +21,15 @@ from typing import Any, Iterator, Sequence
 
 from ..errors import CatalogError, PlanningError, StorageError, TxnError
 from ..governance import QueryContext, get_query_registry
+from ..governance.context import current as current_query
 from ..mvcc import EpochManager
-from ..exec.expressions import Expr
-from ..exec.operators.scan import ColumnStoreScan
-from ..exec.row_engine import RID_COLUMN, RowTableScan
+from ..exec.batch import RID_COLUMN
+from ..exec.expressions import Column, Expr
 from ..observability import ExecutionStats
 from ..observability import registry as metrics
-from ..planner.logical import LogicalNode, LogicalScan
+from ..planner.logical import LogicalNode, LogicalProject, LogicalScan
 from ..planner.optimizer import Optimizer, PhysicalPlan
+from ..planner.schema_infer import infer_output_dtypes
 from ..schema import TableSchema
 from ..settings import resolve
 from ..sql import runner as pipeline
@@ -482,29 +483,15 @@ class Database:
         return count
 
     def delete_where(self, table: str, predicate: Expr | None) -> int:
-        """DELETE ... WHERE: runs the predicate against every storage.
+        """DELETE ... WHERE: the rows its plans find (:meth:`dml_plans`)
+        leave every storage.
 
         Returns the number of *logical* rows deleted — on BOTH-storage
         tables each logical row lives in two storages, and the count is
         authoritative regardless of which storages held it
         (:meth:`Table.delete_rows`).
         """
-        target = self.catalog.table(table)
-        # Resolve the predicate to locators *before* mutating: the redo
-        # record carries locators, not the predicate, so replay is
-        # independent of scan order (and predicates need no serializer).
-        _rows, rids, locators = self._matching(target, predicate, want_rows=False)
-        with self._atomic_statement() as txn:
-            deleted = target.delete_rows(rids, locators, txn)
-            if self._wal is not None and (rids or locators):
-                from ..wal import replay as walreplay
-
-                self._log_dml(
-                    WalRecordType.DELETE,
-                    target.name,
-                    walreplay.encode_json(walreplay.encode_locators(rids, locators)),
-                )
-        return deleted
+        return self.apply_dml(table, None, predicate)[0]
 
     def update_where(
         self,
@@ -512,95 +499,95 @@ class Database:
         assignments: dict[str, Expr],
         predicate: Expr | None,
     ) -> int:
-        """UPDATE ... SET ... WHERE, executed as delete + insert."""
+        """UPDATE ... SET ... WHERE, executed as delete + insert of the
+        rows its plans compute (:meth:`dml_plans`)."""
+        return self.apply_dml(table, assignments, predicate)[0]
+
+    def dml_plans(
+        self, table: str, assignments: dict[str, Expr] | None, predicate: Expr | None
+    ) -> list[LogicalNode]:
+        """The plans a DELETE (``assignments`` None) or an UPDATE reads
+        through: per storage of the table, row store first, a scan with
+        the WHERE predicate emitting the matching rows' addresses
+        (``RID_COLUMN``). An UPDATE's first plan also emits each new row,
+        a projection of the SET expressions over the columns they leave."""
         target = self.catalog.table(table)
         names = target.schema.names
-        unknown = set(assignments) - set(names)
+        unknown = set(assignments or ()) - set(names)
         if unknown:
             raise CatalogError(f"unknown columns in SET: {sorted(unknown)}")
-        matched, rids, locators = self._matching(target, predicate, want_rows=True)
-        if not matched:
-            return 0
+        plans: list[LogicalNode] = []
+        for storage, store in (("rowstore", target.rowstore), ("columnstore", target.columnstore)):
+            if store is None:
+                continue
+            reads = names if assignments is not None and not plans else []
+            projections = {**{name: name for name in reads}, RID_COLUMN: RID_COLUMN}
+            plan: LogicalNode = LogicalScan(target.name, projections, predicate, storage)
+            if reads:
+                plan = LogicalProject(
+                    plan,
+                    [(RID_COLUMN, Column(RID_COLUMN))]
+                    + [(name, assignments.get(name, Column(name))) for name in names],
+                )
+            plans.append(plan)
+        return plans
 
-        def resolver(column: str):
-            return target.schema.dtype(column)
+    def apply_dml(
+        self,
+        table: str,
+        assignments: dict[str, Expr] | None,
+        predicate: Expr | None,
+        stats: bool = False,
+    ) -> tuple[int, list[ExecutionStats | None]]:
+        """Run a DELETE's or UPDATE's plans (:meth:`dml_plans`) under the
+        statement's settings, as a SELECT's, then apply what they found;
+        the rows affected and each plan's stats (with ``stats``).
 
-        # Each assignment expression presents through ITS inferred type:
-        # e.g. `amount * 2` was descaled by the binder and is already a
-        # user-space float, while a bare column reference is physical.
-        expr_dtypes: dict[str, DataType] = {}
-        for name, expr in assignments.items():
-            try:
-                expr_dtypes[name] = expr.infer_dtype(resolver)
-            except Exception:
-                expr_dtypes[name] = target.schema.dtype(name)
-        new_rows = []
-        for row in matched:
-            row_map = dict(zip(names, row))
-            new_row = []
-            for name in names:
-                if name in assignments:
-                    physical = assignments[name].eval_row(row_map)
-                    new_row.append(expr_dtypes[name].present(physical))
-                else:
-                    new_row.append(target.schema.dtype(name).present(row_map[name]))
-            new_rows.append(tuple(new_row))
-        physical_rows = [target.schema.coerce_row(row) for row in new_rows]
+        The plans resolve the predicate to addresses *before* anything
+        changes: the redo record carries addresses, not the predicate, so
+        replay is independent of scan order (and predicates need no
+        serializer).
+        """
+        target = self.catalog.table(table)
+        settings = getattr(current_query(), "settings", None) or resolve(self.settings)
+        found: list[list[tuple]] = []
+        executions: list[ExecutionStats | None] = []
+        for plan in self.dml_plans(table, assignments, predicate):
+            by_name = infer_output_dtypes(plan, self.catalog)
+            physical = self.optimizer.compile(plan, settings, optimize=False)
+            dtypes = [by_name[name] for name in physical.columns]
+            rows, execution = pipeline.run_physical(
+                self.isolation, physical, lock_free=True, stats=stats, dtypes=dtypes
+            )
+            found.append(rows)
+            executions.append(execution)
+        rids = [row[0] for row in found[0]] if target.rowstore is not None else []
+        locators = [row[0] for row in found[-1]] if target.columnstore is not None else []
+        if assignments is not None and not found[0]:
+            return 0, executions
+        physical_rows = None
+        if assignments is not None:
+            physical_rows = [target.schema.coerce_row(row[1:]) for row in found[0]]
         with self._atomic_statement() as txn:
-            target.delete_by_locators(rids, txn)
-            target.delete_by_locators(locators, txn)
-            target.insert_physical_rows(physical_rows, txn)
-            if self._wal is not None:
+            count = target.delete_rows(rids, locators, txn)
+            if physical_rows is not None:
+                count = target.insert_physical_rows(physical_rows, txn)
+            if self._wal is not None and (rids or locators):
                 from ..wal import replay as walreplay
 
-                # One compound record: UPDATE is delete + insert, and losing
-                # one half of that to a crash would corrupt, so both travel
-                # in a single frame (the unit of atomicity).
-                self._log_dml(
-                    WalRecordType.UPDATE,
-                    target.name,
-                    walreplay.encode_update(
+                # UPDATE is delete + insert, and losing one half of that to
+                # a crash would corrupt, so both travel in a single frame
+                # (the unit of atomicity).
+                if physical_rows is None:
+                    rtype = WalRecordType.DELETE
+                    payload = walreplay.encode_json(walreplay.encode_locators(rids, locators))
+                else:
+                    rtype = WalRecordType.UPDATE
+                    payload = walreplay.encode_update(
                         target.schema, rids, locators, physical_rows
-                    ),
-                )
-        return len(new_rows)
-
-    def _matching(
-        self, target: Table, predicate: Expr | None, want_rows: bool
-    ) -> tuple[list[tuple], list[Any], list[Any]]:
-        """Resolve a DML predicate in one pass per storage.
-
-        Returns ``(rows, rids, locators)``: the matching rows' addresses
-        in the row store and in the columnstore, and — when ``want_rows``
-        — the rows themselves, read in the same pass (from the row store
-        when the table has one). A columnstore pass that only needs
-        addresses reads the predicate's columns alone.
-        """
-        names = target.schema.names
-        rows: list[tuple] = []
-        rids: list[Any] = []
-        locators: list[Any] = []
-        if target.rowstore is not None:
-            scan = RowTableScan(
-                target.rowstore, names, predicate=predicate, include_rids=True
-            )
-            for row in scan.rows():
-                rids.append(row[RID_COLUMN])
-                if want_rows:
-                    rows.append(tuple(row[n] for n in names))
-        if target.columnstore is not None:
-            read_rows = want_rows and target.rowstore is None
-            scan = ColumnStoreScan(
-                target.columnstore,
-                names if read_rows else [],
-                predicate=predicate,
-                include_locators=True,
-            )
-            for batch in scan.batches():
-                locators.extend(batch.locators.tolist())
-                if read_rows:
-                    rows.extend(batch.to_rows())
-        return rows, rids, locators
+                    )
+                self._log_dml(rtype, target.name, payload)
+        return count, executions
 
     # ------------------------------------------------------------------ #
     # Governance (query contexts)
@@ -626,6 +613,7 @@ class Database:
             timeout_ms=settings["statement_timeout"] or None,
             memory_budget_bytes=settings["query_memory_budget"] or None,
             memory_limit_bytes=settings["query_memory_limit"] or None,
+            settings=settings,
         )
 
     # ------------------------------------------------------------------ #

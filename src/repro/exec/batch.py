@@ -22,6 +22,12 @@ from ..types import DataType, python_values
 
 DEFAULT_BATCH_SIZE = 65_536
 
+# The plan column of row addresses: a scan that lists it among its
+# columns emits each surviving row's address there (a row store's
+# ``RowId``, a columnstore's ``RowLocator``), one object a row, and a
+# DELETE or UPDATE reads what to change from it.
+RID_COLUMN = "__rid__"
+
 # How a consumer can take a column it reads from its child
 # (``BatchOperator.declare_encoded``): the most encoded form it accepts.
 AS_ROWS = "rows"  # plain values only
@@ -113,9 +119,6 @@ class Batch:
     ``selection`` holds the indices of qualifying rows in ascending order,
     or ``None`` meaning *all rows qualify*.
 
-    ``locators`` optionally carries row addresses (for DML): a pair of
-    object arrays (kinds+container ids are folded into one object per row).
-
     ``encoded`` holds columns still in their storage encoding (name →
     ``EncodedVector``, full length like ``columns``; duck-typed so this
     module keeps no storage imports). Only an operator whose consumer
@@ -126,7 +129,6 @@ class Batch:
     columns: dict[str, np.ndarray]
     null_masks: dict[str, np.ndarray | None] = field(default_factory=dict)
     selection: np.ndarray | None = None
-    locators: np.ndarray | None = None  # object array of RowLocator, optional
     encoded: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -147,7 +149,7 @@ class Batch:
             return arr.shape[0]
         for vector in self.encoded.values():
             return vector.row_count
-        return 0 if self.locators is None else self.locators.shape[0]
+        return 0
 
     @property
     def active_count(self) -> int:
@@ -200,7 +202,6 @@ class Batch:
             columns=self.columns,
             null_masks=self.null_masks,
             selection=kept,
-            locators=self.locators,
             encoded=self.encoded,
         )
 
@@ -212,7 +213,6 @@ class Batch:
             return Batch(
                 columns=dict(self.columns),
                 null_masks=dict(self.null_masks),
-                locators=self.locators,
                 encoded=dict(self.encoded),
             )
         encoded = {}
@@ -225,7 +225,6 @@ class Batch:
                 name: (mask[idx] if mask is not None else None)
                 for name, mask in self.null_masks.items()
             },
-            locators=self.locators[idx] if self.locators is not None else None,
             encoded=encoded,
         )
 
@@ -242,7 +241,6 @@ class Batch:
             columns={name: self.column(name) for name in plain},
             null_masks={name: self.null_masks.get(name) for name in plain},
             selection=self.selection,
-            locators=self.locators,
             encoded={name: self.encoded[name] for name in names if name in self.encoded},
         )
 
@@ -262,7 +260,6 @@ class Batch:
             columns=columns,
             null_masks=null_masks,
             selection=self.selection,
-            locators=self.locators,
             encoded={n: v for n, v in self.encoded.items() if n != name},
         )
 
@@ -301,14 +298,14 @@ class Batch:
                     # All-NULL column with no declared type: use a numeric
                     # vector so comparisons on (masked) filler stay total.
                     dtype = np.dtype(np.int64)
-                elif isinstance(sample, str):
-                    dtype = np.dtype(object)
                 elif isinstance(sample, bool):
                     dtype = np.dtype(np.bool_)
                 elif isinstance(sample, int):
                     dtype = np.dtype(np.int64)
-                else:
+                elif isinstance(sample, (float, np.generic)):
                     dtype = np.dtype(np.float64)
+                else:  # strings, row addresses
+                    dtype = np.dtype(object)
             if dtype == object:
                 arr = np.empty(len(values), dtype=object)
                 arr[:] = ["" if v is None else v for v in values]

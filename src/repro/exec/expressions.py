@@ -188,6 +188,11 @@ class Arithmetic(Expr):
             if zero.any():
                 rv = np.where(zero, 1.0, rv)
                 nulls = _union_nulls(nulls, zero)
+        elif lv.dtype.kind in "iu" and rv.dtype.kind in "iu":
+            # Integers add and multiply in 64 bits, as a row's Python ints
+            # do within that range: INT * INT overflows 32 bits.
+            lv = lv.astype(np.int64, copy=False)
+            rv = rv.astype(np.int64, copy=False)
         with np.errstate(over="ignore", invalid="ignore"):
             values = _ARITH_OPS[self.op](lv, rv)
         return values, nulls

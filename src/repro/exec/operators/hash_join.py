@@ -568,7 +568,7 @@ class BatchHashJoin(BatchOperator):
         if probe_idx is None:
             self.stats.rows_passed_through += out.row_count
         self.stats.output_rows += out.row_count
-        return _without_locators(out)
+        return out
 
     def _emit(
         self,
@@ -662,12 +662,6 @@ def _hit_mask(row_count: int, rows: np.ndarray) -> np.ndarray:
     mask = np.zeros(row_count, dtype=bool)
     mask[rows] = True
     return mask
-
-
-def _without_locators(batch: Batch) -> Batch:
-    """Row addresses do not survive a join."""
-    batch.locators = None
-    return batch
 
 
 def _null_extend(

@@ -91,7 +91,6 @@ class BatchProject(BatchOperator):
                 columns=columns,
                 null_masks=null_masks,
                 selection=batch.selection,
-                locators=batch.locators,
                 encoded=encoded,
             )
 

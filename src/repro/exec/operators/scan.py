@@ -23,6 +23,9 @@ Implements the paper's scan enhancements:
   delta store's column buffers and filtered with the same predicate, so
   queries see trickle-inserted rows.
 * **Delete-bitmap application** — deleted rows never leave the scan.
+* **Row addresses** — a scan whose columns include ``RID_COLUMN`` emits
+  each surviving row's ``RowLocator`` there: what a DELETE or UPDATE
+  plan reads to know which rows to change.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from ..batch import (
     AS_ROWS,
     DEFAULT_BATCH_SIZE,
     MAX_KEY_CELLS,
+    RID_COLUMN,
     Batch,
     slice_into_batches,
 )
@@ -109,7 +113,6 @@ class ColumnStoreScan(BatchOperator):
         predicate: Expr | None = None,
         bitmap_probes: list[BitmapProbe] | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        include_locators: bool = False,
         encoded_eval: bool = True,
         segment_elimination: bool = True,
     ) -> None:
@@ -118,7 +121,9 @@ class ColumnStoreScan(BatchOperator):
         self.predicate = predicate
         self.bitmap_probes = bitmap_probes if bitmap_probes is not None else []
         self.batch_size = batch_size
-        self.include_locators = include_locators
+        # The stored columns read; RID_COLUMN among ``columns`` is made here.
+        self._stored = [name for name in self.columns if name != RID_COLUMN]
+        self._addresses = len(self._stored) < len(self.columns)
         self.encoded_eval = encoded_eval
         self.segment_elimination = segment_elimination
         # What the consumer declared (declare_encoded): each column it
@@ -209,7 +214,7 @@ class ColumnStoreScan(BatchOperator):
             self.stats.units_eliminated_by_bitmap += 1
             return
         takes, plain_reason = self.takes_encoded, MorphReason.OUTPUT
-        if takes is not None and (self.bitmap_probes or self.include_locators):
+        if takes is not None and (self.bitmap_probes or self._addresses):
             takes, plain_reason = None, MorphReason.BITMAP_OR_LOCATORS
             self.stats.agg_fallbacks += 1
         # Vectors cost nothing until used, so how every column leaves is
@@ -273,7 +278,7 @@ class ColumnStoreScan(BatchOperator):
                 encoded[name] = leaves_as
                 if isinstance(leaves_as, RunVector):
                     self.stats.agg_runs_processed += leaves_as.n_distinct
-        if encoded or not (plan or self.include_locators):
+        if encoded or not plan:
             # Plain columns stay full length next to the vectors and the
             # survivors are a selection (None = all rows, which needs a
             # column to measure by: COUNT(*) alone reads none).
@@ -294,17 +299,17 @@ class ColumnStoreScan(BatchOperator):
             columns: dict[str, np.ndarray] = {}
             null_masks: dict[str, np.ndarray | None] = {}
             for name, reason in plan.items():
-                if name not in decoded:
+                if name == RID_COLUMN:
+                    columns[name] = _locators(GROUP, group.group_id, positions)
+                    null_masks[name] = None
+                elif name not in decoded:
                     columns[name], null_masks[name] = self._decode(group, name, reason, at)
-                    continue
-                values, mask = decoded[name], masks[name]
-                if at is not None:
-                    values, mask = values[at], None if mask is None else mask[at]
-                columns[name], null_masks[name] = values, mask
-            locators = None
-            if self.include_locators:
-                locators = _locators(GROUP, group.group_id, positions.tolist())
-            survivors = Batch(columns=columns, null_masks=null_masks, locators=locators)
+                else:
+                    values, mask = decoded[name], masks[name]
+                    if at is not None:
+                        values, mask = values[at], None if mask is None else mask[at]
+                    columns[name], null_masks[name] = values, mask
+            survivors = Batch(columns=columns, null_masks=null_masks)
         if takes is None:
             yield from self._emit(survivors, int(positions.size))
         else:
@@ -489,7 +494,7 @@ class ColumnStoreScan(BatchOperator):
             self.stats.agg_fallbacks += 1
             self.stats.morph[MorphReason.DELTA_UNIT.value] += 1
         # Only what the filters and the output read is gathered.
-        read = dict.fromkeys(self.columns)
+        read = dict.fromkeys(self._stored)
         for conjunct in self._conjuncts:
             read.update(dict.fromkeys(conjunct.referenced_columns()))
         read.update(dict.fromkeys(probe.column for probe in self.bitmap_probes))
@@ -505,15 +510,16 @@ class ColumnStoreScan(BatchOperator):
             keep &= predicate_mask(conjunct, unit_batch)
         # No segment metadata to ask: every bitmap is probed.
         indices = np.flatnonzero(self._apply_bitmaps(unit_batch, keep, self.bitmap_probes))
-        locators = None
-        if self.include_locators:
-            locators = _locators(DELTA, delta.delta_id, row_ids[indices].tolist())
+        if self._addresses:
+            unit_batch.columns[RID_COLUMN] = np.full(n, None, dtype=object)
+            unit_batch.columns[RID_COLUMN][indices] = _locators(
+                DELTA, delta.delta_id, row_ids[indices]
+            )
         survivors = Batch(
-            columns={name: unit_batch.column(name) for name in self.columns},
-            null_masks={name: unit_batch.null_mask(name) for name in self.columns},
+            columns={name: unit_batch.columns[name] for name in self.columns},
+            null_masks={name: unit_batch.null_masks.get(name) for name in self.columns},
             selection=indices,
         ).compact()
-        survivors.locators = locators
         yield from self._emit(survivors, int(indices.size))
 
     # ------------------------------------------------------------------ #
@@ -549,8 +555,8 @@ class ColumnStoreScan(BatchOperator):
         yield from slice_into_batches(survivors, self.batch_size)
 
 
-def _locators(kind: str, container_id: int, positions: list[int]) -> np.ndarray:
+def _locators(kind: str, container_id: int, positions: np.ndarray) -> np.ndarray:
     """Addresses of the surviving rows only (one Python object each)."""
-    out = np.empty(len(positions), dtype=object)
-    out[:] = [RowLocator(kind, container_id, position) for position in positions]
+    out = np.empty(positions.size, dtype=object)
+    out[:] = [RowLocator(kind, container_id, position) for position in positions.tolist()]
     return out

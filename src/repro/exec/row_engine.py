@@ -23,15 +23,13 @@ from ..governance.context import governed_rows
 from ..mvcc import PENDING_EPOCH
 from ..observability.opstats import OperatorStats, instrument_rows, operator_stats
 from ..rowstore.table import RowStoreTable
-from ..storage.columnstore import ColumnStoreIndex
+from ..storage.columnstore import ColumnStoreIndex, RowLocator
 from ..types import python_values
-from .batch import DEFAULT_BATCH_SIZE, Batch, sort_order
+from .batch import DEFAULT_BATCH_SIZE, RID_COLUMN, Batch, sort_order
 from .expressions import Expr, predicate_true
 from .operators.base import BatchOperator
 from .operators.hash_aggregate import COUNT_STAR, AggregateSpec
 from .operators.window import WindowSpec, compute_window_columns
-
-RID_COLUMN = "__rid__"
 
 # Source scans re-check governance every this many *scanned* rows (the
 # emission wrappers only see rows that survive the predicate).
@@ -82,29 +80,30 @@ class RowOperator(abc.ABC):
         return []
 
 
-class RowTableScan(RowOperator):
-    """Heap scan of a row-store table with a residual predicate."""
+class _SourceScan(RowOperator):
+    """A leaf reading stored rows through a residual predicate.
 
-    def __init__(
-        self,
-        table: RowStoreTable,
-        columns: list[str],
-        predicate: Expr | None = None,
-        include_rids: bool = False,
-    ) -> None:
-        self.table = table
+    ``columns`` may include RID_COLUMN: the scan fills it with each
+    emitted row's address, what a DELETE or UPDATE plan changes rows by.
+    """
+
+    def __init__(self, columns: list[str], predicate: Expr | None, names: list[str]) -> None:
         self.columns = list(columns)
         self.predicate = predicate
-        self.include_rids = include_rids
-        self._positions = [table.schema.position(c) for c in columns]
-        self._all_names = table.schema.names
+        self._all_names = names
+        self._stored = [name for name in self.columns if name != RID_COLUMN]
+        self._addresses = len(self._stored) < len(self.columns)
 
     @property
     def output_names(self) -> list[str]:
-        return self.columns + ([RID_COLUMN] if self.include_rids else [])
+        return list(self.columns)
 
-    def describe(self) -> str:
-        return f"RowTableScan(cols={self.columns}, predicate={self.predicate})"
+    def _source(self) -> Iterator[tuple[Any, tuple]]:
+        """``(address, row)`` of every stored row the scan reads."""
+        raise NotImplementedError
+
+    def _address(self, address: Any) -> Any:
+        return address
 
     def rows(self) -> Iterator[dict[str, Any]]:
         names = self._all_names
@@ -112,19 +111,35 @@ class RowTableScan(RowOperator):
         # Checkpoint on *scanned* rows, not emitted ones: a selective
         # predicate can reject thousands of rows between yields, and the
         # emission-side governance wrapper never runs while we filter.
-        for scanned, (rid, row) in enumerate(self.table.scan()):
+        for scanned, (address, row) in enumerate(self._source()):
             if scanned % _SCAN_CHECK_INTERVAL == 0:
                 governance_checkpoint()
             row_map = dict(zip(names, row))
             if predicate is not None and not predicate_true(predicate, row_map):
                 continue
-            out = {c: row_map[c] for c in self.columns}
-            if self.include_rids:
-                out[RID_COLUMN] = rid
+            out = {c: row_map[c] for c in self._stored}
+            if self._addresses:
+                out[RID_COLUMN] = self._address(address)
             yield out
 
 
-class RowIndexSeek(RowOperator):
+class RowTableScan(_SourceScan):
+    """Heap scan of a row-store table with a residual predicate."""
+
+    def __init__(
+        self, table: RowStoreTable, columns: list[str], predicate: Expr | None = None
+    ) -> None:
+        super().__init__(columns, predicate, table.schema.names)
+        self.table = table
+
+    def describe(self) -> str:
+        return f"RowTableScan(cols={self.columns}, predicate={self.predicate})"
+
+    def _source(self) -> Iterator[tuple[Any, tuple]]:
+        return self.table.scan()
+
+
+class RowIndexSeek(_SourceScan):
     """B+tree index seek on a row-store table.
 
     Seeks the index on its leading column's [low, high] bounds, fetches
@@ -141,20 +156,12 @@ class RowIndexSeek(RowOperator):
         low: Any,
         high: Any,
         predicate: Expr | None = None,
-        include_rids: bool = False,
     ) -> None:
+        super().__init__(columns, predicate, table.schema.names)
         self.table = table
         self.index = index
-        self.columns = list(columns)
         self.low = low
         self.high = high
-        self.predicate = predicate
-        self.include_rids = include_rids
-        self._all_names = table.schema.names
-
-    @property
-    def output_names(self) -> list[str]:
-        return self.columns + ([RID_COLUMN] if self.include_rids else [])
 
     def describe(self) -> str:
         bounds = f"[{self.low!r}..{self.high!r}]"
@@ -163,27 +170,16 @@ class RowIndexSeek(RowOperator):
             f"range={bounds}, residual={self.predicate})"
         )
 
-    def rows(self) -> Iterator[dict[str, Any]]:
-        names = self._all_names
-        predicate = self.predicate
+    def _source(self) -> Iterator[tuple[Any, tuple]]:
         low_key = (self.low,) if self.low is not None else None
         high_key = (self.high,) if self.high is not None else None
-        for scanned, rid in enumerate(self.index.seek_range(low_key, high_key)):
-            if scanned % _SCAN_CHECK_INTERVAL == 0:
-                governance_checkpoint()
+        for rid in self.index.seek_range(low_key, high_key):
             row = self.table.get(rid)
-            if row is None:
-                continue
-            row_map = dict(zip(names, row))
-            if predicate is not None and not predicate_true(predicate, row_map):
-                continue
-            out = {c: row_map[c] for c in self.columns}
-            if self.include_rids:
-                out[RID_COLUMN] = rid
-            yield out
+            if row is not None:
+                yield rid, row
 
 
-class RowColumnStoreScan(RowOperator):
+class RowColumnStoreScan(_SourceScan):
     """Row-mode scan over a columnstore index (mixed-mode plans).
 
     Decompresses row groups and feeds rows one at a time — storage is
@@ -197,30 +193,18 @@ class RowColumnStoreScan(RowOperator):
         columns: list[str],
         predicate: Expr | None = None,
     ) -> None:
+        super().__init__(columns, predicate, index.schema.names)
         self.index = index
-        self.columns = list(columns)
-        self.predicate = predicate
-        self._all_names = index.schema.names
         self.epoch = PENDING_EPOCH  # as ColumnStoreScan.epoch
-
-    @property
-    def output_names(self) -> list[str]:
-        return list(self.columns)
 
     def describe(self) -> str:
         return f"RowColumnStoreScan(cols={self.columns}, predicate={self.predicate})"
 
-    def rows(self) -> Iterator[dict[str, Any]]:
-        names = self._all_names
-        predicate = self.predicate
-        source = self.index.iter_unit_rows(self.index.pin_scan_units(self.epoch))
-        for scanned, row in enumerate(source):
-            if scanned % _SCAN_CHECK_INTERVAL == 0:
-                governance_checkpoint()
-            row_map = dict(zip(names, row))
-            if predicate is not None and not predicate_true(predicate, row_map):
-                continue
-            yield {c: row_map[c] for c in self.columns}
+    def _source(self) -> Iterator[tuple[Any, tuple]]:
+        return self.index.iter_unit_rows(self.index.pin_scan_units(self.epoch))
+
+    def _address(self, address: tuple[str, int, int]) -> RowLocator:
+        return RowLocator(*address)
 
 
 class RowFilter(RowOperator):

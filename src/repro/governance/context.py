@@ -101,10 +101,14 @@ class QueryContext:
         memory_budget_bytes: int | None = None,
         memory_limit_bytes: int | None = None,
         governor: MemoryGovernor | None = None,
+        settings: dict | None = None,
     ) -> None:
         self.query_id = query_id
         self.sql = sql
         self.session = session
+        # The statement's settings, resolved, for what it compiles beyond
+        # its own plan (a DELETE's or UPDATE's); None: not known here.
+        self.settings = settings
         self.timeout_ms = timeout_ms
         self.memory_budget_bytes = memory_budget_bytes
         self.memory_limit_bytes = memory_limit_bytes

@@ -39,20 +39,25 @@ class LogicalScan(LogicalNode):
     """Scan of a named table.
 
     ``projections`` maps plan-level output names to storage column names
-    (identity unless the binder qualified names). ``predicate`` holds
-    pushed-down conjuncts over *plan-level* names.
+    (identity unless the binder qualified names); ``RID_COLUMN`` among
+    them is the row address. ``predicate`` holds pushed-down conjuncts
+    over *plan-level* names. ``storage`` names the storage of a
+    BOTH-storage table to read (``"rowstore"`` or ``"columnstore"``);
+    None lets the builder choose by mode.
     """
 
     table: str
     projections: dict[str, str]
     predicate: Expr | None = None
+    storage: str | None = None
 
     def output_names(self) -> list[str]:
         return list(self.projections)
 
     def __str__(self) -> str:
         pred = f", predicate={self.predicate}" if self.predicate is not None else ""
-        return f"Scan({self.table}{pred})"
+        storage = f", {self.storage}" if self.storage is not None else ""
+        return f"Scan({self.table}{storage}{pred})"
 
 
 @dataclass

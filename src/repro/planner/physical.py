@@ -133,14 +133,14 @@ class PhysicalBuilder:
     def _build_scan(self, node: LogicalScan) -> PhysResult:
         source = self.catalog.table(node.table)
         storage_names = list(dict.fromkeys(node.projections.values()))
-        plan_to_storage = dict(node.projections)
+        renamed = {plan: name for plan, name in node.projections.items() if plan != name}
         predicate = node.predicate
         storage_predicate = (
-            rename_columns(predicate, plan_to_storage) if predicate is not None else None
+            rename_columns(predicate, renamed) if predicate is not None and renamed else predicate
         )
-        use_columnstore = source.columnstore is not None and self.mode != ROW
-
-        if use_columnstore:
+        # The storage the plan names, else the columnstore unless in row mode.
+        wants = node.storage
+        if source.columnstore is not None and wants != "rowstore" and self.mode != ROW:
             scan = ColumnStoreScan(
                 source.columnstore,
                 storage_names,
@@ -152,7 +152,7 @@ class PhysicalBuilder:
             op, bitmap_map = self._rename_batch(scan, node.projections)
             return PhysResult(BATCH, op, bitmap_map)
 
-        if source.rowstore is not None:
+        if source.rowstore is not None and wants != "columnstore":
             row_scan = self._rowstore_access_path(
                 source, storage_names, storage_predicate
             )

@@ -8,9 +8,10 @@ output column — used by the database facade to present physical values
 from __future__ import annotations
 
 from ..errors import PlanningError
+from ..exec.batch import RID_COLUMN
 from ..exec.operators.hash_aggregate import COUNT_STAR
 from ..exec.operators.window import RANKING_FUNCS
-from ..types import BIGINT, FLOAT, DataType, TypeKind
+from ..types import BIGINT, FLOAT, VARCHAR, DataType, TypeKind
 from .logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -24,13 +25,13 @@ from .logical import (
 )
 from .physical import CatalogView
 
-
 def infer_output_dtypes(node: LogicalNode, catalog: CatalogView) -> dict[str, DataType]:
     """Map each output column of ``node`` to its DataType."""
     if isinstance(node, LogicalScan):
         schema = catalog.table(node.table).schema
-        return {
-            plan: schema.dtype(storage) for plan, storage in node.projections.items()
+        return {  # a row address leaves a plan as itself, as a VARCHAR cell does
+            plan: VARCHAR if storage == RID_COLUMN else schema.dtype(storage)
+            for plan, storage in node.projections.items()
         }
     if isinstance(node, (LogicalFilter, LogicalSort, LogicalLimit)):
         return infer_output_dtypes(node.children()[0], catalog)

@@ -281,8 +281,9 @@ class KillStatement:
 
 @dataclass
 class ExplainStatement:
-    """``EXPLAIN [ANALYZE] SELECT ...`` — plan text, optionally executed
-    with runtime stats collection."""
+    """``EXPLAIN [ANALYZE] SELECT | DELETE | UPDATE ...`` — plan text,
+    optionally executed with runtime stats collection (which applies a
+    DELETE or UPDATE)."""
 
-    select: SelectStatement
+    statement: SelectStatement | DeleteStatement | UpdateStatement
     analyze: bool = False

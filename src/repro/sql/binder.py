@@ -17,6 +17,8 @@ subtrees are not allowed).
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal
 from functools import partial
 from typing import Any, Callable
 
@@ -969,7 +971,7 @@ class Binder:
             return None
         dtype = self._dtype_of(target, namespace)
         if dtype is not None and dtype.kind in (TypeKind.DATE, TypeKind.DECIMAL):
-            return dtype.coerce(value)
+            return _coerce_literal(dtype, value)
         return value
 
     def _dtype_of(self, expr: X.Expr, namespace: _Namespace) -> DataType | None:
@@ -983,7 +985,15 @@ class Binder:
 
 
 def _coerce_literal(dtype: DataType, value: Any) -> Any:
-    """A DATE / DECIMAL literal's physical value, in the binder's error domain."""
+    """A DATE / DECIMAL literal's physical value, in the binder's error
+    domain. A DECIMAL literal with more fraction digits than the scale
+    keeps its exact value, as a float of scaled units (1.255 at scale 2 is
+    125.5): compared with or added to the column's integers it answers at
+    its own value, where rounding it into the scale would not."""
+    if dtype.kind is TypeKind.DECIMAL and isinstance(value, float) and math.isfinite(value):
+        scaled = Decimal(repr(value)).scaleb(dtype.scale)
+        if scaled != scaled.to_integral_value():
+            return float(scaled)
     try:
         return dtype.coerce(value)
     except Exception as exc:

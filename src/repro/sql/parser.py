@@ -194,17 +194,17 @@ class Parser:
         return node_cls()
 
     def parse_explain(self) -> ExplainStatement:
-        """``EXPLAIN [ANALYZE] <select>``."""
+        """``EXPLAIN [ANALYZE] <select | delete | update>``."""
         self.expect_keyword("explain")
         analyze = self.accept_keyword("analyze")
         token = self.peek()
-        if token.is_keyword("with"):
-            return ExplainStatement(self.parse_with(), analyze=analyze)
-        if not token.is_keyword("select"):
+        parse = {"with": self.parse_with, "select": self.parse_select,
+                 "delete": self.parse_delete, "update": self.parse_update}.get(token.text)
+        if token.kind != "keyword" or parse is None:
             raise self._error(
-                f"EXPLAIN expects a SELECT statement, got {token.text!r}", token
+                f"EXPLAIN expects a SELECT, DELETE or UPDATE statement, got {token.text!r}", token
             )
-        return ExplainStatement(self.parse_select(), analyze=analyze)
+        return ExplainStatement(parse(), analyze=analyze)
 
     def parse_with(self) -> SelectStatement:
         """``WITH name AS (select) [, ...] SELECT ...`` — non-recursive."""

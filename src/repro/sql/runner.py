@@ -13,6 +13,11 @@ A SELECT, INSERT, UPDATE or DELETE is bound once per *shape* and catalog
 version: its text with each literal replaced by its class. The next
 statement of that shape skips parse, bind and optimize and binds its own
 literals into a copy of the kept template (DESIGN.md "Statement shapes").
+
+A DELETE or UPDATE reads the rows it changes through plans compiled like
+a SELECT's, under the statement's settings (``Database.dml_plans``), so
+EXPLAIN shows them and EXPLAIN ANALYZE — a write: it applies the
+statement — reports them (DESIGN.md "DML is a plan").
 """
 
 from __future__ import annotations
@@ -152,11 +157,14 @@ def run_parsed(
     stats: bool = False,
 ):
     """Everything after *govern* for one parsed statement."""
-    if isinstance(statement, _READS):
+    # EXPLAIN ANALYZE applies the statement it explains, as PostgreSQL does.
+    analyzed = isinstance(statement, A.ExplainStatement) and statement.analyze
+    dml = statement.statement if analyzed else statement
+    if isinstance(statement, _READS) and not isinstance(dml, _DML):
         return _run_read(db, statement, isolation, lexed, settings, stats)
     if isinstance(statement, _CONTROL):
         return _run_control(db, statement, isolation)
-    with _write_side(db, statement.table if isinstance(statement, _DML) else None, isolation):
+    with _write_side(db, dml.table if isinstance(dml, _DML) else None, isolation):
         return _apply(db, statement, lexed, settings)
 
 
@@ -298,11 +306,29 @@ def _run_read(db, statement, isolation: Isolation, lexed: Lexed, settings, stats
             return _select(db, statement, isolation, epoch, stats, lexed, settings)
         metrics.increment("sql.shapes.not_kept.statement")
         binder = make_binder(db, isolation, epoch, settings)
-        physical, lock_free = prepare(db, binder.bind_select(statement.select), epoch, settings)
+        if isinstance(statement.statement, _DML):
+            return _explain_change(db, statement, binder, settings)
+        physical, lock_free = prepare(db, binder.bind_select(statement.statement), epoch, settings)
         if statement.analyze:  # ANALYZE decides stats collection itself
-            text = run_physical(isolation, physical, lock_free, stats=True)[1].render()
-        else:
-            text = physical.explain()
+            return _plan_text([run_physical(isolation, physical, lock_free, stats=True)[1].render()])
+        return _plan_text([physical.explain()])
+
+
+def _explain_change(db, statement: A.ExplainStatement, binder: Binder, settings):
+    """EXPLAIN [ANALYZE] of a DELETE or UPDATE: the plans it reads through
+    (:meth:`Database.dml_plans`); ANALYZE runs them and applies the write."""
+    change = statement.statement
+    bound = _bound_change(db, binder, change)
+    if statement.analyze:
+        executions = db.apply_dml(change.table, *bound, stats=True)[1]
+        return _plan_text(execution.render() for execution in executions)
+    plans = db.dml_plans(change.table, *bound)
+    return _plan_text(db.optimizer.compile(p, settings, optimize=False).explain() for p in plans)
+
+
+def _plan_text(texts):
+    """EXPLAIN's answer: a row per line of each plan's text."""
+    text = "\n\n".join(texts)
     return _result(["plan"], [VARCHAR], [(line,) for line in text.split("\n")])
 
 
@@ -310,7 +336,7 @@ def plan_query(db, sql: str, settings: dict[str, Any] | None = None) -> LogicalN
     """Parse + bind a SELECT (or EXPLAIN-wrapped SELECT) for EXPLAIN."""
     statement = parse_statement(sql)
     if isinstance(statement, A.ExplainStatement):
-        statement = statement.select
+        statement = statement.statement
     if not isinstance(statement, A.SelectStatement):
         raise SqlSyntaxError("EXPLAIN expects a SELECT statement")
     return make_binder(db, settings=settings).bind_select(statement)
@@ -367,11 +393,13 @@ def _write_side(db, table: str | None, isolation: Isolation):
 
 def _apply(db, statement: Any, lexed: Lexed, settings: dict[str, Any]):
     """Bind a write and apply it; an INSERT, UPDATE or DELETE through the
-    template it is kept as."""
+    template it is kept as, EXPLAIN ANALYZE of one through its plans."""
     if isinstance(statement, _DML):
         template = _dml_template(db, statement, lexed, settings)
         return _apply_template(db, template, lexed.literals)
     metrics.increment("sql.shapes.not_kept.statement")
+    if isinstance(statement, A.ExplainStatement):
+        return _explain_change(db, statement, make_binder(db, settings=settings), settings)
     if isinstance(statement, A.CreateTableStatement):
         _run_create_table(db, statement)
         return None
@@ -421,7 +449,7 @@ class _Write(NamedTuple):
     fixed: tuple[tuple[int, str], ...]
     table: str
     rows: tuple[tuple[X.Literal, ...], ...] | None
-    assignments: tuple[tuple[str, X.Expr], ...] | None
+    assignments: dict[str, X.Expr] | None
     predicate: X.Expr | None
 
 
@@ -541,12 +569,8 @@ def _dml_template(db, statement, lexed: Lexed, settings):
     if isinstance(statement, A.InsertStatement):
         rows = _insert_rows(db, statement)
     else:
-        namespace = _table_namespace(db, statement.table)
-        if isinstance(statement, A.UpdateStatement):
-            assignments = tuple(_assignments(db, binder, namespace, statement))
-        if statement.where is not None:
-            predicate = binder._bind_scalar(statement.where, namespace)
-    exprs = [e for row in rows or () for e in row] + [e for _, e in assignments or ()]
+        assignments, predicate = _bound_change(db, binder, statement)
+    exprs = [e for row in rows or () for e in row] + list((assignments or {}).values())
     exprs += [predicate] if predicate is not None else []
     params = _params(lambda record: [map_expression(e, record) for e in exprs])
     template = _Write(
@@ -567,7 +591,7 @@ def _apply_template(db, template: _Write, literals):
         return _affected(db.insert(template.table, rows))
     assignments = None
     if template.assignments is not None:  # coerced before the predicate, as bound
-        assignments = {name: map_expression(e, fill) for name, e in template.assignments}
+        assignments = {name: map_expression(e, fill) for name, e in template.assignments.items()}
     predicate = None if template.predicate is None else map_expression(template.predicate, fill)
     if assignments is None:
         return _affected(db.delete_where(template.table, predicate))
@@ -594,6 +618,19 @@ def _insert_rows(db, statement: A.InsertStatement):
             row[position] = X.Literal(_constant_value(expr), slot=slot)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _bound_change(db, binder: Binder, statement):
+    """An UPDATE's SET expressions by column (None for a DELETE) and
+    its WHERE predicate (None without one), bound."""
+    namespace = _table_namespace(db, statement.table)
+    assignments = None
+    if isinstance(statement, A.UpdateStatement):  # coerced before the predicate
+        assignments = dict(_assignments(db, binder, namespace, statement))
+    predicate = None
+    if statement.where is not None:
+        predicate = binder._bind_scalar(statement.where, namespace)
+    return assignments, predicate
 
 
 def _assignments(db, binder: Binder, namespace: _Namespace, statement: A.UpdateStatement):

@@ -531,7 +531,7 @@ class ColumnStoreIndex:
         dropped, so snapshot readers pinned before the rebuild keep
         scanning the exact structures that were visible to them.
         """
-        live_rows = list(self.iter_unit_rows(self.pin_scan_units(PENDING_EPOCH)))
+        live_rows = [row for _, row in self.iter_unit_rows(self.pin_scan_units(PENDING_EPOCH))]
         with self.mvcc.installing() as epoch:
             for group in list(self.directory.row_groups()):
                 self._retire_group(group, epoch)
@@ -567,8 +567,11 @@ class ColumnStoreIndex:
                 self.directory.replace_row_group(group.to_unarchived(), epoch=epoch)
         self.vacuum()
 
-    def iter_unit_rows(self, units: Iterable[ScanUnit]) -> Iterator[tuple[Any, ...]]:
-        """Decode scan units back into Python row tuples (row-mode path)."""
+    def iter_unit_rows(
+        self, units: Iterable[ScanUnit]
+    ) -> Iterator[tuple[tuple[str, int, int], tuple[Any, ...]]]:
+        """Decode scan units back into Python row tuples (row-mode path),
+        each with its address: a :class:`RowLocator`'s fields."""
         names = self.schema.names
         for unit in units:
             if unit.kind == GROUP:
@@ -586,8 +589,9 @@ class ColumnStoreIndex:
                         else:
                             value = values[position]
                             row.append(value.item() if hasattr(value, "item") else value)
-                    yield tuple(row)
+                    yield (GROUP, group.group_id, position), tuple(row)
             else:
                 assert unit.delta is not None
-                for _row_id, row in unit.delta.scan():
-                    yield row
+                delta_id = unit.delta.delta_id
+                for row_id, row in unit.delta.scan():
+                    yield (DELTA, delta_id, row_id), row

@@ -234,8 +234,6 @@ class TestRowsLeaveAsColumns:
         empty = Batch(columns={"a": np.zeros(0, dtype=np.int64), "s": np.zeros(0, dtype=object)})
         assert empty.to_rows() == []
         assert Batch(columns={}).to_rows() == []
-        located = Batch(columns={}, locators=np.array(["x", "y", "z"], dtype=object))
-        assert located.to_rows() == [(), (), ()] == reference_rows(located)
 
     @pytest.mark.parametrize("nulls", list(NULLS))
     @pytest.mark.parametrize("dtype", list(PHYSICAL), ids=str)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import types
+from repro.exec.batch import RID_COLUMN
 from repro.exec.bloom import JoinBitmapFilter
 from repro.exec.expressions import And, Between, Comparison, InList, Like, col, lit
 from repro.exec.operators.scan import BitmapProbe, ColumnStoreScan
@@ -190,12 +191,11 @@ class TestLocators:
     def test_locators_track_rows(self, index):
         scan = ColumnStoreScan(
             index,
-            ["id"],
+            ["id", RID_COLUMN],
             predicate=Comparison("=", col("day"), lit(60)),
-            include_locators=True,
         )
         batches = list(scan.batches())
-        locators = [loc for b in batches for loc in (b.locators or [])]
+        locators = [loc for b in batches for loc in b.column(RID_COLUMN)]
         assert len(locators) == 1
         assert locators[0].kind == GROUP
         row = read_row(index, locators[0])

@@ -150,11 +150,12 @@ class TestExplainAnalyzeSql:
         assert "Scan" in text
         assert "* actual:" not in text
 
-    def test_explain_requires_select(self, db):
+    def test_explain_rejects_insert_and_ddl(self, db):
         from repro.errors import SqlSyntaxError
 
-        with pytest.raises(SqlSyntaxError):
-            db.sql("EXPLAIN ANALYZE DELETE FROM t")
+        for statement in ("INSERT INTO t VALUES (1)", "DROP TABLE t"):
+            with pytest.raises(SqlSyntaxError, match="SELECT, DELETE or UPDATE"):
+                db.sql(f"EXPLAIN ANALYZE {statement}")
 
 
 class TestCliStats:

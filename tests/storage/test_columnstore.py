@@ -221,7 +221,7 @@ class TestArchival:
         rows = make_rows(sch, 50)
         index.bulk_load(rows)
         index.archive()
-        live = sorted(index.iter_unit_rows(index.pin_scan_units(PENDING_EPOCH)))
+        live = sorted(row for _, row in index.iter_unit_rows(index.pin_scan_units(PENDING_EPOCH)))
         assert len(live) == 50
         assert live[0][0] == 0
 

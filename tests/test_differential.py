@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, StoreConfig, schema, types
-from repro.bench.harness import ARMS, oracle_for, same_answers
+from repro.bench.harness import ARMS, oracle_for, same_answers, same_writes
 
 from . import examples
 
@@ -461,3 +461,142 @@ def test_order_agrees_in_order_under_every_arm(sql):
     db = make_db(ORDER_ROWS[:40])
     db.insert("t", ORDER_ROWS[40:])
     assert same_answers(db, sql) == [arm.name for arm in ARMS]
+
+
+# Integers add and multiply in 64 bits in batch mode as in row mode: an
+# INT column times an INT literal used to wrap at 32 bits there (v *
+# 2147483647 gave -2 for v = 2). An UPDATE storing such a value into an
+# INT column still raises.
+INT_ARITHMETIC = [
+    "SELECT v, v * 2147483647 AS m FROM w",
+    "SELECT SUM(v * 2147483647) AS s FROM w",
+    "SELECT v + 2147483647 AS p, v - 2147483647 - 2 AS q FROM w",
+    "SELECT v FROM w WHERE v * 2147483647 > 4000000000",
+]
+
+
+def _int_db() -> Database:
+    db = Database(StoreConfig(rowgroup_size=4, bulk_load_threshold=2))
+    db.create_table("w", schema(("v", types.INT)))
+    db.bulk_load("w", [(1,), (2,)])
+    db.insert("w", [(3,), (None,)])
+    return db
+
+
+@pytest.mark.parametrize("sql", INT_ARITHMETIC)
+def test_integer_arithmetic_agrees_with_sqlite(sql):
+    agree_with_sqlite(_int_db(), sql)
+
+
+def test_an_update_out_of_int_range_still_raises_under_every_arm():
+    from repro.errors import TypeMismatchError
+
+    for arm in ARMS:
+        db = _int_db()
+        got = arm.answer(db, "UPDATE w SET v = v + 2147483647 WHERE v > 1")
+        assert got.error is TypeMismatchError, (arm.name, got)
+        assert "out of range for int" in got.message
+        assert sorted(db.sql("SELECT v FROM w WHERE v IS NOT NULL").rows) == [(1,), (2,), (3,)]
+
+
+# A literal with more fraction digits than a DECIMAL column's scale is
+# compared and added at its own value: it used to be rounded into the
+# column's scale (d < 1.255 lost 1.25, d + 0.005 added nothing). A shape
+# hit on a literal of another scale answers as a fresh bind (the "shape
+# hit" arm); DELETE and UPDATE bind WHERE the same way, while SET still
+# rounds a literal into the column.
+DECIMAL_LITERALS = [
+    "SELECT d FROM t WHERE d < 1.255",
+    "SELECT d, d = 1.254 AS e, d != 1.254 AS n FROM t",
+    "SELECT d, d + 0.005 AS e FROM t",
+    "SELECT d, d + 0.125 AS e FROM t",
+    "SELECT d FROM t WHERE d BETWEEN 1.251 AND 3.2501",
+]
+
+
+def _decimal_literal_db() -> Database:
+    db = Database(StoreConfig(rowgroup_size=4, bulk_load_threshold=2))
+    db.create_table("t", schema(("d", types.decimal(2)), ("i", types.INT)))
+    db.bulk_load("t", [(0.25, 0), (1.25, 1)])
+    db.insert("t", [(2.25, 2), (3.25, 3), (None, 4)])
+    return db
+
+
+@pytest.mark.parametrize("sql", DECIMAL_LITERALS)
+def test_a_decimal_against_a_finer_literal_agrees_with_sqlite(sql):
+    db = _decimal_literal_db()
+    agree_with_sqlite(db, sql)
+    assert db.sql(sql).rows
+
+
+@pytest.mark.parametrize("sql", [
+    "DELETE FROM t WHERE d < 1.255",
+    "UPDATE t SET i = i + 10 WHERE d <= 1.249",
+])
+def test_dml_against_a_finer_decimal_literal_agrees_with_sqlite(sql):
+    same_writes(_decimal_literal_db, sql)
+
+
+def test_a_shape_hit_on_a_finer_literal_answers_as_a_fresh_bind():
+    from repro.observability import get_registry
+
+    db = _decimal_literal_db()
+    assert db.sql("SELECT d FROM t WHERE d < 2.25").rows == [(0.25,), (1.25,)]
+    hits = get_registry().counter("sql.shapes.hits")
+    assert db.sql("SELECT d FROM t WHERE d < 1.255").rows == [(0.25,), (1.25,)]
+    assert db.sql("SELECT d FROM t WHERE d < 1.25").rows == [(0.25,)]
+    assert get_registry().counter("sql.shapes.hits") == hits + 2
+
+
+def test_set_rounds_a_finer_literal_into_the_column():
+    db = _decimal_literal_db()
+    db.sql("UPDATE t SET d = 1.254 WHERE i = 0")
+    assert db.sql("SELECT d FROM t WHERE i = 0").rows == [(1.25,)]
+
+
+# DML under every arm: each arm applies the statement to a fresh copy of
+# one table (compressed groups, a delta tail, deleted rows) and the table
+# must end the same, the rows affected too; sqlite3 checks batch mode's.
+DML_ROWS = [
+    (k, [None, 2, -1, 0, 5, 7][k % 6], ["red", "green", "blue", None, "x"][k % 5],
+     [None, 0.5, -1.25, 3.0][k % 4], [0.25, 1.5, None, 2.75, 1.25, -0.5, 3.0][k % 7])
+    for k in range(60)
+]
+DML_STATEMENTS = [
+    ("t", "UPDATE t SET a = a * 3 + k, f = f / 2 WHERE s = 'red'"),
+    ("t", "UPDATE t SET s = CASE WHEN a > 0 THEN 'pos' ELSE 'neg' END WHERE a IS NOT NULL"),
+    ("t", "UPDATE t SET a = NULL, s = NULL WHERE a IS NULL OR k > 50"),
+    ("t", "UPDATE t SET d = d * 2 + 1, f = -f WHERE d > 1.5"),
+    ("t", "UPDATE t SET k = k + 1000, d = d + 1.25 WHERE s LIKE '%e%' AND f IS NOT NULL"),
+    ("t", "DELETE FROM t WHERE d BETWEEN 0.5 AND 2.25"),
+    ("t", "DELETE FROM t WHERE s = 'blue' OR a IS NULL"),
+    ("t", "DELETE FROM t WHERE k > 1000"),
+    ("t", "UPDATE t SET a = a + 1 WHERE k < -1"),
+    ("t", "DELETE FROM t"),
+    ("b", "UPDATE b SET v = v * 2, tag = 'z' WHERE v > 3"),
+    ("b", "DELETE FROM b WHERE tag = 'u' OR v IS NULL"),
+]
+
+
+def make_dml_db() -> Database:
+    db = Database(StoreConfig(rowgroup_size=16, bulk_load_threshold=8, delta_close_rows=16))
+    db.create_table("t", schema(
+        ("k", types.INT, False), ("a", types.INT), ("s", types.VARCHAR), ("f", types.FLOAT),
+        ("d", types.decimal(2)),
+    ))
+    db.bulk_load("t", DML_ROWS[:40])
+    db.insert("t", DML_ROWS[40:])
+    db.sql("DELETE FROM t WHERE k IN (3, 11, 19, 44, 57)")
+    db.create_table(
+        "b", schema(("id", types.INT, False), ("tag", types.VARCHAR), ("v", types.INT)),
+        storage="both",
+    )
+    db.insert("b", [(i, ["u", "v", None][i % 3], [1, 4, None, 6][i % 4]) for i in range(12)])
+    db.sql("DELETE FROM b WHERE id = 5")
+    return db
+
+
+@pytest.mark.parametrize("table, sql", DML_STATEMENTS)
+def test_dml_agrees_under_every_arm(table, sql):
+    checked = same_writes(make_dml_db, sql, table)
+    assert checked == [arm.name for arm in ARMS] + ["sqlite3"]
