@@ -38,8 +38,8 @@ from ..errors import BackupError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO, crc32c
 from ..storage.snapshot import MANIFEST_NAME, Manifest, ManifestEntry
-from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_name
-from ..wal.record import WalRecord, encode_record, scan_segment
+from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_image
+from ..wal.record import WalRecord, scan_segment
 from .manifest import (
     BACKUP_MANIFEST_NAME,
     IMAGE_DIR_NAME,
@@ -149,15 +149,8 @@ class BackupJob:
             high=self.backup_lsn,
         )
         if records:
-            merged = b"".join(
-                encode_record(r.rtype, r.lsn, r.table, r.payload, r.txn_id)
-                for r in records
-            )
-            put(
-                f"{WAL_SUBDIR_NAME}/{_segment_name(records[0].lsn)}",
-                merged,
-                crc32c(merged),
-            )
+            name, merged = _segment_image(records)
+            put(f"{WAL_SUBDIR_NAME}/{name}", merged, crc32c(merged))
 
         # -- commit: the backup manifest is written last, then the whole
         # image is read back; only a verified backup keeps its manifest.

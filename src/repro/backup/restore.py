@@ -33,13 +33,12 @@ from ..errors import BackupError, RestoreError, RestoreTargetError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
 from ..storage.snapshot import MANIFEST_NAME
-from ..wal.log import WAL_DIR_NAME, _SEGMENT_RE, _segment_name
+from ..wal.log import WAL_DIR_NAME, _SEGMENT_RE, _list_segments, _segment_image
 from ..wal.record import (
     TXN_MARKER_TYPES,
     AUTO_COMMIT_TXN,
     WalRecord,
     WalRecordType,
-    encode_record,
     scan_segment,
 )
 from .manifest import (
@@ -187,7 +186,7 @@ def restore_backup(
         for record in scan.records:
             by_lsn[record.lsn] = record
     if archive is not None:
-        for first_lsn, name in _archive_segments(disk, Path(archive)):
+        for first_lsn, name in _list_segments(disk, Path(archive)):
             scan = scan_segment(
                 disk.read_file(Path(archive) / name), first_lsn, source=name
             )
@@ -222,11 +221,7 @@ def restore_backup(
         disk.write_file(out, disk.read_file(backup_root / rel))
     disk.mkdir(dest / WAL_DIR_NAME)
     if clipped:
-        merged = b"".join(
-            encode_record(r.rtype, r.lsn, r.table, r.payload, r.txn_id)
-            for r in clipped
-        )
-        segment_name = _segment_name(clipped[0].lsn)
+        segment_name, merged = _segment_image(clipped)
         disk.write_file(dest / WAL_DIR_NAME / segment_name, merged)
         # Read-back: the laid-down log must scan clean up to the target
         # before the restore may commit.
@@ -283,13 +278,3 @@ def _claim_destination(
         {"backup": str(backup_root), "target_lsn": target}, sort_keys=True
     ).encode("utf-8")
     disk.write_file(dest / RESTORE_MARKER_NAME, marker)
-
-
-def _archive_segments(disk: DiskIO, root: Path) -> list[tuple[int, str]]:
-    segments = []
-    for name in disk.listdir(root):
-        match = _SEGMENT_RE.match(name)
-        if match:
-            segments.append((int(match.group(1)), name))
-    segments.sort()
-    return segments

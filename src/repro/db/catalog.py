@@ -10,7 +10,7 @@ goes through :class:`Table` so all storages stay consistent.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..errors import CatalogError, StorageError
 from ..rowstore.compression import table_page_compressed_size
@@ -61,10 +61,10 @@ class Table:
     def insert_physical_rows(self, physical: Sequence[tuple[Any, ...]], txn=None) -> int:
         """Insert rows that are *already coerced* to physical values.
 
-        WAL replay uses this path: coercion is not idempotent (DECIMAL
-        coercion scales ints), so redo records carry physical rows and
-        must not be coerced again. With a transaction context every
-        mutation point records its physical undo.
+        Coercion is not idempotent (DECIMAL coercion scales ints), so
+        redo records carry these physical rows and replay applies them
+        here uncoerced. With a transaction context every mutation point
+        records its physical undo.
         """
         for row in physical:
             self._insert_physical(row, txn)
@@ -85,7 +85,7 @@ class Table:
             self.columnstore.insert(row, txn)
 
     def bulk_load_physical(self, physical: Sequence[tuple[Any, ...]], txn=None) -> int:
-        """Bulk-load already-coerced rows (the WAL replay path)."""
+        """Bulk-load already-coerced rows (see :meth:`insert_physical_rows`)."""
         if self.storage_kind is StorageKind.COLUMNSTORE:
             assert self.columnstore is not None
             self.columnstore.bulk_load(physical, txn)
@@ -96,54 +96,33 @@ class Table:
         self._bump_data_version(txn)
         return len(physical)
 
-    def delete_by_locators(self, locators: Iterable[Any], txn=None) -> int:
-        """Delete rows addressed by scan-produced locators/rids.
+    def delete_rows(self, rids: list[RowId], locators: list[RowLocator], txn=None) -> int:
+        """Delete the rows at these addresses — row-store ``rids`` and
+        columnstore ``locators`` — and return the logical row count.
 
-        Each locator targets one storage; BOTH-storage tables are kept
-        consistent by the facade running the same predicate against each
-        storage (see :meth:`Table.delete_rows`).
+        Every address must delete exactly one row: one whose row is
+        already gone raises :class:`~repro.errors.StorageError`, which
+        rolls a statement back and fails recovery with a
+        :class:`~repro.errors.ReplayError` naming the record's LSN (the
+        log and the snapshot have diverged). A BOTH-storage table holds
+        each logical row twice (heap + index) and its statement addresses
+        it once per storage, so the count is the longer list's length —
+        never the per-storage sum.
         """
-        deleted = 0
+        for rid in rids:
+            self._delete_rowstore_rid(rid, txn)
         for locator in locators:
-            if isinstance(locator, RowId):
-                deleted += self._delete_rowstore_rid(locator, txn)
-            elif isinstance(locator, RowLocator):
-                assert self.columnstore is not None
-                if self.columnstore.delete(locator, txn):
-                    deleted += 1
-            else:
-                raise StorageError(f"unknown locator {locator!r}")
-        if deleted:
+            if not self.columnstore.delete(locator, txn):
+                raise StorageError(f"row {locator} of {self.name} is already deleted")
+        if rids or locators:
             self._bump_data_version(txn)
-        return deleted
+        return max(len(rids), len(locators))
 
-    def delete_rows(self, rids: list, locators: list, txn=None) -> int:
-        """Delete the same logical rows from every storage; returns the
-        *authoritative* logical row count.
-
-        A BOTH-storage table holds each logical row twice (heap + index);
-        the facade resolves the predicate against each storage and both
-        physical deletes run here, but the count reported to the user is
-        the number of distinct logical rows removed — never the
-        per-storage sum, and never just one storage's count while the
-        other silently diverges.
-        """
-        rowstore_deleted = self.delete_by_locators(rids, txn)
-        columnstore_deleted = self.delete_by_locators(locators, txn)
-        if self.rowstore is None:
-            return columnstore_deleted
-        if self.columnstore is None:
-            return rowstore_deleted
-        # Each logical row contributes at most one rid and one locator,
-        # so the larger count is the number of logical rows any storage
-        # still held (the smaller storage had already lost some).
-        return max(rowstore_deleted, columnstore_deleted)
-
-    def _delete_rowstore_rid(self, rid: RowId, txn=None) -> int:
+    def _delete_rowstore_rid(self, rid: RowId, txn=None) -> None:
         assert self.rowstore is not None
         row = self.rowstore.get(rid)
         if row is None:
-            return 0
+            raise StorageError(f"row {rid} of {self.name} is already deleted")
         # One undo entry per mutation, recorded immediately after each
         # succeeds: a fault anywhere in this sequence (even between two
         # index deletes) rolls back exactly the mutations that happened.
@@ -160,7 +139,6 @@ class Table:
                     f"re-index deleted row {rid}",
                     lambda index=index: index.insert(row, rid),
                 )
-        return 1
 
     def _undo_undelete(self, rid: RowId) -> None:
         assert self.rowstore is not None

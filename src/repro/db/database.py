@@ -14,12 +14,16 @@ operations the paper describes (tuple mover, REBUILD, archival toggles).
 
 from __future__ import annotations
 
+import json
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from ..errors import CatalogError, PlanningError, StorageError, TxnError
+from ..backup.archive import ARCHIVE_DIR_NAME, WalArchiver
+from ..backup.manifest import RESTORE_MARKER_NAME
+from ..errors import CatalogError, PlanningError, RecoveryError, StorageError, TxnError
 from ..governance import QueryContext, get_query_registry
 from ..governance.context import current as current_query
 from ..mvcc import EpochManager
@@ -33,9 +37,14 @@ from ..planner.schema_infer import infer_output_dtypes
 from ..schema import TableSchema
 from ..settings import resolve
 from ..sql import runner as pipeline
+from ..storage import persist
 from ..storage.config import StoreConfig
+from ..storage.diskio import DiskIO
+from ..storage.snapshot import MANIFEST_NAME, SnapshotWriter, open_snapshot
 from ..txn import AUTO_COMMIT_TXN, TxnContext
 from ..types import DataType
+from ..wal import replay as walreplay
+from ..wal.log import DEFAULT_GROUP_COMMIT_SIZE, WAL_DIR_NAME, WriteAheadLog
 from ..wal.record import WalRecordType
 from .catalog import Catalog, StorageKind, Table
 
@@ -77,7 +86,7 @@ class Database:
         self.optimizer = Optimizer(self.catalog)
         self.default_config = default_config or StoreConfig()
         # Write-ahead log, attached by open()/load(); facade statements
-        # append a redo record before mutating in-memory state. Direct
+        # append a redo record after applying their change. Direct
         # Table-level mutations bypass the log — durability covers the
         # facade surface, which is also what SQL goes through.
         self._wal = None
@@ -121,15 +130,6 @@ class Database:
     def wal(self):
         """The attached :class:`~repro.wal.WriteAheadLog`, or ``None``."""
         return self._wal
-
-    def _log(self, rtype: WalRecordType, table: str, payload: bytes) -> None:
-        """Append + commit one statement's redo record (no-op when no WAL).
-
-        Callers must have fully validated the statement first: a logged
-        record is a promise that replay can apply it.
-        """
-        if self._wal is not None:
-            self._wal.log_statement(rtype, table, payload)
 
     def set_durability(self, mode: str) -> None:
         """Switch the WAL durability mode (per-commit / group / off)."""
@@ -226,15 +226,11 @@ class Database:
         hooks = txn.take_commit_hooks()
         epoch = self.mvcc.commit(hooks) if hooks else None
         if self._wal is not None:
-            from ..wal import replay as walreplay
-
             # The commit marker is what promotes the transaction's
             # records from "present in the log" to "applied by replay";
             # wal.commit() then makes the whole batch durable per the
             # configured durability mode — one fsync for N statements.
-            payload = (
-                walreplay.encode_json({"epoch": epoch}) if epoch is not None else b""
-            )
+            payload = walreplay.encode_commit(epoch)
             self._wal.append(WalRecordType.TXN_COMMIT, "", payload, txn.txn_id)
             self._wal.commit()
         txn.discard()
@@ -333,17 +329,34 @@ class Database:
                     self.mvcc.commit(hooks)
                 txn.discard()
 
-    def _log_dml(self, rtype: WalRecordType, table: str, payload: bytes) -> None:
-        """Log one applied statement (append-only inside a transaction).
+    def _apply_change(self, rtype: WalRecordType, table: str, body: Any) -> Any:
+        """Make one validated change and log it: what every logged
+        statement runs, and what recovery runs for each record.
+
+        ``body`` is the change's physical body; the record kind's apply
+        (:data:`repro.wal.replay.CHANGES`) makes the change inside the
+        statement's atomic scope, then its encoded body is logged —
+        apply, then log, so a change that fails is rolled back and never
+        reaches the log. Recovery runs this before the WAL is attached,
+        so nothing is logged twice. Returns what the apply returns.
+        """
+        change = walreplay.CHANGES[rtype]
+        with self._atomic_statement() as txn:
+            result = change.apply(self, table, body, txn)
+            if self._wal is not None:
+                self._log_change(rtype, table, change.encode(self, table, body))
+        return result
+
+    def _log_change(self, rtype: WalRecordType, table: str, payload: bytes) -> None:
+        """Log one applied change (append-only inside a transaction).
 
         Auto-commit statements append **and** commit (their frame is the
-        commit unit, as before). Inside an explicit transaction the
-        record is stamped with the txn id and merely appended — it only
-        becomes meaningful to replay if the TXN_COMMIT marker lands, and
-        durability waits for :meth:`commit`.
+        commit unit). Inside an explicit transaction the record is
+        stamped with the txn id and merely appended — it only becomes
+        meaningful to replay if the TXN_COMMIT marker lands, and
+        durability waits for :meth:`commit`. Maintenance refuses to run
+        inside a transaction, so it always takes the auto-commit path.
         """
-        if self._wal is None:
-            return
         if self._txn is not None:
             self._wal.append(rtype, table, payload, self._txn.txn_id)
         else:
@@ -367,75 +380,18 @@ class Database:
         storage: StorageKind | str = StorageKind.COLUMNSTORE,
         config: StoreConfig | None = None,
     ) -> Table:
-        if isinstance(storage, str):
-            storage = StorageKind(storage)
-        if self.catalog.has_table(name):
-            raise CatalogError(f"table {name!r} already exists")
-        config = config or self.default_config
-        with self._atomic_statement() as txn:
-            table = self.catalog.create_table(name, schema, storage, config)
-            if table.columnstore is not None:
-                table.columnstore.attach_mvcc(self.mvcc)
-            txn.record(
-                f"un-create table {name}",
-                lambda: self.catalog.drop_table(name),
-            )
-            self._bump_epoch(txn)
-            if self._wal is not None:
-                from ..storage import persist
-                from ..wal import replay as walreplay
-
-                self._log_dml(
-                    WalRecordType.CREATE_TABLE,
-                    name,
-                    walreplay.encode_json(
-                        {
-                            "schema": persist.schema_to_json(schema),
-                            "storage": storage.value,
-                            "config": persist.config_to_json(config),
-                        }
-                    ),
-                )
-        return table
+        body = (schema, StorageKind(storage), config or self.default_config)
+        return self._apply_change(WalRecordType.CREATE_TABLE, name, body)
 
     def drop_table(self, name: str) -> None:
-        if not self.catalog.has_table(name):
-            raise CatalogError(f"unknown table {name!r}")
-        with self._atomic_statement() as txn:
-            dropped = self.catalog.table(name)
-            self.catalog.drop_table(name)
-            txn.record(
-                f"restore dropped table {name}",
-                lambda: self.catalog.restore_table(dropped),
-            )
-            self._bump_epoch(txn)
-            self._log_dml(WalRecordType.DROP_TABLE, name, b"")
+        self._apply_change(WalRecordType.DROP_TABLE, name, None)
 
     def create_index(self, table: str, index_name: str, columns: list[str]):
         """Create a secondary row-store index (the logged DDL path)."""
         target = self.catalog.table(table)
-        if target.rowstore is None:
-            raise CatalogError(f"table {target.name!r} has no row store to index")
-        if index_name in target.indexes:
-            raise CatalogError(f"index {index_name!r} already exists")
-        with self._atomic_statement() as txn:
-            index = target.create_index(index_name, list(columns))
-            txn.record(
-                f"un-create index {index_name}",
-                lambda: target.indexes.pop(index_name, None),
-            )
-            self._bump_epoch(txn)
-            if self._wal is not None:
-                from ..wal import replay as walreplay
-
-                self._log_dml(
-                    WalRecordType.CREATE_INDEX,
-                    target.name,
-                    walreplay.encode_json(
-                        {"name": index_name, "columns": list(columns)}
-                    ),
-                )
-        return index
+        return self._apply_change(
+            WalRecordType.CREATE_INDEX, target.name, (index_name, list(columns))
+        )
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
@@ -445,42 +401,21 @@ class Database:
     # ------------------------------------------------------------------ #
     # DML statements share one shape: validate and coerce *before* the
     # atomic scope (a failure there touches nothing), then apply with
-    # undo recording, then log. Apply-then-log means a statement that
-    # fails mid-apply is rolled back to the exact pre-statement state
-    # AND never reaches the log — replay cannot diverge from memory.
+    # undo recording, then log (_apply_change). Apply-then-log means a
+    # statement that fails mid-apply is rolled back to the exact
+    # pre-statement state AND never reaches the log — replay cannot
+    # diverge from memory.
     def insert(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
         """Trickle-insert rows (columnstores route through delta stores)."""
         target = self.catalog.table(table)
         physical = [target.schema.coerce_row(row) for row in rows]
-        with self._atomic_statement() as txn:
-            count = target.insert_physical_rows(physical, txn)
-            if self._wal is not None:
-                from ..storage import persist
-
-                # Log the already-coerced rows: coercion is not idempotent
-                # (DECIMAL coercion scales ints), so replay must not redo it.
-                self._log_dml(
-                    WalRecordType.INSERT,
-                    target.name,
-                    persist.serialize_rows(target.schema, physical),
-                )
-        return count
+        return self._apply_change(WalRecordType.INSERT, target.name, physical)
 
     def bulk_load(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
         """Bulk-load rows (large loads compress directly into row groups)."""
         target = self.catalog.table(table)
         physical = [target.schema.coerce_row(row) for row in rows]
-        with self._atomic_statement() as txn:
-            count = target.bulk_load_physical(physical, txn)
-            if self._wal is not None:
-                from ..storage import persist
-
-                self._log_dml(
-                    WalRecordType.BULK_LOAD,
-                    target.name,
-                    persist.serialize_rows(target.schema, physical),
-                )
-        return count
+        return self._apply_change(WalRecordType.BULK_LOAD, target.name, physical)
 
     def delete_where(self, table: str, predicate: Expr | None) -> int:
         """DELETE ... WHERE: the rows its plans find (:meth:`dml_plans`)
@@ -561,33 +496,15 @@ class Database:
             )
             found.append(rows)
             executions.append(execution)
+        if not any(found):
+            return 0, executions
         rids = [row[0] for row in found[0]] if target.rowstore is not None else []
         locators = [row[0] for row in found[-1]] if target.columnstore is not None else []
-        if assignments is not None and not found[0]:
-            return 0, executions
-        physical_rows = None
+        rtype, body = WalRecordType.DELETE, (rids, locators)
         if assignments is not None:
-            physical_rows = [target.schema.coerce_row(row[1:]) for row in found[0]]
-        with self._atomic_statement() as txn:
-            count = target.delete_rows(rids, locators, txn)
-            if physical_rows is not None:
-                count = target.insert_physical_rows(physical_rows, txn)
-            if self._wal is not None and (rids or locators):
-                from ..wal import replay as walreplay
-
-                # UPDATE is delete + insert, and losing one half of that to
-                # a crash would corrupt, so both travel in a single frame
-                # (the unit of atomicity).
-                if physical_rows is None:
-                    rtype = WalRecordType.DELETE
-                    payload = walreplay.encode_json(walreplay.encode_locators(rids, locators))
-                else:
-                    rtype = WalRecordType.UPDATE
-                    payload = walreplay.encode_update(
-                        target.schema, rids, locators, physical_rows
-                    )
-                self._log_dml(rtype, target.name, payload)
-        return count, executions
+            rows = [target.schema.coerce_row(row[1:]) for row in found[0]]
+            rtype, body = WalRecordType.UPDATE, (rids, locators, rows)
+        return self._apply_change(rtype, target.name, body), executions
 
     # ------------------------------------------------------------------ #
     # Governance (query contexts)
@@ -723,14 +640,6 @@ class Database:
         to what the path already holds is skipped entirely (pass
         ``force=True`` to override).
         """
-        import json
-        from pathlib import Path
-
-        from ..observability import registry as obs_metrics
-        from ..storage import persist
-        from ..storage.diskio import DiskIO
-        from ..storage.snapshot import MANIFEST_NAME, SnapshotWriter
-
         # A snapshot taken mid-transaction would bake uncommitted state
         # into the base image (and truncate the log segments replay
         # would need to undo-by-omission). Refuse; the checkpoint runs
@@ -741,7 +650,7 @@ class Database:
             # would garbage-collect the files its manifest names and
             # truncate the WAL segments the copy is reading. Defer — the
             # WAL keeps everything recoverable until the next checkpoint.
-            obs_metrics.increment("backup.checkpoints_deferred")
+            metrics.increment("backup.checkpoints_deferred")
             return
         disk = disk or DiskIO()
         root = Path(path)
@@ -752,7 +661,7 @@ class Database:
             and fingerprint == self._save_fingerprint
             and disk.exists(root / MANIFEST_NAME)
         ):
-            obs_metrics.increment("storage.snapshot.saves_skipped")
+            metrics.increment("storage.snapshot.saves_skipped")
             return
         wal = self._wal if self._wal is not None and self._wal_root == resolved else None
         checkpoint_lsn = 0
@@ -779,11 +688,7 @@ class Database:
             if table.columnstore is not None:
                 persist.save_columnstore(table.columnstore, writer, table.name)
             if table.rowstore is not None:
-                rows = [row for _, row in table.rowstore.scan()]
-                writer.write(
-                    f"{table.name}/rowstore.rows",
-                    persist.serialize_rows(table.schema, rows),
-                )
+                persist.save_rowstore(table.rowstore, writer, table.name)
         writer.write(
             "catalog.json", json.dumps(catalog_entries, indent=1).encode("utf-8")
         )
@@ -839,99 +744,7 @@ class Database:
         the snapshot's checkpoint LSN is replayed, then the log stays
         attached so further statements are durable.
         """
-        import json
-        from pathlib import Path
-
-        from ..errors import RecoveryError
-        from ..storage import persist
-        from ..storage.diskio import DiskIO
-        from ..storage.snapshot import MANIFEST_NAME, open_snapshot
-        from ..wal.log import WAL_DIR_NAME, WriteAheadLog
-
-        disk = disk or DiskIO()
-        root = Path(path)
-        from ..backup.manifest import RESTORE_MARKER_NAME
-
-        if disk.exists(root / RESTORE_MARKER_NAME):
-            raise RecoveryError(
-                f"{root} holds an uncommitted restore (its "
-                f"{RESTORE_MARKER_NAME} marker is present) — the restore "
-                "crashed before completing; re-run it or delete the directory"
-            )
-        wal_dir = root / WAL_DIR_NAME
-        has_wal = disk.is_dir(wal_dir)
-        try:
-            reader = open_snapshot(disk, root)
-        except RecoveryError:
-            if not has_wal or disk.exists(root / MANIFEST_NAME):
-                # Either there is no log to recover from, or a manifest
-                # *exists* but could not be used — that is corruption,
-                # not a pre-first-checkpoint directory, and the log was
-                # truncated at the snapshot's checkpoint: opening WAL-only
-                # would silently present an empty database.
-                raise
-            # No snapshot yet but a log exists: the database crashed
-            # before its first checkpoint — the log holds all state.
-            reader = None
-        db = cls()
-        checkpoint_lsn = 0
-        if reader is not None:
-            try:
-                catalog_entries = json.loads(
-                    reader.read("catalog.json").decode("utf-8")
-                )
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise RecoveryError(f"unreadable catalog.json: {exc}") from exc
-            for entry in catalog_entries:
-                table_schema = persist.schema_from_json(entry["schema"])
-                config = persist.config_from_json(entry["config"])
-                table = db.create_table(
-                    entry["name"], table_schema, storage=entry["storage"], config=config
-                )
-                if table.columnstore is not None:
-                    table.columnstore = persist.load_columnstore(
-                        table_schema, config, reader, table.name
-                    )
-                    table.columnstore.attach_mvcc(db.mvcc)
-                if table.rowstore is not None:
-                    rows = persist.deserialize_rows(
-                        table_schema, reader.read(f"{table.name}/rowstore.rows")
-                    )
-                    table.rowstore.insert_many(rows)
-                for index_name, columns in entry["indexes"].items():
-                    table.create_index(index_name, columns)
-            checkpoint_lsn = reader.manifest.checkpoint_lsn
-            db._stored_segments = reader.stored
-        resolved = str(root.resolve())
-        if has_wal or durability is not None:
-            from ..wal import replay as walreplay
-
-            from ..wal.log import DEFAULT_GROUP_COMMIT_SIZE
-
-            wal, recovery = WriteAheadLog.attach(
-                disk,
-                wal_dir,
-                checkpoint_lsn=checkpoint_lsn,
-                durability=durability or "group",
-                group_commit_size=group_commit_size or DEFAULT_GROUP_COMMIT_SIZE,
-            )
-            replayed = walreplay.apply_records(db, recovery.replay_records)
-            # Attach only after replay so nothing replayed is re-logged.
-            db._wal = wal
-            db._wal_root = resolved
-            # WAL archiving is on by default for durable databases:
-            # sealed segments are copied aside before anything deletes
-            # them, which is what makes point-in-time recovery past the
-            # latest backup possible. set_archiver also catches up on
-            # segments sealed while no archiver was attached.
-            from ..backup.archive import ARCHIVE_DIR_NAME, WalArchiver
-
-            wal.set_archiver(WalArchiver(disk, root / ARCHIVE_DIR_NAME))
-            if replayed == 0 and reader is not None:
-                db._save_fingerprint = db._fingerprint(resolved)
-        else:
-            db._save_fingerprint = db._fingerprint(resolved)
-        return db
+        return cls()._recover(Path(path), disk, durability, group_commit_size, create=False)
 
     @classmethod
     def open(
@@ -945,44 +758,97 @@ class Database:
         """Open a durable database at ``path``, creating it if absent.
 
         The returned database has a write-ahead log attached: every
-        facade statement appends a redo record before applying, and
+        facade statement appends a redo record after applying, and
         reopening after a crash replays the committed tail. ``save``
-        checkpoints the log.
+        checkpoints the log. ``default_config`` is the configuration of
+        tables created from now on, whether ``path`` is new or not.
         """
-        from pathlib import Path
-
-        from ..storage.diskio import DiskIO
-        from ..storage.snapshot import MANIFEST_NAME
-        from ..wal.log import DEFAULT_GROUP_COMMIT_SIZE, WAL_DIR_NAME, WriteAheadLog
-
-        disk = disk or DiskIO()
-        root = Path(path)
-        existing = (
-            disk.exists(root / MANIFEST_NAME)
-            or disk.exists(root / "catalog.json")
-            or disk.is_dir(root / WAL_DIR_NAME)
+        return cls(default_config)._recover(
+            Path(path), disk, durability, group_commit_size, create=True
         )
-        if existing:
-            return cls.load(
-                path,
-                disk=disk,
-                durability=durability,
-                group_commit_size=group_commit_size,
+
+    def _recover(
+        self, root: Path, disk, durability, group_commit_size, create: bool
+    ) -> "Database":
+        """Fill this fresh database from ``root``: its snapshot (there is
+        none when ``create`` finds no database there), then the WAL's tail
+        replayed, then the WAL attached with its archiver."""
+        disk = disk or DiskIO()
+        if disk.exists(root / RESTORE_MARKER_NAME):
+            raise RecoveryError(
+                f"{root} holds an uncommitted restore (its "
+                f"{RESTORE_MARKER_NAME} marker is present) — the restore "
+                "crashed before completing; re-run it or delete the directory"
             )
-        db = cls(default_config)
-        wal, _ = WriteAheadLog.attach(
+        wal_dir = root / WAL_DIR_NAME
+        has_wal = disk.is_dir(wal_dir)
+        reader = None
+        found = has_wal or disk.exists(root / MANIFEST_NAME) or disk.exists(root / "catalog.json")
+        if found or not create:
+            try:
+                reader = open_snapshot(disk, root)
+            except RecoveryError:
+                if not has_wal or disk.exists(root / MANIFEST_NAME):
+                    # Either there is no log to recover from, or a manifest
+                    # *exists* but could not be used — that is corruption,
+                    # not a pre-first-checkpoint directory, and the log was
+                    # truncated at the snapshot's checkpoint: opening WAL-only
+                    # would silently present an empty database.
+                    raise
+                # No snapshot yet but a log exists: the database crashed
+                # before its first checkpoint — the log holds all state.
+        checkpoint_lsn = 0
+        if reader is not None:
+            self._load_snapshot(reader)
+            checkpoint_lsn = reader.manifest.checkpoint_lsn
+        resolved = str(root.resolve())
+        if not has_wal and durability is None:
+            self._save_fingerprint = self._fingerprint(resolved)
+            return self
+        wal, recovery = WriteAheadLog.attach(
             disk,
-            root / WAL_DIR_NAME,
-            checkpoint_lsn=0,
-            durability=durability,
+            wal_dir,
+            checkpoint_lsn=checkpoint_lsn,
+            durability=durability or "group",
             group_commit_size=group_commit_size or DEFAULT_GROUP_COMMIT_SIZE,
         )
-        db._wal = wal
-        db._wal_root = str(root.resolve())
-        from ..backup.archive import ARCHIVE_DIR_NAME, WalArchiver
-
+        replayed = walreplay.apply_records(self, recovery.replay_records)
+        # Attach only after replay so nothing replayed is re-logged.
+        self._wal = wal
+        self._wal_root = resolved
+        # WAL archiving is on by default for durable databases: sealed
+        # segments are copied aside before anything deletes them, which
+        # is what makes point-in-time recovery past the latest backup
+        # possible. set_archiver also catches up on segments sealed while
+        # no archiver was attached.
         wal.set_archiver(WalArchiver(disk, root / ARCHIVE_DIR_NAME))
-        return db
+        if replayed == 0 and reader is not None:
+            self._save_fingerprint = self._fingerprint(resolved)
+        return self
+
+    def _load_snapshot(self, reader) -> None:
+        """Recreate every table the snapshot's catalog names, with its
+        data and indexes."""
+        try:
+            catalog_entries = json.loads(reader.read("catalog.json").decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise RecoveryError(f"unreadable catalog.json: {exc}") from exc
+        for entry in catalog_entries:
+            table_schema = persist.schema_from_json(entry["schema"])
+            config = persist.config_from_json(entry["config"])
+            table = self.create_table(
+                entry["name"], table_schema, storage=entry["storage"], config=config
+            )
+            if table.columnstore is not None:
+                table.columnstore = persist.load_columnstore(
+                    table_schema, config, reader, table.name
+                )
+                table.columnstore.attach_mvcc(self.mvcc)
+            if table.rowstore is not None:
+                persist.load_rowstore(table.rowstore, reader, table.name)
+            for index_name, columns in entry["indexes"].items():
+                table.create_index(index_name, columns)
+        self._stored_segments = reader.stored
 
     @staticmethod
     def check(path: str, disk=None):
@@ -994,9 +860,6 @@ class Database:
         corruption — corruption is the result being reported. Exposed on
         the CLI as ``repro check <dir>`` and the shell's ``\\check``.
         """
-        from pathlib import Path
-
-        from ..storage.diskio import DiskIO
         from ..storage.snapshot import check_database
 
         return check_database(disk or DiskIO(), Path(path))
@@ -1007,41 +870,24 @@ class Database:
     # Maintenance operations are deterministic reorganizations of index
     # state, and they are *logged*: later DELETE/UPDATE records address
     # rows by post-reorganization locators, so replay must reproduce the
-    # same reorganizations in the same order.
-    def _columnstore_table(self, name: str) -> Table:
-        target = self.catalog.table(name)
-        if target.columnstore is None:
-            raise CatalogError(f"table {target.name!r} has no columnstore index")
-        return target
-
+    # same reorganizations in the same order. They refuse to run inside
+    # a transaction, and they have no undo.
     def run_tuple_mover(self, table: str, include_open: bool = False):
         self._require_no_txn("the tuple mover")
-        target = self._columnstore_table(table)
-        if self._wal is not None:
-            from ..wal import replay as walreplay
-
-            self._log(
-                WalRecordType.TUPLE_MOVER,
-                target.name,
-                walreplay.encode_json({"include_open": bool(include_open)}),
-            )
-        return target.run_tuple_mover(include_open)
+        name = self.catalog.table(table).name
+        return self._apply_change(WalRecordType.TUPLE_MOVER, name, include_open)
 
     def rebuild(self, table: str) -> None:
         self._require_no_txn("REBUILD")
-        target = self._columnstore_table(table)
-        if target.storage_kind is StorageKind.BOTH:
-            raise CatalogError("REBUILD on BOTH-storage tables is not supported")
-        self._log(WalRecordType.REBUILD, target.name, b"")
-        target.rebuild_columnstore()
+        self._apply_change(WalRecordType.REBUILD, self.catalog.table(table).name, None)
 
     def vacuum(self, table: str | None = None) -> dict[str, int]:
         """Free MVCC versions no registered reader can see.
 
         Runs :meth:`ColumnStoreIndex.vacuum` on one table (or all) and
         returns the aggregate ``{"groups", "deltas", "tombstones"}``
-        freed counts. Not logged: vacuum changes no visible state, and
-        replay's deterministic txn-less GC reproduces it on its own.
+        freed counts. Not logged: vacuum changes no visible state and no
+        row's address.
         """
         totals = {"groups": 0, "deltas": 0, "tombstones": 0}
         names = [table] if table is not None else self.catalog.table_names()
@@ -1055,13 +901,4 @@ class Database:
 
     def set_archival(self, table: str, enabled: bool) -> None:
         self._require_no_txn("archival compression changes")
-        target = self._columnstore_table(table)
-        if self._wal is not None:
-            from ..wal import replay as walreplay
-
-            self._log(
-                WalRecordType.ARCHIVAL,
-                target.name,
-                walreplay.encode_json({"enabled": bool(enabled)}),
-            )
-        target.set_archival(enabled)
+        self._apply_change(WalRecordType.ARCHIVAL, self.catalog.table(table).name, enabled)

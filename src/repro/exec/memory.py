@@ -69,7 +69,3 @@ class MemoryGrant:
         self.reserved_bytes -= released
         if self._ctx is not None and released:
             self._ctx.release(released)
-
-    @property
-    def available_bytes(self) -> int:
-        return max(0, self.budget_bytes - self.reserved_bytes)

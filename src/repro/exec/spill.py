@@ -49,10 +49,6 @@ class SpillFile:
         return self._rows
 
     @property
-    def n_batches(self) -> int:
-        return self._n_batches
-
-    @property
     def bytes_written(self) -> int:
         return self._bytes_written
 

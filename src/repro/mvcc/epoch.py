@@ -39,8 +39,9 @@ from typing import Callable, Iterable, Iterator
 from ..observability import registry as metrics
 
 # Epoch 0: state that predates (or is independent of) any transaction —
-# freshly loaded snapshots, WAL-replayed mutations, direct single-caller
-# Table/index calls. Visible to every reader.
+# freshly loaded snapshots and direct single-caller Table/index calls
+# (WAL replay runs each record as a statement, at an epoch of its own).
+# Visible to every reader.
 GENESIS_EPOCH = 0
 
 # Uncommitted state. Greater than any epoch the manager will ever

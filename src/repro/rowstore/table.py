@@ -109,6 +109,14 @@ class RowStoreTable:
             for slot, row in page.live_rows():
                 yield RowId(page.page_id, slot), row
 
+    def slots(self) -> Iterator[tuple[tuple[Any, ...], bool]]:
+        """Every slot's row in row-id order, each with whether it is
+        tombstoned: the heap's layout (re-inserting the rows in this
+        order rebuilds the same pages and row ids)."""
+        for page in self._pages:
+            for slot, row in enumerate(page.rows):
+                yield row, slot in page.deleted
+
     @property
     def row_count(self) -> int:
         return self._live

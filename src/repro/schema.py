@@ -102,10 +102,6 @@ class TableSchema:
             out.append(col.dtype.coerce(value))
         return tuple(out)
 
-    def coerce_rows(self, rows: Iterable[Sequence[Any]]) -> list[tuple[Any, ...]]:
-        """Validate many rows; convenience for loaders."""
-        return [self.coerce_row(row) for row in rows]
-
     def project(self, names: Sequence[str]) -> "TableSchema":
         """A new schema containing only the named columns, in the given order."""
         return TableSchema([self.column(name) for name in names])

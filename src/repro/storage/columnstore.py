@@ -252,7 +252,7 @@ class ColumnStoreIndex:
         self.loader.load_columns(columns, null_masks)
 
     # ------------------------------------------------------------------ #
-    # Deletes and updates
+    # Deletes
     # ------------------------------------------------------------------ #
     def delete(self, locator: RowLocator, txn=None) -> bool:
         """Delete one row; returns ``False`` if it was already gone.
@@ -301,12 +301,6 @@ class ColumnStoreIndex:
             )
             return True
         return delta.tombstone(locator.position, GENESIS_EPOCH)
-
-    def update(self, locator: RowLocator, new_row: tuple[Any, ...]) -> RowLocator:
-        """UPDATE = DELETE + INSERT, as in the paper."""
-        if not self.delete(locator):
-            raise StorageError(f"row {locator} is already deleted")
-        return self.insert(new_row)
 
     # ------------------------------------------------------------------ #
     # Scan interface

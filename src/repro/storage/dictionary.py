@@ -15,7 +15,7 @@ this with:
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -50,13 +50,6 @@ class LocalDictionary:
     def code_of(self, value: Any) -> int | None:
         """Code for ``value``, or ``None`` if absent from this segment."""
         return self._lookup.get(value)
-
-    def codes_of(self, values: Iterable[Hashable]) -> list[int]:
-        """Codes of values known to be present (raises otherwise)."""
-        try:
-            return [self._lookup[v] for v in values]
-        except KeyError as exc:
-            raise EncodingError(f"value {exc.args[0]!r} not in dictionary") from None
 
     # ------------------------------------------------------------------ #
     # Encoded-space predicate support: value predicates -> code predicates
@@ -126,12 +119,6 @@ class GlobalDictionary:
 
     def __contains__(self, value: Any) -> bool:
         return value in self._ids
-
-    def id_of(self, value: Any) -> int | None:
-        return self._ids.get(value)
-
-    def value_of(self, gid: int) -> Any:
-        return self._values[gid]
 
     def intern(self, value: Any) -> int:
         """Id of ``value``, inserting it if new."""

@@ -18,6 +18,7 @@ checksum-verified. The names this module files things under::
     <table>/rowgroups/g<id>.<col>.seg
     <table>/delta_<id>.rows
     <table>/rowstore.rows
+    <table>/rowstore_deleted.json   only when the heap holds tombstones
     <table>/delete_bitmap.json
 
 Where they live is the snapshot layer's business: segments go to the
@@ -37,6 +38,7 @@ from typing import Any
 
 from ..errors import CorruptBlobError, EncodingError, RecoveryError
 from ..mvcc import PENDING_EPOCH
+from ..rowstore.table import RowStoreTable
 from ..schema import ColumnDef, TableSchema
 from ..types import DataType, TypeKind
 from . import serde
@@ -152,6 +154,33 @@ def _read_json(reader, relpath: str) -> Any:
         return json.loads(reader.read(relpath).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise RecoveryError(f"unreadable metadata file {relpath}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------- #
+# Row-store heap save/load
+# ---------------------------------------------------------------------- #
+def save_rowstore(heap: RowStoreTable, writer, prefix: str) -> None:
+    """Every slot of the heap in row-id order, and which are tombstoned
+    (a file of their positions, written only when there are any): the
+    reloaded heap gives each row the row id it has now, which WAL records
+    after the checkpoint address it by."""
+    slots = list(heap.slots())
+    writer.write(
+        f"{prefix}/rowstore.rows", serialize_rows(heap.schema, [row for row, _ in slots])
+    )
+    deleted = [position for position, (_, dead) in enumerate(slots) if dead]
+    if deleted:
+        writer.write(f"{prefix}/rowstore_deleted.json", json.dumps(deleted).encode("utf-8"))
+
+
+def load_rowstore(heap: RowStoreTable, reader, prefix: str) -> None:
+    rids = heap.insert_many(deserialize_rows(heap.schema, reader.read(f"{prefix}/rowstore.rows")))
+    relpath = f"{prefix}/rowstore_deleted.json"
+    if reader.exists(relpath):
+        for position in _read_json(reader, relpath):
+            if not (isinstance(position, int) and 0 <= position < len(rids)):
+                raise RecoveryError(f"{relpath}: no slot {position!r} in the heap")
+            heap.delete(rids[position])
 
 
 # ---------------------------------------------------------------------- #

@@ -2,10 +2,11 @@
 
 The snapshot layer (:mod:`repro.storage.snapshot`) makes whole saves
 crash-safe; this package extends the guarantee to *every committed
-statement*. The facade appends a redo record before mutating in-memory
-state, :meth:`Database.load` replays the log tail past the newest
-snapshot's checkpoint LSN, and :meth:`Database.save` doubles as the
-checkpoint that lets covered segments be truncated.
+statement*. The facade applies a statement's change, then appends its
+redo record; :meth:`Database.load` replays the log tail past the newest
+snapshot's checkpoint LSN through the same apply, and
+:meth:`Database.save` doubles as the checkpoint that lets covered
+segments be truncated.
 
 See :mod:`repro.wal.record` for the on-disk framing,
 :mod:`repro.wal.log` for the segmented log and group commit, and

@@ -465,6 +465,15 @@ def _list_segments(disk: DiskIO, root: Path) -> list[tuple[int, str]]:
     return segments
 
 
+def _segment_image(records: list[WalRecord]) -> tuple[str, bytes]:
+    """File name and bytes of one segment holding ``records`` (LSN-
+    consecutive, at least one): a backup's or a restore's clipped log."""
+    data = b"".join(
+        encode_record(r.rtype, r.lsn, r.table, r.payload, r.txn_id) for r in records
+    )
+    return _segment_name(records[0].lsn), data
+
+
 def _truncate_segment(disk: DiskIO, path: Path, good_prefix: bytes) -> None:
     """Drop a torn tail by atomically rewriting the valid prefix."""
     if good_prefix:

@@ -1,39 +1,52 @@
-"""Redo-record payload codecs and replay application.
+"""Redo records: one payload codec and one apply per kind of change.
 
-Payloads are redo-oriented and *physical enough to be deterministic*:
+A logged change is one thing. For every record kind that carries a
+change, :data:`CHANGES` holds the payload's encoder beside its decoder
+and the one *apply* that takes the decoded physical body. A statement
+validates and coerces, then :meth:`Database._apply_change
+<repro.db.database.Database._apply_change>` runs the apply inside the
+statement's atomic scope and logs the encoded body — apply, then log,
+for every kind, so a change that fails to apply is rolled back and never
+reaches the log. Recovery (:func:`apply_records`) decodes each record and
+runs the same ``_apply_change`` before the WAL is attached, so nothing is
+logged twice and replay shares every line of apply code, checks
+included, with the live statements. A replayed change commits at a fresh
+epoch of its own, as an autocommit statement does.
+
+Payloads are *physical enough to be deterministic*:
 
 * row payloads (INSERT / BULK_LOAD / the insert half of UPDATE) carry
   already-coerced physical rows in the same column-wise format the
   snapshot layer uses (:func:`repro.storage.persist.serialize_rows`), so
   replay never re-runs type coercion (which is not idempotent — e.g.
   DECIMAL coercion scales ints);
-* DELETE payloads carry the *locators* the original predicate scan
-  produced (row-store rids and columnstore (group/delta, position)
-  addresses), not the predicate — predicates are not serializable, and
-  locators make replay independent of scan order;
+* DELETE / UPDATE payloads carry the row *addresses* the statement's
+  plans found (row-store rids and columnstore (group/delta, position)
+  locators), not the predicate — predicates are not serializable, and
+  addresses make replay independent of scan order;
 * maintenance payloads (tuple mover, rebuild, archival) carry the
   operation's arguments; the operations themselves are deterministic
-  functions of index state, which is what makes logical redo of
-  later locator-addressed records sound.
+  functions of index state, which is what makes later address-carrying
+  records sound.
 
-Replay applies records through the same storage code paths as the
-original execution (delta-store inserts honor the same close thresholds,
-the bulk loader the same compression cutoffs), so the reconstructed
-index is structurally identical, not just query-equivalent. Any
-divergence — a locator that deletes nothing, a duplicate row id, an
-unknown table — raises :class:`~repro.errors.ReplayError` naming the
-record's LSN.
+Because a replayed change runs the storage code the original ran
+(delta-store inserts honor the same close thresholds, the bulk loader the
+same compression cutoffs), the reconstructed index is structurally
+identical, not just query-equivalent. Any divergence — an address that
+deletes no row, a duplicate row id, an unknown table — raises
+:class:`~repro.errors.ReplayError` naming the record's LSN.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
+from ..db.catalog import StorageKind, Table
 from ..errors import ReplayError, ReproError
 from ..observability import registry as metrics
 from ..rowstore.table import RowId
-from ..storage import persist
+from ..storage import persist, serde
 from ..storage.columnstore import RowLocator
 from .record import AUTO_COMMIT_TXN, TXN_MARKER_TYPES, WalRecord, WalRecordType
 
@@ -41,62 +54,189 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.database import Database
 
 
-# ---------------------------------------------------------------------- #
-# Payload encoding
-# ---------------------------------------------------------------------- #
-def encode_json(body: dict) -> bytes:
+class Change(NamedTuple):
+    """One kind of logged change. ``apply(db, table, body, txn)`` makes
+    it under the statement's transaction context and returns the
+    statement's result; ``encode(db, table, body)`` is its payload and
+    ``decode(db, table, payload)`` the body again."""
+
+    apply: Callable[..., Any]
+    encode: Callable[["Database", str, Any], bytes]
+    decode: Callable[["Database", str, bytes], Any]
+
+
+def _json(body: dict) -> bytes:
     return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
-def decode_json(payload: bytes) -> dict:
+def _unjson(payload: bytes) -> dict:
     return json.loads(payload.decode("utf-8"))
 
 
-def encode_locators(rids: list[RowId], locators: list[RowLocator]) -> dict:
-    """Locator lists as JSON-ready structures (part of DELETE/UPDATE)."""
+def _schema(db: "Database", table: str):
+    return db.catalog.table(table).schema
+
+
+# ---------------------------------------------------------------------- #
+# DDL
+# ---------------------------------------------------------------------- #
+def _create_table(db: "Database", name: str, body, txn):
+    schema, storage, config = body
+    table = db.catalog.create_table(name, schema, storage, config)
+    if table.columnstore is not None:
+        table.columnstore.attach_mvcc(db.mvcc)
+    txn.record(f"un-create table {name}", lambda: db.catalog.drop_table(name))
+    db._bump_epoch(txn)
+    return table
+
+
+def _encode_create_table(_db, _name, body) -> bytes:
+    schema, storage, config = body
+    return _json(
+        {
+            "schema": persist.schema_to_json(schema),
+            "storage": storage.value,
+            "config": persist.config_to_json(config),
+        }
+    )
+
+
+def _decode_create_table(_db, _name, payload: bytes):
+    body = _unjson(payload)
+    return (
+        persist.schema_from_json(body["schema"]),
+        StorageKind(body["storage"]),
+        persist.config_from_json(body["config"]),
+    )
+
+
+def _drop_table(db: "Database", name: str, _body, txn) -> None:
+    dropped = db.catalog.table(name)
+    db.catalog.drop_table(name)
+    txn.record(f"restore dropped table {name}", lambda: db.catalog.restore_table(dropped))
+    db._bump_epoch(txn)
+
+
+def _create_index(db: "Database", name: str, body, txn):
+    index_name, columns = body
+    target = db.catalog.table(name)
+    index = target.create_index(index_name, columns)
+    txn.record(f"un-create index {index_name}", lambda: target.indexes.pop(index_name, None))
+    db._bump_epoch(txn)
+    return index
+
+
+def _encode_index(_db, _name, body) -> bytes:
+    index_name, columns = body
+    return _json({"name": index_name, "columns": list(columns)})
+
+
+def _decode_index(_db, _name, payload: bytes):
+    body = _unjson(payload)
+    return body["name"], body["columns"]
+
+
+# ---------------------------------------------------------------------- #
+# DML
+# ---------------------------------------------------------------------- #
+def _addresses(rids: list[RowId], locators: list[RowLocator]) -> dict:
     return {
         "rowstore": [[rid.page, rid.slot] for rid in rids],
-        "columnstore": [
-            [loc.kind, loc.container_id, loc.position] for loc in locators
-        ],
+        "columnstore": [[loc.kind, loc.container_id, loc.position] for loc in locators],
     }
 
-def decode_locators(body: dict) -> tuple[list[RowId], list[RowLocator]]:
+
+def _decode_addresses(body: dict) -> tuple[list[RowId], list[RowLocator]]:
     rids = [RowId(page, slot) for page, slot in body["rowstore"]]
-    locators = [
-        RowLocator(kind, container_id, position)
-        for kind, container_id, position in body["columnstore"]
-    ]
+    locators = [RowLocator(*fields) for fields in body["columnstore"]]
     return rids, locators
 
 
-def encode_update(
-    schema, rids: list[RowId], locators: list[RowLocator], rows: list[tuple]
-) -> bytes:
-    """UPDATE payload: a JSON locator header + the binary row blob."""
-    header = encode_json(encode_locators(rids, locators))
-    out = bytearray()
-    from ..storage import serde
+def _update(db: "Database", name: str, body, txn) -> int:
+    """UPDATE is DELETE + INSERT, and losing one half of that to a crash
+    would corrupt, so both travel in one record (the unit of atomicity)."""
+    rids, locators, rows = body
+    table = db.catalog.table(name)
+    table.delete_rows(rids, locators, txn)
+    return table.insert_physical_rows(rows, txn)
 
+
+def _encode_update(db: "Database", name: str, body) -> bytes:
+    """A varint-framed JSON address header, then the binary row blob."""
+    rids, locators, rows = body
+    header = _json(_addresses(rids, locators))
+    out = bytearray()
     serde.write_varint(out, len(header))
     out += header
-    out += persist.serialize_rows(schema, rows)
+    out += persist.serialize_rows(_schema(db, name), rows)
     return bytes(out)
 
 
-def decode_update(schema, payload: bytes):
-    from ..storage import serde
-
+def _decode_update(db: "Database", name: str, payload: bytes):
     header_len, pos = serde.read_varint(payload, 0)
-    header = decode_json(payload[pos : pos + header_len])
-    rids, locators = decode_locators(header)
-    rows = persist.deserialize_rows(schema, payload[pos + header_len :])
-    return rids, locators, rows
+    rids, locators = _decode_addresses(_unjson(payload[pos : pos + header_len]))
+    return rids, locators, persist.deserialize_rows(_schema(db, name), payload[pos + header_len :])
+
+
+def _rows_change(apply: Callable[..., int]) -> Change:
+    """INSERT and BULK_LOAD: a list of physical rows, applied by ``apply``."""
+    return Change(
+        lambda db, name, rows, txn: apply(db.catalog.table(name), rows, txn),
+        lambda db, name, rows: persist.serialize_rows(_schema(db, name), rows),
+        lambda db, name, payload: persist.deserialize_rows(_schema(db, name), payload),
+    )
 
 
 # ---------------------------------------------------------------------- #
-# Replay
+# Maintenance
 # ---------------------------------------------------------------------- #
+def _flag_change(key: str, apply: Callable[..., Any]) -> Change:
+    """Tuple mover and archival: one boolean argument, ``{key: bool}``."""
+    return Change(
+        lambda db, name, flag, _txn: apply(db.catalog.table(name), flag),
+        lambda _db, _name, flag: _json({key: bool(flag)}),
+        lambda _db, _name, payload: _unjson(payload)[key],
+    )
+
+
+def _no_body(apply: Callable[..., Any]) -> Change:
+    return Change(apply, lambda _db, _name, _body: b"", lambda _db, _name, _payload: None)
+
+
+CHANGES: dict[WalRecordType, Change] = {
+    WalRecordType.CREATE_TABLE: Change(_create_table, _encode_create_table, _decode_create_table),
+    WalRecordType.DROP_TABLE: _no_body(_drop_table),
+    WalRecordType.CREATE_INDEX: Change(_create_index, _encode_index, _decode_index),
+    WalRecordType.INSERT: _rows_change(Table.insert_physical_rows),
+    WalRecordType.BULK_LOAD: _rows_change(Table.bulk_load_physical),
+    WalRecordType.DELETE: Change(
+        lambda db, name, body, txn: db.catalog.table(name).delete_rows(*body, txn),
+        lambda _db, _name, body: _json(_addresses(*body)),
+        lambda _db, _name, payload: _decode_addresses(_unjson(payload)),
+    ),
+    WalRecordType.UPDATE: Change(_update, _encode_update, _decode_update),
+    WalRecordType.TUPLE_MOVER: _flag_change("include_open", Table.run_tuple_mover),
+    WalRecordType.REBUILD: _no_body(
+        lambda db, name, _body, _txn: db.catalog.table(name).rebuild_columnstore()
+    ),
+    WalRecordType.ARCHIVAL: _flag_change("enabled", Table.set_archival),
+}
+
+
+# ---------------------------------------------------------------------- #
+# Transaction markers
+# ---------------------------------------------------------------------- #
+def encode_commit(epoch: int | None) -> bytes:
+    """TXN_COMMIT's payload: the epoch its transaction installed (empty
+    for a transaction that touched no versioned storage)."""
+    return _json({"epoch": epoch}) if epoch is not None else b""
+
+
+def decode_commit(payload: bytes) -> int:
+    """The epoch a TXN_COMMIT payload carries, 0 when none."""
+    return int(_unjson(payload).get("epoch") or 0) if payload else 0
+
+
 def committed_txn_ids(records: list[WalRecord]) -> set[int]:
     """Transaction ids whose TXN_COMMIT marker reached the log."""
     return {
@@ -107,6 +247,9 @@ def committed_txn_ids(records: list[WalRecord]) -> set[int]:
     }
 
 
+# ---------------------------------------------------------------------- #
+# Replay
+# ---------------------------------------------------------------------- #
 def apply_records(db: "Database", records: list[WalRecord]) -> int:
     """Apply recovered redo records to a freshly loaded database.
 
@@ -133,18 +276,15 @@ def apply_records(db: "Database", records: list[WalRecord]) -> int:
             # carry the MVCC epoch the transaction installed, and the
             # clock must land past every logged epoch so post-recovery
             # commits never reuse one.
-            if record.rtype is WalRecordType.TXN_COMMIT and record.payload:
-                epoch = decode_json(record.payload).get("epoch")
-                if epoch:
-                    max_epoch = max(max_epoch, int(epoch))
+            if record.rtype is WalRecordType.TXN_COMMIT:
+                max_epoch = max(max_epoch, decode_commit(record.payload))
             continue
         if record.txn_id != AUTO_COMMIT_TXN and record.txn_id not in committed:
             metrics.increment("storage.wal.replay.uncommitted_skipped")
             continue
         try:
-            _apply(db, record)
-        except ReplayError:
-            raise
+            body = CHANGES[record.rtype].decode(db, record.table, record.payload)
+            db._apply_change(record.rtype, record.table, body)
         except ReproError as exc:
             raise ReplayError(
                 f"replaying LSN {record.lsn} ({record.rtype.name} on "
@@ -155,59 +295,3 @@ def apply_records(db: "Database", records: list[WalRecord]) -> int:
     if max_epoch:
         db.mvcc.advance_to(max_epoch)
     return applied
-
-
-def _apply(db: "Database", record: WalRecord) -> None:
-    rtype = record.rtype
-    if rtype is WalRecordType.CREATE_TABLE:
-        body = decode_json(record.payload)
-        db.create_table(
-            record.table,
-            persist.schema_from_json(body["schema"]),
-            storage=body["storage"],
-            config=persist.config_from_json(body["config"]),
-        )
-        return
-    if rtype is WalRecordType.DROP_TABLE:
-        db.drop_table(record.table)
-        return
-
-    table = db.catalog.table(record.table)
-    if rtype is WalRecordType.CREATE_INDEX:
-        body = decode_json(record.payload)
-        table.create_index(body["name"], body["columns"])
-    elif rtype is WalRecordType.INSERT:
-        table.insert_physical_rows(
-            persist.deserialize_rows(table.schema, record.payload)
-        )
-    elif rtype is WalRecordType.BULK_LOAD:
-        table.bulk_load_physical(
-            persist.deserialize_rows(table.schema, record.payload)
-        )
-    elif rtype is WalRecordType.DELETE:
-        body = decode_json(record.payload)
-        rids, locators = decode_locators(body)
-        deleted = table.delete_by_locators(rids)
-        deleted += table.delete_by_locators(locators)
-        expected = len(rids) + len(locators)
-        if deleted != expected:
-            raise ReplayError(
-                f"LSN {record.lsn}: DELETE on {record.table} removed "
-                f"{deleted} of {expected} logged rows — log and snapshot "
-                "have diverged"
-            )
-    elif rtype is WalRecordType.UPDATE:
-        rids, locators, rows = decode_update(table.schema, record.payload)
-        table.delete_by_locators(rids)
-        table.delete_by_locators(locators)
-        table.insert_physical_rows(rows)
-    elif rtype is WalRecordType.TUPLE_MOVER:
-        body = decode_json(record.payload)
-        table.run_tuple_mover(include_open=body["include_open"])
-    elif rtype is WalRecordType.REBUILD:
-        table.rebuild_columnstore()
-    elif rtype is WalRecordType.ARCHIVAL:
-        body = decode_json(record.payload)
-        table.set_archival(body["enabled"])
-    else:  # pragma: no cover - the enum is closed
-        raise ReplayError(f"LSN {record.lsn}: unknown record type {rtype}")

@@ -134,13 +134,13 @@ class TestDmlResolvesItsPredicateOnce:
 
     def _logged(self, db, monkeypatch):
         logged = []
-        original = db._log_dml
+        original = db._log_change
 
         def capture(rtype, table, payload):
             logged.append((rtype, payload))
             original(rtype, table, payload)
 
-        monkeypatch.setattr(db, "_log_dml", capture)
+        monkeypatch.setattr(db, "_log_change", capture)
         return logged
 
     def test_update_is_one_pass_over_predicate_columns(
@@ -164,7 +164,7 @@ class TestDmlResolvesItsPredicateOnce:
         position = 2 * 64 + 1  # k = 5 is 3 * 1 + 2: group 2, row 1
         [(rtype, payload)] = logged
         assert rtype is WalRecordType.UPDATE
-        rids, locators, rows = walreplay.decode_update(db.table("kv").schema, payload)
+        rids, locators, rows = walreplay.CHANGES[rtype].decode(db, "kv", payload)
         assert rids == []
         assert locators == [RowLocator(GROUP, position // 64, position % 64)]
         assert rows == [(5, 1000, f"t{position % 3}")]
@@ -185,7 +185,7 @@ class TestDmlResolvesItsPredicateOnce:
         assert delta["storage.scan.columns_decoded"] == 3  # k, once per group
         [(rtype, payload)] = logged
         assert rtype is WalRecordType.DELETE
-        _rids, locators = walreplay.decode_locators(walreplay.decode_json(payload))
+        _rids, locators = walreplay.CHANGES[rtype].decode(db, "kv", payload)
         assert locators == [RowLocator(GROUP, group, 0) for group in range(3)]
         assert db.sql("SELECT COUNT(*) FROM kv WHERE k < 3").rows == [(0,)]
 

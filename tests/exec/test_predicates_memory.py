@@ -153,7 +153,8 @@ class TestMemoryGrant:
         grant = MemoryGrant(budget_bytes=100)
         assert grant.try_reserve(60)
         assert grant.reserved_bytes == 60
-        assert grant.available_bytes == 40
+        assert not grant.try_reserve(41)
+        assert grant.try_reserve(40)
 
     def test_exhaustion_returns_false(self):
         grant = MemoryGrant(budget_bytes=100)

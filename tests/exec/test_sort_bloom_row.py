@@ -219,7 +219,8 @@ class TestSpillFile:
         spill = SpillFile()
         empty = Batch.from_pydict({"a": []})
         spill.append(empty)
-        assert spill.n_batches == 0
+        assert spill.rows == 0 and spill.bytes_written == 0
+        assert list(spill.read_back()) == []
         spill.close()
 
     def test_partition_of_is_deterministic(self):

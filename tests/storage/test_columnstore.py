@@ -137,21 +137,6 @@ class TestDelete:
         assert read_row(index, locator) is None
 
 
-class TestUpdate:
-    def test_update_is_delete_plus_insert(self, index, sch):
-        old = index.insert(sch.coerce_row((1, "old", 1.0)))
-        new = index.update(old, sch.coerce_row((1, "new", 2.0)))
-        assert read_row(index, old) is None
-        assert read_row(index, new) == (1, "new", 2.0)
-        assert index.live_rows == 1
-
-    def test_update_deleted_row_raises(self, index, sch):
-        locator = index.insert(sch.coerce_row((1, "a", 1.0)))
-        index.delete(locator)
-        with pytest.raises(StorageError):
-            index.update(locator, sch.coerce_row((1, "b", 2.0)))
-
-
 class TestTupleMover:
     def test_moves_closed_deltas(self, index, sch):
         index.insert_many(make_rows(sch, 45))  # two closed (20+20), one open (5)

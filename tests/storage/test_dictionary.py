@@ -32,11 +32,6 @@ class TestLocalDictionary:
         assert dictionary.code_of("b") == 1
         assert dictionary.code_of("zz") is None
 
-    def test_codes_of_missing_raises(self):
-        dictionary = LocalDictionary(["a"])
-        with pytest.raises(EncodingError):
-            dictionary.codes_of(["a", "missing"])
-
     def test_duplicates_rejected(self):
         with pytest.raises(EncodingError):
             LocalDictionary(["a", "a"])
@@ -89,10 +84,11 @@ class TestGlobalDictionary:
     def test_lookup(self):
         gd = GlobalDictionary()
         gd.intern_all(["x", "y"])
-        assert gd.id_of("y") == 1
-        assert gd.value_of(0) == "x"
+        assert gd.intern("y") == 1
         assert "x" in gd
-        assert gd.id_of("ghost") is None
+        assert "ghost" not in gd
+        gd.truncate(1)
+        assert "x" in gd and "y" not in gd
 
     def test_size_grows(self):
         gd = GlobalDictionary()

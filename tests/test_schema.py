@@ -75,10 +75,6 @@ class TestRowValidation:
         with pytest.raises(TypeMismatchError):
             sales_schema.coerce_row(("x", "alice", 1.0))
 
-    def test_coerce_rows(self, sales_schema):
-        rows = sales_schema.coerce_rows([(1, "a", 1.0), (2, "b", 2.0)])
-        assert len(rows) == 2
-
 
 class TestProjection:
     def test_project_reorders(self, sales_schema):

@@ -266,6 +266,22 @@ class TestCheckpoints:
         assert loaded.wal is None
         assert not (tmp_path / "plain" / WAL_DIR_NAME).exists()
 
+    def test_reopen_keeps_the_default_config(self, tmp_path):
+        # Regression: reopening an existing directory dropped
+        # ``default_config``, so tables created after the reopen got the
+        # default row-group size.
+        path = str(tmp_path / "d")
+        config = StoreConfig(rowgroup_size=1024)
+        first = Database.open(path, default_config=config)
+        first.sql("CREATE TABLE early (id INT)")
+        first.close()
+        db = Database.open(path, default_config=config)
+        assert db.default_config == config
+        assert db.table("early").config.rowgroup_size == 1024  # from the log
+        db.sql("CREATE TABLE later (id INT)")
+        assert db.table("later").config.rowgroup_size == 1024
+        db.close()
+
 
 def self_segments(target):
     return sorted((target / WAL_DIR_NAME).glob("seg_*.wal"))
