@@ -17,6 +17,7 @@ from repro.bench.datagen import DATASET_SPECS, make_dataset
 from repro.bench.harness import ReportTable, fmt_bytes
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
+from repro.txn import autocommit
 
 ROWS = scaled(80_000)
 
@@ -33,7 +34,8 @@ def sizes_for(name: str) -> dict:
         index = ColumnStoreIndex(
             dataset.table_schema, StoreConfig(reorder_rows=reorder)
         )
-        index.bulk_load_columns({k: v.copy() for k, v in shuffled.items()})
+        with autocommit(index.mvcc) as txn:
+            index.bulk_load_columns({k: v.copy() for k, v in shuffled.items()}, txn)
         return index.size_bytes
 
     with_reorder = load(True)

@@ -21,6 +21,7 @@ from repro.rowstore.compression import table_page_compressed_size
 from repro.rowstore.table import RowStoreTable
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
+from repro.txn import autocommit
 
 ROWS = scaled(100_000)
 
@@ -28,10 +29,13 @@ ROWS = scaled(100_000)
 def measure_dataset(name: str) -> dict:
     dataset = make_dataset(name, ROWS, seed=11)
     index = ColumnStoreIndex(dataset.table_schema, StoreConfig())
-    index.bulk_load_columns(dataset.columns)
+    with autocommit(index.mvcc) as txn:
+        index.bulk_load_columns(dataset.columns, txn)
 
     heap = RowStoreTable(dataset.table_schema)
-    heap.insert_many(dataset.rows())
+    with autocommit(None) as txn:  # a heap keeps no versions
+        for row in dataset.rows():
+            heap.insert(row, txn)
 
     raw = heap.used_bytes
     page_compressed = table_page_compressed_size(heap)
@@ -86,7 +90,8 @@ def test_e1_segment_compression_speed(benchmark, spec):
 
     def compress_once():
         index = ColumnStoreIndex(dataset.table_schema, StoreConfig())
-        index.bulk_load_columns(dataset.columns)
+        with autocommit(index.mvcc) as txn:
+            index.bulk_load_columns(dataset.columns, txn)
         return index.size_bytes
 
     size = benchmark.pedantic(compress_once, rounds=2, iterations=1)

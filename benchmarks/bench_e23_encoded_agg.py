@@ -29,6 +29,7 @@ from repro.observability import get_registry, snapshot_delta
 from repro.schema import schema
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
+from repro.txn import autocommit
 
 KEYS = np.array(
     ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"],
@@ -57,7 +58,8 @@ def store():
     run = np.sort(rng.integers(0, max(2, rows // 2000), size=rows)).astype(np.int64)
     k = KEYS[rng.integers(0, len(KEYS), size=rows)]
     v = rng.integers(0, 10_000, size=rows).astype(np.int64)
-    index.bulk_load_columns({"run": run, "k": k, "v": v})
+    with autocommit(index.mvcc) as txn:
+        index.bulk_load_columns({"run": run, "k": k, "v": v}, txn)
     return index
 
 

@@ -15,6 +15,7 @@ from repro.bench.datagen import DATASET_SPECS, make_dataset
 from repro.bench.harness import ReportTable
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
+from repro.txn import autocommit
 
 ROWS = scaled(40_000)
 
@@ -32,7 +33,8 @@ def run_experiment() -> list[dict]:
     for spec in DATASET_SPECS:
         dataset = make_dataset(spec.name, ROWS, seed=23)
         index = ColumnStoreIndex(dataset.table_schema, StoreConfig())
-        index.bulk_load_columns(dataset.columns)
+        with autocommit(index.mvcc) as txn:
+            index.bulk_load_columns(dataset.columns, txn)
         plain_size = index.size_bytes
         plain_scan = min(_scan_all(index) for _ in range(3))
         index.archive()
@@ -82,7 +84,8 @@ def test_e2_archive_roundtrip_speed(benchmark):
     """Micro: archiving one loaded index (compression throughput)."""
     dataset = make_dataset("skewed_strings", min(ROWS, 20_000), seed=5)
     index = ColumnStoreIndex(dataset.table_schema, StoreConfig())
-    index.bulk_load_columns(dataset.columns)
+    with autocommit(index.mvcc) as txn:
+        index.bulk_load_columns(dataset.columns, txn)
 
     def archive_cycle():
         index.archive()

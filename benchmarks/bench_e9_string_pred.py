@@ -20,6 +20,7 @@ from repro.exec.expressions import Comparison, InList, Like, col, lit
 from repro.exec.operators.scan import ColumnStoreScan
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
+from repro.txn import autocommit
 
 ROWS = scaled(150_000)
 
@@ -35,7 +36,8 @@ PREDICATES = [
 def index():
     dataset = make_dataset("skewed_strings", ROWS, seed=8)
     store = ColumnStoreIndex(dataset.table_schema, StoreConfig(rowgroup_size=32_768))
-    store.bulk_load_columns(dataset.columns)
+    with autocommit(store.mvcc) as txn:
+        store.bulk_load_columns(dataset.columns, txn)
     return store
 
 
@@ -79,12 +81,14 @@ def test_e9_run_space_int_predicates(benchmark, report_dir):
         sch, StoreConfig(rowgroup_size=65_536, bulk_load_threshold=10, reorder_rows=False)
     )
     run = 500
-    store.bulk_load_columns(
-        {
-            "batch_id": np.repeat(np.arange(n // run, dtype=np.int32), run)[:n],
-            "payload": (np.arange(n, dtype=np.int64) * 977).astype(np.int32),
-        }
-    )
+    with autocommit(store.mvcc) as txn:
+        store.bulk_load_columns(
+            {
+                "batch_id": np.repeat(np.arange(n // run, dtype=np.int32), run)[:n],
+                "payload": (np.arange(n, dtype=np.int64) * 977).astype(np.int32),
+            },
+            txn,
+        )
     predicate = Between(col("batch_id"), lit(10), lit(40))
 
     def run_both():

@@ -13,6 +13,7 @@ from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
 from repro.storage.encodings import BitpackBlock, RawBlock
 from repro.storage.rle import RleBlock
+from repro.txn import autocommit
 
 ROWS = 50_000
 
@@ -30,7 +31,8 @@ def main() -> None:
     for spec in DATASET_SPECS:
         dataset = make_dataset(spec.name, ROWS, seed=42)
         index = ColumnStoreIndex(dataset.table_schema, StoreConfig())
-        index.bulk_load_columns(dataset.columns)
+        with autocommit(index.mvcc) as txn:
+            index.bulk_load_columns(dataset.columns, txn)
 
         print(f"\n=== {spec.name}: {spec.description}")
         print(

@@ -14,10 +14,10 @@ write lock, the single-caller :class:`Database` needs nothing):
 4. capture the snapshot manifest **bytes** — a later checkpoint cannot
    swap a newer manifest (with a checkpoint past ``backup_lsn``) under
    the copy's feet;
-5. bump ``Database._backups_in_flight`` — checkpoints are deferred, so
-   neither snapshot GC (which removes whatever a newer manifest no
-   longer names) nor WAL truncation can delete files the copy is about
-   to read.
+5. hold checkpoints (:meth:`~repro.db.durability.Durability.hold_checkpoints`)
+   — they are deferred, so neither snapshot GC (which removes whatever a
+   newer manifest no longer names) nor WAL truncation can delete files the
+   copy is about to read.
 
 **Copy** (:meth:`BackupJob.run`, outside any lock): writers keep
 committing; everything they append lands *after* ``backup_lsn`` and is
@@ -68,7 +68,7 @@ class BackupJob:
 
     def __init__(
         self,
-        db,
+        durability,
         disk: DiskIO,
         source_root: Path,
         dest: Path,
@@ -78,7 +78,7 @@ class BackupJob:
         manifest_bytes: bytes | None,
         lease,
     ) -> None:
-        self.db = db
+        self.durability = durability
         self.disk = disk
         self.source_root = source_root
         self.dest = dest
@@ -102,7 +102,7 @@ class BackupJob:
             # but keeps the source database usable when the test harness
             # continues running in the same process.
             self.lease.release()
-            self.db._backups_in_flight -= 1
+            self.durability.release_checkpoints()
 
     # ------------------------------------------------------------------ #
     def _copy(self) -> BackupResult:
@@ -170,7 +170,7 @@ class BackupJob:
         metrics.increment("backup.completed")
         metrics.increment("backup.files_copied", len(entries))
         metrics.increment("backup.bytes_copied", total_bytes)
-        wal = self.db.wal
+        wal = self.durability.wal
         if wal is not None and wal.archiver is not None:
             wal.archiver.register_backup(
                 str(self.dest),
@@ -202,15 +202,16 @@ def prepare_backup(db, dest, disk: DiskIO | None = None, barrier_hook=None) -> B
     ``barrier_hook(db)``, if given, runs as the last barrier step: tests
     use it to fingerprint the exact state the pinned epoch covers.
     """
-    if db.wal is None or db._wal_root is None:
+    durability = db.durability
+    if durability.wal is None or durability.root is None:
         raise BackupError(
             "hot backup needs a durable database (open it with Database.open)"
         )
-    disk = disk or db.wal.disk
-    source_root = Path(db._wal_root)
+    disk = disk or durability.wal.disk
+    source_root = Path(durability.root)
     dest = Path(dest)
-    db.wal.flush()
-    backup_lsn = db.wal.last_lsn
+    durability.wal.flush()
+    backup_lsn = durability.wal.last_lsn
     lease = db.mvcc.readers.pin(tag="backup")
     try:
         manifest_bytes = None
@@ -223,7 +224,7 @@ def prepare_backup(db, dest, disk: DiskIO | None = None, barrier_hook=None) -> B
             )
             snapshot_id = src_manifest.snapshot_id
             checkpoint_lsn = src_manifest.checkpoint_lsn
-        db._backups_in_flight += 1
+        durability.hold_checkpoints()
     except BaseException:
         lease.release()
         raise
@@ -232,10 +233,10 @@ def prepare_backup(db, dest, disk: DiskIO | None = None, barrier_hook=None) -> B
             barrier_hook(db)
     except BaseException:
         lease.release()
-        db._backups_in_flight -= 1
+        durability.release_checkpoints()
         raise
     return BackupJob(
-        db=db,
+        durability=durability,
         disk=disk,
         source_root=source_root,
         dest=dest,

@@ -58,33 +58,32 @@ class Table:
     # ------------------------------------------------------------------ #
     # DML
     # ------------------------------------------------------------------ #
-    def insert_physical_rows(self, physical: Sequence[tuple[Any, ...]], txn=None) -> int:
+    def insert_physical_rows(self, physical: Sequence[tuple[Any, ...]], txn) -> int:
         """Insert rows that are *already coerced* to physical values.
 
         Coercion is not idempotent (DECIMAL coercion scales ints), so
         redo records carry these physical rows and replay applies them
-        here uncoerced. With a transaction context every mutation point
-        records its physical undo.
+        here uncoerced. Every mutation point records its physical undo
+        in ``txn``.
         """
         for row in physical:
             self._insert_physical(row, txn)
         self._bump_data_version(txn)
         return len(physical)
 
-    def _insert_physical(self, row: tuple[Any, ...], txn=None) -> None:
+    def _insert_physical(self, row: tuple[Any, ...], txn) -> None:
         if self.rowstore is not None:
             rid = self.rowstore.insert(row, txn)
             for index in self.indexes.values():
                 index.insert(row, rid)
-                if txn is not None:
-                    txn.record(
-                        f"un-index inserted row {rid}",
-                        lambda index=index: index.delete(row, rid),
-                    )
+                txn.record(
+                    f"un-index inserted row {rid}",
+                    lambda index=index: index.delete(row, rid),
+                )
         if self.columnstore is not None:
             self.columnstore.insert(row, txn)
 
-    def bulk_load_physical(self, physical: Sequence[tuple[Any, ...]], txn=None) -> int:
+    def bulk_load_physical(self, physical: Sequence[tuple[Any, ...]], txn) -> int:
         """Bulk-load already-coerced rows (see :meth:`insert_physical_rows`)."""
         if self.storage_kind is StorageKind.COLUMNSTORE:
             assert self.columnstore is not None
@@ -96,7 +95,7 @@ class Table:
         self._bump_data_version(txn)
         return len(physical)
 
-    def delete_rows(self, rids: list[RowId], locators: list[RowLocator], txn=None) -> int:
+    def delete_rows(self, rids: list[RowId], locators: list[RowLocator], txn) -> int:
         """Delete the rows at these addresses — row-store ``rids`` and
         columnstore ``locators`` — and return the logical row count.
 
@@ -118,7 +117,7 @@ class Table:
             self._bump_data_version(txn)
         return max(len(rids), len(locators))
 
-    def _delete_rowstore_rid(self, rid: RowId, txn=None) -> None:
+    def _delete_rowstore_rid(self, rid: RowId, txn) -> None:
         assert self.rowstore is not None
         row = self.rowstore.get(rid)
         if row is None:
@@ -127,31 +126,25 @@ class Table:
         # succeeds: a fault anywhere in this sequence (even between two
         # index deletes) rolls back exactly the mutations that happened.
         self.rowstore.delete(rid)
-        if txn is not None:
-            txn.record(
-                f"un-delete rowstore row {rid}",
-                lambda: self._undo_undelete(rid),
-            )
+        txn.record(f"un-delete rowstore row {rid}", lambda: self._undo_undelete(rid))
         for index in self.indexes.values():
             index.delete(row, rid)
-            if txn is not None:
-                txn.record(
-                    f"re-index deleted row {rid}",
-                    lambda index=index: index.insert(row, rid),
-                )
+            txn.record(
+                f"re-index deleted row {rid}",
+                lambda index=index: index.insert(row, rid),
+            )
 
     def _undo_undelete(self, rid: RowId) -> None:
         assert self.rowstore is not None
         if not self.rowstore.undelete(rid):
             raise StorageError(f"delete undo: row {rid} is not tombstoned")
 
-    def _bump_data_version(self, txn=None) -> None:
-        if txn is not None:
-            previous = self._data_version
-            txn.record(
-                f"restore {self.name} data version to {previous}",
-                lambda: setattr(self, "_data_version", previous),
-            )
+    def _bump_data_version(self, txn) -> None:
+        previous = self._data_version
+        txn.record(
+            f"restore {self.name} data version to {previous}",
+            lambda: setattr(self, "_data_version", previous),
+        )
         self._data_version += 1
 
     # ------------------------------------------------------------------ #

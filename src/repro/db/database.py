@@ -14,16 +14,13 @@ operations the paper describes (tuple mover, REBUILD, archival toggles).
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from ..backup.archive import ARCHIVE_DIR_NAME, WalArchiver
-from ..backup.manifest import RESTORE_MARKER_NAME
-from ..errors import CatalogError, PlanningError, RecoveryError, StorageError, TxnError
+from ..errors import CatalogError, PlanningError, TxnError
 from ..governance import QueryContext, get_query_registry
 from ..governance.context import current as current_query
 from ..mvcc import EpochManager
@@ -37,15 +34,12 @@ from ..planner.schema_infer import infer_output_dtypes
 from ..schema import TableSchema
 from ..settings import resolve
 from ..sql import runner as pipeline
-from ..storage import persist
 from ..storage.config import StoreConfig
-from ..storage.diskio import DiskIO
-from ..storage.snapshot import MANIFEST_NAME, SnapshotWriter, open_snapshot
-from ..txn import AUTO_COMMIT_TXN, TxnContext
+from ..txn import TxnContext, autocommit
 from ..types import DataType
 from ..wal import replay as walreplay
-from ..wal.log import DEFAULT_GROUP_COMMIT_SIZE, WAL_DIR_NAME, WriteAheadLog
 from ..wal.record import WalRecordType
+from .durability import Durability
 from .catalog import Catalog, StorageKind, Table
 
 
@@ -85,18 +79,10 @@ class Database:
         self.catalog = Catalog()
         self.optimizer = Optimizer(self.catalog)
         self.default_config = default_config or StoreConfig()
-        # Write-ahead log, attached by open()/load(); facade statements
-        # append a redo record after applying their change. Direct
-        # Table-level mutations bypass the log — durability covers the
-        # facade surface, which is also what SQL goes through.
-        self._wal = None
-        self._wal_root: str | None = None
-        # Fingerprint of the state the last save/load at a path captured:
-        # save() skips rewriting an unchanged snapshot.
-        self._save_fingerprint: tuple | None = None
-        # Which pool blob of that path holds each segment (a
-        # storage.snapshot.StoredSegments): save() writes only the rest.
-        self._stored_segments = None
+        # The WAL, checkpoints, recovery and backups (repro.db.durability).
+        self.durability = Durability(self)
+        # DDL history: every create / drop bumps it (the save fingerprint
+        # reads it; rollback restores it).
         self._catalog_epoch = 0
         # Open explicit transaction (None outside BEGIN..COMMIT). The id
         # allocator only serves WAL-less databases; with a WAL the txn id
@@ -108,10 +94,6 @@ class Database:
         # with a private manager; create_table and load() swap this one
         # in so commits across tables advance one clock.
         self.mvcc = EpochManager()
-        # Hot backups currently copying (repro.backup): while nonzero,
-        # save() defers the checkpoint so neither snapshot GC nor WAL
-        # truncation can delete files a backup is reading.
-        self._backups_in_flight = 0
         # The database scope of the runtime settings (repro.settings);
         # sessions overlay their own, statements their keyword arguments.
         self.settings: dict[str, Any] = {}
@@ -129,15 +111,11 @@ class Database:
     @property
     def wal(self):
         """The attached :class:`~repro.wal.WriteAheadLog`, or ``None``."""
-        return self._wal
+        return self.durability.wal
 
     def set_durability(self, mode: str) -> None:
         """Switch the WAL durability mode (per-commit / group / off)."""
-        if self._wal is None:
-            raise StorageError(
-                "no write-ahead log attached (use Database.open to get one)"
-            )
-        self._wal.set_durability(mode)
+        self.durability.set_mode(mode)
 
     def close(self) -> None:
         """Flush any pending group-commit window. Safe to call twice.
@@ -163,8 +141,7 @@ class Database:
                 ResourceWarning,
                 stacklevel=2,
             )
-        if self._wal is not None:
-            self._wal.close()
+        self.durability.close()
 
     # ------------------------------------------------------------------ #
     # Transactions
@@ -204,11 +181,12 @@ class Database:
                 "a transaction is already open (COMMIT or ROLLBACK it first; "
                 "nested transactions are not supported)"
             )
-        if self._wal is not None:
+        wal = self.durability.wal
+        if wal is not None:
             # The begin marker's own LSN doubles as the transaction id,
             # which makes ids unique, ordered, and free.
-            txn_id = self._wal.last_lsn + 1
-            self._wal.append(WalRecordType.TXN_BEGIN, "", b"", txn_id)
+            txn_id = wal.last_lsn + 1
+            wal.append(WalRecordType.TXN_BEGIN, "", b"", txn_id)
         else:
             txn_id = self._next_txn_id
             self._next_txn_id += 1
@@ -225,14 +203,15 @@ class Database:
         # epoch allocation entirely.
         hooks = txn.take_commit_hooks()
         epoch = self.mvcc.commit(hooks) if hooks else None
-        if self._wal is not None:
+        wal = self.durability.wal
+        if wal is not None:
             # The commit marker is what promotes the transaction's
             # records from "present in the log" to "applied by replay";
             # wal.commit() then makes the whole batch durable per the
             # configured durability mode — one fsync for N statements.
             payload = walreplay.encode_commit(epoch)
-            self._wal.append(WalRecordType.TXN_COMMIT, "", payload, txn.txn_id)
-            self._wal.commit()
+            wal.append(WalRecordType.TXN_COMMIT, "", payload, txn.txn_id)
+            wal.commit()
         txn.discard()
         self._txn = None
         metrics.increment("txn.commits")
@@ -244,9 +223,10 @@ class Database:
         # the abort marker must not already claim the rollback happened.
         txn.rollback()
         self._txn = None
-        if self._wal is not None:
-            self._wal.append(WalRecordType.TXN_ABORT, "", b"", txn.txn_id)
-            self._wal.commit()
+        wal = self.durability.wal
+        if wal is not None:
+            wal.append(WalRecordType.TXN_ABORT, "", b"", txn.txn_id)
+            wal.commit()
         metrics.increment("txn.rollbacks")
 
     @contextmanager
@@ -298,9 +278,8 @@ class Database:
         Yields the transaction context mutators record undo into. Inside
         an explicit transaction this is a savepoint: a failure rolls back
         to the statement start but the transaction stays open (and
-        usable), matching SQL statement semantics. In auto-commit mode a
-        throwaway context serves the same purpose and its undo log is
-        discarded on success.
+        usable), matching SQL statement semantics. In auto-commit mode it
+        is :func:`repro.txn.autocommit`.
         """
         if self._txn is not None:
             txn = self._txn
@@ -314,20 +293,9 @@ class Database:
             else:
                 txn.statements += 1
         else:
-            txn = TxnContext(AUTO_COMMIT_TXN)
-            try:
+            # Auto-commit: the statement IS the transaction.
+            with autocommit(self.mvcc) as txn:
                 yield txn
-            except BaseException:
-                txn.rollback()
-                metrics.increment("txn.statement_rollbacks")
-                raise
-            else:
-                # Auto-commit: the statement IS the transaction, so its
-                # MVCC stamps install at a fresh epoch right here.
-                hooks = txn.take_commit_hooks()
-                if hooks:
-                    self.mvcc.commit(hooks)
-                txn.discard()
 
     def _apply_change(self, rtype: WalRecordType, table: str, body: Any) -> Any:
         """Make one validated change and log it: what every logged
@@ -343,7 +311,7 @@ class Database:
         change = walreplay.CHANGES[rtype]
         with self._atomic_statement() as txn:
             result = change.apply(self, table, body, txn)
-            if self._wal is not None:
+            if self.durability.wal is not None:
                 self._log_change(rtype, table, change.encode(self, table, body))
         return result
 
@@ -358,9 +326,9 @@ class Database:
         inside a transaction, so it always takes the auto-commit path.
         """
         if self._txn is not None:
-            self._wal.append(rtype, table, payload, self._txn.txn_id)
+            self.durability.wal.append(rtype, table, payload, self._txn.txn_id)
         else:
-            self._wal.log_statement(rtype, table, payload)
+            self.durability.wal.log_statement(rtype, table, payload)
 
     def _bump_epoch(self, txn: TxnContext) -> None:
         previous = self._catalog_epoch
@@ -600,24 +568,8 @@ class Database:
         return text_or_plan
 
     # ------------------------------------------------------------------ #
-    # Persistence
+    # Persistence (repro.db.durability)
     # ------------------------------------------------------------------ #
-    def _fingerprint(self, resolved_path: str) -> tuple:
-        """State identity used to skip re-saving an unchanged database.
-
-        Covers the target path, DDL history (catalog epoch) and every
-        table's data version. Direct ``Table.create_index`` calls bypass
-        the epoch — use :meth:`create_index` for skip-accurate DDL.
-        """
-        return (
-            resolved_path,
-            self._catalog_epoch,
-            tuple(
-                (name, self.catalog.table(name)._data_version)
-                for name in self.catalog.table_names()
-            ),
-        )
-
     def save(self, path: str, disk=None, force: bool = False) -> None:
         """Persist the whole database to a directory, crash-safely.
 
@@ -638,69 +590,10 @@ class Database:
         manifest records the log's last LSN and every fully covered
         segment is truncated afterwards. A save whose state is identical
         to what the path already holds is skipped entirely (pass
-        ``force=True`` to override).
+        ``force=True`` to override), and so is one while a hot backup
+        is copying.
         """
-        # A snapshot taken mid-transaction would bake uncommitted state
-        # into the base image (and truncate the log segments replay
-        # would need to undo-by-omission). Refuse; the checkpoint runs
-        # after COMMIT/ROLLBACK.
-        self._require_no_txn("save (checkpoint)")
-        if self._backups_in_flight > 0:
-            # A hot backup is copying this directory: a checkpoint now
-            # would garbage-collect the files its manifest names and
-            # truncate the WAL segments the copy is reading. Defer — the
-            # WAL keeps everything recoverable until the next checkpoint.
-            metrics.increment("backup.checkpoints_deferred")
-            return
-        disk = disk or DiskIO()
-        root = Path(path)
-        resolved = str(root.resolve())
-        fingerprint = self._fingerprint(resolved)
-        if (
-            not force
-            and fingerprint == self._save_fingerprint
-            and disk.exists(root / MANIFEST_NAME)
-        ):
-            metrics.increment("storage.snapshot.saves_skipped")
-            return
-        wal = self._wal if self._wal is not None and self._wal_root == resolved else None
-        checkpoint_lsn = 0
-        if wal is not None:
-            # Everything the snapshot will contain must be durable in the
-            # log first, or a crash mid-save could lose committed work.
-            wal.flush()
-            checkpoint_lsn = wal.last_lsn
-        writer = SnapshotWriter(disk, root, self._stored_segments)
-        catalog_entries = []
-        for name in self.catalog.table_names():
-            table = self.catalog.table(name)
-            entry = {
-                "name": table.name,
-                "schema": persist.schema_to_json(table.schema),
-                "storage": table.storage_kind.value,
-                "config": persist.config_to_json(table.config),
-                "indexes": {
-                    index_name: index.columns
-                    for index_name, index in table.indexes.items()
-                },
-            }
-            catalog_entries.append(entry)
-            if table.columnstore is not None:
-                persist.save_columnstore(table.columnstore, writer, table.name)
-            if table.rowstore is not None:
-                persist.save_rowstore(table.rowstore, writer, table.name)
-        writer.write(
-            "catalog.json", json.dumps(catalog_entries, indent=1).encode("utf-8")
-        )
-        writer.commit(checkpoint_lsn=checkpoint_lsn)
-        if writer.committed:
-            # Only a read-back-verified manifest licenses destroying log
-            # segments (a dropped rename means the old snapshot is still
-            # the live one and its log tail is still needed).
-            if wal is not None:
-                wal.truncate_covered(checkpoint_lsn)
-            self._save_fingerprint = fingerprint
-            self._stored_segments = writer.stored
+        self.durability.save(path, disk, force)
 
     def backup(self, dest: str, disk=None, barrier_hook=None):
         """Hot-backup this database into the fresh directory ``dest``.
@@ -744,7 +637,7 @@ class Database:
         the snapshot's checkpoint LSN is replayed, then the log stays
         attached so further statements are durable.
         """
-        return cls()._recover(Path(path), disk, durability, group_commit_size, create=False)
+        return cls().durability.recover(Path(path), disk, durability, group_commit_size, False)
 
     @classmethod
     def open(
@@ -763,92 +656,9 @@ class Database:
         checkpoints the log. ``default_config`` is the configuration of
         tables created from now on, whether ``path`` is new or not.
         """
-        return cls(default_config)._recover(
-            Path(path), disk, durability, group_commit_size, create=True
+        return cls(default_config).durability.recover(
+            Path(path), disk, durability, group_commit_size, True
         )
-
-    def _recover(
-        self, root: Path, disk, durability, group_commit_size, create: bool
-    ) -> "Database":
-        """Fill this fresh database from ``root``: its snapshot (there is
-        none when ``create`` finds no database there), then the WAL's tail
-        replayed, then the WAL attached with its archiver."""
-        disk = disk or DiskIO()
-        if disk.exists(root / RESTORE_MARKER_NAME):
-            raise RecoveryError(
-                f"{root} holds an uncommitted restore (its "
-                f"{RESTORE_MARKER_NAME} marker is present) — the restore "
-                "crashed before completing; re-run it or delete the directory"
-            )
-        wal_dir = root / WAL_DIR_NAME
-        has_wal = disk.is_dir(wal_dir)
-        reader = None
-        found = has_wal or disk.exists(root / MANIFEST_NAME) or disk.exists(root / "catalog.json")
-        if found or not create:
-            try:
-                reader = open_snapshot(disk, root)
-            except RecoveryError:
-                if not has_wal or disk.exists(root / MANIFEST_NAME):
-                    # Either there is no log to recover from, or a manifest
-                    # *exists* but could not be used — that is corruption,
-                    # not a pre-first-checkpoint directory, and the log was
-                    # truncated at the snapshot's checkpoint: opening WAL-only
-                    # would silently present an empty database.
-                    raise
-                # No snapshot yet but a log exists: the database crashed
-                # before its first checkpoint — the log holds all state.
-        checkpoint_lsn = 0
-        if reader is not None:
-            self._load_snapshot(reader)
-            checkpoint_lsn = reader.manifest.checkpoint_lsn
-        resolved = str(root.resolve())
-        if not has_wal and durability is None:
-            self._save_fingerprint = self._fingerprint(resolved)
-            return self
-        wal, recovery = WriteAheadLog.attach(
-            disk,
-            wal_dir,
-            checkpoint_lsn=checkpoint_lsn,
-            durability=durability or "group",
-            group_commit_size=group_commit_size or DEFAULT_GROUP_COMMIT_SIZE,
-        )
-        replayed = walreplay.apply_records(self, recovery.replay_records)
-        # Attach only after replay so nothing replayed is re-logged.
-        self._wal = wal
-        self._wal_root = resolved
-        # WAL archiving is on by default for durable databases: sealed
-        # segments are copied aside before anything deletes them, which
-        # is what makes point-in-time recovery past the latest backup
-        # possible. set_archiver also catches up on segments sealed while
-        # no archiver was attached.
-        wal.set_archiver(WalArchiver(disk, root / ARCHIVE_DIR_NAME))
-        if replayed == 0 and reader is not None:
-            self._save_fingerprint = self._fingerprint(resolved)
-        return self
-
-    def _load_snapshot(self, reader) -> None:
-        """Recreate every table the snapshot's catalog names, with its
-        data and indexes."""
-        try:
-            catalog_entries = json.loads(reader.read("catalog.json").decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise RecoveryError(f"unreadable catalog.json: {exc}") from exc
-        for entry in catalog_entries:
-            table_schema = persist.schema_from_json(entry["schema"])
-            config = persist.config_from_json(entry["config"])
-            table = self.create_table(
-                entry["name"], table_schema, storage=entry["storage"], config=config
-            )
-            if table.columnstore is not None:
-                table.columnstore = persist.load_columnstore(
-                    table_schema, config, reader, table.name
-                )
-                table.columnstore.attach_mvcc(self.mvcc)
-            if table.rowstore is not None:
-                persist.load_rowstore(table.rowstore, reader, table.name)
-            for index_name, columns in entry["indexes"].items():
-                table.create_index(index_name, columns)
-        self._stored_segments = reader.stored
 
     @staticmethod
     def check(path: str, disk=None):
@@ -860,9 +670,7 @@ class Database:
         corruption — corruption is the result being reported. Exposed on
         the CLI as ``repro check <dir>`` and the shell's ``\\check``.
         """
-        from ..storage.snapshot import check_database
-
-        return check_database(disk or DiskIO(), Path(path))
+        return Durability.check(path, disk)
 
     # ------------------------------------------------------------------ #
     # Maintenance

@@ -1,0 +1,251 @@
+"""Durable state: the write-ahead log, checkpoints, recovery and backups.
+
+:class:`Durability` is the one owner of what a :class:`~repro.db.Database`
+keeps on disk and of what decides when that may change: the attached
+:class:`~repro.wal.WriteAheadLog` and its directory, the fingerprint and
+stored segments of the last checkpoint, and the hot backups holding
+checkpoints back (:meth:`Durability.hold_checkpoints`, which
+:mod:`repro.backup.backup` takes for the length of its copy). Recovery
+(:meth:`Durability.recover`) loads the snapshot, replays the log's
+committed tail through the apply every statement runs
+(:data:`repro.wal.replay.CHANGES`), then attaches the log and its archiver.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from ..backup.archive import ARCHIVE_DIR_NAME, WalArchiver
+from ..backup.manifest import RESTORE_MARKER_NAME
+from ..errors import RecoveryError, StorageError
+from ..observability import registry as metrics
+from ..storage import persist
+from ..storage.diskio import DiskIO
+from ..storage.snapshot import MANIFEST_NAME, SnapshotWriter, check_database, open_snapshot
+from ..wal import replay as walreplay
+from ..wal.log import DEFAULT_GROUP_COMMIT_SIZE, WAL_DIR_NAME, WriteAheadLog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .database import Database
+
+
+class Durability:
+    """The durable state of one database (see the module docstring)."""
+
+    def __init__(self, db: "Database") -> None:
+        self.db = db
+        # Write-ahead log, attached by recover(); statements append a
+        # redo record after applying their change.
+        self.wal: WriteAheadLog | None = None
+        # The resolved directory the log belongs to (None without a log).
+        self.root: str | None = None
+        # Fingerprint of the state the last save/load at a path captured:
+        # save() skips rewriting an unchanged snapshot.
+        self._saved: tuple | None = None
+        # Which pool blob of that path holds each segment (a
+        # storage.snapshot.StoredSegments): save() writes only the rest.
+        self._stored_segments = None
+        # Hot backups currently copying: while nonzero, save() defers the
+        # checkpoint so neither snapshot GC nor WAL truncation can delete
+        # files a backup is reading.
+        self._backups_in_flight = 0
+
+    # ------------------------------------------------------------------ #
+    # The log
+    # ------------------------------------------------------------------ #
+    def set_mode(self, mode: str) -> None:
+        """Switch the WAL durability mode (per-commit / group / off)."""
+        if self.wal is None:
+            raise StorageError("no write-ahead log attached (use Database.open to get one)")
+        self.wal.set_durability(mode)
+
+    def close(self) -> None:
+        """Flush any pending group-commit window. Safe to call twice."""
+        if self.wal is not None:
+            self.wal.close()
+
+    # ------------------------------------------------------------------ #
+    # Backups
+    # ------------------------------------------------------------------ #
+    @property
+    def backups_in_flight(self) -> int:
+        return self._backups_in_flight
+
+    def hold_checkpoints(self) -> None:
+        """A hot backup starts copying: defer checkpoints until it calls
+        :meth:`release_checkpoints`."""
+        self._backups_in_flight += 1
+
+    def release_checkpoints(self) -> None:
+        self._backups_in_flight -= 1
+
+    # ------------------------------------------------------------------ #
+    # Checkpoints
+    # ------------------------------------------------------------------ #
+    def fingerprint(self, resolved_path: str) -> tuple:
+        """State identity used to skip re-saving an unchanged database.
+
+        Covers the target path, DDL history (catalog epoch) and every
+        table's data version. Direct ``Table.create_index`` calls bypass
+        the epoch — use :meth:`Database.create_index` for skip-accurate DDL.
+        """
+        catalog = self.db.catalog
+        return (
+            resolved_path,
+            self.db._catalog_epoch,
+            tuple((name, catalog.table(name)._data_version) for name in catalog.table_names()),
+        )
+
+    def save(self, path: str, disk=None, force: bool = False) -> None:
+        """Persist the whole database to a directory, crash-safely
+        (:meth:`Database.save`)."""
+        # A snapshot taken mid-transaction would bake uncommitted state
+        # into the base image (and truncate the log segments replay
+        # would need to undo-by-omission). Refuse; the checkpoint runs
+        # after COMMIT/ROLLBACK.
+        self.db._require_no_txn("save (checkpoint)")
+        if self._backups_in_flight > 0:
+            # A hot backup is copying this directory: a checkpoint now
+            # would garbage-collect the files its manifest names and
+            # truncate the WAL segments the copy is reading. Defer — the
+            # WAL keeps everything recoverable until the next checkpoint.
+            metrics.increment("backup.checkpoints_deferred")
+            return
+        disk = disk or DiskIO()
+        root = Path(path)
+        resolved = str(root.resolve())
+        fingerprint = self.fingerprint(resolved)
+        if not force and fingerprint == self._saved and disk.exists(root / MANIFEST_NAME):
+            metrics.increment("storage.snapshot.saves_skipped")
+            return
+        wal = self.wal if self.wal is not None and self.root == resolved else None
+        checkpoint_lsn = 0
+        if wal is not None:
+            # Everything the snapshot will contain must be durable in the
+            # log first, or a crash mid-save could lose committed work.
+            wal.flush()
+            checkpoint_lsn = wal.last_lsn
+        writer = SnapshotWriter(disk, root, self._stored_segments)
+        catalog_entries = []
+        for name in self.db.catalog.table_names():
+            table = self.db.catalog.table(name)
+            catalog_entries.append(
+                {
+                    "name": table.name,
+                    "schema": persist.schema_to_json(table.schema),
+                    "storage": table.storage_kind.value,
+                    "config": persist.config_to_json(table.config),
+                    "indexes": {
+                        index_name: index.columns for index_name, index in table.indexes.items()
+                    },
+                }
+            )
+            if table.columnstore is not None:
+                persist.save_columnstore(table.columnstore, writer, table.name)
+            if table.rowstore is not None:
+                persist.save_rowstore(table.rowstore, writer, table.name)
+        writer.write("catalog.json", json.dumps(catalog_entries, indent=1).encode("utf-8"))
+        writer.commit(checkpoint_lsn=checkpoint_lsn)
+        if writer.committed:
+            # Only a read-back-verified manifest licenses destroying log
+            # segments (a dropped rename means the old snapshot is still
+            # the live one and its log tail is still needed).
+            if wal is not None:
+                wal.truncate_covered(checkpoint_lsn)
+            self._saved = fingerprint
+            self._stored_segments = writer.stored
+
+    @staticmethod
+    def check(path: str, disk=None):
+        """Integrity-scan a saved database without opening it
+        (:meth:`Database.check`)."""
+        return check_database(disk or DiskIO(), Path(path))
+
+    # ------------------------------------------------------------------ #
+    # Recovery
+    # ------------------------------------------------------------------ #
+    def recover(
+        self, root: Path, disk, durability, group_commit_size, create: bool
+    ) -> "Database":
+        """Fill this fresh database from ``root``: its snapshot (there is
+        none when ``create`` finds no database there), then the WAL's tail
+        replayed, then the WAL attached with its archiver."""
+        disk = disk or DiskIO()
+        if disk.exists(root / RESTORE_MARKER_NAME):
+            raise RecoveryError(
+                f"{root} holds an uncommitted restore (its "
+                f"{RESTORE_MARKER_NAME} marker is present) — the restore "
+                "crashed before completing; re-run it or delete the directory"
+            )
+        wal_dir = root / WAL_DIR_NAME
+        has_wal = disk.is_dir(wal_dir)
+        reader = None
+        found = has_wal or disk.exists(root / MANIFEST_NAME) or disk.exists(root / "catalog.json")
+        if found or not create:
+            try:
+                reader = open_snapshot(disk, root)
+            except RecoveryError:
+                if not has_wal or disk.exists(root / MANIFEST_NAME):
+                    # Either there is no log to recover from, or a manifest
+                    # *exists* but could not be used — that is corruption,
+                    # not a pre-first-checkpoint directory, and the log was
+                    # truncated at the snapshot's checkpoint: opening WAL-only
+                    # would silently present an empty database.
+                    raise
+                # No snapshot yet but a log exists: the database crashed
+                # before its first checkpoint — the log holds all state.
+        checkpoint_lsn = 0
+        if reader is not None:
+            self._load_snapshot(reader)
+            checkpoint_lsn = reader.manifest.checkpoint_lsn
+        resolved = str(root.resolve())
+        if not has_wal and durability is None:
+            self._saved = self.fingerprint(resolved)
+            return self.db
+        wal, recovery = WriteAheadLog.attach(
+            disk,
+            wal_dir,
+            checkpoint_lsn=checkpoint_lsn,
+            durability=durability or "group",
+            group_commit_size=group_commit_size or DEFAULT_GROUP_COMMIT_SIZE,
+        )
+        replayed = walreplay.apply_records(self.db, recovery.replay_records)
+        # Attach only after replay so nothing replayed is re-logged.
+        self.wal = wal
+        self.root = resolved
+        # WAL archiving is on by default for durable databases: sealed
+        # segments are copied aside before anything deletes them, which
+        # is what makes point-in-time recovery past the latest backup
+        # possible. set_archiver also catches up on segments sealed while
+        # no archiver was attached.
+        wal.set_archiver(WalArchiver(disk, root / ARCHIVE_DIR_NAME))
+        if replayed == 0 and reader is not None:
+            self._saved = self.fingerprint(resolved)
+        return self.db
+
+    def _load_snapshot(self, reader) -> None:
+        """Recreate every table the snapshot's catalog names, with its
+        data and indexes."""
+        db = self.db
+        try:
+            catalog_entries = json.loads(reader.read("catalog.json").decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise RecoveryError(f"unreadable catalog.json: {exc}") from exc
+        for entry in catalog_entries:
+            table_schema = persist.schema_from_json(entry["schema"])
+            config = persist.config_from_json(entry["config"])
+            table = db.create_table(
+                entry["name"], table_schema, storage=entry["storage"], config=config
+            )
+            if table.columnstore is not None:
+                table.columnstore = persist.load_columnstore(
+                    table_schema, config, reader, table.name
+                )
+                table.columnstore.attach_mvcc(db.mvcc)
+            if table.rowstore is not None:
+                persist.load_rowstore(table.rowstore, reader, table.name)
+            for index_name, columns in entry["indexes"].items():
+                table.create_index(index_name, columns)
+        self._stored_segments = reader.stored

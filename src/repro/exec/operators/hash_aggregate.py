@@ -57,9 +57,11 @@ _SPILL_PARTITIONS = 8
 # Estimated retained bytes per group (keys + accumulators), for the grant.
 _BYTES_PER_GROUP = 96
 # Argument dtype kinds each aggregate folds per run with the bits of a
-# per-row update (None: any): MIN/MAX are order-free over numbers, and
-# int64 addition wraps associatively — float addition does not.
-_RUN_FOLDABLE = {"count": None, "min": "biuf", "max": "biuf", "sum": "biu", "avg": "biu"}
+# per-row update (None: any): integer MIN/MAX are order-free and int64
+# addition wraps associatively. Floats are not: addition does not
+# associate, and np.minimum / np.maximum answer their second argument on
+# a tie, so 0.0 against -0.0 depends on the fold order.
+_RUN_FOLDABLE = {"count": None, "min": "biu", "max": "biu", "sum": "biu", "avg": "biu"}
 _REDUCE = {"sum": np.add, "avg": np.add, "min": np.minimum, "max": np.maximum}
 
 

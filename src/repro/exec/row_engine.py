@@ -19,15 +19,14 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..governance.context import checkpoint as governance_checkpoint
-from ..governance.context import governed_rows
 from ..mvcc import PENDING_EPOCH
-from ..observability.opstats import OperatorStats, instrument_rows, operator_stats
+from ..observability.opstats import OperatorStats, operator_stats
 from ..rowstore.table import RowStoreTable
 from ..storage.columnstore import ColumnStoreIndex, RowLocator
 from ..types import python_values
 from .batch import DEFAULT_BATCH_SIZE, RID_COLUMN, Batch, sort_order
 from .expressions import Expr, predicate_true
-from .operators.base import BatchOperator
+from .operators.base import ROW_CHECK_INTERVAL, BatchOperator, operator_stream
 from .operators.hash_aggregate import COUNT_STAR, AggregateSpec
 from .operators.window import WindowSpec, compute_window_columns
 
@@ -40,17 +39,17 @@ class RowOperator(abc.ABC):
     """A pull-based tuple-at-a-time operator.
 
     Like :class:`BatchOperator`, every concrete ``rows`` implementation is
-    wrapped with the observability instrumented iterator at class-creation
-    time, so batch-vs-row comparisons report runtime stats on both sides —
-    and with the governance wrapper, so a governed statement hits a
-    cancellation checkpoint every few dozen emitted rows.
+    wrapped by :func:`~repro.exec.operators.base.operator_stream` at
+    class-creation time, so batch-vs-row comparisons report runtime stats
+    on both sides, and a governed statement hits a cancellation checkpoint
+    every ``ROW_CHECK_INTERVAL`` emitted rows.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         rows = cls.__dict__.get("rows")
-        if rows is not None and not getattr(rows, "_instrumented", False):
-            cls.rows = instrument_rows(governed_rows(rows))
+        if rows is not None:
+            cls.rows = operator_stream(rows, ROW_CHECK_INTERVAL)
 
     @property
     @abc.abstractmethod

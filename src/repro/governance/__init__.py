@@ -22,8 +22,6 @@ from .context import (
     checkpoint,
     current,
     get_memory_governor,
-    governed_batches,
-    governed_rows,
     set_process_memory_limit,
 )
 from .registry import (
@@ -45,8 +43,6 @@ __all__ = [
     "get_memory_governor",
     "get_query_registry",
     "governed",
-    "governed_batches",
-    "governed_rows",
     "set_process_memory_limit",
     "set_query_registry",
 ]

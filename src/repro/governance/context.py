@@ -27,7 +27,6 @@ without releasing can never leak process-governor bytes.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
@@ -275,64 +274,13 @@ def activate(ctx: QueryContext | None):
         _active.ctx = prev
 
 
-# ---------------------------------------------------------------------- #
-# Cooperative-checkpoint wrappers for operator iterators
-# ---------------------------------------------------------------------- #
-# Applied at class-creation time by the BatchOperator / RowOperator base
-# classes (alongside the observability instrumented iterators), so every
-# operator in both engines is a cancellation point without per-operator
-# edits. The wrappers read the thread-local context when the generator
-# body first runs — i.e. at the first next(), when the statement's
-# context is already active — and are no-ops for ungoverned execution.
-
-# Row-mode operators emit one row at a time; checking each row would put
-# an Event read + clock read on a per-row hot path, so check every 64th.
-_ROW_CHECK_INTERVAL = 64
-
-
-def governed_batches(fn):
-    """Wrap a ``batches()`` generator with a per-batch cancellation check."""
-
-    @functools.wraps(fn)
-    def wrapper(self):
-        ctx = current()
-        if ctx is None:
-            yield from fn(self)
-            return
-        for batch in fn(self):
-            ctx.check()
-            yield batch
-
-    wrapper._governed = True
-    return wrapper
-
-
-def governed_rows(fn):
-    """Wrap a row-engine ``rows()`` generator with periodic checks."""
-
-    @functools.wraps(fn)
-    def wrapper(self):
-        ctx = current()
-        if ctx is None:
-            yield from fn(self)
-            return
-        emitted = 0
-        for row in fn(self):
-            emitted += 1
-            if emitted % _ROW_CHECK_INTERVAL == 1:
-                ctx.check()
-            yield row
-
-    wrapper._governed = True
-    return wrapper
-
-
 def checkpoint() -> None:
     """Free-standing cooperative checkpoint for loops that filter heavily.
 
     Highly selective scans can chew through many scan units (or many
     thousands of rows) without emitting anything, so the per-emission
-    wrappers above never run; such loops call this directly.
+    check of the operator wrapper (:func:`repro.exec.operators.base.operator_stream`)
+    never runs; such loops call this directly.
     """
     ctx = current()
     if ctx is not None:

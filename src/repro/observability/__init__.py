@@ -7,7 +7,7 @@ from inside the engine:
   and gauges that storage components (segment cache, columnstore
   scans, delta stores, the tuple mover, spill files) always report into;
 * :mod:`.opstats` — :class:`OperatorStats` attached to every batch and
-  row operator via an instrumented-iterator wrapper, active only while
+  row operator by the operator wrapper, counting only while
   :func:`collect` is on so stats-off execution pays nothing;
 * :mod:`.report` — :class:`ExecutionStats`, the per-execution handle
   behind ``EXPLAIN ANALYZE``, ``Result.stats`` and the CLI ``--stats``
@@ -20,8 +20,6 @@ from .opstats import (
     collecting,
     disable,
     enable,
-    instrument_batches,
-    instrument_rows,
     operator_stats,
 )
 from .registry import (
@@ -48,8 +46,6 @@ __all__ = [
     "enable",
     "get_registry",
     "increment",
-    "instrument_batches",
-    "instrument_rows",
     "operator_stats",
     "set_registry",
     "snapshot_delta",

@@ -1,11 +1,12 @@
-"""Per-operator runtime statistics via an instrumented-iterator wrapper.
+"""Per-operator runtime statistics, kept by the operator wrapper.
 
 Every :class:`~repro.exec.operators.base.BatchOperator` subclass has its
 ``batches()`` generator wrapped at class-creation time (and every
-``RowOperator`` its ``rows()``), so *all* operators inherit runtime
-counters — batches emitted, rows out, inclusive wall time, peak memory
-grant, spill bytes — without per-operator edits. The wrapper is a no-op
-(one module-level flag read, zero per-batch work) unless collection is
+``RowOperator`` its ``rows()``) by
+:func:`~repro.exec.operators.base.operator_stream`, so *all* operators
+inherit runtime counters — batches emitted, rows out, inclusive wall
+time, peak memory grant, spill bytes — without per-operator edits. The
+counting costs nothing (one flag read per stream) unless collection is
 active, which keeps stats-off execution at full speed.
 
 Collection is turned on per execution with :func:`collect` (used by
@@ -15,9 +16,7 @@ Collection is turned on per execution with :func:`collect` (used by
 
 from __future__ import annotations
 
-import functools
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -90,7 +89,7 @@ def operator_stats(operator) -> OperatorStats:
     return stats
 
 
-def _capture_extras(operator, stats: OperatorStats) -> None:
+def capture_extras(operator, stats: OperatorStats) -> None:
     """Pull grant / spill figures off the operator once a stream ends."""
     grant = getattr(operator, "grant", None)
     if grant is not None:
@@ -102,60 +101,3 @@ def _capture_extras(operator, stats: OperatorStats) -> None:
         spill_bytes = getattr(own, "spill_bytes", 0)
         if spill_bytes > stats.spill_bytes:
             stats.spill_bytes = spill_bytes
-
-
-def instrument_batches(fn):
-    """Wrap a ``batches()`` generator function with stats accounting."""
-
-    @functools.wraps(fn)
-    def wrapper(self):
-        if not _collecting:
-            yield from fn(self)
-            return
-        stats = operator_stats(self)
-        source = fn(self)
-        try:
-            while True:
-                start = time.perf_counter()
-                try:
-                    batch = next(source)
-                except StopIteration:
-                    stats.wall_seconds += time.perf_counter() - start
-                    break
-                stats.wall_seconds += time.perf_counter() - start
-                stats.batches += 1
-                stats.rows += batch.active_count
-                yield batch
-        finally:
-            _capture_extras(self, stats)
-
-    wrapper._instrumented = True
-    return wrapper
-
-
-def instrument_rows(fn):
-    """Wrap a row-engine ``rows()`` generator function the same way."""
-
-    @functools.wraps(fn)
-    def wrapper(self):
-        if not _collecting:
-            yield from fn(self)
-            return
-        stats = operator_stats(self)
-        source = fn(self)
-        try:
-            while True:
-                start = time.perf_counter()
-                try:
-                    row = next(source)
-                except StopIteration:
-                    stats.wall_seconds += time.perf_counter() - start
-                    break
-                stats.wall_seconds += time.perf_counter() - start
-                stats.rows += 1
-                yield row
-        finally:
-            _capture_extras(self, stats)
-
-    wrapper._instrumented = True
-    return wrapper

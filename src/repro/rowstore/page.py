@@ -95,12 +95,6 @@ class Page:
         self.deleted.discard(slot)
         return True
 
-    def update(self, slot: int, row: tuple[Any, ...]) -> bool:
-        if not 0 <= slot < len(self.rows) or slot in self.deleted:
-            return False
-        self.rows[slot] = row
-        return True
-
     def live_rows(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         for slot, row in enumerate(self.rows):
             if slot not in self.deleted:

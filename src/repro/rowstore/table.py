@@ -29,11 +29,10 @@ class RowStoreTable:
     # ------------------------------------------------------------------ #
     # DML
     # ------------------------------------------------------------------ #
-    def insert(self, row: tuple[Any, ...], txn=None) -> RowId:
+    def insert(self, row: tuple[Any, ...], txn) -> RowId:
         """Insert a physical row; returns its row id.
 
-        With a transaction context, records an undo action that removes
-        the slot again (and the page, if this insert allocated it), so a
+        Records an undo action in ``txn`` that removes the slot again (and the page, if this insert allocated it), so a
         rolled-back insert leaves the heap layout — and therefore every
         future row id — exactly as if it never ran.
         """
@@ -47,11 +46,10 @@ class RowStoreTable:
         slot = page.insert(row, n_bytes)
         self._live += 1
         rid = RowId(page.page_id, slot)
-        if txn is not None:
-            txn.record(
-                f"un-insert rowstore row {rid}",
-                lambda: self._undo_insert(rid, n_bytes, created_page),
-            )
+        txn.record(
+            f"un-insert rowstore row {rid}",
+            lambda: self._undo_insert(rid, n_bytes, created_page),
+        )
         return rid
 
     def _undo_insert(self, rid: RowId, n_bytes: int, created_page: bool) -> None:
@@ -68,9 +66,6 @@ class RowStoreTable:
                     f"page {page.page_id} was created by this insert but is not empty"
                 )
             self._pages.pop()
-
-    def insert_many(self, rows: list[tuple[Any, ...]]) -> list[RowId]:
-        return [self.insert(row) for row in rows]
 
     def get(self, rid: RowId) -> tuple[Any, ...] | None:
         if not 0 <= rid.page < len(self._pages):
@@ -94,11 +89,6 @@ class RowStoreTable:
             self._live += 1
             return True
         return False
-
-    def update(self, rid: RowId, row: tuple[Any, ...]) -> bool:
-        if not 0 <= rid.page < len(self._pages):
-            return False
-        return self._pages[rid.page].update(rid.slot, row)
 
     # ------------------------------------------------------------------ #
     # Scans and accounting

@@ -9,12 +9,13 @@ Combines every storage structure of the paper into one object:
 
 Rows are addressed by :class:`RowLocator`: compressed rows by (row-group
 id, position), delta rows by (delta-store id, row id). UPDATE is modelled
-the way the paper does: delete + insert (see :meth:`ColumnStoreIndex.update`).
+the way the paper does: delete + insert.
 
 MVCC (DESIGN.md "Multi-versioning"): the index owns an
 :class:`~repro.mvcc.EpochManager` (private by default; the Database
-attaches its shared one). Transactional mutations stamp
-:data:`~repro.mvcc.PENDING_EPOCH` and register commit hooks that stamp
+attaches its shared one). Every mutation runs inside a transaction
+context (:func:`repro.txn.autocommit` is the one-statement kind); it stamps
+:data:`~repro.mvcc.PENDING_EPOCH` and registers commit hooks that stamp
 the real epoch; maintenance operations *retire* superseded structures
 (row groups folded by REBUILD/archival, delta stores compressed by the
 tuple mover) into side lists instead of dropping them, so a snapshot
@@ -32,14 +33,14 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..errors import StorageError
-from ..mvcc import GENESIS_EPOCH, PENDING_EPOCH, EpochManager
+from ..mvcc import PENDING_EPOCH, EpochManager
 from ..observability import registry as metrics
 from ..schema import TableSchema
 from .config import StoreConfig
 from .delete_bitmap import DeleteBitmap, deleted_mask
 from .deltastore import DeltaStore, FrozenDeltaView
 from .directory import SegmentDirectory
-from .loader import BulkLoader, rows_to_columns
+from .loader import BulkLoader
 from .rowgroup import RowGroup
 
 GROUP = "group"
@@ -153,28 +154,26 @@ class ColumnStoreIndex:
         self._next_delta_id += 1
         return delta
 
-    def insert(self, row: tuple[Any, ...], txn=None) -> RowLocator:
+    def insert(self, row: tuple[Any, ...], txn) -> RowLocator:
         """Trickle-insert one physical row into the open delta store.
 
-        With a transaction context, records an undo that removes the row
-        and restores the allocator counters and delta open/close/creation
-        transitions — rollback leaves the index structurally identical to
-        its pre-insert state, so replayed locators stay valid.
+        Records an undo that removes the row and restores the allocator
+        counters and delta open/close/creation transitions — rollback
+        leaves the index structurally identical to its pre-insert state,
+        so replayed locators stay valid. The row is born PENDING and
+        stamped at commit.
         """
         created = self._open_delta_id is None
         delta = self._open_delta()
         row_id = self._next_row_id
         self._next_row_id += 1
-        if txn is not None:
-            txn.record(
-                f"un-insert delta row {row_id} (delta {delta.delta_id})",
-                lambda: self._undo_insert(delta.delta_id, row_id, created),
-            )
-            delta.insert(row_id, tuple(row), epoch=PENDING_EPOCH)
-            # One commit stamp per (transaction, delta store), over a row-id span.
-            txn.commit_hook(delta, lambda: _InsertSpan(delta, row_id)).last = row_id
-        else:
-            delta.insert(row_id, tuple(row))
+        txn.record(
+            f"un-insert delta row {row_id} (delta {delta.delta_id})",
+            lambda: self._undo_insert(delta.delta_id, row_id, created),
+        )
+        delta.insert(row_id, tuple(row), epoch=PENDING_EPOCH)
+        # One commit stamp per (transaction, delta store), over a row-id span.
+        txn.commit_hook(delta, lambda: _InsertSpan(delta, row_id)).last = row_id
         if delta.row_count >= self.config.effective_delta_close_rows:
             delta.close()
             self._open_delta_id = None
@@ -196,42 +195,46 @@ class ColumnStoreIndex:
             self._next_delta_id = delta_id
             self._open_delta_id = None
 
-    def insert_many(self, rows: Iterable[tuple[Any, ...]], txn=None) -> list[RowLocator]:
-        return [self.insert(row, txn) for row in rows]
-
-    def bulk_load(self, rows: Sequence[tuple[Any, ...]], txn=None) -> None:
+    def bulk_load(self, rows: Sequence[tuple[Any, ...]], txn) -> None:
         """Insert many rows at once.
 
         At or above the bulk-load threshold the rows are compressed directly
         into row groups (the paper's bulk-insert path); below it they fall
         back to trickle inserts into the delta store.
         """
-        if len(rows) >= self.config.bulk_load_threshold:
-            if txn is not None:
-                # Record before loading: a failure mid-load must also
-                # withdraw any row groups the loader already registered.
-                mark = (
-                    self.directory.next_group_id,
-                    {col.name: len(self.directory.global_dictionary(col.name))
-                     for col in self.schema},
-                )
-                txn.record(
-                    f"withdraw bulk-loaded row groups (ids >= {mark[0]})",
-                    lambda: self._undo_bulk_load(mark),
-                )
-                # Groups are born PENDING and stamped at commit: a
-                # snapshot reader never sees half a bulk load.
-                with self.directory.creating_at(PENDING_EPOCH):
-                    self.loader.load_rows(rows)
-                txn.on_commit(
-                    lambda epoch, first=mark[0]: self.directory.stamp_pending_from(
-                        first, epoch
-                    )
-                )
-            else:
-                self.loader.load_rows(rows)
+        if len(rows) < self.config.bulk_load_threshold:
+            for row in rows:
+                self.insert(row, txn)
         else:
-            self.insert_many(rows, txn)
+            self._load_groups(lambda: self.loader.load_rows(rows), txn)
+
+    def bulk_load_columns(
+        self,
+        columns: dict[str, np.ndarray],
+        txn,
+        null_masks: dict[str, np.ndarray | None] | None = None,
+    ) -> None:
+        """Columnar bulk load (always takes the direct-compress path)."""
+        self._load_groups(lambda: self.loader.load_columns(columns, null_masks), txn)
+
+    def _load_groups(self, load: Callable[[], Any], txn) -> None:
+        # Record before loading: a failure mid-load must also withdraw
+        # any row groups the loader already registered.
+        mark = (
+            self.directory.next_group_id,
+            {col.name: len(self.directory.global_dictionary(col.name)) for col in self.schema},
+        )
+        txn.record(
+            f"withdraw bulk-loaded row groups (ids >= {mark[0]})",
+            lambda: self._undo_bulk_load(mark),
+        )
+        # Groups are born PENDING and stamped at commit: a snapshot
+        # reader never sees half a bulk load.
+        with self.directory.creating_at(PENDING_EPOCH):
+            load()
+        txn.on_commit(
+            lambda epoch, first=mark[0]: self.directory.stamp_pending_from(first, epoch)
+        )
 
     def _undo_bulk_load(self, mark: tuple[int, dict[str, int]]) -> None:
         next_group_id, dict_lengths = mark
@@ -243,25 +246,17 @@ class ColumnStoreIndex:
         for column, length in dict_lengths.items():
             self.directory.global_dictionary(column).truncate(length)
 
-    def bulk_load_columns(
-        self,
-        columns: dict[str, np.ndarray],
-        null_masks: dict[str, np.ndarray | None] | None = None,
-    ) -> None:
-        """Columnar bulk load (always takes the direct-compress path)."""
-        self.loader.load_columns(columns, null_masks)
-
     # ------------------------------------------------------------------ #
     # Deletes
     # ------------------------------------------------------------------ #
-    def delete(self, locator: RowLocator, txn=None) -> bool:
+    def delete(self, locator: RowLocator, txn) -> bool:
         """Delete one row; returns ``False`` if it was already gone.
 
         MVCC: deletes are *versioned* — a bitmap mark carries its commit
         epoch and a delta delete tombstones the row in place — so a
         snapshot reader pinned before the delete committed keeps seeing
-        the row. Txn-less deletes stamp GENESIS (immediately visible);
-        transactional ones stamp PENDING and register a commit hook.
+        the row. The delete is stamped PENDING, with a commit hook that
+        stamps the real epoch.
         """
         if locator.kind == GROUP:
             group = self.directory.row_group(locator.container_id)
@@ -270,37 +265,26 @@ class ColumnStoreIndex:
                     f"position {locator.position} out of range for row group "
                     f"{locator.container_id}"
                 )
-            epoch = GENESIS_EPOCH if txn is None else PENDING_EPOCH
-            marked = self.delete_bitmap.mark(
-                locator.container_id, locator.position, epoch=epoch
+            group_id, position = locator.container_id, locator.position
+            if not self.delete_bitmap.mark(group_id, position, epoch=PENDING_EPOCH):
+                return False
+            txn.record(
+                f"unmark deleted row {locator}",
+                lambda: self.delete_bitmap.unmark(group_id, position),
             )
-            if marked and txn is not None:
-                txn.record(
-                    f"unmark deleted row {locator}",
-                    lambda: self.delete_bitmap.unmark(
-                        locator.container_id, locator.position
-                    ),
-                )
-                txn.on_commit(
-                    lambda e, g=locator.container_id, p=locator.position:
-                        self.delete_bitmap.stamp(g, p, e)
-                )
-            return marked
+            txn.on_commit(lambda e: self.delete_bitmap.stamp(group_id, position, e))
+            return True
         delta = self._delta_stores.get(locator.container_id)
         if delta is None:
             raise StorageError(f"unknown delta store {locator.container_id}")
-        if txn is not None:
-            if not delta.tombstone(locator.position, PENDING_EPOCH):
-                return False
-            txn.record(
-                f"restore delta row {locator}",
-                lambda: delta.clear_tombstone(locator.position),
-            )
-            txn.on_commit(
-                lambda e, d=delta, r=locator.position: d.stamp_tombstone(r, e)
-            )
-            return True
-        return delta.tombstone(locator.position, GENESIS_EPOCH)
+        if not delta.tombstone(locator.position, PENDING_EPOCH):
+            return False
+        txn.record(
+            f"restore delta row {locator}",
+            lambda: delta.clear_tombstone(locator.position),
+        )
+        txn.on_commit(lambda e: delta.stamp_tombstone(locator.position, e))
+        return True
 
     # ------------------------------------------------------------------ #
     # Scan interface

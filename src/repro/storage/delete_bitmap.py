@@ -48,9 +48,8 @@ class DeleteBitmap:
     def mark(self, group_id: int, position: int, epoch: int = GENESIS_EPOCH) -> bool:
         """Mark one row deleted; returns ``False`` if it already was.
 
-        ``epoch`` is the visibility epoch of the mark — GENESIS for
-        txn-less callers (visible to everyone immediately), PENDING for
-        transactional deletes awaiting :meth:`stamp` at commit.
+        ``epoch`` is the visibility epoch of the mark: PENDING for a
+        delete awaiting :meth:`stamp` at commit.
         """
         with self._lock:
             positions = self._deleted.setdefault(group_id, {})

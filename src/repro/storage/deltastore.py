@@ -12,7 +12,7 @@ slot is a binary search). A row is written into the buffers at insert,
 capacity doubles when full, and a read is a vector select over the epoch
 buffers plus a gather of the columns it names.
 
-MVCC: an insert epoch of GENESIS means committed at genesis, a delete
+MVCC: an insert epoch of GENESIS means loaded from a snapshot, a delete
 epoch of ``_LIVE`` not deleted. A delete *tombstones* its row for the
 readers pinned before it; :meth:`gc` compacts tombstones no reader can
 see. A slot below the published length is never written again, its
@@ -25,8 +25,7 @@ state (pending rows included) at ``PENDING_EPOCH``.
 Redo determinism: delta ids, row ids (never reused) and open/closed
 transitions follow from the insert/close sequence alone, so WAL replay
 rebuilds identical delta stores and log records can address rows by
-(delta id, row id); replayed deletes are txn-less, collected by the same
-deterministic vacuum rule.
+(delta id, row id).
 """
 
 from __future__ import annotations

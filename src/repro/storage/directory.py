@@ -6,7 +6,7 @@ Ours additionally owns the per-column global (primary) dictionaries and
 hands out row-group ids.
 
 MVCC: each live row group carries a *creation epoch* — the commit epoch
-at which it became visible (GENESIS for loaded/replayed/txn-less state,
+at which it became visible (GENESIS for state loaded from a snapshot,
 PENDING while the creating transaction is uncommitted). Snapshot reads
 filter by it (:meth:`SegmentDirectory.visible_groups`); the retirement
 side of versioning (groups removed by the tuple mover / REBUILD but
@@ -63,10 +63,10 @@ class SegmentDirectory:
         # consistent snapshot.
         self._created_epoch: dict[int, int] = {}
         self._mutex = Lock()
-        # The epoch new groups are created at. GENESIS by default (bare
-        # index use, loads, replay); the creating_at() context manager
-        # scopes it for transactional bulk loads and maintenance, so the
-        # bulk loader itself needs no epoch plumbing.
+        # The epoch new groups are created at. GENESIS by default (a
+        # snapshot load); the creating_at() context manager scopes it for
+        # bulk loads and maintenance, so the bulk loader itself needs no
+        # epoch plumbing.
         self._creation_epoch = GENESIS_EPOCH
 
     @contextmanager

@@ -40,6 +40,7 @@ from ..errors import CorruptBlobError, EncodingError, RecoveryError
 from ..mvcc import PENDING_EPOCH
 from ..rowstore.table import RowStoreTable
 from ..schema import ColumnDef, TableSchema
+from ..txn import TxnContext
 from ..types import DataType, TypeKind
 from . import serde
 from .columnstore import ColumnStoreIndex
@@ -174,7 +175,10 @@ def save_rowstore(heap: RowStoreTable, writer, prefix: str) -> None:
 
 
 def load_rowstore(heap: RowStoreTable, reader, prefix: str) -> None:
-    rids = heap.insert_many(deserialize_rows(heap.schema, reader.read(f"{prefix}/rowstore.rows")))
+    # A restore, not a change: the context's undo log is never used.
+    txn = TxnContext()
+    rows = deserialize_rows(heap.schema, reader.read(f"{prefix}/rowstore.rows"))
+    rids = [heap.insert(row, txn) for row in rows]
     relpath = f"{prefix}/rowstore_deleted.json"
     if reader.exists(relpath):
         for position in _read_json(reader, relpath):

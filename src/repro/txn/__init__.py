@@ -9,7 +9,9 @@ the database to an earlier state:
 
 * every DML/DDL statement runs inside a statement scope — an exception
   anywhere mid-statement rolls the statement back to a no-op before the
-  error propagates (statement-level atomicity, as in SQL Server);
+  error propagates (statement-level atomicity, as in SQL Server); outside
+  an explicit transaction that scope is :func:`autocommit`, the one way
+  storage changes rows on its own;
 * ``Database.begin()/commit()/rollback()`` group statements into
   multi-statement transactions whose WAL records are stamped with a
   transaction id and replayed only if a ``TXN_COMMIT`` made it to disk.
@@ -19,6 +21,6 @@ storage layer itself at each mutation point — the code that knows how to
 apply a change is the code that records how to reverse it.
 """
 
-from .context import TxnContext, AUTO_COMMIT_TXN
+from .context import AUTO_COMMIT_TXN, TxnContext, autocommit
 
-__all__ = ["TxnContext", "AUTO_COMMIT_TXN"]
+__all__ = ["AUTO_COMMIT_TXN", "TxnContext", "autocommit"]

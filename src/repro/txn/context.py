@@ -19,9 +19,11 @@ nested-transaction mechanism.
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from ..errors import TxnError
+from ..observability import registry as metrics
 
 # Txn id 0 marks auto-commit statements: their WAL records need no
 # commit marker (the record's presence is the commit, as before PR 4).
@@ -132,3 +134,28 @@ class TxnContext:
         self._undo.clear()
         self._on_commit.clear()
         self._keyed.clear()
+
+
+@contextmanager
+def autocommit(mvcc) -> Iterator[TxnContext]:
+    """The auto-commit scope: one statement that is its own transaction.
+
+    Yields a fresh context for storage mutators to record undo and
+    commit hooks into. An exception rolls every recorded change back and
+    propagates; on success the commit hooks install at a fresh epoch of
+    ``mvcc`` (an :class:`~repro.mvcc.EpochManager`), so a reader pinned
+    before the scope never sees its changes and one pinned after does.
+    A row-store heap keeps no versions and registers no hooks: its
+    scope may pass ``None``.
+    """
+    txn = TxnContext(AUTO_COMMIT_TXN)
+    try:
+        yield txn
+    except BaseException:
+        txn.rollback()
+        metrics.increment("txn.statement_rollbacks")
+        raise
+    hooks = txn.take_commit_hooks()
+    if hooks:
+        mvcc.commit(hooks)
+    txn.discard()

@@ -179,6 +179,6 @@ class TestCheckpointDeferral:
 
         with pytest.raises(RuntimeError):
             prepare_backup(db, tmp_path / "bk", barrier_hook=hook)
-        assert db._backups_in_flight == 0
+        assert db.durability.backups_in_flight == 0
         assert len(db.mvcc.readers) == 0
         db.close()

@@ -64,7 +64,7 @@ class TestBackupCrashSweep:
             with pytest.raises(InjectedFault):
                 db.backup(str(dest), disk=disk)
             # The "crash" unwound; the barrier must not leak state.
-            assert db._backups_in_flight == 0
+            assert db.durability.backups_in_flight == 0
             assert len(db.mvcc.readers) == 0
             del db
 

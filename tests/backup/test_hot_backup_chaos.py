@@ -105,5 +105,5 @@ class TestHotBackupChaos:
         cdb.sql("INSERT INTO t VALUES (1, 1)")
         cdb.backup(str(tmp_path / "bk"))
         assert len(cdb.db.mvcc.readers) == 0
-        assert cdb.db._backups_in_flight == 0
+        assert cdb.db.durability.backups_in_flight == 0
         cdb.close()

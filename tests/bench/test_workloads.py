@@ -46,6 +46,7 @@ class TestDatagen:
     def test_low_ndv_is_more_compressible_than_high_ndv(self):
         from repro.storage.columnstore import ColumnStoreIndex
         from repro.storage.config import StoreConfig
+        from repro.txn import autocommit
 
         ratios = {}
         for name in ("low_ndv_ints", "high_ndv_ints"):
@@ -53,7 +54,8 @@ class TestDatagen:
             index = ColumnStoreIndex(
                 dataset.table_schema, StoreConfig(rowgroup_size=2000)
             )
-            index.bulk_load_columns(dataset.columns)
+            with autocommit(index.mvcc) as txn:
+                index.bulk_load_columns(dataset.columns, txn)
             ratios[name] = (
                 index.directory.raw_size_bytes / index.directory.encoded_size_bytes
             )

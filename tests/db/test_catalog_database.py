@@ -9,6 +9,7 @@ from repro.errors import CatalogError
 from repro.exec.expressions import Comparison, col, lit
 from repro.observability import get_registry, snapshot_delta
 from repro.storage.columnstore import GROUP, RowLocator
+from repro.txn import autocommit
 from repro.wal import replay as walreplay
 from repro.wal.record import WalRecordType
 
@@ -94,7 +95,8 @@ class TestDeleteCount:
         db.create_table("t", sch, storage="both")
         db.insert("t", [(1, "a"), (2, "b")])
         table = db.table("t")
-        table.columnstore.insert(table.schema.coerce_row((3, "ghost")))
+        with autocommit(db.mvcc) as txn:
+            table.columnstore.insert(table.schema.coerce_row((3, "ghost")), txn)
         deleted = db.delete_where("t", Comparison(">=", col("id"), lit(2)))
         # Row 2 exists in both storages, row 3 only in the columnstore:
         # two distinct logical rows disappeared. The old per-storage

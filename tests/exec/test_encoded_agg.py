@@ -10,7 +10,7 @@ run-key one under the long hypothesis profile.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, types
@@ -28,8 +28,10 @@ from repro.storage.config import StoreConfig
 from repro.storage.encodings import Scheme
 from repro.storage.rle import RleBlock
 from repro.storage.segment import DictionaryVector, RunVector
+from repro.txn import autocommit
 
 from .. import examples
+from ..storage.test_columnstore import bulk_load, insert
 
 
 def run_agg(store, columns, group_keys, aggs, predicate=None, encoded=True):
@@ -53,7 +55,8 @@ def rle_store():
     )
     runs = np.repeat(np.arange(50, dtype=np.int64), 100)
     payload = np.arange(5000, dtype=np.int64) * 997
-    store.bulk_load_columns({"run": runs, "payload": payload})
+    with autocommit(store.mvcc) as txn:
+        store.bulk_load_columns({"run": runs, "payload": payload}, txn)
     segment = next(store.directory.row_groups()).segment("run")
     assert segment.scheme is Scheme.VALUE
     assert isinstance(segment.stream, RleBlock)
@@ -74,7 +77,7 @@ def dict_store():
         (("a", "b", "c", None)[i % 4], primes[i % 5], i * 3 if i % 7 else None)
         for i in range(1000)
     ]
-    store.bulk_load([sch.coerce_row(r) for r in rows])
+    bulk_load(store, [sch.coerce_row(r) for r in rows])
     group = next(store.directory.row_groups())
     assert group.segment("k").scheme is Scheme.DICT
     assert group.segment("g").scheme is Scheme.DICT
@@ -112,16 +115,16 @@ class TestRunGranularScalars:
 
     def test_deletes_fold_into_run_weights(self, rle_store):
         group = next(rle_store.directory.row_groups())
-        for position in range(0, 5000, 3):
-            rle_store.delete(RowLocator(GROUP, group.group_id, position))
+        with autocommit(rle_store.mvcc) as txn:
+            for position in range(0, 5000, 3):
+                rle_store.delete(RowLocator(GROUP, group.group_id, position), txn)
         fast, _ = run_agg(rle_store, ["run"], [], SCALAR_AGGS)
         slow, _ = run_agg(rle_store, ["run"], [], SCALAR_AGGS, encoded=False)
         assert fast == slow
 
     def test_delta_rows_merge_via_fallback(self, rle_store):
         sch = rle_store.schema
-        for i in range(25):
-            rle_store.insert(sch.coerce_row((1000 + i, i)))
+        insert(rle_store, [sch.coerce_row((1000 + i, i)) for i in range(25)])
         fast, fast_scan = run_agg(rle_store, ["run"], [], SCALAR_AGGS)
         slow, _ = run_agg(rle_store, ["run"], [], SCALAR_AGGS, encoded=False)
         assert fast == slow
@@ -160,9 +163,10 @@ class TestCodeSpaceGroupBy:
         assert scan.stats.agg_fallbacks == 0
 
     def test_group_by_with_predicate_and_deletes(self, dict_store):
-        for group in dict_store.directory.row_groups():
-            for position in range(0, group.row_count, 5):
-                dict_store.delete(RowLocator(GROUP, group.group_id, position))
+        with autocommit(dict_store.mvcc) as txn:
+            for group in dict_store.directory.row_groups():
+                for position in range(0, group.row_count, 5):
+                    dict_store.delete(RowLocator(GROUP, group.group_id, position), txn)
         predicate = Comparison("!=", col("k"), lit("b"))
         columns = ["k", "v"]
         fast, _ = run_agg(dict_store, columns, ["k"], self.GROUP_AGGS, predicate)
@@ -196,14 +200,16 @@ class TestMixedUnits:
             sch, StoreConfig(rowgroup_size=5000, bulk_load_threshold=10, reorder_rows=False)
         )
         n = 5000
-        store.bulk_load_columns(
-            {
-                "k": np.array(["a", "b", "c", "d"], dtype=object)[np.arange(n) % 4],
-                "run": np.repeat(np.arange(50, dtype=np.int64), 100),
-                "f": np.repeat(np.arange(25) * 0.25, 200),
-                "payload": (np.arange(n, dtype=np.int64) * 997) % 1009,
-            }
-        )
+        with autocommit(store.mvcc) as txn:
+            store.bulk_load_columns(
+                {
+                    "k": np.array(["a", "b", "c", "d"], dtype=object)[np.arange(n) % 4],
+                    "run": np.repeat(np.arange(50, dtype=np.int64), 100),
+                    "f": np.repeat(np.arange(25) * 0.25, 200),
+                    "payload": (np.arange(n, dtype=np.int64) * 997) % 1009,
+                },
+                txn,
+            )
         group = next(store.directory.row_groups())
         assert isinstance(group.segment("k").vector(), DictionaryVector)
         assert isinstance(group.segment("run").vector(), RunVector)
@@ -354,7 +360,7 @@ class TestRangePruning:
         store = ColumnStoreIndex(
             sch, StoreConfig(rowgroup_size=100, bulk_load_threshold=1)
         )
-        store.bulk_load([(i % 10,) for i in range(100)])
+        bulk_load(store, [(i % 10,) for i in range(100)])
         scan = ColumnStoreScan(
             store, ["a"], predicate=Comparison("<", col("a"), lit(9))
         )
@@ -375,7 +381,7 @@ class TestFloatExactness:
             (("x", "y")[i % 2], float(v))
             for i, v in enumerate(rng.standard_normal(900))
         ]
-        store.bulk_load([sch.coerce_row(r) for r in rows])
+        bulk_load(store, [sch.coerce_row(r) for r in rows])
         aggs = [agg("sum", "f", "s"), agg("avg", "f", "m"), agg("min", "f", "lo")]
         fast, _ = run_agg(store, ["grp", "f"], ["grp"], aggs)
         slow, _ = run_agg(store, ["grp", "f"], ["grp"], aggs, encoded=False)
@@ -420,13 +426,14 @@ def build_store(rows, delete_step, trickle):
         sch, StoreConfig(rowgroup_size=40, bulk_load_threshold=1, reorder_rows=False)
     )
     if rows:
-        store.bulk_load([sch.coerce_row(r) for r in rows])
-    if delete_step:
-        for group in store.directory.row_groups():
-            for position in range(0, group.row_count, delete_step):
-                store.delete(RowLocator(GROUP, group.group_id, position))
-    for row in trickle:
-        store.insert(sch.coerce_row(row))
+        bulk_load(store, [sch.coerce_row(r) for r in rows])
+    with autocommit(store.mvcc) as txn:
+        if delete_step:
+            for group in store.directory.row_groups():
+                for position in range(0, group.row_count, delete_step):
+                    store.delete(RowLocator(GROUP, group.group_id, position), txn)
+        for row in trickle:
+            store.insert(sch.coerce_row(row), txn)
     return store
 
 
@@ -528,14 +535,15 @@ class TestRunKeys:
         )
         n = 8000
         stores = (np.arange(n) // 10) % 20  # 20 stores, each in 20 runs of 10 rows
-        store.bulk_load_columns({
-            "store": stores.astype(np.int64),
-            "qty": (np.arange(n, dtype=np.int64) * 7919) % 1009,
-            "paid": np.round(np.sin(np.arange(n)) * 100, 2),
-        })
-        for group in store.directory.row_groups():
-            for position in range(0, group.row_count, 9):
-                store.delete(RowLocator(GROUP, group.group_id, position))
+        with autocommit(store.mvcc) as txn:
+            store.bulk_load_columns({
+                "store": stores.astype(np.int64),
+                "qty": (np.arange(n, dtype=np.int64) * 7919) % 1009,
+                "paid": np.round(np.sin(np.arange(n)) * 100, 2),
+            }, txn)
+            for group in store.directory.row_groups():
+                for position in range(0, group.row_count, 9):
+                    store.delete(RowLocator(GROUP, group.group_id, position), txn)
         columns = ["store", "qty", "paid"]
         for aggs in (
             [count_star("n"), agg("sum", "qty", "s"), agg("min", "paid", "lo"),
@@ -605,8 +613,18 @@ EXACT_AGGS = [
 ]
 FLOAT_SUMS = [count_star("n"), agg("sum", "f", "fs"), agg("avg", "f", "fm")]
 
+# A run of ``g`` holding 0.0 and -0.0 in an order where a vectorised
+# np.minimum.reduce (SIMD lanes) and the per-row fold disagree on the sign.
+SIGNED_ZEROS = [-0.0] * 3 + [0.0, -0.0] + [0.0] * 6 + [-0.0, 0.0] + [-0.0] * 5 + [
+    0.0, -0.0, 0.0, 0.0, -0.0, -0.0, -0.0]
+SIGNED_ZERO_ROWS = [
+    (i // 32, i // 32 * 0.5, "w", i, 1, f)
+    for i, f in enumerate(SIGNED_ZEROS + [1 + i / 7 for i in range(103)])
+]
+
 
 @given(table=run_key_tables())
+@example(table=(SIGNED_ZERO_ROWS, "sorted", 0, []))
 @RUN_KEY_SETTINGS
 def test_run_keys_group_as_the_decoded_arm(table):
     rows, layout, delete_step, trickle = table
@@ -617,13 +635,14 @@ def test_run_keys_group_as_the_decoded_arm(table):
     store = ColumnStoreIndex(sch, StoreConfig(
         rowgroup_size=128, bulk_load_threshold=1, reorder_rows=layout == "reordered"
     ))
-    store.bulk_load([sch.coerce_row(r) for r in rows])
-    if delete_step:
-        for group in store.directory.row_groups():
-            for position in range(0, group.row_count, delete_step):
-                store.delete(RowLocator(GROUP, group.group_id, position))
-    for row in trickle:
-        store.insert(sch.coerce_row(row))
+    bulk_load(store, [sch.coerce_row(r) for r in rows])
+    with autocommit(store.mvcc) as txn:
+        if delete_step:
+            for group in store.directory.row_groups():
+                for position in range(0, group.row_count, delete_step):
+                    store.delete(RowLocator(GROUP, group.group_id, position), txn)
+        for row in trickle:
+            store.insert(sch.coerce_row(row), txn)
     columns = ["g", "h", "d", "b", "v", "f"]
     for keys in (["g"], ["h"], ["g", "d"], ["g", "b"]):
         for aggs in (EXACT_AGGS, FLOAT_SUMS):

@@ -22,6 +22,8 @@ from repro.storage.config import StoreConfig
 from repro.storage.encodings import Scheme
 from repro.storage.rle import RleBlock
 
+from ..storage.test_columnstore import bulk_load
+
 
 def collect(scan):
     rows = []
@@ -40,7 +42,7 @@ class TestArchivedSegments:
         sch = schema(("k", types.VARCHAR, False), ("run", types.INT, False))
         store = ColumnStoreIndex(sch, small_config())
         rows = [(("a", "b", "c")[i % 3], i // 50) for i in range(200)]
-        store.bulk_load([sch.coerce_row(r) for r in rows])
+        bulk_load(store, [sch.coerce_row(r) for r in rows])
         group = next(store.directory.row_groups())
         assert group.segment("k").scheme is Scheme.DICT
         assert isinstance(group.segment("run").stream, RleBlock)
@@ -69,7 +71,7 @@ class TestDegenerateDictionaries:
     def build(self, rows):
         sch = schema(("a", types.VARCHAR), ("b", types.INT, False))
         store = ColumnStoreIndex(sch, small_config())
-        store.bulk_load([sch.coerce_row(r) for r in rows])
+        bulk_load(store, [sch.coerce_row(r) for r in rows])
         return store
 
     def test_all_null_segment_predicate_matches_nothing(self):

@@ -11,6 +11,9 @@ from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
 from repro.storage.encodings import Scheme
 from repro.storage.rle import RleBlock
+from repro.txn import autocommit
+
+from ..storage.test_columnstore import bulk_load
 
 
 @pytest.fixture
@@ -22,7 +25,8 @@ def index():
     )
     batch_ids = np.repeat(np.arange(50, dtype=np.int32), 100)  # 50 runs of 100
     payload = np.arange(5000, dtype=np.int32) * 1000  # defeats dictionaries
-    store.bulk_load_columns({"batch_id": batch_ids, "payload": payload})
+    with autocommit(store.mvcc) as txn:
+        store.bulk_load_columns({"batch_id": batch_ids, "payload": payload}, txn)
     segment = next(store.directory.row_groups()).segment("batch_id")
     assert segment.scheme is Scheme.VALUE
     assert isinstance(segment.stream, RleBlock)
@@ -74,7 +78,7 @@ class TestRunSpaceEvaluation:
         sch = schema(("a", types.INT),)
         store = ColumnStoreIndex(sch, StoreConfig(rowgroup_size=100, bulk_load_threshold=1))
         rows = [(0,)] * 50 + [(None,)] * 25 + [(1,)] * 25
-        store.bulk_load([sch.coerce_row(r) for r in rows])
+        bulk_load(store, [sch.coerce_row(r) for r in rows])
         scan = ColumnStoreScan(
             store, ["a"], predicate=Comparison("=", col("a"), lit(0))
         )

@@ -13,7 +13,7 @@ from repro.schema import schema
 from repro.storage.columnstore import GROUP, ColumnStoreIndex, RowLocator
 from repro.storage.config import StoreConfig
 
-from ..storage.test_columnstore import read_row
+from ..storage.test_columnstore import bulk_load, delete, insert, read_row
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def index(sch):
     rows = [
         sch.coerce_row((i, i, f"name{i % 10}", float(i % 7))) for i in range(200)
     ]
-    idx.bulk_load(rows)
+    bulk_load(idx, rows)
     return idx
 
 
@@ -142,7 +142,7 @@ class TestDeletes:
     def test_deleted_rows_filtered(self, index):
         group = next(index.directory.row_groups())
         for position in range(5):
-            index.delete(RowLocator(GROUP, group.group_id, position))
+            delete(index, RowLocator(GROUP, group.group_id, position))
         scan = ColumnStoreScan(index, ["id"])
         rows = collect(scan)
         assert len(rows) == 195
@@ -151,22 +151,22 @@ class TestDeletes:
 
 class TestDeltaScan:
     def test_delta_rows_included(self, index, sch):
-        index.insert(sch.coerce_row((999, 999, "fresh", 1.0)))
+        insert(index, [sch.coerce_row((999, 999, "fresh", 1.0))])
         scan = ColumnStoreScan(index, ["id", "name"])
         rows = collect(scan)
         assert (999, "fresh") in rows
         assert scan.stats.delta_rows_scanned == 1
 
     def test_predicate_applies_to_delta(self, index, sch):
-        index.insert(sch.coerce_row((999, 999, "fresh", 1.0)))
+        insert(index, [sch.coerce_row((999, 999, "fresh", 1.0))])
         scan = ColumnStoreScan(
             index, ["id"], predicate=Comparison("=", col("name"), lit("fresh"))
         )
         assert collect(scan) == [(999,)]
 
     def test_deleted_delta_row_not_returned(self, index, sch):
-        locator = index.insert(sch.coerce_row((999, 999, "fresh", 1.0)))
-        index.delete(locator)
+        (locator,) = insert(index, [sch.coerce_row((999, 999, "fresh", 1.0))])
+        delete(index, locator)
         scan = ColumnStoreScan(index, ["id"])
         assert len(collect(scan)) == 200
 

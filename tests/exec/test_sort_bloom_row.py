@@ -19,6 +19,7 @@ from repro.exec.spill import SpillFile, partition_of
 from repro.rowstore.table import RowStoreTable
 from repro.schema import schema
 
+from ..storage.test_rowstore import insert
 from .test_codes_through_join import BatchSource
 
 
@@ -254,9 +255,7 @@ class TestSpillFile:
 def row_table():
     sch = schema(("id", types.INT, False), ("g", types.VARCHAR), ("v", types.FLOAT))
     table = RowStoreTable(sch)
-    table.insert_many(
-        [sch.coerce_row((i, f"g{i % 3}", float(i))) for i in range(30)]
-    )
+    insert(table, [sch.coerce_row((i, f"g{i % 3}", float(i))) for i in range(30)])
     return table
 
 
@@ -288,7 +287,7 @@ class TestRowEngine:
         left = RowTableScan(row_table, ["id", "g"])
         sch = schema(("name", types.VARCHAR, False), ("label", types.VARCHAR))
         dim = RowStoreTable(sch)
-        dim.insert_many([("g0", "zero"), ("g1", "one")])
+        insert(dim, [("g0", "zero"), ("g1", "one")])
         right = RowTableScan(dim, ["name", "label"])
         join = RowHashJoin(right, left, ["name"], ["g"])
         rows = list(join.rows())

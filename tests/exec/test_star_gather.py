@@ -39,8 +39,10 @@ from repro.exec.operators.scan import BitmapProbe, ColumnStoreScan
 from repro.observability.registry import STABLE_COUNTERS
 from repro.schema import schema
 from repro.storage.columnstore import ColumnStoreIndex
+from repro.txn import autocommit
 
 from .. import examples
+from ..storage.test_columnstore import bulk_load, insert
 from .test_codes_through_join import brute_force
 
 I64 = np.iinfo(np.int64)
@@ -477,7 +479,7 @@ def index():
     idx = ColumnStoreIndex(
         sch, StoreConfig(rowgroup_size=50, bulk_load_threshold=10, reorder_rows=False)
     )
-    idx.bulk_load([
+    bulk_load(idx, [
         sch.coerce_row((i, i, None if i % 10 == 0 else i, None if 50 <= i < 100 else i))
         for i in range(200)
     ])
@@ -543,9 +545,10 @@ def test_an_all_null_key_segment_is_eliminated(index):
 def test_deleted_rows_stay_deleted_under_every_answer(index):
     from repro.storage.columnstore import GROUP, RowLocator
 
-    for position in (3, 4):
-        index.delete(RowLocator(GROUP, 0, position))  # group 0: settled
-    index.delete(RowLocator(GROUP, 2, 20))  # group 2: probed (key 120 is missing)
+    with autocommit(index.mvcc) as txn:
+        for position in (3, 4):
+            index.delete(RowLocator(GROUP, 0, position), txn)  # group 0: settled
+        index.delete(RowLocator(GROUP, 2, 20), txn)  # group 2: probed (key 120 is missing)
     keys = [k for k in range(200) if k != 121]
     ids, stats = scanned(index, [("day", keys)])
     assert ids == [k for k in keys if k not in (3, 4, 120)]
@@ -553,8 +556,7 @@ def test_deleted_rows_stay_deleted_under_every_answer(index):
 
 
 def test_a_delta_unit_is_always_probed(index):
-    for day in (7, 500):
-        index.insert(index.schema.coerce_row((1000 + day, day, day, day)))
+    insert(index, [index.schema.coerce_row((1000 + day, day, day, day)) for day in (7, 500)])
     ids, stats = scanned(index, [("day", range(200))])
     assert ids == list(range(200)) + [1007]
     assert stats.bitmap_probes_settled == 4 and stats.rows_rejected_by_bitmap == 1

@@ -8,6 +8,8 @@ from repro.errors import StorageError
 from repro.mvcc import PENDING_EPOCH
 from repro.storage.columnstore import ColumnStoreIndex
 
+from .test_columnstore import bulk_load, insert
+
 
 class TestArchivalConfig:
     def test_loader_archives_when_configured(self):
@@ -15,7 +17,7 @@ class TestArchivalConfig:
         index = ColumnStoreIndex(
             sch, StoreConfig(rowgroup_size=100, bulk_load_threshold=10, archival=True)
         )
-        index.bulk_load([(i, f"v{i % 4}") for i in range(200)])
+        bulk_load(index, [(i, f"v{i % 4}") for i in range(200)])
         for group in index.directory.row_groups():
             assert group.archived
         # Data still scans correctly.
@@ -33,7 +35,7 @@ class TestArchivalConfig:
         )
         from repro.storage.tuple_mover import TupleMover
 
-        index.insert_many([(i,) for i in range(60)])
+        insert(index, [(i,) for i in range(60)])
         TupleMover(index).run()
         groups = list(index.directory.row_groups())
         assert groups and all(g.archived for g in groups)

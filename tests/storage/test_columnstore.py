@@ -11,6 +11,7 @@ from repro.schema import schema
 from repro.storage.columnstore import DELTA, GROUP, ColumnStoreIndex, RowLocator
 from repro.storage.config import StoreConfig
 from repro.storage.tuple_mover import TupleMover
+from repro.txn import autocommit
 from repro.types import python_values
 
 
@@ -52,21 +53,36 @@ def make_rows(sch, n, start=0):
     return [sch.coerce_row((start + i, f"n{(start + i) % 5}", float(i))) for i in range(n)]
 
 
+def insert(index, rows):
+    with autocommit(index.mvcc) as txn:
+        return [index.insert(row, txn) for row in rows]
+
+
+def bulk_load(index, rows):
+    with autocommit(index.mvcc) as txn:
+        index.bulk_load(rows, txn)
+
+
+def delete(index, locator):
+    with autocommit(index.mvcc) as txn:
+        return index.delete(locator, txn)
+
+
 class TestTrickleInsert:
     def test_insert_goes_to_delta(self, index, sch):
-        locator = index.insert(sch.coerce_row((1, "a", 1.0)))
+        locator = insert(index, [sch.coerce_row((1, "a", 1.0))])[0]
         assert locator.kind == DELTA
         assert index.delta_rows == 1
         assert index.compressed_rows == 0
 
     def test_delta_closes_at_threshold(self, index, sch):
-        index.insert_many(make_rows(sch, 20))
+        insert(index, make_rows(sch, 20))
         deltas = index.delta_stores()
         assert len(deltas) == 1
         assert not deltas[0].is_open
 
     def test_new_delta_opens_after_close(self, index, sch):
-        index.insert_many(make_rows(sch, 25))
+        insert(index, make_rows(sch, 25))
         deltas = index.delta_stores()
         assert len(deltas) == 2
         assert not deltas[0].is_open
@@ -74,19 +90,19 @@ class TestTrickleInsert:
         assert index.delta_rows == 25
 
     def test_get_row(self, index, sch):
-        locator = index.insert(sch.coerce_row((7, "x", 2.5)))
+        locator = insert(index, [sch.coerce_row((7, "x", 2.5))])[0]
         assert read_row(index, locator) == (7, "x", 2.5)
 
 
 class TestBulkLoad:
     def test_large_load_compresses_directly(self, index, sch):
-        index.bulk_load(make_rows(sch, 120))
+        bulk_load(index, make_rows(sch, 120))
         assert index.compressed_rows == 120
         assert index.delta_rows == 0
         assert len(index.directory) == 3  # 120 rows / 50-row groups
 
     def test_small_load_goes_to_delta(self, index, sch):
-        index.bulk_load(make_rows(sch, 10))
+        bulk_load(index, make_rows(sch, 10))
         assert index.compressed_rows == 0
         assert index.delta_rows == 10
 
@@ -96,50 +112,51 @@ class TestBulkLoad:
             "name": np.array(["a"] * 60, dtype=object),
             "v": np.ones(60),
         }
-        index.bulk_load_columns(columns)
+        with autocommit(index.mvcc) as txn:
+            index.bulk_load_columns(columns, txn)
         assert index.compressed_rows == 60
 
 
 class TestDelete:
     def test_delete_compressed_row_marks_bitmap(self, index, sch):
-        index.bulk_load(make_rows(sch, 50))
+        bulk_load(index, make_rows(sch, 50))
         group = next(index.directory.row_groups())
-        assert index.delete(RowLocator(GROUP, group.group_id, 3))
+        assert delete(index, RowLocator(GROUP, group.group_id, 3))
         mask = index.delete_bitmap.mask_for(group.group_id, 50, PENDING_EPOCH)
         assert np.flatnonzero(mask).tolist() == [3]
         assert index.live_rows == 49
 
     def test_double_delete_returns_false(self, index, sch):
-        index.bulk_load(make_rows(sch, 50))
+        bulk_load(index, make_rows(sch, 50))
         group = next(index.directory.row_groups())
         locator = RowLocator(GROUP, group.group_id, 0)
-        assert index.delete(locator)
-        assert not index.delete(locator)
+        assert delete(index, locator)
+        assert not delete(index, locator)
 
     def test_delete_delta_row_in_place(self, index, sch):
-        locator = index.insert(sch.coerce_row((1, "a", 1.0)))
-        assert index.delete(locator)
+        locator = insert(index, [sch.coerce_row((1, "a", 1.0))])[0]
+        assert delete(index, locator)
         assert index.delta_rows == 0
         assert read_row(index, locator) is None
 
     def test_delete_bad_position_raises(self, index, sch):
-        index.bulk_load(make_rows(sch, 50))
+        bulk_load(index, make_rows(sch, 50))
         group = next(index.directory.row_groups())
         with pytest.raises(StorageError):
-            index.delete(RowLocator(GROUP, group.group_id, 999))
+            delete(index, RowLocator(GROUP, group.group_id, 999))
 
     def test_deleted_compressed_row_unreadable(self, index, sch):
-        index.bulk_load(make_rows(sch, 50))
+        bulk_load(index, make_rows(sch, 50))
         group = next(index.directory.row_groups())
         locator = RowLocator(GROUP, group.group_id, 2)
         assert read_row(index, locator) is not None
-        index.delete(locator)
+        delete(index, locator)
         assert read_row(index, locator) is None
 
 
 class TestTupleMover:
     def test_moves_closed_deltas(self, index, sch):
-        index.insert_many(make_rows(sch, 45))  # two closed (20+20), one open (5)
+        insert(index, make_rows(sch, 45))  # two closed (20+20), one open (5)
         report = TupleMover(index).run()
         assert report.delta_stores_compressed == 2
         assert report.rows_moved == 40
@@ -147,14 +164,14 @@ class TestTupleMover:
         assert index.delta_rows == 5
 
     def test_include_open(self, index, sch):
-        index.insert_many(make_rows(sch, 5))
+        insert(index, make_rows(sch, 5))
         report = TupleMover(index).run(include_open=True)
         assert report.rows_moved == 5
         assert index.delta_rows == 0
         assert index.live_rows == 5
 
     def test_deleted_delta_rows_not_moved(self, index, sch):
-        locators = index.insert_many(make_rows(sch, 20))  # closes exactly
+        locators = insert(index, make_rows(sch, 20))  # closes exactly
         # Delete from the *closed* delta store before the mover runs.
         index._delta_stores[locators[0].container_id].delete(locators[0].position)
         report = TupleMover(index).run()
@@ -162,25 +179,25 @@ class TestTupleMover:
         assert index.live_rows == 19
 
     def test_noop_when_nothing_closed(self, index, sch):
-        index.insert_many(make_rows(sch, 3))
+        insert(index, make_rows(sch, 3))
         report = TupleMover(index).run()
         assert report.delta_stores_compressed == 0
 
 
 class TestRebuild:
     def test_rebuild_drops_deleted_rows(self, index, sch):
-        index.bulk_load(make_rows(sch, 100))
+        bulk_load(index, make_rows(sch, 100))
         group = next(index.directory.row_groups())
         for position in range(10):
-            index.delete(RowLocator(GROUP, group.group_id, position))
+            delete(index, RowLocator(GROUP, group.group_id, position))
         index.rebuild()
         assert index.live_rows == 90
         assert index.compressed_rows == 90
         assert index.delete_bitmap.total_deleted == 0
 
     def test_rebuild_folds_delta_stores(self, index, sch):
-        index.bulk_load(make_rows(sch, 50))
-        index.insert_many(make_rows(sch, 7, start=1000))
+        bulk_load(index, make_rows(sch, 50))
+        insert(index, make_rows(sch, 7, start=1000))
         index.rebuild()
         assert index.delta_rows == 0
         assert index.compressed_rows == 57
@@ -192,7 +209,7 @@ class TestRebuild:
 
 class TestArchival:
     def test_archive_toggles(self, index, sch):
-        index.bulk_load(make_rows(sch, 50))
+        bulk_load(index, make_rows(sch, 50))
         plain_size = index.size_bytes
         index.archive()
         for group in index.directory.row_groups():
@@ -204,7 +221,7 @@ class TestArchival:
 
     def test_archived_data_still_scans(self, index, sch):
         rows = make_rows(sch, 50)
-        index.bulk_load(rows)
+        bulk_load(index, rows)
         index.archive()
         live = sorted(row for _, row in index.iter_unit_rows(index.pin_scan_units(PENDING_EPOCH)))
         assert len(live) == 50
@@ -213,13 +230,13 @@ class TestArchival:
 
 class TestAccounting:
     def test_fraction_in_delta(self, index, sch):
-        index.bulk_load(make_rows(sch, 60))
-        index.insert_many(make_rows(sch, 15, start=500))
+        bulk_load(index, make_rows(sch, 60))
+        insert(index, make_rows(sch, 15, start=500))
         assert index.fraction_in_delta == pytest.approx(15 / 75)
 
     def test_scan_units_cover_everything(self, index, sch):
-        index.bulk_load(make_rows(sch, 60))
-        index.insert_many(make_rows(sch, 5, start=500))
+        bulk_load(index, make_rows(sch, 60))
+        insert(index, make_rows(sch, 5, start=500))
         units = index.pin_scan_units(PENDING_EPOCH)
         group_units = [u for u in units if u.kind == GROUP]
         delta_units = [u for u in units if u.kind == DELTA]

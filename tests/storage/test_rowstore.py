@@ -13,11 +13,18 @@ from repro.rowstore.index import RowStoreIndex
 from repro.rowstore.page import PAGE_SIZE_BYTES, Page, row_size_bytes
 from repro.rowstore.table import RowId, RowStoreTable
 from repro.schema import schema
+from repro.txn import autocommit
 
 
 @pytest.fixture
 def sch():
     return schema(("id", types.INT, False), ("name", types.VARCHAR), ("v", types.FLOAT))
+
+
+def insert(table, rows):
+    """Insert ``rows`` as one autocommit statement; their row ids."""
+    with autocommit(None) as txn:  # a heap keeps no versions: no epoch
+        return [table.insert(row, txn) for row in rows]
 
 
 class TestPage:
@@ -48,13 +55,6 @@ class TestPage:
         with pytest.raises(StorageError):
             page.insert((1,), PAGE_SIZE_BYTES)
 
-    def test_update(self):
-        page = Page(0)
-        slot = page.insert((1,), 16)
-        assert page.update(slot, (2,))
-        assert page.get(slot) == (2,)
-        assert not page.update(99, (3,))
-
     def test_row_size_accounts_for_strings_and_nulls(self, sch):
         small = row_size_bytes(sch, (1, None, 1.0))
         big = row_size_bytes(sch, (1, "x" * 200, 1.0))
@@ -64,23 +64,21 @@ class TestPage:
 class TestRowStoreTable:
     def test_insert_scan(self, sch):
         table = RowStoreTable(sch)
-        rids = table.insert_many([(i, f"n{i}", float(i)) for i in range(10)])
+        rids = insert(table, [(i, f"n{i}", float(i)) for i in range(10)])
         assert table.row_count == 10
         assert len(set(rids)) == 10
         assert [row[0] for _, row in table.scan()] == list(range(10))
 
     def test_pages_fill_and_roll(self, sch):
         table = RowStoreTable(sch)
-        table.insert_many([(i, "x" * 100, 1.0) for i in range(500)])
+        insert(table, [(i, "x" * 100, 1.0) for i in range(500)])
         assert table.page_count > 1
         assert table.size_bytes == table.page_count * PAGE_SIZE_BYTES
 
-    def test_get_delete_update(self, sch):
+    def test_get_delete(self, sch):
         table = RowStoreTable(sch)
-        rid = table.insert((1, "a", 1.0))
+        (rid,) = insert(table, [(1, "a", 1.0)])
         assert table.get(rid) == (1, "a", 1.0)
-        assert table.update(rid, (1, "b", 2.0))
-        assert table.get(rid)[1] == "b"
         assert table.delete(rid)
         assert table.get(rid) is None
         assert table.row_count == 0
@@ -93,14 +91,14 @@ class TestRowStoreTable:
     def test_oversized_row_rejected(self, sch):
         table = RowStoreTable(sch)
         with pytest.raises(StorageError):
-            table.insert((1, "x" * 10_000, 1.0))
+            insert(table, [(1, "x" * 10_000, 1.0)])
 
 
 class TestRowStoreIndex:
     @pytest.fixture
     def table(self, sch):
         table = RowStoreTable(sch)
-        table.insert_many([(i, f"n{i % 3}", float(i)) for i in range(30)])
+        insert(table, [(i, f"n{i % 3}", float(i)) for i in range(30)])
         return table
 
     def test_builds_from_existing_rows(self, table):
@@ -128,7 +126,7 @@ class TestRowStoreIndex:
 
     def test_null_keys_not_indexed(self, sch):
         table = RowStoreTable(sch)
-        rid = table.insert((1, None, 1.0))
+        (rid,) = insert(table, [(1, None, 1.0)])
         index = RowStoreIndex(table, ["name"])
         assert len(index) == 0
         index.insert((1, None, 1.0), rid)
@@ -162,6 +160,6 @@ class TestPageCompressionModel:
 
     def test_table_level_is_sum_of_pages(self, sch):
         table = RowStoreTable(sch)
-        table.insert_many([(i, "x", 1.0) for i in range(200)])
+        insert(table, [(i, "x", 1.0) for i in range(200)])
         total = table_page_compressed_size(table)
         assert 0 < total < table.used_bytes
