@@ -163,24 +163,19 @@ def take_segments() -> dict[str, object]:
     return segments
 
 
-def take_us(repeats: int = 2000) -> dict[str, dict[int, tuple[float | None, float]]]:
+def take_us(repeats: int = 2000) -> dict[str, dict[int, tuple[float, float]]]:
     """Stream kind -> positions -> (lane us, gather us), best of 5."""
-    from repro.storage.encodings import Scheme
-
     rng = np.random.default_rng(7)
-    out: dict[str, dict[int, tuple[float | None, float]]] = {}
+    out: dict[str, dict[int, tuple[float, float]]] = {}
     for label, segment in take_segments().items():
         out[label] = {}
         for count in TAKE_COUNTS:
             positions = np.sort(rng.integers(0, ROWGROUP, count))
-            wanted = positions.tolist()
-            lane = None
-            if segment.scheme is not Scheme.RAW:
-                few = segment._take_few(wanted)
-                with array_path():
-                    gathered = segment.take(positions)
-                assert few[0].tolist() == gathered[0].tolist()
-                lane = _best(lambda: segment._take_few(positions.tolist()), repeats)
+            few = segment._take_few(positions.tolist())
+            with array_path():
+                gathered = segment.take(positions)
+            assert few[0].tolist() == gathered[0].tolist()
+            lane = _best(lambda: segment._take_few(positions.tolist()), repeats)
             with array_path():
                 gather = _best(lambda: segment.take(positions), repeats)
             out[label][count] = (lane, gather)
@@ -297,11 +292,8 @@ def full_report(args: argparse.Namespace) -> str:
         ["stream", *(f"{count} pos." for count in TAKE_COUNTS)],
     )
     for label, by_count in take_us().items():
-        b.add_row(label, *(
-            f"{lane:.1f} / {gather:.1f}" if lane is not None else f"- / {gather:.1f}"
-            for lane, gather in by_count.values()
-        ))
-    b.add_note("raw streams have no lane: frombuffer + one fancy index is already the cheap path")
+        b.add_row(label, *(f"{lane:.1f} / {gather:.1f}" for lane, gather in by_count.values()))
+    b.add_note("a raw stream's lane indexes its typed view with the list of positions")
 
     c = ReportTable("E29c: sql.shapes.* counters", ["list", "statements", "hits", "misses",
                                                    "not kept (join)", "not kept (statement)"])

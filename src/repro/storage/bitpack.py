@@ -15,6 +15,9 @@ import numpy as np
 
 from ..errors import EncodingError
 
+# What unpacking emits, so what a code stream hands its value stage.
+CODES = np.dtype(np.uint64)
+
 
 def bits_needed(max_value: int) -> int:
     """Number of bits required to represent values in ``[0, max_value]``.

@@ -4,9 +4,8 @@ The paper's columnstore keeps *primary* (column-wide, shared by many
 segments) and *secondary* (per-segment overflow) dictionaries. We model
 this with:
 
-* :class:`LocalDictionary` — the sorted distinct values of one segment.
-  Codes are positions in the sorted order, so range predicates on values
-  translate to range predicates on codes (encoded-space evaluation).
+* :class:`LocalDictionary` — the sorted distinct values of one segment,
+  its Gather value stage. Codes are positions in the sorted order.
 * :class:`GlobalDictionary` — a column-wide value ↔ global-id map built
   during load and extended by later loads. It lets predicates and joins be
   evaluated once per distinct value instead of once per row, and lets the
@@ -19,18 +18,37 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import EncodingError
+from ..errors import CorruptBlobError, EncodingError
+from ..types import DataType
+from . import serde
+from .bitpack import CODES
+from .encodings import Scheme
+
+
+def gather(entries: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``entries[codes]``: what each code stands for, whatever the entries
+    are (values, verdicts, weights). An empty dictionary (every row NULL,
+    the codes filler) gives filler; a code past the end is corruption."""
+    if entries.size == 0:
+        return np.full(codes.size, "" if entries.dtype == object else 0, dtype=entries.dtype)
+    try:
+        return entries[codes]
+    except IndexError:
+        raise CorruptBlobError(f"a code past a {entries.size}-entry dictionary") from None
 
 
 class LocalDictionary:
-    """Sorted distinct values of one segment; codes are sort positions."""
+    """Gather: the sorted distinct values of one segment, as its value
+    stage; codes are sort positions."""
 
-    __slots__ = ("values", "_lookup")
+    __slots__ = ("values", "_entries")
+    scheme = Scheme.DICT
+    kind, flag = 0, 1
 
     def __init__(self, sorted_values: Sequence[Any]) -> None:
         self.values: list[Any] = list(sorted_values)
-        self._lookup: dict[Any, int] = {v: i for i, v in enumerate(self.values)}
-        if len(self._lookup) != len(self.values):
+        self._entries: np.ndarray | None = None
+        if len(set(self.values)) != len(self.values):
             raise EncodingError("dictionary values must be distinct")
 
     def __len__(self) -> int:
@@ -39,44 +57,50 @@ class LocalDictionary:
     @property
     def size_bytes(self) -> int:
         """Approximate in-memory footprint, for compression accounting."""
-        total = 0
-        for value in self.values:
-            if isinstance(value, str):
-                total += len(value.encode("utf-8")) + 4
-            else:
-                total += 8
-        return total
+        return sum(len(v.encode("utf-8")) + 4 if isinstance(v, str) else 8 for v in self.values)
 
-    def code_of(self, value: Any) -> int | None:
-        """Code for ``value``, or ``None`` if absent from this segment."""
-        return self._lookup.get(value)
+    def entries(self, dtype: np.dtype) -> np.ndarray:
+        """The values as a read-only array of the column's ``dtype``, built
+        on first use and kept."""
+        if self._entries is None:
+            entries = np.array(self.values, dtype=dtype)
+            entries.setflags(write=False)
+            self._entries = entries
+        return self._entries
 
-    # ------------------------------------------------------------------ #
-    # Encoded-space predicate support: value predicates -> code predicates
-    # ------------------------------------------------------------------ #
-    def range_codes(self, low: Any, high: Any, low_inc: bool, high_inc: bool) -> tuple[int, int]:
-        """Half-open code interval ``[lo, hi)`` matching the value range.
+    def map(self, codes: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        return gather(self.entries(dtype), codes.view(np.int64))
 
-        ``low``/``high`` may be ``None`` for unbounded ends. Relies on the
-        dictionary being sorted.
-        """
-        import bisect
+    def map_few(self, codes: list[int], dtype: np.dtype) -> np.ndarray:
+        """:meth:`map` on Python integers, bit for bit the same array."""
+        try:  # a code is int64 to the array path: one past 2**63 wraps
+            return np.array([self.values[c - (c >> 63 << 64)] for c in codes], dtype=dtype)
+        except IndexError:  # past the end, or no entries: as the array path has it
+            return self.map(np.array(codes, dtype=CODES), dtype)
 
-        lo = 0
-        hi = len(self.values)
-        if low is not None:
-            lo = (
-                bisect.bisect_left(self.values, low)
-                if low_inc
-                else bisect.bisect_right(self.values, low)
-            )
-        if high is not None:
-            hi = (
-                bisect.bisect_right(self.values, high)
-                if high_inc
-                else bisect.bisect_left(self.values, high)
-            )
-        return lo, max(lo, hi)
+    def check(self, dtype: np.dtype) -> np.dtype:
+        return CODES
+
+    def payloads(self, dtype: DataType) -> list[bytes]:
+        return [serde.serialize_values(self.values, dtype)]
+
+    def write(self, out: bytearray, dtype: DataType, archived: bool) -> None:
+        if not archived:  # else it sits inside the archive only
+            serde.write_bytes(out, *self.payloads(dtype))
+
+    @classmethod
+    def read(
+        cls, blob: bytes, pos: int, dtype: DataType, present: bool
+    ) -> tuple["LocalDictionary | None", int]:
+        if not present:  # archived: from_payloads restores it from the archive
+            return None, pos
+        payload, pos = serde.read_bytes(blob, pos)
+        return cls.from_payloads([payload], dtype), pos
+
+    @classmethod
+    def from_payloads(cls, parts: list[bytes], dtype: DataType) -> "LocalDictionary":
+        (payload,) = parts
+        return cls(serde.deserialize_values(payload, dtype))
 
     @classmethod
     def build(cls, values: np.ndarray) -> tuple["LocalDictionary", np.ndarray]:
@@ -87,15 +111,10 @@ class LocalDictionary:
         """
         arr = np.asarray(values)
         if arr.dtype == object:
-            # np.unique on object arrays is fine for homogeneous values.
             distinct = sorted(set(arr.tolist()))
-            dictionary = cls(distinct)
-            codes = np.fromiter(
-                (dictionary._lookup[v] for v in arr.tolist()),
-                dtype=np.int64,
-                count=arr.size,
-            )
-            return dictionary, codes
+            rank = {value: code for code, value in enumerate(distinct)}
+            codes = np.fromiter(map(rank.__getitem__, arr.tolist()), dtype=np.int64, count=arr.size)
+            return cls(distinct), codes
         distinct, codes = np.unique(arr, return_inverse=True)
         return cls(distinct.tolist()), codes.astype(np.int64)
 

@@ -1,37 +1,48 @@
-"""Compressed code-stream blocks and encoding selection helpers.
+"""Stream stages, the raw value stage, and encoding selection helpers.
 
-A column segment's integer stream (dictionary codes or value-encoded
-offsets) is compressed either with run-length encoding or with bit packing,
-whichever is smaller for that segment — the same per-segment choice the
-paper describes. Raw blocks hold values that defeat both (e.g. full-range
-floats).
+A column segment reads through one value stage over one stream stage
+(:mod:`repro.storage.segment`). The stream stage holds the integer stream
+(dictionary codes or value-encoded offsets), compressed either with
+run-length encoding (:class:`~repro.storage.rle.RleBlock`) or with bit
+packing (:class:`BitpackBlock`), whichever is smaller for that segment —
+the same per-segment choice the paper describes. A :class:`RawBlock`
+holds values that defeat both (e.g. full-range floats) verbatim, read
+through :data:`IDENTITY`.
+
+Every stream stage defines, once: ``take(positions)`` (``None``: every
+row), ``take_few(list)`` in Python integers, ``payloads()`` and
+``with_payloads(parts)`` for the archive, ``check(dtype)`` against the
+dtype its value stage reads, and its blob codec, ``write`` beside
+``read``, registered under its kind byte ``kind``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from ..errors import EncodingError
-from . import bitpack, rle
+from ..errors import CorruptBlobError, EncodingError
+from . import bitpack, rle, serde
+from .bitpack import CODES
 from .rle import RleBlock
 
 
 class Scheme(enum.Enum):
-    """How a segment's values map to its integer stream."""
+    """How a segment's values map to its integer stream: its value stage."""
 
-    DICT = "dict"       # codes into a sorted local dictionary
-    VALUE = "value"     # affine value encoding (exponent/base)
-    RAW = "raw"         # verbatim fixed-width values
+    DICT = "dict"       # Gather: codes into a sorted local dictionary
+    VALUE = "value"     # Affine: value encoding (exponent/base)
+    RAW = "raw"         # Identity: verbatim fixed-width values
 
 
 @dataclass(frozen=True)
 class BitpackBlock:
-    """A bit-packed stream of non-negative integer codes."""
+    """Unpack: a bit-packed stream of non-negative integer codes."""
 
+    kind = 1
     count: int
     width: int
     payload: bytes
@@ -40,20 +51,40 @@ class BitpackBlock:
     def size_bytes(self) -> int:
         return len(self.payload) + 8
 
-    def decode(self) -> np.ndarray:
-        return bitpack.unpack(self.payload, self.width, self.count)
-
-    def take(self, positions: np.ndarray) -> np.ndarray:
+    def take(self, positions: np.ndarray | None = None) -> np.ndarray:
         return bitpack.take(self.payload, self.width, self.count, positions)
 
     def take_few(self, positions: list[int]) -> list[int]:
         return bitpack.take_few(self.payload, self.width, self.count, positions)
+
+    def payloads(self) -> list[bytes]:
+        return [self.payload]
+
+    def with_payloads(self, parts: list[bytes]) -> "BitpackBlock":
+        (payload,) = parts
+        return replace(self, payload=payload)
+
+    def check(self, dtype: np.dtype) -> None:
+        if dtype != CODES:
+            raise CorruptBlobError(f"bit-packed codes under a stage reading {dtype}")
+
+    def write(self, out: bytearray) -> None:
+        serde.write_varint(out, self.count)
+        out.append(self.width)
+        serde.write_bytes(out, self.payload)
+
+    @classmethod
+    def read(cls, blob: bytes, pos: int) -> tuple["BitpackBlock", int]:
+        count, pos = serde.read_varint(blob, pos)
+        payload, end = serde.read_bytes(blob, pos + 1)
+        return cls(count, blob[pos], payload), end
 
 
 @dataclass(frozen=True)
 class RawBlock:
     """Verbatim little-endian values (used when encoding does not pay off)."""
 
+    kind = 2
     count: int
     dtype_str: str
     payload: bytes
@@ -62,11 +93,41 @@ class RawBlock:
     def size_bytes(self) -> int:
         return len(self.payload) + 8
 
-    def decode(self) -> np.ndarray:
-        return np.frombuffer(self.payload, dtype=np.dtype(self.dtype_str)).copy()
+    def _values(self) -> np.ndarray:
+        dtype = np.dtype(self.dtype_str)
+        if len(self.payload) != self.count * dtype.itemsize:
+            raise EncodingError(f"{len(self.payload)} raw bytes for {self.count} rows")
+        return np.frombuffer(self.payload, dtype=dtype)
 
-    def take(self, positions: np.ndarray) -> np.ndarray:
-        return np.frombuffer(self.payload, dtype=np.dtype(self.dtype_str))[positions]
+    def take(self, positions: np.ndarray | None = None) -> np.ndarray:
+        values = self._values()
+        return values.copy() if positions is None else values[positions]
+
+    def take_few(self, positions: list[int]) -> np.ndarray:
+        return self._values()[positions]  # an array already: Identity maps nothing
+
+    def payloads(self) -> list[bytes]:
+        return [self.payload]
+
+    def with_payloads(self, parts: list[bytes]) -> "RawBlock":
+        (payload,) = parts
+        return replace(self, payload=payload)
+
+    def check(self, dtype: np.dtype) -> None:
+        if self.dtype_str != dtype.str:
+            raise CorruptBlobError(f"raw values {self.dtype_str!r} in a {dtype.str} column")
+
+    def write(self, out: bytearray) -> None:
+        serde.write_varint(out, self.count)
+        serde.write_bytes(out, self.dtype_str.encode("ascii"))
+        serde.write_bytes(out, self.payload)
+
+    @classmethod
+    def read(cls, blob: bytes, pos: int) -> tuple["RawBlock", int]:
+        count, pos = serde.read_varint(blob, pos)
+        dtype_str, pos = serde.read_bytes(blob, pos)
+        payload, pos = serde.read_bytes(blob, pos)
+        return cls(count, dtype_str.decode("ascii"), payload), pos
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "RawBlock":
@@ -75,6 +136,33 @@ class RawBlock:
 
 
 StreamBlock = Union[RleBlock, BitpackBlock, RawBlock]
+
+
+class Identity:
+    """The raw value stage: its stream holds the column's values."""
+
+    scheme = Scheme.RAW
+    kind, flag, size_bytes = 2, 0, 0
+
+    def map(self, values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        return values
+
+    map_few = map
+
+    def check(self, dtype: np.dtype) -> np.dtype:
+        return dtype
+
+    def payloads(self, dtype) -> list[bytes]:
+        return []
+
+    def write(self, out: bytearray, dtype, archived: bool) -> None:
+        pass
+
+    def read(self, blob: bytes, pos: int, dtype, present: bool) -> tuple["Identity", int]:
+        return self, pos
+
+
+IDENTITY = Identity()
 
 
 def encode_stream(codes: np.ndarray) -> StreamBlock:

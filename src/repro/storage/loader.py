@@ -117,11 +117,7 @@ class BulkLoader:
 
     @staticmethod
     def _dictionary_bytes(group: RowGroup) -> int:
-        return sum(
-            seg.dictionary.size_bytes
-            for seg in group.segments.values()
-            if seg.dictionary is not None
-        )
+        return sum(seg.values.size_bytes for seg in group.segments.values())
 
     # ------------------------------------------------------------------ #
     # One row group

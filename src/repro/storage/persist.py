@@ -254,8 +254,8 @@ def load_columnstore(
         group = RowGroup(group_id=group_id, schema=schema, segments=segments)
         index.directory.add_row_group(group)
         # Re-intern dictionary values so global dictionaries match a
-        # freshly-built index (the dictionary field is populated for
-        # archived segments too).
+        # freshly-built index (an archived segment's dictionary was
+        # restored from its archive when its blob was read).
         for col in schema:
             segment = segments[col.name]
             if segment.dictionary is not None:

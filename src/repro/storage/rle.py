@@ -9,13 +9,14 @@ streams are themselves bit-packed with their minimal widths.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
-from ..errors import EncodingError
-from . import bitpack
+from ..errors import CorruptBlobError, EncodingError
+from . import bitpack, serde
+from .bitpack import CODES
 
 
 # RleBlock.take expands (np.repeat, ~2 ns per stored row) rather than
@@ -52,8 +53,11 @@ def run_count(values: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class RleBlock:
-    """An RLE-compressed stream of non-negative integer codes."""
+    """RunExpand over two Unpacks: an RLE-compressed stream of
+    non-negative integer codes, its run values and run lengths each
+    bit-packed (the stream stage protocol: :mod:`repro.storage.encodings`)."""
 
+    kind = 0
     count: int
     n_runs: int
     value_width: int
@@ -65,17 +69,14 @@ class RleBlock:
     def size_bytes(self) -> int:
         return len(self.value_payload) + len(self.length_payload) + 16
 
-    def decode(self) -> np.ndarray:
-        """Expand back to the original code stream (dtype uint64)."""
-        decoded = np.repeat(*self.runs())
-        self._check_total(decoded.size)
-        return decoded
-
-    def take(self, positions: np.ndarray) -> np.ndarray:
-        """``decode()[positions]``: a binary search of the cumulative run
-        ends per position while positions are few, else the expansion."""
-        if positions.size * _SEARCH_BELOW >= self.count:
-            return self.decode()[positions]
+    def take(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """The codes (uint64) at ``positions``, ``None`` for every row: a
+        binary search of the cumulative run ends per position while
+        positions are few, else the expansion."""
+        if positions is None or positions.size * _SEARCH_BELOW >= self.count:
+            decoded = np.repeat(*self.runs())
+            self._check_total(decoded.size)
+            return decoded if positions is None else decoded[positions]
         run_values, run_lengths = self.runs()
         ends = np.cumsum(run_lengths)
         self._check_total(int(ends[-1]) if ends.size else 0)
@@ -101,6 +102,35 @@ class RleBlock:
         run_values = bitpack.unpack(self.value_payload, self.value_width, self.n_runs)
         run_lengths = bitpack.unpack(self.length_payload, self.length_width, self.n_runs)
         return run_values, run_lengths.astype(np.int64)
+
+    def payloads(self) -> list[bytes]:
+        return [self.value_payload, self.length_payload]
+
+    def with_payloads(self, parts: list[bytes]) -> "RleBlock":
+        value_payload, length_payload = parts
+        return replace(self, value_payload=value_payload, length_payload=length_payload)
+
+    def check(self, dtype: np.dtype) -> None:
+        if self.n_runs > self.count:
+            raise CorruptBlobError(f"{self.n_runs} runs of {self.count} values")
+        if dtype != CODES:
+            raise CorruptBlobError(f"run-length codes under a stage reading {dtype}")
+
+    def write(self, out: bytearray) -> None:
+        serde.write_varint(out, self.count)
+        serde.write_varint(out, self.n_runs)
+        out += bytes((self.value_width, self.length_width))
+        serde.write_bytes(out, self.value_payload)
+        serde.write_bytes(out, self.length_payload)
+
+    @classmethod
+    def read(cls, blob: bytes, pos: int) -> tuple["RleBlock", int]:
+        count, pos = serde.read_varint(blob, pos)
+        n_runs, pos = serde.read_varint(blob, pos)
+        widths = blob[pos], blob[pos + 1]
+        value_payload, pos = serde.read_bytes(blob, pos + 2)
+        length_payload, pos = serde.read_bytes(blob, pos)
+        return cls(count, n_runs, *widths, value_payload, length_payload), pos
 
 
 def encode(values: np.ndarray) -> RleBlock:

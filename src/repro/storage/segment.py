@@ -6,6 +6,18 @@ elimination (min/max, row and null counts) — mirroring Section "Index
 storage" of the paper. A segment can additionally be *archived*: its
 payloads are run through the LZ77 codec (:mod:`repro.storage.xpress`) and
 decompressed on access, modelling COLUMNSTORE_ARCHIVE.
+
+A segment reads through exactly one *value stage* over one *stream
+stage* (Rozenberg's primitives; DESIGN.md "Compressed execution" has the
+table). Stream stages — :class:`BitpackBlock` (Unpack),
+:class:`~repro.storage.rle.RleBlock` (RunExpand) and :class:`RawBlock` —
+are described in :mod:`repro.storage.encodings`. Value stages —
+:class:`LocalDictionary` (Gather), :class:`ValueEncoding` (Affine) and
+:data:`IDENTITY` (raw) — each define ``map(ints, dtype)``,
+``map_few(ints, dtype)``, ``check(dtype)`` (returning the dtype it reads
+from its stream), ``payloads(dtype)`` and a blob codec. ``decode``,
+``take`` and the few-position take are each one composition of the two,
+and the archive is one step over both stages' payloads.
 """
 
 from __future__ import annotations
@@ -13,16 +25,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Union
 
 import numpy as np
 
 from ..errors import CorruptBlobError, EncodingError
 from ..types import DataType, TypeKind
 from . import serde, value_encoding, xpress
-from .dictionary import GlobalDictionary, LocalDictionary
+from .dictionary import GlobalDictionary, LocalDictionary, gather
 from .encodings import (
-    BitpackBlock,
+    IDENTITY,
+    Identity,
     RawBlock,
     Scheme,
     StreamBlock,
@@ -33,6 +46,9 @@ from .encodings import (
     unpack_null_mask,
 )
 from .rle import RleBlock
+from .value_encoding import ValueEncoding
+
+ValueStage = Union[LocalDictionary, ValueEncoding, Identity]
 
 _METADATA_OVERHEAD_BYTES = 64
 # An integer domain [min, max] is dense — worth a table with a cell per
@@ -53,16 +69,23 @@ class ColumnSegment:
 
     dtype: DataType
     row_count: int
-    scheme: Scheme
     stream: StreamBlock
-    dictionary: LocalDictionary | None
-    value_enc: value_encoding.ValueEncoding | None
+    values: ValueStage
     null_payload: bytes | None
     null_count: int
     min_value: Any
     max_value: Any
     raw_size_bytes: int
     archive: bytes | None = None  # xpress-compressed payloads when archived
+
+    @property
+    def scheme(self) -> Scheme:
+        return self.values.scheme
+
+    @property
+    def dictionary(self) -> LocalDictionary | None:
+        """The value stage, when it is a dictionary (archived or not)."""
+        return self.values if isinstance(self.values, LocalDictionary) else None
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -77,9 +100,7 @@ class ColumnSegment:
         if self.archive is not None:
             payload_size = len(self.archive)
         else:
-            payload_size = self.stream.size_bytes
-            if self.dictionary is not None:
-                payload_size += self.dictionary.size_bytes
+            payload_size = self.stream.size_bytes + self.values.size_bytes
         null_size = len(self.null_payload) if self.null_payload else 0
         return payload_size + null_size + _METADATA_OVERHEAD_BYTES
 
@@ -107,7 +128,7 @@ class ColumnSegment:
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
-    def null_mask(self, positions: np.ndarray | None = None) -> np.ndarray | None:
+    def null_mask(self, positions: np.ndarray | list[int] | None = None) -> np.ndarray | None:
         """Boolean mask of NULL positions (of all rows, or of the rows at
         ``positions``), or ``None`` when the segment is fully non-null."""
         if self.null_payload is None:
@@ -120,12 +141,13 @@ class ColumnSegment:
         """This column still encoded, or ``None`` when it can only be
         decoded: bit-packed and raw streams have no distinct values to
         work on, and an archived segment would decompress its archive on
-        every access. Free until the vector is first used."""
+        every access. Free until the vector is first used. The one place
+        that asks which stages a segment has."""
         if self.archive is not None:
             return None
-        if self.scheme is Scheme.DICT:
+        if isinstance(self.values, LocalDictionary):
             return DictionaryVector(self)
-        if self.scheme is Scheme.VALUE and isinstance(self.stream, RleBlock):
+        if isinstance(self.values, ValueEncoding) and isinstance(self.stream, RleBlock):
             return RunVector(self)
         return None
 
@@ -133,14 +155,7 @@ class ColumnSegment:
         """Materialize (values, null_mask) in the column's physical dtype."""
         if self.archive is not None:
             return self.to_unarchived().decode()
-        vector = self.vector()
-        if vector is not None:
-            return vector.decode()
-        values = self.stream.decode()
-        if self.scheme is Scheme.VALUE:
-            assert self.value_enc is not None
-            values = self.value_enc.invert(values, self.dtype.numpy_dtype)
-        return values, self.null_mask()
+        return self.values.map(self.stream.take(None), self.dtype.numpy_dtype), self.null_mask()
 
     def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """``decode()`` indexed by ``positions`` — values, dtype and mask
@@ -154,72 +169,43 @@ class ColumnSegment:
             raise EncodingError(f"position outside a segment of {self.row_count} rows")
         if self.archive is not None:
             return self.to_unarchived().take(positions)
-        if positions.size <= _FEW and self.scheme is not Scheme.RAW:
+        if positions.size <= _FEW:
             return self._take_few(positions.tolist())
-        vector = self.vector()
-        if vector is not None:
-            return vector.take(positions)
-        values = self.stream.take(positions)
-        if self.scheme is Scheme.VALUE:
-            assert self.value_enc is not None
-            values = self.value_enc.invert(values, self.dtype.numpy_dtype)
+        values = self.values.map(self.stream.take(positions), self.dtype.numpy_dtype)
         return values, self.null_mask(positions)
 
     def _take_few(self, positions: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
         """:meth:`take` of a few positions in Python integers: the stream
-        read at those rows alone, the values looked up / inverted one by
-        one, one array made at the end — bit for bit the array path."""
-        codes = self.stream.take_few(positions)
-        if self.scheme is Scheme.VALUE:
-            values = self.value_enc.invert_few(codes, self.dtype.numpy_dtype)
-        else:
-            entries = self.dictionary.values
-            dtype = self.dtype.numpy_dtype
-            if entries:  # a code is int64 to the array path: one past 2**63 wraps
-                try:
-                    values = np.array([entries[c - (c >> 63 << 64)] for c in codes], dtype=dtype)
-                except IndexError:
-                    raise CorruptBlobError(f"a code past a {len(entries)}-entry dictionary") from None
-            else:  # every row NULL: filler, as DictionaryVector._lookup
-                values = np.full(len(codes), "" if dtype == object else 0, dtype=dtype)
-        if self.null_payload is None:
-            return values, None
-        return values, take_null_mask(self.null_payload, positions)
+        read at those rows alone, the values mapped one by one, one array
+        made at the end — bit for bit the array path."""
+        values = self.values.map_few(self.stream.take_few(positions), self.dtype.numpy_dtype)
+        return values, self.null_mask(positions)
 
     # ------------------------------------------------------------------ #
     # Archival compression
     # ------------------------------------------------------------------ #
     def to_archived(self) -> "ColumnSegment":
-        """Re-compress payloads with the archival codec (idempotent)."""
+        """Re-compress both stages' payloads with the archival codec
+        (idempotent). The stream keeps its parameters, with empty
+        payloads; the value stage stays as it is."""
         if self.archive is not None:
             return self
-        payloads = _collect_payloads(self.stream)
-        dict_payload = (
-            serde.serialize_values(self.dictionary.values, self.dtype)
-            if self.dictionary is not None
-            else None
-        )
-        blob = _join_archive(payloads, dict_payload)
+        parts = self.stream.payloads()
+        blob = _join_archive(parts, self.values.payloads(self.dtype))
         return dataclasses.replace(
             self,
             archive=xpress.compress(blob),
-            stream=_with_payloads(self.stream, [b""] * len(payloads)),
+            stream=self.stream.with_payloads([b""] * len(parts)),
         )
 
     def to_unarchived(self) -> "ColumnSegment":
         """Restore the plain (non-archival) representation."""
         if self.archive is None:
             return self
-        payloads, dict_payload = _split_archive(xpress.decompress(self.archive))
-        dictionary = self.dictionary
-        if dict_payload is not None:
-            dictionary = LocalDictionary(serde.deserialize_values(dict_payload, self.dtype))
-        return dataclasses.replace(
-            self,
-            archive=None,
-            stream=_with_payloads(self.stream, payloads),
-            dictionary=dictionary,
-        )
+        parts, _ = split_archive(xpress.decompress(self.archive))
+        if len(parts) != len(self.stream.payloads()):
+            raise CorruptBlobError(f"an archive of {len(parts)} stream payloads")
+        return dataclasses.replace(self, archive=None, stream=self.stream.with_payloads(parts))
 
 
 # ---------------------------------------------------------------------- #
@@ -234,7 +220,7 @@ class EncodedVector:
     work once per distinct value — one predicate verdict, one aggregate
     update per dictionary entry or run — and return to row space with
     :meth:`expand`. :meth:`decode` is ``expand(distinct_values())``, bit
-    for bit what the segment's own decode emits (it *is* that decode).
+    for bit what the segment's own decode emits.
     Nothing is read from the segment until first use.
 
     Either kind is a group key: :meth:`select` hands out rows as a
@@ -258,8 +244,11 @@ class EncodedVector:
         return self.expand(self.distinct_values()), self.null_mask
 
     def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """``decode()`` indexed by ``positions``, from those rows alone."""
-        raise NotImplementedError
+        """``decode()`` indexed by ``positions``, from those rows alone:
+        the segment's own take, or those rows selected and decoded."""
+        if self._segment is None:
+            return self.select(positions).decode()
+        return self._segment.take(positions)
 
     def _present(self, keep: np.ndarray) -> np.ndarray:
         # NULL rows store a filler position; they never weigh anything.
@@ -312,7 +301,7 @@ class DictionaryVector(EncodedVector):
 
     def __init__(self, segment: ColumnSegment) -> None:
         super().__init__(segment)
-        self.n_distinct = len(segment.dictionary)
+        self.n_distinct = len(segment.values)
 
     @classmethod
     def of(
@@ -366,21 +355,17 @@ class DictionaryVector(EncodedVector):
 
     @cached_property
     def codes(self) -> np.ndarray:
-        return self._segment.stream.decode().view(np.int64)
+        return self._segment.stream.take(None).view(np.int64)
 
     @cached_property
     def _distinct(self) -> np.ndarray:
-        is_string = self._segment.dtype.kind is TypeKind.VARCHAR
-        return np.array(
-            self._segment.dictionary.values,
-            dtype=object if is_string else self.numpy_dtype,
-        )
+        return self._segment.values.entries(self.numpy_dtype)
 
     def distinct_values(self) -> np.ndarray:
         return self._distinct
 
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
-        return self._lookup(per_distinct, self.codes)
+        return gather(per_distinct, self.codes)
 
     def select(self, positions: np.ndarray | None) -> "DictionaryVector":
         """The rows at ``positions``, still encoded (what ``take`` is to
@@ -394,21 +379,6 @@ class DictionaryVector(EncodedVector):
             codes = self._segment.stream.take(positions).view(np.int64)
             nulls = self._segment.null_mask(positions)
         return DictionaryVector.of(codes, self._distinct, nulls, self.source)
-
-    def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        return self.select(positions).decode()
-
-    @staticmethod
-    def _lookup(per_distinct: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        if per_distinct.size == 0:
-            # Empty dictionary = every row NULL: the codes are filler zeros
-            # with no entry to index; emit filler under the all-True mask.
-            filler = "" if per_distinct.dtype == object else 0
-            return np.full(codes.size, filler, dtype=per_distinct.dtype)
-        try:
-            return per_distinct[codes]
-        except IndexError:
-            raise CorruptBlobError(f"a code past a {per_distinct.size}-entry dictionary") from None
 
     def weights(self, keep: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -456,8 +426,8 @@ class RunVector(EncodedVector):
         return _read_only(np.repeat(self.run_keys.codes, self._runs[1]))
 
     def distinct_values(self) -> np.ndarray:
-        # A copy: inverting consumes its input, and the runs are kept.
-        return self._segment.value_enc.invert(self._runs[0].copy(), self.numpy_dtype)
+        # A copy: mapping consumes its input, and the runs are kept.
+        return self._segment.values.map(self._runs[0].copy(), self.numpy_dtype)
 
     def expand(self, per_distinct: np.ndarray) -> np.ndarray:
         return np.repeat(per_distinct, self._runs[1])
@@ -468,11 +438,6 @@ class RunVector(EncodedVector):
             codes, nulls = codes[positions], None if nulls is None else nulls[positions]
         return DictionaryVector.of(codes, self.run_keys.distinct_values(), nulls, self.source)
 
-    def take(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        segment = self._segment
-        values = segment.value_enc.invert(segment.stream.take(positions), self.numpy_dtype)
-        return values, segment.null_mask(positions)
-
     def weights(self, keep: np.ndarray) -> np.ndarray:
         if self.n_distinct == 0:
             return np.zeros(0, dtype=np.int64)
@@ -480,45 +445,28 @@ class RunVector(EncodedVector):
 
 
 # ---------------------------------------------------------------------- #
-# Archive payload plumbing
+# The archive's plain form: how many stream and value-stage payloads,
+# then each length-prefixed (an empty part when there is no value-stage
+# payload)
 # ---------------------------------------------------------------------- #
-def _collect_payloads(stream: StreamBlock) -> list[bytes]:
-    if isinstance(stream, RleBlock):
-        return [stream.value_payload, stream.length_payload]
-    return [stream.payload]
-
-
-def _with_payloads(stream: StreamBlock, payloads: list[bytes]) -> StreamBlock:
-    if isinstance(stream, RleBlock):
-        return dataclasses.replace(
-            stream, value_payload=payloads[0], length_payload=payloads[1]
-        )
-    return dataclasses.replace(stream, payload=payloads[0])
-
-
-def _join_archive(payloads: list[bytes], dict_payload: bytes | None) -> bytes:
+def _join_archive(stream_parts: list[bytes], value_parts: list[bytes]) -> bytes:
     out = bytearray()
-    parts = list(payloads)
-    parts.append(dict_payload if dict_payload is not None else b"")
-    serde.write_varint(out, len(payloads))
-    serde.write_varint(out, 1 if dict_payload is not None else 0)
-    for part in parts:
-        serde.write_varint(out, len(part))
-        out += part
+    serde.write_varint(out, len(stream_parts))
+    serde.write_varint(out, len(value_parts))
+    for part in stream_parts + (value_parts or [b""]):
+        serde.write_bytes(out, part)
     return bytes(out)
 
 
-def _split_archive(blob: bytes) -> tuple[list[bytes], bytes | None]:
-    n_payloads, pos = serde.read_varint(blob, 0)
-    has_dict, pos = serde.read_varint(blob, pos)
-    parts: list[bytes] = []
-    for _ in range(n_payloads + 1):
-        length, pos = serde.read_varint(blob, pos)
-        parts.append(blob[pos : pos + length])
-        pos += length
-    trailing = parts.pop()
-    dict_payload = trailing if has_dict else None
-    return parts, dict_payload
+def split_archive(blob: bytes) -> tuple[list[bytes], list[bytes]]:
+    """(stream payloads, value-stage payloads) of a decompressed archive."""
+    n_stream, pos = serde.read_varint(blob, 0)
+    n_values, pos = serde.read_varint(blob, pos)
+    parts = []
+    for _ in range(n_stream + max(n_values, 1)):
+        part, pos = serde.read_bytes(blob, pos)
+        parts.append(part)
+    return parts[:n_stream], parts[n_stream : n_stream + n_values]
 
 
 # ---------------------------------------------------------------------- #
@@ -552,22 +500,20 @@ def encode_segment(
     min_value, max_value = _min_max(dtype, non_null)
 
     if dtype.kind is TypeKind.VARCHAR:
-        scheme, stream, dictionary, venc = _encode_strings(non_null, null_mask, row_count)
+        stream, stage = _encode_strings(non_null, null_mask, row_count)
     elif dtype.kind is TypeKind.FLOAT:
-        scheme, stream, dictionary, venc = _encode_floats(values, non_null, null_mask, row_count)
+        stream, stage = _encode_floats(values, non_null, null_mask, row_count)
     else:
-        scheme, stream, dictionary, venc = _encode_ints(values, non_null, null_mask, row_count)
+        stream, stage = _encode_ints(values, non_null, null_mask, row_count)
 
-    if global_dict is not None and dictionary is not None:
-        global_dict.intern_all(dictionary.values)
+    if global_dict is not None and isinstance(stage, LocalDictionary):
+        global_dict.intern_all(stage.values)
 
     return ColumnSegment(
         dtype=dtype,
         row_count=row_count,
-        scheme=scheme,
         stream=stream,
-        dictionary=dictionary,
-        value_enc=venc,
+        values=stage,
         null_payload=pack_null_mask(null_mask) if null_mask is not None else None,
         null_count=null_count,
         min_value=min_value,
@@ -614,8 +560,7 @@ def _fill_codes(
 
 def _encode_strings(non_null, null_mask, row_count):
     dictionary, codes = LocalDictionary.build(non_null)
-    stream = encode_stream(_fill_codes(codes, null_mask, row_count))
-    return Scheme.DICT, stream, dictionary, None
+    return encode_stream(_fill_codes(codes, null_mask, row_count)), dictionary
 
 
 def _encode_ints(values, non_null, null_mask, row_count):
@@ -626,10 +571,8 @@ def _encode_ints(values, non_null, null_mask, row_count):
     ndv = int(np.unique(non_null).size) if non_null.size else 0
     if non_null.size and dictionary_pays_off(row_count, ndv, offset_width, 8):
         dictionary, codes = LocalDictionary.build(non_null.astype(np.int64))
-        stream = encode_stream(_fill_codes(codes, null_mask, row_count))
-        return Scheme.DICT, stream, dictionary, None
-    stream = encode_stream(_fill_codes(offsets, null_mask, row_count))
-    return Scheme.VALUE, stream, None, venc
+        return encode_stream(_fill_codes(codes, null_mask, row_count)), dictionary
+    return encode_stream(_fill_codes(offsets, null_mask, row_count)), venc
 
 
 def _encode_floats(values, non_null, null_mask, row_count):
@@ -640,14 +583,12 @@ def _encode_floats(values, non_null, null_mask, row_count):
             if non_null.size
             else np.zeros(0, dtype=np.uint64)
         )
-        stream = encode_stream(_fill_codes(offsets.astype(np.int64), null_mask, row_count))
-        return Scheme.VALUE, stream, None, venc
+        return encode_stream(_fill_codes(offsets.astype(np.int64), null_mask, row_count)), venc
     ndv = int(np.unique(non_null).size) if non_null.size else 0
     if non_null.size and ndv <= row_count // 4 and dictionary_pays_off(row_count, ndv, 64, 8):
         dictionary, codes = LocalDictionary.build(non_null.astype(np.float64))
-        stream = encode_stream(_fill_codes(codes, null_mask, row_count))
-        return Scheme.DICT, stream, dictionary, None
+        return encode_stream(_fill_codes(codes, null_mask, row_count)), dictionary
     filled = values.astype(np.float64).copy()
     if null_mask is not None:
         filled[null_mask] = 0.0
-    return Scheme.RAW, RawBlock.from_array(filled), None, None
+    return RawBlock.from_array(filled), IDENTITY

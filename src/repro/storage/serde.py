@@ -1,8 +1,9 @@
-"""Small binary serializers used when archiving segments and dictionaries.
+"""Small binary serializers for segment blobs, archives and dictionaries.
 
-Only what the archival path needs: a length-prefixed encoding for value
-lists (dictionary contents). Integers/floats/dates are 8-byte little-endian;
-strings are varint-length-prefixed UTF-8.
+Varints, bounds-checked length-prefixed byte strings, and a
+length-prefixed encoding for value lists (dictionary contents).
+Integers/floats/dates are 8-byte little-endian; strings are
+varint-length-prefixed UTF-8.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Sequence
 
-from ..errors import EncodingError
+from ..errors import CorruptBlobError, EncodingError
 from ..types import DataType, TypeKind
 
 
@@ -38,6 +39,26 @@ def read_varint(payload: bytes, pos: int) -> tuple[int, int]:
         shift += 7
         if shift > 70:
             raise EncodingError("malformed varint (too many continuation bytes)")
+
+
+def need(blob: bytes, pos: int, count: int) -> None:
+    """Bounds check: the next ``count`` bytes must exist."""
+    if pos + count > len(blob):
+        raise CorruptBlobError(
+            f"segment blob truncated at offset {pos} "
+            f"(need {count} more bytes, have {len(blob) - pos})"
+        )
+
+
+def write_bytes(out: bytearray, payload: bytes) -> None:
+    write_varint(out, len(payload))
+    out += payload
+
+
+def read_bytes(blob: bytes, pos: int) -> tuple[bytes, int]:
+    length, pos = read_varint(blob, pos)
+    need(blob, pos, length)
+    return blob[pos : pos + length], pos + length
 
 
 def serialize_values(values: Sequence[Any], dtype: DataType) -> bytes:

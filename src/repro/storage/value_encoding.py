@@ -9,6 +9,8 @@ integers), then subtract the minimum (*base*). The stored stream is
 Decoding applies the inverse affine transform, which is exact for integer
 and decimal columns and exact-by-construction for floats that admit a small
 scale (others are stored raw — see :mod:`repro.storage.encodings`).
+:class:`ValueEncoding` is that transform as a segment's value stage
+(Affine: the protocol is in :mod:`repro.storage.segment`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EncodingError
+from ..errors import CorruptBlobError, EncodingError
+from . import serde
+from .bitpack import CODES
+from .encodings import Scheme
 
 # Scales we try when looking for an integer representation of floats.
 _MAX_FLOAT_SCALE = 4
@@ -35,6 +40,8 @@ class ValueEncoding:
     minimum of the transformed values.
     """
 
+    scheme = Scheme.VALUE
+    kind, flag, size_bytes = 1, 2, 0
     exponent: int
     base: int
 
@@ -44,14 +51,14 @@ class ValueEncoding:
         if transformed.size and int(transformed.min()) < self.base:
             raise EncodingError("value encoding produced negative offsets")
         # Subtracted modulo 2**64: a BIGINT range wider than int64 holds
-        # (-2**62 .. 2**62) still has offsets below 2**64, and invert's
+        # (-2**62 .. 2**62) still has offsets below 2**64, and map's
         # wrapping int64 addition brings the values back.
         return transformed.astype(np.uint64) - np.uint64(self.base % 2**64)
 
-    def invert(self, offsets: np.ndarray, target_dtype: np.dtype) -> np.ndarray:
+    def map(self, offsets: np.ndarray, target_dtype: np.dtype) -> np.ndarray:
         """Recover raw values from stored offsets — in place: ``offsets``
-        is consumed (a uint64 array fresh from a stream's ``decode`` or
-        ``take``, which the caller must not read again) and is, for the
+        is consumed (a uint64 array fresh from a stream's ``take``, which
+        the caller must not read again) and is, for the
         integer types, the array returned."""
         ints = offsets.view(np.int64)
         ints += self.base
@@ -67,8 +74,8 @@ class ValueEncoding:
             ints *= 10 ** (-self.exponent)
         return ints.astype(target_dtype, copy=False)
 
-    def invert_few(self, offsets: list[int], target_dtype: np.dtype) -> np.ndarray:
-        """:meth:`invert` on Python integers (uint64 offsets), bit for bit
+    def map_few(self, offsets: list[int], target_dtype: np.dtype) -> np.ndarray:
+        """:meth:`map` on Python integers (uint64 offsets), bit for bit
         the same array: the same wrapping int64 arithmetic, each float
         ``float(i) / float(10**exponent)``."""
         ints = [_wrap(offset + self.base) for offset in offsets]
@@ -81,6 +88,35 @@ class ValueEncoding:
             factor = 10 ** (-self.exponent)
             ints = [_wrap(i * factor) for i in ints]
         return np.array(ints, dtype=np.int64).astype(target_dtype, copy=False)
+
+    def check(self, dtype: np.dtype) -> np.dtype:
+        # Mapping adds the base and scales by 10**|exponent| in int64.
+        if not (abs(self.exponent) <= 18 and -(2**63) <= self.base < 2**63):
+            raise CorruptBlobError(f"value encoding {self} overflows int64")
+        return CODES
+
+    def payloads(self, dtype) -> list[bytes]:
+        return []
+
+    def write(self, out: bytearray, dtype, archived: bool) -> None:
+        serde.write_varint(out, _zigzag(self.exponent))
+        serde.write_varint(out, _zigzag(self.base))
+
+    @classmethod
+    def read(cls, blob: bytes, pos: int, dtype, present: bool) -> tuple["ValueEncoding", int]:
+        if not present:
+            raise CorruptBlobError("a value-encoded segment without its encoding")
+        exponent, pos = serde.read_varint(blob, pos)
+        base, pos = serde.read_varint(blob, pos)
+        return cls(_unzigzag(exponent), _unzigzag(base)), pos
+
+
+def _zigzag(value: int) -> int:
+    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
+
+
+def _unzigzag(value: int) -> int:
+    return (value >> 1) ^ -(value & 1)
 
 
 def _wrap(value: int) -> int:

@@ -36,7 +36,7 @@ from repro.sql.lexer import lex
 from repro.storage import bitpack
 from repro.storage import segment as segment_module
 from repro.storage.dictionary import LocalDictionary
-from repro.storage.encodings import BitpackBlock, Scheme, encode_stream, pack_null_mask
+from repro.storage.encodings import BitpackBlock, encode_stream, pack_null_mask
 from repro.storage.rle import RleBlock
 from repro.storage.rle import encode as rle_encode
 from repro.storage.segment import ColumnSegment, encode_segment
@@ -446,7 +446,7 @@ def value_segments(draw):
     base = draw(st.integers(-(2**63), 2**63 - 1))
     null_payload, null_count = _nulls(draw, count)
     segment = ColumnSegment(
-        dtype, count, Scheme.VALUE, stream, None, ValueEncoding(exponent, base),
+        dtype, count, stream, ValueEncoding(exponent, base),
         null_payload, null_count, None, None, 0,
     )
     return segment, draw(_positions(count))
@@ -474,8 +474,8 @@ def dictionary_segments(draw):
         codes = np.zeros(count, dtype=np.int64)
         null_payload, null_count = pack_null_mask(np.ones(count, dtype=bool)), count
     segment = ColumnSegment(
-        kind, count, Scheme.DICT, encode_stream(codes), LocalDictionary(sorted(entries)),
-        None, null_payload, null_count, None, None, 0,
+        kind, count, encode_stream(codes), LocalDictionary(sorted(entries)),
+        null_payload, null_count, None, None, 0,
     )
     return segment, draw(_positions(count))
 
@@ -558,7 +558,7 @@ def test_few_take_rejects_what_the_array_take_rejects(case, damage):
     else:
         stream = BitpackBlock(stream.count, 65, stream.payload)
     segment = ColumnSegment(
-        segment.dtype, stream.count, segment.scheme, stream, None, segment.value_enc,
+        segment.dtype, stream.count, stream, segment.values,
         None, 0, None, None, 0,
     )
     few, array = _taken(segment, positions)

@@ -27,11 +27,6 @@ class TestLocalDictionary:
         dictionary, codes = LocalDictionary.build(values)
         assert [dictionary.values[code] for code in codes] == ["x", "y", "x"]
 
-    def test_code_of(self):
-        dictionary = LocalDictionary(["a", "b"])
-        assert dictionary.code_of("b") == 1
-        assert dictionary.code_of("zz") is None
-
     def test_duplicates_rejected(self):
         with pytest.raises(EncodingError):
             LocalDictionary(["a", "a"])
@@ -40,37 +35,6 @@ class TestLocalDictionary:
         small = LocalDictionary(["a"])
         big = LocalDictionary(["a" * 100])
         assert big.size_bytes > small.size_bytes
-
-
-class TestRangeCodes:
-    @pytest.fixture
-    def dictionary(self):
-        return LocalDictionary(["apple", "banana", "cherry", "damson"])
-
-    def test_inclusive_range(self, dictionary):
-        lo, hi = dictionary.range_codes("banana", "cherry", True, True)
-        assert (lo, hi) == (1, 3)
-
-    def test_exclusive_range(self, dictionary):
-        lo, hi = dictionary.range_codes("banana", "cherry", False, False)
-        assert (lo, hi) == (2, 2)  # empty
-
-    def test_unbounded_low(self, dictionary):
-        lo, hi = dictionary.range_codes(None, "banana", True, True)
-        assert (lo, hi) == (0, 2)
-
-    def test_unbounded_high(self, dictionary):
-        lo, hi = dictionary.range_codes("cherry", None, True, True)
-        assert (lo, hi) == (2, 4)
-
-    def test_values_between_entries(self, dictionary):
-        # "bx" sits between banana and cherry.
-        lo, hi = dictionary.range_codes("bx", "cz", True, True)
-        assert (lo, hi) == (2, 3)
-
-    def test_empty_when_inverted(self, dictionary):
-        lo, hi = dictionary.range_codes("damson", "apple", True, True)
-        assert lo >= hi
 
 
 class TestGlobalDictionary:

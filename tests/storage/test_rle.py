@@ -39,11 +39,11 @@ class TestRleBlock:
         data = np.array([4, 4, 4, 4, 0, 0, 9, 9, 9], dtype=np.int64)
         block = rle.encode(data)
         assert block.n_runs == 3
-        assert (block.decode() == data.astype(np.uint64)).all()
+        assert (block.take() == data.astype(np.uint64)).all()
 
     def test_empty_roundtrip(self):
         block = rle.encode(np.array([], dtype=np.int64))
-        assert block.decode().size == 0
+        assert block.take().size == 0
 
     def test_runs_accessor(self):
         block = rle.encode(np.array([1, 1, 5, 5, 5], dtype=np.int64))
@@ -61,7 +61,7 @@ class TestRleBlock:
 def test_roundtrip_property(values):
     arr = np.array(values, dtype=np.int64)
     block = rle.encode(arr)
-    assert (block.decode().astype(np.int64) == arr).all()
+    assert (block.take().astype(np.int64) == arr).all()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=200))

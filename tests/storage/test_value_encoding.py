@@ -27,14 +27,14 @@ class TestIntegerEncoding:
         values = np.array([-500, 0, 12_300], dtype=np.int64)
         enc = ve.choose_integer_encoding(values)
         offsets = enc.apply(values)
-        assert (enc.invert(offsets, np.dtype(np.int64)) == values).all()
+        assert (enc.map(offsets, np.dtype(np.int64)) == values).all()
 
     def test_negative_values(self):
         values = np.array([-10, -7, -1], dtype=np.int64)
         enc = ve.choose_integer_encoding(values)
         offsets = enc.apply(values)
         assert int(offsets.min()) == 0
-        assert (enc.invert(offsets, np.dtype(np.int64)) == values).all()
+        assert (enc.map(offsets, np.dtype(np.int64)) == values).all()
 
     def test_empty(self):
         enc = ve.choose_integer_encoding(np.array([], dtype=np.int64))
@@ -47,7 +47,7 @@ class TestFloatEncoding:
         enc = ve.choose_float_encoding(values)
         assert enc is not None
         assert enc.exponent == 0
-        recovered = enc.invert(enc.apply(values), np.dtype(np.float64))
+        recovered = enc.map(enc.apply(values), np.dtype(np.float64))
         assert (recovered == values).all()
 
     def test_two_decimal_prices(self):
@@ -55,7 +55,7 @@ class TestFloatEncoding:
         enc = ve.choose_float_encoding(values)
         assert enc is not None
         assert enc.exponent == 2
-        recovered = enc.invert(enc.apply(values), np.dtype(np.float64))
+        recovered = enc.map(enc.apply(values), np.dtype(np.float64))
         assert (recovered == values).all()
 
     def test_irrational_floats_fall_back(self):
@@ -79,7 +79,7 @@ def test_integer_roundtrip_property(values):
     enc = ve.choose_integer_encoding(arr)
     offsets = enc.apply(arr)
     assert int(offsets.min()) >= 0
-    assert (enc.invert(offsets, np.dtype(np.int64)) == arr).all()
+    assert (enc.map(offsets, np.dtype(np.int64)) == arr).all()
 
 
 @given(
@@ -92,7 +92,7 @@ def test_float_with_known_scale_roundtrips(cents, scale):
     arr = np.array(cents, dtype=np.float64) / 10**scale
     enc = ve.choose_float_encoding(arr)
     assert enc is not None
-    recovered = enc.invert(enc.apply(arr), np.dtype(np.float64))
+    recovered = enc.map(enc.apply(arr), np.dtype(np.float64))
     assert (recovered == arr).all()
 
 
