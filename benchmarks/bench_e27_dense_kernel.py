@@ -12,8 +12,9 @@ b. The 22 star queries of the suite's ``star_scan`` workload, best-of-N
    milliseconds each (parent beside change with ``--parent``; every
    answer checked equal, floats included), beside the exact counters:
    how the aggregate's keys arrived (as vectors | coded by the
-   aggregate) and how many keys reached ``gid_of`` (directory misses)
-   against the groups there are.
+   aggregate), how many keys reached ``gid_of`` (directory misses)
+   against the groups there are, and how many rows took their group id
+   from a code space's cell → group table (a cell an earlier batch met).
 c. Grouping cost, ns per input row, for a plain integer key (100 and
    4,000 values: coded by subtraction, directory resolved in bulk).
 
@@ -54,7 +55,19 @@ COUNTERS = (
     "exec.hash_aggregate.keys_from_vectors",
     "exec.hash_aggregate.keys_coded_locally",
     "exec.hash_aggregate.directory_misses",
+    "exec.hash_aggregate.cells_from_table",
 )
+# Rows whose group id came from a table, per star query at smoke scale
+# (seed 1; row groups of 4,096, 4,096 and 3,808 rows): the first batch of
+# a space resolves through the directory, later ones gather. 7,904 is
+# every row after the first group, which met every cell of its space; a
+# filtered key meets cells late (Q11, Q13, Q14, Q18); Q05's date range
+# moves from group to group, so its space does; Q15's and Q19's rows
+# reach the aggregate in one batch.
+SMOKE_CELLS_FROM_TABLE = {
+    "Q04": 7904, "Q07": 7904, "Q08": 7904, "Q10": 7904, "Q11": 359, "Q12": 7904,
+    "Q13": 6, "Q14": 6420, "Q16": 7904, "Q18": 2991, "Q20": 7904, "Q21": 7904, "Q22": 7904,
+}
 
 
 # --------------------------------------------------------------------- #
@@ -138,12 +151,16 @@ def check_counters(counters: dict[str, dict]) -> None:
             assert row["directory_misses"] == 0, (qid, row)
     q20 = counters["Q20"]
     assert q20["keys_coded_locally"] > 1 and q20["groups"] > 100, q20  # many batches, many keys
+    assert q20["cells_from_table"] > 0, q20  # a key coded here by subtraction: one space
 
 
 def smoke() -> dict[str, dict]:
     db = load_star(seed=1, **SMOKE)
     counters = query_counters(db)
     check_counters(counters)
+    from_table = {qid: row["cells_from_table"] for qid, row in counters.items()
+                  if row["cells_from_table"]}
+    assert from_table == SMOKE_CELLS_FROM_TABLE, from_table
     return counters
 
 
@@ -201,21 +218,25 @@ def full_report(args: argparse.Namespace) -> str:
         f"E27b: the 22 star queries, best of {ROUNDS} alternating rounds x {PASSES} passes "
         f"(200,000 facts, 7 row groups, seed {args.seed})",
         ["query", "parent ms", "change ms", "ratio", "keys from vectors", "keys coded here",
-         "groups", "directory misses"],
+         "groups", "directory misses", "cells from table"],
     )
     for qid in sorted(mine["ms"], key=lambda q: -(before("ms", q) or mine["ms"][q])):
         row, old = counters[qid], before("ms", qid)
         b.add_row(qid, f"{old:.1f}" if old else "-", f"{mine['ms'][qid]:.1f}",
                   f"{old / mine['ms'][qid]:.2f}x" if old else "-", row["keys_from_vectors"],
-                  row["keys_coded_locally"], row["groups"], row["directory_misses"])
+                  row["keys_coded_locally"], row["groups"], row["directory_misses"],
+                  row["cells_from_table"])
     total = sum(mine["ms"].values())
     old_total = sum(parent["ms"].values()) if parent else None
     b.add_row("pass", f"{old_total:.0f}" if old_total else "-", f"{total:.0f}",
               f"{old_total / total:.2f}x" if old_total else "-",
               *(sum(r[c] for r in counters.values()) for c in
-                ("keys_from_vectors", "keys_coded_locally", "groups", "directory_misses")))
+                ("keys_from_vectors", "keys_coded_locally", "groups", "directory_misses",
+                 "cells_from_table")))
     b.add_note("directory misses = keys that reached gid_of: the groups there are, whatever the "
-               "number of batches (the parent looked every batch's every key up in Python)")
+               "number of batches")
+    b.add_note("cells from table = rows whose group id was one gather from their code space's "
+               "cell -> group table; the rest went through the directory")
     if parent is not None:
         b.add_note("all 22 answers equal the parent's, floats bit for bit; row order too "
                    "wherever the query orders its result")

@@ -44,10 +44,11 @@ def combine_codes(
 ) -> tuple[np.ndarray, int]:
     """One int64 cell a row, and the number of cells: each column's codes
     (all in ``[0, radix)``) are a digit of a mixed-radix number, so equal
-    codes, and only they, make equal cells. Before the cells would pass
-    ``MAX_KEY_CELLS`` they are re-ranked (``rank``, or ``np.unique``)."""
-    cells, index = 1, np.zeros(columns[0][0].size, dtype=np.int64)
-    for codes, radix in columns:
+    codes, and only they, make equal cells; a single column's codes are
+    its cells. Before the cells would pass ``MAX_KEY_CELLS`` they are
+    re-ranked (``rank``, or ``np.unique``)."""
+    index, cells = columns[0]
+    for codes, radix in columns[1:]:
         if cells * radix > MAX_KEY_CELLS:
             index, cells = (rank or rank_cells)(index)
         index = index * radix + codes

@@ -94,8 +94,9 @@ class Column(Expr):
 
 class Literal(Expr):
     """A constant in its physical representation; one bound from SQL text
-    keeps its ``slot`` among the statement's literals and the ``coerce``
-    that made ``value`` of it, for a statement shape (sql/runner.py)."""
+    keeps its ``slot`` among the statement's literals, whether a unary
+    minus was folded into it (``negated``) and the ``coerce`` that made
+    ``value`` of it, for a statement shape (sql/runner.py)."""
 
     def __init__(
         self,
@@ -103,11 +104,13 @@ class Literal(Expr):
         dtype: DataType | None = None,
         slot: int | None = None,
         coerce: Callable[[Any], Any] | None = None,
+        negated: bool = False,
     ) -> None:
         self.value = value
         self.dtype = dtype if dtype is not None else _literal_dtype(value)
         self.slot = slot
         self.coerce = coerce
+        self.negated = negated
 
     def eval_batch(self, batch) -> BatchResult:
         n = batch.row_count

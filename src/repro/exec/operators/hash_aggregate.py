@@ -4,7 +4,8 @@ Group keys are grouped as dictionary codes, one way for every key: a key
 column that arrives as a vector (from a scan or a join that was told this
 operator takes it so) brings its codes, a plain one is coded here, batch
 by batch; the rows' code combinations are mapped to dense group ids, so
-only the distinct combinations of a batch ever become Python tuples.
+only the distinct combinations of a batch ever become Python tuples, and
+once a code space has been seen, only those no earlier batch of it had.
 Aggregate accumulators are updated with ``np.add.at`` /
 ``np.minimum.at`` style scatter operations.
 
@@ -27,6 +28,7 @@ Supported: COUNT(*), COUNT(expr), SUM, MIN, MAX, AVG.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -98,6 +100,10 @@ class AggregateStats:
     # Occupied cells, batch by batch, whose key the group directory did
     # not hold yet: groups, not groups x batches.
     directory_misses: int = 0
+    # Rows whose group id came from a code space's table (a cell seen in
+    # an earlier batch; runs, for a unit folded run by run): the rows
+    # that skipped the directory.
+    cells_from_table: int = 0
 
 
 class _GroupState:
@@ -109,6 +115,11 @@ class _GroupState:
     arrays. Only string (object) aggregates fall back to a per-row loop.
     Untouched slots are detected through the per-spec non-null counts, so
     identity values never leak into results.
+
+    ``tables`` maps a key code space (the keys' ``DictionaryVector.space``
+    and whether each has a NULL slot) to its cell → group id table, −1
+    where a cell has not been seen; group ids are this state's, so a new
+    state starts with none.
     """
 
     _INITIAL_CAPACITY = 64
@@ -118,6 +129,7 @@ class _GroupState:
         self.specs = specs
         self.key_to_gid: dict[tuple, int] = {}
         self.key_rows: list[tuple] = []
+        self.tables: dict[tuple, np.ndarray] = {}
         self._capacity = self._INITIAL_CAPACITY
         self.counts: list[np.ndarray] = [
             np.zeros(self._capacity, dtype=np.int64) for _ in specs
@@ -129,6 +141,12 @@ class _GroupState:
     @property
     def n_groups(self) -> int:
         return len(self.key_rows)
+
+    @property
+    def retained_bytes(self) -> int:
+        """Estimated bytes held: the groups, and the code spaces' tables."""
+        tables = sum(table.nbytes for table in self.tables.values())
+        return self.n_groups * _BYTES_PER_GROUP + tables
 
     def gid_of(self, key: tuple) -> int:
         gid = self.key_to_gid.get(key)
@@ -428,7 +446,9 @@ class BatchHashAggregate(BatchOperator):
         try:
             yield from self._aggregate()
         finally:
-            for name in ("keys_from_vectors", "keys_coded_locally", "directory_misses"):
+            for name in (
+                "keys_from_vectors", "keys_coded_locally", "directory_misses", "cells_from_table"
+            ):
                 if count := getattr(self.stats, name):
                     metrics.increment(f"exec.hash_aggregate.{name}", count)
 
@@ -440,8 +460,13 @@ class BatchHashAggregate(BatchOperator):
             self.stats.input_rows += batch.active_count
             self._accumulate(state, batch)
             if spills is None:
-                needed = state.n_groups * _BYTES_PER_GROUP
-                if needed <= reserved or self.grant.try_reserve(needed - reserved):
+                needed = state.retained_bytes
+                fits = needed <= reserved or self.grant.try_reserve(needed - reserved)
+                if not fits and state.tables:
+                    state.tables.clear()  # a cache: the groups come first
+                    needed = state.retained_bytes
+                    fits = needed <= reserved or self.grant.try_reserve(needed - reserved)
+                if fits:
                     reserved = max(reserved, needed)
                     continue
                 # Grant exhausted: from here on every batch is aggregated
@@ -587,13 +612,15 @@ class BatchHashAggregate(BatchOperator):
 
         Each key contributes its code (``n_distinct`` is the NULL slot of
         a key with NULLs) to one mixed-radix cell number per row
-        (``combine_codes``). Cells map to group ids through a table over
-        the whole cell space when that is no larger than the batch, over
-        their ``np.unique`` ranks otherwise.
-        Only the occupied cells — in order of first appearance, one row of
-        each decoded to its key values — are looked up in the group
-        directory, all at once; only a key it does not hold yet (a new
-        group) costs an interpreter call.
+        (``combine_codes``; a single key's codes are its cells). The
+        state keeps a table cell → group id per code space the keys name
+        (``DictionaryVector.space``), made when the space has no more
+        cells than the batch has rows: once a space has been seen, a
+        batch's group ids are one gather, and only rows whose cell the
+        table does not hold yet (−1) go on. Keys without a space, or whose
+        space first comes with more cells than rows, map through a table
+        of their batch alone (over the cells' ``np.unique`` ranks when
+        they outnumber the rows).
         """
         n = vectors[0].row_count
         columns = []
@@ -603,19 +630,65 @@ class BatchHashAggregate(BatchOperator):
                 codes, radix = np.where(vector.null_mask, radix, codes), radix + 1
             columns.append((codes, radix))
         index, cells = combine_codes(columns)
-        if cells > n:
-            index, cells = rank_cells(index)
-        first_row = np.full(cells, n, dtype=np.int64)
-        np.minimum.at(first_row, index, np.arange(n, dtype=np.int64))
-        occupied = np.flatnonzero(first_row < n)
-        occupied = occupied[np.argsort(first_row[occupied], kind="stable")]
-        if all(vector.source == "scan" for vector in vectors):
-            metrics.increment("storage.scan.agg_code_space_groups", int(occupied.size))
+        scan = all(vector.source == "scan" for vector in vectors)
+        space = tuple((vector.space, vector.null_mask is not None) for vector in vectors)
+        table = state.tables.get(space)
+        if table is not None:
+            gids = table[index]
+            # Once every cell is known (O(cells)), no row can miss (O(rows)).
+            unseen = np.flatnonzero(gids < 0) if table.min() < 0 else ()
+            self.stats.cells_from_table += n - len(unseen)
+            if len(unseen):
+                self._new_cells(state, vectors, index, unseen, table)
+                gids = table[index]
+            if scan:
+                occupied = np.zeros(table.size, dtype=bool)
+                occupied[index] = True
+                metrics.increment("storage.scan.agg_code_space_groups", int(occupied.sum()))
+            return gids
+        named = all(vector.space is not None for vector in vectors)
+        # (More cells than rows may have been re-ranked by combine_codes.)
+        if named and math.prod(radix for _, radix in columns) <= n:
+            table = state.tables[space] = np.full(cells, -1, dtype=np.int64)
+        else:
+            if cells > n:
+                index, cells = rank_cells(index)
+            table = np.empty(cells, dtype=np.int64)  # this batch's alone
+        occupied = self._new_cells(state, vectors, index, None, table)
+        if scan:
+            metrics.increment("storage.scan.agg_code_space_groups", occupied)
+        return table[index]
+
+    def _new_cells(
+        self,
+        state: _GroupState,
+        vectors: list,
+        index: np.ndarray,
+        rows: np.ndarray | None,
+        table: np.ndarray,
+    ) -> int:
+        """Fill ``table`` with the group id of each cell ``index`` holds
+        at ``rows`` (``None``: every row), and return how many cells that
+        is. Only those cells — in order of first appearance, one row of
+        each decoded to its key values — are looked up in the group
+        directory, all at once; only a key it does not hold yet (a new
+        group) costs an interpreter call, so groups are made in order of
+        first appearance."""
+        cells_at = index if rows is None else index[rows]
+        m = cells_at.size
+        first = np.full(table.size, m, dtype=np.int64)
+        np.minimum.at(first, cells_at, np.arange(m, dtype=np.int64))
+        occupied = np.flatnonzero(first < m)
+        at = first[occupied]
+        order = np.argsort(at, kind="stable")
+        occupied, at = occupied[order], at[order]
+        if rows is not None:
+            at = rows[at]
 
         # Late decode: one row per occupied cell becomes a key tuple.
         per_key = []
         for vector in vectors:
-            values, nulls = vector.take(first_row[occupied])
+            values, nulls = vector.take(at)
             values = values.tolist()
             if nulls is not None:
                 values = [None if null else v for v, null in zip(values, nulls.tolist())]
@@ -623,13 +696,12 @@ class BatchHashAggregate(BatchOperator):
         keys = list(zip(*per_key))
         gids = list(map(state.key_to_gid.get, keys))
         if None in gids:
-            misses = [at for at, gid in enumerate(gids) if gid is None]
-            for at in misses:
-                gids[at] = state.gid_of(keys[at])
+            misses = [i for i, gid in enumerate(gids) if gid is None]
+            for i in misses:
+                gids[i] = state.gid_of(keys[i])
             self.stats.directory_misses += len(misses)
-        gid_of_cell = np.empty(cells, dtype=np.int64)
-        gid_of_cell[occupied] = gids
-        return gid_of_cell[index]
+        table[occupied] = gids
+        return int(occupied.size)
 
     # ------------------------------------------------------------------ #
     # Spill helpers

@@ -42,7 +42,7 @@ import numpy as np
 from ...errors import ExecutionError
 from ...observability import registry as metrics
 from ...observability.registry import MorphReason
-from ...storage.segment import DENSE_DOMAIN_PER_ROW, DictionaryVector
+from ...storage.segment import DENSE_DOMAIN_PER_ROW, CodeSpace, DictionaryVector
 from ..batch import (
     AS_CODES,
     AS_ROWS,
@@ -391,7 +391,7 @@ class BatchHashJoin(BatchOperator):
             # batch then gathers codes, not values.
             vectors = {
                 name: DictionaryVector.from_values(
-                    build.columns[name], build.null_masks[name], source="join"
+                    build.columns[name], build.null_masks[name], "join", CodeSpace()
                 )
                 for name in build.names
                 if name in self._emits
@@ -589,7 +589,7 @@ class BatchHashJoin(BatchOperator):
                 if pad:
                     codes, nulls = _null_extend(picked.codes, picked.null_mask, pad)
                     picked = DictionaryVector.of(
-                        codes, picked.distinct_values(), nulls, picked.source
+                        codes, picked.distinct_values(), nulls, picked.source, picked.space
                     )
                 out.encoded[name] = picked
                 continue

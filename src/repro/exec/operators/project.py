@@ -7,7 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ...storage.segment import DictionaryVector
+from ...storage.segment import CodeSpace, DictionaryVector
 from ..batch import AS_CODES, AS_ROWS, Batch
 from ..expressions import Case, Column, Expr
 from .base import BatchOperator
@@ -110,6 +110,7 @@ class _CaseDictionary:
         self.code_of = np.array(
             [0 if value is None else values.index(value) for value in literals], dtype=np.int64
         )
+        self.space = CodeSpace()
         # None when no result is NULL: no mask to gather, batch after batch.
         self.is_null = (
             np.array([value is None for value in literals]) if None in literals else None
@@ -120,4 +121,6 @@ class _CaseDictionary:
         nulls = None if self.is_null is None else self.is_null[branch]
         if nulls is not None and not nulls.any():
             nulls = None
-        return DictionaryVector.of(self.code_of[branch], self.distinct, nulls, source="project")
+        return DictionaryVector.of(
+            self.code_of[branch], self.distinct, nulls, "project", self.space
+        )

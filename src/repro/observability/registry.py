@@ -157,6 +157,7 @@ STABLE_COUNTERS = (
     "exec.hash_aggregate.keys_from_vectors",
     "exec.hash_aggregate.keys_coded_locally",
     "exec.hash_aggregate.directory_misses",
+    "exec.hash_aggregate.cells_from_table",
     "concurrency.sessions",
     "concurrency.read_waits",
     "concurrency.write_waits",

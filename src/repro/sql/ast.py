@@ -26,8 +26,10 @@ class EIdent(SqlExpr):
 class ELiteral(SqlExpr):
     value: Any  # int | float | str | bool | None
     # The number or string token's place among the statement's literals;
-    # None for NULL / TRUE / FALSE and literals the parser folded.
+    # None for NULL / TRUE / FALSE. ``negated``: a unary minus folded in,
+    # so the value is the token's, negated.
     slot: int | None = field(default=None, compare=False)
+    negated: bool = field(default=False, compare=False)
 
     def __str__(self) -> str:
         return repr(self.value)

@@ -838,7 +838,7 @@ class Binder:
             if isinstance(node, A.EIdent):
                 return X.Column(namespace.resolve(node))
             if isinstance(node, A.ELiteral):
-                return X.Literal(node.value, slot=node.slot)
+                return X.Literal(node.value, slot=node.slot, negated=node.negated)
             if isinstance(node, A.EBinary):
                 return self._bind_binary(node, bind, namespace)
             if isinstance(node, A.EUnary):
@@ -963,7 +963,7 @@ class Binder:
             return literal
         if dtype.kind in (TypeKind.DATE, TypeKind.DECIMAL):
             coerce = partial(_coerce_literal, dtype)
-            return X.Literal(coerce(literal.value), dtype, literal.slot, coerce)
+            return X.Literal(coerce(literal.value), dtype, literal.slot, coerce, literal.negated)
         return literal
 
     def _coerce_value(self, target: X.Expr, value: Any, namespace: _Namespace) -> Any:

@@ -31,9 +31,12 @@ KEYWORDS = {
 
 # A literal's class stands for it in the shape: the classes of
 # ``expressions._literal_dtype`` (an integer literal is INT inside 32
-# bits, BIGINT beyond), plus strings. Unquoted tokens never start with
+# bits, BIGINT beyond), plus strings. 2**31 is a class of its own: it is
+# BIGINT, but a unary minus folds it into INT's least value, and the
+# parser keeps a folded literal's slot. Unquoted tokens never start with
 # "#", quoted identifiers keep their quotes in the shape.
 INT, BIGINT, FLOAT, STRING = "#int", "#bigint", "#float", "#string"
+INT_MIN_MAGNITUDE = "#2**31"
 
 _INT64_MAX = 2**63 - 1
 
@@ -111,7 +114,12 @@ def lex(sql: str) -> Lexed:
             token = new(Token, ("number", text, start, value, len(literals)))
             tokens.append(token)
             literals.append(token)
-            shape.append(FLOAT if type(value) is float else INT if value < 2**31 else BIGINT)
+            if type(value) is float:
+                shape.append(FLOAT)
+            else:
+                shape.append(
+                    INT if value < 2**31 else INT_MIN_MAGNITUDE if value == 2**31 else BIGINT
+                )
         elif kind == _STRING:
             value = text[1:-1].replace("''", "'")
             token = new(Token, ("string", value, start, value, len(literals)))

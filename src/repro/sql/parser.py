@@ -584,9 +584,9 @@ class Parser:
         if self.accept_op("-"):
             operand = self._unary()
             if isinstance(operand, ELiteral) and isinstance(operand.value, (int, float)):
-                # Folded: no slot, so the literal's text is part of the
-                # statement's cache key (runner "Statement shapes").
-                return ELiteral(-operand.value)
+                # Folded, the slot kept: a statement of this shape negates
+                # its own literal there (runner "Statement shapes").
+                return ELiteral(-operand.value, operand.slot, not operand.negated)
             return EBinary("-", ELiteral(0), operand)
         return self._primary()
 

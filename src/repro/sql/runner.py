@@ -504,9 +504,11 @@ def _filler(literals):
     def fill(node: X.Expr) -> X.Expr | None:
         if type(node) is X.Literal and node.slot is not None:
             value = literals[node.slot].value
+            if node.negated:
+                value = -value
             if node.coerce is not None:
                 value = node.coerce(value)
-            return X.Literal(value, node.dtype, node.slot, node.coerce)
+            return X.Literal(value, node.dtype, node.slot, node.coerce, node.negated)
         return None
 
     return fill
@@ -614,8 +616,12 @@ def _insert_rows(db, statement: A.InsertStatement):
             )
         row = [X.Literal(None)] * len(schema)
         for position, expr in zip(positions, value_exprs):
-            slot = expr.slot if isinstance(expr, A.ELiteral) else None
-            row[position] = X.Literal(_constant_value(expr), slot=slot)
+            literal = isinstance(expr, A.ELiteral)
+            row[position] = X.Literal(
+                _constant_value(expr),
+                slot=expr.slot if literal else None,
+                negated=literal and expr.negated,
+            )
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -640,7 +646,7 @@ def _assignments(db, binder: Binder, namespace: _Namespace, statement: A.UpdateS
         if isinstance(expr, A.ELiteral):
             # Literals coerce to the target column's physical form.
             value = dtype.coerce(expr.value) if expr.value is not None else None
-            yield column, X.Literal(value, dtype, expr.slot, dtype.coerce)
+            yield column, X.Literal(value, dtype, expr.slot, dtype.coerce, expr.negated)
         else:
             yield column, binder._bind_scalar(expr, namespace)
 

@@ -225,8 +225,9 @@ class EncodedVector:
 
     Either kind is a group key: :meth:`select` hands out rows as a
     :class:`DictionaryVector`, whose ``codes`` / ``n_distinct`` /
-    ``null_mask`` a code-space GROUP BY combines. ``source`` names who
-    made the vector, for EXPLAIN ANALYZE.
+    ``null_mask`` a code-space GROUP BY combines, and whose ``space``
+    names what its codes index. ``source`` names who made the vector,
+    for EXPLAIN ANALYZE.
     """
 
     source = "scan"
@@ -283,6 +284,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class CodeSpace:
+    """The name of the codes an operator hands out batch after batch over
+    one distinct array it built (a join's build column, a projection's
+    literals). Equal to itself only."""
+
+    __slots__ = ()
+
+
 class _ValueCoder(dict):
     """value → dictionary code, in order of first appearance. Looked up
     through a C-level ``map``; only a value not seen before reaches
@@ -295,13 +304,22 @@ class _ValueCoder(dict):
 
 class DictionaryVector(EncodedVector):
     """codes ∘ dictionary — over a dictionary segment, read lazily, or
-    over plain arrays an operator built (:meth:`of`, :meth:`from_values`)."""
+    over plain arrays an operator built (:meth:`of`, :meth:`from_values`).
+
+    ``space`` names the distinct values the codes index: two vectors of
+    one space map equal codes to equal values, whichever batch they came
+    in. It is a segment's dictionary, a :class:`CodeSpace` an operator
+    made, or ``(dtype, low, radix)`` for integers coded by subtraction;
+    ``None`` when the codes are this vector's own (ranked, or coded in
+    order of first appearance, on the spot).
+    """
 
     n_distinct = 0  # set per instance: known without reading any payload
 
     def __init__(self, segment: ColumnSegment) -> None:
         super().__init__(segment)
         self.n_distinct = len(segment.values)
+        self.space = segment.values
 
     @classmethod
     def of(
@@ -310,6 +328,7 @@ class DictionaryVector(EncodedVector):
         distinct: np.ndarray,
         null_mask: np.ndarray | None = None,
         source: str = "scan",
+        space: Any = None,
     ) -> "DictionaryVector":
         """Row ``i`` holds ``distinct[codes[i]]``, or NULL under the mask
         (the code there is filler)."""
@@ -320,7 +339,7 @@ class DictionaryVector(EncodedVector):
         vector.n_distinct = int(distinct.size)
         # The lazy attributes, filled in up front.
         vector.codes, vector._distinct, vector.null_mask = codes, distinct, null_mask
-        vector.source = source
+        vector.source, vector.space = source, space
         return vector
 
     @classmethod
@@ -329,29 +348,33 @@ class DictionaryVector(EncodedVector):
         values: np.ndarray,
         null_mask: np.ndarray | None = None,
         source: str = "scan",
+        space: Any = None,
     ) -> "DictionaryVector":
         """Code a plain column. An integer column whose [min, max] is
         dense (``DENSE_DOMAIN_PER_ROW``) is coded by subtraction — the
-        dictionary is the whole range, no sort; other numbers are ranked
-        by ``np.unique``; objects are coded in order of first appearance.
-        An entry no row uses (a gap in the range, a NULL row's filler)
-        is allowed."""
+        dictionary is the whole range, no sort, and the space is
+        ``(dtype, low, radix)``; other numbers are ranked by
+        ``np.unique``; objects are coded in order of first appearance.
+        Those two are in ``space``, which a caller that hands these codes
+        out batch after batch names. An entry no row uses (a gap in the
+        range, a NULL row's filler) is allowed."""
         if values.size and np.issubdtype(values.dtype, np.integer):
             low, high = int(values.min()), int(values.max())
             if high - low + 1 <= DENSE_DOMAIN_PER_ROW * values.size:
                 codes = (values - low).astype(np.int64, copy=False)
                 distinct = np.arange(low, high + 1, dtype=values.dtype)
-                return cls.of(codes, distinct, null_mask, source)
+                space = (values.dtype, low, distinct.size)
+                return cls.of(codes, distinct, null_mask, source, space)
         if values.dtype != object:
             distinct, codes = np.unique(values, return_inverse=True)
-            return cls.of(codes, distinct, null_mask, source)
+            return cls.of(codes, distinct, null_mask, source, space)
         coder = _ValueCoder()
         codes = np.fromiter(
             map(coder.__getitem__, values.tolist()), dtype=np.int64, count=values.size
         )
         distinct = np.empty(len(coder), dtype=object)
         distinct[:] = list(coder)
-        return cls.of(codes, distinct, null_mask, source)
+        return cls.of(codes, distinct, null_mask, source, space)
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -378,7 +401,7 @@ class DictionaryVector(EncodedVector):
         else:
             codes = self._segment.stream.take(positions).view(np.int64)
             nulls = self._segment.null_mask(positions)
-        return DictionaryVector.of(codes, self._distinct, nulls, self.source)
+        return DictionaryVector.of(codes, self._distinct, nulls, self.source, self.space)
 
     def weights(self, keep: np.ndarray) -> np.ndarray:
         return np.bincount(
@@ -436,7 +459,8 @@ class RunVector(EncodedVector):
         codes, nulls = self.codes, self.null_mask
         if positions is not None:
             codes, nulls = codes[positions], None if nulls is None else nulls[positions]
-        return DictionaryVector.of(codes, self.run_keys.distinct_values(), nulls, self.source)
+        keys = self.run_keys
+        return DictionaryVector.of(codes, keys.distinct_values(), nulls, self.source, keys.space)
 
     def weights(self, keep: np.ndarray) -> np.ndarray:
         if self.n_distinct == 0:

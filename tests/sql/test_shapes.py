@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import math
 import sys
 import threading
 
@@ -156,6 +157,54 @@ def test_in_like_limit_negative_literals_are_key(pair):
          "INSERT INTO t (x, f) VALUES (-7, -1.5)",
          "INSERT INTO t (x, f) VALUES (-8, -2.5)",
          "SELECT x, f FROM t WHERE x < -5 ORDER BY x")
+
+
+def test_negative_number_literals_are_parameters(pair, registry):
+    """A unary minus folded into a number keeps the number's slot: 100
+    negative keys of one shape bind once, and each answers as a fresh
+    bind does."""
+    cached, fresh = pair
+    cached.shapes.clear()  # the fixture's INSERT
+    registry.reset()
+    sqls = [f"SELECT x, y FROM t WHERE y > -{n * 1_000_003} ORDER BY x" for n in range(100)]
+    answers = [answer(cached, sql) for sql in sqls]
+    assert registry.counter("sql.shapes.misses") == 1
+    assert registry.counter("sql.shapes.hits") == 99
+    assert registry.counter("sql.shapes.evicted") == 0
+    for sql, got in zip(sqls, answers):
+        fresh.shapes.clear()
+        assert got == answer(fresh, sql), sql
+
+
+def test_negated_int_min_float_and_zero_answer_as_a_fresh_bind(pair):
+    """-2147483648 is INT although 2147483648 is BIGINT, so it is a shape
+    of its own; a negated float, -0.0 included, keeps its sign bit on a
+    hit either way round."""
+    cached, _ = pair
+    assert lex("SELECT x + -2147483648 AS z FROM t").shape != lex(
+        "SELECT x + -2147483649 AS z FROM t").shape
+    same(pair,
+         "SELECT x + -2147483649 AS z FROM t ORDER BY x",
+         "SELECT x + -2147483648 AS z FROM t ORDER BY x",
+         "SELECT x + -2147483650 AS z FROM t ORDER BY x",
+         "SELECT x FROM t WHERE x > -2147483648 ORDER BY x",
+         "SELECT x, y * -2.5 AS z, - -1.5 AS w FROM t ORDER BY x",
+         "SELECT x, y * -0.0 AS z, - -0.0 AS w FROM t ORDER BY x",
+         "SELECT x, y * -4.0 AS z, - -2.0 AS w FROM t ORDER BY x",
+         "INSERT INTO t (x, f) VALUES (-9, -0.0)",
+         "INSERT INTO t (x, f) VALUES (-10, -3.5)",
+         "UPDATE t SET f = -0.0 WHERE x = -10",
+         "UPDATE t SET f = -4.5 WHERE x = -9",
+         "SELECT x, f FROM t WHERE x < -5 ORDER BY x")
+    for sql, sign in (("SELECT -1.5 * f AS z FROM t WHERE x = 1", -1.0),
+                      ("SELECT -0.0 * f AS z FROM t WHERE x = 1", -1.0),
+                      ("SELECT - -0.0 * f AS z FROM t WHERE x = 1", 1.0)):
+        [(z,)] = cached.sql(sql).rows
+        assert math.copysign(1.0, z) == sign, sql
+    [(f,)] = cached.sql("SELECT f FROM t WHERE x = -10").rows
+    assert f == 0.0 and math.copysign(1.0, f) == -1.0
+    [(f,)] = cached.sql("SELECT f FROM t WHERE x = -9").rows
+    assert f == -4.5
 
 
 def test_null_true_false_are_key(pair):
