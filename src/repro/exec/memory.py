@@ -45,20 +45,22 @@ class MemoryGrant:
         self.peak_bytes = 0
         self._ctx = context if context is not None else _gov.current()
 
-    def try_reserve(self, n_bytes: int) -> bool:
+    def try_reserve(self, n_bytes: int, optional: bool = False) -> bool:
         """Reserve if it fits; returns False when the operator must spill.
 
         Order of checks: the grant's own budget first (preserves the
         ungoverned behavior bit for bit), then the governing context —
         whose hard violations raise ResourceExhaustedError rather than
-        returning False.
+        returning False, unless the bytes are ``optional`` (a cache the
+        operator drops when refused).
         """
         if self.reserved_bytes + n_bytes > self.budget_bytes:
             return False
         if self._ctx is not None:
-            if self._ctx.try_reserve(n_bytes) != RESERVE_OK:
-                # Over the query's soft budget: degrade to spilling, same
-                # contract as grant exhaustion.
+            if self._ctx.try_reserve(n_bytes, optional) != RESERVE_OK:
+                # Over the query's soft budget (or, for optional bytes,
+                # any limit): degrade to spilling, same contract as grant
+                # exhaustion.
                 return False
         self.reserved_bytes += n_bytes
         self.peak_bytes = max(self.peak_bytes, self.reserved_bytes)

@@ -58,6 +58,9 @@ _FUNCS = {COUNT_STAR, "count", "sum", "min", "max", "avg"}
 _SPILL_PARTITIONS = 8
 # Estimated retained bytes per group (keys + accumulators), for the grant.
 _BYTES_PER_GROUP = 96
+# Cell -> group tables a state keeps, the spaces met most recently: two,
+# so two spaces that take turns (a key whose NULLs come and go) both stay.
+_TABLES_KEPT = 2
 # Argument dtype kinds each aggregate folds per run with the bits of a
 # per-row update (None: any): integer MIN/MAX are order-free and int64
 # addition wraps associatively. Floats are not: addition does not
@@ -118,7 +121,10 @@ class _GroupState:
 
     ``tables`` maps a key code space (the keys' ``DictionaryVector.space``
     and whether each has a NULL slot) to its cell → group id table, −1
-    where a cell has not been seen; group ids are this state's, so a new
+    where a cell has not been seen, the space met most recently last.
+    Only the ``_TABLES_KEPT`` spaces met last keep theirs, so a space met
+    once (a row group's own dictionary, an integer range that moved)
+    leaves no table behind for long. Group ids are this state's, so a new
     state starts with none.
     """
 
@@ -143,10 +149,23 @@ class _GroupState:
         return len(self.key_rows)
 
     @property
-    def retained_bytes(self) -> int:
-        """Estimated bytes held: the groups, and the code spaces' tables."""
-        tables = sum(table.nbytes for table in self.tables.values())
-        return self.n_groups * _BYTES_PER_GROUP + tables
+    def table_bytes(self) -> int:
+        return sum(table.nbytes for table in self.tables.values())
+
+    def table(self, space: tuple) -> np.ndarray | None:
+        """The space's table, if it has one, now the one met last."""
+        table = self.tables.pop(space, None)
+        if table is not None:
+            self.tables[space] = table
+        return table
+
+    def new_table(self, space: tuple, cells: int) -> np.ndarray:
+        """A table for the space, no cell seen yet; the table of the space
+        met longest ago goes when there are more than ``_TABLES_KEPT``."""
+        table = self.tables[space] = np.full(cells, -1, dtype=np.int64)
+        if len(self.tables) > _TABLES_KEPT:
+            del self.tables[next(iter(self.tables))]
+        return table
 
     def gid_of(self, key: tuple) -> int:
         gid = self.key_to_gid.get(key)
@@ -455,30 +474,26 @@ class BatchHashAggregate(BatchOperator):
     def _aggregate(self) -> Iterator[Batch]:
         state = _GroupState(self.group_keys, self.aggregates)
         spills: list[SpillFile] | None = None
-        reserved = 0
+        reserved = tables_reserved = 0
         for batch in self.child.batches():
             self.stats.input_rows += batch.active_count
             self._accumulate(state, batch)
             if spills is None:
-                needed = state.retained_bytes
-                fits = needed <= reserved or self.grant.try_reserve(needed - reserved)
-                if not fits and state.tables:
-                    state.tables.clear()  # a cache: the groups come first
-                    needed = state.retained_bytes
-                    fits = needed <= reserved or self.grant.try_reserve(needed - reserved)
-                if fits:
+                needed = state.n_groups * _BYTES_PER_GROUP
+                if needed <= reserved or self.grant.try_reserve(needed - reserved):
                     reserved = max(reserved, needed)
+                    tables_reserved = self._reserve_tables(state, tables_reserved)
                     continue
                 # Grant exhausted: from here on every batch is aggregated
                 # locally and its partials spilled.
                 self.stats.spilled = True
-                self.grant.release(reserved)
+                self.grant.release(reserved + tables_reserved)
                 spills = [SpillFile() for _ in range(_SPILL_PARTITIONS)]
             spill_by_key(state.to_partial_batch(), self.group_keys, spills)
             state = _GroupState(self.group_keys, self.aggregates)
 
         if spills is None:
-            self.grant.release(reserved)
+            self.grant.release(reserved + tables_reserved)
             if state.n_groups == 0 and not self.group_keys:
                 state.gid_of(())  # scalar aggregate over empty input: one row
             self.stats.groups = state.n_groups
@@ -498,6 +513,20 @@ class BatchHashAggregate(BatchOperator):
         finally:
             for spill in spills:
                 spill.close()
+
+    def _reserve_tables(self, state: _GroupState, reserved: int) -> int:
+        """Hold in the grant the bytes of the state's tables, of which
+        ``reserved`` are held so far, and return what is held now. The
+        tables are a cache, reserved only once the groups fit: when the
+        grant or the query's governance will not take them, they are
+        dropped, and the aggregate neither spills nor fails for them."""
+        needed = state.table_bytes
+        if needed > reserved and not self.grant.try_reserve(needed - reserved, optional=True):
+            state.tables.clear()
+            needed = 0
+        if needed < reserved:
+            self.grant.release(reserved - needed)
+        return needed
 
     # ------------------------------------------------------------------ #
     # Accumulation helpers
@@ -613,14 +642,14 @@ class BatchHashAggregate(BatchOperator):
         Each key contributes its code (``n_distinct`` is the NULL slot of
         a key with NULLs) to one mixed-radix cell number per row
         (``combine_codes``; a single key's codes are its cells). The
-        state keeps a table cell → group id per code space the keys name
-        (``DictionaryVector.space``), made when the space has no more
-        cells than the batch has rows: once a space has been seen, a
-        batch's group ids are one gather, and only rows whose cell the
-        table does not hold yet (−1) go on. Keys without a space, or whose
-        space first comes with more cells than rows, map through a table
-        of their batch alone (over the cells' ``np.unique`` ranks when
-        they outnumber the rows).
+        state keeps a table cell → group id for the code spaces the keys
+        name (``DictionaryVector.space``) that it met last, made when the
+        space has no more cells than the batch has rows: once a space has
+        been seen, a batch's group ids are one gather, and only rows whose
+        cell the table does not hold yet (−1) go on. Keys without a space,
+        or whose space first comes with more cells than rows, map through
+        a table of their batch alone (over the cells' ``np.unique`` ranks
+        when they outnumber the rows).
         """
         n = vectors[0].row_count
         columns = []
@@ -632,7 +661,7 @@ class BatchHashAggregate(BatchOperator):
         index, cells = combine_codes(columns)
         scan = all(vector.source == "scan" for vector in vectors)
         space = tuple((vector.space, vector.null_mask is not None) for vector in vectors)
-        table = state.tables.get(space)
+        table = state.table(space)
         if table is not None:
             gids = table[index]
             # Once every cell is known (O(cells)), no row can miss (O(rows)).
@@ -649,7 +678,7 @@ class BatchHashAggregate(BatchOperator):
         named = all(vector.space is not None for vector in vectors)
         # (More cells than rows may have been re-ranked by combine_codes.)
         if named and math.prod(radix for _, radix in columns) <= n:
-            table = state.tables[space] = np.full(cells, -1, dtype=np.int64)
+            table = state.new_table(space, cells)
         else:
             if cells > n:
                 index, cells = rank_cells(index)

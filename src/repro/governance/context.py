@@ -169,7 +169,7 @@ class QueryContext:
     # ------------------------------------------------------------------ #
     # Memory accounting
     # ------------------------------------------------------------------ #
-    def try_reserve(self, n_bytes: int) -> str:
+    def try_reserve(self, n_bytes: int, optional: bool = False) -> str:
         """Charge ``n_bytes`` against this query and the process governor.
 
         Returns ``RESERVE_OK`` when the reservation was committed, or
@@ -178,13 +178,24 @@ class QueryContext:
         :class:`ResourceExhaustedError` on a *hard* violation — per-query
         ``memory_limit_bytes`` or the process-wide governor cap — without
         committing anything.
+
+        ``optional`` bytes are a cache the caller drops when refused: any
+        refusal, hard or soft, returns ``RESERVE_SPILL`` and is not
+        counted as a rejection or a forced spill.
         """
         with self._mem_lock:
             proposed = self.reserved_bytes + n_bytes
-            if (
+            over_limit = (
                 self.memory_limit_bytes is not None
                 and proposed > self.memory_limit_bytes
-            ):
+            )
+            over_budget = (
+                self.memory_budget_bytes is not None
+                and proposed > self.memory_budget_bytes
+            )
+            if optional and (over_limit or over_budget):
+                return RESERVE_SPILL
+            if over_limit:
                 metrics.increment("governance.budget_rejections")
                 raise ResourceExhaustedError(
                     f"query {self.query_id} exceeded its hard memory limit of "
@@ -192,6 +203,8 @@ class QueryContext:
                     f"reserved, {n_bytes} requested)"
                 )
             if not self._governor.try_reserve(n_bytes):
+                if optional:
+                    return RESERVE_SPILL
                 metrics.increment("governance.budget_rejections")
                 raise ResourceExhaustedError(
                     f"process memory governor cap of "
@@ -199,10 +212,7 @@ class QueryContext:
                     f"({self._governor.reserved_bytes} reserved across all "
                     f"queries, {n_bytes} requested by query {self.query_id})"
                 )
-            if (
-                self.memory_budget_bytes is not None
-                and proposed > self.memory_budget_bytes
-            ):
+            if over_budget:
                 # Soft budget: hand the bytes back and tell the operator
                 # to spill instead of growing.
                 self._governor.release(n_bytes)

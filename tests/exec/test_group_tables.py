@@ -3,12 +3,15 @@
 Batches carry group keys the ways they reach the aggregate: a join's
 build column (one code space for every batch), a segment's dictionary (a
 new space each row group), a plain integer column coded by subtraction
-(a space per [min, max], which shifts from batch to batch) or ranked (no
+(a space per [min, max], which moves between batches and comes back to
+where it was, after the state has met other spaces) or ranked (no
 space), NULLs (the radix + 1 slot), spaces of more cells than the batch
 has rows, one to three keys; under the default grant and under a one-byte
 one, which spills after the first batch. The groups, their order of first
 appearance, ``groups``, ``directory_misses`` and, without a spill,
-``cells_from_table`` must equal the reference's.
+``cells_from_table`` must equal the reference's. The tables are a cache:
+a grant or a governed query that will not hold them drops them, and the
+aggregate answers as it would without them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from repro.bench.harness import same_rows
 from repro.exec.batch import Batch
 from repro.exec.memory import MemoryGrant
 from repro.exec.operators.base import BatchOperator
-from repro.exec.operators.hash_aggregate import BatchHashAggregate, agg, count_star
+from repro.exec.operators.hash_aggregate import (
+    _BYTES_PER_GROUP,
+    _TABLES_KEPT,
+    BatchHashAggregate,
+    agg,
+    count_star,
+)
+from repro.governance import MemoryGovernor, QueryContext
+from repro.observability import registry as metrics
 from repro.observability.registry import STABLE_COUNTERS
 from repro.storage.segment import DENSE_DOMAIN_PER_ROW, CodeSpace, DictionaryVector, encode_segment
 from repro.types import VARCHAR
@@ -96,7 +107,7 @@ def keyed_batches(draw):
         if n and draw(st.booleans()):
             batch = batch.narrow(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
         cases.append((batch, values))
-        shift += draw(st.sampled_from([0, 0, 0, 1, 3]))
+        shift = draw(st.sampled_from([shift, shift, 0, 1, 3]))  # moves, and comes back
     return names, cases
 
 
@@ -120,8 +131,9 @@ def _space(batch: Batch, name: str, active: np.ndarray):
 def reference(names, cases, spill: bool) -> dict:
     """Groups in order of first appearance with COUNT(*) and SUM(v); the
     directory misses; and the rows whose cell a table held at the start of
-    their batch (tables exist for a space first met in a batch with no
-    fewer rows than cells, and live as long as the one state does)."""
+    their batch (a table is made for a space first met in a batch with no
+    fewer rows than cells, and kept while its space is one of the
+    ``_TABLES_KEPT`` the state met last)."""
     groups: dict[tuple, list[int]] = {}
     misses = from_table = 0
     tables: dict[tuple, set] = {}
@@ -141,13 +153,15 @@ def reference(names, cases, spill: bool) -> dict:
         spaces = [_space(batch, name, active) for name in names]
         space = tuple((s, nulls) for s, nulls, _ in spaces)
         if space in tables:
-            seen = tables[space]
+            seen = tables[space] = tables.pop(space)  # now the one met last
             from_table += sum(key in seen for key in keys)
             seen.update(keys)
         elif all(s is not None for s, _, _ in spaces) and math.prod(
             radix for _, _, radix in spaces
         ) <= active.size:
             tables[space] = set(keys)
+            if len(tables) > _TABLES_KEPT:
+                del tables[next(iter(tables))]
     if spill:
         misses += len(groups)  # each partition merged through its own directory
     else:
@@ -176,22 +190,82 @@ def test_group_tables_equal_the_per_row_reference(case, spill):
     assert grant.reserved_bytes == 0
 
 
-def test_tables_give_way_to_groups_under_a_tight_grant():
-    """A grant the groups fit and the tables do not: the tables are
-    dropped, the aggregate does not spill."""
+def _join_keyed(n_batches: int = 3) -> BatchSource:
+    """Batches of 1,000 rows keyed by a build column of 1,000 values, of
+    which the rows use 4: 4 groups of 96 bytes, a table of 8,000."""
     distinct, space = np.arange(1000, dtype=np.int64), CodeSpace()
-    batches = [
+    return BatchSource(["k", "v"], [
         Batch(columns={"v": np.ones(1000, dtype=np.int64)},
               encoded={"k": DictionaryVector.of(np.arange(1000) % 4, distinct, None,
                                                 "join", space)})
-        for _ in range(3)
+        for _ in range(n_batches)
+    ])
+
+
+def _grouped(grant: MemoryGrant) -> BatchHashAggregate:
+    op = BatchHashAggregate(_join_keyed(), ["k"], [count_star("n")], grant)
+    assert [row for batch in op.batches() for row in batch.to_rows()] == [
+        (k, 750) for k in range(4)
     ]
-    grant = MemoryGrant(1000)  # 4 groups x 96 bytes fit; 8,000 table bytes do not
-    op = BatchHashAggregate(BatchSource(["k", "v"], batches), ["k"], [count_star("n")], grant)
-    rows = [row for batch in op.batches() for row in batch.to_rows()]
-    assert rows == [(k, 750) for k in range(4)]
+    return op
+
+
+def test_tables_give_way_to_groups_under_a_tight_grant():
+    """A grant the groups fit and the tables do not: the tables are
+    dropped, the aggregate does not spill."""
+    grant = MemoryGrant(1000)
+    op = _grouped(grant)
     assert not op.stats.spilled and op.stats.cells_from_table == 0
     assert grant.reserved_bytes == 0
+
+
+def test_tables_are_reserved_beside_the_groups_and_returned():
+    grant = MemoryGrant()
+    op = _grouped(grant)
+    assert op.stats.cells_from_table == 2000
+    assert grant.peak_bytes == 4 * _BYTES_PER_GROUP + 8000
+    assert grant.reserved_bytes == 0
+
+
+def test_a_governed_query_whose_tables_do_not_fit_still_answers():
+    """Under a hard per-query limit, a process cap or a soft budget that
+    the groups fit and the groups and tables do not, the query neither
+    fails nor spills: its tables are dropped and their bytes returned,
+    and no rejection or forced spill is counted."""
+    groups = 4 * _BYTES_PER_GROUP
+    before = {name: metrics.get_registry().counter(name)
+              for name in ("governance.budget_rejections", "governance.spills_forced")}
+    for limits in (
+        {"memory_limit_bytes": groups + 100},
+        {"governor": MemoryGovernor(limit_bytes=groups + 100)},
+        {"memory_budget_bytes": groups + 100},
+    ):
+        ctx = QueryContext(1, **limits)
+        grant = MemoryGrant(context=ctx)
+        op = _grouped(grant)
+        assert not op.stats.spilled and op.stats.cells_from_table == 0, limits
+        assert grant.peak_bytes == groups
+        assert grant.reserved_bytes == ctx.reserved_bytes == 0
+        ctx.release_all()
+    assert {name: metrics.get_registry().counter(name) for name in before} == before
+
+
+def test_spaces_met_once_leave_at_most_the_kept_tables():
+    """A key read from a new row group's dictionary every batch: the
+    grant never holds more than the tables of the spaces met last."""
+    words = np.array(_WORDS * 4, dtype=object)
+    batches = [
+        Batch(columns={"v": np.ones(words.size, dtype=np.int64)},
+              encoded={"k": encode_segment(VARCHAR, words, None).vector()})
+        for _ in range(10)
+    ]
+    grant = MemoryGrant()
+    op = BatchHashAggregate(BatchSource(["k", "v"], batches), ["k"], [count_star("n")], grant)
+    rows = [row for batch in op.batches() for row in batch.to_rows()]
+    assert rows == [(word, 40) for word in _WORDS]
+    assert op.stats.cells_from_table == 0
+    table = len(_WORDS) * 8
+    assert grant.peak_bytes == len(_WORDS) * _BYTES_PER_GROUP + _TABLES_KEPT * table
 
 
 def test_explain_analyze_shows_the_rows_that_came_from_a_table():
@@ -212,3 +286,18 @@ def test_explain_analyze_shows_the_rows_that_came_from_a_table():
     assert "directory_misses=3, cells_from_table=1488" in text
     decoded = db.sql(sql, stats=True, enable_encoded_agg=False).stats
     assert decoded.counter("exec.hash_aggregate.cells_from_table") == 0  # coded here: no space
+
+
+def test_a_space_met_again_keeps_its_table_only_while_among_the_last_met():
+    """An integer key coded by subtraction over ranges starting at 0, 1,
+    0, 3, 5, 0: the third batch finds the first one's table; by the sixth
+    the two ranges met since have pushed it out."""
+    lows = [0, 1, 0, 3, 5, 0]
+    batches = [
+        Batch(columns={"k": np.arange(low, low + 4).repeat(2), "v": np.ones(8, dtype=np.int64)})
+        for low in lows
+    ]
+    op = BatchHashAggregate(BatchSource(["k", "v"], batches), ["k"], [count_star("n")])
+    rows = [row for batch in op.batches() for row in batch.to_rows()]
+    assert dict(rows) == {k: 2 * sum(low <= k < low + 4 for low in lows) for k in range(9)}
+    assert op.stats.cells_from_table == 8
