@@ -19,7 +19,9 @@ c. Grouping cost, ns per input row, for a plain integer key (100 and
    4,000 values: coded by subtraction, directory resolved in bulk).
 
 ``--smoke`` runs (b)'s counters on a 12,000-row fact table and asserts
-them — no clock — which is what CI runs.
+them — no clock — which is what CI runs; it also asserts how many rows
+each grouped query folds into its key cells (``rows_folded_by_cell``),
+and that none gathers a group id per row instead.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ COUNTERS = (
     "exec.hash_aggregate.keys_coded_locally",
     "exec.hash_aggregate.directory_misses",
     "exec.hash_aggregate.cells_from_table",
+    "exec.hash_aggregate.rows_folded_by_cell",
 )
 # Rows whose group id came from a table, per star query at smoke scale
 # (seed 1; row groups of 4,096, 4,096 and 3,808 rows): the first batch of
@@ -67,6 +70,15 @@ COUNTERS = (
 SMOKE_CELLS_FROM_TABLE = {
     "Q04": 7904, "Q07": 7904, "Q08": 7904, "Q10": 7904, "Q11": 359, "Q12": 7904,
     "Q13": 6, "Q14": 6420, "Q16": 7904, "Q18": 2991, "Q20": 7904, "Q21": 7904, "Q22": 7904,
+}
+# Rows folded into their key cells, per grouped star query at smoke scale
+# (seed 1): every row reaching a grouped aggregate, once per batch — all
+# 12,000 facts unless a filter or a join drops some. No star query
+# gathers a group id per row (``rows_folded_by_row``, asserted 0).
+SMOKE_ROWS_FOLDED_BY_CELL = {
+    "Q04": 12000, "Q05": 1478, "Q07": 12000, "Q08": 12000, "Q10": 12000, "Q11": 5939,
+    "Q12": 12000, "Q13": 177, "Q14": 12000, "Q15": 188, "Q16": 12000, "Q18": 4545,
+    "Q19": 1113, "Q20": 12000, "Q21": 12000, "Q22": 12000,
 }
 
 
@@ -131,6 +143,7 @@ def query_counters(db) -> dict[str, dict]:
         aggregates = stats.find("BatchHashAggregate")
         row["grouped"] = bool(aggregates) and bool(aggregates[0].details.get("keys"))
         row["groups"] = sum(a.details.get("groups", 0) for a in aggregates)
+        row["rows_folded_by_row"] = sum(a.details.get("rows_folded_by_row", 0) for a in aggregates)
         row["keys"] = aggregates[0].details.get("keys", {}) if aggregates else {}
         out[query.qid] = row
     return out
@@ -161,6 +174,10 @@ def smoke() -> dict[str, dict]:
     from_table = {qid: row["cells_from_table"] for qid, row in counters.items()
                   if row["cells_from_table"]}
     assert from_table == SMOKE_CELLS_FROM_TABLE, from_table
+    by_cell = {qid: row["rows_folded_by_cell"] for qid, row in counters.items()
+               if row["rows_folded_by_cell"]}
+    assert by_cell == SMOKE_ROWS_FOLDED_BY_CELL, by_cell
+    assert not any(row["rows_folded_by_row"] for row in counters.values()), counters
     return counters
 
 

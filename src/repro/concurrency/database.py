@@ -70,7 +70,8 @@ class ConcurrentDatabase:
             if name in self._sessions:
                 raise ConcurrencyError(f"session name {name!r} is already in use")
             session = Session(
-                name, self.db, self.lock, on_close=self._forget, latches=self.latches
+                name, self.db, self.lock, on_close=self._forget, latches=self.latches,
+                sessions=self._sessions,
             )
             self._sessions[name] = session
             return session

@@ -25,6 +25,7 @@ one statement at a time, which the session's own lock ensures.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any
 
 from ..errors import ConcurrencyError
@@ -50,6 +51,7 @@ class Session(Isolation):
         lock: ReadWriteLock,
         on_close=None,
         latches: TableLatches | None = None,
+        sessions: dict[str, "Session"] | None = None,
     ) -> None:
         super().__init__(name=name, lock=lock, latches=latches)
         self._db = db
@@ -58,6 +60,9 @@ class Session(Isolation):
         # Serializes statements *within* this session; the RW lock
         # coordinates *across* sessions.
         self._statement_lock = threading.RLock()
+        # The database's open sessions, this one among them (a lone
+        # session has none to yield to).
+        self._sessions = sessions if sessions is not None else {}
         self.statements = 0
         metrics.increment("concurrency.sessions")
 
@@ -66,7 +71,18 @@ class Session(Isolation):
         with self._statement_lock:
             self._require_open()
             self.statements += 1
-            return run_statement(self._db, text, self, **options)
+            result = run_statement(self._db, text, self, **options)
+        if len(self._sessions) > 1:
+            # Yield the interpreter to the database's other sessions. A
+            # session running statements back to back may never block,
+            # and then holds the GIL for whole switch intervals while a
+            # session returning from a disk write or a lock wake-up waits,
+            # one interval per return: a loop reading a small table let
+            # two writers commit a few rows a second, and a hot backup
+            # took a minute (CPython's convoy effect). A sleep, not a bare
+            # release: the waiter needs the time to take it.
+            time.sleep(0)
+        return result
 
     @property
     def in_transaction(self) -> bool:

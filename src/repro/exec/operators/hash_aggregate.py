@@ -6,8 +6,10 @@ operator takes it so) brings its codes, a plain one is coded here, batch
 by batch; the rows' code combinations are mapped to dense group ids, so
 only the distinct combinations of a batch ever become Python tuples, and
 once a code space has been seen, only those no earlier batch of it had.
-Aggregate accumulators are updated with ``np.add.at`` /
-``np.minimum.at`` style scatter operations.
+A grouped batch is folded into its cells, not its groups: rows are
+counted per cell once, each argument is scattered (``np.add.at`` /
+``np.minimum.at`` style) into an accumulator over the cells seeded with
+their groups' values, and only the occupied cells go back to the groups.
 
 When the accumulated state exceeds the memory grant, the operator degrades
 to the paper's local/global pattern: each subsequent batch is aggregated
@@ -68,6 +70,10 @@ _TABLES_KEPT = 2
 # a tie, so 0.0 against -0.0 depends on the fold order.
 _RUN_FOLDABLE = {"count": None, "min": "biu", "max": "biu", "sum": "biu", "avg": "biu"}
 _REDUCE = {"sum": np.add, "avg": np.add, "min": np.minimum, "max": np.maximum}
+# The one NaN a NaN group key holds: NaN equals nothing, itself included,
+# so keys holding NaNs made apart would each find a group of their own;
+# all of them are one group (PostgreSQL's rule, and ``sort_keys``' order).
+NAN = math.nan
 
 
 @dataclass
@@ -107,6 +113,46 @@ class AggregateStats:
     # an earlier batch; runs, for a unit folded run by run): the rows
     # that skipped the directory.
     cells_from_table: int = 0
+    # Rows of grouped batches, once a batch, folded into their key cells
+    # by every aggregate / by some aggregate through a group id gathered
+    # per row (a table that gives two cells one group, a string MIN/MAX).
+    rows_folded_by_cell: int = 0
+    rows_folded_by_row: int = 0
+
+
+class _Cells:
+    """A grouped batch's qualifying rows by key cell.
+
+    ``cells`` holds each row's cell and ``table`` each cell's group id;
+    ``occupied`` are the cells some row holds, ``rows`` how many rows
+    each holds and ``gids`` their groups. ``one_per_group``: no two
+    cells of the table share a group, so all of a group's rows in the
+    batch are one cell's.
+    """
+
+    __slots__ = ("cells", "table", "one_per_group", "occupied", "rows", "gids")
+
+    def __init__(
+        self,
+        cells: np.ndarray,
+        table: np.ndarray,
+        one_per_group: bool,
+        counts: np.ndarray | None = None,
+    ) -> None:
+        if counts is None:
+            counts = np.bincount(cells, minlength=table.size)
+        self.cells, self.table, self.one_per_group = cells, table, one_per_group
+        self.occupied = np.flatnonzero(counts)
+        self.rows = counts[self.occupied]
+        self.gids = table[self.occupied]
+
+    def at(self, rows: np.ndarray) -> "_Cells":
+        """The same rows' cells at ``rows`` alone (an argument's non-NULL rows)."""
+        return _Cells(self.cells[rows], self.table, self.one_per_group)
+
+    def row_gids(self) -> np.ndarray:
+        """One group id per row: the gather the fold falls back to."""
+        return self.table[self.cells]
 
 
 class _GroupState:
@@ -115,9 +161,10 @@ class _GroupState:
     Counts are NumPy arrays updated with ``np.add.at``; sum/min/max over
     numeric arguments use scatter ufuncs (``np.add.at`` /
     ``np.minimum.at`` / ``np.maximum.at``) against identity-initialized
-    arrays. Only string (object) aggregates fall back to a per-row loop.
-    Untouched slots are detected through the per-spec non-null counts, so
-    identity values never leak into results.
+    arrays, into a batch's cells where it comes as ``_Cells``. Only
+    string (object) aggregates fall back to a per-row loop. Untouched
+    slots are detected through the per-spec non-null counts, so identity
+    values never leak into results.
 
     ``tables`` maps a key code space (the keys' ``DictionaryVector.space``
     and whether each has a NULL slot) to its cell → group id table, −1
@@ -125,7 +172,8 @@ class _GroupState:
     Only the ``_TABLES_KEPT`` spaces met last keep theirs, so a space met
     once (a row group's own dictionary, an integer range that moved)
     leaves no table behind for long. Group ids are this state's, so a new
-    state starts with none.
+    state starts with none. ``shared`` holds the spaces whose table gives
+    two cells one group (0.0 and -0.0 in one float dictionary).
     """
 
     _INITIAL_CAPACITY = 64
@@ -136,6 +184,7 @@ class _GroupState:
         self.key_to_gid: dict[tuple, int] = {}
         self.key_rows: list[tuple] = []
         self.tables: dict[tuple, np.ndarray] = {}
+        self.shared: set[tuple] = set()
         self._capacity = self._INITIAL_CAPACITY
         self.counts: list[np.ndarray] = [
             np.zeros(self._capacity, dtype=np.int64) for _ in specs
@@ -163,6 +212,7 @@ class _GroupState:
         """A table for the space, no cell seen yet; the table of the space
         met longest ago goes when there are more than ``_TABLES_KEPT``."""
         table = self.tables[space] = np.full(cells, -1, dtype=np.int64)
+        self.shared.discard(space)
         if len(self.tables) > _TABLES_KEPT:
             del self.tables[next(iter(self.tables))]
         return table
@@ -227,24 +277,26 @@ class _GroupState:
     # ------------------------------------------------------------------ #
     # Update from raw input rows
     # ------------------------------------------------------------------ #
-    def update(self, batch: Batch, gids: np.ndarray | int) -> None:
-        """Fold a batch's qualifying rows into their groups.
+    def update(self, batch: Batch, groups: int | _Cells) -> bool:
+        """Fold a batch's qualifying rows into their groups, and return
+        whether some aggregate gathered a group id per row.
 
-        ``gids`` holds one group id per qualifying row, or is a single
-        int when they all belong to one group (a scalar aggregate). Only
-        then can an argument arrive as an encoded vector: its distinct
-        values are folded once each, weighted by their surviving rows.
+        ``groups`` is the rows' ``_Cells``, or a single int when they all
+        belong to one group (a scalar aggregate). Only then can an
+        argument arrive as an encoded vector: its distinct values are
+        folded once each, weighted by their surviving rows.
         """
-        one_group = isinstance(gids, int)
-        active: np.ndarray | None = None
+        one_group = isinstance(groups, int)
+        selection = batch.selection
         keep: np.ndarray | None = None
         folded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        gathered = False
         for spec_index, spec in enumerate(self.specs):
             if spec.func == COUNT_STAR:
                 if one_group:
-                    self.counts[spec_index][gids] += batch.active_count
+                    self.counts[spec_index][groups] += batch.active_count
                 else:
-                    np.add.at(self.counts[spec_index], gids, 1)
+                    np.add.at(self.counts[spec_index], groups.gids, groups.rows)
                 continue
             name = spec.expr.name if type(spec.expr) is Column else None
             if name in batch.encoded:
@@ -255,67 +307,83 @@ class _GroupState:
                     weights = vector.weights(keep)
                     carried = weights > 0
                     folded[name] = vector.distinct_values()[carried], weights[carried]
-                self._fold(spec_index, spec.func, gids, *folded[name])
+                self._fold(spec_index, spec.func, groups, *folded[name])
                 continue
+            # Read in place: gathered only where a selection or NULLs
+            # leave rows out.
             values, nulls = spec.expr.eval_batch(batch)
-            if active is None:
-                active = batch.active_indices()
-            values = values[active]
-            present_gids = gids
-            if nulls is not None:
-                present = np.flatnonzero(~nulls[active])
+            if selection is not None:
+                values = values[selection]
+                nulls = None if nulls is None else nulls[selection]
+            present_groups = groups
+            if nulls is not None and nulls.any():
+                present = np.flatnonzero(~nulls)
                 values = values[present]
                 if not one_group:
-                    present_gids = gids[present]
-            self._fold(spec_index, spec.func, present_gids, values)
+                    present_groups = groups.at(present)
+            gathered |= self._fold(spec_index, spec.func, present_groups, values)
+        return gathered
 
     def _fold(
         self,
         spec_index: int,
         func: str,
-        gids: np.ndarray | int,
+        groups: int | _Cells,
         values: np.ndarray,
         weights: np.ndarray | None = None,
-    ) -> None:
+    ) -> bool:
         """Count the present (non-NULL) ``values`` into their groups and
         combine them; ``weights`` (single group only) says how many rows
-        each value stands for."""
-        one_group = isinstance(gids, int)
+        each value stands for. Returns whether the values' group ids were
+        gathered per row."""
         counts = self.counts[spec_index]
-        if not one_group:
-            np.add.at(counts, gids, 1)
+        if isinstance(groups, _Cells):
+            np.add.at(counts, groups.gids, groups.rows)
         elif weights is None:
-            counts[gids] += values.size
+            counts[groups] += values.size
         else:
-            counts[gids] += int(weights.sum())
+            counts[groups] += int(weights.sum())
         if func == "count" or values.size == 0:
-            return
+            return False
         if weights is not None and func in ("sum", "avg"):
             # Integer-physical only (the scan gates floats out): int64
             # wraparound addition is associative, so value x weight matches
             # element-at-a-time accumulation exactly.
             values = np.array([np.dot(values.astype(np.int64), weights)], dtype=np.int64)
-        if one_group:
-            gids = np.full(values.size, gids, dtype=np.int64)
-        self._combine_values(spec_index, func, gids, values)
+        if isinstance(groups, int):
+            groups = np.full(values.size, groups, dtype=np.int64)
+        return self._combine_values(spec_index, func, groups, values)
 
     def _combine_values(
-        self, spec_index: int, func: str, gids: np.ndarray, values: np.ndarray
-    ) -> None:
+        self, spec_index: int, func: str, groups: np.ndarray | _Cells, values: np.ndarray
+    ) -> bool:
+        """Combine ``values`` into their groups in row order: ``groups``
+        holds one group id per value, or is the values' ``_Cells``, which
+        fall back to a group id per row (the return value) where their
+        table gives two cells one group, or for a string MIN / MAX.
+
+        Through cells, each occupied cell is seeded with its group's
+        value and the values are scattered into the cells: a group's rows
+        are all its one cell's, so the cell takes them in the order the
+        group would, and goes back to the group with the same bits."""
         kind, store = self._value_store(spec_index, values)
-        if kind == "obj" or (values.dtype == object):
-            self._combine_object(spec_index, func, gids, values)
-            return
-        if kind == "int":
-            contributions = values.astype(np.int64)
+        by_object = kind == "obj" or values.dtype == object
+        gathered = isinstance(groups, _Cells) and (by_object or not groups.one_per_group)
+        if gathered:
+            groups = groups.row_gids()
+        if by_object:
+            self._combine_object(spec_index, func, groups, values)
+            return gathered
+        values = values.astype(np.int64 if kind == "int" else np.float64, copy=False)
+        scatter = _REDUCE[func].at
+        if isinstance(groups, _Cells):
+            cells = np.empty(groups.table.size, dtype=store.dtype)
+            cells[groups.occupied] = store[groups.gids]
+            scatter(cells, groups.cells, values)
+            store[groups.gids] = cells[groups.occupied]
         else:
-            contributions = values.astype(np.float64)
-        if func in ("sum", "avg"):
-            np.add.at(store, gids, contributions)
-        elif func == "min":
-            np.minimum.at(store, gids, contributions)
-        else:
-            np.maximum.at(store, gids, contributions)
+            scatter(store, groups, values)
+        return gathered
 
     def _combine_object(
         self, spec_index: int, func: str, gids: np.ndarray, values: np.ndarray
@@ -466,7 +534,8 @@ class BatchHashAggregate(BatchOperator):
             yield from self._aggregate()
         finally:
             for name in (
-                "keys_from_vectors", "keys_coded_locally", "directory_misses", "cells_from_table"
+                "keys_from_vectors", "keys_coded_locally", "directory_misses", "cells_from_table",
+                "rows_folded_by_cell",
             ):
                 if count := getattr(self.stats, name):
                     metrics.increment(f"exec.hash_aggregate.{name}", count)
@@ -557,7 +626,10 @@ class BatchHashAggregate(BatchOperator):
                 vector = vector.select(active)
             vectors.append(vector)
             self._note_arrival(key, vector.source)
-        state.update(batch, self._code_space_gids(state, vectors))
+        if state.update(batch, self._code_space_cells(state, vectors)):
+            self.stats.rows_folded_by_row += batch.active_count
+        else:
+            self.stats.rows_folded_by_cell += batch.active_count
 
     def _run_key(self, batch: Batch) -> RunVector | None:
         """The batch's one group key, if it is a run vector the batch can
@@ -620,7 +692,7 @@ class BatchHashAggregate(BatchOperator):
                 values = np.where(nulls, _GroupState._identity_array(spec.func, kind, 1), values)
             dtype = np.float64 if kind == "float" else np.int64
             partials.append((counts, _REDUCE[spec.func].reduceat(values, starts, dtype=dtype)))
-        state.merge(partials, self._code_space_gids(state, [keys]))
+        state.merge(partials, self._code_space_cells(state, [keys]).row_gids())
 
     def _note_arrival(self, key: str, source: str) -> None:
         stats = self.stats
@@ -636,8 +708,8 @@ class BatchHashAggregate(BatchOperator):
         elif label not in seen.split("|"):
             stats.keys[key] = f"{seen}|{label}"
 
-    def _code_space_gids(self, state: _GroupState, vectors: list) -> np.ndarray:
-        """One group id per row from the rows' key codes.
+    def _code_space_cells(self, state: _GroupState, vectors: list) -> _Cells:
+        """The rows' key cells, and the table that maps them to group ids.
 
         Each key contributes its code (``n_distinct`` is the NULL slot of
         a key with NULLs) to one mixed-radix cell number per row
@@ -645,11 +717,10 @@ class BatchHashAggregate(BatchOperator):
         state keeps a table cell → group id for the code spaces the keys
         name (``DictionaryVector.space``) that it met last, made when the
         space has no more cells than the batch has rows: once a space has
-        been seen, a batch's group ids are one gather, and only rows whose
-        cell the table does not hold yet (−1) go on. Keys without a space,
-        or whose space first comes with more cells than rows, map through
-        a table of their batch alone (over the cells' ``np.unique`` ranks
-        when they outnumber the rows).
+        been seen, only rows whose cell the table does not hold yet (−1)
+        go on. Keys without a space, or whose space first comes with more
+        cells than rows, map through a table of their batch alone (over
+        the cells' ``np.unique`` ranks when they outnumber the rows).
         """
         n = vectors[0].row_count
         columns = []
@@ -659,34 +730,36 @@ class BatchHashAggregate(BatchOperator):
                 codes, radix = np.where(vector.null_mask, radix, codes), radix + 1
             columns.append((codes, radix))
         index, cells = combine_codes(columns)
-        scan = all(vector.source == "scan" for vector in vectors)
         space = tuple((vector.space, vector.null_mask is not None) for vector in vectors)
         table = state.table(space)
         if table is not None:
-            gids = table[index]
-            # Once every cell is known (O(cells)), no row can miss (O(rows)).
-            unseen = np.flatnonzero(gids < 0) if table.min() < 0 else ()
-            self.stats.cells_from_table += n - len(unseen)
-            if len(unseen):
-                self._new_cells(state, vectors, index, unseen, table)
-                gids = table[index]
-            if scan:
-                occupied = np.zeros(table.size, dtype=bool)
-                occupied[index] = True
-                metrics.increment("storage.scan.agg_code_space_groups", int(occupied.sum()))
-            return gids
-        named = all(vector.space is not None for vector in vectors)
-        # (More cells than rows may have been re-ranked by combine_codes.)
-        if named and math.prod(radix for _, radix in columns) <= n:
-            table = state.new_table(space, cells)
+            counts = np.bincount(index, minlength=table.size)
+            # A row can miss only if an occupied cell does (O(cells)).
+            if (table[counts > 0] < 0).any():
+                unseen = np.flatnonzero(table[index] < 0)
+                if self._new_cells(state, vectors, index, unseen, table):
+                    state.shared.add(space)
+                self.stats.cells_from_table += n - unseen.size
+            else:
+                self.stats.cells_from_table += n
+            found = _Cells(index, table, space not in state.shared, counts)
         else:
-            if cells > n:
-                index, cells = rank_cells(index)
-            table = np.empty(cells, dtype=np.int64)  # this batch's alone
-        occupied = self._new_cells(state, vectors, index, None, table)
-        if scan:
-            metrics.increment("storage.scan.agg_code_space_groups", occupied)
-        return table[index]
+            named = all(vector.space is not None for vector in vectors)
+            # (More cells than rows may have been re-ranked by combine_codes.)
+            kept = named and math.prod(radix for _, radix in columns) <= n
+            if kept:
+                table = state.new_table(space, cells)
+            else:
+                if cells > n:
+                    index, cells = rank_cells(index)
+                table = np.empty(cells, dtype=np.int64)  # this batch's alone
+            shared = self._new_cells(state, vectors, index, None, table)
+            if shared and kept:
+                state.shared.add(space)
+            found = _Cells(index, table, not shared)
+        if all(vector.source == "scan" for vector in vectors):
+            metrics.increment("storage.scan.agg_code_space_groups", int(found.occupied.size))
+        return found
 
     def _new_cells(
         self,
@@ -695,14 +768,16 @@ class BatchHashAggregate(BatchOperator):
         index: np.ndarray,
         rows: np.ndarray | None,
         table: np.ndarray,
-    ) -> int:
+    ) -> bool:
         """Fill ``table`` with the group id of each cell ``index`` holds
-        at ``rows`` (``None``: every row), and return how many cells that
-        is. Only those cells — in order of first appearance, one row of
-        each decoded to its key values — are looked up in the group
-        directory, all at once; only a key it does not hold yet (a new
-        group) costs an interpreter call, so groups are made in order of
-        first appearance."""
+        at ``rows`` (``None``: every row, into a table that holds no cell
+        yet), and return whether the table now gives two cells one group.
+        Only those cells — in order of first appearance, one row of each
+        decoded to its key values — are looked up in the group directory,
+        all at once; only a key it does not hold yet (a new group) costs
+        an interpreter call, so groups are made in order of first
+        appearance. A NaN key is the one NaN, so all of them are one
+        group."""
         cells_at = index if rows is None else index[rows]
         m = cells_at.size
         first = np.full(table.size, m, dtype=np.int64)
@@ -718,7 +793,10 @@ class BatchHashAggregate(BatchOperator):
         per_key = []
         for vector in vectors:
             values, nulls = vector.take(at)
+            floats = values.dtype.kind == "f"
             values = values.tolist()
+            if floats:
+                values = [NAN if value != value else value for value in values]
             if nulls is not None:
                 values = [None if null else v for v, null in zip(values, nulls.tolist())]
             per_key.append(values)
@@ -729,8 +807,13 @@ class BatchHashAggregate(BatchOperator):
             for i in misses:
                 gids[i] = state.gid_of(keys[i])
             self.stats.directory_misses += len(misses)
+        # Equal keys in two cells (0.0 and -0.0 where a dictionary keeps
+        # both): here or against a cell an earlier batch filled in.
+        shared = len(set(gids)) < len(gids)
+        if rows is not None and not shared:
+            shared = bool(np.isin(gids, table[table >= 0]).any())
         table[occupied] = gids
-        return int(occupied.size)
+        return shared
 
     # ------------------------------------------------------------------ #
     # Spill helpers
@@ -739,10 +822,10 @@ class BatchHashAggregate(BatchOperator):
         """Fold a spilled partial batch into ``state``: its keys are
         grouped through the directory as input rows' keys are."""
         if self.group_keys:
-            gids = self._code_space_gids(state, [
+            gids = self._code_space_cells(state, [
                 DictionaryVector.from_values(partial.column(k), partial.null_mask(k), "here")
                 for k in self.group_keys
-            ])
+            ]).row_gids()
         else:
             gids = np.full(partial.row_count, state.gid_of(()), dtype=np.int64)
         state.merge([

@@ -267,10 +267,15 @@ class ColumnStoreScan(BatchOperator):
         for conjunct in residual:
             keep &= predicate_mask(conjunct, filter_batch)
         keep = self._apply_bitmaps(filter_batch, keep, probes)
-        positions = np.flatnonzero(keep)
-        if positions.size == 0:
+        # A unit every row of which qualifies makes no positions unless a
+        # column needs them (locators, a selection to count by).
+        everything = bool(keep.all())
+        positions = None if everything else np.flatnonzero(keep)
+        survivors_count = group.row_count if everything else int(positions.size)
+        if survivors_count == 0:
             return
-        everything = positions.size == group.row_count
+        if positions is None and (RID_COLUMN in plan or not plan):
+            positions = np.arange(group.row_count)
 
         encoded: dict[str, EncodedVector] = {}
         for name, leaves_as in plan.items():
@@ -311,11 +316,11 @@ class ColumnStoreScan(BatchOperator):
                     columns[name], null_masks[name] = values, mask
             survivors = Batch(columns=columns, null_masks=null_masks)
         if takes is None:
-            yield from self._emit(survivors, int(positions.size))
+            yield from self._emit(survivors, survivors_count)
         else:
             # A declaring consumer blocks on all of its input anyway: it
             # gets the unit as one batch, vectors or not.
-            self.stats.rows_emitted += int(positions.size)
+            self.stats.rows_emitted += survivors_count
             yield survivors
 
     def _encoded_plan(

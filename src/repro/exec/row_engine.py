@@ -27,7 +27,7 @@ from ..types import python_values
 from .batch import DEFAULT_BATCH_SIZE, RID_COLUMN, Batch, sort_order
 from .expressions import Expr, predicate_true
 from .operators.base import ROW_CHECK_INTERVAL, BatchOperator, operator_stream
-from .operators.hash_aggregate import COUNT_STAR, AggregateSpec
+from .operators.hash_aggregate import COUNT_STAR, NAN, AggregateSpec
 from .operators.window import WindowSpec, compute_window_columns
 
 # Source scans re-check governance every this many *scanned* rows (the
@@ -356,7 +356,8 @@ class RowHashAggregate(RowOperator):
         groups: dict[tuple, list[list[Any]]] = {}
         order: list[tuple] = []
         for row in self.child.rows():
-            key = tuple(row[k] for k in self.group_keys)
+            # Every NaN key is the one NaN, as batch mode groups it.
+            key = tuple(NAN if v != v else v for v in map(row.__getitem__, self.group_keys))
             state = groups.get(key)
             if state is None:
                 state = [[0] * len(self.aggregates), [None] * len(self.aggregates)]

@@ -158,6 +158,7 @@ STABLE_COUNTERS = (
     "exec.hash_aggregate.keys_coded_locally",
     "exec.hash_aggregate.directory_misses",
     "exec.hash_aggregate.cells_from_table",
+    "exec.hash_aggregate.rows_folded_by_cell",
     "concurrency.sessions",
     "concurrency.read_waits",
     "concurrency.write_waits",

@@ -9,9 +9,8 @@ Three layers, each held to exact equality:
   aggregate groups on them), with ``enable_encoded_agg=False`` (nothing is
   declared: the decoded arm), in row mode, and again under a grant small
   enough to spill; rows must be equal, floats included.
-* The one grouping path against the per-row ``_factorize`` it replaced
-  (kept below as the reference), on mixed int/str/NULL multi-key input
-  arriving in several batches.
+* The one grouping path against a per-row Python fold, on mixed
+  int/str/NULL multi-key input arriving in several batches.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.exec.memory import MemoryGrant
 from repro.exec.operators.base import BatchOperator
 from repro.exec.operators.hash_aggregate import (
     BatchHashAggregate,
-    _GroupState,
     agg,
     count_star,
 )
@@ -595,38 +593,33 @@ def test_left_join_pads_a_vector_with_nulls():
 
 
 # --------------------------------------------------------------------- #
-# The one grouping path against the per-row factorize it replaced
+# The one grouping path against a per-row fold
 # --------------------------------------------------------------------- #
-def reference_factorize(state: _GroupState, group_keys, batch: Batch, active: np.ndarray):
-    """``BatchHashAggregate._factorize`` as it was before the coded path
-    became the only one: kept as the reference, not as a fallback."""
-    key_arrays = [batch.column(k) for k in group_keys]
-    key_masks = [batch.null_mask(k) for k in group_keys]
-    single = len(key_arrays) == 1 and key_arrays[0].dtype != object and key_masks[0] is None
-    if single:
-        values = key_arrays[0][active]
-        uniques, inverse = np.unique(values, return_inverse=True)
-        gid_map = np.array([state.gid_of((u.item(),)) for u in uniques], dtype=np.int64)
-        return gid_map[inverse]
-    columns = []
-    for arr, mask in zip(key_arrays, key_masks):
-        lst = arr[active].tolist()
-        if mask is not None:
-            flags = mask[active].tolist()
-            lst = [None if flag else v for v, flag in zip(lst, flags)]
-        columns.append(lst)
-    return np.fromiter(
-        (state.gid_of(key) for key in zip(*columns)), dtype=np.int64, count=active.size
-    )
-
-
 def reference_aggregate(batches, group_keys, specs):
-    state = _GroupState(group_keys, specs)
+    """Each qualifying row, in order, updates its group (made on first
+    appearance): a count per aggregate and, in Python, a value — shares
+    no code with the aggregate."""
+    groups: dict[tuple, list] = {}
     for batch in batches:
-        if batch.active_count:
-            active = batch.active_indices()
-            state.update(batch, reference_factorize(state, group_keys, batch, active))
-    return state.finalize().to_rows()
+        for row in batch.to_rows():
+            row = dict(zip(batch.names, row))
+            counts, values = groups.setdefault(
+                tuple(row[k] for k in group_keys), ([0] * len(specs), [None] * len(specs))
+            )
+            for i, spec in enumerate(specs):
+                value = None if spec.expr is None else row[spec.expr.name]
+                if spec.expr is not None and value is None:
+                    continue
+                counts[i] += 1
+                if spec.func == "sum":
+                    values[i] = value if values[i] is None else values[i] + value
+                elif spec.func == "min":
+                    values[i] = value if values[i] is None else min(values[i], value)
+    return [
+        (*key, *(count if spec.func in ("count", "count_star") else value
+                 for spec, count, value in zip(specs, counts, values)))
+        for key, (counts, values) in groups.items()
+    ]
 
 
 class BatchSource(BatchOperator):
