@@ -38,6 +38,31 @@ def _known_false(truth: np.ndarray, *masks: np.ndarray | None) -> np.ndarray:
     return ~truth if unknown is None else ~truth & ~unknown
 
 
+# BIGINT's range. Integer + - * and an integer SUM / AVG whose value
+# leaves it raise (SQL Server's arithmetic overflow), in both engines.
+BIGINT_MIN, BIGINT_MAX = -(2**63), 2**63 - 1
+
+
+def overflow(what: Any) -> ExecutionError:
+    """The error of ``what`` (an expression, an aggregate) leaving BIGINT."""
+    return ExecutionError(f"arithmetic overflow: {what} leaves BIGINT's range")
+
+
+def bigint(value: Any, what: Any) -> Any:
+    """``value``, unless it is an integer outside BIGINT's range."""
+    if isinstance(value, int) and not BIGINT_MIN <= value <= BIGINT_MAX:
+        raise overflow(what)
+    return value
+
+
+def magnitude(values: np.ndarray) -> int:
+    """A bound on |value| in a non-empty integer array, as a Python int:
+    its dtype's below 64 bits (no pass over the values), else the largest."""
+    if values.dtype.itemsize < 8:
+        return 2 ** (8 * values.dtype.itemsize)
+    return max(-int(values.min()), int(values.max()))
+
+
 class Expr(abc.ABC):
     """Base class of all scalar expressions."""
 
@@ -162,12 +187,28 @@ _ARITH_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 }
 
 
+def _wrapped(op: str, lv: np.ndarray, rv: np.ndarray, values: np.ndarray) -> np.ndarray | None:
+    """Where int64 ``op`` wrapped: for + and -, where the result's sign
+    is no operand's it could have; for *, ``None`` (no row) when a bound
+    shows no product leaves int64, else where the exact product does."""
+    if op == "+":
+        return ((lv ^ values) & (rv ^ values)) < 0
+    if op == "-":
+        return ((lv ^ rv) & (lv ^ values)) < 0
+    if not lv.size or magnitude(lv) * magnitude(rv) <= BIGINT_MAX:
+        return None
+    exact = lv.astype(object) * rv.astype(object)
+    return (exact < BIGINT_MIN) | (exact > BIGINT_MAX)
+
+
 class Arithmetic(Expr):
     """Binary arithmetic: + - * / %.
 
     Division always produces FLOAT (documented divergence from SQL Server's
     integer division); division by zero yields NULL rather than an error so
-    vectorized evaluation over non-qualifying rows stays total.
+    vectorized evaluation over non-qualifying rows stays total. Integer
+    + - * that leaves BIGINT's range raises, in a qualifying row whose
+    result is not NULL only.
     """
 
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
@@ -198,6 +239,12 @@ class Arithmetic(Expr):
             rv = rv.astype(np.int64, copy=False)
         with np.errstate(over="ignore", invalid="ignore"):
             values = _ARITH_OPS[self.op](lv, rv)
+        # Only a qualifying row whose result is not NULL may raise.
+        if values.dtype == np.int64 and (wrapped := _wrapped(self.op, lv, rv, values)) is not None:
+            if nulls is not None:
+                wrapped &= ~nulls
+            if (wrapped if batch.selection is None else wrapped[batch.selection]).any():
+                raise overflow(self)
         return values, nulls
 
     def eval_row(self, row: dict[str, Any]) -> Any:
@@ -206,11 +253,11 @@ class Arithmetic(Expr):
         if lv is None or rv is None:
             return None
         if self.op == "+":
-            return lv + rv
+            return bigint(lv + rv, self)
         if self.op == "-":
-            return lv - rv
+            return bigint(lv - rv, self)
         if self.op == "*":
-            return lv * rv
+            return bigint(lv * rv, self)
         if rv == 0:
             return None
         if self.op == "/":
@@ -657,8 +704,8 @@ class Case(Expr):
         for at, result in enumerate(self.results()):
             if _is_null_literal(result):
                 nulls |= branch == at
-            else:
-                evaluated.append((at, *result.eval_batch(batch)))
+            else:  # over the rows that take it: only they may raise
+                evaluated.append((at, *result.eval_batch(batch.narrow(branch == at))))
         dtypes = [values.dtype for _, values, _ in evaluated]
         if any(dtype == object for dtype in dtypes):
             out = np.full(batch.row_count, "", dtype=object)

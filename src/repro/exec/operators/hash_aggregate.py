@@ -6,24 +6,29 @@ operator takes it so) brings its codes, a plain one is coded here, batch
 by batch; the rows' code combinations are mapped to dense group ids, so
 only the distinct combinations of a batch ever become Python tuples, and
 once a code space has been seen, only those no earlier batch of it had.
-A grouped batch is folded into its cells, not its groups: rows are
-counted per cell once, each argument is scattered (``np.add.at`` /
-``np.minimum.at`` style) into an accumulator over the cells seeded with
-their groups' values, and only the occupied cells go back to the groups.
+
+Every fold names its rows' groups one way, by key cell (``_Cells``): a
+grouped batch's rows, a scalar batch's (one cell), a unit's runs and a
+spilled partial batch's rows. Rows are counted per cell once, each
+argument is scattered (``np.add.at`` / ``np.minimum.at`` style) into an
+accumulator over the cells seeded with their groups' values, and only the
+occupied cells go back to the groups: a group's rows are one cell's, so
+they reach it in row order.
 
 When the accumulated state exceeds the memory grant, the operator degrades
 to the paper's local/global pattern: each subsequent batch is aggregated
 *locally*, the partial results are hash-partitioned to spill files, and a
 final pass merges partials per partition (benchmark E10). Partials are
 mergeable by construction: every aggregate is carried as (count, value).
-They merge through the group directory as input rows do, their counts and
-values folded in by the same scatter operations, in row order.
+They merge into their key cells as input rows do, in row order.
 
 A scalar aggregate's argument that arrives still encoded is folded once
 per distinct value, weighted by the rows that carry it. A unit grouped by
 one run-length key is folded once per run where that is exact: each
-aggregate reduced over each run's surviving rows, one group id per run,
-the per-run partials merged as spilled ones are.
+aggregate reduced over each run's surviving rows, one cell per run, the
+per-run partials merged as spilled ones are.
+
+An integer SUM or AVG whose running value leaves BIGINT's range raises.
 
 Supported: COUNT(*), COUNT(expr), SUM, MIN, MAX, AVG.
 """
@@ -50,7 +55,7 @@ from ..batch import (
     rank_cells,
     slice_into_batches,
 )
-from ..expressions import Column, Expr
+from ..expressions import BIGINT_MAX, Column, Expr, bigint, magnitude
 from ..memory import MemoryGrant
 from ..spill import SpillFile, spill_by_key
 from .base import BatchOperator
@@ -64,12 +69,18 @@ _BYTES_PER_GROUP = 96
 # so two spaces that take turns (a key whose NULLs come and go) both stay.
 _TABLES_KEPT = 2
 # Argument dtype kinds each aggregate folds per run with the bits of a
-# per-row update (None: any): integer MIN/MAX are order-free and int64
-# addition wraps associatively. Floats are not: addition does not
-# associate, and np.minimum / np.maximum answer their second argument on
-# a tie, so 0.0 against -0.0 depends on the fold order.
+# per-row update (None: any): integer MIN/MAX are order-free and integer
+# addition associates. Floats are not: addition does not associate, and
+# np.minimum / np.maximum answer their second argument on a tie, so 0.0
+# against -0.0 depends on the fold order.
 _RUN_FOLDABLE = {"count": None, "min": "biu", "max": "biu", "sum": "biu", "avg": "biu"}
 _REDUCE = {"sum": np.add, "avg": np.add, "min": np.minimum, "max": np.maximum}
+# A value store's dtype by kind, and the identities other than 0 / None.
+_STORES = {"int": np.int64, "float": np.float64, "obj": object}
+_IDENTITIES = {
+    ("min", "int"): np.iinfo(np.int64).max, ("max", "int"): np.iinfo(np.int64).min,
+    ("min", "float"): np.inf, ("max", "float"): -np.inf,
+}
 # The one NaN a NaN group key holds: NaN equals nothing, itself included,
 # so keys holding NaNs made apart would each find a group of their own;
 # all of them are one group (PostgreSQL's rule, and ``sort_keys``' order).
@@ -92,6 +103,9 @@ class AggregateSpec:
         if self.func != COUNT_STAR and self.expr is None:
             raise ExecutionError(f"{self.func} requires an argument")
 
+    def __str__(self) -> str:
+        return f"{self.func.upper()}({self.expr or '*'})"
+
 
 @dataclass
 class AggregateStats:
@@ -113,67 +127,81 @@ class AggregateStats:
     # an earlier batch; runs, for a unit folded run by run): the rows
     # that skipped the directory.
     cells_from_table: int = 0
-    # Rows of grouped batches, once a batch, folded into their key cells
-    # by every aggregate / by some aggregate through a group id gathered
-    # per row (a table that gives two cells one group, a string MIN/MAX).
+    # Rows of grouped batches (not folded run by run), once a batch.
     rows_folded_by_cell: int = 0
-    rows_folded_by_row: int = 0
 
 
 class _Cells:
-    """A grouped batch's qualifying rows by key cell.
+    """The rows of a fold (input rows, runs, partials) by key cell.
 
     ``cells`` holds each row's cell and ``table`` each cell's group id;
     ``occupied`` are the cells some row holds, ``rows`` how many rows
-    each holds and ``gids`` their groups. ``one_per_group``: no two
-    cells of the table share a group, so all of a group's rows in the
-    batch are one cell's.
+    each holds and ``gids`` their groups. No two occupied cells share a
+    group, so all of a group's rows in the fold are one cell's.
     """
 
-    __slots__ = ("cells", "table", "one_per_group", "occupied", "rows", "gids")
+    __slots__ = ("cells", "table", "occupied", "rows", "gids")
 
     def __init__(
-        self,
-        cells: np.ndarray,
-        table: np.ndarray,
-        one_per_group: bool,
-        counts: np.ndarray | None = None,
+        self, cells: np.ndarray, table: np.ndarray, counts: np.ndarray | None = None
     ) -> None:
         if counts is None:
             counts = np.bincount(cells, minlength=table.size)
-        self.cells, self.table, self.one_per_group = cells, table, one_per_group
+        self.cells, self.table = cells, table
         self.occupied = np.flatnonzero(counts)
         self.rows = counts[self.occupied]
         self.gids = table[self.occupied]
 
-    def at(self, rows: np.ndarray) -> "_Cells":
-        """The same rows' cells at ``rows`` alone (an argument's non-NULL rows)."""
-        return _Cells(self.cells[rows], self.table, self.one_per_group)
+    @staticmethod
+    def one(gid: int, rows: int) -> "_Cells":
+        """``rows`` rows of the one group ``gid``: one cell."""
+        return _Cells(np.zeros(rows, dtype=np.int64), np.array([gid]), np.array([rows]))
 
-    def row_gids(self) -> np.ndarray:
-        """One group id per row: the gather the fold falls back to."""
-        return self.table[self.cells]
+    def at(self, rows: np.ndarray) -> "_Cells":
+        """The cells at ``rows`` alone (an argument's non-NULL rows, counted partials)."""
+        return _Cells(self.cells[rows], self.table)
+
+
+def _check_sum(seeds: np.ndarray, cells: _Cells, values: np.ndarray, spec: AggregateSpec) -> None:
+    """Raise where adding ``values`` to their cells' ``seeds``, in order,
+    leaves BIGINT's range at some value, as the row engine's running sum
+    does. Exact only past a bound: max |value| x the most values in one
+    cell + max |seed| within BIGINT means no running sum can leave it."""
+    start = seeds[cells.occupied]
+    if magnitude(values) * int(cells.rows.max()) + magnitude(start) <= BIGINT_MAX:
+        return
+    totals = dict(zip(cells.occupied.tolist(), start.tolist()))
+    for cell, value in zip(cells.cells.tolist(), values.tolist()):
+        totals[cell] = bigint(totals[cell] + value, spec)
+
+
+def _weighted_sum(values: np.ndarray, weights: np.ndarray, spec: AggregateSpec) -> np.ndarray:
+    """Sum of value x weight, as one int64 partial (integer-physical
+    values only: the scan gates floats out), in Python integers where a
+    bound does not show that no partial sum leaves int64."""
+    dtype = object if magnitude(values) * int(weights.sum()) > BIGINT_MAX else np.int64
+    return np.array([bigint(np.dot(values.astype(dtype), weights.astype(dtype)), spec)])
 
 
 class _GroupState:
     """Group-key directory + vectorized per-aggregate accumulators.
 
-    Counts are NumPy arrays updated with ``np.add.at``; sum/min/max over
-    numeric arguments use scatter ufuncs (``np.add.at`` /
-    ``np.minimum.at`` / ``np.maximum.at``) against identity-initialized
-    arrays, into a batch's cells where it comes as ``_Cells``. Only
-    string (object) aggregates fall back to a per-row loop. Untouched
-    slots are detected through the per-spec non-null counts, so identity
-    values never leak into results.
+    Every fold comes as ``_Cells``: counts are added per occupied cell;
+    sum/min/max over numeric arguments scatter (``np.add.at`` /
+    ``np.minimum.at`` / ``np.maximum.at``) into the cells, seeded from
+    identity-initialized per-group arrays. Only string (object)
+    aggregates take a per-row loop. Untouched slots are detected through
+    the per-spec non-null counts, so identity values never leak into
+    results.
 
     ``tables`` maps a key code space (the keys' ``DictionaryVector.space``
     and whether each has a NULL slot) to its cell → group id table, −1
     where a cell has not been seen, the space met most recently last.
     Only the ``_TABLES_KEPT`` spaces met last keep theirs, so a space met
     once (a row group's own dictionary, an integer range that moved)
-    leaves no table behind for long. Group ids are this state's, so a new
-    state starts with none. ``shared`` holds the spaces whose table gives
-    two cells one group (0.0 and -0.0 in one float dictionary).
+    leaves no table behind for long, and a table that gives two cells one
+    group (0.0 and -0.0 in one float dictionary) is not kept. Group ids
+    are this state's, so a new state starts with none.
     """
 
     _INITIAL_CAPACITY = 64
@@ -184,22 +212,17 @@ class _GroupState:
         self.key_to_gid: dict[tuple, int] = {}
         self.key_rows: list[tuple] = []
         self.tables: dict[tuple, np.ndarray] = {}
-        self.shared: set[tuple] = set()
         self._capacity = self._INITIAL_CAPACITY
         self.counts: list[np.ndarray] = [
             np.zeros(self._capacity, dtype=np.int64) for _ in specs
         ]
-        # Per spec: None until first value, then (kind, store) where kind is
-        # "int" / "float" (NumPy array) or "obj" (Python list).
+        # Per spec: None until first value, then (kind, store): "int" /
+        # "float" / "obj", an int64 / float64 / object array over groups.
         self._values: list[tuple[str, Any] | None] = [None for _ in specs]
 
     @property
     def n_groups(self) -> int:
         return len(self.key_rows)
-
-    @property
-    def table_bytes(self) -> int:
-        return sum(table.nbytes for table in self.tables.values())
 
     def table(self, space: tuple) -> np.ndarray | None:
         """The space's table, if it has one, now the one met last."""
@@ -212,7 +235,6 @@ class _GroupState:
         """A table for the space, no cell seen yet; the table of the space
         met longest ago goes when there are more than ``_TABLES_KEPT``."""
         table = self.tables[space] = np.full(cells, -1, dtype=np.int64)
-        self.shared.discard(space)
         if len(self.tables) > _TABLES_KEPT:
             del self.tables[next(iter(self.tables))]
         return table
@@ -234,69 +256,40 @@ class _GroupState:
             grown[: arr.size] = arr
             self.counts[i] = grown
         for i, store in enumerate(self._values):
-            if store is None:
-                continue
-            kind, data = store
-            if kind == "obj":
-                data.extend([None] * (self._capacity - len(data)))
-            else:
-                spec = self.specs[i]
-                grown = self._identity_array(spec.func, kind, self._capacity)
+            if store is not None:
+                kind, data = store
+                grown = self._identity_array(self.specs[i].func, kind, self._capacity)
                 grown[: data.size] = data
                 self._values[i] = (kind, grown)
 
     @staticmethod
     def _identity_array(func: str, kind: str, size: int) -> np.ndarray:
-        if kind == "int":
-            if func == "min":
-                return np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-            if func == "max":
-                return np.full(size, np.iinfo(np.int64).min, dtype=np.int64)
-            return np.zeros(size, dtype=np.int64)
-        if func == "min":
-            return np.full(size, np.inf, dtype=np.float64)
-        if func == "max":
-            return np.full(size, -np.inf, dtype=np.float64)
-        return np.zeros(size, dtype=np.float64)
+        """``size`` slots holding ``func``'s identity (a string's: None)."""
+        identity = _IDENTITIES.get((func, kind), None if kind == "obj" else 0)
+        return np.full(size, identity, dtype=_STORES[kind])
 
     def _value_store(self, spec_index: int, values: np.ndarray):
         """The (kind, store) pair for a spec, created on first use."""
-        store = self._values[spec_index]
-        if store is not None:
-            return store
-        spec = self.specs[spec_index]
-        if values.dtype == object:
-            store = ("obj", [None] * self._capacity)
-        elif np.issubdtype(values.dtype, np.integer) or values.dtype == np.bool_:
-            store = ("int", self._identity_array(spec.func, "int", self._capacity))
-        else:
-            store = ("float", self._identity_array(spec.func, "float", self._capacity))
-        self._values[spec_index] = store
-        return store
+        if self._values[spec_index] is None:
+            kind = "int" if values.dtype.kind in "biu" else "float"
+            kind = "obj" if values.dtype == object else kind
+            store = self._identity_array(self.specs[spec_index].func, kind, self._capacity)
+            self._values[spec_index] = (kind, store)
+        return self._values[spec_index]
 
     # ------------------------------------------------------------------ #
-    # Update from raw input rows
+    # Folds: input rows, and partial rows (spilled ones, per-run folds)
     # ------------------------------------------------------------------ #
-    def update(self, batch: Batch, groups: int | _Cells) -> bool:
-        """Fold a batch's qualifying rows into their groups, and return
-        whether some aggregate gathered a group id per row.
-
-        ``groups`` is the rows' ``_Cells``, or a single int when they all
-        belong to one group (a scalar aggregate). Only then can an
-        argument arrive as an encoded vector: its distinct values are
-        folded once each, weighted by their surviving rows.
-        """
-        one_group = isinstance(groups, int)
-        selection = batch.selection
+    def update(self, batch: Batch, cells: _Cells) -> None:
+        """Fold a batch's qualifying rows, by their ``cells``, into their
+        groups. Only a scalar aggregate's argument can arrive as an
+        encoded vector: its distinct values are folded once each,
+        weighted by their surviving rows."""
         keep: np.ndarray | None = None
         folded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        gathered = False
-        for spec_index, spec in enumerate(self.specs):
+        for spec_index, (spec, counts) in enumerate(zip(self.specs, self.counts)):
             if spec.func == COUNT_STAR:
-                if one_group:
-                    self.counts[spec_index][groups] += batch.active_count
-                else:
-                    np.add.at(self.counts[spec_index], groups.gids, groups.rows)
+                counts[cells.gids] += cells.rows
                 continue
             name = spec.expr.name if type(spec.expr) is Column else None
             if name in batch.encoded:
@@ -307,91 +300,53 @@ class _GroupState:
                     weights = vector.weights(keep)
                     carried = weights > 0
                     folded[name] = vector.distinct_values()[carried], weights[carried]
-                self._fold(spec_index, spec.func, groups, *folded[name])
-                continue
-            # Read in place: gathered only where a selection or NULLs
-            # leave rows out.
-            values, nulls = spec.expr.eval_batch(batch)
-            if selection is not None:
-                values = values[selection]
-                nulls = None if nulls is None else nulls[selection]
-            present_groups = groups
-            if nulls is not None and nulls.any():
-                present = np.flatnonzero(~nulls)
-                values = values[present]
-                if not one_group:
-                    present_groups = groups.at(present)
-            gathered |= self._fold(spec_index, spec.func, present_groups, values)
-        return gathered
-
-    def _fold(
-        self,
-        spec_index: int,
-        func: str,
-        groups: int | _Cells,
-        values: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> bool:
-        """Count the present (non-NULL) ``values`` into their groups and
-        combine them; ``weights`` (single group only) says how many rows
-        each value stands for. Returns whether the values' group ids were
-        gathered per row."""
-        counts = self.counts[spec_index]
-        if isinstance(groups, _Cells):
-            np.add.at(counts, groups.gids, groups.rows)
-        elif weights is None:
-            counts[groups] += values.size
-        else:
-            counts[groups] += int(weights.sum())
-        if func == "count" or values.size == 0:
-            return False
-        if weights is not None and func in ("sum", "avg"):
-            # Integer-physical only (the scan gates floats out): int64
-            # wraparound addition is associative, so value x weight matches
-            # element-at-a-time accumulation exactly.
-            values = np.array([np.dot(values.astype(np.int64), weights)], dtype=np.int64)
-        if isinstance(groups, int):
-            groups = np.full(values.size, groups, dtype=np.int64)
-        return self._combine_values(spec_index, func, groups, values)
+                values, weights = folded[name]
+                counts[cells.gids] += int(weights.sum())
+                if spec.func in ("sum", "avg"):
+                    values = _weighted_sum(values, weights, spec)
+                present = _Cells.one(int(cells.gids[0]), values.size)
+            else:
+                # Read in place: gathered only where a selection or NULLs
+                # leave rows out.
+                values, nulls = spec.expr.eval_batch(batch)
+                if batch.selection is not None:
+                    values = values[batch.selection]
+                    nulls = None if nulls is None else nulls[batch.selection]
+                present = cells
+                if nulls is not None and nulls.any():
+                    kept = np.flatnonzero(~nulls)
+                    values, present = values[kept], cells.at(kept)
+                counts[present.gids] += present.rows
+            if spec.func != "count" and values.size:
+                self._combine_values(spec_index, spec, present, values)
 
     def _combine_values(
-        self, spec_index: int, func: str, groups: np.ndarray | _Cells, values: np.ndarray
-    ) -> bool:
-        """Combine ``values`` into their groups in row order: ``groups``
-        holds one group id per value, or is the values' ``_Cells``, which
-        fall back to a group id per row (the return value) where their
-        table gives two cells one group, or for a string MIN / MAX.
-
-        Through cells, each occupied cell is seeded with its group's
-        value and the values are scattered into the cells: a group's rows
-        are all its one cell's, so the cell takes them in the order the
-        group would, and goes back to the group with the same bits."""
+        self, spec_index: int, spec: AggregateSpec, cells: _Cells, values: np.ndarray
+    ) -> None:
+        """Combine ``values`` into their groups by their ``cells``, in
+        row order: each occupied cell is seeded with its group's value,
+        the values are scattered into the cells, and the cells go back to
+        their groups. A group's values are all its one cell's, so the
+        cell takes them in the order the group would, and goes back to
+        the group with the same bits."""
         kind, store = self._value_store(spec_index, values)
-        by_object = kind == "obj" or values.dtype == object
-        gathered = isinstance(groups, _Cells) and (by_object or not groups.one_per_group)
-        if gathered:
-            groups = groups.row_gids()
-        if by_object:
-            self._combine_object(spec_index, func, groups, values)
-            return gathered
+        if kind == "obj" or values.dtype == object:
+            self._combine_object(spec_index, spec.func, cells, values)
+            return
+        seeded = np.empty(cells.table.size, dtype=store.dtype)
+        seeded[cells.occupied] = store[cells.gids]
+        if kind == "int" and spec.func in ("sum", "avg"):
+            _check_sum(seeded, cells, values, spec)
         values = values.astype(np.int64 if kind == "int" else np.float64, copy=False)
-        scatter = _REDUCE[func].at
-        if isinstance(groups, _Cells):
-            cells = np.empty(groups.table.size, dtype=store.dtype)
-            cells[groups.occupied] = store[groups.gids]
-            scatter(cells, groups.cells, values)
-            store[groups.gids] = cells[groups.occupied]
-        else:
-            scatter(store, groups, values)
-        return gathered
+        _REDUCE[spec.func].at(seeded, cells.cells, values)
+        store[cells.gids] = seeded[cells.occupied]
 
     def _combine_object(
-        self, spec_index: int, func: str, gids: np.ndarray, values: np.ndarray
+        self, spec_index: int, func: str, cells: _Cells, values: np.ndarray
     ) -> None:
         data = self._values[spec_index][1]
         op = min if func == "min" else max if func == "max" else None
-        vals = values.tolist()
-        for gid, value in zip(gids.tolist(), vals):
+        for gid, value in zip(cells.table[cells.cells].tolist(), values.tolist()):
             current = data[gid]
             if current is None:
                 data[gid] = value
@@ -400,21 +355,19 @@ class _GroupState:
             else:
                 data[gid] = current + value
 
-    # ------------------------------------------------------------------ #
-    # Merge partials (spilled partial rows, per-run folds)
-    # ------------------------------------------------------------------ #
-    def merge(
-        self, partials: list[tuple[np.ndarray, np.ndarray | None]], gids: np.ndarray
-    ) -> None:
-        """Fold partial rows into their groups — per spec, each row's
-        count and combined value (``None`` for counts): counts add,
-        values combine as input rows' do, in row order (so a float SUM
-        adds its partials in the order they were spilled)."""
+    def merge(self, partials: list[tuple[np.ndarray, np.ndarray | None]], cells: _Cells) -> None:
+        """Fold partial rows, by their ``cells``, into their groups — per
+        spec, each row's count and combined value (``None`` for counts):
+        counts add per cell, values combine as input rows' do, in row
+        order (so a float SUM adds its partials in the order they were
+        spilled)."""
         for spec_index, (spec, (counts, values)) in enumerate(zip(self.specs, partials)):
-            np.add.at(self.counts[spec_index], gids, counts)
+            per_cell = np.zeros(cells.table.size, dtype=np.int64)
+            np.add.at(per_cell, cells.cells, counts)
+            self.counts[spec_index][cells.gids] += per_cell[cells.occupied]
             kept = np.flatnonzero(counts)  # a value is NULL where no row counted
             if values is not None and kept.size:
-                self._combine_values(spec_index, spec.func, gids[kept], values[kept])
+                self._combine_values(spec_index, spec, cells.at(kept), values[kept])
 
     # ------------------------------------------------------------------ #
     # Output
@@ -425,16 +378,16 @@ class _GroupState:
         store = self._values[spec_index]
         if store is None:
             return [None] * n
-        kind, data = store
-        values = data[:n] if kind == "obj" else data[:n].tolist()
+        values = store[1][:n].tolist()
         counted = self.counts[spec_index][:n].tolist()
         return [value if count else None for value, count in zip(values, counted)]
 
+    def _key_columns(self) -> dict[str, list]:
+        return {name: [key[i] for key in self.key_rows] for i, name in enumerate(self.key_names)}
+
     def finalize(self) -> Batch:
         n = self.n_groups
-        data: dict[str, list] = {}
-        for position, name in enumerate(self.key_names):
-            data[name] = [key[position] for key in self.key_rows]
+        data = self._key_columns()
         for spec_index, spec in enumerate(self.specs):
             counts = self.counts[spec_index][:n]
             if spec.func in (COUNT_STAR, "count"):
@@ -452,9 +405,7 @@ class _GroupState:
     def to_partial_batch(self) -> Batch:
         """Serialize state as mergeable partial rows."""
         n = self.n_groups
-        data: dict[str, list] = {}
-        for position, name in enumerate(self.key_names):
-            data[name] = [key[position] for key in self.key_rows]
+        data = self._key_columns()
         for spec_index, spec in enumerate(self.specs):
             data[f"__{spec.name}_count"] = self.counts[spec_index][:n].tolist()
             if spec.func not in (COUNT_STAR, "count"):
@@ -589,7 +540,7 @@ class BatchHashAggregate(BatchOperator):
         tables are a cache, reserved only once the groups fit: when the
         grant or the query's governance will not take them, they are
         dropped, and the aggregate neither spills nor fails for them."""
-        needed = state.table_bytes
+        needed = sum(table.nbytes for table in state.tables.values())
         if needed > reserved and not self.grant.try_reserve(needed - reserved, optional=True):
             state.tables.clear()
             needed = 0
@@ -604,7 +555,7 @@ class BatchHashAggregate(BatchOperator):
         if batch.active_count == 0:
             return
         if not self.group_keys:
-            state.update(batch, state.gid_of(()))
+            state.update(batch, _Cells.one(state.gid_of(()), batch.active_count))
             return
         runs = self._run_key(batch)
         if runs is not None:
@@ -626,16 +577,14 @@ class BatchHashAggregate(BatchOperator):
                 vector = vector.select(active)
             vectors.append(vector)
             self._note_arrival(key, vector.source)
-        if state.update(batch, self._code_space_cells(state, vectors)):
-            self.stats.rows_folded_by_row += batch.active_count
-        else:
-            self.stats.rows_folded_by_cell += batch.active_count
+        state.update(batch, self._code_space_cells(state, vectors))
+        self.stats.rows_folded_by_cell += batch.active_count
 
     def _run_key(self, batch: Batch) -> RunVector | None:
         """The batch's one group key, if it is a run vector the batch can
         be folded by: no key is NULL (a NULL row's filler shares a run
         with values), and every aggregate is exact in any combining order
-        (``_RUN_FOLDABLE``)."""
+        (``_RUN_FOLDABLE``; an integer sum, while no run's can leave int64)."""
         if len(self.group_keys) != 1:
             return None
         runs = batch.encoded.get(self.group_keys[0])
@@ -646,9 +595,11 @@ class BatchHashAggregate(BatchOperator):
                 continue
             if type(spec.expr) is not Column or spec.expr.name not in batch.columns:
                 return None
-            kinds = _RUN_FOLDABLE[spec.func]
-            if kinds is not None and batch.columns[spec.expr.name].dtype.kind not in kinds:
+            column, kinds = batch.columns[spec.expr.name], _RUN_FOLDABLE[spec.func]
+            if kinds is not None and column.dtype.kind not in kinds:
                 return None
+            if spec.func in ("sum", "avg") and magnitude(column) * column.size > BIGINT_MAX:
+                return None  # a run's sum might leave int64: fold by row, each step checked
         return runs
 
     def _fold_runs(self, state: _GroupState, batch: Batch, runs: RunVector) -> None:
@@ -657,8 +608,8 @@ class BatchHashAggregate(BatchOperator):
         bounded where the run's bounds fall among them (``searchsorted``
         in the selection); each aggregate is reduced over those slices
         (``reduceat``), and the per-run partials merge into their groups
-        — one group id per run, from the runs coded by value — as
-        spilled partials do."""
+        — one cell per run, from the runs coded by value — as spilled
+        partials do."""
         active = batch.selection
         bounds = runs.run_bounds
         if active is not None:
@@ -692,7 +643,7 @@ class BatchHashAggregate(BatchOperator):
                 values = np.where(nulls, _GroupState._identity_array(spec.func, kind, 1), values)
             dtype = np.float64 if kind == "float" else np.int64
             partials.append((counts, _REDUCE[spec.func].reduceat(values, starts, dtype=dtype)))
-        state.merge(partials, self._code_space_cells(state, [keys]).row_gids())
+        state.merge(partials, self._code_space_cells(state, [keys]))
 
     def _note_arrival(self, key: str, source: str) -> None:
         stats = self.stats
@@ -713,14 +664,17 @@ class BatchHashAggregate(BatchOperator):
 
         Each key contributes its code (``n_distinct`` is the NULL slot of
         a key with NULLs) to one mixed-radix cell number per row
-        (``combine_codes``; a single key's codes are its cells). The
-        state keeps a table cell → group id for the code spaces the keys
-        name (``DictionaryVector.space``) that it met last, made when the
-        space has no more cells than the batch has rows: once a space has
-        been seen, only rows whose cell the table does not hold yet (−1)
-        go on. Keys without a space, or whose space first comes with more
-        cells than rows, map through a table of their batch alone (over
-        the cells' ``np.unique`` ranks when they outnumber the rows).
+        (``combine_codes``; a single key's codes are its cells). One
+        sequence: get or make the table, count the cells, fill the cells
+        it does not hold yet (−1). The state keeps a table cell → group id
+        for the code spaces the keys name (``DictionaryVector.space``)
+        that it met last, made when the space has no more cells than the
+        batch has rows: once a space has been seen, only rows whose cell
+        the table does not hold go on. Keys without a space, or whose
+        space first comes with more cells than rows, map through a table
+        of their batch alone (over the cells' ``np.unique`` ranks when
+        they outnumber the rows). Where the table gives two cells one
+        group, their rows move to the lowest, and the table is not kept.
         """
         n = vectors[0].row_count
         columns = []
@@ -732,52 +686,41 @@ class BatchHashAggregate(BatchOperator):
         index, cells = combine_codes(columns)
         space = tuple((vector.space, vector.null_mask is not None) for vector in vectors)
         table = state.table(space)
-        if table is not None:
-            counts = np.bincount(index, minlength=table.size)
-            # A row can miss only if an occupied cell does (O(cells)).
-            if (table[counts > 0] < 0).any():
-                unseen = np.flatnonzero(table[index] < 0)
-                if self._new_cells(state, vectors, index, unseen, table):
-                    state.shared.add(space)
-                self.stats.cells_from_table += n - unseen.size
-            else:
-                self.stats.cells_from_table += n
-            found = _Cells(index, table, space not in state.shared, counts)
-        else:
-            named = all(vector.space is not None for vector in vectors)
+        if table is None:
             # (More cells than rows may have been re-ranked by combine_codes.)
-            kept = named and math.prod(radix for _, radix in columns) <= n
-            if kept:
+            named = all(vector.space is not None for vector in vectors)
+            if named and math.prod(radix for _, radix in columns) <= n:
                 table = state.new_table(space, cells)
             else:
                 if cells > n:
                     index, cells = rank_cells(index)
-                table = np.empty(cells, dtype=np.int64)  # this batch's alone
-            shared = self._new_cells(state, vectors, index, None, table)
-            if shared and kept:
-                state.shared.add(space)
-            found = _Cells(index, table, not shared)
+                table = np.full(cells, -1, dtype=np.int64)  # this batch's alone
+        counts = np.bincount(index, minlength=table.size)
         if all(vector.source == "scan" for vector in vectors):
-            metrics.increment("storage.scan.agg_code_space_groups", int(found.occupied.size))
-        return found
+            metrics.increment("storage.scan.agg_code_space_groups", np.count_nonzero(counts))
+        # Rows whose cell the table holds, counted per cell: the rest go on.
+        seen = table >= 0
+        from_table = int(counts[seen].sum())
+        self.stats.cells_from_table += from_table
+        if from_table < n:
+            rows = np.flatnonzero(~seen[index]) if from_table else None
+            if self._new_cells(state, vectors, index, rows, table):
+                state.tables.pop(space, None)
+                index, counts = _lowest_cells(index, counts, table), None
+        return _Cells(index, table, counts)
 
     def _new_cells(
-        self,
-        state: _GroupState,
-        vectors: list,
-        index: np.ndarray,
-        rows: np.ndarray | None,
+        self, state: _GroupState, vectors: list, index: np.ndarray, rows: np.ndarray | None,
         table: np.ndarray,
     ) -> bool:
         """Fill ``table`` with the group id of each cell ``index`` holds
-        at ``rows`` (``None``: every row, into a table that holds no cell
-        yet), and return whether the table now gives two cells one group.
-        Only those cells — in order of first appearance, one row of each
-        decoded to its key values — are looked up in the group directory,
-        all at once; only a key it does not hold yet (a new group) costs
-        an interpreter call, so groups are made in order of first
-        appearance. A NaN key is the one NaN, so all of them are one
-        group."""
+        at ``rows`` (``None``: every row), and return whether the table
+        now gives two cells one group. Only those cells — in order of first appearance, one row
+        of each decoded to its key values — are looked up in the group
+        directory, all at once; only a key it does not hold yet (a new
+        group) costs an interpreter call, so groups are made in order of
+        first appearance. A NaN key is the one NaN, so all of them are
+        one group."""
         cells_at = index if rows is None else index[rows]
         m = cells_at.size
         first = np.full(table.size, m, dtype=np.int64)
@@ -785,9 +728,7 @@ class BatchHashAggregate(BatchOperator):
         occupied = np.flatnonzero(first < m)
         at = first[occupied]
         order = np.argsort(at, kind="stable")
-        occupied, at = occupied[order], at[order]
-        if rows is not None:
-            at = rows[at]
+        occupied, at = occupied[order], at[order] if rows is None else rows[at[order]]
 
         # Late decode: one row per occupied cell becomes a key tuple.
         per_key = []
@@ -809,9 +750,8 @@ class BatchHashAggregate(BatchOperator):
             self.stats.directory_misses += len(misses)
         # Equal keys in two cells (0.0 and -0.0 where a dictionary keeps
         # both): here or against a cell an earlier batch filled in.
-        shared = len(set(gids)) < len(gids)
-        if rows is not None and not shared:
-            shared = bool(np.isin(gids, table[table >= 0]).any())
+        seen = table[table >= 0]
+        shared = len(set(gids)) < len(gids) or bool(seen.size and np.isin(gids, seen).any())
         table[occupied] = gids
         return shared
 
@@ -822,12 +762,12 @@ class BatchHashAggregate(BatchOperator):
         """Fold a spilled partial batch into ``state``: its keys are
         grouped through the directory as input rows' keys are."""
         if self.group_keys:
-            gids = self._code_space_cells(state, [
+            cells = self._code_space_cells(state, [
                 DictionaryVector.from_values(partial.column(k), partial.null_mask(k), "here")
                 for k in self.group_keys
-            ]).row_gids()
+            ])
         else:
-            gids = np.full(partial.row_count, state.gid_of(()), dtype=np.int64)
+            cells = _Cells.one(state.gid_of(()), partial.row_count)
         state.merge([
             (
                 partial.column(f"__{spec.name}_count"),
@@ -835,7 +775,18 @@ class BatchHashAggregate(BatchOperator):
                 else partial.column(f"__{spec.name}_value"),
             )
             for spec in self.aggregates
-        ], gids)
+        ], cells)
+
+
+def _lowest_cells(index: np.ndarray, counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``index`` with each group's rows moved to the group's lowest
+    occupied cell, where ``table`` gives two cells one group (0.0 and
+    -0.0 in one float dictionary): one gather, rows kept in order."""
+    occupied = np.flatnonzero(counts)
+    _, first, group = np.unique(table[occupied], return_index=True, return_inverse=True)
+    lowest = np.arange(table.size, dtype=np.int64)
+    lowest[occupied] = occupied[first][group]
+    return lowest[index]
 
 
 def count_star(name: str = "count") -> AggregateSpec:

@@ -25,7 +25,7 @@ from ..rowstore.table import RowStoreTable
 from ..storage.columnstore import ColumnStoreIndex, RowLocator
 from ..types import python_values
 from .batch import DEFAULT_BATCH_SIZE, RID_COLUMN, Batch, sort_order
-from .expressions import Expr, predicate_true
+from .expressions import Expr, bigint, predicate_true
 from .operators.base import ROW_CHECK_INTERVAL, BatchOperator, operator_stream
 from .operators.hash_aggregate import COUNT_STAR, NAN, AggregateSpec
 from .operators.window import WindowSpec, compute_window_columns
@@ -382,7 +382,7 @@ class RowHashAggregate(RowOperator):
                 elif spec.func == "max":
                     values[i] = max(current, value)
                 else:  # sum / avg
-                    values[i] = current + value
+                    values[i] = bigint(current + value, spec)
         if not groups and not self.group_keys:
             groups[()] = [[0] * len(self.aggregates), [None] * len(self.aggregates)]
             order.append(())

@@ -1,16 +1,17 @@
 """The aggregate's cell fold, held to a per-row fold in Python.
 
-A grouped batch is folded into its key cells: each occupied cell is
-seeded with its group's value, takes its rows in row order and goes back
-to its group. The reference shares no code with that: each qualifying
-row, in order, updates its group. Float SUM, AVG, MIN and MAX must come
-out with the reference's bits and the groups in its order.
+Every batch is folded into its key cells: each occupied cell is seeded
+with its group's value, takes its rows in row order and goes back to its
+group. The reference shares no code with that: each qualifying row, in
+order, updates its group. Float SUM, AVG, MIN and MAX must come out with
+the reference's bits and the groups in its order.
 
-Keys are drawn to reach every path: integers, strings and floats coded
-by the aggregate (NaN among them: all NaNs are one group), and floats
-handed in as a dictionary that keeps 0.0 and -0.0 apart, two cells of one
-group, which the fold must take through a group id per row, as it takes
-a string MIN / MAX. Arguments hold NULLs; batches may carry a selection.
+Keys are drawn to reach every path: none (a scalar aggregate, one cell;
+an empty input gives one row), integers, strings and floats coded by the
+aggregate (NaN among them: all NaNs are one group), and floats handed in
+as a dictionary that keeps 0.0 and -0.0 apart, two cells of one group,
+whose rows the fold moves to the group's lowest occupied cell. Arguments
+hold NULLs; batches may carry a selection.
 Under a one-byte grant (what ``query_memory_budget=1`` gives the
 aggregate) every batch after the first spills: each batch is then a
 partial of its own, and the partials merge in batch order.
@@ -82,7 +83,7 @@ def _column(values, dtype):
 def cases(draw):
     """Key names, and per batch the batch and its rows as Python values
     (None for NULL), the qualifying ones only."""
-    kinds = draw(st.lists(st.sampled_from(list(_KEYS)), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.sampled_from(list(_KEYS)), min_size=0, max_size=3))
     keys = [f"k{i}" for i in range(len(kinds))]
     space = CodeSpace()
     batches = []
@@ -168,6 +169,8 @@ def reference(specs, keys, batches, spill: bool) -> list[tuple]:
         ])
     else:
         groups = _fold(specs, [item for _, rows in batches for item in items(rows)])
+    if not keys and not groups:  # a scalar aggregate over no row: one row
+        groups[()] = [(), [0] * len(specs), [None] * len(specs)]
     out = []
     for key, counts, values in groups.values():
         row = list(key)
@@ -204,32 +207,29 @@ def test_cell_fold_equals_the_per_row_fold(case, strings, spill):
     if spill:  # groups come out partition by partition
         got, want = sorted(got, key=repr), sorted(want, key=repr)
     assert got == want
-    stats = op.stats
-    assert stats.rows_folded_by_cell + stats.rows_folded_by_row == sum(
-        len(rows) for _, rows in batches
-    )
-    if not strings and not any(batch.encoded for batch, _ in batches):
-        assert stats.rows_folded_by_row == 0  # no table gives two cells one group
+    # Every row of a grouped batch is folded by cell (a scalar batch is
+    # not a grouped one).
+    assert op.stats.rows_folded_by_cell == (sum(len(rows) for _, rows in batches) if keys else 0)
 
 
-def test_two_cells_of_one_group_fold_by_row():
+def test_two_cells_of_one_group_fold_into_the_lowest():
     """0.0 and -0.0 are one group in two cells. Per cell, the group would
-    take 1e16 + -1e16 and 1 + 1 apart (2.0); in row order it takes
-    1e16 + 1 (1e16), then -1e16, then 1: 1.0."""
+    take 1e16 + -1e16 and 1 + 1 apart (2.0); moved to the lowest cell, in
+    row order, it takes 1e16 + 1 (1e16), then -1e16, then 1: 1.0."""
     keys = DictionaryVector.of(
         np.array([0, 1, 0, 1]), np.array([0.0, -0.0]), None, "join", CodeSpace()
     )
     batch = Batch(columns={"v": np.array([1e16, 1.0, -1e16, 1.0])}, encoded={"k": keys})
     op = BatchHashAggregate(BatchSource(["k", "v"], [batch]), ["k"], [agg("sum", "v", "s")])
     assert [row for batch in op.batches() for row in batch.to_rows()] == [(0.0, 1.0)]
-    assert (op.stats.rows_folded_by_row, op.stats.rows_folded_by_cell) == (4, 0)
+    assert op.stats.rows_folded_by_cell == 4
 
 
-def test_a_cell_met_later_that_shares_a_group_turns_the_table_to_rows():
+def test_a_cell_met_later_that_shares_a_group_folds_into_the_lowest():
     """The table of a space met again: 0.0's cell in the first batch, then
     -0.0's, a cell of the same group, in the second. From then on the
-    space's batches gather a group id per row (folded by cell, the two
-    cells would each write the group back, and one would be lost)."""
+    space's rows of that group move to its lowest occupied cell (left in
+    two cells, each would write the group back, and one would be lost)."""
     distinct, space = np.array([0.0, -0.0]), CodeSpace()
     batches = [
         Batch(columns={"v": np.array(values)},
@@ -238,7 +238,7 @@ def test_a_cell_met_later_that_shares_a_group_turns_the_table_to_rows():
     ]
     op = BatchHashAggregate(BatchSource(["k", "v"], batches), ["k"], [agg("sum", "v", "s")])
     assert [row for batch in op.batches() for row in batch.to_rows()] == [(0.0, 119.0)]
-    assert (op.stats.rows_folded_by_cell, op.stats.rows_folded_by_row) == (2, 4)
+    assert op.stats.rows_folded_by_cell == 6
 
 
 def test_rows_folded_by_cell_is_a_registered_counter_on_explain_analyze():
@@ -249,6 +249,6 @@ def test_rows_folded_by_cell_is_a_registered_counter_on_explain_analyze():
     assert "exec.hash_aggregate.rows_folded_by_cell" in STABLE_COUNTERS
     assert db.sql(sql, stats=True).stats.counter("exec.hash_aggregate.rows_folded_by_cell") == 300
     assert "rows_folded_by_cell=300" in db.explain_analyze(sql)
-    # A string MIN gathers a group id per row: the batches fall back.
+    # A string MIN folds by cell too, its group ids gathered in its loop.
     text = db.explain_analyze("SELECT g, MIN(s) AS m FROM t GROUP BY g")
-    assert "rows_folded_by_row=300" in text and "rows_folded_by_cell" not in text
+    assert "rows_folded_by_cell=300" in text
