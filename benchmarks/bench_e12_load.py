@@ -10,19 +10,46 @@ PENDING stamp, and a commit that installs it at a fresh epoch).
 Expected shape: bulk load achieves much higher rows/second; after a
 tuple-mover pass the trickle-loaded index converges to the same
 compressed state (size within noise of the bulk-loaded one).
+
+E12b — ``Database.bulk_load``, the path a user calls: the rows are
+coerced column by column (DESIGN.md "Bulk load, column by column") and
+compressed; on a durable database they are also logged as one BULK_LOAD
+record. Timed in memory and durable, at reduced scale (16,384-row groups)
+and at 1,048,576 rows (one paper-sized row group). The report states
+counts — row groups, segment bytes, log bytes — and one ratio: the
+in-memory ``Database.bulk_load`` rows/s over ``ColumnStoreIndex.bulk_load``
+rows/s on the same rows already coerced (what coercion and the statement
+cost on top of compression). No wall-clock ratio is asserted.
+
+``python benchmarks/bench_e12_load.py --smoke`` asserts E12b's counts
+exactly on a small load (what CI runs); without ``--smoke`` it rewrites
+``benchmarks/reports/e12b_database_load.txt`` (~1 minute, ~1.5 GB peak).
 """
 
 from __future__ import annotations
 
+import argparse
+import tempfile
+import time
+from pathlib import Path
+
 from conftest import save_report, scaled
+from repro import Database
 from repro.bench.harness import ReportTable, fmt_bytes, time_call
 from repro.bench.star_schema import STORE_SALES_SCHEMA, generate_star_data
+from repro.storage.blob import serialize_segment
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.storage.config import StoreConfig
 from repro.storage.tuple_mover import TupleMover
 from repro.txn import autocommit
 
 ROWS = scaled(60_000)
+PAPER_ROWS = 1_048_576
+SMOKE_ROWS = 20_000
+SMOKE_ROWGROUP = 4_096
+# E12b's counts on the smoke load (seed 13): row groups, segment bytes,
+# log bytes (CREATE TABLE + BULK_LOAD records), in memory and durable alike.
+SMOKE_COUNTS = {"row_groups": 5, "segment_bytes": 218_297, "log_bytes": 1_621_147}
 
 
 def make_rows():
@@ -102,3 +129,128 @@ def test_e12_load_paths(benchmark, report_dir):
     assert r["bulk_s"] < r["trickle_s"], "bulk load must be faster"
     assert r["trickle_size_before"] > r["bulk_size"], "delta stores are bigger"
     assert r["trickle_size_after"] < r["trickle_size_before"] / 2
+
+
+# --------------------------------------------------------------------- #
+# E12b: Database.bulk_load
+# --------------------------------------------------------------------- #
+def database_load(rows: list[tuple], rowgroup: int, directory: Path | None = None) -> dict:
+    """One ``Database.bulk_load`` of ``rows`` into ``store_sales``: in
+    memory, or durable in ``directory``. Its seconds and counts."""
+    config = StoreConfig(rowgroup_size=rowgroup, bulk_load_threshold=1)
+    if directory is None:
+        db = Database(config)
+    else:
+        db = Database.open(str(directory), default_config=config)
+    db.create_table("store_sales", STORE_SALES_SCHEMA)
+    start = time.perf_counter()
+    db.bulk_load("store_sales", rows)
+    seconds = time.perf_counter() - start
+    groups = db.table("store_sales").columnstore.directory
+    found = {
+        "seconds": seconds,
+        "row_groups": len(groups),
+        "segment_bytes": sum(
+            len(serialize_segment(segment))
+            for group in groups.row_groups()
+            for segment in group.segments.values()
+        ),
+    }
+    if directory is not None:
+        found["log_bytes"] = db.durability.wal.status()["bytes"]
+        db.close()
+    return found
+
+
+def storage_load_seconds(rows: list[tuple], rowgroup: int) -> float:
+    """``ColumnStoreIndex.bulk_load_physical`` of the same rows, coerced
+    into columns first (untimed): compression alone, no statement."""
+    physical = STORE_SALES_SCHEMA.coerce_columns(rows)
+    config = StoreConfig(rowgroup_size=rowgroup, bulk_load_threshold=1)
+    index = ColumnStoreIndex(STORE_SALES_SCHEMA, config)
+    start = time.perf_counter()
+    with autocommit(index.mvcc) as txn:
+        index.bulk_load_physical(physical, txn)
+    return time.perf_counter() - start
+
+
+def database_arms(n_rows: int, rowgroup: int, repeat: int = 1) -> dict:
+    """In memory and durable, best of ``repeat`` each, and the storage
+    floor; the counts of each arm's last run."""
+    rows = generate_star_data(n_rows, seed=13)["store_sales"]
+    arms: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, directory in (("in memory", None), ("durable", Path(scratch))):
+            runs = []
+            for attempt in range(repeat):
+                where = None if directory is None else directory / f"db{attempt}"
+                runs.append(database_load(rows, rowgroup, where))
+            arms[name] = dict(runs[-1], seconds=min(run["seconds"] for run in runs))
+    arms["storage"] = {
+        "seconds": min(storage_load_seconds(rows, rowgroup) for _ in range(repeat))
+    }
+    return arms
+
+
+def check_smoke(arms: dict) -> None:
+    memory, durable = arms["in memory"], arms["durable"]
+    assert memory["row_groups"] == durable["row_groups"] == SMOKE_COUNTS["row_groups"], arms
+    assert memory["segment_bytes"] == durable["segment_bytes"] == SMOKE_COUNTS["segment_bytes"], arms
+    assert durable["log_bytes"] == SMOKE_COUNTS["log_bytes"], arms
+
+
+def smoke() -> dict:
+    arms = database_arms(SMOKE_ROWS, SMOKE_ROWGROUP)
+    check_smoke(arms)
+    return arms
+
+
+def test_e12b_database_load_counts():
+    """What CI runs (also reachable as ``--smoke``): no clock."""
+    smoke()
+
+
+def full_report() -> str:
+    report = ReportTable(
+        "E12b: Database.bulk_load of store_sales rows (coerce column by column + compress; "
+        "durable: + log), best of 3",
+        ["rows", "row group", "arm", "seconds", "rows/s", "row groups", "segment bytes",
+         "log bytes"],
+    )
+    ratios = []
+    for n_rows, rowgroup in ((ROWS, 16_384), (PAPER_ROWS, PAPER_ROWS)):
+        arms = database_arms(n_rows, rowgroup, repeat=3)
+        for name, arm in arms.items():
+            report.add_row(
+                f"{n_rows:,}", f"{rowgroup:,}", name, round(arm["seconds"], 3),
+                int(n_rows / arm["seconds"]), arm.get("row_groups", "-"),
+                arm.get("segment_bytes", "-"), arm.get("log_bytes", "-"),
+            )
+        ratios.append((n_rows, arms["storage"]["seconds"] / arms["in memory"]["seconds"]))
+    for n_rows, ratio in ratios:
+        report.add_note(
+            f"{n_rows:,} rows: in-memory Database.bulk_load runs at {ratio:.2f}x the rows/s "
+            "of ColumnStoreIndex.bulk_load_physical on the same rows already coerced"
+        )
+    report.add_note("storage = ColumnStoreIndex.bulk_load_physical of rows coerced beforehand "
+                    "(compression alone); log bytes = the WAL after CREATE TABLE + BULK_LOAD")
+    return report.render()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--smoke", action="store_true", help="small load, exact counts only")
+    args = parser.parse_args()
+    if args.smoke:
+        arms = smoke()
+        for name in ("in memory", "durable"):
+            print(name, {k: v for k, v in arms[name].items() if k != "seconds"})
+        print("E12b smoke: exact counts hold")
+    else:
+        text = full_report()
+        (Path(__file__).parent / "reports" / "e12b_database_load.txt").write_text(text + "\n")
+        print(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,7 @@ from ..errors import CatalogError, StorageError
 from ..rowstore.compression import table_page_compressed_size
 from ..rowstore.index import RowStoreIndex
 from ..rowstore.table import RowId, RowStoreTable
-from ..schema import TableSchema
+from ..schema import PhysicalColumns, TableSchema
 from ..storage.columnstore import ColumnStoreIndex, RowLocator
 from ..storage.config import StoreConfig
 from ..storage.tuple_mover import TupleMover, TupleMoverReport
@@ -83,17 +83,19 @@ class Table:
         if self.columnstore is not None:
             self.columnstore.insert(row, txn)
 
-    def bulk_load_physical(self, physical: Sequence[tuple[Any, ...]], txn) -> int:
-        """Bulk-load already-coerced rows (see :meth:`insert_physical_rows`)."""
+    def bulk_load_physical(self, physical: PhysicalColumns, txn) -> int:
+        """Bulk-load already-coerced rows, held as columns (see
+        :meth:`insert_physical_rows`): a columnstore takes the columns as
+        they are; row-store (and BOTH) inserts keep rid bookkeeping per
+        row."""
         if self.storage_kind is StorageKind.COLUMNSTORE:
             assert self.columnstore is not None
-            self.columnstore.bulk_load(physical, txn)
+            self.columnstore.bulk_load_physical(physical, txn)
         else:
-            # Row-store (and BOTH) inserts keep rid bookkeeping per row.
-            for row in physical:
+            for row in physical.rows():
                 self._insert_physical(row, txn)
         self._bump_data_version(txn)
-        return len(physical)
+        return physical.count
 
     def delete_rows(self, rids: list[RowId], locators: list[RowLocator], txn) -> int:
         """Delete the rows at these addresses — row-store ``rids`` and

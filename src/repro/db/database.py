@@ -380,9 +380,10 @@ class Database:
         return self._apply_change(WalRecordType.INSERT, target.name, physical)
 
     def bulk_load(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Bulk-load rows (large loads compress directly into row groups)."""
+        """Bulk-load rows (large loads compress directly into row groups):
+        coerced, logged and compressed as columns (``coerce_columns``)."""
         target = self.catalog.table(table)
-        physical = [target.schema.coerce_row(row) for row in rows]
+        physical = target.schema.coerce_columns(rows)
         return self._apply_change(WalRecordType.BULK_LOAD, target.name, physical)
 
     def delete_where(self, table: str, predicate: Expr | None) -> int:

@@ -3,7 +3,9 @@
 A :class:`TableSchema` is immutable once constructed and is shared by the
 row store, the columnstore index, the planner and the SQL binder. Row
 validation (`coerce_row`) happens here so every ingestion path — bulk load,
-trickle insert, SQL INSERT — enforces identical rules.
+trickle insert, SQL INSERT — enforces identical rules; a bulk load
+validates column by column (`coerce_columns`), the same rules over the
+column's values, falling back to `coerce_row` to name its first error.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import ConstraintError, SchemaError
-from .types import DataType
+import numpy as np
+
+from .errors import ConstraintError, ReproError, SchemaError
+from .types import DataType, python_values
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,62 @@ class TableSchema:
             out.append(col.dtype.coerce(value))
         return tuple(out)
 
+    def coerce_columns(self, rows: Sequence[Sequence[Any]]) -> "PhysicalColumns":
+        """:meth:`coerce_row` for many rows, one column at a time
+        (:meth:`DataType.coerce_column`): each row's arity is checked,
+        then each column is gathered from the rows once.
+
+        Should any check fail, the rows are re-run through
+        :meth:`coerce_row`, so the error raised is the one a row-by-row
+        load raises first — its type and message, in row-major order.
+        """
+        if not isinstance(rows, (list, tuple)):
+            rows = list(rows)
+        try:
+            return self._coerce_columns(rows)
+        except (ReproError, TypeError, ValueError):  # TypeError: a row with no len
+            for row in rows:
+                self.coerce_row(row)
+            raise
+
+    def _coerce_columns(self, rows: Sequence[Sequence[Any]]) -> "PhysicalColumns":
+        width = len(self.columns)
+        if any(length != width for length in set(map(len, rows))):
+            raise SchemaError(f"a row's arity differs from the table's {width} columns")
+        values: dict[str, np.ndarray] = {}
+        nulls: dict[str, np.ndarray | None] = {}
+        for position, col in enumerate(self.columns):
+            # One list per column: zip(*rows) makes an iterator per row,
+            # and a million of those set the cyclic collector running.
+            raw = [row[position] for row in rows]
+            values[col.name], nulls[col.name] = col.dtype.coerce_column(raw)
+            if nulls[col.name] is not None and not col.nullable:
+                raise ConstraintError(f"column {col.name!r} is NOT NULL")
+        return PhysicalColumns(values, nulls)
+
     def project(self, names: Sequence[str]) -> "TableSchema":
         """A new schema containing only the named columns, in the given order."""
         return TableSchema([self.column(name) for name in names])
+
+
+@dataclass(frozen=True)
+class PhysicalColumns:
+    """Coerced rows held as columns: per column name its physical array
+    (a NULL's slot holds the kind's fill) and its NULL mask (``None``
+    when the column holds no NULL). What a bulk load logs and applies."""
+
+    values: dict[str, np.ndarray]
+    nulls: dict[str, np.ndarray | None]
+
+    @property
+    def count(self) -> int:
+        return len(next(iter(self.values.values())))
+
+    def rows(self) -> list[tuple[Any, ...]]:
+        """The physical row tuples, for the paths whose unit is a row."""
+        return list(
+            zip(*(python_values(values, self.nulls[name]) for name, values in self.values.items()))
+        )
 
 
 def schema(*specs: tuple[str, DataType] | tuple[str, DataType, bool] | ColumnDef) -> TableSchema:

@@ -35,12 +35,12 @@ import numpy as np
 from ..errors import StorageError
 from ..mvcc import PENDING_EPOCH, EpochManager
 from ..observability import registry as metrics
-from ..schema import TableSchema
+from ..schema import PhysicalColumns, TableSchema
 from .config import StoreConfig
 from .delete_bitmap import DeleteBitmap, deleted_mask
 from .deltastore import DeltaStore, FrozenDeltaView
 from .directory import SegmentDirectory
-from .loader import BulkLoader
+from .loader import BulkLoader, rows_to_columns
 from .rowgroup import RowGroup
 
 GROUP = "group"
@@ -196,17 +196,22 @@ class ColumnStoreIndex:
             self._open_delta_id = None
 
     def bulk_load(self, rows: Sequence[tuple[Any, ...]], txn) -> None:
-        """Insert many rows at once.
+        """Insert many physical rows at once (:meth:`bulk_load_physical`)."""
+        self.bulk_load_physical(PhysicalColumns(*rows_to_columns(self.schema, rows)), txn)
 
-        At or above the bulk-load threshold the rows are compressed directly
-        into row groups (the paper's bulk-insert path); below it they fall
-        back to trickle inserts into the delta store.
+    def bulk_load_physical(self, physical: PhysicalColumns, txn) -> None:
+        """Insert many coerced rows, held as columns, at once.
+
+        At or above the bulk-load threshold the columns are compressed
+        directly into row groups (the paper's bulk-insert path); below it
+        they fall back to trickle inserts of their rows into the delta
+        store.
         """
-        if len(rows) < self.config.bulk_load_threshold:
-            for row in rows:
+        if physical.count < self.config.bulk_load_threshold:
+            for row in physical.rows():
                 self.insert(row, txn)
         else:
-            self._load_groups(lambda: self.loader.load_rows(rows), txn)
+            self.bulk_load_columns(physical.values, txn, physical.nulls)
 
     def bulk_load_columns(
         self,

@@ -25,22 +25,16 @@ def rows_to_columns(
     schema: TableSchema, rows: Sequence[tuple[Any, ...]]
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray | None]]:
     """Pivot physical row tuples into per-column arrays + null masks."""
-    n = len(rows)
     columns: dict[str, np.ndarray] = {}
     null_masks: dict[str, np.ndarray | None] = {}
     for position, col in enumerate(schema):
         raw = [row[position] for row in rows]
-        mask = np.fromiter((v is None for v in raw), dtype=bool, count=n)
-        has_nulls = bool(mask.any())
-        dtype = col.dtype.numpy_dtype
-        if dtype == object:
-            arr = np.empty(n, dtype=object)
-            arr[:] = ["" if v is None else v for v in raw]
-        else:
-            fill: Any = False if dtype == np.bool_ else 0
-            arr = np.array([fill if v is None else v for v in raw], dtype=dtype)
-        columns[col.name] = arr
-        null_masks[col.name] = mask if has_nulls else None
+        mask = np.fromiter((v is None for v in raw), dtype=bool, count=len(raw))
+        if not mask.any():
+            mask = None
+        present = raw if mask is None else [v for v in raw if v is not None]
+        columns[col.name] = col.dtype.spread(col.dtype.physical_array(present), mask)
+        null_masks[col.name] = mask
     return columns, null_masks
 
 

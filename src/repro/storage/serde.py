@@ -11,6 +11,8 @@ from __future__ import annotations
 import struct
 from typing import Any, Sequence
 
+import numpy as np
+
 from ..errors import CorruptBlobError, EncodingError
 from ..types import DataType, TypeKind
 
@@ -77,6 +79,35 @@ def serialize_values(values: Sequence[Any], dtype: DataType) -> bytes:
         for value in values:
             out += struct.pack("<q", int(value))
     return bytes(out)
+
+
+def serialize_array(values: np.ndarray, dtype: DataType) -> bytes:
+    """:func:`serialize_values` for an array of physical values — the same
+    bytes, numbers written as one ``<i8`` / ``<f8`` buffer."""
+    if dtype.kind is TypeKind.VARCHAR:
+        return serialize_values(values.tolist(), dtype)
+    out = bytearray()
+    write_varint(out, len(values))
+    out += values.astype("<f8" if dtype.kind is TypeKind.FLOAT else "<i8").tobytes()
+    return bytes(out)
+
+
+def deserialize_array(payload: bytes, dtype: DataType) -> np.ndarray:
+    """Inverse of :func:`serialize_array`: an array of ``dtype``'s
+    physical dtype, bounds-checked as :func:`deserialize_values` is."""
+    if dtype.kind is TypeKind.VARCHAR:
+        return dtype.physical_array(deserialize_values(payload, dtype))
+    count, pos = read_varint(payload, 0)
+    if pos + 8 * count != len(payload):
+        raise EncodingError(
+            f"value payload of {count} values needs {8 * count} bytes at "
+            f"offset {pos}, has {len(payload) - pos}"
+        )
+    wide = np.frombuffer(payload, "<f8" if dtype.kind is TypeKind.FLOAT else "<i8", count, pos)
+    values = wide.astype(dtype.numpy_dtype)
+    if values.dtype.kind == "i" and not np.array_equal(values, wide):
+        raise EncodingError(f"value payload holds a value out of range for {dtype}")
+    return values
 
 
 def deserialize_values(payload: bytes, dtype: DataType) -> list[Any]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -41,6 +41,19 @@ class TypeKind(enum.Enum):
 # Kinds presented as a plain Python number: ``py(v)`` for one cell,
 # ``astype(py)`` for a column — one table, so the two cannot disagree.
 _PLAIN = {TypeKind.INT: int, TypeKind.BIGINT: int, TypeKind.FLOAT: float, TypeKind.BOOL: bool}
+# The Python types a column of each kind takes as they are, for
+# :meth:`DataType.coerce_column`'s one-array path (a bool is an int to
+# Python, never to a column; DECIMAL and DATE always map through coerce).
+_EXACT: dict[TypeKind, frozenset[type]] = {
+    TypeKind.INT: frozenset({int}),
+    TypeKind.BIGINT: frozenset({int}),
+    TypeKind.FLOAT: frozenset({int, float}),
+    TypeKind.DECIMAL: frozenset(),
+    TypeKind.VARCHAR: frozenset({str}),
+    TypeKind.DATE: frozenset(),
+    TypeKind.BOOL: frozenset({bool}),
+}
+_NONE = type(None)
 _NUMPY_DTYPES = {
     TypeKind.INT: np.dtype(np.int32),
     TypeKind.BIGINT: np.dtype(np.int64),
@@ -135,7 +148,14 @@ class DataType:
     def _coerce_float(self, value: Any) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
             raise TypeMismatchError(f"expected float, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            # An int past float's range (~1.8e308); its digits are not
+            # printed (past 4,300 of them ``str`` itself raises).
+            raise TypeMismatchError(
+                f"integer of {int(value).bit_length()} bits out of range for float"
+            ) from None
 
     def _coerce_decimal(self, value: Any) -> int:
         """Decimals are stored as int64 scaled by 10**scale."""
@@ -181,6 +201,67 @@ class DataType:
         if isinstance(value, (bool, np.bool_)):
             return bool(value)
         raise TypeMismatchError(f"expected bool, got {value!r}")
+
+    def coerce_column(self, values: Sequence[Any]) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`coerce` for a whole column: its physical array (a NULL's
+        slot holds the kind's fill) and its NULL mask (``None`` when no
+        value is NULL).
+
+        When every non-NULL value has the exact Python type the kind takes
+        as it is (:data:`_EXACT`) and lies in range, the column converts as
+        one array. Any other column (numpy scalars, DATE, DECIMAL, a value
+        out of range or of the wrong type) maps through :meth:`coerce`, so
+        every rule is written once and a bad column raises what
+        :meth:`coerce` raises for its first bad value.
+        """
+        seen = set(map(type, values))
+        mask = None
+        present: Sequence[Any] = values
+        if _NONE in seen:
+            seen.discard(_NONE)
+            mask = np.fromiter((value is None for value in values), dtype=bool, count=len(values))
+            present = [value for value in values if value is not None]
+        array = self._exact_array(present) if seen and seen <= _EXACT[self.kind] else None
+        if array is None:
+            array = self.physical_array([self.coerce(value) for value in present])
+        return self.spread(array, mask), mask
+
+    def _exact_array(self, values: Sequence[Any]) -> np.ndarray | None:
+        """``values`` (each of a type :data:`_EXACT` lists for the kind) as
+        one physical array, or ``None`` when one of them is out of range."""
+        if self.kind in (TypeKind.INT, TypeKind.BIGINT):
+            # Checked here: numpy before 2.0 wraps an out-of-range int.
+            limit = 2**31 if self.kind is TypeKind.INT else 2**63
+            if not (-limit <= min(values) and max(values) < limit):
+                return None
+        elif self.length is not None and max(map(len, values)) > self.length:
+            return None
+        try:
+            return self.physical_array(values)
+        except OverflowError:  # FLOAT: an int past float's range
+            return None
+
+    def physical_array(self, values: Sequence[Any]) -> np.ndarray:
+        """Physical values (no NULL) as one array of :attr:`numpy_dtype`;
+        a VARCHAR array holds the strings themselves (``np.array`` would
+        make them fixed-width)."""
+        if self.kind is not TypeKind.VARCHAR:
+            return np.array(values, dtype=self.numpy_dtype)
+        array = np.empty(len(values), dtype=object)
+        array[:] = values
+        return array
+
+    def spread(self, present: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """A column's non-NULL physical values spread over its rows, the
+        NULL slots (``mask``) holding the kind's fill: ``""`` for VARCHAR,
+        ``False`` for BOOL, 0 otherwise."""
+        if mask is None:
+            return present
+        dtype = self.numpy_dtype
+        fill: Any = "" if dtype == object else (False if dtype == np.bool_ else 0)
+        column = np.full(len(mask), fill, dtype=dtype)
+        column[~mask] = present
+        return column
 
     # ------------------------------------------------------------------ #
     # Presentation: physical form back to user-facing Python values

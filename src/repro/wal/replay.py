@@ -19,7 +19,9 @@ Payloads are *physical enough to be deterministic*:
   already-coerced physical rows in the same column-wise format the
   snapshot layer uses (:func:`repro.storage.persist.serialize_rows`), so
   replay never re-runs type coercion (which is not idempotent — e.g.
-  DECIMAL coercion scales ints);
+  DECIMAL coercion scales ints); a BULK_LOAD's body is its columns
+  (:class:`~repro.schema.PhysicalColumns`), written and read as columns
+  (:func:`~repro.storage.persist.serialize_columns`) in those same bytes;
 * DELETE / UPDATE payloads carry the row *addresses* the statement's
   plans found (row-store rids and columnstore (group/delta, position)
   locators), not the predicate — predicates are not serializable, and
@@ -178,12 +180,18 @@ def _decode_update(db: "Database", name: str, payload: bytes):
     return rids, locators, persist.deserialize_rows(_schema(db, name), payload[pos + header_len :])
 
 
-def _rows_change(apply: Callable[..., int]) -> Change:
-    """INSERT and BULK_LOAD: a list of physical rows, applied by ``apply``."""
+def _table_change(
+    apply: Callable[..., int],
+    encode: Callable[[Any, Any], bytes],
+    decode: Callable[[Any, bytes], Any],
+) -> Change:
+    """INSERT and BULK_LOAD: a body of physical values, applied by
+    ``apply`` and coded against the table's schema by ``encode`` /
+    ``decode``."""
     return Change(
-        lambda db, name, rows, txn: apply(db.catalog.table(name), rows, txn),
-        lambda db, name, rows: persist.serialize_rows(_schema(db, name), rows),
-        lambda db, name, payload: persist.deserialize_rows(_schema(db, name), payload),
+        lambda db, name, body, txn: apply(db.catalog.table(name), body, txn),
+        lambda db, name, body: encode(_schema(db, name), body),
+        lambda db, name, payload: decode(_schema(db, name), payload),
     )
 
 
@@ -207,8 +215,14 @@ CHANGES: dict[WalRecordType, Change] = {
     WalRecordType.CREATE_TABLE: Change(_create_table, _encode_create_table, _decode_create_table),
     WalRecordType.DROP_TABLE: _no_body(_drop_table),
     WalRecordType.CREATE_INDEX: Change(_create_index, _encode_index, _decode_index),
-    WalRecordType.INSERT: _rows_change(Table.insert_physical_rows),
-    WalRecordType.BULK_LOAD: _rows_change(Table.bulk_load_physical),
+    WalRecordType.INSERT: _table_change(
+        Table.insert_physical_rows, persist.serialize_rows, persist.deserialize_rows
+    ),
+    # A bulk load's body is its columns (PhysicalColumns); its payload is
+    # the bytes serialize_rows writes for the same rows.
+    WalRecordType.BULK_LOAD: _table_change(
+        Table.bulk_load_physical, persist.serialize_columns, persist.deserialize_columns
+    ),
     WalRecordType.DELETE: Change(
         lambda db, name, body, txn: db.catalog.table(name).delete_rows(*body, txn),
         lambda _db, _name, body: _json(_addresses(*body)),

@@ -64,11 +64,13 @@ def trickle_insert(table, txn) -> None:
 
 
 def bulk_load_above(table, txn) -> None:
-    table.bulk_load_physical([(200 + i, f"b{i}") for i in range(12)], txn)
+    rows = [(200 + i, f"b{i}") for i in range(12)]
+    table.bulk_load_physical(table.schema.coerce_columns(rows), txn)
 
 
 def bulk_load_below(table, txn) -> None:
-    table.bulk_load_physical([(200 + i, f"s{i}") for i in range(3)], txn)
+    rows = [(200 + i, f"s{i}") for i in range(3)]
+    table.bulk_load_physical(table.schema.coerce_columns(rows), txn)
 
 
 def delete_group_row(table, txn) -> None:
