@@ -10,11 +10,15 @@ this with:
   during load and extended by later loads. It lets predicates and joins be
   evaluated once per distinct value instead of once per row, and lets the
   scan map constants to codes without touching segment payloads.
+
+Both start from :func:`factorize`: a column's sorted distinct values and
+each row's position among them, made once per column of a row group and
+read by the row order, the dictionary, its codes and the statistics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +27,61 @@ from ..types import DataType
 from . import serde
 from .bitpack import CODES
 from .encodings import Scheme
+
+
+# An integer domain [min, max] is dense — worth a table with a cell per
+# value, which then costs no more than the rows it serves — while it has
+# at most this many cells per row (a join's offset table over its build
+# keys, a plain key column coded by subtraction, a column factorized
+# without a sort).
+DENSE_DOMAIN_PER_ROW = 8
+
+
+class Factors(NamedTuple):
+    """One column factorized: its sorted distinct values and each row's
+    position among them (int64), so that ``distinct[ranks]`` is the
+    column. Equal floats (``-0.0`` and ``0.0``, every NaN) are one value,
+    NaN sorted last, as ``np.unique`` has them."""
+
+    distinct: np.ndarray
+    ranks: np.ndarray
+
+    def without(self, null_mask: np.ndarray | None) -> "Factors":
+        """The factors of the rows outside ``null_mask``: a value only
+        NULL rows' fillers hold is dropped, the ranks renumbered, and a
+        NULL row's rank is 0 — a dictionary and its code stream."""
+        if null_mask is None:
+            return self
+        used = np.zeros(self.distinct.size, dtype=bool)
+        used[self.ranks[~null_mask]] = True
+        ranks = (np.cumsum(used) - 1)[self.ranks]
+        ranks[null_mask] = 0
+        return Factors(self.distinct[used], ranks)
+
+
+def factorize(values: np.ndarray) -> Factors:
+    """:class:`Factors` of a physical column. Integers (and booleans, as
+    0 / 1) whose [min, max] is dense (:data:`DENSE_DOMAIN_PER_ROW`) go
+    through a presence table, without a sort; other numbers through one
+    ``np.unique``; strings through one sorted set and a rank map."""
+    if values.dtype == object:
+        strings = values.tolist()
+        distinct = sorted(set(strings))
+        rank = {value: code for code, value in enumerate(distinct)}
+        ranks = np.fromiter(map(rank.__getitem__, strings), dtype=np.int64, count=len(strings))
+        return Factors(np.array(distinct, dtype=object), ranks)
+    if values.dtype == np.bool_:
+        values = values.view(np.uint8)
+    if values.size and values.dtype.kind in "iu":
+        low, high = int(values.min()), int(values.max())
+        if high - low < DENSE_DOMAIN_PER_ROW * values.size:
+            offsets = values.astype(np.int64) - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[offsets] = True
+            ranks = (np.cumsum(present) - 1)[offsets]
+            return Factors((np.flatnonzero(present) + low).astype(values.dtype), ranks)
+    distinct, ranks = np.unique(values, return_inverse=True)
+    return Factors(distinct, ranks.astype(np.int64, copy=False))
 
 
 def gather(entries: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -56,8 +115,11 @@ class LocalDictionary:
 
     @property
     def size_bytes(self) -> int:
-        """Approximate in-memory footprint, for compression accounting."""
-        return sum(len(v.encode("utf-8")) + 4 if isinstance(v, str) else 8 for v in self.values)
+        """Approximate in-memory footprint, for compression accounting:
+        8 bytes a number, a string's UTF-8 bytes and 4."""
+        if self.values and isinstance(self.values[0], str):
+            return len("".join(self.values).encode("utf-8")) + 4 * len(self.values)
+        return 8 * len(self.values)
 
     def entries(self, dtype: np.dtype) -> np.ndarray:
         """The values as a read-only array of the column's ``dtype``, built
@@ -101,22 +163,6 @@ class LocalDictionary:
     def from_payloads(cls, parts: list[bytes], dtype: DataType) -> "LocalDictionary":
         (payload,) = parts
         return cls(serde.deserialize_values(payload, dtype))
-
-    @classmethod
-    def build(cls, values: np.ndarray) -> tuple["LocalDictionary", np.ndarray]:
-        """Build a dictionary from raw values and return (dict, codes).
-
-        ``values`` must not contain NULL placeholders; callers handle nulls
-        separately (see :mod:`repro.storage.encodings`).
-        """
-        arr = np.asarray(values)
-        if arr.dtype == object:
-            distinct = sorted(set(arr.tolist()))
-            rank = {value: code for code, value in enumerate(distinct)}
-            codes = np.fromiter(map(rank.__getitem__, arr.tolist()), dtype=np.int64, count=arr.size)
-            return cls(distinct), codes
-        distinct, codes = np.unique(arr, return_inverse=True)
-        return cls(distinct.tolist()), codes.astype(np.int64)
 
 
 class GlobalDictionary:

@@ -15,6 +15,7 @@ import numpy as np
 from ..errors import StorageError
 from ..schema import TableSchema
 from .config import StoreConfig
+from .dictionary import Factors, factorize
 from .directory import SegmentDirectory
 from .reorder import choose_row_order
 from .rowgroup import RowGroup
@@ -121,20 +122,25 @@ class BulkLoader:
         columns: dict[str, np.ndarray],
         null_masks: dict[str, np.ndarray | None],
     ) -> RowGroup:
-        if self.config.reorder_rows:
-            perm = choose_row_order(columns, null_masks)
-            columns = {name: arr[perm] for name, arr in columns.items()}
-            null_masks = {
-                name: (mask[perm] if mask is not None else None)
-                for name, mask in null_masks.items()
-            }
+        """One row group: each column factorized once, and the row order,
+        the dictionaries, their codes and the statistics read from that.
+        A column is permuted just before it is encoded, so one column's
+        reordered copy is held at a time."""
+        factors = {name: factorize(arr) for name, arr in columns.items()}
+        perm = choose_row_order(factors, null_masks) if self.config.reorder_rows else None
         segments = {}
         for col in self.schema:
+            values, mask = columns[col.name], null_masks.get(col.name)
+            factor = factors.pop(col.name)
+            if perm is not None:
+                values, factor = values[perm], Factors(factor.distinct, factor.ranks[perm])
+                mask = None if mask is None else mask[perm]
             segment = encode_segment(
                 col.dtype,
-                columns[col.name],
-                null_masks.get(col.name),
+                values,
+                mask,
                 global_dict=self.directory.global_dictionary(col.name),
+                factors=factor,
             )
             if self.config.archival:
                 segment = segment.to_archived()

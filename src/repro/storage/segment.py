@@ -32,7 +32,14 @@ import numpy as np
 from ..errors import CorruptBlobError, EncodingError
 from ..types import DataType, TypeKind
 from . import serde, value_encoding, xpress
-from .dictionary import GlobalDictionary, LocalDictionary, gather
+from .dictionary import (
+    DENSE_DOMAIN_PER_ROW,
+    Factors,
+    GlobalDictionary,
+    LocalDictionary,
+    factorize,
+    gather,
+)
 from .encodings import (
     IDENTITY,
     Identity,
@@ -51,11 +58,6 @@ from .value_encoding import ValueEncoding
 ValueStage = Union[LocalDictionary, ValueEncoding, Identity]
 
 _METADATA_OVERHEAD_BYTES = 64
-# An integer domain [min, max] is dense — worth a table with a cell per
-# value, which then costs no more than the rows it serves — while it has
-# at most this many cells per row (a join's offset table over its build
-# keys, a plain key column coded by subtraction).
-DENSE_DOMAIN_PER_ROW = 8
 # A take of at most this many positions works in Python integers and
 # makes one array, of its result: below it the array path's fixed cost
 # (asarray, min / max, view, += and astype on tiny arrays, the kernel's
@@ -501,6 +503,7 @@ def encode_segment(
     values: np.ndarray,
     null_mask: np.ndarray | None = None,
     global_dict: GlobalDictionary | None = None,
+    factors: Factors | None = None,
 ) -> ColumnSegment:
     """Compress one column of one row group into a :class:`ColumnSegment`.
 
@@ -508,6 +511,10 @@ def encode_segment(
     flagged in ``null_mask`` are ignored for statistics and dictionary
     construction. If a :class:`GlobalDictionary` is supplied, the segment's
     distinct values are interned into it (the paper's primary dictionary).
+    ``factors`` is ``factorize(values)`` when the caller has it (the
+    loader made it to choose the row order); else it is made here when
+    needed. A dictionary, its codes, the NDV a dictionary is weighed by
+    and a string column's statistics all come from it.
     """
     values = np.asarray(values)
     row_count = int(values.size)
@@ -518,17 +525,27 @@ def encode_segment(
         if not null_mask.any():
             null_mask = None
     null_count = int(null_mask.sum()) if null_mask is not None else 0
-    non_null = values[~null_mask] if null_mask is not None else values
 
-    raw_size = _raw_size_bytes(dtype, values, null_mask)
-    min_value, max_value = _min_max(dtype, non_null)
+    def present() -> Factors:  # the non-NULL rows' factors
+        return (factorize(values) if factors is None else factors).without(null_mask)
 
     if dtype.kind is TypeKind.VARCHAR:
-        stream, stage = _encode_strings(non_null, null_mask, row_count)
-    elif dtype.kind is TypeKind.FLOAT:
-        stream, stage = _encode_floats(values, non_null, null_mask, row_count)
+        strings = present()
+        stage = LocalDictionary(strings.distinct.tolist())
+        stream = encode_stream(strings.ranks)
+        # 2 bytes a row, and a string's UTF-8 bytes for each row holding it.
+        held = strings.ranks if null_mask is None else strings.ranks[~null_mask]
+        lengths = serde.utf8(stage.values)[1]
+        raw_size = 2 * row_count + int(lengths @ np.bincount(held, minlength=lengths.size))
+        min_value, max_value = (stage.values[0], stage.values[-1]) if len(stage) else (None, None)
     else:
-        stream, stage = _encode_ints(values, non_null, null_mask, row_count)
+        non_null = values[~null_mask] if null_mask is not None else values
+        raw_size = row_count * dtype.fixed_width_bytes
+        min_value, max_value = _min_max(dtype, non_null)
+        if dtype.kind is TypeKind.FLOAT:
+            stream, stage = _encode_floats(values, non_null, null_mask, row_count, present)
+        else:
+            stream, stage = _encode_ints(non_null, null_mask, row_count, present)
 
     if global_dict is not None and isinstance(stage, LocalDictionary):
         global_dict.intern_all(stage.values)
@@ -546,24 +563,9 @@ def encode_segment(
     )
 
 
-def _raw_size_bytes(
-    dtype: DataType, values: np.ndarray, null_mask: np.ndarray | None
-) -> int:
-    if dtype.kind is TypeKind.VARCHAR:
-        total = 0
-        mask = null_mask if null_mask is not None else np.zeros(values.size, dtype=bool)
-        for value, is_null in zip(values.tolist(), mask.tolist()):
-            total += 2 if is_null else len(str(value).encode("utf-8")) + 2
-        return total
-    return int(values.size) * dtype.fixed_width_bytes
-
-
 def _min_max(dtype: DataType, non_null: np.ndarray) -> tuple[Any, Any]:
     if non_null.size == 0:
         return None, None
-    if dtype.kind is TypeKind.VARCHAR:
-        lst = non_null.tolist()
-        return min(lst), max(lst)
     if dtype.kind is TypeKind.FLOAT:
         return float(non_null.min()), float(non_null.max())
     if dtype.kind is TypeKind.BOOL:
@@ -582,24 +584,18 @@ def _fill_codes(
     return full
 
 
-def _encode_strings(non_null, null_mask, row_count):
-    dictionary, codes = LocalDictionary.build(non_null)
-    return encode_stream(_fill_codes(codes, null_mask, row_count)), dictionary
-
-
-def _encode_ints(values, non_null, null_mask, row_count):
+def _encode_ints(non_null, null_mask, row_count, present):
     """Physical-int columns: choose dictionary vs value encoding by size."""
     venc = value_encoding.choose_integer_encoding(non_null.astype(np.int64))
     offsets = venc.apply(non_null.astype(np.int64)) if non_null.size else non_null.astype(np.uint64)
     offset_width = int(offsets.max()).bit_length() if offsets.size else 0
-    ndv = int(np.unique(non_null).size) if non_null.size else 0
-    if non_null.size and dictionary_pays_off(row_count, ndv, offset_width, 8):
-        dictionary, codes = LocalDictionary.build(non_null.astype(np.int64))
-        return encode_stream(_fill_codes(codes, null_mask, row_count)), dictionary
+    factors = present()
+    if non_null.size and dictionary_pays_off(row_count, factors.distinct.size, offset_width, 8):
+        return encode_stream(factors.ranks), LocalDictionary(factors.distinct.tolist())
     return encode_stream(_fill_codes(offsets, null_mask, row_count)), venc
 
 
-def _encode_floats(values, non_null, null_mask, row_count):
+def _encode_floats(values, non_null, null_mask, row_count, present):
     venc = value_encoding.choose_float_encoding(non_null.astype(np.float64))
     if venc is not None:
         offsets = (
@@ -608,10 +604,14 @@ def _encode_floats(values, non_null, null_mask, row_count):
             else np.zeros(0, dtype=np.uint64)
         )
         return encode_stream(_fill_codes(offsets.astype(np.int64), null_mask, row_count)), venc
-    ndv = int(np.unique(non_null).size) if non_null.size else 0
+    ndv = present().distinct.size
     if non_null.size and ndv <= row_count // 4 and dictionary_pays_off(row_count, ndv, 64, 8):
-        dictionary, codes = LocalDictionary.build(non_null.astype(np.float64))
-        return encode_stream(_fill_codes(codes, null_mask, row_count)), dictionary
+        # Ranked again, over the stored order: which of two equal floats
+        # (-0.0 and 0.0, NaNs of two payloads) the entry keeps is the one
+        # np.unique's sort meets first, so only this order keeps the blob.
+        distinct, codes = np.unique(non_null, return_inverse=True)
+        stream = encode_stream(_fill_codes(codes.astype(np.int64), null_mask, row_count))
+        return stream, LocalDictionary(distinct.tolist())
     filled = values.astype(np.float64).copy()
     if null_mask is not None:
         filled[null_mask] = 0.0

@@ -142,7 +142,7 @@ class DataType:
         value = int(value)
         limit = 2**31 if self.kind is TypeKind.INT else 2**63
         if not -limit <= value < limit:
-            raise TypeMismatchError(f"{value} out of range for {self.kind.value}")
+            raise _out_of_range(value, self.kind.value)
         return value
 
     def _coerce_float(self, value: Any) -> float:
@@ -150,12 +150,8 @@ class DataType:
             raise TypeMismatchError(f"expected float, got {value!r}")
         try:
             return float(value)
-        except OverflowError:
-            # An int past float's range (~1.8e308); its digits are not
-            # printed (past 4,300 of them ``str`` itself raises).
-            raise TypeMismatchError(
-                f"integer of {int(value).bit_length()} bits out of range for float"
-            ) from None
+        except OverflowError:  # an int past float's range (~1.8e308)
+            raise _out_of_range(value, "float") from None
 
     def _coerce_decimal(self, value: Any) -> int:
         """Decimals are stored as int64 scaled by 10**scale."""
@@ -168,7 +164,7 @@ class DataType:
         else:
             raise TypeMismatchError(f"expected decimal, got {value!r}")
         if not -(2**63) <= scaled < 2**63:
-            raise TypeMismatchError(f"{value} out of range for {self}")
+            raise _out_of_range(value, str(self))
         return scaled
 
     def _coerce_varchar(self, value: Any) -> str:
@@ -193,7 +189,7 @@ class DataType:
             raise TypeMismatchError(f"expected date, got {value!r}")
         if isinstance(value, (int, np.integer)):
             if not -(2**31) <= value < 2**31:
-                raise TypeMismatchError(f"{value} days out of range for date")
+                raise _out_of_range(value, "date (days)")
             return int(value)
         raise TypeMismatchError(f"expected date, got {value!r}")
 
@@ -318,6 +314,15 @@ class DataType:
         if self.kind is TypeKind.VARCHAR:
             return f"VARCHAR({self.length})" if self.length else "VARCHAR"
         return self.kind.value.upper()
+
+
+def _out_of_range(value: Any, target: str) -> TypeMismatchError:
+    """The error for ``value`` out of ``target``'s range. An integer is
+    named by its bit length, not its digits: past 4,300 of them ``str``
+    itself raises."""
+    if isinstance(value, (int, np.integer)):
+        value = f"integer of {int(value).bit_length()} bits"
+    return TypeMismatchError(f"{value} out of range for {target}")
 
 
 def _days_to_dates(days: np.ndarray) -> np.ndarray:

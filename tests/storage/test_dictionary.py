@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from repro.errors import EncodingError
-from repro.storage.dictionary import GlobalDictionary, LocalDictionary
+from repro.storage.dictionary import GlobalDictionary, LocalDictionary, factorize
+
+
+def build(values):
+    """A dictionary of ``values`` and its codes, as a segment makes them."""
+    distinct, ranks = factorize(values)
+    return LocalDictionary(distinct.tolist()), ranks
 
 
 class TestLocalDictionary:
     def test_build_from_strings(self):
         values = np.array(["b", "a", "b", "c", "a"], dtype=object)
-        dictionary, codes = LocalDictionary.build(values)
+        dictionary, codes = build(values)
         assert dictionary.values == ["a", "b", "c"]
         assert codes.tolist() == [1, 0, 1, 2, 0]
 
     def test_build_from_ints(self):
         values = np.array([30, 10, 30, 20])
-        dictionary, codes = LocalDictionary.build(values)
+        dictionary, codes = build(values)
         assert dictionary.values == [10, 20, 30]
         assert codes.tolist() == [2, 0, 2, 1]
 
@@ -24,7 +30,7 @@ class TestLocalDictionary:
         # Decoding is DictionaryVector's job (tests/storage/test_segment.py
         # checks values and dtype); the dictionary only promises this.
         values = np.array(["x", "y", "x"], dtype=object)
-        dictionary, codes = LocalDictionary.build(values)
+        dictionary, codes = build(values)
         assert [dictionary.values[code] for code in codes] == ["x", "y", "x"]
 
     def test_duplicates_rejected(self):

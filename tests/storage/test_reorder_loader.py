@@ -8,9 +8,16 @@ from repro.errors import StorageError
 from repro.schema import schema
 from repro.storage import rle
 from repro.storage.config import StoreConfig
+from repro.storage.dictionary import factorize
 from repro.storage.directory import SegmentDirectory
 from repro.storage.loader import BulkLoader, rows_to_columns
-from repro.storage.reorder import choose_row_order, run_total
+from repro.storage.reorder import choose_row_order as order_factors
+from repro.storage.reorder import run_total
+
+
+def choose_row_order(columns, null_masks=None):
+    """The row order of raw columns, each factorized as the loader does."""
+    return order_factors({name: factorize(values) for name, values in columns.items()}, null_masks)
 from repro.storage.rowgroup import RowGroup
 from repro.storage.segment import encode_segment
 

@@ -11,6 +11,8 @@ from repro.errors import EncodingError
 from repro.storage import serde, xpress
 from repro.storage import value_encoding as ve
 
+from .. import examples
+
 
 class TestVarint:
     def test_zero(self):
@@ -79,6 +81,47 @@ class TestSerializeValues:
     def test_empty_list(self):
         blob = serde.serialize_values([], types.INT)
         assert serde.deserialize_values(blob, types.INT) == []
+
+
+def _strings_by_loop(strings):
+    """The VARCHAR value list written string by string: the count, then
+    each string's UTF-8 length as a varint and its bytes."""
+    out = bytearray()
+    serde.write_varint(out, len(strings))
+    for value in strings:
+        encoded = value.encode("utf-8")
+        serde.write_varint(out, len(encoded))
+        out += encoded
+    return bytes(out)
+
+
+class TestStringPayload:
+    """The string list is written as arrays; its bytes are the loop's."""
+
+    CASES = {
+        "ascii": ["ash", "birch", "", "cedar", "ash"],
+        "non-ascii": ["héllo", "日本語", "", "emoji🎉", "\x7f\x80\u07ff\u0800\uffff\U00010000"],
+        "lengths 0 / 127 / 128 / 16,384": ["", "a" * 127, "b" * 128, "c" * 16_384, "d"],
+        "non-ascii past 127 bytes": ["é" * 64, "日" * 43, "🎉" * 32, "é" * 8192],
+        "one string of 2**21 bytes": ["x" * 2**21],
+        "empty column": [],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes_equal_the_loop(self, name):
+        strings = self.CASES[name]
+        array = types.VARCHAR.physical_array(strings)
+        expected = _strings_by_loop(strings)
+        assert serde.serialize_values(strings, types.VARCHAR) == expected
+        assert serde.serialize_array(array, types.VARCHAR) == expected
+        restored = serde.deserialize_array(expected, types.VARCHAR)
+        assert restored.dtype == object and restored.tolist() == strings
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.lists(st.text(max_size=140), max_size=40))
+    def test_bytes_equal_the_loop_property(self, strings):
+        assert serde.serialize_values(strings, types.VARCHAR) == _strings_by_loop(strings)
+        assert serde.utf8(strings)[1].tolist() == [len(s.encode("utf-8")) for s in strings]
 
 
 class TestShortPayloads:

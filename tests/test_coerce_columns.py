@@ -266,3 +266,29 @@ class TestFloatOverflow:
         with pytest.raises(TypeMismatchError, match="out of range for float"):
             getattr(db, method)("t", [(1.0, 1), (10**400, 2)])
         assert db.sql("SELECT COUNT(*) FROM t").rows == [(0,)]
+
+
+class TestHugeIntegers:
+    """An int of more than 4,300 digits, which ``str`` refuses to print,
+    out of range for an integer, decimal or date column: a type mismatch
+    naming its bit length, on every path."""
+
+    HUGE = 10**5000
+    TYPES = {
+        "int": types.INT, "bigint": types.BIGINT, "decimal": types.decimal(2), "date": types.DATE,
+    }
+
+    @pytest.mark.parametrize("name", sorted(TYPES))
+    def test_scalar(self, name):
+        for value in (self.HUGE, -self.HUGE):
+            with pytest.raises(TypeMismatchError, match="integer of 16610 bits out of range"):
+                self.TYPES[name].coerce(value)
+
+    @pytest.mark.parametrize("method", ["bulk_load", "insert"])
+    @pytest.mark.parametrize("name", sorted(TYPES))
+    def test_statements(self, method, name):
+        db = Database(StoreConfig(bulk_load_threshold=1))
+        db.create_table("t", schema(("v", self.TYPES[name]), ("a", types.INT)))
+        with pytest.raises(TypeMismatchError, match="integer of 16610 bits out of range"):
+            getattr(db, method)("t", [(1, 1), (self.HUGE, 2)])
+        assert db.sql("SELECT COUNT(*) FROM t").rows == [(0,)]
