@@ -13,13 +13,17 @@ compressed state (size within noise of the bulk-loaded one).
 
 E12b — ``Database.bulk_load``, the path a user calls: the rows are
 coerced column by column (DESIGN.md "Bulk load, column by column") and
-compressed; on a durable database they are also logged as one BULK_LOAD
-record. Timed in memory and durable, at reduced scale (16,384-row groups)
-and at 1,048,576 rows (one paper-sized row group). The report states
-counts — row groups, segment bytes, log bytes — and one ratio: the
-in-memory ``Database.bulk_load`` rows/s over ``ColumnStoreIndex.bulk_load``
-rows/s on the same rows already coerced (what coercion and the statement
-cost on top of compression). No wall-clock ratio is asserted.
+compressed; on a durable database the segment blobs go into the pool and
+the load logs one ROW_GROUPS record naming them (DESIGN.md "Write-ahead
+log"). Timed in memory and durable, at reduced scale (16,384-row groups)
+and at 1,048,576 rows (one paper-sized row group), and the durable
+directory reopened without a checkpoint (replay reads the blobs back).
+The report states counts — row groups, segment bytes, log bytes — and one
+ratio: the in-memory ``Database.bulk_load`` rows/s over
+``ColumnStoreIndex.bulk_load`` rows/s on the same rows already coerced
+(what coercion and the statement cost on top of compression). No
+wall-clock ratio is asserted; the log is asserted to be at most 1.1x the
+segment bytes (it names the blobs, it does not hold the rows).
 
 ``python benchmarks/bench_e12_load.py --smoke`` asserts E12b's counts
 exactly on a small load (what CI runs); without ``--smoke`` it rewrites
@@ -48,8 +52,10 @@ PAPER_ROWS = 1_048_576
 SMOKE_ROWS = 20_000
 SMOKE_ROWGROUP = 4_096
 # E12b's counts on the smoke load (seed 13): row groups, segment bytes,
-# log bytes (CREATE TABLE + BULK_LOAD records), in memory and durable alike.
-SMOKE_COUNTS = {"row_groups": 5, "segment_bytes": 218_297, "log_bytes": 1_621_147}
+# log bytes (CREATE TABLE + ROW_GROUPS records), in memory and durable alike.
+SMOKE_COUNTS = {"row_groups": 5, "segment_bytes": 218_297, "log_bytes": 6_448}
+# The log names the blobs the load wrote: well under their bytes.
+LOG_SHARE = 1.1
 
 
 def make_rows():
@@ -159,6 +165,9 @@ def database_load(rows: list[tuple], rowgroup: int, directory: Path | None = Non
     if directory is not None:
         found["log_bytes"] = db.durability.wal.status()["bytes"]
         db.close()
+        start = time.perf_counter()
+        Database.open(str(directory)).close()
+        found["reopen_seconds"] = time.perf_counter() - start
     return found
 
 
@@ -186,6 +195,8 @@ def database_arms(n_rows: int, rowgroup: int, repeat: int = 1) -> dict:
                 where = None if directory is None else directory / f"db{attempt}"
                 runs.append(database_load(rows, rowgroup, where))
             arms[name] = dict(runs[-1], seconds=min(run["seconds"] for run in runs))
+            if directory is not None:
+                arms[name]["reopen_seconds"] = min(run["reopen_seconds"] for run in runs)
     arms["storage"] = {
         "seconds": min(storage_load_seconds(rows, rowgroup) for _ in range(repeat))
     }
@@ -197,6 +208,7 @@ def check_smoke(arms: dict) -> None:
     assert memory["row_groups"] == durable["row_groups"] == SMOKE_COUNTS["row_groups"], arms
     assert memory["segment_bytes"] == durable["segment_bytes"] == SMOKE_COUNTS["segment_bytes"], arms
     assert durable["log_bytes"] == SMOKE_COUNTS["log_bytes"], arms
+    assert durable["log_bytes"] <= LOG_SHARE * durable["segment_bytes"], arms
 
 
 def smoke() -> dict:
@@ -215,7 +227,7 @@ def full_report() -> str:
         "E12b: Database.bulk_load of store_sales rows (coerce column by column + compress; "
         "durable: + log), best of 3",
         ["rows", "row group", "arm", "seconds", "rows/s", "row groups", "segment bytes",
-         "log bytes"],
+         "log bytes", "reopen s"],
     )
     ratios = []
     for n_rows, rowgroup in ((ROWS, 16_384), (PAPER_ROWS, PAPER_ROWS)):
@@ -225,6 +237,7 @@ def full_report() -> str:
                 f"{n_rows:,}", f"{rowgroup:,}", name, round(arm["seconds"], 3),
                 int(n_rows / arm["seconds"]), arm.get("row_groups", "-"),
                 arm.get("segment_bytes", "-"), arm.get("log_bytes", "-"),
+                round(arm["reopen_seconds"], 3) if "reopen_seconds" in arm else "-",
             )
         ratios.append((n_rows, arms["storage"]["seconds"] / arms["in memory"]["seconds"]))
     for n_rows, ratio in ratios:
@@ -233,7 +246,9 @@ def full_report() -> str:
             "of ColumnStoreIndex.bulk_load_physical on the same rows already coerced"
         )
     report.add_note("storage = ColumnStoreIndex.bulk_load_physical of rows coerced beforehand "
-                    "(compression alone); log bytes = the WAL after CREATE TABLE + BULK_LOAD")
+                    "(compression alone); log bytes = the WAL after CREATE TABLE + ROW_GROUPS; "
+                    "reopen = Database.open of the durable directory, no checkpoint taken "
+                    "(best of 3)")
     return report.render()
 
 

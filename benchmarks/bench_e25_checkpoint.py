@@ -3,22 +3,25 @@
 Two mechanisms, one property (DESIGN.md "Persistence"): the CRC-32C
 kernel makes a checksummed byte cost nanoseconds instead of a tenth of a
 microsecond, and the write-once segment pool makes a checkpoint write
-only the segments the directory does not hold yet. Four tables:
+only the segments the directory does not hold yet — which is none: a
+change that creates row groups wrote their blobs into the pool when it
+logged them (DESIGN.md "Logged row groups"). Four tables:
 
 1. CRC-32C ns/byte by input size, the scalar loop against ``crc32c`` —
    from a 60- or 99-byte WAL frame (the word loop, four bytes a step) to
    a multi-megabyte bulk-load record (the lane kernel).
-2. One checkpoint by what changed since the last one: milliseconds,
-   files written and reused, bytes written, fsyncs issued.
+2. One checkpoint by what changed since the last one: the blobs the
+   change logged, then the checkpoint's milliseconds, files written and
+   reused, bytes written, fsyncs issued.
 3. ``Database.open``: milliseconds and bytes verified, with the
    checksum share under the kernel and under the scalar loop.
 4. Building the table (bulk load + first checkpoint): where the
    checksum time went, same two arms.
 
-The acceptance checks are on exact counters, not on the clock: an
-insert-only checkpoint rewrites no segment file and reuses every one; a
-tuple-mover run costs one row group's segments; re-encoding costs all of
-them.
+The acceptance checks are on exact counters, not on the clock: no
+checkpoint writes a segment file; an insert-only one reuses every one; a
+tuple-mover run logs its new row groups' segments, re-encoding logs all
+of them, and the checkpoint after either reuses them.
 """
 
 from __future__ import annotations
@@ -187,9 +190,10 @@ def checkpoint_table(tmp_path, rows: int) -> tuple[ReportTable, dict[str, dict]]
     table = ReportTable(
         f"E25b: one checkpoint of a {rows:,}-row table "
         f"({_GROUPS} row groups x {_COLUMNS} columns) by what changed",
-        ["since the last checkpoint", "ms", "files written", ".seg written",
+        ["since the last checkpoint", "blobs logged", "ms", "files written", ".seg written",
          "segments reused", "KB written", "fsyncs"],
     )
+    logged = {"so far": 0}
 
     def checkpoint(label: str, db: Database) -> None:
         before = registry.snapshot()
@@ -203,13 +207,22 @@ def checkpoint_table(tmp_path, rows: int) -> tuple[ReportTable, dict[str, dict]]
             key = f"storage.snapshot.{name}"
             return int(after.get(key, 0) - before.get(key, 0))
 
+        blobs_logged = int(before.get("storage.wal.blobs_written", 0)) - logged["so far"]
+        logged["so far"] += blobs_logged
+        written = moved("files_written")
+        manifest = load_manifest(disk, root)
+        fresh = sum(not e.path.startswith(POOL_DIR_NAME + "/") for e in manifest.files)
         observed[label] = {
-            "files_written": moved("files_written"),
-            "segments_written": len(_pool_blobs(disk, root) - blobs),
+            "blobs_logged": blobs_logged,
+            "files_written": written,
+            # What the checkpoint wrote into the pool (a skipped one, nothing).
+            "segments_written": written - fresh if written else 0,
+            "segments_named": len(_pool_blobs(disk, root) - blobs),
             "files_reused": moved("files_reused"),
         }
         table.add_row(
             label,
+            blobs_logged,
             f"{elapsed * 1e3:.1f}",
             moved("files_written"),
             observed[label]["segments_written"],
@@ -236,9 +249,11 @@ def checkpoint_table(tmp_path, rows: int) -> tuple[ReportTable, dict[str, dict]]
     finally:
         set_registry(previous)
     table.add_note(
-        "files written = fresh files (delta stores, delete bitmap, meta.json, "
-        "catalog.json) + new pool blobs; fsyncs also cover the manifest, the "
-        "WAL flush and the WAL segment archived before truncation"
+        "blobs logged = segment blobs the statements since the last checkpoint "
+        "wrote into the pool; files written = fresh files (delta stores, delete "
+        "bitmap, meta.json, catalog.json) + new pool blobs; fsyncs also cover "
+        "the manifest, the WAL flush and the WAL segment archived before "
+        "truncation"
     )
     return table, observed
 
@@ -271,9 +286,8 @@ def open_and_build_table(tmp_path, rows: int) -> ReportTable:
             clock.calls, f"{clock.bytes / 1e6:.1f}",
         )
     table.add_note(
-        "the bulk-load WAL record is checksummed when it is framed, when the "
-        "sealed segment is scanned for archiving, and the archived copy is "
-        "compared byte for byte (not re-checksummed) on read-back"
+        "the bulk load checksums each segment blob once, to name it; its WAL "
+        "record only names the blobs, and archiving links them"
     )
     return table
 
@@ -296,20 +310,20 @@ def test_e25_checkpoint_costs_what_changed(benchmark, report_dir, tmp_path):
     )
 
     segments = _GROUPS * _COLUMNS
-    # The property, on exact counters.
+    moved = 4 * _COLUMNS
+    # The property, on exact counters: no checkpoint writes a segment.
+    assert all(step["segments_written"] == 0 for step in observed.values())
     first = observed["everything (the first checkpoint)"]
-    assert first["segments_written"] == segments and first["files_reused"] == 0
+    assert first["blobs_logged"] == segments and first["files_reused"] == segments
     assert observed["nothing (skipped)"]["files_written"] == 0
-    assert observed["100 inserted rows"]["segments_written"] == 0
+    assert observed["100 inserted rows"]["blobs_logged"] == 0
     assert observed["100 inserted rows"]["files_reused"] == segments
     mover = observed["one tuple-mover run (4 new row groups)"]
-    assert mover["segments_written"] == 4 * _COLUMNS
-    assert mover["files_reused"] == segments
-    assert observed["500 deleted rows"]["segments_written"] == 0
-    assert observed["500 deleted rows"]["files_reused"] == segments + 4 * _COLUMNS
+    assert mover["blobs_logged"] == moved and mover["files_reused"] == segments + moved
+    assert observed["500 deleted rows"]["files_reused"] == segments + moved
     reencoded = observed["every segment re-encoded (archival on)"]
-    assert reencoded["files_reused"] == 0
-    assert reencoded["segments_written"] == segments + 4 * _COLUMNS
+    assert reencoded["blobs_logged"] == segments + moved
+    assert reencoded["files_reused"] == segments + moved
     # The kernel, loosely: it must beat the loop it replaced wherever it
     # is used, by a margin no noisy host erases.
     if os.environ.get("REPRO_BENCH_SCALE") is None:

@@ -9,6 +9,13 @@ backstop, before checkpoint truncation deletes a segment
 (archive-before-delete: with an archiver attached, no segment ever
 leaves the live log without provably existing in the archive first).
 
+A ROW_GROUPS record names the segment blobs its change wrote into the
+pool. Archiving its segment first links each blob (a hard link, so no
+byte is written again; a copy across devices) to the same path under
+the archive — ``wal_archive/segments/...`` — and syncs the directories
+that holds, so a restore replaying the archive never needs the live
+pool. A blob only a rolled-back transaction's record names is left out.
+
 Retention is bounded by the oldest registered backup: a backup registers
 itself in ``backups.json`` on completion, and :meth:`WalArchiver.prune`
 removes archived segments every record of which is at or below the
@@ -30,8 +37,9 @@ from pathlib import Path
 from ..errors import WalCorruptError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
+from ..storage.snapshot import POOL_DIR_NAME, ManifestEntry, sweep
 from ..wal.log import _SEGMENT_RE, WalVerdict, _list_segments
-from ..wal.record import scan_segment
+from ..wal.record import WalRecord, WalRecordType, named_blobs, scan_segment
 
 #: Default archive location, a sibling of the ``wal/`` directory.
 ARCHIVE_DIR_NAME = "wal_archive"
@@ -82,6 +90,9 @@ class WalArchiver:
         dest = self.root / src.name
         if self.disk.exists(dest) and self.disk.read_file(dest) == data:
             return True  # already archived, byte-identical
+        # The blobs first: an archived record never names a blob the
+        # archive lacks. They sit beside the log in the database root.
+        self._link_blobs(disk, src.parent.parent, scan.records)
         self.disk.write_file(dest, data)
         if self.disk.read_file(dest) != data:  # pragma: no cover - lying disk
             self.disk.remove(dest)
@@ -91,6 +102,17 @@ class WalArchiver:
         metrics.increment("wal.archive.segments_archived")
         metrics.increment("wal.archive.bytes", len(data))
         return True
+
+    def _link_blobs(self, disk: DiskIO, source_root: Path, records: list[WalRecord]) -> None:
+        synced: set[Path] = set()
+        for entry in _kept_blobs(records):
+            dest = self.root / entry.path
+            if disk.file_size(dest) != entry.size:
+                disk.link_file(source_root / entry.path, dest)
+                synced.update(parent for parent in dest.parents if self.root in parent.parents)
+                metrics.increment("wal.archive.blobs_linked")
+        for directory in sorted(synced, key=lambda path: len(path.parts), reverse=True):
+            disk.sync_dir(directory)
 
     # ------------------------------------------------------------------ #
     # Reading the archive back
@@ -195,7 +217,13 @@ class WalArchiver:
                 pruned += 1
         if pruned:
             metrics.increment("wal.archive.segments_pruned", pruned)
+            self._prune_blobs()
         return pruned
+
+    def _prune_blobs(self) -> None:
+        """Remove archived blobs no archived record names any more."""
+        named = {entry.path for entry in _archived_blobs(self.disk, self.root)}
+        sweep(self.disk, self.root / POOL_DIR_NAME, POOL_DIR_NAME, named.__contains__)
 
     # ------------------------------------------------------------------ #
     # Status (the shell's \wal, `repro check`)
@@ -213,6 +241,24 @@ class WalArchiver:
             "last_archived_lsn": spans[-1][2] if spans else 0,
             "registered_backups": len(self.registered_backups()),
         }
+
+
+def _kept_blobs(records: list[WalRecord]) -> list[ManifestEntry]:
+    """The blobs one segment's records name, but those of a transaction
+    that segment also shows aborted."""
+    aborted = {r.txn_id for r in records if r.rtype is WalRecordType.TXN_ABORT}
+    return [e for r in records if r.txn_id not in aborted for e in named_blobs(r)]
+
+
+def _archived_blobs(disk: DiskIO, root: Path) -> list[ManifestEntry]:
+    """The blobs the archive holds for its records (:func:`_kept_blobs`)."""
+    return [
+        entry
+        for first_lsn, name in _list_segments(disk, root)
+        for entry in _kept_blobs(
+            scan_segment(disk.read_file(root / name), first_lsn, source=name).records
+        )
+    ]
 
 
 def check_archive(disk: DiskIO, root: Path) -> list[WalVerdict]:
@@ -265,6 +311,11 @@ def check_archive(disk: DiskIO, root: Path) -> list[WalVerdict]:
             previous_last = last
             continue
         previous_last = None  # damage breaks the chain; report once
+    verdicts.extend(
+        WalVerdict(entry.path, "missing", "a blob an archived record names")
+        for entry in _archived_blobs(disk, root)
+        if disk.file_size(root / entry.path) != entry.size
+    )
     archiver = WalArchiver(disk, root)
     if first_archived is not None:
         for backup in archiver.registered_backups():

@@ -24,8 +24,10 @@ committing; everything they append lands *after* ``backup_lsn`` and is
 simply not part of this backup. The copy CRC-verifies every source file
 against the captured manifest, clips the live WAL to exactly
 ``(checkpoint_lsn, backup_lsn]`` re-encoded into one merged segment, and
-commits by writing ``BACKUP_MANIFEST.json`` last — then reads the whole
-image back (:func:`~repro.backup.manifest.verify_backup`) before
+copies the segment blobs those records name into the image beside the
+manifest's (a restore then never needs the source's pool), and commits
+by writing ``BACKUP_MANIFEST.json`` last — then reads the whole image
+back (:func:`~repro.backup.manifest.verify_backup`) before
 declaring success, removing the manifest again if read-back fails.
 """
 
@@ -39,7 +41,7 @@ from ..observability import registry as metrics
 from ..storage.diskio import DiskIO, crc32c
 from ..storage.snapshot import MANIFEST_NAME, Manifest, ManifestEntry
 from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_image
-from ..wal.record import WalRecord, scan_segment
+from ..wal.record import WalRecord, named_blobs, scan_segment
 from .manifest import (
     BACKUP_MANIFEST_NAME,
     IMAGE_DIR_NAME,
@@ -123,31 +125,42 @@ class BackupJob:
 
         # -- the base image: every file the captured manifest names, at
         # the same root-relative path, verified as we read.
+        def copy(entry: ManifestEntry) -> None:
+            data = self.disk.read_file(self.source_root / PurePosixPath(entry.path))
+            if len(data) != entry.size or crc32c(data) != entry.crc32c:
+                raise BackupError(
+                    f"source file {entry.path} failed checksum "
+                    "verification — refusing to back up a corrupt image"
+                )
+            put(f"{IMAGE_DIR_NAME}/{entry.path}", data, entry.crc32c)
+
+        copied: set[str] = set()
         if self.manifest_bytes is not None:
             src_manifest = Manifest.from_json(
                 self.manifest_bytes, source=str(self.source_root / MANIFEST_NAME)
             )
             for entry in src_manifest.files:
-                data = self.disk.read_file(self.source_root / PurePosixPath(entry.path))
-                if len(data) != entry.size or crc32c(data) != entry.crc32c:
-                    raise BackupError(
-                        f"source file {entry.path} failed checksum "
-                        "verification — refusing to back up a corrupt image"
-                    )
-                put(f"{IMAGE_DIR_NAME}/{entry.path}", data, entry.crc32c)
+                copy(entry)
+                copied.add(entry.path)
             put(
                 f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}",
                 self.manifest_bytes,
                 crc32c(self.manifest_bytes),
             )
 
-        # -- the covered WAL prefix, clipped to (checkpoint, backup_lsn].
+        # -- the covered WAL prefix, clipped to (checkpoint, backup_lsn],
+        # and the blobs its records name (held in the pool by the log).
         records = _collect_live_records(
             self.disk,
             self.source_root / WAL_DIR_NAME,
             low=self.checkpoint_lsn,
             high=self.backup_lsn,
         )
+        for record in records:
+            for entry in named_blobs(record):
+                if entry.path not in copied:
+                    copy(entry)
+                    copied.add(entry.path)
         if records:
             name, merged = _segment_image(records)
             put(f"{WAL_SUBDIR_NAME}/{name}", merged, crc32c(merged))

@@ -15,6 +15,10 @@ is beyond the clip), so the target is rejected with
 :class:`~repro.errors.RestoreTargetError` naming the enclosing
 transaction and the nearest valid boundaries on both sides.
 
+The segment blobs the replayed records name come from the backup's
+image or, for records past its cut, from the archive, which holds them
+beside its segments; a restore never reads the source's pool.
+
 **Crash safety** mirrors the backup side, inverted: a
 ``RESTORE_IN_PROGRESS`` marker is the *first* file written and the
 *last* removed. While it exists the destination is not a committed
@@ -31,7 +35,7 @@ from pathlib import Path, PurePosixPath
 
 from ..errors import BackupError, RestoreError, RestoreTargetError
 from ..observability import registry as metrics
-from ..storage.diskio import DiskIO
+from ..storage.diskio import DiskIO, crc32c
 from ..storage.snapshot import MANIFEST_NAME
 from ..wal.log import WAL_DIR_NAME, _SEGMENT_RE, _list_segments, _segment_image
 from ..wal.record import (
@@ -39,6 +43,7 @@ from ..wal.record import (
     AUTO_COMMIT_TXN,
     WalRecord,
     WalRecordType,
+    named_blobs,
     scan_segment,
 )
 from .manifest import (
@@ -219,6 +224,7 @@ def restore_backup(
             continue
         out = dest / PurePosixPath(*rel.parts[1:])
         disk.write_file(out, disk.read_file(backup_root / rel))
+    _lay_down_blobs(disk, dest, clipped, archive)
     disk.mkdir(dest / WAL_DIR_NAME)
     if clipped:
         segment_name, merged = _segment_image(clipped)
@@ -251,6 +257,26 @@ def restore_backup(
         records=len(clipped),
         epoch=manifest.epoch if target == manifest.backup_lsn else None,
     )
+
+
+def _lay_down_blobs(disk: DiskIO, dest: Path, records: list[WalRecord], archive) -> None:
+    """Every blob a record replay will apply names, from the archive
+    unless the image laid it down already."""
+    committed = {r.txn_id for r in records if r.rtype is WalRecordType.TXN_COMMIT}
+    for record in records:
+        if record.txn_id != AUTO_COMMIT_TXN and record.txn_id not in committed:
+            continue
+        for entry in named_blobs(record):
+            if disk.file_size(dest / entry.path) == entry.size:
+                continue
+            source = Path(archive) / entry.path if archive is not None else None
+            data = disk.read_file(source) if source is not None and disk.exists(source) else b""
+            if len(data) != entry.size or crc32c(data) != entry.crc32c:
+                raise RestoreError(
+                    f"segment blob {entry.path} named by LSN {record.lsn} is in "
+                    "neither the backup nor the archive, or is damaged there"
+                )
+            disk.write_file(dest / entry.path, data)
 
 
 def _claim_destination(

@@ -23,6 +23,7 @@ import datetime
 import math
 import re
 import sqlite3
+import struct
 import time
 from collections import Counter
 from contextlib import closing
@@ -306,8 +307,8 @@ def _same_list(mine: list, theirs: list, label: str) -> None:
 
 def _bits(value: Any) -> tuple[str, Any]:
     """A cell compared exactly: its type, and its value (a float's bits:
-    -0.0 is not 0.0, and NaN is NaN)."""
-    return type(value).__name__, value.hex() if isinstance(value, float) else value
+    -0.0 is not 0.0, and a NaN is its payload)."""
+    return type(value).__name__, struct.pack("<d", value) if isinstance(value, float) else value
 
 
 def _rounded(value: Any, digits: int) -> tuple[str, Any]:

@@ -17,9 +17,9 @@ from ..rowstore.compression import table_page_compressed_size
 from ..rowstore.index import RowStoreIndex
 from ..rowstore.table import RowId, RowStoreTable
 from ..schema import PhysicalColumns, TableSchema
-from ..storage.columnstore import ColumnStoreIndex, RowLocator
+from ..storage.columnstore import LOAD, MOVE, REBUILD, ColumnStoreIndex, RowGroupChange, RowLocator
 from ..storage.config import StoreConfig
-from ..storage.tuple_mover import TupleMover, TupleMoverReport
+from ..storage.tuple_mover import TupleMover
 from ..planner.stats import ColumnStats, Histogram, HistogramBucket, TableStats
 from ..types import TypeKind
 
@@ -150,31 +150,51 @@ class Table:
         self._data_version += 1
 
     # ------------------------------------------------------------------ #
-    # Maintenance
+    # Changes that create compressed row groups
     # ------------------------------------------------------------------ #
-    def run_tuple_mover(self, include_open: bool = False) -> TupleMoverReport:
-        if self.columnstore is None:
-            raise CatalogError(f"table {self.name!r} has no columnstore index")
-        report = TupleMover(self.columnstore).run(include_open=include_open)
-        self._data_version += 1
-        return report
+    # Each is planned (compressed, nothing installed) and then installed
+    # by install_row_groups, the apply of a logged ROW_GROUPS record.
+    def plan_bulk_load(self, physical: PhysicalColumns) -> RowGroupChange | None:
+        """The row groups a bulk load compresses into, or ``None`` when
+        the load is applied as rows (below the bulk-load threshold, or a
+        table with a row-store heap)."""
+        if self.storage_kind is not StorageKind.COLUMNSTORE:
+            return None
+        return self.columnstore.plan_load(physical)
 
-    def rebuild_columnstore(self) -> None:
-        if self.columnstore is None:
-            raise CatalogError(f"table {self.name!r} has no columnstore index")
+    def plan_tuple_mover(self, include_open: bool = False) -> RowGroupChange:
+        return self._columnstore().plan_move(include_open)
+
+    def plan_rebuild(self) -> RowGroupChange:
+        index = self._columnstore()
         if self.storage_kind is StorageKind.BOTH:
             raise CatalogError("REBUILD on BOTH-storage tables is not supported")
-        self.columnstore.rebuild()
-        self._data_version += 1
+        return index.plan_rebuild()
 
-    def set_archival(self, enabled: bool) -> None:
+    def plan_archival(self, enabled: bool) -> RowGroupChange:
+        return self._columnstore().plan_archival(enabled)
+
+    def install_row_groups(self, change: RowGroupChange, txn):
+        """Install a planned change's row groups; returns the statement's
+        result (a bulk load's row count, the tuple mover's report)."""
+        index = self._columnstore()
+        result = None
+        if change.kind == LOAD:
+            index.install_load(change.groups, txn)
+            result = sum(group.row_count for group in change.groups)
+        elif change.kind == MOVE:
+            result = TupleMover(index).run(change=change)
+        elif change.kind == REBUILD:
+            index.rebuild(change)
+        else:
+            index.archive(change)
+        self._bump_data_version(txn)
+        return result
+
+    def _columnstore(self) -> ColumnStoreIndex:
         if self.columnstore is None:
             raise CatalogError(f"table {self.name!r} has no columnstore index")
-        if enabled:
-            self.columnstore.archive()
-        else:
-            self.columnstore.unarchive()
-        self._data_version += 1
+        return self.columnstore
 
     def create_index(self, index_name: str, columns: list[str]) -> RowStoreIndex:
         if self.rowstore is None:

@@ -301,21 +301,31 @@ class Database:
         """Make one validated change and log it: what every logged
         statement runs, and what recovery runs for each record.
 
-        ``body`` is the change's physical body; the record kind's apply
+        ``body`` is the change's physical body. It is encoded first (a
+        ROW_GROUPS body writes its segment blobs into the pool then,
+        before anything in memory changes); the record kind's apply
         (:data:`repro.wal.replay.CHANGES`) makes the change inside the
-        statement's atomic scope, then its encoded body is logged —
-        apply, then log, so a change that fails is rolled back and never
-        reaches the log. Recovery runs this before the WAL is attached,
-        so nothing is logged twice. Returns what the apply returns.
+        statement's atomic scope, then the record is logged — apply, then
+        log, so a change that fails is rolled back and never reaches the
+        log. Recovery runs this before the WAL is attached, so nothing is
+        logged twice. Returns what the apply returns.
         """
         change = walreplay.CHANGES[rtype]
-        with self._atomic_statement() as txn:
-            result = change.apply(self, table, body, txn)
-            if self.durability.wal is not None:
-                self._log_change(rtype, table, change.encode(self, table, body))
+        if self.durability.wal is None:
+            with self._atomic_statement() as txn:
+                return change.apply(self, table, body, txn)
+        payload = change.encode(self, table, body)
+        lsn = None
+        try:
+            with self._atomic_statement() as txn:
+                result = change.apply(self, table, body, txn)
+                lsn = self._log_change(rtype, table, payload)
+        finally:
+            if rtype is WalRecordType.ROW_GROUPS:
+                self.durability.logged(payload, lsn)
         return result
 
-    def _log_change(self, rtype: WalRecordType, table: str, payload: bytes) -> None:
+    def _log_change(self, rtype: WalRecordType, table: str, payload: bytes) -> int:
         """Log one applied change (append-only inside a transaction).
 
         Auto-commit statements append **and** commit (their frame is the
@@ -326,9 +336,8 @@ class Database:
         inside a transaction, so it always takes the auto-commit path.
         """
         if self._txn is not None:
-            self.durability.wal.append(rtype, table, payload, self._txn.txn_id)
-        else:
-            self.durability.wal.log_statement(rtype, table, payload)
+            return self.durability.wal.append(rtype, table, payload, self._txn.txn_id)
+        return self.durability.wal.log_statement(rtype, table, payload)
 
     def _bump_epoch(self, txn: TxnContext) -> None:
         previous = self._catalog_epoch
@@ -380,11 +389,16 @@ class Database:
         return self._apply_change(WalRecordType.INSERT, target.name, physical)
 
     def bulk_load(self, table: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Bulk-load rows (large loads compress directly into row groups):
-        coerced, logged and compressed as columns (``coerce_columns``)."""
+        """Bulk-load rows, coerced as columns (``coerce_columns``). A large
+        load into a columnstore compresses directly into row groups and
+        logs the blobs it wrote (ROW_GROUPS); any other is logged and
+        applied as rows (BULK_LOAD)."""
         target = self.catalog.table(table)
         physical = target.schema.coerce_columns(rows)
-        return self._apply_change(WalRecordType.BULK_LOAD, target.name, physical)
+        change = target.plan_bulk_load(physical)
+        if change is None:
+            return self._apply_change(WalRecordType.BULK_LOAD, target.name, physical)
+        return self._apply_change(WalRecordType.ROW_GROUPS, target.name, change)
 
     def delete_where(self, table: str, predicate: Expr | None) -> int:
         """DELETE ... WHERE: the rows its plans find (:meth:`dml_plans`)
@@ -679,16 +693,20 @@ class Database:
     # Maintenance operations are deterministic reorganizations of index
     # state, and they are *logged*: later DELETE/UPDATE records address
     # rows by post-reorganization locators, so replay must reproduce the
-    # same reorganizations in the same order. They refuse to run inside
-    # a transaction, and they have no undo.
+    # same reorganizations in the same order. Each is planned (its row
+    # groups compressed), then logged as the row groups it installs
+    # (ROW_GROUPS). They refuse to run inside a transaction, and they
+    # have no undo.
     def run_tuple_mover(self, table: str, include_open: bool = False):
         self._require_no_txn("the tuple mover")
-        name = self.catalog.table(table).name
-        return self._apply_change(WalRecordType.TUPLE_MOVER, name, include_open)
+        target = self.catalog.table(table)
+        change = target.plan_tuple_mover(include_open)
+        return self._apply_change(WalRecordType.ROW_GROUPS, target.name, change)
 
     def rebuild(self, table: str) -> None:
         self._require_no_txn("REBUILD")
-        self._apply_change(WalRecordType.REBUILD, self.catalog.table(table).name, None)
+        target = self.catalog.table(table)
+        self._apply_change(WalRecordType.ROW_GROUPS, target.name, target.plan_rebuild())
 
     def vacuum(self, table: str | None = None) -> dict[str, int]:
         """Free MVCC versions no registered reader can see.
@@ -710,4 +728,6 @@ class Database:
 
     def set_archival(self, table: str, enabled: bool) -> None:
         self._require_no_txn("archival compression changes")
-        self._apply_change(WalRecordType.ARCHIVAL, self.catalog.table(table).name, enabled)
+        target = self.catalog.table(table)
+        change = target.plan_archival(enabled)
+        self._apply_change(WalRecordType.ROW_GROUPS, target.name, change)

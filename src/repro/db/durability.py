@@ -9,26 +9,52 @@ checkpoints back (:meth:`Durability.hold_checkpoints`, which
 (:meth:`Durability.recover`) loads the snapshot, replays the log's
 committed tail through the apply every statement runs
 (:data:`repro.wal.replay.CHANGES`), then attaches the log and its archiver.
+
+A change that creates compressed row groups writes their segment blobs
+into the root's write-once pool and fsyncs them before its ROW_GROUPS
+record is appended (:meth:`Durability.write_row_groups`); replay reads
+them back (:meth:`Durability.read_row_groups`). Garbage collection keeps
+a blob the live log names, or that a statement is still writing
+(:meth:`Durability.pinned`), as well as every blob the manifest names.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import TYPE_CHECKING
 
 from ..backup.archive import ARCHIVE_DIR_NAME, WalArchiver
 from ..backup.manifest import RESTORE_MARKER_NAME
-from ..errors import RecoveryError, StorageError
+from ..errors import CorruptBlobError, RecoveryError, StorageError
 from ..observability import registry as metrics
 from ..storage import persist
-from ..storage.diskio import DiskIO
-from ..storage.snapshot import MANIFEST_NAME, SnapshotWriter, check_database, open_snapshot
+from ..storage.blob import deserialize_segment, serialize_segment
+from ..storage.columnstore import RowGroupChange
+from ..storage.diskio import DiskIO, crc32c
+from ..storage.rowgroup import RowGroup
+from ..storage.snapshot import (
+    MANIFEST_NAME,
+    POOL_DIR_NAME,
+    ManifestEntry,
+    SnapshotWriter,
+    StoredSegments,
+    check_database,
+    collect_garbage,
+    open_snapshot,
+    pool_path,
+    roll_back,
+)
 from ..wal import replay as walreplay
 from ..wal.log import DEFAULT_GROUP_COMMIT_SIZE, WAL_DIR_NAME, WriteAheadLog
+from ..wal.record import parse_row_groups, row_groups_payload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .database import Database
+
+
+#: A blob pin held by a statement that has not logged its record yet.
+IN_FLIGHT = 0
 
 
 class Durability:
@@ -39,8 +65,10 @@ class Durability:
         # Write-ahead log, attached by recover(); statements append a
         # redo record after applying their change.
         self.wal: WriteAheadLog | None = None
-        # The resolved directory the log belongs to (None without a log).
+        # The resolved directory the log belongs to (None without a log),
+        # and the disk it is read and written through.
         self.root: str | None = None
+        self.disk: DiskIO | None = None
         # Fingerprint of the state the last save/load at a path captured:
         # save() skips rewriting an unchanged snapshot.
         self._saved: tuple | None = None
@@ -51,6 +79,9 @@ class Durability:
         # checkpoint so neither snapshot GC nor WAL truncation can delete
         # files a backup is reading.
         self._backups_in_flight = 0
+        # Pool blob path -> LSN of the live-log record naming it, or
+        # IN_FLIGHT while the statement writing it has not logged it yet.
+        self._blob_lsns: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # The log
@@ -65,6 +96,98 @@ class Durability:
         """Flush any pending group-commit window. Safe to call twice."""
         if self.wal is not None:
             self.wal.close()
+
+    # ------------------------------------------------------------------ #
+    # Logged row groups
+    # ------------------------------------------------------------------ #
+    def write_row_groups(self, table: str, change: RowGroupChange) -> bytes:
+        """Write the segment blobs of ``change``'s row groups into the
+        pool (each fsynced; blobs the pool holds already are not written
+        again), and return the ROW_GROUPS payload naming them.
+
+        Each blob is pinned before it is written, so a checkpoint running
+        meanwhile does not collect it; :meth:`logged` hands the pin over
+        to the record once it is appended.
+        """
+        disk, root = self.disk, Path(self.root)
+        stored = self._stored_at(root)
+        table_dir = PurePosixPath(POOL_DIR_NAME, table)
+        new_dirs = not disk.is_dir(root / table_dir / "rowgroups")
+        groups = []
+        for group in change.groups:
+            segments = {}
+            for column, segment in group.segments.items():
+                data = serialize_segment(segment)
+                crc = crc32c(data)
+                entry = ManifestEntry(
+                    pool_path(f"{table}/rowgroups/g{group.group_id}.{column}.seg", crc),
+                    len(data),
+                    crc,
+                )
+                self._blob_lsns.setdefault(entry.path, IN_FLIGHT)
+                if disk.file_size(root / entry.path) != entry.size:
+                    disk.write_file(root / entry.path, data)
+                    metrics.increment("storage.wal.blobs_written")
+                    metrics.increment("storage.wal.blob_bytes_written", len(data))
+                stored.put(segment, entry, logged=True)
+                segments[column] = entry.to_json()
+            groups.append({"id": group.group_id, "segments": segments})
+        if new_dirs and groups:
+            # A blob's write synced its own directory; the entries that
+            # lead to it must be durable before a record names it.
+            for directory in (table_dir, table_dir.parent, PurePosixPath(".")):
+                disk.sync_dir(root / directory)
+        return row_groups_payload(
+            {
+                "kind": change.kind,
+                "deltas": change.deltas,
+                "include_open": change.include_open,
+                "groups": groups,
+            }
+        )
+
+    def read_row_groups(self, table: str, payload: bytes) -> RowGroupChange:
+        """The change a ROW_GROUPS payload names, its blobs read back from
+        the pool and verified (replay installs it as the statement did)."""
+        body = parse_row_groups(payload)
+        schema = self.db.catalog.table(table).schema
+        stored = self._stored_at(Path(self.root))
+        groups = []
+        for group in body["groups"]:
+            segments = {}
+            for column, entry in group["segments"].items():
+                path = Path(self.root) / entry.path
+                data = self.disk.read_file(path) if self.disk.exists(path) else b""
+                if len(data) != entry.size or crc32c(data) != entry.crc32c:
+                    raise CorruptBlobError("a logged blob is missing or damaged", path=str(path))
+                segments[column] = deserialize_segment(data)
+                stored.put(segments[column], entry, logged=True)
+            groups.append(RowGroup(group_id=group["id"], schema=schema, segments=segments))
+        return RowGroupChange(body["kind"], groups, body["deltas"], body["include_open"])
+
+    def logged(self, payload: bytes, lsn: int | None) -> None:
+        """The ROW_GROUPS record ``payload`` was appended at ``lsn`` (or,
+        with ``None``, its statement failed): its blobs are pinned by the
+        record from now on (or no longer pinned)."""
+        for group in parse_row_groups(payload)["groups"]:
+            for entry in group["segments"].values():
+                if lsn is not None:
+                    self._blob_lsns[entry.path] = lsn
+                elif self._blob_lsns.get(entry.path) == IN_FLIGHT:
+                    del self._blob_lsns[entry.path]
+
+    def pinned(self, path: str) -> bool:
+        """Must garbage collection keep this pool blob? Yes while a
+        statement is writing it or a record the live log still holds
+        names it (past a checkpoint it stays until the log's segment is
+        archived and removed, so the archive can take the blob along)."""
+        lsn = self._blob_lsns.get(path)
+        return lsn is not None and (lsn == IN_FLIGHT or lsn >= self.wal.first_live_lsn)
+
+    def _stored_at(self, root: Path) -> StoredSegments:
+        if self._stored_segments is None or self._stored_segments.root != str(root.resolve()):
+            self._stored_segments = StoredSegments(root)
+        return self._stored_segments
 
     # ------------------------------------------------------------------ #
     # Backups
@@ -147,13 +270,20 @@ class Durability:
             if table.rowstore is not None:
                 persist.save_rowstore(table.rowstore, writer, table.name)
         writer.write("catalog.json", json.dumps(catalog_entries, indent=1).encode("utf-8"))
-        writer.commit(checkpoint_lsn=checkpoint_lsn)
+        manifest = writer.commit(checkpoint_lsn=checkpoint_lsn, collect=wal is None)
         if writer.committed:
             # Only a read-back-verified manifest licenses destroying log
             # segments (a dropped rename means the old snapshot is still
             # the live one and its log tail is still needed).
             if wal is not None:
+                # Truncation archives the covered segments, and with them
+                # the blobs their records name, before the pool loses any.
                 wal.truncate_covered(checkpoint_lsn)
+                collect_garbage(disk, root, manifest, self.pinned)
+                first_live = wal.first_live_lsn
+                for path, lsn in list(self._blob_lsns.items()):
+                    if lsn != IN_FLIGHT and lsn < first_live:
+                        self._blob_lsns.pop(path, None)
             self._saved = fingerprint
             self._stored_segments = writer.stored
 
@@ -185,7 +315,7 @@ class Durability:
         found = has_wal or disk.exists(root / MANIFEST_NAME) or disk.exists(root / "catalog.json")
         if found or not create:
             try:
-                reader = open_snapshot(disk, root)
+                reader = open_snapshot(disk, root, collect=False)
             except RecoveryError:
                 if not has_wal or disk.exists(root / MANIFEST_NAME):
                     # Either there is no log to recover from, or a manifest
@@ -196,12 +326,13 @@ class Durability:
                     raise
                 # No snapshot yet but a log exists: the database crashed
                 # before its first checkpoint — the log holds all state.
-        checkpoint_lsn = 0
-        if reader is not None:
-            self._load_snapshot(reader)
-            checkpoint_lsn = reader.manifest.checkpoint_lsn
+        manifest = reader.manifest if reader is not None else None
+        checkpoint_lsn = manifest.checkpoint_lsn if manifest is not None else 0
         resolved = str(root.resolve())
         if not has_wal and durability is None:
+            if reader is not None:
+                roll_back(disk, root, manifest)
+                self._load_snapshot(reader)
             self._saved = self.fingerprint(resolved)
             return self.db
         wal, recovery = WriteAheadLog.attach(
@@ -211,10 +342,17 @@ class Durability:
             durability=durability or "group",
             group_commit_size=group_commit_size or DEFAULT_GROUP_COMMIT_SIZE,
         )
+        if found:
+            # What interrupted saves and statements left goes; the blobs
+            # the live log names stay (replay reads the tail's back).
+            roll_back(disk, root, manifest, recovery.blob_lsns.__contains__)
+        self._blob_lsns = dict(recovery.blob_lsns)
+        if reader is not None:
+            self._load_snapshot(reader)
+        self.disk, self.root = disk, resolved
         replayed = walreplay.apply_records(self.db, recovery.replay_records)
         # Attach only after replay so nothing replayed is re-logged.
         self.wal = wal
-        self.root = resolved
         # WAL archiving is on by default for durable databases: sealed
         # segments are copied aside before anything deletes them, which
         # is what makes point-in-time recovery past the latest backup

@@ -26,8 +26,9 @@ tombstoned delta rows once the reader-registry horizon passes them.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,6 +46,30 @@ from .rowgroup import RowGroup
 
 GROUP = "group"
 DELTA = "delta"
+
+# What a RowGroupChange does with its groups.
+LOAD, MOVE, REBUILD, REENCODE = "load", "move", "rebuild", "reencode"
+
+
+@dataclass
+class RowGroupChange:
+    """Compressed row groups one change creates, and what they replace.
+
+    ``kind`` says what: ``load`` adds ``groups`` (a bulk load); ``move``
+    compresses the delta stores ``deltas`` into ``groups`` (the tuple
+    mover, closing the open delta store first when ``include_open``);
+    ``rebuild`` replaces every group and delta store by ``groups``;
+    ``reencode`` replaces each live group by the one of ``groups`` with
+    its id (archival compression switched on or off). A change is planned from the index (the
+    ``plan_*`` methods, which compress and install nothing) and then
+    installed; a logged one is its record's body, so replay installs the
+    groups its blobs hold without compressing anything.
+    """
+
+    kind: str
+    groups: list[RowGroup]
+    deltas: list[int] = field(default_factory=list)
+    include_open: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,15 +228,23 @@ class ColumnStoreIndex:
         """Insert many coerced rows, held as columns, at once.
 
         At or above the bulk-load threshold the columns are compressed
-        directly into row groups (the paper's bulk-insert path); below it
-        they fall back to trickle inserts of their rows into the delta
-        store.
+        directly into row groups (the paper's bulk-insert path,
+        :meth:`plan_load`); below it they fall back to trickle inserts of
+        their rows into the delta store.
         """
-        if physical.count < self.config.bulk_load_threshold:
+        change = self.plan_load(physical)
+        if change is None:
             for row in physical.rows():
                 self.insert(row, txn)
         else:
-            self.bulk_load_columns(physical.values, txn, physical.nulls)
+            self.install_load(change.groups, txn)
+
+    def plan_load(self, physical: PhysicalColumns) -> RowGroupChange | None:
+        """The row groups a bulk load of ``physical`` compresses into, or
+        ``None`` below the bulk-load threshold."""
+        if physical.count < self.config.bulk_load_threshold:
+            return None
+        return RowGroupChange(LOAD, self.loader.compress(physical.values, physical.nulls))
 
     def bulk_load_columns(
         self,
@@ -220,11 +253,12 @@ class ColumnStoreIndex:
         null_masks: dict[str, np.ndarray | None] | None = None,
     ) -> None:
         """Columnar bulk load (always takes the direct-compress path)."""
-        self._load_groups(lambda: self.loader.load_columns(columns, null_masks), txn)
+        self.install_load(self.loader.compress(columns, null_masks), txn)
 
-    def _load_groups(self, load: Callable[[], Any], txn) -> None:
-        # Record before loading: a failure mid-load must also withdraw
-        # any row groups the loader already registered.
+    def install_load(self, groups: list[RowGroup], txn) -> None:
+        """Add a bulk load's compressed row groups under ``txn``."""
+        # Record before installing: a failure mid-install must also
+        # withdraw any row groups already registered.
         mark = (
             self.directory.next_group_id,
             {col.name: len(self.directory.global_dictionary(col.name)) for col in self.schema},
@@ -236,7 +270,7 @@ class ColumnStoreIndex:
         # Groups are born PENDING and stamped at commit: a snapshot
         # reader never sees half a bulk load.
         with self.directory.creating_at(PENDING_EPOCH):
-            load()
+            self.directory.install(groups)
         txn.on_commit(
             lambda epoch, first=mark[0]: self.directory.stamp_pending_from(first, epoch)
         )
@@ -505,16 +539,46 @@ class ColumnStoreIndex:
         """(retired row groups, retired delta stores) awaiting vacuum."""
         return len(self._retired_groups), len(self._retired_deltas)
 
-    def rebuild(self) -> None:
+    def plan_move(self, include_open: bool = False) -> RowGroupChange:
+        """What the tuple mover would do: compress every closed delta
+        store holding rows (the open one too when ``include_open``), each
+        into its own row groups, numbered on from the directory's next id."""
+        ids = itertools.count(self.directory.next_group_id)
+        deltas = [
+            delta
+            for delta in self.delta_stores()
+            if delta.row_count and (include_open or not delta.is_open)
+        ]
+        groups: list[RowGroup] = []
+        for delta in deltas:
+            columns, null_masks, _row_ids = delta.capture(PENDING_EPOCH).to_columns()
+            groups += self.loader.compress(columns, null_masks, ids)
+        return RowGroupChange(MOVE, groups, [d.delta_id for d in deltas], include_open)
+
+    def plan_rebuild(self) -> RowGroupChange:
+        """REBUILD's row groups: every live row, recompressed."""
+        live_rows = [row for _, row in self.iter_unit_rows(self.pin_scan_units(PENDING_EPOCH))]
+        groups = self.loader.compress(*rows_to_columns(self.schema, live_rows)) if live_rows else []
+        return RowGroupChange(REBUILD, groups)
+
+    def plan_archival(self, enabled: bool) -> RowGroupChange:
+        """Every live row group re-encoded with archival compression on or off."""
+        groups = self.directory.row_groups()
+        if enabled:
+            return RowGroupChange(REENCODE, [group.to_archived() for group in groups])
+        return RowGroupChange(REENCODE, [group.to_unarchived() for group in groups])
+
+    def rebuild(self, change: RowGroupChange | None = None) -> None:
         """REBUILD: recompress all live rows, dropping deleted ones.
 
         Models ``ALTER INDEX ... REBUILD``: delete-bitmap entries and delta
-        stores are folded into fresh compressed row groups. The swap
-        installs a new epoch — old groups and deltas are retired, not
-        dropped, so snapshot readers pinned before the rebuild keep
-        scanning the exact structures that were visible to them.
+        stores are folded into fresh compressed row groups (``change``, by
+        default :meth:`plan_rebuild`'s). The swap installs a new epoch —
+        old groups and deltas are retired, not dropped, so snapshot readers
+        pinned before the rebuild keep scanning the exact structures that
+        were visible to them.
         """
-        live_rows = [row for _, row in self.iter_unit_rows(self.pin_scan_units(PENDING_EPOCH))]
+        change = change or self.plan_rebuild()
         with self.mvcc.installing() as epoch:
             for group in list(self.directory.row_groups()):
                 self._retire_group(group, epoch)
@@ -525,30 +589,28 @@ class ColumnStoreIndex:
                 else:
                     self.remove_delta_store(delta.delta_id)
             self._open_delta_id = None
-            if live_rows:
-                with self.directory.creating_at(epoch):
-                    self.loader.load_rows(live_rows)
+            with self.directory.creating_at(epoch):
+                self.directory.install(change.groups)
         self.vacuum()
 
-    def archive(self) -> None:
-        """Switch compressed row groups to archival compression.
+    def archive(self, change: RowGroupChange | None = None) -> None:
+        """Switch compressed row groups to archival compression (or, as
+        ``change`` says, back).
 
-        Each group is re-created at the installing epoch; the original
-        object is retired with the ``marks=None`` sentinel (the group id
-        — and hence its delete marks — stays live in the bitmap).
+        Each group is replaced by ``change``'s group of its id (by default
+        :meth:`plan_archival`'s), re-created at the installing epoch; the
+        original object is retired with the ``marks=None`` sentinel (the
+        group id — and hence its delete marks — stays live in the bitmap).
         """
+        change = change or self.plan_archival(True)
         with self.mvcc.installing() as epoch:
-            for group in list(self.directory.row_groups()):
-                self._retire_group(group, epoch, keep_marks=True)
-                self.directory.replace_row_group(group.to_archived(), epoch=epoch)
+            for group in change.groups:
+                self._retire_group(self.directory.row_group(group.group_id), epoch, keep_marks=True)
+                self.directory.replace_row_group(group, epoch=epoch)
         self.vacuum()
 
     def unarchive(self) -> None:
-        with self.mvcc.installing() as epoch:
-            for group in list(self.directory.row_groups()):
-                self._retire_group(group, epoch, keep_marks=True)
-                self.directory.replace_row_group(group.to_unarchived(), epoch=epoch)
-        self.vacuum()
+        self.archive(self.plan_archival(False))
 
     def iter_unit_rows(
         self, units: Iterable[ScanUnit]

@@ -40,8 +40,8 @@ DENSE_DOMAIN_PER_ROW = 8
 class Factors(NamedTuple):
     """One column factorized: its sorted distinct values and each row's
     position among them (int64), so that ``distinct[ranks]`` is the
-    column. Equal floats (``-0.0`` and ``0.0``, every NaN) are one value,
-    NaN sorted last, as ``np.unique`` has them."""
+    column, bit for bit. Floats are told apart by their bits: ``-0.0``
+    sorts just before ``0.0``, and NaNs last, one entry per payload."""
 
     distinct: np.ndarray
     ranks: np.ndarray
@@ -63,7 +63,8 @@ def factorize(values: np.ndarray) -> Factors:
     """:class:`Factors` of a physical column. Integers (and booleans, as
     0 / 1) whose [min, max] is dense (:data:`DENSE_DOMAIN_PER_ROW`) go
     through a presence table, without a sort; other numbers through one
-    ``np.unique``; strings through one sorted set and a rank map."""
+    ``np.unique`` (a float's of its bits, whose distinct values are then
+    put in value order); strings through one sorted set and a rank map."""
     if values.dtype == object:
         strings = values.tolist()
         distinct = sorted(set(strings))
@@ -80,6 +81,13 @@ def factorize(values: np.ndarray) -> Factors:
             present[offsets] = True
             ranks = (np.cumsum(present) - 1)[offsets]
             return Factors((np.flatnonzero(present) + low).astype(values.dtype), ranks)
+    if values.dtype.kind == "f":
+        bits, ranks = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+        distinct = bits.view(values.dtype)
+        order = np.lexsort((bits, distinct))  # by value, NaN last; equal ones by bits
+        position = np.empty(order.size, dtype=np.int64)
+        position[order] = np.arange(order.size)
+        return Factors(distinct[order], position[ranks])
     distinct, ranks = np.unique(values, return_inverse=True)
     return Factors(distinct, ranks.astype(np.int64, copy=False))
 
@@ -107,7 +115,12 @@ class LocalDictionary:
     def __init__(self, sorted_values: Sequence[Any]) -> None:
         self.values: list[Any] = list(sorted_values)
         self._entries: np.ndarray | None = None
-        if len(set(self.values)) != len(self.values):
+        if self.values and isinstance(self.values[0], float):
+            # By bits: -0.0 and 0.0, or two NaN payloads, are two entries.
+            distinct = np.unique(np.array(self.values).view(np.int64)).size
+        else:
+            distinct = len(set(self.values))
+        if distinct != len(self.values):
             raise EncodingError("dictionary values must be distinct")
 
     def __len__(self) -> int:

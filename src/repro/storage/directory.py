@@ -82,11 +82,6 @@ class SegmentDirectory:
     # ------------------------------------------------------------------ #
     # Row-group lifecycle
     # ------------------------------------------------------------------ #
-    def allocate_group_id(self) -> int:
-        group_id = self._next_group_id
-        self._next_group_id += 1
-        return group_id
-
     @property
     def next_group_id(self) -> int:
         return self._next_group_id
@@ -116,6 +111,17 @@ class SegmentDirectory:
                 epoch if epoch is not None else self._creation_epoch
             )
             self._row_groups = updated
+
+    def install(self, groups: list[RowGroup]) -> None:
+        """Add freshly compressed row groups (their ids taken from
+        :attr:`next_group_id` on), intern their dictionaries into the
+        global ones, and move the id allocator past them."""
+        for group in groups:
+            self.add_row_group(group)
+            for column, segment in group.segments.items():
+                if segment.dictionary is not None:
+                    self._global_dicts[column].intern_all(segment.dictionary.values)
+            self._next_group_id = max(self._next_group_id, group.group_id + 1)
 
     def replace_row_group(self, group: RowGroup, epoch: int | None = None) -> None:
         """Swap in a re-compressed version of an existing row group.

@@ -290,6 +290,21 @@ class DiskIO:
         except OSError:
             return 0
 
+    def link_file(self, src: Path, dst: Path) -> None:
+        """Give the written-once file ``src`` a second name ``dst`` (a hard
+        link; a copy where the two cannot share the file, as across
+        devices). Not durable until ``dst``'s directory is synced
+        (:meth:`sync_dir`); an existing ``dst`` is replaced."""
+        dst = Path(dst)
+        self.mkdir(dst.parent)
+        tmp = dst.with_name(dst.name + ".tmp")
+        self.remove(tmp)
+        try:
+            os.link(src, tmp)
+        except OSError:
+            self._write_bytes(tmp, self.read_file(src))
+        os.replace(tmp, dst)
+
     def rename(self, src: Path, dst: Path) -> None:
         self.close_file(src)
         self.close_file(dst)
@@ -387,8 +402,8 @@ class FaultyDisk(DiskIO):
         that arrive via :meth:`rename` are exempt — rename fsyncs the
         destination directory as part of the atomic protocol.)
 
-    Every content write, append, fsync (file or directory), and rename
-    counts as one write point, so crash sweeps cover the WAL's
+    Every content write, append, fsync (file or directory), link and
+    rename counts as one write point, so crash sweeps cover the WAL's
     append/sync sequence too; a crash closes every descriptor held.
     """
 
@@ -471,6 +486,11 @@ class FaultyDisk(DiskIO):
         self._maybe_crash(path, None)
         super().sync_dir(path)
         self._unsynced_entries.pop(str(Path(path)), None)
+        self.ops += 1
+
+    def link_file(self, src: Path, dst: Path) -> None:
+        self._maybe_crash(dst, None)
+        super().link_file(src, dst)
         self.ops += 1
 
     def rename(self, src: Path, dst: Path) -> None:

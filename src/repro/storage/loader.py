@@ -3,12 +3,19 @@
 Large loads bypass delta stores entirely (the paper's bulk-insert path):
 rows are chunked into row-group-sized units, optionally reordered for run
 length (Vertipaq), and each column is compressed into a segment. The loader
-is also what the tuple mover uses to compress a closed delta store.
+is also what the tuple mover and REBUILD use to compress rows.
+
+:meth:`BulkLoader.compress` builds the row groups without touching the
+directory, numbered from its next free id; :meth:`SegmentDirectory.install
+<repro.storage.directory.SegmentDirectory.install>` registers them. A
+logged change compresses first, writes the groups' blobs, and only then
+installs them, which is also all its replay does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+import itertools
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,7 +67,20 @@ class BulkLoader:
         columns: Mapping[str, np.ndarray],
         null_masks: Mapping[str, np.ndarray | None] | None = None,
     ) -> list[RowGroup]:
-        """Compress per-column arrays into row groups (chunked, reordered)."""
+        """Compress per-column arrays into row groups and install them."""
+        groups = self.compress(columns, null_masks)
+        self.directory.install(groups)
+        return groups
+
+    def compress(
+        self,
+        columns: Mapping[str, np.ndarray],
+        null_masks: Mapping[str, np.ndarray | None] | None = None,
+        ids: Iterator[int] | None = None,
+    ) -> list[RowGroup]:
+        """Compress per-column arrays into row groups (chunked, reordered)
+        without installing them, numbered by ``ids`` (by default from the
+        directory's next free id)."""
         null_masks = dict(null_masks or {})
         names = self.schema.names
         missing = [name for name in names if name not in columns]
@@ -70,6 +90,8 @@ class BulkLoader:
         if len(sizes) != 1:
             raise StorageError(f"bulk load column lengths differ: {sorted(sizes)}")
         total = sizes.pop()
+        if ids is None:
+            ids = itertools.count(self.directory.next_group_id)
         groups: list[RowGroup] = []
         for start in range(0, total, self.config.rowgroup_size):
             end = min(start + self.config.rowgroup_size, total)
@@ -78,27 +100,27 @@ class BulkLoader:
                 name: (mask[start:end] if (mask := null_masks.get(name)) is not None else None)
                 for name in names
             }
-            groups.extend(self._compress_bounded(chunk_cols, chunk_masks))
+            groups.extend(self._compress_bounded(chunk_cols, chunk_masks, ids))
         return groups
 
     def _compress_bounded(
         self,
         columns: dict[str, np.ndarray],
         null_masks: dict[str, np.ndarray | None],
+        ids: Iterator[int],
     ) -> list[RowGroup]:
         """Compress a chunk, splitting it when dictionaries grow too large.
 
         The paper caps per-row-group dictionary size (16 MB): high-NDV
         string data therefore produces *smaller* row groups. We compress,
         check the resulting dictionary footprint, and if it exceeds the
-        limit re-compress the chunk in halves.
+        limit re-compress the chunk in halves (the oversized group's id
+        stays used).
         """
-        group = self._compress_chunk(columns, null_masks)
+        group = self._compress_chunk(columns, null_masks, next(ids))
         rows = group.row_count
         if rows <= 1 or self._dictionary_bytes(group) <= self.config.dictionary_size_limit:
             return [group]
-        # Too big: withdraw the oversized group and split the chunk.
-        self.directory.remove_row_group(group.group_id)
         mid = rows // 2
         halves: list[RowGroup] = []
         for lo, hi in ((0, mid), (mid, rows)):
@@ -107,7 +129,7 @@ class BulkLoader:
                 name: (mask[lo:hi] if mask is not None else None)
                 for name, mask in null_masks.items()
             }
-            halves.extend(self._compress_bounded(half_cols, half_masks))
+            halves.extend(self._compress_bounded(half_cols, half_masks, ids))
         return halves
 
     @staticmethod
@@ -121,6 +143,7 @@ class BulkLoader:
         self,
         columns: dict[str, np.ndarray],
         null_masks: dict[str, np.ndarray | None],
+        group_id: int,
     ) -> RowGroup:
         """One row group: each column factorized once, and the row order,
         the dictionaries, their codes and the statistics read from that.
@@ -135,20 +158,8 @@ class BulkLoader:
             if perm is not None:
                 values, factor = values[perm], Factors(factor.distinct, factor.ranks[perm])
                 mask = None if mask is None else mask[perm]
-            segment = encode_segment(
-                col.dtype,
-                values,
-                mask,
-                global_dict=self.directory.global_dictionary(col.name),
-                factors=factor,
-            )
+            segment = encode_segment(col.dtype, values, mask, factors=factor)
             if self.config.archival:
                 segment = segment.to_archived()
             segments[col.name] = segment
-        group = RowGroup(
-            group_id=self.directory.allocate_group_id(),
-            schema=self.schema,
-            segments=segments,
-        )
-        self.directory.add_row_group(group)
-        return group
+        return RowGroup(group_id=group_id, schema=self.schema, segments=segments)

@@ -112,25 +112,10 @@ def deserialize_rows(schema: TableSchema, blob: bytes) -> list[tuple[Any, ...]]:
     return list(zip(*columns)) if columns else []
 
 
-def serialize_columns(schema: TableSchema, physical: PhysicalColumns) -> bytes:
-    """:func:`serialize_rows` of ``physical.rows()``, written column by
-    column without building a row: the same bytes, so either side of a
-    log reads the other's records."""
-    count = physical.count
-    out = bytearray()
-    serde.write_varint(out, count)
-    for col in schema:
-        values, mask = physical.values[col.name], physical.nulls[col.name]
-        out += bytes(count) if mask is None else mask.tobytes()
-        payload = serde.serialize_array(values if mask is None else values[~mask], col.dtype)
-        serde.write_varint(out, len(payload))
-        out += payload
-    return bytes(out)
-
-
 def deserialize_columns(schema: TableSchema, blob: bytes) -> PhysicalColumns:
-    """Inverse of :func:`serialize_columns` (and so of
-    :func:`serialize_rows`), bounds-checked throughout."""
+    """:func:`deserialize_rows` as columns (a BULK_LOAD payload, which
+    older builds wrote column by column in the same bytes),
+    bounds-checked throughout."""
     count, pos = serde.read_varint(blob, 0)
     values: dict[str, np.ndarray] = {}
     nulls: dict[str, np.ndarray | None] = {}
@@ -299,6 +284,7 @@ def load_columnstore(
     except (KeyError, TypeError) as exc:
         raise RecoveryError(f"malformed {prefix}/meta.json: {exc!r}") from exc
 
+    groups = []
     for group_id in group_ids:
         segments = {}
         for col in schema:
@@ -307,17 +293,11 @@ def load_columnstore(
                 segments[col.name] = reader.read_segment(relpath)
             except EncodingError as exc:
                 raise CorruptBlobError(str(exc), path=relpath) from exc
-        group = RowGroup(group_id=group_id, schema=schema, segments=segments)
-        index.directory.add_row_group(group)
-        # Re-intern dictionary values so global dictionaries match a
-        # freshly-built index (an archived segment's dictionary was
-        # restored from its archive when its blob was read).
-        for col in schema:
-            segment = segments[col.name]
-            if segment.dictionary is not None:
-                index.directory.global_dictionary(col.name).intern_all(
-                    segment.dictionary.values
-                )
+        groups.append(RowGroup(group_id=group_id, schema=schema, segments=segments))
+    # Installing re-interns the dictionaries, so global dictionaries match
+    # a freshly-built index (an archived segment's dictionary was restored
+    # from its archive when its blob was read).
+    index.directory.install(groups)
     index.directory._next_group_id = meta["next_group_id"]
 
     for entry in delta_entries:

@@ -10,7 +10,8 @@ longest runs and higher-cardinality columns form runs within them.
 Each column's sort key is its factorization's ranks (see
 :func:`repro.storage.dictionary.factorize`), read as a float64 proxy of
 the column orders them: NULL lowest, tied with ``-inf``; integers beyond
-2**53 tied where their floats are equal. The keys are folded into one
+2**53 tied where their floats are equal, and so are ``-0.0`` and ``0.0``
+and every NaN (which a factorization keeps apart by their bits). The keys are folded into one
 mixed-radix int64 key, and one stable ``argsort`` of it is the
 lexicographic sort.
 
@@ -29,12 +30,23 @@ from .dictionary import Factors, factorize
 _KEY_CELLS = 2**63  # values an int64 key holds from 0 up
 
 
+def _ties(distinct: np.ndarray) -> np.ndarray:
+    """Where two neighbouring distinct numbers are one float64 proxy."""
+    proxy = distinct.astype(np.float64)
+    return (proxy[1:] == proxy[:-1]) | (np.isnan(proxy[1:]) & np.isnan(proxy[:-1]))
+
+
+def _cardinality(factors: Factors) -> int:
+    """Distinct values, a float's as equality counts them (``np.unique``)."""
+    distinct = factors.distinct
+    return distinct.size - (int(_ties(distinct).sum()) if distinct.dtype.kind == "f" else 0)
+
+
 def _sort_key(factors: Factors, null_mask: np.ndarray | None) -> np.ndarray:
     """One column's ranks as its float64 proxy orders the rows."""
     distinct, ranks = factors
-    if distinct.dtype.kind in "iu":
-        proxy = distinct.astype(np.float64)
-        tied = proxy[1:] == proxy[:-1]
+    if distinct.dtype.kind in "iuf":
+        tied = _ties(distinct)
         if tied.any():
             ranks = np.concatenate(([0], np.cumsum(~tied)))[ranks]
     if null_mask is not None and null_mask.any():
@@ -55,7 +67,7 @@ def choose_row_order(
     order. Deterministic: ties resolve by column name, then by position.
     """
     null_masks = null_masks or {}
-    names = sorted(factors, key=lambda name: (factors[name].distinct.size, name))
+    names = sorted(factors, key=lambda name: (_cardinality(factors[name]), name))
     if not names:
         return np.zeros(0, dtype=np.int64)
     key = np.zeros(factors[names[0]].ranks.size, dtype=np.int64)

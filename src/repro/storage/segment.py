@@ -604,14 +604,10 @@ def _encode_floats(values, non_null, null_mask, row_count, present):
             else np.zeros(0, dtype=np.uint64)
         )
         return encode_stream(_fill_codes(offsets.astype(np.int64), null_mask, row_count)), venc
-    ndv = present().distinct.size
+    factors = present()
+    ndv = factors.distinct.size
     if non_null.size and ndv <= row_count // 4 and dictionary_pays_off(row_count, ndv, 64, 8):
-        # Ranked again, over the stored order: which of two equal floats
-        # (-0.0 and 0.0, NaNs of two payloads) the entry keeps is the one
-        # np.unique's sort meets first, so only this order keeps the blob.
-        distinct, codes = np.unique(non_null, return_inverse=True)
-        stream = encode_stream(_fill_codes(codes.astype(np.int64), null_mask, row_count))
-        return stream, LocalDictionary(distinct.tolist())
+        return encode_stream(factors.ranks), LocalDictionary(factors.distinct.tolist())
     filled = values.astype(np.float64).copy()
     if null_mask is not None:
         filled[null_mask] = 0.0

@@ -74,29 +74,6 @@ def utf8(strings: Sequence[str]) -> tuple[bytes, np.ndarray]:
     return data, np.fromiter(map(len, encoded), dtype=np.int64, count=len(strings))
 
 
-def _serialize_strings(strings: Sequence[str]) -> bytes:
-    """The VARCHAR value list — the count, then each string's UTF-8
-    length as a varint and its bytes — written as arrays: each length's
-    varint bytes are placed at once, byte position by byte position, and
-    the strings' bytes fill the gaps between them."""
-    data, lengths = utf8(strings)
-    # Each length's varint bytes: 7 bits a byte (frexp's exponent is the
-    # bit length), at least one.
-    heads = np.maximum(1, (np.frexp(lengths)[1] + 6) // 7)
-    starts = np.cumsum(heads + lengths) - heads - lengths
-    body = np.ones(len(data) + int(heads.sum()), dtype=bool)
-    out = np.empty(body.size, dtype=np.uint8)
-    for byte in range(int(heads.max(initial=0))):
-        more = heads > byte
-        at = starts[more] + byte
-        out[at] = lengths[more] >> 7 * byte & 0x7F | (heads[more] > byte + 1) << 7
-        body[at] = False
-    out[body] = np.frombuffer(data, dtype=np.uint8)
-    count = bytearray()
-    write_varint(count, lengths.size)
-    return bytes(count) + out.tobytes()
-
-
 def serialize_values(values: Sequence[Any], dtype: DataType) -> bytes:
     """Serialize a list of physical values of one column type."""
     out = bytearray()
@@ -115,22 +92,9 @@ def serialize_values(values: Sequence[Any], dtype: DataType) -> bytes:
     return bytes(out)
 
 
-def serialize_array(values: np.ndarray, dtype: DataType) -> bytes:
-    """:func:`serialize_values` for an array of physical values — the same
-    bytes, written as arrays: numbers as one ``<i8`` / ``<f8`` buffer,
-    strings by :func:`_serialize_strings` (a few values, a row's, cost
-    less through :func:`serialize_values`' loop)."""
-    if dtype.kind is TypeKind.VARCHAR:
-        return _serialize_strings(values.tolist())
-    out = bytearray()
-    write_varint(out, len(values))
-    out += values.astype("<f8" if dtype.kind is TypeKind.FLOAT else "<i8").tobytes()
-    return bytes(out)
-
-
 def deserialize_array(payload: bytes, dtype: DataType) -> np.ndarray:
-    """Inverse of :func:`serialize_array`: an array of ``dtype``'s
-    physical dtype, bounds-checked as :func:`deserialize_values` is."""
+    """:func:`deserialize_values` as an array of ``dtype``'s physical
+    dtype (numbers read as one buffer), bounds-checked as it is."""
     if dtype.kind is TypeKind.VARCHAR:
         return dtype.physical_array(deserialize_values(payload, dtype))
     count, pos = read_varint(payload, 0)

@@ -31,11 +31,18 @@ is therefore all-or-nothing:
   unreferenced and collected on the next open;
 * crash after the rename -> the new snapshot is complete.
 
+Changes that create compressed row groups write their blobs into the
+pool themselves, before their write-ahead log record names them
+(:meth:`repro.db.durability.Durability.write_row_groups`); a checkpoint
+then reuses those blobs as it reuses the manifest's.
+
 Garbage collection is one rule, applied only after a manifest has been
 read back and verified: under the pool and the snapshot directories,
 remove every file the committed manifest does not name (and stray
-``*.tmp`` files at the root). Nothing a committed manifest names is
-removed before a newer manifest is committed.
+``*.tmp`` files at the root), except a pool blob a record the live log
+still holds names, or that a statement is still writing (``pinned``).
+Nothing a committed manifest names is removed before a newer manifest is
+committed.
 
 Opening verifies the size and checksum of every listed file before any
 byte is deserialized, raising :class:`~repro.errors.CorruptBlobError`
@@ -56,6 +63,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
+from typing import Callable
 
 from ..errors import CorruptBlobError, RecoveryError
 from ..observability import registry as metrics
@@ -77,7 +85,7 @@ def _snapshot_dir_name(snapshot_id: int) -> str:
     return f"snap_{snapshot_id:06d}"
 
 
-def _pool_path(relpath: str, crc: int) -> str:
+def pool_path(relpath: str, crc: int) -> str:
     """Where the segment blob a snapshot knows as ``relpath`` lives in
     the pool: its name with the blob's checksum in it."""
     return f"{_POOL_PREFIX}{relpath[: -len(_SEGMENT_SUFFIX)]}.{crc:08x}{_SEGMENT_SUFFIX}"
@@ -191,20 +199,28 @@ class StoredSegments:
     Segments are immutable, so object identity is content identity: a
     save hands the previous save's (or the load's) record to its writer
     and keeps the writer's, which covers exactly the segments that save
-    saw — retired segments drop out with the record they were in.
+    saw — retired segments drop out with the record they were in. A blob
+    ``put`` as ``logged`` was written and fsynced by a logged change (or
+    read back by its replay): the log keeps it in the pool until a
+    checkpoint names it, so the next save reuses it as it reuses the
+    committed manifest's blobs.
     """
 
     def __init__(self, root: Path) -> None:
         self.root = str(Path(root).resolve())
         # Keyed by id(); the segment rides along so the id stays its own.
         self._by_id: dict[int, tuple[ColumnSegment, ManifestEntry]] = {}
+        #: Paths of the logged blobs among them.
+        self.logged: set[str] = set()
 
     def get(self, segment: ColumnSegment) -> ManifestEntry | None:
         held = self._by_id.get(id(segment))
         return held[1] if held is not None else None
 
-    def put(self, segment: ColumnSegment, entry: ManifestEntry) -> None:
+    def put(self, segment: ColumnSegment, entry: ManifestEntry, logged: bool = False) -> None:
         self._by_id[id(segment)] = (segment, entry)
+        if logged:
+            self.logged.add(entry.path)
 
 
 # ---------------------------------------------------------------------- #
@@ -283,7 +299,7 @@ class SnapshotWriter:
         entry = self._stored.get(segment)
         if (
             entry is not None
-            and entry.path in self._committed_paths
+            and (entry.path in self._committed_paths or entry.path in self._stored.logged)
             and self.disk.file_size(self.root / entry.path) == entry.size
         ):
             metrics.increment("storage.snapshot.files_reused")
@@ -291,13 +307,16 @@ class SnapshotWriter:
         else:
             data = serialize_segment(segment)
             crc = crc32c(data)
-            entry = self._put(_pool_path(relpath, crc), data, crc)
+            entry = self._put(pool_path(relpath, crc), data, crc)
             # write_file synced the blob's own directory; the entries
             # that lead to it are synced in commit().
             self._unsynced_dirs.update(PurePosixPath(entry.path).parent.parents)
         self.stored.put(segment, entry)
 
-    def commit(self, checkpoint_lsn: int = 0) -> Manifest:
+    def commit(self, checkpoint_lsn: int = 0, collect: bool = True) -> Manifest:
+        """Write the manifest, read it back, and (unless ``collect`` is
+        false: the caller collects, :func:`collect_garbage`) remove what
+        the committed manifest does not name."""
         manifest = Manifest(
             snapshot_id=self.snapshot_id,
             files=list(self._entries),
@@ -324,37 +343,56 @@ class SnapshotWriter:
             committed = None
         if committed is not None and committed.snapshot_id == self.snapshot_id:
             self.committed = True
-            collect_garbage(self.disk, self.root, committed)
+            if collect:
+                collect_garbage(self.disk, self.root, committed)
         return manifest
 
 
-def collect_garbage(disk: DiskIO, root: Path, manifest: Manifest | None) -> int:
+def collect_garbage(
+    disk: DiskIO,
+    root: Path,
+    manifest: Manifest | None,
+    pinned: Callable[[str], bool] | None = None,
+) -> int:
     """Remove every file under the pool and the snapshot directories
     that ``manifest`` does not name, the directories that empties, and
     stray ``*.tmp`` files at the root; returns how many snapshot
-    directories went."""
+    directories went.
+
+    ``pinned(path)`` keeps a pool blob the manifest does not name: one
+    the write-ahead log names, or that a statement is writing (it is
+    asked for the blob's own path, also for its ``.tmp`` sibling)."""
     root = Path(root)
-    keep = {entry.path for entry in manifest.files} if manifest is not None else set()
+    named = {entry.path for entry in manifest.files} if manifest is not None else set()
+
+    def keep(relpath: str) -> bool:
+        return relpath in named or (
+            pinned is not None
+            and relpath.startswith(_POOL_PREFIX)
+            and pinned(relpath.removesuffix(".tmp"))
+        )
+
     snapshots_removed = 0
     for name in disk.listdir(root):
         if name == POOL_DIR_NAME:
-            _sweep(disk, root / name, name, keep)
+            sweep(disk, root / name, name, keep)
         elif _SNAP_DIR_RE.match(name):
-            snapshots_removed += not _sweep(disk, root / name, name, keep)
+            snapshots_removed += not sweep(disk, root / name, name, keep)
         elif name.endswith(".tmp"):
             disk.remove(root / name)
     return snapshots_removed
 
 
-def _sweep(disk: DiskIO, path: Path, relpath: str, keep: set[str]) -> bool:
-    """Remove ``path`` unless ``keep`` names it or something under it;
-    returns whether it stayed."""
+def sweep(disk: DiskIO, path: Path, relpath: str, keep: Callable[[str], bool]) -> bool:
+    """Remove ``path`` unless ``keep`` holds for it or something under
+    it; returns whether it stayed."""
     if not disk.is_dir(path):
-        if relpath not in keep:
+        kept = keep(relpath)
+        if not kept:
             disk.remove(path)
-        return relpath in keep
+        return kept
     stayed = [
-        _sweep(disk, path / name, f"{relpath}/{name}", keep)
+        sweep(disk, path / name, f"{relpath}/{name}", keep)
         for name in disk.listdir(path)
     ]
     if not any(stayed):
@@ -426,9 +464,10 @@ def _verify(disk: DiskIO, root: Path, entry: ManifestEntry) -> tuple[bytes | Non
     return data, "ok", ""
 
 
-def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
+def open_snapshot(disk: DiskIO, root: Path, collect: bool = True) -> SnapshotReader:
     """Open the committed snapshot of ``root``: locate the newest complete
-    manifest, verify every checksum, and roll back interrupted saves.
+    manifest, verify every checksum, and (unless ``collect`` is false:
+    the caller does, :func:`roll_back`) roll back interrupted saves.
 
     Raises :class:`RecoveryError` if no manifest exists (naming the
     pre-manifest layout when that is what the directory holds) and
@@ -457,12 +496,23 @@ def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
             f"snapshot {manifest.snapshot_id} failed verification: "
             + "; ".join(failures)
         )
-    # Whatever the manifest does not name is now provably the residue of
-    # interrupted saves: roll them back.
-    rolled_back = collect_garbage(disk, root, manifest)
+    if collect:
+        roll_back(disk, root, manifest)
+    return SnapshotReader(manifest, files, StoredSegments(root))
+
+
+def roll_back(
+    disk: DiskIO,
+    root: Path,
+    manifest: Manifest | None,
+    pinned: Callable[[str], bool] | None = None,
+) -> None:
+    """Collect what interrupted saves and statements left: whatever a
+    verified manifest (or, before the first checkpoint, nothing) and
+    ``pinned`` do not name (:func:`collect_garbage`)."""
+    rolled_back = collect_garbage(disk, root, manifest, pinned)
     if rolled_back:
         metrics.increment("storage.recovery.snapshots_rolled_back", rolled_back)
-    return SnapshotReader(manifest, files, StoredSegments(root))
 
 
 # ---------------------------------------------------------------------- #
@@ -471,13 +521,14 @@ def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
 @dataclass
 class FileVerdict:
     path: str
-    # ok | orphan | missing | size-mismatch | checksum-mismatch | undecodable
+    # ok | orphan | pending | missing | size-mismatch | checksum-mismatch
+    # | undecodable
     status: str
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.status in ("ok", "orphan")
+        return self.status in ("ok", "orphan", "pending")
 
 
 @dataclass
@@ -507,7 +558,7 @@ class IntegrityReport:
         if self.manifest_status == "ok":
             lines.append(
                 f"manifest: ok (snapshot {self.snapshot_id}, "
-                f"{sum(v.status != 'orphan' for v in self.verdicts)} files, "
+                f"{sum(v.status not in ('orphan', 'pending') for v in self.verdicts)} files, "
                 "checkpoint LSN "
                 f"{self.checkpoint_lsn})"
             )
@@ -556,7 +607,7 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
     """
     from ..backup.archive import ARCHIVE_DIR_NAME, check_archive
     from ..backup.manifest import RESTORE_MARKER_NAME
-    from ..wal.log import WAL_DIR_NAME, check_wal
+    from ..wal.log import WAL_DIR_NAME, check_wal, logged_blobs
 
     root = Path(root)
     if disk.exists(root / RESTORE_MARKER_NAME):
@@ -576,6 +627,7 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
                 root=str(root),
                 manifest_status="wal-only",
                 detail="(no snapshot yet: all state is in the log)",
+                verdicts=_pool_verdicts(disk, root, set(), logged_blobs(disk, wal_dir), 0),
                 wal_verdicts=check_wal(disk, wal_dir, checkpoint_lsn=0),
             )
         return IntegrityReport(
@@ -607,13 +659,10 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
         else:
             metrics.increment("storage.recovery.checksum_failures")
         report.verdicts.append(verdict)
-    # Pool blobs no manifest entry names: what an interrupted save left
-    # for the next open to collect. Reported, not an error.
+    logged = logged_blobs(disk, wal_dir) if has_wal else {}
     named = {entry.path for entry in manifest.files}
     report.verdicts.extend(
-        FileVerdict(path, "orphan", "not named by the manifest")
-        for path in _files_under(disk, root / POOL_DIR_NAME, POOL_DIR_NAME)
-        if path not in named
+        _pool_verdicts(disk, root, named, logged, manifest.checkpoint_lsn)
     )
     if has_wal:
         report.wal_verdicts = check_wal(
@@ -622,6 +671,39 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
     if disk.is_dir(root / ARCHIVE_DIR_NAME):
         report.archive_verdicts = check_archive(disk, root / ARCHIVE_DIR_NAME)
     return report
+
+
+def _pool_verdicts(
+    disk: DiskIO,
+    root: Path,
+    named: set[str],
+    logged: dict[str, tuple[int, ManifestEntry]],
+    checkpoint_lsn: int,
+) -> list[FileVerdict]:
+    """Verdicts on the pool blobs the manifest does not name: ``pending``
+    when the log names one (its statement wrote it; a checkpoint will
+    name it), checked like a listed file; ``orphan`` otherwise (what an
+    interrupted save or statement left for the next open to collect).
+    Neither is an error; a blob a record past the checkpoint names that
+    is missing or damaged is."""
+    verdicts = []
+    present = set(_files_under(disk, root / POOL_DIR_NAME, POOL_DIR_NAME))
+    for path in sorted(present - named):
+        if path not in logged:
+            verdicts.append(FileVerdict(path, "orphan", "not named by the manifest"))
+            continue
+        lsn, entry = logged[path]
+        data, status, detail = _verify(disk, root, entry)
+        if data is None:
+            verdicts.append(FileVerdict(path, status, detail))
+        else:
+            verdicts.append(FileVerdict(path, "pending", f"named by log record {lsn}"))
+    verdicts.extend(
+        FileVerdict(path, "missing", f"named by log record {lsn}")
+        for path, (lsn, _entry) in sorted(logged.items())
+        if lsn > checkpoint_lsn and path not in present and path not in named
+    )
+    return verdicts
 
 
 def _files_under(disk: DiskIO, path: Path, relpath: str) -> list[str]:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..mvcc import PENDING_EPOCH
+from ..errors import StorageError
 from ..observability import registry as metrics
-from .columnstore import ColumnStoreIndex
+from .columnstore import ColumnStoreIndex, RowGroupChange
 
 
 @dataclass
@@ -41,31 +41,41 @@ class TupleMover:
     def __init__(self, index: ColumnStoreIndex) -> None:
         self.index = index
 
-    def run(self, include_open: bool = False) -> TupleMoverReport:
+    def run(
+        self, include_open: bool = False, change: RowGroupChange | None = None
+    ) -> TupleMoverReport:
         """Compress every closed delta store (optionally the open one too).
 
         ``include_open`` models a forced move (e.g. REORGANIZE with
         COMPRESS_ALL_ROW_GROUPS): the open delta store is closed first.
+        ``change`` is the move already planned
+        (:meth:`ColumnStoreIndex.plan_move`, or a replayed record's): its
+        row groups are installed and its delta stores retired.
         """
-        if include_open:
-            self.index.close_open_delta()
-        report = TupleMoverReport()
+        index = self.index
+        change = change or index.plan_move(include_open)
+        if change.include_open:
+            index.close_open_delta()
+        deltas = [index._delta_stores.get(delta_id) for delta_id in change.deltas]
+        if any(delta is None or delta.is_open for delta in deltas):
+            raise StorageError(f"the tuple mover found no closed delta store among {change.deltas}")
+        report = TupleMoverReport(
+            delta_stores_compressed=len(deltas),
+            rows_moved=sum(delta.row_count for delta in deltas),
+            row_groups_created=len(change.groups),
+            group_ids=[group.group_id for group in change.groups],
+        )
         # The whole reorganization installs one new epoch: replacement
         # row groups become visible at it, the compressed-away delta
         # stores are retired at it — a snapshot reader pinned before the
         # run keeps scanning the retired deltas, one pinned after sees
         # only the new groups. Vacuum then frees whatever no reader needs.
-        with self.index.mvcc.installing() as epoch:
-            for delta in self.index.closed_delta_stores():
-                columns, null_masks, _row_ids = delta.capture(PENDING_EPOCH).to_columns()
-                with self.index.directory.creating_at(epoch):
-                    groups = self.index.loader.load_columns(columns, null_masks)
-                report.rows_moved += delta.row_count
-                self.index._retire_delta(delta, epoch)
-                report.delta_stores_compressed += 1
-                report.row_groups_created += len(groups)
-                report.group_ids.extend(g.group_id for g in groups)
-        self.index.vacuum()
+        with index.mvcc.installing() as epoch:
+            with index.directory.creating_at(epoch):
+                index.directory.install(change.groups)
+            for delta in deltas:
+                index._retire_delta(delta, epoch)
+        index.vacuum()
         metrics.increment("storage.tuple_mover.runs")
         metrics.increment(
             "storage.tuple_mover.delta_stores_compressed",

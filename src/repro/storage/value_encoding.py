@@ -159,12 +159,14 @@ def choose_float_encoding(values: np.ndarray) -> ValueEncoding | None:
     """Pick an exact affine encoding for a float segment, or ``None``.
 
     Floats qualify when some scale ``10**k`` (k ≤ 4) turns every value into
-    an integer that round-trips exactly and fits comfortably in int64.
+    an integer that round-trips exactly and fits comfortably in int64. A
+    ``-0.0`` does not (it would come back ``0.0``), nor does a NaN or an
+    infinity.
     """
     if values.size == 0:
         return ValueEncoding(exponent=0, base=0)
     floats = values.astype(np.float64)
-    if not np.all(np.isfinite(floats)):
+    if not np.all(np.isfinite(floats)) or np.any(np.signbit(floats) & (floats == 0)):
         return None
     if values.size and float(np.abs(floats).max()) > 2**52:
         return None

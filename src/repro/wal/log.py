@@ -33,9 +33,11 @@ rotation, checkpoint truncation or :meth:`WriteAheadLog.close`.
 
 **Checkpoints**: :meth:`Database.save` records the WAL's last LSN in the
 snapshot manifest, then :meth:`truncate_covered` deletes every segment
-whose records the snapshot now covers. A crash between the two leaves
-stale segments whose records replay skips (their LSNs are ≤ the
-checkpoint) and which the next checkpoint collects.
+whose records the snapshot now covers (archiving it first, with the pool
+blobs its records name), and only then are the blobs no record the live
+log holds names collected. A crash in between leaves stale segments
+whose records replay skips (their LSNs are ≤ the checkpoint) and which
+the next checkpoint collects.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ from pathlib import Path
 from ..errors import WalCorruptError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
+from ..storage.snapshot import ManifestEntry
 from .record import (
     SegmentScan,
     WalRecord,
     WalRecordType,
     encode_record,
+    named_blobs,
     require_clean_scan,
     scan_segment,
 )
@@ -96,6 +100,8 @@ class WalRecovery:
     """What :meth:`WriteAheadLog.attach` found on disk."""
 
     replay_records: list[WalRecord] = field(default_factory=list)
+    # Pool blob path -> LSN of the live record naming it (the newest).
+    blob_lsns: dict[str, int] = field(default_factory=dict)
     last_lsn: int = 0
     truncated_segment: str | None = None
     truncated_at: int | None = None
@@ -200,6 +206,9 @@ class WriteAheadLog:
         recovery.replay_records = [
             record for record in all_records if record.lsn > checkpoint_lsn
         ]
+        recovery.blob_lsns = {
+            entry.path: record.lsn for record in all_records for entry in named_blobs(record)
+        }
         if recovery.replay_records:
             first = recovery.replay_records[0].lsn
             if first != checkpoint_lsn + 1:
@@ -431,6 +440,14 @@ class WriteAheadLog:
     def durable_lsn(self) -> int:
         return self._durable_lsn
 
+    @property
+    def first_live_lsn(self) -> int:
+        """The oldest LSN the live segments still hold (one past the last
+        when they hold none)."""
+        with self._lock:
+            held = [s.first_lsn for s in self._segments if s.size > 0]
+            return min(held, default=self._last_lsn + 1)
+
     def status(self) -> dict:
         """A point-in-time summary (the shell's ``\\wal`` command)."""
         with self._lock:
@@ -463,6 +480,18 @@ def _list_segments(disk: DiskIO, root: Path) -> list[tuple[int, str]]:
             segments.append((int(match.group(1)), name))
     segments.sort()
     return segments
+
+
+def logged_blobs(disk: DiskIO, root: Path) -> dict[str, tuple[int, ManifestEntry]]:
+    """Every pool blob a record of the log at ``root`` names, by path:
+    the LSN of the newest record naming it and its entry. Reads past
+    damage to what a scan recovers; never raises for it."""
+    named = {}
+    for first_lsn, name in _list_segments(disk, Path(root)):
+        for record in scan_segment(disk.read_file(Path(root) / name), first_lsn, name).records:
+            for entry in named_blobs(record):
+                named[entry.path] = (record.lsn, entry)
+    return named
 
 
 def _segment_image(records: list[WalRecord]) -> tuple[str, bytes]:

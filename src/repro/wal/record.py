@@ -27,16 +27,24 @@ corruption (recovery refuses — valid data would be silently lost).
 LSNs are assigned contiguously (1-based); the scanner enforces that each
 record's LSN is exactly its predecessor's + 1, which catches spliced or
 reordered segments that per-record CRCs cannot.
+
+A ``ROW_GROUPS`` record does not carry its row groups: it names the
+segment blobs its change wrote into the database's write-once pool
+before the record was appended (:func:`named_blobs`), by their paths
+relative to the database root. Whatever keeps a log — the live log, its
+archive, a backup — keeps the blobs its records name.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import struct
 from dataclasses import dataclass
 
 from ..errors import WalCorruptError
 from ..storage.diskio import crc32c
+from ..storage.snapshot import ManifestEntry
 
 _FRAME_HEADER = struct.Struct("<II")  # body length, body crc32c
 _BODY_HEADER = struct.Struct("<BQQH")  # record type, lsn, txn id, table-name length
@@ -63,6 +71,9 @@ class WalRecordType(enum.IntEnum):
     TXN_BEGIN = 11
     TXN_COMMIT = 12
     TXN_ABORT = 13
+    # Compressed row groups a bulk load, the tuple mover, REBUILD or an
+    # archival switch created, by the blobs holding their segments.
+    ROW_GROUPS = 14
 
 
 #: Marker records delimiting explicit transactions; they carry no table
@@ -81,6 +92,32 @@ class WalRecord:
     table: str
     payload: bytes
     txn_id: int = AUTO_COMMIT_TXN
+
+
+def row_groups_payload(body: dict) -> bytes:
+    """A ROW_GROUPS payload: ``body["groups"]`` lists each group as
+    ``{"id": ..., "segments": {column: manifest entry}}`` beside the
+    change's other fields."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def parse_row_groups(payload: bytes) -> dict:
+    """Inverse of :func:`row_groups_payload`, the entries as
+    :class:`~repro.storage.snapshot.ManifestEntry`."""
+    body = json.loads(payload.decode("utf-8"))
+    for group in body["groups"]:
+        group["segments"] = {
+            column: ManifestEntry.from_json(entry) for column, entry in group["segments"].items()
+        }
+    return body
+
+
+def named_blobs(record: "WalRecord") -> list[ManifestEntry]:
+    """The pool blobs a record names (none but a ROW_GROUPS record's)."""
+    if record.rtype is not WalRecordType.ROW_GROUPS:
+        return []
+    groups = parse_row_groups(record.payload)["groups"]
+    return [entry for group in groups for entry in group["segments"].values()]
 
 
 @dataclass

@@ -15,27 +15,37 @@ epoch of its own, as an autocommit statement does.
 
 Payloads are *physical enough to be deterministic*:
 
-* row payloads (INSERT / BULK_LOAD / the insert half of UPDATE) carry
-  already-coerced physical rows in the same column-wise format the
-  snapshot layer uses (:func:`repro.storage.persist.serialize_rows`), so
-  replay never re-runs type coercion (which is not idempotent — e.g.
-  DECIMAL coercion scales ints); a BULK_LOAD's body is its columns
-  (:class:`~repro.schema.PhysicalColumns`), written and read as columns
-  (:func:`~repro.storage.persist.serialize_columns`) in those same bytes;
+* row payloads (INSERT / the insert half of UPDATE, and a BULK_LOAD that
+  lands in a delta store or a row-store heap) carry already-coerced
+  physical rows in the same column-wise format the snapshot layer uses
+  (:func:`repro.storage.persist.serialize_rows`), so replay never re-runs
+  type coercion (which is not idempotent — e.g. DECIMAL coercion scales
+  ints);
 * DELETE / UPDATE payloads carry the row *addresses* the statement's
   plans found (row-store rids and columnstore (group/delta, position)
   locators), not the predicate — predicates are not serializable, and
   addresses make replay independent of scan order;
-* maintenance payloads (tuple mover, rebuild, archival) carry the
-  operation's arguments; the operations themselves are deterministic
-  functions of index state, which is what makes later address-carrying
-  records sound.
+* a change that creates compressed row groups — a bulk load that
+  compresses, the tuple mover, REBUILD, an archival switch — is planned
+  first (:class:`~repro.storage.columnstore.RowGroupChange`: the groups,
+  compressed, and what they replace), its segment blobs are written into
+  the pool, and its ROW_GROUPS payload names them
+  (:meth:`~repro.db.durability.Durability.write_row_groups`). Replay
+  reads the blobs back and installs them: it runs neither coercion nor
+  the compressor, so a log replays the same whatever the compressor of
+  the reading build does.
 
-Because a replayed change runs the storage code the original ran
-(delta-store inserts honor the same close thresholds, the bulk loader the
-same compression cutoffs), the reconstructed index is structurally
-identical, not just query-equivalent. Any divergence — an address that
-deletes no row, a duplicate row id, an unknown table — raises
+Logs written before row groups were logged still replay: a BULK_LOAD
+that compressed carried its columns as rows
+(:func:`~repro.storage.persist.deserialize_columns` reads them), and the
+tuple mover, REBUILD and archival were markers carrying only their
+argument. Those replay by planning again — through the compressor, so
+they rebuild the groups the logging build built only while the
+compressor writes the same segments.
+
+Any divergence — an address that deletes no row, a duplicate row id or
+group id, a delta store the tuple mover did not find closed, a missing
+or damaged blob, an unknown table — raises
 :class:`~repro.errors.ReplayError` naming the record's LSN.
 """
 
@@ -196,14 +206,21 @@ def _table_change(
 
 
 # ---------------------------------------------------------------------- #
-# Maintenance
+# Compressed row groups
 # ---------------------------------------------------------------------- #
-def _flag_change(key: str, apply: Callable[..., Any]) -> Change:
-    """Tuple mover and archival: one boolean argument, ``{key: bool}``."""
+def _replanned(plan: Callable[[Table, Any], Any], key: str | None = None) -> Change:
+    """An old maintenance marker (the tuple mover, archival: one boolean
+    argument ``{key: bool}``; REBUILD: none), replayed by planning the
+    change again. Nothing logs these any more."""
+
+    def apply(db: "Database", name: str, arg, txn):
+        table = db.catalog.table(name)
+        return table.install_row_groups(plan(table, arg), txn)
+
     return Change(
-        lambda db, name, flag, _txn: apply(db.catalog.table(name), flag),
-        lambda _db, _name, flag: _json({key: bool(flag)}),
-        lambda _db, _name, payload: _unjson(payload)[key],
+        apply,
+        lambda _db, _name, arg: _json({key: bool(arg)}) if key else b"",
+        lambda _db, _name, payload: _unjson(payload)[key] if key else None,
     )
 
 
@@ -218,10 +235,12 @@ CHANGES: dict[WalRecordType, Change] = {
     WalRecordType.INSERT: _table_change(
         Table.insert_physical_rows, persist.serialize_rows, persist.deserialize_rows
     ),
-    # A bulk load's body is its columns (PhysicalColumns); its payload is
-    # the bytes serialize_rows writes for the same rows.
+    # A bulk load applied as rows: its body is its columns (PhysicalColumns)
+    # and its payload their rows. Older logs carry compressed loads so too.
     WalRecordType.BULK_LOAD: _table_change(
-        Table.bulk_load_physical, persist.serialize_columns, persist.deserialize_columns
+        Table.bulk_load_physical,
+        lambda schema, physical: persist.serialize_rows(schema, list(physical.rows())),
+        persist.deserialize_columns,
     ),
     WalRecordType.DELETE: Change(
         lambda db, name, body, txn: db.catalog.table(name).delete_rows(*body, txn),
@@ -229,11 +248,14 @@ CHANGES: dict[WalRecordType, Change] = {
         lambda _db, _name, payload: _decode_addresses(_unjson(payload)),
     ),
     WalRecordType.UPDATE: Change(_update, _encode_update, _decode_update),
-    WalRecordType.TUPLE_MOVER: _flag_change("include_open", Table.run_tuple_mover),
-    WalRecordType.REBUILD: _no_body(
-        lambda db, name, _body, _txn: db.catalog.table(name).rebuild_columnstore()
+    WalRecordType.ROW_GROUPS: Change(
+        lambda db, name, change, txn: db.catalog.table(name).install_row_groups(change, txn),
+        lambda db, name, change: db.durability.write_row_groups(name, change),
+        lambda db, name, payload: db.durability.read_row_groups(name, payload),
     ),
-    WalRecordType.ARCHIVAL: _flag_change("enabled", Table.set_archival),
+    WalRecordType.TUPLE_MOVER: _replanned(Table.plan_tuple_mover, "include_open"),
+    WalRecordType.REBUILD: _replanned(lambda table, _arg: table.plan_rebuild()),
+    WalRecordType.ARCHIVAL: _replanned(Table.plan_archival, "enabled"),
 }
 
 

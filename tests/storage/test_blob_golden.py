@@ -43,6 +43,20 @@ _PAIRS = {
         types.BIGINT, np.repeat(np.arange(4, dtype=np.int64), 50) * 10, Scheme.VALUE, RleBlock
     ),
     "raw/raw": (types.FLOAT, np.arange(_ROWS) * 0.1 + 1 / 3, Scheme.RAW, RawBlock),
+    # -0.0 keeps its sign: an entry of its own beside 0.0 in a dictionary,
+    # and no value encoding for a column that holds one.
+    "dict-signed-zero/bitpack": (
+        types.FLOAT,
+        np.array([(-0.0, 0.0, 1.5, -2.25)[(i * 7) % 4] for i in range(_ROWS)]),
+        Scheme.DICT,
+        BitpackBlock,
+    ),
+    "raw-signed-zero/raw": (
+        types.FLOAT,
+        np.where(np.arange(_ROWS) % 9 == 0, -0.0, np.arange(_ROWS) * 0.25),
+        Scheme.RAW,
+        RawBlock,
+    ),
 }
 
 
@@ -57,7 +71,8 @@ def corpus() -> dict:
     return segments
 
 
-# sha256 of each blob. Every one is the earlier code's, but for the
+# sha256 of each blob. Every one is the earlier code's (the signed-zero
+# cases aside, see below), but for the
 # archived dictionary segments, which lost their plain dictionary section
 # (and that flag bit): their archive is byte for byte the earlier one.
 GOLDEN = {
@@ -81,6 +96,15 @@ GOLDEN = {
     "value/rle no nulls plain": "ade1b26ec098ec7d00752265f9c005a3d4bf977b5ac53dc14888f04106be69aa",
     "value/rle nulls archived": "ac4dcaa4c4c3a9be819eebbd08d3959246ebcdd5d0e4c684b1ec2eb03efa2d43",
     "value/rle nulls plain": "731f5e202d52da94dd92d61561a9edfa715a209ad06d2df6335769bad0a23443",
+    # The signed-zero cases are new with the rule that keeps the sign.
+    "dict-signed-zero/bitpack no nulls archived": "605f967591d4b67c9b3a3e7497a68face26a2a643ae6a5be5e0b917e951e35dd",
+    "dict-signed-zero/bitpack no nulls plain": "066ad8237acadcee910b758b1e9562bd3f43282d7d6a16654409caacd95dad3d",
+    "dict-signed-zero/bitpack nulls archived": "ec84eddbb2f4ffda377822d29a3a8de1d1552436ca505ceb8bd19c7e6bd29a1b",
+    "dict-signed-zero/bitpack nulls plain": "272ac0f53a7fb3e7891a2942099a35edbb953a519535afef526896183369b122",
+    "raw-signed-zero/raw no nulls archived": "4e6260ba990fb70f36fe960b5809f0f762ebe8d6aed5cb7e456bb1d445a2e143",
+    "raw-signed-zero/raw no nulls plain": "1bf5d854d387c20d42a69fa1798d99acb38c5e51713605dc9c026ccfa161bb57",
+    "raw-signed-zero/raw nulls archived": "574ad3a3d164fe48c064ce4acaf16566d90d13ca9cda691967eca9193e78a940",
+    "raw-signed-zero/raw nulls plain": "6d36dbee9ca56970598fab2405f0c94500086bbdf4f3067015191fce71fbca5a",
 }
 
 # A VARCHAR segment of 24 rows (three names, every fifth row NULL),

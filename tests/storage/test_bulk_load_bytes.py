@@ -1,15 +1,17 @@
-"""A bulk load coerced, logged and compressed as columns writes the bytes
-a row-by-row load writes.
+"""A bulk load coerced and compressed as columns writes the bytes a
+row-by-row load writes, and logs the blobs it wrote.
 
 The reference path is each row through ``coerce_row``, the rows compressed
 by ``BulkLoader.load_rows`` and logged as ``persist.serialize_rows``. On the
 benchmark suite's star tables and its ``kv`` table (small), and on a table
 of every type holding NULLs:
 
-* every segment blob ``Database.bulk_load`` leaves equals the reference's;
-* the BULK_LOAD record it logs carries the reference's payload;
+* every segment blob ``Database.bulk_load`` leaves equals the reference's,
+  and its one ROW_GROUPS record names exactly those blobs, in the pool;
 * a BULK_LOAD record holding the reference's payload replays to the same
-  row groups (logs written row by row replay unchanged).
+  row groups (logs written row by row replay unchanged);
+* the BULK_LOAD payload the column writer of older builds logged (the
+  one in ``tests/wal/old_log``) is the row path's payload for its rows.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from repro.storage import persist
 from repro.storage.blob import serialize_segment
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.wal.log import WAL_DIR_NAME
-from repro.wal.record import WalRecord, WalRecordType, scan_segment
+from repro.wal.record import WalRecord, WalRecordType, named_blobs, scan_segment
 from repro.wal.replay import apply_records
 
 SUITE_INPUTS = Path(__file__).parents[2] / "benchmarks" / "suite" / "inputs.py"
+OLD_LOG = Path(__file__).parents[1] / "wal" / "old_log"
 CONFIG = StoreConfig(rowgroup_size=2048, bulk_load_threshold=1)
 
 
@@ -110,26 +113,30 @@ def _reference(sch, rows):
     return _blobs(index), persist.serialize_rows(sch, physical)
 
 
-def _logged_payloads(root: Path) -> list[bytes]:
-    payloads = []
+def _logged(root: Path, rtype: WalRecordType) -> list[WalRecord]:
+    records = []
     for path in sorted((root / WAL_DIR_NAME).glob("seg_*.wal")):
         first_lsn = int(path.stem.split("_")[1])
         scan = scan_segment(path.read_bytes(), first_lsn)
-        payloads += [r.payload for r in scan.records if r.rtype is WalRecordType.BULK_LOAD]
-    return payloads
+        records += [r for r in scan.records if r.rtype is rtype]
+    return records
 
 
 @pytest.mark.parametrize("name, create_sql, rows", LOADS, ids=[load[0] for load in LOADS])
 def test_blobs_and_payload_equal_the_row_path(tmp_path, name, create_sql, rows):
-    db = Database.open(str(tmp_path / "db"), default_config=CONFIG)
+    root = tmp_path / "db"
+    db = Database.open(str(root), default_config=CONFIG)
     _create(db, name, create_sql)
     db.bulk_load(name, rows)
     table = db.table(name)
-    want_blobs, want_payload = _reference(table.schema, rows)
+    want_blobs, _payload = _reference(table.schema, rows)
     assert len(want_blobs) >= len(table.schema)
     assert _blobs(table.columnstore) == want_blobs
     db.close()
-    assert _logged_payloads(tmp_path / "db") == [want_payload]
+    assert _logged(root, WalRecordType.BULK_LOAD) == []
+    [record] = _logged(root, WalRecordType.ROW_GROUPS)
+    named = sorted((root / entry.path).read_bytes() for entry in named_blobs(record))
+    assert named == sorted(want_blobs.values())
 
 
 @pytest.mark.parametrize("name, create_sql, rows", LOADS, ids=[load[0] for load in LOADS])
@@ -156,3 +163,22 @@ def test_a_small_load_and_a_heap_take_the_rows_the_row_path_takes(storage):
     want.insert("mixed", rows)
     query = "SELECT * FROM mixed ORDER BY id"
     assert repr(db.sql(query).rows) == repr(want.sql(query).rows)
+
+
+def test_the_old_column_payload_is_the_row_path_payload():
+    """The BULK_LOAD payload older builds wrote column by column carries the
+    bytes ``serialize_rows`` writes for the same rows, and reads back as
+    those rows."""
+    spec = importlib.util.spec_from_file_location("make_old_log", OLD_LOG / "make_log.py")
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    segment = OLD_LOG / "seg_000000000001.wal"
+    records = scan_segment(segment.read_bytes(), 1).records
+    [load] = [r for r in records if r.rtype is WalRecordType.BULK_LOAD]
+    db = Database()
+    db.sql(maker.CREATE)
+    sch = db.table("t").schema
+    physical = [sch.coerce_row(maker.row(i)) for i in range(600)]
+    assert load.payload == persist.serialize_rows(sch, physical)
+    columns = persist.deserialize_columns(sch, load.payload)
+    assert repr(list(columns.rows())) == repr(persist.deserialize_rows(sch, load.payload))

@@ -5,7 +5,8 @@ order every stored segment was written in, so the one-key sort that
 replaced it must give exactly this permutation, ties and collisions of
 the proxies included (NULL beside -inf, -0.0 beside 0.0, every NaN,
 integers past 2**53 that share a float). Also: :func:`factorize`, which
-the order reads, against ``np.unique`` and a sorted set."""
+the order reads, against ``np.unique`` and a sorted set (floats by their
+bits)."""
 
 import numpy as np
 import pytest
@@ -116,9 +117,19 @@ def test_factorize_matches_unique(case):
         assert distinct.tolist() == sorted(set(values))
         assert distinct[ranks].tolist() == values
         return
+    assert ranks.dtype == np.int64
+    if dtype is np.float64:
+        # By bits: the column comes back bit for bit, each bit pattern
+        # once, in value order (-0.0 before 0.0, NaNs last).
+        bits = distinct.view(np.int64)
+        assert np.array_equal(distinct[ranks].view(np.int64), array.view(np.int64))
+        assert np.unique(bits).size == bits.size
+        assert np.array_equal(np.sort(distinct), distinct, equal_nan=True)
+        assert np.lexsort((bits, distinct)).tolist() == list(range(bits.size))
+        return
     expected, inverse = np.unique(array, return_inverse=True)
     assert np.array_equal(distinct, expected.astype(distinct.dtype), equal_nan=True)
-    assert ranks.dtype == np.int64 and ranks.tolist() == inverse.tolist()
+    assert ranks.tolist() == inverse.tolist()
 
 
 class TestOrderCases:

@@ -108,6 +108,8 @@ class TestCheckpointWritesWhatChanged:
         assert counters["bytes_written"] < 16 * 1024  # 100 rows, not 100,000
 
     def test_tuple_mover_run_writes_one_groups_segments(self, kv, registry):
+        """The run writes its group's segments itself (and logs their
+        names); the checkpoint after it writes none."""
         db, root = kv
         before = pool_entries(root)
         for start in range(0, 300, 50):  # closes one 256-row delta store
@@ -117,14 +119,15 @@ class TestCheckpointWritesWhatChanged:
             db.sql(f"INSERT INTO kv VALUES {values}")
         result = db.run_tuple_mover("kv")
         assert result.row_groups_created == 1
+        assert registry.counter("storage.wal.blobs_written") == KV_COLUMNS
         db.save(str(root))
         manifest = load_manifest(DiskIO(), root)
         counters = snapshot_counters(registry)
-        assert counters["files_reused"] == 35
+        assert counters["files_reused"] == 35 + KV_COLUMNS
         new_blobs = pool_entries(root) - before
         assert len(new_blobs) == KV_COLUMNS
         assert {name.rsplit("/", 1)[1].split(".")[0] for name in new_blobs} == {"g7"}
-        assert counters["files_written"] == len(manifest.files) - 35
+        assert counters["files_written"] == len(manifest.files) - 40
         assert pool_files(root) == pool_entries(root) and len(pool_files(root)) == 40
 
     def test_open_verifies_every_listed_byte(self, kv_directory, tmp_path, registry):
@@ -182,10 +185,11 @@ class TestReencodingAndPaths:
         assert len(original) == 9  # 3 row groups x 3 columns
         expected = rows_of(db)
 
-        db.set_archival("kv", True)
+        db.set_archival("kv", True)  # writes (and logs) the new blobs
+        assert registry.counter("storage.wal.blobs_written") == 9
         db.save(str(root))
         archived = pool_entries(root)
-        assert snapshot_counters(registry)["files_reused"] == 0
+        assert snapshot_counters(registry)["files_reused"] == 9
         assert len(archived) == 9 and not (archived & original)
         assert pool_files(root) == archived  # the old blobs are gone
 
@@ -262,6 +266,9 @@ class TestCrashesAroundThePool:
     def test_crash_between_last_pool_write_and_manifest_rename(
         self, small, tmp_path, registry
     ):
+        """The last pool write is the tuple mover's (the save writes no
+        blob): a crash anywhere in the save leaves its blobs named by the
+        log, not the manifest, until a checkpoint names them."""
         seeded, committed = small
         state_a = state_of(seeded)
         seeded.close()
@@ -273,20 +280,21 @@ class TestCrashesAroundThePool:
         state_b = state_of(db)
         db.close()
         assert state_b != state_a
-        last_blob = max(op for op, dst in probe.renames if dst.endswith(".seg"))
+        assert not [dst for _op, dst in probe.renames if dst.endswith(".seg")]
         manifest_rename = next(op for op, dst in probe.renames if dst.endswith(MANIFEST_NAME))
-        assert last_blob + 1 < manifest_rename == probe.ops - 1
+        assert manifest_rename == probe.ops - 1
 
-        for crash_at in range(last_blob + 1, manifest_rename + 1):
+        for crash_at in range(manifest_rename + 1):
             db = self._reopened_and_mutated(committed, work)
             with pytest.raises(InjectedFault):
                 db.save(str(work), disk=FaultyDisk(crash_after_ops=crash_at))
             db.close()
-            # The interrupted save's blobs are there, named by nothing.
+            # The mover's blobs are there, named by the log's tail.
             report = Database.check(str(work))
             assert report.ok
-            orphans = {v.path for v in report.verdicts if v.status == "orphan"}
-            assert orphans == pool_files(work) - pool_entries(work) and len(orphans) == 3
+            pending = {v.path for v in report.verdicts if v.status == "pending"}
+            assert pending == pool_files(work) - pool_entries(work) and len(pending) == 3
+            assert not [v for v in report.verdicts if v.status == "orphan"]
             rolled_back = registry.counter("storage.recovery.snapshots_rolled_back")
             # The old snapshot opens, and the log it never truncated
             # replays the statements the lost checkpoint covered.
@@ -294,7 +302,7 @@ class TestCrashesAroundThePool:
             assert load_manifest(DiskIO(), work).snapshot_id == 1
             assert state_of(reopened) == state_b
             reopened.close()
-            assert pool_files(work) == pool_entries(work)  # orphans collected
+            assert pool_files(work) - pool_entries(work) == pending
             assert (
                 registry.counter("storage.recovery.snapshots_rolled_back")
                 == rolled_back + 1
@@ -305,6 +313,7 @@ class TestCrashesAroundThePool:
             snapshot_only = Database.load(str(work))
             assert state_of(snapshot_only) == state_a
             snapshot_only.close()
+            assert pool_files(work) == pool_entries(work)  # no log pins them now
 
     def test_dropped_manifest_rename_removes_no_blob_of_the_previous_manifest(
         self, small, registry
@@ -417,7 +426,7 @@ class TestHotBackupBetweenIncrementalCheckpoints:
         db, root = small
         mutate(db)
         db.save(str(root))  # incremental checkpoint 2
-        assert snapshot_counters(registry)["files_reused"] == 9
+        assert snapshot_counters(registry)["files_reused"] == 9 + 3  # the mover's too
         db.sql("INSERT INTO kv VALUES (7000, 'tail', 7.5)")  # WAL tail
 
         job = prepare_backup(db, tmp_path / "bk")
