@@ -86,7 +86,8 @@ def run_comparison() -> dict:
     trickle_index = trickle()
     trickle_size_before = trickle_index.size_bytes
     mover_timing = time_call(
-        lambda: TupleMover(trickle_index).run(include_open=True), repeat=1
+        lambda: TupleMover(trickle_index).run(trickle_index.plan_move(include_open=True)),
+        repeat=1,
     )
     return {
         "bulk_s": bulk_timing.seconds,

@@ -14,7 +14,8 @@ pool. Archiving its segment first links each blob (a hard link, so no
 byte is written again; a copy across devices) to the same path under
 the archive — ``wal_archive/segments/...`` — and syncs the directories
 that holds, so a restore replaying the archive never needs the live
-pool. A blob only a rolled-back transaction's record names is left out.
+pool (:func:`~repro.wal.record.logged_blobs` says which blobs a log
+needs, for the archive as for every other holder of a log).
 
 Retention is bounded by the oldest registered backup: a backup registers
 itself in ``backups.json`` on completion, and :meth:`WalArchiver.prune`
@@ -37,9 +38,9 @@ from pathlib import Path
 from ..errors import WalCorruptError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import POOL_DIR_NAME, ManifestEntry, sweep
-from ..wal.log import _SEGMENT_RE, WalVerdict, _list_segments
-from ..wal.record import WalRecord, WalRecordType, named_blobs, scan_segment
+from ..storage.snapshot import POOL_DIR_NAME, sweep
+from ..wal.log import _SEGMENT_RE, WalVerdict, _list_segments, read_records
+from ..wal.record import WalRecord, logged_blobs, scan_segment
 
 #: Default archive location, a sibling of the ``wal/`` directory.
 ARCHIVE_DIR_NAME = "wal_archive"
@@ -105,7 +106,7 @@ class WalArchiver:
 
     def _link_blobs(self, disk: DiskIO, source_root: Path, records: list[WalRecord]) -> None:
         synced: set[Path] = set()
-        for entry in _kept_blobs(records):
+        for _lsn, entry in logged_blobs(records).values():
             dest = self.root / entry.path
             if disk.file_size(dest) != entry.size:
                 disk.link_file(source_root / entry.path, dest)
@@ -222,7 +223,7 @@ class WalArchiver:
 
     def _prune_blobs(self) -> None:
         """Remove archived blobs no archived record names any more."""
-        named = {entry.path for entry in _archived_blobs(self.disk, self.root)}
+        named = logged_blobs(read_records(self.disk, self.root))
         sweep(self.disk, self.root / POOL_DIR_NAME, POOL_DIR_NAME, named.__contains__)
 
     # ------------------------------------------------------------------ #
@@ -241,24 +242,6 @@ class WalArchiver:
             "last_archived_lsn": spans[-1][2] if spans else 0,
             "registered_backups": len(self.registered_backups()),
         }
-
-
-def _kept_blobs(records: list[WalRecord]) -> list[ManifestEntry]:
-    """The blobs one segment's records name, but those of a transaction
-    that segment also shows aborted."""
-    aborted = {r.txn_id for r in records if r.rtype is WalRecordType.TXN_ABORT}
-    return [e for r in records if r.txn_id not in aborted for e in named_blobs(r)]
-
-
-def _archived_blobs(disk: DiskIO, root: Path) -> list[ManifestEntry]:
-    """The blobs the archive holds for its records (:func:`_kept_blobs`)."""
-    return [
-        entry
-        for first_lsn, name in _list_segments(disk, root)
-        for entry in _kept_blobs(
-            scan_segment(disk.read_file(root / name), first_lsn, source=name).records
-        )
-    ]
 
 
 def check_archive(disk: DiskIO, root: Path) -> list[WalVerdict]:
@@ -312,9 +295,9 @@ def check_archive(disk: DiskIO, root: Path) -> list[WalVerdict]:
             continue
         previous_last = None  # damage breaks the chain; report once
     verdicts.extend(
-        WalVerdict(entry.path, "missing", "a blob an archived record names")
-        for entry in _archived_blobs(disk, root)
-        if disk.file_size(root / entry.path) != entry.size
+        WalVerdict(path, "missing", f"a blob archived record {lsn} names")
+        for path, (lsn, entry) in logged_blobs(read_records(disk, root)).items()
+        if disk.file_size(root / path) != entry.size
     )
     archiver = WalArchiver(disk, root)
     if first_archived is not None:

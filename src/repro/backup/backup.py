@@ -41,7 +41,7 @@ from ..observability import registry as metrics
 from ..storage.diskio import DiskIO, crc32c
 from ..storage.snapshot import MANIFEST_NAME, Manifest, ManifestEntry
 from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_image
-from ..wal.record import WalRecord, named_blobs, scan_segment
+from ..wal.record import WalRecord, logged_blobs, scan_segment
 from .manifest import (
     BACKUP_MANIFEST_NAME,
     IMAGE_DIR_NAME,
@@ -156,11 +156,9 @@ class BackupJob:
             low=self.checkpoint_lsn,
             high=self.backup_lsn,
         )
-        for record in records:
-            for entry in named_blobs(record):
-                if entry.path not in copied:
-                    copy(entry)
-                    copied.add(entry.path)
+        for path, (_lsn, entry) in logged_blobs(records).items():
+            if path not in copied:
+                copy(entry)
         if records:
             name, merged = _segment_image(records)
             put(f"{WAL_SUBDIR_NAME}/{name}", merged, crc32c(merged))

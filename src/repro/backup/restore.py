@@ -43,7 +43,7 @@ from ..wal.record import (
     AUTO_COMMIT_TXN,
     WalRecord,
     WalRecordType,
-    named_blobs,
+    logged_blobs,
     scan_segment,
 )
 from .manifest import (
@@ -260,23 +260,19 @@ def restore_backup(
 
 
 def _lay_down_blobs(disk: DiskIO, dest: Path, records: list[WalRecord], archive) -> None:
-    """Every blob a record replay will apply names, from the archive
-    unless the image laid it down already."""
-    committed = {r.txn_id for r in records if r.rtype is WalRecordType.TXN_COMMIT}
-    for record in records:
-        if record.txn_id != AUTO_COMMIT_TXN and record.txn_id not in committed:
+    """Every blob the restored log names, from the archive unless the
+    image laid it down already."""
+    for path, (lsn, entry) in logged_blobs(records).items():
+        if disk.file_size(dest / path) == entry.size:
             continue
-        for entry in named_blobs(record):
-            if disk.file_size(dest / entry.path) == entry.size:
-                continue
-            source = Path(archive) / entry.path if archive is not None else None
-            data = disk.read_file(source) if source is not None and disk.exists(source) else b""
-            if len(data) != entry.size or crc32c(data) != entry.crc32c:
-                raise RestoreError(
-                    f"segment blob {entry.path} named by LSN {record.lsn} is in "
-                    "neither the backup nor the archive, or is damaged there"
-                )
-            disk.write_file(dest / entry.path, data)
+        source = Path(archive) / path if archive is not None else None
+        data = disk.read_file(source) if source is not None and disk.exists(source) else b""
+        if len(data) != entry.size or crc32c(data) != entry.crc32c:
+            raise RestoreError(
+                f"segment blob {path} named by LSN {lsn} is in "
+                "neither the backup nor the archive, or is damaged there"
+            )
+        disk.write_file(dest / path, data)
 
 
 def _claim_destination(

@@ -183,7 +183,7 @@ class Table:
             index.install_load(change.groups, txn)
             result = sum(group.row_count for group in change.groups)
         elif change.kind == MOVE:
-            result = TupleMover(index).run(change=change)
+            result = TupleMover(index).run(change)
         elif change.kind == REBUILD:
             index.rebuild(change)
         else:

@@ -107,36 +107,44 @@ class Durability:
 
         Each blob is pinned before it is written, so a checkpoint running
         meanwhile does not collect it; :meth:`logged` hands the pin over
-        to the record once it is appended.
+        to the record once it is appended. A write that fails drops the
+        pins it took.
         """
         disk, root = self.disk, Path(self.root)
         stored = self._stored_at(root)
         table_dir = PurePosixPath(POOL_DIR_NAME, table)
-        new_dirs = not disk.is_dir(root / table_dir / "rowgroups")
-        groups = []
-        for group in change.groups:
-            segments = {}
-            for column, segment in group.segments.items():
-                data = serialize_segment(segment)
-                crc = crc32c(data)
-                entry = ManifestEntry(
-                    pool_path(f"{table}/rowgroups/g{group.group_id}.{column}.seg", crc),
-                    len(data),
-                    crc,
-                )
-                self._blob_lsns.setdefault(entry.path, IN_FLIGHT)
-                if disk.file_size(root / entry.path) != entry.size:
-                    disk.write_file(root / entry.path, data)
-                    metrics.increment("storage.wal.blobs_written")
-                    metrics.increment("storage.wal.blob_bytes_written", len(data))
-                stored.put(segment, entry, logged=True)
-                segments[column] = entry.to_json()
-            groups.append({"id": group.group_id, "segments": segments})
-        if new_dirs and groups:
-            # A blob's write synced its own directory; the entries that
-            # lead to it must be durable before a record names it.
+        if change.groups and not disk.is_dir(root / table_dir / "rowgroups"):
+            # A blob's write syncs its own directory; the entries that
+            # lead to it are made durable here, before any blob goes in.
+            disk.mkdir(root / table_dir / "rowgroups")
             for directory in (table_dir, table_dir.parent, PurePosixPath(".")):
                 disk.sync_dir(root / directory)
+        groups, pinned = [], []
+        try:
+            for group in change.groups:
+                segments = {}
+                for column, segment in group.segments.items():
+                    data = serialize_segment(segment)
+                    crc = crc32c(data)
+                    entry = ManifestEntry(
+                        pool_path(f"{table}/rowgroups/g{group.group_id}.{column}.seg", crc),
+                        len(data),
+                        crc,
+                    )
+                    if entry.path not in self._blob_lsns:
+                        self._blob_lsns[entry.path] = IN_FLIGHT
+                        pinned.append(entry.path)
+                    if disk.file_size(root / entry.path) != entry.size:
+                        disk.write_file(root / entry.path, data)
+                        metrics.increment("storage.wal.blobs_written")
+                        metrics.increment("storage.wal.blob_bytes_written", len(data))
+                    stored.put(segment, entry, logged=True)
+                    segments[column] = entry.to_json()
+                groups.append({"id": group.group_id, "segments": segments})
+        except BaseException:
+            for path in pinned:
+                self._blob_lsns.pop(path, None)
+            raise
         return row_groups_payload(
             {
                 "kind": change.kind,
@@ -270,20 +278,21 @@ class Durability:
             if table.rowstore is not None:
                 persist.save_rowstore(table.rowstore, writer, table.name)
         writer.write("catalog.json", json.dumps(catalog_entries, indent=1).encode("utf-8"))
-        manifest = writer.commit(checkpoint_lsn=checkpoint_lsn, collect=wal is None)
+        manifest = writer.commit(checkpoint_lsn=checkpoint_lsn)
         if writer.committed:
             # Only a read-back-verified manifest licenses destroying log
-            # segments (a dropped rename means the old snapshot is still
-            # the live one and its log tail is still needed).
+            # segments and collecting files (a dropped rename means the
+            # old snapshot is still the live one and its log tail is
+            # still needed). Truncation archives the covered segments,
+            # and with them the blobs their records name, before the pool
+            # loses any.
             if wal is not None:
-                # Truncation archives the covered segments, and with them
-                # the blobs their records name, before the pool loses any.
                 wal.truncate_covered(checkpoint_lsn)
-                collect_garbage(disk, root, manifest, self.pinned)
                 first_live = wal.first_live_lsn
                 for path, lsn in list(self._blob_lsns.items()):
                     if lsn != IN_FLIGHT and lsn < first_live:
                         self._blob_lsns.pop(path, None)
+            collect_garbage(disk, root, manifest, self.pinned if wal is not None else None)
             self._saved = fingerprint
             self._stored_segments = writer.stored
 
@@ -315,7 +324,7 @@ class Durability:
         found = has_wal or disk.exists(root / MANIFEST_NAME) or disk.exists(root / "catalog.json")
         if found or not create:
             try:
-                reader = open_snapshot(disk, root, collect=False)
+                reader = open_snapshot(disk, root)
             except RecoveryError:
                 if not has_wal or disk.exists(root / MANIFEST_NAME):
                     # Either there is no log to recover from, or a manifest
@@ -345,8 +354,8 @@ class Durability:
         if found:
             # What interrupted saves and statements left goes; the blobs
             # the live log names stay (replay reads the tail's back).
-            roll_back(disk, root, manifest, recovery.blob_lsns.__contains__)
-        self._blob_lsns = dict(recovery.blob_lsns)
+            roll_back(disk, root, manifest, recovery.blobs.__contains__)
+        self._blob_lsns = {path: lsn for path, (lsn, _entry) in recovery.blobs.items()}
         if reader is not None:
             self._load_snapshot(reader)
         self.disk, self.root = disk, resolved

@@ -37,12 +37,13 @@ pool themselves, before their write-ahead log record names them
 then reuses those blobs as it reuses the manifest's.
 
 Garbage collection is one rule, applied only after a manifest has been
-read back and verified: under the pool and the snapshot directories,
-remove every file the committed manifest does not name (and stray
-``*.tmp`` files at the root), except a pool blob a record the live log
-still holds names, or that a statement is still writing (``pinned``).
-Nothing a committed manifest names is removed before a newer manifest is
-committed.
+read back and verified (the checkpoint after its commit, the open after
+:func:`open_snapshot`, :func:`collect_garbage` either way): under the
+pool and the snapshot directories, remove every file the committed
+manifest does not name (and stray ``*.tmp`` files at the root), except a
+pool blob a record the live log still holds names, or that a statement
+is still writing (``pinned``). Nothing a committed manifest names is
+removed before a newer manifest is committed.
 
 Opening verifies the size and checksum of every listed file before any
 byte is deserialized, raising :class:`~repro.errors.CorruptBlobError`
@@ -233,8 +234,9 @@ class SnapshotWriter:
     ``write_segment`` puts a segment blob into the pool unless ``stored``
     says this root already holds it (both via write-temp/fsync/rename,
     both recorded with size and checksum); ``commit`` writes the
-    manifest — the single atomic commit point — and collects whatever
-    the committed manifest no longer names.
+    manifest — the single atomic commit point — and reads it back. The
+    caller then collects whatever the committed manifest no longer
+    names (:func:`collect_garbage`).
     """
 
     def __init__(
@@ -313,10 +315,9 @@ class SnapshotWriter:
             self._unsynced_dirs.update(PurePosixPath(entry.path).parent.parents)
         self.stored.put(segment, entry)
 
-    def commit(self, checkpoint_lsn: int = 0, collect: bool = True) -> Manifest:
-        """Write the manifest, read it back, and (unless ``collect`` is
-        false: the caller collects, :func:`collect_garbage`) remove what
-        the committed manifest does not name."""
+    def commit(self, checkpoint_lsn: int = 0) -> Manifest:
+        """Write the manifest and read it back: ``committed`` says whether
+        it is now the live one."""
         manifest = Manifest(
             snapshot_id=self.snapshot_id,
             files=list(self._entries),
@@ -332,10 +333,10 @@ class SnapshotWriter:
         for directory in sorted(self._unsynced_dirs, reverse=True):
             self.disk.sync_dir(self.root / directory)
         self.disk.write_file(self.root / MANIFEST_NAME, manifest.to_json())
-        # Garbage collection is destructive, so read the manifest back
-        # and only collect once it provably is this snapshot's — if the
-        # rename was lost (dropped-rename fault, lying disk), the
-        # previous manifest is still the live one and every file it
+        # Garbage collection is destructive, so read the manifest back:
+        # only once it provably is this snapshot's may the caller collect
+        # — if the rename was lost (dropped-rename fault, lying disk),
+        # the previous manifest is still the live one and every file it
         # names must survive.
         try:
             committed = load_manifest(self.disk, self.root)
@@ -343,8 +344,6 @@ class SnapshotWriter:
             committed = None
         if committed is not None and committed.snapshot_id == self.snapshot_id:
             self.committed = True
-            if collect:
-                collect_garbage(self.disk, self.root, committed)
         return manifest
 
 
@@ -464,10 +463,10 @@ def _verify(disk: DiskIO, root: Path, entry: ManifestEntry) -> tuple[bytes | Non
     return data, "ok", ""
 
 
-def open_snapshot(disk: DiskIO, root: Path, collect: bool = True) -> SnapshotReader:
+def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
     """Open the committed snapshot of ``root``: locate the newest complete
-    manifest, verify every checksum, and (unless ``collect`` is false:
-    the caller does, :func:`roll_back`) roll back interrupted saves.
+    manifest and verify every checksum. What interrupted saves left is
+    the caller's to roll back (:func:`roll_back`).
 
     Raises :class:`RecoveryError` if no manifest exists (naming the
     pre-manifest layout when that is what the directory holds) and
@@ -496,8 +495,6 @@ def open_snapshot(disk: DiskIO, root: Path, collect: bool = True) -> SnapshotRea
             f"snapshot {manifest.snapshot_id} failed verification: "
             + "; ".join(failures)
         )
-    if collect:
-        roll_back(disk, root, manifest)
     return SnapshotReader(manifest, files, StoredSegments(root))
 
 
@@ -607,7 +604,8 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
     """
     from ..backup.archive import ARCHIVE_DIR_NAME, check_archive
     from ..backup.manifest import RESTORE_MARKER_NAME
-    from ..wal.log import WAL_DIR_NAME, check_wal, logged_blobs
+    from ..wal.log import WAL_DIR_NAME, check_wal, read_records
+    from ..wal.record import logged_blobs
 
     root = Path(root)
     if disk.exists(root / RESTORE_MARKER_NAME):
@@ -627,7 +625,9 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
                 root=str(root),
                 manifest_status="wal-only",
                 detail="(no snapshot yet: all state is in the log)",
-                verdicts=_pool_verdicts(disk, root, set(), logged_blobs(disk, wal_dir), 0),
+                verdicts=_pool_verdicts(
+                    disk, root, set(), logged_blobs(read_records(disk, wal_dir)), 0
+                ),
                 wal_verdicts=check_wal(disk, wal_dir, checkpoint_lsn=0),
             )
         return IntegrityReport(
@@ -659,7 +659,7 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
         else:
             metrics.increment("storage.recovery.checksum_failures")
         report.verdicts.append(verdict)
-    logged = logged_blobs(disk, wal_dir) if has_wal else {}
+    logged = logged_blobs(read_records(disk, wal_dir)) if has_wal else {}
     named = {entry.path for entry in manifest.files}
     report.verdicts.extend(
         _pool_verdicts(disk, root, named, logged, manifest.checkpoint_lsn)

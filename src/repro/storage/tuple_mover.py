@@ -41,19 +41,18 @@ class TupleMover:
     def __init__(self, index: ColumnStoreIndex) -> None:
         self.index = index
 
-    def run(
-        self, include_open: bool = False, change: RowGroupChange | None = None
-    ) -> TupleMoverReport:
-        """Compress every closed delta store (optionally the open one too).
+    def run(self, change: RowGroupChange | None = None) -> TupleMoverReport:
+        """Install a planned move: its row groups go in and its delta
+        stores are retired.
 
-        ``include_open`` models a forced move (e.g. REORGANIZE with
-        COMPRESS_ALL_ROW_GROUPS): the open delta store is closed first.
-        ``change`` is the move already planned
-        (:meth:`ColumnStoreIndex.plan_move`, or a replayed record's): its
-        row groups are installed and its delta stores retired.
+        ``change`` is :meth:`ColumnStoreIndex.plan_move`'s (or a replayed
+        record's); without one, every closed delta store is compressed. A
+        forced move (e.g. REORGANIZE with COMPRESS_ALL_ROW_GROUPS) is
+        planned with ``plan_move(include_open=True)``: the open delta
+        store is closed first.
         """
         index = self.index
-        change = change or index.plan_move(include_open)
+        change = change or index.plan_move()
         if change.include_open:
             index.close_open_delta()
         deltas = [index._delta_stores.get(delta_id) for delta_id in change.deltas]

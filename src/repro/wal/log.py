@@ -56,7 +56,7 @@ from .record import (
     WalRecord,
     WalRecordType,
     encode_record,
-    named_blobs,
+    logged_blobs,
     require_clean_scan,
     scan_segment,
 )
@@ -100,8 +100,8 @@ class WalRecovery:
     """What :meth:`WriteAheadLog.attach` found on disk."""
 
     replay_records: list[WalRecord] = field(default_factory=list)
-    # Pool blob path -> LSN of the live record naming it (the newest).
-    blob_lsns: dict[str, int] = field(default_factory=dict)
+    # The pool blobs the live log names (record.logged_blobs).
+    blobs: dict[str, tuple[int, ManifestEntry]] = field(default_factory=dict)
     last_lsn: int = 0
     truncated_segment: str | None = None
     truncated_at: int | None = None
@@ -206,9 +206,7 @@ class WriteAheadLog:
         recovery.replay_records = [
             record for record in all_records if record.lsn > checkpoint_lsn
         ]
-        recovery.blob_lsns = {
-            entry.path: record.lsn for record in all_records for entry in named_blobs(record)
-        }
+        recovery.blobs = logged_blobs(all_records)
         if recovery.replay_records:
             first = recovery.replay_records[0].lsn
             if first != checkpoint_lsn + 1:
@@ -482,16 +480,15 @@ def _list_segments(disk: DiskIO, root: Path) -> list[tuple[int, str]]:
     return segments
 
 
-def logged_blobs(disk: DiskIO, root: Path) -> dict[str, tuple[int, ManifestEntry]]:
-    """Every pool blob a record of the log at ``root`` names, by path:
-    the LSN of the newest record naming it and its entry. Reads past
-    damage to what a scan recovers; never raises for it."""
-    named = {}
-    for first_lsn, name in _list_segments(disk, Path(root)):
-        for record in scan_segment(disk.read_file(Path(root) / name), first_lsn, name).records:
-            for entry in named_blobs(record):
-                named[entry.path] = (record.lsn, entry)
-    return named
+def read_records(disk: DiskIO, root: Path) -> list[WalRecord]:
+    """Every record the segments at ``root`` (a live log or an archive)
+    hold, reading past damage to what a scan recovers; never raises for
+    it."""
+    return [
+        record
+        for first_lsn, name in _list_segments(disk, Path(root))
+        for record in scan_segment(disk.read_file(Path(root) / name), first_lsn, name).records
+    ]
 
 
 def _segment_image(records: list[WalRecord]) -> tuple[str, bytes]:

@@ -30,9 +30,10 @@ reordered segments that per-record CRCs cannot.
 
 A ``ROW_GROUPS`` record does not carry its row groups: it names the
 segment blobs its change wrote into the database's write-once pool
-before the record was appended (:func:`named_blobs`), by their paths
-relative to the database root. Whatever keeps a log — the live log, its
-archive, a backup — keeps the blobs its records name.
+before the record was appended, by their paths relative to the
+database root. Whatever keeps a log — the live log, its archive, a
+backup, a restore — keeps the blobs its records name, and
+:func:`logged_blobs` is the one answer to which those are.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import WalCorruptError
 from ..storage.diskio import crc32c
@@ -112,12 +114,25 @@ def parse_row_groups(payload: bytes) -> dict:
     return body
 
 
-def named_blobs(record: "WalRecord") -> list[ManifestEntry]:
-    """The pool blobs a record names (none but a ROW_GROUPS record's)."""
-    if record.rtype is not WalRecordType.ROW_GROUPS:
-        return []
-    groups = parse_row_groups(record.payload)["groups"]
-    return [entry for group in groups for entry in group["segments"].values()]
+def logged_blobs(records: Iterable[WalRecord]) -> dict[str, tuple[int, ManifestEntry]]:
+    """The pool blobs a log holding ``records`` needs, by path: each blob
+    a ROW_GROUPS record names, with the LSN of the newest record naming it.
+
+    Every record counts, whatever became of its transaction. The archive
+    takes a segment when it is sealed, before a transaction open across
+    it has committed or rolled back, so no narrower rule gives the live
+    log, the archive, a backup, a restore and ``repro check`` the same
+    answer for the same records. A rolled-back load's blobs cost only
+    space: the pool drops them once its record leaves the live log, the
+    archive once retention prunes the segment.
+    """
+    named: dict[str, tuple[int, ManifestEntry]] = {}
+    for record in records:
+        if record.rtype is WalRecordType.ROW_GROUPS:
+            for group in parse_row_groups(record.payload)["groups"]:
+                for entry in group["segments"].values():
+                    named[entry.path] = (record.lsn, entry)
+    return named
 
 
 @dataclass

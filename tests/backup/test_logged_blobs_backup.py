@@ -3,7 +3,10 @@
 A ROW_GROUPS record names segment blobs in the pool. The archive keeps
 the blobs its records name (linked beside its segments) and a hot backup
 copies the blobs its log prefix names, so a restore never reads the
-source's pool: it works with the live ``segments/`` gone.
+source's pool: it works with the live ``segments/`` gone. Every holder
+of a log keeps the blobs of every record it holds, whatever became of
+the record's transaction, so a restored log past a rolled-back or
+never-ended load checks clean and archives at its first checkpoint.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import shutil
 from repro import Database, StoreConfig
 from repro.backup import ARCHIVE_DIR_NAME, restore_backup
 from repro.storage.snapshot import POOL_DIR_NAME
+from repro.wal.log import WAL_DIR_NAME
 
 CONFIG = StoreConfig(rowgroup_size=64, bulk_load_threshold=16, delta_close_rows=16)
+LOAD = [(i, f"g{i % 4}") for i in range(200)]  # four row groups
 
 
 def rows(db: Database) -> list:
@@ -104,3 +109,55 @@ def test_pruning_the_archive_prunes_the_blobs_it_no_longer_names(tmp_path):
     assert not archived.exists()
     db.close()
     assert Database.check(str(root)).ok
+
+
+def restore_checks_and_archives(tmp_path, root, want) -> None:
+    """Restore the backup taken before the load with the archive, to the
+    latest commit: the restored database checks clean, holds ``want``,
+    and its first checkpoint archives its whole log."""
+    shutil.rmtree(root / POOL_DIR_NAME, ignore_errors=True)
+    restored = tmp_path / "restored"
+    restore_backup(tmp_path / "bk", restored, archive=root / ARCHIVE_DIR_NAME)
+    assert Database.check(str(restored)).ok
+    db = Database.open(str(restored))
+    assert rows(db) == want
+    live = sorted(path.name for path in (restored / WAL_DIR_NAME).glob("seg_*.wal"))
+    assert live
+    db.save(str(restored), force=True)
+    assert not list((restored / WAL_DIR_NAME).glob("seg_*.wal"))
+    assert all((restored / ARCHIVE_DIR_NAME / name).is_file() for name in live)
+    db.close()
+    assert Database.check(str(restored)).ok
+
+
+def test_pitr_past_a_rolled_back_load(tmp_path):
+    root = tmp_path / "db"
+    db = loaded(root)
+    db.save(str(root))
+    db.backup(str(tmp_path / "bk"))
+    db.begin()
+    db.bulk_load("t", LOAD)
+    db.rollback()
+    db.insert("t", [(5000, "after the rollback")])
+    want = rows(db)
+    db.save(str(root))  # archives the segment the rollback is in
+    db.close()
+    restore_checks_and_archives(tmp_path, root, want)
+
+
+def test_pitr_past_a_load_whose_transaction_never_ended(tmp_path):
+    root = tmp_path / "db"
+    db = loaded(root)
+    db.save(str(root))
+    db.backup(str(tmp_path / "bk"))
+    db.begin()
+    db.bulk_load("t", LOAD)
+    db.wal.flush()
+    del db  # a crash: the transaction neither commits nor rolls back
+    db = Database.open(str(root), default_config=CONFIG)
+    db.insert("t", [(5000, "after the crash")])
+    want = rows(db)
+    assert len(want) == 2
+    db.save(str(root))
+    db.close()
+    restore_checks_and_archives(tmp_path, root, want)

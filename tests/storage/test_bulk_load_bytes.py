@@ -28,7 +28,7 @@ from repro.storage import persist
 from repro.storage.blob import serialize_segment
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.wal.log import WAL_DIR_NAME
-from repro.wal.record import WalRecord, WalRecordType, named_blobs, scan_segment
+from repro.wal.record import WalRecord, WalRecordType, logged_blobs, scan_segment
 from repro.wal.replay import apply_records
 
 SUITE_INPUTS = Path(__file__).parents[2] / "benchmarks" / "suite" / "inputs.py"
@@ -135,7 +135,7 @@ def test_blobs_and_payload_equal_the_row_path(tmp_path, name, create_sql, rows):
     db.close()
     assert _logged(root, WalRecordType.BULK_LOAD) == []
     [record] = _logged(root, WalRecordType.ROW_GROUPS)
-    named = sorted((root / entry.path).read_bytes() for entry in named_blobs(record))
+    named = sorted((root / path).read_bytes() for path in logged_blobs([record]))
     assert named == sorted(want_blobs.values())
 
 

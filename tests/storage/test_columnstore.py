@@ -165,7 +165,7 @@ class TestTupleMover:
 
     def test_include_open(self, index, sch):
         insert(index, make_rows(sch, 5))
-        report = TupleMover(index).run(include_open=True)
+        report = TupleMover(index).run(index.plan_move(include_open=True))
         assert report.rows_moved == 5
         assert index.delta_rows == 0
         assert index.live_rows == 5

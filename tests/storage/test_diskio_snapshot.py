@@ -16,6 +16,7 @@ from repro.storage.snapshot import (
     collect_garbage,
     load_manifest,
     open_snapshot,
+    roll_back,
 )
 
 
@@ -177,7 +178,7 @@ class TestSnapshotWriterReader:
         for n in range(3):
             writer = SnapshotWriter(disk, tmp_path)
             writer.write("f", f"v{n}".encode())
-            writer.commit()
+            collect_garbage(disk, tmp_path, writer.commit())
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [MANIFEST_NAME, "snap_000003"]
         assert open_snapshot(disk, tmp_path).read("f") == b"v2"
@@ -193,7 +194,8 @@ class TestSnapshotWriterReader:
         orphan.write("f", b"uncommitted")
         reader = open_snapshot(disk, tmp_path)
         assert reader.read("f") == b"committed"
-        # open_snapshot garbage-collected the interrupted directory.
+        # Rolling back after the open collects the interrupted directory.
+        roll_back(disk, tmp_path, reader.manifest)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             MANIFEST_NAME,
             "snap_000001",

@@ -24,8 +24,8 @@ from repro.storage import persist
 from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault
 from repro.storage.loader import BulkLoader
 from repro.storage.snapshot import POOL_DIR_NAME, load_manifest
-from repro.wal.log import WAL_DIR_NAME, logged_blobs
-from repro.wal.record import WalRecordType, named_blobs, scan_segment
+from repro.wal.log import WAL_DIR_NAME, read_records
+from repro.wal.record import WalRecordType, logged_blobs, scan_segment
 
 CONFIG = StoreConfig(rowgroup_size=64, bulk_load_threshold=16, delta_close_rows=16)
 CREATE = "CREATE TABLE t (k INT NOT NULL, tag VARCHAR, v FLOAT)"
@@ -72,8 +72,8 @@ def test_a_load_logs_the_blobs_it_wrote_and_replay_installs_them(tmp_path, monke
     db.close()
     [record] = records(root, WalRecordType.ROW_GROUPS)
     assert not records(root, WalRecordType.BULK_LOAD)
-    blobs = named_blobs(record)
-    assert len(blobs) == 3 * 3 and {entry.path for entry in blobs} == pool_files(root)
+    blobs = logged_blobs([record])
+    assert len(blobs) == 3 * 3 and set(blobs) == pool_files(root)
 
     def no_compressing(*_args, **_kwargs):
         raise AssertionError("replay compressed")
@@ -85,7 +85,7 @@ def test_a_load_logs_the_blobs_it_wrote_and_replay_installs_them(tmp_path, monke
     rows = [reopened.table("t").schema.coerce_row(row) for row in LOAD]
     assert len(record.payload) < len(persist.serialize_rows(reopened.table("t").schema, rows)) / 2
     reopened.save(str(root))  # the checkpoint writes no segment again
-    assert pool_files(root) == {e.path for e in blobs} <= manifest_paths(root)
+    assert pool_files(root) == set(blobs) <= manifest_paths(root)
     reopened.close()
 
 
@@ -171,7 +171,7 @@ def test_a_crash_at_every_write_point_recovers_before_or_after(tmp_path, stateme
         recovered.close()
         # The open collected every blob the crash orphaned: what the pool
         # holds, the manifest or the log names.
-        named = manifest_paths(root) | set(logged_blobs(DiskIO(), root / WAL_DIR_NAME))
+        named = manifest_paths(root) | set(logged_blobs(read_records(DiskIO(), root / WAL_DIR_NAME)))
         assert pool_files(root) <= named, crash_at
         assert not list(root.rglob("*.tmp"))
         assert Database.check(str(root)).ok
@@ -259,6 +259,50 @@ def test_a_checkpoint_keeps_the_blobs_a_statement_is_writing(tmp_path):
         load.join(10)
     assert not load.is_alive()
     cdb.close()
+    reopened = open_db(root)
+    assert reopened.sql("SELECT COUNT(*) FROM t").scalar() == len(LOAD)
+    reopened.close()
+
+
+class _FailingDisk(DiskIO):
+    """Fails the second pool blob write with an I/O error; records the
+    directories it syncs."""
+
+    def __init__(self) -> None:
+        self.blobs = 0
+        self.synced: list[Path] = []
+
+    def _write_bytes(self, path, data):
+        if POOL_DIR_NAME in Path(path).parts:
+            self.blobs += 1
+            if self.blobs == 2:
+                raise OSError("no space left on device")
+        super()._write_bytes(path, data)
+
+    def sync_dir(self, path):
+        self.synced.append(Path(path))
+        super().sync_dir(path)
+
+
+def test_a_load_whose_blob_write_fails_leaves_nothing_pinned(tmp_path):
+    root = tmp_path / "db"
+    disk = _FailingDisk()
+    db = open_db(root, disk)
+    db.sql(CREATE)
+    with pytest.raises(OSError, match="no space"):
+        db.bulk_load("t", LOAD)
+    # The directories leading to the blobs were made durable before the
+    # first blob went in, so the next load need not sync them again.
+    resolved = root.resolve()
+    assert {resolved / POOL_DIR_NAME / "t", resolved / POOL_DIR_NAME, resolved} <= {
+        path.resolve() for path in disk.synced
+    }
+    assert len(pool_files(root)) == 1  # the blob written before the failure
+    db.save(str(root))  # the failed statement pins nothing: it is collected
+    assert pool_files(root) == set()
+    assert db.sql("SELECT COUNT(*) FROM t").scalar() == 0
+    db.bulk_load("t", LOAD)  # the third write onwards succeeds
+    db.close()
     reopened = open_db(root)
     assert reopened.sql("SELECT COUNT(*) FROM t").scalar() == len(LOAD)
     reopened.close()
