@@ -91,7 +91,11 @@ class WalArchiver:
         dest = self.root / src.name
         if self.disk.exists(dest) and self.disk.read_file(dest) == data:
             return True  # already archived, byte-identical
-        # The blobs first: an archived record never names a blob the
+        # The archive's own entry first: a checkpoint deletes the live
+        # segment once this returns, so what holds the copy must be there
+        # after a power cut too.
+        self.disk.make_dirs(self.root)
+        # The blobs next: an archived record never names a blob the
         # archive lacks. They sit beside the log in the database root.
         self._link_blobs(disk, src.parent.parent, scan.records)
         self.disk.write_file(dest, data)

@@ -245,7 +245,10 @@ def restore_backup(
     if manifest.snapshot_id is not None and not disk.exists(dest / MANIFEST_NAME):
         raise RestoreError(f"{dest}: restored image failed read-back verification")
 
-    # -- commit: removing the marker is what makes dest a database.
+    # -- commit: removing the marker is what makes dest a database, so
+    # every directory laid down must be durable before it goes (a file's
+    # write syncs its own directory, not the entries leading to it).
+    _sync_tree(disk, dest)
     disk.remove(dest / RESTORE_MARKER_NAME)
     metrics.increment("restore.records_restored", len(clipped))
     metrics.increment("restore.completed")
@@ -275,6 +278,14 @@ def _lay_down_blobs(disk: DiskIO, dest: Path, records: list[WalRecord], archive)
         disk.write_file(dest / path, data)
 
 
+def _sync_tree(disk: DiskIO, directory: Path) -> None:
+    """Sync every directory under ``directory``, then it: deepest first."""
+    for name in disk.listdir(directory):
+        if disk.is_dir(directory / name):
+            _sync_tree(disk, directory / name)
+    disk.sync_dir(directory)
+
+
 def _claim_destination(
     disk: DiskIO, dest: Path, backup_root: Path, target: int
 ) -> None:
@@ -299,4 +310,5 @@ def _claim_destination(
     marker = json.dumps(
         {"backup": str(backup_root), "target_lsn": target}, sort_keys=True
     ).encode("utf-8")
+    disk.make_dirs(dest)
     disk.write_file(dest / RESTORE_MARKER_NAME, marker)

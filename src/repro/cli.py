@@ -13,8 +13,9 @@ backup (base image + covered WAL prefix) into ``dest``.
 to the requested commit boundary (``--latest`` is the default).
 
 ``python -m repro serve <dir> [--host H] [--port N]`` hosts the database
-on a local socket: one session per connection, JSON-lines protocol,
-snapshot reads concurrent with serialized writers (see repro.server).
+on a local socket: one session per connection, JSON-line requests and
+result sets in column frames, snapshot reads concurrent with serialized
+writers (see repro.server).
 
 A small REPL over :class:`repro.Database` with psql-style meta-commands:
 
@@ -428,8 +429,8 @@ def main(argv: list[str] | None = None) -> int:
     if args and args[0] == "serve":
         # `repro serve <dir> [--port N] [--host H] [--max-connections N]
         # [--max-statements N] [--idle-timeout S]`: host the database
-        # on a local socket — one session per connection, JSON lines
-        # (see repro.server). Blocks until Ctrl-C, then drains.
+        # on a local socket — one session per connection (see
+        # repro.server). Blocks until Ctrl-C, then drains.
         usage = (
             "usage: python -m repro serve <directory> [--host H] [--port N] "
             "[--max-connections N] [--max-statements N] [--idle-timeout S]"

@@ -113,12 +113,10 @@ class Durability:
         disk, root = self.disk, Path(self.root)
         stored = self._stored_at(root)
         table_dir = PurePosixPath(POOL_DIR_NAME, table)
-        if change.groups and not disk.is_dir(root / table_dir / "rowgroups"):
+        if change.groups:
             # A blob's write syncs its own directory; the entries that
             # lead to it are made durable here, before any blob goes in.
-            disk.mkdir(root / table_dir / "rowgroups")
-            for directory in (table_dir, table_dir.parent, PurePosixPath(".")):
-                disk.sync_dir(root / directory)
+            disk.make_dirs(root / table_dir / "rowgroups")
         groups, pinned = [], []
         try:
             for group in change.groups:

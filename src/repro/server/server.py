@@ -1,22 +1,29 @@
-"""Embedded SQL server: one session per connection, JSON lines over TCP.
+"""Embedded SQL server: one session per connection over TCP.
 
-``repro serve <dir>`` hosts a durable database on a local socket. The
-protocol is deliberately tiny — one JSON object per line in each
-direction — because the point of this layer is the *session semantics*
-(snapshot reads, owned transactions, graceful drain), not wire-format
-engineering:
+``repro serve <dir>`` hosts a durable database on a local socket. Each
+request is one JSON line; so is every answer but a result set, which is
+a JSON header line followed by its columns as binary frames
+(:mod:`repro.server.wire`):
 
-    → {"sql": "SELECT a FROM t"}
-    ← {"ok": true, "columns": ["a"], "rows": [[1], [2]], "rowcount": 2}
-    → {"sql": "INSERT INTO t VALUES (3)"}
-    ← {"ok": true, "columns": ["rows_affected"], "rows": [[1]], "rowcount": 1}
+    → {"sql": "SELECT a, s FROM t"}
+    ← {"ok": true, "columns": ["a", "s"], "rowcount": 2, "frames": ["q", ["x", "y"]]}
+    ← <a: NULL bitmap, 2 x int64>
+    → {"sql": "CREATE TABLE u (a INT)"}
+    ← {"ok": true, "columns": null, "rows": null, "rowcount": 0}
+    → {"op": "metrics"}
+    ← {"ok": true, "metrics": {"storage.scan.rows_scanned": 200000, ...}}
     → {"sql": "SELEC"}
-    ← {"ok": false, "error": "...", "kind": "SqlSyntaxError"}
+    ← {"ok": false, "error": "...", "kind": "SqlSyntaxError", "retryable": false}
 
-Values that JSON cannot carry natively (dates, decimals) are rendered
-with ``str``. Each connection owns one :class:`Session`, so BEGIN /
-COMMIT / ROLLBACK have per-connection semantics and a dropped
-connection rolls its open transaction back.
+The frames are there because the text was the cost: a 1,000-row,
+4-column fetch spent 59 % of its time writing every value as JSON and
+parsing it back (EXPERIMENTS.md, E18 addendum). :class:`ServerClient`
+reads frames back into the payload a JSON-lines answer gave — ``rows``
+as lists, dates and decimals as ``json.dumps(..., default=str)`` writes
+them. ``{"op": "metrics"}`` answers with the server process's metrics
+registry (a client's own registry cannot see it). Each connection owns
+one :class:`Session`, so BEGIN / COMMIT / ROLLBACK have per-connection
+semantics and a dropped connection rolls its open transaction back.
 
 Shutdown is graceful: the listener closes immediately, idle
 connections are disconnected, and connections mid-statement finish and
@@ -28,11 +35,11 @@ The server also applies **admission control**: beyond
 ``max_connections`` concurrent clients (plus a bounded listen backlog)
 new connections are turned away with a retryable ``AdmissionError``
 payload, and beyond ``max_statements`` concurrently-executing
-statements a request is shed the same way instead of queueing without
-bound. Every error payload carries ``retryable`` so clients know
-whether backing off and retrying can succeed —
-:class:`ServerClient.sql` does exactly that with jittered exponential
-backoff.
+statements (a metrics request counts as one) a request is shed the same
+way instead of queueing without bound. Every error payload carries
+``retryable`` so clients know whether backing off and retrying can
+succeed — :class:`ServerClient.sql` does exactly that with jittered
+exponential backoff.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from ..errors import ConcurrencyError, ReproError
 from .. import __version__ as _version
 from ..concurrency import ConcurrentDatabase
 from ..observability import registry as metrics
+from .wire import encode_line, encode_result, read_response
 
 logger = logging.getLogger("repro.server")
 
@@ -59,30 +67,16 @@ DEFAULT_MAX_STATEMENTS = 16
 DEFAULT_LISTEN_BACKLOG = 16
 
 
-# What json.dumps(payload, default=str) builds on every call, built once.
-_ENCODER = json.JSONEncoder(default=str)
-
-
-def _encode(payload: dict[str, Any]) -> bytes:
-    return (_ENCODER.encode(payload) + "\n").encode("utf-8")
-
-
-def _result_payload(result) -> dict[str, Any]:
+def _result_message(result) -> bytes:
     if result is None:  # DDL / txn control
-        return {"ok": True, "columns": None, "rows": None, "rowcount": 0}
-    # Rows go out as the result's tuples: JSON encodes a tuple as an array.
-    return {
-        "ok": True,
-        "columns": list(result.columns),
-        "rows": result.rows,
-        "rowcount": len(result.rows),
-    }
+        return encode_line({"ok": True, "columns": None, "rows": None, "rowcount": 0})
+    return encode_result(result.columns, result.dtypes, result.rows)
 
 
-def _error_payload(error: str, kind: str, retryable: bool) -> dict[str, Any]:
+def _error_line(error: str, kind: str, retryable: bool) -> bytes:
     """An error response; ``retryable`` tells the client a backoff-and-
     retry can succeed (shed, lock timeout, cancelled — not syntax errors)."""
-    return {"ok": False, "error": error, "kind": kind, "retryable": retryable}
+    return encode_line({"ok": False, "error": error, "kind": kind, "retryable": retryable})
 
 
 class _Connection:
@@ -104,7 +98,7 @@ class _Connection:
                     continue
                 response = self._handle_line(line)
                 try:
-                    self.sock.sendall(_encode(response))
+                    self.sock.sendall(response)
                 except OSError:
                     break  # client went away mid-response
                 if self.server.stopping:
@@ -120,17 +114,21 @@ class _Connection:
             self.close()
             self.server._forget(self)
 
-    def _handle_line(self, line: bytes) -> dict[str, Any]:
+    def _handle_line(self, line: bytes) -> bytes:
+        """Answer one request: a statement (``{"sql": ...}``) or the
+        metrics registry's snapshot (``{"op": "metrics"}``)."""
         try:
             request = json.loads(line)
-            sql = request["sql"]
+            sql = request["sql"] if "op" not in request else None
+            if sql is None and request["op"] != "metrics":
+                raise ValueError(f"unknown op {request['op']!r}")
         except (ValueError, KeyError, TypeError) as exc:
-            return _error_payload(f"bad request: {exc}", "Protocol", retryable=False)
+            return _error_line(f"bad request: {exc}", "Protocol", retryable=False)
         if not self.server._statement_slots.acquire(blocking=False):
             # Statement-level admission: at max_statements concurrent
             # executions, shed instead of queueing without bound.
             metrics.increment("governance.statements_shed")
-            return _error_payload(
+            return _error_line(
                 f"server at max_statements={self.server.max_statements} "
                 "concurrent statements — retry with backoff",
                 "AdmissionError",
@@ -138,13 +136,13 @@ class _Connection:
             )
         self.busy.set()
         try:
-            return _result_payload(self.session.sql(sql))
+            if sql is None:
+                return encode_line({"ok": True, "metrics": metrics.get_registry().snapshot()})
+            return _result_message(self.session.sql(sql))
         except ReproError as exc:
-            return _error_payload(
-                str(exc), type(exc).__name__, retryable=bool(exc.retryable)
-            )
+            return _error_line(str(exc), type(exc).__name__, retryable=bool(exc.retryable))
         except Exception as exc:  # engine bug — report, keep serving
-            return _error_payload(str(exc), type(exc).__name__, retryable=False)
+            return _error_line(str(exc), type(exc).__name__, retryable=False)
         finally:
             self.busy.clear()
             self.server._statement_slots.release()
@@ -220,13 +218,11 @@ class ReproServer:
                 metrics.increment("governance.statements_shed")
                 try:
                     sock.sendall(
-                        _encode(
-                            _error_payload(
-                                f"server at max_connections={self.max_connections}"
-                                " — retry with backoff",
-                                "AdmissionError",
-                                retryable=True,
-                            )
+                        _error_line(
+                            f"server at max_connections={self.max_connections}"
+                            " — retry with backoff",
+                            "AdmissionError",
+                            retryable=True,
                         )
                     )
                 except OSError:
@@ -380,7 +376,7 @@ class ServerError(RuntimeError):
 
 
 class ServerClient:
-    """Tiny test/tooling client for the JSON-lines protocol.
+    """Tiny test/tooling client for the server's protocol.
 
     ``connect_timeout`` bounds only the TCP connect; ``timeout`` bounds
     each response read (they used to be one knob, which made a slow
@@ -407,12 +403,9 @@ class ServerClient:
         self._backoff = backoff
 
     def request(self, sql: str) -> dict[str, Any]:
-        """Send one statement; return the raw response payload."""
-        self._sock.sendall(_encode({"sql": sql}))
-        line = self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        """Send one statement; return the response payload (a result
+        set's frames read back into ``rows``)."""
+        return self._exchange({"sql": sql})
 
     def sql(self, sql: str) -> dict[str, Any]:
         """Send one statement; raise :class:`ServerError` on failure.
@@ -421,9 +414,21 @@ class ServerClient:
         are retried up to ``retries`` times with jittered exponential
         backoff before the error surfaces.
         """
+        return self._answer({"sql": sql})
+
+    def metrics(self) -> dict[str, float]:
+        """The server's metrics registry as a snapshot; admitted, and
+        retried when shed, like a statement."""
+        return self._answer({"op": "metrics"})["metrics"]
+
+    def _exchange(self, request: dict[str, Any]) -> dict[str, Any]:
+        self._sock.sendall(encode_line(request))
+        return read_response(self._reader)
+
+    def _answer(self, request: dict[str, Any]) -> dict[str, Any]:
         attempt = 0
         while True:
-            response = self.request(sql)
+            response = self._exchange(request)
             if response.get("ok"):
                 return response
             retryable = bool(response.get("retryable"))

@@ -52,10 +52,28 @@ def pack(values: np.ndarray, width: int) -> bytes:
         raise EncodingError(
             f"value {int(vals.max())} does not fit in {width} bits"
         )
-    shifts = np.arange(width, dtype=np.uint64)
-    # (n, width) matrix of bits, little-endian within each value.
-    bits = ((vals[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    if width in (8, 16, 32, 64):
+        return vals.astype(f"<u{width // 8}").tobytes()
+    if width == 1:
+        return np.packbits(vals.astype(np.uint8), bitorder="little").tobytes()
+    # The mirror of take's dense phase: eight values fill exactly ``width``
+    # bytes, so value ``j`` of every group of eight lands at the same bit
+    # of its group, ``j * width`` — in word ``j * width // 64`` of the
+    # group's row, shifted up by ``j * width % 64``, its top bits spilling
+    # into the next word when they do not fit. Eight phases, each an OR of
+    # one strided column, whatever ``width`` is; the rows' first ``width``
+    # bytes are the payload.
+    groups = -(-vals.size // 8)
+    phases = np.zeros((groups, 8), dtype="<u8")
+    phases.reshape(-1)[: vals.size] = vals
+    words = np.zeros((groups, -(-width // 8)), dtype="<u8")
+    for j in range(8):
+        word, shift = divmod(j * width, 64)
+        words[:, word] |= phases[:, j] << np.uint64(shift)
+        if shift + width > 64:
+            words[:, word + 1] |= phases[:, j] >> np.uint64(64 - shift)
+    out = words.view(np.uint8)
+    return out[:, :width].tobytes()[: packed_size_bytes(vals.size, width)]
 
 
 # A full unpack addresses the payload densely from this many values on:

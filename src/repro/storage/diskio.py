@@ -43,6 +43,7 @@ byte-at-a-time walk both faster paths are tested against, bit for bit.
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 from array import array
 from pathlib import Path
@@ -326,7 +327,22 @@ class DiskIO:
             os.close(fd)
 
     def mkdir(self, path: Path) -> None:
+        """Create ``path`` and what leads to it; like a file's, a new
+        directory's entry is not durable until its parent is synced."""
         Path(path).mkdir(parents=True, exist_ok=True)
+
+    def make_dirs(self, path: Path) -> None:
+        """:meth:`mkdir`, then sync the parent of every directory it
+        created, deepest first: afterwards ``path`` survives a power cut."""
+        path = Path(path)
+        created = []
+        for directory in (path, *path.parents):
+            if self.is_dir(directory):
+                break
+            created.append(directory)
+        self.mkdir(path)
+        for directory in created:
+            self.sync_dir(directory.parent)
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -394,13 +410,17 @@ class FaultyDisk(DiskIO):
         appends that were never followed by a :meth:`sync_file` are
         rolled back (the file truncated to its last-synced length) when
         the crash fires — the honest power-cut model for group commit,
-        where a commit is durable only once its fsync completed. Files
-        *created* by :meth:`append_file` whose parent directory was
-        never :meth:`sync_dir`-ed disappear entirely: their directory
-        entry was still unsynced metadata, so the power cut unlinks them
-        no matter how many times the file itself was fsynced. (Files
-        that arrive via :meth:`rename` are exempt — rename fsyncs the
-        destination directory as part of the atomic protocol.)
+        where a commit is durable only once its fsync completed. Every
+        directory entry made since its directory was last synced — a
+        file :meth:`append_file` created, a name :meth:`link_file`
+        made, a directory :meth:`mkdir` made — disappears entirely,
+        with everything under it: the entry was still unsynced
+        metadata, so the power cut unlinks it no matter how many times
+        the file itself (or the directory's own entries) were fsynced.
+        A directory's entries become durable when it is
+        :meth:`sync_dir`-ed or something is renamed into it (rename
+        fsyncs the destination directory as part of the atomic
+        protocol).
 
     Every content write, append, fsync (file or directory), link and
     rename counts as one write point, so crash sweeps cover the WAL's
@@ -423,9 +443,9 @@ class FaultyDisk(DiskIO):
         self.ops = 0
         self.dropped_renames: list[str] = []
         self._synced_sizes: dict[str, int] = {}
-        # Directory entries created by append_file whose parent dir was
-        # never sync_dir-ed: parent dir -> set of file paths. A crash
-        # with lose_unsynced_on_crash unlinks these files entirely.
+        # Entries (files appended or linked, directories made) whose
+        # parent directory was not synced since: parent dir -> paths. A
+        # crash with lose_unsynced_on_crash unlinks them, trees and all.
         self._unsynced_entries: dict[str, set[str]] = {}
 
     def _maybe_crash(
@@ -448,14 +468,17 @@ class FaultyDisk(DiskIO):
                 except OSError:  # pragma: no cover - file never created
                     pass
             # Un-fsynced directory entries never reached the platter:
-            # the files they name are unreachable after the power cut,
-            # however thoroughly their contents were fsynced.
+            # what they name is unreachable after the power cut, however
+            # thoroughly its contents were fsynced.
             for entries in self._unsynced_entries.values():
                 for entry_path in entries:
-                    try:
-                        os.remove(entry_path)
-                    except OSError:  # pragma: no cover - never created
-                        pass
+                    if os.path.isdir(entry_path):
+                        shutil.rmtree(entry_path, ignore_errors=True)
+                    else:
+                        try:
+                            os.remove(entry_path)
+                        except OSError:  # removed since, or under a removed tree
+                            pass
         raise InjectedFault(
             f"simulated crash at write point {self.ops} ({Path(path).name})"
         )
@@ -465,16 +488,27 @@ class FaultyDisk(DiskIO):
         super()._write_bytes(path, data)
         self.ops += 1
 
+    def _new_entry(self, path: Path) -> None:
+        """Record ``path`` as an unsynced entry of its directory, if it is
+        about to be created."""
+        if self.lose_unsynced_on_crash and not os.path.lexists(path):
+            self._unsynced_entries.setdefault(str(Path(path).parent), set()).add(str(path))
+
     def append_file(self, path: Path, data: bytes) -> None:
         self._maybe_crash(path, data, append=True)
+        self._new_entry(path)
         if self.lose_unsynced_on_crash:
-            if not self.exists(path):
-                self._unsynced_entries.setdefault(
-                    str(Path(path).parent), set()
-                ).add(str(path))
             self._synced_sizes.setdefault(str(path), self.file_size(path))
         super().append_file(path, data)
         self.ops += 1
+
+    def mkdir(self, path: Path) -> None:
+        path = Path(path)
+        for directory in (path, *path.parents):
+            if os.path.lexists(directory):
+                break
+            self._new_entry(directory)
+        super().mkdir(path)
 
     def sync_file(self, path: Path) -> None:
         self._maybe_crash(path, None)
@@ -490,6 +524,7 @@ class FaultyDisk(DiskIO):
 
     def link_file(self, src: Path, dst: Path) -> None:
         self._maybe_crash(dst, None)
+        self._new_entry(dst)
         super().link_file(src, dst)
         self.ops += 1
 

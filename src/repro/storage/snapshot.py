@@ -244,7 +244,7 @@ class SnapshotWriter:
     ) -> None:
         self.disk = disk
         self.root = Path(root)
-        self.disk.mkdir(self.root)
+        self.disk.make_dirs(self.root)
         try:
             previous = load_manifest(self.disk, self.root)
         except (RecoveryError, CorruptBlobError):
@@ -284,6 +284,9 @@ class SnapshotWriter:
 
     def _put(self, path: str, data: bytes, crc: int) -> ManifestEntry:
         self.disk.write_file(self.root / PurePosixPath(path), data)
+        # write_file synced the file's own directory; the entries that
+        # lead to it are synced in commit().
+        self._unsynced_dirs.update(PurePosixPath(path).parent.parents)
         metrics.increment("storage.snapshot.files_written")
         metrics.increment("storage.snapshot.bytes_written", len(data))
         metrics.increment("storage.snapshot.bytes_checksummed", len(data))
@@ -310,9 +313,6 @@ class SnapshotWriter:
             data = serialize_segment(segment)
             crc = crc32c(data)
             entry = self._put(pool_path(relpath, crc), data, crc)
-            # write_file synced the blob's own directory; the entries
-            # that lead to it are synced in commit().
-            self._unsynced_dirs.update(PurePosixPath(entry.path).parent.parents)
         self.stored.put(segment, entry)
 
     def commit(self, checkpoint_lsn: int = 0) -> Manifest:

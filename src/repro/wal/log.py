@@ -256,6 +256,8 @@ class WriteAheadLog:
             frame = encode_record(rtype, lsn, table, payload, txn_id)
             segment = self._segment_for_append(lsn, len(frame))
             created = segment.size == 0
+            if created:
+                self.disk.make_dirs(self.root)
             self.disk.append_file(segment.path, frame)
             if created:
                 # The append created the segment file; persist its

@@ -9,7 +9,7 @@ import pytest
 from repro.backup import ARCHIVE_DIR_NAME, WalArchiver, check_archive
 from repro.db.database import Database
 from repro.errors import WalCorruptError
-from repro.storage.diskio import DiskIO
+from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault
 from repro.wal.log import WriteAheadLog
 from repro.wal.record import WalRecordType
 
@@ -85,6 +85,22 @@ class TestArchiveBeforeDelete:
         assert archiver.last_archived_lsn() >= last
         verdicts = check_archive(DiskIO(), archive)
         assert verdicts and all(v.ok for v in verdicts)
+
+    def test_the_first_archived_segment_survives_a_power_cut(self, tmp_path):
+        """The checkpoint that makes wal_archive/ deletes the live segment
+        it archived: the archive's own entry must be durable by then."""
+        disk = FaultyDisk(lose_unsynced_on_crash=True)
+        db = Database.open(str(tmp_path / "db"), disk=disk)
+        db.sql("CREATE TABLE t (id INT NOT NULL)")
+        for i in range(5):
+            db.sql(f"INSERT INTO t VALUES ({i})")
+        last = db.wal.last_lsn
+        db.save(str(tmp_path / "db"), disk=disk)
+        disk.crash_after_ops = disk.ops
+        with pytest.raises(InjectedFault):
+            disk.write_file(tmp_path / "after", b"")
+        archive = tmp_path / "db" / ARCHIVE_DIR_NAME
+        assert WalArchiver(DiskIO(), archive).last_archived_lsn() >= last
 
     def test_unarchivable_segment_is_kept_in_live_log(self, tmp_path):
         class RefusingArchiver:

@@ -37,6 +37,19 @@ def _make_backup(tmp_path):
 
 
 class TestRestoreCrashSweep:
+    def test_a_power_cut_after_a_restore_keeps_it(self, tmp_path):
+        """What a restore lays down is durable once it returns: the
+        destination, and every directory under it, survive a power cut."""
+        backup, expected = _make_backup(tmp_path)
+        disk = FaultyDisk(lose_unsynced_on_crash=True)
+        restore_backup(backup, tmp_path / "restored", disk=disk)
+        disk.crash_after_ops = disk.ops
+        with pytest.raises(InjectedFault):
+            disk.write_file(tmp_path / "after", b"")
+        db = Database.load(str(tmp_path / "restored"))
+        assert sorted(tuple(r) for r in db.sql("SELECT id, v FROM t").rows) == expected
+        db.close()
+
     def test_crash_at_every_write_point(self, tmp_path):
         backup, expected = _make_backup(tmp_path)
 

@@ -152,6 +152,51 @@ class TestConnectionAdmission:
             server.shutdown()
 
 
+class TestMetricsOp:
+    def test_counters_grow_across_statements_on_one_connection(self, cdb):
+        server = ReproServer(cdb, max_statements=1)
+        port = server.start()
+        try:
+            client = ServerClient("127.0.0.1", port, retries=0)
+            slow = ServerClient("127.0.0.1", port)
+            before = client.metrics()
+            assert client.sql("SELECT a FROM t WHERE b = 1")["rowcount"] == 300
+            scanned = client.metrics()
+            assert (scanned["storage.scan.rows_scanned"]
+                    >= before.get("storage.scan.rows_scanned", 0) + 1500)
+
+            thread = threading.Thread(target=slow.request, args=(SLOW_QUERY,))
+            thread.start()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and len(get_query_registry()) == 0:
+                time.sleep(0.005)
+            assert len(get_query_registry()) == 1, "slow statement never started"
+            # Admitted like a statement: shed while the one slot is taken.
+            shed = client._exchange({"op": "metrics"})
+            thread.join(timeout=30.0)
+            assert shed["ok"] is False and shed["kind"] == "AdmissionError"
+            after = client.metrics()
+            assert (after["governance.statements_shed"]
+                    >= scanned.get("governance.statements_shed", 0) + 1)
+            assert after["storage.scan.rows_scanned"] > scanned["storage.scan.rows_scanned"]
+            slow.close()
+            client.close()
+        finally:
+            server.shutdown()
+
+    @pytest.mark.parametrize("request_", [{"op": "stats"}, {"op": None}, {"nothing": 1}, [1]])
+    def test_an_unknown_request_is_a_protocol_error(self, cdb, request_):
+        server = ReproServer(cdb)
+        port = server.start()
+        try:
+            with ServerClient("127.0.0.1", port) as client:
+                response = client._exchange(request_)
+                assert response["ok"] is False and response["kind"] == "Protocol"
+                assert client.sql("SELECT count(*) FROM t")["rows"] == [[1500]]
+        finally:
+            server.shutdown()
+
+
 class TestIdleTimeout:
     def test_idle_connection_is_dropped(self, cdb):
         server = ReproServer(cdb, idle_timeout=0.2)

@@ -1,7 +1,9 @@
 """Embedded server: protocol, per-connection sessions, graceful shutdown."""
 
+import io
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -168,29 +170,50 @@ class TestShutdown:
 
 
 class TestWireEncoding:
-    """Rows leave as the result's own tuples through one encoder built
-    once: the bytes are those of the per-call json.dumps of copied lists."""
+    """A result leaves as a header line and column frames; read back, it is
+    the payload the JSON-lines protocol sent: ``json.dumps(..., default=str)``
+    of the result's rows as lists."""
 
     @staticmethod
-    def _before(result) -> bytes:
+    def _before(result) -> dict:
         if result is None:
             payload = {"ok": True, "columns": None, "rows": None, "rowcount": 0}
         else:
             rows = [list(row) for row in result.rows]
             payload = {"ok": True, "columns": list(result.columns), "rows": rows,
                        "rowcount": len(rows)}
-        return (json.dumps(payload, default=str) + "\n").encode("utf-8")
+        return json.loads(json.dumps(payload, default=str))
 
-    def test_bytes_unchanged(self):
+    def test_payload_unchanged(self):
         from repro import Database
-        from repro.server.server import _encode, _result_payload
+        from repro.server.server import _result_message
+        from repro.server.wire import read_response
 
         db = Database()
-        db.sql("CREATE TABLE w (i INT, d DATE, m DECIMAL(8, 2), f FLOAT, s VARCHAR)")
-        db.sql("INSERT INTO w VALUES (1, '2024-02-29', 12.5, 0.1, 'it''s \"q\"'), "
-               "(NULL, NULL, NULL, NULL, NULL), (3, '1970-01-01', -0.05, -1e300, 'ñandú 日本 \\')")
+        db.sql("CREATE TABLE w (i INT, d DATE, m DECIMAL(8, 2), f FLOAT, s VARCHAR, b BOOL)")
+        db.sql("INSERT INTO w VALUES (1, '2024-02-29', 12.5, 0.1, 'it''s \"q\"', TRUE), "
+               "(NULL, NULL, NULL, NULL, NULL, NULL), "
+               "(3, '1970-01-01', -0.05, -1e300, 'ñandú 日本 \\', FALSE)")
         for sql in ("SELECT * FROM w", "SELECT * FROM w WHERE i = 99",
                     "SELECT COUNT(*) AS n, SUM(m) AS s FROM w", "INSERT INTO w (i) VALUES (4)",
                     "CREATE TABLE z (a INT)"):
             result = db.sql(sql)
-            assert _encode(_result_payload(result)) == self._before(result), sql
+            message = _result_message(result)
+            assert read_response(io.BytesIO(message)) == self._before(result), sql
+
+    def test_frames_follow_one_header_line(self):
+        from repro import Database
+        from repro.server.server import _result_message
+
+        db = Database()
+        db.sql("CREATE TABLE w (i INT, f FLOAT, b BOOL, s VARCHAR)")
+        db.sql("INSERT INTO w VALUES (1, 0.5, TRUE, 'x'), (NULL, 2.0, NULL, NULL)")
+        message = _result_message(db.sql("SELECT * FROM w"))
+        line, frames = message.split(b"\n", 1)
+        header = json.loads(line)
+        assert header == {"ok": True, "columns": ["i", "f", "b", "s"], "rowcount": 2,
+                          "frames": ["q", "d", "?", ["x", None]]}
+        # Each frame: a one-byte NULL bitmap for two rows, then the values.
+        assert frames == (b"\x02" + struct.pack("<2q", 1, 0)
+                          + b"\x00" + struct.pack("<2d", 0.5, 2.0)
+                          + b"\x02" + bytes([1, 0]))

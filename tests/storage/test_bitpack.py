@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
 from repro.storage import bitpack
+from tests import examples
 
 
 class TestBitsNeeded:
@@ -88,6 +89,42 @@ def reference_unpack(payload: bytes, width: int, count: int) -> np.ndarray:
     bits = flat.reshape(count, width).astype(np.uint64)
     shifts = np.arange(width, dtype=np.uint64)
     return (bits << shifts).sum(axis=1, dtype=np.uint64)
+
+
+def reference_pack(values: np.ndarray, width: int) -> bytes:
+    """The pre-phase :func:`bitpack.pack`: an ``(n, width)`` matrix of
+    bits, little-endian within each value, through ``np.packbits``.
+    Payloads are on disk, so the kernel must give these bytes exactly."""
+    if width == 0 or values.size == 0:
+        return b""
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = ((values.astype(np.uint64)[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(
+    width=st.integers(1, 64),
+    groups=st.integers(0, 40),
+    tail=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pack_gives_the_bit_matrix_bytes(width, groups, tail, seed):
+    """Whole groups of eight (``tail == 0``) and a ``count % 8`` tail, at
+    every width: the phase kernel's bytes are the bit matrix's."""
+    rng = np.random.default_rng(seed)
+    count = groups * 8 + tail
+    values = rng.integers(0, 2**64, size=count, dtype=np.uint64) >> np.uint64(64 - width)
+    if count:
+        values[rng.integers(0, count)] = (1 << width) - 1  # every bit of one value set
+    assert bitpack.pack(values, width) == reference_pack(values, width)
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_pack_gives_the_bit_matrix_bytes_at_every_width(width):
+    for count in (8, 13, 16_384, 16_389):
+        values = _random_values(width, count, seed=width * 31 + count)
+        assert bitpack.pack(values, width) == reference_pack(values, width)
 
 
 def _random_values(width: int, count: int, seed: int) -> np.ndarray:

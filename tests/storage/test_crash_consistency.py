@@ -65,9 +65,13 @@ def state_of(db: Database) -> list:
     return [db.sql(query).rows for query in _QUERIES]
 
 
-def count_save_ops(db: Database, scratch) -> int:
+def count_save_ops(db: Database, target, scratch) -> int:
+    """Write points of a save over a copy of ``target``: what the sweep
+    crashes (a save that makes its directory also syncs the parent)."""
+    probe = scratch / "op-probe"
+    shutil.copytree(target, probe)
     disk = FaultyDisk()
-    db.save(str(scratch / "op-probe"), disk=disk)
+    db.save(str(probe), disk=disk)
     return disk.ops
 
 
@@ -87,7 +91,7 @@ def saved(tmp_path):
 class TestCrashAtEveryWritePoint:
     def _sweep(self, saved, tmp_path, torn_bytes_for):
         db, target, state_a, state_b = saved
-        total = count_save_ops(db, tmp_path)
+        total = count_save_ops(db, target, tmp_path)
         assert total >= 20, "expected a multi-file save to exercise"
         for crash_at in range(total):
             workdir = tmp_path / "crash"
