@@ -38,7 +38,7 @@ from pathlib import Path, PurePosixPath
 
 from ..errors import BackupError
 from ..observability import registry as metrics
-from ..storage.diskio import DiskIO, crc32c
+from ..storage.diskio import DiskIO
 from ..storage.snapshot import MANIFEST_NAME, Manifest, ManifestEntry
 from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_image
 from ..wal.record import WalRecord, logged_blobs, scan_segment
@@ -117,22 +117,22 @@ class BackupJob:
         entries: list[ManifestEntry] = []
         total_bytes = 0
 
-        def put(relpath: str, data: bytes, crc: int) -> None:
+        def put(relpath: str, data: bytes) -> None:
             nonlocal total_bytes
             self.disk.write_file(self.dest / PurePosixPath(relpath), data)
-            entries.append(ManifestEntry(path=relpath, size=len(data), crc32c=crc))
+            entries.append(ManifestEntry.of(relpath, data))
             total_bytes += len(data)
 
         # -- the base image: every file the captured manifest names, at
         # the same root-relative path, verified as we read.
         def copy(entry: ManifestEntry) -> None:
             data = self.disk.read_file(self.source_root / PurePosixPath(entry.path))
-            if len(data) != entry.size or crc32c(data) != entry.crc32c:
+            if not entry.matches(data):
                 raise BackupError(
                     f"source file {entry.path} failed checksum "
                     "verification — refusing to back up a corrupt image"
                 )
-            put(f"{IMAGE_DIR_NAME}/{entry.path}", data, entry.crc32c)
+            put(f"{IMAGE_DIR_NAME}/{entry.path}", data)
 
         copied: set[str] = set()
         if self.manifest_bytes is not None:
@@ -142,11 +142,7 @@ class BackupJob:
             for entry in src_manifest.files:
                 copy(entry)
                 copied.add(entry.path)
-            put(
-                f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}",
-                self.manifest_bytes,
-                crc32c(self.manifest_bytes),
-            )
+            put(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", self.manifest_bytes)
 
         # -- the covered WAL prefix, clipped to (checkpoint, backup_lsn],
         # and the blobs its records name (held in the pool by the log).
@@ -161,7 +157,7 @@ class BackupJob:
                 copy(entry)
         if records:
             name, merged = _segment_image(records)
-            put(f"{WAL_SUBDIR_NAME}/{name}", merged, crc32c(merged))
+            put(f"{WAL_SUBDIR_NAME}/{name}", merged)
 
         # -- commit: the backup manifest is written last, then the whole
         # image is read back; only a verified backup keeps its manifest.

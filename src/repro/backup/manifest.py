@@ -12,7 +12,7 @@ A backup directory looks like::
 
 ``BACKUP_MANIFEST.json`` mirrors the snapshot-manifest protocol
 (:mod:`repro.storage.snapshot`): it lists every file with its byte size
-and CRC-32C, carries a checksum over itself, and is written *last* via
+and checksum, carries a checksum over itself, and is written *last* via
 write-temp/fsync/atomic-rename. A backup without a valid manifest is by
 definition torn — restore refuses it with
 :class:`~repro.errors.BackupError` — so a crash at any point during the
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BackupError
-from ..storage.diskio import DiskIO, crc32c
-from ..storage.snapshot import ManifestEntry, self_checksum
+from ..storage.diskio import DiskIO
+from ..storage.snapshot import ManifestEntry, seal, unseal
 
 BACKUP_MANIFEST_NAME = "BACKUP_MANIFEST.json"
 BACKUP_FORMAT_VERSION = 1
@@ -68,7 +68,7 @@ class BackupManifest:
             "epoch": self.epoch,
             "files": [entry.to_json() for entry in self.files],
         }
-        body["manifest_crc32c"] = f"{self_checksum(body):08x}"
+        seal(body)
         return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
     @classmethod
@@ -80,9 +80,7 @@ class BackupManifest:
                     f"{source}: unsupported backup format_version "
                     f"{body['format_version']}"
                 )
-            recorded = int(body["manifest_crc32c"], 16)
-            del body["manifest_crc32c"]
-            if recorded != self_checksum(body):
+            if not unseal(body):
                 raise BackupError(f"{source}: backup manifest self-checksum mismatch")
             return cls(
                 backup_lsn=int(body["backup_lsn"]),
@@ -117,7 +115,7 @@ def load_backup_manifest(disk: DiskIO, root: Path) -> BackupManifest:
 def verify_backup(disk: DiskIO, root: Path) -> BackupManifest:
     """Fully verify a backup image: manifest plus every listed file.
 
-    Checks existence, byte size, and CRC-32C of each file against the
+    Checks existence, byte size, and checksum of each file against the
     manifest. Raises :class:`BackupError` naming every offending path;
     returns the manifest when the image is intact.
     """
@@ -135,7 +133,7 @@ def verify_backup(disk: DiskIO, root: Path) -> BackupManifest:
                 f"{entry.path} [size mismatch: expected {entry.size}, "
                 f"got {len(data)}]"
             )
-        elif crc32c(data) != entry.crc32c:
+        elif not entry.matches(data):
             failures.append(f"{entry.path} [checksum mismatch]")
     if failures:
         raise BackupError(

@@ -35,7 +35,7 @@ from pathlib import Path, PurePosixPath
 
 from ..errors import BackupError, RestoreError, RestoreTargetError
 from ..observability import registry as metrics
-from ..storage.diskio import DiskIO, crc32c
+from ..storage.diskio import DiskIO
 from ..storage.snapshot import MANIFEST_NAME
 from ..wal.log import WAL_DIR_NAME, _SEGMENT_RE, _list_segments, _segment_image
 from ..wal.record import (
@@ -270,7 +270,7 @@ def _lay_down_blobs(disk: DiskIO, dest: Path, records: list[WalRecord], archive)
             continue
         source = Path(archive) / path if archive is not None else None
         data = disk.read_file(source) if source is not None and disk.exists(source) else b""
-        if len(data) != entry.size or crc32c(data) != entry.crc32c:
+        if not entry.matches(data):
             raise RestoreError(
                 f"segment blob {path} named by LSN {lsn} is in "
                 "neither the backup nor the archive, or is damaged there"

@@ -639,7 +639,7 @@ class Database:
         """Reopen a database saved with :meth:`save`.
 
         Reads the committed manifest, verifies every listed file's size
-        and CRC-32C before deserializing a byte, garbage-collects files
+        and checksum before deserializing a byte, garbage-collects files
         left behind by interrupted saves, and raises structured
         :class:`~repro.errors.CorruptBlobError` /
         :class:`~repro.errors.RecoveryError` naming the offending path

@@ -31,7 +31,7 @@ from ..observability import registry as metrics
 from ..storage import persist
 from ..storage.blob import deserialize_segment, serialize_segment
 from ..storage.columnstore import RowGroupChange
-from ..storage.diskio import DiskIO, crc32c
+from ..storage.diskio import DiskIO
 from ..storage.rowgroup import RowGroup
 from ..storage.snapshot import (
     MANIFEST_NAME,
@@ -42,7 +42,6 @@ from ..storage.snapshot import (
     check_database,
     collect_garbage,
     open_snapshot,
-    pool_path,
     roll_back,
 )
 from ..wal import replay as walreplay
@@ -123,11 +122,8 @@ class Durability:
                 segments = {}
                 for column, segment in group.segments.items():
                     data = serialize_segment(segment)
-                    crc = crc32c(data)
-                    entry = ManifestEntry(
-                        pool_path(f"{table}/rowgroups/g{group.group_id}.{column}.seg", crc),
-                        len(data),
-                        crc,
+                    entry = ManifestEntry.pooled(
+                        f"{table}/rowgroups/g{group.group_id}.{column}.seg", data
                     )
                     if entry.path not in self._blob_lsns:
                         self._blob_lsns[entry.path] = IN_FLIGHT
@@ -164,10 +160,10 @@ class Durability:
             for column, entry in group["segments"].items():
                 path = Path(self.root) / entry.path
                 data = self.disk.read_file(path) if self.disk.exists(path) else b""
-                if len(data) != entry.size or crc32c(data) != entry.crc32c:
+                if not entry.matches(data):
                     raise CorruptBlobError("a logged blob is missing or damaged", path=str(path))
                 segments[column] = deserialize_segment(data)
-                stored.put(segments[column], entry, logged=True)
+                stored.put(segments[column], entry.current(data), logged=True)
             groups.append(RowGroup(group_id=group["id"], schema=schema, segments=segments))
         return RowGroupChange(body["kind"], groups, body["deltas"], body["include_open"])
 

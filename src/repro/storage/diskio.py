@@ -17,42 +17,31 @@ writes (only a prefix reaches the disk), silently lost renames, and bit
 flips on read — the machinery behind the crash-consistency suite in
 ``tests/storage/test_crash_consistency.py``.
 
-The module also hosts :func:`crc32c` (CRC-32C/Castagnoli, the checksum
-of every manifest entry, WAL frame and backup file). Checksumming *is*
-the hot path of a checkpoint, an open and a bulk-load log record, so
-inputs of 1,280 bytes or more run lane-parallel in numpy:
-
-* the buffer is cut into 16-byte lanes whose registers advance together,
-  four bytes per step, through byte-sliced table gathers over the
-  ``<u4`` view of the data;
-* a CRC register is linear over GF(2), so "advance the register over
-  2**k zero bytes" is a 32x32 bit matrix; the lane registers are folded
-  pairwise — ``advance(left) ^ right`` — with the precomputed matrix for
-  the lane length, then twice that, and so on. The per-step function is
-  the same thing: the 4-zero-byte matrix applied to ``register ^ word``;
-* the caller's ``value`` seeds the first lane's register, blocks of
-  256 KB chain through the register so a multi-megabyte record adds no
-  full-length temporary, and the tail that does not fill a lane goes
-  through :func:`crc32c_scalar`.
-
-Smaller inputs (a 99-byte WAL frame) advance four bytes a step through
-two half-word tables; a big-endian host takes :func:`crc32c_scalar`, the
-byte-at-a-time walk both faster paths are tested against, bit for bit.
+The module also hosts :func:`crc32`, the one checksum this build
+computes: every manifest entry, manifest self-checksum, pool blob name,
+WAL frame and backup file is a CRC-32 (zlib's, the IEEE polynomial),
+which fits the 4-byte fields and 8-hex-digit names the formats already
+had. Builds before it wrote CRC-32C; where such a checksum is stored, the
+format says so (the JSON key of a manifest entry, the top bit of a WAL
+frame's length word), and :func:`crc32c_scalar` verifies it. No new data
+is ever given a CRC-32C.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import sys
-from array import array
+import zlib
 from pathlib import Path
 
-import numpy as np
+
+def crc32(data, value: int = 0) -> int:
+    """CRC-32 of ``data``'s bytes, whatever its item size; ``value`` chains."""
+    return zlib.crc32(data, value)
 
 
 # ---------------------------------------------------------------------- #
-# CRC-32C (Castagnoli)
+# CRC-32C (Castagnoli): what earlier builds wrote, verified only
 # ---------------------------------------------------------------------- #
 def _build_crc32c_table() -> tuple[int, ...]:
     poly = 0x82F63B78  # reversed Castagnoli polynomial
@@ -69,121 +58,13 @@ _CRC32C_TABLE = _build_crc32c_table()
 
 
 def crc32c_scalar(data: bytes, value: int = 0) -> int:
-    """CRC-32C of ``data`` one byte at a time: the reference :func:`crc32c`
-    is tested against, and its path on a big-endian host."""
+    """CRC-32C of ``data`` one byte at a time: verifies a checksum an
+    earlier build stored; nothing computes one for new data."""
     crc = value ^ 0xFFFFFFFF
     table = _CRC32C_TABLE
     for byte in data:
         crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
-
-
-def _build_half_word_tables() -> tuple[array, array]:
-    """Tables advancing the register over a little-endian word: the low
-    half-word of ``register ^ word`` indexes the first, the high the second."""
-    ends = [np.array(_CRC32C_TABLE, dtype=np.uint32)]  # ends[k]: byte k before the end
-    for _ in range(3):
-        ends.append((ends[-1] >> 8) ^ ends[0][ends[-1] & 0xFF])
-    low, high = np.bitwise_xor.outer(ends[2], ends[3]), np.bitwise_xor.outer(ends[0], ends[1])
-    return array("I", low.tobytes()), array("I", high.tobytes())
-
-
-_LOW_HALF, _HIGH_HALF = _build_half_word_tables()
-
-
-def _crc_words(data: memoryview, value: int) -> int:
-    """CRC-32C of a byte view, four bytes a step (little-endian hosts)."""
-    whole = len(data) & ~3
-    crc = value ^ 0xFFFFFFFF
-    low, high = _LOW_HALF, _HIGH_HALF
-    for word in data[:whole].cast("I"):
-        crc ^= word
-        crc = low[crc & 0xFFFF] ^ high[crc >> 16]
-    table = _CRC32C_TABLE
-    for byte in data[whole:]:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
-
-
-_U4 = np.dtype("<u4")
-_LANE_LOG2 = 4
-_LANE_BYTES = 1 << _LANE_LOG2  # 16: best at segment-file sizes (16-32 KB)
-_BLOCK_LOG2 = 18
-_BLOCK_BYTES = 1 << _BLOCK_LOG2  # 256 KB blocks bound every temporary
-_KERNEL_MIN_BYTES = 1280  # the word loop wins below (measured: EXPERIMENTS.md E25)
-
-
-def _byte_sliced(images: np.ndarray) -> np.ndarray:
-    """The GF(2)-linear map that sends register bit ``i`` to ``images[i]``
-    as a ``(4, 256)`` lookup table: row ``b`` maps byte ``b`` of a
-    register to its contribution, and the four contributions XOR."""
-    images = images.reshape(4, 8)
-    byte = np.arange(256)
-    table = np.zeros((4, 256), dtype=_U4)
-    for bit in range(8):
-        table[:, (byte >> bit) & 1 == 1] ^= images[:, bit : bit + 1]
-    return table
-
-
-def _advance(table: np.ndarray, registers: np.ndarray, stride: int = 4) -> np.ndarray:
-    """Apply a byte-sliced map to every ``stride``-th byte quadruple of
-    ``registers`` (stride 8 = the even-indexed registers)."""
-    octets = registers.view(np.uint8).reshape(-1, stride)
-    return (
-        table[0][octets[:, 0]]
-        ^ table[1][octets[:, 1]]
-        ^ table[2][octets[:, 2]]
-        ^ table[3][octets[:, 3]]
-    )
-
-
-def _build_zero_advance_tables() -> tuple[np.ndarray, ...]:
-    """``tables[k]`` advances a register over ``2**k`` zero bytes, for
-    every ``k`` the kernel uses (each is the square of the one before)."""
-    basis = np.left_shift(1, np.arange(32)).astype(_U4)
-    one_byte = [(bit >> 8) ^ _CRC32C_TABLE[bit & 0xFF] for bit in basis.tolist()]
-    tables = [_byte_sliced(np.array(one_byte, dtype=_U4))]
-    for _ in range(1, _BLOCK_LOG2):
-        tables.append(_byte_sliced(_advance(tables[-1], _advance(tables[-1], basis))))
-    return tuple(tables)
-
-
-_ZERO_ADVANCE = _build_zero_advance_tables()
-
-
-def _crc_lanes(block: np.ndarray, register: int) -> int:
-    """The register after ``block`` (uint8, a whole number of lanes, at
-    most one block long), starting from ``register``."""
-    words = block.view(_U4).reshape(-1, _LANE_BYTES // 4)
-    lanes = words.shape[0]
-    # Zero lanes in *front* are free (a zero register stays zero over
-    # zero bytes), so the fold below always sees a power-of-two count.
-    registers = np.zeros(1 << (lanes - 1).bit_length(), dtype=_U4)
-    live = registers[registers.size - lanes :]
-    live[0] = register
-    for column in np.ascontiguousarray(words.T):
-        live ^= column
-        live[:] = _advance(_ZERO_ADVANCE[2], live)
-    span = _LANE_LOG2
-    while registers.size > 1:
-        registers = _advance(_ZERO_ADVANCE[span], registers, 8) ^ registers[1::2]
-        span += 1
-    return int(registers[0])
-
-
-def crc32c(data: bytes, value: int = 0) -> int:
-    """CRC-32C of ``data``'s bytes, whatever its item size; ``value`` chains."""
-    data = memoryview(data).cast("B")
-    if len(data) < _KERNEL_MIN_BYTES:
-        if sys.byteorder != "little":
-            return crc32c_scalar(data, value)
-        return _crc_words(data, value)
-    buffer = np.frombuffer(data, dtype=np.uint8)
-    whole = buffer.size - buffer.size % _LANE_BYTES
-    register = value ^ 0xFFFFFFFF
-    for start in range(0, whole, _BLOCK_BYTES):
-        register = _crc_lanes(buffer[start : min(start + _BLOCK_BYTES, whole)], register)
-    return crc32c_scalar(data[whole:], register ^ 0xFFFFFFFF)
 
 
 class InjectedFault(BaseException):

@@ -3,7 +3,7 @@
 A saved database directory looks like::
 
     <root>/MANIFEST.json          the commit record (atomic rename, last)
-    <root>/segments/<table>/rowgroups/g<id>.<col>.<crc32c>.seg
+    <root>/segments/<table>/rowgroups/g<id>.<col>.<crc32>.seg
                                   the segment pool: immutable blobs,
                                   written once, shared by every snapshot
     <root>/snap_000004/...        what snapshot 4 wrote fresh: catalog,
@@ -13,13 +13,19 @@ Compressed segments never change after they are built, so a save writes
 a segment blob only when this root does not hold it yet: the pool is
 what the paper calls the blob store, the manifest is its directory, and
 a checkpoint costs what changed — delta stores, delete bitmaps, small
-metadata, the manifest. A blob's name carries the CRC-32C of its bytes,
+metadata, the manifest. A blob's name carries the checksum of its bytes,
 so a re-encoded segment (archival, REBUILD) gets a new name and never
-overwrites the blob a committed manifest still points at.
+overwrites the blob a committed manifest still points at. (A blob an
+earlier build wrote keeps its name, which carries a CRC-32C.)
 
-The manifest (``format_version`` 2) lists every file of the snapshot by
+The manifest (``format_version`` 3) lists every file of the snapshot by
 its path relative to the root — pool blobs and fresh files alike — with
-its byte size and CRC-32C, and carries a checksum over itself. Fresh
+its byte size and CRC-32 (:func:`~repro.storage.diskio.crc32`), and
+carries a checksum over itself. A ``format_version`` 2 manifest, which an
+earlier build wrote, is read too: its checksums are CRC-32C, under the
+keys ``crc32c`` and ``manifest_crc32c``, and are only ever verified
+(:class:`ManifestEntry` knows which algorithm made its checksum); the
+next checkpoint lists every file with a CRC-32. Fresh
 files go into a **new** snapshot directory (ids strictly increase, so an
 interrupted save never collides with committed data) and the save
 commits by atomically renaming ``MANIFEST.json`` into place; every pool
@@ -69,14 +75,17 @@ from typing import Callable
 from ..errors import CorruptBlobError, RecoveryError
 from ..observability import registry as metrics
 from .blob import deserialize_segment, serialize_segment
-from .diskio import DiskIO, crc32c
+from .diskio import DiskIO, crc32, crc32c_scalar
 from .segment import ColumnSegment
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
+#: The version an earlier build wrote: its checksums are CRC-32C.
+LEGACY_MANIFEST_VERSION = 2
 POOL_DIR_NAME = "segments"
 
 _SNAP_DIR_RE = re.compile(r"^snap_(\d{6,})$")
+_CRC_HEX_RE = re.compile(r"[0-9a-f]{8}")
 _POOL_PREFIX = POOL_DIR_NAME + "/"
 _SEGMENT_SUFFIX = ".seg"
 _POOL_SUFFIX_LENGTH = len(".00000000" + _SEGMENT_SUFFIX)
@@ -86,32 +95,74 @@ def _snapshot_dir_name(snapshot_id: int) -> str:
     return f"snap_{snapshot_id:06d}"
 
 
-def pool_path(relpath: str, crc: int) -> str:
-    """Where the segment blob a snapshot knows as ``relpath`` lives in
-    the pool: its name with the blob's checksum in it."""
-    return f"{_POOL_PREFIX}{relpath[: -len(_SEGMENT_SUFFIX)]}.{crc:08x}{_SEGMENT_SUFFIX}"
-
-
 # ---------------------------------------------------------------------- #
 # Manifest
 # ---------------------------------------------------------------------- #
+def checksum(data: bytes, legacy: bool = False) -> int:
+    """The checksum stored for ``data``: a CRC-32, or (``legacy``) the
+    CRC-32C an earlier build stored, which is only ever verified."""
+    return crc32c_scalar(data) if legacy else crc32(data)
+
+
+def checksum_key(name: str, legacy: bool) -> str:
+    """The JSON key a stored checksum is kept under: it names the
+    algorithm that made it."""
+    return name + ("c" if legacy else "")
+
+
+def _stored_crc(text: str) -> int:
+    """A checksum as written: eight lowercase hex digits (an upper-case
+    digit is a flipped bit ``int`` would not see)."""
+    if not _CRC_HEX_RE.fullmatch(text):
+        raise ValueError(f"checksum {text!r} is not eight lowercase hex digits")
+    return int(text, 16)
+
+
 @dataclass
 class ManifestEntry:
-    """One file a manifest lists — a snapshot's or a backup's — by its
-    path relative to the directory the manifest commits."""
+    """One file a manifest lists — a snapshot's, a backup's or a logged
+    row group's — by its path relative to the directory the manifest
+    commits, with its size and checksum (``legacy``: a CRC-32C an earlier
+    build wrote, else a CRC-32)."""
 
     path: str
     size: int
-    crc32c: int
+    crc: int
+    legacy: bool = False
+
+    @classmethod
+    def of(cls, path: str, data: bytes) -> "ManifestEntry":
+        return cls(path, len(data), crc32(data))
+
+    def matches(self, data: bytes) -> bool:
+        """Are ``data`` the bytes this entry lists?"""
+        return len(data) == self.size and checksum(data, self.legacy) == self.crc
+
+    @classmethod
+    def pooled(cls, relpath: str, data: bytes) -> "ManifestEntry":
+        """The pool blob holding ``data``, the segment a snapshot knows as
+        ``relpath``: its name carries the blob's checksum."""
+        crc = crc32(data)
+        path = f"{_POOL_PREFIX}{relpath[: -len(_SEGMENT_SUFFIX)]}.{crc:08x}{_SEGMENT_SUFFIX}"
+        return cls(path, len(data), crc)
+
+    def current(self, data: bytes) -> "ManifestEntry":
+        """This entry as this build lists it: once ``data`` matched a
+        legacy entry, the same file with a CRC-32."""
+        return ManifestEntry.of(self.path, data) if self.legacy else self
 
     def to_json(self) -> dict:
-        return {"path": self.path, "size": self.size, "crc32c": f"{self.crc32c:08x}"}
+        return {
+            "path": self.path,
+            "size": self.size,
+            checksum_key("crc32", self.legacy): f"{self.crc:08x}",
+        }
 
     @classmethod
     def from_json(cls, entry: dict) -> "ManifestEntry":
-        return cls(
-            path=str(entry["path"]), size=int(entry["size"]), crc32c=int(entry["crc32c"], 16)
-        )
+        legacy = "crc32" not in entry
+        crc = _stored_crc(entry[checksum_key("crc32", legacy)])
+        return cls(str(entry["path"]), int(entry["size"]), crc, legacy)
 
 
 @dataclass
@@ -143,7 +194,7 @@ class Manifest:
             "checkpoint_lsn": self.checkpoint_lsn,
             "files": [entry.to_json() for entry in self.files],
         }
-        body["manifest_crc32c"] = f"{self_checksum(body):08x}"
+        seal(body)
         return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode("utf-8")
 
     @classmethod
@@ -156,14 +207,12 @@ class Manifest:
                     "every file inside snap_<id>/ and no segment pool, which is "
                     "no longer read"
                 )
-            if body["format_version"] != MANIFEST_VERSION:
+            if body["format_version"] not in (MANIFEST_VERSION, LEGACY_MANIFEST_VERSION):
                 raise RecoveryError(
                     f"{source}: unsupported manifest format_version "
                     f"{body['format_version']}"
                 )
-            recorded = int(body["manifest_crc32c"], 16)
-            del body["manifest_crc32c"]
-            if recorded != self_checksum(body):
+            if not unseal(body):
                 raise CorruptBlobError("manifest self-checksum mismatch", path=source)
             return cls(
                 snapshot_id=int(body["snapshot_id"]),
@@ -176,10 +225,23 @@ class Manifest:
             raise RecoveryError(f"{source}: unreadable manifest ({exc})") from exc
 
 
-def self_checksum(body: dict) -> int:
-    """The CRC-32C a manifest body (snapshot or backup) carries over itself."""
+def self_checksum(body: dict, legacy: bool = False) -> int:
+    """The checksum a manifest body (snapshot or backup) carries over itself."""
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return crc32c(canonical.encode("utf-8"))
+    return checksum(canonical.encode("utf-8"), legacy)
+
+
+def seal(body: dict) -> None:
+    """Add the checksum ``body`` carries over itself."""
+    body["manifest_crc32"] = f"{self_checksum(body):08x}"
+
+
+def unseal(body: dict) -> bool:
+    """Take the checksum ``body`` carries over itself out of it and say
+    whether it holds (its key names its algorithm, as an entry's does)."""
+    legacy = "manifest_crc32" not in body
+    recorded = _stored_crc(body.pop(checksum_key("manifest_crc32", legacy)))
+    return recorded == self_checksum(body, legacy)
 
 
 def load_manifest(disk: DiskIO, root: Path) -> Manifest | None:
@@ -282,21 +344,20 @@ class SnapshotWriter:
                 latest = max(latest, int(match.group(1)))
         return latest + 1
 
-    def _put(self, path: str, data: bytes, crc: int) -> ManifestEntry:
-        self.disk.write_file(self.root / PurePosixPath(path), data)
+    def _put(self, entry: ManifestEntry, data: bytes) -> ManifestEntry:
+        self.disk.write_file(self.root / PurePosixPath(entry.path), data)
         # write_file synced the file's own directory; the entries that
         # lead to it are synced in commit().
-        self._unsynced_dirs.update(PurePosixPath(path).parent.parents)
+        self._unsynced_dirs.update(PurePosixPath(entry.path).parent.parents)
         metrics.increment("storage.snapshot.files_written")
         metrics.increment("storage.snapshot.bytes_written", len(data))
         metrics.increment("storage.snapshot.bytes_checksummed", len(data))
-        entry = ManifestEntry(path=path, size=len(data), crc32c=crc)
         self._entries.append(entry)
         return entry
 
     def write(self, relpath: str, data: bytes) -> None:
         """Write one file (path relative to the snapshot directory)."""
-        self._put(f"{self._directory}/{PurePosixPath(relpath)}", data, crc32c(data))
+        self._put(ManifestEntry.of(f"{self._directory}/{PurePosixPath(relpath)}", data), data)
 
     def write_segment(self, relpath: str, segment: ColumnSegment) -> None:
         """List a segment under ``relpath``, writing its blob into the
@@ -311,8 +372,7 @@ class SnapshotWriter:
             self._entries.append(entry)
         else:
             data = serialize_segment(segment)
-            crc = crc32c(data)
-            entry = self._put(pool_path(relpath, crc), data, crc)
+            entry = self._put(ManifestEntry.pooled(relpath, data), data)
         self.stored.put(segment, entry)
 
     def commit(self, checkpoint_lsn: int = 0) -> Manifest:
@@ -427,10 +487,11 @@ class SnapshotReader:
     def read_segment(self, relpath: str) -> ColumnSegment:
         """Deserialize the segment listed under ``relpath``, remembering
         its pool blob so the next save to this root does not rewrite it."""
-        segment = deserialize_segment(self.read(relpath))
+        data = self.read(relpath)
+        segment = deserialize_segment(data)
         entry = self._entries[str(PurePosixPath(relpath))]
         if entry.path.startswith(_POOL_PREFIX):
-            self.stored.put(segment, entry)
+            self.stored.put(segment, entry.current(data))
         return segment
 
     def exists(self, relpath: str) -> bool:
@@ -458,7 +519,7 @@ def _verify(disk: DiskIO, root: Path, entry: ManifestEntry) -> tuple[bytes | Non
     if len(data) != entry.size:
         return None, "size-mismatch", f"expected {entry.size} bytes, found {len(data)}"
     metrics.increment("storage.snapshot.bytes_checksummed", len(data))
-    if crc32c(data) != entry.crc32c:
+    if not entry.matches(data):
         return None, "checksum-mismatch", ""
     return data, "ok", ""
 
@@ -599,7 +660,7 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
     """Scan a saved database and report a per-file verdict.
 
     Never raises for corruption — corruption is the *result*. Verifies
-    manifest self-checksum, per-file existence/size/CRC-32C, and that
+    manifest self-checksum, per-file existence/size/checksum, and that
     every segment blob structurally decodes.
     """
     from ..backup.archive import ARCHIVE_DIR_NAME, check_archive

@@ -226,11 +226,17 @@ class DataType:
         """``values`` (each of a type :data:`_EXACT` lists for the kind) as
         one physical array, or ``None`` when one of them is out of range."""
         if self.kind in (TypeKind.INT, TypeKind.BIGINT):
-            # Checked here: numpy before 2.0 wraps an out-of-range int.
-            limit = 2**31 if self.kind is TypeKind.INT else 2**63
-            if not (-limit <= min(values) and max(values) < limit):
+            # One pass in C: an int past int64 raises; INT's narrower
+            # range is checked on the array (numpy before 2.0 wraps an
+            # out-of-range int on a direct int32 conversion).
+            try:
+                wide = np.array(values, dtype=np.int64)
+            except OverflowError:
                 return None
-        elif self.length is not None and max(map(len, values)) > self.length:
+            if self.kind is TypeKind.INT and not (-(2**31) <= wide.min() and wide.max() < 2**31):
+                return None
+            return wide.astype(self.numpy_dtype, copy=False)
+        if self.length is not None and max(map(len, values)) > self.length:
             return None
         try:
             return self.physical_array(values)

@@ -1,11 +1,11 @@
-"""WAL record framing: fixed-header frames with per-record CRC-32C.
+"""WAL record framing: fixed-header frames with a per-record checksum.
 
 One log record is one committed statement (the facade never interleaves
 records of two statements inside a frame, so a frame is the unit of
 atomicity — there is no separate COMMIT marker to lose half of). The
 wire layout, little-endian throughout::
 
-    frame  := length:u32 | crc:u32 | body
+    frame  := crc32:1 | length:31 | crc:u32 | body
     body   := type:u8 | lsn:u64 | txn_id:u64 | table_len:u16 | table:utf8 | payload
 
 ``txn_id`` ties a record to its transaction: 0 is the implicit
@@ -16,17 +16,21 @@ before), while a nonzero id — the LSN of the transaction's
 collects the committed ids first and skips the rest
 (:mod:`repro.wal.replay`).
 
-``length`` counts the body bytes and ``crc`` is CRC-32C over the body,
-so a torn append (only a prefix of the frame reached the disk) is
-detected either by the frame extending past end-of-file or by a CRC
-mismatch. :func:`scan_segment` classifies the damage: a bad record that
+``length`` counts the body bytes and ``crc`` is the body's checksum:
+a CRC-32 when the top bit of the length word (``crc32``) is set, as in
+every frame this build writes, and a CRC-32C when it is clear, as in the
+frames earlier builds wrote (verified only; a segment may hold both). A
+torn append (only a prefix of the frame reached the disk) is detected
+either by the frame extending past end-of-file or by a checksum
+mismatch; a flipped marker bit leaves the length as it was and makes the
+frame fail its checksum. :func:`scan_segment` classifies the damage: a bad record that
 is the *last* thing in the segment is a torn tail (recovery truncates
 it); a bad record *followed by* a well-formed record is mid-log
 corruption (recovery refuses — valid data would be silently lost).
 
 LSNs are assigned contiguously (1-based); the scanner enforces that each
 record's LSN is exactly its predecessor's + 1, which catches spliced or
-reordered segments that per-record CRCs cannot.
+reordered segments that per-record checksums cannot.
 
 A ``ROW_GROUPS`` record does not carry its row groups: it names the
 segment blobs its change wrote into the database's write-once pool
@@ -45,10 +49,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import WalCorruptError
-from ..storage.diskio import crc32c
-from ..storage.snapshot import ManifestEntry
+from ..storage.diskio import crc32
+from ..storage.snapshot import ManifestEntry, checksum
 
-_FRAME_HEADER = struct.Struct("<II")  # body length, body crc32c
+_FRAME_HEADER = struct.Struct("<II")  # marker bit and body length, body checksum
+_CRC32_FRAME = 1 << 31  # set: the frame's checksum is a CRC-32, clear: a CRC-32C
+_LENGTH_MASK = _CRC32_FRAME - 1
 _BODY_HEADER = struct.Struct("<BQQH")  # record type, lsn, txn id, table-name length
 MIN_BODY_BYTES = _BODY_HEADER.size
 
@@ -166,11 +172,13 @@ def encode_record(
         + table_bytes
         + payload
     )
-    return _FRAME_HEADER.pack(len(body), crc32c(body)) + body
+    if len(body) > _LENGTH_MASK:
+        raise ValueError(f"a {len(body)}-byte record does not fit a log frame")
+    return _FRAME_HEADER.pack(len(body) | _CRC32_FRAME, crc32(body)) + body
 
 
 def _decode_body(body: bytes) -> WalRecord:
-    """Decode a CRC-verified body; raises ``ValueError`` on bad structure."""
+    """Decode a checksum-verified body; raises ``ValueError`` on bad structure."""
     rtype_raw, lsn, txn_id, table_len = _BODY_HEADER.unpack_from(body, 0)
     if MIN_BODY_BYTES + table_len > len(body):
         raise ValueError(f"table name ({table_len} bytes) overruns the body")
@@ -188,7 +196,8 @@ def _record_at(data: bytes, pos: int) -> tuple[WalRecord, int] | str:
     """Decode the record at ``pos``; returns (record, end) or a reason string."""
     if len(data) - pos < _FRAME_HEADER.size:
         return f"only {len(data) - pos} bytes left, frame header needs 8"
-    length, crc = _FRAME_HEADER.unpack_from(data, pos)
+    word, crc = _FRAME_HEADER.unpack_from(data, pos)
+    length = word & _LENGTH_MASK
     body_start = pos + _FRAME_HEADER.size
     if length > len(data) - body_start:
         return (
@@ -196,8 +205,8 @@ def _record_at(data: bytes, pos: int) -> tuple[WalRecord, int] | str:
             f"{len(data) - body_start} remain"
         )
     body = data[body_start : body_start + length]
-    if crc32c(body) != crc:
-        return "record CRC-32C mismatch"
+    if checksum(body, legacy=not word & _CRC32_FRAME) != crc:
+        return "record checksum mismatch"
     if length < MIN_BODY_BYTES:
         return f"body of {length} bytes is below the {MIN_BODY_BYTES}-byte minimum"
     try:
@@ -249,13 +258,14 @@ def _valid_record_after(data: bytes, bad_pos: int) -> bool:
     """Does a well-formed record exist after the bad one at ``bad_pos``?
 
     Checks the position the bad frame's length field claims (the common
-    mid-log bit-flip case: the CRC or body was hit but the length is
-    intact, so the next frame still starts where it should).
+    mid-log bit-flip case: the checksum, the marker bit or the body was
+    hit but the length is intact, so the next frame still starts where it
+    should).
     """
     if len(data) - bad_pos < _FRAME_HEADER.size:
         return False
-    length, _ = _FRAME_HEADER.unpack_from(data, bad_pos)
-    claimed_end = bad_pos + _FRAME_HEADER.size + length
+    word, _ = _FRAME_HEADER.unpack_from(data, bad_pos)
+    claimed_end = bad_pos + _FRAME_HEADER.size + (word & _LENGTH_MASK)
     if claimed_end >= len(data):
         return False
     return not isinstance(_record_at(data, claimed_end), str)

@@ -1,18 +1,17 @@
-"""The CRC-32C word loop and lane-parallel kernel against the scalar
-reference.
+"""The checksums: ``crc32``, which every new file and frame carries, and
+``crc32c_scalar``, which verifies the CRC-32C earlier builds stored.
 
-``crc32c_scalar`` is the byte-at-a-time table walk: the path ``crc32c``
-takes on a big-endian host and the definition both faster paths must
-reproduce bit for bit — same value for every length, seed, split point
-and buffer type. Below the kernel threshold ``crc32c`` advances four
-bytes a step through two half-word tables; lengths are drawn around
-every boundary the kernel has: the word/kernel threshold, the lane
-length, the power-of-two lane counts the fold pads to, and the block
-size inputs are chained across.
+``crc32`` is zlib's; it is held to the published vectors and to a
+byte-at-a-time table walk of the IEEE polynomial written out here — the
+same value for every length, seed, split point and buffer type, with any
+buffer counted in bytes. The lengths are the boundaries the numpy CRC-32C
+kernel it replaced had (its word/kernel threshold, lane, power-of-two
+lane counts and block size), kept because a length that once mattered to
+a checksum is a cheap one to keep testing. ``crc32c_scalar`` keeps the
+RFC 3720 vectors.
 """
 
 import random
-import sys
 from array import array
 
 import numpy as np
@@ -20,63 +19,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import diskio
-from repro.storage.diskio import crc32c, crc32c_scalar
+from repro.storage.diskio import crc32, crc32c_scalar
 
-THRESHOLD = diskio._KERNEL_MIN_BYTES
-LANE = diskio._LANE_BYTES
-BLOCK = diskio._BLOCK_BYTES
+_BOUNDARY_LENGTHS = [
+    0, 1, 1023, 1024, 1025, 1027, 1039, 1040, 1041, 1279, 1280, 1281, 1295, 1296,
+    1297, 262143, 262144, 262145, 262162, (1 << 20) + 3,
+]
 
-_BOUNDARY_LENGTHS = sorted(
-    {
-        0,
-        1,
-        THRESHOLD - 1,
-        THRESHOLD,
-        THRESHOLD + 1,
-        THRESHOLD + LANE - 1,  # not a multiple of 4, nor of the lane
-        THRESHOLD + LANE,
-        THRESHOLD + LANE + 1,
-        # 1 KiB, the threshold before the word loop: inputs the kernel
-        # took then and the word loop takes now.
-        1023,
-        1024,
-        1025,
-        1024 + LANE - 1,
-        1024 + LANE + 1,
-        65 * LANE,  # one lane past a power-of-two lane count
-        64 * LANE + 3,
-        BLOCK - 1,
-        BLOCK,
-        BLOCK + 1,
-        BLOCK + LANE + 2,  # a second block of a single lane, plus a tail
-        (1 << 20) + 3,
-    }
-)
+
+def _build_crc32_table() -> tuple[int, ...]:
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1  # reversed IEEE polynomial
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC32_TABLE = _build_crc32_table()
+
+
+def crc32_reference(data: bytes, value: int = 0) -> int:
+    crc = value ^ 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
 
 
 def _payload(length: int, seed: int = 0) -> bytes:
     return random.Random(seed * 1_000_003 + length).randbytes(length)
 
 
+def test_crc32_vectors():
+    assert crc32(b"123456789") == 0xCBF43926
+    assert crc32(b"") == 0
+    assert crc32(b"\x00" * 32) == 0x190A55AD
+    assert crc32(b" world", crc32(b"hello")) == crc32(b"hello world")
+
+
+def test_legacy_crc32c_vectors():
+    # RFC 3720 appendix B: what an earlier build's checksums are held to.
+    assert crc32c_scalar(b"123456789") == 0xE3069283
+    assert crc32c_scalar(b"") == 0
+    assert crc32c_scalar(b"\x00" * 32) == 0x8A9136AA
+    assert crc32c_scalar(b" world", crc32c_scalar(b"hello")) == crc32c_scalar(b"hello world")
+
+
 @pytest.mark.parametrize("length", _BOUNDARY_LENGTHS)
 @pytest.mark.parametrize("value", [0, 0xDEADBEEF, 0xFFFFFFFF])
 def test_boundary_lengths_match_the_scalar_reference(length, value):
     data = _payload(length)
-    assert crc32c(data, value) == crc32c_scalar(data, value)
-
-
-def test_every_length_around_the_threshold():
-    data = _payload(THRESHOLD + 4 * LANE)
-    for length in range(THRESHOLD - 2, len(data) + 1):
-        assert crc32c(data[:length], 7) == crc32c_scalar(data[:length], 7)
+    assert crc32(data, value) == crc32_reference(data, value)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     length=st.one_of(
-        st.integers(0, 4 * THRESHOLD),
-        st.sampled_from(_BOUNDARY_LENGTHS).flatmap(
+        st.integers(0, 5000),
+        st.sampled_from(_BOUNDARY_LENGTHS[:-1]).flatmap(
             lambda n: st.integers(max(0, n - 5), n + 5)
         ),
     ),
@@ -85,106 +86,72 @@ def test_every_length_around_the_threshold():
 )
 def test_differential_against_the_scalar_reference(length, value, seed):
     data = _payload(length, seed)
-    assert crc32c(data, value) == crc32c_scalar(data, value)
+    assert crc32(data, value) == crc32_reference(data, value)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    length=st.integers(0, BLOCK + 3 * THRESHOLD),
+    length=st.integers(0, 270_000),
     cut=st.floats(0, 1),
     seed=st.integers(0, 1 << 16),
 )
 def test_chaining_split_at_any_offset(length, cut, seed):
     data = _payload(length, seed)
     split = int(cut * length)
-    assert crc32c(data[split:], crc32c(data[:split])) == crc32c_scalar(data)
+    assert crc32(data[split:], crc32(data[:split])) == crc32(data)
 
 
 def test_all_zero_and_all_one_buffers():
-    # Zero lanes leave a zero register untouched, which is what the
-    # kernel's front padding relies on; all-ones is the other extreme.
     for fill in (b"\x00", b"\xff"):
-        data = fill * (3 * THRESHOLD + 5)
-        assert crc32c(data) == crc32c_scalar(data)
+        data = fill * (3 * 1280 + 5)
+        assert crc32(data) == crc32_reference(data)
+        assert crc32c_scalar(data) != crc32(data)
 
 
 def test_buffer_types_agree():
-    data = _payload(5 * THRESHOLD + 3)
-    expected = crc32c_scalar(data, 9)
-    assert crc32c(bytearray(data), 9) == expected
-    assert crc32c(memoryview(data), 9) == expected
-    # An odd offset into a larger buffer: the kernel's 32-bit view of
-    # the data is then unaligned.
-    padded = b"\x55" + data
-    assert crc32c(memoryview(padded)[1:], 9) == expected
+    data = _payload(5 * 1280 + 3)
+    expected = crc32_reference(data, 9)
+    assert crc32(bytearray(data), 9) == expected
+    assert crc32(memoryview(data), 9) == expected
+    padded = b"\x55" + data  # an odd offset into a larger buffer
+    assert crc32(memoryview(padded)[1:], 9) == expected
 
 
 def test_single_bit_flips_detected_in_a_64k_buffer():
     data = bytearray(_payload(64 * 1024))
-    reference = crc32c(data)
+    reference = crc32(data)
     rng = random.Random(0)
-    positions = {0, len(data) - 1, LANE - 1, LANE, THRESHOLD, len(data) // 2}
+    positions = {0, len(data) - 1, 15, 16, 1280, len(data) // 2}
     positions.update(rng.randrange(len(data)) for _ in range(40))
     for position in sorted(positions):
         bit = 1 << rng.randrange(8)
         data[position] ^= bit
-        assert crc32c(data) != reference, f"flip at byte {position} undetected"
+        assert crc32(data) != reference, f"flip at byte {position} undetected"
         data[position] ^= bit
-    assert crc32c(data) == reference
-
-
-def test_small_inputs_take_the_word_path(monkeypatch):
-    # A 99-byte WAL frame pays no kernel set-up and no byte-at-a-time loop.
-    def boom(*_args):
-        raise AssertionError("kernel used for a small input")
-
-    words = []
-    monkeypatch.setattr(diskio, "_crc_lanes", boom)
-    monkeypatch.setattr(
-        diskio, "_crc_words", lambda data, value: words.append(len(data)) or 0
-    )
-    crc32c(b"x" * 99)
-    crc32c(b"x" * (THRESHOLD - 1))
-    assert words == [99, THRESHOLD - 1]
+    assert crc32(data) == reference
 
 
 def test_every_length_to_2048_matches_the_scalar_reference():
-    # Every remainder mod 4, both sides of the threshold, a random seed
-    # value each, and three buffer types: bytes, bytearray, and a
-    # memoryview one byte into a larger buffer (its words unaligned).
+    # Every remainder mod 4, a random seed value each, and three buffer
+    # types: bytes, bytearray, and a memoryview one byte into a larger
+    # buffer.
     rng = random.Random(2048)
     padded = b"\xa5" + _payload(2048, seed=3)
     for length in range(2049):
         data = padded[1 : 1 + length]
         value = rng.getrandbits(32)
-        expected = crc32c_scalar(data, value)
-        assert crc32c(data, value) == expected, length
-        assert crc32c(bytearray(data), value) == expected, length
-        assert crc32c(memoryview(padded)[1 : 1 + length], value) == expected, length
+        expected = crc32_reference(data, value)
+        assert crc32(data, value) == expected, length
+        assert crc32(bytearray(data), value) == expected, length
+        assert crc32(memoryview(padded)[1 : 1 + length], value) == expected, length
 
 
-def test_a_big_endian_host_takes_the_scalar_loop(monkeypatch):
-    def boom(*_args):
-        raise AssertionError("word loop used on a big-endian host")
-
-    monkeypatch.setattr(sys, "byteorder", "big")
-    monkeypatch.setattr(diskio, "_crc_words", boom)
-    for length in (0, 3, 99, THRESHOLD - 1, THRESHOLD + 5):
-        data = _payload(length, seed=5)
-        assert crc32c(data, 11) == crc32c_scalar(data, 11)
-
-
-def test_the_half_word_tables_stay_within_512_kib():
-    tables = (diskio._LOW_HALF, diskio._HIGH_HALF)
-    assert all(len(table) == 1 << 16 for table in tables)
-    assert sum(len(table) * table.itemsize for table in tables) <= 512 * 1024
-
-
-@pytest.mark.parametrize("items", [40, 1000])  # word loop, kernel
+@pytest.mark.parametrize("items", [40, 1000])
 def test_items_wider_than_a_byte_are_counted_in_bytes(items):
-    # Both the size test and the loops once counted items: a uint32
-    # array checksummed a quarter of its bytes' worth of values.
+    # A uint32 array and an array('I') checksum their bytes, not their
+    # items.
     numbers = np.arange(items, dtype=np.uint32)
-    expected = crc32c_scalar(numbers.tobytes())
-    assert crc32c(numbers) == expected
-    assert crc32c(memoryview(array("I", range(items)))) == expected
+    expected = crc32_reference(numbers.tobytes())
+    assert crc32(numbers) == expected
+    assert crc32(array("I", range(items))) == expected
+    assert crc32(memoryview(array("I", range(items)))) == expected

@@ -1,5 +1,5 @@
 """Unit tests for the disk I/O abstraction and the snapshot protocol:
-CRC-32C vectors, atomic file replacement, fault injection semantics,
+checksum vectors, atomic file replacement, fault injection semantics,
 manifest round-trips, verification, and garbage collection."""
 
 import json
@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import CorruptBlobError, RecoveryError
-from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32c
+from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32, crc32c_scalar
 from repro.storage.snapshot import (
     MANIFEST_NAME,
     Manifest,
@@ -21,27 +21,33 @@ from repro.storage.snapshot import (
 
 
 class TestCrc32c:
-    """The vectors; the kernel's differential tests are in test_crc32c.py."""
+    """The vectors of the checksum every new file carries (CRC-32) and of
+    the one earlier builds stored (CRC-32C, verified only); the
+    differentials against a scalar reference are in test_crc32c.py."""
 
     def test_known_vectors(self):
+        assert crc32(b"123456789") == 0xCBF43926
+        assert crc32(b"") == 0
+        assert crc32(b"\x00" * 32) == 0x190A55AD
         # RFC 3720 appendix B test vector for CRC-32C.
-        assert crc32c(b"123456789") == 0xE3069283
-        assert crc32c(b"") == 0
-        assert crc32c(b"\x00" * 32) == 0x8A9136AA
+        assert crc32c_scalar(b"123456789") == 0xE3069283
+        assert crc32c_scalar(b"\x00" * 32) == 0x8A9136AA
 
     def test_chaining(self):
-        whole = crc32c(b"hello world")
-        chained = crc32c(b" world", crc32c(b"hello"))
-        assert whole == chained
+        for checksum in (crc32, crc32c_scalar):
+            whole = checksum(b"hello world")
+            chained = checksum(b" world", checksum(b"hello"))
+            assert whole == chained
 
     def test_single_bit_flip_always_detected(self):
         data = bytes(range(256))
-        reference = crc32c(data)
-        for byte_index in range(len(data)):
-            for bit in range(8):
-                flipped = bytearray(data)
-                flipped[byte_index] ^= 1 << bit
-                assert crc32c(bytes(flipped)) != reference
+        for checksum in (crc32, crc32c_scalar):
+            reference = checksum(data)
+            for byte_index in range(len(data)):
+                for bit in range(8):
+                    flipped = bytearray(data)
+                    flipped[byte_index] ^= 1 << bit
+                    assert checksum(bytes(flipped)) != reference
 
 
 class TestDiskIO:
@@ -116,7 +122,7 @@ class TestManifest:
         from repro.storage.snapshot import ManifestEntry
 
         manifest = Manifest(snapshot_id=7)
-        manifest.files.append(ManifestEntry(path="t/a.seg", size=12, crc32c=0xDEAD))
+        manifest.files.append(ManifestEntry(path="t/a.seg", size=12, crc=0xDEAD))
         restored = Manifest.from_json(manifest.to_json(), "m")
         assert restored.snapshot_id == 7
         assert restored.directory == "snap_000007"
@@ -140,7 +146,7 @@ class TestManifest:
             "checkpoint_lsn": 3,
             "files": [{"path": "t/a.seg", "size": 12, "crc32c": "0000dead"}],
         }
-        body["manifest_crc32c"] = f"{self_checksum(body):08x}"
+        body["manifest_crc32c"] = f"{self_checksum(body, legacy=True):08x}"
         with pytest.raises(RecoveryError, match=r"format_version 1 .*snap_<id>/"):
             Manifest.from_json(json.dumps(body).encode(), "m")
 

@@ -19,7 +19,7 @@ from repro.backup.manifest import BACKUP_MANIFEST_NAME, IMAGE_DIR_NAME
 from repro.errors import CorruptBlobError, RecoveryError
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
-from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32c
+from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32, crc32c_scalar
 from repro.storage.snapshot import (
     MANIFEST_NAME,
     POOL_DIR_NAME,
@@ -363,7 +363,8 @@ class TestCrashesAroundThePool:
 # ---------------------------------------------------------------------- #
 def downgrade_to_v1(root) -> None:
     """Rewrite a saved directory into the layout the previous format
-    wrote: every file under ``snap_<id>/`` and a version-1 manifest."""
+    wrote: every file under ``snap_<id>/`` and a version-1 manifest, its
+    checksums CRC-32C as that build's were."""
     manifest = load_manifest(DiskIO(), root)
     files = []
     for entry in manifest.files:
@@ -372,7 +373,8 @@ def downgrade_to_v1(root) -> None:
         if target != root / entry.path:
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.move(root / entry.path, target)
-        files.append({"path": relpath, "size": entry.size, "crc32c": f"{entry.crc32c:08x}"})
+        crc = crc32c_scalar(target.read_bytes())
+        files.append({"path": relpath, "size": entry.size, "crc32c": f"{crc:08x}"})
     shutil.rmtree(root / POOL_DIR_NAME, ignore_errors=True)
     body = {
         "format_version": 1,
@@ -381,7 +383,7 @@ def downgrade_to_v1(root) -> None:
         "checkpoint_lsn": manifest.checkpoint_lsn,
         "files": files,
     }
-    body["manifest_crc32c"] = f"{self_checksum(body):08x}"
+    body["manifest_crc32c"] = f"{self_checksum(body, legacy=True):08x}"
     (root / MANIFEST_NAME).write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")
 
 
@@ -410,9 +412,9 @@ class TestVersion1Directories:
         for entry in manifest.files:
             path = f"{manifest.directory}/{manifest.relpath_of(entry.path)}"
             data = (image / path).read_bytes()
-            relisted.append(ManifestEntry(f"{IMAGE_DIR_NAME}/{path}", len(data), crc32c(data)))
+            relisted.append(ManifestEntry(f"{IMAGE_DIR_NAME}/{path}", len(data), crc32(data)))
         data = (image / MANIFEST_NAME).read_bytes()
-        relisted.append(ManifestEntry(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", len(data), crc32c(data)))
+        relisted.append(ManifestEntry(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", len(data), crc32(data)))
         backup.files = relisted
         (tmp_path / "bk" / BACKUP_MANIFEST_NAME).write_bytes(backup.to_json())
 
