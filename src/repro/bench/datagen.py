@@ -9,6 +9,7 @@ that customer population — see DESIGN.md's substitution table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,7 +69,7 @@ def _make_low_ndv(n: int, rng: np.random.Generator) -> GeneratedDataset:
         "low_ndv_ints",
         sch,
         {
-            "device_type": np.repeat(rng.integers(0, 5, max(1, n // 500)), 500)[:n].astype(np.int32),
+            "device_type": np.repeat(rng.integers(0, 5, math.ceil(n / 500)), 500)[:n].astype(np.int32),
             "status": _ints(rng, n, 3),
             "severity": _zipf_indices(rng, n, 8),
             "reading": (_ints(rng, n, 50) * 100).astype(np.int32),
@@ -110,7 +111,7 @@ def _make_runs(n: int, rng: np.random.Generator) -> GeneratedDataset:
         sch,
         {
             "batch_id": batch_id,
-            "source": np.repeat(rng.integers(0, 10, max(1, n // 50)), 50)[:n].astype(np.int32),
+            "source": np.repeat(rng.integers(0, 10, math.ceil(n / 50)), 50)[:n].astype(np.int32),
             "flag": (rng.random(n) < 0.9),
         },
     )

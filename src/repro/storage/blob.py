@@ -33,11 +33,11 @@ import struct
 
 from ..errors import CorruptBlobError, EncodingError, TypeMismatchError
 from ..types import DataType, TypeKind
-from . import serde, xpress
+from . import serde
 from .dictionary import LocalDictionary
 from .encodings import IDENTITY, BitpackBlock, RawBlock
 from .rle import RleBlock
-from .segment import ColumnSegment, split_archive
+from .segment import ColumnSegment, read_archive
 from .value_encoding import ValueEncoding
 
 _MAGIC = b"CSEG"
@@ -151,7 +151,7 @@ def _deserialize_segment(blob: bytes) -> ColumnSegment:
     if values is None:  # its payloads sit inside the archive only
         if archive is None:
             raise CorruptBlobError(f"a {stage.scheme.value} segment without its payloads")
-        values = stage.from_payloads(split_archive(xpress.decompress(archive))[1], dtype)
+        values = stage.from_payloads(read_archive(archive)[1], dtype)
 
     return _checked(ColumnSegment(
         dtype=dtype,

@@ -4,8 +4,8 @@ One :class:`ColumnSegment` holds one column of one row group, compressed
 independently, together with the metadata the scan uses for segment
 elimination (min/max, row and null counts) — mirroring Section "Index
 storage" of the paper. A segment can additionally be *archived*: its
-payloads are run through the LZ77 codec (:mod:`repro.storage.xpress`) and
-decompressed on access, modelling COLUMNSTORE_ARCHIVE.
+payloads are run through DEFLATE (one zlib stream, :func:`read_archive`
+reads it back) and decompressed on access, modelling COLUMNSTORE_ARCHIVE.
 
 A segment reads through exactly one *value stage* over one *stream
 stage* (Rozenberg's primitives; DESIGN.md "Compressed execution" has the
@@ -23,6 +23,7 @@ and the archive is one step over both stages' payloads.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Union
@@ -58,6 +59,9 @@ from .value_encoding import ValueEncoding
 ValueStage = Union[LocalDictionary, ValueEncoding, Identity]
 
 _METADATA_OVERHEAD_BYTES = 64
+# The zlib level of every archive this build writes, picked from E2
+# (DESIGN.md "Archival codec").
+_ARCHIVE_LEVEL = 6
 # A take of at most this many positions works in Python integers and
 # makes one array, of its result: below it the array path's fixed cost
 # (asarray, min / max, view, += and astype on tiny arrays, the kernel's
@@ -78,7 +82,7 @@ class ColumnSegment:
     min_value: Any
     max_value: Any
     raw_size_bytes: int
-    archive: bytes | None = None  # xpress-compressed payloads when archived
+    archive: bytes | None = None  # the payloads as one zlib stream when archived
 
     @property
     def scheme(self) -> Scheme:
@@ -187,7 +191,7 @@ class ColumnSegment:
     # Archival compression
     # ------------------------------------------------------------------ #
     def to_archived(self) -> "ColumnSegment":
-        """Re-compress both stages' payloads with the archival codec
+        """Re-compress both stages' payloads as one zlib stream
         (idempotent). The stream keeps its parameters, with empty
         payloads; the value stage stays as it is."""
         if self.archive is not None:
@@ -196,7 +200,7 @@ class ColumnSegment:
         blob = _join_archive(parts, self.values.payloads(self.dtype))
         return dataclasses.replace(
             self,
-            archive=xpress.compress(blob),
+            archive=zlib.compress(blob, _ARCHIVE_LEVEL),
             stream=self.stream.with_payloads([b""] * len(parts)),
         )
 
@@ -204,7 +208,7 @@ class ColumnSegment:
         """Restore the plain (non-archival) representation."""
         if self.archive is None:
             return self
-        parts, _ = split_archive(xpress.decompress(self.archive))
+        parts, _ = read_archive(self.archive)
         if len(parts) != len(self.stream.payloads()):
             raise CorruptBlobError(f"an archive of {len(parts)} stream payloads")
         return dataclasses.replace(self, archive=None, stream=self.stream.with_payloads(parts))
@@ -484,8 +488,27 @@ def _join_archive(stream_parts: list[bytes], value_parts: list[bytes]) -> bytes:
     return bytes(out)
 
 
-def split_archive(blob: bytes) -> tuple[list[bytes], list[bytes]]:
-    """(stream payloads, value-stage payloads) of a decompressed archive."""
+def read_archive(archive: bytes) -> tuple[list[bytes], list[bytes]]:
+    """(stream payloads, value-stage payloads) of an archive: one zlib
+    stream, or an XPR1 payload an earlier build wrote. A zlib stream
+    starts ``0x78`` and ``b"XP"`` is no zlib header, so the first bytes
+    tell the two apart. A bad check, a cut stream and bytes after the
+    stream's end are each refused."""
+    if archive.startswith(xpress.MAGIC):
+        return _split_archive(xpress.decompress(archive))
+    inflater = zlib.decompressobj()
+    try:
+        blob = inflater.decompress(archive)
+    except zlib.error as exc:
+        raise CorruptBlobError(f"corrupt archive: {exc}") from exc
+    if not inflater.eof:
+        raise CorruptBlobError("truncated archive")
+    if inflater.unused_data:
+        raise CorruptBlobError(f"{len(inflater.unused_data)} bytes after the archive's end")
+    return _split_archive(blob)
+
+
+def _split_archive(blob: bytes) -> tuple[list[bytes], list[bytes]]:
     n_stream, pos = serde.read_varint(blob, 0)
     n_values, pos = serde.read_varint(blob, pos)
     parts = []

@@ -1,10 +1,10 @@
-"""Archival compression codec (stand-in for SQL Server's XPRESS).
+"""Reader of XPR1, the archival codec of earlier builds.
 
-The paper's COLUMNSTORE_ARCHIVE option runs the already-encoded segment and
-dictionary bytes through a Lempel-Ziv codec, trading scan CPU for an extra
-~1.3-2x size reduction on cold data. We implement an LZ77 codec from
-scratch (no zlib): a greedy single-probe hash match finder over a 64 KiB
-window, emitting LZ4-style token sequences.
+Earlier builds ran an archived segment's payloads through a hand-written
+LZ77 codec (a stand-in for SQL Server's XPRESS) with a greedy single-probe
+hash match finder over a 64 KiB window. This build archives through zlib
+(:func:`repro.storage.segment.read_archive`); this module only reads the
+archives an earlier build wrote, so their directories still open.
 
 Format (little-endian):
     header:  magic ``b"XPR1"`` + uint32 uncompressed length
@@ -21,92 +21,13 @@ from __future__ import annotations
 
 from ..errors import EncodingError
 
-_MAGIC = b"XPR1"
+MAGIC = b"XPR1"
 _MIN_MATCH = 4
-_WINDOW = 0xFFFF  # max back-reference distance (uint16 offset)
-_HASH_MULT = 2654435761
-_HASH_BITS = 16
-
-
-def _hash4(word: int) -> int:
-    return ((word * _HASH_MULT) & 0xFFFFFFFF) >> (32 - _HASH_BITS)
-
-
-def compress(data: bytes) -> bytes:
-    """Compress ``data``; output always round-trips through :func:`decompress`."""
-    n = len(data)
-    out = bytearray(_MAGIC)
-    out += n.to_bytes(4, "little")
-    if n == 0:
-        return bytes(out)
-
-    table: dict[int, int] = {}
-    anchor = 0  # start of pending literals
-    pos = 0
-    limit = n - _MIN_MATCH
-
-    while pos <= limit:
-        word = int.from_bytes(data[pos : pos + 4], "little")
-        slot = _hash4(word)
-        candidate = table.get(slot, -1)
-        table[slot] = pos
-        if (
-            candidate >= 0
-            and pos - candidate <= _WINDOW
-            and data[candidate : candidate + 4] == data[pos : pos + 4]
-        ):
-            # Extend the match forward.
-            match_len = 4
-            max_len = n - pos
-            while (
-                match_len < max_len
-                and data[candidate + match_len] == data[pos + match_len]
-            ):
-                match_len += 1
-            _emit_sequence(out, data, anchor, pos, pos - candidate, match_len)
-            pos += match_len
-            anchor = pos
-        else:
-            pos += 1
-
-    _emit_final(out, data, anchor, n)
-    return bytes(out)
-
-
-def _emit_sequence(
-    out: bytearray, data: bytes, anchor: int, pos: int, offset: int, match_len: int
-) -> None:
-    lit_len = pos - anchor
-    ml = match_len - _MIN_MATCH
-    token = (min(lit_len, 15) << 4) | min(ml, 15)
-    out.append(token)
-    _emit_length(out, lit_len, 15)
-    out += data[anchor:pos]
-    out += offset.to_bytes(2, "little")
-    _emit_length(out, ml, 15)
-
-
-def _emit_final(out: bytearray, data: bytes, anchor: int, end: int) -> None:
-    lit_len = end - anchor
-    out.append(min(lit_len, 15) << 4)
-    _emit_length(out, lit_len, 15)
-    out += data[anchor:end]
-
-
-def _emit_length(out: bytearray, length: int, threshold: int) -> None:
-    """Emit the 255-continuation extension bytes for a token field."""
-    if length < threshold:
-        return
-    remaining = length - threshold
-    while remaining >= 255:
-        out.append(255)
-        remaining -= 255
-    out.append(remaining)
 
 
 def decompress(payload: bytes) -> bytes:
-    """Inverse of :func:`compress`."""
-    if len(payload) < 8 or payload[:4] != _MAGIC:
+    """The bytes an XPR1 payload holds."""
+    if len(payload) < 8 or payload[:4] != MAGIC:
         raise EncodingError("not an XPR1 archive payload")
     expected = int.from_bytes(payload[4:8], "little")
     out = bytearray()
@@ -154,10 +75,3 @@ def _read_length(payload: bytes, pos: int, base: int) -> tuple[int, int]:
         length += byte
         if byte != 255:
             return length, pos
-
-
-def compression_ratio(data: bytes) -> float:
-    """Convenience: ratio achieved on ``data`` (>= 1.0 means it shrank)."""
-    if not data:
-        return 1.0
-    return len(data) / len(compress(data))

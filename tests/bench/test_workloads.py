@@ -27,6 +27,13 @@ class TestDatagen:
         assert dataset.row_count == 500
         assert set(dataset.columns) == set(dataset.table_schema.names)
 
+    @pytest.mark.parametrize("n", [1, 499, 501, 12_345, 65_536])
+    def test_every_column_has_the_requested_rows(self, n):
+        for spec in DATASET_SPECS:
+            dataset = make_dataset(spec.name, n)
+            lengths = {name: len(column) for name, column in dataset.columns.items()}
+            assert set(lengths.values()) == {n}, (spec.name, lengths)
+
     def test_deterministic(self):
         a = make_dataset("low_ndv_ints", 200, seed=7)
         b = make_dataset("low_ndv_ints", 200, seed=7)

@@ -1,11 +1,14 @@
 """Segment-blob fuzzing: round-trip every encoding scheme, then truncate
 at each byte offset and flip bytes, asserting only structured errors
 (never ``IndexError``/``struct.error``/``KeyError``) escape
-``deserialize_segment`` or a read of what it returned. Seeded by
-``REPRO_FAULT_SEED`` (CI matrix)."""
+``deserialize_segment`` or a read of what it returned. Archived segments
+come in both codecs: a zlib archive, and an XPR1 one an earlier build
+wrote. Seeded by ``REPRO_FAULT_SEED`` (CI matrix)."""
 
+import dataclasses
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,9 @@ from repro import types
 from repro.errors import EncodingError
 from repro.storage.blob import deserialize_segment, serialize_segment
 from repro.storage.encodings import Scheme
-from repro.storage.segment import encode_segment
+from repro.storage.segment import encode_segment, read_archive
 
+XPR1_GOLDEN = Path(__file__).parent / "xpr1_golden"
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
@@ -42,6 +46,9 @@ def _build_segments():
         "archived_string": encode_segment(
             types.VARCHAR, np.array(["alpha", "beta"] * 100, dtype=object)
         ).to_archived(),
+        "archived_string_xpr1": deserialize_segment(
+            (XPR1_GOLDEN / "dict-bitpack_nulls_archived.seg").read_bytes()
+        ),
     }
     return segments
 
@@ -52,6 +59,8 @@ SEGMENTS = _build_segments()
 def test_every_scheme_covered():
     schemes = {segment.scheme for segment in SEGMENTS.values()}
     assert schemes == set(Scheme)
+    assert SEGMENTS["archived_string"].archive[:1] == b"\x78"
+    assert SEGMENTS["archived_string_xpr1"].archive[:4] == b"XPR1"
 
 
 @pytest.mark.parametrize("name", sorted(SEGMENTS))
@@ -75,6 +84,30 @@ def test_truncation_at_every_byte_offset(name):
     for cut in range(len(blob)):
         with pytest.raises(EncodingError):
             deserialize_segment(blob[:cut])
+
+
+@pytest.mark.parametrize("name", ["archived_string", "archived_string_xpr1"])
+def test_a_byte_appended_inside_the_archive_is_refused(name):
+    """One more byte inside the archive's length prefix: the blob parses,
+    the archive does not."""
+    segment = SEGMENTS[name]
+    for extra in (0, 1, 0x78, 255):
+        longer = dataclasses.replace(segment, archive=segment.archive + bytes((extra,)))
+        with pytest.raises(EncodingError):
+            deserialize_segment(serialize_segment(longer)).decode()
+
+
+def test_a_zlib_archive_with_a_bad_check_or_cut_short_is_refused():
+    archive = SEGMENTS["archived_string"].archive
+    read_archive(archive)
+    for index in range(len(archive) - 4, len(archive)):  # the Adler-32 check
+        flipped = bytearray(archive)
+        flipped[index] ^= 0x01
+        with pytest.raises(EncodingError, match="corrupt archive"):
+            read_archive(bytes(flipped))
+    for cut in range(len(archive)):
+        with pytest.raises(EncodingError):
+            read_archive(archive[:cut])
 
 
 def _read_corrupted(blob: bytes) -> None:

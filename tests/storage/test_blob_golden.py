@@ -1,19 +1,32 @@
 """The segment blob format, pinned: a golden corpus of deterministic
 segments, one per (value stage, stream stage) pair, with and without
-NULLs, plain and archived, each serialized blob checked against its
-recorded sha256. Round-trip tests only show the code agrees with itself;
-these show it still writes the bytes it wrote before.
+NULLs, plain and archived, each plain blob checked against its recorded
+sha256. Round-trip tests only show the code agrees with itself; these
+show it still writes the bytes it wrote before.
 
-A blob in the earlier archived layout (the dictionary stored plainly and
-again inside the archive) is kept as hex and must still read.
+An archive is one zlib stream, and zlib builds (zlib-ng among them) may
+write different streams for one input. So an archived segment pins its
+blob outside the archive and the sha256 of the archive's plain form,
+not the DEFLATE bytes.
+
+Read-only goldens, which must still read: ``xpr1_golden/`` holds the
+archived blobs of the corpus as an earlier build wrote them, their
+archives in XPR1 (commit 3b1b971 or older: ``serialize_segment`` of each
+archived entry of :func:`corpus`). A blob in the still earlier archived
+layout (the dictionary stored plainly and again inside the archive) is
+kept as hex.
 """
 
+import dataclasses
 import hashlib
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import Database, StoreConfig, schema, types
+from repro.storage import xpress
 from repro.storage.blob import deserialize_segment, serialize_segment
 from repro.storage.encodings import BitpackBlock, RawBlock, Scheme
 from repro.storage.rle import RleBlock
@@ -71,10 +84,11 @@ def corpus() -> dict:
     return segments
 
 
-# sha256 of each blob. Every one is the earlier code's (the signed-zero
-# cases aside, see below), but for the
-# archived dictionary segments, which lost their plain dictionary section
-# (and that flag bit): their archive is byte for byte the earlier one.
+# sha256 of each plain blob, and of each XPR1 golden blob (an archived
+# entry). Every one is the earlier code's (the signed-zero cases aside,
+# see below), but for the archived dictionary segments, which lost their
+# plain dictionary section (and that flag bit): their archive is byte for
+# byte the earlier one.
 GOLDEN = {
     "dict/bitpack no nulls archived": "d86cf8c6cfb6d9a4df788e92e76786e97afd6871b73aafe4514a787594545558",
     "dict/bitpack no nulls plain": "2cc334ec0b9e6fd09650788e3915ef8f43ec6e92de9b3ac3228e53ac99cbcf6d",
@@ -107,6 +121,85 @@ GOLDEN = {
     "raw-signed-zero/raw nulls plain": "6d36dbee9ca56970598fab2405f0c94500086bbdf4f3067015191fce71fbca5a",
 }
 
+# Each archived segment's (sha256 of its blob with the archive emptied,
+# sha256 of the archive's plain form). Both equal those of the XPR1
+# golden of that name.
+ARCHIVED = {
+    "dict-signed-zero/bitpack no nulls archived": (
+        "932f8cb218eaf7bb6a69036e820c6c66ae66153fc4c92818e14c4ef447dc2be5",
+        "355a035a43e74fb5da1a0a0ee369d5272b7d8d16c1909b23a777bc5279ea9e80",
+    ),
+    "dict-signed-zero/bitpack nulls archived": (
+        "56da6d65fd9cb6d82f4c92927a77420418520ce194fb5b9392b54d8e88df1683",
+        "5edf0385e10258bab3782b52dfe9af93385443c3b912b96af139486c23949bbb",
+    ),
+    "dict/bitpack no nulls archived": (
+        "64665bc91c8c29a946173a31e3c5b70055eb1d920a4944d0878979bc8196c610",
+        "d3491198edf2454b0e3acf38c522c28b3b9a973b7e7886fc458761ae06456ea6",
+    ),
+    "dict/bitpack nulls archived": (
+        "2f94ee277626647b93d5d90b6cd7955039883e07e5c044874b68eba237546f3a",
+        "9d6cdec69933af523d4f6930d9b3f0880abad9dc761cad805c0cdb06d7ec2385",
+    ),
+    "dict/rle no nulls archived": (
+        "15fd1bc68949cd0388ea26982700d050cb10aa74c482cef627088dfe83ca1fbb",
+        "da7e45e8e2a209f256e28f1fce1cdf5738ef0c16ddb5838e9478f9d9c2e6b6c4",
+    ),
+    "dict/rle nulls archived": (
+        "7fe9033609600592241b2b0fd3089057d34c51630648f22535f9f43ecb824b0a",
+        "5688fdb158c71fa6d70f4e818b411562924166498bbe916cadce46cb53f7a0db",
+    ),
+    "raw-signed-zero/raw no nulls archived": (
+        "ce5fea6d6413e9f100f4d0955fa5003a10bfb9c71426b2139f32c51011a18254",
+        "d1f28c2c71585def4aa7103b22b69e1c58d4127fcb13343fcce0870b7d397bb7",
+    ),
+    "raw-signed-zero/raw nulls archived": (
+        "ccc16ec1080e8314ba8a769941b0b3c1c2987d1de7c65ffde1c0ebfbac6b1d51",
+        "3e93056b021a59099666590ac234e2f20490478fa3e123881b55e8da65ca850f",
+    ),
+    "raw/raw no nulls archived": (
+        "0b6047058f0e18b451fdca4d7a13919a9050649324ee4231688328317b82867e",
+        "6089dda8d27f912338f386fac3578338c00818df5c8776a86db63d4cd6976160",
+    ),
+    "raw/raw nulls archived": (
+        "c47fbd9ca2d5cff8d9c1247c858bdd4d69dfe20ef96f81cbb2df91f6d0f54fda",
+        "b305780a916418761b07b52faa5cc626a08a3628e0e9f481d45203e5eead759c",
+    ),
+    "value/bitpack no nulls archived": (
+        "0af97fbfd0050b7123322fbfdf6ab0d9a9382c6bce72c119c94b7499abb0b173",
+        "fecefc3035897b0cfacfdacdf9dce88ae8fb767dda8ca886bcc8779829d0d7b9",
+    ),
+    "value/bitpack nulls archived": (
+        "621ca1d7f296192df1eecd7530aea9cc7658a54e5097272bc26b7118bfdc11a8",
+        "f8f707f785a5090a7f0d114b360f4951f45d42b3cfe3adaaf2eb0c81b7a094cb",
+    ),
+    "value/rle no nulls archived": (
+        "95dbfad893f1beaf7565c56a34de79f2bafa3bb43f14d05db9c8c84c025d789a",
+        "aeafb04903d9f32cc161449a3141bb2ef5fd1d4e09df50bf13d562ce0e2a47b1",
+    ),
+    "value/rle nulls archived": (
+        "3b9caa95e38943b296715c20c1d53290c02314c9b777bf4660fe65a77e4e1c26",
+        "8b14cea053a73d25111f080e7c881ff465259e0366a258023750101dabd46760",
+    ),
+}
+
+XPR1_GOLDEN = Path(__file__).parent / "xpr1_golden"
+
+
+def xpr1_blob(name: str) -> bytes:
+    """The blob an earlier build wrote for the archived entry ``name``."""
+    return (XPR1_GOLDEN / (name.replace("/", "-").replace(" ", "_") + ".seg")).read_bytes()
+
+
+def outside_the_archive(segment) -> bytes:
+    """``segment``'s blob with its archive emptied."""
+    return serialize_segment(dataclasses.replace(segment, archive=b""))
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 # A VARCHAR segment of 24 rows (three names, every fifth row NULL),
 # archived, as the earlier layout wrote it: the dictionary both plainly
 # and inside the archive.
@@ -125,12 +218,32 @@ def test_corpus_covers_every_stage_pair():
         _, _, scheme, stream = _PAIRS[name.split()[0]]
         assert (segment.scheme, type(segment.stream)) == (scheme, stream), name
     assert sorted(SEGMENTS) == sorted(GOLDEN)
+    assert sorted(ARCHIVED) == sorted(name for name in SEGMENTS if name.endswith("archived"))
 
 
 @pytest.mark.parametrize("name", sorted(SEGMENTS))
 def test_blob_bytes_are_pinned(name):
-    blob = serialize_segment(SEGMENTS[name])
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[name]
+    segment = SEGMENTS[name]
+    if segment.archived:
+        plain_form = zlib.decompress(segment.archive)
+        assert (sha256(outside_the_archive(segment)), sha256(plain_form)) == ARCHIVED[name]
+    else:
+        assert sha256(serialize_segment(segment)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ARCHIVED))
+def test_an_xpr1_golden_reads_back_as_its_plain_twin(name):
+    blob = xpr1_blob(name)
+    assert sha256(blob) == GOLDEN[name]
+    old = deserialize_segment(blob)
+    assert old.archive.startswith(b"XPR1")
+    twin = SEGMENTS[name.replace("archived", "plain")]
+    assert serialize_segment(old.to_unarchived()) == serialize_segment(twin)
+    # This build archives the same plain form, and writes the same bytes
+    # around it.
+    new = SEGMENTS[name]
+    assert xpress.decompress(old.archive) == zlib.decompress(new.archive)
+    assert outside_the_archive(old) == outside_the_archive(new)
 
 
 @pytest.mark.parametrize("name", sorted(SEGMENTS))
@@ -151,6 +264,10 @@ def test_the_earlier_archived_layout_still_reads():
         OLD_ARCHIVED_VALUES
     )
     assert segment.dictionary.values == ["elm", "oak", "yew"]
+    nulls = np.array([v is None for v in OLD_ARCHIVED_VALUES])
+    names = np.array([v or "" for v in OLD_ARCHIVED_VALUES], dtype=object)
+    twin = encode_segment(types.VARCHAR, names, nulls)
+    assert serialize_segment(segment.to_unarchived()) == serialize_segment(twin)
 
 
 def test_an_archived_dictionary_is_stored_once(tmp_path):

@@ -1,4 +1,4 @@
-"""Edge-case tests: serde varints, xpress window boundaries, directory
+"""Edge-case tests: serde varints, XPR1 window boundaries, directory
 archival sizes, and value-encoding extremes."""
 
 import numpy as np
@@ -165,23 +165,33 @@ class TestShortPayloads:
             serde.deserialize_values(bytes(payload), types.BIGINT)
 
 
+# XPR1 vectors an earlier build's encoder wrote (commit 3b1b971 or older):
+# b"WXYZ", zeros, then b"WXYZ" again 65,535 bytes (the window) after the
+# first, or 65,536. Both start with 5 literals and a match at offset 1
+# whose length runs on through 256 bytes of 255.
+_WINDOW_HEAD = "5f5758595a000100" + "ff" * 256
+JUST_INSIDE_WINDOW = bytes.fromhex("5850523103000100" + _WINDOW_HEAD + "e700ffff00")
+JUST_BEYOND_WINDOW = bytes.fromhex("5850523104000100" + _WINDOW_HEAD + "e8405758595a")
+# b"abcXabcYabcZ" * 10: 12 literals, then one match at offset 12.
+MIN_MATCH = bytes.fromhex("5850523178000000cf61626358616263596162635a0c005900")
+
+
 class TestXpressWindow:
     def test_match_just_inside_window(self):
-        # A repeat at distance < 65536 must be found.
-        data = b"A" * 64 + bytes(range(256)) * 250 + b"A" * 64
-        assert xpress.decompress(xpress.compress(data)) == data
+        # The repeat 65,535 bytes back is a match at offset 0xFFFF.
+        data = b"WXYZ" + b"\x00" * 65_531 + b"WXYZ"
+        assert JUST_INSIDE_WINDOW.endswith(b"\x00\xff\xff\x00")
+        assert xpress.decompress(JUST_INSIDE_WINDOW) == data
 
     def test_match_beyond_window_still_roundtrips(self):
-        # Repeats farther than 64 KiB cannot be referenced, but the data
-        # must still round-trip (as literals).
-        block = bytes(np.random.default_rng(1).integers(0, 256, 70_000, dtype=np.uint8))
-        data = block + block
-        assert xpress.decompress(xpress.compress(data)) == data
+        # A repeat 65,536 bytes back cannot be referenced: it is literals.
+        data = b"WXYZ" + b"\x00" * 65_532 + b"WXYZ"
+        assert JUST_BEYOND_WINDOW.endswith(b"\x40WXYZ")
+        assert xpress.decompress(JUST_BEYOND_WINDOW) == data
 
     def test_min_match_boundary(self):
-        # 3-byte repeats are below MIN_MATCH and stay literal.
-        data = b"abcXabcYabcZ" * 10
-        assert xpress.decompress(xpress.compress(data)) == data
+        # 3-byte repeats are below the minimum match and stay literal.
+        assert xpress.decompress(MIN_MATCH) == b"abcXabcYabcZ" * 10
 
 
 class TestValueEncodingExtremes:

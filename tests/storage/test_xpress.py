@@ -1,4 +1,12 @@
-"""Tests for the archival (LZ77) codec."""
+"""Tests for the XPR1 reader (archives an earlier build wrote).
+
+This build writes no XPR1, so each vector below is what the earlier
+build's encoder wrote for the data beside it (commit 3b1b971 or older,
+``xpress.compress``). Together they reach every branch of the reader:
+literal-only streams, an overlapping match, the 255-continuation of both
+length fields and, in ``test_serde_edges.py``, an offset at the window's
+edge.
+"""
 
 import numpy as np
 import pytest
@@ -8,44 +16,57 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError
 from repro.storage import xpress
 
+EMPTY = bytes.fromhex("5850523100000000")
+ABC = bytes.fromhex("585052310300000030616263")
+# b"hello world " * 500: 12 literals, then one match at offset 12 whose
+# length runs on through 23 bytes of 255.
+HELLO_500 = bytes.fromhex(
+    "5850523170170000cf68656c6c6f20776f726c64200c00" + "ff" * 23 + "6800"
+)
+# b"a" * 1000: one literal, then a 999-byte match at offset 1.
+A_1000 = bytes.fromhex("58505231e80300001f610100ffffffd700")
+RANDOM_64 = bytes.fromhex(
+    "5850523140000000f0318b4ae5f1a94106a0956a26afbccdafe562f90a945f5693c642"
+    "276ad5ab2da7394551370e99b2d74c3427fa48d732a1df70aca1e926115901dd06f27f"
+    "8f063cd2"
+)
+# 300 bytes with no 4-byte repeat: one token, its literal length 15 + 255 + 30.
+NO_REPEATS_300 = bytes(range(256)) + bytes(range(255, -1, -1))[:44]
+LITERALS_300 = bytes.fromhex("585052312c010000f0ff1e") + NO_REPEATS_300
+# b"x" * 20 + b"unique" + b"x" * 300.
+LONG_MATCH = bytes.fromhex("58505231460100001f780100006f756e697175651900000f1300ff0700")
+HELLO_10 = bytes.fromhex("5850523178000000cf68656c6c6f20776f726c64200c005900")
+
 
 class TestRoundTrip:
+    """An earlier build's archive of each input reads back as the input."""
+
     def test_empty(self):
-        assert xpress.decompress(xpress.compress(b"")) == b""
+        assert xpress.decompress(EMPTY) == b""
 
     def test_short_literal_only(self):
-        data = b"abc"
-        assert xpress.decompress(xpress.compress(data)) == data
+        assert xpress.decompress(ABC) == b"abc"
 
     def test_repetitive_shrinks(self):
         data = b"hello world " * 500
-        compressed = xpress.compress(data)
-        assert len(compressed) < len(data) // 5
-        assert xpress.decompress(compressed) == data
+        assert len(HELLO_500) < len(data) // 5
+        assert xpress.decompress(HELLO_500) == data
 
     def test_overlapping_match(self):
-        # A run of one byte exercises offset < match_len copying.
-        data = b"a" * 1000
-        compressed = xpress.compress(data)
-        assert xpress.decompress(compressed) == data
-        assert len(compressed) < 30
+        # A run of one byte: offset 1 < match length, copied byte by byte.
+        assert xpress.decompress(A_1000) == b"a" * 1000
+        assert len(A_1000) < 30
 
     def test_incompressible_data_roundtrips(self):
-        rng = np.random.default_rng(7)
-        data = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
-        compressed = xpress.compress(data)
-        assert xpress.decompress(compressed) == data
-        # Random bytes should not shrink (modest expansion allowed).
-        assert len(compressed) <= len(data) * 1.1 + 16
+        data = np.random.default_rng(7).integers(0, 256, size=64, dtype=np.uint8).tobytes()
+        assert xpress.decompress(RANDOM_64) == data
+        assert len(RANDOM_64) <= len(data) * 1.1 + 16
 
     def test_long_literal_run_extension(self):
-        # > 15 literals forces length-extension bytes.
-        data = bytes(range(200))
-        assert xpress.decompress(xpress.compress(data)) == data
+        assert xpress.decompress(LITERALS_300) == NO_REPEATS_300
 
     def test_long_match_extension(self):
-        data = b"x" * 20 + b"unique" + b"x" * 300
-        assert xpress.decompress(xpress.compress(data)) == data
+        assert xpress.decompress(LONG_MATCH) == b"x" * 20 + b"unique" + b"x" * 300
 
 
 class TestErrors:
@@ -54,34 +75,28 @@ class TestErrors:
             xpress.decompress(b"NOPE" + b"\x00" * 10)
 
     def test_truncated(self):
-        compressed = xpress.compress(b"hello world " * 10)
-        with pytest.raises(EncodingError):
-            xpress.decompress(compressed[: len(compressed) // 2])
+        # Every cut that loses a byte of the data; the last byte is the
+        # final sequence's token, of no literals.
+        for cut in range(len(HELLO_10) - 1):
+            with pytest.raises(EncodingError):
+                xpress.decompress(HELLO_10[:cut])
 
     def test_too_short(self):
         with pytest.raises(EncodingError):
             xpress.decompress(b"XPR1")
 
-
-class TestRatio:
-    def test_ratio_one_for_empty(self):
-        assert xpress.compression_ratio(b"") == 1.0
-
-    def test_ratio_above_one_for_runs(self):
-        assert xpress.compression_ratio(b"z" * 10_000) > 50
+    def test_a_byte_after_the_final_sequence_is_refused(self):
+        for vector in (ABC, HELLO_10, A_1000, LITERALS_300):
+            for extra in (0, 1, 7, 255):
+                with pytest.raises(EncodingError):
+                    xpress.decompress(vector + bytes((extra,)))
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.binary(max_size=2000))
-def test_roundtrip_property(data):
-    assert xpress.decompress(xpress.compress(data)) == data
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    st.binary(min_size=1, max_size=64),
-    st.integers(min_value=1, max_value=200),
-)
-def test_repeated_blocks_roundtrip(block, repeats):
-    data = block * repeats
-    assert xpress.decompress(xpress.compress(data)) == data
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=4096), st.binary(max_size=64))
+def test_any_body_decodes_or_raises_encoding_error(length, body):
+    payload = b"XPR1" + length.to_bytes(4, "little") + body
+    try:
+        assert len(xpress.decompress(payload)) == length
+    except EncodingError:
+        pass
