@@ -38,8 +38,9 @@ from repro.bench.harness import ReportTable
 from repro.db.database import Database
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
+from repro.storage.compat import crc32c_scalar
 from repro.storage.config import StoreConfig
-from repro.storage.diskio import DiskIO, crc32, crc32c_scalar
+from repro.storage.diskio import DiskIO, crc32
 from repro.storage.snapshot import POOL_DIR_NAME, load_manifest
 
 _COLUMNS = 5

@@ -81,7 +81,7 @@ def main() -> None:
     db.rebuild("events")
     describe(db, "after rebuild")
 
-    print("\n6. Archive the now-cold index (extra LZ77 compression):")
+    print("\n6. Archive the now-cold index (extra zlib DEFLATE compression):")
     before = db.table("events").columnstore.size_bytes
     db.set_archival("events", True)
     after = db.table("events").columnstore.size_bytes

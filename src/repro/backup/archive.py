@@ -25,6 +25,11 @@ backup's base image, so no restore can need them. With no registered
 backup nothing is pruned: the operator may be archiving ahead of their
 first backup.
 
+Archived segments are never rewritten, so an archive may hold segments
+an earlier build wrote (before its directory's first open upgraded it):
+the archive is read through :mod:`repro.storage.compat`, which reads
+every format.
+
 This is the same log-shipping machinery a read replica would consume
 (ROADMAP "scale-out"): an archive directory on shared storage *is* a
 replication feed with file-level granularity.
@@ -37,10 +42,12 @@ from pathlib import Path
 
 from ..errors import WalCorruptError
 from ..observability import registry as metrics
+from ..storage import compat
+from ..storage.compat import logged_blobs, scan_segment
 from ..storage.diskio import DiskIO
 from ..storage.snapshot import POOL_DIR_NAME, sweep
 from ..wal.log import _SEGMENT_RE, WalVerdict, _list_segments, read_records
-from ..wal.record import WalRecord, logged_blobs, scan_segment
+from ..wal.record import WalRecord
 
 #: Default archive location, a sibling of the ``wal/`` directory.
 ARCHIVE_DIR_NAME = "wal_archive"
@@ -227,7 +234,7 @@ class WalArchiver:
 
     def _prune_blobs(self) -> None:
         """Remove archived blobs no archived record names any more."""
-        named = logged_blobs(read_records(self.disk, self.root))
+        named = logged_blobs(read_records(self.disk, self.root, compat))
         sweep(self.disk, self.root / POOL_DIR_NAME, POOL_DIR_NAME, named.__contains__)
 
     # ------------------------------------------------------------------ #
@@ -300,7 +307,7 @@ def check_archive(disk: DiskIO, root: Path) -> list[WalVerdict]:
         previous_last = None  # damage breaks the chain; report once
     verdicts.extend(
         WalVerdict(path, "missing", f"a blob archived record {lsn} names")
-        for path, (lsn, entry) in logged_blobs(read_records(disk, root)).items()
+        for path, (lsn, entry) in logged_blobs(read_records(disk, root, compat)).items()
         if disk.file_size(root / path) != entry.size
     )
     archiver = WalArchiver(disk, root)

@@ -39,7 +39,7 @@ from pathlib import Path, PurePosixPath
 from ..errors import BackupError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import MANIFEST_NAME, Manifest, ManifestEntry
+from ..storage.snapshot import FORMAT_NAME, MANIFEST_NAME, STAMP, Manifest, ManifestEntry, read_stamp
 from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_image
 from ..wal.record import WalRecord, logged_blobs, scan_segment
 from .manifest import (
@@ -134,6 +134,7 @@ class BackupJob:
                 )
             put(f"{IMAGE_DIR_NAME}/{entry.path}", data)
 
+        put(FORMAT_NAME, STAMP)  # the source's format: restore reads it first
         copied: set[str] = set()
         if self.manifest_bytes is not None:
             src_manifest = Manifest.from_json(
@@ -216,6 +217,7 @@ def prepare_backup(db, dest, disk: DiskIO | None = None, barrier_hook=None) -> B
         )
     disk = disk or durability.wal.disk
     source_root = Path(durability.root)
+    read_stamp(disk, source_root)  # refuses a directory of a newer format
     dest = Path(dest)
     durability.wal.flush()
     backup_lsn = durability.wal.last_lsn

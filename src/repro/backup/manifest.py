@@ -3,6 +3,7 @@
 A backup directory looks like::
 
     <dest>/BACKUP_MANIFEST.json     the commit record (atomic rename, last)
+    <dest>/FORMAT                   the source's format stamp
     <dest>/image/MANIFEST.json      verbatim copy of the source manifest
     <dest>/image/<path>             every file that manifest names, at
                                     its path relative to the source root
@@ -112,15 +113,18 @@ def load_backup_manifest(disk: DiskIO, root: Path) -> BackupManifest:
     return BackupManifest.from_json(disk.read_file(path), source=str(path))
 
 
-def verify_backup(disk: DiskIO, root: Path) -> BackupManifest:
-    """Fully verify a backup image: manifest plus every listed file.
+def verify_backup(
+    disk: DiskIO, root: Path, manifest: BackupManifest | None = None
+) -> BackupManifest:
+    """Fully verify a backup image: ``manifest`` (its committed manifest,
+    read when not given) plus every listed file.
 
     Checks existence, byte size, and checksum of each file against the
     manifest. Raises :class:`BackupError` naming every offending path;
     returns the manifest when the image is intact.
     """
     root = Path(root)
-    manifest = load_backup_manifest(disk, root)
+    manifest = manifest or load_backup_manifest(disk, root)
     failures: list[str] = []
     for entry in manifest.files:
         path = root / entry.path

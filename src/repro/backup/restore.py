@@ -19,6 +19,13 @@ The segment blobs the replayed records name come from the backup's
 image or, for records past its cut, from the archive, which holds them
 beside its segments; a restore never reads the source's pool.
 
+A backup carries its source's format stamp, which restore reads first: a
+newer format is refused before anything is written, and a stamped
+backup's destination is stamped. A backup without one (an earlier
+build's) and the archive are read through :mod:`repro.storage.compat`;
+the destination of an unstamped backup is laid down unstamped, so its
+first open upgrades it.
+
 **Crash safety** mirrors the backup side, inverted: a
 ``RESTORE_IN_PROGRESS`` marker is the *first* file written and the
 *last* removed. While it exists the destination is not a committed
@@ -35,17 +42,12 @@ from pathlib import Path, PurePosixPath
 
 from ..errors import BackupError, RestoreError, RestoreTargetError
 from ..observability import registry as metrics
+from ..storage import compat
+from ..storage.compat import logged_blobs, scan_segment
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import MANIFEST_NAME
+from ..storage.snapshot import MANIFEST_NAME, read_stamp, write_stamp
 from ..wal.log import WAL_DIR_NAME, _SEGMENT_RE, _list_segments, _segment_image
-from ..wal.record import (
-    TXN_MARKER_TYPES,
-    AUTO_COMMIT_TXN,
-    WalRecord,
-    WalRecordType,
-    logged_blobs,
-    scan_segment,
-)
+from ..wal.record import TXN_MARKER_TYPES, AUTO_COMMIT_TXN, WalRecord, WalRecordType
 from .manifest import (
     BACKUP_MANIFEST_NAME,
     IMAGE_DIR_NAME,
@@ -168,7 +170,8 @@ def restore_backup(
     disk = disk or DiskIO()
     backup_root = Path(backup_root)
     dest = Path(dest)
-    manifest = verify_backup(disk, backup_root)
+    stamp = read_stamp(disk, backup_root)
+    manifest = verify_backup(disk, backup_root, compat.load_backup_manifest(disk, backup_root))
 
     # -- assemble the available history: backup WAL, then the archive.
     by_lsn: dict[int, WalRecord] = {}
@@ -218,6 +221,8 @@ def restore_backup(
 
     # -- lay the destination down under the in-progress marker.
     _claim_destination(disk, dest, backup_root, target)
+    if stamp:
+        write_stamp(disk, dest)
     for entry in manifest.files:
         rel = PurePosixPath(entry.path)
         if rel.parts[0] != IMAGE_DIR_NAME:

@@ -299,7 +299,7 @@ class Database:
 
     def _apply_change(self, rtype: WalRecordType, table: str, body: Any) -> Any:
         """Make one validated change and log it: what every logged
-        statement runs, and what recovery runs for each record.
+        statement runs (recovery runs the same apply for each record).
 
         ``body`` is the change's physical body. It is encoded first (a
         ROW_GROUPS body writes its segment blobs into the pool then,
@@ -669,7 +669,10 @@ class Database:
         facade statement appends a redo record after applying, and
         reopening after a crash replays the committed tail. ``save``
         checkpoints the log. ``default_config`` is the configuration of
-        tables created from now on, whether ``path`` is new or not.
+        tables created from now on, whether ``path`` is new or not. A
+        directory an earlier build wrote is upgraded once, and one stamped
+        with a newer format is refused (:meth:`Durability.recover
+        <repro.db.durability.Durability.recover>`).
         """
         return cls(default_config).durability.recover(
             Path(path), disk, durability, group_commit_size, True
@@ -682,7 +685,8 @@ class Database:
         Returns an :class:`~repro.storage.snapshot.IntegrityReport` with
         a per-file verdict (``ok`` / ``missing`` / ``size-mismatch`` /
         ``checksum-mismatch`` / ``undecodable``). Never raises on
-        corruption — corruption is the result being reported. Exposed on
+        corruption — corruption is the result being reported — but
+        refuses a directory stamped with a newer format. Exposed on
         the CLI as ``repro check <dir>`` and the shell's ``\\check``.
         """
         return Durability.check(path, disk)

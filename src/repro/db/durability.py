@@ -6,9 +6,12 @@ keeps on disk and of what decides when that may change: the attached
 stored segments of the last checkpoint, and the hot backups holding
 checkpoints back (:meth:`Durability.hold_checkpoints`, which
 :mod:`repro.backup.backup` takes for the length of its copy). Recovery
-(:meth:`Durability.recover`) loads the snapshot, replays the log's
-committed tail through the apply every statement runs
-(:data:`repro.wal.replay.CHANGES`), then attaches the log and its archiver.
+(:meth:`Durability.recover`) reads the directory's format stamp first,
+loads the snapshot, replays the log's committed tail through the apply
+every statement runs (:data:`repro.wal.replay.CHANGES`), then attaches
+the log and its archiver. A directory an earlier build wrote (no stamp)
+is read through :mod:`repro.storage.compat` and upgraded once
+(:meth:`Durability._upgrade`).
 
 A change that creates compressed row groups writes their segment blobs
 into the root's write-once pool and fsyncs them before its ROW_GROUPS
@@ -28,12 +31,13 @@ from ..backup.archive import ARCHIVE_DIR_NAME, WalArchiver
 from ..backup.manifest import RESTORE_MARKER_NAME
 from ..errors import CorruptBlobError, RecoveryError, StorageError
 from ..observability import registry as metrics
-from ..storage import persist
+from ..storage import compat, persist, snapshot
 from ..storage.blob import deserialize_segment, serialize_segment
 from ..storage.columnstore import RowGroupChange
 from ..storage.diskio import DiskIO
 from ..storage.rowgroup import RowGroup
 from ..storage.snapshot import (
+    FORMAT_VERSION,
     MANIFEST_NAME,
     POOL_DIR_NAME,
     ManifestEntry,
@@ -41,9 +45,11 @@ from ..storage.snapshot import (
     StoredSegments,
     check_database,
     collect_garbage,
-    open_snapshot,
+    read_stamp,
     roll_back,
+    write_stamp,
 )
+from ..wal import record as walrecord
 from ..wal import replay as walreplay
 from ..wal.log import DEFAULT_GROUP_COMMIT_SIZE, WAL_DIR_NAME, WriteAheadLog
 from ..wal.record import parse_row_groups, row_groups_payload
@@ -148,10 +154,13 @@ class Durability:
             }
         )
 
-    def read_row_groups(self, table: str, payload: bytes) -> RowGroupChange:
+    def read_row_groups(
+        self, table: str, payload: bytes, parse=parse_row_groups, deserialize=deserialize_segment
+    ) -> RowGroupChange:
         """The change a ROW_GROUPS payload names, its blobs read back from
-        the pool and verified (replay installs it as the statement did)."""
-        body = parse_row_groups(payload)
+        the pool and verified (replay installs it as the statement did);
+        ``parse`` and ``deserialize`` read the payload and each blob."""
+        body = parse(payload)
         schema = self.db.catalog.table(table).schema
         stored = self._stored_at(Path(self.root))
         groups = []
@@ -162,8 +171,8 @@ class Durability:
                 data = self.disk.read_file(path) if self.disk.exists(path) else b""
                 if not entry.matches(data):
                     raise CorruptBlobError("a logged blob is missing or damaged", path=str(path))
-                segments[column] = deserialize_segment(data)
-                stored.put(segments[column], entry.current(data), logged=True)
+                segments[column] = deserialize(data)
+                stored.put(segments[column], entry, logged=True)
             groups.append(RowGroup(group_id=group["id"], schema=schema, segments=segments))
         return RowGroupChange(body["kind"], groups, body["deltas"], body["include_open"])
 
@@ -240,6 +249,8 @@ class Durability:
             return
         disk = disk or DiskIO()
         root = Path(path)
+        if not read_stamp(disk, root) and not _holds_database(disk, root):
+            write_stamp(disk, root)  # the save makes the directory
         resolved = str(root.resolve())
         fingerprint = self.fingerprint(resolved)
         if not force and fingerprint == self._saved and disk.exists(root / MANIFEST_NAME):
@@ -304,7 +315,10 @@ class Durability:
     ) -> "Database":
         """Fill this fresh database from ``root``: its snapshot (there is
         none when ``create`` finds no database there), then the WAL's tail
-        replayed, then the WAL attached with its archiver."""
+        replayed, then the WAL attached with its archiver. The format
+        stamp is read first: a newer format is refused before anything
+        else is read, a new directory is stamped, and an earlier build's
+        is read through :mod:`repro.storage.compat`, then upgraded."""
         disk = disk or DiskIO()
         if disk.exists(root / RESTORE_MARKER_NAME):
             raise RecoveryError(
@@ -312,13 +326,17 @@ class Durability:
                 f"{RESTORE_MARKER_NAME} marker is present) — the restore "
                 "crashed before completing; re-run it or delete the directory"
             )
+        stamp = read_stamp(disk, root)
         wal_dir = root / WAL_DIR_NAME
         has_wal = disk.is_dir(wal_dir)
         reader = None
-        found = has_wal or disk.exists(root / MANIFEST_NAME) or disk.exists(root / "catalog.json")
+        found = _holds_database(disk, root)
+        earlier = found and stamp < FORMAT_VERSION
+        if create and not found and not stamp:
+            write_stamp(disk, root)
         if found or not create:
             try:
-                reader = open_snapshot(disk, root)
+                reader = (compat if earlier else snapshot).open_snapshot(disk, root)
             except RecoveryError:
                 if not has_wal or disk.exists(root / MANIFEST_NAME):
                     # Either there is no log to recover from, or a manifest
@@ -337,6 +355,8 @@ class Durability:
                 roll_back(disk, root, manifest)
                 self._load_snapshot(reader)
             self._saved = self.fingerprint(resolved)
+            if earlier:
+                self._upgrade(root, disk)
             return self.db
         wal, recovery = WriteAheadLog.attach(
             disk,
@@ -344,6 +364,7 @@ class Durability:
             checkpoint_lsn=checkpoint_lsn,
             durability=durability or "group",
             group_commit_size=group_commit_size or DEFAULT_GROUP_COMMIT_SIZE,
+            reader=compat if earlier else walrecord,
         )
         if found:
             # What interrupted saves and statements left goes; the blobs
@@ -353,7 +374,9 @@ class Durability:
         if reader is not None:
             self._load_snapshot(reader)
         self.disk, self.root = disk, resolved
-        replayed = walreplay.apply_records(self.db, recovery.replay_records)
+        replayed = walreplay.apply_records(
+            self.db, recovery.replay_records, (compat if earlier else walreplay).CHANGES
+        )
         # Attach only after replay so nothing replayed is re-logged.
         self.wal = wal
         # WAL archiving is on by default for durable databases: sealed
@@ -362,9 +385,28 @@ class Durability:
         # possible. set_archiver also catches up on segments sealed while
         # no archiver was attached.
         wal.set_archiver(WalArchiver(disk, root / ARCHIVE_DIR_NAME))
-        if replayed == 0 and reader is not None:
+        if earlier:
+            self._upgrade(root, disk)
+        elif replayed == 0 and reader is not None:
             self._saved = self.fingerprint(resolved)
         return self.db
+
+    def _upgrade(self, root: Path, disk) -> None:
+        """Finish opening an earlier build's directory, which recovery
+        read through :mod:`repro.storage.compat` (its log replayed, every
+        archive an earlier codec wrote deflated again as it was read):
+        checkpoint, which writes every segment blob afresh under its
+        CRC-32 name in a version-3 manifest and, once that manifest is
+        committed, archives and removes every log segment (the next
+        record starts a fresh one); then stamp the directory, last. A
+        crash before the stamp leaves a directory the next open reads and
+        upgrades again; one whose checkpoint did not commit, or that
+        still holds a segment of the old log, is not stamped either."""
+        self._stored_segments = self._saved = None
+        self.save(str(root), disk, force=True)
+        wal = self.wal
+        if self._saved is not None and (wal is None or wal.first_live_lsn > wal.last_lsn):
+            write_stamp(disk, root)
 
     def _load_snapshot(self, reader) -> None:
         """Recreate every table the snapshot's catalog names, with its
@@ -390,3 +432,13 @@ class Durability:
             for index_name, columns in entry["indexes"].items():
                 table.create_index(index_name, columns)
         self._stored_segments = reader.stored
+
+
+def _holds_database(disk: DiskIO, root: Path) -> bool:
+    """Does ``root`` hold a database (a log, a manifest, or the
+    pre-manifest layout's catalog)?"""
+    return (
+        disk.is_dir(root / WAL_DIR_NAME)
+        or disk.exists(root / MANIFEST_NAME)
+        or disk.exists(root / "catalog.json")
+    )

@@ -2,8 +2,8 @@
 
 This package implements the storage side of the paper: column segments with
 dictionary / value-based encoding, RLE and bit packing, row groups, segment
-metadata for segment elimination, archival (LZ77) compression, delta stores,
-the delete bitmap and the tuple mover.
+metadata for segment elimination, archival compression (zlib DEFLATE),
+delta stores, the delete bitmap and the tuple mover.
 """
 
 from .columnstore import ColumnStoreIndex

@@ -95,8 +95,19 @@ def deserialize_segment(blob: bytes) -> ColumnSegment:
     :class:`CorruptBlobError` subclass) — raw ``IndexError``/``KeyError``/
     ``struct.error`` never escape.
     """
+    return _checked_read(_deserialize_segment, blob)
+
+
+def split_archive(blob: bytes) -> tuple[bytes, bytes | None]:
+    """A segment blob's bytes before its archive, and the archive (None
+    when the segment is not archived): the archive is the blob's last
+    field. Bounds-checked as :func:`deserialize_segment` is."""
+    return _checked_read(_split_archive, blob)
+
+
+def _checked_read(read, blob: bytes):
     try:
-        return _deserialize_segment(blob)
+        return read(blob)
     except EncodingError:
         raise
     except (
@@ -112,7 +123,10 @@ def deserialize_segment(blob: bytes) -> ColumnSegment:
         raise CorruptBlobError(f"malformed segment blob: {exc!r}") from exc
 
 
-def _deserialize_segment(blob: bytes) -> ColumnSegment:
+def _head(blob: bytes) -> tuple[dict, type, int]:
+    """Every field before the archive (as :class:`ColumnSegment` keywords;
+    ``values`` is None when they sit inside the archive), the value
+    stage, and where the archive field starts."""
     serde.need(blob, 0, 9)
     if blob[:4] != _MAGIC:
         raise EncodingError("not a CSEG segment blob")
@@ -145,15 +159,7 @@ def _deserialize_segment(blob: bytes) -> ColumnSegment:
         min_value, max_value = serde.deserialize_values(payload, dtype)
         if dtype.kind is TypeKind.BOOL:
             min_value, max_value = bool(min_value), bool(max_value)
-    archive = None
-    if flags & _FLAG_ARCHIVE:
-        archive, pos = serde.read_bytes(blob, pos)
-    if values is None:  # its payloads sit inside the archive only
-        if archive is None:
-            raise CorruptBlobError(f"a {stage.scheme.value} segment without its payloads")
-        values = stage.from_payloads(read_archive(archive)[1], dtype)
-
-    return _checked(ColumnSegment(
+    fields = dict(
         dtype=dtype,
         row_count=row_count,
         stream=stream,
@@ -163,8 +169,27 @@ def _deserialize_segment(blob: bytes) -> ColumnSegment:
         min_value=min_value,
         max_value=max_value,
         raw_size_bytes=raw_size,
-        archive=archive,
-    ))
+    )
+    return fields, stage, pos
+
+
+def _split_archive(blob: bytes) -> tuple[bytes, bytes | None]:
+    _fields, _stage, pos = _head(blob)
+    if not blob[5] & _FLAG_ARCHIVE:
+        return blob, None
+    return blob[:pos], serde.read_bytes(blob, pos)[0]
+
+
+def _deserialize_segment(blob: bytes) -> ColumnSegment:
+    fields, stage, pos = _head(blob)
+    archive = None
+    if blob[5] & _FLAG_ARCHIVE:
+        archive, pos = serde.read_bytes(blob, pos)
+    if fields["values"] is None:  # its payloads sit inside the archive only
+        if archive is None:
+            raise CorruptBlobError(f"a {stage.scheme.value} segment without its payloads")
+        fields["values"] = stage.from_payloads(read_archive(archive)[1], fields["dtype"])
+    return _checked(ColumnSegment(**fields, archive=archive))
 
 
 def _checked(segment: ColumnSegment) -> ColumnSegment:

@@ -30,7 +30,8 @@ class StoreConfig:
     # and re-compressed in halves (the paper caps dictionaries at 16 MB,
     # producing smaller row groups on wide/high-NDV string data).
     dictionary_size_limit: int = 16 * 1024 * 1024
-    # Apply archival (LZ77) compression on top of segment encoding.
+    # Apply archival compression (one zlib DEFLATE stream per segment) on
+    # top of segment encoding.
     archival: bool = False
     # Decoded-segment LRU cache capacity in bytes (0 = disabled). Models
     # SQL Server's in-memory caching of decompressed segments; several

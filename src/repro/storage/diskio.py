@@ -18,13 +18,10 @@ flips on read — the machinery behind the crash-consistency suite in
 ``tests/storage/test_crash_consistency.py``.
 
 The module also hosts :func:`crc32`, the one checksum this build
-computes: every manifest entry, manifest self-checksum, pool blob name,
-WAL frame and backup file is a CRC-32 (zlib's, the IEEE polynomial),
-which fits the 4-byte fields and 8-hex-digit names the formats already
-had. Builds before it wrote CRC-32C; where such a checksum is stored, the
-format says so (the JSON key of a manifest entry, the top bit of a WAL
-frame's length word), and :func:`crc32c_scalar` verifies it. No new data
-is ever given a CRC-32C.
+computes and reads: every manifest entry, manifest self-checksum, pool
+blob name, WAL frame and backup file is a CRC-32 (zlib's, the IEEE
+polynomial). The checksums earlier builds stored are verified by
+:mod:`repro.storage.compat` only.
 """
 
 from __future__ import annotations
@@ -38,33 +35,6 @@ from pathlib import Path
 def crc32(data, value: int = 0) -> int:
     """CRC-32 of ``data``'s bytes, whatever its item size; ``value`` chains."""
     return zlib.crc32(data, value)
-
-
-# ---------------------------------------------------------------------- #
-# CRC-32C (Castagnoli): what earlier builds wrote, verified only
-# ---------------------------------------------------------------------- #
-def _build_crc32c_table() -> tuple[int, ...]:
-    poly = 0x82F63B78  # reversed Castagnoli polynomial
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC32C_TABLE = _build_crc32c_table()
-
-
-def crc32c_scalar(data: bytes, value: int = 0) -> int:
-    """CRC-32C of ``data`` one byte at a time: verifies a checksum an
-    earlier build stored; nothing computes one for new data."""
-    crc = value ^ 0xFFFFFFFF
-    table = _CRC32C_TABLE
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
 
 
 class InjectedFault(BaseException):

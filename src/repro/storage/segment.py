@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import CorruptBlobError, EncodingError
 from ..types import DataType, TypeKind
-from . import serde, value_encoding, xpress
+from . import serde, value_encoding
 from .dictionary import (
     DENSE_DOMAIN_PER_ROW,
     Factors,
@@ -61,7 +61,7 @@ ValueStage = Union[LocalDictionary, ValueEncoding, Identity]
 _METADATA_OVERHEAD_BYTES = 64
 # The zlib level of every archive this build writes, picked from E2
 # (DESIGN.md "Archival codec").
-_ARCHIVE_LEVEL = 6
+ARCHIVE_LEVEL = 6
 # A take of at most this many positions works in Python integers and
 # makes one array, of its result: below it the array path's fixed cost
 # (asarray, min / max, view, += and astype on tiny arrays, the kernel's
@@ -200,7 +200,7 @@ class ColumnSegment:
         blob = _join_archive(parts, self.values.payloads(self.dtype))
         return dataclasses.replace(
             self,
-            archive=zlib.compress(blob, _ARCHIVE_LEVEL),
+            archive=zlib.compress(blob, ARCHIVE_LEVEL),
             stream=self.stream.with_payloads([b""] * len(parts)),
         )
 
@@ -489,13 +489,9 @@ def _join_archive(stream_parts: list[bytes], value_parts: list[bytes]) -> bytes:
 
 
 def read_archive(archive: bytes) -> tuple[list[bytes], list[bytes]]:
-    """(stream payloads, value-stage payloads) of an archive: one zlib
-    stream, or an XPR1 payload an earlier build wrote. A zlib stream
-    starts ``0x78`` and ``b"XP"`` is no zlib header, so the first bytes
-    tell the two apart. A bad check, a cut stream and bytes after the
-    stream's end are each refused."""
-    if archive.startswith(xpress.MAGIC):
-        return _split_archive(xpress.decompress(archive))
+    """(stream payloads, value-stage payloads) of an archive, one zlib
+    stream. A bad check, a cut stream and bytes after the stream's end
+    are each refused."""
     inflater = zlib.decompressobj()
     try:
         blob = inflater.decompress(archive)
@@ -505,10 +501,6 @@ def read_archive(archive: bytes) -> tuple[list[bytes], list[bytes]]:
         raise CorruptBlobError("truncated archive")
     if inflater.unused_data:
         raise CorruptBlobError(f"{len(inflater.unused_data)} bytes after the archive's end")
-    return _split_archive(blob)
-
-
-def _split_archive(blob: bytes) -> tuple[list[bytes], list[bytes]]:
     n_stream, pos = serde.read_varint(blob, 0)
     n_values, pos = serde.read_varint(blob, pos)
     parts = []

@@ -2,6 +2,7 @@
 
 A saved database directory looks like::
 
+    <root>/FORMAT                 the on-disk format the directory holds
     <root>/MANIFEST.json          the commit record (atomic rename, last)
     <root>/segments/<table>/rowgroups/g<id>.<col>.<crc32>.seg
                                   the segment pool: immutable blobs,
@@ -15,17 +16,20 @@ what the paper calls the blob store, the manifest is its directory, and
 a checkpoint costs what changed — delta stores, delete bitmaps, small
 metadata, the manifest. A blob's name carries the checksum of its bytes,
 so a re-encoded segment (archival, REBUILD) gets a new name and never
-overwrites the blob a committed manifest still points at. (A blob an
-earlier build wrote keeps its name, which carries a CRC-32C.)
+overwrites the blob a committed manifest still points at.
+
+``FORMAT`` holds one JSON object, ``{"format": N}``: the on-disk format
+of everything in the directory, written when the directory is made
+(:func:`write_stamp`). Everything that opens or reads a directory reads
+it first (:func:`read_stamp`): a number above :data:`FORMAT_VERSION` is
+refused before anything else is read, and a directory without one (format
+0) was written by an earlier build, which :mod:`repro.storage.compat`
+reads and the first open upgrades.
 
 The manifest (``format_version`` 3) lists every file of the snapshot by
 its path relative to the root — pool blobs and fresh files alike — with
 its byte size and CRC-32 (:func:`~repro.storage.diskio.crc32`), and
-carries a checksum over itself. A ``format_version`` 2 manifest, which an
-earlier build wrote, is read too: its checksums are CRC-32C, under the
-keys ``crc32c`` and ``manifest_crc32c``, and are only ever verified
-(:class:`ManifestEntry` knows which algorithm made its checksum); the
-next checkpoint lists every file with a CRC-32. Fresh
+carries a checksum over itself. Fresh
 files go into a **new** snapshot directory (ids strictly increase, so an
 interrupted save never collides with committed data) and the save
 commits by atomically renaming ``MANIFEST.json`` into place; every pool
@@ -75,13 +79,16 @@ from typing import Callable
 from ..errors import CorruptBlobError, RecoveryError
 from ..observability import registry as metrics
 from .blob import deserialize_segment, serialize_segment
-from .diskio import DiskIO, crc32, crc32c_scalar
+from .diskio import DiskIO, crc32
 from .segment import ColumnSegment
 
+FORMAT_NAME = "FORMAT"
+#: The on-disk format this build writes and reads: manifests of
+#: ``format_version`` 3, CRC-32 checksums everywhere, archives in zlib.
+FORMAT_VERSION = 1
+STAMP = (json.dumps({"format": FORMAT_VERSION}) + "\n").encode("utf-8")
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 3
-#: The version an earlier build wrote: its checksums are CRC-32C.
-LEGACY_MANIFEST_VERSION = 2
 POOL_DIR_NAME = "segments"
 
 _SNAP_DIR_RE = re.compile(r"^snap_(\d{6,})$")
@@ -96,20 +103,36 @@ def _snapshot_dir_name(snapshot_id: int) -> str:
 
 
 # ---------------------------------------------------------------------- #
+# The format stamp
+# ---------------------------------------------------------------------- #
+def read_stamp(disk: DiskIO, root: Path) -> int:
+    """The format ``root`` holds: its stamp's number, 0 when it has none
+    (an earlier build wrote it). A number above this build's is refused,
+    naming both."""
+    path = Path(root) / FORMAT_NAME
+    if not disk.exists(path):
+        return 0
+    try:
+        number = int(json.loads(disk.read_file(path).decode("utf-8"))["format"])
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+        raise RecoveryError(f"{path}: unreadable format stamp ({exc})") from exc
+    if number > FORMAT_VERSION:
+        raise RecoveryError(
+            f"{root} holds on-disk format {number}, and this build reads "
+            f"format {FORMAT_VERSION} and earlier"
+        )
+    return number
+
+
+def write_stamp(disk: DiskIO, root: Path) -> None:
+    """Stamp ``root`` with this build's format (durable on return)."""
+    disk.make_dirs(Path(root))
+    disk.write_file(Path(root) / FORMAT_NAME, STAMP)
+
+
+# ---------------------------------------------------------------------- #
 # Manifest
 # ---------------------------------------------------------------------- #
-def checksum(data: bytes, legacy: bool = False) -> int:
-    """The checksum stored for ``data``: a CRC-32, or (``legacy``) the
-    CRC-32C an earlier build stored, which is only ever verified."""
-    return crc32c_scalar(data) if legacy else crc32(data)
-
-
-def checksum_key(name: str, legacy: bool) -> str:
-    """The JSON key a stored checksum is kept under: it names the
-    algorithm that made it."""
-    return name + ("c" if legacy else "")
-
-
 def _stored_crc(text: str) -> int:
     """A checksum as written: eight lowercase hex digits (an upper-case
     digit is a flipped bit ``int`` would not see)."""
@@ -122,13 +145,11 @@ def _stored_crc(text: str) -> int:
 class ManifestEntry:
     """One file a manifest lists — a snapshot's, a backup's or a logged
     row group's — by its path relative to the directory the manifest
-    commits, with its size and checksum (``legacy``: a CRC-32C an earlier
-    build wrote, else a CRC-32)."""
+    commits, with its size and CRC-32."""
 
     path: str
     size: int
     crc: int
-    legacy: bool = False
 
     @classmethod
     def of(cls, path: str, data: bytes) -> "ManifestEntry":
@@ -136,7 +157,7 @@ class ManifestEntry:
 
     def matches(self, data: bytes) -> bool:
         """Are ``data`` the bytes this entry lists?"""
-        return len(data) == self.size and checksum(data, self.legacy) == self.crc
+        return len(data) == self.size and crc32(data) == self.crc
 
     @classmethod
     def pooled(cls, relpath: str, data: bytes) -> "ManifestEntry":
@@ -146,23 +167,12 @@ class ManifestEntry:
         path = f"{_POOL_PREFIX}{relpath[: -len(_SEGMENT_SUFFIX)]}.{crc:08x}{_SEGMENT_SUFFIX}"
         return cls(path, len(data), crc)
 
-    def current(self, data: bytes) -> "ManifestEntry":
-        """This entry as this build lists it: once ``data`` matched a
-        legacy entry, the same file with a CRC-32."""
-        return ManifestEntry.of(self.path, data) if self.legacy else self
-
     def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "size": self.size,
-            checksum_key("crc32", self.legacy): f"{self.crc:08x}",
-        }
+        return {"path": self.path, "size": self.size, "crc32": f"{self.crc:08x}"}
 
     @classmethod
     def from_json(cls, entry: dict) -> "ManifestEntry":
-        legacy = "crc32" not in entry
-        crc = _stored_crc(entry[checksum_key("crc32", legacy)])
-        return cls(str(entry["path"]), int(entry["size"]), crc, legacy)
+        return cls(str(entry["path"]), int(entry["size"]), _stored_crc(entry["crc32"]))
 
 
 @dataclass
@@ -207,7 +217,7 @@ class Manifest:
                     "every file inside snap_<id>/ and no segment pool, which is "
                     "no longer read"
                 )
-            if body["format_version"] not in (MANIFEST_VERSION, LEGACY_MANIFEST_VERSION):
+            if body["format_version"] != MANIFEST_VERSION:
                 raise RecoveryError(
                     f"{source}: unsupported manifest format_version "
                     f"{body['format_version']}"
@@ -225,23 +235,21 @@ class Manifest:
             raise RecoveryError(f"{source}: unreadable manifest ({exc})") from exc
 
 
-def self_checksum(body: dict, legacy: bool = False) -> int:
-    """The checksum a manifest body (snapshot or backup) carries over itself."""
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return checksum(canonical.encode("utf-8"), legacy)
+def canonical(body: dict) -> bytes:
+    """The bytes a manifest body's (snapshot or backup) checksum over
+    itself covers."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def seal(body: dict) -> None:
     """Add the checksum ``body`` carries over itself."""
-    body["manifest_crc32"] = f"{self_checksum(body):08x}"
+    body["manifest_crc32"] = f"{crc32(canonical(body)):08x}"
 
 
 def unseal(body: dict) -> bool:
     """Take the checksum ``body`` carries over itself out of it and say
-    whether it holds (its key names its algorithm, as an entry's does)."""
-    legacy = "manifest_crc32" not in body
-    recorded = _stored_crc(body.pop(checksum_key("manifest_crc32", legacy)))
-    return recorded == self_checksum(body, legacy)
+    whether it holds."""
+    return _stored_crc(body.pop("manifest_crc32")) == crc32(canonical(body))
 
 
 def load_manifest(disk: DiskIO, root: Path) -> Manifest | None:
@@ -491,7 +499,7 @@ class SnapshotReader:
         segment = deserialize_segment(data)
         entry = self._entries[str(PurePosixPath(relpath))]
         if entry.path.startswith(_POOL_PREFIX):
-            self.stored.put(segment, entry.current(data))
+            self.stored.put(segment, entry)
         return segment
 
     def exists(self, relpath: str) -> bool:
@@ -540,6 +548,13 @@ def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
         raise RecoveryError(
             f"no database found at {root}: {_no_manifest_detail(disk, root)}"
         )
+    return SnapshotReader(manifest, verified_files(disk, root, manifest), StoredSegments(root))
+
+
+def verified_files(disk: DiskIO, root: Path, manifest: Manifest) -> dict[str, bytes]:
+    """Every file ``manifest`` lists, by the name the persistence layer
+    knows it by, each held to its entry; raises :class:`CorruptBlobError`
+    naming every one that is not."""
     files: dict[str, bytes] = {}
     failures: list[str] = []
     for entry in manifest.files:
@@ -556,7 +571,7 @@ def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
             f"snapshot {manifest.snapshot_id} failed verification: "
             + "; ".join(failures)
         )
-    return SnapshotReader(manifest, files, StoredSegments(root))
+    return files
 
 
 def roll_back(
@@ -661,12 +676,15 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
 
     Never raises for corruption — corruption is the *result*. Verifies
     manifest self-checksum, per-file existence/size/checksum, and that
-    every segment blob structurally decodes.
+    every segment blob structurally decodes. Refuses a directory stamped
+    with a newer format; reads an unstamped one (an earlier build's)
+    through :mod:`repro.storage.compat`, writing nothing.
     """
     from ..backup.archive import ARCHIVE_DIR_NAME, check_archive
     from ..backup.manifest import RESTORE_MARKER_NAME
+    from ..wal import record
     from ..wal.log import WAL_DIR_NAME, check_wal, read_records
-    from ..wal.record import logged_blobs
+    from . import compat
 
     root = Path(root)
     if disk.exists(root / RESTORE_MARKER_NAME):
@@ -676,6 +694,13 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
             detail=f"({RESTORE_MARKER_NAME} marker present: an interrupted "
             "restore — this directory is not a committed database)",
         )
+    earlier = read_stamp(disk, root) < FORMAT_VERSION
+    reader = compat if earlier else record
+    load, decode = (
+        (compat.load_manifest, compat.deserialize_segment)
+        if earlier
+        else (load_manifest, deserialize_segment)
+    )
     wal_dir = root / WAL_DIR_NAME
     has_wal = disk.is_dir(wal_dir)
     if not disk.exists(root / MANIFEST_NAME):
@@ -687,9 +712,9 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
                 manifest_status="wal-only",
                 detail="(no snapshot yet: all state is in the log)",
                 verdicts=_pool_verdicts(
-                    disk, root, set(), logged_blobs(read_records(disk, wal_dir)), 0
+                    disk, root, set(), reader.logged_blobs(read_records(disk, wal_dir, reader)), 0
                 ),
-                wal_verdicts=check_wal(disk, wal_dir, checkpoint_lsn=0),
+                wal_verdicts=check_wal(disk, wal_dir, 0, reader),
             )
         return IntegrityReport(
             root=str(root),
@@ -697,7 +722,7 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
             detail=f"({_no_manifest_detail(disk, root)})",
         )
     try:
-        manifest = load_manifest(disk, root)
+        manifest = load(disk, root)
     except (RecoveryError, CorruptBlobError) as exc:
         return IntegrityReport(
             root=str(root), manifest_status="corrupt", detail=f"({exc})"
@@ -714,21 +739,19 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
         if data is None:
             verdict = FileVerdict(entry.path, status, detail)
         else:
-            verdict = _decode_verdict(entry.path, data)
+            verdict = _decode_verdict(entry.path, data, decode)
         if verdict.ok:
             metrics.increment("storage.recovery.files_verified")
         else:
             metrics.increment("storage.recovery.checksum_failures")
         report.verdicts.append(verdict)
-    logged = logged_blobs(read_records(disk, wal_dir)) if has_wal else {}
+    logged = reader.logged_blobs(read_records(disk, wal_dir, reader)) if has_wal else {}
     named = {entry.path for entry in manifest.files}
     report.verdicts.extend(
         _pool_verdicts(disk, root, named, logged, manifest.checkpoint_lsn)
     )
     if has_wal:
-        report.wal_verdicts = check_wal(
-            disk, wal_dir, checkpoint_lsn=manifest.checkpoint_lsn
-        )
+        report.wal_verdicts = check_wal(disk, wal_dir, manifest.checkpoint_lsn, reader)
     if disk.is_dir(root / ARCHIVE_DIR_NAME):
         report.archive_verdicts = check_archive(disk, root / ARCHIVE_DIR_NAME)
     return report
@@ -778,13 +801,15 @@ def _files_under(disk: DiskIO, path: Path, relpath: str) -> list[str]:
     return found
 
 
-def _decode_verdict(relpath: str, data: bytes) -> FileVerdict:
+def _decode_verdict(
+    relpath: str, data: bytes, decode: Callable[[bytes], ColumnSegment]
+) -> FileVerdict:
     """Structural decode check for self-describing file types."""
     from ..errors import EncodingError
 
     if relpath.endswith(_SEGMENT_SUFFIX):
         try:
-            deserialize_segment(data)
+            decode(data)
         except EncodingError as exc:
             return FileVerdict(relpath, "undecodable", str(exc))
     elif relpath.endswith(".json"):

@@ -51,15 +51,8 @@ from ..errors import WalCorruptError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
 from ..storage.snapshot import ManifestEntry
-from .record import (
-    SegmentScan,
-    WalRecord,
-    WalRecordType,
-    encode_record,
-    logged_blobs,
-    require_clean_scan,
-    scan_segment,
-)
+from . import record
+from .record import SegmentScan, WalRecord, WalRecordType, encode_record, require_clean_scan
 
 WAL_DIR_NAME = "wal"
 DEFAULT_SEGMENT_BYTES = 256 * 1024
@@ -153,6 +146,7 @@ class WriteAheadLog:
         durability: str = "group",
         group_commit_size: int = DEFAULT_GROUP_COMMIT_SIZE,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+        reader=record,
     ) -> tuple["WriteAheadLog", WalRecovery]:
         """Open (or create) the log at ``root`` and recover its tail.
 
@@ -160,7 +154,9 @@ class WriteAheadLog:
         :class:`WalCorruptError` on mid-log corruption or LSN gaps, and
         returns the log (positioned to append after the last valid
         record) plus the records with LSN > ``checkpoint_lsn`` that the
-        caller must replay.
+        caller must replay. ``reader`` (a module with ``scan_segment`` and
+        ``logged_blobs``: :mod:`repro.wal.record`, or
+        :mod:`repro.storage.compat` for an earlier build's log) reads it.
         """
         root = Path(root)
         recovery = WalRecovery(last_lsn=checkpoint_lsn)
@@ -177,7 +173,7 @@ class WriteAheadLog:
                 )
             path = root / name
             data = disk.read_file(path)
-            scan = scan_segment(data, first_lsn, source=name)
+            scan = reader.scan_segment(data, first_lsn, source=name)
             require_clean_scan(scan, name)
             if scan.damage is not None:  # torn tail
                 if index != len(listed) - 1:
@@ -206,7 +202,7 @@ class WriteAheadLog:
         recovery.replay_records = [
             record for record in all_records if record.lsn > checkpoint_lsn
         ]
-        recovery.blobs = logged_blobs(all_records)
+        recovery.blobs = reader.logged_blobs(all_records)
         if recovery.replay_records:
             first = recovery.replay_records[0].lsn
             if first != checkpoint_lsn + 1:
@@ -482,14 +478,16 @@ def _list_segments(disk: DiskIO, root: Path) -> list[tuple[int, str]]:
     return segments
 
 
-def read_records(disk: DiskIO, root: Path) -> list[WalRecord]:
+def read_records(disk: DiskIO, root: Path, reader=record) -> list[WalRecord]:
     """Every record the segments at ``root`` (a live log or an archive)
-    hold, reading past damage to what a scan recovers; never raises for
-    it."""
+    hold, reading past damage to what ``reader``'s scan recovers (as for
+    :meth:`WriteAheadLog.attach`); never raises for it."""
     return [
-        record
+        found
         for first_lsn, name in _list_segments(disk, Path(root))
-        for record in scan_segment(disk.read_file(Path(root) / name), first_lsn, name).records
+        for found in reader.scan_segment(
+            disk.read_file(Path(root) / name), first_lsn, name
+        ).records
     ]
 
 
@@ -529,8 +527,11 @@ class WalVerdict:
         return self.status in ("ok", "stale", "torn-tail")
 
 
-def check_wal(disk: DiskIO, root: Path, checkpoint_lsn: int) -> list[WalVerdict]:
-    """Scan WAL segments without mutating anything; never raises.
+def check_wal(
+    disk: DiskIO, root: Path, checkpoint_lsn: int, reader=record
+) -> list[WalVerdict]:
+    """Scan WAL segments without mutating anything (``reader`` as for
+    :meth:`WriteAheadLog.attach`); never raises.
 
     Verifies per-record CRCs, LSN monotonicity within and across
     segments, and that the replayable tail connects to the manifest's
@@ -554,7 +555,7 @@ def check_wal(disk: DiskIO, root: Path, checkpoint_lsn: int) -> list[WalVerdict]
             )
             broken = True
         data = disk.read_file(Path(root) / name)
-        scan = scan_segment(data, first_lsn, source=name)
+        scan = reader.scan_segment(data, first_lsn, source=name)
         verdicts.append(_segment_verdict(name, scan, index == len(segments) - 1,
                                          checkpoint_lsn))
         if scan.damage is not None and scan.damage.kind == "corrupt":

@@ -16,14 +16,14 @@ before), while a nonzero id — the LSN of the transaction's
 collects the committed ids first and skips the rest
 (:mod:`repro.wal.replay`).
 
-``length`` counts the body bytes and ``crc`` is the body's checksum:
-a CRC-32 when the top bit of the length word (``crc32``) is set, as in
-every frame this build writes, and a CRC-32C when it is clear, as in the
-frames earlier builds wrote (verified only; a segment may hold both). A
-torn append (only a prefix of the frame reached the disk) is detected
-either by the frame extending past end-of-file or by a checksum
-mismatch; a flipped marker bit leaves the length as it was and makes the
-frame fail its checksum. :func:`scan_segment` classifies the damage: a bad record that
+``length`` counts the body bytes and ``crc`` is the body's CRC-32; the
+top bit of the length word (``crc32``) is set in every frame, and a frame
+whose bit is clear (an earlier build's, which :mod:`repro.storage.compat`
+reads) fails its checksum here. A torn append (only a prefix of the frame
+reached the disk) is detected either by the frame extending past
+end-of-file or by a checksum mismatch; a flipped marker bit leaves the
+length as it was and makes the frame fail its checksum.
+:func:`scan_segment` classifies the damage: a bad record that
 is the *last* thing in the segment is a torn tail (recovery truncates
 it); a bad record *followed by* a well-formed record is mid-log
 corruption (recovery refuses — valid data would be silently lost).
@@ -46,14 +46,14 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..errors import WalCorruptError
 from ..storage.diskio import crc32
-from ..storage.snapshot import ManifestEntry, checksum
+from ..storage.snapshot import ManifestEntry
 
 _FRAME_HEADER = struct.Struct("<II")  # marker bit and body length, body checksum
-_CRC32_FRAME = 1 << 31  # set: the frame's checksum is a CRC-32, clear: a CRC-32C
+_CRC32_FRAME = 1 << 31  # set: the frame's checksum is a CRC-32
 _LENGTH_MASK = _CRC32_FRAME - 1
 _BODY_HEADER = struct.Struct("<BQQH")  # record type, lsn, txn id, table-name length
 MIN_BODY_BYTES = _BODY_HEADER.size
@@ -73,6 +73,8 @@ class WalRecordType(enum.IntEnum):
     BULK_LOAD = 5
     DELETE = 6
     UPDATE = 7
+    # Maintenance markers only earlier builds wrote (the change now logs
+    # as ROW_GROUPS); repro.storage.compat replays them.
     TUPLE_MOVER = 8
     REBUILD = 9
     ARCHIVAL = 10
@@ -109,18 +111,24 @@ def row_groups_payload(body: dict) -> bytes:
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def parse_row_groups(payload: bytes) -> dict:
+def parse_row_groups(
+    payload: bytes, read_entry: Callable[[dict], ManifestEntry] = ManifestEntry.from_json
+) -> dict:
     """Inverse of :func:`row_groups_payload`, the entries as
-    :class:`~repro.storage.snapshot.ManifestEntry`."""
+    :class:`~repro.storage.snapshot.ManifestEntry` (``read_entry`` reads
+    each)."""
     body = json.loads(payload.decode("utf-8"))
     for group in body["groups"]:
         group["segments"] = {
-            column: ManifestEntry.from_json(entry) for column, entry in group["segments"].items()
+            column: read_entry(entry) for column, entry in group["segments"].items()
         }
     return body
 
 
-def logged_blobs(records: Iterable[WalRecord]) -> dict[str, tuple[int, ManifestEntry]]:
+def logged_blobs(
+    records: Iterable[WalRecord],
+    read_entry: Callable[[dict], ManifestEntry] = ManifestEntry.from_json,
+) -> dict[str, tuple[int, ManifestEntry]]:
     """The pool blobs a log holding ``records`` needs, by path: each blob
     a ROW_GROUPS record names, with the LSN of the newest record naming it.
 
@@ -135,7 +143,7 @@ def logged_blobs(records: Iterable[WalRecord]) -> dict[str, tuple[int, ManifestE
     named: dict[str, tuple[int, ManifestEntry]] = {}
     for record in records:
         if record.rtype is WalRecordType.ROW_GROUPS:
-            for group in parse_row_groups(record.payload)["groups"]:
+            for group in parse_row_groups(record.payload, read_entry)["groups"]:
                 for entry in group["segments"].values():
                     named[entry.path] = (record.lsn, entry)
     return named
@@ -205,7 +213,7 @@ def _record_at(data: bytes, pos: int) -> tuple[WalRecord, int] | str:
             f"{len(data) - body_start} remain"
         )
     body = data[body_start : body_start + length]
-    if checksum(body, legacy=not word & _CRC32_FRAME) != crc:
+    if not word & _CRC32_FRAME or crc32(body) != crc:
         return "record checksum mismatch"
     if length < MIN_BODY_BYTES:
         return f"body of {length} bytes is below the {MIN_BODY_BYTES}-byte minimum"

@@ -8,9 +8,9 @@ validates and coerces, then :meth:`Database._apply_change
 statement's atomic scope and logs the encoded body — apply, then log,
 for every kind, so a change that fails to apply is rolled back and never
 reaches the log. Recovery (:func:`apply_records`) decodes each record and
-runs the same ``_apply_change`` before the WAL is attached, so nothing is
-logged twice and replay shares every line of apply code, checks
-included, with the live statements. A replayed change commits at a fresh
+runs the same apply in the same atomic scope before the WAL is attached,
+so nothing is logged twice and replay shares every line of apply code,
+checks included, with the live statements. A replayed change commits at a fresh
 epoch of its own, as an autocommit statement does.
 
 Payloads are *physical enough to be deterministic*:
@@ -34,14 +34,6 @@ Payloads are *physical enough to be deterministic*:
   reads the blobs back and installs them: it runs neither coercion nor
   the compressor, so a log replays the same whatever the compressor of
   the reading build does.
-
-Logs written before row groups were logged still replay: a BULK_LOAD
-that compressed carried its columns as rows
-(:func:`~repro.storage.persist.deserialize_columns` reads them), and the
-tuple mover, REBUILD and archival were markers carrying only their
-argument. Those replay by planning again — through the compressor, so
-they rebuild the groups the logging build built only while the
-compressor writes the same segments.
 
 Any divergence — an address that deletes no row, a duplicate row id or
 group id, a delta store the tuple mover did not find closed, a missing
@@ -205,25 +197,6 @@ def _table_change(
     )
 
 
-# ---------------------------------------------------------------------- #
-# Compressed row groups
-# ---------------------------------------------------------------------- #
-def _replanned(plan: Callable[[Table, Any], Any], key: str | None = None) -> Change:
-    """An old maintenance marker (the tuple mover, archival: one boolean
-    argument ``{key: bool}``; REBUILD: none), replayed by planning the
-    change again. Nothing logs these any more."""
-
-    def apply(db: "Database", name: str, arg, txn):
-        table = db.catalog.table(name)
-        return table.install_row_groups(plan(table, arg), txn)
-
-    return Change(
-        apply,
-        lambda _db, _name, arg: _json({key: bool(arg)}) if key else b"",
-        lambda _db, _name, payload: _unjson(payload)[key] if key else None,
-    )
-
-
 def _no_body(apply: Callable[..., Any]) -> Change:
     return Change(apply, lambda _db, _name, _body: b"", lambda _db, _name, _payload: None)
 
@@ -253,9 +226,6 @@ CHANGES: dict[WalRecordType, Change] = {
         lambda db, name, change: db.durability.write_row_groups(name, change),
         lambda db, name, payload: db.durability.read_row_groups(name, payload),
     ),
-    WalRecordType.TUPLE_MOVER: _replanned(Table.plan_tuple_mover, "include_open"),
-    WalRecordType.REBUILD: _replanned(lambda table, _arg: table.plan_rebuild()),
-    WalRecordType.ARCHIVAL: _replanned(Table.plan_archival, "enabled"),
 }
 
 
@@ -286,8 +256,12 @@ def committed_txn_ids(records: list[WalRecord]) -> set[int]:
 # ---------------------------------------------------------------------- #
 # Replay
 # ---------------------------------------------------------------------- #
-def apply_records(db: "Database", records: list[WalRecord]) -> int:
-    """Apply recovered redo records to a freshly loaded database.
+def apply_records(
+    db: "Database", records: list[WalRecord], changes: dict[WalRecordType, Change] = CHANGES
+) -> int:
+    """Apply recovered redo records to a freshly loaded database, each
+    through its kind's entry in ``changes`` (:data:`CHANGES`, or
+    :data:`repro.storage.compat.CHANGES` for an earlier build's log).
 
     The caller attaches the WAL to ``db`` only *after* this returns, so
     nothing applied here is logged again.
@@ -319,8 +293,12 @@ def apply_records(db: "Database", records: list[WalRecord]) -> int:
             metrics.increment("storage.wal.replay.uncommitted_skipped")
             continue
         try:
-            body = CHANGES[record.rtype].decode(db, record.table, record.payload)
-            db._apply_change(record.rtype, record.table, body)
+            change = changes.get(record.rtype)
+            if change is None:
+                raise ReplayError(f"{record.rtype.name} records are not part of this format")
+            body = change.decode(db, record.table, record.payload)
+            with db._atomic_statement() as txn:
+                change.apply(db, record.table, body, txn)
         except ReproError as exc:
             raise ReplayError(
                 f"replaying LSN {record.lsn} ({record.rtype.name} on "

@@ -3,9 +3,9 @@ at each byte offset and flip bytes, asserting only structured errors
 (never ``IndexError``/``struct.error``/``KeyError``) escape
 ``deserialize_segment`` or a read of what it returned. Archived segments
 come in both codecs: a zlib archive, and an XPR1 one an earlier build
-wrote. Seeded by ``REPRO_FAULT_SEED`` (CI matrix)."""
+wrote, read through ``repro.storage.compat``. Seeded by
+``REPRO_FAULT_SEED`` (CI matrix)."""
 
-import dataclasses
 import os
 import random
 from pathlib import Path
@@ -15,7 +15,8 @@ import pytest
 
 from repro import types
 from repro.errors import EncodingError
-from repro.storage.blob import deserialize_segment, serialize_segment
+from repro.storage import compat, serde
+from repro.storage.blob import deserialize_segment, serialize_segment, split_archive
 from repro.storage.encodings import Scheme
 from repro.storage.segment import encode_segment, read_archive
 
@@ -23,7 +24,7 @@ XPR1_GOLDEN = Path(__file__).parent / "xpr1_golden"
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
-def _build_segments():
+def _build_blobs():
     rng = np.random.default_rng(7)
     segments = {
         "int_bitpack": encode_segment(types.INT, np.arange(200, dtype=np.int32)),
@@ -46,26 +47,29 @@ def _build_segments():
         "archived_string": encode_segment(
             types.VARCHAR, np.array(["alpha", "beta"] * 100, dtype=object)
         ).to_archived(),
-        "archived_string_xpr1": deserialize_segment(
-            (XPR1_GOLDEN / "dict-bitpack_nulls_archived.seg").read_bytes()
-        ),
     }
-    return segments
+    blobs = {name: serialize_segment(segment) for name, segment in segments.items()}
+    blobs["archived_string_xpr1"] = (XPR1_GOLDEN / "dict-bitpack_nulls_archived.seg").read_bytes()
+    return blobs
 
 
-SEGMENTS = _build_segments()
+BLOBS = _build_blobs()
+#: How each blob is read: an XPR1 one only through compat.
+READ = {name: deserialize_segment for name in BLOBS} | {
+    "archived_string_xpr1": compat.deserialize_segment
+}
 
 
 def test_every_scheme_covered():
-    schemes = {segment.scheme for segment in SEGMENTS.values()}
+    schemes = {READ[name](blob).scheme for name, blob in BLOBS.items()}
     assert schemes == set(Scheme)
-    assert SEGMENTS["archived_string"].archive[:1] == b"\x78"
-    assert SEGMENTS["archived_string_xpr1"].archive[:4] == b"XPR1"
+    assert split_archive(BLOBS["archived_string"])[1][:1] == b"\x78"
+    assert split_archive(BLOBS["archived_string_xpr1"])[1][:4] == b"XPR1"
 
 
-@pytest.mark.parametrize("name", sorted(SEGMENTS))
+@pytest.mark.parametrize("name", sorted(BLOBS))
 def test_roundtrip(name):
-    segment = SEGMENTS[name]
+    segment = READ[name](BLOBS[name])
     restored = deserialize_segment(serialize_segment(segment))
     values, nulls = restored.decode()
     original_values, original_nulls = segment.decode()
@@ -76,29 +80,30 @@ def test_roundtrip(name):
         assert nulls.tolist() == original_nulls.tolist()
 
 
-@pytest.mark.parametrize("name", sorted(SEGMENTS))
+@pytest.mark.parametrize("name", sorted(BLOBS))
 def test_truncation_at_every_byte_offset(name):
     """Every proper prefix of a segment blob must raise a structured
     error — a truncated blob can never silently half-parse."""
-    blob = serialize_segment(SEGMENTS[name])
+    blob = BLOBS[name]
     for cut in range(len(blob)):
         with pytest.raises(EncodingError):
-            deserialize_segment(blob[:cut])
+            READ[name](blob[:cut])
 
 
 @pytest.mark.parametrize("name", ["archived_string", "archived_string_xpr1"])
 def test_a_byte_appended_inside_the_archive_is_refused(name):
     """One more byte inside the archive's length prefix: the blob parses,
     the archive does not."""
-    segment = SEGMENTS[name]
+    head, archive = split_archive(BLOBS[name])
     for extra in (0, 1, 0x78, 255):
-        longer = dataclasses.replace(segment, archive=segment.archive + bytes((extra,)))
+        longer = bytearray(head)
+        serde.write_bytes(longer, archive + bytes((extra,)))
         with pytest.raises(EncodingError):
-            deserialize_segment(serialize_segment(longer)).decode()
+            READ[name](bytes(longer)).decode()
 
 
 def test_a_zlib_archive_with_a_bad_check_or_cut_short_is_refused():
-    archive = SEGMENTS["archived_string"].archive
+    archive = split_archive(BLOBS["archived_string"])[1]
     read_archive(archive)
     for index in range(len(archive) - 4, len(archive)):  # the Adler-32 check
         flipped = bytearray(archive)
@@ -110,12 +115,12 @@ def test_a_zlib_archive_with_a_bad_check_or_cut_short_is_refused():
             read_archive(archive[:cut])
 
 
-def _read_corrupted(blob: bytes) -> None:
+def _read_corrupted(blob: bytes, read=deserialize_segment) -> None:
     """Deserialize ``blob``, then read whatever came out every way a scan
     does: decode it, take a few rows, take many and build its vector.
     Each step succeeds or raises EncodingError."""
     try:
-        segment = deserialize_segment(blob)
+        segment = read(blob)
         segment.decode()
         last = max(segment.row_count - 1, 0)
         for positions in ([0, last], range(0, segment.row_count, 3)):
@@ -128,32 +133,32 @@ def _read_corrupted(blob: bytes) -> None:
         pass
 
 
-@pytest.mark.parametrize("name", sorted(SEGMENTS))
+@pytest.mark.parametrize("name", sorted(BLOBS))
 def test_single_byte_flips_raise_only_structured_errors(name):
     """Flip every byte (with a seeded mask): decode either succeeds or
     raises EncodingError — raw IndexError/struct.error/KeyError never
     escape. (Semantic detection of arbitrary flips is the manifest
     checksum's job, one layer up.)"""
     rng = random.Random(SEED)
-    blob = bytearray(serialize_segment(SEGMENTS[name]))
+    blob = bytearray(BLOBS[name])
     for index in range(len(blob)):
         mask = rng.randrange(1, 256)
         blob[index] ^= mask
         try:
-            _read_corrupted(bytes(blob))
+            _read_corrupted(bytes(blob), READ[name])
         finally:
             blob[index] ^= mask
 
 
-@pytest.mark.parametrize("name", sorted(SEGMENTS))
+@pytest.mark.parametrize("name", sorted(BLOBS))
 def test_random_multi_byte_corruption(name):
     rng = random.Random(SEED + 1)
-    pristine = serialize_segment(SEGMENTS[name])
+    pristine = BLOBS[name]
     for _ in range(150):
         blob = bytearray(pristine)
         for _ in range(rng.randrange(1, 4)):
             blob[rng.randrange(len(blob))] ^= rng.randrange(1, 256)
-        _read_corrupted(bytes(blob))
+        _read_corrupted(bytes(blob), READ[name])
 
 
 def test_garbage_blobs():

@@ -9,12 +9,12 @@ write different streams for one input. So an archived segment pins its
 blob outside the archive and the sha256 of the archive's plain form,
 not the DEFLATE bytes.
 
-Read-only goldens, which must still read: ``xpr1_golden/`` holds the
-archived blobs of the corpus as an earlier build wrote them, their
-archives in XPR1 (commit 3b1b971 or older: ``serialize_segment`` of each
-archived entry of :func:`corpus`). A blob in the still earlier archived
-layout (the dictionary stored plainly and again inside the archive) is
-kept as hex.
+Read-only goldens, which must still read, through ``repro.storage.compat``:
+``xpr1_golden/`` holds the archived blobs of the corpus as an earlier
+build wrote them, their archives in XPR1 (commit 3b1b971 or older:
+``serialize_segment`` of each archived entry of :func:`corpus`). A blob
+in the still earlier archived layout (the dictionary stored plainly and
+again inside the archive, an XPR1 archive too) is kept as hex.
 """
 
 import dataclasses
@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from repro import Database, StoreConfig, schema, types
-from repro.storage import xpress
-from repro.storage.blob import deserialize_segment, serialize_segment
+from repro.storage import compat
+from repro.storage.blob import deserialize_segment, serialize_segment, split_archive
 from repro.storage.encodings import BitpackBlock, RawBlock, Scheme
 from repro.storage.rle import RleBlock
 from repro.storage.segment import encode_segment
@@ -235,15 +235,17 @@ def test_blob_bytes_are_pinned(name):
 def test_an_xpr1_golden_reads_back_as_its_plain_twin(name):
     blob = xpr1_blob(name)
     assert sha256(blob) == GOLDEN[name]
-    old = deserialize_segment(blob)
-    assert old.archive.startswith(b"XPR1")
+    head, archive = split_archive(blob)
+    assert archive.startswith(b"XPR1")
+    old = compat.deserialize_segment(blob)
     twin = SEGMENTS[name.replace("archived", "plain")]
     assert serialize_segment(old.to_unarchived()) == serialize_segment(twin)
     # This build archives the same plain form, and writes the same bytes
-    # around it.
+    # around it: compat's deflated blob is the one this build writes.
     new = SEGMENTS[name]
-    assert xpress.decompress(old.archive) == zlib.decompress(new.archive)
+    assert compat.decompress_xpr1(archive) == zlib.decompress(new.archive)
     assert outside_the_archive(old) == outside_the_archive(new)
+    assert compat.current_blob(blob) == serialize_segment(new)
 
 
 @pytest.mark.parametrize("name", sorted(SEGMENTS))
@@ -257,7 +259,7 @@ def test_golden_blob_reads_back(name):
 
 
 def test_the_earlier_archived_layout_still_reads():
-    segment = deserialize_segment(bytes.fromhex(OLD_ARCHIVED_LAYOUT))
+    segment = compat.deserialize_segment(bytes.fromhex(OLD_ARCHIVED_LAYOUT))
     assert segment.archived and segment.scheme is Scheme.DICT
     values, mask = segment.decode()
     assert [None if null else v for v, null in zip(values.tolist(), mask.tolist())] == (

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro import Database, StoreConfig, schema, types
-from repro.storage import persist
+from repro.storage import compat, persist
 from repro.storage.blob import serialize_segment
 from repro.storage.columnstore import ColumnStoreIndex
 from repro.wal.log import WAL_DIR_NAME
@@ -173,7 +173,7 @@ def test_the_old_column_payload_is_the_row_path_payload():
     maker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(maker)
     segment = OLD_LOG / "seg_000000000001.wal"
-    records = scan_segment(segment.read_bytes(), 1).records
+    records = compat.scan_segment(segment.read_bytes(), 1).records  # an earlier build's frames
     [load] = [r for r in records if r.rtype is WalRecordType.BULK_LOAD]
     db = Database()
     db.sql(maker.CREATE)

@@ -3,7 +3,7 @@
 Every file and frame this build writes carries a CRC-32; what earlier
 builds wrote carries a CRC-32C, which the format names (a manifest's
 ``format_version`` and JSON keys, the top bit of a frame's length word)
-and which is only ever verified. A flipped bit or a truncation anywhere
+and which only :mod:`repro.storage.compat` reads, verifying it. A flipped bit or a truncation anywhere
 in a frame, a manifest or a pool blob must fail verification whichever
 algorithm the damaged thing was made with; a flipped marker bit must
 never make a bad frame verify, nor make recovery truncate a log whose
@@ -20,28 +20,32 @@ import pytest
 
 from repro import Database, StoreConfig
 from repro.errors import CorruptBlobError, RecoveryError, WalCorruptError
-from repro.storage.diskio import DiskIO, crc32c_scalar
-from repro.storage.snapshot import MANIFEST_NAME, Manifest, load_manifest, open_snapshot
+from repro.storage import compat, snapshot
+from repro.storage.compat import crc32c_scalar, scan_segment
+from repro.storage.diskio import DiskIO
+from repro.storage.snapshot import MANIFEST_NAME
+from repro.wal import record
 from repro.wal.log import WriteAheadLog
-from repro.wal.record import WalRecordType, encode_record, scan_segment
+from repro.wal.record import WalRecordType, encode_record
 
 OLD_FORMAT = Path(__file__).parent / "old_format"
 OLD_LOG = Path(__file__).parents[1] / "wal" / "old_log" / "seg_000000000001.wal"
 
 
-def legacy_frame(frame: bytes) -> bytes:
+def earlier_frame(frame: bytes) -> bytes:
     """``frame`` as an earlier build wrote it: no marker, a CRC-32C."""
     body = frame[8:]
     return struct.pack("<II", len(body), crc32c_scalar(body)) + body
 
 
 def mixed_segment() -> tuple[bytes, list[int]]:
-    """Five frames, legacy and new interleaved, and where each starts."""
+    """Five frames, an earlier build's and this build's interleaved, and
+    where each starts."""
     data, starts = b"", []
     for lsn in range(1, 6):
         frame = encode_record(WalRecordType.INSERT, lsn, "t", bytes([lsn]) * (10 * lsn))
         starts.append(len(data))
-        data += legacy_frame(frame) if lsn in (1, 3) else frame
+        data += earlier_frame(frame) if lsn in (1, 3) else frame
     return data, starts
 
 
@@ -53,9 +57,11 @@ def frame_of(starts: list[int], offset: int) -> int:
 # Frames
 # ---------------------------------------------------------------------- #
 def test_a_mixed_segment_scans_clean():
-    data, _ = mixed_segment()
+    data, starts = mixed_segment()
     scan = scan_segment(data, 1)
     assert scan.damage is None and [r.lsn for r in scan.records] == [1, 2, 3, 4, 5]
+    # This build's own scan reads only its own frames.
+    assert record.scan_segment(data[: starts[1]], 1).damage.detail == "record checksum mismatch"
 
 
 def test_every_flipped_bit_in_either_kind_of_frame_is_caught():
@@ -98,7 +104,7 @@ def test_a_flipped_marker_bit_never_verifies_and_never_truncates_good_frames(tmp
     (wal_dir / "seg_000000000001.wal").write_bytes(bytes(mutated))
     if frame < 4:
         with pytest.raises(WalCorruptError):
-            WriteAheadLog.attach(DiskIO(), wal_dir)
+            WriteAheadLog.attach(DiskIO(), wal_dir, reader=compat)
         assert (wal_dir / "seg_000000000001.wal").read_bytes() == bytes(mutated)
 
 
@@ -139,29 +145,30 @@ def _manifests(saved: Path):
 
 def test_every_flipped_bit_and_cut_of_a_manifest_is_caught(saved):
     for kind, payload in _manifests(saved):
-        Manifest.from_json(payload, "m")
+        read = snapshot.Manifest.from_json if kind == "crc32" else compat.read_manifest
+        read(payload, "m")
         for offset in range(len(payload)):
             for bit in range(8) if kind == "crc32" else (offset % 8,):
                 mutated = bytearray(payload)
                 mutated[offset] ^= 1 << bit
                 with pytest.raises((RecoveryError, CorruptBlobError)):
-                    Manifest.from_json(bytes(mutated), "m")
+                    read(bytes(mutated), "m")
         for cut in range(len(payload) - 1):  # dropping the final newline leaves valid JSON
             with pytest.raises((RecoveryError, CorruptBlobError)):
-                Manifest.from_json(payload[:cut], "m")
+                read(payload[:cut], "m")
 
 
 def _blobs(saved: Path):
-    for root in (saved, OLD_FORMAT / "db"):
-        entry = next(e for e in load_manifest(DiskIO(), root).files if e.path.endswith(".seg"))
+    for root, reader in ((saved, snapshot), (OLD_FORMAT / "db", compat)):
+        entry = next(e for e in reader.load_manifest(DiskIO(), root).files if e.path.endswith(".seg"))
         yield root, entry
 
 
 def test_every_flipped_bit_and_cut_of_a_pool_blob_is_caught(saved):
-    legacy = []
+    earlier = []
     for root, entry in _blobs(saved):
         data = (root / entry.path).read_bytes()
-        legacy.append(entry.legacy)
+        earlier.append(isinstance(entry, compat.Crc32cEntry))
         assert entry.matches(data)
         for offset in range(len(data)):
             for bit in range(8):
@@ -169,20 +176,21 @@ def test_every_flipped_bit_and_cut_of_a_pool_blob_is_caught(saved):
                 mutated[offset] ^= 1 << bit
                 assert not entry.matches(bytes(mutated)), (entry.path, offset, bit)
         assert not any(entry.matches(data[:cut]) for cut in range(len(data)))
-    assert legacy == [False, True]
+    assert earlier == [False, True]
 
 
 @pytest.mark.parametrize("which", ["crc32", "crc32c"])
 def test_a_damaged_blob_fails_the_open_by_name(saved, tmp_path, which):
     root = saved if which == "crc32" else shutil.copytree(OLD_FORMAT / "db", tmp_path / "old")
-    entry = next(e for e in load_manifest(DiskIO(), root).files if e.path.endswith(".seg"))
+    reader = snapshot if which == "crc32" else compat
+    entry = next(e for e in reader.load_manifest(DiskIO(), root).files if e.path.endswith(".seg"))
     path = root / entry.path
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x10
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptBlobError, match="checksum mismatch") as caught:
-        open_snapshot(DiskIO(), root)
+        reader.open_snapshot(DiskIO(), root)
     assert entry.path in str(caught.value)
     path.write_bytes(bytes(data[:-1]))
     with pytest.raises(CorruptBlobError, match="size mismatch"):
-        open_snapshot(DiskIO(), root)
+        reader.open_snapshot(DiskIO(), root)

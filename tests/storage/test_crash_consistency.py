@@ -25,7 +25,7 @@ from repro.errors import CorruptBlobError, RecoveryError, StorageError
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
 from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault
-from repro.storage.snapshot import MANIFEST_NAME, load_manifest
+from repro.storage.snapshot import FORMAT_NAME, MANIFEST_NAME, load_manifest
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -265,7 +265,7 @@ class TestStaleFileCollection:
             if p.is_file()
         }
         listed = {e.path for e in manifest.files}
-        assert on_disk == listed | {MANIFEST_NAME}
+        assert on_disk == listed | {MANIFEST_NAME, FORMAT_NAME}
         # The old snapshot (with its pre-mover delta files) is gone.
         assert not (target / "snap_000001").exists()
         assert state_of(Database.load(str(target))) == state_b

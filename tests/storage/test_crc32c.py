@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.diskio import crc32, crc32c_scalar
+from repro.storage.compat import crc32c_scalar
+from repro.storage.diskio import crc32
 
 _BOUNDARY_LENGTHS = [
     0, 1, 1023, 1024, 1025, 1027, 1039, 1040, 1041, 1279, 1280, 1281, 1295, 1296,

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.errors import CorruptBlobError, RecoveryError
-from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32, crc32c_scalar
+from repro.storage.compat import crc32c_scalar
+from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32
 from repro.storage.snapshot import (
     MANIFEST_NAME,
     Manifest,
@@ -137,7 +138,7 @@ class TestManifest:
         )
 
     def test_version_1_manifest_is_refused_naming_the_layout(self):
-        from repro.storage.snapshot import self_checksum
+        from repro.storage.snapshot import canonical
 
         body = {
             "format_version": 1,
@@ -146,7 +147,7 @@ class TestManifest:
             "checkpoint_lsn": 3,
             "files": [{"path": "t/a.seg", "size": 12, "crc32c": "0000dead"}],
         }
-        body["manifest_crc32c"] = f"{self_checksum(body, legacy=True):08x}"
+        body["manifest_crc32c"] = f"{crc32c_scalar(canonical(body)):08x}"
         with pytest.raises(RecoveryError, match=r"format_version 1 .*snap_<id>/"):
             Manifest.from_json(json.dumps(body).encode(), "m")
 

@@ -4,8 +4,9 @@
 three archived row groups checkpointed into the segment pool, then a log
 tail past the checkpoint (a DELETE, an INSERT, a bulk load of two more
 row groups and an archival of every live group, whose ROW_GROUPS record
-names XPR1 blobs). This build reads XPR1 and never writes it: an archive
-it makes is one zlib stream.
+names XPR1 blobs). Only ``repro.storage.compat`` reads XPR1; the first
+open upgrades the directory, deflating every archive again, and this
+build never writes XPR1: an archive it makes is one zlib stream.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ import pytest
 
 from repro import Database
 from repro.cli import main as cli_main
-from repro.storage.blob import deserialize_segment
+from repro.storage.blob import split_archive
+from repro.storage.snapshot import FORMAT_NAME
 from repro.wal.log import WAL_DIR_NAME
 from repro.wal.record import WalRecordType, parse_row_groups, scan_segment
+
+from .format_checks import assert_upgraded, sweep_upgrade_crashes
 
 OLD_ARCHIVE = Path(__file__).parent / "old_archive"
 EXPECTED = json.loads((OLD_ARCHIVE / "expected.json").read_text())
@@ -60,8 +64,13 @@ def archive_codecs(db: Database) -> set[bytes]:
     }
 
 
+def xpr1(path: Path) -> bool:
+    return split_archive(path.read_bytes())[1][:4] == b"XPR1"
+
+
 def test_the_fixture_is_what_the_old_build_wrote():
     root = OLD_ARCHIVE / "db"
+    assert not (root / FORMAT_NAME).exists()
     (segment,) = (root / WAL_DIR_NAME).glob("seg_*.wal")
     records = scan_segment(segment.read_bytes(), int(segment.stem[4:])).records
     changes = [r for r in records if r.rtype is WalRecordType.ROW_GROUPS]
@@ -73,19 +82,17 @@ def test_the_fixture_is_what_the_old_build_wrote():
     ]
     assert len(named) == 5 * 4
     for path in named:
-        blob = deserialize_segment((root / path).read_bytes())
-        assert blob.archive[:4] == b"XPR1", path
+        assert xpr1(root / path), path
     checkpointed = [p for p in (root / "segments").rglob("*.seg") if p.name.startswith("g0.")]
-    assert checkpointed and all(
-        deserialize_segment(p.read_bytes()).archive[:4] == b"XPR1" for p in checkpointed
-    )
+    assert checkpointed and all(xpr1(p) for p in checkpointed)
 
 
 def test_opens_to_the_answers_the_old_build_read(old):
     db = Database.open(str(old))
     assert answers(db) == EXPECTED
-    assert archive_codecs(db) == {b"XP"}
+    assert archive_codecs(db) == {b"\x78\x9c"}  # deflated again by the upgrade
     db.close()
+    assert_upgraded(old)
 
 
 def test_passes_repro_check(old, capsys):
@@ -102,7 +109,7 @@ def test_survives_one_checkpoint_and_a_reopen(old):
     assert Database.check(str(old)).ok
     db = Database.open(str(old))
     assert answers(db) == EXPECTED
-    assert archive_codecs(db) == {b"XP"}  # a checkpoint keeps the blobs it has
+    assert archive_codecs(db) == {b"\x78\x9c"}
     db.close()
 
 
@@ -118,3 +125,8 @@ def test_archived_again_by_this_build_the_answers_hold(old):
     assert answers(db) == EXPECTED and archive_codecs(db) == {b"\x78\x9c"}
     db.close()
     assert Database.check(str(old)).ok
+
+
+def test_the_upgrade_survives_a_crash_at_every_write_point(tmp_path):
+    points = sweep_upgrade_crashes(OLD_ARCHIVE / "db", tmp_path, answers, EXPECTED)
+    assert points > 20

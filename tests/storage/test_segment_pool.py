@@ -19,13 +19,14 @@ from repro.backup.manifest import BACKUP_MANIFEST_NAME, IMAGE_DIR_NAME
 from repro.errors import CorruptBlobError, RecoveryError
 from repro.observability import MetricsRegistry
 from repro.observability.registry import set_registry
-from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32, crc32c_scalar
+from repro.storage.compat import crc32c_scalar
+from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault, crc32
 from repro.storage.snapshot import (
     MANIFEST_NAME,
     POOL_DIR_NAME,
     ManifestEntry,
+    canonical,
     load_manifest,
-    self_checksum,
 )
 
 KV_COLUMNS = 5
@@ -383,7 +384,7 @@ def downgrade_to_v1(root) -> None:
         "checkpoint_lsn": manifest.checkpoint_lsn,
         "files": files,
     }
-    body["manifest_crc32c"] = f"{self_checksum(body, legacy=True):08x}"
+    body["manifest_crc32c"] = f"{crc32c_scalar(canonical(body)):08x}"
     (root / MANIFEST_NAME).write_text(json.dumps(body, indent=1, sort_keys=True) + "\n")
 
 

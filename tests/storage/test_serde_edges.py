@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro import types
 from repro.errors import EncodingError
-from repro.storage import serde, xpress
+from repro.storage import serde
+from repro.storage.compat import decompress_xpr1
 from repro.storage import value_encoding as ve
 
 from .. import examples
@@ -181,17 +182,17 @@ class TestXpressWindow:
         # The repeat 65,535 bytes back is a match at offset 0xFFFF.
         data = b"WXYZ" + b"\x00" * 65_531 + b"WXYZ"
         assert JUST_INSIDE_WINDOW.endswith(b"\x00\xff\xff\x00")
-        assert xpress.decompress(JUST_INSIDE_WINDOW) == data
+        assert decompress_xpr1(JUST_INSIDE_WINDOW) == data
 
     def test_match_beyond_window_still_roundtrips(self):
         # A repeat 65,536 bytes back cannot be referenced: it is literals.
         data = b"WXYZ" + b"\x00" * 65_532 + b"WXYZ"
         assert JUST_BEYOND_WINDOW.endswith(b"\x40WXYZ")
-        assert xpress.decompress(JUST_BEYOND_WINDOW) == data
+        assert decompress_xpr1(JUST_BEYOND_WINDOW) == data
 
     def test_min_match_boundary(self):
         # 3-byte repeats are below the minimum match and stay literal.
-        assert xpress.decompress(MIN_MATCH) == b"abcXabcYabcZ" * 10
+        assert decompress_xpr1(MIN_MATCH) == b"abcXabcYabcZ" * 10
 
 
 class TestValueEncodingExtremes:

@@ -2,7 +2,7 @@
 
 This build writes no XPR1, so each vector below is what the earlier
 build's encoder wrote for the data beside it (commit 3b1b971 or older,
-``xpress.compress``). Together they reach every branch of the reader:
+``xpress.compress``; the reader is ``repro.storage.compat.decompress_xpr1``). Together they reach every branch of the reader:
 literal-only streams, an overlapping match, the 255-continuation of both
 length fields and, in ``test_serde_edges.py``, an offset at the window's
 edge.
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError
-from repro.storage import xpress
+from repro.storage.compat import decompress_xpr1
 
 EMPTY = bytes.fromhex("5850523100000000")
 ABC = bytes.fromhex("585052310300000030616263")
@@ -42,54 +42,54 @@ class TestRoundTrip:
     """An earlier build's archive of each input reads back as the input."""
 
     def test_empty(self):
-        assert xpress.decompress(EMPTY) == b""
+        assert decompress_xpr1(EMPTY) == b""
 
     def test_short_literal_only(self):
-        assert xpress.decompress(ABC) == b"abc"
+        assert decompress_xpr1(ABC) == b"abc"
 
     def test_repetitive_shrinks(self):
         data = b"hello world " * 500
         assert len(HELLO_500) < len(data) // 5
-        assert xpress.decompress(HELLO_500) == data
+        assert decompress_xpr1(HELLO_500) == data
 
     def test_overlapping_match(self):
         # A run of one byte: offset 1 < match length, copied byte by byte.
-        assert xpress.decompress(A_1000) == b"a" * 1000
+        assert decompress_xpr1(A_1000) == b"a" * 1000
         assert len(A_1000) < 30
 
     def test_incompressible_data_roundtrips(self):
         data = np.random.default_rng(7).integers(0, 256, size=64, dtype=np.uint8).tobytes()
-        assert xpress.decompress(RANDOM_64) == data
+        assert decompress_xpr1(RANDOM_64) == data
         assert len(RANDOM_64) <= len(data) * 1.1 + 16
 
     def test_long_literal_run_extension(self):
-        assert xpress.decompress(LITERALS_300) == NO_REPEATS_300
+        assert decompress_xpr1(LITERALS_300) == NO_REPEATS_300
 
     def test_long_match_extension(self):
-        assert xpress.decompress(LONG_MATCH) == b"x" * 20 + b"unique" + b"x" * 300
+        assert decompress_xpr1(LONG_MATCH) == b"x" * 20 + b"unique" + b"x" * 300
 
 
 class TestErrors:
     def test_bad_magic(self):
         with pytest.raises(EncodingError):
-            xpress.decompress(b"NOPE" + b"\x00" * 10)
+            decompress_xpr1(b"NOPE" + b"\x00" * 10)
 
     def test_truncated(self):
         # Every cut that loses a byte of the data; the last byte is the
         # final sequence's token, of no literals.
         for cut in range(len(HELLO_10) - 1):
             with pytest.raises(EncodingError):
-                xpress.decompress(HELLO_10[:cut])
+                decompress_xpr1(HELLO_10[:cut])
 
     def test_too_short(self):
         with pytest.raises(EncodingError):
-            xpress.decompress(b"XPR1")
+            decompress_xpr1(b"XPR1")
 
     def test_a_byte_after_the_final_sequence_is_refused(self):
         for vector in (ABC, HELLO_10, A_1000, LITERALS_300):
             for extra in (0, 1, 7, 255):
                 with pytest.raises(EncodingError):
-                    xpress.decompress(vector + bytes((extra,)))
+                    decompress_xpr1(vector + bytes((extra,)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,6 +97,6 @@ class TestErrors:
 def test_any_body_decodes_or_raises_encoding_error(length, body):
     payload = b"XPR1" + length.to_bytes(4, "little") + body
     try:
-        assert len(xpress.decompress(payload)) == length
+        assert len(decompress_xpr1(payload)) == length
     except EncodingError:
         pass

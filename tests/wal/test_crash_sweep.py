@@ -100,13 +100,14 @@ class TestDmlCrashSweep:
             disk = FaultyDisk(
                 crash_after_ops=crash_at, lose_unsynced_on_crash=True
             )
-            db = Database.open(
-                str(target), disk=disk, durability=durability,
-                default_config=_CONFIG,
-            )
             committed = 0
             crashed = False
             try:
+                # The open writes too: it stamps the new directory.
+                db = Database.open(
+                    str(target), disk=disk, durability=durability,
+                    default_config=_CONFIG,
+                )
                 for statement in _SCRIPT:
                     db.sql(statement)
                     committed += 1
@@ -182,12 +183,12 @@ class TestTornAppendSweep:
                     torn_write_bytes=torn,
                     lose_unsynced_on_crash=True,
                 )
-                db = Database.open(
-                    str(target), disk=disk, durability="per-commit",
-                    default_config=_CONFIG,
-                )
                 committed = 0
                 try:
+                    db = Database.open(
+                        str(target), disk=disk, durability="per-commit",
+                        default_config=_CONFIG,
+                    )
                     for statement in _SCRIPT:
                         db.sql(statement)
                         committed += 1

@@ -3,9 +3,10 @@
 ``old_log/seg_000000000001.wal`` was written by that build
 (``old_log/make_log.py``): a bulk load logged as its columns, trickle
 inserts, deletes and updates, and the tuple mover, REBUILD and archival
-logged as markers. Replayed by this build — the markers by compressing
-again — it must land on the table that build read back
-(``old_log/expected.json``).
+logged as markers. Replayed by this build through
+``repro.storage.compat`` — the markers by compressing again — it must
+land on the table that build read back (``old_log/expected.json``), and
+the open leaves the directory upgraded.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import shutil
 from pathlib import Path
 
 from repro import Database
+from repro.storage.compat import scan_segment
 from repro.wal.log import WAL_DIR_NAME
-from repro.wal.record import WalRecordType, scan_segment
+from repro.wal.record import WalRecordType
+
+from ..storage.format_checks import assert_upgraded
 
 OLD_LOG = Path(__file__).parent / "old_log"
 SEGMENT = OLD_LOG / "seg_000000000001.wal"
@@ -29,6 +33,7 @@ def old_records():
 def open_old_log(tmp_path: Path) -> Database:
     (tmp_path / WAL_DIR_NAME).mkdir(parents=True)
     shutil.copy(SEGMENT, tmp_path / WAL_DIR_NAME / SEGMENT.name)
+    assert Database.check(str(tmp_path)).ok  # read through compat, unstamped
     return Database.open(str(tmp_path))
 
 
@@ -53,6 +58,8 @@ def test_an_old_log_replays_to_the_table_it_was_written_for(tmp_path):
     assert groups == expected["groups"]
     assert columnstore.delta_rows == expected["delta_rows"]
     db.close()
+    assert_upgraded(tmp_path)
+    assert Database.check(str(tmp_path)).ok
 
 
 def test_an_old_log_replayed_then_checkpointed_reopens_the_same(tmp_path):

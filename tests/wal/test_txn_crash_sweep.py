@@ -99,20 +99,22 @@ class TestTxnCrashSweep:
         for crash_at in range(total):
             target = tmp_path / f"crash_{crash_at}"
             disk = FaultyDisk(crash_after_ops=crash_at, lose_unsynced_on_crash=True)
-            db = Database.open(
-                str(target), disk=disk, durability="per-commit",
-                default_config=_CONFIG,
-            )
+            db = None
             committed = 0
             crashed = False
             try:
+                # The open writes too: it stamps the new directory.
+                db = Database.open(
+                    str(target), disk=disk, durability="per-commit",
+                    default_config=_CONFIG,
+                )
                 for statement in _SCRIPT:
                     db.sql(statement)
                     committed += 1
                 db.close()
             except InjectedFault:
                 crashed = True
-                if db.in_transaction:
+                if db is not None and db.in_transaction:
                     mid_txn_crashes += 1
             assert crashed, f"write point {crash_at} never fired"
             recovered = Database.open(str(target), default_config=_CONFIG)
