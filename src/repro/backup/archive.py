@@ -46,7 +46,7 @@ from ..storage import compat
 from ..storage.compat import logged_blobs, scan_segment
 from ..storage.diskio import DiskIO
 from ..storage.snapshot import POOL_DIR_NAME, sweep
-from ..wal.log import _SEGMENT_RE, WalVerdict, _list_segments, read_records
+from ..wal.log import WalVerdict, _list_segments, judge_log, log_records, read_log
 from ..wal.record import WalRecord
 
 #: Default archive location, a sibling of the ``wal/`` directory.
@@ -60,8 +60,8 @@ class WalArchiver:
     """Copies sealed WAL segments into an archive directory.
 
     Attached to a :class:`~repro.wal.log.WriteAheadLog` via
-    ``set_archiver``; also used standalone by restore to read the
-    archive back. All writes go through the same
+    ``set_archiver`` (a restore reads the archive with
+    :func:`~repro.wal.log.read_log`). All writes go through the same
     write-temp/fsync/atomic-rename protocol as snapshots, so a crash
     mid-archive leaves at most a ``*.tmp`` stray, never a half segment
     under a real name.
@@ -129,10 +129,6 @@ class WalArchiver:
     # ------------------------------------------------------------------ #
     # Reading the archive back
     # ------------------------------------------------------------------ #
-    def archived_segments(self) -> list[tuple[int, str]]:
-        """(first_lsn, name) of every archived segment, in LSN order."""
-        return _list_segments(self.disk, self.root)
-
     def segment_spans(self) -> list[tuple[str, int, int]]:
         """(name, first_lsn, last_lsn) per archived segment, LSN order.
 
@@ -140,7 +136,7 @@ class WalArchiver:
         contiguous), so only the newest segment needs a scan — and that
         scan is cached by (name, size).
         """
-        listed = self.archived_segments()
+        listed = _list_segments(self.disk, self.root)
         spans: list[tuple[str, int, int]] = []
         for index, (first_lsn, name) in enumerate(listed):
             if index + 1 < len(listed):
@@ -234,7 +230,7 @@ class WalArchiver:
 
     def _prune_blobs(self) -> None:
         """Remove archived blobs no archived record names any more."""
-        named = logged_blobs(read_records(self.disk, self.root, compat))
+        named = logged_blobs(log_records(read_log(self.disk, self.root, compat)))
         sweep(self.disk, self.root / POOL_DIR_NAME, POOL_DIR_NAME, named.__contains__)
 
     # ------------------------------------------------------------------ #
@@ -258,61 +254,23 @@ class WalArchiver:
 def check_archive(disk: DiskIO, root: Path) -> list[WalVerdict]:
     """Offline verdicts for an archive directory (`repro check`).
 
-    Verifies each archived segment's CRCs and completeness, LSN
-    contiguity across the archive, and — against the retention
-    registry — that the archive still starts early enough to serve
-    point-in-time targets past each registered backup.
+    Judges the archive as a sealed log (:func:`~repro.wal.log.judge_log`:
+    any damage is corruption, a gap an ``archive-gap``), names every blob
+    an archived record needs that the archive lacks, and checks against
+    the retention registry that the archive still starts early enough to
+    serve point-in-time targets past each registered backup.
     """
     root = Path(root)
-    verdicts: list[WalVerdict] = []
-    listed = _list_segments(disk, root)
-    previous_last: int | None = None
-    first_archived: int | None = None
-    for first_lsn, name in listed:
-        if previous_last is not None and first_lsn != previous_last + 1:
-            verdicts.append(
-                WalVerdict(
-                    name,
-                    "archive-gap",
-                    f"starts at LSN {first_lsn}, previous archived segment "
-                    f"ended at {previous_last} — restore targets in between "
-                    "are unreachable",
-                )
-            )
-        data = disk.read_file(root / name)
-        scan = scan_segment(data, first_lsn, source=name)
-        if scan.damage is not None:
-            # Archived segments are sealed copies: *any* damage —
-            # including what the live log would tolerate as a torn
-            # tail — makes the copy unusable for restore.
-            verdicts.append(
-                WalVerdict(
-                    name,
-                    "corrupt",
-                    f"byte {scan.damage.offset}: {scan.damage.detail}",
-                )
-            )
-        else:
-            first = scan.records[0].lsn if scan.records else first_lsn
-            last = scan.records[-1].lsn if scan.records else first_lsn - 1
-            verdicts.append(
-                WalVerdict(
-                    name, "ok", f"LSN {first}..{last}, {len(scan.records)} records"
-                )
-            )
-            if first_archived is None:
-                first_archived = first
-            previous_last = last
-            continue
-        previous_last = None  # damage breaks the chain; report once
+    log = read_log(disk, root, compat)
+    verdicts = judge_log(log, sealed=True)
     verdicts.extend(
         WalVerdict(path, "missing", f"a blob archived record {lsn} names")
-        for path, (lsn, entry) in logged_blobs(read_records(disk, root, compat)).items()
+        for path, (lsn, entry) in logged_blobs(log_records(log)).items()
         if disk.file_size(root / path) != entry.size
     )
-    archiver = WalArchiver(disk, root)
+    first_archived = next((s.first_lsn for s in log if s.scan.records), None)
     if first_archived is not None:
-        for backup in archiver.registered_backups():
+        for backup in WalArchiver(disk, root).registered_backups():
             needed = int(backup["backup_lsn"]) + 1
             if first_archived > needed:
                 verdicts.append(

@@ -40,8 +40,8 @@ from ..errors import BackupError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
 from ..storage.snapshot import FORMAT_NAME, MANIFEST_NAME, STAMP, Manifest, ManifestEntry, read_stamp
-from ..wal.log import WAL_DIR_NAME, _list_segments, _segment_image
-from ..wal.record import WalRecord, logged_blobs, scan_segment
+from ..wal.log import WAL_DIR_NAME, _segment_image, log_records, read_log
+from ..wal.record import WalRecord, logged_blobs
 from .manifest import (
     BACKUP_MANIFEST_NAME,
     IMAGE_DIR_NAME,
@@ -276,14 +276,7 @@ def _collect_live_records(
     """
     if high <= low:
         return []
-    found: dict[int, WalRecord] = {}
-    for first_lsn, name in _list_segments(disk, wal_dir):
-        if first_lsn > high:
-            continue
-        scan = scan_segment(disk.read_file(wal_dir / name), first_lsn, source=name)
-        for record in scan.records:
-            if low < record.lsn <= high:
-                found[record.lsn] = record
+    found = {r.lsn: r for r in log_records(read_log(disk, wal_dir)) if low < r.lsn <= high}
     missing = [lsn for lsn in range(low + 1, high + 1) if lsn not in found]
     if missing:
         raise BackupError(

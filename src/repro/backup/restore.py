@@ -40,13 +40,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
-from ..errors import BackupError, RestoreError, RestoreTargetError
+from ..errors import RestoreError, RestoreTargetError
 from ..observability import registry as metrics
 from ..storage import compat
 from ..storage.compat import logged_blobs, scan_segment
 from ..storage.diskio import DiskIO
 from ..storage.snapshot import MANIFEST_NAME, read_stamp, write_stamp
-from ..wal.log import WAL_DIR_NAME, _SEGMENT_RE, _list_segments, _segment_image
+from ..wal.log import WAL_DIR_NAME, _segment_image, judge_log, log_records, read_log
 from ..wal.record import TXN_MARKER_TYPES, AUTO_COMMIT_TXN, WalRecord, WalRecordType
 from .manifest import (
     BACKUP_MANIFEST_NAME,
@@ -173,38 +173,11 @@ def restore_backup(
     stamp = read_stamp(disk, backup_root)
     manifest = verify_backup(disk, backup_root, compat.load_backup_manifest(disk, backup_root))
 
-    # -- assemble the available history: backup WAL, then the archive.
-    by_lsn: dict[int, WalRecord] = {}
-    for entry in manifest.files:
-        rel = PurePosixPath(entry.path)
-        if rel.parts[0] != WAL_SUBDIR_NAME:
-            continue
-        match = _SEGMENT_RE.match(rel.name)
-        if match is None:
-            raise BackupError(f"{backup_root}: unrecognized WAL file {entry.path}")
-        first_lsn = int(match.group(1))
-        scan = scan_segment(
-            disk.read_file(backup_root / rel), first_lsn, source=str(rel)
-        )
-        if scan.damage is not None:
-            raise BackupError(
-                f"{backup_root}/{entry.path}: {scan.damage.detail} — the "
-                "backup's WAL prefix is damaged"
-            )
-        for record in scan.records:
-            by_lsn[record.lsn] = record
-    if archive is not None:
-        for first_lsn, name in _list_segments(disk, Path(archive)):
-            scan = scan_segment(
-                disk.read_file(Path(archive) / name), first_lsn, source=name
-            )
-            if scan.damage is not None:
-                raise RestoreError(
-                    f"archived segment {name}: {scan.damage.detail} — "
-                    "refusing to replay damaged history"
-                )
-            for record in scan.records:
-                by_lsn.setdefault(record.lsn, record)
+    # -- assemble the available history: the archive, then the backup's
+    # own log over it (both hold the same record at an LSN they share).
+    archived = [] if archive is None else _sealed_records(disk, Path(archive))
+    backed_up = _sealed_records(disk, backup_root / WAL_SUBDIR_NAME)
+    by_lsn = {r.lsn: r for r in archived + backed_up}
 
     # Only the contiguous prefix is replayable: a gap (an unarchived
     # segment) makes everything past it unreachable.
@@ -265,6 +238,20 @@ def restore_backup(
         records=len(clipped),
         epoch=manifest.epoch if target == manifest.backup_lsn else None,
     )
+
+
+def _sealed_records(disk: DiskIO, root: Path) -> list[WalRecord]:
+    """The records of a backup's log or an archive, refused when the
+    sealed-log rule finds a segment damaged (a gap only ends the history
+    a restore can reach)."""
+    log = read_log(disk, root, compat)
+    for verdict in judge_log(log, sealed=True):
+        if verdict.status == "corrupt":
+            raise RestoreError(
+                f"{root / verdict.segment}: {verdict.detail} — refusing to "
+                "replay damaged history"
+            )
+    return log_records(log)
 
 
 def _lay_down_blobs(disk: DiskIO, dest: Path, records: list[WalRecord], archive) -> None:

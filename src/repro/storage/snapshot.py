@@ -683,7 +683,7 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
     from ..backup.archive import ARCHIVE_DIR_NAME, check_archive
     from ..backup.manifest import RESTORE_MARKER_NAME
     from ..wal import record
-    from ..wal.log import WAL_DIR_NAME, check_wal, read_records
+    from ..wal.log import WAL_DIR_NAME, judge_log, log_records, read_log
     from . import compat
 
     root = Path(root)
@@ -703,6 +703,8 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
     )
     wal_dir = root / WAL_DIR_NAME
     has_wal = disk.is_dir(wal_dir)
+    log = read_log(disk, wal_dir, reader)  # each segment read once
+    logged = reader.logged_blobs(log_records(log))
     if not disk.exists(root / MANIFEST_NAME):
         if has_wal:
             # A database that crashed before its first checkpoint: the
@@ -711,10 +713,8 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
                 root=str(root),
                 manifest_status="wal-only",
                 detail="(no snapshot yet: all state is in the log)",
-                verdicts=_pool_verdicts(
-                    disk, root, set(), reader.logged_blobs(read_records(disk, wal_dir, reader)), 0
-                ),
-                wal_verdicts=check_wal(disk, wal_dir, 0, reader),
+                verdicts=_pool_verdicts(disk, root, set(), logged, 0),
+                wal_verdicts=judge_log(log),
             )
         return IntegrityReport(
             root=str(root),
@@ -745,13 +745,11 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
         else:
             metrics.increment("storage.recovery.checksum_failures")
         report.verdicts.append(verdict)
-    logged = reader.logged_blobs(read_records(disk, wal_dir, reader)) if has_wal else {}
     named = {entry.path for entry in manifest.files}
     report.verdicts.extend(
         _pool_verdicts(disk, root, named, logged, manifest.checkpoint_lsn)
     )
-    if has_wal:
-        report.wal_verdicts = check_wal(disk, wal_dir, manifest.checkpoint_lsn, reader)
+    report.wal_verdicts = judge_log(log, manifest.checkpoint_lsn)
     if disk.is_dir(root / ARCHIVE_DIR_NAME):
         report.archive_verdicts = check_archive(disk, root / ARCHIVE_DIR_NAME)
     return report

@@ -22,11 +22,16 @@ turns into policy):
     still orders and frames records, so crash recovery replays whatever
     reached the disk — always a committed prefix, possibly short.
 
-**Recovery** (:meth:`WriteAheadLog.attach`) scans every segment, verifies
-per-record CRCs and LSN contiguity, truncates a torn final record in the
-last segment (an interrupted append — the statement never committed) and
-refuses with :class:`~repro.errors.WalCorruptError` on mid-log damage.
-It returns the records past the snapshot's checkpoint LSN for replay.
+**Reading a log directory** is one walk and one rule, shared by recovery,
+``repro check``, the archive check, backup and restore:
+:func:`read_log` reads and scans every segment once, and
+:func:`judge_log` turns what it found into verdicts (:class:`WalVerdict`).
+**Recovery** (:meth:`WriteAheadLog.attach`) refuses with
+:class:`~repro.errors.WalCorruptError` on the first verdict that is not
+ok, truncates the torn final record the verdicts name (an interrupted
+append — the statement never committed), and returns the records past
+the snapshot's checkpoint LSN for replay; :func:`check_wal` returns the
+same verdicts, so ``repro check`` passes exactly the logs that open.
 
 **Append handle**: the tail segment's descriptor stays open until
 rotation, checkpoint truncation or :meth:`WriteAheadLog.close`.
@@ -35,9 +40,11 @@ rotation, checkpoint truncation or :meth:`WriteAheadLog.close`.
 snapshot manifest, then :meth:`truncate_covered` deletes every segment
 whose records the snapshot now covers (archiving it first, with the pool
 blobs its records name), and only then are the blobs no record the live
-log holds names collected. A crash in between leaves stale segments
-whose records replay skips (their LSNs are ≤ the checkpoint) and which
-the next checkpoint collects.
+log holds names collected. A covered segment the archiver cannot take
+stays, and so does every segment after it, so the live log never has a
+hole. A crash in between leaves stale segments whose records replay
+skips (their LSNs are ≤ the checkpoint) and which the next checkpoint
+collects.
 """
 
 from __future__ import annotations
@@ -46,13 +53,14 @@ import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import WalCorruptError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
 from ..storage.snapshot import ManifestEntry
 from . import record
-from .record import SegmentScan, WalRecord, WalRecordType, encode_record, require_clean_scan
+from .record import SegmentScan, WalRecord, WalRecordType, encode_record
 
 WAL_DIR_NAME = "wal"
 DEFAULT_SEGMENT_BYTES = 256 * 1024
@@ -96,8 +104,6 @@ class WalRecovery:
     # The pool blobs the live log names (record.logged_blobs).
     blobs: dict[str, tuple[int, ManifestEntry]] = field(default_factory=dict)
     last_lsn: int = 0
-    truncated_segment: str | None = None
-    truncated_at: int | None = None
 
 
 class WriteAheadLog:
@@ -150,69 +156,39 @@ class WriteAheadLog:
     ) -> tuple["WriteAheadLog", WalRecovery]:
         """Open (or create) the log at ``root`` and recover its tail.
 
-        Scans every segment, truncates a torn final record, raises
-        :class:`WalCorruptError` on mid-log corruption or LSN gaps, and
-        returns the log (positioned to append after the last valid
-        record) plus the records with LSN > ``checkpoint_lsn`` that the
-        caller must replay. ``reader`` (a module with ``scan_segment`` and
-        ``logged_blobs``: :mod:`repro.wal.record`, or
-        :mod:`repro.storage.compat` for an earlier build's log) reads it.
+        Walks the log once (:func:`read_log`, ``reader`` as there, which
+        also names the blobs the log holds), raises
+        :class:`WalCorruptError` on the first verdict of
+        :func:`judge_log` that is not ok, truncates the torn tail it
+        names, and returns the log (positioned to append after the last
+        valid record) plus the records with LSN > ``checkpoint_lsn`` that
+        the caller must replay.
         """
         root = Path(root)
-        recovery = WalRecovery(last_lsn=checkpoint_lsn)
-        listed = _list_segments(disk, root)
-        all_records: list[WalRecord] = []
-        live_segments: list[_Segment] = []
-        previous_last = None
-        for index, (first_lsn, name) in enumerate(listed):
-            if previous_last is not None and first_lsn != previous_last + 1:
-                raise WalCorruptError(
-                    f"segment starts at LSN {first_lsn} but the previous "
-                    f"segment ended at {previous_last} (missing segment?)",
-                    segment=name,
-                )
-            path = root / name
-            data = disk.read_file(path)
-            scan = reader.scan_segment(data, first_lsn, source=name)
-            require_clean_scan(scan, name)
-            if scan.damage is not None:  # torn tail
-                if index != len(listed) - 1:
-                    raise WalCorruptError(
-                        scan.damage.detail
-                        + " (not the final segment — refusing to truncate)",
-                        segment=name,
-                        offset=scan.damage.offset,
-                    )
-                _truncate_segment(disk, path, data[: scan.good_bytes])
-                recovery.truncated_segment = name
-                recovery.truncated_at = scan.damage.offset
-                metrics.increment("storage.wal.replay.torn_tails_truncated")
-            all_records.extend(scan.records)
-            last_lsn = scan.records[-1].lsn if scan.records else first_lsn - 1
-            previous_last = last_lsn
-            if scan.good_bytes > 0:
-                live_segments.append(
-                    _Segment(
-                        path=path,
-                        first_lsn=first_lsn,
-                        size=scan.good_bytes,
-                        last_lsn=last_lsn,
-                    )
-                )
-        recovery.replay_records = [
-            record for record in all_records if record.lsn > checkpoint_lsn
-        ]
-        recovery.blobs = reader.logged_blobs(all_records)
-        if recovery.replay_records:
-            first = recovery.replay_records[0].lsn
-            if first != checkpoint_lsn + 1:
-                raise WalCorruptError(
-                    f"oldest replayable record is LSN {first} but the "
-                    f"snapshot checkpoint is {checkpoint_lsn} — records "
-                    f"{checkpoint_lsn + 1}..{first - 1} are missing"
-                )
+        log = read_log(disk, root, reader)
+        verdicts = judge_log(log, checkpoint_lsn)
+        refused = next((v for v in verdicts if not v.ok), None)
+        if refused is not None:
+            raise WalCorruptError(refused.detail, segment=refused.segment)
+        if verdicts and verdicts[-1].status == "torn-tail":
+            path, good_bytes = root / log[-1].name, log[-1].scan.good_bytes
+            if good_bytes:  # rewrite the valid prefix atomically
+                disk.write_file(path, disk.read_file(path)[:good_bytes])
+            else:
+                disk.remove(path)
+            metrics.increment("storage.wal.replay.torn_tails_truncated")
+        all_records = log_records(log)
         last_lsn = max(checkpoint_lsn, all_records[-1].lsn if all_records else 0)
-        recovery.last_lsn = last_lsn
+        recovery = WalRecovery(
+            replay_records=[r for r in all_records if r.lsn > checkpoint_lsn],
+            blobs=reader.logged_blobs(all_records),
+            last_lsn=last_lsn,
+        )
+        live_segments = [
+            _Segment(root / s.name, s.first_lsn, s.scan.good_bytes, s.last_lsn)
+            for s in log
+            if s.scan.good_bytes > 0
+        ]
         wal = cls(
             disk,
             root,
@@ -388,7 +364,8 @@ class WriteAheadLog:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def truncate_covered(self, checkpoint_lsn: int) -> int:
-        """Delete segments every record of which is ≤ ``checkpoint_lsn``.
+        """Delete segments every record of which is ≤ ``checkpoint_lsn``,
+        oldest first, up to the first one the archiver cannot take.
 
         Called after a snapshot whose manifest records ``checkpoint_lsn``
         committed; returns how many segments were removed. Removal is
@@ -400,18 +377,19 @@ class WriteAheadLog:
         with self._lock:
             kept: list[_Segment] = []
             for segment in self._segments:
-                if segment.last_lsn <= checkpoint_lsn and segment.size > 0:
+                if kept or segment.last_lsn > checkpoint_lsn:
+                    # Behind a kept segment every later one stays too: a
+                    # live log with a hole in it would not open.
+                    kept.append(segment)
+                elif segment.size == 0:
+                    self.disk.remove(segment.path)
+                elif self._archive(segment):
                     # Archive-before-delete: with an archiver attached a
                     # covered segment may only vanish from the live log
                     # once the archive provably holds it — otherwise it
                     # stays live and the next checkpoint retries.
-                    if not self._archive(segment):
-                        kept.append(segment)
-                        continue
                     self.disk.remove(segment.path)
                     removed += 1
-                elif segment.last_lsn <= checkpoint_lsn and segment.size == 0:
-                    self.disk.remove(segment.path)
                 else:
                     kept.append(segment)
             self._segments = kept
@@ -478,17 +456,37 @@ def _list_segments(disk: DiskIO, root: Path) -> list[tuple[int, str]]:
     return segments
 
 
-def read_records(disk: DiskIO, root: Path, reader=record) -> list[WalRecord]:
-    """Every record the segments at ``root`` (a live log or an archive)
-    hold, reading past damage to what ``reader``'s scan recovers (as for
-    :meth:`WriteAheadLog.attach`); never raises for it."""
+class LoggedSegment(NamedTuple):
+    """One segment of a walked log: its file name, the LSN its name says
+    it starts at, and what its scan found."""
+
+    name: str
+    first_lsn: int
+    scan: SegmentScan
+
+    @property
+    def last_lsn(self) -> int:
+        return self.scan.records[-1].lsn if self.scan.records else self.first_lsn - 1
+
+
+def read_log(disk: DiskIO, root: Path, reader=record) -> list[LoggedSegment]:
+    """Every segment at ``root`` (a live log, an archive or a backup's
+    log) in LSN order, each read once and scanned by ``reader``: a module
+    with ``scan_segment`` and ``logged_blobs``, :mod:`repro.wal.record`,
+    or :mod:`repro.storage.compat` for a log an earlier build wrote. The
+    only reader of a log directory; it decides nothing."""
+    root = Path(root)
     return [
-        found
-        for first_lsn, name in _list_segments(disk, Path(root))
-        for found in reader.scan_segment(
-            disk.read_file(Path(root) / name), first_lsn, name
-        ).records
+        LoggedSegment(
+            name, first_lsn, reader.scan_segment(disk.read_file(root / name), first_lsn, name)
+        )
+        for first_lsn, name in _list_segments(disk, root)
     ]
+
+
+def log_records(log: list[LoggedSegment]) -> list[WalRecord]:
+    """Every record a walked log holds, up to any damage in each segment."""
+    return [found for segment in log for found in segment.scan.records]
 
 
 def _segment_image(records: list[WalRecord]) -> tuple[str, bytes]:
@@ -500,14 +498,6 @@ def _segment_image(records: list[WalRecord]) -> tuple[str, bytes]:
     return _segment_name(records[0].lsn), data
 
 
-def _truncate_segment(disk: DiskIO, path: Path, good_prefix: bytes) -> None:
-    """Drop a torn tail by atomically rewriting the valid prefix."""
-    if good_prefix:
-        disk.write_file(path, good_prefix)
-    else:
-        disk.remove(path)
-
-
 # ---------------------------------------------------------------------- #
 # Offline integrity checking (`repro check <dir>` / `\check`)
 # ---------------------------------------------------------------------- #
@@ -516,7 +506,9 @@ class WalVerdict:
     """Verdict for one WAL segment (or the log as a whole)."""
 
     segment: str
-    status: str  # ok | stale | torn-tail | corrupt | lsn-gap | checkpoint-gap
+    # ok | stale | torn-tail | corrupt | lsn-gap | checkpoint-gap, and
+    # for a sealed archive archive-gap (check_archive adds missing)
+    status: str
     detail: str = ""
 
     @property
@@ -527,81 +519,67 @@ class WalVerdict:
         return self.status in ("ok", "stale", "torn-tail")
 
 
-def check_wal(
-    disk: DiskIO, root: Path, checkpoint_lsn: int, reader=record
+def judge_log(
+    log: list[LoggedSegment], checkpoint_lsn: int = 0, sealed: bool = False
 ) -> list[WalVerdict]:
-    """Scan WAL segments without mutating anything (``reader`` as for
-    :meth:`WriteAheadLog.attach`); never raises.
+    """The one rule for what a walked log means: a verdict per segment,
+    one more before each segment that does not start where the previous
+    one ended, and for a live log one for the whole log when the records
+    past ``checkpoint_lsn`` do not start right after it.
 
-    Verifies per-record CRCs, LSN monotonicity within and across
-    segments, and that the replayable tail connects to the manifest's
-    checkpoint LSN; names the offending segment and byte offset.
+    In a live log only the final segment may end in a torn append (an
+    interrupted write, which recovery truncates); anywhere else, or in a
+    ``sealed`` log (an archive or a backup, whose copies were complete),
+    any damage is ``corrupt`` and a gap is ``archive-gap``. Damage ends
+    the chain, so the segment after it is not also reported as a gap.
     """
     verdicts: list[WalVerdict] = []
-    segments = _list_segments(disk, Path(root))
-    previous_last: int | None = None
-    max_lsn = 0
-    min_lsn: int | None = None
-    broken = False
-    for index, (first_lsn, name) in enumerate(segments):
-        if previous_last is not None and first_lsn != previous_last + 1:
+    previous: int | None = None
+    for index, segment in enumerate(log):
+        name, scan = segment.name, segment.scan
+        if previous is not None and segment.first_lsn != previous + 1:
+            gap = f"starts at LSN {segment.first_lsn} but the previous segment ended at {previous}"
             verdicts.append(
-                WalVerdict(
-                    name,
-                    "lsn-gap",
-                    f"starts at LSN {first_lsn}, previous segment ended at "
-                    f"{previous_last}",
-                )
+                WalVerdict(name, "archive-gap", f"{gap} — restore targets in between are unreachable")
+                if sealed
+                else WalVerdict(name, "lsn-gap", f"{gap} — missing segment?")
             )
-            broken = True
-        data = disk.read_file(Path(root) / name)
-        scan = reader.scan_segment(data, first_lsn, source=name)
-        verdicts.append(_segment_verdict(name, scan, index == len(segments) - 1,
-                                         checkpoint_lsn))
-        if scan.damage is not None and scan.damage.kind == "corrupt":
-            broken = True
-        if scan.records:
-            max_lsn = max(max_lsn, scan.records[-1].lsn)
-            if min_lsn is None:
-                min_lsn = scan.records[0].lsn
-        previous_last = scan.records[-1].lsn if scan.records else first_lsn - 1
-    if not broken and min_lsn is not None and max_lsn > checkpoint_lsn:
-        # The replayable tail must connect to the checkpoint.
-        oldest_needed = checkpoint_lsn + 1
-        if min_lsn > oldest_needed:
-            verdicts.append(
-                WalVerdict(
-                    "(log)",
-                    "checkpoint-gap",
-                    f"manifest checkpoint is LSN {checkpoint_lsn} but the "
-                    f"oldest log record is {min_lsn} — records "
-                    f"{oldest_needed}..{min_lsn - 1} are missing",
-                )
+        previous = segment.last_lsn if scan.damage is None else None
+        if scan.damage is not None:
+            where = f"byte {scan.damage.offset}: {scan.damage.detail}"
+            if scan.damage.kind == "corrupt" or sealed or index != len(log) - 1:
+                verdicts.append(WalVerdict(name, "corrupt", where))
+            else:
+                verdicts.append(WalVerdict(name, "torn-tail", f"{where} (recovery will truncate)"))
+        elif not scan.records:
+            verdicts.append(WalVerdict(name, "ok", "empty segment"))
+        else:
+            span = f"LSN {segment.first_lsn}..{segment.last_lsn}"
+            if sealed or segment.last_lsn > checkpoint_lsn:
+                verdicts.append(WalVerdict(name, "ok", f"{span}, {len(scan.records)} records"))
+            else:
+                verdicts.append(WalVerdict(name, "stale", f"{span} covered by checkpoint"))
+    oldest = next((s.first_lsn for s in log if s.scan.records), None)
+    if (
+        not sealed
+        and all(v.ok for v in verdicts)
+        and oldest is not None
+        and log[-1].last_lsn > checkpoint_lsn
+        and oldest > checkpoint_lsn + 1
+    ):
+        verdicts.append(
+            WalVerdict(
+                "(log)",
+                "checkpoint-gap",
+                f"manifest checkpoint is LSN {checkpoint_lsn} but the "
+                f"oldest log record is {oldest} — records "
+                f"{checkpoint_lsn + 1}..{oldest - 1} are missing",
             )
+        )
     return verdicts
 
 
-def _segment_verdict(
-    name: str, scan: SegmentScan, is_last: bool, checkpoint_lsn: int
-) -> WalVerdict:
-    if scan.damage is not None:
-        if scan.damage.kind == "corrupt" or not is_last:
-            return WalVerdict(
-                name,
-                "corrupt",
-                f"byte {scan.damage.offset}: {scan.damage.detail}",
-            )
-        return WalVerdict(
-            name,
-            "torn-tail",
-            f"byte {scan.damage.offset}: {scan.damage.detail} "
-            "(recovery will truncate)",
-        )
-    if not scan.records:
-        return WalVerdict(name, "ok", "empty segment")
-    first, last = scan.records[0].lsn, scan.records[-1].lsn
-    if last <= checkpoint_lsn:
-        return WalVerdict(
-            name, "stale", f"LSN {first}..{last} covered by checkpoint"
-        )
-    return WalVerdict(name, "ok", f"LSN {first}..{last}, {len(scan.records)} records")
+def check_wal(disk: DiskIO, root: Path, checkpoint_lsn: int) -> list[WalVerdict]:
+    """The verdicts :meth:`WriteAheadLog.attach` would act on, for the
+    log at ``root``, without mutating anything; never raises."""
+    return judge_log(read_log(disk, root), checkpoint_lsn)

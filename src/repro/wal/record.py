@@ -48,7 +48,6 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from ..errors import WalCorruptError
 from ..storage.diskio import crc32
 from ..storage.snapshot import ManifestEntry
 
@@ -278,10 +277,3 @@ def _valid_record_after(data: bytes, bad_pos: int) -> bool:
         return False
     return not isinstance(_record_at(data, claimed_end), str)
 
-
-def require_clean_scan(scan: SegmentScan, source: str) -> None:
-    """Raise :class:`WalCorruptError` if a scan found hard corruption."""
-    if scan.damage is not None and scan.damage.kind == "corrupt":
-        raise WalCorruptError(
-            scan.damage.detail, segment=source, offset=scan.damage.offset
-        )

@@ -24,7 +24,7 @@ from repro.storage import persist
 from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault
 from repro.storage.loader import BulkLoader
 from repro.storage.snapshot import POOL_DIR_NAME, load_manifest
-from repro.wal.log import WAL_DIR_NAME, read_records
+from repro.wal.log import WAL_DIR_NAME, log_records, read_log
 from repro.wal.record import WalRecordType, logged_blobs, scan_segment
 
 CONFIG = StoreConfig(rowgroup_size=64, bulk_load_threshold=16, delta_close_rows=16)
@@ -171,7 +171,7 @@ def test_a_crash_at_every_write_point_recovers_before_or_after(tmp_path, stateme
         recovered.close()
         # The open collected every blob the crash orphaned: what the pool
         # holds, the manifest or the log names.
-        named = manifest_paths(root) | set(logged_blobs(read_records(DiskIO(), root / WAL_DIR_NAME)))
+        named = manifest_paths(root) | set(logged_blobs(log_records(read_log(DiskIO(), root / WAL_DIR_NAME))))
         assert pool_files(root) <= named, crash_at
         assert not list(root.rglob("*.tmp"))
         assert Database.check(str(root)).ok

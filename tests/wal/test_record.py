@@ -3,13 +3,10 @@
 import os
 import random
 
-import pytest
-
-from repro.errors import WalCorruptError
+from repro.wal.log import LoggedSegment, judge_log
 from repro.wal.record import (
     WalRecordType,
     encode_record,
-    require_clean_scan,
     scan_segment,
 )
 
@@ -79,8 +76,9 @@ class TestDamageClassification:
         scan = scan_segment(bytes(mutated), first_lsn=1)
         assert scan.damage is not None and scan.damage.kind == "corrupt"
         assert scan.records == []
-        with pytest.raises(WalCorruptError, match="byte 0"):
-            require_clean_scan(scan, "seg_test.wal")
+        [verdict] = judge_log([LoggedSegment("seg_test.wal", 1, scan)])
+        assert verdict.status == "corrupt" and not verdict.ok
+        assert verdict.detail.startswith("byte 0")
 
     def test_flip_in_final_record_is_torn_tail(self):
         data, expected = make_segment(count=3)
@@ -89,7 +87,9 @@ class TestDamageClassification:
         scan = scan_segment(bytes(mutated), first_lsn=1)
         assert scan.damage is not None and scan.damage.kind == "torn-tail"
         assert records_match(scan.records, expected[:2])
-        require_clean_scan(scan, "seg_test.wal")  # torn tails are tolerable
+        # A torn tail at the end of the log is tolerable.
+        [verdict] = judge_log([LoggedSegment("seg_test.wal", 1, scan)])
+        assert verdict.status == "torn-tail" and verdict.ok
 
     def test_lsn_break_is_corrupt(self):
         part_a = encode_record(WalRecordType.INSERT, 1, "t", b"a")
