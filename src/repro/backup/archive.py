@@ -45,7 +45,7 @@ from ..observability import registry as metrics
 from ..storage import compat
 from ..storage.compat import logged_blobs, scan_segment
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import POOL_DIR_NAME, sweep
+from ..storage.snapshot import POOL_DIR_NAME, check_file, sweep
 from ..wal.log import WalVerdict, _list_segments, judge_log, log_records, read_log
 from ..wal.record import WalRecord
 
@@ -122,7 +122,6 @@ class WalArchiver:
             if disk.file_size(dest) != entry.size:
                 disk.link_file(source_root / entry.path, dest)
                 synced.update(parent for parent in dest.parents if self.root in parent.parents)
-                metrics.increment("wal.archive.blobs_linked")
         for directory in sorted(synced, key=lambda path: len(path.parts), reverse=True):
             disk.sync_dir(directory)
 
@@ -263,11 +262,11 @@ def check_archive(disk: DiskIO, root: Path) -> list[WalVerdict]:
     root = Path(root)
     log = read_log(disk, root, compat)
     verdicts = judge_log(log, sealed=True)
-    verdicts.extend(
-        WalVerdict(path, "missing", f"a blob archived record {lsn} names")
-        for path, (lsn, entry) in logged_blobs(log_records(log)).items()
-        if disk.file_size(root / path) != entry.size
-    )
+    for path, (lsn, entry) in logged_blobs(log_records(log)).items():
+        data, verdict = check_file(disk, root, entry)
+        if data is None:
+            detail = "; ".join(filter(None, (f"a blob archived record {lsn} names", verdict.detail)))
+            verdicts.append(WalVerdict(path, verdict.status, detail))
     first_archived = next((s.first_lsn for s in log if s.scan.records), None)
     if first_archived is not None:
         for backup in WalArchiver(disk, root).registered_backups():

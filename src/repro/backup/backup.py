@@ -39,7 +39,7 @@ from pathlib import Path, PurePosixPath
 from ..errors import BackupError
 from ..observability import registry as metrics
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import FORMAT_NAME, MANIFEST_NAME, STAMP, Manifest, ManifestEntry, read_stamp
+from ..storage.snapshot import FORMAT_NAME, MANIFEST_NAME, STAMP, Manifest, ManifestEntry, check_file, read_stamp
 from ..wal.log import WAL_DIR_NAME, _segment_image, log_records, read_log
 from ..wal.record import WalRecord, logged_blobs
 from .manifest import (
@@ -75,9 +75,8 @@ class BackupJob:
         source_root: Path,
         dest: Path,
         backup_lsn: int,
-        checkpoint_lsn: int,
-        snapshot_id: int | None,
         manifest_bytes: bytes | None,
+        manifest: Manifest | None,
         lease,
     ) -> None:
         self.durability = durability
@@ -85,9 +84,11 @@ class BackupJob:
         self.source_root = source_root
         self.dest = dest
         self.backup_lsn = backup_lsn
-        self.checkpoint_lsn = checkpoint_lsn
-        self.snapshot_id = snapshot_id
+        # The captured source manifest, as bytes (copied verbatim) and read.
         self.manifest_bytes = manifest_bytes
+        self.manifest = manifest
+        self.checkpoint_lsn = manifest.checkpoint_lsn if manifest is not None else 0
+        self.snapshot_id = manifest.snapshot_id if manifest is not None else None
         self.lease = lease
 
     def run(self) -> BackupResult:
@@ -126,21 +127,18 @@ class BackupJob:
         # -- the base image: every file the captured manifest names, at
         # the same root-relative path, verified as we read.
         def copy(entry: ManifestEntry) -> None:
-            data = self.disk.read_file(self.source_root / PurePosixPath(entry.path))
-            if not entry.matches(data):
+            data, verdict = check_file(self.disk, self.source_root, entry)
+            if data is None:
                 raise BackupError(
-                    f"source file {entry.path} failed checksum "
-                    "verification — refusing to back up a corrupt image"
+                    f"source file {entry.path} failed verification [{verdict}] "
+                    "— refusing to back up a corrupt image"
                 )
             put(f"{IMAGE_DIR_NAME}/{entry.path}", data)
 
         put(FORMAT_NAME, STAMP)  # the source's format: restore reads it first
         copied: set[str] = set()
-        if self.manifest_bytes is not None:
-            src_manifest = Manifest.from_json(
-                self.manifest_bytes, source=str(self.source_root / MANIFEST_NAME)
-            )
-            for entry in src_manifest.files:
+        if self.manifest is not None:
+            for entry in self.manifest.files:
                 copy(entry)
                 copied.add(entry.path)
             put(f"{IMAGE_DIR_NAME}/{MANIFEST_NAME}", self.manifest_bytes)
@@ -223,16 +221,11 @@ def prepare_backup(db, dest, disk: DiskIO | None = None, barrier_hook=None) -> B
     backup_lsn = durability.wal.last_lsn
     lease = db.mvcc.readers.pin(tag="backup")
     try:
-        manifest_bytes = None
-        snapshot_id = None
-        checkpoint_lsn = 0
-        if disk.exists(source_root / MANIFEST_NAME):
-            manifest_bytes = disk.read_file(source_root / MANIFEST_NAME)
-            src_manifest = Manifest.from_json(
-                manifest_bytes, source=str(source_root / MANIFEST_NAME)
-            )
-            snapshot_id = src_manifest.snapshot_id
-            checkpoint_lsn = src_manifest.checkpoint_lsn
+        path = source_root / MANIFEST_NAME
+        manifest_bytes = disk.read_file(path) if disk.exists(path) else None
+        manifest = (
+            Manifest.from_json(manifest_bytes, str(path)) if manifest_bytes is not None else None
+        )
         durability.hold_checkpoints()
     except BaseException:
         lease.release()
@@ -250,9 +243,8 @@ def prepare_backup(db, dest, disk: DiskIO | None = None, barrier_hook=None) -> B
         source_root=source_root,
         dest=dest,
         backup_lsn=backup_lsn,
-        checkpoint_lsn=checkpoint_lsn,
-        snapshot_id=snapshot_id,
         manifest_bytes=manifest_bytes,
+        manifest=manifest,
         lease=lease,
     )
 

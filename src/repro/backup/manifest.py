@@ -28,13 +28,12 @@ clips the WAL at the recovery target, and only then removes its
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BackupError
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import ManifestEntry, seal, unseal
+from ..storage.snapshot import Envelope, ManifestEntry, check_files
 
 BACKUP_MANIFEST_NAME = "BACKUP_MANIFEST.json"
 BACKUP_FORMAT_VERSION = 1
@@ -61,44 +60,19 @@ class BackupManifest:
     files: list[ManifestEntry] = field(default_factory=list)
 
     def to_json(self) -> bytes:
-        body = {
-            "format_version": BACKUP_FORMAT_VERSION,
-            "backup_lsn": self.backup_lsn,
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "snapshot_id": self.snapshot_id,
-            "epoch": self.epoch,
-            "files": [entry.to_json() for entry in self.files],
-        }
-        seal(body)
-        return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode("utf-8")
+        return BACKUP_ENVELOPE.write(self)
 
     @classmethod
-    def from_json(cls, payload: bytes, source: str) -> "BackupManifest":
-        try:
-            body = json.loads(payload.decode("utf-8"))
-            if body["format_version"] != BACKUP_FORMAT_VERSION:
-                raise BackupError(
-                    f"{source}: unsupported backup format_version "
-                    f"{body['format_version']}"
-                )
-            if not unseal(body):
-                raise BackupError(f"{source}: backup manifest self-checksum mismatch")
-            return cls(
-                backup_lsn=int(body["backup_lsn"]),
-                checkpoint_lsn=int(body["checkpoint_lsn"]),
-                snapshot_id=(
-                    int(body["snapshot_id"]) if body["snapshot_id"] is not None else None
-                ),
-                epoch=int(body["epoch"]) if body["epoch"] is not None else None,
-                files=[ManifestEntry.from_json(entry) for entry in body["files"]],
-            )
-        except BackupError:
-            raise
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise BackupError(f"{source}: unreadable backup manifest ({exc})") from exc
+    def from_json(cls, payload: bytes, source: str, **earlier) -> "BackupManifest":
+        """``earlier`` (``seals``, ``read_entry``) reads what an earlier
+        build sealed (:func:`repro.storage.compat.load_backup_manifest`)."""
+        return BACKUP_ENVELOPE.read(cls, payload, source, **earlier)
 
 
-def load_backup_manifest(disk: DiskIO, root: Path) -> BackupManifest:
+BACKUP_ENVELOPE = Envelope("backup manifest", BACKUP_FORMAT_VERSION, BackupError, BackupError)
+
+
+def load_backup_manifest(disk: DiskIO, root: Path, **earlier) -> BackupManifest:
     """The committed manifest of a backup directory.
 
     Raises :class:`BackupError` when the manifest is absent (a torn or
@@ -110,37 +84,25 @@ def load_backup_manifest(disk: DiskIO, root: Path) -> BackupManifest:
             f"{root}: no {BACKUP_MANIFEST_NAME} — not a completed backup "
             "(torn or never finished)"
         )
-    return BackupManifest.from_json(disk.read_file(path), source=str(path))
+    return BackupManifest.from_json(disk.read_file(path), str(path), **earlier)
+
+
+def verified_image(disk: DiskIO, root: Path, manifest: BackupManifest) -> dict[str, bytes]:
+    """The bytes of every file ``manifest`` lists, by listed path, each
+    held to its entry (:func:`~repro.storage.snapshot.check_files`);
+    raises :class:`BackupError` naming every one that is not."""
+    files, failures = check_files(disk, root, manifest.files)
+    if failures:
+        raise BackupError(f"backup {root} failed verification: " + "; ".join(failures))
+    return files
 
 
 def verify_backup(
     disk: DiskIO, root: Path, manifest: BackupManifest | None = None
 ) -> BackupManifest:
     """Fully verify a backup image: ``manifest`` (its committed manifest,
-    read when not given) plus every listed file.
-
-    Checks existence, byte size, and checksum of each file against the
-    manifest. Raises :class:`BackupError` naming every offending path;
-    returns the manifest when the image is intact.
-    """
-    root = Path(root)
+    read when not given) plus every listed file (:func:`verified_image`);
+    returns the manifest when the image is intact."""
     manifest = manifest or load_backup_manifest(disk, root)
-    failures: list[str] = []
-    for entry in manifest.files:
-        path = root / entry.path
-        if not disk.exists(path):
-            failures.append(f"{entry.path} [missing]")
-            continue
-        data = disk.read_file(path)
-        if len(data) != entry.size:
-            failures.append(
-                f"{entry.path} [size mismatch: expected {entry.size}, "
-                f"got {len(data)}]"
-            )
-        elif not entry.matches(data):
-            failures.append(f"{entry.path} [checksum mismatch]")
-    if failures:
-        raise BackupError(
-            f"backup {root} failed verification: " + "; ".join(failures)
-        )
+    verified_image(disk, Path(root), manifest)
     return manifest

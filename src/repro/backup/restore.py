@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 from ..errors import RestoreError, RestoreTargetError
 from ..observability import registry as metrics
 from ..storage import compat
 from ..storage.compat import logged_blobs, scan_segment
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import MANIFEST_NAME, read_stamp, write_stamp
+from ..storage.snapshot import MANIFEST_NAME, FileVerdict, check_file, read_stamp, write_stamp
 from ..wal.log import WAL_DIR_NAME, _segment_image, judge_log, log_records, read_log
 from ..wal.record import TXN_MARKER_TYPES, AUTO_COMMIT_TXN, WalRecord, WalRecordType
 from .manifest import (
@@ -53,7 +53,7 @@ from .manifest import (
     IMAGE_DIR_NAME,
     RESTORE_MARKER_NAME,
     WAL_SUBDIR_NAME,
-    verify_backup,
+    verified_image,
 )
 
 
@@ -171,7 +171,8 @@ def restore_backup(
     backup_root = Path(backup_root)
     dest = Path(dest)
     stamp = read_stamp(disk, backup_root)
-    manifest = verify_backup(disk, backup_root, compat.load_backup_manifest(disk, backup_root))
+    manifest = compat.load_backup_manifest(disk, backup_root)
+    files = verified_image(disk, backup_root, manifest)
 
     # -- assemble the available history: the archive, then the backup's
     # own log over it (both hold the same record at an LSN they share).
@@ -196,13 +197,11 @@ def restore_backup(
     _claim_destination(disk, dest, backup_root, target)
     if stamp:
         write_stamp(disk, dest)
-    for entry in manifest.files:
-        rel = PurePosixPath(entry.path)
-        if rel.parts[0] != IMAGE_DIR_NAME:
-            continue
-        out = dest / PurePosixPath(*rel.parts[1:])
-        disk.write_file(out, disk.read_file(backup_root / rel))
-    _lay_down_blobs(disk, dest, clipped, archive)
+    prefix = f"{IMAGE_DIR_NAME}/"
+    image = {path.removeprefix(prefix): data for path, data in files.items() if path.startswith(prefix)}
+    for path, data in image.items():
+        disk.write_file(dest / path, data)
+    _lay_down_blobs(disk, dest, clipped, archive, image)
     disk.mkdir(dest / WAL_DIR_NAME)
     if clipped:
         segment_name, merged = _segment_image(clipped)
@@ -254,18 +253,23 @@ def _sealed_records(disk: DiskIO, root: Path) -> list[WalRecord]:
     return log_records(log)
 
 
-def _lay_down_blobs(disk: DiskIO, dest: Path, records: list[WalRecord], archive) -> None:
+def _lay_down_blobs(
+    disk: DiskIO, dest: Path, records: list[WalRecord], archive, image: dict[str, bytes]
+) -> None:
     """Every blob the restored log names, from the archive unless the
     image laid it down already."""
     for path, (lsn, entry) in logged_blobs(records).items():
-        if disk.file_size(dest / path) == entry.size:
+        if path in image:
             continue
-        source = Path(archive) / path if archive is not None else None
-        data = disk.read_file(source) if source is not None and disk.exists(source) else b""
-        if not entry.matches(data):
+        data, verdict = (
+            check_file(disk, Path(archive), entry)
+            if archive is not None
+            else (None, FileVerdict(path, "missing", "no archive given"))
+        )
+        if data is None:
             raise RestoreError(
-                f"segment blob {path} named by LSN {lsn} is in "
-                "neither the backup nor the archive, or is damaged there"
+                f"segment blob {path} named by LSN {lsn} is in neither the backup "
+                f"nor the archive, or is damaged there [{verdict}]"
             )
         disk.write_file(dest / path, data)
 

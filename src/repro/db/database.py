@@ -30,7 +30,6 @@ from ..observability import ExecutionStats
 from ..observability import registry as metrics
 from ..planner.logical import LogicalNode, LogicalProject, LogicalScan
 from ..planner.optimizer import Optimizer, PhysicalPlan
-from ..planner.schema_infer import infer_output_dtypes
 from ..schema import TableSchema
 from ..settings import resolve
 from ..sql import runner as pipeline
@@ -471,11 +470,9 @@ class Database:
         found: list[list[tuple]] = []
         executions: list[ExecutionStats | None] = []
         for plan in self.dml_plans(table, assignments, predicate):
-            by_name = infer_output_dtypes(plan, self.catalog)
             physical = self.optimizer.compile(plan, settings, optimize=False)
-            dtypes = [by_name[name] for name in physical.columns]
             rows, execution = pipeline.run_physical(
-                self.isolation, physical, lock_free=True, stats=stats, dtypes=dtypes
+                self.isolation, physical, lock_free=True, stats=stats
             )
             found.append(rows)
             executions.append(execution)
@@ -485,7 +482,7 @@ class Database:
         locators = [row[0] for row in found[-1]] if target.columnstore is not None else []
         rtype, body = WalRecordType.DELETE, (rids, locators)
         if assignments is not None:
-            rows = [target.schema.coerce_row(row[1:]) for row in found[0]]
+            rows = _new_rows(target.schema, assignments, [row[1:] for row in found[0]])
             rtype, body = WalRecordType.UPDATE, (rids, locators, rows)
         return self._apply_change(rtype, target.name, body), executions
 
@@ -735,3 +732,17 @@ class Database:
         target = self.catalog.table(table)
         change = target.plan_archival(enabled)
         self._apply_change(WalRecordType.ROW_GROUPS, target.name, change)
+
+
+def _new_rows(schema: TableSchema, assignments: dict[str, Expr], found: list[tuple]) -> list[tuple]:
+    """An UPDATE's new rows from the physical values its plan found: a
+    column whose SET expression (the column itself when it is not set)
+    has the column's type keeps its value, checked as a coerced one is
+    (:meth:`TableSchema.coerce_row`); across types a value is presented,
+    then coerced."""
+    types = [assignments.get(name, Column(name)).infer_dtype(schema.dtype) for name in schema.names]
+    own = [(t.kind, t.scale) == (c.dtype.kind, c.dtype.scale) for t, c in zip(types, schema.columns)]
+    return [
+        schema.coerce_row([v if kept else t.present(v) for v, t, kept in zip(row, types, own)], own)
+        for row in found
+    ]

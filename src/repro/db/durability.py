@@ -44,6 +44,7 @@ from ..storage.snapshot import (
     SnapshotWriter,
     StoredSegments,
     check_database,
+    check_file,
     collect_garbage,
     read_stamp,
     roll_back,
@@ -137,7 +138,6 @@ class Durability:
                     if disk.file_size(root / entry.path) != entry.size:
                         disk.write_file(root / entry.path, data)
                         metrics.increment("storage.wal.blobs_written")
-                        metrics.increment("storage.wal.blob_bytes_written", len(data))
                     stored.put(segment, entry, logged=True)
                     segments[column] = entry.to_json()
                 groups.append({"id": group.group_id, "segments": segments})
@@ -167,10 +167,12 @@ class Durability:
         for group in body["groups"]:
             segments = {}
             for column, entry in group["segments"].items():
-                path = Path(self.root) / entry.path
-                data = self.disk.read_file(path) if self.disk.exists(path) else b""
-                if not entry.matches(data):
-                    raise CorruptBlobError("a logged blob is missing or damaged", path=str(path))
+                data, verdict = check_file(self.disk, Path(self.root), entry)
+                if data is None:
+                    raise CorruptBlobError(
+                        f"a logged blob failed verification [{verdict}]",
+                        path=str(Path(self.root) / entry.path),
+                    )
                 segments[column] = deserialize(data)
                 stored.put(segments[column], entry, logged=True)
             groups.append(RowGroup(group_id=group["id"], schema=schema, segments=segments))

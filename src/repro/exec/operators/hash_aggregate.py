@@ -44,6 +44,7 @@ import numpy as np
 from ...errors import ExecutionError
 from ...observability import registry as metrics
 from ...storage.segment import DictionaryVector, RunVector
+from ...types import BIGINT, FLOAT, DataType, TypeKind
 from ..batch import (
     AS_CODES,
     AS_EXACT_WEIGHTS,
@@ -105,6 +106,20 @@ class AggregateSpec:
 
     def __str__(self) -> str:
         return f"{self.func.upper()}({self.expr or '*'})"
+
+
+def result_dtype(func: str, arg: DataType | None) -> DataType:
+    """The type an aggregate, or a window function, returns over an
+    argument of type ``arg`` (None for COUNT(*) and the ranking window
+    functions, which take none)."""
+    if arg is None or func == "count":
+        return BIGINT
+    if func in ("min", "max"):
+        return arg
+    if func == "sum":
+        return BIGINT if arg.kind is TypeKind.INT else arg
+    # AVG: decimals stay scaled (presentation divides), everything else float.
+    return arg if arg.kind is TypeKind.DECIMAL else FLOAT
 
 
 @dataclass

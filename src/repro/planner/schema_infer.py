@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from ..errors import PlanningError
 from ..exec.batch import RID_COLUMN
-from ..exec.operators.hash_aggregate import COUNT_STAR
-from ..exec.operators.window import RANKING_FUNCS
-from ..types import BIGINT, FLOAT, VARCHAR, DataType, TypeKind
+from ..exec.operators.hash_aggregate import result_dtype
+from ..types import VARCHAR, DataType
 from .logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -49,12 +48,14 @@ def infer_output_dtypes(node: LogicalNode, catalog: CatalogView) -> dict[str, Da
         resolver = _make_resolver(child)
         out = {key: child[key] for key in node.group_keys}
         for spec in node.aggregates:
-            out[spec.name] = _aggregate_dtype(spec, resolver)
+            arg = None if spec.expr is None else spec.expr.infer_dtype(resolver)
+            out[spec.name] = result_dtype(spec.func, arg)
         return out
     if isinstance(node, LogicalWindow):
         out = infer_output_dtypes(node.child, catalog)
+        resolver = _make_resolver(out)
         for spec in node.specs:
-            out[spec.name] = _window_dtype(spec, out)
+            out[spec.name] = result_dtype(spec.func, None if spec.arg is None else resolver(spec.arg))
         return out
     raise PlanningError(f"unknown logical node {type(node).__name__}")
 
@@ -67,38 +68,3 @@ def _make_resolver(dtypes: dict[str, DataType]):
             raise PlanningError(f"unknown column {name!r} during type inference") from None
 
     return resolver
-
-
-def _aggregate_dtype(spec, resolver) -> DataType:
-    if spec.func in (COUNT_STAR, "count"):
-        return BIGINT
-    arg = spec.expr.infer_dtype(resolver)
-    if spec.func in ("min", "max"):
-        return arg
-    if spec.func == "sum":
-        if arg.kind is TypeKind.INT:
-            return BIGINT
-        return arg
-    # AVG: decimals stay scaled (presentation divides), everything else float.
-    if arg.kind is TypeKind.DECIMAL:
-        return arg
-    return FLOAT
-
-
-def _window_dtype(spec, child: dict[str, DataType]) -> DataType:
-    """Output type of a window spec; same rules as the aggregates."""
-    if spec.func in RANKING_FUNCS or spec.func in (COUNT_STAR, "count"):
-        return BIGINT
-    try:
-        arg = child[spec.arg]
-    except KeyError:
-        raise PlanningError(
-            f"unknown column {spec.arg!r} during type inference"
-        ) from None
-    if spec.func in ("min", "max"):
-        return arg
-    if spec.func == "sum":
-        return BIGINT if arg.kind is TypeKind.INT else arg
-    if arg.kind is TypeKind.DECIMAL:
-        return arg
-    return FLOAT

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConstraintError, ReproError, SchemaError
-from .types import DataType, python_values
+from .types import DataType, TypeKind, python_values
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,13 @@ class TableSchema:
     # ------------------------------------------------------------------ #
     # Row validation
     # ------------------------------------------------------------------ #
-    def coerce_row(self, row: Sequence[Any]) -> tuple[Any, ...]:
+    def coerce_row(
+        self, row: Sequence[Any], physical: Sequence[bool] | None = None
+    ) -> tuple[Any, ...]:
         """Validate one row against the schema, returning physical values.
+        A value ``physical`` marks is its column's physical value already:
+        it is checked as any other, and a DECIMAL's scaled integer is
+        kept as it is.
 
         Raises :class:`SchemaError` on arity mismatch,
         :class:`ConstraintError` on NULL in a NOT NULL column, and
@@ -100,10 +105,10 @@ class TableSchema:
                 f"row has {len(row)} values but table has {len(self.columns)} columns"
             )
         out = []
-        for value, col in zip(row, self.columns):
+        for value, col, kept in zip(row, self.columns, physical or [False] * len(row)):
             if value is None and not col.nullable:
                 raise ConstraintError(f"column {col.name!r} is NOT NULL")
-            out.append(col.dtype.coerce(value))
+            out.append(value if kept and col.dtype.kind is TypeKind.DECIMAL else col.dtype.coerce(value))
         return tuple(out)
 
     def coerce_columns(self, rows: Sequence[Sequence[Any]]) -> "PhysicalColumns":

@@ -24,8 +24,8 @@ from typing import Any, Callable
 
 from ..errors import BindingError
 from ..exec import expressions as X
-from ..exec.operators.hash_aggregate import COUNT_STAR, AggregateSpec
-from ..exec.operators.window import RANKING_FUNCS, WindowSpec
+from ..exec.operators.hash_aggregate import COUNT_STAR, AggregateSpec, result_dtype
+from ..exec.operators.window import WindowSpec
 from ..planner.logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -37,7 +37,7 @@ from ..planner.logical import (
     LogicalSort,
     LogicalWindow,
 )
-from ..types import BIGINT, FLOAT, DataType, TypeKind
+from ..types import BIGINT, DataType, TypeKind
 from . import ast as A
 
 _AGG_FUNCS = {"count", "sum", "min", "max", "avg"}
@@ -535,7 +535,8 @@ class Binder:
                 post.qualified[(qualifier.lower(), column.lower())] = key
                 post.unqualified.setdefault(column.lower(), []).append(key)
         for spec in specs:
-            post.add(None, spec.name, spec.name, _agg_dtype(spec, namespace))
+            arg_dtype = None if spec.expr is None else spec.expr.infer_dtype(namespace.dtype_of)
+            post.add(None, spec.name, spec.name, result_dtype(spec.func, arg_dtype))
 
         if stmt.having is not None:
             having = self._bind_scalar(
@@ -745,7 +746,8 @@ class Binder:
             spec = WindowSpec(func, arg, partition, order, out_name)
             specs.append(spec)
             lookup[canonical] = out_name
-            namespace.dtypes[out_name] = _window_dtype(spec, namespace)
+            arg_dtype = None if spec.arg is None else namespace.dtype_of(spec.arg)
+            namespace.dtypes[out_name] = result_dtype(spec.func, arg_dtype)
 
         if computed:
             passthrough = [(n, X.Column(n)) for n in plan.output_names()]
@@ -1129,32 +1131,6 @@ def _dedupe(labels: list[str]) -> list[str]:
             seen[label] = 1
             out.append(label)
     return out
-
-
-def _agg_dtype(spec: AggregateSpec, namespace: _Namespace) -> DataType:
-    if spec.func in (COUNT_STAR, "count"):
-        return BIGINT
-    arg = spec.expr.infer_dtype(namespace.dtype_of)
-    if spec.func in ("min", "max"):
-        return arg
-    if spec.func == "sum":
-        return BIGINT if arg.kind is TypeKind.INT else arg
-    if arg.kind is TypeKind.DECIMAL:
-        return arg
-    return FLOAT
-
-
-def _window_dtype(spec: WindowSpec, namespace: _Namespace) -> DataType:
-    if spec.func in RANKING_FUNCS or spec.func in (COUNT_STAR, "count"):
-        return BIGINT
-    arg = namespace.dtype_of(spec.arg)
-    if spec.func in ("min", "max"):
-        return arg
-    if spec.func == "sum":
-        return BIGINT if arg.kind is TypeKind.INT else arg
-    if arg.kind is TypeKind.DECIMAL:
-        return arg
-    return FLOAT
 
 
 def _exact_scale(dtype: DataType | None) -> int | None:

@@ -40,16 +40,16 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..backup import manifest as backup_manifest
-from ..backup.manifest import BACKUP_MANIFEST_NAME, BackupManifest
+from ..backup.manifest import BackupManifest
 from ..db.catalog import Table
-from ..errors import BackupError, CorruptBlobError, EncodingError, RecoveryError
+from ..errors import EncodingError
 from ..wal import record, replay
 from ..wal.record import _CRC32_FRAME, _FRAME_HEADER, _LENGTH_MASK, WalRecord, WalRecordType
 from . import blob, serde, snapshot
 from .columnstore import RowGroupChange
 from .diskio import DiskIO, crc32
 from .segment import ARCHIVE_LEVEL, ColumnSegment
-from .snapshot import Manifest, ManifestEntry, SnapshotReader, StoredSegments
+from .snapshot import Manifest, ManifestEntry, SnapshotReader
 
 XPR1_MAGIC = b"XPR1"
 EARLIER_MANIFEST_VERSION = 2  # entries and self-checksum all CRC-32C
@@ -96,81 +96,45 @@ def entry_from_json(entry: dict) -> ManifestEntry:
     return Crc32cEntry(str(entry["path"]), int(entry["size"]), snapshot._stored_crc(entry["crc32c"]))
 
 
-def _earlier_body(payload: bytes) -> tuple[dict, bool] | None:
-    """A manifest body (snapshot or backup) sealed with a CRC-32C, its
-    entries read, and whether its checksum over itself holds; None when
-    it is sealed with a CRC-32."""
-    body = json.loads(payload.decode("utf-8"))
-    if "manifest_crc32c" not in body:
-        return None
-    recorded = snapshot._stored_crc(body.pop("manifest_crc32c"))
-    holds = recorded == crc32c_scalar(snapshot.canonical(body))
-    body["files"] = [entry_from_json(entry) for entry in body["files"]]
-    return body, holds
+#: How an earlier build may have sealed a manifest (a snapshot's or a
+#: backup's), beside how this build does.
+SEALS = (*snapshot.SEALS, ("manifest_crc32c", crc32c_scalar))
 
 
 # ---------------------------------------------------------------------- #
 # Manifests
 # ---------------------------------------------------------------------- #
-def load_manifest(disk: DiskIO, root: Path) -> Manifest | None:
-    """:func:`~repro.storage.snapshot.load_manifest`, also of a
-    ``format_version`` 2 manifest."""
-    path = Path(root) / snapshot.MANIFEST_NAME
-    return read_manifest(disk.read_file(path), str(path)) if disk.exists(path) else None
-
-
 def read_manifest(payload: bytes, source: str) -> Manifest:
     """:meth:`Manifest.from_json <repro.storage.snapshot.Manifest.from_json>`,
     also of a ``format_version`` 2 manifest."""
-    try:
-        earlier = _earlier_body(payload)
-        if earlier is None or earlier[0]["format_version"] != EARLIER_MANIFEST_VERSION:
-            return Manifest.from_json(payload, source)
-        body, holds = earlier
-        if not holds:
-            raise CorruptBlobError("manifest self-checksum mismatch", path=source)
-        return Manifest(int(body["snapshot_id"]), body["files"], int(body["checkpoint_lsn"]))
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise RecoveryError(f"{source}: unreadable manifest ({exc})") from exc
+    return snapshot.MANIFEST_ENVELOPE.read(
+        Manifest,
+        payload,
+        source,
+        versions=(EARLIER_MANIFEST_VERSION, snapshot.MANIFEST_VERSION),
+        seals=SEALS,
+        read_entry=entry_from_json,
+    )
+
+
+def load_manifest(disk: DiskIO, root: Path) -> Manifest | None:
+    """:func:`~repro.storage.snapshot.load_manifest`, also of a
+    ``format_version`` 2 manifest."""
+    return snapshot.load_manifest(disk, root, read_manifest)
 
 
 def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
     """:func:`~repro.storage.snapshot.open_snapshot` of an earlier
     build's snapshot, each segment blob as :func:`current_blob` makes it."""
-    root = Path(root)
-    manifest = load_manifest(disk, root)
-    if manifest is None:
-        return snapshot.open_snapshot(disk, root)  # refuses, naming the layout
-    files = {
-        relpath: current_blob(data) if relpath.endswith(".seg") else data
-        for relpath, data in snapshot.verified_files(disk, root, manifest).items()
-    }
-    return SnapshotReader(manifest, files, StoredSegments(root))
+    return snapshot.open_snapshot(disk, root, load_manifest, current_blob)
 
 
 def load_backup_manifest(disk: DiskIO, root: Path) -> BackupManifest:
     """:func:`~repro.backup.manifest.load_backup_manifest`, also of a
     manifest an earlier build sealed with a CRC-32C."""
-    path = Path(root) / BACKUP_MANIFEST_NAME
-    if not disk.exists(path):
-        return backup_manifest.load_backup_manifest(disk, root)  # refuses: a torn backup
-    payload = disk.read_file(path)
-    try:
-        earlier = _earlier_body(payload)
-        if earlier is None:
-            return BackupManifest.from_json(payload, source=str(path))
-        body, holds = earlier
-        if not holds:
-            raise BackupError(f"{path}: backup manifest self-checksum mismatch")
-        return BackupManifest(
-            backup_lsn=int(body["backup_lsn"]),
-            checkpoint_lsn=int(body["checkpoint_lsn"]),
-            snapshot_id=body["snapshot_id"],
-            epoch=body["epoch"],
-            files=body["files"],
-        )
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise BackupError(f"{path}: unreadable backup manifest ({exc})") from exc
+    return backup_manifest.load_backup_manifest(
+        disk, root, seals=SEALS, read_entry=entry_from_json
+    )
 
 
 # ---------------------------------------------------------------------- #

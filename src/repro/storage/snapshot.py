@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path, PurePosixPath
 from typing import Callable
 
@@ -198,41 +198,11 @@ class Manifest:
         return path[len(self.directory) + 1 :]
 
     def to_json(self) -> bytes:
-        body = {
-            "format_version": MANIFEST_VERSION,
-            "snapshot_id": self.snapshot_id,
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "files": [entry.to_json() for entry in self.files],
-        }
-        seal(body)
-        return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode("utf-8")
+        return MANIFEST_ENVELOPE.write(self)
 
     @classmethod
     def from_json(cls, payload: bytes, source: str) -> "Manifest":
-        try:
-            body = json.loads(payload.decode("utf-8"))
-            if body["format_version"] == 1:
-                raise RecoveryError(
-                    f"{source}: a format_version 1 manifest is the layout with "
-                    "every file inside snap_<id>/ and no segment pool, which is "
-                    "no longer read"
-                )
-            if body["format_version"] != MANIFEST_VERSION:
-                raise RecoveryError(
-                    f"{source}: unsupported manifest format_version "
-                    f"{body['format_version']}"
-                )
-            if not unseal(body):
-                raise CorruptBlobError("manifest self-checksum mismatch", path=source)
-            return cls(
-                snapshot_id=int(body["snapshot_id"]),
-                files=[ManifestEntry.from_json(entry) for entry in body["files"]],
-                checkpoint_lsn=int(body.get("checkpoint_lsn", 0)),
-            )
-        except (RecoveryError, CorruptBlobError):
-            raise
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise RecoveryError(f"{source}: unreadable manifest ({exc})") from exc
+        return MANIFEST_ENVELOPE.read(cls, payload, source)
 
 
 def canonical(body: dict) -> bytes:
@@ -241,23 +211,84 @@ def canonical(body: dict) -> bytes:
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def seal(body: dict) -> None:
-    """Add the checksum ``body`` carries over itself."""
-    body["manifest_crc32"] = f"{crc32(canonical(body)):08x}"
+#: How a manifest this build writes carries its checksum over itself:
+#: the key and the checksum (an earlier build's are in compat).
+SEALS: tuple[tuple[str, Callable[[bytes], int]], ...] = (("manifest_crc32", crc32),)
 
 
-def unseal(body: dict) -> bool:
-    """Take the checksum ``body`` carries over itself out of it and say
-    whether it holds."""
-    return _stored_crc(body.pop("manifest_crc32")) == crc32(canonical(body))
+@dataclass(frozen=True)
+class Envelope:
+    """One kind of manifest as bytes, a snapshot's or a backup's: its
+    dataclass's number fields, ``format_version`` and the ``files``
+    list, sealed with a checksum over itself (indent 1, sorted keys).
+    Reading raises ``error`` for an unreadable or unsupported one (why,
+    for a ``retired`` version) and ``corrupt`` for a broken seal."""
+
+    name: str
+    version: int
+    error: type[Exception]
+    corrupt: type[Exception]
+    retired: dict[int, str] = field(default_factory=dict)
+
+    def write(self, manifest) -> bytes:
+        body = {f.name: getattr(manifest, f.name) for f in fields(manifest)}
+        body.update(format_version=self.version, files=[e.to_json() for e in manifest.files])
+        key, checksum = SEALS[0]
+        body[key] = f"{checksum(canonical(body)):08x}"
+        return (json.dumps(body, indent=1, sort_keys=True) + "\n").encode("utf-8")
+
+    def read(
+        self,
+        cls,
+        payload: bytes,
+        source: str,
+        versions: tuple[int, ...] = (),
+        seals=SEALS,
+        read_entry: Callable[[dict], ManifestEntry] = ManifestEntry.from_json,
+    ):
+        """The ``cls`` that ``payload`` holds: its version one of
+        ``versions`` (this envelope's own when empty), sealed by one of
+        ``seals``, each entry read by ``read_entry``."""
+        try:
+            body = json.loads(payload.decode("utf-8"))
+            version = body["format_version"]
+            if version in self.retired:
+                raise self.error(f"{source}: {self.retired[version]}")
+            if version not in (versions or (self.version,)):
+                raise self.error(f"{source}: unsupported {self.name} format_version {version}")
+            key, checksum = next(((k, c) for k, c in seals if k in body), seals[0])
+            if _stored_crc(body.pop(key)) != checksum(canonical(body)):
+                raise self.corrupt(f"{source}: {self.name} self-checksum mismatch")
+            numbers = {f.name: body[f.name] for f in fields(cls) if f.name != "files"}
+            return cls(
+                files=[read_entry(entry) for entry in body["files"]],
+                **{name: None if n is None else int(n) for name, n in numbers.items()},
+            )
+        except (self.error, self.corrupt):
+            raise
+        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+            raise self.error(f"{source}: unreadable {self.name} ({exc})") from exc
 
 
-def load_manifest(disk: DiskIO, root: Path) -> Manifest | None:
-    """The committed manifest of ``root``, or ``None`` if there is none."""
+MANIFEST_ENVELOPE = Envelope(
+    "manifest",
+    MANIFEST_VERSION,
+    RecoveryError,
+    CorruptBlobError,
+    {
+        1: "a format_version 1 manifest is the layout with every file inside "
+        "snap_<id>/ and no segment pool, which is no longer read"
+    },
+)
+
+
+def load_manifest(
+    disk: DiskIO, root: Path, read: Callable[[bytes, str], Manifest] = Manifest.from_json
+) -> Manifest | None:
+    """The committed manifest of ``root`` (``read`` reads it), or
+    ``None`` if there is none."""
     path = Path(root) / MANIFEST_NAME
-    if not disk.exists(path):
-        return None
-    return Manifest.from_json(disk.read_file(path), source=str(path))
+    return read(disk.read_file(path), str(path)) if disk.exists(path) else None
 
 
 # ---------------------------------------------------------------------- #
@@ -471,14 +502,15 @@ def sweep(disk: DiskIO, path: Path, relpath: str, keep: Callable[[str], bool]) -
 # Reading a snapshot
 # ---------------------------------------------------------------------- #
 class SnapshotReader:
-    """Verified, in-memory view of one committed snapshot, keyed by the
-    names the persistence layer wrote the files under."""
+    """Verified, in-memory view of one committed snapshot (``files`` by
+    listed path), keyed by the names the persistence layer wrote the
+    files under."""
 
     def __init__(
         self, manifest: Manifest, files: dict[str, bytes], stored: StoredSegments
     ) -> None:
         self.manifest = manifest
-        self._files = files
+        self._files = {manifest.relpath_of(path): data for path, data in files.items()}
         self._entries = {manifest.relpath_of(e.path): e for e in manifest.files}
         #: The pool blob each segment handed out came from.
         self.stored = stored
@@ -516,26 +548,72 @@ def _no_manifest_detail(disk: DiskIO, root: Path) -> str:
     return f"no {MANIFEST_NAME} here"
 
 
-def _verify(disk: DiskIO, root: Path, entry: ManifestEntry) -> tuple[bytes | None, str, str]:
-    """Read one listed file and hold it to its manifest entry:
-    ``(data, "ok", "")``, or ``(None, status, detail)`` with the status
-    ``repro check`` reports."""
+@dataclass
+class FileVerdict:
+    """What one file is: ``ok``, ``missing``, ``size-mismatch`` or
+    ``checksum-mismatch`` (:func:`check_file`), ``undecodable``, and for a
+    pool blob no manifest names ``orphan`` or ``pending``
+    (:func:`check_database`)."""
+
+    path: str
+    status: str
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status in ("ok", "orphan", "pending")
+
+    def __str__(self) -> str:
+        return self.status.replace("-", " ") + (f" ({self.detail})" if self.detail else "")
+
+
+def check_file(
+    disk: DiskIO, root: Path, entry: ManifestEntry
+) -> tuple[bytes | None, FileVerdict]:
+    """Read the file ``entry`` lists under ``root`` and hold it to the
+    entry — the one check of a listed file, whichever list names it: its
+    bytes (None unless they are the file listed) and its verdict."""
     path = root / PurePosixPath(entry.path)
     if not disk.exists(path):
-        return None, "missing", ""
+        return None, FileVerdict(entry.path, "missing")
     data = disk.read_file(path)
     if len(data) != entry.size:
-        return None, "size-mismatch", f"expected {entry.size} bytes, found {len(data)}"
+        detail = f"expected {entry.size} bytes, found {len(data)}"
+        return None, FileVerdict(entry.path, "size-mismatch", detail)
     metrics.increment("storage.snapshot.bytes_checksummed", len(data))
     if not entry.matches(data):
-        return None, "checksum-mismatch", ""
-    return data, "ok", ""
+        return None, FileVerdict(entry.path, "checksum-mismatch")
+    return data, FileVerdict(entry.path, "ok")
 
 
-def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
+def check_files(
+    disk: DiskIO, root: Path, entries: list[ManifestEntry]
+) -> tuple[dict[str, bytes], list[str]]:
+    """Hold every file ``entries`` list to its entry (:func:`check_file`):
+    the bytes of those that are the files listed, by listed path, and a
+    ``path [problem]`` for each that is not."""
+    files: dict[str, bytes] = {}
+    failures: list[str] = []
+    for entry in entries:
+        data, verdict = check_file(disk, root, entry)
+        if data is None:
+            failures.append(f"{root / PurePosixPath(entry.path)} [{verdict}]")
+        else:
+            files[entry.path] = data
+    return files, failures
+
+
+def open_snapshot(
+    disk: DiskIO,
+    root: Path,
+    load: Callable[[DiskIO, Path], Manifest | None] = load_manifest,
+    current_blob: Callable[[bytes], bytes] | None = None,
+) -> SnapshotReader:
     """Open the committed snapshot of ``root``: locate the newest complete
-    manifest and verify every checksum. What interrupted saves left is
-    the caller's to roll back (:func:`roll_back`).
+    manifest (``load`` reads it) and verify every checksum
+    (``current_blob`` then rewrites each segment blob an earlier build
+    wrote). What interrupted saves left is the caller's to roll back
+    (:func:`roll_back`).
 
     Raises :class:`RecoveryError` if no manifest exists (naming the
     pre-manifest layout when that is what the directory holds) and
@@ -543,35 +621,24 @@ def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
     does not match the manifest.
     """
     root = Path(root)
-    manifest = load_manifest(disk, root)
+    manifest = load(disk, root)
     if manifest is None:
         raise RecoveryError(
             f"no database found at {root}: {_no_manifest_detail(disk, root)}"
         )
-    return SnapshotReader(manifest, verified_files(disk, root, manifest), StoredSegments(root))
-
-
-def verified_files(disk: DiskIO, root: Path, manifest: Manifest) -> dict[str, bytes]:
-    """Every file ``manifest`` lists, by the name the persistence layer
-    knows it by, each held to its entry; raises :class:`CorruptBlobError`
-    naming every one that is not."""
-    files: dict[str, bytes] = {}
-    failures: list[str] = []
-    for entry in manifest.files:
-        data, status, detail = _verify(disk, root, entry)
-        if data is not None:
-            files[manifest.relpath_of(entry.path)] = data
-            metrics.increment("storage.recovery.files_verified")
-        else:
-            metrics.increment("storage.recovery.checksum_failures")
-            problem = status.replace("-", " ") + (f" ({detail})" if detail else "")
-            failures.append(f"{root / PurePosixPath(entry.path)} [{problem}]")
+    files, failures = check_files(disk, root, manifest.files)
+    metrics.increment("storage.recovery.files_verified", len(files))
     if failures:
+        metrics.increment("storage.recovery.checksum_failures", len(failures))
         raise CorruptBlobError(
-            f"snapshot {manifest.snapshot_id} failed verification: "
-            + "; ".join(failures)
+            f"snapshot {manifest.snapshot_id} failed verification: " + "; ".join(failures)
         )
-    return files
+    if current_blob is not None:
+        files = {
+            path: current_blob(data) if path.endswith(_SEGMENT_SUFFIX) else data
+            for path, data in files.items()
+        }
+    return SnapshotReader(manifest, files, StoredSegments(root))
 
 
 def roll_back(
@@ -591,19 +658,6 @@ def roll_back(
 # ---------------------------------------------------------------------- #
 # Integrity checking (CLI `repro check <dir>` / `\check`)
 # ---------------------------------------------------------------------- #
-@dataclass
-class FileVerdict:
-    path: str
-    # ok | orphan | pending | missing | size-mismatch | checksum-mismatch
-    # | undecodable
-    status: str
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("ok", "orphan", "pending")
-
-
 @dataclass
 class IntegrityReport:
     root: str
@@ -637,38 +691,24 @@ class IntegrityReport:
             )
         else:
             lines.append(f"manifest: {self.manifest_status} {self.detail}".rstrip())
-        for verdict in self.verdicts:
-            line = f"  {verdict.path}: {verdict.status}"
-            if verdict.detail:
-                line += f" ({verdict.detail})"
-            lines.append(line)
+        lines.extend(_verdict_line(v.path, v) for v in self.verdicts)
         if self.wal_verdicts:
             lines.append(f"wal: {len(self.wal_verdicts)} segment verdicts")
-            for verdict in self.wal_verdicts:
-                line = f"  wal/{verdict.segment}: {verdict.status}"
-                if verdict.detail:
-                    line += f" ({verdict.detail})"
-                lines.append(line)
+            lines.extend(_verdict_line(f"wal/{v.segment}", v) for v in self.wal_verdicts)
         if self.archive_verdicts:
-            lines.append(
-                f"archive: {len(self.archive_verdicts)} verdicts"
-            )
-            for verdict in self.archive_verdicts:
-                line = f"  wal_archive/{verdict.segment}: {verdict.status}"
-                if verdict.detail:
-                    line += f" ({verdict.detail})"
-                lines.append(line)
-        bad = (
-            sum(not v.ok for v in self.verdicts)
-            + sum(not v.ok for v in self.wal_verdicts)
-            + sum(not v.ok for v in self.archive_verdicts)
-        )
+            lines.append(f"archive: {len(self.archive_verdicts)} verdicts")
+            lines.extend(_verdict_line(f"wal_archive/{v.segment}", v) for v in self.archive_verdicts)
+        bad = sum(not v.ok for v in (*self.verdicts, *self.wal_verdicts, *self.archive_verdicts))
         lines.append(
             "result: ok"
             if self.ok
             else f"result: FAILED ({bad} bad file{'s' if bad != 1 else ''})"
         )
         return lines
+
+
+def _verdict_line(name: str, verdict) -> str:
+    return f"  {name}: {verdict.status}" + (f" ({verdict.detail})" if verdict.detail else "")
 
 
 def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
@@ -735,10 +775,8 @@ def check_database(disk: DiskIO, root: Path) -> IntegrityReport:
         checkpoint_lsn=manifest.checkpoint_lsn,
     )
     for entry in manifest.files:
-        data, status, detail = _verify(disk, root, entry)
-        if data is None:
-            verdict = FileVerdict(entry.path, status, detail)
-        else:
+        data, verdict = check_file(disk, root, entry)
+        if data is not None:
             verdict = _decode_verdict(entry.path, data, decode)
         if verdict.ok:
             metrics.increment("storage.recovery.files_verified")
@@ -775,11 +813,10 @@ def _pool_verdicts(
             verdicts.append(FileVerdict(path, "orphan", "not named by the manifest"))
             continue
         lsn, entry = logged[path]
-        data, status, detail = _verify(disk, root, entry)
-        if data is None:
-            verdicts.append(FileVerdict(path, status, detail))
-        else:
-            verdicts.append(FileVerdict(path, "pending", f"named by log record {lsn}"))
+        data, verdict = check_file(disk, root, entry)
+        if data is not None:
+            verdict = FileVerdict(path, "pending", f"named by log record {lsn}")
+        verdicts.append(verdict)
     verdicts.extend(
         FileVerdict(path, "missing", f"named by log record {lsn}")
         for path, (lsn, _entry) in sorted(logged.items())

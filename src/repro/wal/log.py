@@ -507,7 +507,8 @@ class WalVerdict:
 
     segment: str
     # ok | stale | torn-tail | corrupt | lsn-gap | checkpoint-gap, and
-    # for a sealed archive archive-gap (check_archive adds missing)
+    # for a sealed archive archive-gap (check_archive adds a blob's
+    # missing, size-mismatch or checksum-mismatch)
     status: str
     detail: str = ""
 
