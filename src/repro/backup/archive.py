@@ -116,12 +116,21 @@ class WalArchiver:
         return True
 
     def _link_blobs(self, disk: DiskIO, source_root: Path, records: list[WalRecord]) -> None:
+        """Link every blob ``records`` name into the archive, unless it
+        holds the listed bytes already; a source blob that is not the
+        listed file is refused, as a damaged segment is."""
         synced: set[Path] = set()
         for _lsn, entry in logged_blobs(records).values():
+            if check_file(disk, self.root, entry)[0] is not None:
+                continue
+            source, verdict = check_file(disk, source_root, entry)
+            if source is None:
+                raise WalCorruptError(
+                    f"refusing to archive blob {entry.path}: it failed verification [{verdict}]"
+                )
             dest = self.root / entry.path
-            if disk.file_size(dest) != entry.size:
-                disk.link_file(source_root / entry.path, dest)
-                synced.update(parent for parent in dest.parents if self.root in parent.parents)
+            disk.link_file(source_root / entry.path, dest)
+            synced.update(parent for parent in dest.parents if self.root in parent.parents)
         for directory in sorted(synced, key=lambda path: len(path.parts), reverse=True):
             disk.sync_dir(directory)
 
@@ -135,7 +144,7 @@ class WalArchiver:
         contiguous), so only the newest segment needs a scan — and that
         scan is cached by (name, size).
         """
-        listed = _list_segments(self.disk, self.root)
+        listed = _list_segments(self.disk.listdir(self.root))
         spans: list[tuple[str, int, int]] = []
         for index, (first_lsn, name) in enumerate(listed):
             if index + 1 < len(listed):

@@ -87,11 +87,14 @@ def load_backup_manifest(disk: DiskIO, root: Path, **earlier) -> BackupManifest:
     return BackupManifest.from_json(disk.read_file(path), str(path), **earlier)
 
 
-def verified_image(disk: DiskIO, root: Path, manifest: BackupManifest) -> dict[str, bytes]:
+def verified_image(
+    disk: DiskIO, root: Path, manifest: BackupManifest, held: dict[str, bytes] | None = None
+) -> dict[str, bytes]:
     """The bytes of every file ``manifest`` lists, by listed path, each
-    held to its entry (:func:`~repro.storage.snapshot.check_files`);
-    raises :class:`BackupError` naming every one that is not."""
-    files, failures = check_files(disk, root, manifest.files)
+    held to its entry (:func:`~repro.storage.snapshot.check_files`, which
+    checks ``held`` bytes in place of reading them again); raises
+    :class:`BackupError` naming every one that is not."""
+    files, failures = check_files(disk, root, manifest.files, held)
     if failures:
         raise BackupError(f"backup {root} failed verification: " + "; ".join(failures))
     return files

@@ -45,7 +45,14 @@ from ..observability import registry as metrics
 from ..storage import compat
 from ..storage.compat import logged_blobs, scan_segment
 from ..storage.diskio import DiskIO
-from ..storage.snapshot import MANIFEST_NAME, FileVerdict, check_file, read_stamp, write_stamp
+from ..storage.snapshot import (
+    FORMAT_NAME,
+    MANIFEST_NAME,
+    FileVerdict,
+    check_file,
+    stamp_format,
+    write_stamp,
+)
 from ..wal.log import WAL_DIR_NAME, _segment_image, judge_log, log_records, read_log
 from ..wal.record import TXN_MARKER_TYPES, AUTO_COMMIT_TXN, WalRecord, WalRecordType
 from .manifest import (
@@ -170,14 +177,21 @@ def restore_backup(
     disk = disk or DiskIO()
     backup_root = Path(backup_root)
     dest = Path(dest)
-    stamp = read_stamp(disk, backup_root)
+    # Every backup file is read once: the stamp first, the rest as they
+    # are checked; the log replayed is the bytes verified.
+    stamp_path = backup_root / FORMAT_NAME
+    stamp_bytes = disk.read_file(stamp_path) if disk.exists(stamp_path) else None
+    stamp = stamp_format(stamp_bytes, backup_root)
     manifest = compat.load_backup_manifest(disk, backup_root)
-    files = verified_image(disk, backup_root, manifest)
+    held = {} if stamp_bytes is None else {FORMAT_NAME: stamp_bytes}
+    files = verified_image(disk, backup_root, manifest, held)
 
     # -- assemble the available history: the archive, then the backup's
     # own log over it (both hold the same record at an LSN they share).
     archived = [] if archive is None else _sealed_records(disk, Path(archive))
-    backed_up = _sealed_records(disk, backup_root / WAL_SUBDIR_NAME)
+    backed_up = _sealed_records(
+        disk, backup_root / WAL_SUBDIR_NAME, _under(files, WAL_SUBDIR_NAME)
+    )
     by_lsn = {r.lsn: r for r in archived + backed_up}
 
     # Only the contiguous prefix is replayable: a gap (an unarchived
@@ -197,8 +211,7 @@ def restore_backup(
     _claim_destination(disk, dest, backup_root, target)
     if stamp:
         write_stamp(disk, dest)
-    prefix = f"{IMAGE_DIR_NAME}/"
-    image = {path.removeprefix(prefix): data for path, data in files.items() if path.startswith(prefix)}
+    image = _under(files, IMAGE_DIR_NAME)
     for path, data in image.items():
         disk.write_file(dest / path, data)
     _lay_down_blobs(disk, dest, clipped, archive, image)
@@ -239,11 +252,17 @@ def restore_backup(
     )
 
 
-def _sealed_records(disk: DiskIO, root: Path) -> list[WalRecord]:
-    """The records of a backup's log or an archive, refused when the
-    sealed-log rule finds a segment damaged (a gap only ends the history
-    a restore can reach)."""
-    log = read_log(disk, root, compat)
+def _under(files: dict[str, bytes], directory: str) -> dict[str, bytes]:
+    """The files under ``directory``, by their paths relative to it."""
+    prefix = f"{directory}/"
+    return {p.removeprefix(prefix): data for p, data in files.items() if p.startswith(prefix)}
+
+
+def _sealed_records(disk: DiskIO, root: Path, images=None) -> list[WalRecord]:
+    """The records of a backup's log (``images``, its verified bytes) or
+    an archive, refused when the sealed-log rule finds a segment damaged
+    (a gap only ends the history a restore can reach)."""
+    log = read_log(disk, root, compat, images)
     for verdict in judge_log(log, sealed=True):
         if verdict.status == "corrupt":
             raise RestoreError(

@@ -108,8 +108,9 @@ class Durability:
     # ------------------------------------------------------------------ #
     def write_row_groups(self, table: str, change: RowGroupChange) -> bytes:
         """Write the segment blobs of ``change``'s row groups into the
-        pool (each fsynced; blobs the pool holds already are not written
-        again), and return the ROW_GROUPS payload naming them.
+        pool (each fsynced; a blob the pool holds already is not written
+        again when it is the listed bytes), and return the ROW_GROUPS
+        payload naming them.
 
         Each blob is pinned before it is written, so a checkpoint running
         meanwhile does not collect it; :meth:`logged` hands the pin over
@@ -135,7 +136,7 @@ class Durability:
                     if entry.path not in self._blob_lsns:
                         self._blob_lsns[entry.path] = IN_FLIGHT
                         pinned.append(entry.path)
-                    if disk.file_size(root / entry.path) != entry.size:
+                    if check_file(disk, root, entry)[0] is None:
                         disk.write_file(root / entry.path, data)
                         metrics.increment("storage.wal.blobs_written")
                     stored.put(segment, entry, logged=True)

@@ -53,13 +53,8 @@ from ..batch import (
     slice_into_batches,
 )
 from ..bloom import ALL, NONE, JoinBitmapFilter
-from ..expressions import Between, Column, Comparison, Expr, Literal, predicate_mask
-from ..predicates import (
-    _normalize_comparison,
-    extract_column_ranges,
-    single_column_of,
-    split_conjuncts,
-)
+from ..expressions import Expr, predicate_mask
+from ..predicates import ColumnRange, intersect_ranges, single_column_of, split_conjuncts
 from .base import BatchOperator
 
 
@@ -133,7 +128,10 @@ class ColumnStoreScan(BatchOperator):
         self.stats = ScanStats()
         self._reported: dict[str, int] = {}
         self._conjuncts = split_conjuncts(predicate)
-        self._ranges = extract_column_ranges(self._conjuncts)
+        # Each conjunct's (column, range) or None, and per column their
+        # intersection: what [min, max] can settle, read once.
+        self._conjunct_ranges = [ColumnRange.of(c) for c in self._conjuncts]
+        self._ranges = intersect_ranges(self._conjunct_ranges)
         # The MVCC epoch read at: a reader lease's (set by the pipeline's
         # pin_plan), else the current state. batches() captures the units
         # visible at it when it starts; the lease keeps them from vacuum.
@@ -402,12 +400,13 @@ class ColumnStoreScan(BatchOperator):
         returned as the residual for decoded evaluation.
         """
         residual: list[Expr] = []
-        for conjunct in self._conjuncts:
+        for conjunct, found in zip(self._conjuncts, self._conjunct_ranges):
             if not self.encoded_eval:
                 residual.append(conjunct)
                 continue
             column = single_column_of(conjunct)
             vector = vectors.get(column)
+            segment = group.segments.get(column) if found is not None else None
             if vector is not None:
                 verdicts = predicate_mask(
                     conjunct, Batch(columns={column: vector.distinct_values()})
@@ -415,8 +414,10 @@ class ColumnStoreScan(BatchOperator):
                 keep &= vector.expand(verdicts)
                 null_mask = vector.null_mask
                 self.stats.encoded_space_conjuncts += 1
-            elif (pruned := self._range_prunes(group, conjunct)) is not None:
-                null_mask = group.segment(pruned).null_mask()
+            elif segment is not None and found[1].contains(
+                segment.min_value, segment.max_value
+            ):
+                null_mask = segment.null_mask()
                 self.stats.conjuncts_pruned_by_range += 1
             else:
                 residual.append(conjunct)
@@ -425,67 +426,14 @@ class ColumnStoreScan(BatchOperator):
                 keep &= ~null_mask  # predicate over NULL is never TRUE
         return keep, residual
 
-    def _range_prunes(self, group, conjunct: Expr) -> str | None:
-        """The column name when ``conjunct`` is TRUE for every non-NULL
-        row of this unit by its segment's [min, max] alone, else None.
-
-        Containment must account for strict operators, so this checks the
-        normalized op directly instead of reusing :class:`ColumnRange`
-        (which records bounds inclusively).
-        """
-        column = single_column_of(conjunct)
-        if column is None or column not in group.segments:
-            return None
-        segment = group.segment(column)
-        low, high = segment.min_value, segment.max_value
-        if isinstance(conjunct, Comparison):
-            name, literal, op = _normalize_comparison(conjunct)
-            if name is None:
-                return None
-            if low is None:
-                # All-NULL segment: the conjunct holds for all zero of its
-                # non-NULL rows; the NULL mask rejects everything.
-                return column
-            try:
-                if op == "<":
-                    return column if high < literal else None
-                if op == "<=":
-                    return column if high <= literal else None
-                if op == ">":
-                    return column if low > literal else None
-                if op == ">=":
-                    return column if low >= literal else None
-                if op == "=":
-                    return column if low == high == literal else None
-            except TypeError:
-                return None
-            return None
-        if isinstance(conjunct, Between):
-            if not (
-                isinstance(conjunct.operand, Column)
-                and isinstance(conjunct.low, Literal)
-                and isinstance(conjunct.high, Literal)
-            ):
-                return None
-            lo, hi = conjunct.low.value, conjunct.high.value
-            if lo is None or hi is None:
-                return None
-            if low is None:
-                return column
-            try:
-                return column if low >= lo and high <= hi else None
-            except TypeError:
-                return None
-        return None
-
     def _eliminated(self, group) -> bool:
         """Row-group elimination via segment [min, max] metadata."""
-        for column, rng in self._ranges.items():
-            if column not in group.segments:
-                continue
-            if not group.segment(column).overlaps_range(rng.low, rng.high):
-                return True
-        return False
+        segments = group.segments
+        return any(
+            column in segments
+            and rng.excludes(segments[column].min_value, segments[column].max_value)
+            for column, rng in self._ranges.items()
+        )
 
     # ------------------------------------------------------------------ #
     # Delta stores

@@ -14,15 +14,17 @@ from typing import Any
 
 from ..exec.expressions import (
     Between,
+    Column,
     Comparison,
     Expr,
     InList,
     IsNull,
     Like,
+    Literal,
     Not,
     Or,
 )
-from ..exec.predicates import split_conjuncts
+from ..exec.predicates import ColumnRange, split_conjuncts
 
 EQ_DEFAULT_SELECTIVITY = 0.05
 RANGE_DEFAULT_SELECTIVITY = 1 / 3
@@ -61,33 +63,10 @@ class Histogram:
         total = self.total_rows
         if total == 0:
             return RANGE_DEFAULT_SELECTIVITY
-        covered = 0.0
-        for bucket in self.buckets:
-            covered += bucket.rows * _bucket_overlap(bucket, low, high)
+        rng = ColumnRange(low, high)
+        # A bucket whose bounds do not compare with the range counts none.
+        covered = sum(b.rows * (rng.share(b.low, b.high) or 0.0) for b in self.buckets)
         return max(0.0, min(1.0, covered / total))
-
-
-def _bucket_overlap(bucket: HistogramBucket, low: Any, high: Any) -> float:
-    """Fraction of a bucket's rows inside [low, high] (uniform assumption)."""
-    b_low, b_high = bucket.low, bucket.high
-    if b_low is None or b_high is None:
-        return 0.0
-    try:
-        b_low_f, b_high_f = float(b_low), float(b_high)
-        low_f = float(low) if low is not None else b_low_f
-        high_f = float(high) if high is not None else b_high_f
-    except (TypeError, ValueError):
-        # Non-numeric (string) buckets: all-or-nothing containment check.
-        if (low is None or b_high >= low) and (high is None or b_low <= high):
-            return 1.0
-        return 0.0
-    if high_f < b_low_f or low_f > b_high_f:
-        return 0.0
-    if b_high_f == b_low_f:
-        return 1.0
-    span = b_high_f - b_low_f
-    overlap = min(high_f, b_high_f) - max(low_f, b_low_f)
-    return max(0.0, min(1.0, overlap / span))
 
 
 @dataclass
@@ -123,10 +102,8 @@ def selectivity(predicate: Expr | None, stats: TableStats) -> float:
 
 
 def _conjunct_selectivity(expr: Expr, stats: TableStats) -> float:
-    if isinstance(expr, Comparison):
-        return _comparison_selectivity(expr, stats)
-    if isinstance(expr, Between):
-        return _range_fraction_between(expr, stats)
+    if isinstance(expr, (Comparison, Between)):
+        return _interval_selectivity(expr, stats)
     if isinstance(expr, InList):
         refs = expr.referenced_columns()
         if len(refs) == 1:
@@ -152,82 +129,29 @@ def _conjunct_selectivity(expr: Expr, stats: TableStats) -> float:
     return 0.5  # unknown shapes: coin flip
 
 
-def _comparison_selectivity(cmp: Comparison, stats: TableStats) -> float:
-    from ..exec.predicates import _normalize_comparison
-
-    column, literal, op = _normalize_comparison(cmp)
-    if column is None:
-        return 0.5 if cmp.op != "=" else 0.1
+def _interval_selectivity(expr: Comparison | Between, stats: TableStats) -> float:
+    """NDV for ``=`` / ``!=``, else the share of the column's values the
+    conjunct's range holds."""
+    point = isinstance(expr, Comparison) and expr.op in ("=", "!=")
+    found = ColumnRange.of(Comparison("=", expr.left, expr.right) if point else expr)
+    if found is None:
+        if isinstance(expr, Comparison):
+            return 0.1 if expr.op == "=" else 0.5
+        # Literal bounds without a range hold a NULL: never TRUE.
+        literals = isinstance(expr.low, Literal) and isinstance(expr.high, Literal)
+        return 0.0 if literals and isinstance(expr.operand, Column) else RANGE_DEFAULT_SELECTIVITY
+    column, rng = found
     col_stats = stats.column(column)
-    if op == "=":
-        if col_stats.ndv:
-            return 1.0 / col_stats.ndv
-        return EQ_DEFAULT_SELECTIVITY
-    if op == "!=":
-        if col_stats.ndv:
-            return 1.0 - 1.0 / col_stats.ndv
-        return 1.0 - EQ_DEFAULT_SELECTIVITY
-    return _range_fraction(col_stats, literal, op)
-
-
-def _range_fraction(col_stats: ColumnStats, literal: Any, op: str) -> float:
+    if point:
+        equal = 1.0 / col_stats.ndv if col_stats.ndv else EQ_DEFAULT_SELECTIVITY
+        return equal if expr.op == "=" else 1.0 - equal
     if col_stats.histogram is not None and col_stats.histogram.buckets:
-        if op in ("<", "<="):
-            return col_stats.histogram.range_fraction(None, literal)
-        return col_stats.histogram.range_fraction(literal, None)
+        return col_stats.histogram.range_fraction(rng.low, rng.high)
     low, high = col_stats.min_value, col_stats.max_value
-    if (
-        low is None
-        or high is None
-        or isinstance(low, str)
-        or isinstance(high, str)
-        or high == low
-    ):
+    if low is None or high is None or isinstance(low, str) or isinstance(high, str) or high == low:
         return RANGE_DEFAULT_SELECTIVITY
-    try:
-        span = float(high) - float(low)
-        if op in ("<", "<="):
-            fraction = (float(literal) - float(low)) / span
-        else:
-            fraction = (float(high) - float(literal)) / span
-    except (TypeError, ValueError):
-        return RANGE_DEFAULT_SELECTIVITY
-    return max(0.0, min(1.0, fraction))
-
-
-def _range_fraction_between(expr: Between, stats: TableStats) -> float:
-    from ..exec.expressions import Column, Literal
-
-    if not (
-        isinstance(expr.operand, Column)
-        and isinstance(expr.low, Literal)
-        and isinstance(expr.high, Literal)
-    ):
-        return RANGE_DEFAULT_SELECTIVITY
-    if expr.low.value is None or expr.high.value is None:
-        return 0.0  # a NULL bound is never TRUE, not an open interval
-    col_stats = stats.column(expr.operand.name)
-    if col_stats.histogram is not None and col_stats.histogram.buckets:
-        return col_stats.histogram.range_fraction(expr.low.value, expr.high.value)
-    low, high = col_stats.min_value, col_stats.max_value
-    if (
-        low is None
-        or high is None
-        or isinstance(low, str)
-        or isinstance(high, str)
-        or high == low
-    ):
-        return RANGE_DEFAULT_SELECTIVITY
-    try:
-        span = float(high) - float(low)
-        # Clamp the BETWEEN range to its overlap with [min, max]: literals
-        # outside the column's domain must not inflate the fraction.
-        overlap = min(float(expr.high.value), float(high)) - max(
-            float(expr.low.value), float(low)
-        )
-    except (TypeError, ValueError):
-        return RANGE_DEFAULT_SELECTIVITY
-    return max(0.0, min(1.0, overlap / span))
+    share = rng.share(low, high)
+    return RANGE_DEFAULT_SELECTIVITY if share is None else share
 
 
 def join_cardinality(

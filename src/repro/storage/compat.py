@@ -24,6 +24,8 @@ rewritten and may predate the stamp. What earlier builds wrote:
   alike), a manifest's own under ``manifest_crc32c`` (all of a
   ``format_version`` 2 manifest's), and a WAL frame's when the top bit
   of its length word is clear. Only verified (:func:`crc32c_scalar`).
+* **The delta B-tree order**: a catalog's and a CREATE_TABLE record's
+  table settings carried ``btree_order`` (:func:`_current_tables`).
 * **Maintenance markers**: the tuple mover, REBUILD and archival logged
   only their argument, and replay plans the change again — through this
   build's compressor, so they rebuild the groups the logging build built
@@ -125,8 +127,8 @@ def load_manifest(disk: DiskIO, root: Path) -> Manifest | None:
 
 def open_snapshot(disk: DiskIO, root: Path) -> SnapshotReader:
     """:func:`~repro.storage.snapshot.open_snapshot` of an earlier
-    build's snapshot, each segment blob as :func:`current_blob` makes it."""
-    return snapshot.open_snapshot(disk, root, load_manifest, current_blob)
+    build's snapshot, each file as :func:`current_file` makes it."""
+    return snapshot.open_snapshot(disk, root, load_manifest, current_file)
 
 
 def load_backup_manifest(disk: DiskIO, root: Path) -> BackupManifest:
@@ -233,6 +235,28 @@ def _read_length(payload: bytes, pos: int, base: int) -> tuple[int, int]:
             return length, pos
 
 
+def current_file(path: str, data: bytes) -> bytes:
+    """A snapshot file as this build writes it: a segment blob as
+    :func:`current_blob` makes it, a catalog as :func:`_current_tables`
+    makes it, any other file as it is."""
+    if path.endswith(".seg"):
+        return current_blob(data)
+    return _current_tables(data) if path.endswith("catalog.json") else data
+
+
+def _current_tables(payload: bytes) -> bytes:
+    """A catalog's or a CREATE_TABLE record's JSON without the table
+    setting ``btree_order``, which builds whose delta stores were B-trees
+    kept."""
+    try:
+        body = json.loads(payload)
+    except ValueError:
+        return payload  # its reader reports it
+    for table in body if isinstance(body, list) else [body]:
+        table.get("config", {}).pop("btree_order", None)
+    return json.dumps(body).encode("utf-8")
+
+
 def current_blob(data: bytes) -> bytes:
     """A segment blob as this build writes it: one whose archive is XPR1
     with the archive's plain form deflated as
@@ -273,6 +297,11 @@ def _replanned(plan: Callable[[Table, Any], RowGroupChange], key: str | None = N
 #: :data:`repro.wal.replay.CHANGES` for an earlier build's log.
 CHANGES = {
     **replay.CHANGES,
+    WalRecordType.CREATE_TABLE: replay.CHANGES[WalRecordType.CREATE_TABLE]._replace(
+        decode=lambda db, name, payload: replay.CHANGES[WalRecordType.CREATE_TABLE].decode(
+            db, name, _current_tables(payload)
+        )
+    ),
     WalRecordType.ROW_GROUPS: replay.CHANGES[WalRecordType.ROW_GROUPS]._replace(
         decode=lambda db, table, payload: db.durability.read_row_groups(
             table, payload, parse_row_groups, deserialize_segment

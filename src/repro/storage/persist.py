@@ -185,9 +185,7 @@ def config_to_json(config: StoreConfig) -> dict:
 
 
 def config_from_json(data: dict) -> StoreConfig:
-    # Catalogs and WAL records written while the delta B-tree order was a
-    # field still carry it.
-    return StoreConfig(**{name: value for name, value in data.items() if name != "btree_order"})
+    return StoreConfig(**data)
 
 
 def _read_json(reader, relpath: str) -> Any:

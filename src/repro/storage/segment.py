@@ -115,23 +115,6 @@ class ColumnSegment:
         return self.raw_size_bytes / max(1, self.encoded_size_bytes)
 
     # ------------------------------------------------------------------ #
-    # Metadata / segment elimination
-    # ------------------------------------------------------------------ #
-    def overlaps_range(self, low: Any, high: Any) -> bool:
-        """Can any row of this segment satisfy ``low <= value <= high``?
-
-        ``None`` bounds are unbounded. A segment that is entirely NULL can
-        never satisfy a range predicate.
-        """
-        if self.min_value is None:
-            return False
-        if low is not None and self.max_value < low:
-            return False
-        if high is not None and self.min_value > high:
-            return False
-        return True
-
-    # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #
     def null_mask(self, positions: np.ndarray | list[int] | None = None) -> np.ndarray | None:

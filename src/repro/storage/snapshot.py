@@ -110,10 +110,17 @@ def read_stamp(disk: DiskIO, root: Path) -> int:
     (an earlier build wrote it). A number above this build's is refused,
     naming both."""
     path = Path(root) / FORMAT_NAME
-    if not disk.exists(path):
+    return stamp_format(disk.read_file(path) if disk.exists(path) else None, root)
+
+
+def stamp_format(data: bytes | None, root: Path) -> int:
+    """The format number the stamp bytes ``data`` of ``root`` name (0 for
+    no stamp), refused when above this build's (:func:`read_stamp`)."""
+    if data is None:
         return 0
+    path = Path(root) / FORMAT_NAME
     try:
-        number = int(json.loads(disk.read_file(path).decode("utf-8"))["format"])
+        number = int(json.loads(data.decode("utf-8"))["format"])
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise RecoveryError(f"{path}: unreadable format stamp ({exc})") from exc
     if number > FORMAT_VERSION:
@@ -568,15 +575,17 @@ class FileVerdict:
 
 
 def check_file(
-    disk: DiskIO, root: Path, entry: ManifestEntry
+    disk: DiskIO, root: Path, entry: ManifestEntry, data: bytes | None = None
 ) -> tuple[bytes | None, FileVerdict]:
     """Read the file ``entry`` lists under ``root`` and hold it to the
     entry — the one check of a listed file, whichever list names it: its
-    bytes (None unless they are the file listed) and its verdict."""
-    path = root / PurePosixPath(entry.path)
-    if not disk.exists(path):
-        return None, FileVerdict(entry.path, "missing")
-    data = disk.read_file(path)
+    bytes (None unless they are the file listed) and its verdict. ``data``
+    is the file's bytes when the caller has read them already."""
+    if data is None:
+        path = root / PurePosixPath(entry.path)
+        if not disk.exists(path):
+            return None, FileVerdict(entry.path, "missing")
+        data = disk.read_file(path)
     if len(data) != entry.size:
         detail = f"expected {entry.size} bytes, found {len(data)}"
         return None, FileVerdict(entry.path, "size-mismatch", detail)
@@ -587,15 +596,18 @@ def check_file(
 
 
 def check_files(
-    disk: DiskIO, root: Path, entries: list[ManifestEntry]
+    disk: DiskIO, root: Path, entries: list[ManifestEntry], held: dict[str, bytes] | None = None
 ) -> tuple[dict[str, bytes], list[str]]:
     """Hold every file ``entries`` list to its entry (:func:`check_file`):
     the bytes of those that are the files listed, by listed path, and a
-    ``path [problem]`` for each that is not."""
+    ``path [problem]`` for each that is not. ``held`` maps a listed path
+    to bytes the caller read already, which are checked in place of a
+    second read."""
+    held = held or {}
     files: dict[str, bytes] = {}
     failures: list[str] = []
     for entry in entries:
-        data, verdict = check_file(disk, root, entry)
+        data, verdict = check_file(disk, root, entry, held.get(entry.path))
         if data is None:
             failures.append(f"{root / PurePosixPath(entry.path)} [{verdict}]")
         else:
@@ -607,12 +619,12 @@ def open_snapshot(
     disk: DiskIO,
     root: Path,
     load: Callable[[DiskIO, Path], Manifest | None] = load_manifest,
-    current_blob: Callable[[bytes], bytes] | None = None,
+    current: Callable[[str, bytes], bytes] | None = None,
 ) -> SnapshotReader:
     """Open the committed snapshot of ``root``: locate the newest complete
-    manifest (``load`` reads it) and verify every checksum
-    (``current_blob`` then rewrites each segment blob an earlier build
-    wrote). What interrupted saves left is the caller's to roll back
+    manifest (``load`` reads it) and verify every checksum (``current``
+    then rewrites, by listed path, each file an earlier build wrote).
+    What interrupted saves left is the caller's to roll back
     (:func:`roll_back`).
 
     Raises :class:`RecoveryError` if no manifest exists (naming the
@@ -633,11 +645,8 @@ def open_snapshot(
         raise CorruptBlobError(
             f"snapshot {manifest.snapshot_id} failed verification: " + "; ".join(failures)
         )
-    if current_blob is not None:
-        files = {
-            path: current_blob(data) if path.endswith(_SEGMENT_SUFFIX) else data
-            for path, data in files.items()
-        }
+    if current is not None:
+        files = {path: current(path, data) for path, data in files.items()}
     return SnapshotReader(manifest, files, StoredSegments(root))
 
 

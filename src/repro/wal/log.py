@@ -445,15 +445,9 @@ class WriteAheadLog:
 # ---------------------------------------------------------------------- #
 # Shared helpers
 # ---------------------------------------------------------------------- #
-def _list_segments(disk: DiskIO, root: Path) -> list[tuple[int, str]]:
-    """(first_lsn, file name) of every segment, in LSN order."""
-    segments = []
-    for name in disk.listdir(root):
-        match = _SEGMENT_RE.match(name)
-        if match:
-            segments.append((int(match.group(1)), name))
-    segments.sort()
-    return segments
+def _list_segments(names: list[str]) -> list[tuple[int, str]]:
+    """(first_lsn, file name) of every segment among ``names``, in LSN order."""
+    return sorted((int(m.group(1)), name) for name in names if (m := _SEGMENT_RE.match(name)))
 
 
 class LoggedSegment(NamedTuple):
@@ -469,18 +463,24 @@ class LoggedSegment(NamedTuple):
         return self.scan.records[-1].lsn if self.scan.records else self.first_lsn - 1
 
 
-def read_log(disk: DiskIO, root: Path, reader=record) -> list[LoggedSegment]:
+def read_log(
+    disk: DiskIO, root: Path, reader=record, images: dict[str, bytes] | None = None
+) -> list[LoggedSegment]:
     """Every segment at ``root`` (a live log, an archive or a backup's
     log) in LSN order, each read once and scanned by ``reader``: a module
     with ``scan_segment`` and ``logged_blobs``, :mod:`repro.wal.record`,
     or :mod:`repro.storage.compat` for a log an earlier build wrote. The
-    only reader of a log directory; it decides nothing."""
+    only reader of a log directory; it decides nothing. ``images`` (file
+    name -> bytes) is a log already read and checked: its segments are
+    walked in place of the directory's."""
     root = Path(root)
+    if images is None:
+        names, read = disk.listdir(root), lambda name: disk.read_file(root / name)
+    else:
+        names, read = list(images), images.__getitem__
     return [
-        LoggedSegment(
-            name, first_lsn, reader.scan_segment(disk.read_file(root / name), first_lsn, name)
-        )
-        for first_lsn, name in _list_segments(disk, root)
+        LoggedSegment(name, first_lsn, reader.scan_segment(read(name), first_lsn, name))
+        for first_lsn, name in _list_segments(names)
     ]
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from repro.backup import ARCHIVE_DIR_NAME, WalArchiver, check_archive
 from repro.db.database import Database
+from repro.storage.config import StoreConfig
 from repro.errors import WalCorruptError
+from repro.observability.registry import get_registry
 from repro.storage.diskio import DiskIO, FaultyDisk, InjectedFault
 from repro.wal.log import WriteAheadLog
 from repro.wal.record import WalRecordType
@@ -101,6 +103,27 @@ class TestArchiveBeforeDelete:
             disk.write_file(tmp_path / "after", b"")
         archive = tmp_path / "db" / ARCHIVE_DIR_NAME
         assert WalArchiver(DiskIO(), archive).last_archived_lsn() >= last
+
+    def test_damaged_source_blob_is_not_archived(self, tmp_path):
+        """A pool blob a logged record names is checked before it is
+        linked into the archive: a damaged one is refused as a damaged
+        segment is, and the segment naming it stays live."""
+        root = tmp_path / "db"
+        db = Database.open(str(root), default_config=StoreConfig(bulk_load_threshold=10))
+        db.sql("CREATE TABLE t (id INT NOT NULL)")
+        db.bulk_load("t", [(i,) for i in range(100)])
+        (victim,) = (root / "segments").rglob("*.seg")
+        data = bytearray(victim.read_bytes())
+        data[-1] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        live = DiskIO().listdir(root / "wal")
+        failures = get_registry().counter("wal.archive.failures")
+        db.save(str(root))
+        archived = list((root / ARCHIVE_DIR_NAME).rglob("*.seg"))
+        assert archived == []
+        assert get_registry().counter("wal.archive.failures") == failures + 1
+        assert set(live) <= set(DiskIO().listdir(root / "wal"))
+        db.close()
 
     def test_unarchivable_segment_is_kept_in_live_log(self, tmp_path):
         class RefusingArchiver:

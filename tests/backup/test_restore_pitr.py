@@ -9,6 +9,9 @@ the enclosing transaction and the nearest boundaries.
 
 from __future__ import annotations
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.backup import ARCHIVE_DIR_NAME, restore_backup
@@ -204,3 +207,25 @@ class TestPointInTimeSweep:
                 to_txn=txn_id + 1,  # not a committed txn id
                 archive=root / ARCHIVE_DIR_NAME,
             )
+
+    def test_every_backup_file_is_read_once(self, history):
+        """The log a restore replays and the stamp it obeys are the bytes
+        it verified: no backup file is read a second time."""
+        base, root, _result, _boundaries, _txn, _last = history
+        backup_root = root.parent / "bk"
+
+        class CountingDisk(DiskIO):
+            def __init__(self):
+                super().__init__()
+                self.reads = Counter()
+
+            def read_file(self, path):
+                self.reads[Path(path)] += 1
+                return super().read_file(path)
+
+        disk = CountingDisk()
+        restore_backup(backup_root, base / "dest_reads", disk=disk)
+        read = {p.relative_to(backup_root) for p in disk.reads if backup_root in p.parents}
+        assert Path("FORMAT") in read
+        assert any(p.parts[0] == "wal" for p in read)
+        assert all(disk.reads[backup_root / p] == 1 for p in read), disk.reads

@@ -89,6 +89,26 @@ class TestSegmentElimination:
         assert len(rows) == 2
         assert scan.stats.units_eliminated == 3
 
+    def test_strict_bound_at_min_eliminates(self, index):
+        # Group 1 holds day 50..99: ``day < 50`` can pass none of it, nor
+        # ``day > 149`` any of group 2 (100..149).
+        for predicate in (
+            Comparison("<", col("day"), lit(50)),
+            Comparison(">", col("day"), lit(149)),
+        ):
+            scan = ColumnStoreScan(index, ["id"], predicate=predicate)
+            assert len(collect(scan)) == 50
+            assert scan.stats.units_eliminated == 3
+
+    def test_empty_intersection_eliminates_every_group(self, index):
+        # Group 0 (day 0..49) meets each end alone, but not both.
+        predicate = And(
+            Comparison(">", col("day"), lit(30)), Comparison("<", col("day"), lit(20))
+        )
+        scan = ColumnStoreScan(index, ["id"], predicate=predicate)
+        assert collect(scan) == []
+        assert scan.stats.units_eliminated == 4
+
     def test_no_elimination_without_ranges(self, index):
         scan = ColumnStoreScan(index, ["id"], predicate=Like(col("name"), "name1%"))
         collect(scan)

@@ -211,3 +211,111 @@ class TestBetweenRangeFraction:
         stats = stats_with("a", min_value=0, max_value=100)
         estimate = selectivity(Between(col("a"), lit(60), lit(40)), stats)
         assert estimate == pytest.approx(0.0, abs=1e-6)
+
+
+# Every range form's estimate, with and without a histogram. The values
+# are the estimator's before one range rule replaced its two copies;
+# None marks a pair whose types do not compare, which raised TypeError
+# then (TestMismatchedTypes).
+PINNED_PREDICATES = {
+    "a < 25": Comparison("<", col("a"), lit(25)),
+    "a <= 25": Comparison("<=", col("a"), lit(25)),
+    "a >= 25": Comparison(">=", col("a"), lit(25)),
+    "25 > a": Comparison(">", lit(25), col("a")),
+    "a < -10": Comparison("<", col("a"), lit(-10)),
+    "a > 500": Comparison(">", col("a"), lit(500)),
+    "a = 7": Comparison("=", col("a"), lit(7)),
+    "a != 7": Comparison("!=", col("a"), lit(7)),
+    "a < NULL": Comparison("<", col("a"), lit(None)),
+    "a < b": Comparison("<", col("a"), col("b")),
+    "a BETWEEN 10 AND 35": Between(col("a"), lit(10), lit(35)),
+    "a BETWEEN -1000 AND 2000": Between(col("a"), lit(-1000), lit(2000)),
+    "a BETWEEN 60 AND 40": Between(col("a"), lit(60), lit(40)),
+    "a BETWEEN 5 AND 5": Between(col("a"), lit(5), lit(5)),
+    "a BETWEEN NULL AND 50": Between(col("a"), lit(None), lit(50)),
+    "a BETWEEN b AND 50": Between(col("a"), col("b"), lit(50)),
+    "a IN (1, 2, 3)": InList(col("a"), [1, 2, 3]),
+    "a < 'k'": Comparison("<", col("a"), lit("k")),
+    "a > 'm'": Comparison(">", col("a"), lit("m")),
+    "a BETWEEN 'c' AND 'p'": Between(col("a"), lit("c"), lit("p")),
+    "a BETWEEN 'p' AND 'c'": Between(col("a"), lit("p"), lit("c")),
+}
+PINNED_STATS = {
+    "minmax": ColumnStats(min_value=0, max_value=100, ndv=20),
+    "histogram": ColumnStats(
+        min_value=0,
+        max_value=100,
+        histogram=Histogram([HistogramBucket(0, 10, 900), HistogramBucket(10, 100, 100)]),
+    ),
+    "point": ColumnStats(min_value=5, max_value=5),
+    "strings": ColumnStats(min_value="b", max_value="y"),
+    "string_histogram": ColumnStats(
+        min_value="a",
+        max_value="z",
+        histogram=Histogram([HistogramBucket("a", "m", 50), HistogramBucket("n", "z", 50)]),
+    ),
+    "none": ColumnStats(),
+}
+PINNED_ESTIMATES = {
+    "minmax": (
+        0.25, 0.25, 0.75, 0.25, 1e-09, 1e-09, 0.05, 0.95, 0.5, 0.5, 0.25, 1.0, 1e-09,
+        1e-09, 1e-09, 0.3333333333333333, 0.15, 0.3333333333333333, 0.3333333333333333,
+        0.3333333333333333, 0.3333333333333333,
+    ),
+    "histogram": (
+        0.9166666666666666, 0.9166666666666666, 0.08333333333333334, 0.9166666666666666,
+        1e-09, 1e-09, 0.05, 0.95, 0.5, 0.5, 0.02777777777777778, 1.0, 1e-09, 1e-09,
+        1e-09, 0.3333333333333333, 0.15000000000000002, None, None, None, None,
+    ),
+    "point": (
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+        0.3333333333333333, 0.3333333333333333, 0.05, 0.95, 0.5, 0.5,
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+        1e-09, 0.3333333333333333, 0.15000000000000002, 0.3333333333333333,
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+    ),
+    "strings": (
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+        0.3333333333333333, 0.3333333333333333, 0.05, 0.95, 0.5, 0.5,
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+        1e-09, 0.3333333333333333, 0.15000000000000002, 0.3333333333333333,
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+    ),
+    "string_histogram": (
+        None, None, None, None, None, None, 0.05, 0.95, 0.5, 0.5, None, None, None,
+        None, 1e-09, 0.3333333333333333, 0.15000000000000002, 0.5, 1.0, 1.0, 1e-09,
+    ),
+    "none": (
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+        0.3333333333333333, 0.3333333333333333, 0.05, 0.95, 0.5, 0.5,
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+        1e-09, 0.3333333333333333, 0.15000000000000002, 0.3333333333333333,
+        0.3333333333333333, 0.3333333333333333, 0.3333333333333333,
+    ),
+}
+
+
+@pytest.mark.parametrize("stats_name", sorted(PINNED_STATS))
+def test_range_estimates_are_pinned(stats_name):
+    stats = TableStats(row_count=1000, columns={"a": PINNED_STATS[stats_name]})
+    for (name, predicate), expected in zip(
+        PINNED_PREDICATES.items(), PINNED_ESTIMATES[stats_name]
+    ):
+        if expected is not None:
+            assert selectivity(predicate, stats) == expected, name
+
+
+class TestMismatchedTypes:
+    def test_incomparable_buckets_count_none(self):
+        """A literal that does not compare with a histogram's buckets
+        estimates nothing in range, where it once raised TypeError."""
+        stats = TableStats(row_count=1000, columns={"a": PINNED_STATS["histogram"]})
+        assert selectivity(Comparison("<", col("a"), lit("k")), stats) == 1e-09
+
+
+class TestUnboundedValues:
+    def test_disjoint_range_reads_zero_over_an_infinite_span(self):
+        """No value is below -inf. The estimate once divided an infinite
+        overlap by an infinite span and read the NaN as every row."""
+        stats = stats_with("a", min_value=-5.0, max_value=float("inf"))
+        assert selectivity(Comparison("<", col("a"), lit(float("-inf"))), stats) == 1e-09

@@ -1,5 +1,7 @@
 """Tests for segment blob serialization and database persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from repro import Database, StoreConfig, schema, types
 from repro.errors import EncodingError
-from repro.storage import persist
+from repro.storage import compat, persist
 from repro.storage.blob import deserialize_segment, serialize_segment
 from repro.storage.segment import encode_segment
+from repro.wal.record import WalRecordType
 
 
 def roundtrip_blob(segment):
@@ -277,5 +280,15 @@ class TestStoreConfigSurvivesReopen:
         reopened.close()
 
     def test_old_records_with_btree_order_still_load(self):
+        """Catalogs and CREATE_TABLE records of builds whose delta stores
+        were B-trees carry ``btree_order``; compat reads them."""
         old = {**persist.config_to_json(StoreConfig(rowgroup_size=64)), "btree_order": 64}
-        assert persist.config_from_json(old) == StoreConfig(rowgroup_size=64)
+        columns = persist.schema_to_json(schema(("a", types.INT)))
+        record = json.dumps({"schema": columns, "storage": "columnstore", "config": old})
+        decode = compat.CHANGES[WalRecordType.CREATE_TABLE].decode
+        assert decode(None, "t", record.encode())[2] == StoreConfig(rowgroup_size=64)
+        catalog = json.dumps([{"name": "t", "config": old}]).encode()
+        (entry,) = json.loads(compat.current_file("snap_000001/catalog.json", catalog))
+        assert persist.config_from_json(entry["config"]) == StoreConfig(rowgroup_size=64)
+        with pytest.raises(TypeError, match="btree_order"):
+            persist.config_from_json(old)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import types
 from repro.errors import EncodingError
+from repro.exec.predicates import ColumnRange
 from repro.storage.dictionary import GlobalDictionary
 from repro.storage.encodings import Scheme
 from repro.storage.segment import DictionaryVector, RunVector, encode_segment
@@ -128,20 +129,24 @@ class TestNulls:
         assert mask is None
 
 
+def excludes(segment, low, high) -> bool:
+    return ColumnRange(low, high).excludes(segment.min_value, segment.max_value)
+
+
 class TestSegmentElimination:
     def test_overlaps_range(self):
         segment, _, _ = roundtrip(types.INT, np.array([10, 20, 30], dtype=np.int32))
-        assert segment.overlaps_range(25, 35)
-        assert segment.overlaps_range(None, 10)
-        assert segment.overlaps_range(30, None)
-        assert not segment.overlaps_range(31, 40)
-        assert not segment.overlaps_range(None, 9)
+        assert not excludes(segment, 25, 35)
+        assert not excludes(segment, None, 10)
+        assert not excludes(segment, 30, None)
+        assert excludes(segment, 31, 40)
+        assert excludes(segment, None, 9)
 
     def test_all_null_segment_never_overlaps(self):
         segment, _, _ = roundtrip(
             types.INT, np.zeros(3, dtype=np.int32), np.ones(3, dtype=bool)
         )
-        assert not segment.overlaps_range(None, None)
+        assert excludes(segment, None, None)
 
 
 class TestArchival:
@@ -177,7 +182,7 @@ class TestArchival:
         archived = encode_segment(types.INT, values).to_archived()
         assert archived.min_value == 10
         assert archived.max_value == 99
-        assert archived.overlaps_range(50, 120)
+        assert not excludes(archived, 50, 120)
 
 
 int_columns = st.lists(

@@ -244,6 +244,35 @@ class TestReencodingAndPaths:
         assert Database.check(str(root)).ok
 
 
+    def test_a_same_size_wrong_file_where_a_change_writes_is_replaced(
+        self, small, tmp_path, registry
+    ):
+        """A logged change keeps a blob already at its path only when it
+        is the listed bytes, not when its size matches."""
+        db, root = small
+        expected = rows_of(db)
+        # The same change on a copy names the blobs the original will write.
+        twin = tmp_path / "twin"
+        shutil.copytree(root, twin)
+        other = Database.open(str(twin))
+        before = pool_files(twin)
+        other.set_archival("kv", True)
+        written = {path: (twin / path).read_bytes() for path in pool_files(twin) - before}
+        other.close()
+        assert len(written) == 9
+        for path, data in written.items():
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
+            (root / path).write_bytes(bytes(b ^ 0xFF for b in data))
+        blobs_written = registry.counter("storage.wal.blobs_written")
+        db.set_archival("kv", True)
+        assert registry.counter("storage.wal.blobs_written") - blobs_written == 9
+        assert {path: (root / path).read_bytes() for path in written} == written
+        db.close()  # no checkpoint: the reopen replays the logged change
+        reopened = Database.open(str(root))
+        assert rows_of(reopened) == expected
+        reopened.close()
+
+
 class _OpLogDisk(FaultyDisk):
     """Records the write point at which every rename happened."""
 
