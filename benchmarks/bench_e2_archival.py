@@ -39,6 +39,11 @@ def _stored_bytes(index: ColumnStoreIndex) -> int:
     )
 
 
+def _set_archival(index: ColumnStoreIndex, enabled: bool) -> None:
+    with autocommit(index.mvcc) as txn:
+        index.install_row_groups(index.plan_archival(enabled), txn)
+
+
 def run_experiment() -> list[dict]:
     results = []
     for spec in DATASET_SPECS:
@@ -48,7 +53,7 @@ def run_experiment() -> list[dict]:
             index.bulk_load_columns(dataset.columns, txn)
         plain_size, plain_stored = index.size_bytes, _stored_bytes(index)
         plain_scan = min(_scan_all(index) for _ in range(3))
-        index.archive()
+        _set_archival(index, True)
         archive_size, archive_stored = index.size_bytes, _stored_bytes(index)
         archive_scan = min(_scan_all(index) for _ in range(3))
         results.append(
@@ -109,9 +114,9 @@ def test_e2_archive_roundtrip_speed(benchmark):
         index.bulk_load_columns(dataset.columns, txn)
 
     def archive_cycle():
-        index.archive()
+        _set_archival(index, True)
         size = index.size_bytes
-        index.unarchive()
+        _set_archival(index, False)
         return size
 
     assert benchmark.pedantic(archive_cycle, rounds=2, iterations=1) > 0

@@ -56,7 +56,8 @@ def main() -> None:
         # Show the archival layer on the most string-heavy dataset.
         if spec.name == "skewed_strings":
             plain = index.size_bytes
-            index.archive()
+            with autocommit(index.mvcc) as txn:
+                index.install_row_groups(index.plan_archival(True), txn)
             print(
                 f"    archival: {plain / 1024:,.0f} KiB -> "
                 f"{index.size_bytes / 1024:,.0f} KiB "

@@ -17,7 +17,7 @@ from ..rowstore.compression import table_page_compressed_size
 from ..rowstore.index import RowStoreIndex
 from ..rowstore.table import RowId, RowStoreTable
 from ..schema import PhysicalColumns, TableSchema
-from ..storage.columnstore import LOAD, MOVE, REBUILD, ColumnStoreIndex, RowGroupChange, RowLocator
+from ..storage.columnstore import MOVE, ColumnStoreIndex, RowGroupChange, RowLocator
 from ..storage.config import StoreConfig
 from ..storage.tuple_mover import TupleMover
 from ..planner.stats import ColumnStats, Histogram, HistogramBucket, TableStats
@@ -175,19 +175,16 @@ class Table:
         return self._columnstore().plan_archival(enabled)
 
     def install_row_groups(self, change: RowGroupChange, txn):
-        """Install a planned change's row groups; returns the statement's
-        result (a bulk load's row count, the tuple mover's report)."""
+        """Install a planned change's row groups
+        (:meth:`ColumnStoreIndex.install_row_groups`; a move through the
+        tuple mover, which reports it); returns the statement's result
+        (the tuple mover's report, else the rows the new groups hold)."""
         index = self._columnstore()
-        result = None
-        if change.kind == LOAD:
-            index.install_load(change.groups, txn)
-            result = sum(group.row_count for group in change.groups)
-        elif change.kind == MOVE:
-            result = TupleMover(index).run(change)
-        elif change.kind == REBUILD:
-            index.rebuild(change)
+        if change.kind == MOVE:
+            result = TupleMover(index).run(change, txn)
         else:
-            index.archive(change)
+            index.install_row_groups(change, txn)
+            result = sum(group.row_count for group in change.groups)
         self._bump_data_version(txn)
         return result
 

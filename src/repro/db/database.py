@@ -200,8 +200,7 @@ class Database:
         # replay can fast-forward the clock past it. Transactions that
         # touched no versioned storage (read-only, rowstore-only) skip
         # epoch allocation entirely.
-        hooks = txn.take_commit_hooks()
-        epoch = self.mvcc.commit(hooks) if hooks else None
+        epoch = txn.publish(self.mvcc)
         wal = self.durability.wal
         if wal is not None:
             # The commit marker is what promotes the transaction's
@@ -259,10 +258,10 @@ class Database:
         """Refuse operations that cannot serialize against an open txn.
 
         Checkpoints (save) and maintenance reorganizations (tuple mover,
-        REBUILD, archival) are logged, non-undoable operations; running
-        one mid-transaction would either bake uncommitted state into a
-        snapshot or create log records that replay cannot order against
-        the transaction's outcome.
+        REBUILD, archival) act on the whole table; running one
+        mid-transaction would either bake uncommitted state into a
+        snapshot or fold the transaction's uncommitted rows into row
+        groups.
         """
         if self._txn is not None:
             raise TxnError(
@@ -696,8 +695,8 @@ class Database:
     # rows by post-reorganization locators, so replay must reproduce the
     # same reorganizations in the same order. Each is planned (its row
     # groups compressed), then logged as the row groups it installs
-    # (ROW_GROUPS). They refuse to run inside a transaction, and they
-    # have no undo.
+    # (ROW_GROUPS). They refuse to run inside a transaction; like any
+    # statement, one that fails is rolled back.
     def run_tuple_mover(self, table: str, include_open: bool = False):
         self._require_no_txn("the tuple mover")
         target = self.catalog.table(table)

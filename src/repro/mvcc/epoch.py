@@ -33,8 +33,7 @@ whole point (DESIGN.md "Multi-versioning").
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ..observability import registry as metrics
 
@@ -154,10 +153,7 @@ class EpochManager:
     """
 
     def __init__(self) -> None:
-        # RLock: `installing()` holds the mutex across a whole
-        # maintenance operation, and maintenance code may run nested
-        # epoch work (e.g. rebuild loading rows while installing).
-        self._mutex = threading.RLock()
+        self._mutex = threading.Lock()
         self.current = GENESIS_EPOCH
         self.readers = ReaderRegistry(self)
 
@@ -180,25 +176,6 @@ class EpochManager:
         metrics.increment("mvcc.versions_installed")
         self.readers._publish_gauges()
         return epoch
-
-    @contextmanager
-    def installing(self) -> Iterator[int]:
-        """A maintenance epoch: reorganizations install at ``current + 1``.
-
-        The tuple mover, REBUILD and archival retire old structures and
-        create replacements; both sides are stamped with the yielded
-        epoch, and the epoch publishes when the block exits cleanly.
-        The mutex is held for the whole block — maintenance already runs
-        under the database's exclusive lock, so no committer can be
-        waiting on it, and holding it makes the no-interleaving
-        assumption explicit rather than implied.
-        """
-        with self._mutex:
-            epoch = self.current + 1
-            yield epoch
-            self.current = epoch
-        metrics.increment("mvcc.versions_installed")
-        self.readers._publish_gauges()
 
     def advance_to(self, epoch: int) -> None:
         """Fast-forward the clock (WAL replay of logged commit epochs)."""

@@ -16,12 +16,13 @@ MVCC (DESIGN.md "Multi-versioning"): the index owns an
 attaches its shared one). Every mutation runs inside a transaction
 context (:func:`repro.txn.autocommit` is the one-statement kind); it stamps
 :data:`~repro.mvcc.PENDING_EPOCH` and registers commit hooks that stamp
-the real epoch; maintenance operations *retire* superseded structures
-(row groups folded by REBUILD/archival, delta stores compressed by the
-tuple mover) into side lists instead of dropping them, so a snapshot
-reader pinned at an older epoch keeps scanning exactly the structures
-that were visible then. :meth:`vacuum` frees retired structures and
-tombstoned delta rows once the reader-registry horizon passes them.
+the real epoch. A change of row groups (:meth:`install_row_groups`)
+*retires* the structures it replaces (row groups folded by REBUILD or
+re-encoded by archival, delta stores compressed by the tuple mover) into
+side lists instead of dropping them, so a snapshot reader pinned at an
+older epoch keeps scanning exactly the structures that were visible
+then. :meth:`vacuum` frees retired structures and tombstoned delta rows
+once the reader-registry horizon passes them.
 """
 
 from __future__ import annotations
@@ -72,28 +73,29 @@ class RowGroupChange:
     include_open: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass
 class RetiredGroup:
-    """A row group superseded by maintenance, kept for older readers.
+    """A row group a change replaced, kept for older readers.
 
-    ``marks`` is the delete-bitmap state snapshotted at retirement
-    (positions -> mark epoch), or ``None`` when the live bitmap still
-    holds the group's marks (archival keeps the same group id live, so
-    its marks never moved).
+    ``marks`` is the delete-bitmap state taken at retirement (positions
+    -> mark epoch), or ``None`` when the live bitmap still holds the
+    group's marks (a re-encode keeps the same group id live, so its
+    marks never moved). ``retired_epoch`` is PENDING until the change
+    commits.
     """
 
     group: RowGroup
     created_epoch: int
-    retired_epoch: int
     marks: dict[int, int] | None
+    retired_epoch: int = PENDING_EPOCH
 
 
-@dataclass(frozen=True)
+@dataclass
 class RetiredDelta:
     """A delta store compressed away, kept for older readers."""
 
     delta: DeltaStore
-    retired_epoch: int
+    retired_epoch: int = PENDING_EPOCH
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ class ColumnStoreIndex:
             for row in physical.rows():
                 self.insert(row, txn)
         else:
-            self.install_load(change.groups, txn)
+            self.install_row_groups(change, txn)
 
     def plan_load(self, physical: PhysicalColumns) -> RowGroupChange | None:
         """The row groups a bulk load of ``physical`` compresses into, or
@@ -253,37 +255,7 @@ class ColumnStoreIndex:
         null_masks: dict[str, np.ndarray | None] | None = None,
     ) -> None:
         """Columnar bulk load (always takes the direct-compress path)."""
-        self.install_load(self.loader.compress(columns, null_masks), txn)
-
-    def install_load(self, groups: list[RowGroup], txn) -> None:
-        """Add a bulk load's compressed row groups under ``txn``."""
-        # Record before installing: a failure mid-install must also
-        # withdraw any row groups already registered.
-        mark = (
-            self.directory.next_group_id,
-            {col.name: len(self.directory.global_dictionary(col.name)) for col in self.schema},
-        )
-        txn.record(
-            f"withdraw bulk-loaded row groups (ids >= {mark[0]})",
-            lambda: self._undo_bulk_load(mark),
-        )
-        # Groups are born PENDING and stamped at commit: a snapshot
-        # reader never sees half a bulk load.
-        with self.directory.creating_at(PENDING_EPOCH):
-            self.directory.install(groups)
-        txn.on_commit(
-            lambda epoch, first=mark[0]: self.directory.stamp_pending_from(first, epoch)
-        )
-
-    def _undo_bulk_load(self, mark: tuple[int, dict[str, int]]) -> None:
-        next_group_id, dict_lengths = mark
-        for group in list(self.directory.row_groups()):
-            if group.group_id >= next_group_id:
-                self.directory.remove_row_group(group.group_id)
-                self.delete_bitmap.forget_group(group.group_id)
-        self.directory.rewind_group_ids(next_group_id)
-        for column, length in dict_lengths.items():
-            self.directory.global_dictionary(column).truncate(length)
+        self.install_row_groups(RowGroupChange(LOAD, self.loader.compress(columns, null_masks)), txn)
 
     # ------------------------------------------------------------------ #
     # Deletes
@@ -354,9 +326,9 @@ class ColumnStoreIndex:
         work included. Everything reachable from the result is stable
         under concurrent DML and maintenance:
 
-        * compressed row groups are immutable objects — the tuple mover,
-          REBUILD and archival all swap *new* group objects into the
-          directory, and the pinned references keep the old ones alive;
+        * compressed row groups are immutable objects — every change of
+          row groups installs *new* group objects into the directory, and
+          the pinned references keep the old ones alive;
         * deleted-row masks are materialized here, so later delete-bitmap
           marks never show through mid-scan — for the groups ``eliminated``
           keeps only (a rejected one, retired or live, is a ``None``);
@@ -365,20 +337,21 @@ class ColumnStoreIndex:
           trickle inserts into slots the pinned view never reads.
 
         The result is exactly the structures and rows committed at or
-        before ``epoch``, including *retired* row groups / delta stores
-        maintenance has since superseded (retirement epochs are real, so
-        none is visible at ``PENDING_EPOCH``). The capture runs under
-        ``_pin_mutex`` so it can never interleave
-        with a retirement half-way (structure in neither the live
-        directory nor the retired list); the delta captures happen
-        after the mutex is dropped, on references the retired lists
-        keep alive.
+        before ``epoch``, including *retired* row groups / delta stores a
+        change has since replaced. A retirement is PENDING until its
+        change commits, so every real-epoch reader still sees what it
+        retired, and ``epoch < retired_epoch`` hides every retirement,
+        pending or stamped, at ``PENDING_EPOCH``. The capture runs under
+        ``_pin_mutex`` so it can never interleave with a retirement
+        half-way (structure in neither the live directory nor the retired
+        list); the delta captures happen after the mutex is dropped, on
+        references the retired lists keep alive.
         """
         with self._pin_mutex:
             group_units: dict[int, ScanUnit | None] = {}
-            # Retired groups first: a group mid-retirement may appear
-            # both here and in the directory, and the retired record
-            # carries the marks it had when superseded.
+            # Retired groups first: a re-encoded group's id is in both
+            # places, and the retired record carries the marks it had
+            # when replaced.
             for record in self._retired_groups:
                 if not record.created_epoch <= epoch < record.retired_epoch:
                     continue
@@ -430,11 +403,6 @@ class ColumnStoreIndex:
     def closed_delta_stores(self) -> list[DeltaStore]:
         return [d for d in self.delta_stores() if not d.is_open and d.row_count]
 
-    def remove_delta_store(self, delta_id: int) -> None:
-        if delta_id == self._open_delta_id:
-            self._open_delta_id = None
-        self._delta_stores.pop(delta_id, None)
-
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
@@ -472,37 +440,89 @@ class ColumnStoreIndex:
             self._delta_stores[self._open_delta_id].close()
             self._open_delta_id = None
 
-    def _retire_group(self, group: RowGroup, epoch: int, keep_marks: bool = False) -> None:
-        """Move a superseded row group to the retired list.
+    def install_row_groups(self, change: RowGroupChange, txn) -> None:
+        """Install ``change`` under ``txn``: the one code that adds,
+        replaces or retires row groups and delta stores.
 
-        Appended *before* the caller removes it from the directory, and
-        under ``_pin_mutex``, so a concurrent snapshot capture sees the
-        group in at least one of the two places (the capture dedupes by
-        id, retired record winning). ``keep_marks`` is the archival case:
-        the same group id stays live, so its delete marks stay in the
-        live bitmap and older readers consult it through the record's
-        ``marks=None`` sentinel.
+        What the new groups replace follows from the change's kind
+        (:meth:`_replaced`). The new groups are created at PENDING and
+        what they replace is retired at PENDING, under one ``_pin_mutex``
+        hold: a reader pinned at a real epoch keeps scanning the old
+        structures, and one at ``PENDING_EPOCH`` (the statement itself)
+        sees the new. One commit hook stamps both sides with the commit
+        epoch; one undo puts everything back (the directory, its id
+        allocator and dictionaries, the retired groups' delete marks, the
+        delta stores and which one was open). Once the epoch is published
+        the retired structures are vacuumed. An empty change installs
+        nothing and registers no hook.
         """
+        groups, deltas = self._replaced(change)
+        retired: list[RetiredGroup | RetiredDelta] = []
+        mark = (self.directory.mark(), dict(self._delta_stores), self._open_delta_id)
+        txn.record(
+            f"undo the {change.kind} of {len(change.groups)} row groups",
+            lambda: self._rewind(mark, retired),
+        )
+        if change.include_open:
+            self.close_open_delta()
+        if not (change.groups or groups or deltas):
+            return
         with self._pin_mutex:
-            marks = None if keep_marks else self.delete_bitmap.take_group(group.group_id)
-            self._retired_groups = self._retired_groups + (
-                RetiredGroup(
-                    group=group,
-                    created_epoch=self.directory.created_epoch(group.group_id),
-                    retired_epoch=epoch,
-                    marks=marks,
-                ),
-            )
-
-    def _retire_delta(self, delta: DeltaStore, epoch: int) -> None:
-        """Move a compressed-away delta store to the retired list."""
-        with self._pin_mutex:
-            self._retired_deltas = self._retired_deltas + (
-                RetiredDelta(delta=delta, retired_epoch=epoch),
-            )
-            if delta.delta_id == self._open_delta_id:
+            for group in groups:
+                gid = group.group_id
+                marks = None if change.kind == REENCODE else self.delete_bitmap.take_group(gid)
+                retired.append(RetiredGroup(group, self.directory.created_epoch(gid), marks))
+                self._retired_groups += (retired[-1],)
+                self.directory.remove_row_group(gid)
+            for delta in deltas:
+                retired.append(RetiredDelta(delta))
+                self._retired_deltas += (retired[-1],)
+                del self._delta_stores[delta.delta_id]
+            if self._open_delta_id not in self._delta_stores:
                 self._open_delta_id = None
-            self._delta_stores.pop(delta.delta_id, None)
+        self.directory.install(change.groups, PENDING_EPOCH)
+        new_ids = [group.group_id for group in change.groups]
+        txn.on_commit(lambda epoch: self._stamp(new_ids, retired, epoch))
+        if retired:
+            txn.after_publish(self.vacuum)
+
+    def _replaced(self, change: RowGroupChange) -> tuple[list[RowGroup], list[DeltaStore]]:
+        """The row groups and delta stores ``change`` replaces: nothing
+        for a load; a move's ``deltas`` (each closed, or the open one
+        when ``include_open``); every live group and delta for a rebuild;
+        the live group of each new group's id for a re-encode."""
+        if change.kind == REBUILD:
+            return list(self.directory.row_groups()), self.delta_stores()
+        if change.kind == REENCODE:
+            return [self.directory.row_group(group.group_id) for group in change.groups], []
+        deltas = [self._delta_stores.get(delta_id) for delta_id in change.deltas]
+        if any(delta is None or (delta.is_open and not change.include_open) for delta in deltas):
+            raise StorageError(f"the tuple mover found no closed delta store among {change.deltas}")
+        return [], deltas
+
+    def _stamp(self, group_ids: list[int], retired: list, epoch: int) -> None:
+        """An install's commit hook: its groups are created, and what it
+        replaced retired, at ``epoch``."""
+        self.directory.stamp(group_ids, epoch)
+        with self._pin_mutex:
+            for record in retired:
+                record.retired_epoch = epoch
+
+    def _rewind(self, mark: tuple, retired: list) -> None:
+        """An install's undo: back to the state ``mark`` recorded."""
+        directory_mark, deltas, open_delta_id = mark
+        undone = {id(record) for record in retired}
+        with self._pin_mutex:
+            self._retired_groups = tuple(r for r in self._retired_groups if id(r) not in undone)
+            self._retired_deltas = tuple(r for r in self._retired_deltas if id(r) not in undone)
+            for record in retired:
+                if isinstance(record, RetiredGroup) and record.marks:
+                    self.delete_bitmap.restore_group(record.group.group_id, record.marks)
+            self.directory.rewind(directory_mark)
+            self._delta_stores = deltas
+            self._open_delta_id = open_delta_id
+        if open_delta_id is not None:
+            deltas[open_delta_id].reopen()
 
     def vacuum(self) -> dict[str, int]:
         """Free versions no registered reader can see.
@@ -567,50 +587,6 @@ class ColumnStoreIndex:
         if enabled:
             return RowGroupChange(REENCODE, [group.to_archived() for group in groups])
         return RowGroupChange(REENCODE, [group.to_unarchived() for group in groups])
-
-    def rebuild(self, change: RowGroupChange | None = None) -> None:
-        """REBUILD: recompress all live rows, dropping deleted ones.
-
-        Models ``ALTER INDEX ... REBUILD``: delete-bitmap entries and delta
-        stores are folded into fresh compressed row groups (``change``, by
-        default :meth:`plan_rebuild`'s). The swap installs a new epoch —
-        old groups and deltas are retired, not dropped, so snapshot readers
-        pinned before the rebuild keep scanning the exact structures that
-        were visible to them.
-        """
-        change = change or self.plan_rebuild()
-        with self.mvcc.installing() as epoch:
-            for group in list(self.directory.row_groups()):
-                self._retire_group(group, epoch)
-                self.directory.remove_row_group(group.group_id)
-            for delta in self.delta_stores():
-                if delta.physical_row_count:
-                    self._retire_delta(delta, epoch)
-                else:
-                    self.remove_delta_store(delta.delta_id)
-            self._open_delta_id = None
-            with self.directory.creating_at(epoch):
-                self.directory.install(change.groups)
-        self.vacuum()
-
-    def archive(self, change: RowGroupChange | None = None) -> None:
-        """Switch compressed row groups to archival compression (or, as
-        ``change`` says, back).
-
-        Each group is replaced by ``change``'s group of its id (by default
-        :meth:`plan_archival`'s), re-created at the installing epoch; the
-        original object is retired with the ``marks=None`` sentinel (the
-        group id — and hence its delete marks — stays live in the bitmap).
-        """
-        change = change or self.plan_archival(True)
-        with self.mvcc.installing() as epoch:
-            for group in change.groups:
-                self._retire_group(self.directory.row_group(group.group_id), epoch, keep_marks=True)
-                self.directory.replace_row_group(group, epoch=epoch)
-        self.vacuum()
-
-    def unarchive(self) -> None:
-        self.archive(self.plan_archival(False))
 
     def iter_unit_rows(
         self, units: Iterable[ScanUnit]

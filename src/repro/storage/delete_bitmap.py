@@ -125,11 +125,6 @@ class DeleteBitmap:
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
-    def forget_group(self, group_id: int) -> None:
-        """Drop all marks for a row group (after rebuild/removal)."""
-        with self._lock:
-            self._deleted.pop(group_id, None)
-
     def take_group(self, group_id: int) -> dict[int, int]:
         """Detach and return a row group's marks (group retirement).
 
@@ -144,6 +139,11 @@ class DeleteBitmap:
             if marks is None:
                 return {}
             return dict(marks)
+
+    def restore_group(self, group_id: int, marks: dict[int, int]) -> None:
+        """Put back the marks :meth:`take_group` detached (an undo)."""
+        with self._lock:
+            self._deleted[group_id] = dict(marks)
 
     def groups_with_deletes(self) -> list[int]:
         return sorted(gid for gid, positions in self._deleted.items() if positions)

@@ -9,8 +9,8 @@ MVCC: each live row group carries a *creation epoch* — the commit epoch
 at which it became visible (GENESIS for state loaded from a snapshot,
 PENDING while the creating transaction is uncommitted). Snapshot reads
 filter by it (:meth:`SegmentDirectory.visible_groups`); the retirement
-side of versioning (groups removed by the tuple mover / REBUILD but
-still visible to older readers) lives in
+side of versioning (groups a change replaced but still visible to
+older readers) lives in
 :class:`~repro.storage.columnstore.ColumnStoreIndex`, which keeps the
 retired objects alive until vacuum. Mutations happen under a small
 mutex and iteration works over an immutably-swapped dict snapshot, so
@@ -19,7 +19,6 @@ readers never observe a dict mid-resize.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from threading import Lock
 from typing import Any, Iterator
@@ -63,21 +62,6 @@ class SegmentDirectory:
         # consistent snapshot.
         self._created_epoch: dict[int, int] = {}
         self._mutex = Lock()
-        # The epoch new groups are created at. GENESIS by default (a
-        # snapshot load); the creating_at() context manager scopes it for
-        # bulk loads and maintenance, so the bulk loader itself needs no
-        # epoch plumbing.
-        self._creation_epoch = GENESIS_EPOCH
-
-    @contextmanager
-    def creating_at(self, epoch: int):
-        """Scope the creation epoch for groups added inside the block."""
-        previous = self._creation_epoch
-        self._creation_epoch = epoch
-        try:
-            yield
-        finally:
-            self._creation_epoch = previous
 
     # ------------------------------------------------------------------ #
     # Row-group lifecycle
@@ -86,57 +70,48 @@ class SegmentDirectory:
     def next_group_id(self) -> int:
         return self._next_group_id
 
-    def rewind_group_ids(self, next_group_id: int) -> None:
-        """Roll the id allocator back (bulk-load undo).
+    def mark(self) -> tuple:
+        """What :meth:`rewind` puts back: the groups, their creation
+        epochs, the id allocator and the global dictionaries' lengths."""
+        with self._mutex:
+            return (
+                self._row_groups,
+                dict(self._created_epoch),
+                self._next_group_id,
+                {column: len(d) for column, d in self._global_dicts.items()},
+            )
 
-        Only valid once every group with id >= ``next_group_id`` has been
-        removed; ids stay deterministic across rollback + retry, which
-        WAL replay's locator addressing depends on.
-        """
-        for group_id in self._row_groups:
-            if group_id >= next_group_id:
-                raise StorageError(
-                    f"cannot rewind group ids to {next_group_id}: row group "
-                    f"{group_id} still exists"
-                )
-        self._next_group_id = next_group_id
+    def rewind(self, mark: tuple) -> None:
+        """Undo every change since :meth:`mark` was taken (a failed
+        install's undo). Ids and dictionary ids come back too, so a retry
+        allocates the same ones, which WAL replay's locators depend on."""
+        groups, created, next_group_id, lengths = mark
+        with self._mutex:
+            self._row_groups = groups
+            self._created_epoch = created
+            self._next_group_id = next_group_id
+        for column, length in lengths.items():
+            self._global_dicts[column].truncate(length)
 
-    def add_row_group(self, group: RowGroup, epoch: int | None = None) -> None:
+    def add_row_group(self, group: RowGroup, epoch: int = GENESIS_EPOCH) -> None:
         with self._mutex:
             if group.group_id in self._row_groups:
                 raise StorageError(f"duplicate row group id {group.group_id}")
             updated = dict(self._row_groups)
             updated[group.group_id] = group
-            self._created_epoch[group.group_id] = (
-                epoch if epoch is not None else self._creation_epoch
-            )
+            self._created_epoch[group.group_id] = epoch
             self._row_groups = updated
 
-    def install(self, groups: list[RowGroup]) -> None:
-        """Add freshly compressed row groups (their ids taken from
-        :attr:`next_group_id` on), intern their dictionaries into the
-        global ones, and move the id allocator past them."""
+    def install(self, groups: list[RowGroup], epoch: int = GENESIS_EPOCH) -> None:
+        """Add freshly compressed row groups created at ``epoch``, intern
+        their dictionaries into the global ones, and move the id
+        allocator past them."""
         for group in groups:
-            self.add_row_group(group)
+            self.add_row_group(group, epoch)
             for column, segment in group.segments.items():
                 if segment.dictionary is not None:
                     self._global_dicts[column].intern_all(segment.dictionary.values)
             self._next_group_id = max(self._next_group_id, group.group_id + 1)
-
-    def replace_row_group(self, group: RowGroup, epoch: int | None = None) -> None:
-        """Swap in a re-compressed version of an existing row group.
-
-        ``epoch`` re-stamps the creation epoch (archival re-creates the
-        group at the installing epoch); by default the stamp is kept.
-        """
-        with self._mutex:
-            if group.group_id not in self._row_groups:
-                raise StorageError(f"unknown row group id {group.group_id}")
-            updated = dict(self._row_groups)
-            updated[group.group_id] = group
-            if epoch is not None:
-                self._created_epoch[group.group_id] = epoch
-            self._row_groups = updated
 
     def remove_row_group(self, group_id: int) -> RowGroup:
         with self._mutex:
@@ -151,16 +126,13 @@ class SegmentDirectory:
     def created_epoch(self, group_id: int) -> int:
         return self._created_epoch.get(group_id, GENESIS_EPOCH)
 
-    def stamp_pending_from(self, first_group_id: int, epoch: int) -> None:
-        """Commit hook for bulk loads: stamp groups created PENDING.
-
-        Applies to ids ``>= first_group_id`` still pending — a stale
-        hook (after a statement-level rollback removed the groups) is a
-        no-op, and re-created ids stamp the same (correct) epoch.
-        """
+    def stamp(self, group_ids: list[int], epoch: int) -> None:
+        """Commit hook: stamp the groups ``group_ids`` still PENDING with
+        ``epoch``. A stale hook (its statement rolled back) is a no-op,
+        and a group a retry re-created stamps the same epoch."""
         with self._mutex:
-            for group_id, created in self._created_epoch.items():
-                if group_id >= first_group_id and created == PENDING_EPOCH:
+            for group_id in group_ids:
+                if self._created_epoch.get(group_id) == PENDING_EPOCH:
                     self._created_epoch[group_id] = epoch
 
     def row_group(self, group_id: int) -> RowGroup:

@@ -47,30 +47,14 @@ def rows_to_columns(
 
 
 class BulkLoader:
-    """Compresses column data into row groups registered in a directory."""
+    """Compresses column data into row groups numbered from a directory's
+    next free id (:meth:`ColumnStoreIndex.install_row_groups` installs
+    them)."""
 
     def __init__(self, schema: TableSchema, directory: SegmentDirectory, config: StoreConfig) -> None:
         self.schema = schema
         self.directory = directory
         self.config = config
-
-    # ------------------------------------------------------------------ #
-    # Entry points
-    # ------------------------------------------------------------------ #
-    def load_rows(self, rows: Sequence[tuple[Any, ...]]) -> list[RowGroup]:
-        """Compress already-coerced physical rows into row groups."""
-        columns, null_masks = rows_to_columns(self.schema, rows)
-        return self.load_columns(columns, null_masks)
-
-    def load_columns(
-        self,
-        columns: Mapping[str, np.ndarray],
-        null_masks: Mapping[str, np.ndarray | None] | None = None,
-    ) -> list[RowGroup]:
-        """Compress per-column arrays into row groups and install them."""
-        groups = self.compress(columns, null_masks)
-        self.directory.install(groups)
-        return groups
 
     def compress(
         self,

@@ -38,7 +38,10 @@ class TxnContext:
     record when a WAL is attached) for explicit transactions.
     """
 
-    __slots__ = ("txn_id", "_undo", "statements", "rolled_back", "owner", "_on_commit", "_keyed")
+    __slots__ = (
+        "txn_id", "_undo", "statements", "rolled_back", "owner",
+        "_on_commit", "_keyed", "_published",
+    )
 
     def __init__(self, txn_id: int = AUTO_COMMIT_TXN, owner: str | None = None) -> None:
         self.txn_id = txn_id
@@ -52,6 +55,9 @@ class TxnContext:
         # already undone) is a harmless no-op.
         self._on_commit: list[Callable[[int], None]] = []
         self._keyed: dict = {}  # hooks by key, which later mutations extend
+        # Actions run once the commit epoch is published (vacuuming what
+        # the transaction retired, which no reader may see before then).
+        self._published: list[Callable[[], None]] = []
         # The session that opened this transaction (None for direct,
         # single-caller Database use). The concurrency layer serializes
         # writers, so at most one explicit transaction exists at a time —
@@ -86,12 +92,21 @@ class TxnContext:
             self._on_commit.append(hook)
         return hook
 
-    def take_commit_hooks(self) -> list[Callable[[int], None]]:
-        """Detach and return the commit hooks (the commit path owns them)."""
-        hooks = self._on_commit
-        self._on_commit = []
-        self._keyed = {}
-        return hooks
+    def after_publish(self, action: Callable[[], None]) -> None:
+        """Register an action to run once the commit epoch is published."""
+        self._published.append(action)
+
+    def publish(self, mvcc) -> int | None:
+        """Install the commit hooks at a fresh epoch of ``mvcc`` (an
+        :class:`~repro.mvcc.EpochManager`) and return it, then run the
+        after-publish actions. A transaction that registered no hook
+        touched no versioned storage and allocates no epoch."""
+        hooks, actions = self._on_commit, self._published
+        self._on_commit, self._keyed, self._published = [], {}, []
+        epoch = mvcc.commit(hooks) if hooks else None
+        for action in actions:
+            action()
+        return epoch
 
     # ------------------------------------------------------------------ #
     # Savepoints / rollback
@@ -127,6 +142,7 @@ class TxnContext:
         self.rolled_back = True
         self._on_commit.clear()
         self._keyed.clear()
+        self._published.clear()
         return undone
 
     def discard(self) -> None:
@@ -134,6 +150,7 @@ class TxnContext:
         self._undo.clear()
         self._on_commit.clear()
         self._keyed.clear()
+        self._published.clear()
 
 
 @contextmanager
@@ -155,7 +172,5 @@ def autocommit(mvcc) -> Iterator[TxnContext]:
         txn.rollback()
         metrics.increment("txn.statement_rollbacks")
         raise
-    hooks = txn.take_commit_hooks()
-    if hooks:
-        mvcc.commit(hooks)
+    txn.publish(mvcc)
     txn.discard()

@@ -22,7 +22,7 @@ from repro.storage.config import StoreConfig
 from repro.storage.encodings import Scheme
 from repro.storage.rle import RleBlock
 
-from ..storage.test_columnstore import bulk_load
+from ..storage.test_columnstore import bulk_load, install
 
 
 def collect(scan):
@@ -46,7 +46,7 @@ class TestArchivedSegments:
         group = next(store.directory.row_groups())
         assert group.segment("k").scheme is Scheme.DICT
         assert isinstance(group.segment("run").stream, RleBlock)
-        store.archive()
+        install(store, store.plan_archival(True))
         assert next(store.directory.row_groups()).segment("k").archived
         return store
 

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.mvcc import GENESIS_EPOCH, PENDING_EPOCH, EpochManager
+from repro.txn import autocommit
 
 
 class TestCommit:
@@ -35,12 +36,27 @@ class TestCommit:
             mgr.commit([lambda e: (_ for _ in ()).throw(RuntimeError("boom"))])
         assert mgr.current == GENESIS_EPOCH
 
-    def test_installing_publishes_on_clean_exit(self):
+    def test_autocommit_publishes_on_clean_exit(self):
         mgr = EpochManager()
-        with mgr.installing() as epoch:
-            assert epoch == 1
+        stamped = []
+        with autocommit(mgr) as txn:
+            txn.on_commit(stamped.append)
             assert mgr.current == GENESIS_EPOCH  # not yet published
-        assert mgr.current == 1
+        assert stamped == [1] and mgr.current == 1
+
+    def test_after_publish_sees_the_published_epoch(self):
+        mgr = EpochManager()
+        seen = []
+        with autocommit(mgr) as txn:
+            txn.on_commit(lambda epoch: None)
+            txn.after_publish(lambda: seen.append(mgr.current))
+        assert seen == [1]
+
+    def test_a_scope_with_no_hook_allocates_no_epoch(self):
+        mgr = EpochManager()
+        with autocommit(mgr) as txn:
+            txn.after_publish(lambda: None)
+        assert mgr.current == GENESIS_EPOCH
 
     def test_advance_to_is_monotonic(self):
         mgr = EpochManager()

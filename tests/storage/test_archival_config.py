@@ -8,7 +8,7 @@ from repro.errors import StorageError
 from repro.mvcc import PENDING_EPOCH
 from repro.storage.columnstore import ColumnStoreIndex
 
-from .test_columnstore import bulk_load, insert
+from .test_columnstore import bulk_load, insert, move
 
 
 class TestArchivalConfig:
@@ -33,10 +33,8 @@ class TestArchivalConfig:
                 delta_close_rows=50, archival=True,
             ),
         )
-        from repro.storage.tuple_mover import TupleMover
-
         insert(index, [(i,) for i in range(60)])
-        TupleMover(index).run()
+        move(index)
         groups = list(index.directory.row_groups())
         assert groups and all(g.archived for g in groups)
 

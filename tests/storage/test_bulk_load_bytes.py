@@ -27,6 +27,8 @@ from repro import Database, StoreConfig, schema, types
 from repro.storage import compat, persist
 from repro.storage.blob import serialize_segment
 from repro.storage.columnstore import ColumnStoreIndex
+from repro.storage.loader import rows_to_columns
+from repro.txn import autocommit
 from repro.wal.log import WAL_DIR_NAME
 from repro.wal.record import WalRecord, WalRecordType, logged_blobs, scan_segment
 from repro.wal.replay import apply_records
@@ -109,7 +111,9 @@ def _reference(sch, rows):
     """The row path: coerced rows, their row groups' blobs, their payload."""
     physical = [sch.coerce_row(row) for row in rows]
     index = ColumnStoreIndex(sch, CONFIG)
-    index.loader.load_rows(physical)
+    columns, null_masks = rows_to_columns(sch, physical)
+    with autocommit(index.mvcc) as txn:
+        index.bulk_load_columns(columns, txn, null_masks)
     return _blobs(index), persist.serialize_rows(sch, physical)
 
 

@@ -68,6 +68,16 @@ def delete(index, locator):
         return index.delete(locator, txn)
 
 
+def install(index, change):
+    with autocommit(index.mvcc) as txn:
+        index.install_row_groups(change, txn)
+
+
+def move(index, include_open=False):
+    with autocommit(index.mvcc) as txn:
+        return TupleMover(index).run(index.plan_move(include_open), txn)
+
+
 class TestTrickleInsert:
     def test_insert_goes_to_delta(self, index, sch):
         locator = insert(index, [sch.coerce_row((1, "a", 1.0))])[0]
@@ -157,7 +167,7 @@ class TestDelete:
 class TestTupleMover:
     def test_moves_closed_deltas(self, index, sch):
         insert(index, make_rows(sch, 45))  # two closed (20+20), one open (5)
-        report = TupleMover(index).run()
+        report = move(index)
         assert report.delta_stores_compressed == 2
         assert report.rows_moved == 40
         assert index.compressed_rows == 40
@@ -165,7 +175,7 @@ class TestTupleMover:
 
     def test_include_open(self, index, sch):
         insert(index, make_rows(sch, 5))
-        report = TupleMover(index).run(index.plan_move(include_open=True))
+        report = move(index, include_open=True)
         assert report.rows_moved == 5
         assert index.delta_rows == 0
         assert index.live_rows == 5
@@ -174,13 +184,13 @@ class TestTupleMover:
         locators = insert(index, make_rows(sch, 20))  # closes exactly
         # Delete from the *closed* delta store before the mover runs.
         index._delta_stores[locators[0].container_id].delete(locators[0].position)
-        report = TupleMover(index).run()
+        report = move(index)
         assert report.rows_moved == 19
         assert index.live_rows == 19
 
     def test_noop_when_nothing_closed(self, index, sch):
         insert(index, make_rows(sch, 3))
-        report = TupleMover(index).run()
+        report = move(index)
         assert report.delta_stores_compressed == 0
 
 
@@ -190,7 +200,7 @@ class TestRebuild:
         group = next(index.directory.row_groups())
         for position in range(10):
             delete(index, RowLocator(GROUP, group.group_id, position))
-        index.rebuild()
+        install(index, index.plan_rebuild())
         assert index.live_rows == 90
         assert index.compressed_rows == 90
         assert index.delete_bitmap.total_deleted == 0
@@ -198,12 +208,12 @@ class TestRebuild:
     def test_rebuild_folds_delta_stores(self, index, sch):
         bulk_load(index, make_rows(sch, 50))
         insert(index, make_rows(sch, 7, start=1000))
-        index.rebuild()
+        install(index, index.plan_rebuild())
         assert index.delta_rows == 0
         assert index.compressed_rows == 57
 
     def test_rebuild_empty_index(self, index):
-        index.rebuild()
+        install(index, index.plan_rebuild())
         assert index.live_rows == 0
 
 
@@ -211,10 +221,10 @@ class TestArchival:
     def test_archive_toggles(self, index, sch):
         bulk_load(index, make_rows(sch, 50))
         plain_size = index.size_bytes
-        index.archive()
+        install(index, index.plan_archival(True))
         for group in index.directory.row_groups():
             assert group.archived
-        index.unarchive()
+        install(index, index.plan_archival(False))
         for group in index.directory.row_groups():
             assert not group.archived
         assert index.size_bytes == plain_size
@@ -222,7 +232,7 @@ class TestArchival:
     def test_archived_data_still_scans(self, index, sch):
         rows = make_rows(sch, 50)
         bulk_load(index, rows)
-        index.archive()
+        install(index, index.plan_archival(True))
         live = sorted(row for _, row in index.iter_unit_rows(index.pin_scan_units(PENDING_EPOCH)))
         assert len(live) == 50
         assert live[0][0] == 0

@@ -39,12 +39,15 @@ class TestDeleteBitmap:
     def test_mask_for_untouched_group_is_none(self):
         assert DeleteBitmap().mask_for(9, 10, PENDING_EPOCH) is None
 
-    def test_forget_group(self):
+    def test_take_group_then_restore_it(self):
         bitmap = DeleteBitmap()
-        bitmap.mark(1, 1)
-        bitmap.forget_group(1)
+        bitmap.mark(1, 1, epoch=4)
+        marks = bitmap.take_group(1)
         assert bitmap.total_deleted == 0
         assert bitmap.mask_for(1, 5, PENDING_EPOCH) is None
+        bitmap.restore_group(1, marks)
+        assert bitmap.mask_for(1, 5, 4).tolist() == [False, True, False, False, False]
+        assert bitmap.mask_for(1, 5, 3) is None  # the mark's epoch came back too
 
     def test_groups_with_deletes(self):
         bitmap = DeleteBitmap()

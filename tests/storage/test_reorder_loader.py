@@ -70,6 +70,18 @@ def sch():
     return schema(("k", types.INT, False), ("grp", types.VARCHAR))
 
 
+def load_columns(loader, columns, null_masks=None):
+    """Compress columns and install the groups into the loader's bare
+    directory, as a snapshot load does."""
+    groups = loader.compress(columns, null_masks)
+    loader.directory.install(groups)
+    return groups
+
+
+def load_rows(loader, rows):
+    return load_columns(loader, *rows_to_columns(loader.schema, rows))
+
+
 class TestBulkLoader:
     def make_loader(self, sch, **config_kwargs):
         config = StoreConfig(**{"rowgroup_size": 100, "reorder_rows": True, **config_kwargs})
@@ -79,20 +91,21 @@ class TestBulkLoader:
     def test_chunks_into_rowgroups(self, sch):
         loader, directory = self.make_loader(sch)
         rows = [(i, f"g{i % 3}") for i in range(250)]
-        groups = loader.load_rows(rows)
+        groups = load_rows(loader, rows)
         assert [g.row_count for g in groups] == [100, 100, 50]
         assert directory.total_rows == 250
 
     def test_missing_column_raises(self, sch):
         loader, _ = self.make_loader(sch)
         with pytest.raises(StorageError):
-            loader.load_columns({"k": np.arange(5, dtype=np.int32)})
+            load_columns(loader, {"k": np.arange(5, dtype=np.int32)})
 
     def test_unequal_lengths_raise(self, sch):
         loader, _ = self.make_loader(sch)
         with pytest.raises(StorageError):
-            loader.load_columns(
-                {"k": np.arange(5, dtype=np.int32), "grp": np.array(["a"] * 4, dtype=object)}
+            load_columns(
+                loader,
+                {"k": np.arange(5, dtype=np.int32), "grp": np.array(["a"] * 4, dtype=object)},
             )
 
     def test_reorder_improves_compression(self, sch):
@@ -103,8 +116,8 @@ class TestBulkLoader:
         }
         loader_on, dir_on = self.make_loader(sch, rowgroup_size=2000, reorder_rows=True)
         loader_off, dir_off = self.make_loader(sch, rowgroup_size=2000, reorder_rows=False)
-        loader_on.load_columns({k: v.copy() for k, v in columns.items()})
-        loader_off.load_columns(columns)
+        load_columns(loader_on, {k: v.copy() for k, v in columns.items()})
+        load_columns(loader_off, columns)
         assert dir_on.encoded_size_bytes < dir_off.encoded_size_bytes
 
     def test_rows_to_columns_handles_nulls(self, sch):
@@ -129,7 +142,7 @@ class TestRowGroupAndDirectory:
     def test_directory_segment_infos(self, sch):
         directory = SegmentDirectory(sch)
         loader = BulkLoader(sch, directory, StoreConfig(rowgroup_size=10))
-        loader.load_rows([(i, "g") for i in range(20)])
+        load_rows(loader, [(i, "g") for i in range(20)])
         infos = directory.segment_infos()
         assert len(infos) == 4  # 2 groups x 2 columns
         k_infos = [i for i in infos if i.column == "k"]
@@ -139,7 +152,7 @@ class TestRowGroupAndDirectory:
     def test_directory_duplicate_group_rejected(self, sch):
         directory = SegmentDirectory(sch)
         loader = BulkLoader(sch, directory, StoreConfig(rowgroup_size=10))
-        group = loader.load_rows([(1, "a")])[0]
+        group = load_rows(loader, [(1, "a")])[0]
         with pytest.raises(StorageError):
             directory.add_row_group(group)
 
@@ -167,7 +180,7 @@ class TestDictionarySizeLimit:
             "s": np.array([f"value-{i:05d}-{'x' * 30}" for i in range(1000)], dtype=object),
         }
         loader, directory = self.make_loader(sch, limit=10_000)
-        groups = loader.load_columns(columns)
+        groups = load_columns(loader, columns)
         assert len(groups) > 1, "dictionary cap must split the row group"
         assert directory.total_rows == 1000
         for group in groups:
@@ -180,5 +193,5 @@ class TestDictionarySizeLimit:
         sch = schema(("s", types.VARCHAR, False))
         columns = {"s": np.array(["a", "b"] * 500, dtype=object)}
         loader, directory = self.make_loader(sch, limit=10_000)
-        groups = loader.load_columns(columns)
+        groups = load_columns(loader, columns)
         assert len(groups) == 1

@@ -1,8 +1,9 @@
 """Statement-level atomicity under injected faults at every mutation point.
 
 The sweep wraps every low-level storage mutator (heap insert/delete,
-index insert/delete, delta-store insert/delete, delete-bitmap mark,
-row-group registration) with a counter that raises at call *k*. A clean
+index insert/delete, delta-store insert/delete/close, delete-bitmap
+mark and take, row-group registration and removal) with a counter that
+raises at call *k*. A clean
 run counts the mutation points a statement touches; the sweep then
 replays the statement on an identically rebuilt database for every
 ``k`` in 1..N and asserts the post-failure state fingerprint is
@@ -19,6 +20,7 @@ from repro.rowstore.index import RowStoreIndex
 from repro.rowstore.table import RowStoreTable
 from repro.storage.delete_bitmap import DeleteBitmap
 from repro.storage.deltastore import DeltaStore
+from repro.storage.diskio import DiskIO
 from repro.storage.directory import SegmentDirectory
 
 from .conftest import fingerprint_db
@@ -56,8 +58,11 @@ MUTATION_POINTS = [
     (RowStoreIndex, "delete"),
     (DeltaStore, "insert"),
     (DeltaStore, "delete"),
+    (DeltaStore, "close"),
     (DeleteBitmap, "mark"),
+    (DeleteBitmap, "take_group"),
     (SegmentDirectory, "add_row_group"),
+    (SegmentDirectory, "remove_row_group"),
 ]
 
 
@@ -93,35 +98,35 @@ def seeded_db(storage: str) -> Database:
     return db
 
 
-def run_sweep(injector, make_db, statement, min_points: int):
+def run_sweep(injector, make_db, statement, min_points: int, fingerprint=fingerprint_db):
     # Clean run: count the mutation points and capture the end state.
     db = make_db()
-    before = fingerprint_db(db)
+    before = fingerprint(db)
     injector.reset(fail_at=None)
     injector.active = True
     statement(db)
     injector.active = False
     total = injector.calls
-    after_clean = fingerprint_db(db)
+    after_clean = fingerprint(db)
     assert total >= min_points, f"expected >= {min_points} mutation points, saw {total}"
     assert after_clean != before, "statement must actually mutate state"
 
     # Fault sweep: fail at every mutation point in turn.
     for k in range(1, total + 1):
         db = make_db()
-        assert fingerprint_db(db) == before, "db rebuild is not deterministic"
+        assert fingerprint(db) == before, "db rebuild is not deterministic"
         injector.reset(fail_at=k)
         injector.active = True
         with pytest.raises(InjectedTxnFault):
             statement(db)
         injector.active = False
-        assert fingerprint_db(db) == before, (
+        assert fingerprint(db) == before, (
             f"state diverged after fault at mutation point {k}/{total}"
         )
         # The database stays usable: the same statement retried on the
         # rolled-back state converges to the clean end state.
         statement(db)
-        assert fingerprint_db(db) == after_clean, (
+        assert fingerprint(db) == after_clean, (
             f"retry after fault at point {k}/{total} diverged"
         )
 
@@ -203,7 +208,119 @@ class TestBulkLoadAtomicity:
         )
 
 
+def archived_db() -> Database:
+    db = seeded_db("columnstore")
+    db.set_archival("t", True)
+    return db
+
+
+def fingerprint_with_retired(db) -> tuple:
+    """:func:`fingerprint_db` and the retired structures awaiting vacuum:
+    an undone install takes back what it retired."""
+    return fingerprint_db(db), db.catalog.table("t").columnstore.retired_counts
+
+
+class TestMaintenanceAtomicity:
+    # The seeded table holds one compressed row group, a closed delta
+    # and an open one. A fault anywhere in a maintenance statement must
+    # put back the groups, their delete marks, the delta stores, which
+    # one was open, the id allocator, the dictionaries and the retired
+    # lists.
+    @pytest.mark.parametrize("include_open", [False, True])
+    def test_tuple_mover(self, injector, include_open, registry):
+        run_sweep(
+            injector,
+            lambda: seeded_db("columnstore"),
+            lambda db: db.run_tuple_mover("t", include_open=include_open),
+            min_points=3 if include_open else 1,
+            fingerprint=fingerprint_with_retired,
+        )
+
+    def test_rebuild(self, injector, registry):
+        def make_db():
+            db = seeded_db("columnstore")
+            db.sql("DELETE FROM t WHERE id % 3 = 0")  # marks to take and put back
+            return db
+
+        run_sweep(
+            injector,
+            make_db,
+            lambda db: db.rebuild("t"),
+            min_points=4,
+            fingerprint=fingerprint_with_retired,
+        )
+
+    def test_archival_on(self, injector, registry):
+        run_sweep(
+            injector,
+            lambda: seeded_db("columnstore"),
+            lambda db: db.set_archival("t", True),
+            min_points=2,
+            fingerprint=fingerprint_with_retired,
+        )
+
+    def test_archival_off(self, injector, registry):
+        run_sweep(
+            injector,
+            archived_db,
+            lambda db: db.set_archival("t", False),
+            min_points=2,
+            fingerprint=fingerprint_with_retired,
+        )
+
+
+class FailingAppends(DiskIO):
+    """A disk whose log appends raise before writing a byte while
+    ``failing`` is set."""
+
+    failing = False
+
+    def append_file(self, path, data):
+        if self.failing:
+            raise OSError("injected log append failure")
+        super().append_file(path, data)
+
+
+# Each logged change of row groups, on a table with one compressed row
+# group, two closed delta stores of 8 rows and an open one of 4.
+ROW_GROUP_CHANGES = {
+    "load": lambda db: db.bulk_load("t", [(500 + i, "bulk", float(i)) for i in range(40)]),
+    "move": lambda db: db.run_tuple_mover("t"),
+    "rebuild": lambda db: db.rebuild("t"),
+    "archival": lambda db: db.set_archival("t", True),
+}
+
+
 class TestFailedStatementNeverLogged:
+    @pytest.mark.parametrize("change", sorted(ROW_GROUP_CHANGES))
+    def test_failed_row_group_append_leaves_memory_and_log_agreeing(
+        self, change, tmp_path, registry
+    ):
+        config = StoreConfig(rowgroup_size=64, bulk_load_threshold=32, delta_close_rows=8)
+        path = str(tmp_path / "d")
+        disk = FailingAppends()
+        db = Database.open(path, disk=disk, durability="per-commit", default_config=config)
+        db.sql("CREATE TABLE t (k INT NOT NULL, grp VARCHAR, amount FLOAT)")
+        db.bulk_load("t", [(100 + i, "seed", float(i)) for i in range(40)])
+        for k in range(20):
+            db.insert("t", [(k, "row", float(k))])
+        before = fingerprint_db(db)
+        lsn_before = db.wal.last_lsn
+        disk.failing = True
+        with pytest.raises(OSError):
+            ROW_GROUP_CHANGES[change](db)
+        disk.failing = False
+        assert fingerprint_db(db) == before
+        assert db.wal.last_lsn == lsn_before
+        # The next statement addresses rows as memory holds them; replay
+        # must find them at the same addresses.
+        db.sql("DELETE FROM t WHERE k = 3")
+        rows = sorted(db.sql("SELECT k, grp, amount FROM t").rows)
+        db.close()
+        reopened = Database.open(path, default_config=config)
+        assert sorted(reopened.sql("SELECT k, grp, amount FROM t").rows) == rows
+        reopened.close()
+
     def test_wal_untouched_by_failed_statement(self, injector, tmp_path, registry):
         db = Database.open(
             str(tmp_path / "d"), durability="per-commit", default_config=_CONFIG
